@@ -9,7 +9,9 @@
 // one key per reported unit, e.g. "B/op", "allocs/op", "edgevisits/op"}).
 // -query writes only the BenchmarkQuerySingle/* and BenchmarkSweep/*
 // lines in the per-strategy shape cmd/benchgate compares ({name,
-// strategy, ns_per_op, bytes_per_op, allocs_per_op}); the strategy is the
+// strategy, ns_per_op, bytes_per_op, allocs_per_op}; -distrib writes the
+// BenchmarkDistrib* lines in that shape plus scatters_per_op and
+// siblings_per_op where the benchmark reports them); the strategy is the
 // sub-benchmark name with the GOMAXPROCS suffix stripped (so sharded
 // variants keep their -S4 marker), namespaced "Sweep/<name>" for the
 // population-sweep rows.
@@ -153,26 +155,41 @@ func queryEntries(lines []benchLine) []queryEntry {
 	return out
 }
 
+// distribEntry is a BENCH_distrib.json row: the -query row shape plus how
+// the query crossed the wire — scatters per op and the siblings per op
+// that rode in frontier batches (their ratio is the mean batch width).
+type distribEntry struct {
+	queryEntry
+	ScattersPerOp *float64 `json:"scatters_per_op,omitempty"`
+	SiblingsPerOp *float64 `json:"siblings_per_op,omitempty"`
+}
+
 // distribEntries extracts the BenchmarkDistrib* rows (the distributed
-// scatter-gather benchmarks) in the same row shape as -query, keyed by
-// the sub-benchmark name under a "Distrib/" namespace.
-func distribEntries(lines []benchLine) []queryEntry {
-	var out []queryEntry
+// scatter-gather benchmarks), keyed by the sub-benchmark name under a
+// "Distrib/" namespace.
+func distribEntries(lines []benchLine) []distribEntry {
+	var out []distribEntry
 	for _, b := range lines {
 		if !strings.HasPrefix(b.Name, "BenchmarkDistrib") {
 			continue
 		}
 		key := strings.TrimPrefix(b.Name, "Benchmark")
-		e := queryEntry{
-			Name:     b.Name,
-			Strategy: procSuffix.ReplaceAllString(key, ""),
-			NsPerOp:  b.NsPerOp,
+		opt := func(unit string) *float64 {
+			if v, ok := b.extra(unit); ok {
+				return &v
+			}
+			return nil
 		}
-		if v, ok := b.extra("B/op"); ok {
-			e.BytesPerOp = &v
-		}
-		if v, ok := b.extra("allocs/op"); ok {
-			e.AllocsPerOp = &v
+		e := distribEntry{
+			queryEntry: queryEntry{
+				Name:        b.Name,
+				Strategy:    procSuffix.ReplaceAllString(key, ""),
+				NsPerOp:     b.NsPerOp,
+				BytesPerOp:  opt("B/op"),
+				AllocsPerOp: opt("allocs/op"),
+			},
+			ScattersPerOp: opt("scatters/op"),
+			SiblingsPerOp: opt("siblings/op"),
 		}
 		out = append(out, e)
 	}

@@ -20,6 +20,7 @@ BenchmarkSweep/INDEXEST+-W4-4       	       3	712345678 ns/op	        64.00 user
 BenchmarkAblationLazyVsBernoulli/lazy-geometric-4 	       1	  501234 ns/op	        4096 edgevisits/op
 BenchmarkServe/cached-4             	12345678	     103.1 ns/op	       0 B/op	       0 allocs/op
 BenchmarkDistribScatter/S3-4        	     100	  1234567 ns/op	   45678 B/op	     512 allocs/op
+BenchmarkDistribScatter/S3-k3-4     	      20	 46522527 ns/op	       144.0 scatters/op	       297.0 siblings/op	 6801464 B/op	   80239 allocs/op
 PASS
 ok  	pitex	12.345s
 `
@@ -29,8 +30,8 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseBench: %v", err)
 	}
-	if len(lines) != 8 {
-		t.Fatalf("parsed %d lines, want 8", len(lines))
+	if len(lines) != 9 {
+		t.Fatalf("parsed %d lines, want 9", len(lines))
 	}
 	if lines[0].Name != "BenchmarkQuerySingle/LAZY-4" || lines[0].NsPerOp != 18267846 {
 		t.Fatalf("first line parsed as %+v", lines[0])
@@ -89,8 +90,8 @@ func TestRunWritesValidJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &serveDoc); err != nil {
 		t.Fatalf("serve JSON invalid: %v\n%s", err, data)
 	}
-	if len(serveDoc) != 8 {
-		t.Fatalf("serve JSON has %d rows, want 8", len(serveDoc))
+	if len(serveDoc) != 9 {
+		t.Fatalf("serve JSON has %d rows, want 9", len(serveDoc))
 	}
 	if serveDoc[0]["ns_per_op"].(float64) != 18267846 {
 		t.Fatalf("serve row 0: %v", serveDoc[0])
@@ -109,7 +110,7 @@ func TestRunWritesValidJSON(t *testing.T) {
 	if len(queryDoc) != 5 || queryDoc[2].Strategy != "INDEXEST-S4" || queryDoc[4].Strategy != "Sweep/INDEXEST+-W4" {
 		t.Fatalf("query JSON rows: %+v", queryDoc)
 	}
-	var distribDoc []queryEntry
+	var distribDoc []distribEntry
 	data, err = os.ReadFile(distribPath)
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +118,21 @@ func TestRunWritesValidJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &distribDoc); err != nil {
 		t.Fatalf("distrib JSON invalid: %v", err)
 	}
-	if len(distribDoc) != 1 || distribDoc[0].Strategy != "DistribScatter/S3" {
+	if len(distribDoc) != 2 || distribDoc[0].Strategy != "DistribScatter/S3" || distribDoc[1].Strategy != "DistribScatter/S3-k3" {
 		t.Fatalf("distrib JSON rows: %+v", distribDoc)
 	}
 	if distribDoc[0].BytesPerOp == nil || *distribDoc[0].BytesPerOp != 45678 {
 		t.Fatalf("distrib row lost benchmem metrics: %+v", distribDoc[0])
+	}
+	// The wire columns ride along where the benchmark reports them and
+	// stay absent (not zero) where it does not.
+	k3 := distribDoc[1]
+	if k3.ScattersPerOp == nil || *k3.ScattersPerOp != 144 || k3.SiblingsPerOp == nil || *k3.SiblingsPerOp != 297 ||
+		k3.AllocsPerOp == nil || *k3.AllocsPerOp != 80239 {
+		t.Fatalf("distrib k3 row lost its wire columns: %+v", k3)
+	}
+	if distribDoc[0].ScattersPerOp != nil || distribDoc[0].SiblingsPerOp != nil {
+		t.Fatalf("row without wire metrics grew wire columns: %+v", distribDoc[0])
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"pitex/internal/faultinject"
 	"pitex/internal/rng"
 	"pitex/internal/rrindex"
+	"pitex/internal/sampling"
 	"pitex/obsv"
 )
 
@@ -267,7 +268,8 @@ func (g *group) hedgeDelay(o Options) time.Duration {
 }
 
 // Client is the coordinator-side handle on a shard-server fleet. It
-// implements pitex.RemoteEstimator and is safe for concurrent use.
+// implements pitex.RemoteEstimator and pitex.RemoteFrontierEstimator and
+// is safe for concurrent use.
 type Client struct {
 	opts   Options
 	http   *http.Client
@@ -285,6 +287,7 @@ type Client struct {
 	shardUsers []atomic.Int64
 
 	scatters       *obsv.Counter
+	siblings       *obsv.Counter
 	hedges         *obsv.Counter
 	failovers      *obsv.Counter
 	degraded       *obsv.Counter
@@ -316,7 +319,7 @@ func Dial(ctx context.Context, groupAddrs [][]string, opts Options) (*Client, er
 	opts = opts.withDefaults()
 	c := &Client{
 		opts: opts, http: opts.HTTPClient, totalShards: -1,
-		scatters: obsv.NewCounter(), hedges: obsv.NewCounter(),
+		scatters: obsv.NewCounter(), siblings: obsv.NewCounter(), hedges: obsv.NewCounter(),
 		failovers: obsv.NewCounter(), degraded: obsv.NewCounter(),
 		journalReplays: obsv.NewCounter(), resyncs: obsv.NewCounter(),
 		healFailures: obsv.NewCounter(),
@@ -530,7 +533,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -551,6 +554,19 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte)
 // whole index slices, so the cap is far above the 16MB that bounds every
 // other message type.
 const maxResponseBytes = 256 << 20
+
+// readBody reads a response body into a buffer sized by its declared
+// Content-Length (shard servers declare it on estimate responses), and
+// falls back to growing through io.ReadAll for chunked or oversized
+// declarations — capped at maxResponseBytes either way.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+}
 
 // fetchGroup runs one hedged, failing-over fetch against a group: the
 // first candidate is tried immediately, the next one after the adaptive
@@ -590,9 +606,17 @@ func (c *Client) fetchGroup(ctx context.Context, g *group, method, path string, 
 	}
 	launch(cands[0], false)
 	next, inFlight := 1, 1
-	hd := g.hedgeDelay(c.opts)
-	timer := time.NewTimer(hd)
-	defer timer.Stop()
+	// The hedge timer exists only while there is a replica to hedge to; a
+	// nil channel never fires.
+	var hd time.Duration
+	var timer *time.Timer
+	var hedge <-chan time.Time
+	if len(cands) > 1 {
+		hd = g.hedgeDelay(c.opts)
+		timer = time.NewTimer(hd)
+		defer timer.Stop()
+		hedge = timer.C
+	}
 	var firstErr error
 	for inFlight > 0 {
 		select {
@@ -620,7 +644,7 @@ func (c *Client) fetchGroup(ctx context.Context, g *group, method, path string, 
 				next++
 				inFlight++
 			}
-		case <-timer.C:
+		case <-hedge:
 			if next < len(cands) {
 				c.hedges.Add(1)
 				launch(cands[next], true)
@@ -659,6 +683,127 @@ func (c *Client) totalUsers() int {
 	return int(u)
 }
 
+// groupResult is one group's raw answer to a fan-out.
+type groupResult struct {
+	data []byte
+	err  error
+}
+
+// fanOut runs one hedged, failing-over fetch per group concurrently —
+// group 0's on the calling goroutine — and returns the raw results in
+// group order.
+func (c *Client) fanOut(ctx context.Context, method, path string, body []byte) []groupResult {
+	results := make([]groupResult, len(c.groups))
+	fetch := func(i int) {
+		results[i].data, results[i].err = c.fetchGroup(ctx, c.groups[i], method, path, body)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(c.groups); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fetch(i)
+		}(i)
+	}
+	fetch(0)
+	wg.Wait()
+	return results
+}
+
+// scattered is what one estimate scatter brought back: the decoded
+// responses of the groups that answered (group order), the ascending
+// shard ids of the groups that did not, and the open gather span the
+// caller folds under and ends.
+type scattered struct {
+	resps   []EstimateResponse
+	missing []int
+	span    *obsv.Span
+}
+
+// scatterEstimate is the one scatter/collect path under both estimate
+// forms: it stamps req with the serving generation, posts it to every
+// group, and decodes and validates each answer. A group whose fetch
+// failed, whose body does not decode, or whose rows do not match the
+// request (no partials; frontier rows that are ragged, short or for the
+// wrong shards) is counted missing. It fails outright only when no group
+// at all answered.
+func (c *Client) scatterEstimate(ctx context.Context, req EstimateRequest) (scattered, error) {
+	req.Generation = c.generation.Load()
+	psp, _ := obsv.StartSpan(ctx, "probe-marshal")
+	body, err := json.Marshal(req)
+	psp.End()
+	if err != nil {
+		return scattered{}, err
+	}
+	width := len(req.Frontier)
+	c.scatters.Inc()
+	c.siblings.Add(int64(width))
+	ssp, ctx := obsv.StartSpan(ctx, "scatter")
+	ssp.SetAttr("groups", len(c.groups))
+	if width > 0 {
+		ssp.SetAttr("siblings", width)
+	}
+	results := c.fanOut(ctx, http.MethodPost, "/shard/estimate", body)
+	ssp.End()
+
+	out := scattered{}
+	out.span, _ = obsv.StartSpan(ctx, "gather")
+	var firstErr error
+	for i, r := range results {
+		var resp EstimateResponse
+		if r.err == nil {
+			r.err = json.Unmarshal(r.data, &resp)
+		}
+		if r.err == nil {
+			r.err = resp.check(c.groups[i].shards, width)
+		}
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			out.missing = append(out.missing, c.groups[i].shards...)
+			continue
+		}
+		for _, p := range resp.Partials {
+			c.noteShard(p)
+		}
+		for _, row := range resp.Frontier {
+			c.noteShard(row[0])
+		}
+		out.resps = append(out.resps, resp)
+	}
+	if len(out.resps) == 0 {
+		out.span.End()
+		return scattered{}, fmt.Errorf("distrib: no shard responded: %w", firstErr)
+	}
+	if len(out.missing) > 0 {
+		// One degraded answer per estimation the scatter carried.
+		c.degraded.Add(int64(max(width, 1)))
+		slices.Sort(out.missing)
+		out.span.SetAttr("degraded", true)
+		out.span.SetAttr("missing_shards", out.missing)
+	}
+	return out, nil
+}
+
+// degradedEstimate folds one estimation's INCOMPLETE partials, reporting
+// the absent shards and the θ actually consulted.
+func (c *Client) degradedEstimate(partials []rrindex.Partial, missing []int) pitex.RemoteEstimate {
+	r := rrindex.GatherPartialsDegraded(partials, c.totalUsers())
+	return pitex.RemoteEstimate{
+		Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+		MissingShards: missing, RespondingTheta: r.Theta, TotalTheta: c.totalTheta(),
+	}
+}
+
+// healthyEstimate wraps a complete gather's result.
+func healthyEstimate(r sampling.Result) pitex.RemoteEstimate {
+	return pitex.RemoteEstimate{
+		Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+		RespondingTheta: r.Theta, TotalTheta: r.Theta,
+	}
+}
+
 // EstimateRemote implements pitex.RemoteEstimator: scatter the probe to
 // every group, gather the partials. With every group responding the
 // result is byte-identical to the in-process sharded estimator
@@ -666,74 +811,59 @@ func (c *Client) totalUsers() int {
 // rrindex.GatherPartialsDegraded and reports which shards were absent.
 // It fails outright only when no shard at all responded.
 func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.RemoteProbe) (pitex.RemoteEstimate, error) {
-	psp, _ := obsv.StartSpan(ctx, "probe-marshal")
-	body, err := json.Marshal(EstimateRequest{User: user, Generation: c.generation.Load(), Probe: probe})
-	psp.End()
+	sc, err := c.scatterEstimate(ctx, EstimateRequest{User: user, Probe: probe})
 	if err != nil {
 		return pitex.RemoteEstimate{}, err
 	}
-	c.scatters.Inc()
-	ssp, ctx := obsv.StartSpan(ctx, "scatter")
-	ssp.SetAttr("groups", len(c.groups))
-	type groupResult struct {
-		data []byte
-		err  error
-	}
-	results := make([]groupResult, len(c.groups))
-	var wg sync.WaitGroup
-	for i, g := range c.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			data, err := c.fetchGroup(ctx, g, http.MethodPost, "/shard/estimate", body)
-			results[i] = groupResult{data, err}
-		}(i, g)
-	}
-	wg.Wait()
-	ssp.End()
-
-	gsp, _ := obsv.StartSpan(ctx, "gather")
-	defer gsp.End()
+	defer sc.span.End()
 	var partials []rrindex.Partial
-	var missing []int
-	var firstErr error
-	for i, r := range results {
-		if r.err == nil {
-			var resp EstimateResponse
-			if e := json.Unmarshal(r.data, &resp); e != nil {
-				r.err = e
-			} else {
-				for _, p := range resp.Partials {
-					c.noteShard(p)
-					partials = append(partials, p)
-				}
-				continue
-			}
+	for _, resp := range sc.resps {
+		partials = append(partials, resp.Partials...)
+	}
+	if len(sc.missing) > 0 {
+		return c.degradedEstimate(partials, sc.missing), nil
+	}
+	return healthyEstimate(rrindex.GatherPartials(partials)), nil
+}
+
+// EstimateRemoteFrontier implements pitex.RemoteFrontierEstimator: the
+// whole sibling group crosses the wire as ONE scatter — each shard server
+// decides every sibling in a single masked pass over the user's postings
+// (rrindex.PartialFrontier, no stop rule) — and the positional rows fold
+// through rrindex.GatherFrontierPartials, or sibling by sibling through
+// rrindex.GatherPartialsDegraded when groups are missing. Estimate i is
+// exactly what EstimateRemote returns for posteriors[i] alone.
+func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64) ([]pitex.RemoteEstimate, error) {
+	if len(posteriors) == 0 {
+		return nil, nil
+	}
+	sc, err := c.scatterEstimate(ctx, EstimateRequest{User: user, Frontier: posteriors})
+	if err != nil {
+		return nil, err
+	}
+	defer sc.span.End()
+	var rows [][]rrindex.Partial
+	for _, resp := range sc.resps {
+		rows = append(rows, resp.Frontier...)
+	}
+	out := make([]pitex.RemoteEstimate, len(posteriors))
+	if len(sc.missing) == 0 {
+		// Ascending shard order fixes the float summation order, as
+		// GatherPartials' sort does on the per-candidate path.
+		slices.SortFunc(rows, func(a, b []rrindex.Partial) int { return a[0].Shard - b[0].Shard })
+		for i, r := range rrindex.GatherFrontierPartials(rows) {
+			out[i] = healthyEstimate(r)
 		}
-		if firstErr == nil {
-			firstErr = r.err
+		return out, nil
+	}
+	sibling := make([]rrindex.Partial, len(rows))
+	for i := range out {
+		for s, row := range rows {
+			sibling[s] = row[i]
 		}
-		missing = append(missing, c.groups[i].shards...)
+		out[i] = c.degradedEstimate(sibling, sc.missing)
 	}
-	if len(partials) == 0 {
-		return pitex.RemoteEstimate{}, fmt.Errorf("distrib: no shard responded: %w", firstErr)
-	}
-	if len(missing) == 0 {
-		r := rrindex.GatherPartials(partials)
-		return pitex.RemoteEstimate{
-			Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
-			RespondingTheta: r.Theta, TotalTheta: r.Theta,
-		}, nil
-	}
-	c.degraded.Inc()
-	slices.Sort(missing)
-	gsp.SetAttr("degraded", true)
-	gsp.SetAttr("missing_shards", missing)
-	r := rrindex.GatherPartialsDegraded(partials, c.totalUsers())
-	return pitex.RemoteEstimate{
-		Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
-		MissingShards: missing, RespondingTheta: r.Theta, TotalTheta: c.totalTheta(),
-	}, nil
+	return out, nil
 }
 
 // Counters scatters a counter lookup (RR-Graph containment counts, or
@@ -741,21 +871,7 @@ func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.Remot
 // shards that did not respond.
 func (c *Client) Counters(ctx context.Context, user int) (int64, []int, error) {
 	path := fmt.Sprintf("/shard/counters?user=%d&generation=%d", user, c.generation.Load())
-	type groupResult struct {
-		data []byte
-		err  error
-	}
-	results := make([]groupResult, len(c.groups))
-	var wg sync.WaitGroup
-	for i, g := range c.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			data, err := c.fetchGroup(ctx, g, http.MethodGet, path, nil)
-			results[i] = groupResult{data, err}
-		}(i, g)
-	}
-	wg.Wait()
+	results := c.fanOut(ctx, http.MethodGet, path, nil)
 	var total int64
 	var missing []int
 	var firstErr error
@@ -867,7 +983,9 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 // path with no extra bookkeeping.
 func (c *Client) Register(reg *obsv.Registry) {
 	reg.RegisterCounter("pitex_remote_scatters_total",
-		"Scatter-gather estimations issued to the shard fleet.", c.scatters)
+		"Estimate scatters issued to the shard fleet (one per candidate or per frontier batch).", c.scatters)
+	reg.RegisterCounter("pitex_remote_frontier_siblings_total",
+		"Candidate tag sets shipped in frontier-batched scatters (mean batch width = this / scatters).", c.siblings)
 	reg.RegisterCounter("pitex_remote_hedges_total",
 		"Hedged shard fetches fired after the adaptive delay.", c.hedges)
 	reg.RegisterCounter("pitex_remote_failovers_total",
@@ -954,41 +1072,43 @@ type GroupStatus struct {
 // Status is the client's observability snapshot, exported by the
 // coordinator's /statsz.
 type Status struct {
-	Generation      uint64        `json:"generation"`
-	TotalShards     int           `json:"total_shards"`
-	TotalUsers      int           `json:"total_users"`
-	TotalTheta      int64         `json:"total_theta"`
-	Strategy        string        `json:"strategy"`
-	Scatters        int64         `json:"scatters"`
-	Hedges          int64         `json:"hedges"`
-	Failovers       int64         `json:"failovers"`
-	DegradedAnswers int64         `json:"degraded_answers"`
-	JournalReplays  int64         `json:"journal_replays"`
-	Resyncs         int64         `json:"resyncs"`
-	HealFailures    int64         `json:"heal_failures"`
-	LaggingCount    int           `json:"lagging_endpoints"`
-	JournalSize     int           `json:"journal_size"`
-	Groups          []GroupStatus `json:"groups"`
+	Generation       uint64        `json:"generation"`
+	TotalShards      int           `json:"total_shards"`
+	TotalUsers       int           `json:"total_users"`
+	TotalTheta       int64         `json:"total_theta"`
+	Strategy         string        `json:"strategy"`
+	Scatters         int64         `json:"scatters"`
+	FrontierSiblings int64         `json:"frontier_siblings"`
+	Hedges           int64         `json:"hedges"`
+	Failovers        int64         `json:"failovers"`
+	DegradedAnswers  int64         `json:"degraded_answers"`
+	JournalReplays   int64         `json:"journal_replays"`
+	Resyncs          int64         `json:"resyncs"`
+	HealFailures     int64         `json:"heal_failures"`
+	LaggingCount     int           `json:"lagging_endpoints"`
+	JournalSize      int           `json:"journal_size"`
+	Groups           []GroupStatus `json:"groups"`
 }
 
 // Status snapshots the fleet view.
 func (c *Client) Status() Status {
 	now := time.Now()
 	st := Status{
-		Generation:      c.generation.Load(),
-		TotalShards:     c.totalShards,
-		TotalUsers:      c.totalUsers(),
-		TotalTheta:      c.totalTheta(),
-		Strategy:        c.strategy,
-		Scatters:        c.scatters.Value(),
-		Hedges:          c.hedges.Value(),
-		Failovers:       c.failovers.Value(),
-		DegradedAnswers: c.degraded.Value(),
-		JournalReplays:  c.journalReplays.Value(),
-		Resyncs:         c.resyncs.Value(),
-		HealFailures:    c.healFailures.Value(),
-		LaggingCount:    c.laggingCount(),
-		JournalSize:     c.journal.size(),
+		Generation:       c.generation.Load(),
+		TotalShards:      c.totalShards,
+		TotalUsers:       c.totalUsers(),
+		TotalTheta:       c.totalTheta(),
+		Strategy:         c.strategy,
+		Scatters:         c.scatters.Value(),
+		FrontierSiblings: c.siblings.Value(),
+		Hedges:           c.hedges.Value(),
+		Failovers:        c.failovers.Value(),
+		DegradedAnswers:  c.degraded.Value(),
+		JournalReplays:   c.journalReplays.Value(),
+		Resyncs:          c.resyncs.Value(),
+		HealFailures:     c.healFailures.Value(),
+		LaggingCount:     c.laggingCount(),
+		JournalSize:      c.journal.size(),
 	}
 	for _, g := range c.groups {
 		gs := GroupStatus{

@@ -387,3 +387,114 @@ func TestHedgedRetryWinsOverSlowReplica(t *testing.T) {
 		t.Fatal("hedge not counted")
 	}
 }
+
+// frontierShard is fakeShard for the frontier form: it answers every
+// estimate with one row per served shard, as built by rowFor from the
+// request's sibling count.
+func frontierShard(t *testing.T, shards []ShardInfo, totalShards, totalUsers int, rowFor func(shard, width int) []rrindex.Partial) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/shard/info", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(InfoResponse{
+			TotalShards: totalShards, TotalUsers: totalUsers,
+			Strategy: "INDEXEST+", Ready: true, Shards: shards,
+		})
+	})
+	mux.HandleFunc("/shard/estimate", func(w http.ResponseWriter, r *http.Request) {
+		var req EstimateRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Validate(2) != nil || len(req.Frontier) == 0 {
+			http.Error(w, "want a frontier request", http.StatusBadRequest)
+			return
+		}
+		var resp EstimateResponse
+		for _, s := range shards {
+			resp.Frontier = append(resp.Frontier, rowFor(s.Shard, len(req.Frontier)))
+		}
+		json.NewEncoder(w).Encode(resp)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestEstimateRemoteFrontier drives the batched scatter against canned
+// shard rows: a healthy fold equals the per-sibling GatherPartials whatever
+// order groups list their shards in, and a group whose rows do not match
+// the request — short, or stamped with a shard it does not serve — is
+// counted missing and every sibling degrades over the rest, never a panic
+// or a positional mis-gather.
+func TestEstimateRemoteFrontier(t *testing.T) {
+	theta := map[int]int64{0: 1000, 1: 500, 2: 800}
+	users := map[int]int{0: 100, 1: 50, 2: 80}
+	row := func(shard, width int) []rrindex.Partial {
+		out := make([]rrindex.Partial, width)
+		for i := range out {
+			out[i] = rrindex.Partial{
+				Shard: shard, Hits: int64(7*shard + 3*i + 1), Samples: int64(20 + i), Contained: 30 + shard,
+				Theta: theta[shard], Users: users[shard],
+			}
+		}
+		return out
+	}
+	var mode atomic.Int32 // how group 1 misbehaves: 0 healthy, 1 short row, 2 foreign shard id
+	// Group 0 lists its shards descending: the client must restore
+	// ascending shard order before the positional gather.
+	s02 := frontierShard(t, []ShardInfo{{Shard: 2, Users: 80, Theta: 800}, {Shard: 0, Users: 100, Theta: 1000}}, 3, 230, row)
+	s1 := frontierShard(t, []ShardInfo{{Shard: 1, Users: 50, Theta: 500}}, 3, 230, func(shard, width int) []rrindex.Partial {
+		switch mode.Load() {
+		case 1:
+			return row(shard, width-1)
+		case 2:
+			return row(2, width)
+		}
+		return row(shard, width)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, [][]string{{s02.URL}, {s1.URL}}, Options{ShardDeadline: time.Second, ReconcileInterval: -1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(c.Close)
+
+	posteriors := [][]float64{{0.5, 0.5}, {1, 0}, {0.25, 0.75}}
+	got, err := c.EstimateRemoteFrontier(ctx, 3, posteriors)
+	if err != nil {
+		t.Fatalf("EstimateRemoteFrontier: %v", err)
+	}
+	if len(got) != len(posteriors) {
+		t.Fatalf("%d estimates for %d siblings", len(got), len(posteriors))
+	}
+	for i := range posteriors {
+		want := rrindex.GatherPartials([]rrindex.Partial{row(0, 3)[i], row(1, 3)[i], row(2, 3)[i]})
+		if got[i].Influence != want.Influence || got[i].Samples != want.Samples || got[i].Theta != want.Theta ||
+			got[i].Reachable != want.Reachable || len(got[i].MissingShards) != 0 || got[i].RespondingTheta != got[i].TotalTheta {
+			t.Fatalf("sibling %d: healthy estimate %+v, want gather %+v", i, got[i], want)
+		}
+	}
+	if st := c.Status(); st.Scatters != 1 || st.FrontierSiblings != 3 || st.DegradedAnswers != 0 {
+		t.Fatalf("after one healthy frontier: %d scatters, %d siblings, %d degraded", st.Scatters, st.FrontierSiblings, st.DegradedAnswers)
+	}
+	if none, err := c.EstimateRemoteFrontier(ctx, 3, nil); err != nil || none != nil || c.Status().Scatters != 1 {
+		t.Fatalf("empty frontier = %v, %v (scatters %d), want no scatter", none, err, c.Status().Scatters)
+	}
+
+	for _, bad := range []int32{1, 2} {
+		mode.Store(bad)
+		before := c.Status().DegradedAnswers
+		got, err := c.EstimateRemoteFrontier(ctx, 3, posteriors)
+		if err != nil {
+			t.Fatalf("mode %d: EstimateRemoteFrontier: %v", bad, err)
+		}
+		for i := range posteriors {
+			want := rrindex.GatherPartialsDegraded([]rrindex.Partial{row(0, 3)[i], row(2, 3)[i]}, 230)
+			if got[i].Influence != want.Influence || !reflect.DeepEqual(got[i].MissingShards, []int{1}) ||
+				got[i].RespondingTheta != 1800 || got[i].TotalTheta != 2300 {
+				t.Fatalf("mode %d sibling %d: estimate %+v, want degraded gather %+v missing [1]", bad, i, got[i], want)
+			}
+		}
+		if d := c.Status().DegradedAnswers - before; d != 3 {
+			t.Fatalf("mode %d: %d degraded answers counted for 3 siblings", bad, d)
+		}
+	}
+}

@@ -5,12 +5,43 @@
 //
 // Topology: shard servers are arranged in replica groups — the endpoints
 // of one group all serve the same shard set, and the groups together
-// partition [0, S). One query scatters a serialized edge prober
-// (pitex.RemoteProbe) to every group, each server answers with its
-// shards' partial hits plus the θ_s/|V_s| gather metadata, and the
-// client folds them with rrindex.GatherPartials: with every group
-// responding, the estimate is bit-for-bit the in-process
-// ShardedEstimator's.
+// partition [0, S). An estimation scatters to every group, each server
+// answers with its shards' partial hits plus the θ_s/|V_s| gather
+// metadata, and the client folds them: with every group responding, the
+// estimate is bit-for-bit the in-process ShardedEstimator's.
+//
+// Wire contract of POST /shard/estimate. A request (EstimateRequest) is
+// stamped with the serving generation and takes exactly one of two
+// forms; a server answers in the form it was asked in, 400 when a
+// request carries both or neither.
+//
+//   - Per candidate: "probe" holds one serialized edge prober
+//     (pitex.RemoteProbe — an Eq. 1 posterior or a Lemma 8 bound). The
+//     response's "partials" has one rrindex.Partial per owned shard,
+//     folded by rrindex.GatherPartials. Sampled upper bounds, and
+//     RemoteEstimators without the batched capability, use this form.
+//   - Frontier: "frontier" holds one Eq. 1 posterior per sibling tag set
+//     of one best-first expansion — every row exactly one float per
+//     topic, ragged or mis-sized rows are a 400. The server decides all
+//     siblings in ONE masked pass over the user's postings
+//     (rrindex.PartialFrontier) and answers "frontier": one row per
+//     owned shard, row[i] being that shard's partial for sibling i.
+//     Rows are positional, never keyed: the client checks that a group
+//     sent exactly its shards' rows at exactly the asked width (anything
+//     else counts the group missing) and folds with
+//     rrindex.GatherFrontierPartials, or sibling by sibling with
+//     rrindex.GatherPartialsDegraded when groups are missing — each
+//     sibling's estimate is what its own per-candidate scatter would
+//     have returned. No stop rule crosses the wire: shards always scan
+//     exhaustively, so a coordinator's answers equal the in-process
+//     DisableEarlyStop engine's in either form.
+//
+// Both forms share one path end to end: the same generation stamp and
+// 409, deadline header and admission control, panic recovery, trace
+// join, fault-injection points, hedging and failover. There is no
+// version negotiation: a shard server that predates the frontier form
+// rejects it (400, "probe needs exactly one of …"), so upgrade shard
+// servers before the coordinator.
 //
 // Robustness: every group fetch runs under a per-shard deadline; after
 // an adaptive hedge delay (a latency-window quantile, clamped to the
@@ -45,8 +76,9 @@
 // from scatter candidacy so queries never mix generations; heal attempts
 // back off with capped exponential growth plus seeded jitter
 // (Options.HealBackoff, Options.JitterSeed). Status and the Prometheus
-// registration expose journal replays, resyncs, heal failures, and
-// per-endpoint lag.
+// registration expose scatters and the siblings that rode in frontier
+// batches (their ratio is the mean batch width), journal replays,
+// resyncs, heal failures, and per-endpoint lag.
 //
 // Failure contract, end to end: a query answer is exact (all groups
 // responded at one generation) or carries an explicit degraded block

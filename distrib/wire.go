@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"fmt"
+	"slices"
 
 	"pitex"
 	"pitex/internal/rrindex"
@@ -12,21 +13,84 @@ import (
 // that parses back to the same float64 — so shipping posteriors and
 // gather partials as JSON loses no precision.
 
-// EstimateRequest asks a shard server for its shards' partial hits under
-// one serialized prober. Generation pins the index generation the
-// coordinator is serving; a server that matches neither its current nor
-// its previous generation answers 409 (the client counts its shards
-// missing rather than mixing generations).
+// EstimateRequest asks a shard server for its shards' partial hits, in
+// one of two forms. The per-candidate form carries one serialized prober
+// in Probe. The frontier form carries one Eq. 1 posterior per sibling
+// candidate in Frontier — every row exactly one float per topic — and is
+// answered for all siblings in one pass (EstimateResponse.Frontier); it
+// has no stop rule, shards always scan exhaustively. Exactly one form
+// may be present. Generation pins the index generation the coordinator
+// is serving; a server that matches neither its current nor its previous
+// generation answers 409 (the client counts its shards missing rather
+// than mixing generations).
 type EstimateRequest struct {
 	User       int               `json:"user"`
 	Generation uint64            `json:"generation"`
-	Probe      pitex.RemoteProbe `json:"probe"`
+	Probe      pitex.RemoteProbe `json:"probe,omitzero"`
+	Frontier   [][]float64       `json:"frontier,omitempty"`
 }
 
-// EstimateResponse carries one partial per shard the server owns.
+// Validate checks the request's form against the served topic count:
+// exactly one of Probe and Frontier, a well-formed probe, and frontier
+// rows of exactly numTopics values each.
+func (r EstimateRequest) Validate(numTopics int) error {
+	if len(r.Frontier) == 0 {
+		return r.Probe.Validate()
+	}
+	if len(r.Probe.Posterior)+len(r.Probe.BoundSupported)+len(r.Probe.BoundWeights) > 0 {
+		return fmt.Errorf("distrib: estimate request carries both a probe and a frontier")
+	}
+	for i, row := range r.Frontier {
+		if len(row) != numTopics {
+			return fmt.Errorf("distrib: frontier row %d has %d values, want one per topic (%d)", i, len(row), numTopics)
+		}
+	}
+	return nil
+}
+
+// EstimateResponse answers in the request's form: Partials carries one
+// partial per shard the server owns; Frontier carries one row per owned
+// shard, positional in the request's sibling order (Frontier[j][i] is the
+// j-th owned shard's partial for sibling i).
 type EstimateResponse struct {
-	Generation uint64            `json:"generation"`
-	Partials   []rrindex.Partial `json:"partials"`
+	Generation uint64              `json:"generation"`
+	Partials   []rrindex.Partial   `json:"partials,omitempty"`
+	Frontier   [][]rrindex.Partial `json:"frontier,omitempty"`
+}
+
+// check validates a response against what was asked of the group. The
+// per-candidate form (width 0) must carry partials. The frontier form
+// must carry one row per shard the group serves, each exactly width
+// partials stamped with one of those shard ids, no shard twice. Anything
+// else is an error (the client counts the group missing) — a short row
+// must never reach the positional gather.
+func (r EstimateResponse) check(shards []int, width int) error {
+	if width == 0 {
+		if len(r.Partials) == 0 {
+			return fmt.Errorf("distrib: estimate response carries no partials")
+		}
+		return nil
+	}
+	if len(r.Frontier) != len(shards) {
+		return fmt.Errorf("distrib: frontier response has %d shard rows, group serves %d", len(r.Frontier), len(shards))
+	}
+	seen := make(map[int]bool, len(shards))
+	for _, row := range r.Frontier {
+		if len(row) != width {
+			return fmt.Errorf("distrib: frontier row has %d partials, asked for %d siblings", len(row), width)
+		}
+		s := row[0].Shard
+		if !slices.Contains(shards, s) || seen[s] {
+			return fmt.Errorf("distrib: frontier row for shard %d, group serves %v once each", s, shards)
+		}
+		seen[s] = true
+		for _, p := range row {
+			if p.Shard != s {
+				return fmt.Errorf("distrib: frontier row mixes shards %d and %d", s, p.Shard)
+			}
+		}
+	}
+	return nil
 }
 
 // ShardInfo describes one owned shard in an InfoResponse.

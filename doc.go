@@ -150,13 +150,17 @@
 // HTTP/JSON, returning raw partials (hits, θ_s, |V_s|) rather than
 // estimates; a coordinator — NewRemoteEngine plus serve.NewCoordinator,
 // or cmd/pitexserve -shards — runs the same best-first exploration as
-// the monolith but scatters every estimation to the fleet (via the
+// the monolith but scatters the estimations to the fleet (via the
 // pitex/distrib client) and gathers the partials into the identical
 // unbiased sum, so all-healthy answers are byte-identical to the
 // in-process sharded engine at the same seeds. RemoteProbe serializes
 // both remotable probers (posterior tag sets and the best-effort
 // partial-set bound), and RemoteEstimator is the narrow interface a
-// transport must satisfy.
+// transport must satisfy; one that also implements
+// RemoteFrontierEstimator receives each sibling group of the
+// exploration as a single scatter instead of one per tag set (shards
+// always scan exhaustively — the answers equal the DisableEarlyStop
+// engine's either way).
 //
 // Robustness: scatters carry per-shard deadlines with context
 // propagation; replicas within a shard group are hedged after the

@@ -87,6 +87,12 @@ type Explain struct {
 	// BoundCacheHits counts CheapBounds evaluations answered from the
 	// explorer's live-topic-mask memo instead of a fresh reachability BFS.
 	BoundCacheHits int64 `json:"bound_cache_hits"`
+	// RemoteScatters counts a coordinator query's scatters to the shard
+	// fleet and RemoteSiblings the candidate sets that crossed in frontier
+	// form, several to a scatter — so scatters sit well below
+	// FullSetsEstimated when sibling groups batch. Zero for local engines.
+	RemoteScatters int64 `json:"remote_scatters"`
+	RemoteSiblings int64 `json:"remote_siblings"`
 }
 
 // Engine answers PITEX queries over one network and tag model with a fixed
@@ -213,7 +219,9 @@ func (en *Engine) samplingOptions(logSearchSpace float64) sampling.Options {
 // newEstimator instantiates the per-engine (non-shared) estimator state.
 func (en *Engine) newEstimator() bestfirst.Estimator {
 	if en.remote != nil {
-		return &remoteAdapter{en: en, remote: en.remote}
+		ra := &remoteAdapter{en: en, remote: en.remote}
+		ra.frontier, _ = en.remote.(RemoteFrontierEstimator)
+		return ra
 	}
 	// Best-effort exploration examines up to φ_k tag sets; the paper's
 	// Eq. 12 uses ln φ_k in the union bound. We use ln φ_MaxK, valid for
@@ -527,6 +535,8 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 			return Result{}, err
 		}
 		res.Degraded = deg
+		res.Explain.RemoteScatters = ra.scatters
+		res.Explain.RemoteSiblings = ra.siblings
 	}
 	res.Explain.Strategy = en.opts.Strategy.String()
 	res.Explain.FullSetsEstimated = res.FullSetsEstimated

@@ -44,6 +44,9 @@ type userCuts struct {
 	// direct[i] is the position (in containing[u]) of an RR-Graph whose
 	// target is u itself: always a hit, never needs filtering.
 	direct []int32
+	// entries is the total posting count across lists — the unit the
+	// estimator's cut-cache bound is counted in.
+	entries int
 }
 
 // CutPolicy selects how the per-RR-Graph edge cut is chosen.
@@ -99,6 +102,7 @@ func buildUserCuts(idx *Index, u graph.VertexID, policy CutPolicy, sc *cutScratc
 		}
 		return flat[i].c < flat[j].c
 	})
+	uc.entries = len(flat)
 	entries := make([]cutEntry, len(flat))
 	for i := range flat {
 		entries[i] = flat[i].cutEntry
@@ -172,7 +176,13 @@ func pruneProb(g *graph.Graph, cut []cutEdge) float64 {
 
 // PrunedEstimator is the IndexEst+ query evaluator: an Index estimator with
 // the edge-cut filter in front of verification. Per-user cut indexes are
-// cached. Not safe for concurrent use.
+// cached, and the cache is bounded: the cut postings held across all
+// cached users never exceed the index's own postings count (Σ_u θ(u)), or
+// one user's lists when those alone are larger — so a long-lived estimator
+// (an engine clone, a shard server's per-generation set) costs at most a
+// small constant multiple of the postings arena however many users it
+// serves. An insertion that would overflow drops the whole cache first;
+// the user being served is always kept. Not safe for concurrent use.
 type PrunedEstimator struct {
 	idx *Index
 	// Policy selects the cut construction; change it before the first
@@ -184,6 +194,10 @@ type PrunedEstimator struct {
 	visited []int64
 	dfs     []int32
 	stamp   int64
+	// cutEntries is Σ entries over cuts; cutBudget is the index's postings
+	// count, computed on the first cache miss.
+	cutEntries int
+	cutBudget  int
 	// candStamp deduplicates candidate positions during filtering;
 	// candSlot maps a deduplicated position to its index in cands (the
 	// frontier batch path keeps per-candidate sibling masks there).
@@ -212,6 +226,27 @@ func NewPrunedEstimator(idx *Index) *PrunedEstimator {
 	}
 }
 
+// cutsFor returns u's cut index, building and caching it on a miss under
+// the bound stated on PrunedEstimator.
+func (pe *PrunedEstimator) cutsFor(u graph.VertexID) *userCuts {
+	if uc, ok := pe.cuts[u]; ok {
+		return uc
+	}
+	uc := buildUserCuts(pe.idx, u, pe.Policy, &pe.cutSc)
+	if pe.cutBudget == 0 {
+		for _, list := range pe.idx.containing {
+			pe.cutBudget += len(list)
+		}
+	}
+	if pe.cutEntries+uc.entries > pe.cutBudget {
+		clear(pe.cuts)
+		pe.cutEntries = 0
+	}
+	pe.cuts[u] = uc
+	pe.cutEntries += uc.entries
+	return uc
+}
+
 // GraphsChecked returns the cumulative number of RR-Graphs verified.
 func (pe *PrunedEstimator) GraphsChecked() int64 { return pe.graphsChecked }
 
@@ -228,11 +263,7 @@ func (pe *PrunedEstimator) GraphsPruned() int64 { return pe.graphsPruned }
 func (pe *PrunedEstimator) hitsProber(u graph.VertexID, prober sampling.EdgeProber) (hits, samples int64, contained int) {
 	idx := pe.idx
 	prober = pe.probe.Begin(prober)
-	uc, ok := pe.cuts[u]
-	if !ok {
-		uc = buildUserCuts(idx, u, pe.Policy, &pe.cutSc)
-		pe.cuts[u] = uc
-	}
+	uc := pe.cutsFor(u)
 	containing := idx.containing[u]
 	if len(pe.candStamp) < len(containing) {
 		pe.candStamp = make([]int64, len(containing))

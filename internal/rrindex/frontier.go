@@ -362,11 +362,7 @@ func (pe *PrunedEstimator) hitsFrontier(u graph.VertexID, posteriors [][]float64
 	sc := &pe.fsc
 	sc.ensure(W, idx.maxSize)
 
-	uc, ok := pe.cuts[u]
-	if !ok {
-		uc = buildUserCuts(idx, u, pe.Policy, &pe.cutSc)
-		pe.cuts[u] = uc
-	}
+	uc := pe.cutsFor(u)
 	containing := idx.containing[u]
 	if len(pe.candStamp) < len(containing) {
 		pe.candStamp = make([]int64, len(containing))

@@ -214,6 +214,54 @@ func TestPrunedEstimatorPrunes(t *testing.T) {
 	}
 }
 
+// TestPrunedEstimatorCutCacheBounded: a long-lived IndexEst+ estimator
+// (both entry points share the cache) serving every user — twice — must
+// end with no more cached cut postings than the index has postings, must
+// actually have evicted on the way (the graph is sized so all users'
+// cuts together overflow the bound), and must keep answering exactly
+// what a fresh estimator answers.
+func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
+	g := randomGraph(80, 6, 0.1, 0.5, 3)
+	idx, err := Build(g, shardOpts(42, 600))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	postings, allCuts := 0, 0
+	for u := range idx.containing {
+		postings += len(idx.containing[u])
+		allCuts += buildUserCuts(idx, graph.VertexID(u), CutBestOfTwo, &cutScratch{}).entries
+	}
+	if allCuts <= postings {
+		t.Fatalf("fixture too small to overflow: %d cut postings, bound %d", allCuts, postings)
+	}
+	post := [][]float64{{0.7, 0.3}, {0.2, 0.8}}
+	pe := NewPrunedEstimator(idx)
+	for round := 0; round < 2; round++ {
+		for u := 0; u < g.NumVertices(); u++ {
+			v := graph.VertexID(u)
+			fresh := NewPrunedEstimator(idx)
+			if got, want := pe.Estimate(v, post[0]), fresh.Estimate(v, post[0]); got != want {
+				t.Fatalf("round %d user %d: long-lived %+v, fresh %+v", round, u, got, want)
+			}
+			got, want := pe.EstimateFrontier(v, post, noStop), fresh.EstimateFrontier(v, post, noStop)
+			if got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("round %d user %d: long-lived frontier %+v, fresh %+v", round, u, got, want)
+			}
+			if pe.cutEntries > postings {
+				t.Fatalf("round %d user %d: %d cut postings cached, bound %d", round, u, pe.cutEntries, postings)
+			}
+		}
+	}
+	held := 0
+	for _, uc := range pe.cuts {
+		held += uc.entries
+	}
+	if held != pe.cutEntries || len(pe.cuts) == 0 || len(pe.cuts) >= g.NumVertices() {
+		t.Fatalf("cache holds %d users / %d postings, accounted %d (users %d)",
+			len(pe.cuts), held, pe.cutEntries, g.NumVertices())
+	}
+}
+
 // TestDelayMatCountsMatchIndex: with the same seed, the counting pass must
 // see exactly the RR-Graphs the materializing pass stores.
 func TestDelayMatCountsMatchIndex(t *testing.T) {

@@ -84,6 +84,19 @@ type RemoteEstimator interface {
 	EstimateRemote(ctx context.Context, user int, probe RemoteProbe) (RemoteEstimate, error)
 }
 
+// RemoteFrontierEstimator is an optional RemoteEstimator capability:
+// estimating a whole frontier of sibling tag sets — one Eq. 1 posterior
+// each — in a single scatter. Estimates are positional (result i scores
+// posteriors[i]) and each must equal what EstimateRemote returns for that
+// posterior alone, degraded ones included. A remote engine whose
+// estimator has the capability ships every sibling group the explorer
+// forms as one scatter; one without it (a decorator wrapping only
+// EstimateRemote, say) is served candidate by candidate with identical
+// answers.
+type RemoteFrontierEstimator interface {
+	EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64) ([]RemoteEstimate, error)
+}
+
 // DegradedCoverage reports that a query was answered with one or more
 // index shards unreachable: the estimate is extrapolated from the
 // responding shards and the effective accuracy guarantee weakens from
@@ -135,8 +148,7 @@ func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteE
 		probe:     sampling.NewProbeCache(net.g.NumEdges()),
 	}
 	en.est = en.newEstimator()
-	en.explorer = bestfirst.NewExplorer(net.g, model.m, en.est)
-	en.explorer.CheapBounds = opts.CheapBounds
+	en.explorer = en.newExplorer()
 	return en, nil
 }
 
@@ -175,13 +187,22 @@ func RepairSeed(seed, generation uint64) uint64 {
 }
 
 // remoteAdapter bridges the best-first explorer to a RemoteEstimator: it
-// is the engine's bestfirst.Estimator for remote engines, serializing
-// each prober and accumulating degradation evidence across the many
-// estimations of one query. Like every estimator it is per-engine scratch
-// state — not safe for concurrent use, reset by begin() per query.
+// is the engine's bestfirst.Estimator (and FrontierEstimator) for remote
+// engines, serializing each prober and accumulating degradation evidence
+// across the many estimations of one query. Like every estimator it is
+// per-engine scratch state — not safe for concurrent use, reset by
+// begin() per query.
+//
+// The explorer's sequential-stopping rule is deliberately ignored: a
+// coordinator always has the shards scan exhaustively, so its answers
+// are byte-identical whether a sibling group crosses the wire as one
+// frontier scatter or candidate by candidate, and equal the in-process
+// DisableEarlyStop engine's.
 type remoteAdapter struct {
 	en     *Engine
 	remote RemoteEstimator
+	// frontier is remote's batched capability, nil when it has none.
+	frontier RemoteFrontierEstimator
 
 	//pitexlint:allow ctxflow -- query-scoped: begin() stores the caller's ctx, finish() clears it; never outlives a query
 	ctx       context.Context
@@ -189,6 +210,10 @@ type remoteAdapter struct {
 	missing   map[int]bool
 	respTheta int64
 	totTheta  int64
+	// scatters counts the query's remote calls, siblings the candidates
+	// that crossed in frontier form (Explain.RemoteScatters/RemoteSiblings).
+	scatters int64
+	siblings int64
 }
 
 func (ra *remoteAdapter) begin(ctx context.Context) {
@@ -197,6 +222,8 @@ func (ra *remoteAdapter) begin(ctx context.Context) {
 	ra.missing = nil
 	ra.respTheta = 0
 	ra.totTheta = 0
+	ra.scatters = 0
+	ra.siblings = 0
 }
 
 // finish returns the degradation report for the query just run (nil when
@@ -243,15 +270,57 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 		ra.err = fmt.Errorf("pitex: prober %T is not remotable", prober)
 		return sampling.Result{Influence: 1}
 	}
-	ctx := ra.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	est, err := ra.remote.EstimateRemote(ctx, int(u), probe)
+	ra.scatters++
+	est, err := ra.remote.EstimateRemote(ra.queryCtx(), int(u), probe)
 	if err != nil {
 		ra.err = err
 		return sampling.Result{Influence: 1}
 	}
+	return ra.note(est)
+}
+
+// EstimateFrontier implements bestfirst.FrontierEstimator: the sibling
+// group crosses the wire as one scatter when the remote can batch, and
+// candidate by candidate otherwise. stop is ignored (see remoteAdapter).
+func (ra *remoteAdapter) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
+	out := make([]sampling.Result, len(posteriors))
+	if ra.frontier == nil {
+		for i, post := range posteriors {
+			out[i] = ra.EstimateProber(u, sampling.PosteriorProber{G: ra.en.net.g, Posterior: post})
+		}
+		return out
+	}
+	var ests []RemoteEstimate
+	if ra.err == nil {
+		ra.scatters++
+		ra.siblings += int64(len(posteriors))
+		ests, ra.err = ra.frontier.EstimateRemoteFrontier(ra.queryCtx(), int(u), posteriors)
+		if ra.err == nil && len(ests) != len(posteriors) {
+			ra.err = fmt.Errorf("pitex: remote answered %d estimates for a frontier of %d", len(ests), len(posteriors))
+		}
+	}
+	if ra.err != nil {
+		for i := range out {
+			out[i] = sampling.Result{Influence: 1}
+		}
+		return out
+	}
+	for i, est := range ests {
+		out[i] = ra.note(est)
+	}
+	return out
+}
+
+func (ra *remoteAdapter) queryCtx() context.Context {
+	if ra.ctx == nil {
+		return context.Background()
+	}
+	return ra.ctx
+}
+
+// note folds one remote estimate's degradation evidence into the query's
+// report and converts it to the explorer's result shape.
+func (ra *remoteAdapter) note(est RemoteEstimate) sampling.Result {
 	if len(est.MissingShards) > 0 {
 		if ra.missing == nil {
 			ra.missing = make(map[int]bool)

@@ -9,6 +9,7 @@ import (
 
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
+	"pitex/internal/sampling"
 )
 
 // fakeRemote answers RemoteEstimate from in-process shard slices — the
@@ -86,6 +87,182 @@ func (f *fakeRemote) EstimateRemote(_ context.Context, user int, probe RemotePro
 		Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
 		MissingShards: missing, RespondingTheta: r.Theta, TotalTheta: f.theta,
 	}, nil
+}
+
+// fakeFrontierRemote adds the batched capability to fakeRemote, from the
+// primitives the real pair uses: PartialFrontier per shard with no stop
+// rule, GatherFrontierPartials when complete, per-sibling
+// GatherPartialsDegraded otherwise.
+type fakeFrontierRemote struct {
+	*fakeRemote
+	frontierCalls int
+}
+
+func (f *fakeFrontierRemote) EstimateRemoteFrontier(_ context.Context, user int, posteriors [][]float64) ([]RemoteEstimate, error) {
+	f.frontierCalls++
+	if f.err != nil {
+		return nil, f.err
+	}
+	var rows [][]rrindex.Partial
+	var missing []int
+	for s, idx := range f.shards {
+		if f.drop[s] {
+			missing = append(missing, s)
+			continue
+		}
+		var row []rrindex.Partial
+		if f.pruned {
+			row = rrindex.NewPrunedEstimator(idx).PartialFrontier(s, f.users[s], f.total, graph.VertexID(user), posteriors, sampling.StopRule{})
+		} else {
+			row = rrindex.NewEstimator(idx).PartialFrontier(s, f.users[s], f.total, graph.VertexID(user), posteriors, sampling.StopRule{})
+		}
+		rows = append(rows, row)
+	}
+	out := make([]RemoteEstimate, len(posteriors))
+	if len(missing) == 0 {
+		for i, r := range rrindex.GatherFrontierPartials(rows) {
+			out[i] = RemoteEstimate{
+				Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+				RespondingTheta: r.Theta, TotalTheta: r.Theta,
+			}
+		}
+		return out, nil
+	}
+	for i := range out {
+		var sibling []rrindex.Partial
+		for _, row := range rows {
+			sibling = append(sibling, row[i])
+		}
+		r := rrindex.GatherPartialsDegraded(sibling, f.total)
+		out[i] = RemoteEstimate{
+			Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+			MissingShards: missing, RespondingTheta: r.Theta, TotalTheta: f.theta,
+		}
+	}
+	return out, nil
+}
+
+// stripTiming strips a result down to what every path must agree on:
+// everything but timing and the remote-only Explain counters.
+func stripTiming(r Result) Result {
+	r.Elapsed = 0
+	r.Explain.RemoteScatters, r.Explain.RemoteSiblings = 0, 0
+	return r
+}
+
+// TestRemoteEngineFrontierPathsAgree pins the wiring of the batched
+// adapter on a graph large enough to form real sibling groups: the
+// prototype NewRemoteEngine returns, a Clone of it, and an engine over a
+// remote WITHOUT the frontier capability (the per-candidate fallback)
+// answer identically — and identically to the in-process engine scanning
+// exhaustively (DisableEarlyStop), since a coordinator never ships the
+// stop rule. It is also the regression test for the prototype's explorer
+// once being built by hand without the stop budget its clones carry.
+func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
+	spec, err := BaseDatasetSpec("lastfm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, model, err := GenerateDatasetSpec(spec.Scaled(0.04), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const S = 3
+	for _, strat := range []Strategy{StrategyIndex, StrategyIndexPruned} {
+		opts := Options{Strategy: strat, Seed: 3, MaxSamples: 4000, MaxIndexSamples: 6000, IndexShards: S, CheapBounds: true}
+		batched := &fakeFrontierRemote{fakeRemote: newFakeRemote(t, net, model, opts, S)}
+		proto, err := NewRemoteEngine(net, model, opts, batched)
+		if err != nil {
+			t.Fatalf("%v: NewRemoteEngine: %v", strat, err)
+		}
+		clone := proto.Clone()
+		if proto.explorer.StopLogInvDelta != clone.explorer.StopLogInvDelta || proto.explorer.CheapBounds != clone.explorer.CheapBounds {
+			t.Fatalf("%v: prototype explorer (stop %v, cheap %v) wired differently from its clone (stop %v, cheap %v)", strat,
+				proto.explorer.StopLogInvDelta, proto.explorer.CheapBounds, clone.explorer.StopLogInvDelta, clone.explorer.CheapBounds)
+		}
+		plain := newFakeRemote(t, net, model, opts, S)
+		fallback, err := NewRemoteEngine(net, model, opts, plain)
+		if err != nil {
+			t.Fatalf("%v: NewRemoteEngine (no capability): %v", strat, err)
+		}
+		exhaustive := opts
+		exhaustive.DisableEarlyStop = true
+		local, err := NewEngine(net, model, exhaustive)
+		if err != nil {
+			t.Fatalf("%v: NewEngine: %v", strat, err)
+		}
+		for u := 0; u < net.NumUsers(); u += 3 {
+			for _, km := range [][2]int{{1, 1}, {2, 3}, {3, 1}} {
+				k, m := km[0], km[1]
+				want, err := local.QueryTop(u, k, m)
+				if err != nil {
+					t.Fatalf("%v: local QueryTop(%d,%d,%d): %v", strat, u, k, m, err)
+				}
+				for name, en := range map[string]*Engine{"prototype": proto, "clone": clone, "fallback": fallback} {
+					got, err := en.QueryTop(u, k, m)
+					if err != nil {
+						t.Fatalf("%v: %s QueryTop(%d,%d,%d): %v", strat, name, u, k, m, err)
+					}
+					a, b := stripTiming(got), stripTiming(want)
+					// The local engine reads estimator work counters a remote
+					// adapter has none of; the search itself must match.
+					a.Explain, b.Explain = Explain{}, Explain{}
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%v: %s user %d k=%d m=%d:\n got  %+v\n want %+v", strat, name, u, k, m, a, b)
+					}
+					ex := got.Explain
+					switch {
+					case name == "fallback" && (ex.RemoteSiblings != 0 || ex.RemoteScatters != got.FullSetsEstimated):
+						t.Fatalf("%v: fallback user %d k=%d: %d scatters / %d siblings for %d full sets",
+							strat, u, k, ex.RemoteScatters, ex.RemoteSiblings, got.FullSetsEstimated)
+					case name != "fallback" && ex.RemoteSiblings != got.FullSetsEstimated:
+						t.Fatalf("%v: %s user %d k=%d: %d siblings shipped for %d full sets",
+							strat, name, u, k, ex.RemoteSiblings, got.FullSetsEstimated)
+					case name != "fallback" && k == 3 && got.FullSetsEstimated > 1 && ex.RemoteScatters >= got.FullSetsEstimated:
+						t.Fatalf("%v: %s user %d k=3: %d scatters not below %d full sets",
+							strat, name, u, ex.RemoteScatters, got.FullSetsEstimated)
+					}
+				}
+			}
+		}
+		if batched.frontierCalls == 0 || batched.calls != 0 {
+			t.Fatalf("%v: batched remote saw %d frontier / %d per-candidate calls", strat, batched.frontierCalls, batched.calls)
+		}
+		if plain.calls == 0 {
+			t.Fatalf("%v: fallback remote saw no calls", strat)
+		}
+	}
+}
+
+// TestRemoteEngineFrontierDegraded: with a shard missing, the batched
+// path reports the same degradation — missing shards, θ accounting,
+// achieved ε — and the same answer as the per-candidate path.
+func TestRemoteEngineFrontierDegraded(t *testing.T) {
+	net, model := fig2Network(t)
+	opts := testEngineOptions(StrategyIndexPruned)
+	opts.IndexShards = 3
+	results := make([]Result, 2)
+	for i, batched := range []bool{true, false} {
+		fake := newFakeRemote(t, net, model, opts, 3)
+		fake.drop = map[int]bool{1: true}
+		var remote RemoteEstimator = fake
+		if batched {
+			remote = &fakeFrontierRemote{fakeRemote: fake}
+		}
+		en, err := NewRemoteEngine(net, model, opts, remote)
+		if err != nil {
+			t.Fatalf("NewRemoteEngine: %v", err)
+		}
+		if results[i], err = en.QueryTop(0, 2, 2); err != nil {
+			t.Fatalf("QueryTop: %v", err)
+		}
+	}
+	if results[0].Degraded == nil || !reflect.DeepEqual(results[0].Degraded.MissingShards, []int{1}) {
+		t.Fatalf("batched degraded block = %+v, want shard 1 missing", results[0].Degraded)
+	}
+	if !reflect.DeepEqual(stripTiming(results[0]), stripTiming(results[1])) {
+		t.Fatalf("degraded answers diverge:\n batched       %+v\n per-candidate %+v", results[0], results[1])
+	}
 }
 
 // TestRemoteEngineMatchesLocal pins the tentpole invariant at the engine

@@ -16,7 +16,7 @@ import (
 // wire cost (JSON marshalling, HTTP round trips, hedging machinery), so
 // they sit well above the in-process sharded baseline — that gap is the
 // distribution tax BENCH_distrib.json tracks.
-func benchCluster(b *testing.B, S int) *Server {
+func benchCluster(b *testing.B, S int) (*Server, *distrib.Client) {
 	b.Helper()
 	spec, err := pitex.BaseDatasetSpec("lastfm")
 	if err != nil {
@@ -59,23 +59,34 @@ func benchCluster(b *testing.B, S int) *Server {
 		b.Fatal(err)
 	}
 	b.Cleanup(coord.Close)
-	return coord
+	return coord, client
 }
 
 // BenchmarkDistribScatter measures one uncached selling-points query
 // through the full distributed path (coordinator exploration → HTTP
-// scatter → shard-server estimation → gather) at increasing shard counts.
+// scatter → shard-server estimation → gather) at increasing shard counts
+// and query sizes, and reports how the query crossed the wire: scatters/op
+// and the siblings/op that rode in frontier batches (their ratio is the
+// mean batch width; k=3 explores many more sibling groups than k=2).
 func BenchmarkDistribScatter(b *testing.B) {
-	for _, S := range []int{1, 3} {
-		b.Run(map[int]string{1: "S1", 3: "S3"}[S], func(b *testing.B) {
-			coord := benchCluster(b, S)
+	for _, row := range []struct {
+		name string
+		S, k int
+	}{{"S1", 1, 2}, {"S3", 3, 2}, {"S1-k3", 1, 3}, {"S3-k3", 3, 3}} {
+		b.Run(row.name, func(b *testing.B) {
+			coord, client := benchCluster(b, row.S)
 			b.ReportAllocs()
+			before := client.Status()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := coord.SellingPoints(context.Background(), 0, 2, 1, nil); err != nil {
+				if _, _, err := coord.SellingPoints(context.Background(), 0, row.k, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			after := client.Status()
+			b.ReportMetric(float64(after.Scatters-before.Scatters)/float64(b.N), "scatters/op")
+			b.ReportMetric(float64(after.FrontierSiblings-before.FrontierSiblings)/float64(b.N), "siblings/op")
 		})
 	}
 }

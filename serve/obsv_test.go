@@ -211,7 +211,7 @@ func TestTracePropagatesToShards(t *testing.T) {
 	ct := httptest.NewServer(coord.Handler())
 	defer ct.Close()
 
-	st, doc := getDoc(t, ct.URL+"/selling-points?user=1&k=2&trace=1")
+	st, doc := getDoc(t, ct.URL+"/selling-points?user=1&k=3&trace=1")
 	if st != http.StatusOK {
 		t.Fatalf("status %d: %v", st, doc)
 	}
@@ -229,6 +229,20 @@ func TestTracePropagatesToShards(t *testing.T) {
 	if rpcSpans < S {
 		t.Fatalf("trace has %d shard-rpc spans, want >= %d (%+v)", rpcSpans, S, td.Spans)
 	}
+	// Sibling groups cross as frontier scatters: the span says how many
+	// siblings it carried, and EXPLAIN shows fewer scatters than estimations
+	// (every sampled bound is its own scatter; full sets share theirs).
+	var siblings float64
+	for _, sp := range td.Spans {
+		if n, ok := sp.Attrs["siblings"].(float64); ok && sp.Name == "scatter" {
+			siblings += n
+		}
+	}
+	ex, _ := doc["explain"].(map[string]any)
+	if siblings < 2 || ex["remote_siblings"] != siblings || ex["remote_siblings"] != ex["full_sets_estimated"] ||
+		ex["remote_scatters"].(float64) >= ex["full_sets_estimated"].(float64)+ex["partial_bounds_estimated"].(float64) {
+		t.Fatalf("scatter spans carried %v siblings; explain = %v", siblings, ex)
+	}
 
 	for _, u := range shardURLs {
 		resp, err := http.Get(u + "/tracez")
@@ -243,19 +257,29 @@ func TestTracePropagatesToShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
+		found, widest := false, 0.0
 		for _, tr := range tz.Traces {
 			if tr.TraceID == td.TraceID {
 				found = true
+				for _, sp := range tr.Spans {
+					if w, ok := sp.Attrs["width"].(float64); ok && sp.Name == "partials" {
+						widest = max(widest, w)
+					}
+				}
 			}
 		}
 		if !found {
 			t.Fatalf("shard %s /tracez does not hold trace %s", u, td.TraceID)
 		}
+		if widest < 2 {
+			t.Fatalf("shard %s: no partials span of the trace reports a frontier width (widest %v)", u, widest)
+		}
 	}
 	// The coordinator /metrics includes the distrib client's counters.
 	fams := scrape(t, ct.URL+"/metrics")
-	if _, ok := fams["pitex_remote_scatters_total"]; !ok {
-		t.Error("coordinator /metrics missing pitex_remote_scatters_total")
+	for _, name := range []string{"pitex_remote_scatters_total", "pitex_remote_frontier_siblings_total"} {
+		if _, ok := fams[name]; !ok {
+			t.Errorf("coordinator /metrics missing %s", name)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"pitex/internal/faultinject"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
+	"pitex/internal/sampling"
 	"pitex/obsv"
 )
 
@@ -70,6 +71,63 @@ type shardState struct {
 	delays     map[int]*rrindex.DelayMat
 	users      map[int]int // shard id -> |V_s|
 	prev       *shardState
+	// pool holds this generation's reusable estimators. Held by pointer:
+	// double-buffering copies shardState by value, and the copy must keep
+	// answering from the same pool.
+	pool *estimatorPool
+}
+
+// newShardState returns an empty serving state for one generation.
+func newShardState(net *pitex.Network, generation uint64) *shardState {
+	return &shardState{
+		net:        net,
+		generation: generation,
+		indexes:    make(map[int]*rrindex.Index),
+		delays:     make(map[int]*rrindex.DelayMat),
+		users:      make(map[int]int),
+		pool:       &estimatorPool{},
+	}
+}
+
+// shardEstimator is what /shard/estimate needs of an index estimator;
+// rrindex.Estimator and rrindex.PrunedEstimator both provide it.
+type shardEstimator interface {
+	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) rrindex.Partial
+	PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []rrindex.Partial
+}
+
+// estimatorPool keeps one generation's idle estimator sets — a set is one
+// estimator per owned shard, parallel to ShardConfig.Owned. Estimators
+// are scratch state (probe caches sized by the edge count, a user's cut
+// lists) that is expensive to build and not safe to share, so a request
+// borrows a whole set for its estimation step and returns it: the caches
+// survive across the many RPCs of one query, sets are built lazily on
+// first use, at most Workers exist (borrowing happens behind the
+// admission gate), and all of them die with the generation's state.
+type estimatorPool struct {
+	mu   sync.Mutex
+	idle [][]shardEstimator
+}
+
+// get borrows an idle set, most recently returned first so consecutive
+// RPCs of one query find their user's cut lists warm; nil when none is
+// idle and the caller must build one.
+func (p *estimatorPool) get() []shardEstimator {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	if n == 0 {
+		return nil
+	}
+	set := p.idle[n-1]
+	p.idle = p.idle[:n-1]
+	return set
+}
+
+func (p *estimatorPool) put(set []shardEstimator) {
+	p.mu.Lock()
+	p.idle = append(p.idle, set)
+	p.mu.Unlock()
 }
 
 // ShardServer serves a slice of the distributed RR-index over the
@@ -173,12 +231,7 @@ func (ss *ShardServer) registerMetrics() {
 
 func (ss *ShardServer) build(net *pitex.Network) {
 	defer close(ss.ready)
-	st := &shardState{
-		net:     net,
-		indexes: make(map[int]*rrindex.Index),
-		delays:  make(map[int]*rrindex.DelayMat),
-		users:   make(map[int]int),
-	}
+	st := newShardState(net, 0)
 	for _, s := range ss.cfg.Owned {
 		var users int
 		var err error
@@ -283,7 +336,8 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 
 // Handler returns the shard-server HTTP surface:
 //
-//	POST /shard/estimate  — partial hits for one serialized prober
+//	POST /shard/estimate  — partial hits for one serialized prober, or
+//	                        for every sibling posterior of a frontier
 //	GET  /shard/info      — layout metadata + readiness
 //	GET  /shard/counters  — per-shard counter rows for one user
 //	POST /shard/update    — generation-keyed incremental repair
@@ -355,10 +409,16 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Errorf("user %d outside [0,%d)", req.User, st.net.NumUsers()))
 		return
 	}
-	prober, err := req.Probe.Prober(st.net.Graph())
-	if err != nil {
+	if err := req.Validate(st.net.NumTopics()); err != nil {
 		httpError(w, err)
 		return
+	}
+	var prober sampling.EdgeProber
+	if len(req.Frontier) == 0 {
+		if prober, err = req.Probe.Prober(st.net.Graph()); err != nil {
+			httpError(w, err)
+			return
+		}
 	}
 	// Deadline-aware admission: the coordinator forwards its remaining
 	// budget in a header (context deadlines do not cross HTTP). A request
@@ -391,27 +451,48 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	psp.SetAttr("user", req.User)
 	psp.SetAttr("generation", st.generation)
 	psp.SetAttr("owned", len(ss.cfg.Owned))
+	psp.SetAttr("width", max(len(req.Frontier), 1))
 	defer psp.End()
-	pruned := ss.strategy == pitex.StrategyIndexPruned
-	resp := distrib.EstimateResponse{Generation: st.generation}
-	err = func() (qret error) {
-		defer ss.recoverPanic("estimate", &qret)
-		for _, s := range ss.cfg.Owned {
-			var p rrindex.Partial
-			if pruned {
-				p = rrindex.NewPrunedEstimator(st.indexes[s]).Partial(s, st.users[s], graph.VertexID(req.User), prober)
-			} else {
-				p = rrindex.NewEstimator(st.indexes[s]).Partial(s, st.users[s], graph.VertexID(req.User), prober)
-			}
-			resp.Partials = append(resp.Partials, p)
-		}
-		return nil
-	}()
+	resp, err := ss.estimate(st, &req, prober)
 	if err != nil {
 		writeShardError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeShardJSON(w, resp, fault.Corrupt)
+}
+
+// estimate is the estimation step of /shard/estimate: every owned shard's
+// partial hits for the request — one partial per shard under prober (the
+// per-candidate form), or one positional row per shard for the request's
+// frontier, decided in a single masked pass with no stop rule. It runs on
+// an estimator set borrowed from the generation's pool, so in the steady
+// state it allocates only the response. A panicking estimator becomes an
+// error, and its set — scratch in an unknown state — is not returned.
+func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest, prober sampling.EdgeProber) (resp distrib.EstimateResponse, err error) {
+	defer ss.recoverPanic("estimate", &err)
+	set := st.pool.get()
+	if set == nil {
+		set = make([]shardEstimator, len(ss.cfg.Owned))
+		for i, s := range ss.cfg.Owned {
+			if ss.strategy == pitex.StrategyIndexPruned {
+				set[i] = rrindex.NewPrunedEstimator(st.indexes[s])
+			} else {
+				set[i] = rrindex.NewEstimator(st.indexes[s])
+			}
+		}
+	}
+	resp.Generation = st.generation
+	u := graph.VertexID(req.User)
+	for i, s := range ss.cfg.Owned {
+		if len(req.Frontier) > 0 {
+			resp.Frontier = append(resp.Frontier,
+				set[i].PartialFrontier(s, st.users[s], st.net.NumUsers(), u, req.Frontier, sampling.StopRule{}))
+		} else {
+			resp.Partials = append(resp.Partials, set[i].Partial(s, st.users[s], u, prober))
+		}
+	}
+	st.pool.put(set)
+	return resp, nil
 }
 
 // recoverPanic converts a panic in request execution into an error and
@@ -423,21 +504,23 @@ func (ss *ShardServer) recoverPanic(what string, err *error) {
 	}
 }
 
-// writeShardJSON is writeJSON plus the corrupt-payload fault: when a
-// faultinject rule asked for corruption, the marshaled body is bit-
-// flipped before it leaves, exercising client-side decode hardening.
+// writeShardJSON writes an estimate response with its Content-Length
+// declared, so the client reads it into one exactly-sized buffer. It also
+// carries the corrupt-payload fault: when a faultinject rule asked for
+// corruption, the marshaled body is bit-flipped before it leaves,
+// exercising client-side decode hardening.
 func writeShardJSON(w http.ResponseWriter, v any, corrupt bool) {
-	if !corrupt {
-		writeJSON(w, v)
-		return
-	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		writeShardError(w, http.StatusInternalServerError, err)
 		return
 	}
+	if corrupt {
+		data = faultinject.CorruptBytes(data)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(faultinject.CorruptBytes(data))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
 }
 
 func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -565,13 +648,7 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	bo := ss.buildOpts
 	bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
-	next := &shardState{
-		net:        newNet,
-		generation: req.Generation,
-		indexes:    make(map[int]*rrindex.Index),
-		delays:     make(map[int]*rrindex.DelayMat),
-		users:      make(map[int]int),
-	}
+	next := newShardState(newNet, req.Generation)
 	resp := distrib.UpdateResponse{Generation: req.Generation}
 	for _, s := range ss.cfg.Owned {
 		var rs rrindex.RepairStats
@@ -705,13 +782,7 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 		httpError(w, fmt.Errorf("bad snapshot network: %w", err))
 		return
 	}
-	next := &shardState{
-		net:        net,
-		generation: snap.Generation,
-		indexes:    make(map[int]*rrindex.Index),
-		delays:     make(map[int]*rrindex.DelayMat),
-		users:      make(map[int]int),
-	}
+	next := newShardState(net, snap.Generation)
 	for _, sh := range snap.Shards {
 		if !slices.Contains(ss.cfg.Owned, sh.Shard) {
 			writeShardError(w, http.StatusConflict,

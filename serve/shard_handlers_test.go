@@ -140,6 +140,26 @@ func TestShardServerBadRequests(t *testing.T) {
 	if got := post("/shard/estimate", `{"user":0,"probe":{}}`); got != http.StatusBadRequest {
 		t.Errorf("empty probe = %d", got)
 	}
+	// The frontier form: rows are one float per topic (3 here), all alike,
+	// and never ride with a probe.
+	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.5]]}`); got != http.StatusBadRequest {
+		t.Errorf("ragged frontier = %d", got)
+	}
+	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.5,0.5],[0.1,0.9]]}`); got != http.StatusBadRequest {
+		t.Errorf("frontier rows shorter than the topic count = %d", got)
+	}
+	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.1,0.2,0.3,0.4]]}`); got != http.StatusBadRequest {
+		t.Errorf("frontier row longer than the topic count = %d", got)
+	}
+	if got := post("/shard/estimate", `{"user":0,"probe":{"posterior":[1,0,0]},"frontier":[[0.2,0.3,0.5]]}`); got != http.StatusBadRequest {
+		t.Errorf("probe and frontier together = %d", got)
+	}
+	if got := post("/shard/estimate", `{"user":0,"probe":{"bound_weights":[1]},"frontier":[[0.2,0.3,0.5]]}`); got != http.StatusBadRequest {
+		t.Errorf("half a bound probe and a frontier together = %d", got)
+	}
+	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.25,0.25]]}`); got != http.StatusOK {
+		t.Errorf("well-formed frontier = %d", got)
+	}
 	if got := post("/shard/update", "{nope"); got != http.StatusBadRequest {
 		t.Errorf("malformed update body = %d", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pitex/internal/bestfirst"
 	"pitex/internal/enumerate"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
@@ -233,8 +232,7 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 		next.IndexBuildTime = time.Since(start)
 	}
 	next.est = next.newEstimator()
-	next.explorer = bestfirst.NewExplorer(next.net.g, next.model.m, next.est)
-	next.explorer.CheapBounds = next.opts.CheapBounds
+	next.explorer = next.newExplorer()
 	stats.Elapsed = time.Since(start)
 	return next, stats, nil
 }
