@@ -184,6 +184,7 @@ func BenchmarkAblationCutChoice(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := graph.MaxOutDegreeVertex(d.Graph)
+	prober := sampling.PosteriorProber{G: d.Graph, Posterior: post}
 	for _, policy := range []rrindex.CutPolicy{rrindex.CutBestOfTwo, rrindex.CutSourceOnly} {
 		name := "best-of-two"
 		if policy == rrindex.CutSourceOnly {
@@ -193,9 +194,9 @@ func BenchmarkAblationCutChoice(b *testing.B) {
 			pe := rrindex.NewPrunedEstimator(idx)
 			pe.Policy = policy
 			for i := 0; i < b.N; i++ {
-				pe.Estimate(u, post)
+				pe.Partial(0, d.Graph.NumVertices(), u, prober)
 			}
-			b.ReportMetric(float64(pe.GraphsChecked())/float64(b.N), "verified/op")
+			b.ReportMetric(float64(pe.WorkStats().GraphsChecked)/float64(b.N), "verified/op")
 		})
 	}
 }
@@ -214,16 +215,17 @@ func BenchmarkAblationCutPruning(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := graph.MaxOutDegreeVertex(d.Graph)
+	prober := sampling.PosteriorProber{G: d.Graph, Posterior: post}
 	b.Run("indexest", func(b *testing.B) {
 		est := rrindex.NewEstimator(idx)
 		for i := 0; i < b.N; i++ {
-			est.Estimate(u, post)
+			est.Partial(0, d.Graph.NumVertices(), u, prober)
 		}
 	})
 	b.Run("indexest+", func(b *testing.B) {
 		pe := rrindex.NewPrunedEstimator(idx)
 		for i := 0; i < b.N; i++ {
-			pe.Estimate(u, post)
+			pe.Partial(0, d.Graph.NumVertices(), u, prober)
 		}
 	})
 }

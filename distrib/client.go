@@ -848,9 +848,6 @@ func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posterior
 	}
 	out := make([]pitex.RemoteEstimate, len(posteriors))
 	if len(sc.missing) == 0 {
-		// Ascending shard order fixes the float summation order, as
-		// GatherPartials' sort does on the per-candidate path.
-		slices.SortFunc(rows, func(a, b []rrindex.Partial) int { return a[0].Shard - b[0].Shard })
 		for i, r := range rrindex.GatherFrontierPartials(rows) {
 			out[i] = healthyEstimate(r)
 		}

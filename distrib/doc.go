@@ -7,8 +7,10 @@
 // of one group all serve the same shard set, and the groups together
 // partition [0, S). An estimation scatters to every group, each server
 // answers with its shards' partial hits plus the θ_s/|V_s| gather
-// metadata, and the client folds them: with every group responding, the
-// estimate is bit-for-bit the in-process ShardedEstimator's.
+// metadata — the rows the in-process rrindex.ShardedEstimator's scan of
+// that shard produces — and the client folds them through the same
+// function that estimator folds its own rows with: with every group
+// responding, the estimate is the in-process one by construction.
 //
 // Wire contract of POST /shard/estimate. A request (EstimateRequest) is
 // stamped with the serving generation and takes exactly one of two

@@ -102,7 +102,10 @@
 // scatter across shards (in parallel above a small work threshold, with a
 // per-shard p(e|W) cache so workers never contend) and gather the
 // per-shard coverage counts into Σ_s (hits_s/θ_s)·|V_s| — unbiased at
-// every S, and byte-identical to the monolithic estimate at S=1.
+// every S. There is one estimator for every index strategy and every S:
+// a per-shard scan policy (IndexEst, IndexEst+ or DelayMat) producing
+// partial rows, and one fold over them; S=1 is the same path with one
+// shard, where the sum is the paper's (hits/θ)·|V|.
 //
 // When to raise IndexShards: when offline build or repair latency is the
 // bottleneck (each shard builds and repairs concurrently, and an update
@@ -151,9 +154,10 @@
 // estimates; a coordinator — NewRemoteEngine plus serve.NewCoordinator,
 // or cmd/pitexserve -shards — runs the same best-first exploration as
 // the monolith but scatters the estimations to the fleet (via the
-// pitex/distrib client) and gathers the partials into the identical
-// unbiased sum, so all-healthy answers are byte-identical to the
-// in-process sharded engine at the same seeds. RemoteProbe serializes
+// pitex/distrib client) and gathers the partials with the very fold the
+// in-process estimator applies to its own shards' rows, so all-healthy
+// answers are byte-identical to the in-process sharded engine at the
+// same seeds by construction. RemoteProbe serializes
 // both remotable probers (posterior tag sets and the best-effort
 // partial-set bound), and RemoteEstimator is the narrow interface a
 // transport must satisfy; one that also implements

@@ -22,7 +22,7 @@ func (s seqOnly) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sa
 	return s.est.EstimateProber(u, prober)
 }
 
-func frontierFixture(t *testing.T, seed uint64) (*graph.Graph, *topics.Model, *rrindex.Index) {
+func frontierFixture(t *testing.T, seed uint64) (*graph.Graph, *topics.Model, *rrindex.ShardedIndex) {
 	t.Helper()
 	r := rng.New(seed)
 	g, err := graph.ErdosRenyi(r, 120, 600, graph.TopicAssignment{
@@ -32,13 +32,13 @@ func frontierFixture(t *testing.T, seed uint64) (*graph.Graph, *topics.Model, *r
 		t.Fatalf("ErdosRenyi: %v", err)
 	}
 	m := topics.GenerateRandom(r, 8, 4, 2)
-	idx, err := rrindex.Build(g, rrindex.BuildOptions{
+	idx, err := rrindex.BuildSharded(g, rrindex.BuildOptions{
 		Accuracy:        sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 3},
 		MaxIndexSamples: 1500,
 		Seed:            seed ^ 0xbeef,
-	})
+	}, 1)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildSharded: %v", err)
 	}
 	return g, m, idx
 }
@@ -54,8 +54,8 @@ func TestExplorerFrontierBatchingIdentical(t *testing.T) {
 		name string
 		est  Estimator
 	}{
-		{"INDEXEST", rrindex.NewEstimator(idx)},
-		{"INDEXEST+", rrindex.NewPrunedEstimator(idx)},
+		{"INDEXEST", rrindex.NewShardedEstimator(idx)},
+		{"INDEXEST+", rrindex.NewShardedPrunedEstimator(idx)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, ok := tc.est.(FrontierEstimator); !ok {
@@ -103,7 +103,7 @@ func TestExplorerFrontierBatchingIdentical(t *testing.T) {
 // scanned in full), and the batch path actually saved work.
 func TestExplorerStoppingKeepsWinner(t *testing.T) {
 	g, m, idx := frontierFixture(t, 23)
-	est := rrindex.NewPrunedEstimator(idx)
+	est := rrindex.NewShardedPrunedEstimator(idx)
 	plain := NewExplorer(g, m, est)
 	stopping := NewExplorer(g, m, est)
 	stopping.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
@@ -223,7 +223,7 @@ func TestResolveMaskBatchMatchesSingle(t *testing.T) {
 // are only comparable within one query user).
 func TestBoundMemoHits(t *testing.T) {
 	g, m, idx := frontierFixture(t, 31)
-	ex := NewExplorer(g, m, rrindex.NewEstimator(idx))
+	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
 	ex.CheapBounds = true
 	res, err := ex.QueryTop(graph.MaxOutDegreeVertex(g), 3, 1)
 	if err != nil {
@@ -254,7 +254,7 @@ func TestBoundMemoHits(t *testing.T) {
 // context must be the plain call.
 func TestQueryTopCtxMatchesQueryTop(t *testing.T) {
 	g, m, idx := frontierFixture(t, 43)
-	ex := NewExplorer(g, m, rrindex.NewEstimator(idx))
+	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
 	want, err := ex.QueryTop(3, 3, 2)
 	if err != nil {
 		t.Fatalf("QueryTop: %v", err)

@@ -254,7 +254,7 @@ func assertSameEstimates(t *testing.T, label string, idx *Index, ref *refIndex, 
 		t.Fatalf("%s: shape differs: %d/%d graphs θ %d/%d",
 			label, len(idx.graphs), len(ref.graphs), idx.theta, ref.theta)
 	}
-	est := NewEstimator(idx)
+	est := NewShardedEstimator(wrapMonolithic(idx))
 	for _, post := range posteriors {
 		for u := 0; u < idx.g.NumVertices(); u++ {
 			got := est.Estimate(graph.VertexID(u), post).Influence

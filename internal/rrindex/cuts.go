@@ -1,6 +1,7 @@
 package rrindex
 
 import (
+	"math/bits"
 	"sort"
 
 	"pitex/internal/graph"
@@ -174,55 +175,43 @@ func pruneProb(g *graph.Graph, cut []cutEdge) float64 {
 	return p
 }
 
-// PrunedEstimator is the IndexEst+ query evaluator: an Index estimator with
-// the edge-cut filter in front of verification. Per-user cut indexes are
-// cached, and the cache is bounded: the cut postings held across all
-// cached users never exceed the index's own postings count (Σ_u θ(u)), or
-// one user's lists when those alone are larger — so a long-lived estimator
-// (an engine clone, a shard server's per-generation set) costs at most a
-// small constant multiple of the postings arena however many users it
-// serves. An insertion that would overflow drops the whole cache first;
-// the user being served is always kept. Not safe for concurrent use.
+// PrunedEstimator is the IndexEst+ scan policy: the edge-cut filter in
+// front of verification. Per-user cut indexes are cached, and the cache
+// is bounded: the cut postings held across all cached users never exceed
+// the index's own postings count (Σ_u θ(u)), or one user's lists when
+// those alone are larger — so a long-lived estimator (an engine clone, a
+// shard server's per-generation set) costs at most a small constant
+// multiple of the postings arena however many users it serves. An
+// insertion that would overflow drops the whole cache first; the user
+// being served is always kept. Not safe for concurrent use.
 type PrunedEstimator struct {
 	idx *Index
 	// Policy selects the cut construction; change it before the first
 	// estimate for a given user (cut indexes are cached per user).
-	Policy  CutPolicy
-	probe   *sampling.ProbeCache
-	cuts    map[graph.VertexID]*userCuts
-	cutSc   cutScratch
-	visited []int64
-	dfs     []int32
-	stamp   int64
+	Policy CutPolicy
+	scanState
+	cuts  map[graph.VertexID]*userCuts
+	cutSc cutScratch
 	// cutEntries is Σ entries over cuts; cutBudget is the index's postings
 	// count, computed on the first cache miss.
 	cutEntries int
 	cutBudget  int
 	// candStamp deduplicates candidate positions during filtering;
 	// candSlot maps a deduplicated position to its index in cands (the
-	// frontier batch path keeps per-candidate sibling masks there).
+	// masked scan keeps per-candidate sibling masks in candMask there).
 	candStamp []int64
 	candSlot  []int32
 	candIter  int64
 	cands     []int32
-
-	graphsChecked int64
-	graphsPruned  int64
-
-	// Frontier-batch state (frontier.go).
-	fc            *sampling.FrontierProbeCache
-	fsc           frontierScratch
-	earlyStops    int64
-	graphsSkipped int64
+	candMask  []uint64
 }
 
-// NewPrunedEstimator creates an IndexEst+ evaluator over idx.
+// NewPrunedEstimator creates an IndexEst+ scan over idx.
 func NewPrunedEstimator(idx *Index) *PrunedEstimator {
 	return &PrunedEstimator{
-		idx:     idx,
-		probe:   sampling.NewProbeCache(idx.g.NumEdges()),
-		cuts:    make(map[graph.VertexID]*userCuts),
-		visited: make([]int64, idx.maxSize),
+		idx:       idx,
+		scanState: newScanState(idx.g),
+		cuts:      make(map[graph.VertexID]*userCuts),
 	}
 }
 
@@ -247,29 +236,30 @@ func (pe *PrunedEstimator) cutsFor(u graph.VertexID) *userCuts {
 	return uc
 }
 
-// GraphsChecked returns the cumulative number of RR-Graphs verified.
-func (pe *PrunedEstimator) GraphsChecked() int64 { return pe.graphsChecked }
-
-// GraphsPruned returns the cumulative number of RR-Graphs skipped by the
-// cut filter.
-func (pe *PrunedEstimator) GraphsPruned() int64 { return pe.graphsPruned }
-
-// hitsProber runs filter-and-verify and returns the raw hit count along
-// with how many graphs were looked at (verified plus unconditional direct
-// hits) and how many contain u at all — the scatter side of an
-// estimation. The prober is wrapped in a query-scoped ProbeCache shared
-// between the filter scan and verification, so each distinct edge is
-// probed once per call.
-func (pe *PrunedEstimator) hitsProber(u graph.VertexID, prober sampling.EdgeProber) (hits, samples int64, contained int) {
-	idx := pe.idx
-	prober = pe.probe.Begin(prober)
-	uc := pe.cutsFor(u)
-	containing := idx.containing[u]
-	if len(pe.candStamp) < len(containing) {
-		pe.candStamp = make([]int64, len(containing))
+// beginFilter readies the candidate dedup scratch for a scan of a user
+// with n postings.
+func (pe *PrunedEstimator) beginFilter(n int) {
+	if len(pe.candStamp) < n {
+		pe.candStamp = make([]int64, n)
+		pe.candSlot = make([]int32, n)
 	}
 	pe.candIter++
 	pe.cands = pe.cands[:0]
+	pe.candMask = pe.candMask[:0]
+}
+
+func (pe *PrunedEstimator) postings(u graph.VertexID) int { return len(pe.idx.containing[u]) }
+
+// scanProber runs filter-and-verify under prober: Samples counts the
+// graphs looked at (verified plus unconditional direct hits), not the
+// postings size. The query-scoped ProbeCache is shared between the filter
+// scan and verification, so each distinct edge is probed once per call.
+func (pe *PrunedEstimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
+	idx := pe.idx
+	prober = pe.beginProber(prober, idx.maxSize)
+	uc := pe.cutsFor(u)
+	containing := idx.containing[u]
+	pe.beginFilter(len(containing))
 
 	// Filter: scan each inverted list while c(e) <= p(e|W).
 	for i, e := range uc.edges {
@@ -288,37 +278,115 @@ func (pe *PrunedEstimator) hitsProber(u graph.VertexID, prober sampling.EdgeProb
 		}
 	}
 
-	hits = int64(len(uc.direct)) // target == u: unconditional hits
+	hits := int64(len(uc.direct)) // target == u: unconditional hits
 	for _, pos := range pe.cands {
-		rr := &idx.graphs[containing[pos]]
-		pe.stamp++
-		pe.graphsChecked++
-		var reached bool
-		if reached, pe.dfs = rr.reaches(u, prober, pe.visited, pe.stamp, pe.dfs); reached {
+		if pe.reaches(&idx.graphs[containing[pos]], u, prober) {
 			hits++
 		}
 	}
 	pe.graphsPruned += int64(len(containing)-len(uc.direct)) - int64(len(pe.cands))
-	return hits, int64(len(pe.cands) + len(uc.direct)), len(containing)
+	return Partial{
+		Shard: shard, Hits: hits,
+		Samples: int64(len(pe.cands) + len(uc.direct)), Contained: len(containing),
+		Theta: idx.theta, Users: users,
+	}
 }
 
-// EstimateProber estimates E[I(u|W)] with filter-and-verify.
-func (pe *PrunedEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
+// scanFrontier is the batched filter-and-verify: the inverted cut lists
+// are scanned once against cached probability rows to build per-candidate
+// sibling masks, then one masked pass verifies each surviving candidate
+// for exactly the siblings whose filter admitted it.
+func (pe *PrunedEstimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
 	idx := pe.idx
-	hits, samples, contained := pe.hitsProber(u, prober)
-	inf := float64(hits) / float64(idx.theta) * float64(idx.g.NumVertices())
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   samples,
-		Theta:     idx.theta,
-		Reachable: contained,
-	}
-}
+	pe.beginFrontier(chunk, idx.maxSize)
+	hitsThr, sqrtHalfL, stopping := stopParams(stop, idx.theta, totalUsers)
+	fc, sc := pe.fc, &pe.fsc
+	W := len(chunk)
 
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (pe *PrunedEstimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return pe.EstimateProber(u, sampling.PosteriorProber{G: pe.idx.g, Posterior: posterior})
+	uc := pe.cutsFor(u)
+	containing := idx.containing[u]
+	pe.beginFilter(len(containing))
+	full := fullMask(W)
+
+	// Filter: a sibling admits a posting when p(e|W_sibling) > 0 and
+	// c(e) ≤ p(e|W_sibling) — the row min/max settle whole postings
+	// without a per-sibling scan. Lists are c-ascending, so scanning
+	// stops at the row max.
+	for i, e := range uc.edges {
+		row, lo, hi := fc.Row(e)
+		if hi <= 0 {
+			continue
+		}
+		for _, ent := range uc.lists[i] {
+			if ent.c > hi {
+				break
+			}
+			var mask uint64
+			if ent.c <= lo && lo > 0 {
+				mask = full
+			} else {
+				for w := 0; w < W; w++ {
+					if p := row[w]; p > 0 && ent.c <= p {
+						mask |= 1 << w
+					}
+				}
+				if mask == 0 {
+					continue
+				}
+			}
+			pos := ent.graphPos
+			if pe.candStamp[pos] != pe.candIter {
+				pe.candStamp[pos] = pe.candIter
+				pe.candSlot[pos] = int32(len(pe.cands))
+				pe.cands = append(pe.cands, pos)
+				pe.candMask = append(pe.candMask, 0)
+			}
+			slot := pe.candSlot[pos]
+			if added := mask &^ pe.candMask[slot]; added != 0 {
+				pe.candMask[slot] |= added
+				for b := added; b != 0; b &= b - 1 {
+					sc.totals[bits.TrailingZeros64(b)]++
+				}
+			}
+		}
+	}
+
+	// Verify: one masked reachability pass per surviving candidate, for
+	// the siblings whose filter admitted it and whose scan is live. Each
+	// sibling has its own verdict budget totals[w], so stop checks run
+	// every stopCheckEvery candidates on per-sibling counts.
+	direct := int64(len(uc.direct))
+	active := full
+	var stopped uint64
+	for ci, pos := range pe.cands {
+		if active == 0 {
+			break
+		}
+		m := pe.candMask[ci] & active
+		if m == 0 {
+			continue
+		}
+		sc.countHits(idx.graphs[containing[pos]].reachMask(u, fc, m, sc))
+		for b := m; b != 0; b &= b - 1 {
+			sc.scanned[bits.TrailingZeros64(b)]++
+		}
+		pe.graphsChecked += int64(bits.OnesCount64(m))
+		if stopping && ci&(stopCheckEvery-1) == stopCheckEvery-1 {
+			for b := active; b != 0; b &= b - 1 {
+				w := bits.TrailingZeros64(b)
+				n := sc.scanned[w]
+				if n >= stopMinScan && n < sc.totals[w] &&
+					float64(direct)+hoeffdingUCB(sc.hits[w], n, sc.totals[w], sqrtHalfL) <= hitsThr {
+					active &^= 1 << w
+					stopped |= 1 << w
+					pe.earlyStops++
+					pe.graphsSkipped += sc.totals[w] - n
+				}
+			}
+		}
+	}
+	for w := 0; w < W; w++ {
+		pe.graphsPruned += int64(len(containing)) - direct - sc.totals[w]
+	}
+	sc.packRows(stopped, direct, Partial{Shard: shard, Contained: len(containing), Theta: idx.theta, Users: users}, rows, stride)
 }

@@ -136,20 +136,20 @@ func (dm *DelayMat) recomputeFootprint() {
 	dm.footprint = b
 }
 
-// DelayEstimator answers queries against a DelayMat index. Recovered
-// RR-Graphs are cached per user so repeated estimations for the same query
-// user (one PITEX query estimates many tag sets) pay recovery once, exactly
-// like the materialized index amortizes construction. Recovered graphs are
-// assembled into a per-recovery arena (reused across recoveries), so a
-// recovery costs a handful of allocations rather than six per graph. Not
-// safe for concurrent use.
+// DelayEstimator is the DelayMat scan policy: recover the query user's
+// RR-Graphs, then hit-test them exactly as Estimator does an index's.
+// Recovered RR-Graphs are cached per user so repeated estimations for the
+// same query user (one PITEX query estimates many tag sets) pay recovery
+// once, exactly like the materialized index amortizes construction.
+// Recovered graphs are assembled into a per-recovery arena (reused across
+// recoveries), so a recovery costs a handful of allocations rather than
+// six per graph. The estimator's RNG is consumed only by recovery, so
+// neither scan — nor batching siblings into one — can perturb the
+// recovered sample. Not safe for concurrent use.
 type DelayEstimator struct {
-	dm    *DelayMat
-	rng   *rng.Source
-	probe *sampling.ProbeCache
-	// graphsChecked counts recovered RR-Graphs whose reachability was
-	// verified (the delay analog of the materialized index's counter).
-	graphsChecked int64
+	dm  *DelayMat
+	rng *rng.Source
+	scanState
 
 	// Shard scope: when numShards > 1 the estimator recovers RR-Graphs for
 	// one hash partition — cascades are accepted with |V'∩V_s|/|V_s| and
@@ -160,26 +160,21 @@ type DelayEstimator struct {
 	poolSize  int
 	inShard   []graph.VertexID
 
-	cachedUser   graph.VertexID
-	cachedValid  bool
-	cachedGraphs []RRGraph
-	arena        arenaBuilder
-
-	visited []int64
-	dfs     []int32
-	stamp   int64
+	// The last recovery, as the one-user index the plain scans walk: the
+	// recovered graphs, their identity postings list (grown, never
+	// shrunk) and the largest graph's vertex count.
+	cachedUser    graph.VertexID
+	cachedValid   bool
+	cachedGraphs  []RRGraph
+	cachedMaxSize int
+	identity      []int32
+	arena         arenaBuilder
 
 	sc *genScratch
 	// Forward-cascade buffers, reused across recoverOne attempts (up to
 	// 8θ rejected cascades per recovery would otherwise each allocate).
 	live      []liveEdge
 	activated []graph.VertexID
-
-	// Frontier-batch state (frontier.go).
-	fc            *sampling.FrontierProbeCache
-	fsc           frontierScratch
-	earlyStops    int64
-	graphsSkipped int64
 }
 
 // liveEdge is one live edge of a forward cascade during Algo 4 recovery.
@@ -188,72 +183,40 @@ type liveEdge struct {
 	id       graph.EdgeID
 }
 
-// NewDelayEstimator creates a query evaluator over dm.
-func NewDelayEstimator(dm *DelayMat, r *rng.Source) *DelayEstimator {
-	return newDelayEstimatorShard(dm, r, 0, 1, dm.g.NumVertices())
-}
-
-// newDelayEstimatorShard creates an evaluator recovering RR-Graphs for
-// one shard of a hash partition (numShards <= 1 means the whole graph).
+// newDelayEstimatorShard creates a scan recovering RR-Graphs for one
+// shard of a hash partition (numShards <= 1 means the whole graph).
 func newDelayEstimatorShard(dm *DelayMat, r *rng.Source, shardID, numShards, poolSize int) *DelayEstimator {
 	return &DelayEstimator{
 		dm:        dm,
 		rng:       r,
+		scanState: newScanState(dm.g),
 		shardID:   shardID,
 		numShards: numShards,
 		poolSize:  poolSize,
-		probe:     sampling.NewProbeCache(dm.g.NumEdges()),
 		sc:        newGenScratch(dm.g.NumVertices()),
 	}
 }
 
-// hitsProber recovers (or reuses) θ(u) RR-Graphs for u and counts how
-// many u reaches under prober — the raw scatter side of an estimation.
-func (de *DelayEstimator) hitsProber(u graph.VertexID, prober sampling.EdgeProber) (hits int64, recovered int) {
-	prober = de.probe.Begin(prober)
+func (de *DelayEstimator) postings(u graph.VertexID) int { return int(de.dm.counts[u]) }
+
+// recovered returns u's recovered graphs, recovering them on the first
+// touch of a new query user.
+func (de *DelayEstimator) recovered(u graph.VertexID) graphSet {
 	if !de.cachedValid || de.cachedUser != u {
 		de.recover(u)
 	}
-	maxSize := 0
-	for i := range de.cachedGraphs {
-		if n := de.cachedGraphs[i].NumVertices(); n > maxSize {
-			maxSize = n
-		}
-	}
-	if len(de.visited) < maxSize {
-		de.visited = make([]int64, maxSize)
-		de.stamp = 0
-	}
-	for i := range de.cachedGraphs {
-		de.stamp++
-		var ok bool
-		if ok, de.dfs = de.cachedGraphs[i].reaches(u, prober, de.visited, de.stamp, de.dfs); ok {
-			hits++
-		}
-	}
-	de.graphsChecked += int64(len(de.cachedGraphs))
-	return hits, len(de.cachedGraphs)
-}
-
-// EstimateProber estimates E[I(u|W)] over recovered RR-Graphs.
-func (de *DelayEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	dm := de.dm
-	hits, recovered := de.hitsProber(u, prober)
-	inf := float64(hits) / float64(dm.theta) * float64(dm.g.NumVertices())
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   int64(recovered),
-		Theta:     dm.theta,
-		Reachable: recovered,
+	return graphSet{
+		graphs: de.cachedGraphs, postings: de.identity[:len(de.cachedGraphs)],
+		maxSize: de.cachedMaxSize, theta: de.dm.theta,
 	}
 }
 
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (de *DelayEstimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return de.EstimateProber(u, sampling.PosteriorProber{G: de.dm.g, Posterior: posterior})
+func (de *DelayEstimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
+	return de.plainProber(de.recovered(u), shard, users, u, prober)
+}
+
+func (de *DelayEstimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
+	de.plainFrontier(de.recovered(u), shard, users, totalUsers, u, chunk, stop, rows, stride)
 }
 
 // recover materializes θ(u) RR-Graphs containing u per Algo 4. Accepted
@@ -284,6 +247,13 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.cachedGraphs = de.arena.takeViews()
 	de.cachedUser = u
 	de.cachedValid = true
+	de.cachedMaxSize = 0
+	for i := range de.cachedGraphs {
+		de.cachedMaxSize = max(de.cachedMaxSize, de.cachedGraphs[i].NumVertices())
+	}
+	for i := len(de.identity); i < len(de.cachedGraphs); i++ {
+		de.identity = append(de.identity, int32(i))
+	}
 }
 
 // recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step;

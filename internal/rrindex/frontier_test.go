@@ -40,9 +40,10 @@ var noStop = sampling.StopRule{}
 
 // TestFrontierByteIdenticalMonolithic is the core equivalence contract of
 // the batched path: for every estimator family, EstimateFrontier with
-// stopping disabled returns, per sibling, the exact sampling.Result that
-// a sequential EstimateProber call returns — bitwise, including the
-// Samples/Reachable bookkeeping — at widths both below and above the
+// stopping disabled returns, per sibling, the exact sampling.Result of a
+// sequential per-prober estimate on the monolithic index — the paper's
+// formula over that sibling's one-shard scan (mono), bitwise, including
+// the Samples/Reachable bookkeeping — at widths both below and above the
 // 64-sibling chunk size.
 func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 	g := randomGraph(250, 4, 0.05, 0.4, 3)
@@ -58,9 +59,27 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildDelayMat: %v", err)
 	}
-	est := NewEstimator(idx)
-	pe := NewPrunedEstimator(idx)
-	de := NewDelayEstimator(dm, rng.New(9))
+	si, err := BuildSharded(g, opts, 1)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	sdm, err := BuildShardedDelayMat(g, opts, 1)
+	if err != nil {
+		t.Fatalf("BuildShardedDelayMat: %v", err)
+	}
+	// DelayMat: equal streams, and both sides meet the users in the same
+	// order, so the batched and the sequential pass score the same
+	// recovered sample (recovery is the only RNG consumer, and it runs
+	// once per user either way).
+	families := []struct {
+		name    string
+		batched *ShardedEstimator
+		seq     mono
+	}{
+		{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), mono{newDelayEstimatorShard(dm, rng.New(9), 0, 1, g.NumVertices()), g}},
+		{"INDEXEST", NewShardedEstimator(si), mono{NewEstimator(idx), g}},
+		{"INDEXEST+", NewShardedPrunedEstimator(si), mono{NewPrunedEstimator(idx), g}},
+	}
 
 	for _, width := range []int{1, 7, 70} {
 		posteriors := siblingPosteriors(m, []topics.TagID{0, 3}, width)
@@ -69,25 +88,12 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 		}
 		for u := 0; u < g.NumVertices(); u += 13 {
 			v := graph.VertexID(u)
-			// DelayMat: prime the recovery cache so the sequential and the
-			// batched pass score the same recovered sample (recovery is the
-			// only RNG consumer, and it runs once per user either way).
-			for i, got := range de.EstimateFrontier(v, posteriors, noStop) {
-				want := de.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("DELAYMAT u=%d width=%d sibling %d: frontier %+v != sequential %+v", u, width, i, got, want)
-				}
-			}
-			for i, got := range est.EstimateFrontier(v, posteriors, noStop) {
-				want := est.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("INDEXEST u=%d width=%d sibling %d: frontier %+v != sequential %+v", u, width, i, got, want)
-				}
-			}
-			for i, got := range pe.EstimateFrontier(v, posteriors, noStop) {
-				want := pe.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("INDEXEST+ u=%d width=%d sibling %d: frontier %+v != sequential %+v", u, width, i, got, want)
+			for _, fam := range families {
+				for i, got := range fam.batched.EstimateFrontier(v, posteriors, noStop) {
+					want := fam.seq.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
+					if got != want {
+						t.Fatalf("%s u=%d width=%d sibling %d: frontier %+v != sequential %+v", fam.name, u, width, i, got, want)
+					}
 				}
 			}
 		}
@@ -95,9 +101,8 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 }
 
 // TestFrontierByteIdenticalSharded extends the contract across shard
-// counts: the scattered masked scans plus gatherFrontier must reproduce
-// the sequential sharded estimate bit for bit (S=1 additionally pins the
-// monolithic delegation).
+// counts: the scattered masked scans must reproduce the per-prober
+// sharded estimate bit for bit, one shard included.
 func TestFrontierByteIdenticalSharded(t *testing.T) {
 	g := randomGraph(250, 4, 0.05, 0.4, 7)
 	opts := shardOpts(21, 3000)

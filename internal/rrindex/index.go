@@ -226,78 +226,30 @@ func (idx *Index) NumContaining(u graph.VertexID) int { return len(idx.containin
 // for a /statsz scrape on every request.
 func (idx *Index) MemoryFootprint() int64 { return idx.footprint }
 
-// Estimator evaluates queries against the index with per-call scratch
-// (Algo 3's online phase). Not safe for concurrent use; create one per
-// goroutine over the shared Index.
+// graphSet returns the window of the index a scan of u walks.
+func (idx *Index) graphSet(u graph.VertexID) graphSet {
+	return graphSet{graphs: idx.graphs, postings: idx.containing[u], maxSize: idx.maxSize, theta: idx.theta}
+}
+
+// Estimator is the IndexEst scan policy (Algo 3's online phase): hit-test
+// every RR-Graph posted for the query user. Not safe for concurrent use;
+// create one per goroutine over the shared Index.
 type Estimator struct {
-	idx     *Index
-	probe   *sampling.ProbeCache
-	visited []int64
-	dfs     []int32
-	stamp   int64
-	// graphsChecked counts RR-Graphs whose reachability was verified, the
-	// work metric that the cut-pruning layer reduces.
-	graphsChecked int64
-
-	// Frontier-batch state (frontier.go): the frontier-scoped probe
-	// cache, masked-scan scratch, and sequential-stopping counters.
-	fc            *sampling.FrontierProbeCache
-	fsc           frontierScratch
-	earlyStops    int64
-	graphsSkipped int64
+	idx *Index
+	scanState
 }
 
-// NewEstimator creates an estimator over idx.
+// NewEstimator creates an IndexEst scan over idx.
 func NewEstimator(idx *Index) *Estimator {
-	return &Estimator{
-		idx:     idx,
-		probe:   sampling.NewProbeCache(idx.g.NumEdges()),
-		visited: make([]int64, idx.maxSize),
-	}
+	return &Estimator{idx: idx, scanState: newScanState(idx.g)}
 }
 
-// GraphsChecked returns the cumulative number of RR-Graphs verified.
-func (est *Estimator) GraphsChecked() int64 { return est.graphsChecked }
+func (est *Estimator) postings(u graph.VertexID) int { return len(est.idx.containing[u]) }
 
-// hitsProber counts the RR-Graphs containing u that u actually reaches
-// under prober — the raw scatter side of an estimation, before the
-// (hits/θ)·|pop| normalization. The prober is wrapped in the estimator's
-// query-scoped ProbeCache so p(e|W) is computed once per distinct edge,
-// not once per (edge, RR-Graph) visit; sharded gathers therefore keep one
-// cache per shard worker with no contention.
-func (est *Estimator) hitsProber(u graph.VertexID, prober sampling.EdgeProber) (hits int64, contained int) {
-	idx := est.idx
-	prober = est.probe.Begin(prober)
-	for _, gi := range idx.containing[u] {
-		rr := &idx.graphs[gi]
-		est.stamp++
-		est.graphsChecked++
-		var ok bool
-		if ok, est.dfs = rr.reaches(u, prober, est.visited, est.stamp, est.dfs); ok {
-			hits++
-		}
-	}
-	return hits, len(idx.containing[u])
+func (est *Estimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
+	return est.plainProber(est.idx.graphSet(u), shard, users, u, prober)
 }
 
-// EstimateProber estimates E[I(u|W)] as (hits/θ)·|V| over the RR-Graphs
-// containing u (graphs not containing u can never witness u's influence).
-func (est *Estimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	idx := est.idx
-	hits, contained := est.hitsProber(u, prober)
-	inf := float64(hits) / float64(idx.theta) * float64(idx.g.NumVertices())
-	if inf < 1 {
-		inf = 1 // the query user is always active
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   int64(contained),
-		Theta:     idx.theta,
-		Reachable: contained,
-	}
-}
-
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (est *Estimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return est.EstimateProber(u, sampling.PosteriorProber{G: est.idx.g, Posterior: posterior})
+func (est *Estimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
+	est.plainFrontier(est.idx.graphSet(u), shard, users, totalUsers, u, chunk, stop, rows, stride)
 }

@@ -8,35 +8,32 @@ import (
 	"pitex/internal/sampling"
 )
 
-// This file is the distributed face of the sharded index: everything a
-// shard server and a scatter-gather coordinator need to split one
-// ShardedIndex estimation across processes while keeping the math
-// byte-identical to the in-process path.
-//
-// The contract mirrors BuildSharded/ShardedEstimator exactly:
+// This file holds the one value a shard scan produces — the Partial row
+// — and the one fold that consumes it, plus everything a shard server
+// and a scatter-gather coordinator need to split one ShardedIndex across
+// processes while keeping the math byte-identical to the in-process path.
 //
 //   - BuildShard(g, opts, S, s) constructs the same *Index that
 //     BuildSharded(g, opts, S) would hold at shards[s] — same hash
 //     partition, same apportioned θ_s, same derived seed, same per-shard
 //     worker split — so a fleet of shard servers, each building its own
 //     slice, reproduces the monolithic deployment's index bit for bit.
-//   - Estimator.Partial / PrunedEstimator.Partial expose the raw
-//     per-shard scatter counts (hits, samples, postings size) together
-//     with the θ_s/|V_s| normalization metadata, in a wire-friendly shape.
-//   - GatherPartials folds a complete set of partials with the identical
-//     float operations, in the identical shard order, as
-//     ShardedIndex.gather — the all-shards-healthy byte-identity
-//     guarantee rests on this function being the single home of the
-//     gather arithmetic.
+//   - Estimator.Partial / PrunedEstimator.Partial (and PartialFrontier)
+//     run the scan ShardedEstimator runs on that shard and return its
+//     rows verbatim, in a wire-friendly shape.
+//   - gather is the single home of the estimator arithmetic: the
+//     in-process ShardedEstimator and the coordinator's GatherPartials,
+//     GatherFrontierPartials and GatherPartialsDegraded all fold their
+//     rows through it, so distributed ≡ in-process holds by construction.
 //   - GatherPartialsDegraded is the missing-shard fallback: the unbiased
 //     sum over responding shards, extrapolated to the full population by
 //     |V| / |V_responding|. The extrapolation multiply runs only on this
 //     path, so a healthy gather never picks up a stray rounding step.
 
-// Partial is one shard's contribution to a scatter-gather estimation:
-// the raw coverage counts plus the normalization metadata (θ_s, |V_s|)
-// the gather needs. The JSON tags make it the wire row shard servers
-// return verbatim.
+// Partial is one shard's contribution to one estimation — the only
+// pre-gather value there is: the raw coverage counts plus the
+// normalization metadata (θ_s, |V_s|) the gather needs. The JSON tags
+// make it the wire row shard servers return verbatim.
 type Partial struct {
 	Shard int `json:"shard"`
 	// Hits is the number of this shard's RR-Graphs containing the query
@@ -46,14 +43,15 @@ type Partial struct {
 	// Samples counts the RR-Graphs whose reachability was verified
 	// (after cut pruning for IndexEst+), mirroring Result.Samples.
 	Samples int64 `json:"samples"`
-	// Contained is θ_s(u), the shard's postings-list length for the user.
+	// Contained is θ_s(u), the shard's postings-list length for the user
+	// (the recovered-graph count for DelayMat).
 	Contained int `json:"contained"`
 	// Theta is the shard's offline sample count θ_s.
 	Theta int64 `json:"theta"`
 	// Users is |V_s|, the shard's target-pool size.
 	Users int `json:"users"`
 	// EstHits and Stopped carry the sequential-stopping outcome of a
-	// frontier-batched scatter (PartialFrontier): when Stopped is true
+	// frontier-batched scan: when Stopped is true
 	// the shard terminated the scan early and EstHits holds the unbiased
 	// (h/n)·N extrapolation the gather should use instead of Hits. Both
 	// are zero-valued on the classic per-candidate path, keeping the v1
@@ -245,143 +243,96 @@ func (dm *DelayMat) RepairShard(g *graph.Graph, opts BuildOptions, numShards, sh
 // NumGraphs returns the number of materialized RR-Graphs.
 func (idx *Index) NumGraphs() int { return len(idx.graphs) }
 
-// Partial runs the scatter side of one estimation against this shard's
-// index and packages the counts with the gather metadata. shard and users
-// identify the shard's slot and |V_s| in the cluster layout.
+// Partial runs the per-prober scan against this shard's index. shard and
+// users identify the shard's slot and |V_s| in the cluster layout.
 func (est *Estimator) Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	hits, contained := est.hitsProber(u, prober)
-	return Partial{
-		Shard: shard, Hits: hits,
-		Samples: int64(contained), Contained: contained,
-		Theta: est.idx.theta, Users: users,
-	}
+	return est.scanProber(shard, users, u, prober)
 }
 
 // Partial is Estimator.Partial with the cut-pruning layer: Samples counts
 // only the graphs that survived the filter and were verified.
 func (pe *PrunedEstimator) Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	hits, samples, contained := pe.hitsProber(u, prober)
-	return Partial{
-		Shard: shard, Hits: hits,
-		Samples: samples, Contained: contained,
-		Theta: pe.idx.theta, Users: users,
-	}
+	return pe.scanProber(shard, users, u, prober)
 }
 
-// packPartialFrontier converts one chunk's frontierHits into wire rows.
-func packPartialFrontier(fhs []frontierHits, shard, users int, theta int64, out []Partial) {
-	for i, fh := range fhs {
-		out[i] = Partial{
-			Shard: shard, Hits: fh.Hits,
-			Samples: fh.Samples, Contained: fh.Contained,
-			Theta: theta, Users: users,
-		}
-		if fh.Stopped {
-			out[i].EstHits = fh.Est
-			out[i].Stopped = true
-		}
-	}
-}
-
-// PartialFrontier is the frontier-batched scatter side: one wire row per
-// sibling posterior, decided in a single masked pass over this shard's
-// postings. totalUsers is the cluster's full |V| (the stopping threshold
-// is apportioned by θ_s/|V|); stop follows the StopRule contract. With
+// PartialFrontier is the frontier-batched scan: one wire row per sibling
+// posterior, decided in a single masked pass over this shard's postings.
+// totalUsers is the cluster's full |V| (the stopping threshold is
+// apportioned by θ_s/|V|); stop follows the StopRule contract. With
 // stopping disabled each row is byte-identical to a Partial call for
 // that sibling.
 func (est *Estimator) PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []Partial {
-	hitsThr, shl := stopParams(stop, est.idx.theta, totalUsers)
 	out := make([]Partial, len(posteriors))
-	for off := 0; off < len(posteriors); off += maxFrontierWidth {
-		chunk := posteriors[off:min(off+maxFrontierWidth, len(posteriors))]
-		fhs := est.hitsFrontier(u, chunk, hitsThr, shl)
-		packPartialFrontier(fhs, shard, users, est.idx.theta, out[off:])
-	}
+	scanFrontierChunks(est, shard, users, totalUsers, u, posteriors, stop, out, 1)
 	return out
 }
 
 // PartialFrontier is Estimator.PartialFrontier with the cut-pruning
 // layer in front of verification.
 func (pe *PrunedEstimator) PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []Partial {
-	hitsThr, shl := stopParams(stop, pe.idx.theta, totalUsers)
 	out := make([]Partial, len(posteriors))
-	for off := 0; off < len(posteriors); off += maxFrontierWidth {
-		chunk := posteriors[off:min(off+maxFrontierWidth, len(posteriors))]
-		fhs := pe.hitsFrontier(u, chunk, hitsThr, shl)
-		packPartialFrontier(fhs, shard, users, pe.idx.theta, out[off:])
-	}
+	scanFrontierChunks(pe, shard, users, totalUsers, u, posteriors, stop, out, 1)
 	return out
 }
 
-// sortPartials orders parts ascending by shard id — the gather iteration
-// order the in-process ShardedIndex.gather uses, which fixes the float
-// summation order.
+// gather folds one estimation's rows, one per shard in ascending shard
+// order, into the unbiased spread estimate Σ_s (hits_s/θ_s)·|V_s|,
+// clamped at 1 (the query user is always active). It is the only place
+// rows become an influence, so every caller performs the identical float
+// operations in the identical order. renorm is the degraded gather's
+// |V|/|V_responding| factor, exactly 1 — and then not applied — for a
+// complete set.
+func gather(rows []Partial, renorm float64) sampling.Result {
+	var r sampling.Result
+	for i := range rows {
+		p := &rows[i]
+		r.Samples += p.Samples
+		r.Theta += p.Theta
+		r.Reachable += p.Contained
+		if p.Theta > 0 {
+			r.Influence += p.effectiveHits() / float64(p.Theta) * float64(p.Users)
+		}
+	}
+	if renorm != 1 {
+		r.Influence *= renorm
+	}
+	if r.Influence < 1 {
+		r.Influence = 1
+	}
+	return r
+}
+
+// sortPartials orders parts ascending by shard id — the order a
+// ShardedEstimator's rows are in, which fixes the float summation order.
 func sortPartials(parts []Partial) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Shard < parts[j].Shard })
 }
 
 // GatherPartials folds a COMPLETE set of per-shard partials (one per
-// shard of the layout, any order) into the unbiased spread estimate
-// Σ_s (hits_s/θ_s)·|V_s|, clamped at 1. The summation order and float
-// operations replicate ShardedIndex.gather exactly, so a scatter-gather
-// over remote shards is byte-identical to the in-process estimate.
+// shard of the layout, any order) exactly as the in-process
+// ShardedEstimator folds its own rows.
 func GatherPartials(parts []Partial) sampling.Result {
 	sortPartials(parts)
-	var inf float64
-	var totSamples, totTheta int64
-	contained := 0
-	for _, p := range parts {
-		totSamples += p.Samples
-		totTheta += p.Theta
-		contained += p.Contained
-		if p.Theta > 0 {
-			inf += float64(p.Hits) / float64(p.Theta) * float64(p.Users)
-		}
-	}
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   totSamples,
-		Theta:     totTheta,
-		Reachable: contained,
-	}
+	return gather(parts, 1)
 }
 
 // GatherFrontierPartials folds per-shard PartialFrontier row sets —
-// parts[s][i] is shard s's row for sibling i, every shard covering the
-// same sibling list — into one Result per sibling, with the identical
-// float operations and shard order as GatherPartials. Early-stopped rows
+// parts[s][i] is one shard's row for sibling i, every shard covering the
+// same sibling list, shards in any order — into one Result per sibling,
+// each exactly GatherPartials of that sibling's rows. Early-stopped rows
 // contribute their extrapolated hit counts.
 func GatherFrontierPartials(parts [][]Partial) []sampling.Result {
-	if len(parts) == 0 {
+	if len(parts) == 0 || len(parts[0]) == 0 {
 		return nil
 	}
-	width := len(parts[0])
-	out := make([]sampling.Result, width)
-	for i := 0; i < width; i++ {
-		var inf float64
-		var totSamples, totTheta int64
-		contained := 0
+	sort.Slice(parts, func(i, j int) bool { return parts[i][0].Shard < parts[j][0].Shard })
+	out := make([]sampling.Result, len(parts[0]))
+	sibling := make([]Partial, len(parts))
+	for i := range out {
 		for s := range parts {
-			p := parts[s][i]
-			totSamples += p.Samples
-			totTheta += p.Theta
-			contained += p.Contained
-			if p.Theta > 0 {
-				inf += p.effectiveHits() / float64(p.Theta) * float64(p.Users)
-			}
+			sibling[s] = parts[s][i]
 		}
-		if inf < 1 {
-			inf = 1
-		}
-		out[i] = sampling.Result{
-			Influence: inf,
-			Samples:   totSamples,
-			Theta:     totTheta,
-			Reachable: contained,
-		}
+		out[i] = gather(sibling, 1)
 	}
 	return out
 }
@@ -395,28 +346,13 @@ func GatherFrontierPartials(parts [][]Partial) []sampling.Result {
 // can derive the achieved (weakened) ε from it.
 func GatherPartialsDegraded(parts []Partial, totalUsers int) sampling.Result {
 	sortPartials(parts)
-	var inf float64
-	var totSamples, respTheta int64
-	contained, respUsers := 0, 0
+	respUsers := 0
 	for _, p := range parts {
-		totSamples += p.Samples
-		respTheta += p.Theta
-		contained += p.Contained
 		respUsers += p.Users
-		if p.Theta > 0 {
-			inf += float64(p.Hits) / float64(p.Theta) * float64(p.Users)
-		}
 	}
+	renorm := 1.0
 	if respUsers > 0 && totalUsers > respUsers {
-		inf *= float64(totalUsers) / float64(respUsers)
+		renorm = float64(totalUsers) / float64(respUsers)
 	}
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   totSamples,
-		Theta:     respTheta,
-		Reachable: contained,
-	}
+	return gather(parts, renorm)
 }

@@ -3,10 +3,13 @@ package rrindex
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"pitex/internal/graph"
+	"pitex/internal/rng"
 	"pitex/internal/sampling"
+	"pitex/internal/topics"
 )
 
 // TestBuildShardMatchesSharded is the fleet byte-identity contract: each
@@ -66,50 +69,110 @@ func TestBuildShardMatchesSharded(t *testing.T) {
 	}
 }
 
-// TestGatherPartialsMatchesShardedEstimator checks that scattering through
-// the Partial surface and gathering with GatherPartials reproduces the
-// in-process ShardedEstimator result exactly — the distributed
-// all-shards-healthy guarantee, for both the plain and pruned evaluators.
+// TestGatherPartialsMatchesShardedEstimator checks that scanning every
+// shard on its own policy — what a fleet of shard servers does — and
+// gathering with GatherPartials / GatherFrontierPartials reproduces the
+// in-process ShardedEstimator result exactly: the distributed
+// all-shards-healthy guarantee, for all three families, at one shard and
+// several, on the per-prober path and on the frontier path at width 1,
+// across the 64-sibling chunk boundary, and with sequential stopping on.
 func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
-	const S = 3
-
-	si, err := BuildSharded(g, opts, S)
-	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
-	}
 	prober := fracProber{g: g, f: 0.8}
-	sest := NewShardedEstimator(si)
-	spe := NewShardedPrunedEstimator(si)
-
-	ests := make([]*Estimator, S)
-	pes := make([]*PrunedEstimator, S)
-	users := make([]int, S)
-	for s := 0; s < S; s++ {
-		ests[s] = NewEstimator(si.shards[s])
-		pes[s] = NewPrunedEstimator(si.shards[s])
-		users[s] = poolSizeOf(si.pools[s], g.NumVertices())
+	m := topics.GenerateRandom(rng.New(77), 12, 2, 2)
+	wide := siblingPosteriors(m, []topics.TagID{2}, 65)
+	if len(wide) != 65 {
+		t.Fatalf("fixture model yielded %d/65 defined posteriors", len(wide))
 	}
-	for u := 0; u < g.NumVertices(); u++ {
-		want := sest.EstimateProber(graph.VertexID(u), prober)
-		parts := make([]Partial, 0, S)
-		// Feed the gather in reverse order to prove sortPartials restores
-		// the canonical summation order.
-		for s := S - 1; s >= 0; s-- {
-			parts = append(parts, ests[s].Partial(s, users[s], graph.VertexID(u), prober))
-		}
-		if got := GatherPartials(parts); got != want {
-			t.Fatalf("user %d: gathered %+v, sharded estimator %+v", u, got, want)
-		}
+	frontiers := []struct {
+		name       string
+		posteriors [][]float64
+		stopping   bool
+	}{
+		{"width-1", wide[:1], false},
+		{"width-65", wide, false},
+		{"stopping", wide[:12], true},
+	}
 
-		pwant := spe.EstimateProber(graph.VertexID(u), prober)
-		pparts := make([]Partial, 0, S)
-		for s := 0; s < S; s++ {
-			pparts = append(pparts, pes[s].Partial(s, users[s], graph.VertexID(u), prober))
+	for _, S := range []int{1, 3, 4} {
+		si, err := BuildSharded(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildSharded: %v", S, err)
 		}
-		if got := GatherPartials(pparts); got != pwant {
-			t.Fatalf("user %d: pruned gathered %+v, sharded estimator %+v", u, got, pwant)
+		sdm, err := BuildShardedDelayMat(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildShardedDelayMat: %v", S, err)
+		}
+		users := make([]int, S)
+		plain, pruned, delay := make([]scanPolicy, S), make([]scanPolicy, S), make([]scanPolicy, S)
+		// The fleet's DelayMat streams, derived as NewShardedDelayEstimator
+		// derives them: r itself at S=1, one Split per shard in order above.
+		r := rng.New(9)
+		for s := 0; s < S; s++ {
+			users[s] = poolSizeOf(si.pools[s], g.NumVertices())
+			plain[s] = NewEstimator(si.shards[s])
+			pruned[s] = NewPrunedEstimator(si.shards[s])
+			rs := r
+			if S > 1 {
+				rs = r.Split()
+			}
+			delay[s] = newDelayEstimatorShard(sdm.shards[s], rs, s, S, sdm.poolSizes[s])
+		}
+		for _, fam := range []struct {
+			name   string
+			inproc *ShardedEstimator
+			fleet  []scanPolicy
+		}{
+			{"INDEXEST", NewShardedEstimator(si), plain},
+			{"INDEXEST+", NewShardedPrunedEstimator(si), pruned},
+			{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), delay},
+		} {
+			var stops int64
+			// Both sides meet the users in the same order, so the DelayMat
+			// recoveries draw the same samples.
+			for u := 0; u < g.NumVertices(); u += 7 {
+				v := graph.VertexID(u)
+				want := fam.inproc.EstimateProber(v, prober)
+				parts := make([]Partial, 0, S)
+				// Feed the gathers in reverse order to prove the fold
+				// restores the canonical summation order.
+				for s := S - 1; s >= 0; s-- {
+					parts = append(parts, fam.fleet[s].scanProber(s, users[s], v, prober))
+				}
+				if got := GatherPartials(parts); got != want {
+					t.Fatalf("S=%d %s user %d: gathered %+v, sharded estimator %+v", S, fam.name, u, got, want)
+				}
+
+				for _, fr := range frontiers {
+					stop := noStop
+					if fr.stopping {
+						best := 0.0
+						for _, res := range fam.inproc.EstimateFrontier(v, fr.posteriors, noStop) {
+							best = max(best, res.Influence)
+						}
+						stop = sampling.StopRule{Threshold: 0.95 * best, LogInvDelta: math.Log(200) + 3 + math.Ln2}
+					}
+					before := fam.inproc.WorkStats()
+					wantRows := fam.inproc.EstimateFrontier(v, fr.posteriors, stop)
+					stops += fam.inproc.WorkStats().Sub(before).EarlyStops
+					rows := make([][]Partial, 0, S)
+					for s := S - 1; s >= 0; s-- {
+						row := make([]Partial, len(fr.posteriors))
+						scanFrontierChunks(fam.fleet[s], s, users[s], g.NumVertices(), v, fr.posteriors, stop, row, 1)
+						rows = append(rows, row)
+					}
+					for i, got := range GatherFrontierPartials(rows) {
+						if got != wantRows[i] {
+							t.Fatalf("S=%d %s %s user %d sibling %d: gathered %+v, sharded estimator %+v",
+								S, fam.name, fr.name, u, i, got, wantRows[i])
+						}
+					}
+				}
+			}
+			if stops == 0 {
+				t.Fatalf("S=%d %s: the stopping frontier never stopped a scan; the fixture proves nothing", S, fam.name)
+			}
 		}
 	}
 }

@@ -138,8 +138,8 @@ func TestIndexRepairMatchesRebuildEstimates(t *testing.T) {
 	}
 
 	posterior := []float64{0.6, 0.4}
-	ea := NewEstimator(repaired)
-	eb := NewEstimator(rebuilt)
+	ea := NewShardedEstimator(wrapMonolithic(repaired))
+	eb := NewShardedEstimator(wrapMonolithic(rebuilt))
 	eps := opts.Accuracy.Epsilon
 	// Ratio bound when both estimators hold their guarantee, with a little
 	// slack because the per-estimate failure probability 1/δ is not zero.
@@ -329,8 +329,8 @@ func TestRepairUntouchedEstimatesIdentical(t *testing.T) {
 		t.Fatal("posterior")
 	}
 	for u := 0; u < 7; u++ {
-		a := NewEstimator(idx).Estimate(graph.VertexID(u), post).Influence
-		c := NewEstimator(next).Estimate(graph.VertexID(u), post).Influence
+		a := NewShardedEstimator(wrapMonolithic(idx)).Estimate(graph.VertexID(u), post).Influence
+		c := NewShardedEstimator(wrapMonolithic(next)).Estimate(graph.VertexID(u), post).Influence
 		if a != c {
 			t.Fatalf("u=%d: untouched estimate drifted %v -> %v", u, a, c)
 		}

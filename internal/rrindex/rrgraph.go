@@ -24,11 +24,19 @@
 // ShardedIndex / ShardedDelayMat (see shard.go) hash-partition the users
 // into S independent shards, each an ordinary Index/DelayMat whose
 // targets are drawn from its partition with θ_s ∝ |V_s| samples. Shards
-// build and repair concurrently under derived RNG streams, estimators
-// scatter-gather per-shard hit counts into Σ_s (hits_s/θ_s)·|V_s|, and a
-// repair touches only the shards whose postings contain a touched head.
-// S=1 reproduces the monolithic structures bit-for-bit; serialization
-// format v3 round-trips shard boundaries (v1/v2 load as one shard).
+// build and repair concurrently under derived RNG streams, and a repair
+// touches only the shards whose postings contain a touched head. S=1
+// reproduces the monolithic structures bit-for-bit; serialization format
+// v3 round-trips shard boundaries (v1/v2 load as one shard).
+//
+// # One estimator
+//
+// Every strategy and every S is estimated by ShardedEstimator (see
+// estimator.go): a scan policy per shard — Estimator, PrunedEstimator or
+// DelayEstimator, one per paper algorithm — turns the query user's
+// RR-Graphs into Partial rows, and gather (partial.go) folds a sibling's
+// rows into Σ_s (hits_s/θ_s)·|V_s|. A shard server ships the same rows
+// and the coordinator folds them with the same function.
 package rrindex
 
 import (

@@ -136,7 +136,7 @@ func TestIndexEstimateMatchesExact(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	idx := fixtureIndex(t)
-	est := NewEstimator(idx)
+	est := NewShardedEstimator(wrapMonolithic(idx))
 	pairs := [][]topics.TagID{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 	for _, w := range pairs {
 		want, err := exact.InfluenceTagSet(g, m, fixture.U1, w)
@@ -158,8 +158,8 @@ func TestPrunedEstimatorIsLossless(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	idx := fixtureIndex(t)
-	plain := NewEstimator(idx)
-	pruned := NewPrunedEstimator(idx)
+	plain := NewShardedEstimator(wrapMonolithic(idx))
+	pruned := NewShardedPrunedEstimator(wrapMonolithic(idx))
 	for u := 0; u < g.NumVertices(); u++ {
 		for _, w := range [][]topics.TagID{{0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2}} {
 			post, ok := m.Posterior(w)
@@ -190,8 +190,8 @@ func TestPrunedEstimatorPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	plain := NewEstimator(idx)
-	pruned := NewPrunedEstimator(idx)
+	plain := NewShardedEstimator(wrapMonolithic(idx))
+	pruned := NewShardedPrunedEstimator(wrapMonolithic(idx))
 	groups := graph.UserGroups(g)
 	u := groups[graph.GroupHigh][0]
 	// Singleton tag sets are always supported by GenerateRandom models.
@@ -206,11 +206,12 @@ func TestPrunedEstimatorPrunes(t *testing.T) {
 			t.Fatalf("W=%v: lossy pruning %v vs %v", w, a, b)
 		}
 	}
-	if pruned.GraphsPruned() == 0 {
+	pws, ws := pruned.WorkStats(), plain.WorkStats()
+	if pws.GraphsPruned == 0 {
 		t.Fatal("cut filter pruned nothing")
 	}
-	if pruned.GraphsChecked() >= plain.GraphsChecked() {
-		t.Fatalf("filter verified %d graphs, plain %d", pruned.GraphsChecked(), plain.GraphsChecked())
+	if pws.GraphsChecked >= ws.GraphsChecked {
+		t.Fatalf("filter verified %d graphs, plain %d", pws.GraphsChecked, ws.GraphsChecked)
 	}
 }
 
@@ -239,11 +240,11 @@ func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for u := 0; u < g.NumVertices(); u++ {
 			v := graph.VertexID(u)
-			fresh := NewPrunedEstimator(idx)
-			if got, want := pe.Estimate(v, post[0]), fresh.Estimate(v, post[0]); got != want {
+			long, fresh := mono{pe, g}, mono{NewPrunedEstimator(idx), g}
+			if got, want := long.Estimate(v, post[0]), fresh.Estimate(v, post[0]); got != want {
 				t.Fatalf("round %d user %d: long-lived %+v, fresh %+v", round, u, got, want)
 			}
-			got, want := pe.EstimateFrontier(v, post, noStop), fresh.EstimateFrontier(v, post, noStop)
+			got, want := long.EstimateFrontier(v, post, noStop), fresh.EstimateFrontier(v, post, noStop)
 			if got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("round %d user %d: long-lived frontier %+v, fresh %+v", round, u, got, want)
 			}
@@ -285,11 +286,11 @@ func TestDelayMatCountsMatchIndex(t *testing.T) {
 func TestDelayEstimatorMatchesExact(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
-	dm, err := BuildDelayMat(g, buildOpts())
+	sdm, err := BuildShardedDelayMat(g, buildOpts(), 1)
 	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
+		t.Fatalf("BuildShardedDelayMat: %v", err)
 	}
-	de := NewDelayEstimator(dm, rng.New(11))
+	de := NewShardedDelayEstimator(sdm, rng.New(11))
 	pairs := [][]topics.TagID{{0, 1}, {2, 3}}
 	for _, w := range pairs {
 		want, err := exact.InfluenceTagSet(g, m, fixture.U1, w)
@@ -329,7 +330,7 @@ func TestDelayMatMuchSmallerThanIndex(t *testing.T) {
 func TestIsolatedUser(t *testing.T) {
 	m := fixture.Model()
 	idx := fixtureIndex(t)
-	est := NewEstimator(idx)
+	est := NewShardedEstimator(wrapMonolithic(idx))
 	post, _ := m.Posterior([]topics.TagID{0})
 	got := est.Estimate(fixture.U5, post).Influence
 	// u5 participates in no propagation: only its own RR-Graphs hit, so
@@ -339,16 +340,26 @@ func TestIsolatedUser(t *testing.T) {
 	}
 }
 
-// TestIndexWorksWithExplorerInterface ensures index estimators satisfy the
-// best-first Estimator contract by type assertion at compile time.
+// TestIndexWorksWithExplorerInterface ensures every index strategy's
+// estimator satisfies the best-first Estimator and FrontierEstimator
+// contracts, checked at compile time.
 func TestIndexWorksWithExplorerInterface(t *testing.T) {
-	idx := fixtureIndex(t)
-	var _ interface {
+	type explorerEstimator interface {
 		EstimateProber(graph.VertexID, sampling.EdgeProber) sampling.Result
-	} = NewEstimator(idx)
-	var _ interface {
-		EstimateProber(graph.VertexID, sampling.EdgeProber) sampling.Result
-	} = NewPrunedEstimator(idx)
+		EstimateFrontier(graph.VertexID, [][]float64, sampling.StopRule) []sampling.Result
+	}
+	g := fixture.Graph()
+	si, err := BuildSharded(g, buildOpts(), 1)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	sdm, err := BuildShardedDelayMat(g, buildOpts(), 1)
+	if err != nil {
+		t.Fatalf("BuildShardedDelayMat: %v", err)
+	}
+	var _ explorerEstimator = NewShardedEstimator(si)
+	var _ explorerEstimator = NewShardedPrunedEstimator(si)
+	var _ explorerEstimator = NewShardedDelayEstimator(sdm, rng.New(1))
 }
 
 func TestParallelBuildDeterministicAndValid(t *testing.T) {
@@ -390,8 +401,8 @@ func TestParallelBuildDeterministicAndValid(t *testing.T) {
 		t.Skip("unsupported tag")
 	}
 	u := graph.MaxOutDegreeVertex(g)
-	pv := NewEstimator(a).Estimate(u, post).Influence
-	sv := NewEstimator(seq).Estimate(u, post).Influence
+	pv := NewShardedEstimator(wrapMonolithic(a)).Estimate(u, post).Influence
+	sv := NewShardedEstimator(wrapMonolithic(seq)).Estimate(u, post).Influence
 	if pv < 0.5*sv || pv > 2*sv {
 		t.Fatalf("parallel estimate %v far from sequential %v", pv, sv)
 	}
@@ -419,11 +430,11 @@ func TestDelayEstimatorOnRandomGraphs(t *testing.T) {
 		if !ok {
 			continue
 		}
-		dm, err := BuildDelayMat(g, buildOpts())
+		sdm, err := BuildShardedDelayMat(g, buildOpts(), 1)
 		if err != nil {
-			t.Fatalf("BuildDelayMat: %v", err)
+			t.Fatalf("BuildShardedDelayMat: %v", err)
 		}
-		got := NewDelayEstimator(dm, rng.New(seed*97)).Estimate(u, post).Influence
+		got := NewShardedDelayEstimator(sdm, rng.New(seed*97)).Estimate(u, post).Influence
 		// DelayMat estimates are clamped below at 1.
 		if want < 1 {
 			want = 1

@@ -34,8 +34,8 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// Estimates from the loaded index must match the original exactly.
-	a := NewEstimator(idx)
-	b := NewEstimator(back)
+	a := NewShardedEstimator(wrapMonolithic(idx))
+	b := NewShardedEstimator(wrapMonolithic(back))
 	for _, w := range [][]topics.TagID{{0, 1}, {2, 3}, {1, 2}} {
 		post, ok := m.Posterior(w)
 		if !ok {

@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"pitex/internal/graph"
-	"pitex/internal/rng"
-	"pitex/internal/sampling"
 )
 
 // This file implements the sharded index mode: users are hash-partitioned
@@ -391,191 +389,6 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 	return next, agg, nil
 }
 
-// scatterParallelMinWork is the per-estimation work (RR-Graphs containing
-// the query user, summed over shards) above which the scatter fans out to
-// one goroutine per shard. Below it, goroutine hand-off costs more than
-// the DFS checks it would parallelize.
-const scatterParallelMinWork = 96
-
-// runShards scatters fn across n shards, in parallel when work justifies
-// the fan-out. A prober that is itself a mutable cache
-// (*sampling.ProbeCache) forces the sequential path: sub-estimators wrap
-// the prober in their own per-shard caches, but ProbeCache.Begin returns
-// an already-cached prober unchanged, which parallel shard workers would
-// then share.
-func runShards(work, n int, prober sampling.EdgeProber, fn func(s int, p sampling.EdgeProber)) {
-	if _, mutable := prober.(*sampling.ProbeCache); mutable || work < scatterParallelMinWork {
-		for s := 0; s < n; s++ {
-			fn(s, prober)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fn(s, prober)
-		}(s)
-	}
-	fn(0, prober)
-	wg.Wait()
-}
-
-// gather folds per-shard hit counts into the unbiased spread estimate
-// Σ_s (hits_s/θ_s)·|V_s|, clamped at 1 (the query user is always active).
-func (si *ShardedIndex) gather(hits, samples []int64, contained int) sampling.Result {
-	var inf float64
-	var totSamples int64
-	for s, sh := range si.shards {
-		totSamples += samples[s]
-		if sh.theta > 0 {
-			inf += float64(hits[s]) / float64(sh.theta) * float64(poolSizeOf(si.pools[s], si.g.NumVertices()))
-		}
-	}
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   totSamples,
-		Theta:     si.theta,
-		Reachable: contained,
-	}
-}
-
-// ShardedEstimator is the scatter-gather IndexEst evaluator: one
-// per-shard Estimator (each with its own ProbeCache and DFS scratch), hits
-// gathered into the combined estimate. Not safe for concurrent use; the
-// scatter itself parallelizes internally across shards.
-type ShardedEstimator struct {
-	si      *ShardedIndex
-	subs    []*Estimator
-	hits    []int64
-	samples []int64
-	// fparts holds per-shard frontier-batch rows (frontier.go).
-	fparts [][]frontierHits
-}
-
-// NewShardedEstimator creates a scatter-gather estimator over si.
-func NewShardedEstimator(si *ShardedIndex) *ShardedEstimator {
-	se := &ShardedEstimator{
-		si:      si,
-		subs:    make([]*Estimator, len(si.shards)),
-		hits:    make([]int64, len(si.shards)),
-		samples: make([]int64, len(si.shards)),
-	}
-	for s, sh := range si.shards {
-		se.subs[s] = NewEstimator(sh)
-	}
-	return se
-}
-
-// GraphsChecked sums the shards' cumulative verification counts.
-func (se *ShardedEstimator) GraphsChecked() int64 {
-	var n int64
-	for _, sub := range se.subs {
-		n += sub.GraphsChecked()
-	}
-	return n
-}
-
-// EstimateProber scatters the estimation across shards and gathers the
-// per-shard coverage counts into the combined unbiased estimate.
-func (se *ShardedEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	if len(se.subs) == 1 {
-		return se.subs[0].EstimateProber(u, prober)
-	}
-	work := 0
-	for _, sh := range se.si.shards {
-		work += len(sh.containing[u])
-	}
-	runShards(work, len(se.subs), prober, func(s int, p sampling.EdgeProber) {
-		h, c := se.subs[s].hitsProber(u, p)
-		se.hits[s], se.samples[s] = h, int64(c)
-	})
-	return se.si.gather(se.hits, se.samples, work)
-}
-
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return se.EstimateProber(u, sampling.PosteriorProber{G: se.si.g, Posterior: posterior})
-}
-
-// ShardedPrunedEstimator is the scatter-gather IndexEst+ evaluator: one
-// per-shard PrunedEstimator, each with its own cut index cache, probe
-// cache and scratch. Not safe for concurrent use.
-type ShardedPrunedEstimator struct {
-	si      *ShardedIndex
-	subs    []*PrunedEstimator
-	hits    []int64
-	samples []int64
-	// fparts holds per-shard frontier-batch rows (frontier.go).
-	fparts [][]frontierHits
-}
-
-// NewShardedPrunedEstimator creates a scatter-gather IndexEst+ evaluator.
-func NewShardedPrunedEstimator(si *ShardedIndex) *ShardedPrunedEstimator {
-	pe := &ShardedPrunedEstimator{
-		si:      si,
-		subs:    make([]*PrunedEstimator, len(si.shards)),
-		hits:    make([]int64, len(si.shards)),
-		samples: make([]int64, len(si.shards)),
-	}
-	for s, sh := range si.shards {
-		pe.subs[s] = NewPrunedEstimator(sh)
-	}
-	return pe
-}
-
-// SetPolicy selects the cut construction on every shard; call it before
-// the first estimate (cut indexes are cached per user per shard).
-func (pe *ShardedPrunedEstimator) SetPolicy(p CutPolicy) {
-	for _, sub := range pe.subs {
-		sub.Policy = p
-	}
-}
-
-// GraphsChecked sums the shards' cumulative verification counts.
-func (pe *ShardedPrunedEstimator) GraphsChecked() int64 {
-	var n int64
-	for _, sub := range pe.subs {
-		n += sub.GraphsChecked()
-	}
-	return n
-}
-
-// GraphsPruned sums the shards' cumulative filter-pruned counts.
-func (pe *ShardedPrunedEstimator) GraphsPruned() int64 {
-	var n int64
-	for _, sub := range pe.subs {
-		n += sub.GraphsPruned()
-	}
-	return n
-}
-
-// EstimateProber scatters filter-and-verify across shards and gathers the
-// per-shard hits into the combined unbiased estimate.
-func (pe *ShardedPrunedEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	if len(pe.subs) == 1 {
-		return pe.subs[0].EstimateProber(u, prober)
-	}
-	contained := 0
-	for _, sh := range pe.si.shards {
-		contained += len(sh.containing[u])
-	}
-	runShards(contained, len(pe.subs), prober, func(s int, p sampling.EdgeProber) {
-		h, smp, _ := pe.subs[s].hitsProber(u, p)
-		pe.hits[s], pe.samples[s] = h, smp
-	})
-	return pe.si.gather(pe.hits, pe.samples, contained)
-}
-
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (pe *ShardedPrunedEstimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return pe.EstimateProber(u, sampling.PosteriorProber{G: pe.si.g, Posterior: posterior})
-}
-
 // ShardedDelayMat is S independent DelayMat counter arrays, one per hash
 // partition: counts_s[u] is how many of shard s's conceptual RR-Graphs
 // contain u. Because any user can appear in any shard's graphs, each
@@ -759,80 +572,4 @@ func (sdm *ShardedDelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []
 		next.theta += next.shards[s].theta
 	}
 	return next, agg, nil
-}
-
-// gather folds per-shard hit counts into the combined DelayMat estimate.
-func (sdm *ShardedDelayMat) gather(hits, recovered []int64) sampling.Result {
-	var inf float64
-	var tot int64
-	for s, sh := range sdm.shards {
-		tot += recovered[s]
-		if sh.theta > 0 {
-			inf += float64(hits[s]) / float64(sh.theta) * float64(sdm.poolSizes[s])
-		}
-	}
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{
-		Influence: inf,
-		Samples:   tot,
-		Theta:     sdm.theta,
-		Reachable: int(tot),
-	}
-}
-
-// ShardedDelayEstimator is the scatter-gather DelayMat evaluator: one
-// per-shard DelayEstimator, each recovering that shard's θ_s(u) RR-Graphs
-// under its own RNG stream and probe cache. Not safe for concurrent use.
-type ShardedDelayEstimator struct {
-	sdm       *ShardedDelayMat
-	subs      []*DelayEstimator
-	hits      []int64
-	recovered []int64
-	// fparts holds per-shard frontier-batch rows (frontier.go).
-	fparts [][]frontierHits
-}
-
-// NewShardedDelayEstimator creates a scatter-gather DelayMat evaluator.
-// At S=1 the single shard consumes r directly (byte-identical to the
-// monolithic DelayEstimator); at S>1 each shard derives an independent
-// stream from r with Split, so shard recoveries can run in parallel.
-func NewShardedDelayEstimator(sdm *ShardedDelayMat, r *rng.Source) *ShardedDelayEstimator {
-	de := &ShardedDelayEstimator{
-		sdm:       sdm,
-		subs:      make([]*DelayEstimator, sdm.numShards),
-		hits:      make([]int64, sdm.numShards),
-		recovered: make([]int64, sdm.numShards),
-	}
-	if sdm.numShards == 1 {
-		de.subs[0] = newDelayEstimatorShard(sdm.shards[0], r, 0, 1, sdm.poolSizes[0])
-		return de
-	}
-	for s := range de.subs {
-		de.subs[s] = newDelayEstimatorShard(sdm.shards[s], r.Split(), s, sdm.numShards, sdm.poolSizes[s])
-	}
-	return de
-}
-
-// EstimateProber scatters recovery and verification across shards and
-// gathers the per-shard hits into the combined unbiased estimate.
-func (de *ShardedDelayEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	if len(de.subs) == 1 {
-		return de.subs[0].EstimateProber(u, prober)
-	}
-	work := 0
-	for _, sh := range de.sdm.shards {
-		work += int(sh.counts[u])
-	}
-	runShards(work, len(de.subs), prober, func(s int, p sampling.EdgeProber) {
-		h, rec := de.subs[s].hitsProber(u, p)
-		de.hits[s], de.recovered[s] = h, int64(rec)
-	})
-	return de.sdm.gather(de.hits, de.recovered)
-}
-
-// Estimate is EstimateProber under the Eq. 1 posterior prober.
-func (de *ShardedDelayEstimator) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return de.EstimateProber(u, sampling.PosteriorProber{G: de.sdm.g, Posterior: posterior})
 }

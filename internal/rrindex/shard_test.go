@@ -31,13 +31,14 @@ func shardOpts(seed uint64, cap int64) BuildOptions {
 
 // TestShardedS1ByteIdenticalToMonolithic is the equivalence contract: a
 // single-shard sharded index draws the same targets under the same
-// streams as the monolithic Build, so every estimate — IndexEst,
+// streams as the monolithic Build, and a one-row gather is the paper's
+// max(1, hits/θ·|V|) (the mono reference), so every estimate — IndexEst,
 // IndexEst+, DelayMat — and every serialized byte must be identical.
 func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
 
-	mono, err := Build(g, opts)
+	monoIdx, err := Build(g, opts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -48,17 +49,17 @@ func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 	if si.NumShards() != 1 || len(si.shards) != 1 {
 		t.Fatalf("S=1 index has %d shards", si.NumShards())
 	}
-	if si.Theta() != mono.Theta() {
-		t.Fatalf("θ mismatch: sharded %d, monolithic %d", si.Theta(), mono.Theta())
+	if si.Theta() != monoIdx.Theta() {
+		t.Fatalf("θ mismatch: sharded %d, monolithic %d", si.Theta(), monoIdx.Theta())
 	}
-	if si.MemoryFootprint() != mono.MemoryFootprint() {
-		t.Fatalf("footprint mismatch: %d vs %d", si.MemoryFootprint(), mono.MemoryFootprint())
+	if si.MemoryFootprint() != monoIdx.MemoryFootprint() {
+		t.Fatalf("footprint mismatch: %d vs %d", si.MemoryFootprint(), monoIdx.MemoryFootprint())
 	}
 
 	prober := fracProber{g: g, f: 0.8}
-	est := NewEstimator(mono)
+	est := mono{NewEstimator(monoIdx), g}
 	sest := NewShardedEstimator(si)
-	pe := NewPrunedEstimator(mono)
+	pe := mono{NewPrunedEstimator(monoIdx), g}
 	spe := NewShardedPrunedEstimator(si)
 	for u := 0; u < g.NumVertices(); u++ {
 		want := est.EstimateProber(graph.VertexID(u), prober)
@@ -74,7 +75,7 @@ func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 	}
 
 	var monoBuf, shardBuf bytes.Buffer
-	if err := WriteIndex(&monoBuf, mono); err != nil {
+	if err := WriteIndex(&monoBuf, monoIdx); err != nil {
 		t.Fatalf("WriteIndex: %v", err)
 	}
 	if err := WriteSharded(&shardBuf, si); err != nil {
@@ -98,7 +99,7 @@ func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 			t.Fatalf("θ(%d) differs: %d vs %d", u, dm.Count(graph.VertexID(u)), sdm.shards[0].Count(graph.VertexID(u)))
 		}
 	}
-	de := NewDelayEstimator(dm, rng.New(9))
+	de := mono{newDelayEstimatorShard(dm, rng.New(9), 0, 1, g.NumVertices()), g}
 	sde := NewShardedDelayEstimator(sdm, rng.New(9))
 	for u := 0; u < 40; u++ {
 		want := de.EstimateProber(graph.VertexID(u), prober)

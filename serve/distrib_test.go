@@ -69,7 +69,7 @@ func getDoc(t *testing.T, url string) (int, map[string]any) {
 
 // TestCoordinatorMatchesInProcessSharded is the tentpole's identity
 // contract: with every shard healthy, the distributed coordinator answers
-// byte-identically to the monolithic in-process ShardedEstimator under
+// byte-identically to the single-process ShardedEstimator under
 // the same S and seeds — influence values, chosen tags, alternatives,
 // everything except timing.
 func TestCoordinatorMatchesInProcessSharded(t *testing.T) {

@@ -89,7 +89,7 @@ func newShardState(net *pitex.Network, generation uint64) *shardState {
 	}
 }
 
-// shardEstimator is what /shard/estimate needs of an index estimator;
+// shardEstimator is what /shard/estimate needs of a shard's scan policy;
 // rrindex.Estimator and rrindex.PrunedEstimator both provide it.
 type shardEstimator interface {
 	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) rrindex.Partial
