@@ -32,7 +32,7 @@ func main() {
 		delta    = flag.Float64("delta", 1000, "failure probability control (1/delta)")
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
 		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
-		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration")
+		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration (online strategies only; index and coordinator engines always bound through the frontier batch)")
 		top      = flag.Int("top", 1, "return the m best tag sets")
 		prefix   = flag.String("prefix", "", "comma-separated tag IDs the answer must contain")
 		audience = flag.Int("audience", 0, "also print the top-N most likely influenced users")

@@ -42,7 +42,7 @@ func main() {
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
 		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
 		idxShard = flag.Int("index-shards", 0, "hash-partition the offline index into this many shards")
-		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration")
+		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration (online strategies only; index and coordinator engines always bound through the frontier batch)")
 
 		k        = flag.Int("k", 3, "tag-set size per user query")
 		topN     = flag.Int("top", 100, "leaderboard rows to keep")

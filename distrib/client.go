@@ -980,9 +980,9 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 // path with no extra bookkeeping.
 func (c *Client) Register(reg *obsv.Registry) {
 	reg.RegisterCounter("pitex_remote_scatters_total",
-		"Estimate scatters issued to the shard fleet (one per candidate or per frontier batch).", c.scatters)
+		"Estimate scatters issued to the shard fleet (one per frontier batch, or per weight row without batching).", c.scatters)
 	reg.RegisterCounter("pitex_remote_frontier_siblings_total",
-		"Candidate tag sets shipped in frontier-batched scatters (mean batch width = this / scatters).", c.siblings)
+		"Weight rows shipped in frontier-batched scatters: candidate tag sets and partial-set Lemma 8 bounds alike (mean batch width = this / scatters).", c.siblings)
 	reg.RegisterCounter("pitex_remote_hedges_total",
 		"Hedged shard fetches fired after the adaptive delay.", c.hedges)
 	reg.RegisterCounter("pitex_remote_failovers_total",

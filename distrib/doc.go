@@ -18,13 +18,18 @@
 // request carries both or neither.
 //
 //   - Per candidate: "probe" holds one serialized edge prober
-//     (pitex.RemoteProbe — an Eq. 1 posterior or a Lemma 8 bound). The
-//     response's "partials" has one rrindex.Partial per owned shard,
-//     folded by rrindex.GatherPartials. Sampled upper bounds, and
-//     RemoteEstimators without the batched capability, use this form.
-//   - Frontier: "frontier" holds one Eq. 1 posterior per sibling tag set
-//     of one best-first expansion — every row exactly one float per
-//     topic, ragged or mis-sized rows are a 400. The server decides all
+//     (pitex.RemoteProbe — a per-topic weight row evaluated by Eq. 1, or
+//     a prepared min(max, sum) Lemma 8 prober). The response's
+//     "partials" has one rrindex.Partial per owned shard, folded by
+//     rrindex.GatherPartials. RemoteEstimators without the batched
+//     capability use this form, one weight row per scatter; a
+//     coordinator engine no longer sends the Lemma 8 prober shape.
+//   - Frontier: "frontier" holds one per-topic weight row per sibling
+//     of one best-first expansion — a posterior (a full-size sibling's
+//     p(z|W)) or a Lemma 8 weight vector (a partial sibling's completion
+//     bound; both are evaluated by Eq. 1, so the server cannot and need
+//     not tell them apart). Every row is exactly one float per topic,
+//     ragged or mis-sized rows are a 400. The server decides all
 //     siblings in ONE masked pass over the user's postings
 //     (rrindex.PartialFrontier) and answers "frontier": one row per
 //     owned shard, row[i] being that shard's partial for sibling i.

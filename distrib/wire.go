@@ -15,8 +15,9 @@ import (
 
 // EstimateRequest asks a shard server for its shards' partial hits, in
 // one of two forms. The per-candidate form carries one serialized prober
-// in Probe. The frontier form carries one Eq. 1 posterior per sibling
-// candidate in Frontier — every row exactly one float per topic — and is
+// in Probe. The frontier form carries one per-topic weight row per
+// sibling in Frontier — a candidate's Eq. 1 posterior or a partial set's
+// Lemma 8 weight vector, every row exactly one float per topic — and is
 // answered for all siblings in one pass (EstimateResponse.Frontier); it
 // has no stop rule, shards always scan exhaustively. Exactly one form
 // may be present. Generation pins the index generation the coordinator

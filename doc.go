@@ -38,17 +38,23 @@
 // A query is a best-first search (the paper's Algo 5) over partial tag
 // sets: a max-heap ordered by the Lemma 8 upper bound pops the most
 // promising prefix, expands it by one tag, and admits each child only if
-// its bound still beats the k-th best full set found so far. Full-size
-// children of one expansion are frontier-batched: the whole sibling group
-// goes to the estimator in a single call, which lets index strategies
+// its bound still beats the k-th best full set found so far. The
+// children of one expansion are frontier-batched under the index
+// strategies: the whole sibling group goes to the estimator in a single
+// call — full-size children as their Eq. 1 posteriors, partial children
+// as their Lemma 8 completion weights, whose estimate under the same
+// RR-Graphs deterministically dominates every completion's, so the
+// search stays an exact arg-max over estimates — which lets the index
 // share per-edge probability rows across siblings
 // (sampling.FrontierProbeCache), answer up to 64 siblings per RR-graph
 // traversal with uint64 membership-word bitsets, and terminate a
 // sibling's posting-list scan early once a Hoeffding confidence bound
 // proves it cannot beat the pruning threshold (sequential stopping, with
-// the skipped tail replaced by an unbiased extrapolation). With
-// CheapBounds, partial-set bounds collapse to masked reachability
-// counts, memoized per live-topic mask for the duration of the query:
+// the skipped tail replaced by an unbiased extrapolation; bound rows are
+// never stopped). Online strategies have no index to batch against: they
+// sample each Lemma 8 bound lazily or, with CheapBounds, collapse
+// partial-set bounds to masked reachability counts, memoized per
+// live-topic mask for the duration of the query:
 // children are bounded eagerly at expansion (so beaten branches never
 // enter the heap), sibling masks resolve together in one word-parallel
 // BFS, and deeper masks reuse memoized supersets as dominance bounds
@@ -69,8 +75,9 @@
 // budget reuses the same ln δ + ln φ_K + ln 2 union-bound term, so early
 // stops stay inside the query's (ε, δ) guarantee. Three knobs trade the
 // formal guarantee for latency: MaxSamples / MaxIndexSamples cap the
-// theoretical budgets, CheapBounds swaps sampled Lemma 8 bounds for
-// looser one-BFS bounds, and DisableEarlyStop turns stopping off
+// theoretical budgets, CheapBounds swaps an online strategy's sampled
+// Lemma 8 bounds for looser one-BFS bounds (index strategies ignore it),
+// and DisableEarlyStop turns stopping off
 // (making index estimates byte-identical to exhaustive scans). Measured
 // numbers per PR live in BENCH_query.json; the repository-level design
 // is documented in ARCHITECTURE.md.

@@ -47,7 +47,8 @@ type Result struct {
 	// accuracy it reports. Always nil for local engines.
 	Degraded *DegradedCoverage
 	// FullSetsEstimated, PartialBoundsEstimated, PrunedUnsupported and
-	// PrunedByBound report the best-effort exploration work breakdown.
+	// PrunedByBound report the best-effort exploration work breakdown
+	// (see the same-named Explain fields).
 	FullSetsEstimated      int64
 	PartialBoundsEstimated int64
 	PrunedUnsupported      int64
@@ -65,8 +66,13 @@ type Result struct {
 // consulted). Estimator-level fields are zero for strategies that do not
 // expose them.
 type Explain struct {
-	Strategy               string  `json:"strategy"`
-	FullSetsEstimated      int64   `json:"full_sets_estimated"`
+	Strategy          string `json:"strategy"`
+	FullSetsEstimated int64  `json:"full_sets_estimated"`
+	// PartialBoundsEstimated counts partial tag sets whose Lemma 8 bound
+	// was estimated. Index and coordinator engines bound every surviving
+	// child of an expansion as one row of the frontier batch, so for them
+	// it counts those rows; online strategies count sampled bounds (zero
+	// under CheapBounds, whose bounds are reach counts, not estimates).
 	PartialBoundsEstimated int64   `json:"partial_bounds_estimated"`
 	PrunedUnsupported      int64   `json:"pruned_unsupported"`
 	PrunedByBound          int64   `json:"pruned_by_bound"`
@@ -86,11 +92,15 @@ type Explain struct {
 	GraphsSkipped int64 `json:"graphs_skipped"`
 	// BoundCacheHits counts CheapBounds evaluations answered from the
 	// explorer's live-topic-mask memo instead of a fresh reachability BFS.
+	// The memo only runs for online strategies; index and coordinator
+	// engines never consult it, so for them this is always 0.
 	BoundCacheHits int64 `json:"bound_cache_hits"`
 	// RemoteScatters counts a coordinator query's scatters to the shard
-	// fleet and RemoteSiblings the candidate sets that crossed in frontier
-	// form, several to a scatter — so scatters sit well below
-	// FullSetsEstimated when sibling groups batch. Zero for local engines.
+	// fleet and RemoteSiblings the rows that crossed in frontier form,
+	// several to a scatter: candidate sets and partial-set bound rows
+	// alike, so it equals FullSetsEstimated + PartialBoundsEstimated and
+	// scatters stay at or below FrontierExpansions (one per expansion).
+	// Zero for local engines.
 	RemoteScatters int64 `json:"remote_scatters"`
 	RemoteSiblings int64 `json:"remote_siblings"`
 }

@@ -21,7 +21,12 @@ func testOptions() sampling.Options {
 
 // TestBoundDominanceProperty is the Lemma 8 property test: for random
 // models and partial sets W, p+(e|W) must dominate p(e|W') for every
-// size-k superset W'.
+// size-k superset W', and so must its dense branch alone — the weight
+// row pzBound, topic by topic, against the posterior of W'. Models
+// alternate between sparse (every tag misses some topic, so the AM-GM
+// denominator vanishes and pzBound saturates at 1) and dense (every tag
+// on every topic: the finite branch, where the prior must enter the
+// bound once per set — entering once per tag undercuts the posterior).
 func TestBoundDominanceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -31,7 +36,7 @@ func TestBoundDominanceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := topics.GenerateRandom(r, 8, 4, 2)
+		m := topics.GenerateRandom(r, 8, 4, 2+2*int(seed%2))
 		k := 2 + r.Intn(2) // k in {2,3}
 		b := NewBounder(g, m, k)
 
@@ -71,9 +76,16 @@ func TestBoundDominanceProperty(t *testing.T) {
 				violated = true
 				return false
 			}
+			_, weights := prober.Spec()
+			for z, pz := range post {
+				if weights[z] < pz-1e-12 {
+					violated = true
+					return false
+				}
+			}
 			for e := 0; e < g.NumEdges(); e++ {
 				pW := g.EdgeProb(graph.EdgeID(e), post)
-				if prober.Prob(graph.EdgeID(e)) < pW-1e-12 {
+				if prober.Prob(graph.EdgeID(e)) < pW-1e-12 || g.EdgeProb(graph.EdgeID(e), weights) < pW-1e-12 {
 					violated = true
 					return false
 				}

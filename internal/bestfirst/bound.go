@@ -11,10 +11,15 @@ import (
 
 // Bounder precomputes, per tag w and topic z, the Lemma 8 quantity
 //
-//	f(w,z) = p(w|z)·p(z) / Π_{z'} p(w|z')^{p(z')}
+//	f(w,z) = p(w|z) / Π_{z'} p(w|z')^{p(z')}
 //
 // (in log space) and, per topic, the tags sorted by f(w,z) descending, so
-// that the best k-completion of any partial set is a top-m scan.
+// that the best k-completion of any partial set is a top-m scan. By the
+// weighted AM-GM inequality on Eq. 1's denominator,
+// Σ_{z'} p(z')·Π_w p(w|z') ≥ Π_{z'} (Π_w p(w|z'))^{p(z')}, every tag set
+// W' satisfies p(z|W') ≤ p(z)·Π_{w∈W'} f(w,z): the prior enters once per
+// set, like in the posterior itself, not once per tag. The tables depend
+// on the model alone; only k is per query (see forK).
 type Bounder struct {
 	g *graph.Graph
 	m *topics.Model
@@ -26,6 +31,9 @@ type Bounder struct {
 	logF [][]float64
 	// order[z] lists tags by logF[z][w] descending.
 	order [][]topics.TagID
+	// logPrior[z] = ln p(z); -Inf for a zero-prior topic, which no
+	// posterior supports.
+	logPrior []float64
 
 	// Per-Prepare state.
 	supported []bool    // topics with p(z|W) > 0
@@ -43,12 +51,14 @@ func NewBounder(g *graph.Graph, m *topics.Model, k int) *Bounder {
 		k:         k,
 		logF:      make([][]float64, Z),
 		order:     make([][]topics.TagID, Z),
+		logPrior:  make([]float64, Z),
 		supported: make([]bool, Z),
 		pzBound:   make([]float64, Z),
 		scratch:   make([]float64, Z),
 	}
 	prior := m.Prior()
 	for z := 0; z < Z; z++ {
+		b.logPrior[z] = math.Log(prior[z])
 		b.logF[z] = make([]float64, T)
 		for w := 0; w < T; w++ {
 			pwz := m.TagTopic(topics.TagID(w), int32(z))
@@ -56,7 +66,7 @@ func NewBounder(g *graph.Graph, m *topics.Model, k int) *Bounder {
 				b.logF[z][w] = math.Inf(-1)
 				continue
 			}
-			num := math.Log(pwz * prior[z])
+			num := math.Log(pwz)
 			den := 0.0
 			degenerate := false
 			for z2 := 0; z2 < Z; z2++ {
@@ -89,6 +99,15 @@ func NewBounder(g *graph.Graph, m *topics.Model, k int) *Bounder {
 		})
 		b.order[z] = ord
 	}
+	return b
+}
+
+// forK retargets the Bounder at queries of size k, keeping the
+// model-only tables: logF costs Z·T·Z logarithms and order Z sorts of T
+// tags, neither of which a new k changes. The per-Prepare state needs no
+// reset — prepared rewrites all of it.
+func (b *Bounder) forK(k int) *Bounder {
+	b.k = k
 	return b
 }
 
@@ -127,9 +146,10 @@ func (b *Bounder) prepared(w []topics.TagID) (Prober, bool) {
 		if !b.supported[z] {
 			continue
 		}
-		// Σ_{w∈W} ln f(w,z): finite because p(z|W) > 0 implies every tag
-		// of W has p(w|z) > 0; may still be +Inf via degenerate tags.
-		sum := 0.0
+		// ln p(z) + Σ_{w∈W} ln f(w,z): finite because p(z|W) > 0 implies
+		// p(z) > 0 and every tag of W has p(w|z) > 0; may still be +Inf via
+		// degenerate tags.
+		sum := b.logPrior[z]
 		inf := false
 		for _, t := range w {
 			lf := b.logF[z][t]

@@ -24,13 +24,16 @@ type Estimator interface {
 
 // FrontierEstimator is an optional Estimator capability: estimating a
 // whole frontier of sibling tag sets for one user in a single call. The
-// explorer batches the full-size children of each expansion and hands
-// their posteriors over together, letting the estimator share per-edge
-// probe work across siblings (frontier-scoped probe caching, bitset
-// hit-testing) and stop sampling a sibling early once stop proves it
-// cannot beat the pruning threshold. Results are positional:
-// Result[i] scores posteriors[i]. With stopping disabled the results
-// must be identical to per-sibling EstimateProber calls.
+// explorer batches the children of each expansion and hands over one
+// per-topic weight row per child — the Eq. 1 posterior of a full-size
+// child, the Lemma 8 completion weights of a partial one (see the
+// package comment) — letting the estimator share per-edge probe work
+// across siblings (frontier-scoped probe caching, bitset hit-testing)
+// and stop sampling a sibling early once stop proves it cannot beat the
+// pruning threshold. Results are positional: Result[i] scores
+// posteriors[i] through graph.EdgeProb. With stopping disabled the
+// results must be identical to per-sibling EstimateProber calls; bound
+// rows are only ever sent with stopping disabled.
 type FrontierEstimator interface {
 	EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result
 }
@@ -42,7 +45,9 @@ type Stats struct {
 	// was actually estimated.
 	FullSetsEstimated int64
 	// PartialBoundsEstimated is the number of partial sets whose Lemma 8
-	// upper bound was estimated.
+	// upper bound was estimated: every row bounded through the frontier
+	// batch under a FrontierEstimator, every sampled bound otherwise
+	// (zero under CheapBounds, whose bounds are reach counts).
 	PartialBoundsEstimated int64
 	// PrunedUnsupported counts branches discarded because no completion
 	// had a defined posterior.
@@ -57,7 +62,9 @@ type Stats struct {
 	SamplesDrawn int64
 	// BoundCacheHits counts CheapBounds evaluations answered from the
 	// per-query live-topic-mask memo instead of a fresh BFS (sibling
-	// partial sets overwhelmingly share the mask).
+	// partial sets overwhelmingly share the mask). The memo only runs
+	// under estimators without the frontier capability, so this stays 0
+	// for the index and coordinator estimators.
 	BoundCacheHits int64
 }
 
@@ -85,14 +92,15 @@ type Result struct {
 type Explorer struct {
 	g *graph.Graph
 	m *topics.Model
-	// est estimates real tag sets; boundEst estimates upper-bound graphs.
-	// They may be the same estimator.
-	est      Estimator
-	boundEst Estimator
+	// est estimates real tag sets and Lemma 8 upper bounds alike.
+	est Estimator
 	// CheapBounds replaces the sampled upper-bound estimate with
 	// |R_{p+}(u)| (the reachable-set size under p+(e|W)), which upper
 	// bounds the influence at one BFS instead of a sampling run. Looser
-	// but far cheaper; the ablation benchmark compares both.
+	// but far cheaper; the ablation benchmark compares both. It only
+	// governs estimators without the frontier capability: under a
+	// FrontierEstimator every bound is a frontier row and the flag is
+	// never read.
 	CheapBounds bool
 	// StopLogInvDelta, when positive, arms sequential stopping inside
 	// frontier batches: each batch carries StopRule{threshold(), this},
@@ -103,8 +111,12 @@ type Explorer struct {
 	StopLogInvDelta float64
 
 	// fest is est's frontier-batching capability, detected at
-	// construction; nil keeps the one-call-per-full-set path.
+	// construction; nil keeps the one-call-per-full-set path and the
+	// CheapBounds / sampled-prober bounds.
 	fest FrontierEstimator
+	// bounder holds the model-only Lemma 8 tables, built on the first
+	// query and retargeted at each query's k.
+	bounder *Bounder
 
 	posterior []float64
 	reachMark []bool
@@ -132,7 +144,7 @@ type Explorer struct {
 	maskList []maskVal
 	maxReach float64
 	// Batch-bounding scratch: one expansion's surviving children before
-	// their masks are resolved (pend), the deduped unresolved masks
+	// their bounds are resolved (pend), the deduped unresolved masks
 	// (pendMasks), and the word-parallel BFS buffers — a reach word per
 	// vertex, an allowed word per edge, and the touched-vertex list for
 	// sparse reset.
@@ -148,9 +160,10 @@ type Explorer struct {
 	parentPost []float64
 	childPost  []float64
 
-	// Frontier-batch scratch: posterior rows for one batch evaluation
-	// (arena + row headers + member index per row), reused across
-	// batches — the estimator only reads rows during EstimateFrontier.
+	// Frontier-batch scratch: the weight rows of one EstimateFrontier
+	// call — full-set posteriors or partial-set bound rows — as arena +
+	// row headers + member index per row, reused across batches (the
+	// estimator only reads rows during the call).
 	postArena []float64
 	postRows  [][]float64
 	postIdx   []int32
@@ -195,7 +208,6 @@ func NewExplorer(g *graph.Graph, m *topics.Model, est Estimator) *Explorer {
 		g:         g,
 		m:         m,
 		est:       est,
-		boundEst:  est,
 		posterior: make([]float64, m.NumTopics()),
 		reachMark: make([]bool, g.NumVertices()),
 	}
@@ -204,12 +216,13 @@ func NewExplorer(g *graph.Graph, m *topics.Model, est Estimator) *Explorer {
 }
 
 // heapEntry orders partial solutions by bound, descending: the entry's
-// own CheapBounds value when it was computed eagerly at expansion
-// (bounded), the parent's otherwise. lastAdded is the largest tag
-// appended after the fixed prefix (-1 when only the prefix is present);
-// children only append larger tags so each completion is generated
-// exactly once. Full-size entries spawned by the same expansion share a
-// frontierBatch; fbIdx is the entry's slot in it.
+// own bound when it was computed eagerly at expansion (bounded: a
+// frontier row bound or a CheapBounds reach count), the parent's
+// otherwise. lastAdded is the largest tag appended after the fixed prefix
+// (-1 when only the prefix is present); children only append larger tags
+// so each completion is generated exactly once. Full-size entries spawned
+// by the same expansion share a frontierBatch; fbIdx is the entry's slot
+// in it.
 type heapEntry struct {
 	tags      []topics.TagID
 	lastAdded topics.TagID
@@ -228,7 +241,9 @@ type maskVal struct {
 	val  float64
 }
 
-// pendChild is one expansion child awaiting its batch-resolved bound.
+// pendChild is one expansion child awaiting its batch-resolved bound:
+// row i of the frontier arena under a FrontierEstimator, the reach count
+// of mask under CheapBounds.
 type pendChild struct {
 	tags      []topics.TagID
 	lastAdded topics.TagID
@@ -351,7 +366,10 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 		return Result{}, fmt.Errorf("bestfirst: m = %d, want >= 1", m)
 	}
 
-	bounder := NewBounder(ex.g, ex.m, k)
+	if ex.bounder == nil {
+		ex.bounder = NewBounder(ex.g, ex.m, k)
+	}
+	bounder := ex.bounder.forK(k)
 	var res Result
 	// best holds up to m results, sorted descending by influence.
 	best := make([]Scored, 0, m)
@@ -380,19 +398,31 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 		}
 	}
 
+	// admit pushes an eagerly bounded child keyed by its own bound, unless
+	// the bound already cannot beat the threshold.
+	admit := func(pc pendChild, ub float64) {
+		if ub <= threshold() {
+			res.Stats.PrunedByBound++
+			return
+		}
+		ex.heap.push(heapEntry{tags: pc.tags, lastAdded: pc.lastAdded, bound: ub, bounded: true})
+	}
+
 	inPrefix := make(map[topics.TagID]bool, len(prefix))
 	for _, w := range prefix {
 		inPrefix[w] = true
 	}
 
 	ex.tags.reset()
-	if ex.boundMemo == nil {
-		ex.boundMemo = make(map[uint64]float64)
-	} else {
-		clear(ex.boundMemo) // reachability depends on u; memo is per-query
+	if ex.fest == nil {
+		if ex.boundMemo == nil {
+			ex.boundMemo = make(map[uint64]float64)
+		} else {
+			clear(ex.boundMemo) // reachability depends on u; memo is per-query
+		}
+		ex.maskList = ex.maskList[:0]
+		ex.maxReach = -1
 	}
-	ex.maskList = ex.maskList[:0]
-	ex.maxReach = -1
 	h := &ex.heap
 	*h = (*h)[:0]
 	root := heapEntry{
@@ -403,9 +433,9 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 	h.push(root)
 
 	for len(*h) > 0 {
-		// Each iteration estimates a full set or a partial bound — the
-		// expensive units of work — so the cancellation check here bounds
-		// overrun to one estimation.
+		// Each iteration estimates a full set, a partial bound or one
+		// frontier batch of either — the expensive units of work — so the
+		// cancellation check here bounds overrun to one estimation.
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
@@ -435,61 +465,62 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 		}
 
 		// Partial set: bound (unless expansion already did), prune, or
-		// expand.
-		if len(ent.tags) > 0 {
-			if ent.bounded {
-				if ent.bound <= threshold() {
-					res.Stats.PrunedByBound++
-					continue
-				}
-			} else {
-				prober, ok := bounder.Prepare(ent.tags)
-				if !ok {
-					res.Stats.PrunedUnsupported++
-					continue
-				}
-				var ub float64
-				if ex.CheapBounds {
-					if mask, ok := prober.LiveTopics(); ok {
-						var resolved bool
-						ub, resolved = ex.boundFor(u, mask, threshold(), &res.Stats, false)
-						if !resolved {
-							ub = float64(ex.reachableMasked(u, mask))
-							ex.memoizeBound(mask, ub)
-						}
-					} else {
-						ub = float64(ex.reachableUnder(u, prober))
+		// expand. Under a frontier estimator only a prefix root arrives
+		// unbounded; it is bounded like any child, as a frontier of one.
+		if len(ent.tags) > 0 && !ent.bounded {
+			prober, ok := bounder.Prepare(ent.tags)
+			if !ok {
+				res.Stats.PrunedUnsupported++
+				continue
+			}
+			switch {
+			case ex.fest != nil:
+				ex.stageBoundRow(0, prober)
+				ent.bound = ex.boundStaged(u, 1, &res.Stats)[0].Influence
+			case ex.CheapBounds:
+				if mask, ok := prober.LiveTopics(); ok {
+					var resolved bool
+					ent.bound, resolved = ex.boundFor(u, mask, threshold(), &res.Stats, false)
+					if !resolved {
+						ent.bound = float64(ex.reachableMasked(u, mask))
+						ex.memoizeBound(mask, ent.bound)
 					}
 				} else {
-					res.Stats.PartialBoundsEstimated++
-					bres := ex.boundEst.EstimateProber(u, prober)
-					res.Stats.SamplesDrawn += bres.Samples
-					ub = bres.Influence
+					ent.bound = float64(ex.reachableUnder(u, prober))
 				}
-				if ub <= threshold() {
-					res.Stats.PrunedByBound++
-					continue
-				}
-				ent.bound = ub
+			default:
+				res.Stats.PartialBoundsEstimated++
+				bres := ex.est.EstimateProber(u, prober)
+				res.Stats.SamplesDrawn += bres.Samples
+				ent.bound = bres.Influence
 			}
+			ent.bounded = true
+		}
+		if ent.bounded && ent.bound <= threshold() {
+			res.Stats.PrunedByBound++
+			continue
 		}
 
 		// Expand with every non-prefix tag above the last appended tag
 		// (canonical order: each completion generated exactly once).
 		res.Stats.FrontierExpansions++
 		var fb *frontierBatch
-		batching := ex.fest != nil && len(ent.tags)+1 == k
-		// Partial children are bounded eagerly under CheapBounds:
-		// Prepare and the masked bound run at expansion, so unsupported
-		// or already-beaten children never enter the heap and survivors
-		// carry their own (tighter) bound as heap key. Shallow children
-		// (whose subtrees are large) get exact counts, batched into one
-		// word-parallel BFS per expansion; deepest-level children (whose
-		// children are the cheaply frontier-batched full sets) settle
-		// for the dominance upper bound — no BFS at all. The
-		// sampled-bound path stays lazy: eager sampling would reorder
-		// RNG consumption.
-		eager := ex.CheapBounds && len(ent.tags)+1 < k
+		full := len(ent.tags)+1 == k
+		batching := ex.fest != nil && full
+		// Partial children of a frontier estimator are bounded eagerly, as
+		// rows: each child's Lemma 8 completion weights become one row of
+		// a single EstimateFrontier call over the whole expansion, so
+		// unsupported or already-beaten children never enter the heap and
+		// survivors carry their own bound as heap key.
+		rows := ex.fest != nil && !full
+		// Without the capability, CheapBounds children are bounded eagerly
+		// too, by masked reach: shallow children (whose subtrees are large)
+		// get exact counts, batched into one word-parallel BFS per
+		// expansion; deepest-level children (whose children are the full
+		// sets) settle for the dominance upper bound — no BFS at all. The
+		// sampled-bound path stays lazy: eager sampling would reorder RNG
+		// consumption.
+		masks := ex.fest == nil && ex.CheapBounds && !full
 		deepest := len(ent.tags)+1 == k-1
 		ex.pend = ex.pend[:0]
 		ex.pendMasks = ex.pendMasks[:0]
@@ -497,7 +528,7 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 		// once and derive each child's by a single-tag extension instead of
 		// re-multiplying the whole set per child.
 		haveParent := false
-		if eager {
+		if rows || masks {
 			if ex.parentPost == nil {
 				ex.parentPost = make([]float64, ex.m.NumTopics())
 				ex.childPost = make([]float64, ex.m.NumTopics())
@@ -518,7 +549,7 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 				}
 				ce.fb, ce.fbIdx = fb, int32(len(fb.tags))
 				fb.tags = append(fb.tags, child)
-			} else if eager {
+			} else if rows || masks {
 				var prober Prober
 				var ok bool
 				if haveParent {
@@ -532,6 +563,11 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 				}
 				if !ok {
 					res.Stats.PrunedUnsupported++
+					continue
+				}
+				if rows {
+					ex.stageBoundRow(len(ex.pend), prober)
+					ex.pend = append(ex.pend, pendChild{tags: child, lastAdded: w})
 					continue
 				}
 				mask, mok := prober.LiveTopics()
@@ -550,12 +586,7 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 					resolved = true
 				}
 				if resolved {
-					if ub <= threshold() {
-						res.Stats.PrunedByBound++
-						continue
-					}
-					ce.bound, ce.bounded = ub, true
-					h.push(ce)
+					admit(pendChild{tags: child, lastAdded: w}, ub)
 					continue
 				}
 				// Unresolved shallow mask: hold the child back for the
@@ -568,15 +599,16 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 			}
 			h.push(ce)
 		}
-		if len(ex.pendMasks) > 0 {
+		switch {
+		case len(ex.pend) == 0:
+		case rows:
+			for i, r := range ex.boundStaged(u, len(ex.pend), &res.Stats) {
+				admit(ex.pend[i], r.Influence)
+			}
+		default:
 			ex.resolveMaskBatch(u)
 			for _, pc := range ex.pend {
-				ub := ex.boundMemo[pc.mask]
-				if ub <= threshold() {
-					res.Stats.PrunedByBound++
-					continue
-				}
-				h.push(heapEntry{tags: pc.tags, lastAdded: pc.lastAdded, bound: ub, bounded: true})
+				admit(pc, ex.boundMemo[pc.mask])
 			}
 		}
 	}
@@ -820,23 +852,54 @@ func (ex *Explorer) buildEdgeTopicMasks() {
 	ex.edgeTopicMask = em
 }
 
+// frontierRow returns row i of the frontier arena, sized once for the
+// widest possible frontier: no expansion has more children than tags.
+func (ex *Explorer) frontierRow(i int) []float64 {
+	Z := ex.m.NumTopics()
+	if ex.postArena == nil {
+		ex.postArena = make([]float64, ex.m.NumTags()*Z)
+	}
+	return ex.postArena[i*Z : (i+1)*Z]
+}
+
+// stageBoundRow copies a prepared partial set's Lemma 8 completion
+// weights pzBound into frontier row i (the prober's state dies at the
+// next Prepare). Estimated as a row — graph.EdgeProb's
+// min(1, Σ_z p(e|z)·pzBound(z)) per edge — it is the sum branch of
+// p+(e|W), which dominates p(e|W') for every completion W'.
+func (ex *Explorer) stageBoundRow(i int, p Prober) {
+	_, weights := p.Spec()
+	copy(ex.frontierRow(i), weights)
+}
+
+// boundStaged estimates the first n staged bound rows in one
+// EstimateFrontier call. Stopping is always disarmed: a bound must never
+// be an extrapolation, or it could undercut a completion it covers.
+func (ex *Explorer) boundStaged(u graph.VertexID, n int, stats *Stats) []sampling.Result {
+	rows := ex.postRows[:0]
+	for i := 0; i < n; i++ {
+		rows = append(rows, ex.frontierRow(i))
+	}
+	ex.postRows = rows
+	stats.PartialBoundsEstimated += int64(n)
+	results := ex.fest.EstimateFrontier(u, rows, sampling.StopRule{})
+	for _, r := range results {
+		stats.SamplesDrawn += r.Samples
+	}
+	return results
+}
+
 // evalFrontier evaluates a lazily-deferred frontier batch: posteriors for
 // every member are materialized into reused scratch rows, undefined
 // members score exactly 1 without touching the estimator, and the rest go
 // to the FrontierEstimator in one call carrying the current pruning
 // threshold as the stop rule.
 func (ex *Explorer) evalFrontier(u graph.VertexID, fb *frontierBatch, thr float64, stats *Stats) {
-	n := len(fb.tags)
-	Z := ex.m.NumTopics()
-	if cap(ex.postArena) < n*Z {
-		ex.postArena = make([]float64, n*Z)
-	}
-	arena := ex.postArena[:n*Z]
 	rows := ex.postRows[:0]
 	idx := ex.postIdx[:0]
-	fb.inf = make([]float64, n)
+	fb.inf = make([]float64, len(fb.tags))
 	for i, tags := range fb.tags {
-		row := arena[len(rows)*Z : (len(rows)+1)*Z]
+		row := ex.frontierRow(len(rows))
 		if !ex.m.PosteriorInto(tags, row) {
 			fb.inf[i] = 1 // undefined posterior: influence is exactly 1
 			continue
@@ -855,6 +918,6 @@ func (ex *Explorer) evalFrontier(u graph.VertexID, fb *frontierBatch, thr float6
 			stats.SamplesDrawn += r.Samples
 		}
 	}
-	ex.postArena, ex.postRows, ex.postIdx = arena, rows, idx
+	ex.postRows, ex.postIdx = rows, idx
 	fb.done = true
 }

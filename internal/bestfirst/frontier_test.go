@@ -2,11 +2,15 @@ package bestfirst
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"pitex/internal/enumerate"
 	"pitex/internal/graph"
 	"pitex/internal/rng"
 	"pitex/internal/rrindex"
@@ -15,11 +19,47 @@ import (
 )
 
 // seqOnly hides an estimator's FrontierEstimator capability, forcing the
-// explorer onto the one-call-per-full-set path.
+// explorer onto the one-call-per-full-set path and the CheapBounds /
+// sampled-prober bounds.
 type seqOnly struct{ est Estimator }
 
 func (s seqOnly) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
 	return s.est.EstimateProber(u, prober)
+}
+
+// perRow keeps the frontier capability but answers it row by row through
+// EstimateProber, each row as an Eq. 1 posterior prober — what a
+// coordinator does for a remote that cannot batch.
+type perRow struct {
+	seqOnly
+	g *graph.Graph
+}
+
+func (p perRow) EstimateFrontier(u graph.VertexID, rows [][]float64, _ sampling.StopRule) []sampling.Result {
+	out := make([]sampling.Result, len(rows))
+	for i, row := range rows {
+		out[i] = p.est.EstimateProber(u, sampling.PosteriorProber{G: p.g, Posterior: row})
+	}
+	return out
+}
+
+// widthOne splits every frontier into frontiers of one.
+type widthOne struct{ seqOnly }
+
+func (w widthOne) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampling.StopRule) []sampling.Result {
+	out := make([]sampling.Result, len(rows))
+	for i := range rows {
+		out[i] = w.est.(FrontierEstimator).EstimateFrontier(u, rows[i:i+1], stop)[0]
+	}
+	return out
+}
+
+func frontierBuildOptions(seed uint64) rrindex.BuildOptions {
+	return rrindex.BuildOptions{
+		Accuracy:        sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 3},
+		MaxIndexSamples: 1500,
+		Seed:            seed ^ 0xbeef,
+	}
 }
 
 func frontierFixture(t *testing.T, seed uint64) (*graph.Graph, *topics.Model, *rrindex.ShardedIndex) {
@@ -32,68 +72,370 @@ func frontierFixture(t *testing.T, seed uint64) (*graph.Graph, *topics.Model, *r
 		t.Fatalf("ErdosRenyi: %v", err)
 	}
 	m := topics.GenerateRandom(r, 8, 4, 2)
-	idx, err := rrindex.BuildSharded(g, rrindex.BuildOptions{
-		Accuracy:        sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 3},
-		MaxIndexSamples: 1500,
-		Seed:            seed ^ 0xbeef,
-	}, 1)
+	idx, err := rrindex.BuildSharded(g, frontierBuildOptions(seed), 1)
 	if err != nil {
 		t.Fatalf("BuildSharded: %v", err)
 	}
 	return g, m, idx
 }
 
-// TestExplorerFrontierBatchingIdentical is the explorer-level equivalence
-// contract: with stopping disarmed, a frontier-batching run must return
-// exactly — tags, influences, alternatives, work stats — what the
-// sequential one-estimation-per-pop path returns, for both estimator
-// families and for plain, top-m and prefix queries.
-func TestExplorerFrontierBatchingIdentical(t *testing.T) {
-	g, m, idx := frontierFixture(t, 17)
-	for _, tc := range []struct {
-		name string
-		est  Estimator
-	}{
+// contractModel is one tag model the exactness contracts run under.
+// prunes says whether a valid bound is tight enough to prune anything on
+// the fixture under this model.
+type contractModel struct {
+	name   string
+	m      *topics.Model
+	prunes bool
+}
+
+// contractModels pairs the fixture's sparse model — every tag misses some
+// topic, so pzBound saturates at 1 wherever it is positive — with a dense
+// one over the same tags and topics: every tag spreads unevenly over
+// every topic, so bound rows take the finite AM-GM branch of
+// Bounder.prepared. A bound that undercuts a completion (the prior
+// entering once per tag instead of once per set did) only shows there:
+// it prunes the optimum away. The valid AM-GM bound is too loose to prune
+// at this density and size — the paper's Fig. 11/12 effect — so on the
+// dense model the oracle match proves the bounds never undercut, not that
+// they bite.
+func contractModels(sparse *topics.Model, seed uint64) []contractModel {
+	r := rng.New(seed ^ 0xde45e)
+	Z := sparse.NumTopics()
+	dense := topics.MustNewModel(sparse.NumTags(), Z)
+	for w := 0; w < sparse.NumTags(); w++ {
+		for z := 0; z < Z; z++ {
+			dense.SetTagTopic(topics.TagID(w), int32(z), 0.1+r.Float64())
+		}
+	}
+	return []contractModel{{"sparse", sparse, true}, {"dense", dense, false}}
+}
+
+// indexFamily is one frontier-capable estimator over the fixture graph.
+type indexFamily struct {
+	name string
+	est  Estimator
+}
+
+// indexFamilies builds the three index estimator families over g at the
+// given shard count.
+func indexFamilies(t *testing.T, g *graph.Graph, seed uint64, shards int) []indexFamily {
+	t.Helper()
+	idx, err := rrindex.BuildSharded(g, frontierBuildOptions(seed), shards)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	dm, err := rrindex.BuildShardedDelayMat(g, frontierBuildOptions(seed), shards)
+	if err != nil {
+		t.Fatalf("BuildShardedDelayMat: %v", err)
+	}
+	fams := []indexFamily{
 		{"INDEXEST", rrindex.NewShardedEstimator(idx)},
 		{"INDEXEST+", rrindex.NewShardedPrunedEstimator(idx)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := tc.est.(FrontierEstimator); !ok {
-				t.Fatalf("%T does not batch frontiers", tc.est)
+		{"DELAYMAT", rrindex.NewShardedDelayEstimator(dm, rng.New(seed^0xd1a7))},
+	}
+	for _, f := range fams {
+		if _, ok := f.est.(FrontierEstimator); !ok {
+			t.Fatalf("%s: %T does not batch frontiers", f.name, f.est)
+		}
+	}
+	return fams
+}
+
+// exhaustive scores every size-k tag set containing prefix with est —
+// exactly as the explorer scores a popped full set — in descending
+// influence order. It is the oracle an exact arg-max search must match.
+func exhaustive(g *graph.Graph, m *topics.Model, est Estimator, u graph.VertexID, prefix []topics.TagID, k int) []Scored {
+	var all []Scored
+	post := make([]float64, m.NumTopics())
+	enumerate.Combinations(m.NumTags(), k, func(idx []int32) bool {
+		tags := make([]topics.TagID, k)
+		copy(tags, idx)
+		for _, w := range prefix {
+			if !slices.Contains(tags, w) {
+				return true
 			}
-			batched := NewExplorer(g, m, tc.est)
-			sequential := NewExplorer(g, m, seqOnly{tc.est})
-			for _, cheap := range []bool{false, true} {
-				batched.CheapBounds, sequential.CheapBounds = cheap, cheap
-				for u := 0; u < g.NumVertices(); u += 29 {
-					got, err := batched.QueryTop(graph.VertexID(u), 3, 2)
+		}
+		inf := 1.0 // undefined posterior: influence is exactly 1
+		if m.PosteriorInto(tags, post) {
+			inf = est.EstimateProber(u, sampling.PosteriorProber{G: g, Posterior: post}).Influence
+		}
+		all = append(all, Scored{Tags: tags, Influence: inf})
+		return true
+	})
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Influence > all[j].Influence })
+	return all
+}
+
+// checkTopAgainst asserts got is the head of oracle: influences always,
+// tag sets wherever the oracle rank is untied (pop order, and with it the
+// set returned among exact ties, is not part of the contract).
+func checkTopAgainst(t *testing.T, what string, got []Scored, oracle []Scored) {
+	t.Helper()
+	if len(got) > len(oracle) {
+		t.Fatalf("%s: %d results from %d candidate sets", what, len(got), len(oracle))
+	}
+	for i, sc := range got {
+		if sc.Influence != oracle[i].Influence {
+			t.Fatalf("%s: rank %d influence %v (%v), oracle %v (%v)", what, i, sc.Influence, sc.Tags, oracle[i].Influence, oracle[i].Tags)
+		}
+		tied := (i > 0 && oracle[i-1].Influence == sc.Influence) ||
+			(i+1 < len(oracle) && oracle[i+1].Influence == sc.Influence)
+		if !tied && !slices.Equal(sc.Tags, oracle[i].Tags) {
+			t.Fatalf("%s: rank %d tags %v, oracle's untied %v", what, i, sc.Tags, oracle[i].Tags)
+		}
+	}
+}
+
+// TestExplorerFrontierBatchingIdentical is the explorer-level equivalence
+// contract, in two halves.
+//
+// Rows ≡ per-sibling EstimateProber: with stopping disarmed, answering
+// every frontier — posterior rows and bound rows alike — row by row
+// through EstimateProber, or as frontiers of one, must reproduce the
+// batched run exactly: tags, influences, alternatives, work stats.
+//
+// Against an estimator with the capability hidden (seqOnly) the explorer
+// legitimately bounds differently — frontier rows on one side, reach
+// counts or lazily sampled probers on the other — so Stats and the pop
+// order among exact ties differ. Both are exact arg-max searches over the
+// same estimates, so influences must still agree always and tag sets
+// wherever the rank is untied. (Before bounds rode the frontier this test
+// demanded identical Stats between the two; that equality was a property
+// of the shared bound path, not of the answer.)
+func TestExplorerFrontierBatchingIdentical(t *testing.T) {
+	g, m, _ := frontierFixture(t, 17)
+	prefix := []topics.TagID{1}
+	for _, fam := range indexFamilies(t, g, 17, 1)[:2] {
+		t.Run(fam.name, func(t *testing.T) {
+			batched := NewExplorer(g, m, fam.est)
+			rowwise := NewExplorer(g, m, perRow{seqOnly{fam.est}, g})
+			single := NewExplorer(g, m, widthOne{seqOnly{fam.est}})
+			sequential := NewExplorer(g, m, seqOnly{fam.est})
+			for u := 0; u < g.NumVertices(); u += 29 {
+				u := graph.VertexID(u)
+				got, err := batched.QueryTop(u, 3, 2)
+				if err != nil {
+					t.Fatalf("batched QueryTop: %v", err)
+				}
+				pg, err := batched.Complete(u, prefix, 3)
+				if err != nil {
+					t.Fatalf("batched Complete: %v", err)
+				}
+				for name, ex := range map[string]*Explorer{"row by row": rowwise, "width one": single} {
+					want, err := ex.QueryTop(u, 3, 2)
+					if err != nil {
+						t.Fatalf("%s QueryTop: %v", name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("u=%d: batched %+v != %s %+v", u, got, name, want)
+					}
+					pw, err := ex.Complete(u, prefix, 3)
+					if err != nil {
+						t.Fatalf("%s Complete: %v", name, err)
+					}
+					if !reflect.DeepEqual(pg, pw) {
+						t.Fatalf("u=%d prefix: batched %+v != %s %+v", u, pg, name, pw)
+					}
+				}
+				if got.Stats.PartialBoundsEstimated == 0 || got.Stats.BoundCacheHits != 0 {
+					t.Fatalf("u=%d: frontier run bounded %d rows with %d memo hits; want rows only",
+						u, got.Stats.PartialBoundsEstimated, got.Stats.BoundCacheHits)
+				}
+				oracle := exhaustive(g, m, fam.est, u, nil, 3)
+				prefixOracle := exhaustive(g, m, fam.est, u, prefix, 3)
+				for _, cheap := range []bool{false, true} {
+					// The flag is never read under a frontier estimator.
+					batched.CheapBounds = cheap
+					again, err := batched.QueryTop(u, 3, 2)
 					if err != nil {
 						t.Fatalf("batched QueryTop: %v", err)
 					}
-					want, err := sequential.QueryTop(graph.VertexID(u), 3, 2)
+					if !reflect.DeepEqual(again, got) {
+						t.Fatalf("cheap=%v u=%d: CheapBounds moved a frontier run: %+v != %+v", cheap, u, again, got)
+					}
+					sequential.CheapBounds = cheap
+					want, err := sequential.QueryTop(u, 3, 2)
 					if err != nil {
 						t.Fatalf("sequential QueryTop: %v", err)
 					}
-					// The memo only exists on the batched explorer's stats
-					// when both run CheapBounds; it fires identically, so the
-					// full Stats structs must agree.
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("cheap=%v u=%d: batched %+v != sequential %+v", cheap, u, got, want)
+					if want.Stats.PartialBoundsEstimated != 0 == cheap {
+						t.Fatalf("cheap=%v u=%d: sequential run sampled %d bounds", cheap, u, want.Stats.PartialBoundsEstimated)
 					}
-					pg, err := batched.Complete(graph.VertexID(u), []topics.TagID{1}, 3)
-					if err != nil {
-						t.Fatalf("batched Complete: %v", err)
-					}
-					pw, err := sequential.Complete(graph.VertexID(u), []topics.TagID{1}, 3)
+					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d sequential", cheap, u), want.All, oracle)
+					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d batched", cheap, u), got.All, oracle)
+					pw, err := sequential.Complete(u, prefix, 3)
 					if err != nil {
 						t.Fatalf("sequential Complete: %v", err)
 					}
-					if !reflect.DeepEqual(pg, pw) {
-						t.Fatalf("cheap=%v u=%d prefix: batched %+v != sequential %+v", cheap, u, pg, pw)
-					}
+					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d sequential prefix", cheap, u), pw.All, prefixOracle)
+					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d batched prefix", cheap, u), pg.All, prefixOracle)
 				}
 			}
 		})
+	}
+}
+
+// TestRowBoundDominatesCompletions is the contract that keeps the search
+// exact: on an index, the row bound of a partial set W — its Lemma 8
+// completion weights estimated as one EstimateFrontier row, stopping
+// disarmed — is at least the estimate of every size-k completion W' with
+// a defined posterior. Not statistically: deterministically, because
+// both are counted over the same RR-Graphs and draws c(e) and the row's
+// live edges are a superset. It also dominates the min(max, sum) Prober
+// bound it relaxes, and equals the same row sent through EstimateProber.
+func TestRowBoundDominatesCompletions(t *testing.T) {
+	g, sparse, _ := frontierFixture(t, 53)
+	T := sparse.NumTags()
+	post := make([]float64, sparse.NumTopics())
+	for _, cm := range contractModels(sparse, 53) {
+		m := cm.m
+		for _, shards := range []int{1, 3} {
+			for _, fam := range indexFamilies(t, g, 53, shards) {
+				t.Run(fmt.Sprintf("%s/S%d/%s", fam.name, shards, cm.name), func(t *testing.T) {
+					fest := fam.est.(FrontierEstimator)
+					r := rng.New(uint64(shards) * 977)
+					var checked, strict int
+					var u graph.VertexID
+					for trial := 0; trial < 30; trial++ {
+						if trial%10 == 0 { // DELAYMAT recovers afresh for every new user
+							u = graph.VertexID(r.Intn(g.NumVertices()))
+						}
+						k := 2 + r.Intn(2)
+						perm := r.Perm(T)
+						partial := make([]topics.TagID, 1+r.Intn(k-1))
+						for i := range partial {
+							partial[i] = topics.TagID(perm[i])
+						}
+						prober, ok := NewBounder(g, m, k).Prepare(partial)
+						if !ok {
+							continue
+						}
+						_, weights := prober.Spec()
+						row := slices.Clone(weights)
+						res := fest.EstimateFrontier(u, [][]float64{row}, sampling.StopRule{})[0]
+						if one := fam.est.EstimateProber(u, sampling.PosteriorProber{G: g, Posterior: row}); one != res {
+							t.Fatalf("W=%v u=%d: frontier row %+v != per-row EstimateProber %+v", partial, u, res, one)
+						}
+						if lemma := fam.est.EstimateProber(u, prober).Influence; res.Influence < lemma {
+							t.Fatalf("W=%v u=%d: row bound %v below the Lemma 8 prober bound %v", partial, u, res.Influence, lemma)
+						}
+						enumerate.Combinations(T, k, func(idx []int32) bool {
+							full := make([]topics.TagID, k)
+							copy(full, idx)
+							for _, w := range partial {
+								if !slices.Contains(full, w) {
+									return true
+								}
+							}
+							if !m.PosteriorInto(full, post) {
+								return true
+							}
+							inf := fam.est.EstimateProber(u, sampling.PosteriorProber{G: g, Posterior: post}).Influence
+							if inf > res.Influence {
+								t.Fatalf("W=%v u=%d k=%d: completion %v estimates %v above its row bound %v",
+									partial, u, k, full, inf, res.Influence)
+							}
+							checked++
+							if inf < res.Influence {
+								strict++
+							}
+							return true
+						})
+					}
+					if checked == 0 || strict == 0 {
+						t.Fatalf("checked %d completions, %d strictly below their bound; fixture too degenerate", checked, strict)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestQueryTopMatchesEstimatorOracle: with stopping disarmed the explorer
+// is an exact arg-max over its estimator's scores, so QueryTop's
+// influences — all m of them — and Complete's must equal an exhaustive
+// enumeration of every size-k set scored by the same estimator. Tag sets
+// are compared only where the optimum is untied.
+func TestQueryTopMatchesEstimatorOracle(t *testing.T) {
+	g, sparse, _ := frontierFixture(t, 61)
+	prefix := []topics.TagID{5}
+	for _, cm := range contractModels(sparse, 61) {
+		m := cm.m
+		for _, shards := range []int{1, 3} {
+			for _, fam := range indexFamilies(t, g, 61, shards) {
+				t.Run(fmt.Sprintf("%s/S%d/%s", fam.name, shards, cm.name), func(t *testing.T) {
+					ex := NewExplorer(g, m, fam.est)
+					var pruned int64
+					for u := 0; u < g.NumVertices(); u += 31 {
+						u := graph.VertexID(u)
+						for _, k := range []int{2, 3} {
+							res, err := ex.QueryTop(u, k, 3)
+							if err != nil {
+								t.Fatalf("QueryTop: %v", err)
+							}
+							pruned += res.Stats.PrunedByBound
+							checkTopAgainst(t, fmt.Sprintf("u=%d k=%d", u, k), res.All, exhaustive(g, m, fam.est, u, nil, k))
+							cres, err := ex.Complete(u, prefix, k)
+							if err != nil {
+								t.Fatalf("Complete: %v", err)
+							}
+							checkTopAgainst(t, fmt.Sprintf("u=%d k=%d prefix", u, k), cres.All, exhaustive(g, m, fam.est, u, prefix, k))
+						}
+					}
+					if cm.prunes && pruned == 0 {
+						t.Fatal("no branch was ever pruned: the oracle match proves nothing about the bounds")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBounderTablesCachedAcrossQueries: the explorer builds the Lemma 8
+// tables once and retargets them at each query's k; a retargeted Bounder
+// must be indistinguishable from a freshly built one — same tables, same
+// Prepare and PreparePosterior outputs bit for bit.
+func TestBounderTablesCachedAcrossQueries(t *testing.T) {
+	g, m, idx := frontierFixture(t, 67)
+	cached := NewBounder(g, m, 2)
+	post := make([]float64, m.NumTopics())
+	for _, k := range []int{3, 2, 4} {
+		fresh := NewBounder(g, m, k)
+		cached.forK(k)
+		if !reflect.DeepEqual(cached.logF, fresh.logF) || !reflect.DeepEqual(cached.order, fresh.order) {
+			t.Fatalf("k=%d: cached tables differ from a fresh build", k)
+		}
+		for a := 0; a < m.NumTags(); a++ {
+			for b := a; b < m.NumTags(); b++ {
+				w := []topics.TagID{topics.TagID(a)}
+				if b > a && k > 2 {
+					w = append(w, topics.TagID(b))
+				}
+				_, okC := cached.Prepare(w)
+				_, okF := fresh.Prepare(w)
+				if okC != okF || (okC && (!reflect.DeepEqual(cached.pzBound, fresh.pzBound) || !reflect.DeepEqual(cached.supported, fresh.supported))) {
+					t.Fatalf("k=%d W=%v: cached Prepare (%v %v) != fresh (%v %v)", k, w, okC, cached.pzBound, okF, fresh.pzBound)
+				}
+				if !m.PosteriorInto(w, post) {
+					continue
+				}
+				_, okC = cached.PreparePosterior(w, post)
+				if okC != okF || (okC && !reflect.DeepEqual(cached.pzBound, fresh.pzBound)) {
+					t.Fatalf("k=%d W=%v: cached PreparePosterior (%v %v) != fresh Prepare (%v %v)", k, w, okC, cached.pzBound, okF, fresh.pzBound)
+				}
+			}
+		}
+	}
+	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
+	if _, err := ex.QueryTop(0, 2, 1); err != nil {
+		t.Fatalf("QueryTop: %v", err)
+	}
+	first := ex.bounder
+	if _, err := ex.QueryTop(1, 3, 1); err != nil {
+		t.Fatalf("QueryTop: %v", err)
+	}
+	if first == nil || ex.bounder != first {
+		t.Fatal("explorer rebuilt its Bounder between queries")
 	}
 }
 
@@ -126,6 +468,50 @@ func TestExplorerStoppingKeepsWinner(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("stopping never skipped a graph across every query; fixture too small")
+	}
+}
+
+// stopSpy tallies frontier rows by whether their call carried an armed
+// stopping budget.
+type stopSpy struct {
+	seqOnly
+	armed, disarmed int64
+}
+
+func (s *stopSpy) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampling.StopRule) []sampling.Result {
+	if stop.LogInvDelta > 0 {
+		s.armed += int64(len(rows))
+	} else {
+		s.disarmed += int64(len(rows))
+	}
+	return s.est.(FrontierEstimator).EstimateFrontier(u, rows, stop)
+}
+
+// TestBoundRowsNeverStopped: with sequential stopping armed, full-set
+// batches carry the stopping budget and bound rows never do — a stopped
+// bound would be an extrapolation, free to undercut a completion it is
+// supposed to cover.
+func TestBoundRowsNeverStopped(t *testing.T) {
+	g, m, idx := frontierFixture(t, 71)
+	spy := &stopSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}}
+	ex := NewExplorer(g, m, spy)
+	ex.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
+	var full, bounds int64
+	for u := 0; u < g.NumVertices(); u += 11 {
+		res, err := ex.QueryTop(graph.VertexID(u), 3, 2)
+		if err != nil {
+			t.Fatalf("QueryTop: %v", err)
+		}
+		pres, err := ex.Complete(graph.VertexID(u), []topics.TagID{2}, 3)
+		if err != nil {
+			t.Fatalf("Complete: %v", err)
+		}
+		full += res.Stats.FullSetsEstimated + pres.Stats.FullSetsEstimated
+		bounds += res.Stats.PartialBoundsEstimated + pres.Stats.PartialBoundsEstimated
+	}
+	if bounds == 0 || spy.disarmed != bounds || spy.armed != full {
+		t.Fatalf("%d bound rows / %d full sets, but %d rows crossed disarmed and %d armed",
+			bounds, full, spy.disarmed, spy.armed)
 	}
 }
 
@@ -220,10 +606,13 @@ func TestResolveMaskBatchMatchesSingle(t *testing.T) {
 // TestBoundMemoHits checks the memo plumbing: a CheapBounds query over
 // sibling-heavy frontiers must answer most bound evaluations from the
 // live-topic-mask memo, and the memo must reset between queries (masks
-// are only comparable within one query user).
+// are only comparable within one query user). The memo only runs under
+// estimators without the frontier capability — a frontier estimator's
+// bounds are rows, never masks — so the index estimator is driven through
+// seqOnly (before bounds rode the frontier it was handed over bare).
 func TestBoundMemoHits(t *testing.T) {
 	g, m, idx := frontierFixture(t, 31)
-	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
+	ex := NewExplorer(g, m, seqOnly{rrindex.NewShardedEstimator(idx)})
 	ex.CheapBounds = true
 	res, err := ex.QueryTop(graph.MaxOutDegreeVertex(g), 3, 1)
 	if err != nil {

@@ -151,6 +151,10 @@ type Options struct {
 	DisableBestEffort bool
 	// CheapBounds replaces sampled Lemma 8 upper bounds with one-BFS
 	// reachability bounds: looser pruning, much cheaper per partial set.
+	// It only affects strategies without an index — index and coordinator
+	// engines always bound through the frontier batch (each partial set's
+	// Lemma 8 weights estimated as one more row of the index scan), which
+	// is both tighter and cheaper than either alternative.
 	CheapBounds bool
 	// DisableEarlyStop turns off adaptive stopping (ablation knob): the
 	// Algo-2 martingale rule in online samplers, and the sequential

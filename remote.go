@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"pitex/internal/bestfirst"
 	"pitex/internal/enumerate"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
@@ -17,16 +16,20 @@ import (
 // process keeps the full network and tag model (cheap — the graph is the
 // small part) and runs the ordinary best-first exploration, but every
 // influence estimation is delegated through a RemoteEstimator to shard
-// servers holding the RR-Graph index slices. The two prober kinds the
-// explorer uses — the Eq. 1 posterior prober and the Lemma 8 upper-bound
-// prober — are both pure functions of a per-topic float vector, so one
-// RemoteProbe ships either across the wire and the shard replays it
+// servers holding the RR-Graph index slices. Everything the explorer asks
+// of a frontier-capable estimator — a full set's score or a partial
+// set's Lemma 8 bound — is an Eq. 1 evaluation under one per-topic weight
+// row, so a coordinator ships rows only: a frontier of them per scatter,
+// or one as a RemoteProbe posterior. The shard replays either
 // bit-identically (JSON round-trips float64 exactly in Go).
 
 // RemoteProbe is a serialized edge prober: exactly one of the two forms
-// is set. Posterior carries p(z|W) for the standard Eq. 1 prober;
-// BoundSupported/BoundWeights carry a prepared Lemma 8 bound prober
-// (see bestfirst.Prober.Spec and sampling.TopicBoundProber).
+// is set. Posterior carries the per-topic weight row of the standard
+// Eq. 1 prober — p(z|W), or a partial set's Lemma 8 completion weights.
+// BoundSupported/BoundWeights carry a prepared min(max, sum) Lemma 8
+// prober (see bestfirst.Prober.Spec and sampling.TopicBoundProber);
+// shards still replay that form, but engines no longer send it — their
+// bounds ride the frontier as rows.
 type RemoteProbe struct {
 	Posterior      []float64 `json:"posterior,omitempty"`
 	BoundSupported []bool    `json:"bound_supported,omitempty"`
@@ -85,14 +88,14 @@ type RemoteEstimator interface {
 }
 
 // RemoteFrontierEstimator is an optional RemoteEstimator capability:
-// estimating a whole frontier of sibling tag sets — one Eq. 1 posterior
-// each — in a single scatter. Estimates are positional (result i scores
+// estimating a whole frontier of sibling tag sets — one per-topic weight
+// row each, a full set's posterior or a partial set's Lemma 8 weights —
+// in a single scatter. Estimates are positional (result i scores
 // posteriors[i]) and each must equal what EstimateRemote returns for that
-// posterior alone, degraded ones included. A remote engine whose
-// estimator has the capability ships every sibling group the explorer
-// forms as one scatter; one without it (a decorator wrapping only
-// EstimateRemote, say) is served candidate by candidate with identical
-// answers.
+// row alone as a posterior probe, degraded ones included. A remote engine
+// whose estimator has the capability ships every sibling group the
+// explorer forms as one scatter; one without it (a decorator wrapping
+// only EstimateRemote, say) is served row by row with identical answers.
 type RemoteFrontierEstimator interface {
 	EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64) ([]RemoteEstimate, error)
 }
@@ -188,7 +191,7 @@ func RepairSeed(seed, generation uint64) uint64 {
 
 // remoteAdapter bridges the best-first explorer to a RemoteEstimator: it
 // is the engine's bestfirst.Estimator (and FrontierEstimator) for remote
-// engines, serializing each prober and accumulating degradation evidence
+// engines, shipping each weight row and accumulating degradation evidence
 // across the many estimations of one query. Like every estimator it is
 // per-engine scratch state — not safe for concurrent use, reset by
 // begin() per query.
@@ -210,8 +213,9 @@ type remoteAdapter struct {
 	missing   map[int]bool
 	respTheta int64
 	totTheta  int64
-	// scatters counts the query's remote calls, siblings the candidates
-	// that crossed in frontier form (Explain.RemoteScatters/RemoteSiblings).
+	// scatters counts the query's remote calls, siblings the rows —
+	// candidates and partial-set bounds alike — that crossed in frontier
+	// form (Explain.RemoteScatters/RemoteSiblings).
 	scatters int64
 	siblings int64
 }
@@ -253,6 +257,8 @@ func (ra *remoteAdapter) finish() (*DegradedCoverage, error) {
 }
 
 // EstimateProber implements bestfirst.Estimator by scattering the probe.
+// The explorer only ever hands a frontier-capable estimator posterior
+// probers here (a full-size prefix, or the row-by-row fallback below).
 // After the first remote failure the adapter fast-fails every remaining
 // estimation of the query (influence 1 prunes nothing incorrectly — the
 // query is abandoned by finish anyway).
@@ -260,18 +266,13 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 	if ra.err != nil {
 		return sampling.Result{Influence: 1}
 	}
-	var probe RemoteProbe
-	switch p := prober.(type) {
-	case sampling.PosteriorProber:
-		probe.Posterior = p.Posterior
-	case bestfirst.Prober:
-		probe.BoundSupported, probe.BoundWeights = p.Spec()
-	default:
+	p, ok := prober.(sampling.PosteriorProber)
+	if !ok {
 		ra.err = fmt.Errorf("pitex: prober %T is not remotable", prober)
 		return sampling.Result{Influence: 1}
 	}
 	ra.scatters++
-	est, err := ra.remote.EstimateRemote(ra.queryCtx(), int(u), probe)
+	est, err := ra.remote.EstimateRemote(ra.queryCtx(), int(u), RemoteProbe{Posterior: p.Posterior})
 	if err != nil {
 		ra.err = err
 		return sampling.Result{Influence: 1}
@@ -281,7 +282,7 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 
 // EstimateFrontier implements bestfirst.FrontierEstimator: the sibling
 // group crosses the wire as one scatter when the remote can batch, and
-// candidate by candidate otherwise. stop is ignored (see remoteAdapter).
+// row by row otherwise. stop is ignored (see remoteAdapter).
 func (ra *remoteAdapter) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
 	out := make([]sampling.Result, len(posteriors))
 	if ra.frontier == nil {

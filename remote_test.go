@@ -26,6 +26,9 @@ type fakeRemote struct {
 	drop   map[int]bool
 	err    error
 	calls  int
+	// boundProbes counts per-candidate Lemma 8 probes (the BoundWeights
+	// form); an engine's bounds cross as frontier rows, never as these.
+	boundProbes int
 }
 
 func newFakeRemote(t *testing.T, net *Network, model *TagModel, opts Options, S int) *fakeRemote {
@@ -53,6 +56,9 @@ func newFakeRemote(t *testing.T, net *Network, model *TagModel, opts Options, S 
 
 func (f *fakeRemote) EstimateRemote(_ context.Context, user int, probe RemoteProbe) (RemoteEstimate, error) {
 	f.calls++
+	if len(probe.BoundWeights) > 0 {
+		f.boundProbes++
+	}
 	if f.err != nil {
 		return RemoteEstimate{}, f.err
 	}
@@ -210,17 +216,28 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("%v: %s user %d k=%d m=%d:\n got  %+v\n want %+v", strat, name, u, k, m, a, b)
 					}
+					// Every estimation of a coordinator query is a weight row —
+					// a full set's posterior or a partial set's Lemma 8 bound —
+					// so the wire counts follow from the search counters: all
+					// rows cross as siblings (one scatter each on the fallback),
+					// and an expansion costs at most one scatter, whichever
+					// kind of children it had. (Before bounds rode the frontier
+					// only full sets crossed: siblings == FullSetsEstimated.)
 					ex := got.Explain
+					rows := got.FullSetsEstimated + got.PartialBoundsEstimated
 					switch {
-					case name == "fallback" && (ex.RemoteSiblings != 0 || ex.RemoteScatters != got.FullSetsEstimated):
-						t.Fatalf("%v: fallback user %d k=%d: %d scatters / %d siblings for %d full sets",
-							strat, u, k, ex.RemoteScatters, ex.RemoteSiblings, got.FullSetsEstimated)
-					case name != "fallback" && ex.RemoteSiblings != got.FullSetsEstimated:
-						t.Fatalf("%v: %s user %d k=%d: %d siblings shipped for %d full sets",
-							strat, name, u, k, ex.RemoteSiblings, got.FullSetsEstimated)
-					case name != "fallback" && k == 3 && got.FullSetsEstimated > 1 && ex.RemoteScatters >= got.FullSetsEstimated:
-						t.Fatalf("%v: %s user %d k=3: %d scatters not below %d full sets",
-							strat, name, u, ex.RemoteScatters, got.FullSetsEstimated)
+					case name == "fallback" && (ex.RemoteSiblings != 0 || ex.RemoteScatters != rows):
+						t.Fatalf("%v: fallback user %d k=%d: %d scatters / %d siblings for %d rows",
+							strat, u, k, ex.RemoteScatters, ex.RemoteSiblings, rows)
+					case name != "fallback" && ex.RemoteSiblings != rows:
+						t.Fatalf("%v: %s user %d k=%d: %d siblings shipped for %d full sets + %d bounds",
+							strat, name, u, k, ex.RemoteSiblings, got.FullSetsEstimated, got.PartialBoundsEstimated)
+					case name != "fallback" && ex.RemoteScatters > ex.FrontierExpansions:
+						t.Fatalf("%v: %s user %d k=%d: %d scatters for %d expansions",
+							strat, name, u, k, ex.RemoteScatters, ex.FrontierExpansions)
+					case name != "fallback" && k == 3 && rows > 1 && ex.RemoteScatters >= rows:
+						t.Fatalf("%v: %s user %d k=3: %d scatters not below %d rows",
+							strat, name, u, ex.RemoteScatters, rows)
 					}
 				}
 			}
@@ -228,8 +245,8 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 		if batched.frontierCalls == 0 || batched.calls != 0 {
 			t.Fatalf("%v: batched remote saw %d frontier / %d per-candidate calls", strat, batched.frontierCalls, batched.calls)
 		}
-		if plain.calls == 0 {
-			t.Fatalf("%v: fallback remote saw no calls", strat)
+		if plain.calls == 0 || plain.boundProbes != 0 {
+			t.Fatalf("%v: fallback remote saw %d calls, %d of them per-candidate bound probes", strat, plain.calls, plain.boundProbes)
 		}
 	}
 }

@@ -55,7 +55,11 @@
 // kept in a ring on /tracez; ?trace=1 inlines the finished span tree
 // into the response, and ?explain=1 attaches the engine's per-query cost
 // breakdown (Result.Explain: probes evaluated, probe-cache hit ratio,
-// RR-graphs checked and pruned, frontier expansions, samples drawn).
+// RR-graphs checked and pruned, frontier expansions, samples drawn). On
+// index and coordinator engines partial_bounds_estimated counts the
+// partial sets bounded as rows of the frontier batch, bound_cache_hits
+// is always 0, and a coordinator's remote_siblings counts those bound
+// rows together with the candidate sets.
 // When no trace is attached the span helpers are nil-receiver no-ops, so
 // un-traced serving pays nothing.
 //

@@ -168,19 +168,32 @@ func TestFrontierWireEquivalence(t *testing.T) {
 									t.Fatalf("%s: user %d k=%d m=%d: per-candidate wire diverges from in-process:\n got  %+v\n want %+v",
 										stage, u, k, m, searchOf(one), searchOf(want))
 								}
+								// Every estimation of a coordinator query is a weight
+								// row — a full set's posterior or a partial set's Lemma 8
+								// bound — so the wire counts are derived from the search
+								// counters, not hard-coded: all rows cross as siblings
+								// (or one scatter each behind the decorator), and an
+								// expansion costs at most one scatter. (Before bounds
+								// rode the frontier, siblings == FullSetsEstimated.)
 								ex := got.Explain
-								if ex.RemoteSiblings != got.FullSetsEstimated || one.Explain.RemoteSiblings != 0 ||
-									one.Explain.RemoteScatters != one.FullSetsEstimated {
-									t.Fatalf("%s: user %d k=%d: %d full sets, %d siblings batched (decorated: %d siblings, %d scatters)",
-										stage, u, k, got.FullSetsEstimated, ex.RemoteSiblings,
-										one.Explain.RemoteSiblings, one.Explain.RemoteScatters)
+								rows := got.FullSetsEstimated + got.PartialBoundsEstimated
+								oneRows := one.FullSetsEstimated + one.PartialBoundsEstimated
+								if ex.RemoteSiblings != rows || one.Explain.RemoteSiblings != 0 ||
+									one.Explain.RemoteScatters != oneRows {
+									t.Fatalf("%s: user %d k=%d: %d full sets + %d bounds, %d siblings batched (decorated: %d siblings, %d scatters for %d rows)",
+										stage, u, k, got.FullSetsEstimated, got.PartialBoundsEstimated, ex.RemoteSiblings,
+										one.Explain.RemoteSiblings, one.Explain.RemoteScatters, oneRows)
+								}
+								if ex.RemoteScatters > ex.FrontierExpansions {
+									t.Fatalf("%s: user %d k=%d: %d scatters for %d expansions",
+										stage, u, k, ex.RemoteScatters, ex.FrontierExpansions)
 								}
 								if ex.RemoteScatters > 0 {
 									widest = max(widest, (ex.RemoteSiblings+ex.RemoteScatters-1)/ex.RemoteScatters)
 								}
-								if k == 3 && got.FullSetsEstimated > 1 && ex.RemoteScatters >= got.FullSetsEstimated {
-									t.Fatalf("%s: user %d k=3: %d scatters not below %d full sets",
-										stage, u, ex.RemoteScatters, got.FullSetsEstimated)
+								if k == 3 && rows > 1 && ex.RemoteScatters >= rows {
+									t.Fatalf("%s: user %d k=3: %d scatters not below %d rows",
+										stage, u, ex.RemoteScatters, rows)
 								}
 							}
 						}

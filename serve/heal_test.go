@@ -67,12 +67,28 @@ func gateUpdates(t *testing.T, ss *ShardServer, blocked *atomic.Bool, gateResync
 	return ts
 }
 
+// waitShardsReady blocks until every server's index build finished. Dial
+// only needs one ready replica per group, and a replica still building
+// answers /shard/update 503 — it would miss the test's first fan-out and
+// start the scripted outage already a generation behind.
+func waitShardsReady(t *testing.T, servers ...*ShardServer) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, ss := range servers {
+		if err := ss.WaitReady(ctx); err != nil {
+			t.Fatalf("WaitReady: %v", err)
+		}
+	}
+}
+
 // TestCoordinatorJournalReplayHeals: a replica that misses a fan-out
 // (small gap, inside the journal horizon) is healed by the reconciler
 // replaying the exact missed bodies — no resync, no restart.
 func TestCoordinatorJournalReplayHeals(t *testing.T) {
-	_, tsA := startFig2ShardServer(t, 0, 1)
+	ssA, tsA := startFig2ShardServer(t, 0, 1)
 	ssB, _ := startFig2ShardServer(t, 0, 1)
+	waitShardsReady(t, ssA, ssB)
 	var blockB atomic.Bool
 	tsB := gateUpdates(t, ssB, &blockB, false)
 
@@ -130,8 +146,9 @@ func resyncSnapshot(t *testing.T, url string) []byte {
 // the full state from its in-group sibling instead, and afterwards the
 // two replicas serialize byte-identically.
 func TestCoordinatorResyncPastHorizonHeals(t *testing.T) {
-	_, tsA := startFig2ShardServer(t, 0, 1)
+	ssA, tsA := startFig2ShardServer(t, 0, 1)
 	ssB, _ := startFig2ShardServer(t, 0, 1)
+	waitShardsReady(t, ssA, ssB)
 	var blockB atomic.Bool
 	tsB := gateUpdates(t, ssB, &blockB, false)
 

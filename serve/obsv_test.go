@@ -230,8 +230,11 @@ func TestTracePropagatesToShards(t *testing.T) {
 		t.Fatalf("trace has %d shard-rpc spans, want >= %d (%+v)", rpcSpans, S, td.Spans)
 	}
 	// Sibling groups cross as frontier scatters: the span says how many
-	// siblings it carried, and EXPLAIN shows fewer scatters than estimations
-	// (every sampled bound is its own scatter; full sets share theirs).
+	// siblings it carried, and EXPLAIN shows every estimation of the query
+	// — full sets and partial-set bounds alike, both are frontier rows —
+	// among them, in fewer scatters than estimations. (Before bounds rode
+	// the frontier only full sets were siblings and every sampled bound
+	// was its own scatter.)
 	var siblings float64
 	for _, sp := range td.Spans {
 		if n, ok := sp.Attrs["siblings"].(float64); ok && sp.Name == "scatter" {
@@ -239,8 +242,9 @@ func TestTracePropagatesToShards(t *testing.T) {
 		}
 	}
 	ex, _ := doc["explain"].(map[string]any)
-	if siblings < 2 || ex["remote_siblings"] != siblings || ex["remote_siblings"] != ex["full_sets_estimated"] ||
-		ex["remote_scatters"].(float64) >= ex["full_sets_estimated"].(float64)+ex["partial_bounds_estimated"].(float64) {
+	rows := ex["full_sets_estimated"].(float64) + ex["partial_bounds_estimated"].(float64)
+	if siblings < 2 || ex["remote_siblings"] != siblings || siblings != rows ||
+		ex["remote_scatters"].(float64) >= rows || ex["partial_bounds_estimated"].(float64) == 0 {
 		t.Fatalf("scatter spans carried %v siblings; explain = %v", siblings, ex)
 	}
 

@@ -132,7 +132,7 @@ func (s *Server) registerMetrics() {
 	s.frontierExp = reg.Counter("pitex_frontier_expansions_total",
 		"Best-first frontier expansions across all fresh queries.")
 	s.boundPrunes = reg.Counter("pitex_bound_prunes_total",
-		"Branches pruned by the Lemma 8 upper-bound test across all fresh queries.")
+		"Branches pruned by the Lemma 8 upper-bound test across all fresh queries (frontier row bounds on index and coordinator engines, sampled or reach bounds on online ones).")
 	s.fullSets = reg.Counter("pitex_full_sets_estimated_total",
 		"Full size-k tag sets estimated across all fresh queries.")
 	s.earlyStops = reg.Counter("pitex_estimator_early_stops_total",
@@ -140,7 +140,7 @@ func (s *Server) registerMetrics() {
 	s.graphsSkipped = reg.Counter("pitex_estimator_graphs_skipped_total",
 		"RR-graph verdicts avoided by early stops across all fresh queries.")
 	s.boundMemoHits = reg.Counter("pitex_bound_memo_hits_total",
-		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries.")
+		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies under CheapBounds only; always 0 on index and coordinator engines, whose bounds are frontier rows).")
 	s.panics = reg.Counter("pitex_panics_total",
 		"Panics recovered from query execution and sweep jobs (each is a bug).")
 

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"pitex/internal/bestfirst"
+	"pitex/internal/graph"
+	"pitex/internal/sampling"
+	"pitex/internal/topics"
 )
 
 // shardedTestOptions is testEngineOptions with the sharded index layout.
@@ -222,5 +227,100 @@ func TestShardedConcurrentQueryAndUpdate(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatalf("concurrent sharded workload failed: %v", err)
+	}
+}
+
+// hiddenFrontier strips an index estimator down to bestfirst.Estimator,
+// so an explorer over it bounds the way every explorer did before bounds
+// rode the frontier batch: masked reach counts under CheapBounds, lazily
+// sampled Lemma 8 probers otherwise.
+type hiddenFrontier struct{ est bestfirst.Estimator }
+
+func (h hiddenFrontier) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
+	return h.est.EstimateProber(u, prober)
+}
+
+// TestEngineRowBoundsKeepInfluences is the old-path-vs-new-path identity
+// at the engine: with stopping disarmed, every influence an index engine
+// returns — the optimum, every alternative, a prefix completion — equals
+// what a reference explorer over the same kind of estimator with its
+// frontier capability hidden returns, for every index strategy, shard
+// count and CheapBounds value. Only influences are pinned: the two
+// searches pop in different orders, so they may pick different sets among
+// exact ties.
+func TestEngineRowBoundsKeepInfluences(t *testing.T) {
+	net, model, err := GenerateDatasetSpec(DatasetSpec{
+		Name: "rowbounds", Users: 300, Edges: 2400,
+		Topics: 8, Tags: 14, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.2,
+	}, 7)
+	if err != nil {
+		t.Fatalf("GenerateDatasetSpec: %v", err)
+	}
+	for _, strat := range []Strategy{StrategyIndex, StrategyIndexPruned, StrategyDelay} {
+		for _, shards := range []int{1, 3} {
+			for _, cheap := range []bool{true, false} {
+				opts := Options{
+					Strategy: strat, Epsilon: 0.5, Delta: 100, MaxK: 4, Seed: 11,
+					MaxSamples: 500, MaxIndexSamples: 3000, IndexShards: shards,
+					CheapBounds: cheap, DisableEarlyStop: true,
+				}
+				en, err := NewEngine(net, model, opts)
+				if err != nil {
+					t.Fatalf("%v S%d: NewEngine: %v", strat, shards, err)
+				}
+				// A second engine, not a clone: DELAYMAT recovery consumes
+				// its estimator's RNG stream, and two engines built alike
+				// and queried alike recover the same RR-Graphs.
+				refEn, err := NewEngine(net, model, opts)
+				if err != nil {
+					t.Fatalf("%v S%d: NewEngine: %v", strat, shards, err)
+				}
+				ref := bestfirst.NewExplorer(net.g, model.m, hiddenFrontier{refEn.est})
+				ref.CheapBounds = cheap
+				var rowBounds int64
+				for u := 0; u < net.NumUsers(); u += 23 {
+					for _, k := range []int{2, 3} {
+						got, err := en.QueryTop(u, k, 3)
+						if err != nil {
+							t.Fatalf("%v S%d: QueryTop(%d,%d): %v", strat, shards, u, k, err)
+						}
+						want, err := ref.QueryTop(graph.VertexID(u), k, 3)
+						if err != nil {
+							t.Fatalf("%v S%d: reference QueryTop(%d,%d): %v", strat, shards, u, k, err)
+						}
+						if len(got.Alternatives) != len(want.All) {
+							t.Fatalf("%v S%d cheap=%v u=%d k=%d: %d alternatives, reference %d",
+								strat, shards, cheap, u, k, len(got.Alternatives), len(want.All))
+						}
+						for i, alt := range got.Alternatives {
+							if alt.Influence != want.All[i].Influence {
+								t.Fatalf("%v S%d cheap=%v u=%d k=%d rank %d: influence %v, reference %v",
+									strat, shards, cheap, u, k, i, alt.Influence, want.All[i].Influence)
+							}
+						}
+						if got.Explain.BoundCacheHits != 0 {
+							t.Fatalf("%v S%d cheap=%v u=%d k=%d: %d mask-memo hits on an index engine",
+								strat, shards, cheap, u, k, got.Explain.BoundCacheHits)
+						}
+						rowBounds += got.PartialBoundsEstimated
+						pg, err := en.QueryWithPrefix(u, []int{3}, k)
+						if err != nil {
+							t.Fatalf("%v S%d: QueryWithPrefix(%d,%d): %v", strat, shards, u, k, err)
+						}
+						pw, err := ref.Complete(graph.VertexID(u), []topics.TagID{3}, k)
+						if err != nil {
+							t.Fatalf("%v S%d: reference Complete(%d,%d): %v", strat, shards, u, k, err)
+						}
+						if pg.Influence != pw.Influence {
+							t.Fatalf("%v S%d cheap=%v u=%d k=%d prefix: influence %v, reference %v",
+								strat, shards, cheap, u, k, pg.Influence, pw.Influence)
+						}
+					}
+				}
+				if rowBounds == 0 {
+					t.Fatalf("%v S%d cheap=%v: no partial set was ever bounded as a row", strat, shards, cheap)
+				}
+			}
+		}
 	}
 }
