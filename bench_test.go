@@ -388,8 +388,10 @@ func BenchmarkQuerySingle(b *testing.B) {
 				b.Fatal(err)
 			}
 			// One untimed warm-up query: the benchmark measures the steady
-			// state, not one-time lazy work (DelayMat's per-user Algo 4
-			// recovery, scratch growth) that belongs to build cost.
+			// state, not one-time scratch growth. For DelayMat that also
+			// hides the per-user Algo 4 recovery — a per-query cost of
+			// every first touch, not a build cost — so this row is its
+			// re-query; the DELAYMAT-cold row below times the recovery.
 			if _, err := en.Query(u, 3); err != nil {
 				b.Fatal(err)
 			}
@@ -401,6 +403,28 @@ func BenchmarkQuerySingle(b *testing.B) {
 			}
 		})
 	}
+	// DelayMat's first touch: round-robin over 256 distinct users, so the
+	// estimator's one-user recovery cache never hits and every op pays a
+	// recovery — the cost the warmed DELAYMAT row above cannot see.
+	b.Run(pitex.StrategyDelay.String()+"-cold", func(b *testing.B) {
+		en, err := pitex.NewEngine(net, model, pitex.Options{
+			Strategy: pitex.StrategyDelay, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
+			MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const distinct = 256
+		if _, err := en.Query(distinct, 3); err != nil { // untimed: scratch growth, the firing table
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := en.Query(i%distinct, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// Sharded variants (S=4) for the index strategies, so BENCH_query.json
 	// tracks the scatter-gather layout's trajectory next to the monolithic
 	// one.

@@ -2,6 +2,7 @@ package pitex
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -87,5 +88,60 @@ func TestConcurrentClonesMatchSingleThreaded(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestDelayMatAnswersIndependentOfCloneHistory is the contract that lets a
+// serving pool hand any DELAYMAT query to any clone: a recovery runs on a
+// stream derived from (seed, shard, user), so an answer cannot depend on
+// which clone serves it, on the users that clone recovered before, or on
+// the user's recovery having been evicted and redone in between.
+func TestDelayMatAnswersIndependentOfCloneHistory(t *testing.T) {
+	spec, err := BaseDatasetSpec("lastfm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, model, err := GenerateDatasetSpec(spec.Scaled(0.05), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, u = 2, 3
+	for _, shards := range []int{1, 3} {
+		en, err := NewEngine(net, model, Options{
+			Strategy: StrategyDelay, Seed: 3, MaxIndexSamples: 20000, IndexShards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := func(en *Engine, user int) Result {
+			t.Helper()
+			res, err := en.Query(user, k)
+			if err != nil {
+				t.Fatalf("S=%d Query(%d): %v", shards, user, err)
+			}
+			return res
+		}
+		want := query(en.Clone(), u)
+		if want.Explain.RecoveryAttempts == 0 || want.Explain.RecoveryCascades >= want.Explain.RecoveryAttempts {
+			t.Fatalf("S=%d: first touch reports %d cascades of %d attempts",
+				shards, want.Explain.RecoveryCascades, want.Explain.RecoveryAttempts)
+		}
+		same := func(when string, got Result) {
+			t.Helper()
+			if !reflect.DeepEqual(got.Tags, want.Tags) || got.Influence != want.Influence {
+				t.Fatalf("S=%d %s: got (%v, %v), a fresh clone answers (%v, %v)",
+					shards, when, got.Tags, got.Influence, want.Tags, want.Influence)
+			}
+		}
+		busy := en.Clone()
+		for other := 10; other < 60; other++ {
+			query(busy, other)
+		}
+		same("after serving 50 other users", query(busy, u))
+		if again := query(busy, u); again.Explain.RecoveryAttempts != 0 {
+			t.Fatalf("S=%d: a repeated query recovered again (%d attempts)", shards, again.Explain.RecoveryAttempts)
+		}
+		query(busy, 7) // evicts u's recovery
+		same("after eviction", query(busy, u))
 	}
 }

@@ -90,6 +90,16 @@ type Explain struct {
 	// or the strategy does not batch frontiers.
 	EarlyStops    int64 `json:"early_stops"`
 	GraphsSkipped int64 `json:"graphs_skipped"`
+	// RecoveryAttempts and RecoveryCascades say what DELAYMAT's first
+	// touch of the query user cost (both 0, and omitted, for every other
+	// strategy and for a user whose recovery is still cached). Attempts
+	// answers "what does Algo 4's acceptance rule cost": the attempts
+	// charged to its 8θ+1024 budget, about θ per recovered user whoever
+	// the user is. Cascades answers "how much of that was computed": the
+	// attempts at which the user fired an out-edge and a forward cascade
+	// was actually simulated; the rest were empty cascades skipped in bulk.
+	RecoveryAttempts int64 `json:"recovery_attempts,omitempty"`
+	RecoveryCascades int64 `json:"recovery_cascades,omitempty"`
 	// BoundCacheHits counts CheapBounds evaluations answered from the
 	// explorer's live-topic-mask memo instead of a fresh reachability BFS.
 	// The memo only runs for online strategies; index and coordinator
@@ -565,6 +575,8 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		res.Explain.GraphsPruned = ws.GraphsPruned
 		res.Explain.EarlyStops = ws.EarlyStops
 		res.Explain.GraphsSkipped = ws.GraphsSkipped
+		res.Explain.RecoveryAttempts = ws.RecoveryAttempts
+		res.Explain.RecoveryCascades = ws.RecoveryCascades
 	} else if evEst != nil {
 		res.Explain.ProbesEvaluated = evEst.EdgeVisits() - evBefore
 	}

@@ -91,6 +91,14 @@ func (g *Graph) OutNeighbors(v VertexID) []VertexID {
 	return g.outTo[g.outStart[v]:g.outStart[v+1]]
 }
 
+// OutRange returns the half-open window [lo, hi) that v's out-edges occupy
+// in out-CSR order — OutEdges(v) and OutNeighbors(v) are exactly that
+// window — so a caller can keep a per-edge table parallel to the out-CSR
+// arrays without an offset array of its own.
+func (g *Graph) OutRange(v VertexID) (lo, hi int) {
+	return int(g.outStart[v]), int(g.outStart[v+1])
+}
+
 // InEdges returns the edge IDs entering v.
 func (g *Graph) InEdges(v VertexID) []EdgeID {
 	return g.inEdge[g.inStart[v]:g.inStart[v+1]]

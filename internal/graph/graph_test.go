@@ -47,11 +47,17 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestAdjacencyConsistency(t *testing.T) {
 	g := triangle(t)
+	next := 0 // where the previous vertex's out-CSR window ended
 	for v := VertexID(0); v < 3; v++ {
 		edges, nbrs := g.OutEdges(v), g.OutNeighbors(v)
 		if len(edges) != len(nbrs) {
 			t.Fatalf("out slices disagree at %d", v)
 		}
+		lo, hi := g.OutRange(v)
+		if lo != next || hi-lo != len(edges) {
+			t.Fatalf("OutRange(%d) = [%d,%d) for %d out-edges after offset %d", v, lo, hi, len(edges), next)
+		}
+		next = hi
 		for i, e := range edges {
 			if g.EdgeFrom(e) != v || g.EdgeTo(e) != nbrs[i] {
 				t.Fatalf("out edge %d of %d inconsistent", e, v)

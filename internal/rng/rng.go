@@ -167,6 +167,25 @@ func (r *Source) Geometric(p float64) int64 {
 	return int64(x)
 }
 
+// GeometricInvLog is Geometric for a caller that draws many gaps for the
+// same p and caches invLog = 1/ln(1-p), saving one of the inversion's two
+// logarithms per draw. The limits carry the edge cases: invLog = -Inf
+// (p = 0) returns Never and invLog = -0 (p = 1) returns 1.
+func (r *Source) GeometricInvLog(invLog float64) int64 {
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	x := math.Ceil(math.Log(u) * invLog)
+	if x < 1 {
+		return 1
+	}
+	if x >= float64(Never) {
+		return Never
+	}
+	return int64(x)
+}
+
 // Bernoulli reports true with probability p.
 func (r *Source) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -146,6 +146,30 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// TestGeometricInvLogIsGeometric: with invLog = 1/ln(1-p) the cached form
+// consumes the stream exactly as Geometric does and returns the same
+// draws; the limits of invLog carry p = 0 and p = 1.
+func TestGeometricInvLogIsGeometric(t *testing.T) {
+	for _, p := range []float64{0.9, 0.5, 0.1, 0.01, 1e-6} {
+		a, b := New(53), New(53)
+		invLog := 1 / math.Log1p(-p)
+		for i := 0; i < 10000; i++ {
+			if x, y := a.Geometric(p), b.GeometricInvLog(invLog); x != y {
+				t.Fatalf("p=%v draw %d: Geometric %d, GeometricInvLog %d", p, i, x, y)
+			}
+		}
+	}
+	r := New(59)
+	for i := 0; i < 1000; i++ {
+		if g := r.GeometricInvLog(math.Inf(-1)); g != Never {
+			t.Fatalf("GeometricInvLog(-Inf) = %d, want Never", g)
+		}
+		if g := r.GeometricInvLog(math.Copysign(0, -1)); g != 1 {
+			t.Fatalf("GeometricInvLog(-0) = %d, want 1", g)
+		}
+	}
+}
+
 func TestGeometricAtLeastOne(t *testing.T) {
 	r := New(37)
 	f := func(praw uint16) bool {

@@ -143,12 +143,51 @@ func (dm *DelayMat) recomputeFootprint() {
 // once, exactly like the materialized index amortizes construction.
 // Recovered graphs are assembled into a per-recovery arena (reused across
 // recoveries), so a recovery costs a handful of allocations rather than
-// six per graph. The estimator's RNG is consumed only by recovery, so
-// neither scan — nor batching siblings into one — can perturb the
-// recovered sample. Not safe for concurrent use.
+// six per graph. Not safe for concurrent use.
+//
+// Recovery is a pure function of (seed, shard, user): each one runs on its
+// own stream rng.Mix(seed, shard, user), so what an estimator recovered
+// before — which users a pool clone happened to serve — cannot change what
+// it recovers next, and neither scan can perturb the recovered sample.
+//
+// Algo 4 needs θ(u) accepted forward cascades out of about θ attempts. It
+// does not toss a coin per out-edge per attempt: the paper's own lazy
+// propagation (Sec. 5.1, Algo 2) drives the cascades. A recovery keeps,
+// per vertex, how often it was visited and the visit at which any of its
+// out-edges next fires; a visit before that is one compare. Exactness, in
+// three steps:
+//
+//  1. Aggregated gap. Under per-visit coins the visits of v at which at
+//     least one out-edge fires are Bernoulli(1 − q(v)) trials, q(v) =
+//     Π_{e∈out(v)} (1 − p(e)), so the gap to the next one is
+//     Geometric(1 − q(v)) — Lemma 6 applied to the union of v's edges —
+//     and at such a visit the fired subset follows the product law
+//     conditioned on being non-empty, drawn by inverse CDF over the
+//     fireTable's prefix survival products: the first fired edge is the
+//     first i with S_i < 1 − x·(1 − q(v)), each further one the first
+//     j > i with S_j < (1 − y)·S_i, x and y uniform — O(f·log d) for f
+//     fired edges, never O(d).
+//  2. Empty cascades. An attempt at which the root does not fire is the
+//     cascade V' = {u}, E' = ∅, accepted with probability 1/|V_s| when u
+//     belongs to the estimator's pool and never otherwise. The run of
+//     attempts before the root's next firing is therefore a
+//     Bernoulli(1/|V_s|) sequence: recover jumps it in bulk, locating the
+//     accepted ones by Geometric(1/|V_s|) gaps (memoryless, so a gap cut
+//     short by the root's firing carries over to the next run), and
+//     charges every jumped attempt to the budget.
+//  3. Same stopping rule. Accepted graphs thus arrive in attempt order,
+//     i.i.d. from the law the per-attempt loop draws from (Theorem 3),
+//     so stopping at the θ(u)-th is the same stopping rule.
+//
+// The fireTable is scoped to the graph generation (see lazyFireTable); the
+// visit counters are scoped to one recovery and reset through a
+// touched-list, so consecutive recoveries share nothing.
 type DelayEstimator struct {
-	dm  *DelayMat
-	rng *rng.Source
+	dm *DelayMat
+	// seed is the estimator's base seed; rng is the current recovery's
+	// stream, re-derived from it at the start of every recovery.
+	seed uint64
+	rng  *rng.Source
 	scanState
 
 	// Shard scope: when numShards > 1 the estimator recovers RR-Graphs for
@@ -170,11 +209,31 @@ type DelayEstimator struct {
 	identity      []int32
 	arena         arenaBuilder
 
+	// The firing schedule: the generation's table, one firing per vertex
+	// (16·|V| bytes; both set up by the first recovery, so an estimator
+	// that never recovers carries neither), and the vertices whose firing
+	// the current recovery initialized.
+	fire    *lazyFireTable
+	table   *fireTable
+	sched   []firing
+	touched []graph.VertexID
+
 	sc *genScratch
-	// Forward-cascade buffers, reused across recoverOne attempts (up to
-	// 8θ rejected cascades per recovery would otherwise each allocate).
+	// Forward-cascade buffers, reused across recoverOne calls.
 	live      []liveEdge
 	activated []graph.VertexID
+
+	// recoveryAttempts counts Algo 4 attempts charged to the budget,
+	// jumped empty cascades included; recoveryCascades the cascades
+	// actually simulated (attempts at which the root fired).
+	recoveryAttempts, recoveryCascades int64
+}
+
+// firing is one vertex's recovery-scoped schedule: how many cascades of
+// this recovery have visited it, and the visit at which any of its
+// out-edges next fires (0 = not visited yet in this recovery).
+type firing struct {
+	visits, next int64
 }
 
 // liveEdge is one live edge of a forward cascade during Algo 4 recovery.
@@ -184,20 +243,31 @@ type liveEdge struct {
 }
 
 // newDelayEstimatorShard creates a scan recovering RR-Graphs for one
-// shard of a hash partition (numShards <= 1 means the whole graph).
-func newDelayEstimatorShard(dm *DelayMat, r *rng.Source, shardID, numShards, poolSize int) *DelayEstimator {
+// shard of a hash partition (numShards <= 1 means the whole graph) on the
+// streams derived from seed, over the firing table fire builds for dm's
+// graph.
+func newDelayEstimatorShard(dm *DelayMat, seed uint64, fire *lazyFireTable, shardID, numShards, poolSize int) *DelayEstimator {
 	return &DelayEstimator{
 		dm:        dm,
-		rng:       r,
+		seed:      seed,
 		scanState: newScanState(dm.g),
 		shardID:   shardID,
 		numShards: numShards,
 		poolSize:  poolSize,
+		fire:      fire,
 		sc:        newGenScratch(dm.g.NumVertices()),
 	}
 }
 
 func (de *DelayEstimator) postings(u graph.VertexID) int { return int(de.dm.counts[u]) }
+
+// WorkStats adds what recovery cost to the scan counters.
+func (de *DelayEstimator) WorkStats() sampling.WorkStats {
+	ws := de.scanState.WorkStats()
+	ws.RecoveryAttempts = de.recoveryAttempts
+	ws.RecoveryCascades = de.recoveryCascades
+	return ws
+}
 
 // recovered returns u's recovered graphs, recovering them on the first
 // touch of a new query user.
@@ -230,20 +300,58 @@ func (de *DelayEstimator) scanFrontier(shard, users, totalUsers int, u graph.Ver
 // |R_g(u)|. Sampling the target uniformly from the activated set alone
 // would over-weight small cascades and bias the estimate upward, so each
 // forward cascade is accepted only with probability |V'|/|V| before a
-// target is drawn from V' — exactly the offline joint distribution.
+// target is drawn from V' — exactly the offline joint distribution. The
+// attempts at which the root fires nothing are cascades too (V' = {u});
+// they are jumped, not dropped (step 2 of the type comment), so the
+// accepted sequence is the one a cascade per attempt would produce.
 func (de *DelayEstimator) recover(u graph.VertexID) {
 	dm := de.dm
 	n := dm.counts[u]
 	de.arena.reset()
+	if de.table == nil {
+		de.table = de.fire.get(dm.g)
+		de.sched = make([]firing, dm.g.NumVertices())
+	}
+	r := rng.New(rng.Mix(de.seed, uint64(de.shardID), uint64(u)))
+	de.rng = r
+	// emptyGap is the number of empty cascades up to and including the
+	// next accepted one; a user outside the pool has none accepted.
+	acceptEmpty := 1 / float64(de.poolSize)
+	emptyGap := int64(rng.Never)
+	if ShardOf(u, de.numShards) == de.shardID {
+		emptyGap = r.Geometric(acceptEmpty)
+	}
+	root := de.firingOf(u)
 	// Safety valve against pathological acceptance rates; recovery beyond
 	// it degrades the sample count (and the guarantee) rather than hanging.
 	maxAttempts := 8*dm.theta + 1024
-	accepted := int64(0)
-	for attempts := int64(0); accepted < n && attempts < maxAttempts; attempts++ {
+	var attempts, accepted int64
+	for accepted < n && attempts < maxAttempts {
+		if empties := min(root.next-root.visits-1, maxAttempts-attempts); empties > 0 {
+			step := min(empties, emptyGap)
+			attempts += step
+			root.visits += step
+			if emptyGap -= step; emptyGap == 0 {
+				de.sc.members = append(de.sc.members[:0], u)
+				de.sc.edges = de.sc.edges[:0]
+				de.arena.add(u, de.sc)
+				accepted++
+				emptyGap = r.Geometric(acceptEmpty)
+			}
+			continue
+		}
+		attempts++
+		de.recoveryCascades++
 		if de.recoverOne(u) {
 			accepted++
 		}
 	}
+	de.recoveryAttempts += attempts
+	for _, v := range de.touched {
+		de.sched[v] = firing{}
+	}
+	de.touched = de.touched[:0]
+
 	de.cachedGraphs = de.arena.takeViews()
 	de.cachedUser = u
 	de.cachedValid = true
@@ -256,16 +364,30 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	}
 }
 
-// recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step;
-// it appends the recovered graph to the arena and reports whether the
-// cascade was accepted.
+// firingOf returns v's schedule, drawing its first firing visit when this
+// recovery touches v for the first time.
+func (de *DelayEstimator) firingOf(v graph.VertexID) *firing {
+	f := &de.sched[v]
+	if f.next == 0 {
+		f.next = de.rng.GeometricInvLog(de.table.invLogQ[v])
+		de.touched = append(de.touched, v)
+	}
+	return f
+}
+
+// recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step
+// for one attempt at which the root fires; it appends the recovered graph
+// to the arena and reports whether the cascade was accepted.
 func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
 	g := de.dm.g
 	r := de.rng
 	sc := de.sc
+	table := de.table
 
 	// Step 1: forward cascade from u under p(e); collect activated
-	// vertices V' and live edges E'.
+	// vertices V' and live edges E'. A visit short of the vertex's next
+	// firing activates nothing; a firing visit draws its fired subset from
+	// the prefix survival products (step 1 of the type comment).
 	live := de.live[:0]
 	activated := de.activated[:0]
 	sc.stack = sc.stack[:0]
@@ -275,19 +397,38 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
 	for len(sc.stack) > 0 {
 		v := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
+		f := de.firingOf(v)
+		if f.visits++; f.visits < f.next {
+			continue
+		}
+		f.next = rng.Never
+		if gap := r.GeometricInvLog(table.invLogQ[v]); gap < rng.Never-f.visits {
+			f.next = f.visits + gap
+		}
+		lo, hi := g.OutRange(v)
+		surv := table.surv[lo:hi]
 		edges := g.OutEdges(v)
 		nbrs := g.OutNeighbors(v)
-		for i, e := range edges {
-			p := g.EdgeMaxProb(e)
-			if p <= 0 || r.Float64() >= p {
-				continue
-			}
+		for i := firstFired(surv, r.Float64()); i < len(surv); {
 			t := nbrs[i]
-			live = append(live, liveEdge{from: v, to: t, id: e})
+			live = append(live, liveEdge{from: v, to: t, id: edges[i]})
 			if !sc.mark[t] {
 				sc.mark[t] = true
 				activated = append(activated, t)
 				sc.stack = append(sc.stack, t)
+			}
+			// Next fired edge. Once the prefix product is spent (an edge
+			// with p(e) = 1, or hundreds of near-certain ones) it no longer
+			// orders the edges after i — nor, being non-increasing, any
+			// later one: those get a coin each, this visit only.
+			if surv[i] >= survExhausted {
+				i = firstBelow(surv, i+1, (1-r.Float64())*surv[i])
+				continue
+			}
+			for i++; i < len(surv); i++ {
+				if p := g.EdgeMaxProb(edges[i]); p > 0 && r.Float64() < p {
+					break
+				}
 			}
 		}
 	}
@@ -316,38 +457,34 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
 	}
 	target := cands[r.Intn(len(cands))]
 
-	// Step 3: restrict to the part of G' that reaches target, then draw
+	// Step 3: restrict to the part of G' that reaches target — a fixpoint
+	// over the live edges, walked backwards because the cascade appended a
+	// vertex's out-edges after the edge that activated it — then draw
 	// fresh c(e) ~ U[0, p(e)) per surviving edge (Theorem 3's conditional
 	// distribution of offline draws given the edge was live).
-	reach := map[graph.VertexID]bool{target: true}
-	// Reverse adjacency of the live subgraph.
-	radj := map[graph.VertexID][]liveEdge{}
-	for _, le := range live {
-		radj[le.to] = append(radj[le.to], le)
-	}
-	queue := []graph.VertexID{target}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, le := range radj[v] {
-			if !reach[le.from] {
-				reach[le.from] = true
-				queue = append(queue, le.from)
+	sc.members = append(sc.members[:0], target)
+	sc.mark[target] = true
+	for grew := true; grew; {
+		grew = false
+		for i := len(live) - 1; i >= 0; i-- {
+			if le := live[i]; sc.mark[le.to] && !sc.mark[le.from] {
+				sc.mark[le.from] = true
+				sc.members = append(sc.members, le.from)
+				grew = true
 			}
 		}
 	}
-	sc.members = sc.members[:0]
-	for v := range reach {
-		sc.members = append(sc.members, v)
-	}
 	sc.edges = sc.edges[:0]
 	for _, le := range live {
-		if reach[le.from] && reach[le.to] {
+		if sc.mark[le.from] && sc.mark[le.to] {
 			sc.edges = append(sc.edges, rrEdge{
 				from: le.from, to: le.to, id: le.id,
 				c: r.UniformIn(g.EdgeMaxProb(le.id)),
 			})
 		}
+	}
+	for _, v := range sc.members {
+		sc.mark[v] = false
 	}
 	de.arena.add(target, sc)
 	return true

@@ -194,18 +194,16 @@ func NewShardedPrunedEstimator(si *ShardedIndex) *ShardedEstimator {
 }
 
 // NewShardedDelayEstimator creates the DelayMat (Algo 4) estimator over
-// sdm. At S=1 the single shard consumes r directly (the monolithic
-// paper behaviour); at S>1 each shard derives an independent stream from
-// r with Split, in shard order, so shard recoveries can run in parallel.
+// sdm. r is consumed at construction only: one base seed per shard, in
+// shard order. Every recovery then runs on rng.Mix(base, shard, user), so
+// estimators built from equal r recover identical graphs for a user
+// whatever else they recovered before, and shard recoveries can run in
+// parallel.
 func NewShardedDelayEstimator(sdm *ShardedDelayMat, r *rng.Source) *ShardedEstimator {
 	se := newShardedEstimator(sdm.g, sdm.numShards)
 	copy(se.users, sdm.poolSizes)
-	if sdm.numShards == 1 {
-		se.shards[0] = newDelayEstimatorShard(sdm.shards[0], r, 0, 1, sdm.poolSizes[0])
-		return se
-	}
 	for s, sh := range sdm.shards {
-		se.shards[s] = newDelayEstimatorShard(sh, r.Split(), s, sdm.numShards, sdm.poolSizes[s])
+		se.shards[s] = newDelayEstimatorShard(sh, r.Uint64(), &sdm.fire, s, sdm.numShards, sdm.poolSizes[s])
 	}
 	return se
 }

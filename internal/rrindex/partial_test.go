@@ -106,18 +106,14 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 		}
 		users := make([]int, S)
 		plain, pruned, delay := make([]scanPolicy, S), make([]scanPolicy, S), make([]scanPolicy, S)
-		// The fleet's DelayMat streams, derived as NewShardedDelayEstimator
-		// derives them: r itself at S=1, one Split per shard in order above.
+		// The fleet's DelayMat base seeds, derived as NewShardedDelayEstimator
+		// derives them: one draw per shard, in shard order.
 		r := rng.New(9)
 		for s := 0; s < S; s++ {
 			users[s] = poolSizeOf(si.pools[s], g.NumVertices())
 			plain[s] = NewEstimator(si.shards[s])
 			pruned[s] = NewPrunedEstimator(si.shards[s])
-			rs := r
-			if S > 1 {
-				rs = r.Split()
-			}
-			delay[s] = newDelayEstimatorShard(sdm.shards[s], rs, s, S, sdm.poolSizes[s])
+			delay[s] = newDelayEstimatorShard(sdm.shards[s], r.Uint64(), &sdm.fire, s, S, sdm.poolSizes[s])
 		}
 		for _, fam := range []struct {
 			name   string
@@ -129,8 +125,8 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 			{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), delay},
 		} {
 			var stops int64
-			// Both sides meet the users in the same order, so the DelayMat
-			// recoveries draw the same samples.
+			// Both sides hold equal base seeds, so the DelayMat recoveries
+			// draw the same samples for a user (in any order).
 			for u := 0; u < g.NumVertices(); u += 7 {
 				v := graph.VertexID(u)
 				want := fam.inproc.EstimateProber(v, prober)

@@ -37,6 +37,23 @@
 // RR-Graphs into Partial rows, and gather (partial.go) folds a sibling's
 // rows into Σ_s (hits_s/θ_s)·|V_s|. A shard server ships the same rows
 // and the coordinator folds them with the same function.
+//
+// # DelayMat recovery
+//
+// DelayMat stores θ(u) and recovers u's RR-Graphs on the first touch of a
+// query user (Algo 4): about θ forward cascades from u, accepted with
+// probability |V'|/|V|. The cascades are driven by the paper's own lazy
+// propagation (Sec. 5.1, Algo 2, Lemma 6) rather than a coin per edge:
+// a vertex is skipped until the visit at which one of its out-edges next
+// fires, and the attempts at which the query user fires nothing — most
+// of them — are jumped in bulk, the accepted ones located by geometric
+// gaps (delay.go gives the exactness argument). What that needs of the
+// graph, prefix survival products per out-edge and 1/ln q per vertex, is
+// one immutable fireTable per graph generation (firing.go; 8·|E| + 8·|V|
+// bytes, built by the first recovery, shared by every estimator of the
+// generation, dropped with it on hot-swap). A recovery runs on the stream
+// rng.Mix(seed, shard, user), so a recovered user is a pure function of
+// that triple: the same from every clone, in any order.
 package rrindex
 
 import (

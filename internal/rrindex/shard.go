@@ -405,6 +405,9 @@ type ShardedDelayMat struct {
 	poolSizes []int
 	theta     int64
 	repaired  []int64
+	// fire is the firing table of g that every DelayEstimator over this
+	// generation shares, built by the first recovery (see lazyFireTable).
+	fire lazyFireTable
 }
 
 // BuildShardedDelayMat runs the sharded offline counting phase; shards

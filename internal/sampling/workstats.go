@@ -27,6 +27,18 @@ type WorkStats struct {
 	// avoided; the skipped tail is replaced by the unbiased (h/n)·N
 	// extrapolation.
 	GraphsSkipped int64
+	// RecoveryAttempts is the number of Algo 4 attempts DelayMat recovery
+	// charged to its 8θ+1024 budget, the empty cascades it jumped in bulk
+	// included (DelayMat only). Against the RR-Graphs recovered it answers
+	// "what does the acceptance rule cost": about θ attempts per
+	// recovery whatever the user, since a cascade is accepted with
+	// probability |V'|/|V|.
+	RecoveryAttempts int64
+	// RecoveryCascades is the number of those attempts whose forward
+	// cascade was actually simulated — the ones at which the query user
+	// fired at least one out-edge (DelayMat only). It answers "what did
+	// recovery compute": attempts minus cascades were skipped at no cost.
+	RecoveryCascades int64
 }
 
 // Add accumulates other into s.
@@ -38,6 +50,8 @@ func (s *WorkStats) Add(other WorkStats) {
 	s.GraphsPruned += other.GraphsPruned
 	s.EarlyStops += other.EarlyStops
 	s.GraphsSkipped += other.GraphsSkipped
+	s.RecoveryAttempts += other.RecoveryAttempts
+	s.RecoveryCascades += other.RecoveryCascades
 }
 
 // Sub returns s minus other, the per-query delta between two lifetime
@@ -51,5 +65,7 @@ func (s WorkStats) Sub(other WorkStats) WorkStats {
 		GraphsPruned:     s.GraphsPruned - other.GraphsPruned,
 		EarlyStops:       s.EarlyStops - other.EarlyStops,
 		GraphsSkipped:    s.GraphsSkipped - other.GraphsSkipped,
+		RecoveryAttempts: s.RecoveryAttempts - other.RecoveryAttempts,
+		RecoveryCascades: s.RecoveryCascades - other.RecoveryCascades,
 	}
 }

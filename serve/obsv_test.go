@@ -179,6 +179,26 @@ func TestExplainInline(t *testing.T) {
 	if v, _ := ex["probes_evaluated"].(float64); v <= 0 {
 		t.Errorf("explain probes_evaluated = %v, want > 0", ex["probes_evaluated"])
 	}
+	// The recovery counters are DELAYMAT's: omitted here, present there.
+	if _, ok := ex["recovery_attempts"]; ok {
+		t.Errorf("recovery_attempts on an %v response: %v", ex["strategy"], ex)
+	}
+	dsrv, err := New(fig2Engine(t, pitex.StrategyDelay), pitex.ServeOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dsrv.Close()
+	dts := httptest.NewServer(dsrv.Handler())
+	defer dts.Close()
+	if st, doc = getDoc(t, dts.URL+"/selling-points?user=0&k=2&explain=1"); st != http.StatusOK {
+		t.Fatalf("status %d: %v", st, doc)
+	}
+	dex, _ := doc["explain"].(map[string]any)
+	attempts, _ := dex["recovery_attempts"].(float64)
+	cascades, _ := dex["recovery_cascades"].(float64)
+	if attempts <= 0 || cascades <= 0 || cascades > attempts {
+		t.Errorf("DELAYMAT explain reports %v cascades of %v attempts", dex["recovery_cascades"], dex["recovery_attempts"])
+	}
 	// Plain responses must not carry the diagnostics.
 	st, doc = getDoc(t, ts.URL+"/selling-points?user=0&k=2")
 	if st != http.StatusOK {
