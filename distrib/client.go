@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -105,7 +107,8 @@ func (o Options) withDefaults() Options {
 
 // endpoint is one shard-server address with failure bookkeeping.
 type endpoint struct {
-	url string
+	url  string
+	base *url.URL // url parsed once; every request URL is a copy with its path set
 
 	// gen is the endpoint's last-known applied generation, maintained by
 	// the update fan-out and the reconciler. An endpoint with gen behind
@@ -119,6 +122,20 @@ type endpoint struct {
 	jit         *rng.Source // backoff jitter stream; nil = no jitter
 	healFails   int
 	nextHeal    time.Time
+}
+
+// newEndpoint parses one shard-server address (URL or host:port) and
+// seeds its deterministic backoff jitter stream from (seed, URL).
+func newEndpoint(addr string, seed uint64) (*endpoint, error) {
+	ep := &endpoint{url: normalizeURL(addr)}
+	var err error
+	if ep.base, err = url.Parse(ep.url); err != nil {
+		return nil, err
+	}
+	h := fnv.New64a()
+	h.Write([]byte(ep.url))
+	ep.jit = rng.New(rng.Mix(seed, h.Sum64()))
+	return ep, nil
 }
 
 // jitterLocked scales d by a uniform factor in [1, 1.5) drawn from the
@@ -340,12 +357,10 @@ func Dial(ctx context.Context, groupAddrs [][]string, opts Options) (*Client, er
 		}
 		g := &group{}
 		for _, a := range addrs {
-			u := normalizeURL(a)
-			ep := &endpoint{url: u}
-			// Per-endpoint deterministic jitter stream keyed on (seed, URL).
-			h := fnv.New64a()
-			h.Write([]byte(u))
-			ep.jit = rng.New(rng.Mix(opts.JitterSeed, h.Sum64()))
+			ep, err := newEndpoint(a, opts.JitterSeed)
+			if err != nil {
+				return nil, fmt.Errorf("distrib: group %d: %w", gi, err)
+			}
 			g.endpoints = append(g.endpoints, ep)
 		}
 		info, err := c.awaitReady(ctx, g)
@@ -462,7 +477,7 @@ func (c *Client) awaitReady(ctx context.Context, g *group) (*InfoResponse, error
 func (c *Client) getInfo(ctx context.Context, ep *endpoint) (*InfoResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.ShardDeadline)
 	defer cancel()
-	body, err := c.roundTrip(ctx, http.MethodGet, ep.url+"/shard/info", nil)
+	body, err := c.roundTrip(ctx, ep, rpc{method: http.MethodGet, path: "/shard/info"})
 	if err != nil {
 		return nil, err
 	}
@@ -495,33 +510,36 @@ func responseStatus(err error) int {
 	return 0
 }
 
+// rpc is one shard-protocol call, as every attempt of a fan-out sends it.
+type rpc struct {
+	method, path, query string
+	body                []byte
+	ctype               string // of body; JSON when empty
+	deadlineMs          string // DeadlineHeader value, set once per scatter by fanOut
+}
+
 // roundTrip performs one HTTP exchange and returns the response body,
 // mapping non-2xx statuses to errors carrying the server's message.
-func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, ep *endpoint, call rpc) ([]byte, error) {
 	out := faultinject.Eval(ctx, faultinject.PointRoundTrip)
 	if out.Err != nil {
 		return nil, out.Err
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	u := *ep.base
+	u.Path, u.RawQuery = u.Path+call.path, call.query
+	req := new(http.Request).WithContext(ctx)
+	req.Method, req.URL, req.Header = call.method, &u, make(http.Header, 3)
+	if call.body != nil {
+		// What http.NewRequest derives from a *bytes.Reader body: the
+		// length, and GetBody so the transport may replay the request on a
+		// keep-alive connection the server closed under it.
+		req.ContentLength = int64(len(call.body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(call.body)), nil }
+		req.Body, _ = req.GetBody()
+		req.Header.Set("Content-Type", cmp.Or(call.ctype, "application/json"))
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Ship the remaining deadline budget: context deadlines do not cross
-	// HTTP, and the shard's admission control wants to shed requests
-	// whose caller will have hung up before a worker frees up.
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+	if call.deadlineMs != "" {
+		req.Header.Set(DeadlineHeader, call.deadlineMs)
 	}
 	// Propagate the trace across the wire so a shard's spans join the
 	// coordinator's trace ID.
@@ -542,7 +560,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte)
 		if len(msg) > 200 {
 			msg = msg[:200]
 		}
-		return nil, &statusError{method: method, url: url, code: resp.StatusCode, msg: msg}
+		return nil, &statusError{method: call.method, url: ep.url + call.path, code: resp.StatusCode, msg: msg}
 	}
 	if out.Corrupt {
 		data = faultinject.CorruptBytes(data)
@@ -572,10 +590,9 @@ func readBody(resp *http.Response) ([]byte, error) {
 // first candidate is tried immediately, the next one after the adaptive
 // hedge delay (straggler) or instantly on a hard error (dead replica),
 // and so on down the candidate list; the first success wins. The whole
-// sequence shares one ShardDeadline.
-func (c *Client) fetchGroup(ctx context.Context, g *group, method, path string, body []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.ShardDeadline)
-	defer cancel()
+// sequence runs under fanOut's one ShardDeadline, which also ends the
+// attempts that lost.
+func (c *Client) fetchGroup(ctx context.Context, g *group, call rpc) ([]byte, error) {
 	cands := g.candidates(time.Now(), c.generation.Load())
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("distrib: group has no endpoints")
@@ -591,12 +608,12 @@ func (c *Client) fetchGroup(ctx context.Context, g *group, method, path string, 
 		go func() {
 			sp, sctx := obsv.StartSpan(ctx, "shard-rpc")
 			sp.SetAttr("endpoint", ep.url)
-			sp.SetAttr("path", path)
+			sp.SetAttr("path", call.path)
 			if hedged {
 				sp.SetAttr("hedge", true)
 			}
 			t0 := time.Now()
-			data, err := c.roundTrip(sctx, method, ep.url+path, body)
+			data, err := c.roundTrip(sctx, ep, call)
 			if err != nil {
 				sp.SetAttr("error", err.Error())
 			}
@@ -691,11 +708,18 @@ type groupResult struct {
 
 // fanOut runs one hedged, failing-over fetch per group concurrently —
 // group 0's on the calling goroutine — and returns the raw results in
-// group order.
-func (c *Client) fanOut(ctx context.Context, method, path string, body []byte) []groupResult {
+// group order. All of it shares one ShardDeadline, and every attempt
+// ships the budget read off it here (context deadlines do not cross HTTP;
+// a shard sheds requests whose caller will have hung up before a worker
+// frees up).
+func (c *Client) fanOut(ctx context.Context, call rpc) []groupResult {
+	ctx, cancel := context.WithTimeout(ctx, c.opts.ShardDeadline)
+	defer cancel()
+	dl, _ := ctx.Deadline()
+	call.deadlineMs = strconv.FormatInt(max(time.Until(dl).Milliseconds(), 1), 10)
 	results := make([]groupResult, len(c.groups))
 	fetch := func(i int) {
-		results[i].data, results[i].err = c.fetchGroup(ctx, c.groups[i], method, path, body)
+		results[i].data, results[i].err = c.fetchGroup(ctx, c.groups[i], call)
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < len(c.groups); i++ {
@@ -729,21 +753,30 @@ type scattered struct {
 // at all answered.
 func (c *Client) scatterEstimate(ctx context.Context, req EstimateRequest) (scattered, error) {
 	req.Generation = c.generation.Load()
+	width := len(req.Frontier)
+	call := rpc{method: http.MethodPost, path: "/shard/estimate"}
+	var err error
 	psp, _ := obsv.StartSpan(ctx, "probe-marshal")
-	body, err := json.Marshal(req)
+	if width > 0 {
+		// A fresh body per scatter, never a pooled one: hedge and failover
+		// attempts outlive this call and may still be writing it.
+		call.body, err = EncodeFrontierRequest(req)
+		call.ctype = FrontierContentType
+	} else {
+		call.body, err = json.Marshal(req)
+	}
 	psp.End()
 	if err != nil {
 		return scattered{}, err
 	}
-	width := len(req.Frontier)
 	c.scatters.Inc()
 	c.siblings.Add(int64(width))
-	ssp, ctx := obsv.StartSpan(ctx, "scatter")
+	ssp, sctx := obsv.StartSpan(ctx, "scatter")
 	ssp.SetAttr("groups", len(c.groups))
 	if width > 0 {
 		ssp.SetAttr("siblings", width)
 	}
-	results := c.fanOut(ctx, http.MethodPost, "/shard/estimate", body)
+	results := c.fanOut(sctx, call)
 	ssp.End()
 
 	out := scattered{}
@@ -751,7 +784,11 @@ func (c *Client) scatterEstimate(ctx context.Context, req EstimateRequest) (scat
 	var firstErr error
 	for i, r := range results {
 		var resp EstimateResponse
-		if r.err == nil {
+		switch {
+		case r.err != nil:
+		case width > 0:
+			resp, r.err = DecodeFrontierResponse(r.data)
+		default:
 			r.err = json.Unmarshal(r.data, &resp)
 		}
 		if r.err == nil {
@@ -867,8 +904,8 @@ func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posterior
 // DelayMat counters under DELAYEST) and returns the summed count plus the
 // shards that did not respond.
 func (c *Client) Counters(ctx context.Context, user int) (int64, []int, error) {
-	path := fmt.Sprintf("/shard/counters?user=%d&generation=%d", user, c.generation.Load())
-	results := c.fanOut(ctx, http.MethodGet, path, nil)
+	results := c.fanOut(ctx, rpc{method: http.MethodGet, path: "/shard/counters",
+		query: fmt.Sprintf("user=%d&generation=%d", user, c.generation.Load())})
 	var total int64
 	var missing []int
 	var firstErr error
@@ -941,7 +978,7 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 				out[i].Error = fo.Err.Error()
 				return
 			}
-			data, err := c.roundTrip(ectx, http.MethodPost, ep.url+"/shard/update", body)
+			data, err := c.roundTrip(ectx, ep, rpc{method: http.MethodPost, path: "/shard/update", body: body})
 			if err != nil {
 				ep.fail(time.Now(), c.opts.FailureCooldown)
 				if responseStatus(err) == http.StatusConflict {

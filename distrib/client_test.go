@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -401,16 +402,22 @@ func frontierShard(t *testing.T, shards []ShardInfo, totalShards, totalUsers int
 		})
 	})
 	mux.HandleFunc("/shard/estimate", func(w http.ResponseWriter, r *http.Request) {
-		var req EstimateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Validate(2) != nil || len(req.Frontier) == 0 {
-			http.Error(w, "want a frontier request", http.StatusBadRequest)
+		body, _ := io.ReadAll(r.Body)
+		req, err := DecodeFrontierRequest(body)
+		if r.Header.Get("Content-Type") != FrontierContentType || err != nil || req.Validate(2) != nil || req.Width() == 0 {
+			http.Error(w, "want a frontier frame", http.StatusBadRequest)
 			return
 		}
 		var resp EstimateResponse
 		for _, s := range shards {
-			resp.Frontier = append(resp.Frontier, rowFor(s.Shard, len(req.Frontier)))
+			resp.Frontier = append(resp.Frontier, rowFor(s.Shard, req.Width()))
 		}
-		json.NewEncoder(w).Encode(resp)
+		frame, err := EncodeFrontierResponse(resp)
+		if err != nil {
+			t.Errorf("EncodeFrontierResponse: %v", err)
+		}
+		w.Header().Set("Content-Type", FrontierContentType)
+		w.Write(frame)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

@@ -14,44 +14,71 @@
 //
 // Wire contract of POST /shard/estimate. A request (EstimateRequest) is
 // stamped with the serving generation and takes exactly one of two
-// forms; a server answers in the form it was asked in, 400 when a
-// request carries both or neither.
+// forms, told apart by Content-Type; a server answers in the form it was
+// asked in, 400 when a request is neither.
 //
-//   - Per candidate: "probe" holds one serialized edge prober
-//     (pitex.RemoteProbe — a per-topic weight row evaluated by Eq. 1, or
-//     a prepared min(max, sum) Lemma 8 prober). The response's
-//     "partials" has one rrindex.Partial per owned shard, folded by
-//     rrindex.GatherPartials. RemoteEstimators without the batched
-//     capability use this form, one weight row per scatter; a
-//     coordinator engine no longer sends the Lemma 8 prober shape.
-//   - Frontier: "frontier" holds one per-topic weight row per sibling
-//     of one best-first expansion — a posterior (a full-size sibling's
-//     p(z|W)) or a Lemma 8 weight vector (a partial sibling's completion
-//     bound; both are evaluated by Eq. 1, so the server cannot and need
-//     not tell them apart). Every row is exactly one float per topic,
-//     ragged or mis-sized rows are a 400. The server decides all
-//     siblings in ONE masked pass over the user's postings
-//     (rrindex.PartialFrontier) and answers "frontier": one row per
+//   - Per candidate, application/json: "probe" holds one serialized edge
+//     prober (pitex.RemoteProbe — a per-topic weight row evaluated by
+//     Eq. 1, or a prepared min(max, sum) Lemma 8 prober); any other key,
+//     "frontier" included, is a 400. The response's "partials" has one
+//     rrindex.Partial per owned shard, folded by rrindex.GatherPartials.
+//     RemoteEstimators without the batched capability use this form, one
+//     weight row per scatter; a coordinator engine never sends the
+//     Lemma 8 prober shape.
+//   - Frontier, application/x-pitex-frontier: one per-topic weight row
+//     per sibling of one best-first expansion — a posterior (a full-size
+//     sibling's p(z|W)) or a Lemma 8 weight vector (a partial sibling's
+//     completion bound; both are evaluated by Eq. 1, so the server cannot
+//     and need not tell them apart) — as a binary frame. The server
+//     decides all siblings in ONE masked pass over the user's postings
+//     (rrindex.PartialFrontier) and answers with a frame of one row per
 //     owned shard, row[i] being that shard's partial for sibling i.
-//     Rows are positional, never keyed: the client checks that a group
-//     sent exactly its shards' rows at exactly the asked width (anything
-//     else counts the group missing) and folds with
-//     rrindex.GatherFrontierPartials, or sibling by sibling with
-//     rrindex.GatherPartialsDegraded when groups are missing — each
-//     sibling's estimate is what its own per-candidate scatter would
-//     have returned. No stop rule crosses the wire: shards always scan
-//     exhaustively, so a coordinator's answers equal the in-process
-//     DisableEarlyStop engine's in either form.
 //
-// Both forms share one path end to end: the same generation stamp and
-// 409, deadline header and admission control, panic recovery, trace
-// join, fault-injection points, hedging and failover. There is no
-// version negotiation: a shard server that predates the frontier form
-// rejects it (400, "probe needs exactly one of …"), so upgrade shard
-// servers before the coordinator.
+// The frame (frame.go is the only code that knows it; little-endian, no
+// padding, CRC-32C Castagnoli over every byte before it):
 //
-// Robustness: every group fetch runs under a per-shard deadline; after
-// an adaptive hedge delay (a latency-window quantile, clamped to the
+//	request frame                  response frame
+//	 0  "PFQ" 0x01                  0  "PFR" 0x01
+//	 4  user           i64          4  generation     u64
+//	12  generation     u64         12  rows           u32 (owned shards)
+//	20  rows           u32         16  width          u32 (siblings)
+//	24  topics         u32         20  rows×width     partial records
+//	28  rows×topics    f64 weights  …  crc            u32
+//	 …  crc            u32
+//
+//	partial record, 57 bytes: shard, hits, samples, contained, theta and
+//	users as i64 at 0, 8, … 40; est_hits f64 at 48; stopped u8 (0|1) at 56
+//
+// Both decoders reject a foreign magic or version byte, declared counts
+// whose product is not exactly the payload's cell count (zero counts
+// included; compared as counts, so nothing overflows, and before
+// anything is sized from them), a checksum mismatch, and NaN or ±Inf
+// anywhere; the server adds topics ≠ the served topic count, the body
+// cap and a missing Content-Length (all 400), the client a group that
+// did not send exactly its shards' rows at exactly the asked width —
+// rows are positional, never keyed — and counts such a group missing.
+// Complete rows fold through rrindex.GatherFrontierPartials, incomplete
+// ones sibling by sibling through rrindex.GatherPartialsDegraded: each
+// sibling's estimate is what its own per-candidate scatter would have
+// returned. No stop rule crosses the wire: shards always scan
+// exhaustively, so a coordinator's answers equal the in-process
+// DisableEarlyStop engine's in either form.
+//
+// JSON remains where it costs nothing that matters: the control plane
+// (info, counters, update, resync) runs per update or per probe, not 24
+// times a query, its bodies are journalled and replayed as opaque bytes,
+// and an operator can read and curl it; the per-candidate form is what
+// RemoteEstimator decorators that hide the frontier capability still
+// drive. Both estimate forms share one path end to end: the same
+// generation stamp and 409, deadline header and admission control, panic
+// recovery, trace join, fault-injection points, hedging and failover.
+// There is no version negotiation: a shard server that predates the
+// frame reads it as malformed JSON (400), so upgrade shard servers before
+// the coordinator.
+//
+// Robustness: every scatter runs under one Options.ShardDeadline, whose
+// budget each attempt ships to its shard (DeadlineHeader); after an
+// adaptive hedge delay (a latency-window quantile, clamped to the
 // deadline) the fetch is hedged to the next replica, and a hard error
 // fails over immediately. Endpoints accumulate consecutive-failure
 // cooldowns so a dead replica stops being tried first. When a whole

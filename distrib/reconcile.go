@@ -92,7 +92,7 @@ func (c *Client) replayJournal(ctx context.Context, ep *endpoint, from, to uint6
 			return fmt.Errorf("journal no longer covers generation %d", gen)
 		}
 		rctx, cancel := context.WithTimeout(ctx, c.opts.UpdateDeadline)
-		data, err := c.roundTrip(rctx, http.MethodPost, ep.url+"/shard/update", body)
+		data, err := c.roundTrip(rctx, ep, rpc{method: http.MethodPost, path: "/shard/update", body: body})
 		cancel()
 		if err != nil {
 			return fmt.Errorf("replay of generation %d: %w", gen, err)
@@ -126,12 +126,12 @@ func (c *Client) resyncFrom(ctx context.Context, g *group, ep *endpoint, head ui
 	}
 	rctx, cancel := context.WithTimeout(ctx, c.opts.UpdateDeadline)
 	defer cancel()
-	snap, err := c.roundTrip(rctx, http.MethodGet, src.url+"/shard/resync", nil)
+	snap, err := c.roundTrip(rctx, src, rpc{method: http.MethodGet, path: "/shard/resync"})
 	if err != nil {
 		src.fail(time.Now(), c.opts.FailureCooldown)
 		return fmt.Errorf("snapshot from %s: %w", src.url, err)
 	}
-	data, err := c.roundTrip(rctx, http.MethodPost, ep.url+"/shard/resync", snap)
+	data, err := c.roundTrip(rctx, ep, rpc{method: http.MethodPost, path: "/shard/resync", body: snap})
 	if err != nil {
 		return fmt.Errorf("install on %s: %w", ep.url, err)
 	}

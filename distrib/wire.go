@@ -8,38 +8,46 @@ import (
 	"pitex/internal/rrindex"
 )
 
-// Wire types of the shard-server protocol (HTTP/JSON). Floats survive the
-// round-trip exactly — encoding/json emits the shortest representation
-// that parses back to the same float64 — so shipping posteriors and
-// gather partials as JSON loses no precision.
+// Wire types of the shard-server protocol. The control plane and the
+// per-candidate estimate form are JSON — floats survive that round-trip
+// exactly, encoding/json emits the shortest representation that parses
+// back to the same float64 — and the frontier estimate form is the
+// binary frame of frame.go, which carries the bits themselves.
 
 // EstimateRequest asks a shard server for its shards' partial hits, in
 // one of two forms. The per-candidate form carries one serialized prober
-// in Probe. The frontier form carries one per-topic weight row per
-// sibling in Frontier — a candidate's Eq. 1 posterior or a partial set's
-// Lemma 8 weight vector, every row exactly one float per topic — and is
-// answered for all siblings in one pass (EstimateResponse.Frontier); it
-// has no stop rule, shards always scan exhaustively. Exactly one form
-// may be present. Generation pins the index generation the coordinator
-// is serving; a server that matches neither its current nor its previous
-// generation answers 409 (the client counts its shards missing rather
-// than mixing generations).
+// in Probe, as JSON. The frontier form carries one per-topic weight row
+// per sibling in Frontier — a candidate's Eq. 1 posterior or a partial
+// set's Lemma 8 weight vector, every row exactly one float per topic —
+// crosses only as a frame (EncodeFrontierRequest; JSON ignores the
+// field), and is answered for all siblings in one pass
+// (EstimateResponse.Frontier); it has no stop rule, shards always scan
+// exhaustively. Exactly one form may be present. Generation pins the
+// index generation the coordinator is serving; a server that matches
+// neither its current nor its previous generation answers 409 (the
+// client counts its shards missing rather than mixing generations).
 type EstimateRequest struct {
 	User       int               `json:"user"`
 	Generation uint64            `json:"generation"`
 	Probe      pitex.RemoteProbe `json:"probe,omitzero"`
-	Frontier   [][]float64       `json:"frontier,omitempty"`
+	Frontier   [][]float64       `json:"-"`
+	// framed holds the rows of a request DecodeFrontierRequest returned,
+	// in place of Frontier, until FrontierRows decodes them.
+	framed framedRows
 }
 
 // Validate checks the request's form against the served topic count:
 // exactly one of Probe and Frontier, a well-formed probe, and frontier
 // rows of exactly numTopics values each.
 func (r EstimateRequest) Validate(numTopics int) error {
-	if len(r.Frontier) == 0 {
+	if r.Width() == 0 {
 		return r.Probe.Validate()
 	}
 	if len(r.Probe.Posterior)+len(r.Probe.BoundSupported)+len(r.Probe.BoundWeights) > 0 {
 		return fmt.Errorf("distrib: estimate request carries both a probe and a frontier")
+	}
+	if r.framed.rows > 0 && r.framed.topics != numTopics {
+		return fmt.Errorf("distrib: frontier frame has %d values a row, want one per topic (%d)", r.framed.topics, numTopics)
 	}
 	for i, row := range r.Frontier {
 		if len(row) != numTopics {
@@ -49,14 +57,15 @@ func (r EstimateRequest) Validate(numTopics int) error {
 	return nil
 }
 
-// EstimateResponse answers in the request's form: Partials carries one
-// partial per shard the server owns; Frontier carries one row per owned
-// shard, positional in the request's sibling order (Frontier[j][i] is the
-// j-th owned shard's partial for sibling i).
+// EstimateResponse answers in the request's form: Partials (JSON)
+// carries one partial per shard the server owns; Frontier (a frame,
+// EncodeFrontierResponse) carries one row per owned shard, positional in
+// the request's sibling order (Frontier[j][i] is the j-th owned shard's
+// partial for sibling i).
 type EstimateResponse struct {
 	Generation uint64              `json:"generation"`
 	Partials   []rrindex.Partial   `json:"partials,omitempty"`
-	Frontier   [][]rrindex.Partial `json:"frontier,omitempty"`
+	Frontier   [][]rrindex.Partial `json:"-"`
 }
 
 // check validates a response against what was asked of the group. The

@@ -169,7 +169,8 @@
 // When one machine can't hold or rebuild the index, the sharded layout
 // runs as a fleet: cmd/pitexshard servers each build and own a slice of
 // the IndexShards-way partition and answer per-shard probe work over
-// HTTP/JSON, returning raw partials (hits, θ_s, |V_s|) rather than
+// HTTP (a JSON control plane beside a binary frame for frontier
+// batches), returning raw partials (hits, θ_s, |V_s|) rather than
 // estimates; a coordinator — NewRemoteEngine plus serve.NewCoordinator,
 // or cmd/pitexserve -shards — runs the same best-first exploration as
 // the monolith but scatters the estimations to the fleet (via the
@@ -185,8 +186,8 @@
 // always scan exhaustively — the answers equal the DisableEarlyStop
 // engine's either way).
 //
-// Robustness: scatters carry per-shard deadlines with context
-// propagation; replicas within a shard group are hedged after the
+// Robustness: every scatter runs under one shard deadline, shipped to
+// the shards as a budget; replicas within a shard group are hedged after the
 // group's observed latency quantile, with immediate failover on hard
 // errors and exponential endpoint cooldowns. When a whole group is
 // unreachable the gather re-normalizes over the responding |V_s| and

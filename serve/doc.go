@@ -39,6 +39,15 @@
 //	/metrics (Prometheus text format)
 //	/tracez (JSON ring of recent traces)
 //
+// A ShardServer (cmd/pitexshard) serves the fleet protocol instead, whose
+// wire contract is package distrib's:
+//
+//	/shard/estimate (POST; a JSON probe, or a binary frontier frame when
+//	   Content-Type is application/x-pitex-frontier, answered in kind)
+//	/shard/info, /shard/counters?user=N (GET, JSON)
+//	/shard/update (POST, JSON), /shard/resync (GET and POST, JSON)
+//	/healthz, /readyz, /statsz, /metrics, /tracez
+//
 // # Observability
 //
 // The metrics plane is unified in Metrics: the latency histograms plus an
@@ -48,9 +57,9 @@
 // counters), all rendered together on /metrics in Prometheus text format.
 //
 // Every query runs under a lightweight trace (package obsv): the handler
-// opens cache → admission → query spans, a coordinator adds
-// probe-marshal, scatter, per-endpoint shard-rpc and gather spans, and
-// the trace ID propagates to shard servers over the X-Pitex-Trace header
+// opens cache → admission → query spans, a coordinator adds, per
+// estimation, sibling probe-marshal, scatter (parent of the per-endpoint
+// shard-rpc spans) and gather spans, and the trace ID propagates to shard servers over the X-Pitex-Trace header
 // so the same ID shows up in their /tracez rings. The last traces are
 // kept in a ring on /tracez; ?trace=1 inlines the finished span tree
 // into the response, and ?explain=1 attaches the engine's per-query cost

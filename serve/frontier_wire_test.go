@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,10 @@ import (
 
 	"pitex"
 	"pitex/distrib"
+	"pitex/internal/graph"
+	"pitex/internal/rng"
+	"pitex/internal/rrindex"
+	"pitex/internal/sampling"
 )
 
 // genNetModel generates a small network under a tags-tag model. With 80
@@ -283,14 +288,21 @@ func TestFrontierWireDegradedMatchesPerCandidate(t *testing.T) {
 	}
 }
 
-// postEstimate posts one /shard/estimate request and decodes the answer.
+// postEstimate posts one /shard/estimate request in the form its fields
+// select — a frontier crosses as a frame, a probe as JSON — and decodes
+// the answer from the same form.
 func postEstimate(t testing.TB, url string, req distrib.EstimateRequest) (int, distrib.EstimateResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
+	ctype := "application/json"
+	if len(req.Frontier) > 0 {
+		body, err = distrib.EncodeFrontierRequest(req)
+		ctype = distrib.FrontierContentType
 	}
-	resp, err := http.Post(url+"/shard/estimate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	resp, err := http.Post(url+"/shard/estimate", ctype, bytes.NewReader(body))
 	if err != nil {
 		t.Errorf("POST /shard/estimate: %v", err)
 		return 0, distrib.EstimateResponse{}
@@ -298,7 +310,16 @@ func postEstimate(t testing.TB, url string, req distrib.EstimateRequest) (int, d
 	defer resp.Body.Close()
 	var out distrib.EstimateResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if got := resp.Header.Get("Content-Type"); got != ctype {
+			t.Errorf("estimate answered a %s request as %s", ctype, got)
+		}
+		if len(req.Frontier) > 0 && err == nil {
+			out, err = distrib.DecodeFrontierResponse(data)
+		} else if err == nil {
+			err = json.Unmarshal(data, &out)
+		}
+		if err != nil {
 			t.Errorf("decode estimate response: %v", err)
 		}
 	}
@@ -404,7 +425,7 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 	if len(gen0.pool.idle) != 1 {
 		t.Fatalf("generation 0 pool holds %d sets after sequential requests, want 1", len(gen0.pool.idle))
 	}
-	warm := gen0.pool.idle[0][0]
+	warm := gen0.pool.idle[0].ests[0]
 
 	var batch pitex.UpdateBatch
 	batch.InsertEdge(3, net.NumUsers(), pitex.TopicProb{Topic: 0, Prob: 0.9})
@@ -433,7 +454,7 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 			t.Fatalf("form %d after swap: status %d, answer %+v, want %+v", f, status, resp, before[f])
 		}
 	}
-	if len(gen0.pool.idle) != 1 || gen0.pool.idle[0][0] != warm {
+	if len(gen0.pool.idle) != 1 || gen0.pool.idle[0].ests[0] != warm {
 		t.Fatal("previous-generation request did not reuse that generation's warm estimator set")
 	}
 	if len(gen1.pool.idle) != 0 {
@@ -484,6 +505,17 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 		{User: 0, Probe: pitex.RemoteProbe{Posterior: uniform}},
 		{User: 0, Frontier: frontier},
 	}
+	// The same frontier as a shard decodes it off the wire: its rows land
+	// in the borrowed set's scratch, not in fresh memory.
+	frame, err := distrib.EncodeFrontierRequest(forms[1])
+	if err != nil {
+		t.Fatalf("EncodeFrontierRequest: %v", err)
+	}
+	framed, err := distrib.DecodeFrontierRequest(frame)
+	if err != nil {
+		t.Fatalf("DecodeFrontierRequest: %v", err)
+	}
+	forms = append(forms, framed)
 	for f, req := range forms {
 		prober, _ := req.Probe.Prober(net.Graph()) // nil for the frontier form
 		run := func() {
@@ -508,5 +540,75 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 	}
 	if n := len(st.pool.idle); n != 1 {
 		t.Fatalf("sequential requests left %d estimator sets, want 1", n)
+	}
+}
+
+// TestFrameRoundTripMatchesLocalPartialFrontier is the frame's
+// differential test: weight rows framed, posted to a real ShardServer,
+// scanned and framed back are, field for field, the rows a local
+// rrindex.PartialFrontier over an independently built copy of each shard
+// returns — for both index families, one shard and three, at widths on
+// both sides of the 64-lane chunk — and the path never stops early, so
+// Stopped and EstHits cross as zeros.
+func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
+	net, model := genNetModel(t, 10)
+	src := rng.New(11)
+	for _, strat := range []pitex.Strategy{pitex.StrategyIndex, pitex.StrategyIndexPruned} {
+		for _, S := range []int{1, 3} {
+			opts := wireOptions(strat, S)
+			ss, err := NewShardServer(net, model, opts, ShardConfig{TotalShards: S})
+			if err != nil {
+				t.Fatalf("NewShardServer: %v", err)
+			}
+			if err := ss.WaitReady(context.Background()); err != nil {
+				t.Fatalf("WaitReady: %v", err)
+			}
+			ts := httptest.NewServer(ss.Handler())
+			bo, err := pitex.IndexBuildOptions(model, opts)
+			if err != nil {
+				t.Fatalf("IndexBuildOptions: %v", err)
+			}
+			local := make([]shardEstimator, S)
+			users := make([]int, S)
+			for s := range local {
+				idx, n, err := rrindex.BuildShard(net.Graph(), bo, S, s)
+				if err != nil {
+					t.Fatalf("BuildShard(%d/%d): %v", s, S, err)
+				}
+				users[s] = n
+				if local[s] = rrindex.NewEstimator(idx); strat == pitex.StrategyIndexPruned {
+					local[s] = rrindex.NewPrunedEstimator(idx)
+				}
+			}
+			for _, width := range []int{1, 3, 70} {
+				frontier := make([][]float64, width)
+				for i := range frontier {
+					frontier[i] = make([]float64, model.NumTopics())
+					for z := range frontier[i] {
+						frontier[i][z] = src.Float64() * src.Float64()
+					}
+				}
+				for u := 0; u < net.NumUsers(); u += 7 {
+					status, got := postEstimate(t, ts.URL, distrib.EstimateRequest{User: u, Frontier: frontier})
+					if status != http.StatusOK || len(got.Frontier) != S {
+						t.Fatalf("%v S=%d width %d user %d: status %d, %d shard rows", strat, S, width, u, status, len(got.Frontier))
+					}
+					for s, row := range got.Frontier {
+						want := local[s].PartialFrontier(s, users[s], net.NumUsers(), graph.VertexID(u), frontier, sampling.StopRule{})
+						if !reflect.DeepEqual(row, want) {
+							t.Fatalf("%v S=%d width %d user %d shard %d: framed rows diverge from the local scan:\n got  %+v\n want %+v",
+								strat, S, width, u, s, row, want)
+						}
+						for _, p := range row {
+							if p.Stopped || p.EstHits != 0 {
+								t.Fatalf("%v S=%d user %d shard %d: a stop outcome crossed the wire: %+v", strat, S, u, s, p)
+							}
+						}
+					}
+				}
+			}
+			ts.Close()
+			ss.Close()
+		}
 	}
 }

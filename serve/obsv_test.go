@@ -249,6 +249,28 @@ func TestTracePropagatesToShards(t *testing.T) {
 	if rpcSpans < S {
 		t.Fatalf("trace has %d shard-rpc spans, want >= %d (%+v)", rpcSpans, S, td.Spans)
 	}
+	// The three steps of one estimation are siblings under the caller's
+	// span: a gather opened from the scatter span's context would hang
+	// under a parent that ended before it began.
+	steps := map[string]map[string]int{} // parent span id -> step name -> count
+	scatterIDs := map[string]bool{}
+	for _, sp := range td.Spans {
+		switch sp.Name {
+		case "scatter":
+			scatterIDs[sp.SpanID] = true
+			fallthrough
+		case "probe-marshal", "gather":
+			if steps[sp.ParentID] == nil {
+				steps[sp.ParentID] = map[string]int{}
+			}
+			steps[sp.ParentID][sp.Name]++
+		}
+	}
+	for parent, n := range steps {
+		if scatterIDs[parent] || n["scatter"] == 0 || n["gather"] != n["scatter"] || n["probe-marshal"] != n["scatter"] {
+			t.Fatalf("under span %q: %v — want probe-marshal, scatter and gather as siblings, one each per estimation", parent, n)
+		}
+	}
 	// Sibling groups cross as frontier scatters: the span says how many
 	// siblings it carried, and EXPLAIN shows every estimation of the query
 	// — full sets and partial-set bounds alike, both are frontier rows —

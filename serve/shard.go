@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -96,8 +97,15 @@ type shardEstimator interface {
 	PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []rrindex.Partial
 }
 
-// estimatorPool keeps one generation's idle estimator sets — a set is one
-// estimator per owned shard, parallel to ShardConfig.Owned. Estimators
+// estimatorSet is one request's scratch: one estimator per owned shard,
+// parallel to ShardConfig.Owned, and the buffer a framed request's weight
+// rows decode into.
+type estimatorSet struct {
+	ests []shardEstimator
+	rows distrib.FrontierScratch
+}
+
+// estimatorPool keeps one generation's idle estimator sets. Estimators
 // are scratch state (probe caches sized by the edge count, a user's cut
 // lists) that is expensive to build and not safe to share, so a request
 // borrows a whole set for its estimation step and returns it: the caches
@@ -106,13 +114,13 @@ type shardEstimator interface {
 // admission gate), and all of them die with the generation's state.
 type estimatorPool struct {
 	mu   sync.Mutex
-	idle [][]shardEstimator
+	idle []*estimatorSet
 }
 
 // get borrows an idle set, most recently returned first so consecutive
 // RPCs of one query find their user's cut lists warm; nil when none is
 // idle and the caller must build one.
-func (p *estimatorPool) get() []shardEstimator {
+func (p *estimatorPool) get() *estimatorSet {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.idle)
@@ -124,7 +132,7 @@ func (p *estimatorPool) get() []shardEstimator {
 	return set
 }
 
-func (p *estimatorPool) put(set []shardEstimator) {
+func (p *estimatorPool) put(set *estimatorSet) {
 	p.mu.Lock()
 	p.idle = append(p.idle, set)
 	p.mu.Unlock()
@@ -336,8 +344,8 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 
 // Handler returns the shard-server HTTP surface:
 //
-//	POST /shard/estimate  — partial hits for one serialized prober, or
-//	                        for every sibling posterior of a frontier
+//	POST /shard/estimate  — partial hits for one serialized prober (JSON),
+//	                        or for every weight row of a frontier (frame)
 //	GET  /shard/info      — layout metadata + readiness
 //	GET  /shard/counters  — per-shard counter rows for one user
 //	POST /shard/update    — generation-keyed incremental repair
@@ -394,9 +402,9 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tid, _, _ := obsv.ParseTraceHeader(r.Header.Get(obsv.TraceHeader))
 	str := ss.tracer.Join(tid, "shard-estimate")
 	defer str.Finish()
-	var req distrib.EstimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody))
-	if err := dec.Decode(&req); err != nil {
+	framed := r.Header.Get("Content-Type") == distrib.FrontierContentType
+	req, err := decodeEstimate(w, r, framed)
+	if err != nil {
 		httpError(w, fmt.Errorf("bad estimate body: %w", err))
 		return
 	}
@@ -414,7 +422,7 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var prober sampling.EdgeProber
-	if len(req.Frontier) == 0 {
+	if req.Width() == 0 {
 		if prober, err = req.Probe.Prober(st.net.Graph()); err != nil {
 			httpError(w, err)
 			return
@@ -451,14 +459,34 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	psp.SetAttr("user", req.User)
 	psp.SetAttr("generation", st.generation)
 	psp.SetAttr("owned", len(ss.cfg.Owned))
-	psp.SetAttr("width", max(len(req.Frontier), 1))
+	psp.SetAttr("width", max(req.Width(), 1))
 	defer psp.End()
 	resp, err := ss.estimate(st, &req, prober)
 	if err != nil {
 		writeShardError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeShardJSON(w, resp, fault.Corrupt)
+	writeEstimate(w, resp, framed, fault.Corrupt)
+}
+
+// decodeEstimate reads an estimate request: the frontier form's binary
+// frame, into a buffer of exactly its declared length, or else the
+// per-candidate JSON form, to which "frontier" is an unknown field like
+// any other.
+func decodeEstimate(w http.ResponseWriter, r *http.Request, framed bool) (req distrib.EstimateRequest, err error) {
+	if !framed {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody))
+		dec.DisallowUnknownFields()
+		return req, dec.Decode(&req)
+	}
+	if r.ContentLength < 0 || r.ContentLength > maxEstimateBody {
+		return req, fmt.Errorf("frame needs a Content-Length of at most %d", maxEstimateBody)
+	}
+	frame := make([]byte, r.ContentLength)
+	if _, err = io.ReadFull(r.Body, frame); err != nil {
+		return req, err
+	}
+	return distrib.DecodeFrontierRequest(frame)
 }
 
 // estimate is the estimation step of /shard/estimate: every owned shard's
@@ -472,23 +500,24 @@ func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest, pr
 	defer ss.recoverPanic("estimate", &err)
 	set := st.pool.get()
 	if set == nil {
-		set = make([]shardEstimator, len(ss.cfg.Owned))
+		set = &estimatorSet{ests: make([]shardEstimator, len(ss.cfg.Owned))}
 		for i, s := range ss.cfg.Owned {
 			if ss.strategy == pitex.StrategyIndexPruned {
-				set[i] = rrindex.NewPrunedEstimator(st.indexes[s])
+				set.ests[i] = rrindex.NewPrunedEstimator(st.indexes[s])
 			} else {
-				set[i] = rrindex.NewEstimator(st.indexes[s])
+				set.ests[i] = rrindex.NewEstimator(st.indexes[s])
 			}
 		}
 	}
 	resp.Generation = st.generation
 	u := graph.VertexID(req.User)
+	frontier := req.FrontierRows(&set.rows)
 	for i, s := range ss.cfg.Owned {
-		if len(req.Frontier) > 0 {
+		if len(frontier) > 0 {
 			resp.Frontier = append(resp.Frontier,
-				set[i].PartialFrontier(s, st.users[s], st.net.NumUsers(), u, req.Frontier, sampling.StopRule{}))
+				set.ests[i].PartialFrontier(s, st.users[s], st.net.NumUsers(), u, frontier, sampling.StopRule{}))
 		} else {
-			resp.Partials = append(resp.Partials, set[i].Partial(s, st.users[s], u, prober))
+			resp.Partials = append(resp.Partials, set.ests[i].Partial(s, st.users[s], u, prober))
 		}
 	}
 	st.pool.put(set)
@@ -504,13 +533,22 @@ func (ss *ShardServer) recoverPanic(what string, err *error) {
 	}
 }
 
-// writeShardJSON writes an estimate response with its Content-Length
-// declared, so the client reads it into one exactly-sized buffer. It also
-// carries the corrupt-payload fault: when a faultinject rule asked for
-// corruption, the marshaled body is bit-flipped before it leaves,
-// exercising client-side decode hardening.
-func writeShardJSON(w http.ResponseWriter, v any, corrupt bool) {
-	data, err := json.Marshal(v)
+// writeEstimate writes an estimate response in the form it was asked in —
+// a frame or JSON — with its Content-Length declared, so the client reads
+// it into one exactly-sized buffer. It also carries the corrupt-payload
+// fault: when a faultinject rule asked for corruption, the encoded body
+// is bit-flipped before it leaves, exercising client-side decode
+// hardening.
+func writeEstimate(w http.ResponseWriter, resp distrib.EstimateResponse, framed, corrupt bool) {
+	var data []byte
+	var err error
+	ctype := "application/json"
+	if framed {
+		ctype = distrib.FrontierContentType
+		data, err = distrib.EncodeFrontierResponse(resp)
+	} else {
+		data, err = json.Marshal(resp)
+	}
 	if err != nil {
 		writeShardError(w, http.StatusInternalServerError, err)
 		return
@@ -518,7 +556,7 @@ func writeShardJSON(w http.ResponseWriter, v any, corrupt bool) {
 	if corrupt {
 		data = faultinject.CorruptBytes(data)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ctype)
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }

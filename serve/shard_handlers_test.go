@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,7 @@ import (
 
 	"pitex"
 	"pitex/distrib"
+	"pitex/internal/faultinject"
 )
 
 // startFig2Shards builds a shard server owning ALL shards of a 2-way
@@ -121,6 +125,93 @@ func TestShardServerDelayStrategy(t *testing.T) {
 	}
 }
 
+// resealed returns frame with patch applied and its trailing CRC-32C
+// recomputed, so a test reaches the checks behind the checksum.
+func resealed(frame []byte, patch func(b []byte)) []byte {
+	b := bytes.Clone(frame)
+	patch(b)
+	body := b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return b
+}
+
+// TestShardServerBadFrames: the frame decoder is the trust boundary of
+// the frontier form. Against a real ShardServer serving 3 topics, every
+// malformed frame is a 400 — what JSON rejected by construction (rows of
+// the wrong or of unequal width, NaN, ±Inf) and what it could not express
+// (foreign magic, declared counts that do not match the bytes, a failed
+// checksum, a torn or oversized body, the wrong Content-Type) — a frame
+// is held to the same user range and generation rules as JSON, and a
+// well-formed one is answered in kind.
+func TestShardServerBadFrames(t *testing.T) {
+	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	post := func(ctype string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/shard/estimate", ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	encode := func(req distrib.EstimateRequest) []byte {
+		t.Helper()
+		b, err := distrib.EncodeFrontierRequest(req)
+		if err != nil {
+			t.Fatalf("EncodeFrontierRequest: %v", err)
+		}
+		return b
+	}
+	good := encode(distrib.EstimateRequest{User: 0, Frontier: [][]float64{{0.2, 0.3, 0.5}, {0.5, 0.25, 0.25}}})
+	// Layout (distrib/frame.go): user at 4, generation at 12, rows at 20,
+	// topics at 24, weights from 28, CRC-32C in the last 4 bytes.
+	le := binary.LittleEndian
+	flipped := bytes.Clone(good)
+	flipped[40] ^= 1
+	bad := map[string][]byte{
+		"rows shorter than the topic count":   encode(distrib.EstimateRequest{Frontier: [][]float64{{0.5, 0.5}, {0.1, 0.9}}}),
+		"row longer than the topic count":     encode(distrib.EstimateRequest{Frontier: [][]float64{{0.1, 0.2, 0.3, 0.4}}}),
+		"ragged: 2x2 declared over 6 weights": resealed(good, func(b []byte) { le.PutUint32(b[24:], 2) }),
+		"ragged: 3x3 declared over 6 weights": resealed(good, func(b []byte) { le.PutUint32(b[20:], 3) }),
+		"no rows":                             resealed(good[:32], func(b []byte) { le.PutUint32(b[20:], 0) }),
+		"oversized counts":                    resealed(good, func(b []byte) { le.PutUint64(b[20:], math.MaxUint64) }),
+		"counts whose byte size overflows":    resealed(good, func(b []byte) { le.PutUint32(b[20:], 1<<31); le.PutUint32(b[24:], 1<<30) }),
+		"NaN weight":                          resealed(good, func(b []byte) { le.PutUint64(b[28:], math.Float64bits(math.NaN())) }),
+		"+Inf weight":                         resealed(good, func(b []byte) { le.PutUint64(b[36:], math.Float64bits(math.Inf(1))) }),
+		"-Inf weight":                         resealed(good, func(b []byte) { le.PutUint64(b[68:], math.Float64bits(math.Inf(-1))) }),
+		"foreign magic":                       resealed(good, func(b []byte) { b[2] = 'R' }),
+		"future version":                      resealed(good, func(b []byte) { b[3] = 2 }),
+		"flipped weight bit, stale checksum":  flipped,
+		"corrupt-fault image":                 faultinject.CorruptBytes(good),
+		"torn":                                good[:len(good)-9],
+		"trailing byte":                       append(bytes.Clone(good), 0),
+		"header only":                         good[:28],
+		"empty":                               {},
+		"out-of-range user":                   resealed(good, func(b []byte) { le.PutUint64(b[4:], 99) }),
+		"negative user":                       resealed(good, func(b []byte) { le.PutUint64(b[4:], math.MaxUint64) }),
+		"over the body cap":                   make([]byte, maxEstimateBody+1),
+		"a JSON probe":                        []byte(`{"user":0,"probe":{"posterior":[1,0,0]}}`),
+	}
+	for name, frame := range bad {
+		if got := post(distrib.FrontierContentType, frame); got != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", name, got)
+		}
+	}
+	if got := post("application/json", good); got != http.StatusBadRequest {
+		t.Errorf("frame sent as JSON = %d, want 400", got)
+	}
+	if got := post(distrib.FrontierContentType, resealed(good, func(b []byte) { le.PutUint64(b[12:], 5) })); got != http.StatusConflict {
+		t.Errorf("frame at an unknown generation = %d, want 409", got)
+	}
+	if got := post(distrib.FrontierContentType, good); got != http.StatusOK {
+		t.Errorf("well-formed frame = %d, want 200", got)
+	}
+	if status, resp := postEstimate(t, ts.URL, distrib.EstimateRequest{Frontier: [][]float64{{0.2, 0.3, 0.5}, {0, 0, 1}}}); status != http.StatusOK ||
+		len(resp.Frontier) != 2 || len(resp.Frontier[0]) != 2 || len(resp.Frontier[1]) != 2 {
+		t.Errorf("well-formed frame answered %d %+v, want 2 shard rows of 2 partials", status, resp)
+	}
+}
+
 func TestShardServerBadRequests(t *testing.T) {
 	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
 	post := func(path, body string) int {
@@ -140,25 +231,17 @@ func TestShardServerBadRequests(t *testing.T) {
 	if got := post("/shard/estimate", `{"user":0,"probe":{}}`); got != http.StatusBadRequest {
 		t.Errorf("empty probe = %d", got)
 	}
-	// The frontier form: rows are one float per topic (3 here), all alike,
-	// and never ride with a probe.
-	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.5]]}`); got != http.StatusBadRequest {
-		t.Errorf("ragged frontier = %d", got)
-	}
-	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.5,0.5],[0.1,0.9]]}`); got != http.StatusBadRequest {
-		t.Errorf("frontier rows shorter than the topic count = %d", got)
-	}
-	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.1,0.2,0.3,0.4]]}`); got != http.StatusBadRequest {
-		t.Errorf("frontier row longer than the topic count = %d", got)
-	}
-	if got := post("/shard/estimate", `{"user":0,"probe":{"posterior":[1,0,0]},"frontier":[[0.2,0.3,0.5]]}`); got != http.StatusBadRequest {
-		t.Errorf("probe and frontier together = %d", got)
-	}
-	if got := post("/shard/estimate", `{"user":0,"probe":{"bound_weights":[1]},"frontier":[[0.2,0.3,0.5]]}`); got != http.StatusBadRequest {
-		t.Errorf("half a bound probe and a frontier together = %d", got)
-	}
-	if got := post("/shard/estimate", `{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.25,0.25]]}`); got != http.StatusOK {
-		t.Errorf("well-formed frontier = %d", got)
+	// The frontier form has no JSON spelling any more: a body carrying
+	// "frontier" is refused, well-formed or not, alone or beside a probe.
+	for _, body := range []string{
+		`{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.25,0.25]]}`,
+		`{"user":0,"frontier":[[0.2,0.3,0.5],[0.5,0.5]]}`,
+		`{"user":0,"probe":{"posterior":[1,0,0]},"frontier":[[0.2,0.3,0.5]]}`,
+		`{"user":0,"probe":{"bound_weights":[1]},"frontier":[[0.2,0.3,0.5]]}`,
+	} {
+		if got := post("/shard/estimate", body); got != http.StatusBadRequest {
+			t.Errorf("JSON frontier %s = %d", body, got)
+		}
 	}
 	if got := post("/shard/update", "{nope"); got != http.StatusBadRequest {
 		t.Errorf("malformed update body = %d", got)
