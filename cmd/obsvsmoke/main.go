@@ -3,7 +3,9 @@
 // companion of the distrib smoke test:
 //
 //  1. /metrics on the coordinator and every shard server must parse as
-//     strict Prometheus text and carry a pitex_build_info sample.
+//     strict Prometheus text and carry a pitex_build_info sample; every
+//     shard's must also carry its shedding counters
+//     (pitex_shard_rejected_total, pitex_shard_timeouts_total).
 //  2. A traced query (?trace=1) against the coordinator must return a
 //     span tree containing a shard-rpc span.
 //  3. The trace ID of that query must appear in at least one shard
@@ -52,14 +54,21 @@ func main() {
 func run(coord string, shards []string, user, k int) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	// Check 1: strict-parse /metrics everywhere; build info must be there.
-	for _, addr := range append([]string{coord}, shards...) {
+	// Check 1: strict-parse /metrics everywhere; build info must be there,
+	// and on a shard the counters that say whether it is shedding.
+	for i, addr := range append([]string{coord}, shards...) {
 		fams, err := scrapeMetrics(client, addr)
 		if err != nil {
 			return fmt.Errorf("%s: %w", addr, err)
 		}
-		if _, ok := fams["pitex_build_info"]; !ok {
-			return fmt.Errorf("%s: /metrics has no pitex_build_info", addr)
+		want := []string{"pitex_build_info"}
+		if i > 0 {
+			want = append(want, shardFamilies...)
+		}
+		for _, name := range want {
+			if _, ok := fams[name]; !ok {
+				return fmt.Errorf("%s: /metrics has no %s", addr, name)
+			}
 		}
 		fmt.Printf("%s: /metrics parsed, %d families\n", addr, len(fams))
 	}
@@ -119,6 +128,10 @@ func run(coord string, shards []string, user, k int) error {
 	}
 	return nil
 }
+
+// shardFamilies are the families every shard server's /metrics must carry
+// beyond build info: its admission gate's shed and queue-timeout counts.
+var shardFamilies = []string{"pitex_shard_rejected_total", "pitex_shard_timeouts_total"}
 
 // scrapeMetrics fetches and strictly parses an endpoint's /metrics.
 func scrapeMetrics(client *http.Client, addr string) (map[string]*obsv.ParsedFamily, error) {

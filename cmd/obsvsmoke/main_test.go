@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // fakeFleet wires httptest servers that impersonate a coordinator and one
 // shard, sharing a trace ID so the propagation check has something real
-// to verify.
-func fakeFleet(t *testing.T, traceID string, shardHasTrace bool) (coord, shard string) {
+// to verify; the shard exports shardCounters beside build info.
+func fakeFleet(t *testing.T, traceID string, shardHasTrace bool, shardCounters []string) (coord, shard string) {
 	t.Helper()
 	metrics := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -29,7 +30,12 @@ func fakeFleet(t *testing.T, traceID string, shardHasTrace bool) (coord, shard s
 	t.Cleanup(cs.Close)
 
 	sm := http.NewServeMux()
-	sm.HandleFunc("/metrics", metrics)
+	sm.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		metrics(w, r)
+		for _, name := range shardCounters {
+			fmt.Fprintf(w, "# TYPE %s counter\n%s 0\n", name, name)
+		}
+	})
 	sm.HandleFunc("/tracez", func(w http.ResponseWriter, _ *http.Request) {
 		id := traceID
 		if !shardHasTrace {
@@ -43,17 +49,30 @@ func fakeFleet(t *testing.T, traceID string, shardHasTrace bool) (coord, shard s
 }
 
 func TestRunAllChecksPass(t *testing.T) {
-	coord, shard := fakeFleet(t, "deadbeefdeadbeef", true)
+	coord, shard := fakeFleet(t, "deadbeefdeadbeef", true, shardFamilies)
 	if err := run(coord, []string{shard}, 1, 2); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunDetectsMissingPropagation(t *testing.T) {
-	coord, shard := fakeFleet(t, "deadbeefdeadbeef", false)
+	coord, shard := fakeFleet(t, "deadbeefdeadbeef", false, shardFamilies)
 	err := run(coord, []string{shard}, 1, 2)
 	if err == nil || !strings.Contains(err.Error(), "not found in any shard /tracez") {
 		t.Fatalf("err = %v, want propagation failure", err)
+	}
+}
+
+// TestRunRequiresShardSheddingCounters: a shard whose /metrics lacks
+// either admission counter fails the smoke, naming the missing family.
+func TestRunRequiresShardSheddingCounters(t *testing.T) {
+	for i, missing := range shardFamilies {
+		keep := slices.Delete(slices.Clone(shardFamilies), i, i+1)
+		coord, shard := fakeFleet(t, "deadbeefdeadbeef", true, keep)
+		err := run(coord, []string{shard}, 1, 2)
+		if err == nil || !strings.Contains(err.Error(), "no "+missing) {
+			t.Errorf("shard without %s: err = %v, want it named", missing, err)
+		}
 	}
 }
 

@@ -23,6 +23,16 @@
 //	Engine.QueryCtx (per-query deadline observed between best-first
 //	   expansions)
 //
+// Both servers run one request pipeline. Every route is registered
+// through one handler chain that observes its latency label, evaluates
+// its fault point, recovers a panic into a 500 and maps a returned error
+// to its status. Admission is one gate type, shared by the Pool and the
+// ShardServer: a slot per worker, a bounded queue with a timed wait, and
+// a close latch. It refuses a closed gate, then an already-ended caller
+// context, then load beyond the bound, before taking a slot. A
+// deadline-aware check sheds a request whose remaining budget is below
+// the route's observed median latency before it reaches the gate.
+//
 // Every stage is observable: per-endpoint/per-strategy latency histograms,
 // cache hit/miss/dedup counters and pool occupancy are exported as JSON on
 // /statsz and programmatically via Server.Stats.

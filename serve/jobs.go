@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"pitex/analytics"
 )
@@ -79,22 +78,18 @@ func (s *Server) StartSweep(opts analytics.Options) (*analytics.Job, error) {
 	return s.jobs.Start(s.proto, opts)
 }
 
-func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("admin-jobs", time.Now())
+func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) error {
 	var req jobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad job body: %w", err))
-		return
+		return fmt.Errorf("bad job body: %w", err)
 	}
 	if req.Workers > MaxJobWorkers {
-		httpError(w, fmt.Errorf("workers = %d exceeds limit %d", req.Workers, MaxJobWorkers))
-		return
+		return fmt.Errorf("workers = %d exceeds limit %d", req.Workers, MaxJobWorkers)
 	}
 	if req.TopN > MaxJobTopN {
-		httpError(w, fmt.Errorf("top_n = %d exceeds limit %d", req.TopN, MaxJobTopN))
-		return
+		return fmt.Errorf("top_n = %d exceeds limit %d", req.TopN, MaxJobTopN)
 	}
 	// checkpoint_path is confined to the operator-configured directory: a
 	// request body must never pick an arbitrary server path to overwrite
@@ -102,8 +97,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	if req.CheckpointPath != "" {
 		dir := s.opts.SweepCheckpointDir
 		if dir == "" {
-			httpError(w, fmt.Errorf("checkpoint_path rejected: the server has no SweepCheckpointDir configured"))
-			return
+			return fmt.Errorf("checkpoint_path rejected: the server has no SweepCheckpointDir configured")
 		}
 		name := req.CheckpointPath
 		// filepath.Base("/") is "/" itself, so the separator check is not
@@ -111,8 +105,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		// directory.
 		if name != filepath.Base(name) || name == "." || name == ".." ||
 			strings.ContainsAny(name, `/\`) {
-			httpError(w, fmt.Errorf("checkpoint_path %q must be a bare file name (stored under the server's checkpoint directory)", name))
-			return
+			return fmt.Errorf("checkpoint_path %q must be a bare file name (stored under the server's checkpoint directory)", name)
 		}
 		req.CheckpointPath = filepath.Join(dir, name)
 	}
@@ -127,39 +120,36 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		Resume:          req.Resume,
 	})
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, job.Status())
+	writeJSONStatus(w, http.StatusAccepted, job.Status())
+	return nil
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"jobs": s.jobs.List()})
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) error {
 	job, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
+		return withStatus(http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 	}
 	resp := jobResponse{JobStatus: job.Status()}
 	resp.Leaderboard, _ = job.Result()
 	writeJSON(w, resp)
+	return nil
 }
 
 // handleJobCancel implements DELETE /admin/jobs/{id}: a running job is
 // cancelled (asynchronously — poll GET for the terminal state), a
 // terminal one is removed from the manager along with its retained
 // leaderboard. The response's "removed" field tells which happened.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	job, ok := s.jobs.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-		return
+		return withStatus(http.StatusNotFound, fmt.Errorf("no job %q", id))
 	}
 	st := job.Status()
 	removed := false
@@ -173,10 +163,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		analytics.JobStatus
 		Removed bool `json:"removed"`
 	}{st, removed})
-}
-
-// writeJSONBody is writeJSON without the implicit 200 (for handlers that
-// already set a status code).
-func writeJSONBody(w http.ResponseWriter, v any) {
-	_ = json.NewEncoder(w).Encode(v)
+	return nil
 }

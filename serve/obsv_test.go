@@ -86,6 +86,8 @@ func TestShardServerMetricsEndpoint(t *testing.T) {
 		"pitex_uptime_seconds",
 		"pitex_index_generation",
 		"pitex_shards_owned",
+		"pitex_shard_rejected_total",
+		"pitex_shard_timeouts_total",
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("shard /metrics missing family %s", want)

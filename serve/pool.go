@@ -42,24 +42,20 @@ type PoolStats struct {
 	Timeouts int64 `json:"timeouts"`
 }
 
-// Pool manages N Engine.Clone workers over one shared offline index with
-// checkout/checkin, context-aware cancellation and admission control. All
-// methods are safe for concurrent use.
-type Pool struct {
-	engines chan *pitex.Engine
-	// admission holds one token per outstanding request (in service or
-	// queued); a full channel means shed immediately.
-	admission chan struct{}
-	timeout   time.Duration
+// gate is the admission primitive of both servers: a slot per worker, a
+// bounded queue behind the slots with a timed wait, and a close latch.
+// Pool puts one in front of its engine clones; ShardServer puts one in
+// front of its estimations. All methods are safe for concurrent use.
+type gate struct {
+	// slots holds one token per request in service.
+	slots chan struct{}
+	// bound caps outstanding requests (in service plus queued); admitted
+	// counts them.
+	bound    int64
+	admitted atomic.Int64
+	// timeout caps the queue wait (<= 0 waits until cancellation).
+	timeout time.Duration
 
-	// indexBytes is the offline index footprint shared by every engine in
-	// the pool, captured at construction (clones share the prototype's
-	// index, so one number describes them all). shardStats is the per-shard
-	// breakdown, nil for online strategies.
-	indexBytes int64
-	shardStats []pitex.IndexShardStat
-
-	size      int
 	closeOnce sync.Once
 	closed    chan struct{}
 
@@ -68,6 +64,148 @@ type Pool struct {
 	served   atomic.Int64
 	rejected atomic.Int64
 	timeouts atomic.Int64
+}
+
+func newGate(size, queueDepth int, queueTimeout time.Duration) *gate {
+	return &gate{
+		slots:   make(chan struct{}, size),
+		bound:   int64(size + queueDepth),
+		timeout: queueTimeout,
+		closed:  make(chan struct{}),
+	}
+}
+
+// enter admits one request to a slot; the caller must leave after it
+// succeeds. It fails with ErrPoolClosed once the gate is closed, with an
+// errWaitAborted-wrapped ctx.Err() when the caller's context has ended or
+// ends while queued, with ErrOverloaded beyond the bound and with
+// ErrQueueTimeout when the queue wait runs out.
+func (g *gate) enter(ctx context.Context) error {
+	if err := g.open(); err != nil {
+		return err
+	}
+	// A request whose context is already dead (client disconnected, hedge
+	// lost) must not occupy a slot. Marked caller-specific so deduplicated
+	// followers retry rather than inherit the failure.
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", errWaitAborted, err)
+	}
+	if !g.admit() {
+		g.rejected.Add(1)
+		return ErrOverloaded
+	}
+	// Fast path: a free slot means no timer to arm and no racing select
+	// (a timer firing simultaneously with a release could otherwise time
+	// a request out despite available capacity).
+	select {
+	case g.slots <- struct{}{}:
+	default:
+		if err := g.wait(ctx); err != nil {
+			g.admitted.Add(-1)
+			return err
+		}
+	}
+	g.inUse.Add(1)
+	g.served.Add(1)
+	return nil
+}
+
+// admit counts one more outstanding request unless the bound is reached.
+// It never counts past the bound, even for a moment, so a request shed
+// here cannot make a concurrent one see the gate fuller than it is.
+func (g *gate) admit() bool {
+	for {
+		n := g.admitted.Load()
+		if n >= g.bound {
+			return false
+		}
+		if g.admitted.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// wait queues an admitted request for a slot, bounded by the queue
+// timeout, the caller's context and the close latch.
+func (g *gate) wait(ctx context.Context) error {
+	var timeoutC <-chan time.Time
+	if g.timeout > 0 {
+		t := time.NewTimer(g.timeout)
+		defer t.Stop()
+		timeoutC = t.C
+	}
+	g.waiting.Add(1)
+	defer g.waiting.Add(-1)
+	select {
+	case g.slots <- struct{}{}:
+		return nil
+	case <-timeoutC:
+		// The timer can fire in the same instant a slot frees, with the
+		// select picking at random; don't shed while capacity sits idle.
+		select {
+		case g.slots <- struct{}{}:
+			return nil
+		default:
+		}
+		g.timeouts.Add(1)
+		return ErrQueueTimeout
+	case <-ctx.Done():
+		return fmt.Errorf("%w: %w", errWaitAborted, ctx.Err())
+	case <-g.closed:
+		return ErrPoolClosed
+	}
+}
+
+// leave releases the slot a successful enter took.
+func (g *gate) leave() {
+	g.inUse.Add(-1)
+	<-g.slots
+	g.admitted.Add(-1)
+}
+
+// open reports ErrPoolClosed once the gate is closed.
+func (g *gate) open() error {
+	select {
+	case <-g.closed:
+		return ErrPoolClosed
+	default:
+		return nil
+	}
+}
+
+// close refuses queued waiters and future requests; requests holding a
+// slot finish normally. Idempotent.
+func (g *gate) close() {
+	g.closeOnce.Do(func() { close(g.closed) })
+}
+
+// stats snapshots the gate counters.
+func (g *gate) stats() PoolStats {
+	return PoolStats{
+		Size:     cap(g.slots),
+		InUse:    g.inUse.Load(),
+		Waiting:  g.waiting.Load(),
+		Served:   g.served.Load(),
+		Rejected: g.rejected.Load(),
+		Timeouts: g.timeouts.Load(),
+	}
+}
+
+// Pool manages N Engine.Clone workers over one shared offline index with
+// checkout/checkin, context-aware cancellation and admission control. All
+// methods are safe for concurrent use.
+type Pool struct {
+	gate *gate
+	// engines holds the idle clones; the gate admits at most one request
+	// per clone, so a request past the gate never waits here.
+	engines chan *pitex.Engine
+
+	// indexBytes is the offline index footprint shared by every engine in
+	// the pool, captured at construction (clones share the prototype's
+	// index, so one number describes them all). shardStats is the per-shard
+	// breakdown, nil for online strategies.
+	indexBytes int64
+	shardStats []pitex.IndexShardStat
 }
 
 // NewPool clones the prototype engine size times (sharing its offline
@@ -82,13 +220,10 @@ func NewPool(proto *pitex.Engine, size, queueDepth int, queueTimeout time.Durati
 		queueDepth = 0
 	}
 	p := &Pool{
+		gate:       newGate(size, queueDepth, queueTimeout),
 		engines:    make(chan *pitex.Engine, size),
-		admission:  make(chan struct{}, size+queueDepth),
-		timeout:    queueTimeout,
 		indexBytes: proto.IndexMemoryBytes(),
 		shardStats: proto.IndexShardStats(),
-		size:       size,
-		closed:     make(chan struct{}),
 	}
 	for i := 0; i < size; i++ {
 		p.engines <- proto.Clone()
@@ -97,7 +232,7 @@ func NewPool(proto *pitex.Engine, size, queueDepth int, queueTimeout time.Durati
 }
 
 // Size returns the number of engine workers.
-func (p *Pool) Size() int { return p.size }
+func (p *Pool) Size() int { return cap(p.engines) }
 
 // IndexBytes returns the estimated in-memory size of the offline index
 // shared by the pool's engines (0 for online strategies).
@@ -113,93 +248,21 @@ func (p *Pool) ShardStats() []pitex.IndexShardStat { return p.shardStats }
 // with ErrQueueTimeout after the queue timeout, with ctx.Err() when the
 // caller gives up first, and with ErrPoolClosed after Close.
 func (p *Pool) Do(ctx context.Context, fn func(*pitex.Engine) error) error {
-	select {
-	case <-p.closed:
-		return ErrPoolClosed
-	default:
+	if err := p.gate.enter(ctx); err != nil {
+		return err
 	}
-	// A request whose context is already dead (client disconnected before
-	// dispatch) must not occupy an engine. Marked caller-specific so
-	// deduplicated followers retry rather than inherit the failure.
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %w", errWaitAborted, err)
-	}
-	select {
-	case p.admission <- struct{}{}:
-	default:
-		p.rejected.Add(1)
-		return ErrOverloaded
-	}
-	defer func() { <-p.admission }()
-
-	// Fast path: an idle engine means no timer to arm and no racing
-	// select (a timer firing simultaneously with a check-in could
-	// otherwise time a request out despite available capacity).
-	select {
-	case en := <-p.engines:
-		return p.run(en, fn)
-	default:
-	}
-	var timeoutC <-chan time.Time
-	if p.timeout > 0 {
-		t := time.NewTimer(p.timeout)
-		defer t.Stop()
-		timeoutC = t.C
-	}
-	p.waiting.Add(1)
-	select {
-	case en := <-p.engines:
-		p.waiting.Add(-1)
-		return p.run(en, fn)
-	case <-timeoutC:
-		p.waiting.Add(-1)
-		// The timer can fire in the same instant an engine is checked in,
-		// with the select picking at random; don't shed while capacity
-		// sits idle.
-		select {
-		case en := <-p.engines:
-			return p.run(en, fn)
-		default:
-		}
-		p.timeouts.Add(1)
-		return ErrQueueTimeout
-	case <-ctx.Done():
-		p.waiting.Add(-1)
-		return fmt.Errorf("%w: %w", errWaitAborted, ctx.Err())
-	case <-p.closed:
-		p.waiting.Add(-1)
-		return ErrPoolClosed
-	}
-}
-
-// run executes fn with a checked-out engine and checks it back in.
-func (p *Pool) run(en *pitex.Engine, fn func(*pitex.Engine) error) error {
-	p.inUse.Add(1)
-	defer func() {
-		p.inUse.Add(-1)
-		p.engines <- en
-	}()
-	p.served.Add(1)
+	defer p.gate.leave()
+	en := <-p.engines
+	defer func() { p.engines <- en }()
 	return fn(en)
 }
 
 // Stats snapshots the pool counters.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Size:     p.size,
-		InUse:    p.inUse.Load(),
-		Waiting:  p.waiting.Load(),
-		Served:   p.served.Load(),
-		Rejected: p.rejected.Load(),
-		Timeouts: p.timeouts.Load(),
-	}
-}
+func (p *Pool) Stats() PoolStats { return p.gate.stats() }
 
 // Close shuts the pool down: queued waiters and future Do calls fail with
 // ErrPoolClosed; requests already holding an engine finish normally.
-func (p *Pool) Close() {
-	p.closeOnce.Do(func() { close(p.closed) })
-}
+func (p *Pool) Close() { p.gate.close() }
 
 // DrainAndClose retires the pool in the background: it waits until no
 // request is in service or queued — the hot-swap case, where requests that
@@ -211,7 +274,7 @@ func (p *Pool) DrainAndClose(maxWait time.Duration) {
 	go func() {
 		deadline := time.Now().Add(maxWait)
 		for time.Now().Before(deadline) {
-			if p.inUse.Load() == 0 && p.waiting.Load() == 0 {
+			if p.gate.admitted.Load() == 0 {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)

@@ -76,6 +76,44 @@ func TestPoolShedsWhenOverloaded(t *testing.T) {
 	}
 }
 
+// TestGateShedNeverCountsPastBound pins the admission count to the bound
+// while requests are being shed. A shed that counted itself in and back
+// out would, for that moment, make a request arriving just after a leave
+// see a full gate and be shed with a place free.
+func TestGateShedNeverCountsPastBound(t *testing.T) {
+	g := newGate(1, 1, time.Second)
+	for i := 0; i < 2; i++ {
+		g.admitted.Add(1) // the slot and the queue place are both taken
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := g.enter(context.Background()); !errors.Is(err, ErrOverloaded) {
+					t.Errorf("enter on a full gate = %v, want ErrOverloaded", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200000; i++ {
+		if n := g.admitted.Load(); n > g.bound {
+			t.Errorf("admitted = %d past bound %d", n, g.bound)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestPoolQueueTimeout(t *testing.T) {
 	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 1, 1, 20*time.Millisecond)
 	defer p.Close()

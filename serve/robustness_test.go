@@ -171,7 +171,7 @@ func TestRecoverQueryCountsPanics(t *testing.T) {
 	}
 	defer srv.Close()
 	qerr := func() (qret error) {
-		defer srv.recoverQuery("query", &qret)
+		defer srv.recoverTo("query", &qret)
 		panic("estimator bug")
 	}()
 	if !errors.Is(qerr, errComputeAborted) {

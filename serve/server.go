@@ -26,6 +26,7 @@ import (
 // pre-update result. Build it with New; all methods are safe for
 // concurrent use.
 type Server struct {
+	serverCore
 	pool       atomic.Pointer[Pool]
 	generation atomic.Uint64
 	// updateMu serializes ApplyUpdates and Close; proto is the current
@@ -40,12 +41,7 @@ type Server struct {
 	// it, /statsz exports its health view.
 	remote *distrib.Client
 
-	cache   *Cache
-	metrics *Metrics
-	// tracer retains the last N finished request traces for /tracez;
-	// every HTTP query runs under one (spans cost microseconds against
-	// millisecond queries).
-	tracer *obsv.Tracer
+	cache *Cache
 	// Update-plane counters, exposed via /metrics.
 	updatesApplied *obsv.Counter
 	graphsRepaired *obsv.Counter
@@ -62,21 +58,15 @@ type Server struct {
 	earlyStops    *obsv.Counter
 	graphsSkipped *obsv.Counter
 	boundMemoHits *obsv.Counter
-	// panics counts recovered panics from query execution and sweep
-	// jobs: each one is a bug answered with a 500 instead of a dead
-	// process, and the counter is the alarm that finds it.
-	panics *obsv.Counter
 	// jobs runs population-analytics sweeps (POST /admin/jobs): each job
 	// is pinned to the generation it started on and marked stale by
 	// ApplyUpdates once the serving engine moves past it.
-	jobs     *analytics.Manager
-	strategy string
+	jobs *analytics.Manager
 	// numTags is the tag-vocabulary size, fixed across generations
 	// (ApplyUpdates mutates the network, never the tag model); request
 	// validation reads it without touching the pool.
 	numTags int
 	opts    pitex.ServeOptions
-	start   time.Time
 }
 
 // New builds a Server over the given query-ready engine. The engine is
@@ -92,18 +82,15 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 	}
 	opts = opts.WithDefaults()
 	s := &Server{
-		proto:    en,
-		cache:    NewCache(opts.CacheCapacity, opts.CacheShards),
-		metrics:  NewMetrics(),
-		jobs:     analytics.NewManager(),
-		strategy: en.Strategy().String(),
-		numTags:  en.Model().NumTags(),
-		opts:     opts,
-		start:    time.Now(),
+		proto:   en,
+		cache:   NewCache(opts.CacheCapacity, opts.CacheShards),
+		jobs:    analytics.NewManager(),
+		numTags: en.Model().NumTags(),
+		opts:    opts,
 	}
 	s.pool.Store(NewPool(en, opts.PoolSize, opts.QueueDepth, opts.QueueTimeout))
 	s.generation.Store(en.Generation())
-	s.tracer = obsv.NewTracer(0)
+	s.initCore(en.Strategy().String(), s.generation.Load)
 	s.registerMetrics()
 	return s, nil
 }
@@ -114,7 +101,6 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 // atomics for /statsz).
 func (s *Server) registerMetrics() {
 	reg := s.metrics.Registry()
-	obsv.RegisterBuildInfo(reg)
 	s.updatesApplied = reg.Counter("pitex_updates_applied_total",
 		"Update batches applied through ApplyUpdates.")
 	s.graphsRepaired = reg.Counter("pitex_graphs_repaired_total",
@@ -141,13 +127,7 @@ func (s *Server) registerMetrics() {
 		"RR-graph verdicts avoided by early stops across all fresh queries.")
 	s.boundMemoHits = reg.Counter("pitex_bound_memo_hits_total",
 		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies under CheapBounds only; always 0 on index and coordinator engines, whose bounds are frontier rows).")
-	s.panics = reg.Counter("pitex_panics_total",
-		"Panics recovered from query execution and sweep jobs (each is a bug).")
 
-	reg.GaugeFunc("pitex_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("pitex_index_generation", "Engine generation currently serving queries.",
-		func() float64 { return float64(s.generation.Load()) })
 	reg.GaugeFunc("pitex_index_bytes", "Offline-index footprint of the serving generation.",
 		func() float64 { return float64(s.pool.Load().IndexBytes()) })
 	reg.GaugeFunc("pitex_pool_in_use", "Pool engines currently checked out.",
@@ -304,17 +284,33 @@ func (s *Server) ApplyUpdates(batch *pitex.UpdateBatch) (pitex.UpdateStats, erro
 	return stats, nil
 }
 
-// do dispatches fn through the current pool, retrying on the new pool
-// when the one it loaded was retired mid-dispatch: a request can load the
-// pool pointer, lose the CPU across a hot-swap, and find the old pool
-// already drained and closed — that request belongs on the new
-// generation, not in a 503. The loop only continues while the pool
-// pointer keeps moving, so a genuinely closed server still returns
-// ErrPoolClosed.
-func (s *Server) do(ctx context.Context, fn func(*pitex.Engine) error) error {
+// do runs fn on a pool engine behind deadline-aware admission under
+// endpoint's latency label, with fn's panics recovered, all under an
+// admission span that ends at engine checkout. The queue wait honors the
+// caller's ctx (a dead client must not hold an admission token); fn
+// decides how far its own work follows that ctx.
+//
+// do retries on the new pool when the one it loaded was retired
+// mid-dispatch: a request can load the pool pointer, lose the CPU across a
+// hot-swap, and find the old pool already drained and closed — that
+// request belongs on the new generation, not in a 503. The loop only
+// continues while the pool pointer keeps moving, so a genuinely closed
+// server still returns ErrPoolClosed.
+func (s *Server) do(ctx context.Context, endpoint string, fn func(*pitex.Engine) error) error {
+	asp, _ := obsv.StartSpan(ctx, "admission")
+	defer asp.End() // no-op once the checkout ended it
+	asp.SetAttr("queue_depth", s.pool.Load().Stats().Waiting)
+	if err := s.admitBudget(ctx, endpoint+"/"+s.strategy); err != nil {
+		return err
+	}
+	run := func(en *pitex.Engine) (err error) {
+		defer s.recoverTo(endpoint, &err)
+		asp.End()
+		return fn(en)
+	}
 	for {
 		p := s.pool.Load()
-		err := p.Do(ctx, fn)
+		err := p.Do(ctx, run)
 		if errors.Is(err, ErrPoolClosed) && s.pool.Load() != p {
 			continue
 		}
@@ -328,45 +324,6 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelF
 		return context.WithTimeout(ctx, s.opts.QueryTimeout)
 	}
 	return ctx, func() {}
-}
-
-// ErrDeadlineBudget reports a request shed by deadline-aware admission:
-// its remaining context budget was below the endpoint's observed median
-// latency, so the answer could not possibly arrive in time — rejecting
-// before admission keeps a doomed request from occupying a worker.
-// Mapped to 503 with a Retry-After header.
-var ErrDeadlineBudget = errors.New("serve: remaining deadline below observed median latency")
-
-// admitBudget is deadline-aware admission: reject a request whose
-// context is already expired, or whose remaining budget is below the
-// observed p50 for this endpoint, before it occupies a pool worker. Both
-// verdicts are wrapped caller-specific (errWaitAborted) — a deduplicated
-// follower with a healthier deadline retries rather than inheriting them.
-func (s *Server) admitBudget(ctx context.Context, label string) error {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return nil
-	}
-	remain := time.Until(dl)
-	if remain <= 0 {
-		return fmt.Errorf("%w: %w", errWaitAborted, context.DeadlineExceeded)
-	}
-	if p50, ok := s.metrics.P50(label); ok && remain < p50 {
-		return fmt.Errorf("%w: %w (%v left, p50 %v)", errWaitAborted, ErrDeadlineBudget, remain, p50)
-	}
-	return nil
-}
-
-// recoverQuery converts a panic in query execution into an error (500 at
-// the HTTP layer) plus a pitex_panics_total tick, instead of a dead
-// process. Deferred inside the pool-worker closures: net/http's own
-// recover only saves the one goroutine, and batch/pool goroutines have
-// no recover above them at all.
-func (s *Server) recoverQuery(what string, err *error) {
-	if r := recover(); r != nil {
-		s.panics.Inc()
-		*err = fmt.Errorf("%w: %s panicked: %v", errComputeAborted, what, r)
-	}
 }
 
 // SellingPoints answers one PITEX query through the cache and pool: the m
@@ -399,23 +356,12 @@ func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int
 	defer csp.End()
 	v, cached, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
 		var res pitex.Result
-		// Admission span: from entering the compute to an engine checkout.
-		asp, _ := obsv.StartSpan(ctx, "admission")
-		asp.SetAttr("queue_depth", s.pool.Load().Stats().Waiting)
-		// The queue wait honors the caller's ctx (a dead client must not
-		// hold an admission token), but once an engine is checked out the
-		// estimation is decoupled from that caller's cancellation:
-		// concurrent identical requests piggyback on this flight, so one
-		// client's disconnect must not fail theirs — and a completed
-		// estimation is cached either way. QueryTimeout (default 30s)
-		// bounds work orphaned by disconnections.
-		if berr := s.admitBudget(ctx, "selling-points/"+s.strategy); berr != nil {
-			asp.End()
-			return pitex.Result{}, berr
-		}
-		err := s.do(ctx, func(en *pitex.Engine) (qret error) {
-			defer s.recoverQuery("query", &qret)
-			asp.End()
+		// Once an engine is checked out the estimation is decoupled from
+		// the caller's cancellation: concurrent identical requests
+		// piggyback on this flight, so one client's disconnect must not
+		// fail theirs — and a completed estimation is cached either way.
+		// QueryTimeout (default 30s) bounds work orphaned by disconnections.
+		err := s.do(ctx, "selling-points", func(en *pitex.Engine) error {
 			qctx, cancel := s.queryCtx(context.WithoutCancel(ctx))
 			defer cancel()
 			qsp, qctx := obsv.StartSpan(qctx, "query")
@@ -443,7 +389,6 @@ func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int
 			}
 			return qerr
 		})
-		asp.End() // no-op if the checkout ended it; covers rejected admissions
 		if err == nil && res.Degraded != nil {
 			// A degraded answer (shards were unreachable) must reach the
 			// caller but never the cache — the cache stores only
@@ -522,16 +467,8 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 	defer csp.End()
 	v, cached, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
 		var aud []pitex.InfluencedUser
-		asp, _ := obsv.StartSpan(ctx, "admission")
-		asp.SetAttr("queue_depth", s.pool.Load().Stats().Waiting)
 		// Queue wait cancellable, sampling run not — see SellingPoints.
-		if berr := s.admitBudget(ctx, "audience/"+s.strategy); berr != nil {
-			asp.End()
-			return nil, berr
-		}
-		err := s.do(ctx, func(en *pitex.Engine) (qret error) {
-			defer s.recoverQuery("audience", &qret)
-			asp.End()
+		err := s.do(ctx, "audience", func(en *pitex.Engine) error {
 			qsp, _ := obsv.StartSpan(ctx, "sample")
 			defer qsp.End()
 			qsp.SetAttr("user", user)
@@ -540,7 +477,6 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 			aud, qerr = en.Audience(user, tags, m, samples)
 			return qerr
 		})
-		asp.End()
 		return aud, err
 	})
 	csp.SetAttr("hit", cached)
@@ -583,12 +519,7 @@ func (s *Server) QueryBatch(ctx context.Context, users []int, k int) []pitex.Bat
 // them, so a panicking estimator must be contained here to fail one row
 // instead of the process.
 func (s *Server) batchQuery(ctx context.Context, user, k int) (res pitex.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			err = fmt.Errorf("serve: query for user %d panicked: %v", user, r)
-		}
-	}()
+	defer s.recoverTo(fmt.Sprintf("query for user %d", user), &err)
 	res, _, err = s.SellingPoints(ctx, user, k, 1, nil)
 	return res, err
 }
@@ -664,64 +595,56 @@ func (s *Server) Stats() Stats {
 // The /admin endpoints carry no authentication; expose them only on an
 // internal listener or behind a reverse proxy that does.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/selling-points", s.handleSellingPoints)
-	mux.HandleFunc("/audience", s.handleAudience)
-	mux.HandleFunc("/admin/update", s.handleAdminUpdate)
-	mux.HandleFunc("POST /admin/jobs", s.handleJobCreate)
+	mux := s.newMux()
+	single := s.chain(route{label: "selling-points"}, s.handleSellingPoints)
+	// Batches record under their own label: one 1024-user batch sample
+	// would otherwise dominate the per-query tail latencies.
+	batch := s.chain(route{label: "selling-points-batch"}, s.handleSellingPoints)
+	mux.HandleFunc("/selling-points", func(w http.ResponseWriter, r *http.Request) {
+		if rawQueryHas(r.URL.RawQuery, "users") {
+			batch(w, r)
+		} else {
+			single(w, r)
+		}
+	})
+	mux.HandleFunc("/audience", s.chain(route{label: "audience"}, s.handleAudience))
+	mux.HandleFunc("/admin/update", s.chain(route{label: "admin-update"}, s.handleAdminUpdate))
+	mux.HandleFunc("POST /admin/jobs", s.chain(route{label: "admin-jobs"}, s.handleJobCreate))
 	mux.HandleFunc("GET /admin/jobs", s.handleJobList)
-	mux.HandleFunc("GET /admin/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("DELETE /admin/jobs/{id}", s.handleJobCancel)
+	mux.HandleFunc("GET /admin/jobs/{id}", s.chain(route{}, s.handleJobGet))
+	mux.HandleFunc("DELETE /admin/jobs/{id}", s.chain(route{}, s.handleJobCancel))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
-	mux.Handle("GET /metrics", s.metrics.Registry().Handler())
-	mux.Handle("GET /tracez", s.tracer.Handler())
 	return mux
 }
 
-func (s *Server) observe(endpoint string, start time.Time) {
-	s.metrics.Observe(endpoint+"/"+s.strategy, time.Since(start))
-}
-
-func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) {
-	// Batches record under their own label: one 1024-user batch sample
-	// would otherwise dominate the per-query tail latencies.
-	endpoint := "selling-points"
-	start := time.Now()
-	defer func() { s.observe(endpoint, start) }()
+func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	k, err := intParam(q, "k", 3)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	m, err := intParam(q, "m", 1)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	var prefix []int
 	if pArg := q.Get("prefix"); pArg != "" {
 		if prefix, err = parseIntList(pArg); err != nil {
-			httpError(w, fmt.Errorf("bad prefix: %w", err))
-			return
+			return fmt.Errorf("bad prefix: %w", err)
 		}
 	}
 	if usersArg := q.Get("users"); usersArg != "" {
-		endpoint = "selling-points-batch"
 		if m != 1 || len(prefix) > 0 {
-			httpError(w, fmt.Errorf("m and prefix are not supported with users batches"))
-			return
+			return fmt.Errorf("m and prefix are not supported with users batches")
 		}
 		users, err := parseIntList(usersArg)
 		if err != nil {
-			httpError(w, fmt.Errorf("bad users: %w", err))
-			return
+			return fmt.Errorf("bad users: %w", err)
 		}
 		if len(users) > MaxBatchUsers {
-			httpError(w, fmt.Errorf("batch of %d users exceeds limit %d", len(users), MaxBatchUsers))
-			return
+			return fmt.Errorf("batch of %d users exceeds limit %d", len(users), MaxBatchUsers)
 		}
 		batch := s.QueryBatch(r.Context(), users, k)
 		type row struct {
@@ -740,12 +663,11 @@ func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		writeJSON(w, map[string]any{"k": k, "results": rows})
-		return
+		return nil
 	}
 	user, err := intParam(q, "user", -1)
 	if err != nil || user < 0 {
-		httpError(w, fmt.Errorf("bad or missing user"))
-		return
+		return fmt.Errorf("bad or missing user")
 	}
 	// Every single query runs under a trace (spans cost microseconds
 	// against millisecond estimations); ?trace=1 additionally inlines the
@@ -759,8 +681,7 @@ func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) {
 	res, cached, err := s.SellingPoints(ctx, user, k, m, prefix)
 	td := tr.Finish()
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	out := map[string]any{
 		"user":      user,
@@ -795,15 +716,14 @@ func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) {
 		out["alternatives"] = alts
 	}
 	writeJSON(w, out)
+	return nil
 }
 
-func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("audience", time.Now())
+func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	user, err := intParam(q, "user", -1)
 	if err != nil || user < 0 {
-		httpError(w, fmt.Errorf("bad or missing user"))
-		return
+		return fmt.Errorf("bad or missing user")
 	}
 	tr := s.tracer.StartTrace("audience")
 	ctx, cancel := s.queryCtx(obsv.ContextWithTrace(r.Context(), tr))
@@ -811,27 +731,24 @@ func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	tags, err := parseIntList(q.Get("tags"))
 	if err != nil {
-		httpError(w, fmt.Errorf("bad tags: %w", err))
-		return
+		return fmt.Errorf("bad tags: %w", err)
 	}
 	m, err := intParam(q, "m", 10)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	// Default 0: Audience normalizes it to pitex.DefaultAudienceSamples,
 	// so an omitted samples and an explicit 0 share one cache key.
 	samples, err := intParam(q, "samples", 0)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	aud, cached, err := s.Audience(ctx, user, tags, m, int64(samples))
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, map[string]any{"user": user, "audience": aud, "cached": cached})
+	return nil
 }
 
 // updateRequest is the /admin/update JSON body. Example:
@@ -862,19 +779,16 @@ type updateProb struct {
 // staged operations, far beyond the incremental sweet spot).
 const maxUpdateBody = 1 << 20
 
-func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("admin-update", time.Now())
+func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return withStatus(http.StatusMethodNotAllowed, errors.New("POST required"))
 	}
 	var req updateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad update body: %w", err))
-		return
+		return fmt.Errorf("bad update body: %w", err)
 	}
 	var batch pitex.UpdateBatch
 	if req.AddUsers != 0 {
@@ -899,13 +813,11 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) {
 		batch.InsertEdge(e.From, e.To, toProbs(e.Probs)...)
 	}
 	if batch.Empty() {
-		httpError(w, fmt.Errorf("empty update batch"))
-		return
+		return fmt.Errorf("empty update batch")
 	}
 	stats, err := s.ApplyUpdates(&batch)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, map[string]any{
 		"generation":        stats.Generation,
@@ -920,22 +832,20 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) {
 		"full_rebuild":      stats.FullRebuild,
 		"elapsed":           stats.Elapsed.String(),
 	})
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	select {
-	case <-s.pool.Load().closed:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "closed"})
-	default:
-		writeJSON(w, map[string]any{
-			"status":         "ok",
-			"strategy":       s.strategy,
-			"generation":     s.generation.Load(),
-			"uptime_seconds": time.Since(s.start).Seconds(),
-		})
+	if s.pool.Load().gate.open() != nil {
+		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
+		return
 	}
+	writeJSON(w, map[string]any{
+		"status":         "ok",
+		"strategy":       s.strategy,
+		"generation":     s.generation.Load(),
+		"uptime_seconds": time.Since(s.start).Seconds(),
+	})
 }
 
 // handleReadyz is the serving-readiness probe, distinct from /healthz
@@ -945,13 +855,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // readiness gates and the distrib health tracker key on it to tell "up"
 // from "serving".
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	select {
-	case <-s.pool.Load().closed:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "closed"})
+	if s.pool.Load().gate.open() != nil {
+		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
 		return
-	default:
 	}
 	out := map[string]any{
 		"status":     "ready",
@@ -969,46 +875,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Stats())
-}
-
-// httpError maps subsystem errors onto HTTP statuses: shed/closed → 503
-// (retry elsewhere), deadline → 504, client gone → 499-style 503, bad
-// input → 400.
-func httpError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQueueTimeout),
-		errors.Is(err, ErrDeadlineBudget),
-		errors.Is(err, ErrPoolClosed), errors.Is(err, context.Canceled):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, errComputeAborted):
-		// A server-side fault (panicked estimation), not a client error.
-		status = http.StatusInternalServerError
-	}
-	writeError(w, status, err)
-}
-
-// writeError emits a JSON error with an explicit status — the one error
-// writer of both servers; the /shard protocol calls it directly for
-// statuses httpError's mapping cannot express, such as 409 for
-// generation skew.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		// Shed load is transient by construction (queue full, admission
-		// shed, budget too thin, draining): tell well-behaved clients when
-		// to come back instead of letting them hammer the queue.
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 func intParam(q map[string][]string, name string, def int) (int, error) {

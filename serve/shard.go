@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,7 +36,8 @@ type ShardConfig struct {
 	Owned []int
 	// Workers bounds concurrent estimations (default 4); QueueDepth and
 	// QueueTimeout bound the admission queue behind them (defaults 64,
-	// 100ms) — the same shed-fast discipline as the coordinator pool.
+	// 100ms). The gate enforcing them is the coordinator pool's own code,
+	// so a shard sheds, times out and drains exactly as the pool does.
 	Workers      int
 	QueueDepth   int
 	QueueTimeout time.Duration
@@ -144,10 +146,9 @@ func (p *estimatorPool) put(set *estimatorSet) {
 // only once every owned shard is built. All methods are safe for
 // concurrent use.
 type ShardServer struct {
-	model    *pitex.TagModel
-	opts     pitex.Options
-	cfg      ShardConfig
-	strategy pitex.Strategy
+	serverCore
+	opts pitex.Options
+	cfg  ShardConfig
 	// baseSeed is the defaulted engine seed; repair seeds derive from it
 	// per generation exactly as Engine.ApplyUpdates derives them.
 	baseSeed  uint64
@@ -158,14 +159,8 @@ type ShardServer struct {
 	buildErr error // written before ready closes, read only after
 
 	updateMu sync.Mutex
-	metrics  *Metrics
-	tracer   *obsv.Tracer
-	start    time.Time
-
-	sem     chan struct{}
-	waiting atomic.Int64
-	closed  atomic.Bool
-	panics  *obsv.Counter
+	// gate admits estimations; closing it drains the server.
+	gate *gate
 }
 
 // NewShardServer starts building the owned shards of the layout and
@@ -200,18 +195,14 @@ func NewShardServer(net *pitex.Network, model *pitex.TagModel, opts pitex.Option
 	}
 	cfg.Owned = owned
 	ss := &ShardServer{
-		model:     model,
 		opts:      opts,
 		cfg:       cfg,
-		strategy:  opts.Strategy,
 		baseSeed:  bo.Seed,
 		buildOpts: bo,
 		ready:     make(chan struct{}),
-		metrics:   NewMetrics(),
-		tracer:    obsv.NewTracer(0),
-		start:     time.Now(),
-		sem:       make(chan struct{}, cfg.Workers),
+		gate:      newGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
 	}
+	ss.initCore(opts.Strategy.String(), ss.Generation)
 	ss.registerMetrics()
 	go ss.build(net)
 	return ss, nil
@@ -221,19 +212,16 @@ func NewShardServer(net *pitex.Network, model *pitex.TagModel, opts pitex.Option
 // /metrics exposition.
 func (ss *ShardServer) registerMetrics() {
 	reg := ss.metrics.Registry()
-	obsv.RegisterBuildInfo(reg)
-	reg.GaugeFunc("pitex_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(ss.start).Seconds() })
-	reg.GaugeFunc("pitex_index_generation", "Index generation currently served.",
-		func() float64 { return float64(ss.Generation()) })
 	reg.GaugeFunc("pitex_shard_inflight", "Estimations currently holding a worker slot.",
-		func() float64 { return float64(len(ss.sem)) })
+		func() float64 { return float64(ss.gate.inUse.Load()) })
 	reg.GaugeFunc("pitex_shard_waiting", "Requests queued for a worker slot.",
-		func() float64 { return float64(ss.waiting.Load()) })
+		func() float64 { return float64(ss.gate.waiting.Load()) })
+	reg.CounterFunc("pitex_shard_rejected_total", "Estimations shed by admission control beyond the queue bound.",
+		func() int64 { return ss.gate.rejected.Load() })
+	reg.CounterFunc("pitex_shard_timeouts_total", "Estimations that timed out waiting for a worker slot.",
+		func() int64 { return ss.gate.timeouts.Load() })
 	reg.GaugeFunc("pitex_shards_owned", "Shard slices this server holds.",
 		func() float64 { return float64(len(ss.cfg.Owned)) })
-	ss.panics = reg.Counter("pitex_panics_total",
-		"Panics recovered from request execution (each is a bug).")
 }
 
 func (ss *ShardServer) build(net *pitex.Network) {
@@ -242,7 +230,7 @@ func (ss *ShardServer) build(net *pitex.Network) {
 	for _, s := range ss.cfg.Owned {
 		var users int
 		var err error
-		if ss.strategy == pitex.StrategyDelay {
+		if ss.opts.Strategy == pitex.StrategyDelay {
 			st.delays[s], users, err = rrindex.BuildDelayMatShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s)
 		} else {
 			st.indexes[s], users, err = rrindex.BuildShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s)
@@ -256,24 +244,14 @@ func (ss *ShardServer) build(net *pitex.Network) {
 	ss.state.Store(st)
 }
 
-// Close marks the server draining — subsequent /shard requests are
-// refused with 503 — and blocks until the background shard build (if
-// still running) has finished, so no goroutine outlives the call. Safe
-// to call more than once.
+// Close marks the server draining — it closes the admission gate, so
+// subsequent estimate, update and resync requests are refused with 503 —
+// and blocks until the background shard build (if still running) has
+// finished, so no goroutine outlives the call. Safe to call more than
+// once.
 func (ss *ShardServer) Close() {
-	if ss.closed.Swap(true) {
-		return
-	}
+	ss.gate.close()
 	<-ss.ready
-}
-
-// refuseClosed sheds a request on a draining server.
-func (ss *ShardServer) refuseClosed(w http.ResponseWriter) bool {
-	if !ss.closed.Load() {
-		return false
-	}
-	writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: shard server draining"))
-	return true
 }
 
 // WaitReady blocks until every owned shard is built (returning any build
@@ -293,32 +271,6 @@ func (ss *ShardServer) Generation() uint64 {
 		return st.generation
 	}
 	return 0
-}
-
-// acquire is the admission gate: a worker slot immediately when free, a
-// bounded queue wait otherwise, shedding with ErrOverloaded beyond
-// QueueDepth waiters.
-func (ss *ShardServer) acquire(ctx context.Context) (func(), error) {
-	select {
-	case ss.sem <- struct{}{}:
-		return func() { <-ss.sem }, nil
-	default:
-	}
-	if ss.waiting.Add(1) > int64(ss.cfg.QueueDepth) {
-		ss.waiting.Add(-1)
-		return nil, ErrOverloaded
-	}
-	defer ss.waiting.Add(-1)
-	t := time.NewTimer(ss.cfg.QueueTimeout)
-	defer t.Stop()
-	select {
-	case ss.sem <- struct{}{}:
-		return func() { <-ss.sem }, nil
-	case <-t.C:
-		return nil, ErrQueueTimeout
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // stateFor resolves the serving state a generation-stamped request runs
@@ -357,43 +309,28 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 // Like the coordinator's /admin endpoints, /shard/update carries no
 // authentication; keep the listener internal.
 func (ss *ShardServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /shard/estimate", ss.handleEstimate)
-	mux.HandleFunc("GET /shard/info", ss.handleInfo)
-	mux.HandleFunc("GET /shard/counters", ss.handleCounters)
-	mux.HandleFunc("POST /shard/update", ss.handleUpdate)
-	mux.HandleFunc("GET /shard/resync", ss.handleResyncGet)
-	mux.HandleFunc("POST /shard/resync", ss.handleResyncPost)
+	mux := ss.newMux()
+	mux.HandleFunc("POST /shard/estimate", ss.chain(route{"shard-estimate", faultinject.PointShardEstimate, ss.gate}, ss.handleEstimate))
+	mux.HandleFunc("GET /shard/info", ss.chain(route{}, ss.handleInfo))
+	mux.HandleFunc("GET /shard/counters", ss.chain(route{label: "shard-counters"}, ss.handleCounters))
+	mux.HandleFunc("POST /shard/update", ss.chain(route{"shard-update", faultinject.PointShardUpdate, ss.gate}, ss.handleUpdate))
+	resync := route{"shard-resync", faultinject.PointShardResync, ss.gate}
+	mux.HandleFunc("GET /shard/resync", ss.chain(resync, ss.handleResyncGet))
+	mux.HandleFunc("POST /shard/resync", ss.chain(resync, ss.handleResyncPost))
 	mux.HandleFunc("/healthz", ss.handleHealthz)
 	mux.HandleFunc("/readyz", ss.handleReadyz)
 	mux.HandleFunc("/statsz", ss.handleStatsz)
-	mux.Handle("GET /metrics", ss.metrics.Registry().Handler())
-	mux.Handle("GET /tracez", ss.tracer.Handler())
 	return mux
-}
-
-func (ss *ShardServer) observe(endpoint string, start time.Time) {
-	ss.metrics.Observe(endpoint+"/"+ss.strategy.String(), time.Since(start))
 }
 
 // maxEstimateBody bounds /shard/estimate bodies (posteriors are one
 // float per topic; 4 MiB covers hundreds of thousands of topics).
 const maxEstimateBody = 4 << 20
 
-func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-estimate", time.Now())
-	if ss.refuseClosed(w) {
-		return
-	}
-	fault := faultinject.Eval(r.Context(), faultinject.PointShardEstimate)
-	if fault.Err != nil {
-		writeError(w, http.StatusInternalServerError, fault.Err)
-		return
-	}
-	if ss.strategy == pitex.StrategyDelay {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("DELAYEST serves counters only; its estimator state cannot be scattered"))
-		return
+func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) error {
+	if ss.opts.Strategy == pitex.StrategyDelay {
+		return withStatus(http.StatusNotImplemented,
+			errors.New("DELAYEST serves counters only; its estimator state cannot be scattered"))
 	}
 	// Adopt the coordinator's trace ID when the request carries one, so
 	// this server's /tracez correlates with the coordinator's span tree;
@@ -403,61 +340,46 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer str.Finish()
 	req, err := decodeEstimate(r)
 	if err != nil {
-		httpError(w, fmt.Errorf("bad estimate body: %w", err))
-		return
+		return fmt.Errorf("bad estimate body: %w", err)
 	}
 	st, err := ss.stateFor(req.Generation, true)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
+		return withStatus(http.StatusConflict, err)
 	}
 	if req.User < 0 || req.User >= st.net.NumUsers() {
-		httpError(w, fmt.Errorf("user %d outside [0,%d)", req.User, st.net.NumUsers()))
-		return
+		return fmt.Errorf("user %d outside [0,%d)", req.User, st.net.NumUsers())
 	}
 	if err := req.Validate(st.net.NumTopics()); err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
 	// Deadline-aware admission: the coordinator forwards its remaining
-	// budget in a header (context deadlines do not cross HTTP). A request
-	// whose budget is already below this server's observed median latency
-	// would only occupy a worker to miss its deadline — shed it up front.
+	// budget in a header (context deadlines do not cross HTTP), which
+	// becomes this request's deadline; a budget already below this
+	// server's observed median latency is shed before it takes a slot.
 	ctx := r.Context()
-	if ms := r.Header.Get(distrib.DeadlineHeader); ms != "" {
-		n, perr := strconv.ParseInt(ms, 10, 64)
-		if perr == nil && n > 0 {
-			budget := time.Duration(n) * time.Millisecond
-			if p50, ok := ss.metrics.P50("shard-estimate/" + ss.strategy.String()); ok && budget < p50 {
-				httpError(w, fmt.Errorf("%w (%v budget, p50 %v)", ErrDeadlineBudget, budget, p50))
-				return
-			}
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, budget)
-			defer cancel()
-		}
+	if n, perr := strconv.ParseInt(r.Header.Get(distrib.DeadlineHeader), 10, 64); perr == nil && n > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(n)*time.Millisecond)
+		defer cancel()
+	}
+	if err := ss.admitBudget(ctx, "shard-estimate/"+ss.strategy); err != nil {
+		return err
 	}
 	asp := str.StartSpan("acquire")
-	asp.SetAttr("waiting", ss.waiting.Load())
-	release, err := ss.acquire(ctx)
+	asp.SetAttr("waiting", ss.gate.waiting.Load())
+	err = ss.gate.enter(ctx)
 	asp.End()
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
-	defer release()
+	defer ss.gate.leave()
 	psp := str.StartSpan("partials")
 	psp.SetAttr("user", req.User)
 	psp.SetAttr("generation", st.generation)
 	psp.SetAttr("owned", len(ss.cfg.Owned))
 	psp.SetAttr("width", req.Width())
 	defer psp.End()
-	resp, err := ss.estimate(st, &req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeEstimate(w, resp, fault.Corrupt)
+	return writeEstimate(w, ss.estimate(st, &req), corrupted(r))
 }
 
 // decodeEstimate reads an estimate request's frame into a buffer of
@@ -483,15 +405,14 @@ func decodeEstimate(r *http.Request) (req distrib.EstimateRequest, err error) {
 // weight row decided in a single masked pass with no stop rule. It runs
 // on an estimator set borrowed from the generation's pool, so in the
 // steady state it allocates only the response. A panicking estimator
-// becomes an error, and its set — scratch in an unknown state — is not
-// returned.
-func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (resp distrib.EstimateResponse, err error) {
-	defer ss.recoverPanic("estimate", &err)
+// unwinds to the handler chain, and its set — scratch in an unknown
+// state — is not returned.
+func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (resp distrib.EstimateResponse) {
 	set := st.pool.get()
 	if set == nil {
 		set = &estimatorSet{ests: make([]shardEstimator, len(ss.cfg.Owned))}
 		for i, s := range ss.cfg.Owned {
-			if ss.strategy == pitex.StrategyIndexPruned {
+			if ss.opts.Strategy == pitex.StrategyIndexPruned {
 				set.ests[i] = rrindex.NewPrunedEstimator(st.indexes[s])
 			} else {
 				set.ests[i] = rrindex.NewEstimator(st.indexes[s])
@@ -506,16 +427,7 @@ func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (r
 			set.ests[i].PartialFrontier(s, st.users[s], st.net.NumUsers(), u, frontier, sampling.StopRule{}))
 	}
 	st.pool.put(set)
-	return resp, nil
-}
-
-// recoverPanic converts a panic in request execution into an error and
-// counts it; a panicking estimator must not take the whole server down.
-func (ss *ShardServer) recoverPanic(what string, err *error) {
-	if r := recover(); r != nil {
-		ss.panics.Inc()
-		*err = fmt.Errorf("serve: %s panicked: %v", what, r)
-	}
+	return resp
 }
 
 // writeEstimate writes an estimate response frame with its Content-Length
@@ -523,11 +435,10 @@ func (ss *ShardServer) recoverPanic(what string, err *error) {
 // carries the corrupt-payload fault: when a faultinject rule asked for
 // corruption, the encoded body is bit-flipped before it leaves,
 // exercising client-side decode hardening.
-func writeEstimate(w http.ResponseWriter, resp distrib.EstimateResponse, corrupt bool) {
+func writeEstimate(w http.ResponseWriter, resp distrib.EstimateResponse, corrupt bool) error {
 	data, err := distrib.EncodeFrontierResponse(resp)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return withStatus(http.StatusInternalServerError, err)
 	}
 	if corrupt {
 		data = faultinject.CorruptBytes(data)
@@ -535,23 +446,24 @@ func writeEstimate(w http.ResponseWriter, resp distrib.EstimateResponse, corrupt
 	w.Header().Set("Content-Type", distrib.FrontierContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
+	return nil
 }
 
-func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
+func (ss *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) error {
 	st := ss.state.Load()
 	if st == nil {
 		if ss.buildErr != nil {
-			writeError(w, http.StatusInternalServerError, ss.buildErr)
-			return
+			return withStatus(http.StatusInternalServerError, ss.buildErr)
 		}
 		writeJSON(w, distrib.InfoResponse{
 			TotalShards: ss.cfg.TotalShards,
-			Strategy:    ss.strategy.String(),
+			Strategy:    ss.strategy,
 			Ready:       false,
 		})
-		return
+		return nil
 	}
 	writeJSON(w, ss.infoFor(st))
+	return nil
 }
 
 func (ss *ShardServer) infoFor(st *shardState) distrib.InfoResponse {
@@ -559,7 +471,7 @@ func (ss *ShardServer) infoFor(st *shardState) distrib.InfoResponse {
 		Generation:  st.generation,
 		TotalShards: ss.cfg.TotalShards,
 		TotalUsers:  st.net.NumUsers(),
-		Strategy:    ss.strategy.String(),
+		Strategy:    ss.strategy,
 		Ready:       true,
 	}
 	for _, s := range ss.cfg.Owned {
@@ -575,31 +487,26 @@ func (ss *ShardServer) infoFor(st *shardState) distrib.InfoResponse {
 	return info
 }
 
-func (ss *ShardServer) handleCounters(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-counters", time.Now())
+func (ss *ShardServer) handleCounters(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	user, err := intParam(q, "user", -1)
 	if err != nil || user < 0 {
-		httpError(w, fmt.Errorf("bad or missing user"))
-		return
+		return fmt.Errorf("bad or missing user")
 	}
 	gen, hasGen := uint64(0), false
 	if gArg := q.Get("generation"); gArg != "" {
 		gen, err = strconv.ParseUint(gArg, 10, 64)
 		if err != nil {
-			httpError(w, fmt.Errorf("bad generation: %q", gArg))
-			return
+			return fmt.Errorf("bad generation: %q", gArg)
 		}
 		hasGen = true
 	}
 	st, err := ss.stateFor(gen, hasGen)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
+		return withStatus(http.StatusConflict, err)
 	}
 	if user >= st.net.NumUsers() {
-		httpError(w, fmt.Errorf("user %d outside [0,%d)", user, st.net.NumUsers()))
-		return
+		return fmt.Errorf("user %d outside [0,%d)", user, st.net.NumUsers())
 	}
 	resp := distrib.CountersResponse{Generation: st.generation}
 	for _, s := range ss.cfg.Owned {
@@ -614,88 +521,93 @@ func (ss *ShardServer) handleCounters(w http.ResponseWriter, r *http.Request) {
 		resp.Counts = append(resp.Counts, row)
 	}
 	writeJSON(w, resp)
+	return nil
 }
 
-func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-update", time.Now())
-	if ss.refuseClosed(w) {
-		return
-	}
-	if out := faultinject.Eval(r.Context(), faultinject.PointShardUpdate); out.Err != nil {
-		writeError(w, http.StatusInternalServerError, out.Err)
-		return
-	}
+// errBuilding refuses a state-changing request before the owned shards
+// are built: there is no state yet to update or snapshot.
+var errBuilding = withStatus(http.StatusServiceUnavailable, errors.New("serve: shards still building"))
+
+func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 	var req distrib.UpdateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad update body: %w", err))
-		return
+		return fmt.Errorf("bad update body: %w", err)
 	}
+	return ss.advance(w, func(st *shardState) (*shardState, any, error) {
+		if req.Generation == st.generation {
+			// Idempotent retry of an already-applied fan-out.
+			return nil, distrib.UpdateResponse{Generation: st.generation}, nil
+		}
+		if req.Generation != st.generation+1 {
+			return nil, nil, withStatus(http.StatusConflict,
+				fmt.Errorf("serve: update for generation %d, serving %d", req.Generation, st.generation))
+		}
+		batch, err := distrib.RequestToBatch(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		start := time.Now()
+		newNet, info, err := st.net.ApplyBatch(batch)
+		if err != nil {
+			return nil, nil, err
+		}
+		bo := ss.buildOpts
+		bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
+		next := newShardState(newNet, req.Generation)
+		resp := distrib.UpdateResponse{Generation: req.Generation}
+		for _, s := range ss.cfg.Owned {
+			var rs rrindex.RepairStats
+			var users int
+			switch {
+			case st.indexes[s] != nil:
+				next.indexes[s], rs, users, err = st.indexes[s].RepairShard(
+					newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
+			case st.delays[s] != nil && st.delays[s].CanRepair():
+				next.delays[s], rs, users, err = st.delays[s].RepairShard(
+					newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
+			default:
+				// DelayMat without member tracking: re-count this shard from
+				// scratch, mirroring the in-process fallback.
+				next.delays[s], users, err = rrindex.BuildDelayMatShard(newNet.Graph(), bo, ss.cfg.TotalShards, s)
+			}
+			if err != nil {
+				return nil, nil, withStatus(http.StatusInternalServerError, err)
+			}
+			next.users[s] = users
+			resp.GraphsRepaired += rs.Invalidated + rs.Retargeted
+			resp.GraphsAppended += rs.Appended
+		}
+		resp.ElapsedNs = int64(time.Since(start))
+		return next, resp, nil
+	})
+}
+
+// advance runs step under the update lock against the serving state,
+// publishes the successor it returns (nil: nothing to publish), then
+// writes its response. Publishing double-buffers exactly one generation
+// back: queries in flight across the coordinator's swap window still
+// resolve, without growing an unbounded chain.
+func (ss *ShardServer) advance(w http.ResponseWriter, step func(st *shardState) (*shardState, any, error)) error {
 	ss.updateMu.Lock()
 	defer ss.updateMu.Unlock()
 	st := ss.state.Load()
 	if st == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: shards still building"))
-		return
+		return errBuilding
 	}
-	if req.Generation == st.generation {
-		// Idempotent retry of an already-applied fan-out.
-		writeJSON(w, distrib.UpdateResponse{Generation: st.generation})
-		return
-	}
-	if req.Generation != st.generation+1 {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("serve: update for generation %d, serving %d", req.Generation, st.generation))
-		return
-	}
-	batch, err := distrib.RequestToBatch(req)
+	next, resp, err := step(st)
 	if err != nil {
-		httpError(w, err)
-		return
+		return err
 	}
-	start := time.Now()
-	newNet, info, err := st.net.ApplyBatch(batch)
-	if err != nil {
-		httpError(w, err)
-		return
+	if next != nil {
+		prev := *st
+		prev.prev = nil
+		next.prev = &prev
+		ss.state.Store(next)
 	}
-	bo := ss.buildOpts
-	bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
-	next := newShardState(newNet, req.Generation)
-	resp := distrib.UpdateResponse{Generation: req.Generation}
-	for _, s := range ss.cfg.Owned {
-		var rs rrindex.RepairStats
-		var users int
-		switch {
-		case st.indexes[s] != nil:
-			next.indexes[s], rs, users, err = st.indexes[s].RepairShard(
-				newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
-		case st.delays[s] != nil && st.delays[s].CanRepair():
-			next.delays[s], rs, users, err = st.delays[s].RepairShard(
-				newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
-		default:
-			// DelayMat without member tracking: re-count this shard from
-			// scratch, mirroring the in-process fallback.
-			next.delays[s], users, err = rrindex.BuildDelayMatShard(newNet.Graph(), bo, ss.cfg.TotalShards, s)
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		next.users[s] = users
-		resp.GraphsRepaired += rs.Invalidated + rs.Retargeted
-		resp.GraphsAppended += rs.Appended
-	}
-	// Double-buffer exactly one generation back: queries in flight across
-	// the coordinator's swap window still resolve, without growing an
-	// unbounded chain.
-	prev := *st
-	prev.prev = nil
-	next.prev = &prev
-	ss.state.Store(next)
-	resp.ElapsedNs = int64(time.Since(start))
 	writeJSON(w, resp)
+	return nil
 }
 
 // maxResyncBody bounds /shard/resync installs: a snapshot carries the
@@ -707,130 +619,93 @@ const maxResyncBody = 256 << 20
 // never rebuilding — is what keeps replicas byte-identical: the snapshot
 // is the source's exact index bytes, so after install the pair would
 // serialize identically again.
-func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-resync", time.Now())
-	if ss.refuseClosed(w) {
-		return
-	}
-	if out := faultinject.Eval(r.Context(), faultinject.PointShardResync); out.Err != nil {
-		writeError(w, http.StatusInternalServerError, out.Err)
-		return
-	}
+func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) error {
 	st := ss.state.Load()
 	if st == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: shards still building"))
-		return
+		return errBuilding
 	}
 	snap := distrib.ResyncState{
 		Generation:  st.generation,
 		TotalShards: ss.cfg.TotalShards,
-		Strategy:    ss.strategy.String(),
+		Strategy:    ss.strategy,
 	}
 	var nb bytes.Buffer
 	if err := st.net.Write(&nb); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return withStatus(http.StatusInternalServerError, err)
 	}
 	snap.Network = nb.Bytes()
 	for _, s := range ss.cfg.Owned {
 		sh := distrib.ResyncShard{Shard: s, Users: st.users[s]}
 		var sb bytes.Buffer
+		var err error
 		switch {
 		case st.indexes[s] != nil:
-			if err := rrindex.WriteIndex(&sb, st.indexes[s]); err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
+			err = rrindex.WriteIndex(&sb, st.indexes[s])
 			sh.Index = sb.Bytes()
 		case st.delays[s] != nil:
-			if err := rrindex.WriteDelayMat(&sb, st.delays[s]); err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
+			err = rrindex.WriteDelayMat(&sb, st.delays[s])
 			sh.Delay = sb.Bytes()
+		}
+		if err != nil {
+			return withStatus(http.StatusInternalServerError, err)
 		}
 		snap.Shards = append(snap.Shards, sh)
 	}
 	writeJSON(w, snap)
+	return nil
 }
 
 // handleResyncPost installs a snapshot taken from a caught-up replica,
 // replacing this server's state wholesale. Generations at or below the
 // serving one are acknowledged idempotently; the snapshot's layout and
 // strategy must match this server's exactly.
-func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-resync", time.Now())
-	if ss.refuseClosed(w) {
-		return
-	}
-	if out := faultinject.Eval(r.Context(), faultinject.PointShardResync); out.Err != nil {
-		writeError(w, http.StatusInternalServerError, out.Err)
-		return
-	}
+func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) error {
 	var snap distrib.ResyncState
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResyncBody))
 	if err := dec.Decode(&snap); err != nil {
-		httpError(w, fmt.Errorf("bad resync body: %w", err))
-		return
+		return fmt.Errorf("bad resync body: %w", err)
 	}
-	ss.updateMu.Lock()
-	defer ss.updateMu.Unlock()
-	st := ss.state.Load()
-	if st == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: shards still building"))
-		return
-	}
-	if snap.Generation <= st.generation {
-		// Stale or duplicate snapshot; the server already serves newer state.
-		writeJSON(w, distrib.ResyncResponse{Generation: st.generation})
-		return
-	}
-	if snap.TotalShards != ss.cfg.TotalShards || snap.Strategy != ss.strategy.String() {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("serve: snapshot layout %d/%s does not match %d/%s",
-				snap.TotalShards, snap.Strategy, ss.cfg.TotalShards, ss.strategy))
-		return
-	}
-	net, err := pitex.ReadNetwork(bytes.NewReader(snap.Network))
-	if err != nil {
-		httpError(w, fmt.Errorf("bad snapshot network: %w", err))
-		return
-	}
-	next := newShardState(net, snap.Generation)
-	for _, sh := range snap.Shards {
-		if !slices.Contains(ss.cfg.Owned, sh.Shard) {
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("serve: snapshot carries shard %d, not owned here", sh.Shard))
-			return
+	return ss.advance(w, func(st *shardState) (*shardState, any, error) {
+		if snap.Generation <= st.generation {
+			// Stale or duplicate snapshot; the server already serves newer state.
+			return nil, distrib.ResyncResponse{Generation: st.generation}, nil
 		}
-		switch {
-		case len(sh.Index) > 0:
-			next.indexes[sh.Shard], err = rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
-		case len(sh.Delay) > 0:
-			next.delays[sh.Shard], err = rrindex.ReadDelayMat(bytes.NewReader(sh.Delay), net.Graph())
-		default:
-			err = fmt.Errorf("serve: snapshot shard %d carries no payload", sh.Shard)
+		if snap.TotalShards != ss.cfg.TotalShards || snap.Strategy != ss.strategy {
+			return nil, nil, withStatus(http.StatusConflict,
+				fmt.Errorf("serve: snapshot layout %d/%s does not match %d/%s",
+					snap.TotalShards, snap.Strategy, ss.cfg.TotalShards, ss.strategy))
 		}
+		net, err := pitex.ReadNetwork(bytes.NewReader(snap.Network))
 		if err != nil {
-			httpError(w, fmt.Errorf("bad snapshot shard %d: %w", sh.Shard, err))
-			return
+			return nil, nil, fmt.Errorf("bad snapshot network: %w", err)
 		}
-		next.users[sh.Shard] = sh.Users
-	}
-	for _, s := range ss.cfg.Owned {
-		if next.indexes[s] == nil && next.delays[s] == nil {
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("serve: snapshot missing owned shard %d", s))
-			return
+		next := newShardState(net, snap.Generation)
+		for _, sh := range snap.Shards {
+			if !slices.Contains(ss.cfg.Owned, sh.Shard) {
+				return nil, nil, withStatus(http.StatusConflict,
+					fmt.Errorf("serve: snapshot carries shard %d, not owned here", sh.Shard))
+			}
+			switch {
+			case len(sh.Index) > 0:
+				next.indexes[sh.Shard], err = rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
+			case len(sh.Delay) > 0:
+				next.delays[sh.Shard], err = rrindex.ReadDelayMat(bytes.NewReader(sh.Delay), net.Graph())
+			default:
+				err = fmt.Errorf("serve: snapshot shard %d carries no payload", sh.Shard)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad snapshot shard %d: %w", sh.Shard, err)
+			}
+			next.users[sh.Shard] = sh.Users
 		}
-	}
-	// Keep the pre-resync state double-buffered, mirroring handleUpdate:
-	// queries stamped with the old generation finish across the swap.
-	prev := *st
-	prev.prev = nil
-	next.prev = &prev
-	ss.state.Store(next)
-	writeJSON(w, distrib.ResyncResponse{Generation: snap.Generation})
+		for _, s := range ss.cfg.Owned {
+			if next.indexes[s] == nil && next.delays[s] == nil {
+				return nil, nil, withStatus(http.StatusConflict,
+					fmt.Errorf("serve: snapshot missing owned shard %d", s))
+			}
+		}
+		return next, distrib.ResyncResponse{Generation: snap.Generation}, nil
+	})
 }
 
 func (ss *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -858,12 +733,14 @@ func (ss *ShardServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (ss *ShardServer) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
-		"strategy":       ss.strategy.String(),
+		"strategy":       ss.strategy,
 		"total_shards":   ss.cfg.TotalShards,
 		"owned":          ss.cfg.Owned,
 		"uptime_seconds": time.Since(ss.start).Seconds(),
 		"build":          obsv.GetBuildInfo(),
-		"inflight":       len(ss.sem),
+		"inflight":       ss.gate.inUse.Load(),
+		"rejected":       ss.gate.rejected.Load(),
+		"timeouts":       ss.gate.timeouts.Load(),
 		"latency":        ss.metrics.Snapshot(),
 	}
 	if st := ss.state.Load(); st != nil {

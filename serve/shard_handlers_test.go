@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"math"
 	"net/http"
@@ -46,7 +47,7 @@ func TestShardServerStatszAndInfo(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/statsz = %d", status)
 	}
-	for _, key := range []string{"generation", "shards", "owned", "strategy", "latency"} {
+	for _, key := range []string{"generation", "shards", "owned", "strategy", "latency", "inflight", "rejected", "timeouts"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("/statsz missing %q: %v", key, stats)
 		}
@@ -283,9 +284,10 @@ func TestEstimateRemoteWrongWidthIsBadRequest(t *testing.T) {
 	}
 }
 
-// TestShardServerAcquire drives the admission gate directly: a free
-// slot, a queued wait that times out, shedding beyond QueueDepth, and
-// context cancellation while queued.
+// TestShardServerAcquire drives the shard's admission gate directly: a
+// free slot, a queued wait that times out, shedding beyond QueueDepth,
+// context cancellation while queued, and a context cancelled before it
+// arrives, which must not take a free slot.
 func TestShardServerAcquire(t *testing.T) {
 	net, model := fig2NetModel(t)
 	ss, err := NewShardServer(net, model, fig2Options(pitex.StrategyIndexPruned, 1), ShardConfig{
@@ -294,15 +296,16 @@ func TestShardServerAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardServer: %v", err)
 	}
+	t.Cleanup(ss.Close)
+	g := ss.gate
 	ctx := context.Background()
 
-	release, err := ss.acquire(ctx)
-	if err != nil {
+	if err := g.enter(ctx); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 
 	// Slot held: the queue admits one waiter, which times out.
-	if _, err := ss.acquire(ctx); err != ErrQueueTimeout {
+	if err := g.enter(ctx); err != ErrQueueTimeout {
 		t.Fatalf("queued acquire err = %v, want ErrQueueTimeout", err)
 	}
 
@@ -310,19 +313,16 @@ func TestShardServerAcquire(t *testing.T) {
 	// with ErrOverloaded (which one depends on arrival order), the other
 	// times out in the queue.
 	waiting := make(chan error, 1)
-	go func() {
-		_, err := ss.acquire(ctx)
-		waiting <- err
-	}()
+	go func() { waiting <- g.enter(ctx) }()
 	deadline := time.Now().Add(2 * time.Second)
-	shed := false
+	shed, bgDone := false, false
 	for time.Now().Before(deadline) && !shed {
-		_, err := ss.acquire(ctx)
-		if err == ErrOverloaded {
+		if err := g.enter(ctx); err == ErrOverloaded {
 			shed = true
 		}
 		select {
 		case bgErr := <-waiting:
+			bgDone = true
 			if bgErr == ErrOverloaded {
 				shed = true
 			} else if bgErr != ErrQueueTimeout {
@@ -334,6 +334,9 @@ func TestShardServerAcquire(t *testing.T) {
 	if !shed {
 		t.Fatal("never shed with a full queue")
 	}
+	if !bgDone {
+		<-waiting
+	}
 
 	// Context cancellation while queued.
 	cctx, cancel := context.WithCancel(ctx)
@@ -341,15 +344,22 @@ func TestShardServerAcquire(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	ss.cfg.QueueTimeout = time.Minute
-	if _, err := ss.acquire(cctx); err != context.Canceled {
+	g.timeout = time.Minute
+	if err := g.enter(cctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled acquire err = %v, want context.Canceled", err)
 	}
 
-	release()
-	if release2, err := ss.acquire(ctx); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	} else {
-		release2()
+	g.leave()
+	// A request already cancelled when it arrives — a hedge loser, a
+	// disconnected coordinator — is refused even with the slot free.
+	if err := g.enter(cctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled acquire err = %v, want context.Canceled", err)
 	}
+	if n := g.inUse.Load(); n != 0 {
+		t.Fatalf("pre-cancelled acquire left %d slots in flight, want 0", n)
+	}
+	if err := g.enter(ctx); err != nil {
+		t.Fatalf("acquire after release: %v", err)
+	}
+	g.leave()
 }

@@ -136,6 +136,9 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d, want 405", resp.StatusCode)
 	}
+	if ct, allow := resp.Header.Get("Content-Type"), resp.Header.Get("Allow"); ct != "application/json" || allow != http.MethodPost {
+		t.Fatalf("GET 405 Content-Type %q, Allow %q; want application/json, POST", ct, allow)
+	}
 
 	// Malformed and empty bodies are 400s.
 	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{}`} {
