@@ -80,9 +80,10 @@
 //
 // Updates ride the repair-routing delta path: the coordinator applies a
 // batch locally (graph only), fans the same batch to every endpoint
-// keyed by the next generation, and each server repairs only the owned
-// shards the routing decision (rrindex.RepairShard) says the batch
-// touched. Servers double-buffer the previous generation so queries
+// keyed by the next generation, and each server repairs its owned shards
+// with rrindex.RepairShard — the very per-shard repair an in-process
+// ShardedIndex.Repair runs for each of its shards — which re-samples only
+// the shards the batch touched and shares the rest. Servers double-buffer the previous generation so queries
 // in flight across the swap still answer; the client's generation stamp
 // moves only after the fan-out completes.
 //

@@ -117,11 +117,12 @@
 // targets lie in its partition, and every shard owns its own arena,
 // postings and DelayMat counters. Build and incremental repair
 // parallelize across shards under derived per-shard RNG streams, so
-// results are deterministic per (Seed, IndexShards, Workers); queries
-// scatter across shards (in parallel above a small work threshold, with a
-// per-shard p(e|W) cache so workers never contend) and gather the
-// per-shard coverage counts into Σ_s (hits_s/θ_s)·|V_s| — unbiased at
-// every S. There is one estimator for every index strategy and every S:
+// results are deterministic per (Seed, IndexShards, Workers), and a
+// sharded build or repair runs, shard by shard, the same recipe a shard
+// server runs for its own slice. Queries scatter across shards (in
+// parallel above a small work threshold, with a per-shard p(e|W) cache so
+// workers never contend) and gather the per-shard coverage counts into
+// Σ_s (hits_s/θ_s)·|V_s| — unbiased at every S. There is one estimator for every index strategy and every S:
 // a per-shard scan policy (IndexEst, IndexEst+ or DelayMat) producing
 // partial rows, and one fold over them; S=1 is the same path with one
 // shard, where the sum is the paper's (hits/θ)·|V|.
@@ -142,9 +143,10 @@
 // v1 (DelayMat) formats as before, readable by older binaries; S>1 writes
 // format v3, which round-trips the shard layout (older readers reject it
 // cleanly). v1/v2 files load as a single shard; a loaded index keeps its
-// file's shard count regardless of Options.IndexShards. Per-shard sizes
-// and repair counters are exported by serve's /statsz as index_shards and
-// programmatically via Engine.IndexShardStats.
+// file's shard count regardless of Options.IndexShards, and the engine's
+// Options reports that count (a 0 stays 0 for a one-shard file).
+// Per-shard sizes and repair counters are exported by serve's /statsz as
+// index_shards and programmatically via Engine.IndexShardStats.
 //
 // # Serving
 //

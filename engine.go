@@ -157,38 +157,14 @@ type Engine struct {
 // NewEngine validates the inputs, runs any offline construction the
 // strategy needs, and returns a query-ready engine.
 func NewEngine(net *Network, model *TagModel, opts Options) (*Engine, error) {
-	if net == nil || model == nil {
-		return nil, fmt.Errorf("pitex: nil network or model")
-	}
-	if err := opts.Validate(); err != nil {
+	opts, err := checkInputs(net, model, opts)
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if net.NumTopics() != model.NumTopics() {
-		return nil, fmt.Errorf("pitex: network has %d topics, model has %d",
-			net.NumTopics(), model.NumTopics())
-	}
-	if err := model.m.Validate(); err != nil {
-		return nil, fmt.Errorf("pitex: %w", err)
-	}
-
-	en := &Engine{
-		net:       net,
-		model:     model,
-		opts:      opts,
-		posterior: make([]float64, model.NumTopics()),
-		probe:     sampling.NewProbeCache(net.g.NumEdges()),
-	}
-
+	en := &Engine{net: net, model: model, opts: opts}
 	if opts.Strategy.NeedsIndex() {
-		build := rrindex.BuildOptions{
-			Accuracy:        en.samplingOptions(enumerate.LogPhiK(model.NumTags(), opts.MaxK)),
-			MaxIndexSamples: opts.MaxIndexSamples,
-			Seed:            opts.Seed,
-			TrackMembers:    opts.TrackUpdates,
-		}
+		build := opts.buildOptions(model.NumTags())
 		start := time.Now()
-		var err error
 		if opts.Strategy == StrategyDelay {
 			en.delay, err = rrindex.BuildShardedDelayMat(net.g, build, opts.IndexShards)
 		} else {
@@ -199,10 +175,38 @@ func NewEngine(net *Network, model *TagModel, opts Options) (*Engine, error) {
 		}
 		en.IndexBuildTime = time.Since(start)
 	}
+	return en.ready(), nil
+}
 
+// checkInputs is the validation every engine constructor shares: non-nil
+// inputs, usable options, and a valid model whose topics match the
+// network's. It returns the options with defaults applied.
+func checkInputs(net *Network, model *TagModel, opts Options) (Options, error) {
+	if net == nil || model == nil {
+		return opts, fmt.Errorf("pitex: nil network or model")
+	}
+	if err := opts.Validate(); err != nil {
+		return opts, err
+	}
+	if net.NumTopics() != model.NumTopics() {
+		return opts, fmt.Errorf("pitex: network has %d topics, model has %d",
+			net.NumTopics(), model.NumTopics())
+	}
+	if err := model.m.Validate(); err != nil {
+		return opts, fmt.Errorf("pitex: %w", err)
+	}
+	return opts.withDefaults(), nil
+}
+
+// ready is the last step of every engine constructor, Clone and
+// ApplyUpdates: it gives the assembled engine its own query scratch,
+// estimator and explorer.
+func (en *Engine) ready() *Engine {
+	en.posterior = make([]float64, en.model.NumTopics())
+	en.probe = sampling.NewProbeCache(en.net.g.NumEdges())
 	en.est = en.newEstimator()
 	en.explorer = en.newExplorer()
-	return en, nil
+	return en
 }
 
 // newExplorer builds the best-first explorer over the engine's estimator,
@@ -224,15 +228,31 @@ func (en *Engine) newExplorer() *bestfirst.Explorer {
 	return ex
 }
 
-// samplingOptions assembles the shared accuracy parameters with the given
-// log search-space size.
-func (en *Engine) samplingOptions(logSearchSpace float64) sampling.Options {
+// samplingOptions assembles the accuracy parameters of these (defaulted)
+// options for a model with numTags tags. Best-effort exploration examines
+// up to φ_k tag sets; the paper's Eq. 12 uses ln φ_k in the union bound.
+// We use ln φ_MaxK, valid for every supported k.
+func (o Options) samplingOptions(numTags int) sampling.Options {
 	return sampling.Options{
-		Epsilon:          en.opts.Epsilon,
-		Delta:            en.opts.Delta,
-		LogSearchSpace:   logSearchSpace,
-		MaxSamples:       en.opts.MaxSamples,
-		DisableEarlyStop: en.opts.DisableEarlyStop,
+		Epsilon:          o.Epsilon,
+		Delta:            o.Delta,
+		LogSearchSpace:   enumerate.LogPhiK(numTags, o.MaxK),
+		MaxSamples:       o.MaxSamples,
+		DisableEarlyStop: o.DisableEarlyStop,
+	}
+}
+
+// buildOptions derives the rrindex build parameters of these (defaulted)
+// options for a model with numTags tags. It is the one derivation: the
+// engine's build and repair use it, and IndexBuildOptions exports it to
+// shard servers, whose byte identity with the in-process index rests on
+// it.
+func (o Options) buildOptions(numTags int) rrindex.BuildOptions {
+	return rrindex.BuildOptions{
+		Accuracy:        o.samplingOptions(numTags),
+		MaxIndexSamples: o.MaxIndexSamples,
+		Seed:            o.Seed,
+		TrackMembers:    o.TrackUpdates,
 	}
 }
 
@@ -243,11 +263,7 @@ func (en *Engine) newEstimator() bestfirst.Estimator {
 		ra.frontier, _ = en.remote.(RemoteFrontierEstimator)
 		return ra
 	}
-	// Best-effort exploration examines up to φ_k tag sets; the paper's
-	// Eq. 12 uses ln φ_k in the union bound. We use ln φ_MaxK, valid for
-	// every supported k.
-	logSpace := enumerate.LogPhiK(en.model.NumTags(), en.opts.MaxK)
-	so := en.samplingOptions(logSpace)
+	so := en.opts.samplingOptions(en.model.NumTags())
 	r := rng.New(en.opts.Seed + 7919)
 	if en.opts.Propagation == PropagationLT {
 		if en.opts.Strategy == StrategyRR {
@@ -286,12 +302,8 @@ func (en *Engine) Clone() *Engine {
 		remote:         en.remote,
 		IndexBuildTime: en.IndexBuildTime,
 		generation:     en.generation,
-		posterior:      make([]float64, en.model.NumTopics()),
-		probe:          sampling.NewProbeCache(en.net.g.NumEdges()),
 	}
-	c.est = c.newEstimator()
-	c.explorer = c.newExplorer()
-	return c
+	return c.ready()
 }
 
 // SaveIndex writes the engine's offline structure (RR-Graph index or
@@ -311,34 +323,18 @@ func (en *Engine) SaveIndex(w io.Writer) error {
 
 // NewEngineWithIndex is NewEngine for index strategies, loading the offline
 // structure from r (written by SaveIndex over the same network) instead of
-// re-sampling it.
+// re-sampling it. The file's shard count wins over opts.IndexShards, and
+// Options reports it.
 func NewEngineWithIndex(net *Network, model *TagModel, opts Options, r io.Reader) (*Engine, error) {
-	if net == nil || model == nil {
-		return nil, fmt.Errorf("pitex: nil network or model")
-	}
-	if err := opts.Validate(); err != nil {
+	opts, err := checkInputs(net, model, opts)
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	if !opts.Strategy.NeedsIndex() {
 		return nil, fmt.Errorf("pitex: strategy %v does not use an offline index", opts.Strategy)
 	}
-	if net.NumTopics() != model.NumTopics() {
-		return nil, fmt.Errorf("pitex: network has %d topics, model has %d",
-			net.NumTopics(), model.NumTopics())
-	}
-	if err := model.m.Validate(); err != nil {
-		return nil, fmt.Errorf("pitex: %w", err)
-	}
-	en := &Engine{
-		net:       net,
-		model:     model,
-		opts:      opts,
-		posterior: make([]float64, model.NumTopics()),
-		probe:     sampling.NewProbeCache(net.g.NumEdges()),
-	}
+	en := &Engine{net: net, model: model, opts: opts}
 	start := time.Now()
-	var err error
 	if opts.Strategy == StrategyDelay {
 		en.delay, err = rrindex.ReadShardedDelayMat(r, net.g)
 	} else {
@@ -347,10 +343,13 @@ func NewEngineWithIndex(net *Network, model *TagModel, opts Options, r io.Reader
 	if err != nil {
 		return nil, err
 	}
+	// A 0 that already means one shard stays 0, so an S=1 file keeps the
+	// options (and any fingerprint over them) of a freshly built engine.
+	if S := len(en.IndexShardStats()); S != max(1, opts.IndexShards) {
+		en.opts.IndexShards = S
+	}
 	en.IndexBuildTime = time.Since(start)
-	en.est = en.newEstimator()
-	en.explorer = en.newExplorer()
-	return en, nil
+	return en.ready(), nil
 }
 
 // IndexMemoryBytes returns the offline index's estimated size (0 for

@@ -13,11 +13,12 @@ import (
 // and a scatter-gather coordinator need to split one ShardedIndex across
 // processes while keeping the math byte-identical to the in-process path.
 //
-//   - BuildShard(g, opts, S, s) constructs the same *Index that
-//     BuildSharded(g, opts, S) would hold at shards[s] — same hash
-//     partition, same apportioned θ_s, same derived seed, same per-shard
-//     worker split — so a fleet of shard servers, each building its own
-//     slice, reproduces the monolithic deployment's index bit for bit.
+//   - BuildSharded is BuildShard per shard, and a container's Repair is
+//     RepairShard per shard: both run the one shard recipe of shard.go
+//     (layout, per-shard options, plan), so a fleet of shard servers,
+//     each building and repairing its own slice, reproduces the in-process
+//     deployment's index bit for bit. CheckShard holds a slice copied
+//     between replicas to the same layout.
 //   - Estimator.Partial / PrunedEstimator.Partial (and PartialFrontier)
 //     run the scan ShardedEstimator runs on that shard and return its
 //     rows verbatim, in a wire-friendly shape.
@@ -69,175 +70,99 @@ func (p Partial) effectiveHits() float64 {
 	return float64(p.Hits)
 }
 
-// shardLayout recomputes the deterministic (pools, θ apportionment) of a
-// BuildSharded call and validates the shard id.
-func shardLayout(numVertices int, opts BuildOptions, numShards, shard int) (pools [][]graph.VertexID, thetas []int64, err error) {
-	S := numShards
-	if S < 1 {
-		S = 1
-	}
-	if shard < 0 || shard >= S {
-		return nil, nil, fmt.Errorf("rrindex: shard %d outside [0,%d)", shard, S)
-	}
-	pools = shardPools(numVertices, S)
-	sizes := make([]int, S)
-	for s := range pools {
-		sizes[s] = poolSizeOf(pools[s], numVertices)
-	}
-	return pools, shardThetas(opts.Theta(numVertices), sizes), nil
-}
-
-// BuildShard constructs shard `shard` of an S-way sharded index, exactly
-// as BuildSharded(g, opts, numShards) builds its shards[shard]: the same
-// hash partition, apportioned θ, derived RNG stream and per-shard worker
-// count. The second return is |V_s|. A shard-server fleet built this way
-// is byte-identical, shard for shard, to the in-process ShardedIndex.
+// BuildShard constructs shard `shard` of an S-way sharded index — the
+// same layout and per-shard build that BuildSharded runs for each of its
+// shards, so a shard-server fleet built this way is byte-identical, shard
+// for shard, to the in-process ShardedIndex. The second return is |V_s|.
 func BuildShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*Index, int, error) {
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("rrindex: %w", err)
-	}
-	S := numShards
-	if S < 1 {
-		S = 1
-	}
-	pools, thetas, err := shardLayout(g.NumVertices(), opts, numShards, shard)
+	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
 	if err != nil {
 		return nil, 0, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	o := opts
-	o.Seed = shardSeed(opts.Seed, shard)
-	o.Workers = (workers + S - 1) / S
-	idx, err := buildWithPool(g, o, pools[shard], thetas[shard])
-	return idx, poolSizeOf(pools[shard], g.NumVertices()), err
+	idx, err := l.buildIndex(g, opts, shard)
+	return idx, l.sizes[shard], err
 }
 
 // BuildDelayMatShard is BuildShard for the DelayMat counter structure.
 func BuildDelayMatShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*DelayMat, int, error) {
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("rrindex: %w", err)
-	}
-	pools, thetas, err := shardLayout(g.NumVertices(), opts, numShards, shard)
+	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
 	if err != nil {
 		return nil, 0, err
 	}
-	o := opts
-	o.Seed = shardSeed(opts.Seed, shard)
-	dm, err := buildDelayMatPool(g, o, pools[shard], thetas[shard])
-	return dm, poolSizeOf(pools[shard], g.NumVertices()), err
-}
-
-// shardRepairPlan is the single-shard replica of routeRepair's per-shard
-// decision: whether shard `shard` needs re-sampling under this batch, and
-// the repairSpec to run if so. oldTheta is the shard's current θ_s and
-// ownsTouched whether its postings/counters contain a touched head.
-func shardRepairPlan(newVertices, oldVertices, addedVertices int, opts BuildOptions, numShards, shard int,
-	oldTheta int64, ownsTouched bool) (needs bool, spec repairSpec, users int, err error) {
-	if newVertices != oldVertices+addedVertices {
-		return false, spec, 0, fmt.Errorf("rrindex: graph has %d vertices, want %d + %d added",
-			newVertices, oldVertices, addedVertices)
-	}
-	S := numShards
-	if S < 1 {
-		S = 1
-	}
-	pools, thetas, err := shardLayout(newVertices, opts, numShards, shard)
-	if err != nil {
-		return false, spec, 0, err
-	}
-	pool := pools[shard]
-	users = poolSizeOf(pool, newVertices)
-	var addedPool []graph.VertexID
-	if S > 1 {
-		i := sort.Search(len(pool), func(i int) bool { return pool[i] >= graph.VertexID(oldVertices) })
-		addedPool = pool[i:]
-	}
-	thetaNew := thetas[shard]
-	if thetaNew < oldTheta {
-		thetaNew = oldTheta // θ never shrinks
-	}
-	needs = thetaNew > oldTheta ||
-		(S > 1 && len(addedPool) > 0) ||
-		(S == 1 && addedVertices > 0) ||
-		ownsTouched
-	spec = repairSpec{addedVertices: addedVertices, thetaNew: thetaNew}
-	if S > 1 {
-		spec.pool = pool
-		spec.addedPool = addedPool
-	}
-	return needs, spec, users, nil
+	dm, err := l.buildDelayMat(g, opts, shard)
+	return dm, l.sizes[shard], err
 }
 
 // RepairShard repairs this index as shard `shard` of an S-way layout,
-// applying exactly the routing decision ShardedIndex.Repair would for
-// that shard: re-sample only when its postings contain a touched head,
-// its partition gained users, or its apportioned θ grew — otherwise the
-// receiver's arenas are shared via a zero-copy graph re-bind. opts.Seed
-// must be the cluster's base repair seed for the new generation; the
-// per-shard derivation happens here. Returns the new shard, its repair
-// stats and the new |V_s|.
+// exactly as ShardedIndex.Repair repairs that shard: re-sample only when
+// its postings contain a touched head, its partition gained users, or its
+// apportioned θ grew — otherwise the receiver's arenas are shared via a
+// zero-copy graph re-bind. opts.Seed must be the cluster's base repair
+// seed for the new generation; the per-shard derivation happens here.
+// Returns the new shard, its repair stats and the new |V_s|.
 func (idx *Index) RepairShard(g *graph.Graph, opts BuildOptions, numShards, shard int,
 	touched []graph.VertexID, addedVertices int) (*Index, RepairStats, int, error) {
-	var stats RepairStats
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, stats, 0, fmt.Errorf("rrindex: %w", err)
-	}
-	owns := false
-	for _, h := range touched {
-		if int(h) < len(idx.containing) && len(idx.containing[h]) > 0 {
-			owns = true
-			break
-		}
-	}
-	needs, spec, users, err := shardRepairPlan(g.NumVertices(), idx.g.NumVertices(), addedVertices,
-		opts, numShards, shard, idx.theta, owns)
+	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
 	if err != nil {
-		return nil, stats, 0, err
+		return nil, RepairStats{}, 0, err
 	}
-	if !needs {
-		stats.Total = len(idx.graphs)
-		return idx.withGraph(g), stats, users, nil
-	}
-	o := opts
-	o.Seed = shardSeed(opts.Seed, shard)
-	next, stats, err := idx.repair(g, o, touched, spec)
-	return next, stats, users, err
+	next, stats, err := repairShard(idx, idx.g.NumVertices(), g, l, opts, shard, touched, addedVertices)
+	return next, stats, l.sizes[shard], err
 }
 
 // RepairShard is the DelayMat analog of Index.RepairShard; it requires
 // TrackMembers bookkeeping (ErrNotRepairable otherwise).
 func (dm *DelayMat) RepairShard(g *graph.Graph, opts BuildOptions, numShards, shard int,
 	touched []graph.VertexID, addedVertices int) (*DelayMat, RepairStats, int, error) {
-	var stats RepairStats
 	if !dm.CanRepair() {
-		return nil, stats, 0, ErrNotRepairable
+		return nil, RepairStats{}, 0, ErrNotRepairable
 	}
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, stats, 0, fmt.Errorf("rrindex: %w", err)
+	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
+	if err != nil {
+		return nil, RepairStats{}, 0, err
 	}
-	owns := false
-	for _, h := range touched {
-		if int(h) < len(dm.counts) && dm.counts[h] > 0 {
-			owns = true
-			break
+	next, stats, err := repairShard(dm, dm.g.NumVertices(), g, l, opts, shard, touched, addedVertices)
+	return next, stats, l.sizes[shard], err
+}
+
+// CheckShard reports whether idx, a slice copied from another process
+// that claims |V_s| = users, fits as shard `shard` of the S-way layout
+// over its graph: users must be the layout's |V_s| and every graph's
+// target must hash to the shard. A replica runs it before serving an
+// installed slice.
+func (idx *Index) CheckShard(opts BuildOptions, numShards, shard, users int) error {
+	if err := checkUsers(idx.g.NumVertices(), opts, numShards, shard, users); err != nil {
+		return err
+	}
+	return idx.checkTargets(numShards, shard)
+}
+
+// CheckShard is Index.CheckShard for DelayMat counters, which carry no
+// targets once serialized: only |V_s| is checked.
+func (dm *DelayMat) CheckShard(opts BuildOptions, numShards, shard, users int) error {
+	return checkUsers(dm.g.NumVertices(), opts, numShards, shard, users)
+}
+
+// checkUsers reports a shard id outside the layout over numVertices
+// users, or a claimed |V_s| that differs from the layout's.
+func checkUsers(numVertices int, opts BuildOptions, numShards, shard, users int) error {
+	l, err := layoutFor(numVertices, opts, numShards, shard)
+	if err == nil && users != l.sizes[shard] {
+		err = fmt.Errorf("rrindex: shard %d claims %d users, the layout gives it %d", shard, users, l.sizes[shard])
+	}
+	return err
+}
+
+// checkTargets reports a graph whose target is not in shard s of an
+// S-way partition.
+func (idx *Index) checkTargets(numShards, s int) error {
+	for gi := range idx.graphs {
+		if t := idx.graphs[gi].target; ShardOf(t, numShards) != s {
+			return fmt.Errorf("rrindex: shard %d: graph %d target %d belongs to shard %d",
+				s, gi, t, ShardOf(t, numShards))
 		}
 	}
-	needs, spec, users, err := shardRepairPlan(g.NumVertices(), dm.g.NumVertices(), addedVertices,
-		opts, numShards, shard, dm.theta, owns)
-	if err != nil {
-		return nil, stats, 0, err
-	}
-	if !needs {
-		stats.Total = len(dm.members)
-		return dm.withGraph(g), stats, users, nil
-	}
-	o := opts
-	o.Seed = shardSeed(opts.Seed, shard)
-	next, stats, err := dm.repair(g, o, touched, spec)
-	return next, stats, users, err
+	return nil
 }
 
 // NumGraphs returns the number of materialized RR-Graphs.

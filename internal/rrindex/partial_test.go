@@ -283,6 +283,40 @@ func TestBuildShardRejectsBadShard(t *testing.T) {
 	}
 }
 
+// TestCheckShard: a slice fits only the shard it was built as, with that
+// shard's |V_s|.
+func TestCheckShard(t *testing.T) {
+	g := randomGraph(300, 4, 0.05, 0.4, 3)
+	opts := shardOpts(42, 3000)
+	const S = 3
+	idx, users, err := BuildShard(g, opts, S, 1)
+	if err != nil {
+		t.Fatalf("BuildShard: %v", err)
+	}
+	dm, _, err := BuildDelayMatShard(g, opts, S, 1)
+	if err != nil {
+		t.Fatalf("BuildDelayMatShard: %v", err)
+	}
+	if err := idx.CheckShard(opts, S, 1, users); err != nil {
+		t.Fatalf("index as built: %v", err)
+	}
+	if err := dm.CheckShard(opts, S, 1, users); err != nil {
+		t.Fatalf("DelayMat as built: %v", err)
+	}
+	if err := idx.CheckShard(opts, S, 0, users); err == nil {
+		t.Fatal("shard 1's graphs accepted as shard 0")
+	}
+	if err := idx.CheckShard(opts, S, 1, users+1); err == nil {
+		t.Fatal("wrong |V_s| accepted for an index")
+	}
+	if err := dm.CheckShard(opts, S, 1, users+1); err == nil {
+		t.Fatal("wrong |V_s| accepted for a DelayMat")
+	}
+	if err := idx.CheckShard(opts, S, S, users); err == nil {
+		t.Fatal("shard id outside the layout accepted")
+	}
+}
+
 // TestDelayMatRepairShardMatchesShardedRepair: repairing a standalone
 // DelayMat shard slice under the cluster repair seed reproduces the
 // corresponding member of a full ShardedDelayMat repair, counter for

@@ -150,7 +150,7 @@ func WriteSharded(w io.Writer, si *ShardedIndex) error {
 	lw.u32(indexVersionV3)
 	lw.u32(kindIndex)
 	lw.u64(uint64(si.g.NumVertices()))
-	lw.u64(uint64(si.theta))
+	lw.u64(uint64(si.Theta()))
 	lw.u32(uint32(si.numShards))
 	for _, sh := range si.shards {
 		lw.u64(uint64(sh.theta))
@@ -322,7 +322,6 @@ func wrapMonolithic(idx *Index) *ShardedIndex {
 		numShards: 1,
 		shards:    []*Index{idx},
 		pools:     [][]graph.VertexID{nil},
-		theta:     idx.theta,
 		repaired:  make([]int64, 1),
 	}
 }
@@ -377,11 +376,8 @@ func ReadSharded(r io.Reader, g *graph.Graph) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rrindex: shard %d: %w", s, err)
 		}
-		for gi := range sh.graphs {
-			if ShardOf(sh.graphs[gi].target, int(S)) != s {
-				return nil, fmt.Errorf("rrindex: shard %d: graph %d target %d belongs to shard %d",
-					s, gi, sh.graphs[gi].target, ShardOf(sh.graphs[gi].target, int(S)))
-			}
+		if err := sh.checkTargets(int(S), s); err != nil {
+			return nil, err
 		}
 		si.shards[s] = sh
 		total += sh.theta
@@ -389,7 +385,6 @@ func ReadSharded(r io.Reader, g *graph.Graph) (*ShardedIndex, error) {
 	if total != int64(theta) {
 		return nil, fmt.Errorf("rrindex: shard θ sum %d does not match header θ=%d", total, theta)
 	}
-	si.theta = total
 	return si, nil
 }
 
@@ -632,7 +627,7 @@ func WriteShardedDelayMat(w io.Writer, sdm *ShardedDelayMat) error {
 	lw.u32(indexVersionV3)
 	lw.u32(kindDelayMat)
 	lw.u64(uint64(sdm.g.NumVertices()))
-	lw.u64(uint64(sdm.theta))
+	lw.u64(uint64(sdm.Theta()))
 	lw.u32(uint32(sdm.numShards))
 	for _, sh := range sdm.shards {
 		lw.u64(uint64(sh.theta))
@@ -671,7 +666,6 @@ func ReadShardedDelayMat(r io.Reader, g *graph.Graph) (*ShardedDelayMat, error) 
 			g: g, numShards: 1,
 			shards:    []*DelayMat{dm},
 			poolSizes: []int{g.NumVertices()},
-			theta:     dm.theta,
 			repaired:  make([]int64, 1),
 		}, nil
 	case indexVersionV3:
@@ -709,7 +703,6 @@ func ReadShardedDelayMat(r io.Reader, g *graph.Graph) (*ShardedDelayMat, error) 
 		if total != int64(theta) {
 			return nil, fmt.Errorf("rrindex: shard θ sum %d does not match header θ=%d", total, theta)
 		}
-		sdm.theta = total
 		return sdm, nil
 	default:
 		return nil, fmt.Errorf("rrindex: unsupported DelayMat version %d", version)

@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,6 +33,13 @@ import (
 // the shards whose postings contain a touched head — untouched shards are
 // shared with the previous generation as-is (~1/S of the index per
 // single-head batch, instead of all of it).
+//
+// One recipe. A shard is derived from one layout (pools, |V_s|, θ_s) by
+// the per-shard helpers below: its build options, its build, and plan,
+// the repair-routing decision. BuildSharded and both Repairs are an
+// eachShard loop over them; BuildSharded is BuildShard per shard, and a
+// container's Repair is RepairShard per shard (partial.go), so a shard
+// server fleet and the in-process containers cannot drift apart.
 
 // shardSeedMix separates per-shard RNG streams. Shard 0 keeps the
 // caller's seed unchanged (the S=1 byte-identity contract); the constant
@@ -121,6 +129,175 @@ func shardThetas(total int64, sizes []int) []int64 {
 	return out
 }
 
+// layout is the S-way shard layout of one graph: the hash partition of
+// its users into pools, each pool's size |V_s| and apportioned θ_s. It
+// is computed once per build or repair, by newLayout, and every
+// per-shard helper reads from it.
+type layout struct {
+	numVertices int
+	// pools[s] lists shard s's users ascending; nil (only at S=1) means
+	// every vertex.
+	pools  [][]graph.VertexID
+	sizes  []int
+	thetas []int64
+}
+
+// newLayout validates the accuracy parameters and derives the layout of
+// numShards shards (values below 1 mean 1) over numVertices users.
+func newLayout(numVertices int, opts BuildOptions, numShards int) (layout, error) {
+	if err := opts.Accuracy.Validate(); err != nil {
+		return layout{}, fmt.Errorf("rrindex: %w", err)
+	}
+	l := layout{numVertices: numVertices, pools: shardPools(numVertices, max(1, numShards))}
+	l.sizes = make([]int, len(l.pools))
+	for s, pool := range l.pools {
+		l.sizes[s] = poolSizeOf(pool, numVertices)
+	}
+	l.thetas = shardThetas(opts.Theta(numVertices), l.sizes)
+	return l, nil
+}
+
+// layoutFor is newLayout for a caller holding one shard, which must be
+// one of the layout's.
+func layoutFor(numVertices int, opts BuildOptions, numShards, shard int) (layout, error) {
+	l, err := newLayout(numVertices, opts, numShards)
+	if err == nil && (shard < 0 || shard >= len(l.pools)) {
+		err = fmt.Errorf("rrindex: shard %d outside [0,%d)", shard, len(l.pools))
+	}
+	return l, err
+}
+
+// options derives shard s's build options from the base ones: its own
+// RNG stream and its share of the workers.
+func (l layout) options(opts BuildOptions, s int) BuildOptions {
+	S := len(l.pools)
+	opts.Seed = shardSeed(opts.Seed, s)
+	opts.Workers = (max(1, opts.Workers) + S - 1) / S
+	return opts
+}
+
+// buildIndex builds shard s's RR-Graph index.
+func (l layout) buildIndex(g *graph.Graph, opts BuildOptions, s int) (*Index, error) {
+	return buildWithPool(g, l.options(opts, s), l.pools[s], l.thetas[s])
+}
+
+// buildDelayMat builds shard s's DelayMat counters.
+func (l layout) buildDelayMat(g *graph.Graph, opts BuildOptions, s int) (*DelayMat, error) {
+	return buildDelayMatPool(g, l.options(opts, s), l.pools[s], l.thetas[s])
+}
+
+// plan is the repair-routing decision for shard s, with l the layout of
+// the updated graph: the shard must be re-sampled (needs) when its
+// postings or counters hold a touched head (ownsTouched), its partition
+// gained users, or its apportioned θ_s grew past oldTheta — θ never
+// shrinks. Otherwise the old shard is shared as-is. spec carries the
+// shard's pool parameters for the re-sampling.
+func (l layout) plan(s, oldVertices, addedVertices int, oldTheta int64, ownsTouched bool) (spec repairSpec, needs bool, err error) {
+	if l.numVertices != oldVertices+addedVertices {
+		return spec, false, fmt.Errorf("rrindex: graph has %d vertices, want %d + %d added",
+			l.numVertices, oldVertices, addedVertices)
+	}
+	spec = repairSpec{addedVertices: addedVertices, thetaNew: max(l.thetas[s], oldTheta)}
+	grew := addedVertices > 0
+	if pool := l.pools[s]; pool != nil {
+		// Pools are ascending and vertex IDs append-only, so this batch's
+		// additions are exactly the suffix with ID >= oldVertices.
+		i := sort.Search(len(pool), func(i int) bool { return pool[i] >= graph.VertexID(oldVertices) })
+		spec.pool, spec.addedPool = pool, pool[i:]
+		grew = len(spec.addedPool) > 0
+	}
+	return spec, ownsTouched || grew || spec.thetaNew > oldTheta, nil
+}
+
+// shardPart is what the repair recipe needs of one shard's structure:
+// *Index or *DelayMat.
+type shardPart[T any] interface {
+	Theta() int64
+	// owns reports whether a touched head appears in the shard's postings
+	// or counters.
+	owns(touched []graph.VertexID) bool
+	// share re-binds the shard to the updated graph without re-sampling.
+	share(g *graph.Graph) (T, RepairStats)
+	repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, spec repairSpec) (T, RepairStats, error)
+}
+
+// repairShard repairs shard s of a structure over oldVertices users onto
+// g, whose layout is l: re-sampled under the shard's seed where plan says
+// so, shared otherwise.
+func repairShard[T shardPart[T]](old T, oldVertices int, g *graph.Graph, l layout, opts BuildOptions, s int,
+	touched []graph.VertexID, addedVertices int) (T, RepairStats, error) {
+	spec, needs, err := l.plan(s, oldVertices, addedVertices, old.Theta(), old.owns(touched))
+	if err != nil {
+		var zero T
+		return zero, RepairStats{}, err
+	}
+	if !needs {
+		next, stats := old.share(g)
+		return next, stats, nil
+	}
+	return old.repair(g, l.options(opts, s), touched, spec)
+}
+
+// repairShards is a container's repair: one layout of g, then
+// repairShard on every shard concurrently.
+func repairShards[T shardPart[T]](old []T, oldVertices int, g *graph.Graph, opts BuildOptions,
+	touched []graph.VertexID, addedVertices int) (layout, []T, []RepairStats, error) {
+	l, err := newLayout(g.NumVertices(), opts, len(old))
+	if err != nil {
+		return l, nil, nil, err
+	}
+	next, stats := make([]T, len(old)), make([]RepairStats, len(old))
+	err = eachShard(len(old), func(s int) (err error) {
+		next[s], stats[s], err = repairShard(old[s], oldVertices, g, l, opts, s, touched, addedVertices)
+		return err
+	})
+	return l, next, stats, err
+}
+
+// eachShard runs fn for every shard of [0, numShards) concurrently and
+// returns the lowest-numbered shard's error.
+func eachShard(numShards int, fn func(s int) error) error {
+	errs := make([]error, numShards)
+	var wg sync.WaitGroup
+	for s := range numShards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = fn(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tally sums per-shard repair stats into the batch's, adding each shard's
+// re-sampled count to its cumulative counter in repaired.
+func tally(perShard []RepairStats, repaired []int64) RepairStats {
+	var agg RepairStats
+	for s, st := range perShard {
+		agg.Invalidated += st.Invalidated
+		agg.Retargeted += st.Retargeted
+		agg.Appended += st.Appended
+		agg.Total += st.Total
+		repaired[s] += int64(st.Repaired())
+	}
+	return agg
+}
+
+// sumTheta is Σ_s θ_s.
+func sumTheta[T interface{ Theta() int64 }](shards []T) int64 {
+	var theta int64
+	for _, sh := range shards {
+		theta += sh.Theta()
+	}
+	return theta
+}
+
 // ShardedIndex is S independent RR-Graph indexes over one graph, each
 // owning the targets of one user partition. Safe for concurrent readers,
 // like Index; estimators carry per-shard scratch.
@@ -131,61 +308,27 @@ type ShardedIndex struct {
 	// pools[s] lists shard s's users ascending; nil (only at S=1) means
 	// every vertex.
 	pools [][]graph.VertexID
-	theta int64
 	// repaired is the cumulative per-shard count of graphs re-sampled by
 	// Repair, carried across generations for /statsz.
 	repaired []int64
 }
 
 // BuildSharded constructs a sharded index with numShards hash partitions
-// (values below 1 mean 1). Shards build concurrently, each under its own
-// derived RNG stream, so the result is deterministic per
-// (Seed, numShards, Workers); opts.Workers is divided among the shards.
+// (values below 1 mean 1): BuildShard for every shard, concurrently. The
+// result is deterministic per (Seed, numShards, Workers); opts.Workers is
+// divided among the shards.
 func BuildSharded(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedIndex, error) {
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, fmt.Errorf("rrindex: %w", err)
+	l, err := newLayout(g.NumVertices(), opts, numShards)
+	if err != nil {
+		return nil, err
 	}
-	S := numShards
-	if S < 1 {
-		S = 1
-	}
-	pools := shardPools(g.NumVertices(), S)
-	sizes := make([]int, S)
-	for s := range pools {
-		sizes[s] = poolSizeOf(pools[s], g.NumVertices())
-	}
-	thetas := shardThetas(opts.Theta(g.NumVertices()), sizes)
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	perShard := (workers + S - 1) / S
-
-	si := &ShardedIndex{
-		g: g, numShards: S, pools: pools,
-		shards:   make([]*Index, S),
-		repaired: make([]int64, S),
-	}
-	errs := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := opts
-			o.Seed = shardSeed(opts.Seed, s)
-			o.Workers = perShard
-			si.shards[s], errs[s] = buildWithPool(g, o, pools[s], thetas[s])
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range si.shards {
-		si.theta += sh.theta
+	S := len(l.pools)
+	si := &ShardedIndex{g: g, numShards: S, pools: l.pools, shards: make([]*Index, S), repaired: make([]int64, S)}
+	if err := eachShard(S, func(s int) (err error) {
+		si.shards[s], err = l.buildIndex(g, opts, s)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return si, nil
 }
@@ -194,7 +337,7 @@ func BuildSharded(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedInd
 func (si *ShardedIndex) NumShards() int { return si.numShards }
 
 // Theta returns the combined offline sample count Σ_s θ_s.
-func (si *ShardedIndex) Theta() int64 { return si.theta }
+func (si *ShardedIndex) Theta() int64 { return sumTheta(si.shards) }
 
 // MemoryFootprint sums the shards' O(1) cached footprints.
 func (si *ShardedIndex) MemoryFootprint() int64 {
@@ -232,11 +375,11 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 	return out
 }
 
-// withGraph returns a shallow clone of the index re-bound to the updated
+// share returns a shallow clone of the index re-bound to the updated
 // graph, its postings table extended to cover appended vertices (which no
-// existing graph can contain). The arenas and postings entries are shared
-// — the receiver is immutable.
-func (idx *Index) withGraph(g *graph.Graph) *Index {
+// existing graph can contain), with the stats of that no-op repair. The
+// arenas and postings entries are shared — the receiver is immutable.
+func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 	clone := *idx
 	clone.g = g
 	if g.NumVertices() > len(idx.containing) {
@@ -244,149 +387,32 @@ func (idx *Index) withGraph(g *graph.Graph) *Index {
 		copy(containing, idx.containing)
 		clone.containing = containing
 	}
-	return &clone
+	return &clone, RepairStats{Total: len(idx.graphs)}
 }
 
-// repairRouting carries the inputs of routeRepair, the shard-routing
-// loop shared by the two sharded Repair implementations. The invariants
-// encoded here — θ never shrinks, partition growth or θ growth forces a
-// repair, untouched shards are shared, repairs run concurrently under
-// shard-derived seeds via repairSpec — must stay identical for both
-// container types, which is why the loop exists once.
-type repairRouting struct {
-	numShards     int
-	oldVertices   int // |V| before the batch
-	addedVertices int
-	newPools      [][]graph.VertexID
-	thetas        []int64           // apportioned θ targets per shard
-	oldTheta      func(s int) int64 // current per-shard θ
-	ownsTouched   func(s int) bool  // does shard s own a touched head?
-}
-
-// addedPool returns the members of shard s's pool appended by this batch.
-// Pools are ascending and vertex IDs are append-only, so the additions
-// are exactly the suffix with ID >= oldVertices — no old-generation pool
-// (or O(|V|) recomputation of one) is needed.
-func (rt repairRouting) addedPool(s int) []graph.VertexID {
-	pool := rt.newPools[s]
-	i := sort.Search(len(pool), func(i int) bool { return pool[i] >= graph.VertexID(rt.oldVertices) })
-	return pool[i:]
-}
-
-// routeRepair decides repair-vs-share per shard and fans the repairs out
-// concurrently: skipped shards come from share (a zero-copy re-bind of
-// the old shard) with their graph Total, repaired ones from repairFn.
-func routeRepair[T any](
-	rt repairRouting,
-	share func(s int) (T, int),
-	repairFn func(s int, spec repairSpec) (T, RepairStats, error),
-) (shards []T, perStats []RepairStats, err error) {
-	S := rt.numShards
-	shards = make([]T, S)
-	perStats = make([]RepairStats, S)
-	errs := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		var addedPool []graph.VertexID
-		if S > 1 {
-			addedPool = rt.addedPool(s)
-		}
-		thetaNew := rt.thetas[s]
-		if thetaNew < rt.oldTheta(s) {
-			thetaNew = rt.oldTheta(s) // θ never shrinks
-		}
-		needs := thetaNew > rt.oldTheta(s) ||
-			(S > 1 && len(addedPool) > 0) ||
-			(S == 1 && rt.addedVertices > 0) ||
-			rt.ownsTouched(s)
-		if !needs {
-			var total int
-			shards[s], total = share(s)
-			perStats[s].Total = total
-			continue
-		}
-		wg.Add(1)
-		go func(s int, addedPool []graph.VertexID, thetaNew int64) {
-			defer wg.Done()
-			spec := repairSpec{addedVertices: rt.addedVertices, thetaNew: thetaNew}
-			if S > 1 {
-				spec.pool = rt.newPools[s]
-				spec.addedPool = addedPool
-			}
-			shards[s], perStats[s], errs[s] = repairFn(s, spec)
-		}(s, addedPool, thetaNew)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, e
+func (idx *Index) owns(touched []graph.VertexID) bool {
+	for _, h := range touched {
+		if int(h) < len(idx.containing) && len(idx.containing[h]) > 0 {
+			return true
 		}
 	}
-	return shards, perStats, nil
+	return false
 }
 
-// Repair returns a new ShardedIndex over the updated graph, repairing
-// shards concurrently and only where needed: a shard is re-sampled only
-// when its postings contain a touched head, its partition gained users,
-// or its apportioned θ grew — otherwise the old shard's (immutable)
-// arenas are shared with the new generation as-is. For a small edge batch
-// this shrinks the repair scope to the ~1/S of the index that actually
-// owns affected graphs. The receiver is not modified.
+// Repair returns a new ShardedIndex over the updated graph: RepairShard
+// for every shard, concurrently. A shard is re-sampled only when its
+// postings contain a touched head, its partition gained users, or its
+// apportioned θ grew — otherwise the old shard's (immutable) arenas are
+// shared with the new generation as-is. For a small edge batch this
+// shrinks the repair scope to the ~1/S of the index that actually owns
+// affected graphs. The receiver is not modified.
 func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedIndex, RepairStats, error) {
-	var agg RepairStats
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, agg, fmt.Errorf("rrindex: %w", err)
-	}
-	oldV, newV := si.g.NumVertices(), g.NumVertices()
-	if newV != oldV+addedVertices {
-		return nil, agg, fmt.Errorf("rrindex: graph has %d vertices, want %d + %d added",
-			newV, oldV, addedVertices)
-	}
-	S := si.numShards
-	newPools := shardPools(newV, S)
-	sizes := make([]int, S)
-	for s := range newPools {
-		sizes[s] = poolSizeOf(newPools[s], newV)
-	}
-	shards, perStats, err := routeRepair(repairRouting{
-		numShards:     S,
-		oldVertices:   oldV,
-		addedVertices: addedVertices,
-		newPools:      newPools,
-		thetas:        shardThetas(opts.Theta(newV), sizes),
-		oldTheta:      func(s int) int64 { return si.shards[s].theta },
-		ownsTouched: func(s int) bool {
-			sh := si.shards[s]
-			for _, h := range touched {
-				if int(h) < len(sh.containing) && len(sh.containing[h]) > 0 {
-					return true
-				}
-			}
-			return false
-		},
-	}, func(s int) (*Index, int) {
-		return si.shards[s].withGraph(g), len(si.shards[s].graphs)
-	}, func(s int, spec repairSpec) (*Index, RepairStats, error) {
-		o := opts
-		o.Seed = shardSeed(opts.Seed, s)
-		return si.shards[s].repair(g, o, touched, spec)
-	})
+	l, shards, perShard, err := repairShards(si.shards, si.g.NumVertices(), g, opts, touched, addedVertices)
 	if err != nil {
-		return nil, agg, err
+		return nil, RepairStats{}, err
 	}
-	next := &ShardedIndex{
-		g: g, numShards: S, pools: newPools, shards: shards,
-		repaired: append([]int64(nil), si.repaired...),
-	}
-	for s := 0; s < S; s++ {
-		agg.Invalidated += perStats[s].Invalidated
-		agg.Retargeted += perStats[s].Retargeted
-		agg.Appended += perStats[s].Appended
-		agg.Total += perStats[s].Total
-		next.repaired[s] += int64(perStats[s].Repaired())
-		next.theta += next.shards[s].theta
-	}
-	return next, agg, nil
+	next := &ShardedIndex{g: g, numShards: si.numShards, pools: l.pools, shards: shards, repaired: slices.Clone(si.repaired)}
+	return next, tally(perShard, next.repaired), nil
 }
 
 // ShardedDelayMat is S independent DelayMat counter arrays, one per hash
@@ -403,54 +429,27 @@ type ShardedDelayMat struct {
 	numShards int
 	shards    []*DelayMat
 	poolSizes []int
-	theta     int64
 	repaired  []int64
 	// fire is the firing table of g that every DelayEstimator over this
 	// generation shares, built by the first recovery (see lazyFireTable).
 	fire lazyFireTable
 }
 
-// BuildShardedDelayMat runs the sharded offline counting phase; shards
-// build concurrently under derived RNG streams (deterministic per
+// BuildShardedDelayMat runs the sharded offline counting phase:
+// BuildDelayMatShard for every shard, concurrently (deterministic per
 // (Seed, numShards)).
 func BuildShardedDelayMat(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedDelayMat, error) {
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, fmt.Errorf("rrindex: %w", err)
+	l, err := newLayout(g.NumVertices(), opts, numShards)
+	if err != nil {
+		return nil, err
 	}
-	S := numShards
-	if S < 1 {
-		S = 1
-	}
-	pools := shardPools(g.NumVertices(), S)
-	sizes := make([]int, S)
-	for s := range pools {
-		sizes[s] = poolSizeOf(pools[s], g.NumVertices())
-	}
-	thetas := shardThetas(opts.Theta(g.NumVertices()), sizes)
-	sdm := &ShardedDelayMat{
-		g: g, numShards: S, poolSizes: sizes,
-		shards:   make([]*DelayMat, S),
-		repaired: make([]int64, S),
-	}
-	errs := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := opts
-			o.Seed = shardSeed(opts.Seed, s)
-			sdm.shards[s], errs[s] = buildDelayMatPool(g, o, pools[s], thetas[s])
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range sdm.shards {
-		sdm.theta += sh.theta
+	S := len(l.pools)
+	sdm := &ShardedDelayMat{g: g, numShards: S, poolSizes: l.sizes, shards: make([]*DelayMat, S), repaired: make([]int64, S)}
+	if err := eachShard(S, func(s int) (err error) {
+		sdm.shards[s], err = l.buildDelayMat(g, opts, s)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return sdm, nil
 }
@@ -459,7 +458,7 @@ func BuildShardedDelayMat(g *graph.Graph, opts BuildOptions, numShards int) (*Sh
 func (sdm *ShardedDelayMat) NumShards() int { return sdm.numShards }
 
 // Theta returns the combined offline sample count.
-func (sdm *ShardedDelayMat) Theta() int64 { return sdm.theta }
+func (sdm *ShardedDelayMat) Theta() int64 { return sumTheta(sdm.shards) }
 
 // MemoryFootprint sums the shards' cached footprints.
 func (sdm *ShardedDelayMat) MemoryFootprint() int64 {
@@ -499,9 +498,9 @@ func (sdm *ShardedDelayMat) ShardStats() []ShardStat {
 	return out
 }
 
-// withGraph is the DelayMat analog of Index.withGraph: a shallow clone
-// re-bound to the updated graph with counters extended to appended users.
-func (dm *DelayMat) withGraph(g *graph.Graph) *DelayMat {
+// share is the DelayMat analog of Index.share: a shallow clone re-bound
+// to the updated graph with counters extended to appended users.
+func (dm *DelayMat) share(g *graph.Graph) (*DelayMat, RepairStats) {
 	clone := *dm
 	clone.g = g
 	if g.NumVertices() > len(dm.counts) {
@@ -510,7 +509,16 @@ func (dm *DelayMat) withGraph(g *graph.Graph) *DelayMat {
 		clone.counts = counts
 		clone.recomputeFootprint()
 	}
-	return &clone
+	return &clone, RepairStats{Total: len(dm.members)}
+}
+
+func (dm *DelayMat) owns(touched []graph.VertexID) bool {
+	for _, h := range touched {
+		if int(h) < len(dm.counts) && dm.counts[h] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Repair is the sharded DelayMat repair, routed like ShardedIndex.Repair:
@@ -518,61 +526,13 @@ func (dm *DelayMat) withGraph(g *graph.Graph) *DelayMat {
 // users, or whose θ grew are patched; the rest are shared. Requires
 // TrackMembers bookkeeping on every shard (ErrNotRepairable otherwise).
 func (sdm *ShardedDelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedDelayMat, RepairStats, error) {
-	var agg RepairStats
 	if !sdm.CanRepair() {
-		return nil, agg, ErrNotRepairable
+		return nil, RepairStats{}, ErrNotRepairable
 	}
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, agg, fmt.Errorf("rrindex: %w", err)
-	}
-	oldV, newV := sdm.g.NumVertices(), g.NumVertices()
-	if newV != oldV+addedVertices {
-		return nil, agg, fmt.Errorf("rrindex: graph has %d vertices, want %d + %d added",
-			newV, oldV, addedVertices)
-	}
-	S := sdm.numShards
-	newPools := shardPools(newV, S)
-	sizes := make([]int, S)
-	for s := range newPools {
-		sizes[s] = poolSizeOf(newPools[s], newV)
-	}
-	shards, perStats, err := routeRepair(repairRouting{
-		numShards:     S,
-		oldVertices:   oldV,
-		addedVertices: addedVertices,
-		newPools:      newPools,
-		thetas:        shardThetas(opts.Theta(newV), sizes),
-		oldTheta:      func(s int) int64 { return sdm.shards[s].theta },
-		ownsTouched: func(s int) bool {
-			sh := sdm.shards[s]
-			for _, h := range touched {
-				if int(h) < len(sh.counts) && sh.counts[h] > 0 {
-					return true
-				}
-			}
-			return false
-		},
-	}, func(s int) (*DelayMat, int) {
-		return sdm.shards[s].withGraph(g), len(sdm.shards[s].members)
-	}, func(s int, spec repairSpec) (*DelayMat, RepairStats, error) {
-		o := opts
-		o.Seed = shardSeed(opts.Seed, s)
-		return sdm.shards[s].repair(g, o, touched, spec)
-	})
+	l, shards, perShard, err := repairShards(sdm.shards, sdm.g.NumVertices(), g, opts, touched, addedVertices)
 	if err != nil {
-		return nil, agg, err
+		return nil, RepairStats{}, err
 	}
-	next := &ShardedDelayMat{
-		g: g, numShards: S, poolSizes: sizes, shards: shards,
-		repaired: append([]int64(nil), sdm.repaired...),
-	}
-	for s := 0; s < S; s++ {
-		agg.Invalidated += perStats[s].Invalidated
-		agg.Retargeted += perStats[s].Retargeted
-		agg.Appended += perStats[s].Appended
-		agg.Total += perStats[s].Total
-		next.repaired[s] += int64(perStats[s].Repaired())
-		next.theta += next.shards[s].theta
-	}
-	return next, agg, nil
+	next := &ShardedDelayMat{g: g, numShards: sdm.numShards, poolSizes: l.sizes, shards: shards, repaired: slices.Clone(sdm.repaired)}
+	return next, tally(perShard, next.repaired), nil
 }

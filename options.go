@@ -143,8 +143,9 @@ type Options struct {
 	// (whose estimates S=1 reproduces byte-for-byte). Raise it when
 	// offline build/repair latency or the single arena's size becomes the
 	// bottleneck; see the package documentation's Sharding section.
-	// Ignored by online strategies and when loading a saved index (the
-	// file's shard layout wins).
+	// Ignored by online strategies and when loading a saved index: the
+	// file's shard layout wins, and the engine's Options reports it (a 0
+	// stays 0 for a one-shard file).
 	IndexShards int
 	// DisableBestEffort switches the query loop from best-effort
 	// exploration (Sec. 5.2) to plain enumeration of all C(|Ω|,k) sets.

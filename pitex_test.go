@@ -95,6 +95,58 @@ func TestEstimateInfluenceMatchesPaperNumber(t *testing.T) {
 	}
 }
 
+// TestEngineConstructorsRejectBadInputs runs every bad input through all
+// three engine constructors, which share one validator.
+func TestEngineConstructorsRejectBadInputs(t *testing.T) {
+	net, model := fig2Network(t)
+	opts := testEngineOptions(StrategyIndexPruned)
+	remote := newFakeRemote(t, net, model, opts, 1)
+	otherTopics, err := NewTagModel(4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid, err := NewTagModel(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid.m.SetTagTopic(0, 0, 1.5)
+	badOpts := opts
+	badOpts.Epsilon = 2
+
+	constructors := []struct {
+		name string
+		new  func(*Network, *TagModel, Options) (*Engine, error)
+	}{
+		{"NewEngine", NewEngine},
+		{"NewEngineWithIndex", func(n *Network, m *TagModel, o Options) (*Engine, error) {
+			return NewEngineWithIndex(n, m, o, bytes.NewReader(nil))
+		}},
+		{"NewRemoteEngine", func(n *Network, m *TagModel, o Options) (*Engine, error) {
+			return NewRemoteEngine(n, m, o, remote)
+		}},
+	}
+	cases := []struct {
+		name  string
+		net   *Network
+		model *TagModel
+		opts  Options
+		want  string
+	}{
+		{"nil network", nil, model, opts, "nil network or model"},
+		{"nil model", net, nil, opts, "nil network or model"},
+		{"topic-count mismatch", net, otherTopics, opts, "network has 3 topics, model has 9"},
+		{"invalid model", net, invalid, opts, "out of [0,1]"},
+		{"invalid options", net, model, badOpts, "Epsilon"},
+	}
+	for _, c := range constructors {
+		for _, tc := range cases {
+			if _, err := c.new(tc.net, tc.model, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: err = %v, want one containing %q", c.name, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	net, model := fig2Network(t)
 	if _, err := NewEngine(nil, model, Options{}); err == nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"pitex/internal/enumerate"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
 	"pitex/internal/sampling"
@@ -106,65 +105,35 @@ type DegradedCoverage struct {
 // DELAYEST's estimator consumes a persistent RNG stream whose state
 // cannot be replayed across processes.
 func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteEstimator) (*Engine, error) {
-	if net == nil || model == nil {
-		return nil, fmt.Errorf("pitex: nil network or model")
+	opts, err := checkInputs(net, model, opts)
+	if err != nil {
+		return nil, err
 	}
 	if remote == nil {
 		return nil, fmt.Errorf("pitex: nil remote estimator")
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
 	if opts.Strategy != StrategyIndex && opts.Strategy != StrategyIndexPruned {
 		return nil, fmt.Errorf("pitex: remote serving supports %v and %v, not %v",
 			StrategyIndex, StrategyIndexPruned, opts.Strategy)
 	}
-	if net.NumTopics() != model.NumTopics() {
-		return nil, fmt.Errorf("pitex: network has %d topics, model has %d",
-			net.NumTopics(), model.NumTopics())
-	}
-	if err := model.m.Validate(); err != nil {
-		return nil, fmt.Errorf("pitex: %w", err)
-	}
-	en := &Engine{
-		net:       net,
-		model:     model,
-		opts:      opts,
-		remote:    remote,
-		posterior: make([]float64, model.NumTopics()),
-		probe:     sampling.NewProbeCache(net.g.NumEdges()),
-	}
-	en.est = en.newEstimator()
-	en.explorer = en.newExplorer()
-	return en, nil
+	en := &Engine{net: net, model: model, opts: opts, remote: remote}
+	return en.ready(), nil
 }
 
 // IndexBuildOptions derives the rrindex build parameters an engine with
-// these options would use, defaults applied — the contract a shard
-// server must follow so its BuildShard output is byte-identical to the
-// in-process engine's index. The model supplies the tag count entering
-// the ln φ_K search-space bound.
-func IndexBuildOptions(model *TagModel, opts Options) (rrindex.BuildOptions, error) {
+// these options would use, defaults applied — the engine's own
+// derivation, and the contract a shard server must follow so its
+// BuildShard output is byte-identical to the in-process engine's index.
+// The model supplies the tag count entering the ln φ_K search-space
+// bound.
+func IndexBuildOptions(model *TagModel, opts Options) (bo rrindex.BuildOptions, err error) {
 	if model == nil {
-		return rrindex.BuildOptions{}, fmt.Errorf("pitex: nil model")
+		return bo, fmt.Errorf("pitex: nil model")
 	}
 	if err := opts.Validate(); err != nil {
-		return rrindex.BuildOptions{}, err
+		return bo, err
 	}
-	opts = opts.withDefaults()
-	return rrindex.BuildOptions{
-		Accuracy: sampling.Options{
-			Epsilon:          opts.Epsilon,
-			Delta:            opts.Delta,
-			LogSearchSpace:   enumerate.LogPhiK(model.NumTags(), opts.MaxK),
-			MaxSamples:       opts.MaxSamples,
-			DisableEarlyStop: opts.DisableEarlyStop,
-		},
-		MaxIndexSamples: opts.MaxIndexSamples,
-		Seed:            opts.Seed,
-		TrackMembers:    opts.TrackUpdates,
-	}, nil
+	return opts.withDefaults().buildOptions(model.NumTags()), nil
 }
 
 // RepairSeed derives the base repair seed for an update generation —

@@ -266,6 +266,42 @@ func TestShardResyncEndpoint(t *testing.T) {
 	}
 }
 
+// TestShardResyncRefusesRelabelledSlice: a snapshot slice is installed
+// under its label only if it fits that shard of the layout — shard 1's
+// index posted as shard 0 would skew every gather, so it is refused.
+func TestShardResyncRefusesRelabelledSlice(t *testing.T) {
+	_, tsSrc := startFig2ShardServer(t, 1, 2)
+	ssDst, tsDst := startFig2ShardServer(t, 0, 2)
+	waitShardsReady(t, ssDst)
+	body, _ := json.Marshal(distrib.BatchToRequest(setBatch(0.45), 1))
+	resp, err := http.Post(tsSrc.URL+"/shard/update", "application/json", bytes.NewReader(body))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("update source: %v (status %d)", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	var snap distrib.ResyncState
+	if err := json.Unmarshal(resyncSnapshot(t, tsSrc.URL), &snap); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	if len(snap.Shards) != 1 || snap.Shards[0].Shard != 1 {
+		t.Fatalf("source snapshot carries %+v, want shard 1 alone", snap.Shards)
+	}
+	snap.Shards[0].Shard = 0
+	data, _ := json.Marshal(snap)
+	resp, err = http.Post(tsDst.URL+"/shard/resync", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("POST /shard/resync: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("relabelled install = %d, want 400", resp.StatusCode)
+	}
+	if g := ssDst.Generation(); g != 0 {
+		t.Fatalf("refused install published generation %d", g)
+	}
+}
+
 // TestShardServerCloseDrains: a closed shard server sheds /shard traffic
 // with 503 + Retry-After instead of serving from state that may be
 // getting torn down.

@@ -658,7 +658,8 @@ func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) e
 // handleResyncPost installs a snapshot taken from a caught-up replica,
 // replacing this server's state wholesale. Generations at or below the
 // serving one are acknowledged idempotently; the snapshot's layout and
-// strategy must match this server's exactly.
+// strategy must match this server's exactly, and each slice must fit the
+// shard it is labelled as (rrindex CheckShard) or the install is a 400.
 func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) error {
 	var snap distrib.ResyncState
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResyncBody))
@@ -685,11 +686,19 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 				return nil, nil, withStatus(http.StatusConflict,
 					fmt.Errorf("serve: snapshot carries shard %d, not owned here", sh.Shard))
 			}
+			// A slice is installed under its label only if it fits that
+			// shard of the layout: every gather trusts its |V_s| and targets.
 			switch {
 			case len(sh.Index) > 0:
 				next.indexes[sh.Shard], err = rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
+				if err == nil {
+					err = next.indexes[sh.Shard].CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
+				}
 			case len(sh.Delay) > 0:
 				next.delays[sh.Shard], err = rrindex.ReadDelayMat(bytes.NewReader(sh.Delay), net.Graph())
+				if err == nil {
+					err = next.delays[sh.Shard].CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
+				}
 			default:
 				err = fmt.Errorf("serve: snapshot shard %d carries no payload", sh.Shard)
 			}

@@ -94,6 +94,37 @@ func TestShardedEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadedEngineReportsFileShards: a loaded index keeps its file's
+// shard count, and Options must say so — the analytics checkpoint
+// fingerprint reads it. A 0 that means one shard stays 0.
+func TestLoadedEngineReportsFileShards(t *testing.T) {
+	net, model := fig2Network(t)
+	for _, s := range []Strategy{StrategyIndexPruned, StrategyDelay} {
+		for _, tc := range []struct{ saved, asked, want int }{
+			{3, 0, 3},
+			{1, 0, 0},
+			{1, 4, 1},
+		} {
+			en, err := NewEngine(net, model, shardedTestOptions(s, tc.saved))
+			if err != nil {
+				t.Fatalf("%v: NewEngine: %v", s, err)
+			}
+			var buf bytes.Buffer
+			if err := en.SaveIndex(&buf); err != nil {
+				t.Fatalf("%v: SaveIndex: %v", s, err)
+			}
+			loaded, err := NewEngineWithIndex(net, model, shardedTestOptions(s, tc.asked), &buf)
+			if err != nil {
+				t.Fatalf("%v: NewEngineWithIndex: %v", s, err)
+			}
+			if got := loaded.Options().IndexShards; got != tc.want || max(1, got) != len(loaded.IndexShardStats()) {
+				t.Errorf("%v: saved at S=%d, loaded asking %d: Options().IndexShards = %d over %d shards, want %d",
+					s, tc.saved, tc.asked, got, len(loaded.IndexShardStats()), tc.want)
+			}
+		}
+	}
+}
+
 // TestShardedEngineApplyUpdates: incremental repair under the sharded
 // layout stays incremental, advances the generation, and accumulates
 // per-shard repair counters that agree with the reported stats.

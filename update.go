@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"pitex/internal/enumerate"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
-	"pitex/internal/sampling"
 )
 
 // UpdateBatch stages a batch of network mutations for Engine.ApplyUpdates:
@@ -186,8 +184,6 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 		opts:       en.opts,
 		remote:     en.remote, // a coordinator engine stays remote across generations
 		generation: en.generation + 1,
-		posterior:  make([]float64, en.model.NumTopics()),
-		probe:      sampling.NewProbeCache(newG.NumEdges()),
 	}
 	stats.Generation = next.generation
 	stats.EdgesInserted = info.Inserted
@@ -196,16 +192,12 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 	stats.UsersAdded = info.AddedVertices
 
 	if en.index != nil || en.delay != nil {
-		build := rrindex.BuildOptions{
-			Accuracy:        en.samplingOptions(enumerate.LogPhiK(en.model.NumTags(), en.opts.MaxK)),
-			MaxIndexSamples: en.opts.MaxIndexSamples,
-			// Mix the generation into the repair seed so successive
-			// repairs draw independent streams, deterministically.
-			// RepairSeed is the exported face of this derivation; remote
-			// shard repairs must use the same one.
-			Seed:         RepairSeed(en.opts.Seed, next.generation),
-			TrackMembers: en.opts.TrackUpdates,
-		}
+		build := en.opts.buildOptions(en.model.NumTags())
+		// Mix the generation into the repair seed so successive repairs
+		// draw independent streams, deterministically. RepairSeed is the
+		// exported face of this derivation; remote shard repairs must use
+		// the same one.
+		build.Seed = RepairSeed(en.opts.Seed, next.generation)
 		var rs rrindex.RepairStats
 		switch {
 		case en.index != nil:
@@ -231,8 +223,7 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 		stats.GraphsTotal = rs.Total
 		next.IndexBuildTime = time.Since(start)
 	}
-	next.est = next.newEstimator()
-	next.explorer = next.newExplorer()
+	next.ready()
 	stats.Elapsed = time.Since(start)
 	return next, stats, nil
 }
