@@ -262,15 +262,10 @@ func setup(cfg buildConfig, sopts pitex.ServeOptions, logf func(string, ...any))
 		if err != nil {
 			return nil, err
 		}
-		if got := client.Strategy(); got != strategy.String() {
-			return nil, fmt.Errorf("shard servers run strategy %s, coordinator asked for %s", got, strategy)
-		}
-		en, err := pitex.NewRemoteEngine(net, model, opts, client)
+		srv, err := coordinate(net, model, opts, client, sopts)
 		if err != nil {
-			return nil, err
-		}
-		srv, err := serve.NewCoordinator(en, client, sopts)
-		if err != nil {
+			// Nothing took ownership of the client: stop its reconciler.
+			client.Close()
 			return nil, err
 		}
 		eff := sopts.WithDefaults()
@@ -318,6 +313,19 @@ func setup(cfg buildConfig, sopts pitex.ServeOptions, logf func(string, ...any))
 	logf("serving %s with %d engine workers, queue depth %d, cache %d entries",
 		en.Strategy(), eff.PoolSize, eff.QueueDepth, eff.CacheCapacity)
 	return srv, nil
+}
+
+// coordinate wraps a dialed fleet in a coordinator server, refusing a
+// fleet that runs another strategy or serves another network.
+func coordinate(net *pitex.Network, model *pitex.TagModel, opts pitex.Options, client *distrib.Client, sopts pitex.ServeOptions) (*serve.Server, error) {
+	if got := client.Strategy(); got != opts.Strategy.String() {
+		return nil, fmt.Errorf("shard servers run strategy %s, coordinator asked for %s", got, opts.Strategy)
+	}
+	en, err := pitex.NewRemoteEngine(net, model, opts, client)
+	if err != nil {
+		return nil, err
+	}
+	return serve.NewCoordinator(en, client, sopts)
 }
 
 // parseShardGroups splits the -shards syntax: groups separated by commas,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,5 +307,40 @@ func TestSetupCoordinatorStrategyMismatch(t *testing.T) {
 	defer shard.Close()
 	if _, err := setup(coordinatorConfig(shard.URL), testServeOptions(), discardf); err == nil {
 		t.Error("strategy mismatch accepted")
+	}
+}
+
+// TestSetupCoordinatorUserMismatch: a fleet built over another network
+// (here a larger scale of the same dataset) must be refused at start-up,
+// naming both user counts, rather than answer from the wrong graph.
+func TestSetupCoordinatorUserMismatch(t *testing.T) {
+	spec, err := pitex.BaseDatasetSpec("lastfm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, model, err := pitex.GenerateDatasetSpec(spec.Scaled(0.03), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := serve.NewShardServer(net, model, pitex.Options{
+		Strategy: pitex.StrategyIndexPruned, Epsilon: 0.7, Delta: 1000, MaxK: 10,
+		Seed: 1, MaxSamples: 500, MaxIndexSamples: 4000,
+	}, serve.ShardConfig{TotalShards: 1})
+	if err != nil {
+		t.Fatalf("NewShardServer: %v", err)
+	}
+	defer ss.Close()
+	shard := httptest.NewServer(ss.Handler())
+	defer shard.Close()
+	local, _, err := pitex.GenerateDatasetSpec(spec.Scaled(0.02), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = setup(coordinatorConfig(shard.URL), testServeOptions(), discardf)
+	for _, n := range []int{net.NumUsers(), local.NumUsers()} {
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Fatalf("coordinator over %d users, fleet over %d: err = %v, want both counts named",
+				local.NumUsers(), net.NumUsers(), err)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Command pitexshard runs one shard server of the distributed PITEX
 // serving topology: it builds the RR-index slices for the shard ids it
-// owns and answers the /shard/* HTTP protocol (partial estimates, counter
-// reads, generation-keyed repairs) that a pitexserve coordinator started
-// with -shards scatters to.
+// owns and answers the /shard/* HTTP protocol (partial estimates, layout
+// info, generation-keyed repairs and resyncs) that a pitexserve
+// coordinator started with -shards scatters to. Only the index strategies
+// (indexest, indexest+) distribute.
 //
 // Usage (a two-server layout over four index shards):
 //
@@ -41,10 +42,9 @@ func main() {
 		dataset  = flag.String("dataset", "", "generate this dataset (lastfm, diggs, dblp, twitter)")
 		network  = flag.String("network", "", "network file (alternative to -dataset)")
 		model    = flag.String("model", "", "tag model file (required with -network)")
-		track    = flag.Bool("track-updates", true, "keep incremental-repair bookkeeping for /shard/update")
 		seed     = flag.Uint64("seed", 1, "generation / sampling seed (must match the coordinator)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor (with -dataset)")
-		strategy = flag.String("strategy", "indexest+", "indexest, indexest+, delaymat")
+		strategy = flag.String("strategy", "indexest+", "indexest or indexest+ (the strategies a fleet can serve)")
 		epsilon  = flag.Float64("epsilon", 0.7, "relative error bound")
 		delta    = flag.Float64("delta", 1000, "failure probability control (1/delta)")
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
@@ -84,8 +84,7 @@ func main() {
 		logger.Warn("fault injection ENABLED", "spec", *faults, "seed", *faultSeed)
 	}
 	if err := run(logger, shardConfig{
-		dataset: *dataset, network: *network, model: *model,
-		trackUpdates: *track, seed: *seed, scale: *scale,
+		dataset: *dataset, network: *network, model: *model, seed: *seed, scale: *scale,
 		strategy: *strategy, epsilon: *epsilon, delta: *delta,
 		maxSamples: *maxSamp, maxIndexSamples: *maxIdx,
 		indexShards: *idxShard, maxK: *maxK, own: *own,
@@ -145,7 +144,6 @@ func run(logger *slog.Logger, cfg shardConfig, debugAddr, addr string, drainTO t
 
 type shardConfig struct {
 	dataset, network, model     string
-	trackUpdates                bool
 	seed                        uint64
 	scale                       float64
 	strategy                    string
@@ -215,7 +213,6 @@ func setup(cfg shardConfig, logf func(string, ...any)) (*serve.ShardServer, erro
 		MaxSamples:      cfg.maxSamples,
 		MaxIndexSamples: cfg.maxIndexSamples,
 		IndexShards:     cfg.indexShards,
-		TrackUpdates:    cfg.trackUpdates,
 	}, serve.ShardConfig{
 		TotalShards:  cfg.indexShards,
 		Owned:        owned,

@@ -326,8 +326,8 @@ type Client struct {
 // host:port) of one shard set. Dial polls each group's /shard/info until
 // a replica reports Ready (shard servers build their index slices
 // asynchronously) or ctx ends, then validates that the groups exactly
-// partition [0, TotalShards) and agree on layout, strategy and
-// generation.
+// partition [0, TotalShards) and agree on layout, user count, strategy
+// and generation.
 func Dial(ctx context.Context, groupAddrs [][]string, opts Options) (*Client, error) {
 	if len(groupAddrs) == 0 {
 		return nil, fmt.Errorf("distrib: no shard groups")
@@ -377,6 +377,9 @@ func Dial(ctx context.Context, groupAddrs [][]string, opts Options) (*Client, er
 					gi, info.TotalShards, c.totalShards)
 			case info.Strategy != c.strategy:
 				return nil, fmt.Errorf("distrib: group %d strategy %s, group 0 %s", gi, info.Strategy, c.strategy)
+			case info.TotalUsers != infos[0].info.TotalUsers:
+				return nil, fmt.Errorf("distrib: group %d serves %d users, group 0 serves %d",
+					gi, info.TotalUsers, infos[0].info.TotalUsers)
 			case info.Generation != c.generation.Load():
 				return nil, fmt.Errorf("distrib: group %d at generation %d, group 0 at %d",
 					gi, info.Generation, c.generation.Load())
@@ -511,10 +514,10 @@ func responseStatus(err error) int {
 
 // rpc is one shard-protocol call, as every attempt of a fan-out sends it.
 type rpc struct {
-	method, path, query string
-	body                []byte
-	ctype               string // of body; JSON when empty
-	deadlineMs          string // DeadlineHeader value, set once per scatter by fanOut
+	method, path string
+	body         []byte
+	ctype        string // of body; JSON when empty
+	deadlineMs   string // DeadlineHeader value, set once per scatter by fanOut
 }
 
 // roundTrip performs one HTTP exchange and returns the response body,
@@ -525,7 +528,7 @@ func (c *Client) roundTrip(ctx context.Context, ep *endpoint, call rpc) ([]byte,
 		return nil, out.Err
 	}
 	u := *ep.base
-	u.Path, u.RawQuery = u.Path+call.path, call.query
+	u.Path, u.RawQuery = u.Path+call.path, ""
 	req := new(http.Request).WithContext(ctx)
 	req.Method, req.URL, req.Header = call.method, &u, make(http.Header, 3)
 	if call.body != nil {
@@ -858,40 +861,6 @@ func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posterior
 		}
 	}
 	return out, nil
-}
-
-// Counters scatters a counter lookup (RR-Graph containment counts, or
-// DelayMat counters under DELAYEST) and returns the summed count plus the
-// shards that did not respond.
-func (c *Client) Counters(ctx context.Context, user int) (int64, []int, error) {
-	results := c.fanOut(ctx, rpc{method: http.MethodGet, path: "/shard/counters",
-		query: fmt.Sprintf("user=%d&generation=%d", user, c.generation.Load())})
-	var total int64
-	var missing []int
-	var firstErr error
-	responded := false
-	for i, r := range results {
-		var resp CountersResponse
-		if r.err == nil {
-			r.err = json.Unmarshal(r.data, &resp)
-		}
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			missing = append(missing, c.groups[i].shards...)
-			continue
-		}
-		responded = true
-		for _, cnt := range resp.Counts {
-			total += cnt.Count
-		}
-	}
-	if !responded {
-		return 0, nil, fmt.Errorf("distrib: no shard responded: %w", firstErr)
-	}
-	slices.Sort(missing)
-	return total, missing, nil
 }
 
 // EndpointUpdate is one endpoint's outcome of an Update fan-out.

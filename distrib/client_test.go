@@ -193,7 +193,7 @@ func TestUpdateWireRoundTrip(t *testing.T) {
 }
 
 // fakeShard serves a minimal /shard/* protocol for client tests: a fixed
-// info layout, canned counters, and estimate frames built by rowFor.
+// info layout and estimate frames built by rowFor.
 func fakeShard(t *testing.T, shards []ShardInfo, totalShards, totalUsers int, rowFor func(shard, width int) []rrindex.Partial) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -205,13 +205,6 @@ func fakeShard(t *testing.T, shards []ShardInfo, totalShards, totalUsers int, ro
 	})
 	mux.HandleFunc("/shard/estimate", func(w http.ResponseWriter, r *http.Request) {
 		answerFrame(t, w, r, shards, rowFor)
-	})
-	mux.HandleFunc("/shard/counters", func(w http.ResponseWriter, r *http.Request) {
-		counts := make([]ShardCount, len(shards))
-		for i, s := range shards {
-			counts[i] = ShardCount{Shard: s.Shard, Count: int64(10 * (s.Shard + 1)), Theta: s.Theta, Users: s.Users}
-		}
-		json.NewEncoder(w).Encode(CountersResponse{Counts: counts})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -282,6 +275,11 @@ func TestDialValidatesPartition(t *testing.T) {
 	if _, err := Dial(ctx, nil, Options{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
+	// Groups built over networks of different sizes are rejected.
+	other := fakeShard(t, []ShardInfo{{Shard: 1, Users: 90, Theta: 900}}, 2, 190, nil)
+	if _, err := Dial(ctx, [][]string{{s0.URL}, {other.URL}}, Options{}); err == nil {
+		t.Fatal("groups serving 150 and 190 users accepted")
+	}
 }
 
 func TestEstimateRemoteHealthyAndDegraded(t *testing.T) {
@@ -310,10 +308,6 @@ func TestEstimateRemoteHealthyAndDegraded(t *testing.T) {
 	}
 	if st := c.Status(); st.Scatters != 1 || st.FrontierSiblings != 1 {
 		t.Fatalf("one estimate = %d scatters carrying %d rows, want a width-1 scatter", st.Scatters, st.FrontierSiblings)
-	}
-
-	if n, missing, err := c.Counters(ctx, 3); err != nil || n != 10+20 || len(missing) != 0 {
-		t.Fatalf("Counters = %d missing %v err %v", n, missing, err)
 	}
 
 	// Kill shard 1's only server: the answer degrades and says so.

@@ -56,7 +56,7 @@
 // DisableEarlyStop engine's whatever the batch width.
 //
 // JSON remains where it costs nothing that matters: the control plane
-// (info, counters, update, resync) runs per update or per probe, not 24
+// (info, update, resync) runs per update or per dial, not 24
 // times a query, its bodies are journalled and replayed as opaque bytes,
 // and an operator can read and curl it. There is no version negotiation.
 // A shard server that predates the frame reads it as malformed JSON

@@ -104,28 +104,13 @@ type InfoResponse struct {
 	Shards      []ShardInfo `json:"shards"`
 }
 
-// ShardCount is one shard's counter row (RR-Graph containment count for
-// index strategies, DelayMat counter for DELAYEST).
-type ShardCount struct {
-	Shard int   `json:"shard"`
-	Count int64 `json:"count"`
-	Theta int64 `json:"theta"`
-	Users int   `json:"users"`
-}
-
-// CountersResponse is GET /shard/counters?user=N.
-type CountersResponse struct {
-	Generation uint64       `json:"generation"`
-	Counts     []ShardCount `json:"counts"`
-}
-
-// UpdateProb mirrors serve's /admin/update probability entry.
+// UpdateProb is one topic's probability on an update edge.
 type UpdateProb struct {
 	Topic int     `json:"topic"`
 	Prob  float64 `json:"prob"`
 }
 
-// UpdateEdge mirrors serve's /admin/update edge entry.
+// UpdateEdge is one edge of an update body.
 type UpdateEdge struct {
 	From  int          `json:"from"`
 	To    int          `json:"to"`
@@ -137,6 +122,13 @@ type UpdateEdge struct {
 // to. A server applies it only when Generation == current+1 (409
 // otherwise), repairs the owned shards the routing decision selects, and
 // keeps the previous generation double-buffered for in-flight queries.
+// It is also the body of a server's POST /admin/update, which carries no
+// generation. Example:
+//
+//	{"add_users": 2,
+//	 "insert_edges": [{"from": 0, "to": 7, "probs": [{"topic": 1, "prob": 0.4}]}],
+//	 "delete_edges": [{"from": 3, "to": 5}],
+//	 "set_edges":    [{"from": 2, "to": 3, "probs": [{"topic": 2, "prob": 0.6}]}]}
 type UpdateRequest struct {
 	Generation  uint64       `json:"generation"`
 	AddUsers    int          `json:"add_users,omitempty"`
@@ -152,13 +144,11 @@ type UpdateRequest struct {
 const DeadlineHeader = "X-Pitex-Deadline-Ms"
 
 // ResyncShard is one owned shard slice inside a ResyncState snapshot:
-// the serialized RR-index (index strategies) or DelayMat (DELAYEST)
-// bytes plus the slice's user count.
+// the serialized RR-index bytes plus the slice's user count.
 type ResyncShard struct {
 	Shard int    `json:"shard"`
 	Users int    `json:"users"`
 	Index []byte `json:"index,omitempty"`
-	Delay []byte `json:"delay,omitempty"`
 }
 
 // ResyncState is the full-state transfer of GET/POST /shard/resync: a
@@ -211,9 +201,8 @@ func BatchToRequest(b *pitex.UpdateBatch, generation uint64) UpdateRequest {
 	return req
 }
 
-// RequestToBatch re-stages a wire update on the receiving side. Staging
-// order matches serve's /admin/update handler (deletes, retopics,
-// inserts) so both paths resolve identically.
+// RequestToBatch re-stages a wire update on the receiving side, in the
+// order deletes, retopics, inserts.
 func RequestToBatch(req UpdateRequest) (*pitex.UpdateBatch, error) {
 	var b pitex.UpdateBatch
 	if req.AddUsers != 0 {

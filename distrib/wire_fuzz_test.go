@@ -8,8 +8,7 @@ import (
 
 // FuzzWireDecode exercises the JSON decoding of the shard protocol's
 // control plane, which the servers and the client perform on bytes from
-// the network: update re-staging, and the info, counters and resync
-// documents. (An estimate has no JSON spelling; FuzzFrontierFrame covers
+// the network: update re-staging, and the info and resync documents. (An estimate has no JSON spelling; FuzzFrontierFrame covers
 // its frame.) None of it may panic on arbitrary input, and the canonical
 // form of an accepted update must be a fixed point of the re-staging
 // round trip (RequestToBatch then BatchToRequest), since that is exactly
@@ -17,8 +16,8 @@ import (
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"generation":1,"total_shards":2,"total_users":7,"strategy":"INDEXEST+","ready":true,"shards":[{"shard":0,"users":4,"theta":100,"graphs":90}]}`))
 	f.Add([]byte(`{"total_shards":2,"strategy":"INDEXEST","ready":false}`))
-	f.Add([]byte(`{"generation":1,"counts":[{"shard":0,"count":3,"theta":100,"users":4},{"shard":1,"count":0,"theta":50,"users":3}]}`))
-	f.Add([]byte(`{"counts":[{"shard":-1,"count":-5}]}`))
+	f.Add([]byte(`{"add_users":1,"delete_edges":[{"from":0,"to":1}],"insert_edges":[{"from":1,"to":0,"probs":[{"topic":0,"prob":0.5}]}]}`))
+	f.Add([]byte(`{"generation":3,"total_shards":1,"strategy":"DELAYMAT","shards":[{"shard":0,"users":1,"delay":"AAAA"}]}`))
 	f.Add([]byte(`{"generation":2,"add_users":1,"insert_edges":[{"from":9,"to":0,"probs":[{"topic":0,"prob":0.5}]}]}`))
 	f.Add([]byte(`{"generation":2,"delete_edges":[{"from":0,"to":1}],"set_edges":[{"from":1,"to":2,"probs":[]}]}`))
 	f.Add([]byte(`{"generation":1,"add_users":-4}`))
@@ -50,8 +49,6 @@ func FuzzWireDecode(f *testing.F) {
 		// or error, never panic.
 		var ir InfoResponse
 		_ = json.Unmarshal(data, &ir)
-		var cr CountersResponse
-		_ = json.Unmarshal(data, &cr)
 		var rs ResyncState
 		_ = json.Unmarshal(data, &rs)
 	})

@@ -13,7 +13,7 @@ import (
 // and a scatter-gather coordinator need to split one ShardedIndex across
 // processes while keeping the math byte-identical to the in-process path.
 //
-//   - BuildSharded is BuildShard per shard, and a container's Repair is
+//   - BuildSharded is BuildShard per shard, and ShardedIndex.Repair is
 //     RepairShard per shard: both run the one shard recipe of shard.go
 //     (layout, per-shard options, plan), so a fleet of shard servers,
 //     each building and repairing its own slice, reproduces the in-process
@@ -83,16 +83,6 @@ func BuildShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*Index
 	return idx, l.sizes[shard], err
 }
 
-// BuildDelayMatShard is BuildShard for the DelayMat counter structure.
-func BuildDelayMatShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*DelayMat, int, error) {
-	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
-	if err != nil {
-		return nil, 0, err
-	}
-	dm, err := l.buildDelayMat(g, opts, shard)
-	return dm, l.sizes[shard], err
-}
-
 // RepairShard repairs this index as shard `shard` of an S-way layout,
 // exactly as ShardedIndex.Repair repairs that shard: re-sample only when
 // its postings contain a touched head, its partition gained users, or its
@@ -110,47 +100,20 @@ func (idx *Index) RepairShard(g *graph.Graph, opts BuildOptions, numShards, shar
 	return next, stats, l.sizes[shard], err
 }
 
-// RepairShard is the DelayMat analog of Index.RepairShard; it requires
-// TrackMembers bookkeeping (ErrNotRepairable otherwise).
-func (dm *DelayMat) RepairShard(g *graph.Graph, opts BuildOptions, numShards, shard int,
-	touched []graph.VertexID, addedVertices int) (*DelayMat, RepairStats, int, error) {
-	if !dm.CanRepair() {
-		return nil, RepairStats{}, 0, ErrNotRepairable
-	}
-	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
-	if err != nil {
-		return nil, RepairStats{}, 0, err
-	}
-	next, stats, err := repairShard(dm, dm.g.NumVertices(), g, l, opts, shard, touched, addedVertices)
-	return next, stats, l.sizes[shard], err
-}
-
 // CheckShard reports whether idx, a slice copied from another process
 // that claims |V_s| = users, fits as shard `shard` of the S-way layout
 // over its graph: users must be the layout's |V_s| and every graph's
 // target must hash to the shard. A replica runs it before serving an
 // installed slice.
 func (idx *Index) CheckShard(opts BuildOptions, numShards, shard, users int) error {
-	if err := checkUsers(idx.g.NumVertices(), opts, numShards, shard, users); err != nil {
+	l, err := layoutFor(idx.g.NumVertices(), opts, numShards, shard)
+	if err != nil {
 		return err
 	}
-	return idx.checkTargets(numShards, shard)
-}
-
-// CheckShard is Index.CheckShard for DelayMat counters, which carry no
-// targets once serialized: only |V_s| is checked.
-func (dm *DelayMat) CheckShard(opts BuildOptions, numShards, shard, users int) error {
-	return checkUsers(dm.g.NumVertices(), opts, numShards, shard, users)
-}
-
-// checkUsers reports a shard id outside the layout over numVertices
-// users, or a claimed |V_s| that differs from the layout's.
-func checkUsers(numVertices int, opts BuildOptions, numShards, shard, users int) error {
-	l, err := layoutFor(numVertices, opts, numShards, shard)
-	if err == nil && users != l.sizes[shard] {
-		err = fmt.Errorf("rrindex: shard %d claims %d users, the layout gives it %d", shard, users, l.sizes[shard])
+	if users != l.sizes[shard] {
+		return fmt.Errorf("rrindex: shard %d claims %d users, the layout gives it %d", shard, users, l.sizes[shard])
 	}
-	return err
+	return idx.checkTargets(numShards, shard)
 }
 
 // checkTargets reports a graph whose target is not in shard s of an

@@ -47,25 +47,6 @@ func TestBuildShardMatchesSharded(t *testing.T) {
 				s, a.Len(), b.Len())
 		}
 	}
-
-	for s := 0; s < S; s++ {
-		dm, _, err := BuildDelayMatShard(g, opts, S, s)
-		if err != nil {
-			t.Fatalf("BuildDelayMatShard(%d): %v", s, err)
-		}
-		sdm, err := BuildShardedDelayMat(g, opts, S)
-		if err != nil {
-			t.Fatalf("BuildShardedDelayMat: %v", err)
-		}
-		if dm.Theta() != sdm.shards[s].Theta() {
-			t.Fatalf("delay shard %d θ = %d, sharded holds %d", s, dm.Theta(), sdm.shards[s].Theta())
-		}
-		for u := 0; u < g.NumVertices(); u++ {
-			if dm.Count(graph.VertexID(u)) != sdm.shards[s].Count(graph.VertexID(u)) {
-				t.Fatalf("delay shard %d counter for user %d differs", s, u)
-			}
-		}
-	}
 }
 
 // TestGatherPartialsMatchesShardedEstimator checks that scanning every
@@ -293,15 +274,8 @@ func TestCheckShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildShard: %v", err)
 	}
-	dm, _, err := BuildDelayMatShard(g, opts, S, 1)
-	if err != nil {
-		t.Fatalf("BuildDelayMatShard: %v", err)
-	}
 	if err := idx.CheckShard(opts, S, 1, users); err != nil {
 		t.Fatalf("index as built: %v", err)
-	}
-	if err := dm.CheckShard(opts, S, 1, users); err != nil {
-		t.Fatalf("DelayMat as built: %v", err)
 	}
 	if err := idx.CheckShard(opts, S, 0, users); err == nil {
 		t.Fatal("shard 1's graphs accepted as shard 0")
@@ -309,72 +283,7 @@ func TestCheckShard(t *testing.T) {
 	if err := idx.CheckShard(opts, S, 1, users+1); err == nil {
 		t.Fatal("wrong |V_s| accepted for an index")
 	}
-	if err := dm.CheckShard(opts, S, 1, users+1); err == nil {
-		t.Fatal("wrong |V_s| accepted for a DelayMat")
-	}
 	if err := idx.CheckShard(opts, S, S, users); err == nil {
 		t.Fatal("shard id outside the layout accepted")
-	}
-}
-
-// TestDelayMatRepairShardMatchesShardedRepair: repairing a standalone
-// DelayMat shard slice under the cluster repair seed reproduces the
-// corresponding member of a full ShardedDelayMat repair, counter for
-// counter.
-func TestDelayMatRepairShardMatchesShardedRepair(t *testing.T) {
-	g := randomGraph(300, 4, 0.05, 0.4, 3)
-	opts := shardOpts(42, 3000)
-	opts.TrackMembers = true
-	const S = 3
-
-	sdm, err := BuildShardedDelayMat(g, opts, S)
-	if err != nil {
-		t.Fatalf("BuildShardedDelayMat: %v", err)
-	}
-	standalone := make([]*DelayMat, S)
-	for s := 0; s < S; s++ {
-		standalone[s], _, err = BuildDelayMatShard(g, opts, S, s)
-		if err != nil {
-			t.Fatalf("BuildDelayMatShard(%d): %v", s, err)
-		}
-	}
-
-	ng, info := applyDelta(t, g, graph.Delta{
-		RetopicEdges: []graph.EdgeRetopic{{Edge: 0, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.9}}}},
-		AddVertices:  5,
-	})
-	ropts := opts
-	ropts.Seed = 99
-	wantSdm, _, err := sdm.Repair(ng, ropts, info.TouchedHeads, info.AddedVertices)
-	if err != nil {
-		t.Fatalf("ShardedDelayMat.Repair: %v", err)
-	}
-	for s := 0; s < S; s++ {
-		next, _, users, err := standalone[s].RepairShard(ng, ropts, S, s, info.TouchedHeads, info.AddedVertices)
-		if err != nil {
-			t.Fatalf("RepairShard(%d): %v", s, err)
-		}
-		want := wantSdm.shards[s]
-		if next.Theta() != want.Theta() {
-			t.Fatalf("shard %d: θ %d != sharded θ %d", s, next.Theta(), want.Theta())
-		}
-		if users != wantSdm.poolSizes[s] {
-			t.Fatalf("shard %d: pool %d != sharded pool %d", s, users, wantSdm.poolSizes[s])
-		}
-		for v := 0; v < ng.NumVertices(); v++ {
-			if next.Count(graph.VertexID(v)) != want.Count(graph.VertexID(v)) {
-				t.Fatalf("shard %d: count[%d] = %d, sharded %d",
-					s, v, next.Count(graph.VertexID(v)), want.Count(graph.VertexID(v)))
-			}
-		}
-	}
-
-	// Without member tracking the per-slice repair must refuse.
-	plain, _, err := BuildDelayMatShard(g, shardOpts(42, 3000), S, 0)
-	if err != nil {
-		t.Fatalf("BuildDelayMatShard: %v", err)
-	}
-	if _, _, _, err := plain.RepairShard(ng, ropts, S, 0, info.TouchedHeads, info.AddedVertices); err != ErrNotRepairable {
-		t.Fatalf("untracked RepairShard err = %v, want ErrNotRepairable", err)
 	}
 }

@@ -37,9 +37,9 @@ import (
 // One recipe. A shard is derived from one layout (pools, |V_s|, θ_s) by
 // the per-shard helpers below: its build options, its build, and plan,
 // the repair-routing decision. BuildSharded and both Repairs are an
-// eachShard loop over them; BuildSharded is BuildShard per shard, and a
-// container's Repair is RepairShard per shard (partial.go), so a shard
-// server fleet and the in-process containers cannot drift apart.
+// eachShard loop over them; BuildSharded is BuildShard per shard, and
+// ShardedIndex.Repair is RepairShard per shard (partial.go), so a shard
+// server fleet and the in-process index cannot drift apart.
 
 // shardSeedMix separates per-shard RNG streams. Shard 0 keeps the
 // caller's seed unchanged (the S=1 byte-identity contract); the constant
@@ -435,9 +435,9 @@ type ShardedDelayMat struct {
 	fire lazyFireTable
 }
 
-// BuildShardedDelayMat runs the sharded offline counting phase:
-// BuildDelayMatShard for every shard, concurrently (deterministic per
-// (Seed, numShards)).
+// BuildShardedDelayMat runs the sharded offline counting phase: the
+// layout's per-shard DelayMat build for every shard, concurrently
+// (deterministic per (Seed, numShards)).
 func BuildShardedDelayMat(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedDelayMat, error) {
 	l, err := newLayout(g.NumVertices(), opts, numShards)
 	if err != nil {

@@ -62,6 +62,16 @@ func (s Strategy) NeedsIndex() bool {
 	return s == StrategyIndex || s == StrategyIndexPruned || s == StrategyDelay
 }
 
+// Distributes reports whether a shard fleet can serve the strategy: true
+// for INDEXEST and INDEXEST+ only, whose RR-Graph index slices a shard
+// server scans exactly as the in-process shard does. Online strategies
+// have no index to shard, and DELAYMAT keeps only per-user counters and
+// rebuilds RR-Graphs at query time, so it has no slice worth shipping.
+// NewRemoteEngine and serve.NewShardServer both refuse the rest.
+func (s Strategy) Distributes() bool {
+	return s == StrategyIndex || s == StrategyIndexPruned
+}
+
 // ParseStrategy is the inverse of Strategy.String, case-insensitively
 // accepting the paper names plus the short aliases the CLIs use
 // ("index", "index+", "delay").
@@ -164,12 +174,13 @@ type Options struct {
 	// proves it cannot beat the pruning threshold). Disabling it makes
 	// index-strategy estimates byte-identical to exhaustive scans.
 	DisableEarlyStop bool
-	// TrackUpdates prepares the offline structures for incremental repair
-	// by Engine.ApplyUpdates. The RR-Graph index strategies are always
-	// repairable and ignore it; for DelayMat it records per-graph member
-	// sets and targets, trading the strategy's tiny footprint for
+	// TrackUpdates prepares an engine's offline structures for incremental
+	// repair by Engine.ApplyUpdates. The RR-Graph index strategies are
+	// always repairable and ignore it; for DelayMat it records per-graph
+	// member sets and targets, trading the strategy's tiny footprint for
 	// patchable counters — without it, ApplyUpdates on a DelayMat engine
-	// falls back to a full offline recount.
+	// falls back to a full offline recount. It is engine-only: shard
+	// servers hold index slices, which need no bookkeeping.
 	TrackUpdates bool
 }
 

@@ -100,10 +100,8 @@ type DegradedCoverage struct {
 
 // NewRemoteEngine builds a coordinator engine: it validates and explores
 // like NewEngine but owns no offline index — every estimation goes
-// through remote. Only the index strategies distribute (INDEXEST,
-// INDEXEST+); online strategies have no shards to scatter to, and
-// DELAYEST's estimator consumes a persistent RNG stream whose state
-// cannot be replayed across processes.
+// through remote. Only strategies that distribute (Strategy.Distributes)
+// are accepted.
 func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteEstimator) (*Engine, error) {
 	opts, err := checkInputs(net, model, opts)
 	if err != nil {
@@ -112,9 +110,8 @@ func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteE
 	if remote == nil {
 		return nil, fmt.Errorf("pitex: nil remote estimator")
 	}
-	if opts.Strategy != StrategyIndex && opts.Strategy != StrategyIndexPruned {
-		return nil, fmt.Errorf("pitex: remote serving supports %v and %v, not %v",
-			StrategyIndex, StrategyIndexPruned, opts.Strategy)
+	if !opts.Strategy.Distributes() {
+		return nil, fmt.Errorf("pitex: strategy %v does not distribute", opts.Strategy)
 	}
 	en := &Engine{net: net, model: model, opts: opts, remote: remote}
 	return en.ready(), nil

@@ -330,9 +330,6 @@ func TestShardServerGenerationHandling(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("estimate at unknown generation = %d, want 409", status)
 	}
-	if s, _ := getDoc(t, ts.URL+"/shard/counters?user=1&generation=5"); s != http.StatusConflict {
-		t.Fatalf("counters at unknown generation = %d, want 409", s)
-	}
 
 	// Updates must arrive exactly in sequence.
 	wire := distrib.BatchToRequest(fig2Batch(), 3)

@@ -50,12 +50,14 @@
 //	/tracez (JSON ring of recent traces)
 //
 // A ShardServer (cmd/pitexshard) serves the fleet protocol instead, whose
-// wire contract is package distrib's:
+// wire contract is package distrib's. It holds RR-Graph index slices
+// only, so a fleet serves the index strategies (INDEXEST, INDEXEST+;
+// pitex.Strategy.Distributes) and nothing else:
 //
 //	/shard/estimate (POST; a binary frame of weight rows, Content-Type
 //	   application/x-pitex-frontier, answered with a frame; any other
 //	   body — the old JSON probe included — is a 400)
-//	/shard/info, /shard/counters?user=N (GET, JSON)
+//	/shard/info (GET, JSON)
 //	/shard/update (POST, JSON), /shard/resync (GET and POST, JSON)
 //	/healthz, /readyz, /statsz, /metrics, /tracez
 //

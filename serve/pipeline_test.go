@@ -38,7 +38,7 @@ func TestRouteLatencyLabels(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	ss, sts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	ss, sts := startFig2Shards(t, pitex.StrategyIndexPruned)
 	if status, _ := postEstimate(t, sts.URL, distrib.EstimateRequest{User: 0, Frontier: [][]float64{{0.2, 0.3, 0.5}}}); status != http.StatusOK {
 		t.Fatalf("estimate = %d", status)
 	}
@@ -53,7 +53,6 @@ func TestRouteLatencyLabels(t *testing.T) {
 		{"admin-update", srv.metrics, "GET", ts.URL + "/admin/update", ""},
 		{"admin-jobs", srv.metrics, "POST", ts.URL + "/admin/jobs", "{nope"},
 		{"shard-estimate", ss.metrics, "", "", ""}, // sent above
-		{"shard-counters", ss.metrics, "GET", sts.URL + "/shard/counters?user=0", ""},
 		{"shard-update", ss.metrics, "POST", sts.URL + "/shard/update", "{nope"},
 		{"shard-resync", ss.metrics, "GET", sts.URL + "/shard/resync", ""},
 	} {
@@ -76,7 +75,7 @@ func TestRouteLatencyLabels(t *testing.T) {
 // every state-touching route with 503 and Retry-After: 1, before it looks
 // at the body or takes a slot.
 func TestClosedShardRefusesWithRetryAfter(t *testing.T) {
-	ss, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	ss, ts := startFig2Shards(t, pitex.StrategyIndexPruned)
 	ss.Close()
 	for _, c := range [][2]string{
 		{"POST", "/shard/estimate"}, {"POST", "/shard/update"}, {"GET", "/shard/resync"}, {"POST", "/shard/resync"},

@@ -169,9 +169,14 @@ func (s *Server) registerMetrics() {
 // batch locally (graph only — it holds no index), fans the same batch to
 // every shard endpoint, and advances the cluster generation only after
 // the fan-out, so generation-stamped shard requests never race the swap.
+// A fleet whose user count differs from en's network was built over
+// another graph and is refused.
 func NewCoordinator(en *pitex.Engine, client *distrib.Client, opts pitex.ServeOptions) (*Server, error) {
 	if client == nil {
 		return nil, fmt.Errorf("serve: nil distrib client")
+	}
+	if fleet, local := client.Status().TotalUsers, en.Network().NumUsers(); fleet != local {
+		return nil, fmt.Errorf("serve: shard fleet serves %d users, the engine's network has %d", fleet, local)
 	}
 	s, err := New(en, opts)
 	if err != nil {
@@ -751,30 +756,6 @@ func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// updateRequest is the /admin/update JSON body. Example:
-//
-//	{"add_users": 2,
-//	 "insert_edges": [{"from": 0, "to": 7, "probs": [{"topic": 1, "prob": 0.4}]}],
-//	 "delete_edges": [{"from": 3, "to": 5}],
-//	 "set_edges":    [{"from": 2, "to": 3, "probs": [{"topic": 2, "prob": 0.6}]}]}
-type updateRequest struct {
-	AddUsers    int          `json:"add_users"`
-	InsertEdges []updateEdge `json:"insert_edges"`
-	DeleteEdges []updateEdge `json:"delete_edges"`
-	SetEdges    []updateEdge `json:"set_edges"`
-}
-
-type updateEdge struct {
-	From  int          `json:"from"`
-	To    int          `json:"to"`
-	Probs []updateProb `json:"probs"`
-}
-
-type updateProb struct {
-	Topic int     `json:"topic"`
-	Prob  float64 `json:"prob"`
-}
-
 // maxUpdateBody bounds the /admin/update request body (1 MiB is ~10k
 // staged operations, far beyond the incremental sweet spot).
 const maxUpdateBody = 1 << 20
@@ -784,38 +765,24 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error
 		w.Header().Set("Allow", http.MethodPost)
 		return withStatus(http.StatusMethodNotAllowed, errors.New("POST required"))
 	}
-	var req updateRequest
+	// The body is distrib.UpdateRequest without its generation: the server
+	// picks the next one itself.
+	var req distrib.UpdateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return fmt.Errorf("bad update body: %w", err)
 	}
-	var batch pitex.UpdateBatch
-	if req.AddUsers != 0 {
-		// Negative values flow through so apply-time validation rejects the
-		// whole request with 400 instead of silently applying half of it.
-		batch.AddUsers(req.AddUsers)
+	if req.Generation != 0 {
+		return fmt.Errorf("bad update body: generation %d is not the caller's to choose", req.Generation)
 	}
-	toProbs := func(ps []updateProb) []pitex.TopicProb {
-		out := make([]pitex.TopicProb, len(ps))
-		for i, p := range ps {
-			out[i] = pitex.TopicProb{Topic: p.Topic, Prob: p.Prob}
-		}
-		return out
+	// Negative add_users flow through so apply-time validation rejects the
+	// whole request with 400 instead of silently applying half of it.
+	batch, err := distrib.RequestToBatch(req)
+	if err != nil {
+		return err
 	}
-	for _, e := range req.DeleteEdges {
-		batch.DeleteEdge(e.From, e.To)
-	}
-	for _, e := range req.SetEdges {
-		batch.SetEdge(e.From, e.To, toProbs(e.Probs)...)
-	}
-	for _, e := range req.InsertEdges {
-		batch.InsertEdge(e.From, e.To, toProbs(e.Probs)...)
-	}
-	if batch.Empty() {
-		return fmt.Errorf("empty update batch")
-	}
-	stats, err := s.ApplyUpdates(&batch)
+	stats, err := s.ApplyUpdates(batch)
 	if err != nil {
 		return err
 	}

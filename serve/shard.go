@@ -70,24 +70,28 @@ func (c ShardConfig) withDefaults(opts pitex.Options) ShardConfig {
 type shardState struct {
 	net        *pitex.Network
 	generation uint64
-	indexes    map[int]*rrindex.Index
-	delays     map[int]*rrindex.DelayMat
-	users      map[int]int // shard id -> |V_s|
-	prev       *shardState
+	// slices holds the owned index slices, parallel to ShardConfig.Owned.
+	slices []indexSlice
+	prev   *shardState
 	// pool holds this generation's reusable estimators. Held by pointer:
 	// double-buffering copies shardState by value, and the copy must keep
 	// answering from the same pool.
 	pool *estimatorPool
 }
 
-// newShardState returns an empty serving state for one generation.
-func newShardState(net *pitex.Network, generation uint64) *shardState {
+// indexSlice is one owned shard: its RR-Graph index and its |V_s|.
+type indexSlice struct {
+	idx   *rrindex.Index
+	users int
+}
+
+// newShardState returns a serving state for one generation with an empty
+// slot per owned shard.
+func newShardState(net *pitex.Network, generation uint64, owned int) *shardState {
 	return &shardState{
 		net:        net,
 		generation: generation,
-		indexes:    make(map[int]*rrindex.Index),
-		delays:     make(map[int]*rrindex.DelayMat),
-		users:      make(map[int]int),
+		slices:     make([]indexSlice, owned),
 		pool:       &estimatorPool{},
 	}
 }
@@ -140,7 +144,9 @@ func (p *estimatorPool) put(set *estimatorSet) {
 }
 
 // ShardServer serves a slice of the distributed RR-index over the
-// /shard/* HTTP protocol (see package distrib for the wire contract).
+// /shard/* HTTP protocol (see package distrib for the wire contract). It
+// holds RR-Graph index slices only, so it serves the strategies that
+// distribute (pitex.Strategy.Distributes) and nothing else.
 // The index slices build asynchronously — the server answers /healthz
 // and /readyz immediately, /readyz turning 200 (and /shard/info Ready)
 // only once every owned shard is built. All methods are safe for
@@ -172,8 +178,8 @@ func NewShardServer(net *pitex.Network, model *pitex.TagModel, opts pitex.Option
 	if net == nil || model == nil {
 		return nil, fmt.Errorf("serve: nil network or model")
 	}
-	if !opts.Strategy.NeedsIndex() {
-		return nil, fmt.Errorf("serve: strategy %v keeps no offline index to shard", opts.Strategy)
+	if !opts.Strategy.Distributes() {
+		return nil, fmt.Errorf("serve: strategy %v does not distribute", opts.Strategy)
 	}
 	bo, err := pitex.IndexBuildOptions(model, opts)
 	if err != nil {
@@ -226,20 +232,14 @@ func (ss *ShardServer) registerMetrics() {
 
 func (ss *ShardServer) build(net *pitex.Network) {
 	defer close(ss.ready)
-	st := newShardState(net, 0)
-	for _, s := range ss.cfg.Owned {
-		var users int
+	st := newShardState(net, 0, len(ss.cfg.Owned))
+	for i, s := range ss.cfg.Owned {
+		sl := &st.slices[i]
 		var err error
-		if ss.opts.Strategy == pitex.StrategyDelay {
-			st.delays[s], users, err = rrindex.BuildDelayMatShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s)
-		} else {
-			st.indexes[s], users, err = rrindex.BuildShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s)
-		}
-		if err != nil {
+		if sl.idx, sl.users, err = rrindex.BuildShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s); err != nil {
 			ss.buildErr = fmt.Errorf("serve: building shard %d: %w", s, err)
 			return
 		}
-		st.users[s] = users
 	}
 	ss.state.Store(st)
 }
@@ -298,7 +298,6 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 //	POST /shard/estimate  — partial hits for every weight row of a frame
 //	                        (any other body is a 400)
 //	GET  /shard/info      — layout metadata + readiness
-//	GET  /shard/counters  — per-shard counter rows for one user
 //	POST /shard/update    — generation-keyed incremental repair
 //	GET  /shard/resync    — full-state snapshot (anti-entropy source)
 //	POST /shard/resync    — install a snapshot taken from a replica
@@ -312,7 +311,6 @@ func (ss *ShardServer) Handler() http.Handler {
 	mux := ss.newMux()
 	mux.HandleFunc("POST /shard/estimate", ss.chain(route{"shard-estimate", faultinject.PointShardEstimate, ss.gate}, ss.handleEstimate))
 	mux.HandleFunc("GET /shard/info", ss.chain(route{}, ss.handleInfo))
-	mux.HandleFunc("GET /shard/counters", ss.chain(route{label: "shard-counters"}, ss.handleCounters))
 	mux.HandleFunc("POST /shard/update", ss.chain(route{"shard-update", faultinject.PointShardUpdate, ss.gate}, ss.handleUpdate))
 	resync := route{"shard-resync", faultinject.PointShardResync, ss.gate}
 	mux.HandleFunc("GET /shard/resync", ss.chain(resync, ss.handleResyncGet))
@@ -328,10 +326,6 @@ func (ss *ShardServer) Handler() http.Handler {
 const maxEstimateBody = 4 << 20
 
 func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) error {
-	if ss.opts.Strategy == pitex.StrategyDelay {
-		return withStatus(http.StatusNotImplemented,
-			errors.New("DELAYEST serves counters only; its estimator state cannot be scattered"))
-	}
 	// Adopt the coordinator's trace ID when the request carries one, so
 	// this server's /tracez correlates with the coordinator's span tree;
 	// un-headered requests get a local trace.
@@ -410,12 +404,12 @@ func decodeEstimate(r *http.Request) (req distrib.EstimateRequest, err error) {
 func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (resp distrib.EstimateResponse) {
 	set := st.pool.get()
 	if set == nil {
-		set = &estimatorSet{ests: make([]shardEstimator, len(ss.cfg.Owned))}
-		for i, s := range ss.cfg.Owned {
+		set = &estimatorSet{ests: make([]shardEstimator, len(st.slices))}
+		for i, sl := range st.slices {
 			if ss.opts.Strategy == pitex.StrategyIndexPruned {
-				set.ests[i] = rrindex.NewPrunedEstimator(st.indexes[s])
+				set.ests[i] = rrindex.NewPrunedEstimator(sl.idx)
 			} else {
-				set.ests[i] = rrindex.NewEstimator(st.indexes[s])
+				set.ests[i] = rrindex.NewEstimator(sl.idx)
 			}
 		}
 	}
@@ -424,7 +418,7 @@ func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (r
 	frontier := req.FrontierRows(&set.rows)
 	for i, s := range ss.cfg.Owned {
 		resp.Frontier = append(resp.Frontier,
-			set.ests[i].PartialFrontier(s, st.users[s], st.net.NumUsers(), u, frontier, sampling.StopRule{}))
+			set.ests[i].PartialFrontier(s, st.slices[i].users, st.net.NumUsers(), u, frontier, sampling.StopRule{}))
 	}
 	st.pool.put(set)
 	return resp
@@ -474,54 +468,13 @@ func (ss *ShardServer) infoFor(st *shardState) distrib.InfoResponse {
 		Strategy:    ss.strategy,
 		Ready:       true,
 	}
-	for _, s := range ss.cfg.Owned {
-		si := distrib.ShardInfo{Shard: s, Users: st.users[s]}
-		if dm := st.delays[s]; dm != nil {
-			si.Theta = dm.Theta()
-		} else if idx := st.indexes[s]; idx != nil {
-			si.Theta = idx.Theta()
-			si.Graphs = idx.NumGraphs()
-		}
-		info.Shards = append(info.Shards, si)
+	for i, s := range ss.cfg.Owned {
+		sl := st.slices[i]
+		info.Shards = append(info.Shards, distrib.ShardInfo{
+			Shard: s, Users: sl.users, Theta: sl.idx.Theta(), Graphs: sl.idx.NumGraphs(),
+		})
 	}
 	return info
-}
-
-func (ss *ShardServer) handleCounters(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	user, err := intParam(q, "user", -1)
-	if err != nil || user < 0 {
-		return fmt.Errorf("bad or missing user")
-	}
-	gen, hasGen := uint64(0), false
-	if gArg := q.Get("generation"); gArg != "" {
-		gen, err = strconv.ParseUint(gArg, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad generation: %q", gArg)
-		}
-		hasGen = true
-	}
-	st, err := ss.stateFor(gen, hasGen)
-	if err != nil {
-		return withStatus(http.StatusConflict, err)
-	}
-	if user >= st.net.NumUsers() {
-		return fmt.Errorf("user %d outside [0,%d)", user, st.net.NumUsers())
-	}
-	resp := distrib.CountersResponse{Generation: st.generation}
-	for _, s := range ss.cfg.Owned {
-		row := distrib.ShardCount{Shard: s, Users: st.users[s]}
-		if dm := st.delays[s]; dm != nil {
-			row.Count = dm.Count(graph.VertexID(user))
-			row.Theta = dm.Theta()
-		} else if idx := st.indexes[s]; idx != nil {
-			row.Count = int64(idx.NumContaining(graph.VertexID(user)))
-			row.Theta = idx.Theta()
-		}
-		resp.Counts = append(resp.Counts, row)
-	}
-	writeJSON(w, resp)
-	return nil
 }
 
 // errBuilding refuses a state-changing request before the owned shards
@@ -555,27 +508,16 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) erro
 		}
 		bo := ss.buildOpts
 		bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
-		next := newShardState(newNet, req.Generation)
+		next := newShardState(newNet, req.Generation, len(ss.cfg.Owned))
 		resp := distrib.UpdateResponse{Generation: req.Generation}
-		for _, s := range ss.cfg.Owned {
+		for i, s := range ss.cfg.Owned {
+			sl := &next.slices[i]
 			var rs rrindex.RepairStats
-			var users int
-			switch {
-			case st.indexes[s] != nil:
-				next.indexes[s], rs, users, err = st.indexes[s].RepairShard(
-					newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
-			case st.delays[s] != nil && st.delays[s].CanRepair():
-				next.delays[s], rs, users, err = st.delays[s].RepairShard(
-					newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
-			default:
-				// DelayMat without member tracking: re-count this shard from
-				// scratch, mirroring the in-process fallback.
-				next.delays[s], users, err = rrindex.BuildDelayMatShard(newNet.Graph(), bo, ss.cfg.TotalShards, s)
-			}
+			sl.idx, rs, sl.users, err = st.slices[i].idx.RepairShard(
+				newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
 			if err != nil {
 				return nil, nil, withStatus(http.StatusInternalServerError, err)
 			}
-			next.users[s] = users
 			resp.GraphsRepaired += rs.Invalidated + rs.Retargeted
 			resp.GraphsAppended += rs.Appended
 		}
@@ -634,22 +576,12 @@ func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) e
 		return withStatus(http.StatusInternalServerError, err)
 	}
 	snap.Network = nb.Bytes()
-	for _, s := range ss.cfg.Owned {
-		sh := distrib.ResyncShard{Shard: s, Users: st.users[s]}
+	for i, s := range ss.cfg.Owned {
 		var sb bytes.Buffer
-		var err error
-		switch {
-		case st.indexes[s] != nil:
-			err = rrindex.WriteIndex(&sb, st.indexes[s])
-			sh.Index = sb.Bytes()
-		case st.delays[s] != nil:
-			err = rrindex.WriteDelayMat(&sb, st.delays[s])
-			sh.Delay = sb.Bytes()
-		}
-		if err != nil {
+		if err := rrindex.WriteIndex(&sb, st.slices[i].idx); err != nil {
 			return withStatus(http.StatusInternalServerError, err)
 		}
-		snap.Shards = append(snap.Shards, sh)
+		snap.Shards = append(snap.Shards, distrib.ResyncShard{Shard: s, Users: st.slices[i].users, Index: sb.Bytes()})
 	}
 	writeJSON(w, snap)
 	return nil
@@ -680,35 +612,26 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad snapshot network: %w", err)
 		}
-		next := newShardState(net, snap.Generation)
+		next := newShardState(net, snap.Generation, len(ss.cfg.Owned))
 		for _, sh := range snap.Shards {
-			if !slices.Contains(ss.cfg.Owned, sh.Shard) {
+			i := slices.Index(ss.cfg.Owned, sh.Shard)
+			if i < 0 {
 				return nil, nil, withStatus(http.StatusConflict,
 					fmt.Errorf("serve: snapshot carries shard %d, not owned here", sh.Shard))
 			}
 			// A slice is installed under its label only if it fits that
 			// shard of the layout: every gather trusts its |V_s| and targets.
-			switch {
-			case len(sh.Index) > 0:
-				next.indexes[sh.Shard], err = rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
-				if err == nil {
-					err = next.indexes[sh.Shard].CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
-				}
-			case len(sh.Delay) > 0:
-				next.delays[sh.Shard], err = rrindex.ReadDelayMat(bytes.NewReader(sh.Delay), net.Graph())
-				if err == nil {
-					err = next.delays[sh.Shard].CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
-				}
-			default:
-				err = fmt.Errorf("serve: snapshot shard %d carries no payload", sh.Shard)
+			idx, err := rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
+			if err == nil {
+				err = idx.CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("bad snapshot shard %d: %w", sh.Shard, err)
 			}
-			next.users[sh.Shard] = sh.Users
+			next.slices[i] = indexSlice{idx: idx, users: sh.Users}
 		}
-		for _, s := range ss.cfg.Owned {
-			if next.indexes[s] == nil && next.delays[s] == nil {
+		for i, s := range ss.cfg.Owned {
+			if next.slices[i].idx == nil {
 				return nil, nil, withStatus(http.StatusConflict,
 					fmt.Errorf("serve: snapshot missing owned shard %d", s))
 			}

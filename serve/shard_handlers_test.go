@@ -21,12 +21,10 @@ import (
 
 // startFig2Shards builds a shard server owning ALL shards of a 2-way
 // layout under the given strategy.
-func startFig2Shards(t *testing.T, s pitex.Strategy, track bool) (*ShardServer, *httptest.Server) {
+func startFig2Shards(t *testing.T, s pitex.Strategy) (*ShardServer, *httptest.Server) {
 	t.Helper()
 	net, model := fig2NetModel(t)
-	opts := fig2Options(s, 2)
-	opts.TrackUpdates = track
-	ss, err := NewShardServer(net, model, opts, ShardConfig{TotalShards: 2})
+	ss, err := NewShardServer(net, model, fig2Options(s, 2), ShardConfig{TotalShards: 2})
 	if err != nil {
 		t.Fatalf("NewShardServer: %v", err)
 	}
@@ -41,7 +39,7 @@ func startFig2Shards(t *testing.T, s pitex.Strategy, track bool) (*ShardServer, 
 }
 
 func TestShardServerStatszAndInfo(t *testing.T) {
-	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned)
 
 	status, stats := getDoc(t, ts.URL+"/statsz")
 	if status != http.StatusOK {
@@ -72,50 +70,19 @@ func TestShardServerStatszAndInfo(t *testing.T) {
 	}
 }
 
-// TestShardServerDelayStrategy: DELAYEST shard servers serve counters
-// and generation-keyed repairs but refuse /shard/estimate (the delay
-// estimator's RNG stream cannot be replayed across processes).
-func TestShardServerDelayStrategy(t *testing.T) {
-	for _, track := range []bool{true, false} {
-		ss, ts := startFig2Shards(t, pitex.StrategyDelay, track)
-
-		if status, _ := postEstimate(t, ts.URL, distrib.EstimateRequest{User: 0, Frontier: [][]float64{{1, 0, 0}}}); status != http.StatusNotImplemented {
-			t.Fatalf("track=%v: DELAYEST estimate = %d, want 501", track, status)
+// TestShardServerStrategies is the fleet's strategy table: a shard
+// server holds RR-Graph index slices, so it accepts exactly the
+// strategies that distribute and refuses the online ones and DELAYMAT.
+func TestShardServerStrategies(t *testing.T) {
+	net, model := fig2NetModel(t)
+	for s := pitex.StrategyLazy; s <= pitex.StrategyDelay; s++ {
+		ss, err := NewShardServer(net, model, fig2Options(s, 2), ShardConfig{TotalShards: 2})
+		if err == nil {
+			ss.Close()
 		}
-
-		resp, err := http.Get(ts.URL + "/shard/counters?user=0")
-		if err != nil {
-			t.Fatalf("track=%v: GET counters: %v", track, err)
-		}
-		var counters distrib.CountersResponse
-		err = json.NewDecoder(resp.Body).Decode(&counters)
-		resp.Body.Close()
-		if err != nil || len(counters.Counts) != 2 {
-			t.Fatalf("track=%v: counters = %+v, %v", track, counters, err)
-		}
-		for _, row := range counters.Counts {
-			if row.Theta <= 0 || row.Users <= 0 {
-				t.Fatalf("track=%v: counter row %+v", track, row)
-			}
-		}
-
-		// Repair (track=true) or rebuild (track=false) to generation 1.
-		upd, _ := json.Marshal(distrib.BatchToRequest(fig2Batch(), 1))
-		resp, err = http.Post(ts.URL+"/shard/update", "application/json", bytes.NewReader(upd))
-		if err != nil {
-			t.Fatalf("track=%v: POST update: %v", track, err)
-		}
-		var ur distrib.UpdateResponse
-		err = json.NewDecoder(resp.Body).Decode(&ur)
-		resp.Body.Close()
-		if err != nil || ur.Generation != 1 {
-			t.Fatalf("track=%v: update response %+v, %v", track, ur, err)
-		}
-		if got := ss.Generation(); got != 1 {
-			t.Fatalf("track=%v: generation = %d after update", track, got)
-		}
-		if status, _ := getDoc(t, ts.URL+"/shard/counters?user=0&generation=1"); status != http.StatusOK {
-			t.Fatalf("track=%v: post-update counters = %d", track, status)
+		want := s == pitex.StrategyIndex || s == pitex.StrategyIndexPruned
+		if (err == nil) != want {
+			t.Errorf("NewShardServer(%v) err = %v, want accepted=%v", s, err, want)
 		}
 	}
 }
@@ -139,7 +106,7 @@ func resealed(frame []byte, patch func(b []byte)) []byte {
 // is held to the same user range and generation rules as JSON, and a
 // well-formed one is answered in kind.
 func TestShardServerBadFrames(t *testing.T) {
-	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned)
 	post := func(ctype string, body []byte) int {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/shard/estimate", ctype, bytes.NewReader(body))
@@ -208,7 +175,7 @@ func TestShardServerBadFrames(t *testing.T) {
 }
 
 func TestShardServerBadRequests(t *testing.T) {
-	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	_, ts := startFig2Shards(t, pitex.StrategyIndexPruned)
 	post := func(path, body string) int {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -244,15 +211,6 @@ func TestShardServerBadRequests(t *testing.T) {
 	if got := post("/shard/update", "{nope"); got != http.StatusBadRequest {
 		t.Errorf("malformed update body = %d", got)
 	}
-	if status, _ := getDoc(t, ts.URL+"/shard/counters"); status != http.StatusBadRequest {
-		t.Errorf("counters without user = %d", status)
-	}
-	if status, _ := getDoc(t, ts.URL+"/shard/counters?user=0&generation=zap"); status != http.StatusBadRequest {
-		t.Errorf("counters with bad generation = %d", status)
-	}
-	if status, _ := getDoc(t, ts.URL+"/shard/counters?user=99"); status != http.StatusBadRequest {
-		t.Errorf("counters with out-of-range user = %d", status)
-	}
 }
 
 // TestEstimateRemoteWrongWidthIsBadRequest: a posterior that is not one
@@ -261,7 +219,7 @@ func TestShardServerBadRequests(t *testing.T) {
 // any scan — never an index panic recovered into a 500, never an answer
 // — and the client counts the group missing.
 func TestEstimateRemoteWrongWidthIsBadRequest(t *testing.T) {
-	ss, ts := startFig2Shards(t, pitex.StrategyIndexPruned, false)
+	ss, ts := startFig2Shards(t, pitex.StrategyIndexPruned)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c, err := distrib.Dial(ctx, [][]string{{ts.URL}}, distrib.Options{ReconcileInterval: -1})

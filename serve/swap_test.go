@@ -140,8 +140,9 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 		t.Fatalf("GET 405 Content-Type %q, Allow %q; want application/json, POST", ct, allow)
 	}
 
-	// Malformed and empty bodies are 400s.
-	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{}`} {
+	// Malformed and empty bodies are 400s, and so is a body naming a
+	// generation: the server picks its own.
+	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{}`, `{"generation":3,"add_users":1}`} {
 		resp, err := http.Post(ts.URL+"/admin/update", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
