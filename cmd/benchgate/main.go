@@ -29,6 +29,14 @@
 // single-thread speed, so neither the raw comparison nor the calibration
 // factor fits them: exempt such rows from the ns gate with
 // -ns-skip '^Sweep/' — their allocation counts are still gated.
+//
+// Rows that report scatters_per_op (the BENCH_distrib.json shape written
+// by cmd/benchjson -distrib) are also gated on it, with no tolerance: a
+// query's scatter count is a deterministic count of best-first rounds, so
+// any increase is a change in the search, not noise.
+//
+//	benchgate -baseline BENCH_distrib.json -baseline-run pr31_round_batched \
+//	          -fresh bench-artifacts/BENCH_distrib.json -ns-skip '^DistribScatter/'
 package main
 
 import (
@@ -47,6 +55,8 @@ type row struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op"`
+	// ScattersPerOp is set on distributed rows only.
+	ScattersPerOp *float64 `json:"scatters_per_op"`
 }
 
 // curatedFile is the committed BENCH_query.json shape: named runs, each
@@ -173,6 +183,11 @@ func gate(baseline, fresh []row, maxNsRatio, maxAllocsRatio float64, calibrate b
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: allocs_per_op %.0f exceeds baseline %.0f by %.1f%% (limit %.0f%%)",
 				f.key(), *f.AllocsPerOp, *b.AllocsPerOp, 100*(*f.AllocsPerOp / *b.AllocsPerOp - 1), 100*(maxAllocsRatio-1)))
+		}
+		if b.ScattersPerOp != nil && f.ScattersPerOp != nil && *f.ScattersPerOp > *b.ScattersPerOp {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: scatters_per_op %g exceeds baseline %g (a deterministic count; any increase fails)",
+				f.key(), *f.ScattersPerOp, *b.ScattersPerOp))
 		}
 	}
 	return regressions, matched

@@ -167,3 +167,25 @@ func TestGateNsSkip(t *testing.T) {
 		t.Fatalf("alloc regression in a ns-skipped row missed: %v", regressions)
 	}
 }
+
+// TestGateScattersPerOp: a distributed row's scatter count is gated with
+// no tolerance — one extra scatter fails even with ns and allocs flat —
+// while fewer scatters, or a row without the field, pass.
+func TestGateScattersPerOp(t *testing.T) {
+	baseline := []row{
+		{Name: "BenchmarkDistribScatter/S3-k3-2", Strategy: "DistribScatter/S3-k3", NsPerOp: 2e6, AllocsPerOp: f(1700), ScattersPerOp: f(4)},
+		{Name: "BenchmarkDistribScatter/S1-2", Strategy: "DistribScatter/S1", NsPerOp: 7e5, AllocsPerOp: f(350), ScattersPerOp: f(2)},
+	}
+	fresh := []row{
+		{Name: "BenchmarkDistribScatter/S3-k3-2", Strategy: "DistribScatter/S3-k3", NsPerOp: 2e6, AllocsPerOp: f(1700), ScattersPerOp: f(5)},
+		{Name: "BenchmarkDistribScatter/S1-2", Strategy: "DistribScatter/S1", NsPerOp: 7e5, AllocsPerOp: f(350), ScattersPerOp: f(1)},
+	}
+	regressions, matched := gate(baseline, fresh, 1.25, 1.10, false, regexp.MustCompile(`^DistribScatter/`))
+	if matched != 2 || len(regressions) != 1 || !strings.Contains(regressions[0], "DistribScatter/S3-k3: scatters_per_op 5 exceeds baseline 4") {
+		t.Fatalf("matched %d, regressions %v; want exactly the S3-k3 scatter increase", matched, regressions)
+	}
+	fresh[0].ScattersPerOp = nil
+	if regressions, _ := gate(baseline, fresh, 1.25, 1.10, false, nil); len(regressions) != 0 {
+		t.Fatalf("a row without scatters_per_op regressed: %v", regressions)
+	}
+}

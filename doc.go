@@ -183,11 +183,15 @@
 // row (a tag set's posterior, or a partial set's Lemma 8 bound weights);
 // RemoteProbe carries one, and RemoteEstimator is the narrow interface a
 // transport must satisfy. One that also implements
-// RemoteFrontierEstimator receives each sibling group of the
-// exploration as a single scatter instead of one per row — the distrib
-// client sends a single row as a frontier of width 1 — and shards always
-// scan exhaustively, so the answers equal the DisableEarlyStop engine's
-// either way.
+// RemoteFrontierEstimator receives each round of the exploration — the
+// children of several expansions, up to 64 rows — as a single scatter
+// instead of one per row (the distrib client sends a single row as a
+// frontier of width 1), and shards always scan exhaustively. Answers are
+// in canonical order — influence descending, then sorted tag IDs
+// ascending, ties included — which makes them independent of how the
+// exploration was batched, so a coordinator answers exactly as the
+// DisableEarlyStop in-process engine, whose rounds are one expansion
+// each; only the search counters differ.
 //
 // Robustness: every scatter runs under one shard deadline, shipped to
 // the shards as a budget; replicas within a shard group are hedged after the

@@ -36,8 +36,9 @@ type Result struct {
 	// Influence is the estimated expected influence spread E[I(u|W*)].
 	Influence float64
 	// Alternatives holds the m best tag sets of a QueryTop call in
-	// descending influence order (Alternatives[0] repeats Tags); nil for
-	// plain queries.
+	// canonical order — influence descending, then sorted tag IDs
+	// ascending — (Alternatives[0] repeats Tags); nil for plain queries.
+	// Among equally influential sets, Tags is the first in that order.
 	Alternatives []ScoredTagSet
 	// Elapsed is wall-clock query time.
 	Elapsed time.Duration
@@ -106,11 +107,12 @@ type Explain struct {
 	// engines never consult it, so for them this is always 0.
 	BoundCacheHits int64 `json:"bound_cache_hits"`
 	// RemoteScatters counts a coordinator query's scatters to the shard
-	// fleet and RemoteSiblings the rows that crossed in frontier form,
-	// several to a scatter: candidate sets and partial-set bound rows
-	// alike, so it equals FullSetsEstimated + PartialBoundsEstimated and
-	// scatters stay at or below FrontierExpansions (one per expansion).
-	// Zero for local engines.
+	// fleet — one per round of the best-first search, a round carrying
+	// the children of up to a 64-row frame's worth of expansions — and
+	// RemoteSiblings the rows that crossed in frontier form: candidate
+	// sets and partial-set bound rows alike, so it equals
+	// FullSetsEstimated + PartialBoundsEstimated, and scatters stay at or
+	// below FrontierExpansions. Zero for local engines.
 	RemoteScatters int64 `json:"remote_scatters"`
 	RemoteSiblings int64 `json:"remote_siblings"`
 }

@@ -202,3 +202,47 @@ func TestQueryAllCtxCancellation(t *testing.T) {
 		t.Fatalf("last row after cancellation: err = %v, want context.Canceled", last.Err)
 	}
 }
+
+// TestBestAnswerIndependentOfM pins the fix for a top set that depended
+// on m: with the answer order left to pop order, QueryTop(u, 3, 1) and
+// QueryTop(u, 3, 2) returned different sets at equal influence for some
+// users of the headline dataset (INDEXEST+, seed 1, default options).
+// Canonical order — influence descending, then sorted tag IDs ascending —
+// fixes it only together with a strict sequential-stopping test: a row
+// stopped at a UCB equal to the threshold could still have tied it.
+func TestBestAnswerIndependentOfM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("queries every user of the headline dataset")
+	}
+	net, model, err := GenerateDatasetSpec(DatasetSpec{
+		Name: "headline", Users: 1500, Edges: 15000,
+		Topics: 20, Tags: 50, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.3,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(net, model, Options{Strategy: StrategyIndexPruned, Seed: 1})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	var differ []int
+	for u := 0; u < net.NumUsers(); u++ {
+		one, err := en.QueryTop(u, 3, 1)
+		if err != nil {
+			t.Fatalf("QueryTop(%d, 3, 1): %v", u, err)
+		}
+		two, err := en.QueryTop(u, 3, 2)
+		if err != nil {
+			t.Fatalf("QueryTop(%d, 3, 2): %v", u, err)
+		}
+		if one.Influence != two.Influence {
+			t.Fatalf("user %d: best influence %v at m=1, %v at m=2", u, one.Influence, two.Influence)
+		}
+		if !reflect.DeepEqual(one.Tags, two.Tags) {
+			differ = append(differ, u)
+		}
+	}
+	if len(differ) > 0 {
+		t.Fatalf("%d users get another best set at m=2 than at m=1: %v", len(differ), differ)
+	}
+}

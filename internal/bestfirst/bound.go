@@ -133,6 +133,19 @@ func (b *Bounder) PreparePosterior(w []topics.TagID, post []float64) (Prober, bo
 	return b.prepared(w)
 }
 
+// prepareChild prepares an expansion's child: from the parent's posterior
+// parentPost extended by the child's last tag (through the childPost
+// scratch) when haveParent, from scratch otherwise.
+func (b *Bounder) prepareChild(child []topics.TagID, haveParent bool, parentPost, childPost []float64) (Prober, bool) {
+	if !haveParent {
+		return b.Prepare(child)
+	}
+	if !b.m.PosteriorExtendInto(parentPost, child[len(child)-1], childPost) {
+		return Prober{}, false
+	}
+	return b.PreparePosterior(child, childPost)
+}
+
 // prepared finishes Prepare from the posterior already in b.scratch.
 func (b *Bounder) prepared(w []topics.TagID) (Prober, bool) {
 	Z := b.m.NumTopics()

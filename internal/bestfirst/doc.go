@@ -25,7 +25,7 @@
 // log factors once per explorer (they depend on the model alone; only k
 // changes per query), so Prepare is a top-`need` scan.
 //
-// # Row bounds: bounds ride the frontier batch
+// # Row bounds: bounds ride the round
 //
 // The dense branch Σ_z p(e|z)·pzBound(z) is an Eq. 1 evaluation with the
 // completion-weight vector pzBound standing where a posterior stands. So
@@ -33,11 +33,13 @@
 // families and a coordinator's remote adapter — the bound of a partial
 // set is literally one more row of an EstimateFrontier call: at every
 // expansion the explorer prepares each partial child (posterior extended
-// incrementally from the parent), copies its pzBound into a row, and
-// bounds all surviving children in one call with stopping disarmed.
-// Children whose bound cannot beat the threshold never enter the heap;
-// survivors are keyed by their own bound. A prefix root takes the same
-// path as a frontier of one.
+// incrementally from the parent) and copies its pzBound into a row of
+// the round (see Rounds). Children whose bound cannot beat the m-th best
+// never enter the heap; survivors are keyed by their own bound. A child
+// with fewer free tags above its last tag than it still needs cannot
+// complete in canonical generation order, so it gets no row at all, and
+// a prefix root is only checked for support: its bound could prune
+// nothing, since nothing is recorded when it would be computed.
 //
 // The row bound drops only the min with the sparse branch (graph.EdgeProb
 // clamps at 1), so it is a valid Lemma 8 bound. On an index it is more:
@@ -48,8 +50,9 @@
 // per shard and never stopped early, the bound therefore dominates every
 // completion's *estimate*, deterministically, not just its expectation.
 // Pruning on it can only discard sets that would have lost anyway, so
-// the search remains the exact arg-max over estimates; only the set
-// returned among exact ties depends on pop order.
+// the search remains the exact arg-max over estimates, and — with the
+// canonical order below — returns exactly the first m sets of every
+// candidate sorted canonically, ties included.
 //
 // # Estimators without the capability
 //
@@ -66,22 +69,52 @@
 // evaluating Lemma 8 arithmetic. CheapBounds governs only these
 // estimators; a FrontierEstimator never reads it.
 //
-// # Frontier batching
+// # Rounds
 //
-// Full-size children of one expansion form a batch too, evaluated lazily
-// when its first member is popped — pop order, record order and (with
-// stopping disabled) every estimate are identical to estimating each
-// popped set on its own, because Algo 5 estimates every popped full set
-// unconditionally. The batch hands the estimator all sibling posteriors
-// at once plus a sampling.StopRule carrying the current pruning
-// threshold, enabling frontier-scoped probe caching, bitset hit-testing
-// and sequential stopping inside the index estimators (see
-// internal/rrindex). Bound rows share the first two and never the third.
+// Under a FrontierEstimator the explorer works in rounds. A round pops
+// heap entries and stages all their children as rows of one
+// EstimateFrontier call: the Eq. 1 posterior of each full-size child, the
+// bound row of each partial one. Full sets are thus estimated at the
+// expansion that forms them rather than when popped; Algo 5 estimates
+// every popped full set unconditionally, so this only moves the
+// estimate earlier. The results are handled in two steps: every full
+// set is recorded, then every bound is admitted or pruned against the
+// threshold those full sets raised. A round of full sets alone carries a
+// sampling.StopRule with the current pruning threshold, enabling
+// sequential stopping inside the index estimators (see internal/rrindex);
+// a round carrying any bound row is sent with stopping disarmed.
+//
+// How many entries a round takes is the estimator's to say
+// (RoundSizer): a coordinator, whose every call is a scatter to every
+// shard, asks for 64 rows — one masked-scan word — and the round takes
+// entries while the staged rows plus the next entry's children fit,
+// always taking the first. That roughly halves a query's scatters. An
+// in-process estimator pays per row, not per call, so its rounds are one
+// expansion each: wider rounds there cost rows and time.
+//
+// # Answer order
+//
+// Answers are in canonical order: influence descending, then sorted tag
+// IDs ascending. record inserts in that order, and the round loop prunes
+// in it: an entry W with bound ub is pruned iff ub is below the m-th
+// best influence, or equals it and W's lexicographically smallest
+// completion — W plus the smallest free tags above its last tag — does
+// not sort before the m-th best's tags. Since every completion estimates
+// at most ub, the answer is the head of the canonical order of all
+// candidates whatever the pop order, so rounds of any width — a
+// coordinator's and an in-process engine's — return the same sets. On
+// the round path the heap pops equal bounds in ascending tag order,
+// which reaches the canonically first of a tie early and keeps the
+// tie-break pruning effective.
 //
 // # Determinism
 //
 // The explorer itself is deterministic: the heap orders by bound with
-// deterministic tie-breaking via canonical (increasing-tag) generation,
-// and all randomness lives in the estimators' seeded PRNGs. An Explorer
-// is single-goroutine scratch; clone one per worker.
+// deterministic tie-breaking, and all randomness lives in the
+// estimators' seeded PRNGs. Without the frontier capability the online
+// loop keeps its historical pop order, prune rule and RNG consumption
+// (an online estimate is sampled, not a deterministic dominator, so the
+// canonical tie-break prune would buy nothing there); its answers are
+// recorded in canonical order too. An Explorer is single-goroutine
+// scratch; clone one per worker.
 package bestfirst

@@ -23,19 +23,29 @@ type Estimator interface {
 }
 
 // FrontierEstimator is an optional Estimator capability: estimating a
-// whole frontier of sibling tag sets for one user in a single call. The
-// explorer batches the children of each expansion and hands over one
-// per-topic weight row per child — the Eq. 1 posterior of a full-size
-// child, the Lemma 8 completion weights of a partial one (see the
-// package comment) — letting the estimator share per-edge probe work
-// across siblings (frontier-scoped probe caching, bitset hit-testing)
-// and stop sampling a sibling early once stop proves it cannot beat the
-// pruning threshold. Results are positional: Result[i] scores
-// posteriors[i] through graph.EdgeProb. With stopping disabled the
-// results must be identical to per-sibling EstimateProber calls; bound
-// rows are only ever sent with stopping disabled.
+// whole frontier of tag sets for one user in a single call. The explorer
+// hands over one round at a time, one per-topic weight row per set — the
+// Eq. 1 posterior of a full-size set, the Lemma 8 completion weights of a
+// partial one (see the package comment) — letting the estimator share
+// per-edge probe work across rows (frontier-scoped probe caching, bitset
+// hit-testing) and stop sampling a full set early once stop proves it
+// cannot beat the pruning threshold. Results are positional: Result[i]
+// scores posteriors[i] through graph.EdgeProb. With stopping disabled the
+// results must be identical to per-row EstimateProber calls; a round
+// carrying any bound row is only ever sent with stopping disabled.
 type FrontierEstimator interface {
 	EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result
+}
+
+// RoundSizer is an optional FrontierEstimator capability for estimators
+// whose every call carries a fixed cost beyond its rows, like a
+// coordinator's scatter: one round trip to every shard. RoundRows is how
+// many rows one call should carry; the explorer keeps adding heap entries
+// to a round while their children fit, so one call carries several
+// expansions. Without the capability — every in-process estimator, where a
+// wider round only adds rows — a round is one expansion.
+type RoundSizer interface {
+	RoundRows() int
 }
 
 // Stats reports how much work a query performed; the Fig. 11/12 discussion
@@ -45,12 +55,13 @@ type Stats struct {
 	// was actually estimated.
 	FullSetsEstimated int64
 	// PartialBoundsEstimated is the number of partial sets whose Lemma 8
-	// upper bound was estimated: every row bounded through the frontier
-	// batch under a FrontierEstimator, every sampled bound otherwise
-	// (zero under CheapBounds, whose bounds are reach counts).
+	// upper bound was estimated: every bound row of a round under a
+	// FrontierEstimator, every sampled bound otherwise (zero under
+	// CheapBounds, whose bounds are reach counts).
 	PartialBoundsEstimated int64
 	// PrunedUnsupported counts branches discarded because no completion
-	// had a defined posterior.
+	// had a defined posterior or, under a FrontierEstimator, because too
+	// few tags above the branch's last one remain to complete it.
 	PrunedUnsupported int64
 	// PrunedByBound counts branches discarded by the upper-bound test.
 	PrunedByBound int64
@@ -80,8 +91,9 @@ type Scored struct {
 type Result struct {
 	Tags      []topics.TagID
 	Influence float64
-	// All holds the m best tag sets in descending influence order
-	// (All[0] repeats Tags/Influence).
+	// All holds the m best tag sets in canonical answer order: influence
+	// descending, then sorted tag IDs ascending (All[0] repeats
+	// Tags/Influence).
 	All   []Scored
 	Stats Stats
 }
@@ -103,17 +115,19 @@ type Explorer struct {
 	// never read.
 	CheapBounds bool
 	// StopLogInvDelta, when positive, arms sequential stopping inside
-	// frontier batches: each batch carries StopRule{threshold(), this},
-	// so the estimator may stop sampling a sibling once a Hoeffding
-	// upper confidence bound at confidence exp(-StopLogInvDelta) proves
-	// it cannot reach the current pruning threshold. Zero keeps batched
+	// rounds of full sets: each carries StopRule{threshold(), this}, so
+	// the estimator may stop sampling a set once a Hoeffding upper
+	// confidence bound at confidence exp(-StopLogInvDelta) proves it
+	// cannot reach the current pruning threshold. Zero keeps batched
 	// estimates byte-identical to the sequential path.
 	StopLogInvDelta float64
 
-	// fest is est's frontier-batching capability, detected at
-	// construction; nil keeps the one-call-per-full-set path and the
-	// CheapBounds / sampled-prober bounds.
-	fest FrontierEstimator
+	// fest is est's frontier capability, detected at construction; nil
+	// keeps the online loop: one call per full set and the CheapBounds /
+	// sampled-prober bounds. roundRows is fest's RoundSizer width, 0 for
+	// one expansion per round.
+	fest      FrontierEstimator
+	roundRows int
 	// bounder holds the model-only Lemma 8 tables, built on the first
 	// query and retargeted at each query's k.
 	bounder *Bounder
@@ -128,6 +142,11 @@ type Explorer struct {
 	tags       tagArena
 	reachStack []graph.VertexID
 	reached    []graph.VertexID
+	// freeAbove[w] counts the tags ≥ w outside the query's prefix, so tag
+	// w is free exactly when freeAbove[w] > freeAbove[w+1]; key is the
+	// scratch for one sorted tag list under canonical comparison.
+	freeAbove []int
+	key       []topics.TagID
 
 	// CheapBounds memoization: partial sets sharing a live-topic mask
 	// have identical positive-edge sets, hence identical reachable-set
@@ -143,11 +162,12 @@ type Explorer struct {
 	// computed lazily once per query (-1 until then).
 	maskList []maskVal
 	maxReach float64
-	// Batch-bounding scratch: one expansion's surviving children before
-	// their bounds are resolved (pend), the deduped unresolved masks
-	// (pendMasks), and the word-parallel BFS buffers — a reach word per
-	// vertex, an allowed word per edge, and the touched-vertex list for
-	// sparse reset.
+	// Deferred-children scratch: the rows staged by the current round
+	// under a FrontierEstimator, or one expansion's children awaiting the
+	// batch reach count under CheapBounds (pend); the deduped unresolved
+	// masks (pendMasks); and the word-parallel BFS buffers — a reach word
+	// per vertex, an allowed word per edge, and the touched-vertex list
+	// for sparse reset.
 	pend         []pendChild
 	pendMasks    []uint64
 	batchReach   []uint64
@@ -160,13 +180,12 @@ type Explorer struct {
 	parentPost []float64
 	childPost  []float64
 
-	// Frontier-batch scratch: the weight rows of one EstimateFrontier
-	// call — full-set posteriors or partial-set bound rows — as arena +
-	// row headers + member index per row, reused across batches (the
-	// estimator only reads rows during the call).
+	// Round scratch: the weight rows of one EstimateFrontier call —
+	// full-set posteriors and partial-set bound rows — as an arena plus
+	// row headers, reused across rounds (the estimator only reads rows
+	// during the call).
 	postArena []float64
 	postRows  [][]float64
-	postIdx   []int32
 }
 
 // tagArena hands out small tag-set slices from chunked backing arrays
@@ -205,31 +224,36 @@ func (a *tagArena) reset() {
 // Lemma 8 upper-bound graphs.
 func NewExplorer(g *graph.Graph, m *topics.Model, est Estimator) *Explorer {
 	ex := &Explorer{
-		g:         g,
-		m:         m,
-		est:       est,
-		posterior: make([]float64, m.NumTopics()),
-		reachMark: make([]bool, g.NumVertices()),
+		g:          g,
+		m:          m,
+		est:        est,
+		posterior:  make([]float64, m.NumTopics()),
+		reachMark:  make([]bool, g.NumVertices()),
+		freeAbove:  make([]int, m.NumTags()+1),
+		parentPost: make([]float64, m.NumTopics()),
+		childPost:  make([]float64, m.NumTopics()),
 	}
 	ex.fest, _ = est.(FrontierEstimator)
+	if rs, ok := est.(RoundSizer); ok && ex.fest != nil {
+		ex.roundRows = rs.RoundRows()
+	}
+	// The round loop pops equal bounds in ascending tag order, the order
+	// its answers and prunes use; the online loop keeps its pop order.
+	ex.heap.byTags = ex.fest != nil
 	return ex
 }
 
-// heapEntry orders partial solutions by bound, descending: the entry's
-// own bound when it was computed eagerly at expansion (bounded: a
-// frontier row bound or a CheapBounds reach count), the parent's
-// otherwise. lastAdded is the largest tag appended after the fixed prefix
+// heapEntry orders partial solutions by bound, descending: in the round
+// loop the entry's own row bound; in the online loop its own bound when
+// computed eagerly at expansion (bounded: a CheapBounds reach count), the
+// parent's otherwise. lastAdded is the largest tag appended after the fixed prefix
 // (-1 when only the prefix is present); children only append larger tags
-// so each completion is generated exactly once. Full-size entries spawned
-// by the same expansion share a frontierBatch; fbIdx is the entry's slot
-// in it.
+// so each completion is generated exactly once.
 type heapEntry struct {
 	tags      []topics.TagID
 	lastAdded topics.TagID
 	bound     float64
 	bounded   bool
-	fb        *frontierBatch
-	fbIdx     int32
 }
 
 // maskVal is one memoized CheapBounds evaluation: the live-topic mask
@@ -241,61 +265,63 @@ type maskVal struct {
 	val  float64
 }
 
-// pendChild is one expansion child awaiting its batch-resolved bound:
-// row i of the frontier arena under a FrontierEstimator, the reach count
-// of mask under CheapBounds.
+// pendChild is one child awaiting its estimate: row i of the round's
+// frontier arena under a FrontierEstimator (full marks a full-size set's
+// posterior, otherwise a bound row), the reach count of mask under
+// CheapBounds.
 type pendChild struct {
 	tags      []topics.TagID
 	lastAdded topics.TagID
 	mask      uint64
-}
-
-// frontierBatch groups the size-k children of one expansion for a single
-// FrontierEstimator call. It is evaluated lazily when its first member is
-// popped: Algo 5 estimates every popped full set unconditionally, so
-// deferring to first pop changes neither pop order nor recorded results,
-// while the then-current pruning threshold arms sequential stopping for
-// the whole batch.
-type frontierBatch struct {
-	tags [][]topics.TagID // member tag sets, arena-backed
-	inf  []float64        // per-member influence, valid once done
-	done bool
+	full      bool
 }
 
 // maxHeap is a hand-rolled binary max-heap on bound. container/heap moves
 // entries through interface{} values, which boxes one allocation per
 // push/pop — a measurable share of per-query allocations on this path.
-type maxHeap []heapEntry
+// With byTags, equal bounds pop in ascending tag-list order; the compare
+// runs only on exactly equal bounds.
+type maxHeap struct {
+	s      []heapEntry
+	byTags bool
+}
+
+// above reports whether entry i belongs above entry j.
+func (h *maxHeap) above(i, j int) bool {
+	a, b := &h.s[i], &h.s[j]
+	if a.bound > b.bound {
+		return true
+	}
+	return h.byTags && a.bound == b.bound && slices.Compare(a.tags, b.tags) < 0
+}
 
 func (h *maxHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
+	h.s = append(h.s, e)
+	i := len(h.s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].bound >= s[i].bound {
+		if !h.above(i, p) {
 			break
 		}
-		s[p], s[i] = s[i], s[p]
+		h.s[p], h.s[i] = h.s[i], h.s[p]
 		i = p
 	}
 }
 
 func (h *maxHeap) pop() heapEntry {
-	s := *h
+	s := h.s
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
 	s[n] = heapEntry{} // drop the tag-slice reference
-	s = s[:n]
-	*h = s
+	h.s = s[:n]
 	i := 0
 	for {
 		m := i
-		if l := 2*i + 1; l < n && s[l].bound > s[m].bound {
+		if l := 2*i + 1; l < n && h.above(l, m) {
 			m = l
 		}
-		if r := 2*i + 2; r < n && s[r].bound > s[m].bound {
+		if r := 2*i + 2; r < n && h.above(r, m) {
 			m = r
 		}
 		if m == i {
@@ -313,9 +339,9 @@ func (ex *Explorer) Query(u graph.VertexID, k int) (Result, error) {
 	return ex.QueryTop(u, k, 1)
 }
 
-// QueryTop returns the m best size-k tag sets in descending estimated
-// influence (fewer if fewer exist). m > 1 widens the pruning threshold to
-// the m-th best value, so larger m explores more.
+// QueryTop returns the m best size-k tag sets in canonical answer order
+// (fewer if fewer exist). m > 1 widens the pruning threshold to the m-th
+// best value, so larger m explores more.
 func (ex *Explorer) QueryTop(u graph.VertexID, k, m int) (Result, error) {
 	return ex.run(context.Background(), u, nil, k, m)
 }
@@ -354,7 +380,19 @@ func (ex *Explorer) CompleteCtx(ctx context.Context, u graph.VertexID, prefix []
 	return ex.run(ctx, u, prefix, k, 1)
 }
 
-// run is the shared Algo 5 engine.
+// search is one query's state, shared by the online and the round loop.
+type search struct {
+	ex      *Explorer
+	u       graph.VertexID
+	k, m    int
+	bounder *Bounder
+	// best holds up to m results in canonical answer order.
+	best  []Scored
+	stats Stats
+}
+
+// run is the shared Algo 5 engine: validation and the answer, around the
+// online loop or, under a frontier estimator, the round loop.
 func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.TagID, k, m int) (Result, error) {
 	if int(u) < 0 || int(u) >= ex.g.NumVertices() {
 		return Result{}, fmt.Errorf("bestfirst: user %d outside [0,%d)", u, ex.g.NumVertices())
@@ -369,118 +407,184 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 	if ex.bounder == nil {
 		ex.bounder = NewBounder(ex.g, ex.m, k)
 	}
-	bounder := ex.bounder.forK(k)
-	var res Result
-	// best holds up to m results, sorted descending by influence.
-	best := make([]Scored, 0, m)
-	// threshold is the pruning bar: the m-th best influence, or -1 until m
-	// results exist.
-	threshold := func() float64 {
-		if len(best) < m {
-			return -1
-		}
-		return best[len(best)-1].Influence
-	}
-	record := func(tags []topics.TagID, inf float64) {
-		i := sort.Search(len(best), func(i int) bool { return best[i].Influence < inf })
-		if i >= m {
-			return
-		}
-		// Copy out of the arena (entries die at query end); slices.Sort is
-		// allocation-free, unlike sort.Slice's reflection path.
-		cp := append([]topics.TagID(nil), tags...)
-		slices.Sort(cp)
-		best = append(best, Scored{})
-		copy(best[i+1:], best[i:])
-		best[i] = Scored{Tags: cp, Influence: inf}
-		if len(best) > m {
-			best = best[:m]
-		}
-	}
-
-	// admit pushes an eagerly bounded child keyed by its own bound, unless
-	// the bound already cannot beat the threshold.
-	admit := func(pc pendChild, ub float64) {
-		if ub <= threshold() {
-			res.Stats.PrunedByBound++
-			return
-		}
-		ex.heap.push(heapEntry{tags: pc.tags, lastAdded: pc.lastAdded, bound: ub, bounded: true})
-	}
-
-	inPrefix := make(map[topics.TagID]bool, len(prefix))
-	for _, w := range prefix {
-		inPrefix[w] = true
-	}
-
+	s := search{ex: ex, u: u, k: k, m: m, bounder: ex.bounder.forK(k), best: make([]Scored, 0, m)}
+	ex.markFree(prefix)
 	ex.tags.reset()
-	if ex.fest == nil {
-		if ex.boundMemo == nil {
-			ex.boundMemo = make(map[uint64]float64)
-		} else {
-			clear(ex.boundMemo) // reachability depends on u; memo is per-query
-		}
-		ex.maskList = ex.maskList[:0]
-		ex.maxReach = -1
-	}
-	h := &ex.heap
-	*h = (*h)[:0]
+	ex.heap.s = ex.heap.s[:0]
 	root := heapEntry{
 		tags:      append(ex.tags.alloc(len(prefix))[:0], prefix...),
 		lastAdded: -1,
 		bound:     float64(ex.g.NumVertices()),
 	}
-	h.push(root)
+	var err error
+	if ex.fest == nil {
+		err = s.online(ctx, root)
+	} else {
+		err = s.rounds(ctx, root)
+	}
+	if err != nil {
+		return Result{}, err
+	}
 
-	for len(*h) > 0 {
-		// Each iteration estimates a full set, a partial bound or one
-		// frontier batch of either — the expensive units of work — so the
-		// cancellation check here bounds overrun to one estimation.
+	best := s.best
+	if len(best) == 0 {
+		// Every tag set was undefined; return the lexicographically first
+		// completion with its exact trivial influence.
+		tags := append([]topics.TagID(nil), prefix...)
+		for w := topics.TagID(0); len(tags) < k; w++ {
+			if ex.free(w) {
+				tags = append(tags, w)
+			}
+		}
+		slices.Sort(tags)
+		best = append(best, Scored{Tags: tags, Influence: 1})
+	}
+	return Result{Tags: best[0].Tags, Influence: best[0].Influence, All: best, Stats: s.stats}, nil
+}
+
+// markFree fills freeAbove for a query with this prefix.
+func (ex *Explorer) markFree(prefix []topics.TagID) {
+	fa := ex.freeAbove
+	T := len(fa) - 1
+	for w := range fa[:T] {
+		fa[w] = 1
+	}
+	fa[T] = 0
+	for _, w := range prefix {
+		fa[w] = 0
+	}
+	for w := T - 1; w >= 0; w-- {
+		fa[w] += fa[w+1]
+	}
+}
+
+// free reports whether tag w lies outside the query's prefix.
+func (ex *Explorer) free(w topics.TagID) bool {
+	return ex.freeAbove[w] > ex.freeAbove[w+1]
+}
+
+// threshold is the pruning bar: the m-th best influence, or -1 until m
+// results exist.
+func (s *search) threshold() float64 {
+	if len(s.best) < s.m {
+		return -1
+	}
+	return s.best[len(s.best)-1].Influence
+}
+
+// record inserts a scored full set into best in canonical answer order —
+// influence descending, then sorted tag IDs ascending — keeping the first
+// m. The kept set is thus independent of the order sets are recorded in.
+func (s *search) record(tags []topics.TagID, inf float64) {
+	if len(s.best) == s.m && inf < s.best[s.m-1].Influence {
+		return
+	}
+	key := append(s.ex.key[:0], tags...)
+	slices.Sort(key)
+	s.ex.key = key
+	i := sort.Search(len(s.best), func(i int) bool { return s.best[i].Influence <= inf })
+	for i < len(s.best) && s.best[i].Influence == inf && slices.Compare(s.best[i].Tags, key) < 0 {
+		i++
+	}
+	if i >= s.m {
+		return
+	}
+	// Copy out of the arena: entries die at query end.
+	s.best = append(s.best, Scored{})
+	copy(s.best[i+1:], s.best[i:])
+	s.best[i] = Scored{Tags: slices.Clone(key), Influence: inf}
+	if len(s.best) > s.m {
+		s.best = s.best[:s.m]
+	}
+}
+
+// cut is the round loop's prune test in canonical order: no completion of
+// W (bound ub, last appended tag last) can enter the top m. Influence
+// decides unless ub ties the m-th best; then W's lexicographically
+// smallest completion — W plus the smallest free tags above last — must
+// not sort before the m-th best's tags. Every completion of W estimates at
+// most ub, so each one either ranks below the m-th best or is it.
+func (s *search) cut(tags []topics.TagID, last topics.TagID, ub float64) bool {
+	if len(s.best) < s.m {
+		return false
+	}
+	mth := &s.best[s.m-1]
+	if ub != mth.Influence {
+		return ub < mth.Influence
+	}
+	key := append(s.ex.key[:0], tags...)
+	for w := last + 1; len(key) < s.k; w++ {
+		if s.ex.free(w) {
+			key = append(key, w)
+		}
+	}
+	slices.Sort(key)
+	s.ex.key = key
+	return slices.Compare(key, mth.Tags) >= 0
+}
+
+// online is Algo 5 for estimators without the frontier capability: one
+// estimation per pop — a full set's influence, or a partial set's bound,
+// sampled lazily (eager sampling would reorder RNG consumption) or, under
+// CheapBounds, a masked reach count resolved at expansion.
+func (s *search) online(ctx context.Context, root heapEntry) error {
+	ex, u, k := s.ex, s.u, s.k
+	if ex.boundMemo == nil {
+		ex.boundMemo = make(map[uint64]float64)
+	} else {
+		clear(ex.boundMemo) // reachability depends on u; memo is per-query
+	}
+	ex.maskList = ex.maskList[:0]
+	ex.maxReach = -1
+
+	// admit pushes an eagerly bounded child keyed by its own bound, unless
+	// the bound already cannot beat the threshold.
+	admit := func(pc pendChild, ub float64) {
+		if ub <= s.threshold() {
+			s.stats.PrunedByBound++
+			return
+		}
+		ex.heap.push(heapEntry{tags: pc.tags, lastAdded: pc.lastAdded, bound: ub, bounded: true})
+	}
+
+	h := &ex.heap
+	h.push(root)
+	for len(h.s) > 0 {
+		// Each iteration estimates a full set or a partial bound — the
+		// expensive units of work — so the cancellation check here bounds
+		// overrun to one estimation.
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return err
 		}
 		ent := h.pop()
 		if len(ent.tags) == k {
-			if ent.fb != nil {
-				if !ent.fb.done {
-					ex.evalFrontier(u, ent.fb, threshold(), &res.Stats)
-				}
-				record(ent.tags, ent.fb.inf[ent.fbIdx])
-				continue
-			}
 			if !ex.m.PosteriorInto(ent.tags, ex.posterior) {
 				// Undefined posterior: influence is exactly 1.
-				record(ent.tags, 1)
+				s.record(ent.tags, 1)
 				continue
 			}
-			res.Stats.FullSetsEstimated++
-			// Estimators that revisit edges (the index strategies) carry
-			// their own query-scoped ProbeCache; single-pass estimators
-			// like TIM are handed the raw prober — a cache layer would be
-			// all misses.
+			s.stats.FullSetsEstimated++
+			// Estimators that revisit edges carry their own query-scoped
+			// ProbeCache; single-pass estimators like TIM are handed the
+			// raw prober — a cache layer would be all misses.
 			est := ex.est.EstimateProber(u, sampling.PosteriorProber{G: ex.g, Posterior: ex.posterior})
-			res.Stats.SamplesDrawn += est.Samples
-			record(ent.tags, est.Influence)
+			s.stats.SamplesDrawn += est.Samples
+			s.record(ent.tags, est.Influence)
 			continue
 		}
 
 		// Partial set: bound (unless expansion already did), prune, or
-		// expand. Under a frontier estimator only a prefix root arrives
-		// unbounded; it is bounded like any child, as a frontier of one.
+		// expand.
 		if len(ent.tags) > 0 && !ent.bounded {
-			prober, ok := bounder.Prepare(ent.tags)
+			prober, ok := s.bounder.Prepare(ent.tags)
 			if !ok {
-				res.Stats.PrunedUnsupported++
+				s.stats.PrunedUnsupported++
 				continue
 			}
-			switch {
-			case ex.fest != nil:
-				ex.stageBoundRow(0, prober)
-				ent.bound = ex.boundStaged(u, 1, &res.Stats)[0].Influence
-			case ex.CheapBounds:
+			if ex.CheapBounds {
 				if mask, ok := prober.LiveTopics(); ok {
 					var resolved bool
-					ent.bound, resolved = ex.boundFor(u, mask, threshold(), &res.Stats, false)
+					ent.bound, resolved = ex.boundFor(u, mask, s.threshold(), &s.stats, false)
 					if !resolved {
 						ent.bound = float64(ex.reachableMasked(u, mask))
 						ex.memoizeBound(mask, ent.bound)
@@ -488,147 +592,241 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 				} else {
 					ent.bound = float64(ex.reachableUnder(u, prober))
 				}
-			default:
-				res.Stats.PartialBoundsEstimated++
+			} else {
+				s.stats.PartialBoundsEstimated++
 				bres := ex.est.EstimateProber(u, prober)
-				res.Stats.SamplesDrawn += bres.Samples
+				s.stats.SamplesDrawn += bres.Samples
 				ent.bound = bres.Influence
 			}
 			ent.bounded = true
 		}
-		if ent.bounded && ent.bound <= threshold() {
-			res.Stats.PrunedByBound++
+		if ent.bounded && ent.bound <= s.threshold() {
+			s.stats.PrunedByBound++
 			continue
 		}
 
 		// Expand with every non-prefix tag above the last appended tag
 		// (canonical order: each completion generated exactly once).
-		res.Stats.FrontierExpansions++
-		var fb *frontierBatch
+		s.stats.FrontierExpansions++
 		full := len(ent.tags)+1 == k
-		batching := ex.fest != nil && full
-		// Partial children of a frontier estimator are bounded eagerly, as
-		// rows: each child's Lemma 8 completion weights become one row of
-		// a single EstimateFrontier call over the whole expansion, so
-		// unsupported or already-beaten children never enter the heap and
-		// survivors carry their own bound as heap key.
-		rows := ex.fest != nil && !full
-		// Without the capability, CheapBounds children are bounded eagerly
-		// too, by masked reach: shallow children (whose subtrees are large)
-		// get exact counts, batched into one word-parallel BFS per
-		// expansion; deepest-level children (whose children are the full
-		// sets) settle for the dominance upper bound — no BFS at all. The
-		// sampled-bound path stays lazy: eager sampling would reorder RNG
-		// consumption.
-		masks := ex.fest == nil && ex.CheapBounds && !full
+		// CheapBounds children are bounded eagerly, by masked reach:
+		// shallow children (whose subtrees are large) get exact counts,
+		// batched into one word-parallel BFS per expansion; deepest-level
+		// children (whose children are the full sets) settle for the
+		// dominance upper bound — no BFS at all. The sampled-bound path
+		// stays lazy: eager sampling would reorder RNG consumption.
+		masks := ex.CheapBounds && !full
 		deepest := len(ent.tags)+1 == k-1
 		ex.pend = ex.pend[:0]
 		ex.pendMasks = ex.pendMasks[:0]
 		// Every eager child shares the parent posterior, so materialize it
 		// once and derive each child's by a single-tag extension instead of
 		// re-multiplying the whole set per child.
-		haveParent := false
-		if rows || masks {
-			if ex.parentPost == nil {
-				ex.parentPost = make([]float64, ex.m.NumTopics())
-				ex.childPost = make([]float64, ex.m.NumTopics())
-			}
-			haveParent = ex.m.PosteriorInto(ent.tags, ex.parentPost)
-		}
+		haveParent := masks && ex.m.PosteriorInto(ent.tags, ex.parentPost)
 		for w := ent.lastAdded + 1; int(w) < ex.m.NumTags(); w++ {
-			if inPrefix[w] {
+			if !ex.free(w) {
 				continue
 			}
 			child := ex.tags.alloc(len(ent.tags) + 1)
 			copy(child, ent.tags)
 			child[len(ent.tags)] = w
-			ce := heapEntry{tags: child, lastAdded: w, bound: ent.bound}
-			if batching {
-				if fb == nil {
-					fb = &frontierBatch{}
-				}
-				ce.fb, ce.fbIdx = fb, int32(len(fb.tags))
-				fb.tags = append(fb.tags, child)
-			} else if rows || masks {
-				var prober Prober
-				var ok bool
-				if haveParent {
-					if !ex.m.PosteriorExtendInto(ex.parentPost, w, ex.childPost) {
-						res.Stats.PrunedUnsupported++
-						continue
-					}
-					prober, ok = bounder.PreparePosterior(child, ex.childPost)
-				} else {
-					prober, ok = bounder.Prepare(child)
-				}
-				if !ok {
-					res.Stats.PrunedUnsupported++
-					continue
-				}
-				if rows {
-					ex.stageBoundRow(len(ex.pend), prober)
-					ex.pend = append(ex.pend, pendChild{tags: child, lastAdded: w})
-					continue
-				}
-				mask, mok := prober.LiveTopics()
-				if !mok {
-					// Mask too wide to pack: push unbounded; the pop
-					// path falls back to reachableUnder.
-					h.push(ce)
-					continue
-				}
-				ub, resolved := ex.boundFor(u, mask, threshold(), &res.Stats, deepest)
-				if !resolved && deepest {
-					// A deepest-level mask with no usable superset (a
-					// prefix root, or k == 2): resolve it exactly.
-					ub = float64(ex.reachableMasked(u, mask))
-					ex.memoizeBound(mask, ub)
-					resolved = true
-				}
-				if resolved {
-					admit(pendChild{tags: child, lastAdded: w}, ub)
-					continue
-				}
-				// Unresolved shallow mask: hold the child back for the
-				// expansion's batch BFS.
-				ex.pend = append(ex.pend, pendChild{tags: child, lastAdded: w, mask: mask})
-				if !slices.Contains(ex.pendMasks, mask) {
-					ex.pendMasks = append(ex.pendMasks, mask)
-				}
+			if !masks {
+				h.push(heapEntry{tags: child, lastAdded: w, bound: ent.bound})
 				continue
 			}
-			h.push(ce)
-		}
-		switch {
-		case len(ex.pend) == 0:
-		case rows:
-			for i, r := range ex.boundStaged(u, len(ex.pend), &res.Stats) {
-				admit(ex.pend[i], r.Influence)
+			prober, ok := s.bounder.prepareChild(child, haveParent, ex.parentPost, ex.childPost)
+			if !ok {
+				s.stats.PrunedUnsupported++
+				continue
 			}
-		default:
+			mask, mok := prober.LiveTopics()
+			if !mok {
+				// Mask too wide to pack: push unbounded; the pop path
+				// falls back to reachableUnder.
+				h.push(heapEntry{tags: child, lastAdded: w, bound: ent.bound})
+				continue
+			}
+			ub, resolved := ex.boundFor(u, mask, s.threshold(), &s.stats, deepest)
+			if !resolved && deepest {
+				// A deepest-level mask with no usable superset (a prefix
+				// root, or k == 2): resolve it exactly.
+				ub = float64(ex.reachableMasked(u, mask))
+				ex.memoizeBound(mask, ub)
+				resolved = true
+			}
+			if resolved {
+				admit(pendChild{tags: child, lastAdded: w}, ub)
+				continue
+			}
+			// Unresolved shallow mask: hold the child back for the
+			// expansion's batch BFS.
+			ex.pend = append(ex.pend, pendChild{tags: child, lastAdded: w, mask: mask})
+			if !slices.Contains(ex.pendMasks, mask) {
+				ex.pendMasks = append(ex.pendMasks, mask)
+			}
+		}
+		if len(ex.pend) > 0 {
 			ex.resolveMaskBatch(u)
 			for _, pc := range ex.pend {
 				admit(pc, ex.boundMemo[pc.mask])
 			}
 		}
 	}
+	return nil
+}
 
-	if len(best) == 0 {
-		// Every tag set was undefined; return the lexicographically first
-		// completion with its exact trivial influence.
-		tags := append([]topics.TagID(nil), prefix...)
-		for w := topics.TagID(0); len(tags) < k; w++ {
-			if !inPrefix[w] {
-				tags = append(tags, w)
-			}
-		}
-		sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
-		best = append(best, Scored{Tags: tags, Influence: 1})
+// rounds is Algo 5 under a frontier estimator. Each round pops heap
+// entries and stages all their children as rows of one EstimateFrontier
+// call: a full-size child's posterior, a partial child's Lemma 8 bound
+// row. A round takes entries while the staged rows plus the next entry's
+// children fit in roundRows; its first entry is always taken. The
+// results are then handled in two steps, every full set recorded before
+// any bound is admitted, so a round's bounds meet the threshold its own
+// full sets raised. Because record and cut both use the canonical answer
+// order, the answer does not depend on how wide the rounds are.
+func (s *search) rounds(ctx context.Context, root heapEntry) error {
+	ex := s.ex
+	if len(root.tags) == s.k {
+		// A full prefix is the only candidate: a round of one row.
+		ex.pend = ex.pend[:0]
+		s.stageFull(root.tags)
+		s.flush()
+		return nil
 	}
-	res.All = best
-	res.Tags = best[0].Tags
-	res.Influence = best[0].Influence
-	return res, nil
+	// A prefix root's bound could prune nothing — nothing is recorded
+	// yet — so it is checked for support but never estimated.
+	if len(root.tags) > 0 {
+		if _, ok := s.bounder.Prepare(root.tags); !ok {
+			s.stats.PrunedUnsupported++
+			return nil
+		}
+	}
+	h := &ex.heap
+	h.push(root)
+	for len(h.s) > 0 {
+		// Each round is one estimator call, so checking here bounds the
+		// overrun to one call.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ex.pend = ex.pend[:0]
+		for expanded := 0; len(h.s) > 0; {
+			top := &h.s[0]
+			if s.cut(top.tags, top.lastAdded, top.bound) {
+				h.pop()
+				s.stats.PrunedByBound++
+				continue
+			}
+			if expanded > 0 && len(ex.pend)+s.children(top) > ex.roundRows {
+				break
+			}
+			s.expand(h.pop())
+			expanded++
+		}
+		s.flush()
+	}
+	return nil
+}
+
+// children is how many children expanding ent stages at most: its free
+// tags above lastAdded, less those too high to leave room for a
+// completion.
+func (s *search) children(ent *heapEntry) int {
+	return s.ex.freeAbove[ent.lastAdded+1] - (s.k - len(ent.tags) - 1)
+}
+
+// expand stages ent's children as rows of the current round: each
+// full-size child's posterior, and the bound row of each partial child
+// that can still complete. Undefined full sets are recorded at once, at
+// their exact influence 1.
+func (s *search) expand(ent heapEntry) {
+	ex := s.ex
+	s.stats.FrontierExpansions++
+	full := len(ent.tags)+1 == s.k
+	// Every partial child shares the parent posterior, so materialize it
+	// once and derive each child's by a single-tag extension.
+	haveParent := !full && ex.m.PosteriorInto(ent.tags, ex.parentPost)
+	// need is how many free tags a partial child must find above its own
+	// last tag to complete in canonical order.
+	need := s.k - len(ent.tags) - 1
+	for w := ent.lastAdded + 1; int(w) < ex.m.NumTags(); w++ {
+		if !ex.free(w) {
+			continue
+		}
+		if ex.freeAbove[w+1] < need {
+			// Neither w nor any later tag leaves room for a completion.
+			s.stats.PrunedUnsupported += int64(ex.freeAbove[w])
+			return
+		}
+		child := ex.tags.alloc(len(ent.tags) + 1)
+		copy(child, ent.tags)
+		child[len(ent.tags)] = w
+		if full {
+			s.stageFull(child)
+			continue
+		}
+		prober, ok := s.bounder.prepareChild(child, haveParent, ex.parentPost, ex.childPost)
+		if !ok {
+			s.stats.PrunedUnsupported++
+			continue
+		}
+		ex.stageBoundRow(len(ex.pend), prober)
+		ex.pend = append(ex.pend, pendChild{tags: child, lastAdded: w})
+	}
+}
+
+// stageFull stages a full set's posterior as the round's next row, or
+// records it at influence exactly 1 when the posterior is undefined.
+func (s *search) stageFull(tags []topics.TagID) {
+	ex := s.ex
+	if !ex.m.PosteriorInto(tags, ex.frontierRow(len(ex.pend))) {
+		s.record(tags, 1)
+		return
+	}
+	ex.pend = append(ex.pend, pendChild{tags: tags, full: true})
+}
+
+// flush estimates the round's staged rows in one EstimateFrontier call,
+// records its full sets, then admits its bounds. Only a round of full sets
+// carries the stop rule: a stopped bound would be an extrapolation, free
+// to undercut a completion it covers.
+func (s *search) flush() {
+	ex := s.ex
+	if len(ex.pend) == 0 {
+		return
+	}
+	rows := ex.postRows[:0]
+	var fulls int64
+	for i, pc := range ex.pend {
+		rows = append(rows, ex.frontierRow(i))
+		if pc.full {
+			fulls++
+		}
+	}
+	ex.postRows = rows
+	var stop sampling.StopRule
+	if fulls == int64(len(rows)) {
+		stop = sampling.StopRule{Threshold: s.threshold(), LogInvDelta: ex.StopLogInvDelta}
+	}
+	s.stats.FullSetsEstimated += fulls
+	s.stats.PartialBoundsEstimated += int64(len(rows)) - fulls
+	results := ex.fest.EstimateFrontier(s.u, rows, stop)
+	for i, r := range results {
+		s.stats.SamplesDrawn += r.Samples
+		if pc := ex.pend[i]; pc.full {
+			s.record(pc.tags, r.Influence)
+		}
+	}
+	for i, r := range results {
+		pc := ex.pend[i]
+		switch {
+		case pc.full:
+		case s.cut(pc.tags, pc.lastAdded, r.Influence):
+			s.stats.PrunedByBound++
+		default:
+			ex.heap.push(heapEntry{tags: pc.tags, lastAdded: pc.lastAdded, bound: r.Influence})
+		}
+	}
 }
 
 // reachableUnder counts vertices reachable from u across edges with
@@ -852,12 +1050,13 @@ func (ex *Explorer) buildEdgeTopicMasks() {
 	ex.edgeTopicMask = em
 }
 
-// frontierRow returns row i of the frontier arena, sized once for the
-// widest possible frontier: no expansion has more children than tags.
+// frontierRow returns row i of the round arena, sized once for the widest
+// possible round: its first expansion stages at most one row per tag, and
+// further entries join only while the round fits in roundRows.
 func (ex *Explorer) frontierRow(i int) []float64 {
 	Z := ex.m.NumTopics()
 	if ex.postArena == nil {
-		ex.postArena = make([]float64, ex.m.NumTags()*Z)
+		ex.postArena = make([]float64, max(ex.m.NumTags(), ex.roundRows)*Z)
 	}
 	return ex.postArena[i*Z : (i+1)*Z]
 }
@@ -869,54 +1068,4 @@ func (ex *Explorer) frontierRow(i int) []float64 {
 // p+(e|W), which dominates p(e|W') for every completion W'.
 func (ex *Explorer) stageBoundRow(i int, p Prober) {
 	copy(ex.frontierRow(i), p.Weights())
-}
-
-// boundStaged estimates the first n staged bound rows in one
-// EstimateFrontier call. Stopping is always disarmed: a bound must never
-// be an extrapolation, or it could undercut a completion it covers.
-func (ex *Explorer) boundStaged(u graph.VertexID, n int, stats *Stats) []sampling.Result {
-	rows := ex.postRows[:0]
-	for i := 0; i < n; i++ {
-		rows = append(rows, ex.frontierRow(i))
-	}
-	ex.postRows = rows
-	stats.PartialBoundsEstimated += int64(n)
-	results := ex.fest.EstimateFrontier(u, rows, sampling.StopRule{})
-	for _, r := range results {
-		stats.SamplesDrawn += r.Samples
-	}
-	return results
-}
-
-// evalFrontier evaluates a lazily-deferred frontier batch: posteriors for
-// every member are materialized into reused scratch rows, undefined
-// members score exactly 1 without touching the estimator, and the rest go
-// to the FrontierEstimator in one call carrying the current pruning
-// threshold as the stop rule.
-func (ex *Explorer) evalFrontier(u graph.VertexID, fb *frontierBatch, thr float64, stats *Stats) {
-	rows := ex.postRows[:0]
-	idx := ex.postIdx[:0]
-	fb.inf = make([]float64, len(fb.tags))
-	for i, tags := range fb.tags {
-		row := ex.frontierRow(len(rows))
-		if !ex.m.PosteriorInto(tags, row) {
-			fb.inf[i] = 1 // undefined posterior: influence is exactly 1
-			continue
-		}
-		rows = append(rows, row)
-		idx = append(idx, int32(i))
-	}
-	if len(rows) > 0 {
-		stats.FullSetsEstimated += int64(len(rows))
-		results := ex.fest.EstimateFrontier(u, rows, sampling.StopRule{
-			Threshold:   thr,
-			LogInvDelta: ex.StopLogInvDelta,
-		})
-		for j, r := range results {
-			fb.inf[idx[j]] = r.Influence
-			stats.SamplesDrawn += r.Samples
-		}
-	}
-	ex.postRows, ex.postIdx = rows, idx
-	fb.done = true
 }

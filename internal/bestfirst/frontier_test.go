@@ -167,8 +167,10 @@ func exhaustive(g *graph.Graph, m *topics.Model, est Estimator, u graph.VertexID
 }
 
 // checkTopAgainst asserts got is the head of oracle: influences always,
-// tag sets wherever the oracle rank is untied (pop order, and with it the
-// set returned among exact ties, is not part of the contract).
+// tag sets wherever the oracle rank is untied. The online loop prunes
+// ties by influence alone, so its set among exact ties is not part of the
+// contract; the round loop's is, and TestAnswersFollowCanonicalOrder
+// checks it.
 func checkTopAgainst(t *testing.T, what string, got []Scored, oracle []Scored) {
 	t.Helper()
 	if len(got) > len(oracle) {
@@ -681,5 +683,207 @@ func TestProberSpec(t *testing.T) {
 		if got := mask&(1<<z) != 0; got != (weights[z] > 0) {
 			t.Fatalf("topic %d: mask bit %v, weight %v", z, got, weights[z])
 		}
+	}
+}
+
+// canonical sorts scored sets into the canonical answer order: influence
+// descending, then sorted tag IDs ascending.
+func canonical(all []Scored) []Scored {
+	slices.SortFunc(all, func(a, b Scored) int {
+		if a.Influence != b.Influence {
+			if a.Influence > b.Influence {
+				return -1
+			}
+			return 1
+		}
+		return slices.Compare(a.Tags, b.Tags)
+	})
+	return all
+}
+
+// frontierOracle is exhaustive scored in one EstimateFrontier call — the
+// same scores (with stopping disarmed a frontier row equals its
+// EstimateProber estimate), sorted into canonical order, at a fraction of
+// the cost.
+func frontierOracle(g *graph.Graph, m *topics.Model, est FrontierEstimator, u graph.VertexID, prefix []topics.TagID, k int) []Scored {
+	var all []Scored
+	var rows [][]float64
+	var idx []int
+	enumerate.Combinations(m.NumTags(), k, func(c []int32) bool {
+		tags := make([]topics.TagID, k)
+		copy(tags, c)
+		for _, w := range prefix {
+			if !slices.Contains(tags, w) {
+				return true
+			}
+		}
+		post := make([]float64, m.NumTopics())
+		all = append(all, Scored{Tags: tags, Influence: 1}) // undefined posterior: exactly 1
+		if m.PosteriorInto(tags, post) {
+			rows = append(rows, post)
+			idx = append(idx, len(all)-1)
+		}
+		return true
+	})
+	for i, r := range est.EstimateFrontier(u, rows, sampling.StopRule{}) {
+		all[idx[i]].Influence = r.Influence
+	}
+	return canonical(all)
+}
+
+// TestAnswersFollowCanonicalOrder: under a frontier estimator the answer
+// order is part of the contract. QueryTop's m sets and Complete's set are
+// exactly the head of every candidate set sorted canonically — tags
+// included at exact ties — so the answer depends neither on pop order nor
+// on how many expansions a round carries: a coordinator's wide rounds and
+// an in-process engine's one-expansion rounds return the same sets.
+func TestAnswersFollowCanonicalOrder(t *testing.T) {
+	g, sparse, _ := frontierFixture(t, 61)
+	prefix := []topics.TagID{5}
+	var queries, tied int
+	check := func(t *testing.T, what string, got, oracle []Scored) {
+		t.Helper()
+		queries++
+		if len(oracle) > 1 && oracle[0].Influence == oracle[1].Influence {
+			tied++
+		}
+		if want := oracle[:min(len(got), len(oracle))]; len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %v, canonical oracle head %v", what, got, oracle[:min(len(oracle), 3)])
+		}
+	}
+	for _, cm := range contractModels(sparse, 61) {
+		m := cm.m
+		for _, shards := range []int{1, 3} {
+			for _, fam := range indexFamilies(t, g, 61, shards) {
+				t.Run(fmt.Sprintf("%s/S%d/%s", fam.name, shards, cm.name), func(t *testing.T) {
+					ex := NewExplorer(g, m, fam.est)
+					fest := fam.est.(FrontierEstimator)
+					for u := 0; u < g.NumVertices(); u += 12 {
+						u := graph.VertexID(u)
+						for _, k := range []int{2, 3} {
+							oracle := frontierOracle(g, m, fest, u, nil, k)
+							for _, top := range []int{1, 2} {
+								res, err := ex.QueryTop(u, k, top)
+								if err != nil {
+									t.Fatalf("QueryTop: %v", err)
+								}
+								if len(res.All) != top {
+									t.Fatalf("u=%d k=%d m=%d: %d answers", u, k, top, len(res.All))
+								}
+								check(t, fmt.Sprintf("u=%d k=%d m=%d", u, k, top), res.All, oracle)
+							}
+							res, err := ex.Complete(u, prefix, k)
+							if err != nil {
+								t.Fatalf("Complete: %v", err)
+							}
+							check(t, fmt.Sprintf("u=%d k=%d prefix", u, k), res.All, frontierOracle(g, m, fest, u, prefix, k))
+						}
+					}
+				})
+			}
+		}
+	}
+	if tied == 0 {
+		t.Fatalf("none of %d queries had a tied top: the tag order was never tested", queries)
+	}
+	t.Logf("%d queries, %d with a tied top", queries, tied)
+}
+
+// roundSpy asks the explorer for rounds of rows rows and records the
+// width of every EstimateFrontier call.
+type roundSpy struct {
+	seqOnly
+	rows  int
+	calls []int
+}
+
+func (r *roundSpy) RoundRows() int { return r.rows }
+
+func (r *roundSpy) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampling.StopRule) []sampling.Result {
+	r.calls = append(r.calls, len(rows))
+	return r.est.(FrontierEstimator).EstimateFrontier(u, rows, stop)
+}
+
+// TestRoundInvariants pins what round width may and may not change.
+// 64-row rounds answer exactly as one-expansion rounds; a round is at most
+// 64 rows unless its first expansion alone is wider; there are never more
+// rounds than expansions; and a round's first expansion stages no child
+// too high in the tag order to complete.
+func TestRoundInvariants(t *testing.T) {
+	g, sparse, _ := frontierFixture(t, 73)
+	T := sparse.NumTags()
+	prefix := []topics.TagID{2}
+	for _, cm := range contractModels(sparse, 73) {
+		for _, fam := range indexFamilies(t, g, 73, 3)[:2] {
+			t.Run(fam.name+"/"+cm.name, func(t *testing.T) {
+				narrow := NewExplorer(g, cm.m, fam.est)
+				spy := &roundSpy{seqOnly: seqOnly{fam.est}, rows: 64}
+				wide := NewExplorer(g, cm.m, spy)
+				multi := false
+				for u := 0; u < g.NumVertices(); u += 17 {
+					u := graph.VertexID(u)
+					for _, km := range [][2]int{{2, 1}, {3, 2}, {4, 1}} {
+						k, m := km[0], km[1]
+						want, err := narrow.QueryTop(u, k, m)
+						if err != nil {
+							t.Fatalf("narrow QueryTop: %v", err)
+						}
+						spy.calls = spy.calls[:0]
+						got, err := wide.QueryTop(u, k, m)
+						if err != nil {
+							t.Fatalf("wide QueryTop: %v", err)
+						}
+						if !reflect.DeepEqual(got.All, want.All) {
+							t.Fatalf("u=%d k=%d m=%d: 64-row rounds answered %v, one-expansion rounds %v", u, k, m, got.All, want.All)
+						}
+						if int64(len(spy.calls)) > got.Stats.FrontierExpansions {
+							t.Fatalf("u=%d k=%d: %d rounds for %d expansions", u, k, len(spy.calls), got.Stats.FrontierExpansions)
+						}
+						// The root is its round's only entry; its children
+						// above tag T-k cannot complete and stage no row.
+						if len(spy.calls) == 0 || spy.calls[0] != T-k+1 || got.Stats.PrunedUnsupported < int64(k-1) {
+							t.Fatalf("u=%d k=%d: root round of %v rows, %d pruned unsupported; want %d rows",
+								u, k, spy.calls, got.Stats.PrunedUnsupported, T-k+1)
+						}
+						for _, n := range spy.calls {
+							if n > 64 {
+								t.Fatalf("u=%d k=%d: a %d-row round over %d tags", u, k, n, T)
+							}
+							multi = multi || n > T
+						}
+					}
+					want, err := narrow.Complete(u, prefix, 3)
+					if err != nil {
+						t.Fatalf("narrow Complete: %v", err)
+					}
+					got, err := wide.Complete(u, prefix, 3)
+					if err != nil {
+						t.Fatalf("wide Complete: %v", err)
+					}
+					if !reflect.DeepEqual(got.All, want.All) {
+						t.Fatalf("u=%d prefix: 64-row rounds answered %v, one-expansion rounds %v", u, got.All, want.All)
+					}
+				}
+				if !multi {
+					t.Fatal("no round carried more than one expansion's rows")
+				}
+			})
+		}
+	}
+
+	// Over 80 tags the root's expansion alone is wider than a frame: it is
+	// one round all the same, and later rounds fill up to 64 rows.
+	wideModel := topics.GenerateRandom(rng.New(73), 80, sparse.NumTopics(), 2)
+	idx, err := rrindex.BuildSharded(g, frontierBuildOptions(73), 1)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	spy := &roundSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}, rows: 64}
+	res, err := NewExplorer(g, wideModel, spy).QueryTop(graph.MaxOutDegreeVertex(g), 2, 1)
+	if err != nil {
+		t.Fatalf("QueryTop: %v", err)
+	}
+	if len(spy.calls) < 2 || spy.calls[0] != 79 || int64(len(spy.calls)) > res.Stats.FrontierExpansions {
+		t.Fatalf("80 tags, k=2: rounds %v for %d expansions; want a 79-row root round first", spy.calls, res.Stats.FrontierExpansions)
 	}
 }

@@ -376,7 +376,7 @@ func (pe *PrunedEstimator) scanFrontier(shard, users, totalUsers int, u graph.Ve
 				w := bits.TrailingZeros64(b)
 				n := sc.scanned[w]
 				if n >= stopMinScan && n < sc.totals[w] &&
-					float64(direct)+hoeffdingUCB(sc.hits[w], n, sc.totals[w], sqrtHalfL) <= hitsThr {
+					float64(direct)+hoeffdingUCB(sc.hits[w], n, sc.totals[w], sqrtHalfL) < hitsThr {
 					active &^= 1 << w
 					stopped |= 1 << w
 					pe.earlyStops++

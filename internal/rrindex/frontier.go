@@ -87,7 +87,7 @@ func hoeffdingUCB(h, n, N int64, sqrtHalfL float64) float64 {
 
 // stopParams converts a StopRule into per-scan parameters: the stop
 // threshold in raw-hit units of an index with sample count theta over a
-// population of totalUsers (stop sibling w when UCB_hits ≤
+// population of totalUsers (stop sibling w when UCB_hits <
 // Threshold·θ/|V|, the hit count at which its influence contribution
 // reaches the threshold share), plus the precomputed sqrt(L/2).
 func stopParams(stop sampling.StopRule, theta int64, totalUsers int) (hitsThr, sqrtHalfL float64, stopping bool) {
@@ -214,7 +214,7 @@ func (st *scanState) plainFrontier(gs graphSet, shard, users, totalUsers int, u 
 		if stopping && scanned >= stopMinScan && scanned < total && scanned&(stopCheckEvery-1) == 0 {
 			for b := active; b != 0; b &= b - 1 {
 				w := bits.TrailingZeros64(b)
-				if hoeffdingUCB(sc.hits[w], scanned, total, sqrtHalfL) <= hitsThr {
+				if hoeffdingUCB(sc.hits[w], scanned, total, sqrtHalfL) < hitsThr {
 					active &^= 1 << w
 					stopped |= 1 << w
 					sc.scanned[w] = scanned

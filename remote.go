@@ -71,15 +71,16 @@ type RemoteEstimator interface {
 }
 
 // RemoteFrontierEstimator is an optional RemoteEstimator capability:
-// estimating a whole frontier of sibling tag sets — one per-topic weight
-// row each, a full set's posterior or a partial set's Lemma 8 weights —
-// in a single scatter. Estimates are positional (result i scores
+// estimating a whole frontier of tag sets — one per-topic weight row
+// each, a full set's posterior or a partial set's Lemma 8 weights — in a
+// single scatter. Estimates are positional (result i scores
 // posteriors[i]) and each must equal what EstimateRemote returns for that
 // row alone, degraded ones included — the distrib client's EstimateRemote
 // is this method at width 1. A remote engine whose estimator has the
-// capability ships every sibling group the explorer forms as one scatter;
-// one without it (a decorator wrapping only EstimateRemote, say) is
-// served row by row with identical answers.
+// capability ships every round the explorer forms — up to one 64-row
+// frame of several expansions' children — as one scatter; one without it
+// (a decorator wrapping only EstimateRemote, say) is served row by row
+// with identical answers and search counters.
 type RemoteFrontierEstimator interface {
 	EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64) ([]RemoteEstimate, error)
 }
@@ -141,16 +142,20 @@ func RepairSeed(seed, generation uint64) uint64 {
 }
 
 // remoteAdapter bridges the best-first explorer to a RemoteEstimator: it
-// is the engine's bestfirst.Estimator (and FrontierEstimator) for remote
-// engines, shipping each weight row and accumulating degradation evidence
-// across the many estimations of one query. Like every estimator it is
-// per-engine scratch state — not safe for concurrent use, reset by
-// begin() per query.
+// is the engine's bestfirst.Estimator (and FrontierEstimator and
+// RoundSizer) for remote engines, shipping each round of weight rows and
+// accumulating degradation evidence across the many estimations of one
+// query. Like every estimator it is per-engine scratch state — not safe
+// for concurrent use, reset by begin() per query.
 //
-// The explorer's sequential-stopping rule is deliberately ignored: a
-// coordinator always has the shards scan exhaustively, so its answers
-// are byte-identical whether a sibling group crosses the wire as one
-// frontier scatter or candidate by candidate, and equal the in-process
+// Every scatter is a round trip to every shard, so the adapter asks for
+// rounds of roundRows rows, several expansions each, whether or not its
+// remote batches: the search a coordinator runs does not depend on its
+// transport. The explorer's sequential-stopping rule is deliberately
+// ignored: a coordinator always has the shards scan exhaustively, so its
+// answers are byte-identical whether a round crosses the wire as one
+// frontier scatter or row by row, and — the canonical answer order makes
+// them independent of round width — equal the in-process
 // DisableEarlyStop engine's.
 type remoteAdapter struct {
 	en     *Engine
@@ -164,8 +169,9 @@ type remoteAdapter struct {
 	missing   map[int]bool
 	respTheta int64
 	totTheta  int64
-	// scatters counts the query's remote calls, siblings the rows —
-	// candidates and partial-set bounds alike — that crossed in frontier
+	// scatters counts the query's remote calls — one per round, or one
+	// per row without the frontier capability — and siblings the rows,
+	// candidates and partial-set bounds alike, that crossed in frontier
 	// form (Explain.RemoteScatters/RemoteSiblings).
 	scatters int64
 	siblings int64
@@ -207,9 +213,16 @@ func (ra *remoteAdapter) finish() (*DegradedCoverage, error) {
 	return deg, nil
 }
 
+// roundRows is the round width a coordinator asks of its explorer: one
+// masked-scan word of rows, the 64 lanes a shard tests in one pass.
+const roundRows = 64
+
+// RoundRows implements bestfirst.RoundSizer.
+func (ra *remoteAdapter) RoundRows() int { return roundRows }
+
 // EstimateProber implements bestfirst.Estimator by scattering the probe.
-// The explorer only ever hands a frontier-capable estimator posterior
-// probers here (a full-size prefix, or the row-by-row fallback below).
+// The explorer never hands a frontier-capable estimator a prober; only
+// the row-by-row fallback below calls this, with posterior probers.
 // After the first remote failure the adapter fast-fails every remaining
 // estimation of the query (influence 1 prunes nothing incorrectly — the
 // query is abandoned by finish anyway).
@@ -231,9 +244,9 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 	return ra.note(est)
 }
 
-// EstimateFrontier implements bestfirst.FrontierEstimator: the sibling
-// group crosses the wire as one scatter when the remote can batch, and
-// row by row otherwise. stop is ignored (see remoteAdapter).
+// EstimateFrontier implements bestfirst.FrontierEstimator: the round
+// crosses the wire as one scatter when the remote can batch, and row by
+// row otherwise. stop is ignored (see remoteAdapter).
 func (ra *remoteAdapter) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
 	out := make([]sampling.Result, len(posteriors))
 	if ra.frontier == nil {

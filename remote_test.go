@@ -150,14 +150,24 @@ func stripTiming(r Result) Result {
 	return r
 }
 
+// answerOf strips a result down to its answer — tags, influence,
+// alternatives, degradation — which is all a coordinator and an
+// in-process engine share: their rounds differ in width, so their search
+// counters do, but the canonical answer order makes the answers agree.
+func answerOf(r Result) Result {
+	return Result{Tags: r.Tags, TagNames: r.TagNames, Influence: r.Influence, Alternatives: r.Alternatives, Degraded: r.Degraded}
+}
+
 // TestRemoteEngineFrontierPathsAgree pins the wiring of the batched
-// adapter on a graph large enough to form real sibling groups: the
-// prototype NewRemoteEngine returns, a Clone of it, and an engine over a
-// remote WITHOUT the frontier capability (the per-candidate fallback)
-// answer identically — and identically to the in-process engine scanning
-// exhaustively (DisableEarlyStop), since a coordinator never ships the
-// stop rule. It is also the regression test for the prototype's explorer
-// once being built by hand without the stop budget its clones carry.
+// adapter on a graph large enough to form real rounds: the prototype
+// NewRemoteEngine returns, a Clone of it, and an engine over a remote
+// WITHOUT the frontier capability (the per-candidate fallback) run the
+// same search — answers and search counters alike, since the adapter
+// asks for the same rounds either way — and answer identically to the
+// in-process engine scanning exhaustively (DisableEarlyStop), since a
+// coordinator never ships the stop rule. It is also the regression test
+// for the prototype's explorer once being built by hand without the stop
+// budget its clones carry.
 func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 	spec, err := BaseDatasetSpec("lastfm")
 	if err != nil {
@@ -198,25 +208,29 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: local QueryTop(%d,%d,%d): %v", strat, u, k, m, err)
 				}
-				for name, en := range map[string]*Engine{"prototype": proto, "clone": clone, "fallback": fallback} {
+				var search Result
+				for _, name := range []string{"prototype", "clone", "fallback"} {
+					en := map[string]*Engine{"prototype": proto, "clone": clone, "fallback": fallback}[name]
 					got, err := en.QueryTop(u, k, m)
 					if err != nil {
 						t.Fatalf("%v: %s QueryTop(%d,%d,%d): %v", strat, name, u, k, m, err)
 					}
-					a, b := stripTiming(got), stripTiming(want)
-					// The local engine reads estimator work counters a remote
-					// adapter has none of; the search itself must match.
-					a.Explain, b.Explain = Explain{}, Explain{}
-					if !reflect.DeepEqual(a, b) {
+					if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
 						t.Fatalf("%v: %s user %d k=%d m=%d:\n got  %+v\n want %+v", strat, name, u, k, m, a, b)
+					}
+					if name == "prototype" {
+						search = stripTiming(got)
+					} else if a := stripTiming(got); !reflect.DeepEqual(a, search) {
+						t.Fatalf("%v: %s user %d k=%d m=%d searched differently from the prototype:\n got  %+v\n want %+v",
+							strat, name, u, k, m, a, search)
 					}
 					// Every estimation of a coordinator query is a weight row —
 					// a full set's posterior or a partial set's Lemma 8 bound —
 					// so the wire counts follow from the search counters: all
 					// rows cross as siblings (one scatter each on the fallback),
-					// and an expansion costs at most one scatter, whichever
-					// kind of children it had. (Before bounds rode the frontier
-					// only full sets crossed: siblings == FullSetsEstimated.)
+					// and a round of one or more expansions costs one scatter.
+					// (Before bounds rode the frontier only full sets crossed:
+					// siblings == FullSetsEstimated.)
 					ex := got.Explain
 					rows := got.FullSetsEstimated + got.PartialBoundsEstimated
 					switch {
@@ -241,6 +255,116 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 		}
 		if plain.calls == 0 {
 			t.Fatalf("%v: fallback remote saw no calls", strat)
+		}
+	}
+}
+
+// TestRemoteEngineMatchesLocalOnTies: a coordinator explores in 64-row
+// rounds and an in-process engine one expansion at a time, so the two
+// find equally influential sets in different orders; the canonical
+// answer order must still give both the same answer. Users without
+// out-edges are where that matters most: every defined tag set scores the
+// same, so the whole answer — top-m and prefix completions — is decided
+// by the tie order.
+func TestRemoteEngineMatchesLocalOnTies(t *testing.T) {
+	spec, err := BaseDatasetSpec("lastfm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, model, err := GenerateDatasetSpec(spec.Scaled(0.04), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The generator gives every user an out-edge; append a few who have
+	// none.
+	nb := NewNetworkBuilder(base.NumUsers()+6, base.NumTopics())
+	base.ForEachEdge(func(e Edge) bool {
+		nb.AddEdge(e.From, e.To, e.Topics...)
+		return true
+	})
+	net, err := nb.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	const S = 3
+	opts := Options{Strategy: StrategyIndexPruned, Seed: 3, MaxIndexSamples: 6000, IndexShards: S}
+	remote, err := NewRemoteEngine(net, model, opts, &fakeFrontierRemote{fakeRemote: newFakeRemote(t, net, model, opts, S)})
+	if err != nil {
+		t.Fatalf("NewRemoteEngine: %v", err)
+	}
+	exhaustive := opts
+	exhaustive.DisableEarlyStop = true
+	local, err := NewEngine(net, model, exhaustive)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	var isolated, tiedTops int
+	for u := 0; u < net.NumUsers(); u++ {
+		if net.OutDegree(u) != 0 {
+			continue
+		}
+		isolated++
+		for _, km := range [][2]int{{1, 3}, {2, 3}, {3, 3}} {
+			k, m := km[0], km[1]
+			want, err := local.QueryTop(u, k, m)
+			if err != nil {
+				t.Fatalf("local QueryTop(%d,%d,%d): %v", u, k, m, err)
+			}
+			got, err := remote.QueryTop(u, k, m)
+			if err != nil {
+				t.Fatalf("remote QueryTop(%d,%d,%d): %v", u, k, m, err)
+			}
+			if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
+				t.Fatalf("user %d k=%d m=%d:\n remote %+v\n local  %+v", u, k, m, a, b)
+			}
+			if alt := want.Alternatives; len(alt) > 1 && alt[0].Influence == alt[1].Influence {
+				tiedTops++
+			}
+		}
+		want, err := local.QueryWithPrefix(u, []int{7}, 3)
+		if err != nil {
+			t.Fatalf("local QueryWithPrefix(%d): %v", u, err)
+		}
+		got, err := remote.QueryWithPrefix(u, []int{7}, 3)
+		if err != nil {
+			t.Fatalf("remote QueryWithPrefix(%d): %v", u, err)
+		}
+		if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
+			t.Fatalf("user %d prefix {7}:\n remote %+v\n local  %+v", u, a, b)
+		}
+	}
+	if isolated == 0 || tiedTops == 0 {
+		t.Fatalf("%d users without out-edges, %d tied tops: the fixture exercises no ties", isolated, tiedTops)
+	}
+}
+
+// TestRemotePrefixRootNeverScattered: a prefix root's Lemma 8 bound can
+// prune nothing — nothing is recorded when it is computed — so a
+// coordinator checks the prefix for support without a scatter. A prefix
+// one tag short of k is then answered in exactly one round: the scatter
+// of its full-size children, and no bound row at all.
+func TestRemotePrefixRootNeverScattered(t *testing.T) {
+	spec, err := BaseDatasetSpec("lastfm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, model, err := GenerateDatasetSpec(spec.Scaled(0.04), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Strategy: StrategyIndexPruned, Seed: 3, MaxIndexSamples: 6000, IndexShards: 2}
+	en, err := NewRemoteEngine(net, model, opts, &fakeFrontierRemote{fakeRemote: newFakeRemote(t, net, model, opts, 2)})
+	if err != nil {
+		t.Fatalf("NewRemoteEngine: %v", err)
+	}
+	for u := 0; u < net.NumUsers(); u += 5 {
+		res, err := en.QueryWithPrefix(u, []int{3, 11}, 3)
+		if err != nil {
+			t.Fatalf("QueryWithPrefix(%d): %v", u, err)
+		}
+		if res.Explain.RemoteScatters > 1 || res.PartialBoundsEstimated != 0 {
+			t.Fatalf("user %d: prefix {3, 11} at k=3 took %d scatters and %d bound rows, want at most 1 and 0",
+				u, res.Explain.RemoteScatters, res.PartialBoundsEstimated)
 		}
 	}
 }
