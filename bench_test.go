@@ -403,28 +403,31 @@ func BenchmarkQuerySingle(b *testing.B) {
 			}
 		})
 	}
-	// DelayMat's first touch: round-robin over 256 distinct users, so the
-	// estimator's one-user recovery cache never hits and every op pays a
-	// recovery — the cost the warmed DELAYMAT row above cannot see.
-	b.Run(pitex.StrategyDelay.String()+"-cold", func(b *testing.B) {
-		en, err := pitex.NewEngine(net, model, pitex.Options{
-			Strategy: pitex.StrategyDelay, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-			MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		const distinct = 256
-		if _, err := en.Query(distinct, 3); err != nil { // untimed: scratch growth, the firing table
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := en.Query(i%distinct, 3); err != nil {
+	// First touch: round-robin over 256 distinct users, the cost the
+	// warmed rows above cannot see. DelayMat's one-user recovery cache
+	// never hits, so every op pays a recovery; an index query scans
+	// posting lists and explores a search no earlier op has seen.
+	for _, s := range []pitex.Strategy{pitex.StrategyIndexPruned, pitex.StrategyDelay} {
+		b.Run(s.String()+"-cold", func(b *testing.B) {
+			en, err := pitex.NewEngine(net, model, pitex.Options{
+				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
+				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			const distinct = 256
+			if _, err := en.Query(distinct, 3); err != nil { // untimed: scratch growth, the firing table
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := en.Query(i%distinct, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	// Sharded variants (S=4) for the index strategies, so BENCH_query.json
 	// tracks the scatter-gather layout's trajectory next to the monolithic
 	// one.

@@ -37,7 +37,7 @@ type Result struct {
 	Influence float64
 	// Alternatives holds the m best tag sets of a QueryTop call in
 	// canonical order — influence descending, then sorted tag IDs
-	// ascending — (Alternatives[0] repeats Tags); nil for plain queries.
+	// ascending — (Alternatives[0] repeats Tags); nil unless m > 1.
 	// Among equally influential sets, Tags is the first in that order.
 	Alternatives []ScoredTagSet
 	// Elapsed is wall-clock query time.
@@ -539,16 +539,13 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		if err != nil {
 			return Result{}, err
 		}
-		res = fromBestfirst(br, en.model)
+		res = fromBestfirst(br, en.model, 1)
 	default:
 		br, err := en.explorer.QueryTopCtx(ctx, graph.VertexID(user), k, m)
 		if err != nil {
 			return Result{}, err
 		}
-		res = fromBestfirst(br, en.model)
-		if m == 1 {
-			res.Alternatives = nil
-		}
+		res = fromBestfirst(br, en.model, m)
 	}
 	if ra != nil {
 		deg, err := ra.finish()
@@ -589,8 +586,9 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 	return res, nil
 }
 
-// fromBestfirst converts an explorer result into the public shape.
-func fromBestfirst(br bestfirst.Result, model *TagModel) Result {
+// fromBestfirst converts an explorer result into the public shape, with
+// Alternatives only for a top-m query (m > 1).
+func fromBestfirst(br bestfirst.Result, model *TagModel, m int) Result {
 	res := Result{
 		Tags:                   toInts(br.Tags),
 		Influence:              br.Influence,
@@ -602,6 +600,9 @@ func fromBestfirst(br bestfirst.Result, model *TagModel) Result {
 	res.Explain.FrontierExpansions = br.Stats.FrontierExpansions
 	res.Explain.SamplesDrawn = br.Stats.SamplesDrawn
 	res.Explain.BoundCacheHits = br.Stats.BoundCacheHits
+	if m == 1 {
+		return res
+	}
 	for _, sc := range br.All {
 		ss := ScoredTagSet{Tags: toInts(sc.Tags), Influence: sc.Influence}
 		ss.TagNames = make([]string, len(ss.Tags))

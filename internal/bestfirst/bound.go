@@ -34,6 +34,10 @@ type Bounder struct {
 	// logPrior[z] = ln p(z); -Inf for a zero-prior topic, which no
 	// posterior supports.
 	logPrior []float64
+	// tagMask[w] has bit z set when p(w|z) > 0, and priorMask when
+	// p(z) > 0; tagMask is nil when the model has more than 64 topics.
+	tagMask   []uint64
+	priorMask uint64
 
 	// Per-Prepare state.
 	supported []bool    // topics with p(z|W) > 0
@@ -57,14 +61,23 @@ func NewBounder(g *graph.Graph, m *topics.Model, k int) *Bounder {
 		scratch:   make([]float64, Z),
 	}
 	prior := m.Prior()
+	if Z <= 64 {
+		b.tagMask = make([]uint64, T)
+	}
 	for z := 0; z < Z; z++ {
 		b.logPrior[z] = math.Log(prior[z])
+		if b.tagMask != nil && prior[z] > 0 {
+			b.priorMask |= 1 << z
+		}
 		b.logF[z] = make([]float64, T)
 		for w := 0; w < T; w++ {
 			pwz := m.TagTopic(topics.TagID(w), int32(z))
 			if pwz == 0 {
 				b.logF[z][w] = math.Inf(-1)
 				continue
+			}
+			if b.tagMask != nil {
+				b.tagMask[w] |= 1 << z
 			}
 			num := math.Log(pwz)
 			den := 0.0
@@ -109,6 +122,23 @@ func NewBounder(g *graph.Graph, m *topics.Model, k int) *Bounder {
 func (b *Bounder) forK(k int) *Bounder {
 	b.k = k
 	return b
+}
+
+// support packs the topics that can support a superset of w — positive
+// prior, p(t|z) > 0 for every t ∈ w — into a bitmask; ok is false when
+// the model has more than 64 topics. A tag t with support&tagMask[t] == 0
+// completes w into a set with no defined posterior: every topic's Eq. 1
+// numerator has an exact zero factor. The converse does not hold, since
+// a product of positive factors may still underflow to zero.
+func (b *Bounder) support(w []topics.TagID) (mask uint64, ok bool) {
+	if b.tagMask == nil {
+		return 0, false
+	}
+	mask = b.priorMask
+	for _, t := range w {
+		mask &= b.tagMask[t]
+	}
+	return mask, true
 }
 
 // Prepare computes the per-topic bound state for a partial tag set W with

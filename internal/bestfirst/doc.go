@@ -92,6 +92,32 @@
 // in-process estimator pays per row, not per call, so its rounds are one
 // expansion each: wider rounds there cost rows and time.
 //
+// # Model work and user work
+//
+// Some of a query's work depends on the tag-topic model and k alone, so
+// an Explorer does it once rather than per user. Per explorer: the
+// Bounder's log-factor tables and sorted completion orders, and one topic
+// bitmask per tag (models with at most 64 topics). Per explorer and k:
+// the root round of an empty-prefix query. The root is that round's only
+// entry, and expanding it reads neither the user, m nor the threshold, so
+// its rows (Lemma 8 bound rows, or posteriors when k = 1), its
+// PrunedUnsupported count and the undefined full sets it records at
+// influence 1 are memoised on the first query at k and copied into the
+// round arena on every later one — T−k+1 rows of Z floats, 7.5 KB at
+// T = 50, Z = 20, k = 3. Prefix roots and every later round are per
+// user: their rows depend on which entries the user's estimates admit.
+// Deeper rows are not memoised; all of them together would cost about
+// T²·Z floats per k.
+//
+// Two per-user steps are cheaper for the same reason. A full child whose
+// tag's topic mask is disjoint from the topics its parent's tags all
+// support has an exact zero in every topic's Eq. 1 numerator, so expand
+// records it at influence 1 without a PosteriorInto; the converse does not
+// hold (a product of positive factors may underflow), so an intersecting
+// child still goes through PosteriorInto. And once the heap's top is cut,
+// the whole heap is — cut is monotone in the heap order — so the round
+// loop filters it in one pass instead of popping entry by entry.
+//
 // # Answer order
 //
 // Answers are in canonical order: influence descending, then sorted tag

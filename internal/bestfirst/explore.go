@@ -129,8 +129,11 @@ type Explorer struct {
 	fest      FrontierEstimator
 	roundRows int
 	// bounder holds the model-only Lemma 8 tables, built on the first
-	// query and retargeted at each query's k.
+	// query and retargeted at each query's k. roots[k] memoises the round
+	// of an empty-prefix root at k (see rootRound), built on the first
+	// such query.
 	bounder *Bounder
+	roots   []*rootRound
 
 	posterior []float64
 	reachMark []bool
@@ -276,6 +279,19 @@ type pendChild struct {
 	full      bool
 }
 
+// rootRound is the memoised expansion of an empty-prefix root for one k:
+// the rows its children stage (row i of rows belongs to pend[i]), the
+// full children it records at influence 1 (k = 1 only) and its
+// PrunedUnsupported count. expand reads the model and k alone — never the
+// user, m or the threshold — so every empty-prefix query at k begins with
+// this same round.
+type rootRound struct {
+	rows        []float64
+	pend        []pendChild
+	undefined   []Scored
+	unsupported int64
+}
+
 // maxHeap is a hand-rolled binary max-heap on bound. container/heap moves
 // entries through interface{} values, which boxes one allocation per
 // push/pop — a measurable share of per-query allocations on this path.
@@ -315,7 +331,34 @@ func (h *maxHeap) pop() heapEntry {
 	s[0] = s[n]
 	s[n] = heapEntry{} // drop the tag-slice reference
 	h.s = s[:n]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// prune drops every entry cut reports in one pass and restores the heap
+// order bottom-up, returning how many it dropped. With a cut that is
+// monotone in the heap order — once an entry is cut, so is every entry
+// that would pop after it — this drops exactly what popping while the top
+// is cut would, in O(n) instead of O(n log n).
+func (h *maxHeap) prune(cut func(*heapEntry) bool) int {
+	kept := h.s[:0]
+	for i := range h.s {
+		if !cut(&h.s[i]) {
+			kept = append(kept, h.s[i])
+		}
+	}
+	dropped := len(h.s) - len(kept)
+	clear(h.s[len(kept):]) // drop the tag-slice references
+	h.s = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return dropped
+}
+
+// down sifts entry i towards the leaves until the heap order holds below it.
+func (h *maxHeap) down(i int) {
+	s, n := h.s, len(h.s)
 	for {
 		m := i
 		if l := 2*i + 1; l < n && h.above(l, m) {
@@ -325,12 +368,11 @@ func (h *maxHeap) pop() heapEntry {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
 		s[i], s[m] = s[m], s[i]
 		i = m
 	}
-	return top
 }
 
 // Query answers the PITEX query (u, k): the size-k tag set maximizing the
@@ -504,6 +546,11 @@ func (s *search) record(tags []topics.TagID, inf float64) {
 // smallest completion — W plus the smallest free tags above last — must
 // not sort before the m-th best's tags. Every completion of W estimates at
 // most ub, so each one either ranks below the m-th best or is it.
+//
+// cut is monotone in the round heap's order: an entry that pops after a
+// cut one has a lower bound, or the same bound and a later tag list, whose
+// smallest completion sorts no earlier (the lists share the prefix and
+// append ascending tags). So once the top is cut, the whole heap is.
 func (s *search) cut(tags []topics.TagID, last topics.TagID, ub float64) bool {
 	if len(s.best) < s.m {
 		return false
@@ -693,16 +740,25 @@ func (s *search) rounds(ctx context.Context, root heapEntry) error {
 		s.flush()
 		return nil
 	}
-	// A prefix root's bound could prune nothing — nothing is recorded
-	// yet — so it is checked for support but never estimated.
-	if len(root.tags) > 0 {
+	h := &ex.heap
+	if len(root.tags) == 0 {
+		// The empty root is its round's only entry, and that round
+		// depends on the model and k alone: replay it from the memo.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.replayRoot()
+		s.flush()
+	} else {
+		// A prefix root's bound could prune nothing — nothing is recorded
+		// yet — so it is checked for support but never estimated.
 		if _, ok := s.bounder.Prepare(root.tags); !ok {
 			s.stats.PrunedUnsupported++
 			return nil
 		}
+		h.push(root)
 	}
-	h := &ex.heap
-	h.push(root)
+	cut := func(e *heapEntry) bool { return s.cut(e.tags, e.lastAdded, e.bound) }
 	for len(h.s) > 0 {
 		// Each round is one estimator call, so checking here bounds the
 		// overrun to one call.
@@ -711,12 +767,13 @@ func (s *search) rounds(ctx context.Context, root heapEntry) error {
 		}
 		ex.pend = ex.pend[:0]
 		for expanded := 0; len(h.s) > 0; {
-			top := &h.s[0]
-			if s.cut(top.tags, top.lastAdded, top.bound) {
-				h.pop()
-				s.stats.PrunedByBound++
+			if cut(&h.s[0]) {
+				// cut is monotone in the heap order, so this drops what
+				// popping while the top is cut would.
+				s.stats.PrunedByBound += int64(h.prune(cut))
 				continue
 			}
+			top := &h.s[0]
 			if expanded > 0 && len(ex.pend)+s.children(top) > ex.roundRows {
 				break
 			}
@@ -726,6 +783,44 @@ func (s *search) rounds(ctx context.Context, root heapEntry) error {
 		s.flush()
 	}
 	return nil
+}
+
+// replayRoot stages the empty root's round from the explorer's memo for
+// k, building the memo on first use by expanding the root into a search
+// that keeps every set it records.
+func (s *search) replayRoot() {
+	ex := s.ex
+	if len(ex.roots) <= s.k {
+		ex.roots = append(ex.roots, make([]*rootRound, s.k+1-len(ex.roots))...)
+	}
+	r := ex.roots[s.k]
+	if r == nil {
+		build := search{ex: ex, k: s.k, m: ex.m.NumTags(), bounder: s.bounder}
+		ex.pend = ex.pend[:0]
+		build.expand(heapEntry{lastAdded: -1})
+		r = &rootRound{
+			rows:        slices.Clone(ex.postArena[:len(ex.pend)*ex.m.NumTopics()]),
+			pend:        slices.Clone(ex.pend),
+			undefined:   build.best,
+			unsupported: build.stats.PrunedUnsupported,
+		}
+		// The root's children are one-tag sets; give them storage that
+		// outlives the query's tag arena.
+		tags := make([]topics.TagID, len(r.pend))
+		for i := range r.pend {
+			tags[i] = r.pend[i].tags[0]
+			r.pend[i].tags = tags[i : i+1 : i+1]
+		}
+		ex.roots[s.k] = r
+	}
+	// expand counts nothing but the expansion and its unsupported children.
+	s.stats.FrontierExpansions++
+	s.stats.PrunedUnsupported += r.unsupported
+	for _, sc := range r.undefined {
+		s.record(sc.Tags, 1)
+	}
+	copy(ex.postArena, r.rows) // the build sized the arena for these rows
+	ex.pend = append(ex.pend[:0], r.pend...)
 }
 
 // children is how many children expanding ent stages at most: its free
@@ -746,6 +841,9 @@ func (s *search) expand(ent heapEntry) {
 	// Every partial child shares the parent posterior, so materialize it
 	// once and derive each child's by a single-tag extension.
 	haveParent := !full && ex.m.PosteriorInto(ent.tags, ex.parentPost)
+	// A full child whose tag supports none of the topics ent's tags all
+	// support has no posterior; the masks find it without a PosteriorInto.
+	support, masked := s.bounder.support(ent.tags)
 	// need is how many free tags a partial child must find above its own
 	// last tag to complete in canonical order.
 	need := s.k - len(ent.tags) - 1
@@ -762,7 +860,11 @@ func (s *search) expand(ent heapEntry) {
 		copy(child, ent.tags)
 		child[len(ent.tags)] = w
 		if full {
-			s.stageFull(child)
+			if masked && support&s.bounder.tagMask[w] == 0 {
+				s.record(child, 1)
+			} else {
+				s.stageFull(child)
+			}
 			continue
 		}
 		prober, ok := s.bounder.prepareChild(child, haveParent, ex.parentPost, ex.childPost)

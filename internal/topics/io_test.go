@@ -45,6 +45,43 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnnamedTagsRoundTripAsEmpty: an unnamed tag is served as "tag<w>"
+// but written as "" — even after TagName has built the default table — so
+// the file round-trips byte for byte and the names come back the same.
+func TestUnnamedTagsRoundTripAsEmpty(t *testing.T) {
+	m := GenerateRandom(rng.New(7), 4, 2, 1)
+	m.SetTagName(1, "named")
+	for w := TagID(0); w < 4; w++ {
+		m.TagName(w)
+	}
+	var first bytes.Buffer
+	if err := Write(&first, m); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	for _, line := range strings.Split(first.String(), "\n")[3:7] {
+		named := strings.HasPrefix(line, "1 ")
+		if empty := strings.Contains(line, ` "" `); empty == named {
+			t.Fatalf("tag line %q: want an empty name exactly for unnamed tags", line)
+		}
+	}
+	back, err := Read(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	for w, want := range []string{"tag0", "named", "tag2", "tag3"} {
+		if got := back.TagName(TagID(w)); got != want {
+			t.Fatalf("TagName(%d) = %q after the round trip, want %q", w, got, want)
+		}
+	}
+	var second bytes.Buffer
+	if err := Write(&second, back); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if second.String() != first.String() {
+		t.Fatalf("round trip changed the file:\n%s\nvs\n%s", first.String(), second.String())
+	}
+}
+
 func TestModelReadErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":          "",

@@ -9,6 +9,8 @@ package topics
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"sync"
 
 	"pitex/internal/rng"
 )
@@ -26,7 +28,11 @@ type Model struct {
 	// tagTopic is tag-major: p(w|z) = tagTopic[w*numTopics+z].
 	tagTopic []float64
 	prior    []float64
-	names    []string
+	// names holds the names set with SetTagName, "" for an unnamed tag;
+	// defaultNames[w] = "tag<w>", built on the first TagName call.
+	names        []string
+	defaultOnce  sync.Once
+	defaultNames []string
 }
 
 // NewModel allocates a model with all-zero p(w|z) and a uniform prior.
@@ -114,7 +120,13 @@ func (m *Model) TagName(w TagID) string {
 	if n := m.names[w]; n != "" {
 		return n
 	}
-	return fmt.Sprintf("tag%d", w)
+	m.defaultOnce.Do(func() {
+		m.defaultNames = make([]string, m.numTags)
+		for i := range m.defaultNames {
+			m.defaultNames[i] = "tag" + strconv.Itoa(i)
+		}
+	})
+	return m.defaultNames[w]
 }
 
 // Validate checks every stored probability is in [0,1].

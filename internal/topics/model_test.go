@@ -1,7 +1,9 @@
 package topics
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +232,30 @@ func TestTagNames(t *testing.T) {
 	if got := m.TagName(1); got != "databases" {
 		t.Fatalf("name = %q", got)
 	}
+}
+
+// TestTagNameConcurrent: engine clones share one model, so the first
+// TagName calls that build the default-name table may race each other.
+func TestTagNameConcurrent(t *testing.T) {
+	m := MustNewModel(64, 2)
+	m.SetTagName(5, "five")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for w := TagID(0); w < 64; w++ {
+				want := fmt.Sprintf("tag%d", w)
+				if w == 5 {
+					want = "five"
+				}
+				if got := m.TagName(w); got != want {
+					t.Errorf("TagName(%d) = %q, want %q", w, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDominantTopic(t *testing.T) {
