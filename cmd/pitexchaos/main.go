@@ -175,14 +175,6 @@ func soakOptions(cfg soakConfig, seed uint64) pitex.Options {
 		MaxIndexSamples: 20000,
 		IndexShards:     cfg.groups,
 		TrackUpdates:    true,
-		// The soak's exactness contract diffs cluster answers against the
-		// local reference engine. A remote coordinator cannot frontier-batch
-		// (estimations cross the wire one candidate at a time), while a local
-		// engine batches and may stop sibling scans early — a legitimate
-		// (ε,δ)-approximation divergence that is not the fault-injection
-		// machinery under test. Pinning the ablation knob keeps both sides in
-		// the same estimation mode so "exact" means bit-exact.
-		DisableEarlyStop: true,
 	}
 }
 

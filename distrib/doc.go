@@ -29,7 +29,7 @@
 // padding, CRC-32C Castagnoli over every byte before it):
 //
 //	request frame                  response frame
-//	 0  "PFQ" 0x01                  0  "PFR" 0x01
+//	 0  "PFQ" 0x01                  0  "PFR" 0x02
 //	 4  user           i64          4  generation     u64
 //	12  generation     u64         12  rows           u32 (owned shards)
 //	20  rows           u32         16  width          u32 (siblings)
@@ -37,23 +37,27 @@
 //	28  rows×topics    f64 weights  …  crc            u32
 //	 …  crc            u32
 //
-//	partial record, 57 bytes: shard, hits, samples, contained, theta and
-//	users as i64 at 0, 8, … 40; est_hits f64 at 48; stopped u8 (0|1) at 56
+//	partial record, 48 bytes: shard, hits, samples, contained, theta and
+//	users as i64 at 0, 8, … 40
 //
-// Both decoders reject a foreign magic or version byte, declared counts
-// whose product is not exactly the payload's cell count (zero counts
-// included; compared as counts, so nothing overflows, and before
-// anything is sized from them), a checksum mismatch, and NaN or ±Inf
-// anywhere; the server adds topics ≠ the served topic count, the body
+// Both decoders reject a foreign magic or version byte (a frame of the
+// right kind but another version is refused with both versions named),
+// declared counts whose product is not exactly the payload's cell count
+// (zero counts included; compared as counts, so nothing overflows, and
+// before anything is sized from them), a checksum mismatch, and NaN or
+// ±Inf anywhere; the response decoder also rejects a record no scan
+// produces — anything but 0 ≤ hits ≤ samples ≤ contained ≤ theta with
+// shard and users non-negative — and the encoder refuses the same. The
+// server adds topics ≠ the served topic count, the body
 // cap and a missing Content-Length (all 400), the client a group that
 // did not send exactly its shards' rows at exactly the asked width —
 // rows are positional, never keyed — and counts such a group missing.
 // Complete rows fold through rrindex.GatherFrontierPartials, incomplete
 // ones sibling by sibling through rrindex.GatherPartialsDegraded: each
 // sibling's estimate is what its own width-1 scatter would have
-// returned. No stop rule crosses the wire: shards always scan
-// exhaustively, so a coordinator's answers equal the in-process
-// DisableEarlyStop engine's whatever the batch width.
+// returned. Shards always scan exhaustively, as every index estimator
+// does, so a coordinator's answers equal the in-process engine's
+// whatever the batch width.
 //
 // JSON remains where it costs nothing that matters: the control plane
 // (info, update, resync) runs per update or per dial, not 24
@@ -65,7 +69,11 @@
 // speaks the frame, because it sends nothing else; and a shard server
 // rejects only the JSON probe, which a frame-era coordinator sent just
 // for RemoteEstimator decorators that hide the frontier capability — its
-// engine's own scatters were already frames.
+// engine's own scatters were already frames. Response version 0x02
+// dropped the 0x01 record's always-zero stop fields, so a coordinator
+// and its shard servers must run builds of the same response version:
+// across a mismatch every response is refused, and a 0x02 coordinator's
+// error names both versions.
 //
 // Robustness: every scatter runs under one Options.ShardDeadline, whose
 // budget each attempt ships to its shard (DeadlineHeader); after an

@@ -16,15 +16,16 @@ import (
 // (Castagnoli) of every byte before it:
 //
 //	request   "PFQ\x01" user:i64 generation:u64 rows:u32 topics:u32 | rows×topics weight:f64   | crc:u32
-//	response  "PFR\x01" generation:u64 rows:u32 width:u32           | rows×width partial record | crc:u32
-//	record    shard hits samples contained theta users: i64 each, est_hits:f64, stopped:u8 (57 bytes)
+//	response  "PFR\x02" generation:u64 rows:u32 width:u32           | rows×width partial record | crc:u32
+//	record    shard hits samples contained theta users: i64 each (48 bytes)
 //
 // The decoders are the trust boundary for bytes off the network: they
-// reject whatever JSON could not express (NaN, ±Inf, a ragged matrix)
-// and whatever it had no notion of (a foreign magic or version, declared
-// dimensions that disagree with the byte length, a failed checksum), and
-// never allocate from a declared dimension before it has been checked
-// against the bytes actually present.
+// reject whatever JSON could not express (NaN, ±Inf, a ragged matrix),
+// whatever it had no notion of (a foreign magic or version, declared
+// dimensions that disagree with the byte length, a failed checksum) and
+// a record no scan produces (checkPartial), and never allocate from a
+// declared dimension before it has been checked against the bytes
+// actually present.
 
 // FrontierContentType marks the frame on both legs of an estimate
 // exchange; a shard server refuses a body of any other Content-Type.
@@ -32,11 +33,11 @@ const FrontierContentType = "application/x-pitex-frontier"
 
 const (
 	requestMagic   = "PFQ\x01"
-	responseMagic  = "PFR\x01"
+	responseMagic  = "PFR\x02"
 	requestHeader  = 4 + 8 + 8 + 4 + 4
 	responseHeader = 4 + 8 + 4 + 4
 	weightSize     = 8
-	partialSize    = 6*8 + 8 + 1
+	partialSize    = 6 * 8
 	crcSize        = 4
 
 	// expMask covers a float64's exponent bits: all set means NaN or ±Inf.
@@ -63,20 +64,26 @@ func seal(b []byte) []byte {
 // n × m dimensions in the header's last two words against the payload's
 // exact length in unit-byte cells, the checksum — and returns the
 // dimensions and the payload. Two u32 cannot overflow a u64 product, and
-// the product is compared with a cell count, never scaled to bytes.
+// the product is compared with a cell count, never scaled to bytes. A
+// frame of the right kind but another version says which, so a fleet
+// half way through an upgrade names its mismatch.
 func open(frame []byte, magic string, header, unit int) (n, m int, payload []byte, err error) {
-	if len(frame) < header+crcSize || string(frame[:len(magic)]) != magic {
-		return 0, 0, nil, fmt.Errorf("distrib: not a %s frame", magic[:3])
+	kind, version := magic[:3], magic[3]
+	if len(frame) < header+crcSize || string(frame[:3]) != kind {
+		return 0, 0, nil, fmt.Errorf("distrib: not a %s frame", kind)
+	}
+	if frame[3] != version {
+		return 0, 0, nil, fmt.Errorf("distrib: %s frame version %d, this build reads %d", kind, frame[3], version)
 	}
 	body := frame[:len(frame)-crcSize]
 	payload = body[header:]
 	n64, m64 := uint64(le.Uint32(body[header-8:])), uint64(le.Uint32(body[header-4:]))
 	if n64 == 0 || m64 == 0 || len(payload)%unit != 0 || n64*m64 != uint64(len(payload)/unit) {
 		return 0, 0, nil, fmt.Errorf("distrib: %s frame declares %d x %d cells of %d bytes, carries %d bytes",
-			magic[:3], n64, m64, unit, len(payload))
+			kind, n64, m64, unit, len(payload))
 	}
 	if crc32.Checksum(body, crcTable) != le.Uint32(frame[len(body):]) {
-		return 0, 0, nil, fmt.Errorf("distrib: %s frame fails its checksum", magic[:3])
+		return 0, 0, nil, fmt.Errorf("distrib: %s frame fails its checksum", kind)
 	}
 	return int(n64), int(m64), payload, nil
 }
@@ -173,6 +180,18 @@ func (r EstimateRequest) FrontierRows(s *FrontierScratch) [][]float64 {
 	return s.rows
 }
 
+// checkPartial holds a record to what a shard scan can produce:
+// 0 ≤ Hits ≤ Samples ≤ Contained ≤ Theta (hits among the verified graphs,
+// verified among those containing the user, those among the θ_s samples)
+// and non-negative Users and Shard.
+func checkPartial(p rrindex.Partial) error {
+	if p.Shard < 0 || p.Users < 0 || p.Hits < 0 || p.Hits > p.Samples ||
+		p.Samples > int64(p.Contained) || int64(p.Contained) > p.Theta {
+		return fmt.Errorf("distrib: frontier partial %+v is not a scan's counts", p)
+	}
+	return nil
+}
+
 // EncodeFrontierResponse frames a frontier answer: one row of partials
 // per owned shard, all of one width.
 func EncodeFrontierResponse(resp EstimateResponse) ([]byte, error) {
@@ -190,15 +209,12 @@ func EncodeFrontierResponse(resp EstimateResponse) ([]byte, error) {
 			return nil, fmt.Errorf("distrib: frontier response row %d has %d partials, row 0 has %d", i, len(row), width)
 		}
 		for _, p := range row {
+			if err := checkPartial(p); err != nil {
+				return nil, err
+			}
 			for _, v := range [...]int64{int64(p.Shard), p.Hits, p.Samples, int64(p.Contained), p.Theta, int64(p.Users)} {
 				b = le.AppendUint64(b, uint64(v))
 			}
-			b = le.AppendUint64(b, math.Float64bits(p.EstHits))
-			var stopped byte
-			if p.Stopped {
-				stopped = 1
-			}
-			b = append(b, stopped)
 		}
 	}
 	return seal(b), nil
@@ -216,13 +232,11 @@ func DecodeFrontierResponse(frame []byte) (EstimateResponse, error) {
 	for i := range flat {
 		rec := records[i*partialSize : (i+1)*partialSize]
 		i64 := func(field int) int64 { return int64(le.Uint64(rec[8*field:])) }
-		est := le.Uint64(rec[48:])
-		if est&expMask == expMask || rec[56] > 1 {
-			return EstimateResponse{}, fmt.Errorf("distrib: frontier partial %d carries a non-finite estimate or a non-boolean flag", i)
-		}
 		flat[i] = rrindex.Partial{
 			Shard: int(i64(0)), Hits: i64(1), Samples: i64(2), Contained: int(i64(3)), Theta: i64(4), Users: int(i64(5)),
-			EstHits: math.Float64frombits(est), Stopped: rec[56] == 1,
+		}
+		if err := checkPartial(flat[i]); err != nil {
+			return EstimateResponse{}, err
 		}
 	}
 	out := make([][]rrindex.Partial, rows)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pitex/internal/faultinject"
@@ -38,6 +39,21 @@ func mustResponseFrame(t testing.TB, resp EstimateResponse) []byte {
 	return b
 }
 
+// responseV1 hand-builds a one-record response frame of version 0x01,
+// whose 57-byte record ended in est_hits:f64 and stopped:u8 — what a
+// shard server of the previous response version sends.
+func responseV1() []byte {
+	b := append([]byte("PFR\x01"), make([]byte, responseHeader-4)...)
+	le.PutUint64(b[4:], 1)
+	le.PutUint32(b[12:], 1)
+	le.PutUint32(b[16:], 1)
+	for _, v := range [...]int64{0, 3, 4, 5, 100, 10} {
+		b = le.AppendUint64(b, uint64(v))
+	}
+	b = le.AppendUint64(b, math.Float64bits(0))
+	return seal(append(b, 0))
+}
+
 // rejectsDamage asserts what holds of every accepted frame: no proper
 // prefix of it and no faultinject.CorruptBytes image of it is accepted.
 func rejectsDamage(t *testing.T, frame []byte, decode func([]byte) error) {
@@ -58,9 +74,10 @@ func rejectsDamage(t *testing.T, frame []byte, decode func([]byte) error) {
 // its header declares. An accepted frame is canonical — it re-encodes to
 // the same bytes — and fragile: every truncation and the corrupt-fault
 // image of it are rejected. A request that validates carries finite,
-// topic-wide rows, and a response that passes the client's check can be
-// gathered positionally — ragged rows, foreign or mixed shard ids never
-// get that far.
+// topic-wide rows; every record of an accepted response is a scan's
+// counts, and a response that passes the client's check can be gathered
+// positionally — ragged rows, foreign or mixed shard ids never get that
+// far.
 func FuzzFrontierFrame(f *testing.F) {
 	part := func(shard int, hits, theta int64, users int) rrindex.Partial {
 		return rrindex.Partial{Shard: shard, Hits: hits, Samples: hits + 1, Contained: 5, Theta: theta, Users: users}
@@ -76,13 +93,14 @@ func FuzzFrontierFrame(f *testing.F) {
 	// a row mixing shard ids, a foreign shard, no rows.
 	f.Add(patched(request[:len(request)-weightSize], func(b []byte) {}))
 	f.Add(mustResponseFrame(f, EstimateResponse{Frontier: [][]rrindex.Partial{
-		{part(0, 0, 100, 10), part(0, 0, 100, 10)}, {part(1, 0, 50, 5), part(0, 0, 0, 0)}}}))
-	f.Add(mustResponseFrame(f, EstimateResponse{Frontier: [][]rrindex.Partial{{part(0, 0, 100, 10)}, {part(7, 0, 0, 0)}}}))
+		{part(0, 0, 100, 10), part(0, 0, 100, 10)}, {part(1, 0, 50, 5), part(0, 0, 100, 10)}}}))
+	f.Add(mustResponseFrame(f, EstimateResponse{Frontier: [][]rrindex.Partial{{part(0, 0, 100, 10)}, {part(7, 0, 50, 5)}}}))
 	f.Add(patched(request[:requestHeader+crcSize], func(b []byte) { le.PutUint32(b[20:], 0) }))
-	// Non-finite values, a bad flag, counts far past the bytes.
+	// A non-finite weight, more hits than samples, the previous response
+	// version, counts far past the bytes.
 	f.Add(patched(request, func(b []byte) { le.PutUint64(b[requestHeader:], math.Float64bits(math.NaN())) }))
-	f.Add(patched(response, func(b []byte) { le.PutUint64(b[responseHeader+48:], math.Float64bits(math.Inf(-1))) }))
-	f.Add(patched(response, func(b []byte) { b[responseHeader+56] = 2 }))
+	f.Add(patched(response, func(b []byte) { le.PutUint64(b[responseHeader+8:], 1<<40) }))
+	f.Add(responseV1())
 	f.Add(patched(request, func(b []byte) { le.PutUint64(b[20:], math.MaxUint64) }))
 	f.Add(patched(response, func(b []byte) { le.PutUint32(b[12:], 1<<31); le.PutUint32(b[16:], 1<<31) }))
 	f.Add(faultinject.CorruptBytes(request))
@@ -127,6 +145,14 @@ func FuzzFrontierFrame(f *testing.F) {
 		// response folds without panicking, one estimate per sibling, every
 		// row whole.
 		if resp, err := DecodeFrontierResponse(data); err == nil {
+			for _, row := range resp.Frontier {
+				for _, p := range row {
+					if p.Shard < 0 || p.Users < 0 || p.Hits < 0 || p.Hits > p.Samples ||
+						p.Samples > int64(p.Contained) || int64(p.Contained) > p.Theta {
+						t.Fatalf("accepted the record %+v", p)
+					}
+				}
+			}
 			width := len(resp.Frontier[0])
 			built := 24 * cap(resp.Frontier)
 			for _, row := range resp.Frontier {
@@ -159,8 +185,8 @@ func FuzzFrontierFrame(f *testing.F) {
 
 // TestFrameCarriesEveryFieldLosslessly: a frame round trip is the
 // identity on every field of both messages, extremes included — the
-// sign of a zero weight, the smallest subnormal, the full integer range,
-// the stop outcome no shard produces today.
+// sign of a zero weight, the smallest subnormal, every record field at
+// the top of its valid range and at zero.
 func TestFrameCarriesEveryFieldLosslessly(t *testing.T) {
 	req := EstimateRequest{User: 1<<40 + 7, Generation: math.MaxUint64 - 1, Frontier: [][]float64{
 		{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64}, {math.MaxFloat64, -0.1, 1.0 / 3},
@@ -188,15 +214,68 @@ func TestFrameCarriesEveryFieldLosslessly(t *testing.T) {
 	}
 
 	resp := EstimateResponse{Generation: 1 << 63, Frontier: [][]rrindex.Partial{
-		{{Shard: math.MaxInt32, Hits: math.MaxInt64, Samples: math.MinInt64, Contained: -1, Theta: 1, Users: math.MaxInt64, EstHits: 2.5, Stopped: true}},
-		{{Shard: -3, EstHits: math.Copysign(0, -1)}},
+		{{Shard: math.MaxInt, Hits: math.MaxInt64, Samples: math.MaxInt64, Contained: math.MaxInt, Theta: math.MaxInt64, Users: math.MaxInt}},
+		{{Shard: 0}},
 	}}
-	back, err := DecodeFrontierResponse(mustResponseFrame(t, resp))
+	frame := mustResponseFrame(t, resp)
+	if want := responseHeader + 2*48 + crcSize; len(frame) != want || string(frame[:4]) != "PFR\x02" {
+		t.Fatalf("response frame is %d bytes starting %q, want %d starting PFR 0x02", len(frame), frame[:4], want)
+	}
+	back, err := DecodeFrontierResponse(frame)
 	if err != nil {
 		t.Fatalf("DecodeFrontierResponse: %v", err)
 	}
-	if !reflect.DeepEqual(back, resp) || !math.Signbit(back.Frontier[1][0].EstHits) {
+	if !reflect.DeepEqual(back, resp) {
 		t.Fatalf("response round trip:\n got  %+v\n want %+v", back, resp)
+	}
+}
+
+// TestFrameNamesAVersionMismatch: a response of the previous version —
+// the 57-byte record that carried est_hits and a stop flag — is refused
+// with both versions named, so a half-upgraded fleet says what is wrong;
+// a foreign magic still reads as no frame at all.
+func TestFrameNamesAVersionMismatch(t *testing.T) {
+	_, err := DecodeFrontierResponse(responseV1())
+	if err == nil || !strings.Contains(err.Error(), "PFR frame version 1, this build reads 2") {
+		t.Fatalf("version-1 response: err = %v, want both versions named", err)
+	}
+	request := mustRequestFrame(t, EstimateRequest{Frontier: [][]float64{{1}}})
+	_, err = DecodeFrontierRequest(patched(request, func(b []byte) { b[3] = 9 }))
+	if err == nil || !strings.Contains(err.Error(), "PFQ frame version 9, this build reads 1") {
+		t.Fatalf("version-9 request: err = %v, want both versions named", err)
+	}
+	if _, err := DecodeFrontierResponse(request); err == nil || !strings.Contains(err.Error(), "not a PFR frame") {
+		t.Fatalf("request read as a response: err = %v", err)
+	}
+}
+
+// TestFrameRefusesImpossibleRecords: a response record is integers only,
+// so the decoder holds it to what a scan can produce — 0 ≤ Hits ≤
+// Samples ≤ Contained ≤ Theta, Users ≥ 0, Shard ≥ 0. One case per
+// violation, each over a valid checksum (the encoder's refusals are in
+// TestFrameEncodersRefuseWhatDecodersWould).
+func TestFrameRefusesImpossibleRecords(t *testing.T) {
+	valid := rrindex.Partial{Shard: 1, Hits: 2, Samples: 3, Contained: 4, Theta: 5, Users: 6}
+	response := mustResponseFrame(t, EstimateResponse{Frontier: [][]rrindex.Partial{{valid}}})
+	if _, err := DecodeFrontierResponse(response); err != nil {
+		t.Fatalf("valid record refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field int // the record word to overwrite
+		value int64
+	}{
+		{"negative shard", 0, -1},
+		{"negative hits", 1, -1},
+		{"hits above samples", 1, 4},
+		{"samples above contained", 2, 5},
+		{"contained above theta", 3, 6},
+		{"negative users", 5, -1},
+	} {
+		frame := patched(response, func(b []byte) { le.PutUint64(b[responseHeader+8*tc.field:], uint64(tc.value)) })
+		if resp, err := DecodeFrontierResponse(frame); err == nil {
+			t.Errorf("%s: decoded %+v", tc.name, resp.Frontier)
+		}
 	}
 }
 
@@ -214,6 +293,10 @@ func TestFrameEncodersRefuseWhatDecodersWould(t *testing.T) {
 	}
 	for name, rows := range map[string][][]rrindex.Partial{
 		"no rows": nil, "empty rows": {{}}, "ragged": {{{Shard: 0}, {Shard: 0}}, {{Shard: 1}}},
+		"negative shard": {{{Shard: -1}}}, "negative users": {{{Users: -1}}}, "negative hits": {{{Hits: -1}}},
+		"hits above samples":      {{{Hits: 2, Samples: 1, Contained: 2, Theta: 2}}},
+		"samples above contained": {{{Samples: 2, Contained: 1, Theta: 2}}},
+		"contained above theta":   {{{Contained: 2, Theta: 1}}},
 	} {
 		if b, err := EncodeFrontierResponse(EstimateResponse{Frontier: rows}); err == nil {
 			t.Errorf("response with %s encoded to %d bytes", name, len(b))

@@ -19,8 +19,8 @@ import (
 // posterior or a partial set's Lemma 8 weight vector, every row exactly
 // one float per topic; a single estimate is a frontier of width 1. It
 // crosses only as a frame (EncodeFrontierRequest) and is answered for all
-// siblings in one pass (EstimateResponse.Frontier); it has no stop rule,
-// shards always scan exhaustively. Generation pins the index generation
+// siblings in one pass (EstimateResponse.Frontier); shards always scan
+// exhaustively. Generation pins the index generation
 // the coordinator is serving; a server that matches neither its current
 // nor its previous generation answers 409 (the client counts its shards
 // missing rather than mixing generations).

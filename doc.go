@@ -58,12 +58,10 @@
 // RR-Graphs deterministically dominates every completion's, so the
 // search stays an exact arg-max over estimates — which lets the index
 // share per-edge probability rows across siblings
-// (sampling.FrontierProbeCache), answer up to 64 siblings per RR-graph
-// traversal with uint64 membership-word bitsets, and terminate a
-// sibling's posting-list scan early once a Hoeffding confidence bound
-// proves it cannot beat the pruning threshold (sequential stopping, with
-// the skipped tail replaced by an unbiased extrapolation; bound rows are
-// never stopped). Online strategies have no index to batch against: they
+// (sampling.FrontierProbeCache) and answer up to 64 siblings per RR-graph
+// traversal with uint64 membership-word bitsets; every sibling is scanned
+// over the user's whole posting list, so each estimate is the paper's
+// full count hits/θ·|V|. Online strategies have no index to batch against: they
 // sample each Lemma 8 bound lazily or, with CheapBounds, collapse
 // partial-set bounds to masked reachability counts, memoized per
 // live-topic mask for the duration of the query:
@@ -72,7 +70,7 @@
 // BFS, and deeper masks reuse memoized supersets as dominance bounds
 // (reach counts are monotone in the mask) without any BFS at all.
 // Result.Explain itemizes all of it per query — full sets estimated,
-// bounds pruned, probe-cache hits, early stops, graphs skipped.
+// bounds pruned, probe-cache hits, RR-graphs checked and pruned.
 //
 // # Performance model
 //
@@ -83,14 +81,12 @@
 // the same way once, and every query afterwards only scans the target's
 // posting list (Eq. 7). Query cost for index strategies is therefore
 // O(|postings(u)| · scan cost), shrunk in practice by frequency pruning
-// (INDEXEST+), frontier batching and sequential stopping — the stopping
-// budget reuses the same ln δ + ln φ_K + ln 2 union-bound term, so early
-// stops stay inside the query's (ε, δ) guarantee. Three knobs trade the
-// formal guarantee for latency: MaxSamples / MaxIndexSamples cap the
-// theoretical budgets, CheapBounds swaps an online strategy's sampled
+// (INDEXEST+) and frontier batching. Three knobs trade the formal
+// guarantee for latency or the reverse: MaxSamples / MaxIndexSamples cap
+// the theoretical budgets, CheapBounds swaps an online strategy's sampled
 // Lemma 8 bounds for looser one-BFS bounds (index strategies ignore it),
-// and DisableEarlyStop turns stopping off
-// (making index estimates byte-identical to exhaustive scans). Measured
+// and DisableEarlyStop turns off the online samplers' Algo 2 stopping
+// rule (index strategies never stop early, so it does not touch them). Measured
 // numbers per PR live in BENCH_query.json; the repository-level design
 // is documented in ARCHITECTURE.md.
 //
@@ -190,8 +186,8 @@
 // in canonical order — influence descending, then sorted tag IDs
 // ascending, ties included — which makes them independent of how the
 // exploration was batched, so a coordinator answers exactly as the
-// DisableEarlyStop in-process engine, whose rounds are one expansion
-// each; only the search counters differ.
+// in-process engine, whose rounds are one expansion each; only the
+// search counters differ.
 //
 // Robustness: every scatter runs under one shard deadline, shipped to
 // the shards as a budget; replicas within a shard group are hedged after the

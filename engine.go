@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -85,12 +84,9 @@ type Explain struct {
 	ProbeCacheHitRatio     float64 `json:"probe_cache_hit_ratio"`
 	GraphsChecked          int64   `json:"graphs_checked"`
 	GraphsPruned           int64   `json:"graphs_pruned"`
-	// EarlyStops counts frontier siblings whose sampling was terminated by
-	// the sequential stopping rule; GraphsSkipped is the RR-Graph scans
-	// those terminations avoided. Both are zero when stopping is disabled
-	// or the strategy does not batch frontiers.
-	EarlyStops    int64 `json:"early_stops"`
-	GraphsSkipped int64 `json:"graphs_skipped"`
+	// EarlyStops is always 0: no index estimate is stopped early. The
+	// field stays only because the benchmark harness in bench/ reads it.
+	EarlyStops int64 `json:"early_stops"`
 	// RecoveryAttempts and RecoveryCascades say what DELAYMAT's first
 	// touch of the query user cost (both 0, and omitted, for every other
 	// strategy and for a user whose recovery is still cached). Attempts
@@ -212,21 +208,10 @@ func (en *Engine) ready() *Engine {
 }
 
 // newExplorer builds the best-first explorer over the engine's estimator,
-// wiring the exploration options. Unless the early-stop ablation disables
-// it, the explorer is armed with the sequential-stopping confidence budget
-// ln δ + ln φ_MaxK + ln 2 — the same union-bound term that sizes θ
-// (Eq. 12) — so stopping a frontier sibling early spends no failure
-// probability beyond the existing (ε,δ) guarantee.
+// wiring the exploration options.
 func (en *Engine) newExplorer() *bestfirst.Explorer {
 	ex := bestfirst.NewExplorer(en.net.g, en.model.m, en.est)
 	ex.CheapBounds = en.opts.CheapBounds
-	if !en.opts.DisableEarlyStop {
-		lss := enumerate.LogPhiK(en.model.NumTags(), en.opts.MaxK)
-		if math.IsInf(lss, -1) {
-			lss = 0
-		}
-		ex.StopLogInvDelta = math.Log(en.opts.Delta) + lss + math.Ln2
-	}
 	return ex
 }
 
@@ -571,8 +556,6 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		}
 		res.Explain.GraphsChecked = ws.GraphsChecked
 		res.Explain.GraphsPruned = ws.GraphsPruned
-		res.Explain.EarlyStops = ws.EarlyStops
-		res.Explain.GraphsSkipped = ws.GraphsSkipped
 		res.Explain.RecoveryAttempts = ws.RecoveryAttempts
 		res.Explain.RecoveryCascades = ws.RecoveryCascades
 	} else if evEst != nil {

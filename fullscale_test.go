@@ -5,6 +5,7 @@ package pitex_test
 // each. Guarded by -short because full twitter generation takes seconds.
 
 import (
+	"slices"
 	"testing"
 
 	"pitex"
@@ -50,5 +51,53 @@ func TestFullScaleDatasetsEndToEnd(t *testing.T) {
 				name, u, res.TagNames, res.Influence, res.Elapsed,
 				float64(en.IndexMemoryBytes())/(1<<20), en.IndexBuildTime)
 		})
+	}
+}
+
+// TestDatasetAIndexTiesAnswerCanonically pins exact influence ties on the
+// benchmark's dataset A (the diggs shape, seed 1, cmd/pitexserve's engine
+// defaults) under INDEXEST at k = 3: each user's answer is the
+// canonically first of two equally influential sets, and the other set
+// scores the same, so only the canonical order decides between them.
+func TestDatasetAIndexTiesAnswerCanonically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale datasets skipped in -short mode")
+	}
+	net, model, err := pitex.GenerateDatasetSpec(pitex.DatasetSpec{
+		Name: "diggs", Users: 15000, Edges: 200000,
+		Topics: 20, Tags: 50, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.25,
+	}, 1)
+	if err != nil {
+		t.Fatalf("GenerateDatasetSpec: %v", err)
+	}
+	en, err := pitex.NewEngine(net, model, pitex.Options{
+		Strategy: pitex.StrategyIndex, Epsilon: 0.7, Delta: 1000, MaxK: 10, Seed: 1,
+		MaxSamples: 5000, MaxIndexSamples: 200000, CheapBounds: true,
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, tc := range []struct {
+		user       int
+		want, tied []int
+	}{
+		{9, []int{14, 18, 21}, []int{14, 27, 34}},
+		{74, []int{14, 18, 21}, []int{14, 27, 34}},
+		{190, []int{1, 5, 19}, []int{19, 40, 44}},
+	} {
+		res, err := en.Query(tc.user, 3)
+		if err != nil {
+			t.Fatalf("Query(%d, 3): %v", tc.user, err)
+		}
+		if !slices.Equal(res.Tags, tc.want) {
+			t.Fatalf("user %d answers %v (influence %v), want %v", tc.user, res.Tags, res.Influence, tc.want)
+		}
+		tied, err := en.EstimateInfluence(tc.user, tc.tied)
+		if err != nil {
+			t.Fatalf("EstimateInfluence(%d, %v): %v", tc.user, tc.tied, err)
+		}
+		if tied != res.Influence {
+			t.Fatalf("user %d: %v scores %v, %v scores %v — not a tie", tc.user, tc.want, res.Influence, tc.tied, tied)
+		}
 	}
 }

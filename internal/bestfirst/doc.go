@@ -47,7 +47,7 @@
 // probability is ≥ p(e|W') edge by edge, hence in every RR-Graph — the
 // same graphs, the same draws c(e), that will later score W' — the row
 // keeps a superset of the live edges of W' and hits whenever W' does. Summed
-// per shard and never stopped early, the bound therefore dominates every
+// per shard over every graph, the bound therefore dominates every
 // completion's *estimate*, deterministically, not just its expectation.
 // Pruning on it can only discard sets that would have lost anyway, so
 // the search remains the exact arg-max over estimates, and — with the
@@ -79,10 +79,9 @@
 // every popped full set unconditionally, so this only moves the
 // estimate earlier. The results are handled in two steps: every full
 // set is recorded, then every bound is admitted or pruned against the
-// threshold those full sets raised. A round of full sets alone carries a
-// sampling.StopRule with the current pruning threshold, enabling
-// sequential stopping inside the index estimators (see internal/rrindex);
-// a round carrying any bound row is sent with stopping disarmed.
+// threshold those full sets raised. No row is ever stopped early: every
+// estimate, full set or bound, is the full count over the user's
+// RR-Graphs.
 //
 // How many entries a round takes is the estimator's to say
 // (RoundSizer): a coordinator, whose every call is a scatter to every

@@ -28,11 +28,9 @@ type Estimator interface {
 // Eq. 1 posterior of a full-size set, the Lemma 8 completion weights of a
 // partial one (see the package comment) — letting the estimator share
 // per-edge probe work across rows (frontier-scoped probe caching, bitset
-// hit-testing) and stop sampling a full set early once stop proves it
-// cannot beat the pruning threshold. Results are positional: Result[i]
-// scores posteriors[i] through graph.EdgeProb. With stopping disabled the
-// results must be identical to per-row EstimateProber calls; a round
-// carrying any bound row is only ever sent with stopping disabled.
+// hit-testing). Results are positional: Result[i] scores posteriors[i]
+// through graph.EdgeProb, identical to per-row EstimateProber calls. The
+// explorer always passes the empty StopRule.
 type FrontierEstimator interface {
 	EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result
 }
@@ -114,12 +112,9 @@ type Explorer struct {
 	// FrontierEstimator every bound is a frontier row and the flag is
 	// never read.
 	CheapBounds bool
-	// StopLogInvDelta, when positive, arms sequential stopping inside
-	// rounds of full sets: each carries StopRule{threshold(), this}, so
-	// the estimator may stop sampling a set once a Hoeffding upper
-	// confidence bound at confidence exp(-StopLogInvDelta) proves it
-	// cannot reach the current pruning threshold. Zero keeps batched
-	// estimates byte-identical to the sequential path.
+	// StopLogInvDelta is read by nothing: no estimate is ever stopped
+	// early. The field stays only because the benchmark harness in bench/
+	// still sets it.
 	StopLogInvDelta float64
 
 	// fest is est's frontier capability, detected at construction; nil
@@ -889,9 +884,7 @@ func (s *search) stageFull(tags []topics.TagID) {
 }
 
 // flush estimates the round's staged rows in one EstimateFrontier call,
-// records its full sets, then admits its bounds. Only a round of full sets
-// carries the stop rule: a stopped bound would be an extrapolation, free
-// to undercut a completion it covers.
+// records its full sets, then admits its bounds.
 func (s *search) flush() {
 	ex := s.ex
 	if len(ex.pend) == 0 {
@@ -906,13 +899,9 @@ func (s *search) flush() {
 		}
 	}
 	ex.postRows = rows
-	var stop sampling.StopRule
-	if fulls == int64(len(rows)) {
-		stop = sampling.StopRule{Threshold: s.threshold(), LogInvDelta: ex.StopLogInvDelta}
-	}
 	s.stats.FullSetsEstimated += fulls
 	s.stats.PartialBoundsEstimated += int64(len(rows)) - fulls
-	results := ex.fest.EstimateFrontier(s.u, rows, stop)
+	results := ex.fest.EstimateFrontier(s.u, rows, sampling.StopRule{})
 	for i, r := range results {
 		s.stats.SamplesDrawn += r.Samples
 		if pc := ex.pend[i]; pc.full {

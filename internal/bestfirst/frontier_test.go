@@ -440,63 +440,28 @@ func TestBounderTablesCachedAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestExplorerStoppingKeepsWinner arms sequential stopping on a
-// monolithic estimator and checks the Algo 5 contract: the returned best
-// set and its influence are unchanged (a monolithic winner is always
-// scanned in full), and the batch path actually saved work.
-func TestExplorerStoppingKeepsWinner(t *testing.T) {
-	g, m, idx := frontierFixture(t, 23)
-	est := rrindex.NewShardedPrunedEstimator(idx)
-	plain := NewExplorer(g, m, est)
-	stopping := NewExplorer(g, m, est)
-	stopping.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
-	var skipped int64
-	for u := 0; u < g.NumVertices(); u += 17 {
-		want, err := plain.QueryTop(graph.VertexID(u), 3, 1)
-		if err != nil {
-			t.Fatalf("plain: %v", err)
-		}
-		before := est.WorkStats()
-		got, err := stopping.QueryTop(graph.VertexID(u), 3, 1)
-		if err != nil {
-			t.Fatalf("stopping: %v", err)
-		}
-		skipped += est.WorkStats().Sub(before).GraphsSkipped
-		if !reflect.DeepEqual(got.Tags, want.Tags) || got.Influence != want.Influence {
-			t.Fatalf("u=%d: stopping changed the answer: %v/%v vs %v/%v",
-				u, got.Tags, got.Influence, want.Tags, want.Influence)
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("stopping never skipped a graph across every query; fixture too small")
-	}
-}
-
-// stopSpy tallies frontier rows by whether their call carried an armed
-// stopping budget.
-type stopSpy struct {
+// rowSpy tallies the rows the explorer hands its frontier estimator.
+type rowSpy struct {
 	seqOnly
-	armed, disarmed int64
+	rows int64
 }
 
-func (s *stopSpy) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampling.StopRule) []sampling.Result {
-	if stop.LogInvDelta > 0 {
-		s.armed += int64(len(rows))
-	} else {
-		s.disarmed += int64(len(rows))
-	}
+func (s *rowSpy) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampling.StopRule) []sampling.Result {
+	s.rows += int64(len(rows))
 	return s.est.(FrontierEstimator).EstimateFrontier(u, rows, stop)
 }
 
-// TestBoundRowsNeverStopped: with sequential stopping armed, full-set
-// batches carry the stopping budget and bound rows never do — a stopped
-// bound would be an extrapolation, free to undercut a completion it is
-// supposed to cover.
+// TestBoundRowsNeverStopped: every row a frontier estimator is handed is
+// a full set or a bound, each estimated over all of the user's graphs —
+// nothing is stopped early, so a bound always dominates the completions
+// it covers — and the StopLogInvDelta the benchmark harness still sets
+// changes no answer and no counter.
 func TestBoundRowsNeverStopped(t *testing.T) {
 	g, m, idx := frontierFixture(t, 71)
-	spy := &stopSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}}
+	spy := &rowSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}}
 	ex := NewExplorer(g, m, spy)
-	ex.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
+	armed := NewExplorer(g, m, rrindex.NewShardedPrunedEstimator(idx))
+	armed.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
 	var full, bounds int64
 	for u := 0; u < g.NumVertices(); u += 11 {
 		res, err := ex.QueryTop(graph.VertexID(u), 3, 2)
@@ -509,10 +474,16 @@ func TestBoundRowsNeverStopped(t *testing.T) {
 		}
 		full += res.Stats.FullSetsEstimated + pres.Stats.FullSetsEstimated
 		bounds += res.Stats.PartialBoundsEstimated + pres.Stats.PartialBoundsEstimated
+		got, err := armed.QueryTop(graph.VertexID(u), 3, 2)
+		if err != nil {
+			t.Fatalf("armed QueryTop: %v", err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("u=%d: StopLogInvDelta changed the result:\n got  %+v\n want %+v", u, got, res)
+		}
 	}
-	if bounds == 0 || spy.disarmed != bounds || spy.armed != full {
-		t.Fatalf("%d bound rows / %d full sets, but %d rows crossed disarmed and %d armed",
-			bounds, full, spy.disarmed, spy.armed)
+	if bounds == 0 || spy.rows != full+bounds {
+		t.Fatalf("%d bound rows + %d full sets, but %d rows crossed", bounds, full, spy.rows)
 	}
 }
 

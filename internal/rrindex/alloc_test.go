@@ -78,9 +78,9 @@ func TestEstimatorAllocationGuard(t *testing.T) {
 			for _, u := range users {
 				label := fmt.Sprintf("S=%d %s u=%d", S, name, u)
 				// Warm every scratch buffer (and DelayMat's recovery) first.
-				est.EstimateFrontier(u, posteriors, noStop)
+				est.EstimateFrontier(u, posteriors, sampling.StopRule{})
 				est.EstimateProber(u, prober)
-				if got := testing.AllocsPerRun(50, func() { est.EstimateFrontier(u, posteriors, noStop) }); got > allocsPerEstimateFrontier {
+				if got := testing.AllocsPerRun(50, func() { est.EstimateFrontier(u, posteriors, sampling.StopRule{}) }); got > allocsPerEstimateFrontier {
 					t.Errorf("%s: EstimateFrontier allocates %v times a call, want ≤ %d", label, got, allocsPerEstimateFrontier)
 				}
 				if got := testing.AllocsPerRun(50, func() { est.EstimateProber(u, prober) }); got > allocsPerEstimateProber {

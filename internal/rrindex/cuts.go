@@ -296,10 +296,9 @@ func (pe *PrunedEstimator) scanProber(shard, users int, u graph.VertexID, prober
 // are scanned once against cached probability rows to build per-candidate
 // sibling masks, then one masked pass verifies each surviving candidate
 // for exactly the siblings whose filter admitted it.
-func (pe *PrunedEstimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
+func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
 	idx := pe.idx
 	pe.beginFrontier(chunk, idx.maxSize)
-	hitsThr, sqrtHalfL, stopping := stopParams(stop, idx.theta, totalUsers)
 	fc, sc := pe.fc, &pe.fsc
 	W := len(chunk)
 
@@ -345,48 +344,22 @@ func (pe *PrunedEstimator) scanFrontier(shard, users, totalUsers int, u graph.Ve
 			if added := mask &^ pe.candMask[slot]; added != 0 {
 				pe.candMask[slot] |= added
 				for b := added; b != 0; b &= b - 1 {
-					sc.totals[bits.TrailingZeros64(b)]++
+					sc.samples[bits.TrailingZeros64(b)]++
 				}
 			}
 		}
 	}
 
 	// Verify: one masked reachability pass per surviving candidate, for
-	// the siblings whose filter admitted it and whose scan is live. Each
-	// sibling has its own verdict budget totals[w], so stop checks run
-	// every stopCheckEvery candidates on per-sibling counts.
-	direct := int64(len(uc.direct))
-	active := full
-	var stopped uint64
+	// the siblings whose filter admitted it.
 	for ci, pos := range pe.cands {
-		if active == 0 {
-			break
-		}
-		m := pe.candMask[ci] & active
-		if m == 0 {
-			continue
-		}
+		m := pe.candMask[ci]
 		sc.countHits(idx.graphs[containing[pos]].reachMask(u, fc, m, sc))
-		for b := m; b != 0; b &= b - 1 {
-			sc.scanned[bits.TrailingZeros64(b)]++
-		}
 		pe.graphsChecked += int64(bits.OnesCount64(m))
-		if stopping && ci&(stopCheckEvery-1) == stopCheckEvery-1 {
-			for b := active; b != 0; b &= b - 1 {
-				w := bits.TrailingZeros64(b)
-				n := sc.scanned[w]
-				if n >= stopMinScan && n < sc.totals[w] &&
-					float64(direct)+hoeffdingUCB(sc.hits[w], n, sc.totals[w], sqrtHalfL) < hitsThr {
-					active &^= 1 << w
-					stopped |= 1 << w
-					pe.earlyStops++
-					pe.graphsSkipped += sc.totals[w] - n
-				}
-			}
-		}
 	}
+	direct := int64(len(uc.direct))
 	for w := 0; w < W; w++ {
-		pe.graphsPruned += int64(len(containing)) - direct - sc.totals[w]
+		pe.graphsPruned += int64(len(containing)) - direct - sc.samples[w]
 	}
-	sc.packRows(stopped, direct, Partial{Shard: shard, Contained: len(containing), Theta: idx.theta, Users: users}, rows, stride)
+	sc.packRows(direct, Partial{Shard: shard, Contained: len(containing), Theta: idx.theta, Users: users}, rows, stride)
 }

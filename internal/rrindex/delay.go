@@ -285,8 +285,8 @@ func (de *DelayEstimator) scanProber(shard, users int, u graph.VertexID, prober 
 	return de.plainProber(de.recovered(u), shard, users, u, prober)
 }
 
-func (de *DelayEstimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
-	de.plainFrontier(de.recovered(u), shard, users, totalUsers, u, chunk, stop, rows, stride)
+func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
+	de.plainFrontier(de.recovered(u), shard, users, u, chunk, rows, stride)
 }
 
 // recover materializes θ(u) RR-Graphs containing u per Algo 4. Accepted

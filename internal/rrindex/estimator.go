@@ -33,10 +33,9 @@ type scanPolicy interface {
 	// scanProber scans u's graphs under an arbitrary prober.
 	scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
 	// scanFrontier decides every sibling of one frontier chunk (at most
-	// maxFrontierWidth posteriors) in a single masked pass, stopping each
-	// against its θ_s/totalUsers share of the rule's threshold, and writes
-	// sibling w's row to rows[w*stride].
-	scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int)
+	// maxFrontierWidth posteriors) in a single masked pass over all of u's
+	// graphs and writes sibling w's row to rows[w*stride].
+	scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int)
 	// WorkStats reports the policy's cumulative work counters.
 	WorkStats() sampling.WorkStats
 }
@@ -44,10 +43,10 @@ type scanPolicy interface {
 // scanFrontierChunks runs p's masked scan over a frontier of any width,
 // one membership word's worth of siblings at a time — the only place a
 // frontier is chunked. Sibling i's row lands in rows[i*stride].
-func scanFrontierChunks(p scanPolicy, shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
+func scanFrontierChunks(p scanPolicy, shard, users int, u graph.VertexID, posteriors [][]float64, rows []Partial, stride int) {
 	for off := 0; off < len(posteriors); off += maxFrontierWidth {
 		chunk := posteriors[off:min(off+maxFrontierWidth, len(posteriors))]
-		p.scanFrontier(shard, users, totalUsers, u, chunk, stop, rows[off*stride:], stride)
+		p.scanFrontier(shard, users, u, chunk, rows[off*stride:], stride)
 	}
 }
 
@@ -66,9 +65,8 @@ type scanState struct {
 	fsc frontierScratch
 
 	// graphsChecked counts (graph, sibling) reachability verdicts — the
-	// work the cut filter reduces; graphsPruned what that filter skipped;
-	// earlyStops and graphsSkipped the sequential-stopping savings.
-	graphsChecked, graphsPruned, earlyStops, graphsSkipped int64
+	// work the cut filter reduces; graphsPruned what that filter skipped.
+	graphsChecked, graphsPruned int64
 }
 
 func newScanState(g *graph.Graph) scanState {
@@ -119,8 +117,6 @@ func (st *scanState) WorkStats() sampling.WorkStats {
 		ProbeCacheMisses: misses,
 		GraphsChecked:    st.graphsChecked,
 		GraphsPruned:     st.graphsPruned,
-		EarlyStops:       st.earlyStops,
-		GraphsSkipped:    st.graphsSkipped,
 	}
 }
 
@@ -224,7 +220,7 @@ func newShardedEstimator(g *graph.Graph, numShards int) *ShardedEstimator {
 // cache, but ProbeCache.Begin returns an already-cached prober unchanged,
 // which parallel shard workers would then share. Nothing is allocated on
 // the sequential path, nor with a single shard on either.
-func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64, stop sampling.StopRule) {
+func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
 	S := len(se.shards)
 	if cap(se.rows) < width*S {
 		se.rows = make([]Partial, width*S)
@@ -236,7 +232,7 @@ func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling
 	}
 	if _, mutable := prober.(*sampling.ProbeCache); mutable || work < scatterParallelMinWork {
 		for s := range se.shards {
-			se.scanShard(s, u, prober, posteriors, stop)
+			se.scanShard(s, u, prober, posteriors)
 		}
 		return
 	}
@@ -244,20 +240,20 @@ func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling
 		se.wg.Add(1)
 		go func(s int) {
 			defer se.wg.Done()
-			se.scanShard(s, u, prober, posteriors, stop)
+			se.scanShard(s, u, prober, posteriors)
 		}(s)
 	}
-	se.scanShard(0, u, prober, posteriors, stop)
+	se.scanShard(0, u, prober, posteriors)
 	se.wg.Wait()
 }
 
 // scanShard is one shard's share of a scatter.
-func (se *ShardedEstimator) scanShard(s int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64, stop sampling.StopRule) {
+func (se *ShardedEstimator) scanShard(s int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
 	if prober != nil {
 		se.rows[s] = se.shards[s].scanProber(s, se.users[s], u, prober)
 		return
 	}
-	scanFrontierChunks(se.shards[s], s, se.users[s], se.g.NumVertices(), u, posteriors, stop, se.rows[s:], len(se.shards))
+	scanFrontierChunks(se.shards[s], s, se.users[s], u, posteriors, se.rows[s:], len(se.shards))
 }
 
 // EstimateProber estimates E[I(u|·)] under an arbitrary edge-probability
@@ -265,7 +261,7 @@ func (se *ShardedEstimator) scanShard(s int, u graph.VertexID, prober sampling.E
 // (hits_s/θ_s)·|V_s| over the RR-Graphs containing u — graphs not
 // containing u can never witness u's influence.
 func (se *ShardedEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	se.scatter(1, u, prober, nil, sampling.StopRule{})
+	se.scatter(1, u, prober, nil)
 	return gather(se.rows, 1)
 }
 
@@ -276,7 +272,7 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 
 // EstimateFrontier estimates E[I(u|W_i)] for every sibling posterior of
 // one best-first frontier expansion in a single pass over u's postings
-// per shard. Three stacked ideas, each preserved bit-for-bit against
+// per shard. Two stacked ideas, each preserved bit-for-bit against
 // calling EstimateProber per sibling (frontier_test.go proves it per
 // family and shard count):
 //
@@ -294,25 +290,12 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 //     the row's min/max classifying most edges in two comparisons. Wider
 //     frontiers are chunked transparently (scanFrontierChunks).
 //
-//   - Sequential stopping. Scanning a posting list yields an
-//     exchangeable Bernoulli sequence per sibling, so once the Hoeffding
-//     upper confidence bound on a sibling's final hit count drops to the
-//     caller's relevance threshold (the explorer's current m-th best,
-//     in raw-hit units), that sibling's scan stops and the unbiased
-//     (h/n)·N extrapolation stands in. With one shard a potential
-//     winner by definition keeps its bound above the threshold, is
-//     always scanned in full, and returns byte-identical — stopping
-//     cannot change the top-m beyond the rule's own δ. With several,
-//     each shard stops against its proportional θ_s/|V| share of the
-//     threshold; a winner concentrated unevenly across shards can have
-//     its below-share shards stop, replacing their exact counts with
-//     unbiased extrapolations whose error is bounded by the confidence
-//     width at stop time — inside the estimator's (ε,δ) guarantee, but
-//     not bitwise (frontier_test.go pins both regimes).
-//
+// Every sibling is scanned over all of u's graphs: the estimate is the
+// paper's full count hits/θ·|V|, the same a shard server returns. The
+// StopRule is an empty argument kept for the FrontierEstimator signature.
 // The result slice is the call's only allocation.
-func (se *ShardedEstimator) EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result {
-	se.scatter(len(posteriors), u, nil, posteriors, stop)
+func (se *ShardedEstimator) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
+	se.scatter(len(posteriors), u, nil, posteriors)
 	S := len(se.shards)
 	out := make([]sampling.Result, len(posteriors))
 	for i := range out {

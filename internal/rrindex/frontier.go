@@ -1,7 +1,6 @@
 package rrindex
 
 import (
-	"math"
 	"math/bits"
 
 	"pitex/internal/graph"
@@ -9,24 +8,14 @@ import (
 )
 
 // This file is the masked-scan machinery under every policy's
-// scanFrontier: membership-word reachability, the sequential-stopping
-// arithmetic, and the scratch that turns one chunk's counters into
-// Partial rows. The batching design is described on
+// scanFrontier: membership-word reachability and the scratch that turns
+// one chunk's counters into Partial rows. The batching design is described on
 // ShardedEstimator.EstimateFrontier.
 
 // maxFrontierWidth is the sibling capacity of one masked scan — the
 // width of the uint64 membership words. scanFrontierChunks splits wider
 // frontiers.
 const maxFrontierWidth = 64
-
-// Stopping cadence: no stop decision before stopMinScan verdicts (the
-// Hoeffding width is useless earlier), and checks run every
-// stopCheckEvery graphs (a power of two) to keep the sqrt off the
-// per-graph path.
-const (
-	stopMinScan    = 8
-	stopCheckEvery = 8
-)
 
 // frontierScratch is the reusable per-estimator state of masked scans.
 type frontierScratch struct {
@@ -38,11 +27,10 @@ type frontierScratch struct {
 	iter   int64
 	stack  []int32
 
-	// Per-sibling counters of the scan in flight: hits among the scanned
-	// verdicts, out of a budget of totals.
+	// Per-sibling counters of the scan in flight: hits among the
+	// verdicts, out of samples verdicts.
 	hits    []int64
-	scanned []int64
-	totals  []int64
+	samples []int64
 }
 
 // ensure sizes the scratch for a scan of `width` siblings over graphs of
@@ -55,14 +43,12 @@ func (sc *frontierScratch) ensure(width, maxSize int) {
 	}
 	if cap(sc.hits) < width {
 		sc.hits = make([]int64, width)
-		sc.scanned = make([]int64, width)
-		sc.totals = make([]int64, width)
+		sc.samples = make([]int64, width)
 	}
 	sc.hits = sc.hits[:width]
-	sc.scanned = sc.scanned[:width]
-	sc.totals = sc.totals[:width]
+	sc.samples = sc.samples[:width]
 	for w := 0; w < width; w++ {
-		sc.hits[w], sc.scanned[w], sc.totals[w] = 0, 0, 0
+		sc.hits[w], sc.samples[w] = 0, 0
 	}
 }
 
@@ -72,29 +58,6 @@ func fullMask(width int) uint64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << width) - 1
-}
-
-// hoeffdingUCB bounds the final hit count after observing h hits in n of
-// N exchangeable verdicts: h + (N-n)·min(1, h/n + sqrt(L/(2n))), with
-// sqrtHalfL = sqrt(L/2) precomputed by the caller.
-func hoeffdingUCB(h, n, N int64, sqrtHalfL float64) float64 {
-	p := float64(h)/float64(n) + sqrtHalfL/math.Sqrt(float64(n))
-	if p > 1 {
-		p = 1
-	}
-	return float64(h) + float64(N-n)*p
-}
-
-// stopParams converts a StopRule into per-scan parameters: the stop
-// threshold in raw-hit units of an index with sample count theta over a
-// population of totalUsers (stop sibling w when UCB_hits <
-// Threshold·θ/|V|, the hit count at which its influence contribution
-// reaches the threshold share), plus the precomputed sqrt(L/2).
-func stopParams(stop sampling.StopRule, theta int64, totalUsers int) (hitsThr, sqrtHalfL float64, stopping bool) {
-	if !stop.Enabled() || theta <= 0 || totalUsers <= 0 {
-		return 0, 0, false
-	}
-	return stop.Threshold * float64(theta) / float64(totalUsers), math.Sqrt(stop.LogInvDelta / 2), true
 }
 
 // reachMask is the masked Def. 3 reachability test: for every sibling
@@ -178,57 +141,29 @@ func (sc *frontierScratch) countHits(mask uint64) {
 // packRows writes the finished chunk's counters as Partial rows, sibling
 // w at rows[w*stride]. base carries the sibling-independent fields
 // (Shard, Contained, Theta, Users); direct adds unconditional hits (the
-// pruned scan's target-is-u graphs) to both counts. A sibling stopped
-// short of its budget reports the unbiased (h/n)·N extrapolation.
-func (sc *frontierScratch) packRows(stopped uint64, direct int64, base Partial, rows []Partial, stride int) {
+// pruned scan's target-is-u graphs) to both counts.
+func (sc *frontierScratch) packRows(direct int64, base Partial, rows []Partial, stride int) {
 	for w := range sc.hits {
 		p := base
 		p.Hits = direct + sc.hits[w]
-		p.Samples = direct + sc.scanned[w]
-		if N := sc.totals[w]; stopped&(1<<w) != 0 && sc.scanned[w] < N {
-			p.Stopped = true
-			p.EstHits = float64(direct) + float64(sc.hits[w])/float64(sc.scanned[w])*float64(N)
-		}
+		p.Samples = direct + sc.samples[w]
 		rows[w*stride] = p
 	}
 }
 
 // plainFrontier is the masked scan of IndexEst and DelayMat: per-sibling
-// hit counting over gs with sequential stopping. Every sibling has the
-// same verdict budget N = |postings|; checks run every stopCheckEvery
-// graphs once stopMinScan verdicts are in.
-func (st *scanState) plainFrontier(gs graphSet, shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
+// hit counting over every graph of gs.
+func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
 	st.beginFrontier(chunk, gs.maxSize)
-	hitsThr, sqrtHalfL, stopping := stopParams(stop, gs.theta, totalUsers)
 	sc := &st.fsc
-	total := int64(len(gs.postings))
 	active := fullMask(len(chunk))
-	var stopped uint64
-	for n, gi := range gs.postings {
-		if active == 0 {
-			break
-		}
+	for _, gi := range gs.postings {
 		sc.countHits(gs.graphs[gi].reachMask(u, st.fc, active, sc))
-		st.graphsChecked += int64(bits.OnesCount64(active))
-		scanned := int64(n + 1)
-		if stopping && scanned >= stopMinScan && scanned < total && scanned&(stopCheckEvery-1) == 0 {
-			for b := active; b != 0; b &= b - 1 {
-				w := bits.TrailingZeros64(b)
-				if hoeffdingUCB(sc.hits[w], scanned, total, sqrtHalfL) < hitsThr {
-					active &^= 1 << w
-					stopped |= 1 << w
-					sc.scanned[w] = scanned
-					st.earlyStops++
-					st.graphsSkipped += total - scanned
-				}
-			}
-		}
 	}
+	n := int64(len(gs.postings))
+	st.graphsChecked += n * int64(len(chunk))
 	for w := range chunk {
-		sc.totals[w] = total
-		if stopped&(1<<w) == 0 {
-			sc.scanned[w] = total
-		}
+		sc.samples[w] = n
 	}
-	sc.packRows(stopped, 0, Partial{Shard: shard, Contained: len(gs.postings), Theta: gs.theta, Users: users}, rows, stride)
+	sc.packRows(0, Partial{Shard: shard, Contained: len(gs.postings), Theta: gs.theta, Users: users}, rows, stride)
 }

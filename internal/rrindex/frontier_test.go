@@ -1,7 +1,6 @@
 package rrindex
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,13 +33,9 @@ func siblingPosteriors(m *topics.Model, prefix []topics.TagID, width int) [][]fl
 	return out
 }
 
-// noStop is the disabled rule: batched results must be byte-identical to
-// the sequential path under it.
-var noStop = sampling.StopRule{}
-
 // TestFrontierByteIdenticalMonolithic is the core equivalence contract of
-// the batched path: for every estimator family, EstimateFrontier with
-// stopping disabled returns, per sibling, the exact sampling.Result of a
+// the batched path: for every estimator family, EstimateFrontier
+// returns, per sibling, the exact sampling.Result of a
 // sequential per-prober estimate on the monolithic index — the paper's
 // formula over that sibling's one-shard scan (mono), bitwise, including
 // the Samples/Reachable bookkeeping — at widths both below and above the
@@ -89,7 +84,7 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 		for u := 0; u < g.NumVertices(); u += 13 {
 			v := graph.VertexID(u)
 			for _, fam := range families {
-				for i, got := range fam.batched.EstimateFrontier(v, posteriors, noStop) {
+				for i, got := range fam.batched.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 					want := fam.seq.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 					if got != want {
 						t.Fatalf("%s u=%d width=%d sibling %d: frontier %+v != sequential %+v", fam.name, u, width, i, got, want)
@@ -127,19 +122,19 @@ func TestFrontierByteIdenticalSharded(t *testing.T) {
 		sde := NewShardedDelayEstimator(sdm, rng.New(9))
 		for u := 0; u < g.NumVertices(); u += 17 {
 			v := graph.VertexID(u)
-			for i, got := range sde.EstimateFrontier(v, posteriors, noStop) {
+			for i, got := range sde.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 				want := sde.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 				if got != want {
 					t.Fatalf("S=%d DELAYMAT u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
 				}
 			}
-			for i, got := range sest.EstimateFrontier(v, posteriors, noStop) {
+			for i, got := range sest.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 				want := sest.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 				if got != want {
 					t.Fatalf("S=%d INDEXEST u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
 				}
 			}
-			for i, got := range spe.EstimateFrontier(v, posteriors, noStop) {
+			for i, got := range spe.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 				want := spe.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 				if got != want {
 					t.Fatalf("S=%d INDEXEST+ u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
@@ -178,12 +173,12 @@ func TestFrontierByteIdenticalProperty(t *testing.T) {
 		spe := NewShardedPrunedEstimator(si)
 		for trial := 0; trial < 4; trial++ {
 			v := graph.VertexID(r.Intn(g.NumVertices()))
-			for i, got := range sest.EstimateFrontier(v, posteriors, noStop) {
+			for i, got := range sest.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 				if got != sest.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}) {
 					return false
 				}
 			}
-			for i, got := range spe.EstimateFrontier(v, posteriors, noStop) {
+			for i, got := range spe.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 				if got != spe.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}) {
 					return false
 				}
@@ -196,92 +191,10 @@ func TestFrontierByteIdenticalProperty(t *testing.T) {
 	}
 }
 
-// TestFrontierSequentialStopping pins the stopping contract: with a
-// threshold between the siblings' influences, (a) stops actually occur
-// and are surfaced through WorkStats, (b) the winner stays the winner,
-// and (c) the perturbation regime matches the design — on a monolithic
-// index an above-threshold sibling is scanned in full and byte-identical,
-// while a sharded scatter may stop a winner's below-share shards, leaving
-// its estimate within the stop-time confidence width of exact.
-func TestFrontierSequentialStopping(t *testing.T) {
-	r := rng.New(5)
-	// The graph's topic space must match the model's: posterior mass on
-	// topics no edge carries would zero every probability and leave
-	// nothing to stop.
-	g, err := graph.ErdosRenyi(r, 300, 1800, graph.TopicAssignment{
-		NumTopics: 4, TopicsPerEdge: 2, MaxProb: 0.5,
-	})
-	if err != nil {
-		t.Fatalf("ErdosRenyi: %v", err)
-	}
-	opts := shardOpts(71, 4000)
-	m := topics.GenerateRandom(r, 12, 4, 2)
-	posteriors := siblingPosteriors(m, []topics.TagID{0}, 12)
-	if len(posteriors) < 4 {
-		t.Fatalf("only %d defined posteriors", len(posteriors))
-	}
-	u := graph.MaxOutDegreeVertex(g)
-
-	for _, S := range []int{1, 3} {
-		si, err := BuildSharded(g, opts, S)
-		if err != nil {
-			t.Fatalf("S=%d BuildSharded: %v", S, err)
-		}
-		pe := NewShardedPrunedEstimator(si)
-		exact := pe.EstimateFrontier(u, posteriors, noStop)
-		best, bestInf := 0, 0.0
-		for i, res := range exact {
-			if res.Influence > bestInf {
-				best, bestInf = i, res.Influence
-			}
-		}
-		// Threshold below the best, above the weakest: winners must
-		// survive untouched, the tail should stop.
-		thr := bestInf * 0.95
-		stop := sampling.StopRule{Threshold: thr, LogInvDelta: math.Log(200) + 3 + math.Ln2}
-		before := pe.WorkStats()
-		stopped := pe.EstimateFrontier(u, posteriors, stop)
-		ws := pe.WorkStats().Sub(before)
-
-		if ws.EarlyStops == 0 || ws.GraphsSkipped == 0 {
-			t.Fatalf("S=%d: no early stops recorded (stops=%d skipped=%d); threshold %v too loose for this fixture",
-				S, ws.EarlyStops, ws.GraphsSkipped, thr)
-		}
-		// The winner must remain the winner.
-		sBest, sBestInf := 0, 0.0
-		for i, res := range stopped {
-			if res.Influence > sBestInf {
-				sBest, sBestInf = i, res.Influence
-			}
-		}
-		if sBest != best {
-			t.Fatalf("S=%d: stopping changed the winner: sibling %d (%v) vs exact %d (%v)",
-				S, sBest, sBestInf, best, bestInf)
-		}
-		if S == 1 && stopped[best] != exact[best] {
-			t.Fatalf("S=1: monolithic winner perturbed by stopping: %+v != %+v", stopped[best], exact[best])
-		}
-		for i := range exact {
-			if exact[i].Influence > thr {
-				// Above-threshold siblings: exact on a monolithic index;
-				// within the guarantee's relative error on a sharded one
-				// (stopped below-share shards extrapolate).
-				if relErr := math.Abs(stopped[i].Influence-exact[i].Influence) / exact[i].Influence; relErr > opts.Accuracy.Epsilon {
-					t.Fatalf("S=%d sibling %d: above-threshold estimate off by %v (> ε=%v): %+v vs %+v",
-						S, i, relErr, opts.Accuracy.Epsilon, stopped[i], exact[i])
-				}
-			}
-			if stopped[i].Influence < 1 {
-				t.Fatalf("S=%d sibling %d: influence %v < 1", S, i, stopped[i].Influence)
-			}
-		}
-	}
-}
-
 // TestPartialFrontierGatherIdentity checks the distributed face: per-
 // shard PartialFrontier rows gathered by GatherFrontierPartials must
 // equal both the per-sibling Partial/GatherPartials pipeline and the
-// in-process sharded EstimateFrontier, bit for bit (stopping disabled).
+// in-process sharded EstimateFrontier, bit for bit.
 func TestPartialFrontierGatherIdentity(t *testing.T) {
 	g := randomGraph(200, 4, 0.05, 0.4, 11)
 	opts := shardOpts(13, 2000)
@@ -315,7 +228,7 @@ func TestPartialFrontierGatherIdentity(t *testing.T) {
 // remoteEstimator and frontierEstimator are the method sets the gather-
 // identity test exercises on both the plain and cut-pruning families.
 type remoteEstimator interface {
-	PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []Partial
+	PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial
 	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
 }
 
@@ -343,11 +256,11 @@ func testPartialFrontierGather(t *testing.T, g *graph.Graph, opts BuildOptions, 
 
 	for u := 0; u < g.NumVertices(); u += 23 {
 		v := graph.VertexID(u)
-		want := inproc.EstimateFrontier(v, posteriors, noStop)
+		want := inproc.EstimateFrontier(v, posteriors, sampling.StopRule{})
 
 		parts := make([][]Partial, S)
 		for s := 0; s < S; s++ {
-			parts[s] = shards[s].PartialFrontier(s, users[s], g.NumVertices(), v, posteriors, noStop)
+			parts[s] = shards[s].PartialFrontier(s, users[s], v, posteriors)
 		}
 		got := GatherFrontierPartials(parts)
 		for i := range want {

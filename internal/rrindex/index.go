@@ -250,6 +250,6 @@ func (est *Estimator) scanProber(shard, users int, u graph.VertexID, prober samp
 	return est.plainProber(est.idx.graphSet(u), shard, users, u, prober)
 }
 
-func (est *Estimator) scanFrontier(shard, users, totalUsers int, u graph.VertexID, chunk [][]float64, stop sampling.StopRule, rows []Partial, stride int) {
-	est.plainFrontier(est.idx.graphSet(u), shard, users, totalUsers, u, chunk, stop, rows, stride)
+func (est *Estimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
+	est.plainFrontier(est.idx.graphSet(u), shard, users, u, chunk, rows, stride)
 }

@@ -15,11 +15,7 @@ type mono struct {
 }
 
 func (m mono) result(p Partial) sampling.Result {
-	hits := float64(p.Hits)
-	if p.Stopped {
-		hits = p.EstHits
-	}
-	inf := hits / float64(p.Theta) * float64(m.g.NumVertices())
+	inf := float64(p.Hits) / float64(p.Theta) * float64(m.g.NumVertices())
 	if inf < 1 {
 		inf = 1
 	}
@@ -34,10 +30,10 @@ func (m mono) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
 	return m.EstimateProber(u, sampling.PosteriorProber{G: m.g, Posterior: posterior})
 }
 
-func (m mono) EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result {
+func (m mono) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
 	n := m.g.NumVertices()
 	rows := make([]Partial, len(posteriors))
-	scanFrontierChunks(m.p, 0, n, n, u, posteriors, stop, rows, 1)
+	scanFrontierChunks(m.p, 0, n, u, posteriors, rows, 1)
 	out := make([]sampling.Result, len(rows))
 	for i, p := range rows {
 		out[i] = m.result(p)

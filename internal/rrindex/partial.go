@@ -51,23 +51,6 @@ type Partial struct {
 	Theta int64
 	// Users is |V_s|, the shard's target-pool size.
 	Users int
-	// EstHits and Stopped carry the sequential-stopping outcome of a
-	// frontier-batched scan: when Stopped is true
-	// the shard terminated the scan early and EstHits holds the unbiased
-	// (h/n)·N extrapolation the gather should use instead of Hits. Both
-	// are zero-valued on the per-prober path and on every shard server's
-	// scan, which never stops early.
-	EstHits float64
-	Stopped bool
-}
-
-// effectiveHits returns the hit count a gather should normalize: the
-// exact count, or the extrapolation recorded by an early-stopped scan.
-func (p Partial) effectiveHits() float64 {
-	if p.Stopped {
-		return p.EstHits
-	}
-	return float64(p.Hits)
 }
 
 // BuildShard constructs shard `shard` of an S-way sharded index — the
@@ -145,21 +128,18 @@ func (pe *PrunedEstimator) Partial(shard, users int, u graph.VertexID, prober sa
 
 // PartialFrontier is the frontier-batched scan: one wire row per sibling
 // posterior, decided in a single masked pass over this shard's postings.
-// totalUsers is the cluster's full |V| (the stopping threshold is
-// apportioned by θ_s/|V|); stop follows the StopRule contract. With
-// stopping disabled each row is byte-identical to a Partial call for
-// that sibling.
-func (est *Estimator) PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []Partial {
+// Each row is byte-identical to a Partial call for that sibling.
+func (est *Estimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
 	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(est, shard, users, totalUsers, u, posteriors, stop, out, 1)
+	scanFrontierChunks(est, shard, users, u, posteriors, out, 1)
 	return out
 }
 
 // PartialFrontier is Estimator.PartialFrontier with the cut-pruning
 // layer in front of verification.
-func (pe *PrunedEstimator) PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []Partial {
+func (pe *PrunedEstimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
 	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(pe, shard, users, totalUsers, u, posteriors, stop, out, 1)
+	scanFrontierChunks(pe, shard, users, u, posteriors, out, 1)
 	return out
 }
 
@@ -178,7 +158,7 @@ func gather(rows []Partial, renorm float64) sampling.Result {
 		r.Theta += p.Theta
 		r.Reachable += p.Contained
 		if p.Theta > 0 {
-			r.Influence += p.effectiveHits() / float64(p.Theta) * float64(p.Users)
+			r.Influence += float64(p.Hits) / float64(p.Theta) * float64(p.Users)
 		}
 	}
 	if renorm != 1 {
@@ -207,8 +187,7 @@ func GatherPartials(parts []Partial) sampling.Result {
 // GatherFrontierPartials folds per-shard PartialFrontier row sets —
 // parts[s][i] is one shard's row for sibling i, every shard covering the
 // same sibling list, shards in any order — into one Result per sibling,
-// each exactly GatherPartials of that sibling's rows. Early-stopped rows
-// contribute their extrapolated hit counts.
+// each exactly GatherPartials of that sibling's rows.
 func GatherFrontierPartials(parts [][]Partial) []sampling.Result {
 	if len(parts) == 0 || len(parts[0]) == 0 {
 		return nil

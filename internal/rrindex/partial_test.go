@@ -2,7 +2,6 @@ package rrindex
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"pitex/internal/graph"
@@ -55,7 +54,7 @@ func TestBuildShardMatchesSharded(t *testing.T) {
 // in-process ShardedEstimator result exactly: the distributed
 // all-shards-healthy guarantee, for all three families, at one shard and
 // several, on the per-prober path and on the frontier path at width 1,
-// across the 64-sibling chunk boundary, and with sequential stopping on.
+// and across the 64-sibling chunk boundary.
 func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
@@ -68,11 +67,9 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 	frontiers := []struct {
 		name       string
 		posteriors [][]float64
-		stopping   bool
 	}{
-		{"width-1", wide[:1], false},
-		{"width-65", wide, false},
-		{"stopping", wide[:12], true},
+		{"width-1", wide[:1]},
+		{"width-65", wide},
 	}
 
 	for _, S := range []int{1, 3, 4} {
@@ -104,7 +101,6 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 			{"INDEXEST+", NewShardedPrunedEstimator(si), pruned},
 			{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), delay},
 		} {
-			var stops int64
 			// Both sides hold equal base seeds, so the DelayMat recoveries
 			// draw the same samples for a user (in any order).
 			for u := 0; u < g.NumVertices(); u += 7 {
@@ -121,21 +117,11 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 				}
 
 				for _, fr := range frontiers {
-					stop := noStop
-					if fr.stopping {
-						best := 0.0
-						for _, res := range fam.inproc.EstimateFrontier(v, fr.posteriors, noStop) {
-							best = max(best, res.Influence)
-						}
-						stop = sampling.StopRule{Threshold: 0.95 * best, LogInvDelta: math.Log(200) + 3 + math.Ln2}
-					}
-					before := fam.inproc.WorkStats()
-					wantRows := fam.inproc.EstimateFrontier(v, fr.posteriors, stop)
-					stops += fam.inproc.WorkStats().Sub(before).EarlyStops
+					wantRows := fam.inproc.EstimateFrontier(v, fr.posteriors, sampling.StopRule{})
 					rows := make([][]Partial, 0, S)
 					for s := S - 1; s >= 0; s-- {
 						row := make([]Partial, len(fr.posteriors))
-						scanFrontierChunks(fam.fleet[s], s, users[s], g.NumVertices(), v, fr.posteriors, stop, row, 1)
+						scanFrontierChunks(fam.fleet[s], s, users[s], v, fr.posteriors, row, 1)
 						rows = append(rows, row)
 					}
 					for i, got := range GatherFrontierPartials(rows) {
@@ -145,9 +131,6 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 						}
 					}
 				}
-			}
-			if stops == 0 {
-				t.Fatalf("S=%d %s: the stopping frontier never stopped a scan; the fixture proves nothing", S, fam.name)
 			}
 		}
 	}

@@ -244,7 +244,7 @@ func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
 			if got, want := long.Estimate(v, post[0]), fresh.Estimate(v, post[0]); got != want {
 				t.Fatalf("round %d user %d: long-lived %+v, fresh %+v", round, u, got, want)
 			}
-			got, want := long.EstimateFrontier(v, post, noStop), fresh.EstimateFrontier(v, post, noStop)
+			got, want := long.EstimateFrontier(v, post, sampling.StopRule{}), fresh.EstimateFrontier(v, post, sampling.StopRule{})
 			if got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("round %d user %d: long-lived frontier %+v, fresh %+v", round, u, got, want)
 			}

@@ -3,7 +3,7 @@
 // lazy propagation sampling (Lazy, Sec. 5.1) — together with the
 // Chernoff-derived sample sizes of Lemmas 2-3 (Eq. 2), the martingale
 // early-stopping rule of Algo 2 line 17, and the frontier-batch plumbing
-// (FrontierProbeCache, StopRule) shared with the index estimators in
+// (FrontierProbeCache) shared with the index estimators in
 // internal/rrindex.
 //
 // # Prober contract
@@ -34,9 +34,7 @@
 // seed supplied at construction through splitmix-style derivation — no
 // global rand, no time-based seeding — so a (seed, graph, query) triple
 // reproduces its estimate bit-for-bit, which the equivalence tests across
-// estimator families rely on. Sequential stopping (StopRule) is the one
-// deliberately seed-independent piece: it only ever truncates a scan whose
-// upper confidence bound is below the caller's relevance threshold, so
-// enabling it may change low-ranked estimates within the Hoeffding width
-// but leaves the returned top-m and the (ε, δ) guarantee intact.
+// estimator families rely on. Only the online samplers stop early (the
+// Algo 2 rule, Options.DisableEarlyStop); the index estimators always
+// scan every RR-Graph of the query user.
 package sampling

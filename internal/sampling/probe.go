@@ -75,28 +75,12 @@ func (pc *ProbeCache) Stats() (hits, misses int64) {
 	return pc.hits, pc.misses
 }
 
-// StopRule parameterizes sequential stopping for a frontier-batched
-// estimation: a candidate tag set whose influence upper confidence bound
-// falls below Threshold cannot enter the explorer's top-m answer, so the
-// estimator may stop scanning RR-Graphs for it early and extrapolate.
-//
-// The bound is Hoeffding's: after n of N exchangeable graph verdicts with
-// h hits, the final hit count exceeds h + (N-n)·min(1, h/n + sqrt(L/2n))
-// with probability at most exp(-L), where L = LogInvDelta. Stopped
-// candidates report the unbiased extrapolation (h/n)·N; candidates whose
-// bound stays above Threshold — every potential winner — are scanned in
-// full and keep the configured (ε, δ) guarantee untouched.
-type StopRule struct {
-	// Threshold is the influence value a candidate must beat to matter
-	// (the explorer's current m-th best). Negative disables stopping.
-	Threshold float64
-	// LogInvDelta is L = ln(1/δ_stop), the per-decision confidence
-	// exponent. Non-positive disables stopping.
-	LogInvDelta float64
-}
-
-// Enabled reports whether the rule permits stopping at all.
-func (s StopRule) Enabled() bool { return s.Threshold >= 0 && s.LogInvDelta > 0 }
+// StopRule is the last argument of a frontier-batched estimation
+// (bestfirst.FrontierEstimator). It carries nothing: every index estimate
+// is the full count over θ, never stopped early. Callers pass the zero
+// value and estimators ignore it; the parameter stays only because the
+// benchmark harness in bench/ implements and calls that signature.
+type StopRule struct{}
 
 // FrontierProbeCache memoizes p(e|W) rows across the sibling candidate
 // sets of one frontier expansion. The best-first explorer expands a

@@ -96,25 +96,6 @@ func TestProbeCacheStats(t *testing.T) {
 	}
 }
 
-// TestStopRuleEnabled: stopping needs both a meaningful threshold and a
-// positive confidence exponent.
-func TestStopRuleEnabled(t *testing.T) {
-	for _, tc := range []struct {
-		rule StopRule
-		want bool
-	}{
-		{StopRule{Threshold: 3, LogInvDelta: 2}, true},
-		{StopRule{Threshold: 0, LogInvDelta: 2}, true},
-		{StopRule{Threshold: -1, LogInvDelta: 2}, false},
-		{StopRule{Threshold: 3, LogInvDelta: 0}, false},
-		{StopRule{}, false},
-	} {
-		if got := tc.rule.Enabled(); got != tc.want {
-			t.Errorf("Enabled(%+v) = %v, want %v", tc.rule, got, tc.want)
-		}
-	}
-}
-
 // TestFrontierProbeCacheRows is the frontier-row property: every row
 // entry must equal the direct EdgeProb evaluation, lo/hi must bracket
 // the row, repeat requests must hit (in per-sibling units), and a new

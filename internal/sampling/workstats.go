@@ -19,14 +19,6 @@ type WorkStats struct {
 	// GraphsPruned is the number of RR graphs skipped by frequency
 	// pruning (pruned index strategies only).
 	GraphsPruned int64
-	// EarlyStops is the number of (candidate set, shard) scans the
-	// sequential stopping rule terminated before exhausting the posting
-	// list (frontier-batched index strategies only).
-	EarlyStops int64
-	// GraphsSkipped is the number of RR-graph verdicts those early stops
-	// avoided; the skipped tail is replaced by the unbiased (h/n)·N
-	// extrapolation.
-	GraphsSkipped int64
 	// RecoveryAttempts is the number of Algo 4 attempts DelayMat recovery
 	// charged to its 8θ+1024 budget, the empty cascades it jumped in bulk
 	// included (DelayMat only). Against the RR-Graphs recovered it answers
@@ -48,8 +40,6 @@ func (s *WorkStats) Add(other WorkStats) {
 	s.ProbeCacheMisses += other.ProbeCacheMisses
 	s.GraphsChecked += other.GraphsChecked
 	s.GraphsPruned += other.GraphsPruned
-	s.EarlyStops += other.EarlyStops
-	s.GraphsSkipped += other.GraphsSkipped
 	s.RecoveryAttempts += other.RecoveryAttempts
 	s.RecoveryCascades += other.RecoveryCascades
 }
@@ -63,8 +53,6 @@ func (s WorkStats) Sub(other WorkStats) WorkStats {
 		ProbeCacheMisses: s.ProbeCacheMisses - other.ProbeCacheMisses,
 		GraphsChecked:    s.GraphsChecked - other.GraphsChecked,
 		GraphsPruned:     s.GraphsPruned - other.GraphsPruned,
-		EarlyStops:       s.EarlyStops - other.EarlyStops,
-		GraphsSkipped:    s.GraphsSkipped - other.GraphsSkipped,
 		RecoveryAttempts: s.RecoveryAttempts - other.RecoveryAttempts,
 		RecoveryCascades: s.RecoveryCascades - other.RecoveryCascades,
 	}

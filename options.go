@@ -167,12 +167,9 @@ type Options struct {
 	// Lemma 8 weights estimated as one more row of the index scan), which
 	// is both tighter and cheaper than either alternative.
 	CheapBounds bool
-	// DisableEarlyStop turns off adaptive stopping (ablation knob): the
-	// Algo-2 martingale rule in online samplers, and the sequential
-	// Hoeffding stopping the index strategies apply inside frontier
-	// batches (terminating a sibling's scan once its confidence bound
-	// proves it cannot beat the pruning threshold). Disabling it makes
-	// index-strategy estimates byte-identical to exhaustive scans.
+	// DisableEarlyStop turns off the Algo-2 martingale stopping rule of
+	// the online samplers (ablation knob). Index strategies never stop a
+	// scan early and ignore it.
 	DisableEarlyStop bool
 	// TrackUpdates prepares an engine's offline structures for incremental
 	// repair by Engine.ApplyUpdates. The RR-Graph index strategies are

@@ -151,12 +151,11 @@ func RepairSeed(seed, generation uint64) uint64 {
 // Every scatter is a round trip to every shard, so the adapter asks for
 // rounds of roundRows rows, several expansions each, whether or not its
 // remote batches: the search a coordinator runs does not depend on its
-// transport. The explorer's sequential-stopping rule is deliberately
-// ignored: a coordinator always has the shards scan exhaustively, so its
-// answers are byte-identical whether a round crosses the wire as one
-// frontier scatter or row by row, and — the canonical answer order makes
-// them independent of round width — equal the in-process
-// DisableEarlyStop engine's.
+// transport. Shards scan exhaustively, as every index estimator does, so
+// a coordinator's answers are byte-identical whether a round crosses the
+// wire as one frontier scatter or row by row, and — the canonical answer
+// order makes them independent of round width — equal the in-process
+// engine's.
 type remoteAdapter struct {
 	en     *Engine
 	remote RemoteEstimator
@@ -246,7 +245,7 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 
 // EstimateFrontier implements bestfirst.FrontierEstimator: the round
 // crosses the wire as one scatter when the remote can batch, and row by
-// row otherwise. stop is ignored (see remoteAdapter).
+// row otherwise.
 func (ra *remoteAdapter) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
 	out := make([]sampling.Result, len(posteriors))
 	if ra.frontier == nil {

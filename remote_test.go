@@ -9,7 +9,6 @@ import (
 
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
-	"pitex/internal/sampling"
 )
 
 // fakeRemote answers RemoteEstimate from in-process shard slices — the
@@ -90,8 +89,8 @@ func (f *fakeRemote) EstimateRemote(_ context.Context, user int, probe RemotePro
 }
 
 // fakeFrontierRemote adds the batched capability to fakeRemote, from the
-// primitives the real pair uses: PartialFrontier per shard with no stop
-// rule, GatherFrontierPartials when complete, per-sibling
+// primitives the real pair uses: PartialFrontier per shard,
+// GatherFrontierPartials when complete, per-sibling
 // GatherPartialsDegraded otherwise.
 type fakeFrontierRemote struct {
 	*fakeRemote
@@ -112,9 +111,9 @@ func (f *fakeFrontierRemote) EstimateRemoteFrontier(_ context.Context, user int,
 		}
 		var row []rrindex.Partial
 		if f.pruned {
-			row = rrindex.NewPrunedEstimator(idx).PartialFrontier(s, f.users[s], f.total, graph.VertexID(user), posteriors, sampling.StopRule{})
+			row = rrindex.NewPrunedEstimator(idx).PartialFrontier(s, f.users[s], graph.VertexID(user), posteriors)
 		} else {
-			row = rrindex.NewEstimator(idx).PartialFrontier(s, f.users[s], f.total, graph.VertexID(user), posteriors, sampling.StopRule{})
+			row = rrindex.NewEstimator(idx).PartialFrontier(s, f.users[s], graph.VertexID(user), posteriors)
 		}
 		rows = append(rows, row)
 	}
@@ -164,10 +163,9 @@ func answerOf(r Result) Result {
 // WITHOUT the frontier capability (the per-candidate fallback) run the
 // same search — answers and search counters alike, since the adapter
 // asks for the same rounds either way — and answer identically to the
-// in-process engine scanning exhaustively (DisableEarlyStop), since a
-// coordinator never ships the stop rule. It is also the regression test
-// for the prototype's explorer once being built by hand without the stop
-// budget its clones carry.
+// in-process engine, since every index estimate is the full count. It is
+// also the regression test for the prototype's explorer once being built
+// by hand without the wiring its clones carry.
 func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 	spec, err := BaseDatasetSpec("lastfm")
 	if err != nil {
@@ -186,18 +184,16 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 			t.Fatalf("%v: NewRemoteEngine: %v", strat, err)
 		}
 		clone := proto.Clone()
-		if proto.explorer.StopLogInvDelta != clone.explorer.StopLogInvDelta || proto.explorer.CheapBounds != clone.explorer.CheapBounds {
-			t.Fatalf("%v: prototype explorer (stop %v, cheap %v) wired differently from its clone (stop %v, cheap %v)", strat,
-				proto.explorer.StopLogInvDelta, proto.explorer.CheapBounds, clone.explorer.StopLogInvDelta, clone.explorer.CheapBounds)
+		if proto.explorer.CheapBounds != clone.explorer.CheapBounds {
+			t.Fatalf("%v: prototype explorer (cheap %v) wired differently from its clone (cheap %v)", strat,
+				proto.explorer.CheapBounds, clone.explorer.CheapBounds)
 		}
 		plain := newFakeRemote(t, net, model, opts, S)
 		fallback, err := NewRemoteEngine(net, model, opts, plain)
 		if err != nil {
 			t.Fatalf("%v: NewRemoteEngine (no capability): %v", strat, err)
 		}
-		exhaustive := opts
-		exhaustive.DisableEarlyStop = true
-		local, err := NewEngine(net, model, exhaustive)
+		local, err := NewEngine(net, model, opts)
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", strat, err)
 		}
@@ -292,9 +288,7 @@ func TestRemoteEngineMatchesLocalOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRemoteEngine: %v", err)
 	}
-	exhaustive := opts
-	exhaustive.DisableEarlyStop = true
-	local, err := NewEngine(net, model, exhaustive)
+	local, err := NewEngine(net, model, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

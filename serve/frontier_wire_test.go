@@ -18,7 +18,6 @@ import (
 	"pitex/internal/graph"
 	"pitex/internal/rng"
 	"pitex/internal/rrindex"
-	"pitex/internal/sampling"
 )
 
 // genNetModel generates a small network under a tags-tag model. With 80
@@ -109,8 +108,8 @@ func answerOf(r pitex.Result) pitex.Result {
 // TestFrontierWireEquivalence is the tentpole's identity contract on a
 // real HTTP fleet: round scatters and one width-1 scatter per row (a
 // decorated remote without the capability) run the same search, and
-// answer identically to the in-process engine at IndexShards:S scanning
-// exhaustively — for both remotable strategies, one shard, three
+// answer identically to the in-process engine at IndexShards:S, which
+// scans exhaustively as the shards do — for both remotable strategies, one shard, three
 // single-shard servers, and a server owning two shards; on expansions
 // wider than the 64-lane chunk (80 tags, k=1) and on deep searches (10
 // tags, k=2 and 3); and again after an update fan-out moved the fleet a
@@ -149,9 +148,7 @@ func TestFrontierWireEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewRemoteEngine (decorated): %v", err)
 					}
-					exhaustive := opts
-					exhaustive.DisableEarlyStop = true
-					local, err := pitex.NewEngine(net, model, exhaustive)
+					local, err := pitex.NewEngine(net, model, opts)
 					if err != nil {
 						t.Fatalf("NewEngine: %v", err)
 					}
@@ -545,8 +542,8 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 // scanned and framed back are, field for field, the rows a local
 // rrindex.PartialFrontier over an independently built copy of each shard
 // returns — for both index families, one shard and three, at widths on
-// both sides of the 64-lane chunk — and the path never stops early, so
-// Stopped and EstHits cross as zeros.
+// both sides of the 64-lane chunk — and every local row is a record the
+// frame's trust-boundary check accepts.
 func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
 	net, model := genNetModel(t, 10)
 	src := rng.New(11)
@@ -591,15 +588,13 @@ func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
 						t.Fatalf("%v S=%d width %d user %d: status %d, %d shard rows", strat, S, width, u, status, len(got.Frontier))
 					}
 					for s, row := range got.Frontier {
-						want := local[s].PartialFrontier(s, users[s], net.NumUsers(), graph.VertexID(u), frontier, sampling.StopRule{})
+						want := local[s].PartialFrontier(s, users[s], graph.VertexID(u), frontier)
 						if !reflect.DeepEqual(row, want) {
 							t.Fatalf("%v S=%d width %d user %d shard %d: framed rows diverge from the local scan:\n got  %+v\n want %+v",
 								strat, S, width, u, s, row, want)
 						}
-						for _, p := range row {
-							if p.Stopped || p.EstHits != 0 {
-								t.Fatalf("%v S=%d user %d shard %d: a stop outcome crossed the wire: %+v", strat, S, u, s, p)
-							}
+						if _, err := distrib.EncodeFrontierResponse(distrib.EstimateResponse{Frontier: [][]rrindex.Partial{want}}); err != nil {
+							t.Fatalf("%v S=%d user %d shard %d: a local scan's rows fail the record check: %v", strat, S, u, s, err)
 						}
 					}
 				}

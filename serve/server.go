@@ -55,8 +55,6 @@ type Server struct {
 	frontierExp   *obsv.Counter
 	boundPrunes   *obsv.Counter
 	fullSets      *obsv.Counter
-	earlyStops    *obsv.Counter
-	graphsSkipped *obsv.Counter
 	boundMemoHits *obsv.Counter
 	// jobs runs population-analytics sweeps (POST /admin/jobs): each job
 	// is pinned to the generation it started on and marked stale by
@@ -121,10 +119,6 @@ func (s *Server) registerMetrics() {
 		"Branches pruned by the Lemma 8 upper-bound test across all fresh queries (frontier row bounds on index and coordinator engines, sampled or reach bounds on online ones).")
 	s.fullSets = reg.Counter("pitex_full_sets_estimated_total",
 		"Full size-k tag sets estimated across all fresh queries.")
-	s.earlyStops = reg.Counter("pitex_estimator_early_stops_total",
-		"Posting-list scans terminated by the sequential stopping rule across all fresh queries.")
-	s.graphsSkipped = reg.Counter("pitex_estimator_graphs_skipped_total",
-		"RR-graph verdicts avoided by early stops across all fresh queries.")
 	s.boundMemoHits = reg.Counter("pitex_bound_memo_hits_total",
 		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies under CheapBounds only; always 0 on index and coordinator engines, whose bounds are frontier rows).")
 
@@ -427,8 +421,6 @@ func (s *Server) noteExplain(ex pitex.Explain) {
 	s.frontierExp.Add(ex.FrontierExpansions)
 	s.boundPrunes.Add(ex.PrunedByBound)
 	s.fullSets.Add(ex.FullSetsEstimated)
-	s.earlyStops.Add(ex.EarlyStops)
-	s.graphsSkipped.Add(ex.GraphsSkipped)
 	s.boundMemoHits.Add(ex.BoundCacheHits)
 }
 

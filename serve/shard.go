@@ -19,7 +19,6 @@ import (
 	"pitex/internal/faultinject"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
-	"pitex/internal/sampling"
 	"pitex/obsv"
 )
 
@@ -99,7 +98,7 @@ func newShardState(net *pitex.Network, generation uint64, owned int) *shardState
 // shardEstimator is what /shard/estimate needs of a shard's scan policy;
 // rrindex.Estimator and rrindex.PrunedEstimator both provide it.
 type shardEstimator interface {
-	PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []rrindex.Partial
+	PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []rrindex.Partial
 }
 
 // estimatorSet is one request's scratch: one estimator per owned shard,
@@ -396,7 +395,7 @@ func decodeEstimate(r *http.Request) (req distrib.EstimateRequest, err error) {
 
 // estimate is the estimation step of /shard/estimate: every owned shard's
 // partial hits for the request — one positional row per shard, every
-// weight row decided in a single masked pass with no stop rule. It runs
+// weight row decided in a single masked pass over every graph. It runs
 // on an estimator set borrowed from the generation's pool, so in the
 // steady state it allocates only the response. A panicking estimator
 // unwinds to the handler chain, and its set — scratch in an unknown
@@ -418,7 +417,7 @@ func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (r
 	frontier := req.FrontierRows(&set.rows)
 	for i, s := range ss.cfg.Owned {
 		resp.Frontier = append(resp.Frontier,
-			set.ests[i].PartialFrontier(s, st.slices[i].users, st.net.NumUsers(), u, frontier, sampling.StopRule{}))
+			set.ests[i].PartialFrontier(s, st.slices[i].users, u, frontier))
 	}
 	st.pool.put(set)
 	return resp

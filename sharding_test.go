@@ -2,6 +2,7 @@ package pitex
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -272,7 +273,7 @@ func (h hiddenFrontier) EstimateProber(u graph.VertexID, prober sampling.EdgePro
 }
 
 // TestEngineRowBoundsKeepInfluences is the old-path-vs-new-path identity
-// at the engine: with stopping disarmed, every influence an index engine
+// at the engine: every influence an index engine
 // returns — the optimum, every alternative, a prefix completion — equals
 // what a reference explorer over the same kind of estimator with its
 // frontier capability hidden returns, for every index strategy, shard
@@ -293,7 +294,7 @@ func TestEngineRowBoundsKeepInfluences(t *testing.T) {
 				opts := Options{
 					Strategy: strat, Epsilon: 0.5, Delta: 100, MaxK: 4, Seed: 11,
 					MaxSamples: 500, MaxIndexSamples: 3000, IndexShards: shards,
-					CheapBounds: cheap, DisableEarlyStop: true,
+					CheapBounds: cheap,
 				}
 				en, err := NewEngine(net, model, opts)
 				if err != nil {
@@ -350,6 +351,58 @@ func TestEngineRowBoundsKeepInfluences(t *testing.T) {
 				}
 				if rowBounds == 0 {
 					t.Fatalf("%v S%d cheap=%v: no partial set was ever bounded as a row", strat, shards, cheap)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexAnswersIgnoreDisableEarlyStop: an index estimate is the full
+// count over θ, never stopped early, so DisableEarlyStop — an online
+// sampler knob — leaves every index engine's result unchanged, Explain
+// counters included. BenchmarkQuerySingle's headline spec and options, at
+// one shard and four, over its mid user and the 256 round-robin users of
+// its cold rows.
+func TestIndexAnswersIgnoreDisableEarlyStop(t *testing.T) {
+	net, model, err := GenerateDatasetSpec(DatasetSpec{
+		Name: "headline", Users: 1500, Edges: 15000,
+		Topics: 20, Tags: 50, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.3,
+	}, 1)
+	if err != nil {
+		t.Fatalf("GenerateDatasetSpec: %v", err)
+	}
+	users := []int{net.UsersByGroup()["mid"][0]}
+	for u := 0; u < 256; u++ {
+		users = append(users, u)
+	}
+	for _, strat := range []Strategy{StrategyIndex, StrategyIndexPruned, StrategyDelay} {
+		for _, shards := range []int{1, 4} {
+			opts := Options{
+				Strategy: strat, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
+				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true, IndexShards: shards,
+			}
+			en, err := NewEngine(net, model, opts)
+			if err != nil {
+				t.Fatalf("%v S%d: NewEngine: %v", strat, shards, err)
+			}
+			opts.DisableEarlyStop = true
+			exhaustive, err := NewEngine(net, model, opts)
+			if err != nil {
+				t.Fatalf("%v S%d: NewEngine (DisableEarlyStop): %v", strat, shards, err)
+			}
+			for _, u := range users {
+				got, err := en.Query(u, 3)
+				if err != nil {
+					t.Fatalf("%v S%d: Query(%d): %v", strat, shards, u, err)
+				}
+				want, err := exhaustive.Query(u, 3)
+				if err != nil {
+					t.Fatalf("%v S%d: Query(%d) (DisableEarlyStop): %v", strat, shards, u, err)
+				}
+				got.Elapsed, want.Elapsed = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v S%d user %d: DisableEarlyStop changed the result:\n got  %+v\n want %+v",
+						strat, shards, u, got, want)
 				}
 			}
 		}
