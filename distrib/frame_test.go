@@ -147,9 +147,8 @@ func FuzzFrontierFrame(f *testing.F) {
 		if resp, err := DecodeFrontierResponse(data); err == nil {
 			for _, row := range resp.Frontier {
 				for _, p := range row {
-					if p.Shard < 0 || p.Users < 0 || p.Hits < 0 || p.Hits > p.Samples ||
-						p.Samples > int64(p.Contained) || int64(p.Contained) > p.Theta {
-						t.Fatalf("accepted the record %+v", p)
+					if err := checkPartial(p); err != nil {
+						t.Fatalf("accepted the record %+v: %v", p, err)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package bestfirst
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -454,14 +453,11 @@ func (s *rowSpy) EstimateFrontier(u graph.VertexID, rows [][]float64, stop sampl
 // TestBoundRowsNeverStopped: every row a frontier estimator is handed is
 // a full set or a bound, each estimated over all of the user's graphs —
 // nothing is stopped early, so a bound always dominates the completions
-// it covers — and the StopLogInvDelta the benchmark harness still sets
-// changes no answer and no counter.
+// it covers.
 func TestBoundRowsNeverStopped(t *testing.T) {
 	g, m, idx := frontierFixture(t, 71)
 	spy := &rowSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}}
 	ex := NewExplorer(g, m, spy)
-	armed := NewExplorer(g, m, rrindex.NewShardedPrunedEstimator(idx))
-	armed.StopLogInvDelta = math.Log(100) + 3 + math.Ln2
 	var full, bounds int64
 	for u := 0; u < g.NumVertices(); u += 11 {
 		res, err := ex.QueryTop(graph.VertexID(u), 3, 2)
@@ -474,13 +470,6 @@ func TestBoundRowsNeverStopped(t *testing.T) {
 		}
 		full += res.Stats.FullSetsEstimated + pres.Stats.FullSetsEstimated
 		bounds += res.Stats.PartialBoundsEstimated + pres.Stats.PartialBoundsEstimated
-		got, err := armed.QueryTop(graph.VertexID(u), 3, 2)
-		if err != nil {
-			t.Fatalf("armed QueryTop: %v", err)
-		}
-		if !reflect.DeepEqual(got, res) {
-			t.Fatalf("u=%d: StopLogInvDelta changed the result:\n got  %+v\n want %+v", u, got, res)
-		}
 	}
 	if bounds == 0 || spy.rows != full+bounds {
 		t.Fatalf("%d bound rows + %d full sets, but %d rows crossed", bounds, full, spy.rows)
