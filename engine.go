@@ -452,23 +452,29 @@ func (en *Engine) QueryWithPrefixCtx(ctx context.Context, user int, prefix []int
 	return en.query(ctx, user, prefix, k, 1)
 }
 
-// ValidatePrefix checks a constrained query's pinned tag set: every tag in
-// [0, numTags), no duplicates, and at most k tags (a prefix larger than
-// the answer cannot be contained in it). Serving layers call it before
-// admission so malformed prefixes fail fast instead of occupying an
-// engine; QueryWithPrefixCtx applies the same checks.
+// ValidatePrefix checks a constrained query's pinned tag set: at most k
+// tags (a prefix larger than the answer cannot be contained in it), each
+// in [0, numTags), none repeated. Serving layers call it before admission
+// so malformed tag sets fail fast instead of occupying an engine — an
+// audience's tags as a prefix of their own size; QueryWithPrefixCtx,
+// EstimateInfluence and Audience apply the same checks.
 func ValidatePrefix(prefix []int, k, numTags int) error {
 	if len(prefix) > k {
 		return fmt.Errorf("pitex: prefix has %d tags, exceeds k = %d", len(prefix), k)
 	}
-	for i, w := range prefix {
+	return checkTags(prefix, numTags)
+}
+
+// checkTags is the one tag-set check: every tag in [0, numTags), none
+// repeated. A repeat is not a bigger set: PosteriorInto would multiply
+// its p(w|z) in once per occurrence and score a multiset.
+func checkTags(tags []int, numTags int) error {
+	for i, w := range tags {
 		if w < 0 || w >= numTags {
-			return fmt.Errorf("pitex: prefix tag %d outside [0,%d)", w, numTags)
+			return fmt.Errorf("pitex: tag %d outside [0,%d)", w, numTags)
 		}
-		for _, prev := range prefix[:i] {
-			if prev == w {
-				return fmt.Errorf("pitex: duplicate prefix tag %d", w)
-			}
+		if slices.Contains(tags[:i], w) {
+			return fmt.Errorf("pitex: duplicate tag %d", w)
 		}
 	}
 	return nil
@@ -653,10 +659,8 @@ func (en *Engine) Audience(user int, tags []int, m int, samples int64) ([]Influe
 	if samples <= 0 {
 		samples = DefaultAudienceSamples
 	}
-	for _, w := range tags {
-		if w < 0 || w >= en.model.NumTags() {
-			return nil, fmt.Errorf("pitex: tag %d outside [0,%d)", w, en.model.NumTags())
-		}
+	if err := checkTags(tags, en.model.NumTags()); err != nil {
+		return nil, err
 	}
 	if !en.model.m.PosteriorInto(toTagIDs(tags), en.posterior) {
 		return nil, nil // nothing propagates
@@ -769,10 +773,8 @@ func (en *Engine) EstimateInfluence(user int, tags []int) (float64, error) {
 	if user < 0 || user >= en.net.NumUsers() {
 		return 0, fmt.Errorf("pitex: user %d outside [0,%d)", user, en.net.NumUsers())
 	}
-	for _, w := range tags {
-		if w < 0 || w >= en.model.NumTags() {
-			return 0, fmt.Errorf("pitex: tag %d outside [0,%d)", w, en.model.NumTags())
-		}
+	if err := checkTags(tags, en.model.NumTags()); err != nil {
+		return 0, err
 	}
 	if !en.model.m.PosteriorInto(toTagIDs(tags), en.posterior) {
 		return 1, nil // no topic generates this tag set: nothing propagates

@@ -100,8 +100,8 @@ func TestQueryWithPrefixValidation(t *testing.T) {
 	}{
 		{"valid single", []int{2}, 2, ""},
 		{"valid full-size", []int{2, 3}, 2, ""},
-		{"duplicate tag", []int{1, 1}, 3, "duplicate prefix tag"},
-		{"duplicate later", []int{0, 2, 0}, 4, "duplicate prefix tag"},
+		{"duplicate tag", []int{1, 1}, 3, "duplicate tag"},
+		{"duplicate later", []int{0, 2, 0}, 4, "duplicate tag"},
 		{"oversized", []int{0, 1, 2}, 2, "exceeds k"},
 		{"tag out of range", []int{9}, 2, "outside [0,4)"},
 		{"negative tag", []int{-1}, 2, "outside [0,4)"},

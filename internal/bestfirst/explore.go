@@ -606,9 +606,9 @@ func (s *search) online(ctx context.Context, root heapEntry) error {
 				continue
 			}
 			s.stats.FullSetsEstimated++
-			// Estimators that revisit edges carry their own query-scoped
-			// ProbeCache; single-pass estimators like TIM are handed the
-			// raw prober — a cache layer would be all misses.
+			// Index estimators cache each edge's probability in their own
+			// width-1 scan scope; single-pass estimators like TIM are
+			// handed the raw prober — a cache layer would be all misses.
 			est := ex.est.EstimateProber(u, sampling.PosteriorProber{G: ex.g, Posterior: ex.posterior})
 			s.stats.SamplesDrawn += est.Samples
 			s.record(ent.tags, est.Influence)

@@ -250,55 +250,13 @@ func (pe *PrunedEstimator) beginFilter(n int) {
 
 func (pe *PrunedEstimator) postings(u graph.VertexID) int { return len(pe.idx.containing[u]) }
 
-// scanProber runs filter-and-verify under prober: Samples counts the
-// graphs looked at (verified plus unconditional direct hits), not the
-// postings size. The query-scoped ProbeCache is shared between the filter
-// scan and verification, so each distinct edge is probed once per call.
-func (pe *PrunedEstimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	idx := pe.idx
-	prober = pe.beginProber(prober, idx.maxSize)
-	uc := pe.cutsFor(u)
-	containing := idx.containing[u]
-	pe.beginFilter(len(containing))
-
-	// Filter: scan each inverted list while c(e) <= p(e|W).
-	for i, e := range uc.edges {
-		p := prober.Prob(e)
-		if p <= 0 {
-			continue
-		}
-		for _, ent := range uc.lists[i] {
-			if ent.c > p {
-				break
-			}
-			if pe.candStamp[ent.graphPos] != pe.candIter {
-				pe.candStamp[ent.graphPos] = pe.candIter
-				pe.cands = append(pe.cands, ent.graphPos)
-			}
-		}
-	}
-
-	hits := int64(len(uc.direct)) // target == u: unconditional hits
-	for _, pos := range pe.cands {
-		if pe.reaches(&idx.graphs[containing[pos]], u, prober) {
-			hits++
-		}
-	}
-	pe.graphsPruned += int64(len(containing)-len(uc.direct)) - int64(len(pe.cands))
-	return Partial{
-		Shard: shard, Hits: hits,
-		Samples: int64(len(pe.cands) + len(uc.direct)), Contained: len(containing),
-		Theta: idx.theta, Users: users,
-	}
-}
-
 // scanFrontier is the batched filter-and-verify: the inverted cut lists
 // are scanned once against cached probability rows to build per-candidate
 // sibling masks, then one masked pass verifies each surviving candidate
 // for exactly the siblings whose filter admitted it.
-func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
+func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
 	idx := pe.idx
-	pe.beginFrontier(chunk, idx.maxSize)
+	pe.beginFrontier(prober, chunk, idx.maxSize)
 	fc, sc := pe.fc, &pe.fsc
 	W := len(chunk)
 

@@ -281,12 +281,8 @@ func (de *DelayEstimator) recovered(u graph.VertexID) graphSet {
 	}
 }
 
-func (de *DelayEstimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	return de.plainProber(de.recovered(u), shard, users, u, prober)
-}
-
-func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
-	de.plainFrontier(de.recovered(u), shard, users, u, chunk, rows, stride)
+func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
+	de.plainFrontier(de.recovered(u), shard, users, u, prober, chunk, rows, stride)
 }
 
 // recover materializes θ(u) RR-Graphs containing u per Algo 4. Accepted

@@ -16,26 +16,27 @@ import (
 //   - PrunedEstimator (cuts.go): the cut filter in front of it, Sec. 6.2;
 //   - DelayEstimator (delay.go): recover the graphs first, Algo 4.
 //
-// Whatever the policy, a scan produces Partial rows and nothing else, and
-// gather (partial.go) is the only code that turns rows into an influence.
-// ShardedEstimator runs one policy per shard and folds the rows; a shard
-// server runs the same policy and ships the rows (Partial,
-// PartialFrontier) for the coordinator to fold with the same function —
-// so the in-process and the distributed estimate differ only in where the
-// scan ran.
+// Each policy has one scan, the masked scan of frontier.go, and every
+// index estimate runs it: a single-row estimate under an arbitrary prober
+// is a width-1 frontier (oneRow). A scan produces Partial rows and
+// nothing else, and gather (partial.go) is the only code that turns rows
+// into an influence. ShardedEstimator runs one policy per shard and folds
+// the rows; a shard server runs the same policy and ships the rows
+// (Partial, PartialFrontier) for the coordinator to fold with the same
+// function — so the in-process and the distributed estimate differ only
+// in where the scan ran.
 
-// scanPolicy is one shard's scan. Both scans take the shard's slot in
-// the layout (its id and |V_s|) and stamp it, with θ_s, on every row.
+// scanPolicy is one shard's scan. The scan takes the shard's slot in the
+// layout (its id and |V_s|) and stamps it, with θ_s, on every row.
 type scanPolicy interface {
 	// postings returns θ_s(u), the number of graphs a scan of u visits at
 	// most — the work estimate behind the fan-out decision.
 	postings(u graph.VertexID) int
-	// scanProber scans u's graphs under an arbitrary prober.
-	scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
 	// scanFrontier decides every sibling of one frontier chunk (at most
 	// maxFrontierWidth posteriors) in a single masked pass over all of u's
-	// graphs and writes sibling w's row to rows[w*stride].
-	scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int)
+	// graphs and writes sibling w's row to rows[w*stride]. A single-row
+	// estimate passes its prober with the chunk oneRow (beginFrontier).
+	scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int)
 	// WorkStats reports the policy's cumulative work counters.
 	WorkStats() sampling.WorkStats
 }
@@ -43,26 +44,37 @@ type scanPolicy interface {
 // scanFrontierChunks runs p's masked scan over a frontier of any width,
 // one membership word's worth of siblings at a time — the only place a
 // frontier is chunked. Sibling i's row lands in rows[i*stride].
-func scanFrontierChunks(p scanPolicy, shard, users int, u graph.VertexID, posteriors [][]float64, rows []Partial, stride int) {
+func scanFrontierChunks(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64, rows []Partial, stride int) {
 	for off := 0; off < len(posteriors); off += maxFrontierWidth {
 		chunk := posteriors[off:min(off+maxFrontierWidth, len(posteriors))]
-		p.scanFrontier(shard, users, u, chunk, rows[off*stride:], stride)
+		p.scanFrontier(shard, users, u, prober, chunk, rows[off*stride:], stride)
 	}
 }
 
-// scanState is the per-goroutine scratch and the work counters every
-// policy carries: the query-scoped probe cache and DFS scratch of the
-// per-prober scan, the frontier-scoped probe cache and membership-word
-// scratch of the masked scan, and the EXPLAIN tallies.
-type scanState struct {
-	g       *graph.Graph
-	probe   *sampling.ProbeCache
-	visited []int64
-	dfs     []int32
-	stamp   int64
+// oneRow is the chunk of every single-row estimate: one sibling, whose
+// probability row comes from the estimate's prober through proberRow.
+var oneRow = [][]float64{nil}
 
-	fc  *sampling.FrontierProbeCache // built on the first frontier scan
+// proberRow carries an arbitrary prober into the masked scan through the
+// FrontierProbeCache's EdgeProbGraph seam: the width-1 scope's one row is
+// prober.Prob(e), so a single-row estimate runs the frontier kernel.
+type proberRow struct {
+	prober sampling.EdgeProber
+	g      *graph.Graph
+}
+
+func (pr *proberRow) EdgeProb(e graph.EdgeID, _ []float64) float64 { return pr.prober.Prob(e) }
+func (pr *proberRow) NumEdges() int                                { return pr.g.NumEdges() }
+
+// scanState is the per-goroutine scratch and the work counters every
+// policy carries: the frontier-scoped probe cache and membership-word
+// scratch of the masked scan, the single-row prober slot, and the EXPLAIN
+// tallies.
+type scanState struct {
+	g   *graph.Graph
+	fc  *sampling.FrontierProbeCache // built on the first scan
 	fsc frontierScratch
+	one proberRow
 
 	// graphsChecked counts (graph, sibling) reachability verdicts — the
 	// work the cut filter reduces; graphsPruned what that filter skipped.
@@ -70,47 +82,30 @@ type scanState struct {
 }
 
 func newScanState(g *graph.Graph) scanState {
-	return scanState{g: g, probe: sampling.NewProbeCache(g.NumEdges())}
-}
-
-// beginProber opens a per-prober scan over graphs of at most maxSize
-// vertices. The prober is wrapped in the query-scoped ProbeCache so
-// p(e|W) is computed once per distinct edge, not once per (edge,
-// RR-Graph) visit; each shard's policy keeps its own, so a parallel
-// scatter shares nothing.
-func (st *scanState) beginProber(prober sampling.EdgeProber, maxSize int) sampling.EdgeProber {
-	if len(st.visited) < maxSize {
-		st.visited = make([]int64, maxSize)
-		st.stamp = 0
-	}
-	return st.probe.Begin(prober)
-}
-
-// reaches is the Def. 3 test of one graph inside a per-prober scan.
-func (st *scanState) reaches(rr *RRGraph, u graph.VertexID, prober sampling.EdgeProber) bool {
-	st.stamp++
-	st.graphsChecked++
-	var ok bool
-	ok, st.dfs = rr.reaches(u, prober, st.visited, st.stamp, st.dfs)
-	return ok
+	return scanState{g: g, one: proberRow{g: g}}
 }
 
 // beginFrontier opens a masked scan of one chunk: the probability rows
-// are computed once per distinct edge for all its siblings.
-func (st *scanState) beginFrontier(chunk [][]float64, maxSize int) {
+// are computed once per distinct edge for all its siblings — from the
+// chunk's posteriors, or, when prober is non-nil and the chunk is oneRow,
+// from prober.
+func (st *scanState) beginFrontier(prober sampling.EdgeProber, chunk [][]float64, maxSize int) {
 	if st.fc == nil {
 		st.fc = sampling.NewFrontierProbeCache(st.g.NumEdges())
 	}
-	st.fc.Begin(st.g, chunk)
+	var src sampling.EdgeProbGraph = st.g
+	if prober != nil {
+		st.one.prober = prober
+		src = &st.one
+	}
+	st.fc.Begin(src, chunk)
 	st.fsc.ensure(len(chunk), maxSize)
 }
 
 // WorkStats snapshots the counters in the one shape the engine diffs
 // before and after a query, whichever strategy is running.
 func (st *scanState) WorkStats() sampling.WorkStats {
-	hits, misses := st.probe.Stats()
-	fhits, fmisses := st.fc.Stats()
-	hits, misses = hits+fhits, misses+fmisses
+	hits, misses := st.fc.Stats()
 	return sampling.WorkStats{
 		ProbesEvaluated:  hits + misses,
 		ProbeCacheHits:   hits,
@@ -131,28 +126,14 @@ type graphSet struct {
 	theta    int64
 }
 
-// plainProber is the per-prober scan of IndexEst and DelayMat: count the
-// graphs of gs in which u reaches the target.
-func (st *scanState) plainProber(gs graphSet, shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	prober = st.beginProber(prober, gs.maxSize)
-	var hits int64
-	for _, gi := range gs.postings {
-		if st.reaches(&gs.graphs[gi], u, prober) {
-			hits++
-		}
-	}
-	n := len(gs.postings)
-	return Partial{Shard: shard, Hits: hits, Samples: int64(n), Contained: n, Theta: gs.theta, Users: users}
-}
-
 // scatterParallelMinWork is the per-estimation work (RR-Graphs containing
 // the query user, summed over shards) above which the scatter fans out to
 // one goroutine per shard. Below it, goroutine hand-off costs more than
-// the DFS checks it would parallelize.
+// the reachability checks it would parallelize.
 const scatterParallelMinWork = 96
 
 // ShardedEstimator is the index-backed estimator of every strategy: one
-// scan policy per shard, each with its own probe caches and scratch, and
+// scan policy per shard, each with its own probe cache and scratch, and
 // one fold over their rows. A single shard is the general path with S=1,
 // byte-identical to the paper's monolithic estimate because gather of one
 // row is max(1, hits/θ·|V|). Not safe for concurrent use; the scatter
@@ -212,20 +193,19 @@ func newShardedEstimator(g *graph.Graph, numShards int) *ShardedEstimator {
 	}
 }
 
-// scatter runs one estimation's scan on every shard — under prober when
-// it is non-nil, over the posteriors frontier otherwise — leaving the
-// rows in se.rows. Shards run in parallel when the work justifies the
-// fan-out. A prober that is itself a mutable cache (*sampling.ProbeCache)
-// forces the sequential path: each policy wraps the prober in its own
-// cache, but ProbeCache.Begin returns an already-cached prober unchanged,
-// which parallel shard workers would then share. Nothing is allocated on
-// the sequential path, nor with a single shard on either.
-func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
-	S := len(se.shards)
-	if cap(se.rows) < width*S {
-		se.rows = make([]Partial, width*S)
+// scatter runs one estimation's masked scan on every shard over the
+// posteriors frontier — or, when prober is non-nil, over oneRow under
+// prober — leaving the rows in se.rows. Shards run in parallel when the
+// work justifies the fan-out. A prober that is itself a mutable cache
+// (*sampling.ProbeCache) forces the sequential path, since parallel shard
+// workers would otherwise share it. Nothing is allocated on the sequential
+// path, nor with a single shard on either.
+func (se *ShardedEstimator) scatter(u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
+	S, n := len(se.shards), len(posteriors)*len(se.shards)
+	if cap(se.rows) < n {
+		se.rows = make([]Partial, n)
 	}
-	se.rows = se.rows[:width*S]
+	se.rows = se.rows[:n]
 	work := 0
 	for _, p := range se.shards {
 		work += p.postings(u)
@@ -249,19 +229,16 @@ func (se *ShardedEstimator) scatter(width int, u graph.VertexID, prober sampling
 
 // scanShard is one shard's share of a scatter.
 func (se *ShardedEstimator) scanShard(s int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
-	if prober != nil {
-		se.rows[s] = se.shards[s].scanProber(s, se.users[s], u, prober)
-		return
-	}
-	scanFrontierChunks(se.shards[s], s, se.users[s], u, posteriors, se.rows[s:], len(se.shards))
+	scanFrontierChunks(se.shards[s], s, se.users[s], u, prober, posteriors, se.rows[s:], len(se.shards))
 }
 
 // EstimateProber estimates E[I(u|·)] under an arbitrary edge-probability
 // source (bound probers need this form): the unbiased Σ_s
 // (hits_s/θ_s)·|V_s| over the RR-Graphs containing u — graphs not
-// containing u can never witness u's influence.
+// containing u can never witness u's influence. It is the masked scan of
+// a width-1 frontier whose one probability row is prober's.
 func (se *ShardedEstimator) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	se.scatter(1, u, prober, nil)
+	se.scatter(u, prober, oneRow)
 	return gather(se.rows, 1)
 }
 
@@ -272,9 +249,10 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 
 // EstimateFrontier estimates E[I(u|W_i)] for every sibling posterior of
 // one best-first frontier expansion in a single pass over u's postings
-// per shard. Two stacked ideas, each preserved bit-for-bit against
-// calling EstimateProber per sibling (frontier_test.go proves it per
-// family and shard count):
+// per shard. Every index estimate runs this scan — EstimateProber is its
+// width-1 case — and frontier_test.go checks each sibling's row, per
+// family and shard count, against a graph-by-graph Def. 3 count. Two
+// stacked ideas:
 //
 //   - Frontier-scoped probe sharing. Siblings share k-1 tags, so their
 //     edge probabilities are highly redundant; a FrontierProbeCache
@@ -284,7 +262,7 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 //   - Bitset hit-testing. Sibling membership in the tag-aware reach set
 //     is packed into one uint64 word per RR-Graph vertex; a single
 //     masked worklist pass per RR-Graph then decides reachability for
-//     all (≤64) siblings at once, turning the per-sibling DFS walks into
+//     all (≤64) siblings at once, turning per-sibling walks into
 //     word-AND/popcount steps. An edge's live-sibling mask comes from
 //     comparing its draw c(e) against the cached probability row, with
 //     the row's min/max classifying most edges in two comparisons. Wider
@@ -295,7 +273,7 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 // StopRule is an empty argument kept for the FrontierEstimator signature.
 // The result slice is the call's only allocation.
 func (se *ShardedEstimator) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
-	se.scatter(len(posteriors), u, nil, posteriors)
+	se.scatter(u, nil, posteriors)
 	S := len(se.shards)
 	out := make([]sampling.Result, len(posteriors))
 	for i := range out {

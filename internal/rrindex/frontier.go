@@ -63,8 +63,8 @@ func fullMask(width int) uint64 {
 // reachMask is the masked Def. 3 reachability test: for every sibling
 // bit set in active, whether u reaches r's target through a path whose
 // every edge satisfies p(e|W_sibling) ≥ c(e). One worklist fixed-point
-// over membership words replaces popcount(active) boolean DFS walks;
-// per bit the result equals reaches() under that sibling's prober.
+// over membership words replaces popcount(active) boolean walks; per bit
+// the result equals RRGraph.Reaches under that sibling's prober.
 func (r *RRGraph) reachMask(u graph.VertexID, fc *sampling.FrontierProbeCache, active uint64, sc *frontierScratch) uint64 {
 	lu := r.localID(u)
 	if lu < 0 {
@@ -153,8 +153,8 @@ func (sc *frontierScratch) packRows(direct int64, base Partial, rows []Partial, 
 
 // plainFrontier is the masked scan of IndexEst and DelayMat: per-sibling
 // hit counting over every graph of gs.
-func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
-	st.beginFrontier(chunk, gs.maxSize)
+func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
+	st.beginFrontier(prober, chunk, gs.maxSize)
 	sc := &st.fsc
 	active := fullMask(len(chunk))
 	for _, gi := range gs.postings {

@@ -33,18 +33,36 @@ func siblingPosteriors(m *topics.Model, prefix []topics.TagID, width int) [][]fl
 	return out
 }
 
+// tieDraws moves every third draw of idx's graphs onto one sibling's
+// probability of that edge, so verdicts hang on p(e|W) = c(e) exactly —
+// live under Def. 3's ≥ — which continuous draws almost never produce.
+// It returns how many draws it moved.
+func tieDraws(idx *Index, posteriors [][]float64) int {
+	tied := 0
+	for gi := range idx.graphs {
+		rr := &idx.graphs[gi]
+		for i := 0; i < len(rr.c); i += 3 {
+			if p := idx.g.EdgeProb(rr.edgeID[i], posteriors[i%len(posteriors)]); p > 0 {
+				rr.c[i] = p
+				tied++
+			}
+		}
+	}
+	return tied
+}
+
 // TestFrontierByteIdenticalMonolithic is the core equivalence contract of
-// the batched path: for every estimator family, EstimateFrontier
-// returns, per sibling, the exact sampling.Result of a
-// sequential per-prober estimate on the monolithic index — the paper's
-// formula over that sibling's one-shard scan (mono), bitwise, including
-// the Samples/Reachable bookkeeping — at widths both below and above the
-// 64-sibling chunk size.
+// the masked scan: for every estimator family, EstimateFrontier returns,
+// per sibling, the exact sampling.Result of the reference on the
+// monolithic index — the paper's formula over a graph-by-graph Def. 3
+// count (mono), bitwise, including the Samples/Reachable bookkeeping — at
+// widths both below and above the 64-sibling chunk size, over an index
+// whose draws include ties (tieDraws).
 func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 	g := randomGraph(250, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
 	r := rng.New(99)
-	m := topics.GenerateRandom(r, 12, 6, 3)
+	m := topics.GenerateRandom(r, 12, 2, 2)
 
 	idx, err := Build(g, opts)
 	if err != nil {
@@ -62,6 +80,12 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildShardedDelayMat: %v", err)
 	}
+	// The model's two topics are the graph's, so sibling probabilities are
+	// not all zero and the ties are real.
+	if tieDraws(idx, siblingPosteriors(m, []topics.TagID{0, 3}, 7)) == 0 {
+		t.Fatal("no draw tied: the posteriors put no mass on the graph's topics")
+	}
+	tieDraws(si.shards[0], siblingPosteriors(m, []topics.TagID{0, 3}, 7))
 	// DelayMat: equal streams, and both sides meet the users in the same
 	// order, so the batched and the sequential pass score the same
 	// recovered sample (recovery is the only RNG consumer, and it runs
@@ -87,7 +111,7 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 				for i, got := range fam.batched.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
 					want := fam.seq.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 					if got != want {
-						t.Fatalf("%s u=%d width=%d sibling %d: frontier %+v != sequential %+v", fam.name, u, width, i, got, want)
+						t.Fatalf("%s u=%d width=%d sibling %d: frontier %+v != reference %+v", fam.name, u, width, i, got, want)
 					}
 				}
 			}
@@ -96,16 +120,23 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 }
 
 // TestFrontierByteIdenticalSharded extends the contract across shard
-// counts: the scattered masked scans must reproduce the per-prober
-// sharded estimate bit for bit, one shard included.
+// counts: every frontier row, and every single-row estimate under a
+// posterior or an arbitrary prober (fracProber, which enters the masked
+// scan through proberRow), must equal the reference over the same shards
+// bit for bit, one shard included. The hub user's work is above
+// scatterParallelMinWork, so the parallel scatter runs both forms.
 func TestFrontierByteIdenticalSharded(t *testing.T) {
 	g := randomGraph(250, 4, 0.05, 0.4, 7)
 	opts := shardOpts(21, 3000)
 	r := rng.New(101)
-	m := topics.GenerateRandom(r, 10, 5, 3)
+	m := topics.GenerateRandom(r, 10, 2, 2)
 	posteriors := siblingPosteriors(m, []topics.TagID{1, 4}, 9)
 	if len(posteriors) == 0 {
 		t.Fatal("no defined sibling posteriors")
+	}
+	probers := []sampling.EdgeProber{
+		sampling.PosteriorProber{G: g, Posterior: posteriors[0]},
+		fracProber{g: g, f: 0.8},
 	}
 
 	for _, S := range []int{1, 2, 4} {
@@ -113,31 +144,46 @@ func TestFrontierByteIdenticalSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("S=%d BuildSharded: %v", S, err)
 		}
-		sest := NewShardedEstimator(si)
-		spe := NewShardedPrunedEstimator(si)
 		sdm, err := BuildShardedDelayMat(g, opts, S)
 		if err != nil {
 			t.Fatalf("S=%d BuildShardedDelayMat: %v", S, err)
 		}
-		sde := NewShardedDelayEstimator(sdm, rng.New(9))
+		hub, hubWork := graph.VertexID(0), 0
+		for u := 0; u < g.NumVertices(); u++ {
+			work := 0
+			for _, sh := range si.shards {
+				work += len(sh.containing[u])
+			}
+			if work > hubWork {
+				hub, hubWork = graph.VertexID(u), work
+			}
+		}
+		if hubWork < scatterParallelMinWork {
+			t.Fatalf("S=%d hub work %d below the fan-out threshold %d", S, hubWork, scatterParallelMinWork)
+		}
+		users := []graph.VertexID{hub}
 		for u := 0; u < g.NumVertices(); u += 17 {
-			v := graph.VertexID(u)
-			for i, got := range sde.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
-				want := sde.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("S=%d DELAYMAT u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
+			users = append(users, graph.VertexID(u))
+		}
+		families := []struct {
+			name string
+			est  *ShardedEstimator
+		}{
+			{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9))},
+			{"INDEXEST", NewShardedEstimator(si)},
+			{"INDEXEST+", NewShardedPrunedEstimator(si)},
+		}
+		for _, v := range users {
+			for _, fam := range families {
+				for i, got := range fam.est.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
+					if want := refSharded(fam.est, v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}); got != want {
+						t.Fatalf("S=%d %s u=%d sibling %d: frontier %+v != reference %+v", S, fam.name, v, i, got, want)
+					}
 				}
-			}
-			for i, got := range sest.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
-				want := sest.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("S=%d INDEXEST u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
-				}
-			}
-			for i, got := range spe.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
-				want := spe.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
-				if got != want {
-					t.Fatalf("S=%d INDEXEST+ u=%d sibling %d: frontier %+v != sequential %+v", S, u, i, got, want)
+				for _, prober := range probers {
+					if got, want := fam.est.EstimateProber(v, prober), refSharded(fam.est, v, prober); got != want {
+						t.Fatalf("S=%d %s u=%d %T: estimate %+v != reference %+v", S, fam.name, v, prober, got, want)
+					}
 				}
 			}
 		}
@@ -173,14 +219,11 @@ func TestFrontierByteIdenticalProperty(t *testing.T) {
 		spe := NewShardedPrunedEstimator(si)
 		for trial := 0; trial < 4; trial++ {
 			v := graph.VertexID(r.Intn(g.NumVertices()))
-			for i, got := range sest.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
-				if got != sest.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}) {
-					return false
-				}
-			}
-			for i, got := range spe.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
-				if got != spe.EstimateProber(v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}) {
-					return false
+			for _, est := range []*ShardedEstimator{sest, spe} {
+				for i, got := range est.EstimateFrontier(v, posteriors, sampling.StopRule{}) {
+					if got != refSharded(est, v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]}) {
+						return false
+					}
 				}
 			}
 		}

@@ -246,10 +246,6 @@ func NewEstimator(idx *Index) *Estimator {
 
 func (est *Estimator) postings(u graph.VertexID) int { return len(est.idx.containing[u]) }
 
-func (est *Estimator) scanProber(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	return est.plainProber(est.idx.graphSet(u), shard, users, u, prober)
-}
-
-func (est *Estimator) scanFrontier(shard, users int, u graph.VertexID, chunk [][]float64, rows []Partial, stride int) {
-	est.plainFrontier(est.idx.graphSet(u), shard, users, u, chunk, rows, stride)
+func (est *Estimator) scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
+	est.plainFrontier(est.idx.graphSet(u), shard, users, u, prober, chunk, rows, stride)
 }

@@ -5,38 +5,78 @@ import (
 	"pitex/internal/sampling"
 )
 
-// mono is the tests' independent monolithic reference: the paper's
-// max(1, hits/θ·|V|) restated over one policy's rows as the only shard of
-// g — it never calls gather, so comparing a ShardedEstimator against it
-// checks the fold as well as the scan.
+// refRow is the tests' reference for policy p's row of u under prober:
+// Def. 3 decided graph by graph by RRGraph.Reaches over the graphs p
+// scans, not by the masked scan under test. Samples is every graph for
+// the plain scans; for IndexEst+ it restates the cut filter — the direct
+// graphs plus every position some cut entry admits (p(e) > 0, c ≤ p(e)).
+func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
+	var gs graphSet
+	switch p := p.(type) {
+	case *Estimator:
+		gs = p.idx.graphSet(u)
+	case *PrunedEstimator:
+		gs = p.idx.graphSet(u)
+	case *DelayEstimator:
+		gs = p.recovered(u)
+	}
+	n := len(gs.postings)
+	row := Partial{Shard: shard, Samples: int64(n), Contained: n, Theta: gs.theta, Users: users}
+	visited := make([]int64, gs.maxSize)
+	for i, gi := range gs.postings {
+		if gs.graphs[gi].Reaches(u, prober, visited, int64(i)+1) {
+			row.Hits++
+		}
+	}
+	if pe, ok := p.(*PrunedEstimator); ok {
+		uc := pe.cutsFor(u)
+		admitted := make(map[int32]bool)
+		for i, e := range uc.edges {
+			for _, ent := range uc.lists[i] {
+				if p := prober.Prob(e); p > 0 && ent.c <= p {
+					admitted[ent.graphPos] = true
+				}
+			}
+		}
+		row.Samples = int64(len(uc.direct) + len(admitted))
+	}
+	return row
+}
+
+// refResult restates the paper's estimate over reference rows, one per
+// shard in shard order: Σ_s hits_s/θ_s·|V_s|, at least 1. It never calls
+// gather, so comparing an estimator against it checks the fold too.
+func refResult(rows ...Partial) sampling.Result {
+	var r sampling.Result
+	for _, p := range rows {
+		r.Influence += float64(p.Hits) / float64(p.Theta) * float64(p.Users)
+		r.Samples += p.Samples
+		r.Theta += p.Theta
+		r.Reachable += p.Contained
+	}
+	if r.Influence < 1 {
+		r.Influence = 1
+	}
+	return r
+}
+
+// refSharded is the reference estimate of u under prober over se's own
+// shards and layout.
+func refSharded(se *ShardedEstimator, u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
+	rows := make([]Partial, len(se.shards))
+	for s, p := range se.shards {
+		rows[s] = refRow(p, s, se.users[s], u, prober)
+	}
+	return refResult(rows...)
+}
+
+// mono is the monolithic reference: one policy's reference row as the
+// only shard of g, the paper's max(1, hits/θ·|V|).
 type mono struct {
 	p scanPolicy
 	g *graph.Graph
 }
 
-func (m mono) result(p Partial) sampling.Result {
-	inf := float64(p.Hits) / float64(p.Theta) * float64(m.g.NumVertices())
-	if inf < 1 {
-		inf = 1
-	}
-	return sampling.Result{Influence: inf, Samples: p.Samples, Theta: p.Theta, Reachable: p.Contained}
-}
-
 func (m mono) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	return m.result(m.p.scanProber(0, m.g.NumVertices(), u, prober))
-}
-
-func (m mono) Estimate(u graph.VertexID, posterior []float64) sampling.Result {
-	return m.EstimateProber(u, sampling.PosteriorProber{G: m.g, Posterior: posterior})
-}
-
-func (m mono) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
-	n := m.g.NumVertices()
-	rows := make([]Partial, len(posteriors))
-	scanFrontierChunks(m.p, 0, n, u, posteriors, rows, 1)
-	out := make([]sampling.Result, len(rows))
-	for i, p := range rows {
-		out[i] = m.result(p)
-	}
-	return out
+	return refResult(refRow(m.p, 0, m.g.NumVertices(), u, prober))
 }

@@ -114,16 +114,21 @@ func (idx *Index) checkTargets(numShards, s int) error {
 // NumGraphs returns the number of materialized RR-Graphs.
 func (idx *Index) NumGraphs() int { return len(idx.graphs) }
 
-// Partial runs the per-prober scan against this shard's index. shard and
-// users identify the shard's slot and |V_s| in the cluster layout.
+// Partial runs this shard's masked scan as a width-1 frontier under
+// prober. shard and users identify the shard's slot and |V_s| in the
+// cluster layout.
 func (est *Estimator) Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	return est.scanProber(shard, users, u, prober)
+	var row [1]Partial
+	est.scanFrontier(shard, users, u, prober, oneRow, row[:], 1)
+	return row[0]
 }
 
 // Partial is Estimator.Partial with the cut-pruning layer: Samples counts
 // only the graphs that survived the filter and were verified.
 func (pe *PrunedEstimator) Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
-	return pe.scanProber(shard, users, u, prober)
+	var row [1]Partial
+	pe.scanFrontier(shard, users, u, prober, oneRow, row[:], 1)
+	return row[0]
 }
 
 // PartialFrontier is the frontier-batched scan: one wire row per sibling
@@ -131,7 +136,7 @@ func (pe *PrunedEstimator) Partial(shard, users int, u graph.VertexID, prober sa
 // Each row is byte-identical to a Partial call for that sibling.
 func (est *Estimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
 	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(est, shard, users, u, posteriors, out, 1)
+	scanFrontierChunks(est, shard, users, u, nil, posteriors, out, 1)
 	return out
 }
 
@@ -139,7 +144,7 @@ func (est *Estimator) PartialFrontier(shard, users int, u graph.VertexID, poster
 // layer in front of verification.
 func (pe *PrunedEstimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
 	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(pe, shard, users, u, posteriors, out, 1)
+	scanFrontierChunks(pe, shard, users, u, nil, posteriors, out, 1)
 	return out
 }
 

@@ -53,7 +53,7 @@ func TestBuildShardMatchesSharded(t *testing.T) {
 // gathering with GatherPartials / GatherFrontierPartials reproduces the
 // in-process ShardedEstimator result exactly: the distributed
 // all-shards-healthy guarantee, for all three families, at one shard and
-// several, on the per-prober path and on the frontier path at width 1,
+// several, under an arbitrary prober and on the frontier path at width 1,
 // and across the 64-sibling chunk boundary.
 func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
@@ -110,7 +110,9 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 				// Feed the gathers in reverse order to prove the fold
 				// restores the canonical summation order.
 				for s := S - 1; s >= 0; s-- {
-					parts = append(parts, fam.fleet[s].scanProber(s, users[s], v, prober))
+					row := make([]Partial, 1)
+					scanFrontierChunks(fam.fleet[s], s, users[s], v, prober, oneRow, row, 1)
+					parts = append(parts, row[0])
 				}
 				if got := GatherPartials(parts); got != want {
 					t.Fatalf("S=%d %s user %d: gathered %+v, sharded estimator %+v", S, fam.name, u, got, want)
@@ -121,7 +123,7 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 					rows := make([][]Partial, 0, S)
 					for s := S - 1; s >= 0; s-- {
 						row := make([]Partial, len(fr.posteriors))
-						scanFrontierChunks(fam.fleet[s], s, users[s], v, fr.posteriors, row, 1)
+						scanFrontierChunks(fam.fleet[s], s, users[s], v, nil, fr.posteriors, row, 1)
 						rows = append(rows, row)
 					}
 					for i, got := range GatherFrontierPartials(rows) {

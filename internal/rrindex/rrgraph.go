@@ -335,23 +335,15 @@ func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScrat
 // where p(e|W) comes from prober. visited is caller scratch with length at
 // least NumVertices(), reset by the caller between uses via the stamp.
 func (r *RRGraph) Reaches(u graph.VertexID, prober sampling.EdgeProber, visited []int64, stamp int64) bool {
-	ok, _ := r.reaches(u, prober, visited, stamp, nil)
-	return ok
-}
-
-// reaches is Reaches with a caller-owned DFS stack; the (possibly grown)
-// stack is returned so estimators can reuse it across graphs instead of
-// allocating once per RR-Graph visit.
-func (r *RRGraph) reaches(u graph.VertexID, prober sampling.EdgeProber, visited []int64, stamp int64, stack []int32) (bool, []int32) {
 	lu := r.localID(u)
 	if lu < 0 {
-		return false, stack
+		return false
 	}
 	lt := r.localID(r.target)
 	if lu == lt {
-		return true, stack
+		return true
 	}
-	stack = append(stack[:0], lu)
+	stack := []int32{lu}
 	visited[lu] = stamp
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -362,7 +354,7 @@ func (r *RRGraph) reaches(u graph.VertexID, prober sampling.EdgeProber, visited 
 			}
 			t := r.outTo[i]
 			if t == lt {
-				return true, stack
+				return true
 			}
 			if visited[t] != stamp {
 				visited[t] = stamp
@@ -370,7 +362,7 @@ func (r *RRGraph) reaches(u graph.VertexID, prober sampling.EdgeProber, visited 
 			}
 		}
 	}
-	return false, stack
+	return false
 }
 
 // memoryFootprint estimates the in-memory bytes of this RR-Graph

@@ -236,15 +236,17 @@ func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
 		t.Fatalf("fixture too small to overflow: %d cut postings, bound %d", allCuts, postings)
 	}
 	post := [][]float64{{0.7, 0.3}, {0.2, 0.8}}
+	prober := sampling.PosteriorProber{G: g, Posterior: post[0]}
+	n := g.NumVertices()
 	pe := NewPrunedEstimator(idx)
 	for round := 0; round < 2; round++ {
-		for u := 0; u < g.NumVertices(); u++ {
+		for u := 0; u < n; u++ {
 			v := graph.VertexID(u)
-			long, fresh := mono{pe, g}, mono{NewPrunedEstimator(idx), g}
-			if got, want := long.Estimate(v, post[0]), fresh.Estimate(v, post[0]); got != want {
+			fresh := NewPrunedEstimator(idx)
+			if got, want := pe.Partial(0, n, v, prober), fresh.Partial(0, n, v, prober); got != want {
 				t.Fatalf("round %d user %d: long-lived %+v, fresh %+v", round, u, got, want)
 			}
-			got, want := long.EstimateFrontier(v, post, sampling.StopRule{}), fresh.EstimateFrontier(v, post, sampling.StopRule{})
+			got, want := pe.PartialFrontier(0, n, v, post), fresh.PartialFrontier(0, n, v, post)
 			if got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("round %d user %d: long-lived frontier %+v, fresh %+v", round, u, got, want)
 			}

@@ -23,9 +23,11 @@
 // widens the scope to a whole frontier expansion: the sibling candidate sets
 // produced by expanding one partial set share k-1 tags, so their probability
 // rows are computed once per distinct edge per frontier rather than once per
-// sibling. Both caches are goroutine-local scratch — never share one across
-// estimators. Layers that each own a ProbeCache compose without stacking:
-// Begin returns an inner ProbeCache unchanged.
+// sibling. The index estimators use only FrontierProbeCache: a single-row
+// estimate under an arbitrary prober is a width-1 scope whose EdgeProbGraph
+// answers from that prober. Both caches are goroutine-local scratch — never
+// share one across estimators. Layers that each own a ProbeCache compose
+// without stacking: Begin returns an inner ProbeCache unchanged.
 //
 // # Determinism and seed discipline
 //

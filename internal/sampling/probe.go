@@ -7,17 +7,18 @@ import (
 )
 
 // ProbeCache memoizes an EdgeProber per distinct global edge for the
-// duration of one estimation scope. Index estimators visit the same edge
-// once per RR-Graph it survived in, and online samplers probe it once per
-// cascade; within one scope the posterior is fixed, so every probe after
-// the first is a redundant Σ_z p(e|z)·p(z|W) evaluation. Begin opens a new
-// scope by bumping an epoch counter — invalidation is O(1), no clearing.
+// duration of one estimation scope. A forward-sampling pass (the engine's
+// Audience profile) probes the same edge once per cascade; within one
+// scope the posterior is fixed, so every probe after the first is a
+// redundant Σ_z p(e|z)·p(z|W) evaluation. Begin opens a new scope by
+// bumping an epoch counter — invalidation is O(1), no clearing. The index
+// estimators do not use it: they run every estimate, a single row
+// included, through a FrontierProbeCache.
 //
 // A ProbeCache is scratch state, not safe for concurrent use; give each
-// estimator (or explorer) its own. The O(numEdges) arrays are allocated
-// on first use, so an idle owner (an engine clone whose Audience path is
-// never hit, an estimator that never runs) costs three words, not
-// 16 bytes per edge.
+// owner its own. The O(numEdges) arrays are allocated on first use, so an
+// idle owner (an engine clone whose Audience path is never hit) costs
+// three words, not 16 bytes per edge.
 type ProbeCache struct {
 	numEdges int
 	inner    EdgeProber

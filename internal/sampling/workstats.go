@@ -10,7 +10,7 @@ type WorkStats struct {
 	// (p(e|W) computations) the estimator issued, before caching.
 	ProbesEvaluated int64
 	// ProbeCacheHits / ProbeCacheMisses split ProbesEvaluated by whether
-	// the estimator's ProbeCache answered from memory.
+	// the estimator's probe cache answered from memory.
 	ProbeCacheHits   int64
 	ProbeCacheMisses int64
 	// GraphsChecked is the number of pre-sampled RR graphs consulted

@@ -187,8 +187,11 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := en2.Query(0, 3); err == nil {
 		t.Fatal("k>MaxK accepted")
 	}
-	if _, err := en.EstimateInfluence(0, []int{99}); err == nil {
-		t.Fatal("bad tag accepted")
+	// A tag list is a set: a repeat is refused, not scored as a multiset.
+	for _, tags := range [][]int{{99}, {3, 3}, {1, 3, 1}} {
+		if _, err := en.EstimateInfluence(0, tags); err == nil {
+			t.Fatalf("bad tag set %v accepted", tags)
+		}
 	}
 }
 
@@ -687,8 +690,10 @@ func TestAudienceProfile(t *testing.T) {
 	if _, err := en.Audience(99, []int{0}, 5, 100); err == nil {
 		t.Fatal("bad user accepted")
 	}
-	if _, err := en.Audience(0, []int{99}, 5, 100); err == nil {
-		t.Fatal("bad tag accepted")
+	for _, tags := range [][]int{{99}, {3, 3}} {
+		if _, err := en.Audience(0, tags, 5, 100); err == nil {
+			t.Fatalf("bad tag set %v accepted", tags)
+		}
 	}
 	if _, err := en.Audience(0, []int{0}, 0, 100); err == nil {
 		t.Fatal("m=0 accepted")

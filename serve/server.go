@@ -459,6 +459,11 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 	if samples > MaxAudienceSamples {
 		samples = MaxAudienceSamples
 	}
+	// The engine's tag-set check, before admission as in SellingPoints: a
+	// repeated or unknown tag must 400 without occupying a pool engine.
+	if err := pitex.ValidatePrefix(tags, len(tags), s.numTags); err != nil {
+		return nil, false, err
+	}
 	key := Key{Kind: "audience", Gen: s.generation.Load(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
 	csp, ctx := obsv.StartSpan(ctx, "cache")
 	defer csp.End()

@@ -185,8 +185,9 @@ func TestServerBadParams(t *testing.T) {
 }
 
 // TestServerPrefixValidationHTTP pins the query-validation fix over the
-// HTTP path: malformed prefixes must 400 with a descriptive error before
-// ever occupying a pool engine, mirroring Engine.QueryWithPrefixCtx.
+// HTTP path: malformed prefixes and audience tag sets must 400 with a
+// descriptive error before ever occupying a pool engine, mirroring the
+// engine's one tag-set check.
 func TestServerPrefixValidationHTTP(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -195,11 +196,13 @@ func TestServerPrefixValidationHTTP(t *testing.T) {
 	cases := []struct {
 		name, url, wantErr string
 	}{
-		{"duplicate", "/selling-points?user=0&k=3&prefix=1,1", "duplicate prefix tag"},
-		{"duplicate later", "/selling-points?user=0&k=4&prefix=0,2,0", "duplicate prefix tag"},
+		{"duplicate", "/selling-points?user=0&k=3&prefix=1,1", "duplicate tag"},
+		{"duplicate later", "/selling-points?user=0&k=4&prefix=0,2,0", "duplicate tag"},
 		{"oversized", "/selling-points?user=0&k=2&prefix=0,1,2", "exceeds k"},
 		{"out of range", "/selling-points?user=0&k=2&prefix=9", "outside [0,4)"},
 		{"negative", "/selling-points?user=0&k=2&prefix=-1", "outside [0,4)"},
+		{"audience duplicate", "/audience?user=0&tags=3,3&m=3", "duplicate tag"},
+		{"audience out of range", "/audience?user=0&tags=1,9&m=3", "outside [0,4)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,7 +215,7 @@ func TestServerPrefixValidationHTTP(t *testing.T) {
 	}
 	// None of the rejected requests may have reached an engine.
 	if served := srv.Stats().Pool.Served; served != 0 {
-		t.Fatalf("pool served %d requests for invalid prefixes", served)
+		t.Fatalf("pool served %d requests for invalid tag sets", served)
 	}
 	// A well-formed prefix still answers (and does occupy the pool).
 	out := getJSON(t, ts.URL+"/selling-points?user=0&k=2&prefix=2", http.StatusOK)
