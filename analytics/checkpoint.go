@@ -91,9 +91,9 @@ type checkpointFile struct {
 }
 
 // writeCheckpointLocked persists the completed chunks atomically: temp
-// file in the target directory, then rename, so a kill mid-write never
-// leaves a truncated checkpoint where Resume expects a good one. Caller
-// holds st.mu.
+// file in the target directory, synced, then renamed, so a kill or power
+// loss mid-write never leaves a truncated checkpoint where Resume expects
+// a good one. Caller holds st.mu.
 func (st *sweepState) writeCheckpointLocked() error {
 	cf := checkpointFile{Version: CheckpointVersion, Fingerprint: st.fp}
 	cf.Chunks = make([]chunkResult, 0, len(st.completed))
@@ -110,16 +110,17 @@ func (st *sweepState) writeCheckpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("analytics: checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("analytics: checkpoint: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("analytics: checkpoint: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("analytics: checkpoint: %w", err)
 	}

@@ -350,22 +350,26 @@ func parseShardGroups(spec string) ([][]string, error) {
 }
 
 // saveIndexFile writes the engine's offline structure atomically enough
-// for a restart workflow: to a temp file first, renamed into place, so a
-// crash mid-write never leaves a truncated index where -index expects a
-// good one.
+// for a restart workflow: to a temp file first, synced, then renamed into
+// place, so a crash or power loss mid-write never leaves a truncated index
+// where -index expects a good one. A failed save removes its temp file.
 func saveIndexFile(en *pitex.Engine, path string) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := en.SaveIndex(f); err != nil {
-		_ = f.Close()
-		os.Remove(f.Name())
-		return err
+	err = en.SaveIndex(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(f.Name(), path)
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

@@ -173,6 +173,29 @@ func TestSaveIndexFlagRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveIndexFailureLeavesNoTemp: a save whose final rename fails —
+// the target is a non-empty directory — is an error and leaves no temp
+// file behind.
+func TestSaveIndexFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "saved.index")
+	if err := os.MkdirAll(filepath.Join(target, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := buildConfig{
+		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
+		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
+		maxK: 10, saveIndex: target,
+	}
+	if srv, err := setup(cfg, testServeOptions(), discardf); err == nil {
+		srv.Close()
+		t.Fatal("saving onto a non-empty directory succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) > 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
 func TestSetupValidation(t *testing.T) {
 	base := buildConfig{epsilon: 0.7, delta: 1000, maxK: 10}
 

@@ -96,8 +96,7 @@
 // views into one contiguous set of backing arrays rather than θ separate
 // heap objects, and the per-user postings lists share a single int32
 // arena (see the internal/rrindex package documentation for the layout
-// and the version-2 on-disk format; version-1 index files are still
-// readable). Query evaluation caches p(e|W) once per distinct edge per
+// and the on-disk format). Query evaluation caches p(e|W) once per distinct edge per
 // estimation, and the best-first explorer reuses its heap, tag-set and
 // traversal scratch across queries, so a steady-state query allocates
 // almost nothing. Engine.IndexMemoryBytes is O(1) and exported by serve's
@@ -135,12 +134,14 @@
 // with S; sharding's memory benefits apply to the materialized index,
 // whose arenas genuinely partition.
 //
-// Serialization compatibility: S=1 engines write the same v2 (index) and
-// v1 (DelayMat) formats as before, readable by older binaries; S>1 writes
-// format v3, which round-trips the shard layout (older readers reject it
-// cleanly). v1/v2 files load as a single shard; a loaded index keeps its
-// file's shard count regardless of Options.IndexShards, and the engine's
-// Options reports that count (a 0 stays 0 for a one-shard file).
+// Serialization: every saved index or DelayMat is one file layout, a
+// header plus one block per shard, so it round-trips the shard layout at
+// any S. One-shard files from older binaries (a v2 index, a v1 DelayMat)
+// still load, but a one-shard file written now carries the shard words
+// and older binaries refuse it, as they refuse S>1 files; seed-format v1
+// index files are refused with a rebuild message. A loaded index keeps
+// its file's shard count regardless of Options.IndexShards, and the
+// engine's Options reports that count (a 0 stays 0 for a one-shard file).
 // Per-shard sizes and repair counters are exported by serve's /statsz as
 // index_shards and programmatically via Engine.IndexShardStats.
 //

@@ -5,11 +5,10 @@ package rrindex
 // binary-search CSR assembly) consumes the PRNG in exactly the same order
 // as the arena builder, so for a fixed seed the two layouts must produce
 // byte-identical estimates across build, repair and the serialize round
-// trip (both format versions).
+// trip.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sort"
 	"sync"
 	"testing"
@@ -339,55 +338,6 @@ func TestArenaRepairMatchesSeedLayout(t *testing.T) {
 		t.Fatalf("ReadIndex: %v", err)
 	}
 	assertSameEstimates(t, "repair+roundtrip", back, refRepaired, posts)
-}
-
-// writeIndexV1 emits the seed (version 1) file format from the reference
-// layout, byte-for-byte what the seed WriteIndex produced.
-func writeIndexV1(buf *bytes.Buffer, idx *refIndex) error {
-	w := func(v interface{}) error { return binary.Write(buf, binary.LittleEndian, v) }
-	_ = w(indexMagic)
-	_ = w(uint32(indexVersionV1))
-	_ = w(uint32(kindIndex))
-	_ = w(uint64(idx.g.NumVertices()))
-	_ = w(uint64(idx.theta))
-	_ = w(uint64(len(idx.graphs)))
-	for _, rr := range idx.graphs {
-		_ = w(uint32(rr.target))
-		_ = w(uint64(len(rr.verts)))
-		for _, v := range rr.verts {
-			_ = w(uint32(v))
-		}
-		_ = w(uint64(len(rr.edgeID)))
-		for v := int32(0); v < int32(len(rr.verts)); v++ {
-			for i := rr.outStart[v]; i < rr.outStart[v+1]; i++ {
-				_ = w(uint32(v))
-				_ = w(uint32(rr.outTo[i]))
-				_ = w(uint32(rr.edgeID[i]))
-				if err := w(rr.c[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// TestReadIndexV1Compat: a seed-format (v1) file must still load, into
-// the arena layout, with byte-identical estimates.
-func TestReadIndexV1Compat(t *testing.T) {
-	g := fixture.Graph()
-	opts := buildOpts()
-	opts.MaxIndexSamples = 2000
-	ref := refBuild(g, opts)
-	var buf bytes.Buffer
-	if err := writeIndexV1(&buf, ref); err != nil {
-		t.Fatalf("writeIndexV1: %v", err)
-	}
-	idx, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatalf("ReadIndex(v1): %v", err)
-	}
-	assertSameEstimates(t, "v1-compat", idx, ref, testPosteriors(t))
 }
 
 // TestArenaRepairChainCompacts: a chain of repairs with a large touched

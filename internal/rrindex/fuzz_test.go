@@ -12,12 +12,12 @@ import (
 // Fuzz targets for the serialized-index loaders. The contract under
 // test: on arbitrary bytes the readers must return an error — never
 // panic, and never size an allocation from an unvalidated header field
-// (storage only grows as payload actually arrives). Seeds cover all
-// three format versions (v1 seed layout, v2 arena, v3 sharded), both
-// kinds, and systematically corrupted variants of each.
+// (storage only grows as payload actually arrives). Seeds cover both
+// kinds at one and three shards, the pre-S one-shard forms (v2 index,
+// v1 DelayMat), and systematically corrupted variants of each.
 
-// fuzzSeeds serializes the fixture structures in every on-disk format
-// and returns them with corrupt/truncated variants appended.
+// fuzzSeeds serializes the fixture structures in every readable form and
+// returns them with corrupt/truncated variants appended.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	g := fixture.Graph()
@@ -38,9 +38,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		err = WriteIndex(&buf, idx)
 	}
 	add(err, &buf)
-
-	buf.Reset()
-	add(writeIndexV1(&buf, refBuild(g, opts)), &buf)
+	blobs = append(blobs, legacyForm(blobs[0], 2))
 
 	buf.Reset()
 	si, err := BuildSharded(g, opts, 3)
@@ -49,21 +47,17 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	add(err, &buf)
 
-	buf.Reset()
-	dm, err := BuildDelayMat(g, opts)
-	if err == nil {
-		err = WriteDelayMat(&buf, dm)
+	for _, S := range []int{1, 3} {
+		buf.Reset()
+		sdm, err := BuildShardedDelayMat(g, opts, S)
+		if err == nil {
+			err = WriteShardedDelayMat(&buf, sdm)
+		}
+		add(err, &buf)
 	}
-	add(err, &buf)
+	blobs = append(blobs, legacyForm(blobs[3], 1))
 
-	buf.Reset()
-	sdm, err := BuildShardedDelayMat(g, opts, 3)
-	if err == nil {
-		err = WriteShardedDelayMat(&buf, sdm)
-	}
-	add(err, &buf)
-
-	for _, b := range blobs[:5] {
+	for _, b := range blobs[:6] {
 		blobs = append(blobs,
 			faultinject.CorruptBytes(b), // bit flips every 17 bytes, magic included
 			b[:len(b)/2],                // truncated mid-payload
@@ -87,9 +81,8 @@ func checkIndex(t *testing.T, idx *Index, g *graph.Graph) {
 	}
 }
 
-// FuzzReadIndex feeds arbitrary bytes to both single-index readers
-// (RR-Graph index and DelayMat), including each other's files — the
-// kind field must keep them apart.
+// FuzzReadIndex feeds arbitrary bytes to the one-shard reader, the one
+// /shard/resync installs network-supplied slices through.
 func FuzzReadIndex(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -99,20 +92,10 @@ func FuzzReadIndex(f *testing.F) {
 		if idx, err := ReadIndex(bytes.NewReader(data), g); err == nil {
 			checkIndex(t, idx, g)
 		}
-		if dm, err := ReadDelayMat(bytes.NewReader(data), g); err == nil {
-			if dm.Theta() < 0 {
-				t.Fatal("accepted DelayMat has negative θ")
-			}
-			for u := 0; u < g.NumVertices(); u++ {
-				if dm.Count(graph.VertexID(u)) < 0 {
-					t.Fatalf("negative count for %d", u)
-				}
-			}
-		}
 	})
 }
 
-// FuzzReadSharded: the v3 sharded loader must reject malformed shard
+// FuzzReadSharded: the sharded loader must reject malformed shard
 // layouts (implausible counts, θ sums that disagree with the header)
 // without panicking, and anything it accepts must serve estimates.
 func FuzzReadSharded(f *testing.F) {
@@ -139,8 +122,9 @@ func FuzzReadSharded(f *testing.F) {
 	})
 }
 
-// FuzzReadShardedDelayMat covers the remaining loader: v1 files load as
-// one shard, v3 files reconstruct the layout, everything else errors.
+// FuzzReadShardedDelayMat covers the DelayMat loader: a counter file of
+// any shard count, or the pre-S one-shard form, loads; everything else
+// errors.
 func FuzzReadShardedDelayMat(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)

@@ -80,3 +80,15 @@ type mono struct {
 func (m mono) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
 	return refResult(refRow(m.p, 0, m.g.NumVertices(), u, prober))
 }
+
+// wrapMonolithic presents a monolithic index as a single-shard
+// ShardedIndex, so a test can estimate over it with ShardedEstimator.
+func wrapMonolithic(idx *Index) *ShardedIndex {
+	return &ShardedIndex{
+		g:         idx.g,
+		numShards: 1,
+		shards:    []*Index{idx},
+		pools:     [][]graph.VertexID{nil},
+		repaired:  make([]int64, 1),
+	}
+}

@@ -26,8 +26,8 @@
 // targets are drawn from its partition with θ_s ∝ |V_s| samples. Shards
 // build and repair concurrently under derived RNG streams, and a repair
 // touches only the shards whose postings contain a touched head. S=1
-// reproduces the monolithic structures bit-for-bit; serialization format
-// v3 round-trips shard boundaries (v1/v2 load as one shard).
+// reproduces the monolithic structures bit-for-bit; the one file layout
+// (serialize.go) round-trips shard boundaries at every S.
 //
 // # One estimator
 //

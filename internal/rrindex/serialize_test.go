@@ -3,6 +3,8 @@ package rrindex
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,24 +55,159 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 
 func TestDelayMatSerializationRoundTrip(t *testing.T) {
 	g := fixture.Graph()
-	dm, err := BuildDelayMat(g, buildOpts())
+	sdm, err := BuildShardedDelayMat(g, buildOpts(), 1)
 	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
+		t.Fatalf("BuildShardedDelayMat: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WriteDelayMat(&buf, dm); err != nil {
-		t.Fatalf("WriteDelayMat: %v", err)
+	if err := WriteShardedDelayMat(&buf, sdm); err != nil {
+		t.Fatalf("WriteShardedDelayMat: %v", err)
 	}
-	back, err := ReadDelayMat(bytes.NewReader(buf.Bytes()), g)
+	back, err := ReadShardedDelayMat(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
-		t.Fatalf("ReadDelayMat: %v", err)
+		t.Fatalf("ReadShardedDelayMat: %v", err)
 	}
-	if back.Theta() != dm.Theta() {
-		t.Fatalf("theta changed")
+	if back.NumShards() != 1 || back.Theta() != sdm.Theta() {
+		t.Fatalf("shape changed: S=%d θ=%d, want 1 and %d", back.NumShards(), back.Theta(), sdm.Theta())
 	}
 	for u := 0; u < g.NumVertices(); u++ {
-		if back.Count(graph.VertexID(u)) != dm.Count(graph.VertexID(u)) {
+		if back.shards[0].Count(graph.VertexID(u)) != sdm.shards[0].Count(graph.VertexID(u)) {
 			t.Fatalf("count for %d changed", u)
+		}
+	}
+}
+
+// legacyForm returns the pre-S one-shard file of a one-shard file b: the
+// same bytes without the S and θ_1 words, under the old version.
+func legacyForm(b []byte, version uint32) []byte {
+	out := append(append([]byte(nil), b[:32]...), b[44:]...)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	return out
+}
+
+// oneShardFiles writes the fixture's one-shard index and DelayMat files.
+func oneShardFiles(t testing.TB) (index, delay []byte) {
+	g := fixture.Graph()
+	si, err := BuildSharded(g, buildOpts(), 1)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	sdm, err := BuildShardedDelayMat(g, buildOpts(), 1)
+	if err != nil {
+		t.Fatalf("BuildShardedDelayMat: %v", err)
+	}
+	var ib, db bytes.Buffer
+	if err := WriteSharded(&ib, si); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	if err := WriteShardedDelayMat(&db, sdm); err != nil {
+		t.Fatalf("WriteShardedDelayMat: %v", err)
+	}
+	return ib.Bytes(), db.Bytes()
+}
+
+// TestOneShardFilesLoad: a one-shard file loads as S = 1 in its current
+// form and in the pre-S form (a version-2 index, a version-1 DelayMat),
+// and either re-serializes to the current bytes.
+func TestOneShardFilesLoad(t *testing.T) {
+	g := fixture.Graph()
+	index, delay := oneShardFiles(t)
+	for name, data := range map[string][]byte{"v3": index, "v2": legacyForm(index, 2)} {
+		si, err := ReadSharded(bytes.NewReader(data), g)
+		if err != nil {
+			t.Fatalf("%s index: ReadSharded: %v", name, err)
+		}
+		var again bytes.Buffer
+		if err := WriteSharded(&again, si); err != nil {
+			t.Fatalf("%s index: WriteSharded: %v", name, err)
+		}
+		if si.NumShards() != 1 || !bytes.Equal(again.Bytes(), index) {
+			t.Fatalf("%s index: S=%d, re-serialized bytes differ from a fresh build's", name, si.NumShards())
+		}
+		if _, err := ReadIndex(bytes.NewReader(data), g); err != nil {
+			t.Fatalf("%s index: ReadIndex: %v", name, err)
+		}
+	}
+	for name, data := range map[string][]byte{"v3": delay, "v1": legacyForm(delay, 1)} {
+		sdm, err := ReadShardedDelayMat(bytes.NewReader(data), g)
+		if err != nil {
+			t.Fatalf("%s DelayMat: ReadShardedDelayMat: %v", name, err)
+		}
+		var again bytes.Buffer
+		if err := WriteShardedDelayMat(&again, sdm); err != nil {
+			t.Fatalf("%s DelayMat: WriteShardedDelayMat: %v", name, err)
+		}
+		if sdm.NumShards() != 1 || sdm.poolSizes[0] != g.NumVertices() || !bytes.Equal(again.Bytes(), delay) {
+			t.Fatalf("%s DelayMat: S=%d, re-serialized bytes differ from a fresh build's", name, sdm.NumShards())
+		}
+	}
+}
+
+// TestIndexReadRejectsShortGraphSet: a file whose θ exceeds its graph
+// count is refused. Raising the header θ and shard 0's θ_s together keeps
+// the θ sum consistent, so only the graph count can catch it; accepted,
+// it would scale every estimate of the shard by the wrong θ.
+func TestIndexReadRejectsShortGraphSet(t *testing.T) {
+	g := fixture.Graph()
+	index, _ := oneShardFiles(t)
+	si, err := BuildSharded(g, buildOpts(), 3)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	var three bytes.Buffer
+	if err := WriteSharded(&three, si); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	raise := func(b []byte, at ...int) []byte {
+		b = append([]byte(nil), b...)
+		for _, o := range at {
+			binary.LittleEndian.PutUint64(b[o:], binary.LittleEndian.Uint64(b[o:])+1000)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"S=1":    raise(index, 24, 36),
+		"S=1 v2": raise(legacyForm(index, 2), 24),
+		"S=3":    raise(three.Bytes(), 24, 36),
+	} {
+		if _, err := ReadSharded(bytes.NewReader(data), g); err == nil {
+			t.Errorf("%s: a file with θ above its graph count loaded", name)
+		}
+	}
+}
+
+// TestReadHugeShardCountAllocatesLittle: a 36-byte header claiming 2^20
+// shards fails without sizing any per-shard state from that claim.
+func TestReadHugeShardCountAllocatesLittle(t *testing.T) {
+	g := fixture.Graph()
+	for _, kind := range []uint32{kindIndex, kindDelayMat} {
+		header := append([]byte(nil), indexMagic[:]...)
+		header = binary.LittleEndian.AppendUint32(header, fileVersion)
+		header = binary.LittleEndian.AppendUint32(header, kind)
+		header = binary.LittleEndian.AppendUint64(header, uint64(g.NumVertices()))
+		header = binary.LittleEndian.AppendUint64(header, 1<<30)
+		header = binary.LittleEndian.AppendUint32(header, maxSaneShards)
+		read := func() error {
+			if kind == kindIndex {
+				_, err := ReadSharded(bytes.NewReader(header), g)
+				return err
+			}
+			_, err := ReadShardedDelayMat(bytes.NewReader(header), g)
+			return err
+		}
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("kind %d: a header without shard blocks loaded", kind)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 1<<20 {
+			t.Errorf("kind %d: reading a %d-byte header allocated %d bytes", kind, len(header), least)
 		}
 	}
 }
@@ -101,18 +238,21 @@ func TestIndexReadRejectsCorruption(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(tampered), g); err == nil {
 		t.Error("bad version accepted")
 	}
+	// The seed's version-1 index layout is refused by name.
+	if _, err := ReadIndex(bytes.NewReader(legacyForm(good, 1)), g); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("seed index file: err = %v, want a version 1 refusal", err)
+	}
 
 	// A tiny file whose header claims absurd counts must fail with an
 	// error (EOF or implausible-shape), not a giant allocation or a
 	// makeslice panic: the reader only grows storage as payload arrives.
-	huge := append([]byte(nil), good[:16]...) // magic|version|kind
-	var tail [24]byte
-	binary.LittleEndian.PutUint64(tail[0:], uint64(g.NumVertices())) // V
-	binary.LittleEndian.PutUint64(tail[8:], 1<<62)                   // theta
-	binary.LittleEndian.PutUint64(tail[16:], 1<<62)                  // numGraphs
-	huge = append(huge, tail[:]...)
-	if _, err := ReadIndex(bytes.NewReader(huge), g); err == nil {
-		t.Error("absurd graph count accepted")
+	huge := append([]byte(nil), good[:24]...)            // magic|version|kind|V
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<62) // theta
+	huge = binary.LittleEndian.AppendUint32(huge, 1)     // S
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<62) // theta_1
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<62) // numGraphs
+	if _, err := ReadIndex(bytes.NewReader(huge), g); err == nil || !strings.Contains(err.Error(), "graph count") {
+		t.Errorf("absurd graph count: err = %v, want the graph-count check", err)
 	}
 
 	// Wrong graph.
@@ -122,21 +262,14 @@ func TestIndexReadRejectsCorruption(t *testing.T) {
 	}
 
 	// Wrong kind: a DelayMat file fed to ReadIndex and vice versa.
-	dm, err := BuildDelayMat(g, buildOpts())
-	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
-	}
-	var dmBuf bytes.Buffer
-	if err := WriteDelayMat(&dmBuf, dm); err != nil {
-		t.Fatalf("WriteDelayMat: %v", err)
-	}
-	if _, err := ReadIndex(bytes.NewReader(dmBuf.Bytes()), g); err == nil {
+	_, delay := oneShardFiles(t)
+	if _, err := ReadIndex(bytes.NewReader(delay), g); err == nil {
 		t.Error("DelayMat file accepted as index")
 	}
-	if _, err := ReadDelayMat(bytes.NewReader(good), g); err == nil {
+	if _, err := ReadShardedDelayMat(bytes.NewReader(good), g); err == nil {
 		t.Error("index file accepted as DelayMat")
 	}
-	if _, err := ReadDelayMat(strings.NewReader(""), g); err == nil {
+	if _, err := ReadShardedDelayMat(strings.NewReader(""), g); err == nil {
 		t.Error("empty DelayMat accepted")
 	}
 }

@@ -98,6 +98,15 @@ func poolSizeOf(pool []graph.VertexID, numVertices int) int {
 	return len(pool)
 }
 
+// poolSizes returns every pool's |V_s|.
+func poolSizes(pools [][]graph.VertexID, numVertices int) []int {
+	sizes := make([]int, len(pools))
+	for s, pool := range pools {
+		sizes[s] = poolSizeOf(pool, numVertices)
+	}
+	return sizes
+}
+
 // shardThetas apportions the total θ across shards proportionally to
 // their pool sizes (largest-prefix chunking, deterministic, Σ = total),
 // then bumps any populated shard from 0 to 1 sample so no subpopulation
@@ -149,10 +158,7 @@ func newLayout(numVertices int, opts BuildOptions, numShards int) (layout, error
 		return layout{}, fmt.Errorf("rrindex: %w", err)
 	}
 	l := layout{numVertices: numVertices, pools: shardPools(numVertices, max(1, numShards))}
-	l.sizes = make([]int, len(l.pools))
-	for s, pool := range l.pools {
-		l.sizes[s] = poolSizeOf(pool, numVertices)
-	}
+	l.sizes = poolSizes(l.pools, numVertices)
 	l.thetas = shardThetas(opts.Theta(numVertices), l.sizes)
 	return l, nil
 }
@@ -418,7 +424,7 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 // ShardedDelayMat is S independent DelayMat counter arrays, one per hash
 // partition: counts_s[u] is how many of shard s's conceptual RR-Graphs
 // contain u. Because any user can appear in any shard's graphs, each
-// shard's counter array spans all of |V| — the counter footprint (and v3
+// shard's counter array spans all of |V| — the counter footprint (and
 // file size) is S·8·|V| bytes rather than the monolithic 8·|V|. That is
 // still orders of magnitude below a materialized index, but it means
 // sharding buys DelayMat parallel build/repair and repair routing, not

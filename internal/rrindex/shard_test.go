@@ -82,7 +82,7 @@ func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 		t.Fatalf("WriteSharded: %v", err)
 	}
 	if !bytes.Equal(monoBuf.Bytes(), shardBuf.Bytes()) {
-		t.Fatal("S=1 sharded serialization is not byte-identical to the monolithic v2 format")
+		t.Fatal("S=1 sharded serialization is not byte-identical to WriteIndex")
 	}
 
 	// DelayMat: counters and recovered-graph estimates under equal streams.

@@ -147,9 +147,8 @@
 //
 // The determinism contract is unchanged by sharding — answers are
 // deterministic per (seed, IndexShards), so caching stays exact. Saved
-// indexes round-trip their shard layout (format v3; S=1 still writes the
-// pre-sharding v1/v2 formats), and a loaded index keeps the file's shard
-// count. pitexserve's -index-shards flag sets the knob.
+// indexes round-trip their shard layout (one file layout at every S; see
+// internal/rrindex), and a loaded index keeps the file's shard count. pitexserve's -index-shards flag sets the knob.
 //
 // # Choosing a strategy for serving
 //

@@ -270,9 +270,9 @@ func TestShardResyncEndpoint(t *testing.T) {
 // under its label only if it fits that shard of the layout — shard 1's
 // index posted as shard 0 would skew every gather, so it is refused.
 func TestShardResyncRefusesRelabelledSlice(t *testing.T) {
-	_, tsSrc := startFig2ShardServer(t, 1, 2)
+	ssSrc, tsSrc := startFig2ShardServer(t, 1, 2)
 	ssDst, tsDst := startFig2ShardServer(t, 0, 2)
-	waitShardsReady(t, ssDst)
+	waitShardsReady(t, ssSrc, ssDst)
 	body, _ := json.Marshal(distrib.BatchToRequest(setBatch(0.45), 1))
 	resp, err := http.Post(tsSrc.URL+"/shard/update", "application/json", bytes.NewReader(body))
 	if err != nil || resp.StatusCode != http.StatusOK {
