@@ -38,7 +38,6 @@ type fingerprint struct {
 	MaxSamples        int64   `json:"max_samples"`
 	MaxIndexSamples   int64   `json:"max_index_samples"`
 	IndexShards       int     `json:"index_shards"`
-	CheapBounds       bool    `json:"cheap_bounds"`
 	DisableBestEffort bool    `json:"disable_best_effort"`
 	DisableEarlyStop  bool    `json:"disable_early_stop"`
 	NumNetworkUsers   int     `json:"num_network_users"`
@@ -69,7 +68,6 @@ func fingerprintFor(en *pitex.Engine, opts Options, users []int) fingerprint {
 		MaxSamples:        eo.MaxSamples,
 		MaxIndexSamples:   eo.MaxIndexSamples,
 		IndexShards:       eo.IndexShards,
-		CheapBounds:       eo.CheapBounds,
 		DisableBestEffort: eo.DisableBestEffort,
 		DisableEarlyStop:  eo.DisableEarlyStop,
 		NumNetworkUsers:   en.Network().NumUsers(),
@@ -150,6 +148,24 @@ func (st *sweepState) loadCheckpoint() error {
 	if cf.Fingerprint != st.fp {
 		return fmt.Errorf("analytics: checkpoint %s belongs to a different sweep (have %+v, want %+v)",
 			st.opts.CheckpointPath, cf.Fingerprint, st.fp)
+	}
+	// Older checkpoints also record cheap_bounds, the switch between the
+	// online strategies' two partial-set bounds. The sampled bound it
+	// turned off is gone, so an online sweep recorded with it off holds
+	// chunks no current engine reproduces; every other value merges.
+	var legacy struct {
+		Fingerprint struct {
+			Cheap *bool `json:"cheap_bounds"`
+		} `json:"fingerprint"`
+	}
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		return fmt.Errorf("analytics: parse checkpoint %s: %w", st.opts.CheckpointPath, err)
+	}
+	if cb := legacy.Fingerprint.Cheap; cb != nil && !*cb {
+		if s, err := pitex.ParseStrategy(cf.Fingerprint.Strategy); err == nil && !s.NeedsIndex() {
+			return fmt.Errorf("analytics: checkpoint %s holds %s chunks recorded with cheap_bounds false, by the sampled partial-set bound this build no longer has; rerun the sweep without resume",
+				st.opts.CheckpointPath, cf.Fingerprint.Strategy)
+		}
 	}
 	for _, cr := range cf.Chunks {
 		if cr.Chunk < 0 || cr.Chunk >= st.numChunks {

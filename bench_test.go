@@ -11,7 +11,6 @@ package pitex_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"pitex"
@@ -262,65 +261,6 @@ func BenchmarkAblationDenseEdgeVectors(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCheapBounds measures what CheapBounds still decides:
-// for an online strategy (Lazy), sampled Lemma-8 bound estimation against
-// one-BFS reachability bounds inside a full query. The INDEXEST+ rows run
-// the same query under both flag values and fail unless they did the very
-// same work — an index engine bounds through the frontier batch and never
-// reads the flag — so their two timings are one path measured twice.
-func BenchmarkAblationCheapBounds(b *testing.B) {
-	net, model, err := pitex.GenerateDatasetSpec(pitex.DatasetSpec{
-		Name: "ablation", Users: 1000, Edges: 8000,
-		Topics: 10, Tags: 30, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.2,
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := net.UsersByGroup()["mid"][0]
-	var indexRuns []pitex.Result
-	for _, strat := range []pitex.Strategy{pitex.StrategyLazy, pitex.StrategyIndexPruned} {
-		for _, cheap := range []bool{false, true} {
-			name := strat.String() + "/sampled-bounds"
-			if cheap {
-				name = strat.String() + "/cheap-bounds"
-			}
-			b.Run(name, func(b *testing.B) {
-				en, err := pitex.NewEngine(net, model, pitex.Options{
-					Strategy: strat, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-					MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: cheap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var res pitex.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if res, err = en.Query(u, 3); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if strat == pitex.StrategyIndexPruned {
-					res.Elapsed = 0
-					indexRuns = append(indexRuns, res)
-				}
-			})
-		}
-	}
-	if len(indexRuns) < 2 {
-		return // filtered out by -bench
-	}
-	first := indexRuns[0]
-	if first.PartialBoundsEstimated == 0 || first.Explain.BoundCacheHits != 0 {
-		b.Fatalf("INDEXEST+ bounded %d rows with %d mask-memo hits; want frontier rows only",
-			first.PartialBoundsEstimated, first.Explain.BoundCacheHits)
-	}
-	for _, r := range indexRuns[1:] {
-		if !reflect.DeepEqual(r, first) {
-			b.Fatalf("CheapBounds changed an INDEXEST+ query:\n %+v\n %+v", first, r)
-		}
-	}
-}
-
 // BenchmarkSweep measures the population-analytics workload: a cohort
 // sweep (one query per user, reduced to a leaderboard) over the same
 // mid-sized dataset BenchmarkQuerySingle uses, fanned over 4 workers.
@@ -342,7 +282,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(s.String()+"-W4", func(b *testing.B) {
 			en, err := pitex.NewEngine(net, model, pitex.Options{
 				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+				MaxSamples: 500, MaxIndexSamples: 20000,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -382,7 +322,7 @@ func BenchmarkQuerySingle(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			en, err := pitex.NewEngine(net, model, pitex.Options{
 				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+				MaxSamples: 500, MaxIndexSamples: 20000,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -411,7 +351,7 @@ func BenchmarkQuerySingle(b *testing.B) {
 		b.Run(s.String()+"-cold", func(b *testing.B) {
 			en, err := pitex.NewEngine(net, model, pitex.Options{
 				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+				MaxSamples: 500, MaxIndexSamples: 20000,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -437,7 +377,7 @@ func BenchmarkQuerySingle(b *testing.B) {
 		b.Run(s.String()+"-S4", func(b *testing.B) {
 			en, err := pitex.NewEngine(net, model, pitex.Options{
 				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
-				MaxSamples: 500, MaxIndexSamples: 20000, CheapBounds: true,
+				MaxSamples: 500, MaxIndexSamples: 20000,
 				IndexShards: 4,
 			})
 			if err != nil {

@@ -9,9 +9,10 @@
 // holds one row list per recorded run (-baseline-run selects which). Rows
 // are matched per strategy; a match fails the gate when ns_per_op exceeds
 // baseline·-max-ns-ratio (default 1.25, i.e. >25% slower) or
-// allocs_per_op exceeds baseline·-max-allocs-ratio (default 1.10). A gate
-// that matches nothing fails too — a silently empty comparison would read
-// as a pass.
+// allocs_per_op exceeds baseline·-max-allocs-ratio (default 1.10). A
+// baseline row with no fresh counterpart fails the gate too, named — a
+// gated benchmark that was renamed, moved or filtered out would otherwise
+// read as a pass.
 //
 // Baselines are recorded on whatever machine cut the PR, while CI runners
 // have their own (and varying) speed, so raw wall-clock comparisons would
@@ -46,6 +47,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 )
 
 // row is one benchmark measurement, shared by both baseline formats.
@@ -193,6 +195,22 @@ func gate(baseline, fresh []row, maxNsRatio, maxAllocsRatio float64, calibrate b
 	return regressions, matched
 }
 
+// missing returns, sorted, the baseline keys that no fresh row matches.
+func missing(baseline, fresh []row) []string {
+	have := make(map[string]bool, len(fresh))
+	for _, f := range fresh {
+		have[f.key()] = true
+	}
+	var keys []string
+	for _, b := range baseline {
+		if !have[b.key()] {
+			keys = append(keys, b.key())
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func run(baselinePath, baselineRun, freshPath string, maxNsRatio, maxAllocsRatio float64, calibrate bool, nsSkipPat string) error {
 	baseline, err := loadRows(baselinePath, baselineRun)
 	if err != nil {
@@ -207,6 +225,10 @@ func run(baselinePath, baselineRun, freshPath string, maxNsRatio, maxAllocsRatio
 		if nsSkip, err = regexp.Compile(nsSkipPat); err != nil {
 			return fmt.Errorf("bad -ns-skip pattern: %w", err)
 		}
+	}
+	if gone := missing(baseline, fresh); len(gone) > 0 {
+		return fmt.Errorf("no fresh row for %d baseline row(s): %s — benchmark names drifted or a gated benchmark did not run",
+			len(gone), strings.Join(gone, ", "))
 	}
 	regressions, matched := gate(baseline, fresh, maxNsRatio, maxAllocsRatio, calibrate, nsSkip)
 	if matched == 0 {

@@ -189,3 +189,30 @@ func TestGateScattersPerOp(t *testing.T) {
 		t.Fatalf("a row without scatters_per_op regressed: %v", regressions)
 	}
 }
+
+// TestRunFailsOnMissingBaselineRow: a baseline row with no fresh
+// counterpart fails the gate and is named, even when every row that did
+// run is within tolerance — a gated benchmark that stopped running must
+// not pass by silence.
+func TestRunFailsOnMissingBaselineRow(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(baseline, []byte(`[
+  {"name": "BenchmarkX/a-2", "strategy": "a", "ns_per_op": 100, "allocs_per_op": 10},
+  {"name": "BenchmarkX/b-2", "strategy": "b", "ns_per_op": 100, "allocs_per_op": 10},
+  {"name": "BenchmarkX/c-2", "strategy": "c", "ns_per_op": 100, "allocs_per_op": 10}
+]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.json")
+	if err := os.WriteFile(fresh, []byte(`[
+  {"name": "BenchmarkX/a-4", "strategy": "a", "ns_per_op": 100, "allocs_per_op": 10},
+  {"name": "BenchmarkX/b-4", "strategy": "b", "ns_per_op": 100, "allocs_per_op": 10}
+]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(baseline, "", fresh, 1.25, 1.10, false, "")
+	if err == nil || !strings.Contains(err.Error(), "1 baseline row(s): c ") {
+		t.Fatalf("missing baseline row c: err = %v", err)
+	}
+}

@@ -78,7 +78,7 @@ func TestQueryEntriesStrategyNames(t *testing.T) {
 // become Repair/* rows with their benchmem columns; the unsplit rebuild
 // benchmark beside them is not a gated row.
 func TestQueryEntriesRepairRows(t *testing.T) {
-	lines, err := parseBench(strings.NewReader(`pkg: pitex/dynamic
+	lines, err := parseBench(strings.NewReader(`pkg: pitex
 BenchmarkIncrementalRepair/S1-2   	       3	  23723360 ns/op	         0.03360 repaired-fraction	23261626 B/op	    8212 allocs/op
 BenchmarkIncrementalRepair/S3-2   	       3	  19876543 ns/op	         0.01120 repaired-fraction	12345678 B/op	    9001 allocs/op
 BenchmarkFullRebuild-2            	       3	 301234567 ns/op	99999999 B/op	   50000 allocs/op

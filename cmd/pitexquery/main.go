@@ -32,19 +32,18 @@ func main() {
 		delta    = flag.Float64("delta", 1000, "failure probability control (1/delta)")
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
 		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
-		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration (online strategies only; index and coordinator engines always bound through the frontier batch)")
 		top      = flag.Int("top", 1, "return the m best tag sets")
 		prefix   = flag.String("prefix", "", "comma-separated tag IDs the answer must contain")
 		audience = flag.Int("audience", 0, "also print the top-N most likely influenced users")
 	)
 	flag.Parse()
-	if err := run(*dataset, *network, *model, *seed, *scale, *user, *k, *strategy, *epsilon, *delta, *maxSamp, *maxIdx, *cheap, *top, *prefix, *audience); err != nil {
+	if err := run(*dataset, *network, *model, *seed, *scale, *user, *k, *strategy, *epsilon, *delta, *maxSamp, *maxIdx, *top, *prefix, *audience); err != nil {
 		fmt.Fprintln(os.Stderr, "pitexquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, networkPath, modelPath string, seed uint64, scale float64, user, k int, strategyName string, epsilon, delta float64, maxSamp, maxIdx int64, cheap bool, top int, prefixArg string, audienceN int) error {
+func run(dataset, networkPath, modelPath string, seed uint64, scale float64, user, k int, strategyName string, epsilon, delta float64, maxSamp, maxIdx int64, top int, prefixArg string, audienceN int) error {
 	strategy, err := pitex.ParseStrategy(strategyName)
 	if err != nil {
 		return err
@@ -110,7 +109,6 @@ func run(dataset, networkPath, modelPath string, seed uint64, scale float64, use
 		Seed:            seed,
 		MaxSamples:      maxSamp,
 		MaxIndexSamples: maxIdx,
-		CheapBounds:     cheap,
 	})
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ func TestParseStrategy(t *testing.T) {
 }
 
 func TestRunOnGeneratedDataset(t *testing.T) {
-	err := run("lastfm", "", "", 1, 0.02, 0, 2, "indexest+", 0.7, 1000, 500, 4000, true, 2, "", 3)
+	err := run("lastfm", "", "", 1, 0.02, 0, 2, "indexest+", 0.7, 1000, 500, 4000, 2, "", 3)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -64,25 +64,25 @@ func TestRunOnFiles(t *testing.T) {
 	}
 	mf.Close()
 
-	if err := run("", np, mp, 1, 1, 0, 2, "lazy", 0.7, 1000, 500, 0, true, 1, "0", 0); err != nil {
+	if err := run("", np, mp, 1, 1, 0, 2, "lazy", 0.7, 1000, 500, 0, 1, "0", 0); err != nil {
 		t.Fatalf("run on files: %v", err)
 	}
 }
 
 func TestRunBadPrefix(t *testing.T) {
-	if err := run("lastfm", "", "", 1, 0.02, 0, 2, "lazy", 0.7, 1000, 500, 0, true, 1, "x,y", 0); err == nil {
+	if err := run("lastfm", "", "", 1, 0.02, 0, 2, "lazy", 0.7, 1000, 500, 0, 1, "x,y", 0); err == nil {
 		t.Fatal("bad prefix accepted")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "", "", 1, 1, 0, 2, "lazy", 0.7, 1000, 0, 0, true, 1, "", 0); err == nil {
+	if err := run("", "", "", 1, 1, 0, 2, "lazy", 0.7, 1000, 0, 0, 1, "", 0); err == nil {
 		t.Fatal("missing inputs accepted")
 	}
-	if err := run("lastfm", "", "", 1, 0.02, 0, 2, "bogus", 0.7, 1000, 0, 0, true, 1, "", 0); err == nil {
+	if err := run("lastfm", "", "", 1, 0.02, 0, 2, "bogus", 0.7, 1000, 0, 0, 1, "", 0); err == nil {
 		t.Fatal("bogus strategy accepted")
 	}
-	if err := run("", "/does/not/exist", "/nope", 1, 1, 0, 2, "lazy", 0.7, 1000, 0, 0, true, 1, "", 0); err == nil {
+	if err := run("", "/does/not/exist", "/nope", 1, 1, 0, 2, "lazy", 0.7, 1000, 0, 0, 1, "", 0); err == nil {
 		t.Fatal("missing files accepted")
 	}
 }

@@ -49,7 +49,6 @@ func main() {
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
 		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
 		idxShard = flag.Int("index-shards", 0, "hash-partition the offline index into this many shards (0/1 = monolithic)")
-		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration (online strategies only; index and coordinator engines always bound through the frontier batch)")
 		maxK     = flag.Int("max-k", 10, "largest supported query size k")
 
 		shardsFl = flag.String("shards", "", "coordinator mode: shard-server groups, comma-separated; replicas within a group separated by '|' (e.g. 'h1:8501|h1b:8501,h2:8502')")
@@ -99,7 +98,7 @@ func main() {
 		saveIndex: *saveIdx, trackUpdates: *track,
 		seed: *seed, scale: *scale, strategy: *strategy,
 		epsilon: *epsilon, delta: *delta, maxSamples: *maxSamp,
-		maxIndexSamples: *maxIdx, indexShards: *idxShard, cheapBounds: *cheap, maxK: *maxK,
+		maxIndexSamples: *maxIdx, indexShards: *idxShard, maxK: *maxK,
 		shards: *shardsFl, shardDeadline: *shardTO,
 		journalHorizon: *horizon, reconcileInterval: *healIntv,
 	}, pitex.ServeOptions{
@@ -174,7 +173,6 @@ type buildConfig struct {
 	epsilon, delta                 float64
 	maxSamples, maxIndexSamples    int64
 	indexShards                    int
-	cheapBounds                    bool
 	maxK                           int
 	// shards switches setup into coordinator mode: a distrib client is
 	// dialed over the groups and the server scatters to them instead of
@@ -240,7 +238,6 @@ func setup(cfg buildConfig, sopts pitex.ServeOptions, logf func(string, ...any))
 		MaxSamples:      cfg.maxSamples,
 		MaxIndexSamples: cfg.maxIndexSamples,
 		IndexShards:     cfg.indexShards,
-		CheapBounds:     cfg.cheapBounds,
 		TrackUpdates:    cfg.trackUpdates,
 	}
 	if cfg.shards != "" {

@@ -44,7 +44,7 @@ func TestSetupAndServe(t *testing.T) {
 	srv, err := setup(buildConfig{
 		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
 		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		cheapBounds: true, maxK: 10,
+		maxK: 10,
 	}, testServeOptions(), discardf)
 	if err != nil {
 		t.Fatalf("setup: %v", err)
@@ -81,7 +81,7 @@ func TestSetupFromFilesWithSavedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := pitex.Options{Strategy: pitex.StrategyIndexPruned, Seed: 1,
-		MaxSamples: 500, MaxIndexSamples: 4000, CheapBounds: true}
+		MaxSamples: 500, MaxIndexSamples: 4000}
 	en, err := pitex.NewEngine(net, model, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSetupFromFilesWithSavedIndex(t *testing.T) {
 	srv, err := setup(buildConfig{
 		network: np, model: mp, index: ip, seed: 1, strategy: "indexest+",
 		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		cheapBounds: true, maxK: 10,
+		maxK: 10,
 	}, testServeOptions(), discardf)
 	if err != nil {
 		t.Fatalf("setup with saved index: %v", err)
@@ -128,7 +128,7 @@ func TestSaveIndexFlagRoundTrip(t *testing.T) {
 	base := buildConfig{
 		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "delaymat",
 		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		cheapBounds: true, maxK: 10,
+		maxK: 10,
 	}
 
 	cfg := base
@@ -251,7 +251,7 @@ func coordinatorConfig(shards string) buildConfig {
 	return buildConfig{
 		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
 		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		cheapBounds: true, maxK: 10,
+		maxK:   10,
 		shards: shards, shardDeadline: 2 * time.Second,
 	}
 }

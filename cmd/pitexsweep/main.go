@@ -42,7 +42,6 @@ func main() {
 		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
 		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
 		idxShard = flag.Int("index-shards", 0, "hash-partition the offline index into this many shards")
-		cheap    = flag.Bool("cheap-bounds", true, "use one-BFS upper bounds in best-effort exploration (online strategies only; index and coordinator engines always bound through the frontier batch)")
 
 		k        = flag.Int("k", 3, "tag-set size per user query")
 		topN     = flag.Int("top", 100, "leaderboard rows to keep")
@@ -67,8 +66,8 @@ func main() {
 		dataset: *dataset, network: *network, model: *model,
 		seed: *seed, scale: *scale, strategy: *strategy,
 		epsilon: *epsilon, delta: *delta, maxSamples: *maxSamp, maxIndexSamples: *maxIdx,
-		indexShards: *idxShard, cheapBounds: *cheap,
-		k: *k, topN: *topN, workers: *workers, chunk: *chunk,
+		indexShards: *idxShard,
+		k:           *k, topN: *topN, workers: *workers, chunk: *chunk,
 		users: *usersArg, checkpoint: *ckpt, resume: *resume,
 		out: *out, progress: *progress,
 	}); err != nil {
@@ -85,7 +84,6 @@ type cfg struct {
 	epsilon, delta              float64
 	maxSamples, maxIndexSamples int64
 	indexShards                 int
-	cheapBounds                 bool
 
 	k, topN, workers, chunk int
 	users                   string
@@ -156,7 +154,6 @@ func run(logger *slog.Logger, c cfg) error {
 		MaxSamples:      c.maxSamples,
 		MaxIndexSamples: c.maxIndexSamples,
 		IndexShards:     c.indexShards,
-		CheapBounds:     c.cheapBounds,
 	})
 	if err != nil {
 		return err

@@ -18,8 +18,7 @@ func testCfg(dir string) cfg {
 	return cfg{
 		dataset: "lastfm", scale: 0.02, seed: 1, strategy: "indexest+",
 		epsilon: 0.7, delta: 1000, maxSamples: 300, maxIndexSamples: 4000,
-		cheapBounds: true,
-		k:           2, topN: 10, workers: 2, chunk: 8,
+		k: 2, topN: 10, workers: 2, chunk: 8,
 		out: filepath.Join(dir, "board.json"),
 	}
 }

@@ -26,7 +26,6 @@ func TestConcurrentClonesMatchSingleThreaded(t *testing.T) {
 		Seed:            3,
 		MaxSamples:      5000,
 		MaxIndexSamples: 20000,
-		CheapBounds:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

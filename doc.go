@@ -61,9 +61,9 @@
 // (sampling.FrontierProbeCache) and answer up to 64 siblings per RR-graph
 // traversal with uint64 membership-word bitsets; every sibling is scanned
 // over the user's whole posting list, so each estimate is the paper's
-// full count hits/θ·|V|. Online strategies have no index to batch against: they
-// sample each Lemma 8 bound lazily or, with CheapBounds, collapse
-// partial-set bounds to masked reachability counts, memoized per
+// full count hits/θ·|V|. Online strategies have no index to batch
+// against: they bound a partial set by its masked reachability count — a
+// true upper bound on every completion's influence — memoized per
 // live-topic mask for the duration of the query:
 // children are bounded eagerly at expansion (so beaten branches never
 // enter the heap), sibling masks resolve together in one word-parallel
@@ -81,12 +81,11 @@
 // the same way once, and every query afterwards only scans the target's
 // posting list (Eq. 7). Query cost for index strategies is therefore
 // O(|postings(u)| · scan cost), shrunk in practice by frequency pruning
-// (INDEXEST+) and frontier batching. Three knobs trade the formal
+// (INDEXEST+) and frontier batching. Two knobs trade the formal
 // guarantee for latency or the reverse: MaxSamples / MaxIndexSamples cap
-// the theoretical budgets, CheapBounds swaps an online strategy's sampled
-// Lemma 8 bounds for looser one-BFS bounds (index strategies ignore it),
-// and DisableEarlyStop turns off the online samplers' Algo 2 stopping
-// rule (index strategies never stop early, so it does not touch them). Measured
+// the theoretical budgets, and DisableEarlyStop turns off the online
+// samplers' Algo 2 stopping rule (index strategies never stop early, so
+// it does not touch them). Measured
 // numbers per PR live in BENCH_query.json; the repository-level design
 // is documented in ARCHITECTURE.md.
 //
@@ -213,17 +212,47 @@
 // new-user appends — by incrementally repairing the index instead of
 // rebuilding it: only the RR-Graphs whose sampled edges are touched by
 // the batch are re-sampled (DelayMat counters are patched), which is
-// 10x+ faster than NewEngine for batches touching ≤1% of edges while
-// keeping the (1-ε) estimation guarantees. The result is a NEW engine of
-// the next Generation; the old one keeps answering over the pre-update
-// network, so a serving layer can hot-swap with zero downtime. The
-// dynamic subpackage stages mutations (dynamic.Overlay) and publishes
-// generations atomically (dynamic.Updater) for programs embedding an
-// engine directly; package serve implements the same publish-and-drain
-// pattern natively at its pool layer, behind POST /admin/update with
-// generation-keyed caching. See the
-// dynamic package documentation for the repair architecture and for when
-// a full rebuild is the better call.
+// 10x+ faster than NewEngine for batches touching ≤1% of edges
+// (BenchmarkIncrementalRepair against BenchmarkFullRebuild). An
+// RR-Graph can change only if it contains the head vertex of a mutated
+// edge, and a sharded index repairs only the shards that own a touched
+// head. The result is a NEW engine of the next Generation; the receiver
+// is not modified, shares every untouched RR-Graph with it, and keeps
+// answering over the pre-update network, so a serving layer can hot-swap
+// with zero downtime. Package serve does so behind POST /admin/update:
+// it swaps in a pool of the new generation, lets the old pool drain, and
+// keys its caches by generation.
+//
+// # Statistical contract of repair
+//
+// A repaired index is distribution-equivalent to a fresh rebuild over the
+// updated network: untouched RR-Graphs would have been re-sampled to an
+// identically distributed outcome (their generation never probes a mutated
+// edge), invalidated ones are re-sampled from the new network, and vertex
+// additions re-balance both θ (Eq. 7 scales with |V|) and the uniform
+// target distribution by re-targeting existing graphs with probability
+// ΔV/|V_new| and appending the θ growth. Estimates therefore keep the
+// engine's (1-ε)/(1+ε) guarantees at every generation.
+//
+// # When to prefer a full rebuild
+//
+// Incremental repair wins when batches touch a small fraction of the
+// network — the common case for a social graph absorbing follows and
+// unfollows. Prefer a full rebuild (NewEngine over the updated network)
+// when:
+//
+//   - a batch touches hub vertices contained in most RR-Graphs, so the
+//     invalidated fraction approaches 1 and repair degenerates into a
+//     slower rebuild;
+//   - many deletions have accumulated: deleted edges are tombstoned (IDs
+//     stay stable for the index), so the edge array never shrinks until a
+//     rebuild compacts it;
+//   - the tag model or topic count changed — that is a different model,
+//     not a graph delta, and no index sample survives it.
+//
+// UpdateStats.RepairedFraction reports the invalidated share per batch; a
+// serving layer can watch it and schedule an offline rebuild when it
+// stays high.
 //
 // # Observability
 //

@@ -71,8 +71,8 @@ type Explain struct {
 	// PartialBoundsEstimated counts partial tag sets whose Lemma 8 bound
 	// was estimated. Index and coordinator engines bound every surviving
 	// child of an expansion as one row of the frontier batch, so for them
-	// it counts those rows; online strategies count sampled bounds (zero
-	// under CheapBounds, whose bounds are reach counts, not estimates).
+	// it counts those rows. It is 0 for online strategies, whose bounds
+	// are reach counts, not estimates.
 	PartialBoundsEstimated int64   `json:"partial_bounds_estimated"`
 	PrunedUnsupported      int64   `json:"pruned_unsupported"`
 	PrunedByBound          int64   `json:"pruned_by_bound"`
@@ -97,7 +97,7 @@ type Explain struct {
 	// was actually simulated; the rest were empty cascades skipped in bulk.
 	RecoveryAttempts int64 `json:"recovery_attempts,omitempty"`
 	RecoveryCascades int64 `json:"recovery_cascades,omitempty"`
-	// BoundCacheHits counts CheapBounds evaluations answered from the
+	// BoundCacheHits counts online reach-count bounds answered from the
 	// explorer's live-topic-mask memo instead of a fresh reachability BFS.
 	// The memo only runs for online strategies; index and coordinator
 	// engines never consult it, so for them this is always 0.
@@ -203,16 +203,8 @@ func (en *Engine) ready() *Engine {
 	en.posterior = make([]float64, en.model.NumTopics())
 	en.probe = sampling.NewProbeCache(en.net.g.NumEdges())
 	en.est = en.newEstimator()
-	en.explorer = en.newExplorer()
+	en.explorer = bestfirst.NewExplorer(en.net.g, en.model.m, en.est)
 	return en
-}
-
-// newExplorer builds the best-first explorer over the engine's estimator,
-// wiring the exploration options.
-func (en *Engine) newExplorer() *bestfirst.Explorer {
-	ex := bestfirst.NewExplorer(en.net.g, en.model.m, en.est)
-	ex.CheapBounds = en.opts.CheapBounds
-	return ex
 }
 
 // samplingOptions assembles the accuracy parameters of these (defaulted)

@@ -26,7 +26,6 @@ func main() {
 		Strategy:        pitex.StrategyIndexPruned,
 		Seed:            1,
 		MaxIndexSamples: 100000,
-		CheapBounds:     true,
 	})
 	if err != nil {
 		log.Fatal(err)

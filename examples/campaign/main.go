@@ -107,7 +107,6 @@ func main() {
 		Strategy:        pitex.StrategyIndexPruned,
 		Seed:            7,
 		MaxIndexSamples: 100000,
-		CheapBounds:     true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -49,7 +49,6 @@ func main() {
 			Seed:            3,
 			MaxSamples:      2000,
 			MaxIndexSamples: 50000,
-			CheapBounds:     true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -90,7 +90,7 @@ func TestExplorerRootMemoMatchesFresh(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: warm: %v", what, err)
 							}
-							want, err := runStep(en.en.newExplorer(), graph.VertexID(u), st)
+							want, err := runStep(bestfirst.NewExplorer(en.en.net.g, en.en.model.m, en.en.est), graph.VertexID(u), st)
 							if err != nil {
 								t.Fatalf("%s: fresh: %v", what, err)
 							}

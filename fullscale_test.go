@@ -33,7 +33,6 @@ func TestFullScaleDatasetsEndToEnd(t *testing.T) {
 				Seed:            1,
 				MaxSamples:      1000,
 				MaxIndexSamples: 30000,
-				CheapBounds:     true,
 			})
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -72,7 +71,7 @@ func TestDatasetAIndexTiesAnswerCanonically(t *testing.T) {
 	}
 	en, err := pitex.NewEngine(net, model, pitex.Options{
 		Strategy: pitex.StrategyIndex, Epsilon: 0.7, Delta: 1000, MaxK: 10, Seed: 1,
-		MaxSamples: 5000, MaxIndexSamples: 200000, CheapBounds: true,
+		MaxSamples: 5000, MaxIndexSamples: 200000,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

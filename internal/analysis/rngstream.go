@@ -15,7 +15,6 @@ var rngstreamPackages = []string{
 	"internal/datasets",
 	"internal/experiments",
 	"analytics",
-	"dynamic",
 	"pitex", // the root engine package
 }
 

@@ -99,6 +99,90 @@ func TestBoundDominanceProperty(t *testing.T) {
 	}
 }
 
+// TestOnlineBoundAgainstExact checks the online loop's partial-set bound
+// against the truth, on graphs small enough for package exact. For a
+// random partial set W, the exact influence under the Lemma 8 prober's
+// probabilities p+(e|W) must be at least the exact influence of every
+// size-k completion of W, and the masked reach count the online loop
+// uses must be at least that. Sparse models exercise the saturated
+// branch of the bound, dense ones (every tag on every topic) its finite
+// branch, where the prior must enter once per set.
+func TestOnlineBoundAgainstExact(t *testing.T) {
+	const users, edges, numTopics, numTags = 8, 12, 4, 8
+	for _, tc := range []struct {
+		name         string
+		topicsPerTag int
+	}{{"sparse", 2}, {"dense", numTopics}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 40; seed++ {
+				r := rng.New(seed)
+				g, err := graph.ErdosRenyi(r, users, edges, graph.TopicAssignment{
+					NumTopics: numTopics, TopicsPerEdge: 2, MaxProb: 0.9,
+				})
+				if err != nil {
+					t.Fatalf("generate: %v", err)
+				}
+				m := topics.GenerateRandom(r, numTags, numTopics, tc.topicsPerTag)
+				k := 2 + r.Intn(2)
+				u := graph.VertexID(r.Intn(users))
+				perm := r.Perm(numTags)
+				partial := make([]topics.TagID, 1+r.Intn(k-1))
+				for i := range partial {
+					partial[i] = topics.TagID(perm[i])
+				}
+				prober, ok := NewBounder(g, m, k).Prepare(partial)
+				if !ok {
+					continue // no completion has a posterior (TestBoundDominanceProperty)
+				}
+				probs := make([]float64, g.NumEdges())
+				for e := range probs {
+					probs[e] = prober.Prob(graph.EdgeID(e))
+				}
+				bound, err := exact.Influence(g, u, probs)
+				if err != nil {
+					t.Fatalf("exact bound: %v", err)
+				}
+				inPartial := map[topics.TagID]bool{}
+				for _, w := range partial {
+					inPartial[w] = true
+				}
+				enumerate.Combinations(numTags, k, func(idx []int32) bool {
+					matched := 0
+					for _, w := range idx {
+						if inPartial[topics.TagID(w)] {
+							matched++
+						}
+					}
+					if matched != len(partial) {
+						return true
+					}
+					full := make([]topics.TagID, k)
+					copy(full, idx)
+					truth, err := exact.InfluenceTagSet(g, m, u, full)
+					if err != nil {
+						t.Fatalf("exact completion: %v", err)
+					}
+					if truth > bound+1e-9 {
+						t.Fatalf("seed %d u=%d W=%v: completion %v has influence %v above the bound %v",
+							seed, u, partial, full, truth, bound)
+					}
+					return true
+				})
+				ex := NewExplorer(g, m, nil)
+				reach := ex.reachableUnder(u, prober)
+				if mask, ok := prober.LiveTopics(); ok {
+					if masked := ex.reachableMasked(u, mask); masked != reach {
+						t.Fatalf("seed %d u=%d W=%v: masked reach %d, prober reach %d", seed, u, partial, masked, reach)
+					}
+				}
+				if float64(reach) < bound-1e-9 {
+					t.Fatalf("seed %d u=%d W=%v: reach count %d below the bound %v", seed, u, partial, reach, bound)
+				}
+			}
+		})
+	}
+}
+
 func TestBounderUnsupportedPartial(t *testing.T) {
 	// Two tags with disjoint topic support: the partial {0} cannot be
 	// completed to k=2 if tag 1 is the only other tag.
@@ -184,21 +268,23 @@ func TestQueryMatchesExhaustiveOnRandomInputs(t *testing.T) {
 	}
 }
 
-func TestCheapBoundsAgree(t *testing.T) {
+// TestOnlineBoundsAreReachCounts: a default online explorer bounds its
+// partial sets by reach counts — it samples none — and still finds the
+// Fig. 2 optimum.
+func TestOnlineBoundsAreReachCounts(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	lz := sampling.NewLazy(g, testOptions(), rng.New(99))
 	ex := NewExplorer(g, m, lz)
-	ex.CheapBounds = true
 	res, err := ex.Query(fixture.U1, 2)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	if res.Tags[0] != fixture.W3 || res.Tags[1] != fixture.W4 {
-		t.Fatalf("cheap-bound W* = %v, want {w3,w4}", res.Tags)
+		t.Fatalf("W* = %v, want {w3,w4}", res.Tags)
 	}
 	if res.Stats.PartialBoundsEstimated != 0 {
-		t.Fatalf("cheap bounds still sampled %d partials", res.Stats.PartialBoundsEstimated)
+		t.Fatalf("online explorer sampled %d partial bounds", res.Stats.PartialBoundsEstimated)
 	}
 }
 
@@ -251,7 +337,6 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	opts := testOptions()
 	opts.MaxSamples = 2000
 	ex := NewExplorer(g, m, sampling.NewLazy(g, opts, rng.New(18)))
-	ex.CheapBounds = true
 	groups := graph.UserGroups(g)
 	u := groups[graph.GroupMid][0]
 	res, err := ex.Query(u, 3)

@@ -263,7 +263,7 @@ func (p Prober) Weights() []float64 {
 // such a z directly, and that z, being supported, also makes the max
 // term positive. Sibling partial sets frequently share the mask, so it
 // doubles as a memoization key for any quantity that depends only on
-// which edges are positive (the CheapBounds reachable-set size). ok is
+// which edges are positive (the online loop's reachable-set bound). ok is
 // false when the model has more than 64 topics.
 func (p Prober) LiveTopics() (mask uint64, ok bool) {
 	Z := p.b.m.NumTopics()

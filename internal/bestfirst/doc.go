@@ -56,18 +56,18 @@
 //
 // # Estimators without the capability
 //
-// Prepare returns a Prober valid until the next Prepare call; it
-// satisfies sampling.EdgeProber, so an online sampler (Lazy, MC, RR, TIM,
-// LT) bounds a popped partial set by estimating under it, lazily — eager
-// sampling would reorder RNG consumption. With CheapBounds those
-// estimators use the reachable-set size under positive p+(e|W) edges
-// instead: Prober.LiveTopics characterizes edge positivity by a single
-// topic bitmask, so the explorer memoizes that BFS per distinct mask —
-// sibling partial sets overwhelmingly share masks — resolves one
-// expansion's masks in one word-parallel traversal, and tests edges with
-// one AND against a precomputed per-edge topic mask instead of
-// evaluating Lemma 8 arithmetic. CheapBounds governs only these
-// estimators; a FrontierEstimator never reads it.
+// An online sampler (Lazy, MC, RR, TIM, LT) estimates full sets only. It
+// bounds a partial set W by the reachable-set size under positive
+// p+(e|W) edges: every live edge of every completion is positive under
+// p+, so the count is a true upper bound on every completion's influence,
+// where a sampled estimate would only bound it in expectation.
+// Prober.LiveTopics characterizes edge positivity by a single topic
+// bitmask, so the explorer memoizes that BFS per distinct mask — sibling
+// partial sets overwhelmingly share masks — resolves one expansion's
+// masks in one word-parallel traversal, and tests edges with one AND
+// against a precomputed per-edge topic mask instead of evaluating Lemma
+// 8 arithmetic. A model with more than 64 topics has no mask; its bounds
+// fall back to one BFS under Prober.Prob each.
 //
 // # Rounds
 //

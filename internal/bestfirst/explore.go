@@ -54,8 +54,8 @@ type Stats struct {
 	FullSetsEstimated int64
 	// PartialBoundsEstimated is the number of partial sets whose Lemma 8
 	// upper bound was estimated: every bound row of a round under a
-	// FrontierEstimator, every sampled bound otherwise (zero under
-	// CheapBounds, whose bounds are reach counts).
+	// FrontierEstimator. It is 0 for the online loop, whose bounds are
+	// reach counts, not estimates.
 	PartialBoundsEstimated int64
 	// PrunedUnsupported counts branches discarded because no completion
 	// had a defined posterior or, under a FrontierEstimator, because too
@@ -69,7 +69,7 @@ type Stats struct {
 	// SamplesDrawn totals the sample instances the estimator generated
 	// across every full-set and bound estimation of the query.
 	SamplesDrawn int64
-	// BoundCacheHits counts CheapBounds evaluations answered from the
+	// BoundCacheHits counts reach-count bounds answered from the
 	// per-query live-topic-mask memo instead of a fresh BFS (sibling
 	// partial sets overwhelmingly share the mask). The memo only runs
 	// under estimators without the frontier capability, so this stays 0
@@ -104,13 +104,10 @@ type Explorer struct {
 	m *topics.Model
 	// est estimates real tag sets and Lemma 8 upper bounds alike.
 	est Estimator
-	// CheapBounds replaces the sampled upper-bound estimate with
-	// |R_{p+}(u)| (the reachable-set size under p+(e|W)), which upper
-	// bounds the influence at one BFS instead of a sampling run. Looser
-	// but far cheaper; the ablation benchmark compares both. It only
-	// governs estimators without the frontier capability: under a
-	// FrontierEstimator every bound is a frontier row and the flag is
-	// never read.
+	// CheapBounds is read by nothing: the online loop always bounds a
+	// partial set by its reach count. The field stays only because the
+	// benchmark harness in bench/ still sets it; ROADMAP item 1 removes
+	// both.
 	CheapBounds bool
 	// StopLogInvDelta is read by nothing: no estimate is ever stopped
 	// early. The field stays only because the benchmark harness in bench/
@@ -118,9 +115,9 @@ type Explorer struct {
 	StopLogInvDelta float64
 
 	// fest is est's frontier capability, detected at construction; nil
-	// keeps the online loop: one call per full set and the CheapBounds /
-	// sampled-prober bounds. roundRows is fest's RoundSizer width, 0 for
-	// one expansion per round.
+	// keeps the online loop: one call per full set and reach-count
+	// bounds. roundRows is fest's RoundSizer width, 0 for one expansion
+	// per round.
 	fest      FrontierEstimator
 	roundRows int
 	// bounder holds the model-only Lemma 8 tables, built on the first
@@ -146,7 +143,7 @@ type Explorer struct {
 	freeAbove []int
 	key       []topics.TagID
 
-	// CheapBounds memoization: partial sets sharing a live-topic mask
+	// Reach-count memoization: partial sets sharing a live-topic mask
 	// have identical positive-edge sets, hence identical reachable-set
 	// bounds. boundMemo caches |R_{p+}(u)| per mask for the current
 	// query; edgeTopicMask[e] (bit z set when p(e|z) > 0) is built once
@@ -162,7 +159,7 @@ type Explorer struct {
 	maxReach float64
 	// Deferred-children scratch: the rows staged by the current round
 	// under a FrontierEstimator, or one expansion's children awaiting the
-	// batch reach count under CheapBounds (pend); the deduped unresolved
+	// batch reach count in the online loop (pend); the deduped unresolved
 	// masks (pendMasks); and the word-parallel BFS buffers — a reach word
 	// per vertex, an allowed word per edge, and the touched-vertex list
 	// for sparse reset.
@@ -243,8 +240,8 @@ func NewExplorer(g *graph.Graph, m *topics.Model, est Estimator) *Explorer {
 
 // heapEntry orders partial solutions by bound, descending: in the round
 // loop the entry's own row bound; in the online loop its own bound when
-// computed eagerly at expansion (bounded: a CheapBounds reach count), the
-// parent's otherwise. lastAdded is the largest tag appended after the fixed prefix
+// computed eagerly at expansion (bounded: a reach count), the parent's
+// otherwise. lastAdded is the largest tag appended after the fixed prefix
 // (-1 when only the prefix is present); children only append larger tags
 // so each completion is generated exactly once.
 type heapEntry struct {
@@ -254,7 +251,7 @@ type heapEntry struct {
 	bounded   bool
 }
 
-// maskVal is one memoized CheapBounds evaluation: the live-topic mask
+// maskVal is one memoized reach-count bound: the live-topic mask
 // and its reachable-set count (or a proven upper bound on it, for
 // dominance-derived deep-level entries — every consumer treats the
 // value as an upper bound, so looseness is safe).
@@ -265,8 +262,8 @@ type maskVal struct {
 
 // pendChild is one child awaiting its estimate: row i of the round's
 // frontier arena under a FrontierEstimator (full marks a full-size set's
-// posterior, otherwise a bound row), the reach count of mask under
-// CheapBounds.
+// posterior, otherwise a bound row), the reach count of mask in the
+// online loop.
 type pendChild struct {
 	tags      []topics.TagID
 	lastAdded topics.TagID
@@ -566,9 +563,9 @@ func (s *search) cut(tags []topics.TagID, last topics.TagID, ub float64) bool {
 }
 
 // online is Algo 5 for estimators without the frontier capability: one
-// estimation per pop — a full set's influence, or a partial set's bound,
-// sampled lazily (eager sampling would reorder RNG consumption) or, under
-// CheapBounds, a masked reach count resolved at expansion.
+// estimation per full set, and a partial set bounded by its reach count
+// under positive p+(e|W) edges — a true upper bound on the influence of
+// every completion (Lemma 8) — resolved at expansion.
 func (s *search) online(ctx context.Context, root heapEntry) error {
 	ex, u, k := s.ex, s.u, s.k
 	if ex.boundMemo == nil {
@@ -623,22 +620,15 @@ func (s *search) online(ctx context.Context, root heapEntry) error {
 				s.stats.PrunedUnsupported++
 				continue
 			}
-			if ex.CheapBounds {
-				if mask, ok := prober.LiveTopics(); ok {
-					var resolved bool
-					ent.bound, resolved = ex.boundFor(u, mask, s.threshold(), &s.stats, false)
-					if !resolved {
-						ent.bound = float64(ex.reachableMasked(u, mask))
-						ex.memoizeBound(mask, ent.bound)
-					}
-				} else {
-					ent.bound = float64(ex.reachableUnder(u, prober))
+			if mask, ok := prober.LiveTopics(); ok {
+				var resolved bool
+				ent.bound, resolved = ex.boundFor(u, mask, s.threshold(), &s.stats, false)
+				if !resolved {
+					ent.bound = float64(ex.reachableMasked(u, mask))
+					ex.memoizeBound(mask, ent.bound)
 				}
 			} else {
-				s.stats.PartialBoundsEstimated++
-				bres := ex.est.EstimateProber(u, prober)
-				s.stats.SamplesDrawn += bres.Samples
-				ent.bound = bres.Influence
+				ent.bound = float64(ex.reachableUnder(u, prober))
 			}
 			ent.bounded = true
 		}
@@ -651,20 +641,18 @@ func (s *search) online(ctx context.Context, root heapEntry) error {
 		// (canonical order: each completion generated exactly once).
 		s.stats.FrontierExpansions++
 		full := len(ent.tags)+1 == k
-		// CheapBounds children are bounded eagerly, by masked reach:
-		// shallow children (whose subtrees are large) get exact counts,
-		// batched into one word-parallel BFS per expansion; deepest-level
-		// children (whose children are the full sets) settle for the
-		// dominance upper bound — no BFS at all. The sampled-bound path
-		// stays lazy: eager sampling would reorder RNG consumption.
-		masks := ex.CheapBounds && !full
+		// Partial children are bounded eagerly, by masked reach: shallow
+		// children (whose subtrees are large) get exact counts, batched
+		// into one word-parallel BFS per expansion; deepest-level children
+		// (whose children are the full sets) settle for the dominance upper
+		// bound — no BFS at all.
 		deepest := len(ent.tags)+1 == k-1
 		ex.pend = ex.pend[:0]
 		ex.pendMasks = ex.pendMasks[:0]
 		// Every eager child shares the parent posterior, so materialize it
 		// once and derive each child's by a single-tag extension instead of
 		// re-multiplying the whole set per child.
-		haveParent := masks && ex.m.PosteriorInto(ent.tags, ex.parentPost)
+		haveParent := !full && ex.m.PosteriorInto(ent.tags, ex.parentPost)
 		for w := ent.lastAdded + 1; int(w) < ex.m.NumTags(); w++ {
 			if !ex.free(w) {
 				continue
@@ -672,7 +660,7 @@ func (s *search) online(ctx context.Context, root heapEntry) error {
 			child := ex.tags.alloc(len(ent.tags) + 1)
 			copy(child, ent.tags)
 			child[len(ent.tags)] = w
-			if !masks {
+			if full {
 				h.push(heapEntry{tags: child, lastAdded: w, bound: ent.bound})
 				continue
 			}
@@ -953,7 +941,7 @@ func (ex *Explorer) reachableUnder(u graph.VertexID, prober sampling.EdgeProber)
 	return len(reached)
 }
 
-// boundFor answers one CheapBounds evaluation for a live-topic mask
+// boundFor answers one reach-count bound for a live-topic mask
 // without running a BFS: (ub, true) when the memo or a dominance
 // shortcut yields a usable upper bound on |R_{p+}(u)|, (0, false) when
 // the mask is unresolved and the caller must compute it (singly or in a

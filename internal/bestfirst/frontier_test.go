@@ -18,8 +18,7 @@ import (
 )
 
 // seqOnly hides an estimator's FrontierEstimator capability, forcing the
-// explorer onto the one-call-per-full-set path and the CheapBounds /
-// sampled-prober bounds.
+// explorer onto the one-call-per-full-set path and reach-count bounds.
 type seqOnly struct{ est Estimator }
 
 func (s seqOnly) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
@@ -197,10 +196,10 @@ func checkTopAgainst(t *testing.T, what string, got []Scored, oracle []Scored) {
 //
 // Against an estimator with the capability hidden (seqOnly) the explorer
 // legitimately bounds differently — frontier rows on one side, reach
-// counts or lazily sampled probers on the other — so Stats and the pop
-// order among exact ties differ. Both are exact arg-max searches over the
-// same estimates, so influences must still agree always and tag sets
-// wherever the rank is untied. (Before bounds rode the frontier this test
+// counts on the other — so Stats and the pop order among exact ties
+// differ. Both are exact arg-max searches over the same estimates, so
+// influences must still agree always and tag sets wherever the rank is
+// untied. (Before bounds rode the frontier this test
 // demanded identical Stats between the two; that equality was a property
 // of the shared bound path, not of the answer.)
 func TestExplorerFrontierBatchingIdentical(t *testing.T) {
@@ -244,33 +243,21 @@ func TestExplorerFrontierBatchingIdentical(t *testing.T) {
 				}
 				oracle := exhaustive(g, m, fam.est, u, nil, 3)
 				prefixOracle := exhaustive(g, m, fam.est, u, prefix, 3)
-				for _, cheap := range []bool{false, true} {
-					// The flag is never read under a frontier estimator.
-					batched.CheapBounds = cheap
-					again, err := batched.QueryTop(u, 3, 2)
-					if err != nil {
-						t.Fatalf("batched QueryTop: %v", err)
-					}
-					if !reflect.DeepEqual(again, got) {
-						t.Fatalf("cheap=%v u=%d: CheapBounds moved a frontier run: %+v != %+v", cheap, u, again, got)
-					}
-					sequential.CheapBounds = cheap
-					want, err := sequential.QueryTop(u, 3, 2)
-					if err != nil {
-						t.Fatalf("sequential QueryTop: %v", err)
-					}
-					if want.Stats.PartialBoundsEstimated != 0 == cheap {
-						t.Fatalf("cheap=%v u=%d: sequential run sampled %d bounds", cheap, u, want.Stats.PartialBoundsEstimated)
-					}
-					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d sequential", cheap, u), want.All, oracle)
-					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d batched", cheap, u), got.All, oracle)
-					pw, err := sequential.Complete(u, prefix, 3)
-					if err != nil {
-						t.Fatalf("sequential Complete: %v", err)
-					}
-					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d sequential prefix", cheap, u), pw.All, prefixOracle)
-					checkTopAgainst(t, fmt.Sprintf("cheap=%v u=%d batched prefix", cheap, u), pg.All, prefixOracle)
+				want, err := sequential.QueryTop(u, 3, 2)
+				if err != nil {
+					t.Fatalf("sequential QueryTop: %v", err)
 				}
+				if want.Stats.PartialBoundsEstimated != 0 {
+					t.Fatalf("u=%d: sequential run sampled %d bounds", u, want.Stats.PartialBoundsEstimated)
+				}
+				checkTopAgainst(t, fmt.Sprintf("u=%d sequential", u), want.All, oracle)
+				checkTopAgainst(t, fmt.Sprintf("u=%d batched", u), got.All, oracle)
+				pw, err := sequential.Complete(u, prefix, 3)
+				if err != nil {
+					t.Fatalf("sequential Complete: %v", err)
+				}
+				checkTopAgainst(t, fmt.Sprintf("u=%d sequential prefix", u), pw.All, prefixOracle)
+				checkTopAgainst(t, fmt.Sprintf("u=%d batched prefix", u), pg.All, prefixOracle)
 			}
 		})
 	}
@@ -564,7 +551,7 @@ func TestResolveMaskBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBoundMemoHits checks the memo plumbing: a CheapBounds query over
+// TestBoundMemoHits checks the memo plumbing: an online query over
 // sibling-heavy frontiers must answer most bound evaluations from the
 // live-topic-mask memo, and the memo must reset between queries (masks
 // are only comparable within one query user). The memo only runs under
@@ -574,16 +561,15 @@ func TestResolveMaskBatchMatchesSingle(t *testing.T) {
 func TestBoundMemoHits(t *testing.T) {
 	g, m, idx := frontierFixture(t, 31)
 	ex := NewExplorer(g, m, seqOnly{rrindex.NewShardedEstimator(idx)})
-	ex.CheapBounds = true
 	res, err := ex.QueryTop(graph.MaxOutDegreeVertex(g), 3, 1)
 	if err != nil {
 		t.Fatalf("QueryTop: %v", err)
 	}
 	if res.Stats.BoundCacheHits == 0 {
-		t.Fatal("CheapBounds query recorded zero bound-memo hits")
+		t.Fatal("online query recorded zero bound-memo hits")
 	}
 	if len(ex.boundMemo) == 0 {
-		t.Fatal("bound memo empty after a CheapBounds query")
+		t.Fatal("bound memo empty after an online query")
 	}
 	if _, err := ex.QueryTop(0, 2, 1); err != nil {
 		t.Fatalf("second QueryTop: %v", err)

@@ -38,8 +38,6 @@ type Config struct {
 	// budgets (0 = theoretical; see DESIGN.md Sec. 6).
 	MaxSamples      int64
 	MaxIndexSamples int64
-	// CheapBounds selects one-BFS upper bounds in best-effort exploration.
-	CheapBounds bool
 	// IndexShards hash-partitions the offline index of the index
 	// strategies into this many shards (0/1 = monolithic), so experiment
 	// runs can compare the scatter-gather layout against the single-arena
@@ -61,7 +59,6 @@ func Quick() Config {
 		MaxK:            10,
 		MaxSamples:      2000,
 		MaxIndexSamples: 20000,
-		CheapBounds:     true,
 	}
 }
 
@@ -78,7 +75,6 @@ func Full() Config {
 		MaxK:            10,
 		MaxSamples:      5000,
 		MaxIndexSamples: 200000,
-		CheapBounds:     true,
 	}
 }
 
@@ -121,7 +117,6 @@ func (c Config) engineOptions(s pitex.Strategy) pitex.Options {
 		MaxSamples:      c.MaxSamples,
 		MaxIndexSamples: c.MaxIndexSamples,
 		IndexShards:     c.IndexShards,
-		CheapBounds:     c.CheapBounds,
 	}
 }
 

@@ -48,8 +48,6 @@ const (
 	// PointShardResync guards the shard server's /shard/resync handler
 	// (both the snapshot read and the install).
 	PointShardResync = "serve/shard/resync"
-	// PointDynamicCommit guards dynamic.Updater's per-batch commit.
-	PointDynamicCommit = "dynamic/commit"
 )
 
 // Mode is what happens when a rule fires.

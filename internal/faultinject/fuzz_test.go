@@ -38,7 +38,7 @@ func formatRule(r Rule) string {
 // the grammar and the formatter in `String` from drifting apart).
 func FuzzParse(f *testing.F) {
 	f.Add("distrib/roundtrip:error:after=10:count=3;serve/shard/estimate:latency=50ms:p=0.2")
-	f.Add("dynamic/commit:corrupt")
+	f.Add("serve/shard/resync:corrupt")
 	f.Add("a:drop;b:stall")
 	f.Add("p:latency=1h2m3s:p=0.999")
 	f.Add("p:error:p=NaN")

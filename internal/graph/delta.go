@@ -3,7 +3,7 @@ package graph
 import "fmt"
 
 // This file implements the mutation substrate for live graph updates
-// (package dynamic): a Delta describes a batch of structural changes and
+// (pitex.Engine.ApplyUpdates): a Delta describes a batch of structural changes and
 // ApplyDelta materializes them as a NEW immutable Graph whose surviving
 // edge IDs are stable, so index structures referencing edges by ID
 // (RR-Graphs, DelayMat recovery) can be repaired incrementally instead of

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements incremental index maintenance under graph updates
-// (the "dynamic" subsystem): instead of rebuilding the offline structures
+// (pitex.Engine.ApplyUpdates): instead of rebuilding the offline structures
 // from scratch after a batch of edge mutations, only the RR-Graphs whose
 // sampled outcome could have changed are re-sampled, and DelayMat counters
 // are patched in place.

@@ -160,12 +160,11 @@ type Options struct {
 	// DisableBestEffort switches the query loop from best-effort
 	// exploration (Sec. 5.2) to plain enumeration of all C(|Ω|,k) sets.
 	DisableBestEffort bool
-	// CheapBounds replaces sampled Lemma 8 upper bounds with one-BFS
-	// reachability bounds: looser pruning, much cheaper per partial set.
-	// It only affects strategies without an index — index and coordinator
-	// engines always bound through the frontier batch (each partial set's
-	// Lemma 8 weights estimated as one more row of the index scan), which
-	// is both tighter and cheaper than either alternative.
+	// CheapBounds is read by nothing. Online strategies always bound a
+	// partial tag set by its reach count, and index and coordinator
+	// engines by one more row of the frontier batch. The field stays only
+	// because the benchmark harness in bench/ still sets it; ROADMAP
+	// item 1 removes both.
 	CheapBounds bool
 	// DisableEarlyStop turns off the Algo-2 martingale stopping rule of
 	// the online samplers (ablation knob). Index strategies never stop a

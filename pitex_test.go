@@ -77,6 +77,11 @@ func TestAllStrategiesFindFig2Optimum(t *testing.T) {
 		if res.Elapsed <= 0 {
 			t.Errorf("%v: non-positive elapsed", s)
 		}
+		// Online strategies bound partial sets by reach counts, never by
+		// a sampled estimate.
+		if !s.NeedsIndex() && res.Explain.PartialBoundsEstimated != 0 {
+			t.Errorf("%v: sampled %d partial bounds", s, res.Explain.PartialBoundsEstimated)
+		}
 	}
 }
 
@@ -318,7 +323,6 @@ func TestCaseStudyQueryAccuracy(t *testing.T) {
 	}
 	opts := testEngineOptions(StrategyIndexPruned)
 	opts.MaxK = 5
-	opts.CheapBounds = true
 	en, err := NewEngine(net, model, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -177,17 +177,13 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 	}
 	const S = 3
 	for _, strat := range []Strategy{StrategyIndex, StrategyIndexPruned} {
-		opts := Options{Strategy: strat, Seed: 3, MaxSamples: 4000, MaxIndexSamples: 6000, IndexShards: S, CheapBounds: true}
+		opts := Options{Strategy: strat, Seed: 3, MaxSamples: 4000, MaxIndexSamples: 6000, IndexShards: S}
 		batched := &fakeFrontierRemote{fakeRemote: newFakeRemote(t, net, model, opts, S)}
 		proto, err := NewRemoteEngine(net, model, opts, batched)
 		if err != nil {
 			t.Fatalf("%v: NewRemoteEngine: %v", strat, err)
 		}
 		clone := proto.Clone()
-		if proto.explorer.CheapBounds != clone.explorer.CheapBounds {
-			t.Fatalf("%v: prototype explorer (cheap %v) wired differently from its clone (cheap %v)", strat,
-				proto.explorer.CheapBounds, clone.explorer.CheapBounds)
-		}
 		plain := newFakeRemote(t, net, model, opts, S)
 		fallback, err := NewRemoteEngine(net, model, opts, plain)
 		if err != nil {

@@ -32,7 +32,6 @@ func benchCluster(b *testing.B, S int) (*Server, *distrib.Client) {
 		MaxSamples:      5000,
 		MaxIndexSamples: 50000,
 		IndexShards:     S,
-		CheapBounds:     true,
 	}
 	groups := make([][]string, S)
 	for s := 0; s < S; s++ {

@@ -24,7 +24,6 @@ func benchEngine(b *testing.B) *pitex.Engine {
 		Seed:            1,
 		MaxSamples:      5000,
 		MaxIndexSamples: 50000,
-		CheapBounds:     true,
 	})
 	if err != nil {
 		b.Fatal(err)

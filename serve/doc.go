@@ -107,11 +107,11 @@
 // The serving stack stays up while the social graph changes. POST
 // /admin/update (or Server.ApplyUpdates) carries a batch of mutations —
 // edge inserts/deletes, probability changes, new users — and flows
-// delta overlay → incremental repair → pool swap:
+// update batch → incremental repair → pool swap:
 //
 //	pitex.Engine.ApplyUpdates repairs the offline index incrementally
 //	   │  (only RR-Graphs touching mutated edges are re-sampled; see the
-//	   │  dynamic package for the architecture and guarantees)
+//	   │  pitex package documentation for the guarantees)
 //	   ▼
 //	a fresh Pool of clones over the repaired engine atomically replaces
 //	   │  the serving pool; the generation counter advances

@@ -40,7 +40,7 @@ func genNetModel(tb testing.TB, tags int) (*pitex.Network, *pitex.TagModel) {
 func wireOptions(s pitex.Strategy, shards int) pitex.Options {
 	return pitex.Options{
 		Strategy: s, Seed: 5, MaxSamples: 3000, MaxIndexSamples: 4000,
-		IndexShards: shards, CheapBounds: true,
+		IndexShards: shards,
 	}
 }
 
@@ -481,7 +481,7 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := pitex.Options{Strategy: pitex.StrategyIndexPruned, Seed: 1, MaxIndexSamples: 20000, IndexShards: 2, CheapBounds: true}
+	opts := pitex.Options{Strategy: pitex.StrategyIndexPruned, Seed: 1, MaxIndexSamples: 20000, IndexShards: 2}
 	ss, err := NewShardServer(net, model, opts, ShardConfig{TotalShards: 2})
 	if err != nil {
 		t.Fatalf("NewShardServer: %v", err)

@@ -120,7 +120,7 @@ func (s *Server) registerMetrics() {
 	s.fullSets = reg.Counter("pitex_full_sets_estimated_total",
 		"Full size-k tag sets estimated across all fresh queries.")
 	s.boundMemoHits = reg.Counter("pitex_bound_memo_hits_total",
-		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies under CheapBounds only; always 0 on index and coordinator engines, whose bounds are frontier rows).")
+		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies only, whose bounds are reach counts; always 0 on index and coordinator engines, whose bounds are frontier rows).")
 
 	reg.GaugeFunc("pitex_index_bytes", "Offline-index footprint of the serving generation.",
 		func() float64 { return float64(s.pool.Load().IndexBytes()) })

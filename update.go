@@ -136,7 +136,8 @@ type UpdateStats struct {
 // RepairedFraction is the share of index graphs the batch forced to be
 // re-sampled (1 for a full rebuild, 0 for online strategies). A serving
 // layer can watch it to decide when accumulated churn justifies a full
-// offline rebuild (see package dynamic's documentation).
+// offline rebuild (see the package documentation's "When to prefer a
+// full rebuild").
 func (s UpdateStats) RepairedFraction() float64 {
 	if s.FullRebuild {
 		return 1
