@@ -3,8 +3,9 @@
 // companion of the distrib smoke test:
 //
 //  1. /metrics on the coordinator and every shard server must parse as
-//     strict Prometheus text and carry a pitex_build_info sample; every
-//     shard's must also carry its shedding counters
+//     strict Prometheus text, carry a pitex_build_info sample and a
+//     positive pitex_index_effective_epsilon (the error budget the index
+//     delivers); every shard's must also carry its shedding counters
 //     (pitex_shard_rejected_total, pitex_shard_timeouts_total).
 //  2. A traced query (?trace=1) against the coordinator must return a
 //     span tree containing a shard-rpc span.
@@ -70,6 +71,9 @@ func run(coord string, shards []string, user, k int) error {
 				return fmt.Errorf("%s: /metrics has no %s", addr, name)
 			}
 		}
+		if err := checkEffectiveEpsilon(fams); err != nil {
+			return fmt.Errorf("%s: %w", addr, err)
+		}
 		fmt.Printf("%s: /metrics parsed, %d families\n", addr, len(fams))
 	}
 
@@ -132,6 +136,19 @@ func run(coord string, shards []string, user, k int) error {
 // shardFamilies are the families every shard server's /metrics must carry
 // beyond build info: its admission gate's shed and queue-timeout counts.
 var shardFamilies = []string{"pitex_shard_rejected_total", "pitex_shard_timeouts_total"}
+
+// checkEffectiveEpsilon requires one positive pitex_index_effective_epsilon
+// sample: every coordinator and shard server of a fleet serves an index.
+func checkEffectiveEpsilon(fams map[string]*obsv.ParsedFamily) error {
+	f, ok := fams["pitex_index_effective_epsilon"]
+	if !ok || len(f.Samples) != 1 {
+		return fmt.Errorf("/metrics has no pitex_index_effective_epsilon sample")
+	}
+	if v := f.Samples[0].Value; !(v > 0) {
+		return fmt.Errorf("pitex_index_effective_epsilon = %v, want > 0", v)
+	}
+	return nil
+}
 
 // scrapeMetrics fetches and strictly parses an endpoint's /metrics.
 func scrapeMetrics(client *http.Client, addr string) (map[string]*obsv.ParsedFamily, error) {

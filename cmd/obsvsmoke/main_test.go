@@ -13,13 +13,24 @@ import (
 
 // fakeFleet wires httptest servers that impersonate a coordinator and one
 // shard, sharing a trace ID so the propagation check has something real
-// to verify; the shard exports shardCounters beside build info.
+// to verify; the shard exports shardCounters beside build info, and both
+// export an effective ε of 3.6.
 func fakeFleet(t *testing.T, traceID string, shardHasTrace bool, shardCounters []string) (coord, shard string) {
+	return fakeFleetEpsilon(t, traceID, shardHasTrace, shardCounters, "pitex_index_effective_epsilon 3.6")
+}
+
+// fakeFleetEpsilon is fakeFleet with the effective-ε exposition lines
+// given (empty for none).
+func fakeFleetEpsilon(t *testing.T, traceID string, shardHasTrace bool, shardCounters []string, epsilon string) (coord, shard string) {
 	t.Helper()
 	metrics := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprintln(w, "# TYPE pitex_build_info gauge")
 		fmt.Fprintln(w, `pitex_build_info{go_version="go1.24"} 1`)
+		if epsilon != "" {
+			fmt.Fprintln(w, "# TYPE pitex_index_effective_epsilon gauge")
+			fmt.Fprintln(w, epsilon)
+		}
 	}
 	cm := http.NewServeMux()
 	cm.HandleFunc("/metrics", metrics)
@@ -76,6 +87,20 @@ func TestRunRequiresShardSheddingCounters(t *testing.T) {
 	}
 }
 
+// TestRunRequiresEffectiveEpsilon: an endpoint whose /metrics lacks the
+// effective-ε gauge, or reports it as 0, fails the smoke.
+func TestRunRequiresEffectiveEpsilon(t *testing.T) {
+	for _, tc := range []struct{ lines, want string }{
+		{"", "no pitex_index_effective_epsilon"},
+		{"pitex_index_effective_epsilon 0", "want > 0"},
+	} {
+		coord, shard := fakeFleetEpsilon(t, "deadbeefdeadbeef", true, shardFamilies, tc.lines)
+		if err := run(coord, []string{shard}, 1, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("exposition %q: err = %v, want %q", tc.lines, err, tc.want)
+		}
+	}
+}
+
 func TestRunDetectsInvalidMetrics(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -106,6 +131,8 @@ func TestRunRequiresShardRPCSpan(t *testing.T) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprintln(w, "# TYPE pitex_build_info gauge")
 		fmt.Fprintln(w, "pitex_build_info 1")
+		fmt.Fprintln(w, "# TYPE pitex_index_effective_epsilon gauge")
+		fmt.Fprintln(w, "pitex_index_effective_epsilon 3.6")
 	})
 	mux.HandleFunc("/selling-points", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, `{"trace":{"trace_id":"deadbeefdeadbeef","name":"q","spans":[{"name":"query","span_id":"aa"}]}}`)

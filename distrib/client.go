@@ -686,7 +686,10 @@ func (c *Client) noteShard(p rrindex.Partial) {
 	}
 }
 
-func (c *Client) totalTheta() int64 {
+// TotalTheta returns the last-known Σθ_s across the fleet, the gather
+// denominator: read from /shard/info at Dial and refreshed by every
+// partial row received.
+func (c *Client) TotalTheta() int64 {
 	var t int64
 	for i := range c.shardTheta {
 		t += c.shardTheta[i].Load()
@@ -857,7 +860,7 @@ func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posterior
 		r := rrindex.GatherPartialsDegraded(sibling, c.totalUsers())
 		out[i] = pitex.RemoteEstimate{
 			Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
-			MissingShards: sc.missing, RespondingTheta: r.Theta, TotalTheta: c.totalTheta(),
+			MissingShards: sc.missing, RespondingTheta: r.Theta, TotalTheta: c.TotalTheta(),
 		}
 	}
 	return out, nil
@@ -983,7 +986,7 @@ func (c *Client) Register(reg *obsv.Registry) {
 		func() float64 { return float64(c.generation.Load()) })
 	reg.GaugeFunc("pitex_remote_total_theta",
 		"Last-known Σθ_s across the fleet (the gather denominator).",
-		func() float64 { return float64(c.totalTheta()) })
+		func() float64 { return float64(c.TotalTheta()) })
 	reg.GaugeFunc("pitex_remote_total_users",
 		"Last-known Σ|V_s| across the fleet.",
 		func() float64 { return float64(c.totalUsers()) })
@@ -1062,7 +1065,7 @@ func (c *Client) Status() Status {
 		Generation:       c.generation.Load(),
 		TotalShards:      c.totalShards,
 		TotalUsers:       c.totalUsers(),
-		TotalTheta:       c.totalTheta(),
+		TotalTheta:       c.TotalTheta(),
 		Strategy:         c.strategy,
 		Scatters:         c.scatters.Value(),
 		FrontierSiblings: c.siblings.Value(),

@@ -91,16 +91,18 @@
 //
 // # Performance layout
 //
-// The offline RR-Graph index is arena-flattened: the θ sampled graphs are
-// views into one contiguous set of backing arrays rather than θ separate
-// heap objects, and the per-user postings lists share a single int32
-// arena (see the internal/rrindex package documentation for the layout
-// and the on-disk format). Query evaluation caches p(e|W) once per distinct edge per
+// The offline RR-Graph index is one flat store per shard: the θ sampled
+// graphs live back to back in a few pointer-free arrays, a graph is a
+// 12-byte record of offsets into them, and a scan builds a graph's view
+// on its stack; the per-user postings lists share a single int32 arena
+// (see the internal/rrindex package documentation for the layout and the
+// on-disk format). Query evaluation caches p(e|W) once per distinct edge per
 // estimation, and the best-first explorer reuses its heap, tag-set and
 // traversal scratch across queries, so a steady-state query allocates
 // almost nothing. Engine.IndexMemoryBytes is O(1) and exported by serve's
-// /statsz as index_bytes, so operators can watch index RSS across live
-// updates. Measured effects per PR are recorded in CHANGES.md and
+// /statsz as index_bytes; it counts every array, record and postings
+// window the index retains, by capacity, so operators can watch the
+// index's true heap share across live updates. Measured effects per PR are recorded in CHANGES.md and
 // BENCH_query.json.
 //
 // # Sharding
@@ -108,8 +110,8 @@
 // Options.IndexShards splits an index strategy's offline structure into S
 // independent shards: users are hash-partitioned (stable in (user, S),
 // independent of |V|), each shard samples θ_s ∝ |V_s| RR-Graphs whose
-// targets lie in its partition, and every shard owns its own arena,
-// postings and DelayMat counters. Build and incremental repair
+// targets lie in its partition, and every shard owns its own graph
+// store, postings and DelayMat counters. Build and incremental repair
 // parallelize across shards under derived per-shard RNG streams, so
 // results are deterministic per (Seed, IndexShards, Workers), and a
 // sharded build or repair runs, shard by shard, the same recipe a shard
@@ -124,8 +126,8 @@
 // When to raise IndexShards: when offline build or repair latency is the
 // bottleneck (each shard builds and repairs concurrently, and an update
 // batch repairs only the shards whose postings contain a touched head —
-// roughly 1/S of the index for a small batch), or when the single arena's
-// allocation and compaction granularity is too coarse. Per-query latency
+// roughly 1/S of the index for a small batch), or when the single store's
+// allocation granularity is too coarse. Per-query latency
 // is roughly flat in S on mid-sized graphs; sharding is a build/repair/
 // memory-granularity lever, not a per-query one. One caveat: DelayMat
 // counters span all of |V| per shard (any user can appear in any shard's

@@ -111,6 +111,10 @@ type Explain struct {
 	// below FrontierExpansions. Zero for local engines.
 	RemoteScatters int64 `json:"remote_scatters"`
 	RemoteSiblings int64 `json:"remote_siblings"`
+	// EffectiveEpsilon answers "what error budget did this answer run
+	// at": Engine.IndexEffectiveEpsilon, above the configured ε when the
+	// index's θ was capped. 0, and omitted, for online strategies.
+	EffectiveEpsilon float64 `json:"effective_epsilon,omitempty"`
 }
 
 // Engine answers PITEX queries over one network and tag model with a fixed
@@ -144,6 +148,10 @@ type Engine struct {
 	// generation counts applied update batches (see ApplyUpdates); clones
 	// inherit it.
 	generation uint64
+
+	// indexOpts caches opts.buildOptions for the model, whose ln φ_K
+	// term IndexEffectiveEpsilon needs on every query.
+	indexOpts rrindex.BuildOptions
 
 	posterior []float64
 	// probe is the query-scoped p(e|W) cache for Audience, whose cascade
@@ -200,6 +208,7 @@ func checkInputs(net *Network, model *TagModel, opts Options) (Options, error) {
 // ApplyUpdates: it gives the assembled engine its own query scratch,
 // estimator and explorer.
 func (en *Engine) ready() *Engine {
+	en.indexOpts = en.opts.buildOptions(en.model.NumTags())
 	en.posterior = make([]float64, en.model.NumTopics())
 	en.probe = sampling.NewProbeCache(en.net.g.NumEdges())
 	en.est = en.newEstimator()
@@ -342,6 +351,30 @@ func (en *Engine) IndexMemoryBytes() int64 {
 	default:
 		return 0
 	}
+}
+
+// IndexEffectiveEpsilon returns the ε the live offline index delivers:
+// Eq. 7 solved for ε at its θ and the network's |V|
+// (rrindex.BuildOptions.EffectiveEpsilon). It exceeds Options.Epsilon
+// whenever MaxIndexSamples capped θ. A coordinator takes θ as last
+// reported by its shard fleet, when its RemoteEstimator reports one
+// (distrib.Client.TotalTheta). 0 for online strategies.
+func (en *Engine) IndexEffectiveEpsilon() float64 {
+	var theta int64
+	switch {
+	case en.index != nil:
+		theta = en.index.Theta()
+	case en.delay != nil:
+		theta = en.delay.Theta()
+	default:
+		if r, ok := en.remote.(interface{ TotalTheta() int64 }); ok {
+			theta = r.TotalTheta()
+		}
+	}
+	if theta <= 0 {
+		return 0
+	}
+	return en.indexOpts.EffectiveEpsilon(en.net.NumUsers(), theta)
 }
 
 // IndexShardStat describes one shard of the offline index: its user
@@ -540,6 +573,7 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		res.Explain.RemoteSiblings = ra.siblings
 	}
 	res.Explain.Strategy = en.opts.Strategy.String()
+	res.Explain.EffectiveEpsilon = en.IndexEffectiveEpsilon()
 	res.Explain.FullSetsEstimated = res.FullSetsEstimated
 	res.Explain.PartialBoundsEstimated = res.PartialBoundsEstimated
 	res.Explain.PrunedUnsupported = res.PrunedUnsupported

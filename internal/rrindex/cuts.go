@@ -77,17 +77,17 @@ func buildUserCuts(idx *Index, u graph.VertexID, policy CutPolicy, sc *cutScratc
 	uc := &userCuts{u: u}
 	sc.flat = sc.flat[:0]
 	for pos, gi := range idx.containing[u] {
-		rr := &idx.graphs[gi]
+		rr := idx.graphs.view(int(gi))
 		if rr.target == u {
 			uc.direct = append(uc.direct, int32(pos))
 			continue
 		}
 		var cut []cutEdge
 		if policy == CutSourceOnly {
-			cut = sideCut(rr, rr.localID(u), sc.src[:0])
+			cut = sideCut(&rr, rr.localID(u), sc.src[:0])
 			sc.src = cut[:0]
 		} else {
-			cut = chooseCut(idx.g, rr, u, sc)
+			cut = chooseCut(idx.g, &rr, u, sc)
 		}
 		for _, ce := range cut {
 			sc.flat = append(sc.flat, cutPosting{
@@ -312,7 +312,8 @@ func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, prob
 	// the siblings whose filter admitted it.
 	for ci, pos := range pe.cands {
 		m := pe.candMask[ci]
-		sc.countHits(idx.graphs[containing[pos]].reachMask(u, fc, m, sc))
+		rr := idx.graphs.view(int(containing[pos]))
+		sc.countHits(rr.reachMask(u, fc, m, sc))
 		pe.graphsChecked += int64(bits.OnesCount64(m))
 	}
 	direct := int64(len(uc.direct))

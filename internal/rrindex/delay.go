@@ -24,14 +24,14 @@ type DelayMat struct {
 	// counts[u] = θ(u).
 	counts []int64
 
-	// members and targets are the optional incremental-repair bookkeeping
-	// (BuildOptions.TrackMembers): the member set and target of each
-	// conceptual offline RR-Graph, so Repair can decide which graphs a
-	// mutation invalidates and patch counters by decrement/re-sample/
-	// increment. Both nil when not tracked (the Table 3 counters-only
-	// configuration); a DelayMat loaded from disk is never repairable.
-	members [][]graph.VertexID
-	targets []graph.VertexID
+	// members is the optional incremental-repair bookkeeping
+	// (BuildOptions.TrackMembers): the target and member set of each
+	// conceptual offline RR-Graph, as a store's vertex half, so Repair can
+	// decide which graphs a mutation invalidates and patch counters by
+	// decrement/re-sample/increment. nil when not tracked (the Table 3
+	// counters-only configuration); a DelayMat loaded from disk is never
+	// repairable.
+	members *graphStore
 
 	footprint int64 // cached MemoryFootprint
 }
@@ -94,8 +94,7 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 	r := rng.New(opts.Seed)
 	dm := &DelayMat{g: g, theta: theta, counts: make([]int64, g.NumVertices())}
 	if opts.TrackMembers {
-		dm.members = make([][]graph.VertexID, 0, theta)
-		dm.targets = make([]graph.VertexID, 0, theta)
+		dm.members = newStore(int(theta))
 	}
 	mark := make([]bool, g.NumVertices())
 	var sc memberScratch
@@ -106,8 +105,9 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 			dm.counts[m]++
 		}
 		if opts.TrackMembers {
-			dm.members = append(dm.members, append([]graph.VertexID(nil), members...))
-			dm.targets = append(dm.targets, target)
+			if err := dm.members.push(target, members, 0); err != nil {
+				return nil, err
+			}
 		}
 	}
 	dm.recomputeFootprint()
@@ -120,19 +120,18 @@ func (dm *DelayMat) Theta() int64 { return dm.theta }
 // Count returns θ(u).
 func (dm *DelayMat) Count(u graph.VertexID) int64 { return dm.counts[u] }
 
-// MemoryFootprint is the index size: one counter per user (Table 3's
-// "DelayMat size" column), plus the member/target bookkeeping when the
-// index was built with TrackMembers. Cached at build/load/repair time, so
-// the call is O(1).
+// MemoryFootprint is the bytes the index retains: one counter per user
+// (Table 3's "DelayMat size" column), plus the member store when the
+// index was built with TrackMembers, all by capacity. Cached at
+// build/load/repair time, so the call is O(1).
 func (dm *DelayMat) MemoryFootprint() int64 { return dm.footprint }
 
 // recomputeFootprint refreshes the cached MemoryFootprint value.
 func (dm *DelayMat) recomputeFootprint() {
-	b := int64(len(dm.counts)) * 8
-	for _, m := range dm.members {
-		b += int64(len(m)) * 4
+	b := int64(cap(dm.counts)) * 8
+	if dm.members != nil {
+		b += dm.members.footprint()
 	}
-	b += int64(len(dm.targets)) * 4
 	dm.footprint = b
 }
 
@@ -141,7 +140,7 @@ func (dm *DelayMat) recomputeFootprint() {
 // Recovered RR-Graphs are cached per user so repeated estimations for the
 // same query user (one PITEX query estimates many tag sets) pay recovery
 // once, exactly like the materialized index amortizes construction.
-// Recovered graphs are assembled into a per-recovery arena (reused across
+// Recovered graphs are assembled into a per-estimator store (reused across
 // recoveries), so a recovery costs a handful of allocations rather than
 // six per graph. Not safe for concurrent use.
 //
@@ -204,10 +203,9 @@ type DelayEstimator struct {
 	// shrunk) and the largest graph's vertex count.
 	cachedUser    graph.VertexID
 	cachedValid   bool
-	cachedGraphs  []RRGraph
+	recovered     graphStore
 	cachedMaxSize int
 	identity      []int32
-	arena         arenaBuilder
 
 	// The firing schedule: the generation's table, one firing per vertex
 	// (16·|V| bytes; both set up by the first recovery, so an estimator
@@ -269,26 +267,26 @@ func (de *DelayEstimator) WorkStats() sampling.WorkStats {
 	return ws
 }
 
-// recovered returns u's recovered graphs, recovering them on the first
+// graphsOf returns u's recovered graphs, recovering them on the first
 // touch of a new query user.
-func (de *DelayEstimator) recovered(u graph.VertexID) graphSet {
+func (de *DelayEstimator) graphsOf(u graph.VertexID) graphSet {
 	if !de.cachedValid || de.cachedUser != u {
 		de.recover(u)
 	}
 	return graphSet{
-		graphs: de.cachedGraphs, postings: de.identity[:len(de.cachedGraphs)],
+		graphs: &de.recovered, postings: de.identity[:de.recovered.size()],
 		maxSize: de.cachedMaxSize, theta: de.dm.theta,
 	}
 }
 
 func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
-	de.plainFrontier(de.recovered(u), shard, users, u, prober, chunk, rows, stride)
+	de.plainFrontier(de.graphsOf(u), shard, users, u, prober, chunk, rows, stride)
 }
 
-// recover materializes θ(u) RR-Graphs containing u per Algo 4. Accepted
-// graphs accumulate in the estimator's arena; views are taken only after
-// the last acceptance (arena growth moves the backing arrays), replacing
-// the previous recovery's cache.
+// recover materializes θ(u) RR-Graphs containing u per Algo 4 into the
+// estimator's store, replacing the previous recovery. A store that
+// outgrows its offsets ends the recovery early, like an exhausted
+// attempt budget.
 //
 // Distribution note: an offline RR-Graph containing u corresponds to the
 // pair (possible world g, target v) with v uniform over all of V and
@@ -303,7 +301,7 @@ func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, probe
 func (de *DelayEstimator) recover(u graph.VertexID) {
 	dm := de.dm
 	n := dm.counts[u]
-	de.arena.reset()
+	de.recovered.reset()
 	if de.table == nil {
 		de.table = de.fire.get(dm.g)
 		de.sched = make([]firing, dm.g.NumVertices())
@@ -330,7 +328,9 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 			if emptyGap -= step; emptyGap == 0 {
 				de.sc.members = append(de.sc.members[:0], u)
 				de.sc.edges = de.sc.edges[:0]
-				de.arena.add(u, de.sc)
+				if de.recovered.add(u, de.sc) != nil {
+					break
+				}
 				accepted++
 				emptyGap = r.Geometric(acceptEmpty)
 			}
@@ -338,7 +338,11 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 		}
 		attempts++
 		de.recoveryCascades++
-		if de.recoverOne(u) {
+		ok, err := de.recoverOne(u)
+		if err != nil {
+			break
+		}
+		if ok {
 			accepted++
 		}
 	}
@@ -348,14 +352,10 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	}
 	de.touched = de.touched[:0]
 
-	de.cachedGraphs = de.arena.takeViews()
 	de.cachedUser = u
 	de.cachedValid = true
-	de.cachedMaxSize = 0
-	for i := range de.cachedGraphs {
-		de.cachedMaxSize = max(de.cachedMaxSize, de.cachedGraphs[i].NumVertices())
-	}
-	for i := len(de.identity); i < len(de.cachedGraphs); i++ {
+	de.cachedMaxSize = de.recovered.maxSize()
+	for i := len(de.identity); i < de.recovered.size(); i++ {
 		de.identity = append(de.identity, int32(i))
 	}
 }
@@ -373,8 +373,8 @@ func (de *DelayEstimator) firingOf(v graph.VertexID) *firing {
 
 // recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step
 // for one attempt at which the root fires; it appends the recovered graph
-// to the arena and reports whether the cascade was accepted.
-func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
+// to the store and reports whether the cascade was accepted.
+func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
 	g := de.dm.g
 	r := de.rng
 	sc := de.sc
@@ -449,7 +449,7 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
 		cands = de.inShard
 	}
 	if !r.Bernoulli(float64(len(cands)) / float64(de.poolSize)) {
-		return false
+		return false, nil
 	}
 	target := cands[r.Intn(len(cands))]
 
@@ -482,6 +482,5 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) bool {
 	for _, v := range sc.members {
 		sc.mark[v] = false
 	}
-	de.arena.add(target, sc)
-	return true
+	return true, de.recovered.add(target, sc)
 }

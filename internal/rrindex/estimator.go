@@ -116,11 +116,11 @@ func (st *scanState) WorkStats() sampling.WorkStats {
 }
 
 // graphSet is what the plain hit-test walks for one user: the graphs
-// graphs[postings[i]], none larger than maxSize vertices, out of theta
-// samples. An Index hands out a window of its arenas; DelayMat recovery
-// builds one per query user.
+// postings[i] of a store, none larger than maxSize vertices, out of theta
+// samples. An Index hands out its own store; DelayMat recovery fills one
+// per query user.
 type graphSet struct {
-	graphs   []RRGraph
+	graphs   *graphStore
 	postings []int32
 	maxSize  int
 	theta    int64

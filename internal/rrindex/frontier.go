@@ -158,7 +158,8 @@ func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.Vertex
 	sc := &st.fsc
 	active := fullMask(len(chunk))
 	for _, gi := range gs.postings {
-		sc.countHits(gs.graphs[gi].reachMask(u, st.fc, active, sc))
+		rr := gs.graphs.view(int(gi))
+		sc.countHits(rr.reachMask(u, st.fc, active, sc))
 	}
 	n := int64(len(gs.postings))
 	st.graphsChecked += n * int64(len(chunk))

@@ -39,8 +39,8 @@ func siblingPosteriors(m *topics.Model, prefix []topics.TagID, width int) [][]fl
 // It returns how many draws it moved.
 func tieDraws(idx *Index, posteriors [][]float64) int {
 	tied := 0
-	for gi := range idx.graphs {
-		rr := &idx.graphs[gi]
+	for gi := 0; gi < idx.graphs.size(); gi++ {
+		rr := idx.graphs.view(gi)
 		for i := 0; i < len(rr.c); i += 3 {
 			if p := idx.g.EdgeProb(rr.edgeID[i], posteriors[i%len(posteriors)]); p > 0 {
 				rr.c[i] = p

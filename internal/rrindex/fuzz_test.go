@@ -57,6 +57,18 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	blobs = append(blobs, legacyForm(blobs[3], 1))
 
+	// A repaired sharded index: its store was written by one splice pass.
+	buf.Reset()
+	ng, info, err := graph.ApplyDelta(g, graph.Delta{RetopicEdges: []graph.EdgeRetopic{
+		{Edge: 1, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.9}}}}})
+	if err == nil {
+		var rep *ShardedIndex
+		if rep, _, err = si.Repair(ng, opts, info.TouchedHeads, 0); err == nil {
+			err = WriteSharded(&buf, rep)
+		}
+	}
+	add(err, &buf)
+
 	for _, b := range blobs[:6] {
 		blobs = append(blobs,
 			faultinject.CorruptBytes(b), // bit flips every 17 bytes, magic included

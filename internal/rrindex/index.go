@@ -1,6 +1,7 @@
 package rrindex
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -45,59 +46,31 @@ func (o BuildOptions) Theta(numVertices int) int64 {
 	return th
 }
 
+// EffectiveEpsilon is Eq. 7 solved for ε at a live sample count: the ε
+// whose uncapped Theta over numVertices vertices is theta,
+// ε = (a + √(a² + 8θa)) / 2θ with a = |V|·(ln δ + ln φ_K + ln 2). It is
+// the accuracy an index of theta graphs actually delivers, above
+// Accuracy.Epsilon whenever MaxIndexSamples capped θ.
+func (o BuildOptions) EffectiveEpsilon(numVertices int, theta int64) float64 {
+	a := float64(numVertices) * o.Accuracy.LogTerm()
+	th := float64(theta)
+	return (a + math.Sqrt(a*a+8*th*a)) / (2 * th)
+}
+
 // Index is the offline RR-Graph index of Algo 3 ("IndexEst"): θ RR-Graphs
 // of uniformly sampled targets, plus a per-user postings list of the
-// RR-Graphs containing that user. The graphs are views into a shared
-// contiguous arena and the postings lists are windows into a single int32
-// arena (see the package comment). Safe for concurrent readers; the
-// estimator wrappers carry per-goroutine scratch.
+// RR-Graphs containing that user. The graphs live in one flat graphStore
+// and the postings lists are windows into a single int32 arena (see the
+// package comment). Safe for concurrent readers; the estimator wrappers
+// carry per-goroutine scratch.
 type Index struct {
 	g      *graph.Graph
 	theta  int64
-	graphs []RRGraph
-	// containing[u] lists indices into graphs of RR-Graphs containing u.
+	graphs *graphStore
+	// containing[u] lists the indices of the RR-Graphs containing u.
 	containing [][]int32
 	maxSize    int   // largest RR-Graph vertex count, for scratch sizing
 	footprint  int64 // cached MemoryFootprint, maintained by Build/Read/Repair
-	// loose counts views living outside the primary arena (accumulated by
-	// repairs). An untouched view pins its whole backing array, so once
-	// repairs have replaced many graphs the live data could be a shrinking
-	// share of retained RSS; Repair compacts when loose passes half of θ,
-	// bounding retention at ~2x the live index.
-	loose int
-}
-
-// compact copies every view into one fresh contiguous arena so older
-// generations' backing arrays (pinned only by stale segments) become
-// collectable. Purely a storage move: targets, CSR content and postings
-// indices are unchanged, so estimates are bit-identical.
-func (idx *Index) compact() {
-	var tv, ts, te int
-	for gi := range idx.graphs {
-		tv += len(idx.graphs[gi].verts)
-		ts += len(idx.graphs[gi].outStart)
-		te += len(idx.graphs[gi].outTo)
-	}
-	verts := make([]graph.VertexID, 0, tv)
-	outStart := make([]int32, 0, ts)
-	outTo := make([]int32, 0, te)
-	edgeID := make([]graph.EdgeID, 0, te)
-	c := make([]float64, 0, te)
-	for gi := range idx.graphs {
-		rr := &idx.graphs[gi]
-		vo, so, eo := len(verts), len(outStart), len(outTo)
-		verts = append(verts, rr.verts...)
-		outStart = append(outStart, rr.outStart...)
-		outTo = append(outTo, rr.outTo...)
-		edgeID = append(edgeID, rr.edgeID...)
-		c = append(c, rr.c...)
-		rr.verts = verts[vo:len(verts):len(verts)]
-		rr.outStart = outStart[so:len(outStart):len(outStart)]
-		rr.outTo = outTo[eo:len(outTo):len(outTo)]
-		rr.edgeID = edgeID[eo:len(edgeID):len(edgeID)]
-		rr.c = c[eo:len(c):len(c)]
-	}
-	idx.loose = 0
 }
 
 // Build constructs the index. It is the paper's offline phase.
@@ -132,40 +105,36 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 	if int64(workers) > theta {
 		workers = int(theta)
 	}
-	if workers == 1 {
-		r := rng.New(opts.Seed)
-		sc := newGenScratch(g.NumVertices())
-		ab := &arenaBuilder{}
-		for i := int64(0); i < theta; i++ {
-			generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, ab)
-		}
-		idx.graphs = mergeArenas(ab)
-	} else {
-		// Deterministic parallel sampling: worker w owns the w-th chunk
-		// of θ with its own derived stream and per-worker arena; arenas
-		// are merged once in worker order, so the graph list depends only
-		// on (Seed, Workers).
-		builders := make([]*arenaBuilder, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := theta * int64(w) / int64(workers)
-			hi := theta * int64(w+1) / int64(workers)
-			wg.Add(1)
-			go func(w int, n int64) {
-				defer wg.Done()
-				r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
-				sc := newGenScratch(g.NumVertices())
-				ab := &arenaBuilder{}
-				for i := int64(0); i < n; i++ {
-					generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, ab)
-				}
-				builders[w] = ab
-			}(w, hi-lo)
-		}
-		wg.Wait()
-		idx.graphs = mergeArenas(builders...)
+	// Deterministic parallel sampling: worker w owns the w-th chunk of θ
+	// with its own derived stream (worker 0's is the seed's own) and
+	// per-worker store; stores are merged once in worker order, so the
+	// graph list depends only on (Seed, Workers).
+	stores := make([]*graphStore, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := theta * int64(w) / int64(workers)
+		hi := theta * int64(w+1) / int64(workers)
+		wg.Add(1)
+		go func(w int, n int64) {
+			defer wg.Done()
+			r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
+			sc := newGenScratch(g.NumVertices())
+			st := newStore(int(n))
+			for i := int64(0); i < n && errs[w] == nil; i++ {
+				errs[w] = generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, st)
+			}
+			stores[w] = st
+		}(w, hi-lo)
 	}
-
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	var err error
+	if idx.graphs, err = mergeStores(stores...); err != nil {
+		return nil, err
+	}
 	idx.finishPostings()
 	return idx, nil
 }
@@ -176,43 +145,37 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 func (idx *Index) finishPostings() {
 	numV := idx.g.NumVertices()
 	counts := make([]int32, numV)
-	total := 0
-	for gi := range idx.graphs {
-		rr := &idx.graphs[gi]
-		for _, v := range rr.verts {
-			counts[v]++
-		}
-		total += len(rr.verts)
-		if rr.NumVertices() > idx.maxSize {
-			idx.maxSize = rr.NumVertices()
-		}
+	for _, v := range idx.graphs.verts {
+		counts[v]++
 	}
-	arena := make([]int32, total)
+	idx.maxSize = idx.graphs.maxSize()
+	arena := make([]int32, len(idx.graphs.verts))
 	idx.containing = make([][]int32, numV)
 	off := 0
 	for v := 0; v < numV; v++ {
 		idx.containing[v] = arena[off : off : off+int(counts[v])]
 		off += int(counts[v])
 	}
-	for gi := range idx.graphs {
-		for _, v := range idx.graphs[gi].verts {
+	for gi := 0; gi < idx.graphs.size(); gi++ {
+		for _, v := range idx.graphs.members(gi) {
 			idx.containing[v] = append(idx.containing[v], int32(gi)) // within cap
 		}
 	}
 	idx.recomputeFootprint()
 }
 
-// recomputeFootprint refreshes the cached MemoryFootprint value.
+// recomputeFootprint refreshes the cached MemoryFootprint value: the
+// store, every postings window by capacity, and the windows' headers.
 func (idx *Index) recomputeFootprint() {
-	var b int64
-	for gi := range idx.graphs {
-		b += idx.graphs[gi].memoryFootprint()
-	}
+	b := idx.graphs.footprint() + int64(cap(idx.containing))*sliceHeaderBytes
 	for _, list := range idx.containing {
-		b += int64(len(list)) * 4
+		b += int64(cap(list)) * 4
 	}
 	idx.footprint = b
 }
+
+// sliceHeaderBytes is the size of one postings window's slice header.
+const sliceHeaderBytes = 24
 
 // Theta returns the number of offline RR-Graphs.
 func (idx *Index) Theta() int64 { return idx.theta }
@@ -220,10 +183,11 @@ func (idx *Index) Theta() int64 { return idx.theta }
 // NumContaining returns θ(u), the number of RR-Graphs containing u.
 func (idx *Index) NumContaining(u graph.VertexID) int { return len(idx.containing[u]) }
 
-// MemoryFootprint returns the index's estimated in-memory size in bytes
-// (Table 3's "RR-Graphs size" column). With the arena layout the number
-// is maintained by Build/Read/Repair, so this is O(1) and cheap enough
-// for a /statsz scrape on every request.
+// MemoryFootprint returns the bytes the index retains (Table 3's
+// "RR-Graphs size" column): the graph store's arrays and records and the
+// postings windows with their headers, all by capacity. It is maintained
+// by Build/Read/Repair, so this is O(1) and cheap enough for a /statsz
+// scrape on every request.
 func (idx *Index) MemoryFootprint() int64 { return idx.footprint }
 
 // graphSet returns the window of the index a scan of u walks.

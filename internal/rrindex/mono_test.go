@@ -18,13 +18,13 @@ func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.Ed
 	case *PrunedEstimator:
 		gs = p.idx.graphSet(u)
 	case *DelayEstimator:
-		gs = p.recovered(u)
+		gs = p.graphsOf(u)
 	}
 	n := len(gs.postings)
 	row := Partial{Shard: shard, Samples: int64(n), Contained: n, Theta: gs.theta, Users: users}
 	visited := make([]int64, gs.maxSize)
 	for i, gi := range gs.postings {
-		if gs.graphs[gi].Reaches(u, prober, visited, int64(i)+1) {
+		if rr := gs.graphs.view(int(gi)); rr.Reaches(u, prober, visited, int64(i)+1) {
 			row.Hits++
 		}
 	}

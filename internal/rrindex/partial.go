@@ -69,7 +69,7 @@ func BuildShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*Index
 // RepairShard repairs this index as shard `shard` of an S-way layout,
 // exactly as ShardedIndex.Repair repairs that shard: re-sample only when
 // its postings contain a touched head, its partition gained users, or its
-// apportioned θ grew — otherwise the receiver's arenas are shared via a
+// apportioned θ grew — otherwise the receiver's store is shared via a
 // zero-copy graph re-bind. opts.Seed must be the cluster's base repair
 // seed for the new generation; the per-shard derivation happens here.
 // Returns the new shard, its repair stats and the new |V_s|.
@@ -102,8 +102,8 @@ func (idx *Index) CheckShard(opts BuildOptions, numShards, shard, users int) err
 // checkTargets reports a graph whose target is not in shard s of an
 // S-way partition.
 func (idx *Index) checkTargets(numShards, s int) error {
-	for gi := range idx.graphs {
-		if t := idx.graphs[gi].target; ShardOf(t, numShards) != s {
+	for gi := 0; gi < idx.graphs.size(); gi++ {
+		if t := idx.graphs.recs[gi].target; ShardOf(t, numShards) != s {
 			return fmt.Errorf("rrindex: shard %d: graph %d target %d belongs to shard %d",
 				s, gi, t, ShardOf(t, numShards))
 		}
@@ -112,7 +112,7 @@ func (idx *Index) checkTargets(numShards, s int) error {
 }
 
 // NumGraphs returns the number of materialized RR-Graphs.
-func (idx *Index) NumGraphs() int { return len(idx.graphs) }
+func (idx *Index) NumGraphs() int { return idx.graphs.size() }
 
 // Partial runs this shard's masked scan as a width-1 frontier under
 // prober. shard and users identify the shard's slot and |V_s| in the

@@ -236,15 +236,16 @@ func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 					de := newDelayEstimatorShard(dm, seed, &sdm.fire, s, S, pool)
 					de.recover(tc.u)
 					ws := de.WorkStats()
-					if ws.RecoveryAttempts < budget && int64(len(de.cachedGraphs)) != n {
+					if ws.RecoveryAttempts < budget && int64(de.recovered.size()) != n {
 						t.Fatalf("%s S=%d shard %d seed %d: recovered %d graphs in %d of %d attempts, want θ(u) = %d",
-							tc.name, S, s, seed, len(de.cachedGraphs), ws.RecoveryAttempts, budget, n)
+							tc.name, S, s, seed, de.recovered.size(), ws.RecoveryAttempts, budget, n)
 					}
 					if ws.RecoveryCascades > ws.RecoveryAttempts {
 						t.Fatalf("%s S=%d shard %d: %d cascades out of %d attempts", tc.name, S, s, ws.RecoveryCascades, ws.RecoveryAttempts)
 					}
-					for i := range de.cachedGraphs {
-						rr := &de.cachedGraphs[i]
+					for i := 0; i < de.recovered.size(); i++ {
+						view := de.recovered.view(i)
+						rr := &view
 						if !rr.Contains(tc.u) || ShardOf(rr.target, S) != s {
 							t.Fatalf("%s S=%d shard %d: graph with target %d (shard %d) contains u: %v",
 								tc.name, S, s, rr.target, ShardOf(rr.target, S), rr.Contains(tc.u))
@@ -336,11 +337,11 @@ func TestRecoveryWithoutOutEdges(t *testing.T) {
 				if ShardOf(u, S) != s && dm.counts[u] != 0 {
 					t.Fatalf("S=%d: θ_%d(%d) = %d for a user that reaches nobody", S, s, u, dm.counts[u])
 				}
-				if int64(len(de.cachedGraphs)) != dm.counts[u] {
-					t.Fatalf("S=%d shard %d user %d: %d graphs, want %d", S, s, u, len(de.cachedGraphs), dm.counts[u])
+				if int64(de.recovered.size()) != dm.counts[u] {
+					t.Fatalf("S=%d shard %d user %d: %d graphs, want %d", S, s, u, de.recovered.size(), dm.counts[u])
 				}
-				for i := range de.cachedGraphs {
-					if rr := &de.cachedGraphs[i]; rr.target != u || rr.NumVertices() != 1 || rr.NumEdges() != 0 {
+				for i := 0; i < de.recovered.size(); i++ {
+					if rr := de.recovered.view(i); rr.target != u || rr.NumVertices() != 1 || rr.NumEdges() != 0 {
 						t.Fatalf("S=%d user %d: recovered a graph other than {u}", S, u)
 					}
 				}
@@ -373,7 +374,7 @@ func TestRecoveryChargesSkippedAttempts(t *testing.T) {
 		if ws.RecoveryAttempts != budget {
 			t.Fatalf("user %d: %d attempts charged, want the budget %d", u, ws.RecoveryAttempts, budget)
 		}
-		if n := int64(len(de.cachedGraphs)); n == 0 || n >= forged.counts[u] {
+		if n := int64(de.recovered.size()); n == 0 || n >= forged.counts[u] {
 			t.Fatalf("user %d: %d graphs recovered under a forged θ(u) = %d", u, n, forged.counts[u])
 		}
 		ref, attempts := referenceRecover(g, u, forged.counts[u], dm.theta, rng.New(9), 0, 1, g.NumVertices())
@@ -381,9 +382,9 @@ func TestRecoveryChargesSkippedAttempts(t *testing.T) {
 			t.Fatalf("reference stopped after %d attempts, want %d", attempts, budget)
 		}
 		// Both sides accepted Binomial(budget, E|V'|/|V|) graphs.
-		p := float64(len(ref)+len(de.cachedGraphs)) / float64(2*budget)
-		if d := math.Abs(float64(len(ref) - len(de.cachedGraphs))); d > zBound*math.Sqrt(2*float64(budget)*p*(1-p)) {
-			t.Fatalf("user %d: %d graphs accepted within the budget, reference %d", u, len(de.cachedGraphs), len(ref))
+		p := float64(len(ref)+de.recovered.size()) / float64(2*budget)
+		if d := math.Abs(float64(len(ref) - de.recovered.size())); d > zBound*math.Sqrt(2*float64(budget)*p*(1-p)) {
+			t.Fatalf("user %d: %d graphs accepted within the budget, reference %d", u, de.recovered.size(), len(ref))
 		}
 	}
 }
@@ -403,9 +404,9 @@ func TestRecoveryIsPureFunctionOfSeedShardUser(t *testing.T) {
 			b := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.poolSizes[s])
 			snapshot := func(de *DelayEstimator, u graph.VertexID) []RRGraph {
 				de.recover(u)
-				out := make([]RRGraph, len(de.cachedGraphs))
-				for i := range de.cachedGraphs {
-					rr := &de.cachedGraphs[i]
+				out := make([]RRGraph, de.recovered.size())
+				for i := range out {
+					rr := de.recovered.view(i)
 					out[i] = RRGraph{
 						target: rr.target, verts: append([]graph.VertexID(nil), rr.verts...),
 						outStart: append([]int32(nil), rr.outStart...), outTo: append([]int32(nil), rr.outTo...),
@@ -490,8 +491,8 @@ func TestFireTableCorners(t *testing.T) {
 	// Never and visits + gap is never formed.
 	de := newDelayEstimatorShard(&DelayMat{g: g, theta: 50, counts: []int64{20, 0, 0, 0, 0, 0, 0}}, 3, &lazyFireTable{}, 0, 1, 7)
 	de.recover(0)
-	if len(de.cachedGraphs) != 20 {
-		t.Fatalf("recovered %d graphs, want 20", len(de.cachedGraphs))
+	if de.recovered.size() != 20 {
+		t.Fatalf("recovered %d graphs, want 20", de.recovered.size())
 	}
 	if f := de.firingOf(6); f.next != rng.Never {
 		t.Fatalf("silent vertex scheduled to fire at visit %d", f.next)

@@ -32,15 +32,15 @@ import (
 // uniform over V_new), and θ_new - θ_old fresh graphs with targets uniform
 // over V_new are appended.
 //
-// With the arena layout, copy-on-write happens at segment granularity:
-// the new index copies the view table (slice headers only), untouched
-// views keep aliasing the old arena, and every re-sampled or appended
-// graph is generated into one fresh per-repair arena whose views are
-// patched in after generation finishes. The old index never changes.
-// Because a single surviving view pins its entire backing array, repairs
-// count their out-of-primary-arena views and compact into one fresh arena
-// once those exceed half of θ, so retained memory across many update
-// generations stays within ~2x the live index.
+// Copy-on-write happens at store granularity: a repair writes a fresh
+// graph store in one ordered pass (spliceStores). Re-sampled and appended
+// graphs are generated into a small side store first, so the new store is
+// sized exactly; untouched graphs' bytes are then copied in bulk runs and
+// the re-sampled ones spliced in at their old indices. The old index
+// never changes, and nothing of it is retained by the new one except the
+// postings lists of clean vertices. The new store is always compact, so
+// no generation pins an earlier one's graphs. A shard that needs no
+// repair hands its store to the next generation whole (Index.share).
 
 // ErrNotRepairable reports an index that lacks the bookkeeping incremental
 // repair needs (a DelayMat built without TrackMembers, or one loaded from
@@ -108,9 +108,9 @@ func (rs repairSpec) drawAdded(r *rng.Source, oldV int) graph.VertexID {
 // recomputed from them) and the seed for the repair sampler — vary the
 // seed per update generation to keep repairs independent.
 //
-// The receiver is not modified: untouched views still alias the old
-// (immutable) arena, so concurrent readers of the old index are
-// unaffected — this is what makes zero-downtime hot-swap possible.
+// The receiver is not modified: the new index gets its own store, so
+// concurrent readers of the old index are unaffected — this is what makes
+// zero-downtime hot-swap possible.
 func (idx *Index) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*Index, RepairStats, error) {
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, RepairStats{}, fmt.Errorf("rrindex: %w", err)
@@ -129,42 +129,37 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 			newV, oldV, spec.addedVertices)
 	}
 
-	invalid := make([]bool, len(idx.graphs))
+	// resampled marks the graph indices whose old postings entries are
+	// stale: first those a touched head invalidates, then, in the pass
+	// below, the retargeted ones.
+	old := idx.graphs
+	resampled := make([]bool, old.size())
 	for _, h := range touched {
 		if int(h) >= len(idx.containing) {
 			continue // head is a brand-new vertex: no graph can contain it
 		}
 		for _, gi := range idx.containing[h] {
-			invalid[gi] = true
+			resampled[gi] = true
 		}
 	}
 
 	r := rng.New(opts.Seed)
 	sc := newGenScratch(newV)
-	next := &Index{
-		g:       g,
-		graphs:  append([]RRGraph(nil), idx.graphs...),
-		maxSize: idx.maxSize,
-	}
 	addedToPool, poolSize := spec.poolCounts(newV)
 	retargetP := 0.0
 	if addedToPool > 0 {
 		retargetP = float64(addedToPool) / float64(poolSize)
 	}
-	// dirty marks vertices whose postings list must change: old or new
-	// members of any re-sampled graph, and members of appended ones.
-	// resampled marks the graph indices whose old postings entries are
-	// stale. Old member sets must be recorded before the views are
-	// swapped; the replacement views are patched in after generation (the
-	// repair arena moves while it grows).
-	resampled := make([]bool, len(idx.graphs))
+	// One ordered pass draws every graph's retarget Bernoulli and
+	// re-samples the graphs it or a touched member invalidates into fresh;
+	// appended graphs follow. dirty marks vertices whose postings list
+	// must change: old or new members of any re-sampled graph, and members
+	// of appended ones.
 	dirty := make([]bool, newV)
-	ab := &arenaBuilder{}
-	patched := make([]int, 0, 64)
-	for gi := range next.graphs {
-		rr := &next.graphs[gi]
-		target := rr.target
-		resample := invalid[gi]
+	fresh := newStore(0)
+	for gi := range resampled {
+		target := old.recs[gi].target
+		resample := resampled[gi]
 		if retargetP > 0 && r.Bernoulli(retargetP) {
 			target = spec.drawAdded(r, oldV)
 			stats.Retargeted++
@@ -176,36 +171,31 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 			continue
 		}
 		resampled[gi] = true
-		for _, v := range rr.verts {
+		for _, v := range old.members(gi) {
 			dirty[v] = true
 		}
-		generate(g, target, r, sc, ab)
-		patched = append(patched, gi)
+		if err := generate(g, target, r, sc, fresh); err != nil {
+			return nil, stats, err
+		}
 	}
 
 	// θ grows with |V| (Eq. 7). It never shrinks: a cap change cannot
 	// retroactively unsample graphs without biasing the estimator.
-	next.theta = idx.theta
-	if spec.thetaNew > next.theta {
-		for i := next.theta; i < spec.thetaNew; i++ {
-			generate(g, drawTarget(r, spec.pool, newV), r, sc, ab)
+	theta := idx.theta
+	if spec.thetaNew > theta {
+		for i := theta; i < spec.thetaNew; i++ {
+			if err := generate(g, drawTarget(r, spec.pool, newV), r, sc, fresh); err != nil {
+				return nil, stats, err
+			}
 			stats.Appended++
 		}
-		next.theta = spec.thetaNew
+		theta = spec.thetaNew
 	}
-
-	// Swap in the repair-arena views: re-sampled graphs at their old
-	// indices, appended ones at the end.
-	views := ab.takeViews()
-	for j, gi := range patched {
-		next.graphs[gi] = views[j]
+	st, err := spliceStores(old, fresh, resampled)
+	if err != nil {
+		return nil, stats, err
 	}
-	next.graphs = append(next.graphs, views[len(patched):]...)
-	for i := range views {
-		if n := views[i].NumVertices(); n > next.maxSize {
-			next.maxSize = n
-		}
-	}
+	next := &Index{g: g, theta: theta, graphs: st, maxSize: max(idx.maxSize, fresh.maxSize())}
 
 	// Patch postings per affected vertex rather than rebuilding them from
 	// the graphs: clean vertices share the old index's list (it is never
@@ -215,19 +205,9 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	// pointer chase over every graph — the difference between repair
 	// amortizing θ and repair costing a rebuild.
 	addCount := make([]int32, newV)
-	countAdds := func(gi int) {
-		for _, v := range next.graphs[gi].verts {
-			dirty[v] = true
-			addCount[v]++
-		}
-	}
-	for gi := range resampled {
-		if resampled[gi] {
-			countAdds(gi)
-		}
-	}
-	for gi := len(idx.graphs); gi < len(next.graphs); gi++ {
-		countAdds(gi)
+	for _, v := range fresh.verts {
+		dirty[v] = true
+		addCount[v]++
 	}
 	next.containing = make([][]int32, newV)
 	total := 0
@@ -261,7 +241,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 		flat = flat[:len(flat)+int(addCount[v])]
 	}
 	appendAdds := func(gi int) {
-		for _, v := range next.graphs[gi].verts {
+		for _, v := range next.graphs.members(gi) {
 			l := next.containing[v]
 			next.containing[v] = append(l, int32(gi))
 		}
@@ -271,18 +251,10 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 			appendAdds(gi)
 		}
 	}
-	for gi := len(idx.graphs); gi < len(next.graphs); gi++ {
+	for gi := len(resampled); gi < next.graphs.size(); gi++ {
 		appendAdds(gi)
 	}
-	stats.Total = len(next.graphs)
-	// Views from this and earlier repair arenas pin their whole backing
-	// arrays; once they outnumber half the index, copy everything into one
-	// fresh arena so retained RSS stays within ~2x the live data (the
-	// cached footprint tracks live views only).
-	next.loose = idx.loose + len(views)
-	if next.loose > len(next.graphs)/2 {
-		next.compact()
-	}
+	stats.Total = next.graphs.size()
 	next.recomputeFootprint()
 	return next, stats, nil
 }
@@ -326,15 +298,14 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 		}
 	}
 
-	next := &DelayMat{
-		g:       g,
-		theta:   dm.theta,
-		counts:  make([]int64, newV),
-		members: append([][]graph.VertexID(nil), dm.members...),
-		targets: append([]graph.VertexID(nil), dm.targets...),
-	}
+	next := &DelayMat{g: g, theta: dm.theta, counts: make([]int64, newV)}
 	copy(next.counts, dm.counts)
 
+	// One ordered pass, like Index.repair: re-sampled member sets go to
+	// fresh, and spliceStores writes the new store.
+	old := dm.members
+	resampled := make([]bool, old.size())
+	fresh := newStore(0)
 	r := rng.New(opts.Seed)
 	mark := make([]bool, newV)
 	var scratch memberScratch
@@ -343,10 +314,10 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 	if addedToPool > 0 {
 		retargetP = float64(addedToPool) / float64(poolSize)
 	}
-	for i := range next.members {
-		target := next.targets[i]
+	for i := range resampled {
+		target := old.recs[i].target
 		resample := false
-		for _, v := range next.members[i] {
+		for _, v := range old.members(i) {
 			if touchedSet[v] {
 				resample = true
 				break
@@ -362,31 +333,38 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 		if !resample {
 			continue
 		}
-		for _, v := range next.members[i] {
+		resampled[i] = true
+		for _, v := range old.members(i) {
 			next.counts[v]--
 		}
-		members := append([]graph.VertexID(nil), sampleMemberSet(g, target, r, mark, &scratch)...)
+		members := sampleMemberSet(g, target, r, mark, &scratch)
 		for _, v := range members {
 			next.counts[v]++
 		}
-		next.members[i] = members
-		next.targets[i] = target
+		if err := fresh.push(target, members, 0); err != nil {
+			return nil, stats, err
+		}
 	}
 
 	if spec.thetaNew > next.theta {
 		for i := next.theta; i < spec.thetaNew; i++ {
 			target := drawTarget(r, spec.pool, newV)
-			members := append([]graph.VertexID(nil), sampleMemberSet(g, target, r, mark, &scratch)...)
+			members := sampleMemberSet(g, target, r, mark, &scratch)
 			for _, v := range members {
 				next.counts[v]++
 			}
-			next.members = append(next.members, members)
-			next.targets = append(next.targets, target)
+			if err := fresh.push(target, members, 0); err != nil {
+				return nil, stats, err
+			}
 			stats.Appended++
 		}
 		next.theta = spec.thetaNew
 	}
-	stats.Total = len(next.members)
+	var err error
+	if next.members, err = spliceStores(old, fresh, resampled); err != nil {
+		return nil, stats, err
+	}
+	stats.Total = next.members.size()
 	next.recomputeFootprint()
 	return next, stats, nil
 }

@@ -62,28 +62,29 @@ func TestIndexRepairSharesUntouchedGraphs(t *testing.T) {
 	if stats.Invalidated == 0 {
 		t.Fatal("no graphs invalidated by a retopiced edge with members")
 	}
-	if stats.Invalidated >= len(idx.graphs) {
+	if stats.Invalidated >= idx.graphs.size() {
 		t.Fatal("every graph invalidated: invalidation is not selective")
 	}
 	head := g.EdgeTo(0)
-	shared, resampled := 0, 0
-	for gi := range idx.graphs {
-		// Sharing is at arena-segment granularity: an untouched view must
-		// still alias the old index's backing arrays.
-		if next.graphs[gi].sharesStorage(&idx.graphs[gi]) {
-			shared++
-			if idx.graphs[gi].Contains(head) {
-				t.Fatalf("graph %d contains touched head %d but was not re-sampled", gi, head)
-			}
-		} else {
+	kept, resampled := 0, 0
+	for gi := 0; gi < idx.graphs.size(); gi++ {
+		// A graph without the touched head keeps its bytes, copied into
+		// the new store at its old index; one with it is re-sampled.
+		was, now := idx.graphs.view(gi), next.graphs.view(gi)
+		if was.Contains(head) {
 			resampled++
+			continue
 		}
+		if !sameGraphs([]RRGraph{was}, []RRGraph{now}) {
+			t.Fatalf("graph %d lacks touched head %d but its bytes changed", gi, head)
+		}
+		kept++
 	}
-	if shared == 0 {
-		t.Fatal("repair shared no graphs")
+	if kept == 0 {
+		t.Fatal("repair kept no graphs")
 	}
 	if resampled != stats.Invalidated {
-		t.Fatalf("resampled %d != stats.Invalidated %d", resampled, stats.Invalidated)
+		t.Fatalf("%d graphs hold the head, stats.Invalidated %d", resampled, stats.Invalidated)
 	}
 	// Old index untouched and still queryable.
 	if idx.g != g || next.g != ng {
@@ -91,6 +92,40 @@ func TestIndexRepairSharesUntouchedGraphs(t *testing.T) {
 	}
 	if idx.theta != next.theta {
 		t.Fatalf("theta changed without vertex growth: %d -> %d", idx.theta, next.theta)
+	}
+
+	// A shard whose postings lack the touched head is not repaired: the
+	// next generation holds its very store. The head is the rarest member
+	// among the edge heads, so some of eight shards miss it.
+	rare := graph.EdgeID(0)
+	for e := graph.EdgeID(1); int(e) < g.NumEdges(); e++ {
+		if n := len(idx.containing[g.EdgeTo(e)]); n > 0 && n < len(idx.containing[g.EdgeTo(rare)]) {
+			rare = e
+		}
+	}
+	rg, rinfo := applyDelta(t, g, graph.Delta{
+		RetopicEdges: []graph.EdgeRetopic{{Edge: rare, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.9}}}},
+	})
+	si, err := BuildSharded(g, opts, 8)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	snext, _, err := si.Repair(rg, opts, rinfo.TouchedHeads, 0)
+	if err != nil {
+		t.Fatalf("sharded Repair: %v", err)
+	}
+	untouched := 0
+	for s, sh := range si.shards {
+		if sh.owns(rinfo.TouchedHeads) {
+			continue
+		}
+		untouched++
+		if snext.shards[s].graphs != sh.graphs {
+			t.Fatalf("untouched shard %d got a new store", s)
+		}
+	}
+	if untouched == 0 || untouched == len(si.shards) {
+		t.Fatalf("%d of %d shards untouched; the check needs both kinds", untouched, len(si.shards))
 	}
 }
 
@@ -189,14 +224,14 @@ func TestIndexRepairVertexGrowth(t *testing.T) {
 	}
 	// Roughly added/newV of graphs should be re-targeted (binomial, wide
 	// margin): between 5% and 35% for added/newV = 1/6.
-	frac := float64(stats.Retargeted) / float64(len(next.graphs))
+	frac := float64(stats.Retargeted) / float64(next.graphs.size())
 	if frac < 0.05 || frac > 0.35 {
 		t.Fatalf("retarget fraction %.3f implausible for ΔV/V=%.3f", frac, float64(added)/180)
 	}
 	// New vertices must appear as targets so their influence is witnessed.
 	found := false
-	for _, rr := range next.graphs {
-		if rr.Target() >= 150 {
+	for gi := 0; gi < next.graphs.size(); gi++ {
+		if next.graphs.recs[gi].target >= 150 {
 			found = true
 			break
 		}
@@ -251,10 +286,8 @@ func TestDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	// Counter invariant: counts must equal member-list occurrence counts.
 	recount := make([]int64, ng.NumVertices())
-	for _, ms := range next.members {
-		for _, v := range ms {
-			recount[v]++
-		}
+	for _, v := range next.members.verts {
+		recount[v]++
 	}
 	for v := range recount {
 		if recount[v] != next.Count(graph.VertexID(v)) {
@@ -263,10 +296,8 @@ func TestDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	// Old DelayMat unchanged.
 	old := make([]int64, g.NumVertices())
-	for _, ms := range dm.members {
-		for _, v := range ms {
-			old[v]++
-		}
+	for _, v := range dm.members.verts {
+		old[v]++
 	}
 	for v := range old {
 		if old[v] != dm.Count(graph.VertexID(v)) {

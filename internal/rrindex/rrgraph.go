@@ -6,18 +6,20 @@
 //
 // # Memory layout
 //
-// The index is arena-flattened: instead of θ individually heap-allocated
-// RR-Graphs each owning five small slices, one Build produces a single
-// contiguous set of backing arrays (verts, outStart, outTo, edgeID, c)
-// and every RRGraph is a view — five re-sliced windows into those arrays
-// plus its target. Parallel Build workers fill per-worker arenas that are
-// merged once, in worker order, so the result is still deterministic per
-// (Seed, Workers). The per-user postings lists are likewise windows into
-// one shared int32 arena. Incremental Repair keeps the copy-on-write
-// contract at arena granularity: untouched views keep aliasing the old
-// (immutable) arena while re-sampled and appended graphs point into a
-// fresh per-repair arena, so concurrent readers of the old index are
-// never affected.
+// A graph is an offset, not a view. Each shard keeps its θ RR-Graphs in
+// one graphStore: five flat, pointer-free arrays (verts, outStart, outTo,
+// edgeID, c) holding the graphs back to back, and one 12-byte graphRec
+// per graph (target, first vertex, first edge; a sentinel record closes
+// the list). A scan builds graph gi's RRGraph view on its own stack
+// (graphStore.view), so the reachability kernels walk the same five
+// slices they always did while the index holds no per-graph headers.
+// Parallel Build workers fill per-worker stores that are merged once, in
+// worker order, so the result is still deterministic per (Seed,
+// Workers). The per-user postings lists are windows into one shared
+// int32 arena. Incremental Repair keeps the copy-on-write contract at
+// store granularity: it writes a fresh, exactly sized store in one
+// ordered pass (see repair.go), so concurrent readers of the old index
+// are never affected and no generation pins another's graphs.
 //
 // # Sharded mode
 //
@@ -57,6 +59,9 @@
 package rrindex
 
 import (
+	"errors"
+	"iter"
+	"math"
 	"slices"
 	"sort"
 
@@ -72,8 +77,9 @@ import (
 // sample for any query: an edge is live under W exactly when
 // p(e|W) ≥ c(e) (Def. 3).
 //
-// An RRGraph is a view: its slices alias segments of a shared arena (see
-// the package comment) and must never be mutated.
+// An RRGraph is a view of one graph of a graphStore, built on demand by
+// graphStore.view: its slices alias the store's arrays (see the package
+// comment) and must never be mutated.
 type RRGraph struct {
 	target graph.VertexID
 
@@ -108,13 +114,6 @@ func (r *RRGraph) localID(v graph.VertexID) int32 {
 // Contains reports whether v is a member of the RR-Graph.
 func (r *RRGraph) Contains(v graph.VertexID) bool { return r.localID(v) >= 0 }
 
-// sharesStorage reports whether the two views alias the same arena
-// segment (the copy-on-write sharing check; every RR-Graph has at least
-// its target as a member, so verts is never empty).
-func (r *RRGraph) sharesStorage(o *RRGraph) bool {
-	return &r.verts[0] == &o.verts[0] && len(r.verts) == len(o.verts)
-}
-
 // rrEdge is a surviving edge during generation, before CSR assembly.
 type rrEdge struct {
 	from, to graph.VertexID
@@ -143,14 +142,41 @@ func newGenScratch(numVertices int) *genScratch {
 	}
 }
 
-// arenaBuilder accumulates generated RR-Graphs into growing backing
-// arrays. Views must not be taken until the builder is done (growth
-// reallocates); takeViews slices the finished arrays into one RRGraph
-// window per recorded graph.
-type arenaBuilder struct {
-	targets  []graph.VertexID
-	vertN    []int32 // per-graph member counts
-	edgeN    []int32 // per-graph edge counts
+// graphRec locates graph gi of a graphStore: its target and the offsets
+// of its first vertex (v) and first edge (e). A store keeps one record per
+// graph plus a sentinel holding the totals (its target unused), so graph
+// gi's vertex count is recs[gi+1].v − recs[gi].v and its edge count the
+// same with e; its outStart window (n+1 entries) begins at recs[gi].v + gi.
+type graphRec struct {
+	target graph.VertexID
+	v, e   uint32
+}
+
+const graphRecBytes = 12
+
+// errStoreFull reports a shard whose graphs outgrow the store's uint32
+// offsets: more than math.MaxUint32 outStart entries (vertices + graphs)
+// or edges.
+var errStoreFull = errors.New("rrindex: shard's RR-Graphs exceed the store's 2^32-1 vertex or edge offsets")
+
+// offsetsFit reports whether a store of outStartLen outStart entries and
+// edges edges is addressable by graphRec's uint32 offsets.
+func offsetsFit(outStartLen, edges int64) bool {
+	return outStartLen <= math.MaxUint32 && edges <= math.MaxUint32
+}
+
+// graphStore is one shard's RR-Graphs as flat, pointer-free arrays: the
+// members of every graph back to back in verts, each graph's local CSR in
+// outStart (graph-relative edge positions, n+1 per graph) and in outTo,
+// edgeID and c, and one graphRec per graph. A graph is its index; view
+// builds the RRGraph a scan walks, on the caller's stack. Build, the
+// parallel merge, the file reader, DelayMat recovery and repair append
+// into stores, and a store is never mutated once published.
+//
+// A DelayMat's repair bookkeeping is a store's vertex half only: records
+// and verts, with members in sampling order, e always 0 and no CSR.
+type graphStore struct {
+	recs     []graphRec // size()+1 entries, the last the sentinel
 	verts    []graph.VertexID
 	outStart []int32
 	outTo    []int32
@@ -158,16 +184,63 @@ type arenaBuilder struct {
 	c        []float64
 }
 
-// reset empties the builder, keeping its capacity.
-func (ab *arenaBuilder) reset() {
-	ab.targets = ab.targets[:0]
-	ab.vertN = ab.vertN[:0]
-	ab.edgeN = ab.edgeN[:0]
-	ab.verts = ab.verts[:0]
-	ab.outStart = ab.outStart[:0]
-	ab.outTo = ab.outTo[:0]
-	ab.edgeID = ab.edgeID[:0]
-	ab.c = ab.c[:0]
+// newStore returns an empty store with record room for graphs graphs.
+func newStore(graphs int) *graphStore {
+	return &graphStore{recs: append(make([]graphRec, 0, graphs+1), graphRec{})}
+}
+
+// size returns the number of graphs in the store.
+func (s *graphStore) size() int { return len(s.recs) - 1 }
+
+// reset empties the store, keeping its capacity.
+func (s *graphStore) reset() {
+	*s = graphStore{recs: append(s.recs[:0], graphRec{}), verts: s.verts[:0],
+		outStart: s.outStart[:0], outTo: s.outTo[:0], edgeID: s.edgeID[:0], c: s.c[:0]}
+}
+
+// members returns graph gi's member vertices.
+func (s *graphStore) members(gi int) []graph.VertexID {
+	return s.verts[s.recs[gi].v:s.recs[gi+1].v]
+}
+
+// maxSize returns the largest graph's vertex count.
+func (s *graphStore) maxSize() int {
+	m := 0
+	for gi := 0; gi < s.size(); gi++ {
+		m = max(m, int(s.recs[gi+1].v-s.recs[gi].v))
+	}
+	return m
+}
+
+// view returns graph gi as an RRGraph whose slices are windows of the
+// store (capacity-clipped, so the view cannot write past its graph).
+func (s *graphStore) view(gi int) RRGraph {
+	r0, r1 := s.recs[gi], s.recs[gi+1]
+	so := int(r0.v) + gi
+	n := int(r1.v - r0.v)
+	return RRGraph{
+		target:   r0.target,
+		verts:    s.verts[r0.v:r1.v:r1.v],
+		outStart: s.outStart[so : so+n+1 : so+n+1],
+		outTo:    s.outTo[r0.e:r1.e:r1.e],
+		edgeID:   s.edgeID[r0.e:r1.e:r1.e],
+		c:        s.c[r0.e:r1.e:r1.e],
+	}
+}
+
+// push records a graph of target: its members are appended to verts, and
+// the caller appends its m edges to the CSR arrays (a DelayMat member
+// store pushes m = 0 and keeps no CSR). It refuses, leaving s unchanged,
+// a graph the uint32 offsets cannot address.
+func (s *graphStore) push(target graph.VertexID, members []graph.VertexID, m int) error {
+	last := &s.recs[len(s.recs)-1]
+	if !offsetsFit(int64(last.v)+int64(len(s.recs)+len(members)), int64(last.e)+int64(m)) {
+		return errStoreFull
+	}
+	last.target = target
+	s.verts = append(s.verts, members...)
+	s.recs = append(s.recs, graphRec{v: uint32(len(s.verts)), e: last.e + uint32(m)})
+	return nil
 }
 
 // grown returns s extended by n elements; callers overwrite every added
@@ -177,25 +250,23 @@ func grown[T any](s []T, n int) []T {
 }
 
 // add assembles the graph staged in sc (members + surviving edges) into
-// the builder's arenas: members are sorted, localOf built once per graph,
-// and the CSR filled with a counting sort — O(V log V + E) per graph with
-// no per-graph allocations.
-func (ab *arenaBuilder) add(target graph.VertexID, sc *genScratch) {
+// the store: members are sorted, localOf built once per graph, and the
+// CSR filled with a counting sort — O(V log V + E) per graph with no
+// per-graph allocations.
+func (s *graphStore) add(target graph.VertexID, sc *genScratch) error {
 	members, edges := sc.members, sc.edges
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	n := len(members)
+	n, m := len(members), len(edges)
+	slices.Sort(members)
+	if err := s.push(target, members, m); err != nil {
+		return err
+	}
 	for i, v := range members {
 		sc.localOf[v] = int32(i)
 	}
 
-	ab.targets = append(ab.targets, target)
-	ab.vertN = append(ab.vertN, int32(n))
-	ab.edgeN = append(ab.edgeN, int32(len(edges)))
-	ab.verts = append(ab.verts, members...)
-
-	sb := len(ab.outStart)
-	ab.outStart = grown(ab.outStart, n+1)
-	start := ab.outStart[sb:]
+	sb := len(s.outStart)
+	s.outStart = grown(s.outStart, n+1)
+	start := s.outStart[sb:]
 	for i := range start {
 		start[i] = 0
 	}
@@ -206,12 +277,11 @@ func (ab *arenaBuilder) add(target graph.VertexID, sc *genScratch) {
 		start[v+1] += start[v]
 	}
 
-	eb := len(ab.outTo)
-	m := len(edges)
-	ab.outTo = grown(ab.outTo, m)
-	ab.edgeID = grown(ab.edgeID, m)
-	ab.c = grown(ab.c, m)
-	outTo, eid, cs := ab.outTo[eb:], ab.edgeID[eb:], ab.c[eb:]
+	eb := len(s.outTo)
+	s.outTo = grown(s.outTo, m)
+	s.edgeID = grown(s.edgeID, m)
+	s.c = grown(s.c, m)
+	outTo, eid, cs := s.outTo[eb:], s.edgeID[eb:], s.c[eb:]
 	if cap(sc.pos) < n {
 		sc.pos = make([]int32, n)
 	}
@@ -228,65 +298,100 @@ func (ab *arenaBuilder) add(target graph.VertexID, sc *genScratch) {
 		cs[p] = e.c
 		pos[lf]++
 	}
+	return nil
 }
 
-// takeViews slices the builder's (now final) arrays into one view per
-// graph. The views alias the builder's arrays; the builder must not be
-// grown afterwards while they are live.
-func (ab *arenaBuilder) takeViews() []RRGraph {
-	graphs := make([]RRGraph, len(ab.targets))
-	vo, so, eo := 0, 0, 0
-	for i := range graphs {
-		n, m := int(ab.vertN[i]), int(ab.edgeN[i])
-		graphs[i] = RRGraph{
-			target:   ab.targets[i],
-			verts:    ab.verts[vo : vo+n : vo+n],
-			outStart: ab.outStart[so : so+n+1 : so+n+1],
-			outTo:    ab.outTo[eo : eo+m : eo+m],
-			edgeID:   ab.edgeID[eo : eo+m : eo+m],
-			c:        ab.c[eo : eo+m : eo+m],
+// storeRange is graphs [lo, hi) of a store.
+type storeRange struct {
+	s      *graphStore
+	lo, hi int
+}
+
+// concat writes the ranges, in order, into one exactly sized new store:
+// one bulk copy per array and range, the records rebased. The CSR arrays
+// are copied from stores that have them (a DelayMat member store has
+// none). It is the parallel build's merge and repair's splice; rs is
+// walked twice, once to size the store and once to fill it.
+func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
+	var graphs, verts, edges int
+	csr := false
+	for r := range rs {
+		a, b := r.s.recs[r.lo], r.s.recs[r.hi]
+		graphs += r.hi - r.lo
+		verts += int(b.v - a.v)
+		edges += int(b.e - a.e)
+		csr = csr || len(r.s.outStart) > 0
+	}
+	if !offsetsFit(int64(verts)+int64(graphs), int64(edges)) {
+		return nil, errStoreFull
+	}
+	out := newStore(graphs)
+	out.verts = make([]graph.VertexID, 0, verts)
+	if csr {
+		out.outStart = make([]int32, 0, verts+graphs)
+		out.outTo = make([]int32, 0, edges)
+		out.edgeID = make([]graph.EdgeID, 0, edges)
+		out.c = make([]float64, 0, edges)
+	}
+	for r := range rs {
+		a, b := r.s.recs[r.lo], r.s.recs[r.hi]
+		base := out.recs[len(out.recs)-1]
+		out.recs = out.recs[:len(out.recs)-1]
+		for _, rec := range r.s.recs[r.lo : r.hi+1] {
+			out.recs = append(out.recs, graphRec{target: rec.target, v: base.v + rec.v - a.v, e: base.e + rec.e - a.e})
 		}
-		vo += n
-		so += n + 1
-		eo += m
+		out.recs[len(out.recs)-1].target = 0
+		out.verts = append(out.verts, r.s.verts[a.v:b.v]...)
+		if len(r.s.outStart) > 0 {
+			out.outStart = append(out.outStart, r.s.outStart[int(a.v)+r.lo:int(b.v)+r.hi]...)
+			out.outTo = append(out.outTo, r.s.outTo[a.e:b.e]...)
+			out.edgeID = append(out.edgeID, r.s.edgeID[a.e:b.e]...)
+			out.c = append(out.c, r.s.c[a.e:b.e]...)
+		}
 	}
-	return graphs
+	return out, nil
 }
 
-// mergeArenas concatenates per-worker builders, in order, into one
-// contiguous arena and returns the views. A single builder is sliced
-// in place (no copy) — the sequential-build and repair fast path.
-func mergeArenas(bs ...*arenaBuilder) []RRGraph {
+// mergeStores concatenates per-worker stores, in order, into one. A
+// single store is returned as is (no copy) — the sequential-build path.
+func mergeStores(bs ...*graphStore) (*graphStore, error) {
 	if len(bs) == 1 {
-		return bs[0].takeViews()
+		return bs[0], nil
 	}
-	var merged arenaBuilder
-	var tg, tv, ts, te int
-	for _, b := range bs {
-		tg += len(b.targets)
-		tv += len(b.verts)
-		ts += len(b.outStart)
-		te += len(b.outTo)
-	}
-	merged.targets = make([]graph.VertexID, 0, tg)
-	merged.vertN = make([]int32, 0, tg)
-	merged.edgeN = make([]int32, 0, tg)
-	merged.verts = make([]graph.VertexID, 0, tv)
-	merged.outStart = make([]int32, 0, ts)
-	merged.outTo = make([]int32, 0, te)
-	merged.edgeID = make([]graph.EdgeID, 0, te)
-	merged.c = make([]float64, 0, te)
-	for _, b := range bs {
-		merged.targets = append(merged.targets, b.targets...)
-		merged.vertN = append(merged.vertN, b.vertN...)
-		merged.edgeN = append(merged.edgeN, b.edgeN...)
-		merged.verts = append(merged.verts, b.verts...)
-		merged.outStart = append(merged.outStart, b.outStart...)
-		merged.outTo = append(merged.outTo, b.outTo...)
-		merged.edgeID = append(merged.edgeID, b.edgeID...)
-		merged.c = append(merged.c, b.c...)
-	}
-	return merged.takeViews()
+	return concat(func(yield func(storeRange) bool) {
+		for _, b := range bs {
+			if !yield(storeRange{b, 0, b.size()}) {
+				return
+			}
+		}
+	})
+}
+
+// spliceStores is repair's one ordered pass: old's graphs in order, each
+// graph gi with resampled[gi] replaced by fresh's next graph, then
+// fresh's remaining (appended) graphs. Untouched runs copy in bulk.
+func spliceStores(old, fresh *graphStore, resampled []bool) (*graphStore, error) {
+	return concat(func(yield func(storeRange) bool) {
+		lo, j := 0, 0
+		for gi, re := range resampled {
+			if re {
+				if !yield(storeRange{old, lo, gi}) || !yield(storeRange{fresh, j, j + 1}) {
+					return
+				}
+				lo, j = gi+1, j+1
+			}
+		}
+		if yield(storeRange{old, lo, len(resampled)}) {
+			yield(storeRange{fresh, j, fresh.size()})
+		}
+	})
+}
+
+// footprint returns the bytes the store retains, by capacity.
+func (s *graphStore) footprint() int64 {
+	return int64(cap(s.recs))*graphRecBytes +
+		int64(cap(s.verts))*4 + int64(cap(s.outStart))*4 +
+		int64(cap(s.outTo))*4 + int64(cap(s.edgeID))*4 + int64(cap(s.c))*8
 }
 
 // generate samples the RR-Graph of target on g into ab: a reverse BFS
@@ -295,7 +400,7 @@ func mergeArenas(bs ...*arenaBuilder) []RRGraph {
 // under any tag set, so storing them would not change any Def. 3
 // reachability test. sc carries the worker's reusable scratch (mark must
 // be all false on entry; it is reset before return).
-func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScratch, ab *arenaBuilder) {
+func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScratch, s *graphStore) error {
 	sc.members = sc.members[:0]
 	sc.edges = sc.edges[:0]
 	sc.stack = append(sc.stack[:0], target)
@@ -327,7 +432,7 @@ func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScrat
 	for _, m := range sc.members {
 		sc.mark[m] = false
 	}
-	ab.add(target, sc)
+	return s.add(target, sc)
 }
 
 // Reaches is the tag-aware reachability test of Def. 3: whether u reaches
@@ -363,14 +468,4 @@ func (r *RRGraph) Reaches(u graph.VertexID, prober sampling.EdgeProber, visited 
 		}
 	}
 	return false
-}
-
-// memoryFootprint estimates the in-memory bytes of this RR-Graph
-// (Table 3 accounting).
-func (r *RRGraph) memoryFootprint() int64 {
-	return int64(len(r.verts))*4 +
-		int64(len(r.outStart))*4 +
-		int64(len(r.outTo))*4 +
-		int64(len(r.edgeID))*4 +
-		int64(len(r.c))*8
 }

@@ -1,7 +1,9 @@
 package rrindex
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"pitex/internal/exact"
@@ -40,6 +42,61 @@ func TestThetaFormulaAndCap(t *testing.T) {
 	}
 }
 
+// TestEffectiveEpsilonInvertsTheta: Eq. 7 solved for ε at a sample count
+// gives back that count — Theta(ε_eff) is within 1 of θ — from a capped
+// θ far below Eq. 7's (ε_eff above ε) to one far above it.
+func TestEffectiveEpsilonInvertsTheta(t *testing.T) {
+	o := buildOpts()
+	for _, numV := range []int{100, 15000} {
+		for _, theta := range []int64{1, 500, 20000, 200000, 2560000, 1 << 33} {
+			eff := o
+			eff.Accuracy.Epsilon = o.EffectiveEpsilon(numV, theta)
+			if got := eff.Theta(numV); got < theta-1 || got > theta+1 {
+				t.Errorf("|V|=%d θ=%d: ε_eff %v gives Theta %d", numV, theta, eff.Accuracy.Epsilon, got)
+			}
+		}
+		o.MaxIndexSamples = 500
+		if capped := o.Theta(numV); capped != 500 || !(o.EffectiveEpsilon(numV, capped) > o.Accuracy.Epsilon) {
+			t.Errorf("|V|=%d: capped θ %d reports ε_eff %v ≤ ε %v", numV, capped, o.EffectiveEpsilon(numV, capped), o.Accuracy.Epsilon)
+		}
+		o.MaxIndexSamples = 0
+	}
+}
+
+// TestStoreRefusesOffsetOverflow: a graph or a concatenation that would
+// take a store past graphRec's uint32 offsets — outStart entries
+// (vertices + graphs) or edges — is refused with errStoreFull, leaving
+// the store unchanged and allocating nothing. The stores here only claim
+// their offsets in their sentinel records.
+func TestStoreRefusesOffsetOverflow(t *testing.T) {
+	const max = math.MaxUint32
+	if !offsetsFit(max, max) || offsetsFit(max+1, 0) || offsetsFit(0, max+1) {
+		t.Fatal("offsetsFit misplaces the uint32 boundary")
+	}
+	two := []graph.VertexID{1, 2}
+	for _, tc := range []struct {
+		sentinel graphRec
+		edges    int
+	}{
+		{graphRec{v: max - 2}, 0}, // outStart would reach max+1 entries
+		{graphRec{e: max}, 1},     // edge offsets would reach max+1
+	} {
+		st := &graphStore{recs: []graphRec{tc.sentinel}}
+		if err := st.push(0, two, tc.edges); !errors.Is(err, errStoreFull) || st.size() != 0 {
+			t.Errorf("push onto %+v: %v, %d graphs", tc.sentinel, err, st.size())
+		}
+	}
+	big := &graphStore{recs: []graphRec{{}, {v: max - 1, e: max}}}
+	for _, rs := range [][]storeRange{
+		{{big, 0, 1}, {big, 0, 1}},                                       // vertices overflow
+		{{big, 0, 1}, {&graphStore{recs: []graphRec{{}, {e: 1}}}, 0, 1}}, // edges overflow
+	} {
+		if _, err := concat(slices.Values(rs)); !errors.Is(err, errStoreFull) {
+			t.Errorf("concat past the offsets: %v", err)
+		}
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	g := fixture.Graph()
 	if _, err := Build(g, BuildOptions{Accuracy: sampling.Options{Epsilon: 2, Delta: 10}}); err == nil {
@@ -55,11 +112,13 @@ func TestRRGraphStructure(t *testing.T) {
 	g := fixture.Graph()
 	r := rng.New(7)
 	sc := newGenScratch(g.NumVertices())
-	ab := &arenaBuilder{}
+	st := newStore(0)
 	var targets []graph.VertexID
 	for i := 0; i < 200; i++ {
 		target := graph.VertexID(r.Intn(g.NumVertices()))
-		generate(g, target, r, sc, ab)
+		if err := generate(g, target, r, sc, st); err != nil {
+			t.Fatalf("generate: %v", err)
+		}
 		targets = append(targets, target)
 		// mark scratch must be clean between generations.
 		for v, m := range sc.mark {
@@ -68,7 +127,8 @@ func TestRRGraphStructure(t *testing.T) {
 			}
 		}
 	}
-	for i, rr := range mergeArenas(ab) {
+	for i := 0; i < st.size(); i++ {
+		rr := st.view(i)
 		target := targets[i]
 		if !rr.Contains(target) {
 			t.Fatalf("RR-Graph of %d does not contain its target", target)
@@ -107,7 +167,7 @@ func TestContainingListsConsistent(t *testing.T) {
 	idx := fixtureIndex(t)
 	for u := 0; u < idx.g.NumVertices(); u++ {
 		for _, gi := range idx.containing[u] {
-			if !idx.graphs[gi].Contains(graph.VertexID(u)) {
+			if rr := idx.graphs.view(int(gi)); !rr.Contains(graph.VertexID(u)) {
 				t.Fatalf("containing[%d] lists graph %d that lacks it", u, gi)
 			}
 		}
@@ -121,8 +181,8 @@ func TestContainingListsConsistent(t *testing.T) {
 		}
 		return false
 	}
-	for gi, rr := range idx.graphs {
-		for _, v := range rr.verts {
+	for gi := 0; gi < idx.graphs.size(); gi++ {
+		for _, v := range idx.graphs.members(gi) {
 			if !posted(v, int32(gi)) {
 				t.Fatalf("graph %d member %d not posted", gi, v)
 			}
@@ -381,7 +441,7 @@ func TestParallelBuildDeterministicAndValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if a.Theta() != b.Theta() || len(a.graphs) != len(b.graphs) {
+	if a.Theta() != b.Theta() || a.graphs.size() != b.graphs.size() {
 		t.Fatal("parallel build not deterministic in shape")
 	}
 	for u := 0; u < g.NumVertices(); u++ {

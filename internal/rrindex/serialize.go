@@ -76,7 +76,20 @@ func (lw *leWriter) u64(v uint64) {
 	_, lw.err = lw.w.Write(lw.tmp[:8])
 }
 
-func (lw *leWriter) f64(v float64) { lw.u64(math.Float64bits(v)) }
+// u32s writes n words, word i being at(i), a buffer's worth at a time.
+func (lw *leWriter) u32s(n int, at func(i int) uint32) {
+	for i := 0; i < n && lw.err == nil; {
+		buf := lw.w.AvailableBuffer()[:0]
+		for ; i < n && len(buf)+4 <= cap(buf); i++ {
+			buf = binary.LittleEndian.AppendUint32(buf, at(i))
+		}
+		if len(buf) == 0 {
+			lw.err = lw.w.Flush()
+			continue
+		}
+		_, lw.err = lw.w.Write(buf)
+	}
+}
 
 // writeFile writes the header and one block per shard, body writing
 // shard s's payload after its θ_s.
@@ -123,46 +136,20 @@ func WriteShardedDelayMat(w io.Writer, sdm *ShardedDelayMat) error {
 }
 
 // writeGraphArrays writes one shard's graph set as an index body: graph
-// count, per-graph table, then each arena array in full.
+// count, per-graph table, then each store array in one bulk call (the
+// store is always compact, so its arrays are the file's).
 func writeGraphArrays(lw *leWriter, idx *Index) {
-	graphs := idx.graphs
-	lw.u64(uint64(len(graphs)))
-	for gi := range graphs {
-		lw.u32(uint32(graphs[gi].target))
+	st := idx.graphs
+	G := st.size()
+	lw.u64(uint64(G))
+	lw.u32s(G, func(i int) uint32 { return uint32(st.recs[i].target) })
+	lw.u32s(G, func(i int) uint32 { return st.recs[i+1].v - st.recs[i].v })
+	lw.u32s(G, func(i int) uint32 { return st.recs[i+1].e - st.recs[i].e })
+	for _, a := range [][]int32{st.verts, st.outStart, st.outTo, st.edgeID} {
+		lw.u32s(len(a), func(i int) uint32 { return uint32(a[i]) })
 	}
-	for gi := range graphs {
-		lw.u32(uint32(len(graphs[gi].verts)))
-	}
-	for gi := range graphs {
-		lw.u32(uint32(len(graphs[gi].edgeID)))
-	}
-	// After a Repair the views may span several arenas, so each array is
-	// written view by view; the file is contiguous either way.
-	for gi := range graphs {
-		for _, v := range graphs[gi].verts {
-			lw.u32(uint32(v))
-		}
-	}
-	for gi := range graphs {
-		for _, s := range graphs[gi].outStart {
-			lw.u32(uint32(s))
-		}
-	}
-	for gi := range graphs {
-		for _, t := range graphs[gi].outTo {
-			lw.u32(uint32(t))
-		}
-	}
-	for gi := range graphs {
-		for _, e := range graphs[gi].edgeID {
-			lw.u32(uint32(e))
-		}
-	}
-	for gi := range graphs {
-		for _, c := range graphs[gi].c {
-			lw.f64(c)
-		}
-	}
+	// A little-endian f64 is its low word, then its high word.
+	lw.u32s(2*len(st.c), func(i int) uint32 { return uint32(math.Float64bits(st.c[i/2]) >> (32 * (i % 2))) })
 }
 
 // leReader reads little-endian scalars and bulk arrays through one
@@ -381,8 +368,8 @@ func readCounts(lr *leReader, g *graph.Graph, thetaS uint64) (*DelayMat, error) 
 	return dm, nil
 }
 
-// readGraphArrays loads the arena arrays in one contiguous pass per
-// array. The graph count must equal idx.theta — build and repair keep
+// readGraphArrays loads the store's arrays in one contiguous pass per
+// array and installs the store in idx. The graph count must equal idx.theta — build and repair keep
 // one graph per sample, and a short set would bias every estimate.
 // Array storage grows with append as payload actually arrives, so a
 // corrupt or malicious header claiming huge counts fails with a read
@@ -402,21 +389,31 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 	}
 	nV := uint64(g.NumVertices())
 	G := int(nGraphs)
-	ab := arenaBuilder{}
-	lr.u32s(G, func(i int, v uint32) { ab.targets = append(ab.targets, graph.VertexID(v)) })
-	lr.u32s(G, func(i int, v uint32) { ab.vertN = append(ab.vertN, int32(v)) })
-	lr.u32s(G, func(i int, v uint32) { ab.edgeN = append(ab.edgeN, int32(v)) })
+	st := &graphStore{recs: []graphRec{{}}}
+	lr.u32s(G, func(i int, v uint32) {
+		st.recs[i].target = graph.VertexID(v)
+		st.recs = append(st.recs, graphRec{})
+	})
+	lr.u32s(G, func(i int, v uint32) { st.recs[i+1].v = v })
+	lr.u32s(G, func(i int, v uint32) { st.recs[i+1].e = v })
 	if lr.err != nil {
 		return fmt.Errorf("graph table: %w", lr.err)
 	}
+	// The table holds counts; the records hold running offsets, checked
+	// against the uint32 range as they accumulate.
 	var totV, totE int64
 	for i := 0; i < G; i++ {
-		if uint64(ab.targets[i]) >= nV || ab.vertN[i] <= 0 || uint64(ab.vertN[i]) > nV ||
-			ab.edgeN[i] < 0 || int(ab.edgeN[i]) > g.NumEdges() {
+		r := &st.recs[i+1]
+		n, m := r.v, r.e
+		if uint64(st.recs[i].target) >= nV || n == 0 || uint64(n) > nV || int64(m) > int64(g.NumEdges()) {
 			return fmt.Errorf("graph %d: implausible shape", i)
 		}
-		totV += int64(ab.vertN[i])
-		totE += int64(ab.edgeN[i])
+		totV += int64(n)
+		totE += int64(m)
+		if !offsetsFit(totV+int64(i+1), totE) {
+			return errStoreFull
+		}
+		r.v, r.e = uint32(totV), uint32(totE)
 	}
 	badAt := int64(-1)
 	note := func(i int, bad bool) {
@@ -426,23 +423,23 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 	}
 	lr.u32s(int(totV), func(i int, v uint32) {
 		note(i, uint64(v) >= nV)
-		ab.verts = append(ab.verts, graph.VertexID(v))
+		st.verts = append(st.verts, graph.VertexID(v))
 	})
 	lr.u32s(int(totV)+G, func(i int, v uint32) {
 		note(i, int64(v) > totE)
-		ab.outStart = append(ab.outStart, int32(v))
+		st.outStart = append(st.outStart, int32(v))
 	})
 	lr.u32s(int(totE), func(i int, v uint32) {
 		note(i, int64(v) >= totV)
-		ab.outTo = append(ab.outTo, int32(v))
+		st.outTo = append(st.outTo, int32(v))
 	})
 	lr.u32s(int(totE), func(i int, v uint32) {
 		note(i, int(v) >= g.NumEdges())
-		ab.edgeID = append(ab.edgeID, graph.EdgeID(v))
+		st.edgeID = append(st.edgeID, graph.EdgeID(v))
 	})
 	lr.f64s(int(totE), func(i int, v float64) {
 		note(i, math.IsNaN(v) || v < 0 || v >= 1)
-		ab.c = append(ab.c, v)
+		st.c = append(st.c, v)
 	})
 	if lr.err != nil {
 		return fmt.Errorf("arenas: %w", lr.err)
@@ -450,10 +447,9 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 	if badAt >= 0 {
 		return fmt.Errorf("invalid arena value at offset %d", badAt)
 	}
-	idx.graphs = ab.takeViews()
 	// Per-graph structural invariants that bulk range checks cannot see.
-	for gi := range idx.graphs {
-		rr := &idx.graphs[gi]
+	for gi := 0; gi < G; gi++ {
+		rr := st.view(gi)
 		n := int32(len(rr.verts))
 		for i := 1; i < len(rr.verts); i++ {
 			if rr.verts[i] <= rr.verts[i-1] {
@@ -477,5 +473,6 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 			}
 		}
 	}
+	idx.graphs = st
 	return nil
 }

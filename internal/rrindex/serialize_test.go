@@ -26,9 +26,9 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadIndex: %v", err)
 	}
-	if back.Theta() != idx.Theta() || len(back.graphs) != len(idx.graphs) {
+	if back.Theta() != idx.Theta() || back.graphs.size() != idx.graphs.size() {
 		t.Fatalf("shape changed: θ %d/%d graphs %d/%d",
-			back.Theta(), idx.Theta(), len(back.graphs), len(idx.graphs))
+			back.Theta(), idx.Theta(), back.graphs.size(), idx.graphs.size())
 	}
 	for u := 0; u < g.NumVertices(); u++ {
 		if back.NumContaining(graph.VertexID(u)) != idx.NumContaining(graph.VertexID(u)) {

@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the sharded index mode: users are hash-partitioned
-// into S shards, each shard owning its own θ-graph arena, postings arena
+// into S shards, each shard owning its own graph store, postings arena
 // and (for DelayMat) counter array, built and repaired in parallel with
 // per-shard RNG streams. A shard is an ordinary Index/DelayMat whose
 // targets are drawn uniformly from the shard's user partition V_s with an
@@ -27,8 +27,8 @@ import (
 // S>1 the estimate is a different (equally valid) sample of the same
 // quantity, with the usual (1-ε) concentration at the combined θ.
 //
-// What sharding buys: each shard's arena, postings and DelayMat counters
-// are independently allocated, built and compacted, so offline build and
+// What sharding buys: each shard's store, postings and DelayMat counters
+// are independently allocated, built and repaired, so offline build and
 // incremental repair parallelize across shards, and a repair touches only
 // the shards whose postings contain a touched head — untouched shards are
 // shared with the previous generation as-is (~1/S of the index per
@@ -373,7 +373,7 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 			Shard:    s,
 			Users:    poolSizeOf(si.pools[s], si.g.NumVertices()),
 			Theta:    sh.theta,
-			Graphs:   len(sh.graphs),
+			Graphs:   sh.graphs.size(),
 			Bytes:    sh.MemoryFootprint(),
 			Repaired: si.repaired[s],
 		}
@@ -384,7 +384,7 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 // share returns a shallow clone of the index re-bound to the updated
 // graph, its postings table extended to cover appended vertices (which no
 // existing graph can contain), with the stats of that no-op repair. The
-// arenas and postings entries are shared — the receiver is immutable.
+// graph store and postings entries are shared — the receiver is immutable.
 func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 	clone := *idx
 	clone.g = g
@@ -393,7 +393,7 @@ func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 		copy(containing, idx.containing)
 		clone.containing = containing
 	}
-	return &clone, RepairStats{Total: len(idx.graphs)}
+	return &clone, RepairStats{Total: idx.graphs.size()}
 }
 
 func (idx *Index) owns(touched []graph.VertexID) bool {
@@ -408,8 +408,8 @@ func (idx *Index) owns(touched []graph.VertexID) bool {
 // Repair returns a new ShardedIndex over the updated graph: RepairShard
 // for every shard, concurrently. A shard is re-sampled only when its
 // postings contain a touched head, its partition gained users, or its
-// apportioned θ grew — otherwise the old shard's (immutable) arenas are
-// shared with the new generation as-is. For a small edge batch this
+// apportioned θ grew — otherwise the old shard's (immutable) store and
+// postings are shared with the new generation as-is. For a small edge batch this
 // shrinks the repair scope to the ~1/S of the index that actually owns
 // affected graphs. The receiver is not modified.
 func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedIndex, RepairStats, error) {
@@ -429,7 +429,7 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 // still orders of magnitude below a materialized index, but it means
 // sharding buys DelayMat parallel build/repair and repair routing, not
 // memory; keep S modest for DelayMat, and reach for sharding primarily
-// on the materialized Index, whose dominant arenas really do partition.
+// on the materialized Index, whose graph stores really do partition.
 type ShardedDelayMat struct {
 	g         *graph.Graph
 	numShards int
@@ -487,8 +487,8 @@ func (sdm *ShardedDelayMat) CanRepair() bool {
 
 // ShardStats snapshots per-shard sizes and cumulative repair counts.
 // Graphs reports θ_s — the conceptual per-shard RR-Graph count, which is
-// truthful whether or not TrackMembers bookkeeping is present (len of
-// members would read 0 for untracked or disk-loaded counters).
+// truthful whether or not TrackMembers bookkeeping is present (the
+// member store is absent for untracked or disk-loaded counters).
 func (sdm *ShardedDelayMat) ShardStats() []ShardStat {
 	out := make([]ShardStat, sdm.numShards)
 	for s, sh := range sdm.shards {
@@ -515,7 +515,7 @@ func (dm *DelayMat) share(g *graph.Graph) (*DelayMat, RepairStats) {
 		clone.counts = counts
 		clone.recomputeFootprint()
 	}
-	return &clone, RepairStats{Total: len(dm.members)}
+	return &clone, RepairStats{Total: dm.members.size()}
 }
 
 func (dm *DelayMat) owns(touched []graph.VertexID) bool {

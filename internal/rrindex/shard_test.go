@@ -136,15 +136,15 @@ func TestShardedBuildInvariants(t *testing.T) {
 			for s, sh := range si.shards {
 				users += poolSizeOf(si.pools[s], tc.numV)
 				theta += sh.theta
-				for gi := range sh.graphs {
-					target := sh.graphs[gi].target
+				for gi := 0; gi < sh.graphs.size(); gi++ {
+					target := sh.graphs.recs[gi].target
 					if ShardOf(target, tc.shards) != s {
 						t.Fatalf("shard %d graph %d target %d belongs to shard %d",
 							s, gi, target, ShardOf(target, tc.shards))
 					}
 				}
-				if poolSizeOf(si.pools[s], tc.numV) == 0 && len(sh.graphs) != 0 {
-					t.Fatalf("empty shard %d has %d graphs", s, len(sh.graphs))
+				if poolSizeOf(si.pools[s], tc.numV) == 0 && sh.graphs.size() != 0 {
+					t.Fatalf("empty shard %d has %d graphs", s, sh.graphs.size())
 				}
 			}
 			if users != tc.numV {
@@ -290,9 +290,8 @@ func TestShardedRepairRoutesToTouchedShards(t *testing.T) {
 		if next.repaired[s] != si.repaired[s] {
 			t.Fatalf("non-owning shard %d has repair count %d (was %d)", s, next.repaired[s], si.repaired[s])
 		}
-		// The skipped shard's arenas must be shared, not copied.
-		if len(next.shards[s].graphs) != len(si.shards[s].graphs) ||
-			&next.shards[s].graphs[0] != &si.shards[s].graphs[0] {
+		// The skipped shard's store must be shared, not copied.
+		if next.shards[s].graphs != si.shards[s].graphs {
 			t.Fatalf("non-owning shard %d was rebuilt instead of shared", s)
 		}
 		if next.shards[s].g != ng {
@@ -302,7 +301,7 @@ func TestShardedRepairRoutesToTouchedShards(t *testing.T) {
 	if repairedDelta != int64(stats.Repaired()) {
 		t.Fatalf("per-shard repaired delta %d != stats.Repaired() %d", repairedDelta, stats.Repaired())
 	}
-	if stats.Total != len(si.shards[0].graphs)+len(si.shards[1].graphs)+len(si.shards[2].graphs)+len(si.shards[3].graphs) {
+	if stats.Total != si.shards[0].graphs.size()+si.shards[1].graphs.size()+si.shards[2].graphs.size()+si.shards[3].graphs.size() {
 		t.Fatalf("stats.Total = %d", stats.Total)
 	}
 	// The repaired index must stay structurally sound.
@@ -347,9 +346,9 @@ func TestShardedRepairVertexGrowth(t *testing.T) {
 	users := 0
 	for s, sh := range next.shards {
 		users += poolSizeOf(next.pools[s], ng.NumVertices())
-		for gi := range sh.graphs {
-			if ShardOf(sh.graphs[gi].target, S) != s {
-				t.Fatalf("shard %d graph %d target %d misplaced", s, gi, sh.graphs[gi].target)
+		for gi := 0; gi < sh.graphs.size(); gi++ {
+			if t0 := sh.graphs.recs[gi].target; ShardOf(t0, S) != s {
+				t.Fatalf("shard %d graph %d target %d misplaced", s, gi, t0)
 			}
 		}
 	}
@@ -450,10 +449,8 @@ func TestShardedDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	for s, sh := range next.shards {
 		want := make([]int64, ng.NumVertices())
-		for _, members := range sh.members {
-			for _, v := range members {
-				want[v]++
-			}
+		for _, v := range sh.members.verts {
+			want[v]++
 		}
 		for u := range want {
 			if sh.counts[u] != want[u] {

@@ -50,11 +50,17 @@ func (o Options) Validate() error {
 // Lambda returns Λ = (2+ε)/ε² · (ln δ + LogSearchSpace + ln 2), the
 // graph-independent factor of the paper's sample sizes (Sec. 4).
 func (o Options) Lambda() float64 {
+	return (2 + o.Epsilon) / (o.Epsilon * o.Epsilon) * o.LogTerm()
+}
+
+// LogTerm returns ln δ + LogSearchSpace + ln 2, the union-bound factor of
+// Λ (an empty search space counts 0).
+func (o Options) LogTerm() float64 {
 	lss := o.LogSearchSpace
 	if math.IsInf(lss, -1) {
 		lss = 0
 	}
-	return (2 + o.Epsilon) / (o.Epsilon * o.Epsilon) * (math.Log(o.Delta) + lss + math.Ln2)
+	return math.Log(o.Delta) + lss + math.Ln2
 }
 
 // SampleSize returns θ_W of Eq. 2 with the unknown E[I(u|W)] replaced by

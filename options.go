@@ -151,7 +151,7 @@ type Options struct {
 	// parallel, with queries scattered across shards and gathered into the
 	// same unbiased estimate. 0 or 1 keeps the single monolithic index
 	// (whose estimates S=1 reproduces byte-for-byte). Raise it when
-	// offline build/repair latency or the single arena's size becomes the
+	// offline build/repair latency or the single store's size becomes the
 	// bottleneck; see the package documentation's Sharding section.
 	// Ignored by online strategies and when loading a saved index: the
 	// file's shard layout wins, and the engine's Options reports it (a 0

@@ -771,3 +771,39 @@ func TestEngineAccessors(t *testing.T) {
 		t.Error("Model() is not the engine's model")
 	}
 }
+
+// TestIndexEffectiveEpsilon: an index whose θ was capped below Eq. 7's
+// reports ε_eff above the configured ε, in IndexEffectiveEpsilon and in
+// Explain; an uncapped one reports at most ε (θ is rounded up), an
+// online strategy nothing.
+func TestIndexEffectiveEpsilon(t *testing.T) {
+	net, model := fig2Network(t)
+	for _, s := range []Strategy{StrategyIndex, StrategyIndexPruned, StrategyDelay} {
+		for _, maxSamples := range []int64{0, 200} {
+			opts := testEngineOptions(s)
+			opts.MaxIndexSamples = maxSamples
+			en, err := NewEngine(net, model, opts)
+			if err != nil {
+				t.Fatalf("%v: NewEngine: %v", s, err)
+			}
+			eff := en.IndexEffectiveEpsilon()
+			if capped := maxSamples > 0; capped != (eff > opts.Epsilon) || !(eff > 0) {
+				t.Errorf("%v cap %d: ε_eff %v against ε %v", s, maxSamples, eff, opts.Epsilon)
+			}
+			res, err := en.Query(0, 2)
+			if err != nil {
+				t.Fatalf("%v: Query: %v", s, err)
+			}
+			if res.Explain.EffectiveEpsilon != eff {
+				t.Errorf("%v cap %d: Explain ε_eff %v, engine %v", s, maxSamples, res.Explain.EffectiveEpsilon, eff)
+			}
+		}
+	}
+	en, err := NewEngine(net, model, testEngineOptions(StrategyLazy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eff := en.IndexEffectiveEpsilon(); eff != 0 {
+		t.Errorf("online engine reports ε_eff %v", eff)
+	}
+}

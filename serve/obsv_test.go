@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"pitex"
 	"pitex/distrib"
@@ -328,6 +332,76 @@ func TestTracePropagatesToShards(t *testing.T) {
 	for _, name := range []string{"pitex_remote_scatters_total", "pitex_remote_frontier_siblings_total"} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("coordinator /metrics missing %s", name)
+		}
+	}
+}
+
+// TestEffectiveEpsilonExposed: the ε the index delivers is the same
+// number in /statsz, /metrics and ?explain=1 of an in-process server, and
+// a coordinator over a two-server fleet reports its in-process twin's
+// value while each shard server reports a positive one of its own.
+func TestEffectiveEpsilonExposed(t *testing.T) {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+	gauge := func(url string) float64 {
+		t.Helper()
+		f, ok := scrape(t, url+"/metrics")["pitex_index_effective_epsilon"]
+		if !ok || len(f.Samples) != 1 {
+			t.Fatalf("%s/metrics has no pitex_index_effective_epsilon sample", url)
+		}
+		return f.Samples[0].Value
+	}
+	explained := func(url string) float64 {
+		t.Helper()
+		_, doc := getDoc(t, url+"/selling-points?user=1&k=2&explain=1")
+		v, _ := doc["explain"].(map[string]any)["effective_epsilon"].(float64)
+		return v
+	}
+
+	en := fig2Engine(t, pitex.StrategyIndexPruned)
+	want := en.IndexEffectiveEpsilon()
+	if !(want > 0) {
+		t.Fatalf("IndexEffectiveEpsilon = %v, want > 0", want)
+	}
+	srv, err := New(en, pitex.ServeOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, stats := getDoc(t, ts.URL+"/statsz")
+	for name, got := range map[string]float64{
+		"/statsz": stats["effective_epsilon"].(float64), "/metrics": gauge(ts.URL), "explain": explained(ts.URL),
+	} {
+		if !near(got, want) {
+			t.Errorf("%s effective ε = %v, engine says %v", name, got, want)
+		}
+	}
+
+	var urls []string
+	for s := 0; s < 2; s++ {
+		ss, sts := startFig2ShardServer(t, s, 2)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := ss.WaitReady(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("WaitReady: %v", err)
+		}
+		if g := gauge(sts.URL); !(g > 0) {
+			t.Errorf("shard %d gauge = %v, want > 0", s, g)
+		}
+		if _, doc := getDoc(t, sts.URL+"/statsz"); !(doc["effective_epsilon"].(float64) > 0) {
+			t.Errorf("shard %d /statsz effective_epsilon = %v", s, doc["effective_epsilon"])
+		}
+		urls = append(urls, strings.TrimPrefix(sts.URL, "http://"))
+	}
+	coord, _ := dialFig2Coordinator(t, [][]string{{urls[0]}, {urls[1]}}, distrib.Options{}, pitex.ServeOptions{PoolSize: 1})
+	ct := httptest.NewServer(coord.Handler())
+	defer ct.Close()
+	twin := fig2EngineSharded(t, pitex.StrategyIndexPruned, 2).IndexEffectiveEpsilon()
+	for name, got := range map[string]float64{"/metrics": gauge(ct.URL), "explain": explained(ct.URL)} {
+		if !near(got, twin) {
+			t.Errorf("coordinator %s effective ε = %v, in-process S=2 engine says %v", name, got, twin)
 		}
 	}
 }

@@ -203,9 +203,11 @@ type Pool struct {
 	// indexBytes is the offline index footprint shared by every engine in
 	// the pool, captured at construction (clones share the prototype's
 	// index, so one number describes them all). shardStats is the per-shard
-	// breakdown, nil for online strategies.
-	indexBytes int64
-	shardStats []pitex.IndexShardStat
+	// breakdown, nil for online strategies. effectiveEpsilon is the
+	// prototype's IndexEffectiveEpsilon at construction.
+	indexBytes       int64
+	shardStats       []pitex.IndexShardStat
+	effectiveEpsilon float64
 }
 
 // NewPool clones the prototype engine size times (sharing its offline
@@ -220,10 +222,11 @@ func NewPool(proto *pitex.Engine, size, queueDepth int, queueTimeout time.Durati
 		queueDepth = 0
 	}
 	p := &Pool{
-		gate:       newGate(size, queueDepth, queueTimeout),
-		engines:    make(chan *pitex.Engine, size),
-		indexBytes: proto.IndexMemoryBytes(),
-		shardStats: proto.IndexShardStats(),
+		gate:             newGate(size, queueDepth, queueTimeout),
+		engines:          make(chan *pitex.Engine, size),
+		indexBytes:       proto.IndexMemoryBytes(),
+		shardStats:       proto.IndexShardStats(),
+		effectiveEpsilon: proto.IndexEffectiveEpsilon(),
 	}
 	for i := 0; i < size; i++ {
 		p.engines <- proto.Clone()
@@ -237,6 +240,10 @@ func (p *Pool) Size() int { return cap(p.engines) }
 // IndexBytes returns the estimated in-memory size of the offline index
 // shared by the pool's engines (0 for online strategies).
 func (p *Pool) IndexBytes() int64 { return p.indexBytes }
+
+// EffectiveEpsilon returns the ε the pool's index delivers (Eq. 7 at its
+// θ), captured at construction; 0 for online strategies.
+func (p *Pool) EffectiveEpsilon() float64 { return p.effectiveEpsilon }
 
 // ShardStats returns the per-shard index breakdown captured at
 // construction (nil for online strategies; one row for monolithic

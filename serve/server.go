@@ -124,6 +124,8 @@ func (s *Server) registerMetrics() {
 
 	reg.GaugeFunc("pitex_index_bytes", "Offline-index footprint of the serving generation.",
 		func() float64 { return float64(s.pool.Load().IndexBytes()) })
+	reg.GaugeFunc("pitex_index_effective_epsilon", "Error budget the serving generation's index delivers: Eq. 7 solved for ε at its θ and |V|, above the configured ε when θ was capped (0 for online strategies).",
+		func() float64 { return s.pool.Load().EffectiveEpsilon() })
 	reg.GaugeFunc("pitex_pool_in_use", "Pool engines currently checked out.",
 		func() float64 { return float64(s.pool.Load().Stats().InUse) })
 	reg.GaugeFunc("pitex_pool_waiting", "Requests queued for a pool engine.",
@@ -537,6 +539,10 @@ type Stats struct {
 	// Table 3 metric, O(1) to read), so operators can watch index RSS
 	// across live updates. 0 for online strategies.
 	IndexBytes int64 `json:"index_bytes"`
+	// EffectiveEpsilon is the ε the current generation's index delivers
+	// (pitex.Engine.IndexEffectiveEpsilon): above the configured ε when
+	// θ was capped. Omitted for online strategies.
+	EffectiveEpsilon float64 `json:"effective_epsilon,omitempty"`
 	// IndexShards breaks the footprint down per shard (users, θ, graphs,
 	// bytes, cumulative graphs repaired across update generations).
 	// Omitted for online strategies; one row for a monolithic index.
@@ -562,17 +568,18 @@ func (s *Server) Stats() Stats {
 		remote = &st
 	}
 	return Stats{
-		Remote:        remote,
-		Strategy:      s.strategy,
-		Generation:    s.generation.Load(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Build:         obsv.GetBuildInfo(),
-		IndexBytes:    pool.IndexBytes(),
-		IndexShards:   pool.ShardStats(),
-		Pool:          pool.Stats(),
-		Cache:         s.cache.Stats(),
-		Latency:       s.metrics.Snapshot(),
-		Jobs:          s.jobs.List(),
+		Remote:           remote,
+		Strategy:         s.strategy,
+		Generation:       s.generation.Load(),
+		UptimeSeconds:    time.Since(s.start).Seconds(),
+		Build:            obsv.GetBuildInfo(),
+		IndexBytes:       pool.IndexBytes(),
+		EffectiveEpsilon: pool.EffectiveEpsilon(),
+		IndexShards:      pool.ShardStats(),
+		Pool:             pool.Stats(),
+		Cache:            s.cache.Stats(),
+		Latency:          s.metrics.Snapshot(),
+		Jobs:             s.jobs.List(),
 	}
 }
 

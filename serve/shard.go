@@ -227,6 +227,26 @@ func (ss *ShardServer) registerMetrics() {
 		func() int64 { return ss.gate.timeouts.Load() })
 	reg.GaugeFunc("pitex_shards_owned", "Shard slices this server holds.",
 		func() float64 { return float64(len(ss.cfg.Owned)) })
+	reg.GaugeFunc("pitex_index_effective_epsilon", "Error budget this server's slices deliver: Eq. 7 solved for ε at their Σθ_s and Σ|V_s| (0 while building).",
+		func() float64 { return ss.effectiveEpsilon(ss.state.Load()) })
+}
+
+// effectiveEpsilon is Eq. 7 solved for ε over the owned slices of st, or
+// 0 before they are built.
+func (ss *ShardServer) effectiveEpsilon(st *shardState) float64 {
+	if st == nil {
+		return 0
+	}
+	var theta int64
+	users := 0
+	for _, sl := range st.slices {
+		theta += sl.idx.Theta()
+		users += sl.users
+	}
+	if theta == 0 {
+		return 0
+	}
+	return ss.buildOpts.EffectiveEpsilon(users, theta)
 }
 
 func (ss *ShardServer) build(net *pitex.Network) {
@@ -677,6 +697,7 @@ func (ss *ShardServer) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if st := ss.state.Load(); st != nil {
 		out["generation"] = st.generation
 		out["shards"] = ss.infoFor(st).Shards
+		out["effective_epsilon"] = ss.effectiveEpsilon(st)
 	}
 	writeJSON(w, out)
 }
