@@ -380,12 +380,16 @@ func (en *Engine) IndexEffectiveEpsilon() float64 {
 // IndexShardStat describes one shard of the offline index: its user
 // partition size, sample count, footprint, and the cumulative number of
 // RR-Graphs incremental repairs have re-sampled in it across update
-// generations. Exported by serve's /statsz as index_shards.
+// generations. Graphs is θ_s; Singletons is how many of them have one
+// vertex, which an index shard keeps as a per-user count instead of a
+// graph (0 for DelayMat, which keeps counts only). Exported by serve's
+// /statsz as index_shards.
 type IndexShardStat struct {
 	Shard          int   `json:"shard"`
 	Users          int   `json:"users"`
 	Theta          int64 `json:"theta"`
 	Graphs         int   `json:"graphs"`
+	Singletons     int   `json:"singletons"`
 	IndexBytes     int64 `json:"index_bytes"`
 	GraphsRepaired int64 `json:"graphs_repaired"`
 }
@@ -409,6 +413,7 @@ func (en *Engine) IndexShardStats() []IndexShardStat {
 			Users:          s.Users,
 			Theta:          s.Theta,
 			Graphs:         s.Graphs,
+			Singletons:     s.Singletons,
 			IndexBytes:     s.Bytes,
 			GraphsRepaired: s.Repaired,
 		}

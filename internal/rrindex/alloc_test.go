@@ -50,7 +50,7 @@ func TestEstimatorAllocationGuard(t *testing.T) {
 		for u := 0; u < g.NumVertices(); u++ {
 			work := 0
 			for _, sh := range si.shards {
-				work += len(sh.containing[u])
+				work += sh.NumContaining(graph.VertexID(u))
 			}
 			if work > hubWork {
 				hub, hubWork = graph.VertexID(u), work

@@ -344,23 +344,33 @@ func TestArenaRepairMatchesSeedLayout(t *testing.T) {
 }
 
 // assertCompact checks that idx's store holds exactly its graphs: every
-// array's length is the sum of its graphs' windows and no array carries
-// spare capacity, so no dead bytes of an earlier generation are retained.
+// array's length is the sum of its multi-vertex graphs' windows, singles
+// and the kind bitmap hold exactly the one-vertex graphs and the
+// positions, and no array carries spare capacity, so no dead bytes of an
+// earlier generation are retained.
 func assertCompact(t *testing.T, label string, st *graphStore) {
 	t.Helper()
-	var nv, ns, ne int
+	var multi, nv, ns, ne int
 	for gi := 0; gi < st.size(); gi++ {
+		if st.posted(gi) == nil {
+			continue
+		}
 		rr := st.view(gi)
+		multi++
 		nv += len(rr.verts)
 		ns += len(rr.outStart)
 		ne += len(rr.edgeID)
 	}
-	if len(st.recs) != st.size()+1 || len(st.verts) != nv || len(st.outStart) != ns ||
+	singles, words := st.size()-multi, st.size()/64+1
+	if len(st.recs) != multi+1 || len(st.singles) != singles || len(st.kinds) != words ||
+		len(st.verts) != nv || len(st.outStart) != ns ||
 		len(st.outTo) != ne || len(st.edgeID) != ne || len(st.c) != ne {
-		t.Fatalf("%s: store arrays %d/%d/%d/%d/%d, graphs sum to %d/%d/%d",
-			label, len(st.verts), len(st.outStart), len(st.outTo), len(st.edgeID), len(st.c), nv, ns, ne)
+		t.Fatalf("%s: store arrays %d/%d/%d/%d/%d/%d/%d, graphs sum to %d/%d/%d/%d/%d",
+			label, len(st.recs), len(st.singles), len(st.verts), len(st.outStart), len(st.outTo), len(st.edgeID), len(st.c),
+			multi+1, singles, nv, ns, ne)
 	}
-	if cap(st.recs) != len(st.recs) || cap(st.verts) != nv || cap(st.outStart) != ns ||
+	if cap(st.recs) != len(st.recs) || cap(st.singles) != singles || cap(st.kinds) != words ||
+		cap(st.verts) != nv || cap(st.outStart) != ns ||
 		cap(st.outTo) != ne || cap(st.edgeID) != ne || cap(st.c) != ne {
 		t.Fatalf("%s: repaired store carries spare capacity", label)
 	}
@@ -410,7 +420,8 @@ func TestMemoryFootprintCached(t *testing.T) {
 	walk := func(idx *Index) int64 {
 		st := idx.graphs
 		b := int64(cap(st.recs))*12 + int64(cap(st.verts))*4 + int64(cap(st.outStart))*4 +
-			int64(cap(st.outTo))*4 + int64(cap(st.edgeID))*4 + int64(cap(st.c))*8
+			int64(cap(st.outTo))*4 + int64(cap(st.edgeID))*4 + int64(cap(st.c))*8 +
+			int64(cap(st.kinds))*16 + int64(cap(st.singles))*4 + int64(cap(idx.single))*4
 		for _, l := range idx.containing {
 			b += 24 + int64(cap(l))*4
 		}

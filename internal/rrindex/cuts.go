@@ -42,9 +42,9 @@ type userCuts struct {
 	// All lists are windows into one shared entries slice.
 	edges []graph.EdgeID
 	lists [][]cutEntry
-	// direct[i] is the position (in containing[u]) of an RR-Graph whose
-	// target is u itself: always a hit, never needs filtering.
-	direct []int32
+	// direct counts u's posted RR-Graphs whose target is u itself: always
+	// hits, never filtered.
+	direct int
 	// entries is the total posting count across lists — the unit the
 	// estimator's cut-cache bound is counted in.
 	entries int
@@ -79,7 +79,7 @@ func buildUserCuts(idx *Index, u graph.VertexID, policy CutPolicy, sc *cutScratc
 	for pos, gi := range idx.containing[u] {
 		rr := idx.graphs.view(int(gi))
 		if rr.target == u {
-			uc.direct = append(uc.direct, int32(pos))
+			uc.direct++
 			continue
 		}
 		var cut []cutEdge
@@ -178,10 +178,11 @@ func pruneProb(g *graph.Graph, cut []cutEdge) float64 {
 // PrunedEstimator is the IndexEst+ scan policy: the edge-cut filter in
 // front of verification. Per-user cut indexes are cached, and the cache
 // is bounded: the cut postings held across all cached users never exceed
-// the index's own postings count (Σ_u θ(u)), or one user's lists when
-// those alone are larger — so a long-lived estimator (an engine clone, a
-// shard server's per-generation set) costs at most a small constant
-// multiple of the postings arena however many users it serves. An
+// the index's own postings count (Σ_u θ(u), one-vertex graphs included,
+// read in O(1) from the store), or one user's lists when those alone are
+// larger — so a long-lived estimator (an engine clone, a shard server's
+// per-generation set) costs at most a small constant multiple of the
+// postings arena however many users it serves. An
 // insertion that would overflow drops the whole cache first; the user
 // being served is always kept. Not safe for concurrent use.
 type PrunedEstimator struct {
@@ -192,10 +193,8 @@ type PrunedEstimator struct {
 	scanState
 	cuts  map[graph.VertexID]*userCuts
 	cutSc cutScratch
-	// cutEntries is Σ entries over cuts; cutBudget is the index's postings
-	// count, computed on the first cache miss.
+	// cutEntries is Σ entries over cuts.
 	cutEntries int
-	cutBudget  int
 	// candStamp deduplicates candidate positions during filtering;
 	// candSlot maps a deduplicated position to its index in cands (the
 	// masked scan keeps per-candidate sibling masks in candMask there).
@@ -222,12 +221,7 @@ func (pe *PrunedEstimator) cutsFor(u graph.VertexID) *userCuts {
 		return uc
 	}
 	uc := buildUserCuts(pe.idx, u, pe.Policy, &pe.cutSc)
-	if pe.cutBudget == 0 {
-		for _, list := range pe.idx.containing {
-			pe.cutBudget += len(list)
-		}
-	}
-	if pe.cutEntries+uc.entries > pe.cutBudget {
+	if pe.cutEntries+uc.entries > pe.idx.postingsTotal() {
 		clear(pe.cuts)
 		pe.cutEntries = 0
 	}
@@ -248,7 +242,7 @@ func (pe *PrunedEstimator) beginFilter(n int) {
 	pe.candMask = pe.candMask[:0]
 }
 
-func (pe *PrunedEstimator) postings(u graph.VertexID) int { return len(pe.idx.containing[u]) }
+func (pe *PrunedEstimator) postings(u graph.VertexID) int { return pe.idx.NumContaining(u) }
 
 // scanFrontier is the batched filter-and-verify: the inverted cut lists
 // are scanned once against cached probability rows to build per-candidate
@@ -316,9 +310,8 @@ func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, prob
 		sc.countHits(rr.reachMask(u, fc, m, sc))
 		pe.graphsChecked += int64(bits.OnesCount64(m))
 	}
-	direct := int64(len(uc.direct))
 	for w := 0; w < W; w++ {
-		pe.graphsPruned += int64(len(containing)) - direct - sc.samples[w]
+		pe.graphsPruned += int64(len(containing)-uc.direct) - sc.samples[w]
 	}
-	sc.packRows(direct, Partial{Shard: shard, Contained: len(containing), Theta: idx.theta, Users: users}, rows, stride)
+	sc.packRows(int64(uc.direct)+int64(idx.single[u]), Partial{Shard: shard, Contained: idx.NumContaining(u), Theta: idx.theta, Users: users}, rows, stride)
 }

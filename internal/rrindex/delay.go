@@ -94,7 +94,7 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 	r := rng.New(opts.Seed)
 	dm := &DelayMat{g: g, theta: theta, counts: make([]int64, g.NumVertices())}
 	if opts.TrackMembers {
-		dm.members = newStore(int(theta))
+		dm.members = newStore()
 	}
 	mark := make([]bool, g.NumVertices())
 	var sc memberScratch
@@ -105,9 +105,15 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 			dm.counts[m]++
 		}
 		if opts.TrackMembers {
-			if err := dm.members.push(target, members, 0); err != nil {
+			if _, err := dm.members.push(target, members, 0); err != nil {
 				return nil, err
 			}
+		}
+	}
+	if opts.TrackMembers {
+		var err error
+		if dm.members, err = mergeStores(dm.members); err != nil {
+			return nil, err
 		}
 	}
 	dm.recomputeFootprint()
@@ -199,13 +205,14 @@ type DelayEstimator struct {
 	inShard   []graph.VertexID
 
 	// The last recovery, as the one-user index the plain scans walk: the
-	// recovered graphs, their identity postings list (grown, never
-	// shrunk) and the largest graph's vertex count.
+	// recovered graphs, the positions of the multi-vertex ones (every
+	// one-vertex one is rooted at the user, a direct hit) and the largest
+	// graph's vertex count.
 	cachedUser    graph.VertexID
 	cachedValid   bool
 	recovered     graphStore
 	cachedMaxSize int
-	identity      []int32
+	posts         []int32
 
 	// The firing schedule: the generation's table, one firing per vertex
 	// (16·|V| bytes; both set up by the first recovery, so an estimator
@@ -274,7 +281,7 @@ func (de *DelayEstimator) graphsOf(u graph.VertexID) graphSet {
 		de.recover(u)
 	}
 	return graphSet{
-		graphs: &de.recovered, postings: de.identity[:de.recovered.size()],
+		graphs: &de.recovered, postings: de.posts, direct: len(de.recovered.singles),
 		maxSize: de.cachedMaxSize, theta: de.dm.theta,
 	}
 }
@@ -355,9 +362,7 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.cachedUser = u
 	de.cachedValid = true
 	de.cachedMaxSize = de.recovered.maxSize()
-	for i := len(de.identity); i < de.recovered.size(); i++ {
-		de.identity = append(de.identity, int32(i))
-	}
+	de.posts = de.recovered.multiPositions(de.posts[:0])
 }
 
 // firingOf returns v's schedule, drawing its first firing visit when this

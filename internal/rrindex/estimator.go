@@ -29,8 +29,8 @@ import (
 // scanPolicy is one shard's scan. The scan takes the shard's slot in the
 // layout (its id and |V_s|) and stamps it, with θ_s, on every row.
 type scanPolicy interface {
-	// postings returns θ_s(u), the number of graphs a scan of u visits at
-	// most — the work estimate behind the fan-out decision.
+	// postings returns θ_s(u), the number of graphs containing u — the
+	// work estimate behind the fan-out decision.
 	postings(u graph.VertexID) int
 	// scanFrontier decides every sibling of one frontier chunk (at most
 	// maxFrontierWidth posteriors) in a single masked pass over all of u's
@@ -115,13 +115,15 @@ func (st *scanState) WorkStats() sampling.WorkStats {
 	}
 }
 
-// graphSet is what the plain hit-test walks for one user: the graphs
-// postings[i] of a store, none larger than maxSize vertices, out of theta
-// samples. An Index hands out its own store; DelayMat recovery fills one
-// per query user.
+// graphSet is what the plain hit-test walks for one user: the
+// multi-vertex graphs postings[i] of a store, none larger than maxSize
+// vertices, plus direct one-vertex graphs of target u — hits under every
+// tag set, counted, never walked — out of theta samples. An Index hands
+// out its own store; DelayMat recovery fills one per query user.
 type graphSet struct {
 	graphs   *graphStore
 	postings []int32
+	direct   int
 	maxSize  int
 	theta    int64
 }

@@ -141,7 +141,8 @@ func (sc *frontierScratch) countHits(mask uint64) {
 // packRows writes the finished chunk's counters as Partial rows, sibling
 // w at rows[w*stride]. base carries the sibling-independent fields
 // (Shard, Contained, Theta, Users); direct adds unconditional hits (the
-// pruned scan's target-is-u graphs) to both counts.
+// graphs whose target is u: every one-vertex one, and in the pruned scan
+// the rest too) to both counts.
 func (sc *frontierScratch) packRows(direct int64, base Partial, rows []Partial, stride int) {
 	for w := range sc.hits {
 		p := base
@@ -162,9 +163,9 @@ func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.Vertex
 		sc.countHits(rr.reachMask(u, st.fc, active, sc))
 	}
 	n := int64(len(gs.postings))
-	st.graphsChecked += n * int64(len(chunk))
+	st.graphsChecked += (n + int64(gs.direct)) * int64(len(chunk))
 	for w := range chunk {
 		sc.samples[w] = n
 	}
-	sc.packRows(0, Partial{Shard: shard, Contained: len(gs.postings), Theta: gs.theta, Users: users}, rows, stride)
+	sc.packRows(int64(gs.direct), Partial{Shard: shard, Contained: len(gs.postings) + gs.direct, Theta: gs.theta, Users: users}, rows, stride)
 }

@@ -152,7 +152,7 @@ func TestFrontierByteIdenticalSharded(t *testing.T) {
 		for u := 0; u < g.NumVertices(); u++ {
 			work := 0
 			for _, sh := range si.shards {
-				work += len(sh.containing[u])
+				work += sh.NumContaining(graph.VertexID(u))
 			}
 			if work > hubWork {
 				hub, hubWork = graph.VertexID(u), work

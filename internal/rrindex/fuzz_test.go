@@ -76,6 +76,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			b[:21],                      // header cut inside the counts
 		)
 	}
+	for _, bad := range malformedOneVertex(f, idx) {
+		blobs = append(blobs, bad)
+	}
 	blobs = append(blobs, nil, []byte("PITEXIDX"))
 	return blobs
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"pitex/internal/graph"
+	"pitex/internal/rng"
 	"pitex/internal/sampling"
+	"pitex/internal/topics"
 )
 
 // goldenFileHashes pins the SHA-256 of every saved file of
@@ -47,18 +49,7 @@ func TestSavedFilesGolden(t *testing.T) {
 		MaxIndexSamples: 2400,
 		TrackMembers:    true,
 	}
-	deltas := []graph.Delta{
-		{RetopicEdges: []graph.EdgeRetopic{{Edge: 5, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.8}}}}},
-		{
-			AddVertices: 6,
-			DeleteEdges: []graph.EdgeID{17},
-			InsertEdges: []graph.EdgeInsert{{From: 3, To: 151, Topics: []graph.TopicProb{{Topic: 1, Prob: 0.6}}}},
-		},
-		{
-			AddVertices:  2,
-			RetopicEdges: []graph.EdgeRetopic{{Edge: 40, Topics: []graph.TopicProb{{Topic: 1, Prob: 0.3}}}},
-		},
-	}
+	deltas := goldenDeltas()
 	got := map[string]string{}
 	hash := func(key string, write func(*bytes.Buffer) error) {
 		var buf bytes.Buffer
@@ -103,5 +94,122 @@ func TestSavedFilesGolden(t *testing.T) {
 	}
 	if len(got) != len(goldenFileHashes) {
 		t.Errorf("hashed %d files, %d pinned", len(got), len(goldenFileHashes))
+	}
+}
+
+// goldenRowHashes pins the SHA-256 of every Partial row of
+// TestPartialRowsGolden: a storage-layout change must leave every row of
+// every scan policy exactly as it was, after a build and along a repair
+// chain, at one shard and at three.
+var goldenRowHashes = map[string]string{
+	"S=1/step=0/DELAYMAT":  "3e398564828480de6c0716243ed473fbd19cb0f67b5d5e9003c0f1a52043b697",
+	"S=1/step=0/INDEXEST":  "97406f999a97b428a191dd1426170e3a3a625090ba294f93803f19741cf87d9b",
+	"S=1/step=0/INDEXEST+": "940ea05609568a20ad6cbe166b3270a8aea882ed435cfb131d21a4c0d0b4643f",
+	"S=1/step=1/DELAYMAT":  "586deca52c890f04ddcfd8abb308d71e32669c553f1df5e21ddf0ba4203c1ba0",
+	"S=1/step=1/INDEXEST":  "383092a52a8cc4476373d9cc326d7a5063169141636e6937859f5e836f1ff02f",
+	"S=1/step=1/INDEXEST+": "b5a1d2b7174faf0c70473295ba0a558c9251b1c8bd8b4eb882907b7306d0bc59",
+	"S=1/step=2/DELAYMAT":  "e0513ef0aaadd3d977a9cc2878b995af03a95a29fd30e8a08901319fb6921de3",
+	"S=1/step=2/INDEXEST":  "ad521a1862096add315bb6e32957bbb0bd7e29880749d88840ff6a038b673a1c",
+	"S=1/step=2/INDEXEST+": "b77126e37c1776aa243dc54086f99211253272637ff0d99fb1cd4c470f8a3355",
+	"S=1/step=3/DELAYMAT":  "22b4df630c03ef0a64ca621565cca331d0ede7c5f550feaf9d5c88b4dbadf523",
+	"S=1/step=3/INDEXEST":  "37fce52bfbd88edb68c12e69f110c67c28a3c916b0624c500000be50644686cd",
+	"S=1/step=3/INDEXEST+": "0270ef256a9b351a25979563b799803a81c2febe6cbcf8675dbbc8b78b17bc83",
+	"S=3/step=0/DELAYMAT":  "1e98cab7a6306401356dd7b3b8de4b23bd3cabf4e78f1072ef6bc621b3224fc9",
+	"S=3/step=0/INDEXEST":  "5f4679e76844ff4d1de8fbd7c077147fc80ce9abb21249ac4ec92c4bc08c3d48",
+	"S=3/step=0/INDEXEST+": "0bc076b02bf2a1a4dac50695e15b77d47e5a5ac268613da8e8622f51b6386c16",
+	"S=3/step=1/DELAYMAT":  "5b7672208e6452d5682dc998fb80897e4b8195a16c2016a623ac197eeb346965",
+	"S=3/step=1/INDEXEST":  "4d22aa61125a95f037a49847ca12c44680c276af74be66c0a2758b5df4c29418",
+	"S=3/step=1/INDEXEST+": "db1a5babd4a130a31ebca81c8536db98b63930913bac60199958dc1d42850cc8",
+	"S=3/step=2/DELAYMAT":  "8f7a09fcf406a0096f82a4c7a227999454afb1e5319881874529d7e69ecfb4a3",
+	"S=3/step=2/INDEXEST":  "881974947655259618036a742a4becb161561679c07b675f346512961ae29b52",
+	"S=3/step=2/INDEXEST+": "586920fdc8e4b08fb22d97bccfe42ccea1d083506a1e2d48123157f0a05b5f8b",
+	"S=3/step=3/DELAYMAT":  "f8ffd7c2df2e3ae65a80abb71ba2a07a1fd5a3dd5eac30e4332d69217c98873f",
+	"S=3/step=3/INDEXEST":  "abb0f0cd8e3c10de56fa25231414e091af22f79b911c52ff73b7ae0300c9e6c0",
+	"S=3/step=3/INDEXEST+": "2dfd1642d0f5c61615b4c0d9dcbdb6f66393588484281d5c12cbc9a4b42ce981",
+}
+
+// TestPartialRowsGolden scans 64 fixed users against a 12-sibling
+// frontier under IndexEst, IndexEst+ and DelayMat at S ∈ {1, 3}, after a
+// build and after each step of TestSavedFilesGolden's repair chain, and
+// compares the SHA-256 of each family's rows (every field, every shard,
+// every sibling) with the pinned value.
+func TestPartialRowsGolden(t *testing.T) {
+	g := randomGraph(150, 4, 0.05, 0.35, 71)
+	opts := BuildOptions{
+		Accuracy:        sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 2},
+		Seed:            13,
+		MaxIndexSamples: 2400,
+		TrackMembers:    true,
+	}
+	posteriors := siblingPosteriors(topics.GenerateRandom(rng.New(5), 16, 2, 2), []topics.TagID{1}, 12)
+	if len(posteriors) != 12 {
+		t.Fatalf("fixture model yielded %d/12 defined posteriors", len(posteriors))
+	}
+	deltas := goldenDeltas()
+	got := map[string]string{}
+	for _, S := range []int{1, 3} {
+		si, err := BuildSharded(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildSharded: %v", S, err)
+		}
+		sdm, err := BuildShardedDelayMat(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildShardedDelayMat: %v", S, err)
+		}
+		cur := g
+		for step := 0; ; step++ {
+			for name, est := range map[string]*ShardedEstimator{
+				"INDEXEST":  NewShardedEstimator(si),
+				"INDEXEST+": NewShardedPrunedEstimator(si),
+				"DELAYMAT":  NewShardedDelayEstimator(sdm, rng.New(9)),
+			} {
+				h := sha256.New()
+				for i := 0; i < 64; i++ {
+					est.scatter(graph.VertexID(i*37%150), nil, posteriors)
+					for _, row := range est.rows {
+						fmt.Fprintf(h, "%+v\n", row)
+					}
+				}
+				got[fmt.Sprintf("S=%d/step=%d/%s", S, step, name)] = hex.EncodeToString(h.Sum(nil))
+			}
+			if step == len(deltas) {
+				break
+			}
+			ng, info := applyDelta(t, cur, deltas[step])
+			ropts := opts
+			ropts.Seed = opts.Seed + uint64(step+1)*977
+			if si, _, err = si.Repair(ng, ropts, info.TouchedHeads, deltas[step].AddVertices); err != nil {
+				t.Fatalf("S=%d step %d index Repair: %v", S, step, err)
+			}
+			if sdm, _, err = sdm.Repair(ng, ropts, info.TouchedHeads, deltas[step].AddVertices); err != nil {
+				t.Fatalf("S=%d step %d DelayMat Repair: %v", S, step, err)
+			}
+			cur = ng
+		}
+	}
+	for key, h := range got {
+		if want := goldenRowHashes[key]; h != want {
+			t.Errorf("%s: sha256 %s, want %s", key, h, want)
+		}
+	}
+	if len(got) != len(goldenRowHashes) {
+		t.Errorf("hashed %d row sets, %d pinned", len(got), len(goldenRowHashes))
+	}
+}
+
+// goldenDeltas is the golden tests' repair chain: edge retopics, an
+// insertion, a deletion and vertex growth over randomGraph(150, ...).
+func goldenDeltas() []graph.Delta {
+	return []graph.Delta{
+		{RetopicEdges: []graph.EdgeRetopic{{Edge: 5, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.8}}}}},
+		{
+			AddVertices: 6,
+			DeleteEdges: []graph.EdgeID{17},
+			InsertEdges: []graph.EdgeInsert{{From: 3, To: 151, Topics: []graph.TopicProb{{Topic: 1, Prob: 0.6}}}},
+		},
+		{
+			AddVertices:  2,
+			RetopicEdges: []graph.EdgeRetopic{{Edge: 40, Topics: []graph.TopicProb{{Topic: 1, Prob: 0.3}}}},
+		},
 	}
 }

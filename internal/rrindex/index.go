@@ -59,16 +59,20 @@ func (o BuildOptions) EffectiveEpsilon(numVertices int, theta int64) float64 {
 
 // Index is the offline RR-Graph index of Algo 3 ("IndexEst"): θ RR-Graphs
 // of uniformly sampled targets, plus a per-user postings list of the
-// RR-Graphs containing that user. The graphs live in one flat graphStore
-// and the postings lists are windows into a single int32 arena (see the
-// package comment). Safe for concurrent readers; the estimator wrappers
-// carry per-goroutine scratch.
+// multi-vertex RR-Graphs containing that user and a per-user count of the
+// one-vertex ones, which contain only their target and are a hit for it
+// under every tag set. The graphs live in one flat graphStore and the
+// postings lists are windows into a single int32 arena (see the package
+// comment). Safe for concurrent readers; the estimator wrappers carry
+// per-goroutine scratch.
 type Index struct {
 	g      *graph.Graph
 	theta  int64
 	graphs *graphStore
-	// containing[u] lists the indices of the RR-Graphs containing u.
+	// containing[u] lists the positions of the multi-vertex RR-Graphs
+	// containing u; single[u] counts the one-vertex RR-Graphs of target u.
 	containing [][]int32
+	single     []int32
 	maxSize    int   // largest RR-Graph vertex count, for scratch sizing
 	footprint  int64 // cached MemoryFootprint, maintained by Build/Read/Repair
 }
@@ -120,7 +124,7 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 			defer wg.Done()
 			r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
 			sc := newGenScratch(g.NumVertices())
-			st := newStore(int(n))
+			st := newStore()
 			for i := int64(0); i < n && errs[w] == nil; i++ {
 				errs[w] = generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, st)
 			}
@@ -140,8 +144,8 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 }
 
 // finishPostings packs the per-user postings lists into one int32 arena
-// (two counting passes, zero per-user allocations) and refreshes the
-// cached maxSize and footprint. Called at the end of Build and ReadIndex.
+// (two counting passes, zero per-user allocations) and refreshes maxSize
+// and what seal derives. Called at the end of Build and ReadIndex.
 func (idx *Index) finishPostings() {
 	numV := idx.g.NumVertices()
 	counts := make([]int32, numV)
@@ -157,17 +161,28 @@ func (idx *Index) finishPostings() {
 		off += int(counts[v])
 	}
 	for gi := 0; gi < idx.graphs.size(); gi++ {
-		for _, v := range idx.graphs.members(gi) {
+		for _, v := range idx.graphs.posted(gi) {
 			idx.containing[v] = append(idx.containing[v], int32(gi)) // within cap
 		}
+	}
+	idx.seal()
+}
+
+// seal refreshes what the index derives from its store: the one-vertex
+// counts and the cached footprint.
+func (idx *Index) seal() {
+	idx.single = make([]int32, idx.g.NumVertices())
+	for _, t := range idx.graphs.singles {
+		idx.single[t]++
 	}
 	idx.recomputeFootprint()
 }
 
 // recomputeFootprint refreshes the cached MemoryFootprint value: the
-// store, every postings window by capacity, and the windows' headers.
+// store, the one-vertex counts, every postings window by capacity, and
+// the windows' headers.
 func (idx *Index) recomputeFootprint() {
-	b := idx.graphs.footprint() + int64(cap(idx.containing))*sliceHeaderBytes
+	b := idx.graphs.footprint() + int64(cap(idx.single))*4 + int64(cap(idx.containing))*sliceHeaderBytes
 	for _, list := range idx.containing {
 		b += int64(cap(list)) * 4
 	}
@@ -181,18 +196,40 @@ const sliceHeaderBytes = 24
 func (idx *Index) Theta() int64 { return idx.theta }
 
 // NumContaining returns θ(u), the number of RR-Graphs containing u.
-func (idx *Index) NumContaining(u graph.VertexID) int { return len(idx.containing[u]) }
+func (idx *Index) NumContaining(u graph.VertexID) int {
+	return len(idx.containing[u]) + int(idx.single[u])
+}
+
+// postingsTotal returns Σ_u θ(u), every graph's vertex count summed.
+func (idx *Index) postingsTotal() int { return len(idx.graphs.verts) + len(idx.graphs.singles) }
+
+// markContaining sets mark[gi] for every graph gi containing one of
+// heads: the heads' postings, and the one-vertex graphs they target.
+func (idx *Index) markContaining(heads []graph.VertexID, mark []bool) {
+	isHead := make([]bool, len(idx.containing))
+	for _, h := range heads {
+		if int(h) < len(idx.containing) {
+			isHead[h] = true
+			for _, gi := range idx.containing[h] {
+				mark[gi] = true
+			}
+		}
+	}
+	idx.graphs.eachSingle(func(pos int, t graph.VertexID) {
+		mark[pos] = mark[pos] || isHead[t]
+	})
+}
 
 // MemoryFootprint returns the bytes the index retains (Table 3's
-// "RR-Graphs size" column): the graph store's arrays and records and the
-// postings windows with their headers, all by capacity. It is maintained
-// by Build/Read/Repair, so this is O(1) and cheap enough for a /statsz
-// scrape on every request.
+// "RR-Graphs size" column): the graph store's arrays, records and kind
+// bitmap, the one-vertex counts and the postings windows with their
+// headers, all by capacity. It is maintained by Build/Read/Repair, so
+// this is O(1) and cheap enough for a /statsz scrape on every request.
 func (idx *Index) MemoryFootprint() int64 { return idx.footprint }
 
 // graphSet returns the window of the index a scan of u walks.
 func (idx *Index) graphSet(u graph.VertexID) graphSet {
-	return graphSet{graphs: idx.graphs, postings: idx.containing[u], maxSize: idx.maxSize, theta: idx.theta}
+	return graphSet{graphs: idx.graphs, postings: idx.containing[u], direct: int(idx.single[u]), maxSize: idx.maxSize, theta: idx.theta}
 }
 
 // Estimator is the IndexEst scan policy (Algo 3's online phase): hit-test
@@ -208,7 +245,7 @@ func NewEstimator(idx *Index) *Estimator {
 	return &Estimator{idx: idx, scanState: newScanState(idx.g)}
 }
 
-func (est *Estimator) postings(u graph.VertexID) int { return len(est.idx.containing[u]) }
+func (est *Estimator) postings(u graph.VertexID) int { return est.idx.NumContaining(u) }
 
 func (est *Estimator) scanFrontier(shard, users int, u graph.VertexID, prober sampling.EdgeProber, chunk [][]float64, rows []Partial, stride int) {
 	est.plainFrontier(est.idx.graphSet(u), shard, users, u, prober, chunk, rows, stride)

@@ -1,15 +1,19 @@
 package rrindex
 
 import (
+	"slices"
+
 	"pitex/internal/graph"
 	"pitex/internal/sampling"
 )
 
 // refRow is the tests' reference for policy p's row of u under prober:
-// Def. 3 decided graph by graph by RRGraph.Reaches over the graphs p
-// scans, not by the masked scan under test. Samples is every graph for
-// the plain scans; for IndexEst+ it restates the cut filter — the direct
-// graphs plus every position some cut entry admits (p(e) > 0, c ≤ p(e)).
+// Def. 3 decided graph by graph by RRGraph.Reaches over every graph of the
+// store p scans — all θ_s of an index, one-vertex graphs rebuilt from the
+// sequence by view, not the postings and counts the masked scan under
+// test reads. Samples is every graph containing u for the plain scans;
+// for IndexEst+ it restates the cut filter — the graphs whose target is u
+// plus every position some cut entry admits (p(e) > 0, c ≤ p(e)).
 func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
 	var gs graphSet
 	switch p := p.(type) {
@@ -20,14 +24,23 @@ func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.Ed
 	case *DelayEstimator:
 		gs = p.graphsOf(u)
 	}
-	n := len(gs.postings)
-	row := Partial{Shard: shard, Samples: int64(n), Contained: n, Theta: gs.theta, Users: users}
-	visited := make([]int64, gs.maxSize)
-	for i, gi := range gs.postings {
-		if rr := gs.graphs.view(int(gi)); rr.Reaches(u, prober, visited, int64(i)+1) {
+	row := Partial{Shard: shard, Theta: gs.theta, Users: users}
+	visited := make([]int64, gs.maxSize+1)
+	direct := 0
+	for gi := 0; gi < gs.graphs.size(); gi++ {
+		rr := gs.graphs.view(gi)
+		if !rr.Contains(u) {
+			continue
+		}
+		row.Contained++
+		if rr.target == u {
+			direct++
+		}
+		if rr.Reaches(u, prober, visited, int64(gi)+1) {
 			row.Hits++
 		}
 	}
+	row.Samples = int64(row.Contained)
 	if pe, ok := p.(*PrunedEstimator); ok {
 		uc := pe.cutsFor(u)
 		admitted := make(map[int32]bool)
@@ -38,7 +51,7 @@ func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.Ed
 				}
 			}
 		}
-		row.Samples = int64(len(uc.direct) + len(admitted))
+		row.Samples = int64(direct + len(admitted))
 	}
 	return row
 }
@@ -92,3 +105,7 @@ func wrapMonolithic(idx *Index) *ShardedIndex {
 		repaired:  make([]int64, 1),
 	}
 }
+
+// storeMembers lists every member of every graph of st, the one-vertex
+// graphs' targets included.
+func storeMembers(st *graphStore) []graph.VertexID { return slices.Concat(st.verts, st.singles) }

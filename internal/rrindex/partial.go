@@ -44,8 +44,9 @@ type Partial struct {
 	// Samples counts the RR-Graphs whose reachability was verified
 	// (after cut pruning for IndexEst+), mirroring Result.Samples.
 	Samples int64
-	// Contained is θ_s(u), the shard's postings-list length for the user
-	// (the recovered-graph count for DelayMat).
+	// Contained is θ_s(u), how many of the shard's RR-Graphs contain the
+	// user: its postings plus its one-vertex graphs (the recovered-graph
+	// count for DelayMat).
 	Contained int
 	// Theta is the shard's offline sample count θ_s.
 	Theta int64
@@ -103,7 +104,7 @@ func (idx *Index) CheckShard(opts BuildOptions, numShards, shard, users int) err
 // S-way partition.
 func (idx *Index) checkTargets(numShards, s int) error {
 	for gi := 0; gi < idx.graphs.size(); gi++ {
-		if t := idx.graphs.recs[gi].target; ShardOf(t, numShards) != s {
+		if t := idx.graphs.target(gi); ShardOf(t, numShards) != s {
 			return fmt.Errorf("rrindex: shard %d: graph %d target %d belongs to shard %d",
 				s, gi, t, ShardOf(t, numShards))
 		}

@@ -134,14 +134,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	// below, the retargeted ones.
 	old := idx.graphs
 	resampled := make([]bool, old.size())
-	for _, h := range touched {
-		if int(h) >= len(idx.containing) {
-			continue // head is a brand-new vertex: no graph can contain it
-		}
-		for _, gi := range idx.containing[h] {
-			resampled[gi] = true
-		}
-	}
+	idx.markContaining(touched, resampled)
 
 	r := rng.New(opts.Seed)
 	sc := newGenScratch(newV)
@@ -153,12 +146,12 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	// One ordered pass draws every graph's retarget Bernoulli and
 	// re-samples the graphs it or a touched member invalidates into fresh;
 	// appended graphs follow. dirty marks vertices whose postings list
-	// must change: old or new members of any re-sampled graph, and members
-	// of appended ones.
+	// must change: old or new posted members of any re-sampled graph, and
+	// those of appended ones.
 	dirty := make([]bool, newV)
-	fresh := newStore(0)
+	fresh := newStore()
 	for gi := range resampled {
-		target := old.recs[gi].target
+		target := old.target(gi)
 		resample := resampled[gi]
 		if retargetP > 0 && r.Bernoulli(retargetP) {
 			target = spec.drawAdded(r, oldV)
@@ -171,7 +164,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 			continue
 		}
 		resampled[gi] = true
-		for _, v := range old.members(gi) {
+		for _, v := range old.posted(gi) {
 			dirty[v] = true
 		}
 		if err := generate(g, target, r, sc, fresh); err != nil {
@@ -241,7 +234,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 		flat = flat[:len(flat)+int(addCount[v])]
 	}
 	appendAdds := func(gi int) {
-		for _, v := range next.graphs.members(gi) {
+		for _, v := range next.graphs.posted(gi) {
 			l := next.containing[v]
 			next.containing[v] = append(l, int32(gi))
 		}
@@ -255,7 +248,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 		appendAdds(gi)
 	}
 	stats.Total = next.graphs.size()
-	next.recomputeFootprint()
+	next.seal()
 	return next, stats, nil
 }
 
@@ -305,7 +298,7 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 	// fresh, and spliceStores writes the new store.
 	old := dm.members
 	resampled := make([]bool, old.size())
-	fresh := newStore(0)
+	fresh := newStore()
 	r := rng.New(opts.Seed)
 	mark := make([]bool, newV)
 	var scratch memberScratch
@@ -315,7 +308,7 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 		retargetP = float64(addedToPool) / float64(poolSize)
 	}
 	for i := range resampled {
-		target := old.recs[i].target
+		target := old.target(i)
 		resample := false
 		for _, v := range old.members(i) {
 			if touchedSet[v] {
@@ -341,7 +334,7 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 		for _, v := range members {
 			next.counts[v]++
 		}
-		if err := fresh.push(target, members, 0); err != nil {
+		if _, err := fresh.push(target, members, 0); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -353,7 +346,7 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 			for _, v := range members {
 				next.counts[v]++
 			}
-			if err := fresh.push(target, members, 0); err != nil {
+			if _, err := fresh.push(target, members, 0); err != nil {
 				return nil, stats, err
 			}
 			stats.Appended++

@@ -1,7 +1,9 @@
 package rrindex
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pitex/internal/fixture"
@@ -99,7 +101,7 @@ func TestIndexRepairSharesUntouchedGraphs(t *testing.T) {
 	// among the edge heads, so some of eight shards miss it.
 	rare := graph.EdgeID(0)
 	for e := graph.EdgeID(1); int(e) < g.NumEdges(); e++ {
-		if n := len(idx.containing[g.EdgeTo(e)]); n > 0 && n < len(idx.containing[g.EdgeTo(rare)]) {
+		if n := idx.NumContaining(g.EdgeTo(e)); n > 0 && n < idx.NumContaining(g.EdgeTo(rare)) {
 			rare = e
 		}
 	}
@@ -231,7 +233,7 @@ func TestIndexRepairVertexGrowth(t *testing.T) {
 	// New vertices must appear as targets so their influence is witnessed.
 	found := false
 	for gi := 0; gi < next.graphs.size(); gi++ {
-		if next.graphs.recs[gi].target >= 150 {
+		if next.graphs.target(gi) >= 150 {
 			found = true
 			break
 		}
@@ -286,7 +288,7 @@ func TestDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	// Counter invariant: counts must equal member-list occurrence counts.
 	recount := make([]int64, ng.NumVertices())
-	for _, v := range next.members.verts {
+	for _, v := range storeMembers(next.members) {
 		recount[v]++
 	}
 	for v := range recount {
@@ -296,7 +298,7 @@ func TestDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	// Old DelayMat unchanged.
 	old := make([]int64, g.NumVertices())
-	for _, v := range dm.members.verts {
+	for _, v := range storeMembers(dm.members) {
 		old[v]++
 	}
 	for v := range old {
@@ -364,6 +366,97 @@ func TestRepairUntouchedEstimatesIdentical(t *testing.T) {
 		c := NewShardedEstimator(wrapMonolithic(next)).Estimate(graph.VertexID(u), post).Influence
 		if a != c {
 			t.Fatalf("u=%d: untouched estimate drifted %v -> %v", u, a, c)
+		}
+	}
+}
+
+// TestRepairFlipsGraphKinds drives repair through touched heads whose
+// graphs change kind both ways: an edge into a vertex with no in-edges
+// turns its one-vertex graphs into multi-vertex ones, deleting a
+// vertex's in-edges turns its graphs back into one-vertex ones, and the
+// third step reverses both. After every step the postings and the
+// one-vertex counts must match a recount over the graphs
+// (checkPostings), the store must be compact, and every row must equal
+// the reference over all θ graphs.
+func TestRepairFlipsGraphKinds(t *testing.T) {
+	g := randomGraph(120, 3, 0.1, 0.4, 17)
+	opts := shardOpts(5, 2400)
+	// lone has no in-edges, so every graph of target lone has one vertex;
+	// hub has the most, so most of its graphs have several.
+	lone, hub := graph.VertexID(-1), graph.VertexID(0)
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if len(g.InEdges(v)) == 0 && lone < 0 {
+			lone = v
+		}
+		if len(g.InEdges(v)) > len(g.InEdges(hub)) {
+			hub = v
+		}
+	}
+	if lone < 0 {
+		t.Fatal("fixture has no vertex without in-edges")
+	}
+	feed := graph.VertexID((int(lone) + 1) % g.NumVertices())
+	deltas := []graph.Delta{
+		{InsertEdges: []graph.EdgeInsert{{From: feed, To: lone, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.9}}}}},
+		{DeleteEdges: slices.Clone(g.InEdges(hub))},
+		{
+			DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges())},
+			InsertEdges: []graph.EdgeInsert{{From: feed, To: hub, Topics: []graph.TopicProb{{Topic: 1, Prob: 0.9}}}},
+		},
+	}
+	// multi counts the multi-vertex graphs of target v.
+	multi := func(idx *Index, v graph.VertexID) int {
+		n := 0
+		for gi := 0; gi < idx.graphs.size(); gi++ {
+			if idx.graphs.target(gi) == v && idx.graphs.posted(gi) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for _, S := range []int{1, 3} {
+		si, err := BuildSharded(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildSharded: %v", S, err)
+		}
+		cur := g
+		// Expected kind of lone's and hub's graphs after each step: true
+		// means some graph of that target has several vertices.
+		want := [][2]bool{{false, true}, {true, true}, {true, false}, {false, true}}
+		for step := 0; ; step++ {
+			var got [2]bool
+			prober := fracProber{g: cur, f: 0.7}
+			for s, sh := range si.shards {
+				label := fmt.Sprintf("S=%d step %d shard %d", S, step, s)
+				checkPostings(t, label, sh)
+				assertCompact(t, label, sh.graphs)
+				got[0] = got[0] || multi(sh, lone) > 0
+				got[1] = got[1] || multi(sh, hub) > 0
+				est, pe := NewEstimator(sh), NewPrunedEstimator(sh)
+				for _, u := range []graph.VertexID{lone, hub, feed, 7} {
+					for _, p := range []interface {
+						scanPolicy
+						Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
+					}{est, pe} {
+						if row, ref := p.Partial(s, 40, u, prober), refRow(p, s, 40, u, prober); row != ref {
+							t.Fatalf("%s %T u=%d: row %+v, reference %+v", label, p, u, row, ref)
+						}
+					}
+				}
+			}
+			if got != want[step] {
+				t.Fatalf("S=%d step %d: multi-vertex graphs of (lone, hub) %v, want %v", S, step, got, want[step])
+			}
+			if step == len(deltas) {
+				break
+			}
+			ng, info := applyDelta(t, cur, deltas[step])
+			ropts := opts
+			ropts.Seed = opts.Seed + uint64(step+1)*31
+			if si, _, err = si.Repair(ng, ropts, info.TouchedHeads, 0); err != nil {
+				t.Fatalf("S=%d step %d Repair: %v", S, step, err)
+			}
+			cur = ng
 		}
 	}
 }

@@ -7,19 +7,30 @@
 // # Memory layout
 //
 // A graph is an offset, not a view. Each shard keeps its θ RR-Graphs in
-// one graphStore: five flat, pointer-free arrays (verts, outStart, outTo,
-// edgeID, c) holding the graphs back to back, and one 12-byte graphRec
-// per graph (target, first vertex, first edge; a sentinel record closes
-// the list). A scan builds graph gi's RRGraph view on its own stack
-// (graphStore.view), so the reachability kernels walk the same five
-// slices they always did while the index holds no per-graph headers.
+// one graphStore, and a graph is its position in the store's sequence.
+// Most graphs have one vertex: the target, whose in-edges all drew dead.
+// Such a graph is a hit for its target under every tag set and for
+// nobody else, so the store keeps it as one bit of a position bitmap
+// (with a prefix count per 64-bit word) and its target in a singles
+// array, about 4 bytes, and the Index keeps a per-user count of them
+// instead of postings. The multi-vertex graphs lie in five flat,
+// pointer-free arrays (verts, outStart, outTo, edgeID, c), back to back,
+// with one 12-byte graphRec each (target, first vertex, first edge; a
+// sentinel record closes the list). A scan builds graph gi's RRGraph
+// view on its own stack (graphStore.view, one popcount rank from
+// position to record), so the reachability kernels walk the same five
+// slices they always did while the index holds no per-graph headers; the
+// one-vertex graphs it never walks, adding their count to every row.
 // Parallel Build workers fill per-worker stores that are merged once, in
 // worker order, so the result is still deterministic per (Seed,
-// Workers). The per-user postings lists are windows into one shared
-// int32 arena. Incremental Repair keeps the copy-on-write contract at
-// store granularity: it writes a fresh, exactly sized store in one
-// ordered pass (see repair.go), so concurrent readers of the old index
-// are never affected and no generation pins another's graphs.
+// Workers). The per-user postings lists, of multi-vertex graphs only,
+// are windows into one shared int32 arena. Incremental Repair keeps the
+// copy-on-write contract at store granularity: it writes a fresh,
+// exactly sized store in one ordered pass (see repair.go), so concurrent
+// readers of the old index are never affected and no generation pins
+// another's graphs. Positions survive a repair, so a graph that changes
+// kind keeps its place and clean users keep their postings lists. The
+// file layout (serialize.go) still lists every graph in full.
 //
 // # Sharded mode
 //
@@ -62,6 +73,7 @@ import (
 	"errors"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -142,11 +154,12 @@ func newGenScratch(numVertices int) *genScratch {
 	}
 }
 
-// graphRec locates graph gi of a graphStore: its target and the offsets
-// of its first vertex (v) and first edge (e). A store keeps one record per
-// graph plus a sentinel holding the totals (its target unused), so graph
-// gi's vertex count is recs[gi+1].v − recs[gi].v and its edge count the
-// same with e; its outStart window (n+1 entries) begins at recs[gi].v + gi.
+// graphRec locates multi-vertex graph i of a graphStore: its target and
+// the offsets of its first vertex (v) and first edge (e). A store keeps one
+// record per multi-vertex graph plus a sentinel holding the totals (its
+// target unused), so graph i's vertex count is recs[i+1].v − recs[i].v and
+// its edge count the same with e; its outStart window (n+1 entries)
+// begins at recs[i].v + i.
 type graphRec struct {
 	target graph.VertexID
 	v, e   uint32
@@ -154,9 +167,20 @@ type graphRec struct {
 
 const graphRecBytes = 12
 
+// kindWord is 64 positions of a store's kind bitmap, bit set for a
+// one-vertex graph, with the number of one-vertex graphs before them. A
+// store's last word always has room: it is appended when the one before
+// it fills, so every position up to size() has a word.
+type kindWord struct {
+	bits uint64
+	rank uint32
+}
+
+const kindWordBytes = 16
+
 // errStoreFull reports a shard whose graphs outgrow the store's uint32
-// offsets: more than math.MaxUint32 outStart entries (vertices + graphs)
-// or edges.
+// offsets: more than math.MaxUint32 outStart entries plus one-vertex
+// graphs, or edges.
 var errStoreFull = errors.New("rrindex: shard's RR-Graphs exceed the store's 2^32-1 vertex or edge offsets")
 
 // offsetsFit reports whether a store of outStartLen outStart entries and
@@ -165,58 +189,133 @@ func offsetsFit(outStartLen, edges int64) bool {
 	return outStartLen <= math.MaxUint32 && edges <= math.MaxUint32
 }
 
-// graphStore is one shard's RR-Graphs as flat, pointer-free arrays: the
-// members of every graph back to back in verts, each graph's local CSR in
-// outStart (graph-relative edge positions, n+1 per graph) and in outTo,
-// edgeID and c, and one graphRec per graph. A graph is its index; view
-// builds the RRGraph a scan walks, on the caller's stack. Build, the
-// parallel merge, the file reader, DelayMat recovery and repair append
-// into stores, and a store is never mutated once published.
+// graphStore is one shard's RR-Graphs as flat, pointer-free arrays. A
+// graph is its position in the sequence. A one-vertex graph — its target,
+// no edges, a hit only for the target itself — is a bit in kinds and its
+// target in singles, nothing more. The multi-vertex graphs lie back to
+// back: members in verts, each one's local CSR in outStart
+// (graph-relative edge positions, n+1 per graph) and in outTo, edgeID and
+// c, and one graphRec each. view builds the RRGraph of a position, on the
+// caller's stack, with one popcount rank. Build, the parallel merge, the
+// file reader, DelayMat recovery and repair append into stores through
+// push and concat, the one place one-vertex graphs are diverted, and a
+// store is never mutated once published.
 //
 // A DelayMat's repair bookkeeping is a store's vertex half only: records
 // and verts, with members in sampling order, e always 0 and no CSR.
 type graphStore struct {
-	recs     []graphRec // size()+1 entries, the last the sentinel
+	recs     []graphRec // one per multi-vertex graph, then the sentinel
 	verts    []graph.VertexID
 	outStart []int32
 	outTo    []int32
 	edgeID   []graph.EdgeID
 	c        []float64
+	kinds    []kindWord
+	singles  []graph.VertexID // one-vertex graphs' targets, in order
 }
 
-// newStore returns an empty store with record room for graphs graphs.
-func newStore(graphs int) *graphStore {
-	return &graphStore{recs: append(make([]graphRec, 0, graphs+1), graphRec{})}
-}
+// newStore returns an empty store.
+func newStore() *graphStore { return &graphStore{recs: []graphRec{{}}, kinds: []kindWord{{}}} }
 
 // size returns the number of graphs in the store.
-func (s *graphStore) size() int { return len(s.recs) - 1 }
+func (s *graphStore) size() int { return len(s.recs) - 1 + len(s.singles) }
 
 // reset empties the store, keeping its capacity.
 func (s *graphStore) reset() {
 	*s = graphStore{recs: append(s.recs[:0], graphRec{}), verts: s.verts[:0],
-		outStart: s.outStart[:0], outTo: s.outTo[:0], edgeID: s.edgeID[:0], c: s.c[:0]}
+		outStart: s.outStart[:0], outTo: s.outTo[:0], edgeID: s.edgeID[:0], c: s.c[:0],
+		kinds: append(s.kinds[:0], kindWord{}), singles: s.singles[:0]}
 }
 
-// members returns graph gi's member vertices.
-func (s *graphStore) members(gi int) []graph.VertexID {
-	return s.verts[s.recs[gi].v:s.recs[gi+1].v]
+// rank returns how many graphs before position pos (≤ size()) have one
+// vertex.
+func (s *graphStore) rank(pos int) int {
+	w := s.kinds[pos>>6]
+	return int(w.rank) + bits.OnesCount64(w.bits&(1<<(pos&63)-1))
 }
 
-// maxSize returns the largest graph's vertex count.
+// locate returns where graph pos lives: singles[i] when it has one
+// vertex, recs[i] otherwise.
+func (s *graphStore) locate(pos int) (single bool, i int) {
+	k := s.rank(pos)
+	if s.kinds[pos>>6].bits>>(pos&63)&1 != 0 {
+		return true, k
+	}
+	return false, pos - k
+}
+
+// target returns graph pos's target.
+func (s *graphStore) target(pos int) graph.VertexID {
+	single, i := s.locate(pos)
+	if single {
+		return s.singles[i]
+	}
+	return s.recs[i].target
+}
+
+// members returns graph pos's member vertices.
+func (s *graphStore) members(pos int) []graph.VertexID {
+	single, i := s.locate(pos)
+	if single {
+		return s.singles[i : i+1 : i+1]
+	}
+	return s.verts[s.recs[i].v:s.recs[i+1].v]
+}
+
+// posted returns the members whose postings list graph pos: all of a
+// multi-vertex graph's (it has two or more), none of a one-vertex graph's
+// (its target's count carries it, see Index.single).
+func (s *graphStore) posted(pos int) []graph.VertexID {
+	if m := s.members(pos); len(m) > 1 {
+		return m
+	}
+	return nil
+}
+
+// multiPositions appends the positions of the multi-vertex graphs to dst.
+func (s *graphStore) multiPositions(dst []int32) []int32 {
+	for pos := range s.size() {
+		if s.posted(pos) != nil {
+			dst = append(dst, int32(pos))
+		}
+	}
+	return dst
+}
+
+// eachSingle calls f with the position and target of every one-vertex
+// graph, in order.
+func (s *graphStore) eachSingle(f func(pos int, target graph.VertexID)) {
+	for w, kw := range s.kinds {
+		k := int(kw.rank)
+		for b := kw.bits; b != 0; b &= b - 1 {
+			f(w<<6+bits.TrailingZeros64(b), s.singles[k])
+			k++
+		}
+	}
+}
+
+// maxSize returns the largest multi-vertex graph's vertex count.
 func (s *graphStore) maxSize() int {
 	m := 0
-	for gi := 0; gi < s.size(); gi++ {
-		m = max(m, int(s.recs[gi+1].v-s.recs[gi].v))
+	for i := 0; i+1 < len(s.recs); i++ {
+		m = max(m, int(s.recs[i+1].v-s.recs[i].v))
 	}
 	return m
 }
 
-// view returns graph gi as an RRGraph whose slices are windows of the
-// store (capacity-clipped, so the view cannot write past its graph).
-func (s *graphStore) view(gi int) RRGraph {
-	r0, r1 := s.recs[gi], s.recs[gi+1]
-	so := int(r0.v) + gi
+// oneVertexStart is every one-vertex graph's outStart.
+var oneVertexStart = [2]int32{}
+
+// view returns graph pos as an RRGraph whose slices are windows of the
+// store (capacity-clipped, so the view cannot write past its graph); a
+// one-vertex graph is rebuilt from its target.
+func (s *graphStore) view(pos int) RRGraph {
+	single, i := s.locate(pos)
+	if single {
+		return RRGraph{target: s.singles[i], verts: s.singles[i : i+1 : i+1], outStart: oneVertexStart[:]}
+	}
+	r0, r1 := s.recs[i], s.recs[i+1]
+	so := int(r0.v) + i
 	n := int(r1.v - r0.v)
 	return RRGraph{
 		target:   r0.target,
@@ -228,19 +327,37 @@ func (s *graphStore) view(gi int) RRGraph {
 	}
 }
 
-// push records a graph of target: its members are appended to verts, and
-// the caller appends its m edges to the CSR arrays (a DelayMat member
-// store pushes m = 0 and keeps no CSR). It refuses, leaving s unchanged,
-// a graph the uint32 offsets cannot address.
-func (s *graphStore) push(target graph.VertexID, members []graph.VertexID, m int) error {
-	last := &s.recs[len(s.recs)-1]
-	if !offsetsFit(int64(last.v)+int64(len(s.recs)+len(members)), int64(last.e)+int64(m)) {
-		return errStoreFull
+// appendKinds appends k ≤ 64 kinds, the low bits of b, at position q, the
+// store's graph count so far.
+func (s *graphStore) appendKinds(q int, b uint64, k int) {
+	off, last := q&63, &s.kinds[len(s.kinds)-1]
+	last.bits |= b << off
+	if off+k >= 64 {
+		s.kinds = append(s.kinds, kindWord{bits: b >> (64 - off), rank: last.rank + uint32(bits.OnesCount64(last.bits))})
 	}
+}
+
+// push records a graph of target: a one-vertex graph (one member, m = 0)
+// goes to singles; otherwise its members are appended to verts, and the
+// caller appends its m edges to the CSR arrays (a DelayMat member store
+// pushes m = 0 and keeps no CSR). It reports whether the graph went to
+// singles, and refuses, leaving s unchanged, a graph the uint32 offsets
+// cannot address.
+func (s *graphStore) push(target graph.VertexID, members []graph.VertexID, m int) (bool, error) {
+	last := &s.recs[len(s.recs)-1]
+	if !offsetsFit(int64(last.v)+int64(s.size()+1+len(members)), int64(last.e)+int64(m)) {
+		return false, errStoreFull
+	}
+	if len(members) == 1 && m == 0 {
+		s.appendKinds(s.size(), 1, 1)
+		s.singles = append(s.singles, target)
+		return true, nil
+	}
+	s.appendKinds(s.size(), 0, 1)
 	last.target = target
 	s.verts = append(s.verts, members...)
 	s.recs = append(s.recs, graphRec{v: uint32(len(s.verts)), e: last.e + uint32(m)})
-	return nil
+	return false, nil
 }
 
 // grown returns s extended by n elements; callers overwrite every added
@@ -257,7 +374,7 @@ func (s *graphStore) add(target graph.VertexID, sc *genScratch) error {
 	members, edges := sc.members, sc.edges
 	n, m := len(members), len(edges)
 	slices.Sort(members)
-	if err := s.push(target, members, m); err != nil {
+	if single, err := s.push(target, members, m); single || err != nil {
 		return err
 	}
 	for i, v := range members {
@@ -308,16 +425,18 @@ type storeRange struct {
 }
 
 // concat writes the ranges, in order, into one exactly sized new store:
-// one bulk copy per array and range, the records rebased. The CSR arrays
-// are copied from stores that have them (a DelayMat member store has
-// none). It is the parallel build's merge and repair's splice; rs is
-// walked twice, once to size the store and once to fill it.
+// kinds up to 64 at a time, one bulk copy per other array and range, the
+// records rebased. The CSR arrays are copied from stores that have them
+// (a DelayMat member store has none). It is the build's merge and
+// repair's splice; rs is walked twice, once to size the store and once to
+// fill it.
 func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
-	var graphs, verts, edges int
+	var graphs, singles, verts, edges int
 	csr := false
 	for r := range rs {
-		a, b := r.s.recs[r.lo], r.s.recs[r.hi]
+		a, b := r.s.recs[r.lo-r.s.rank(r.lo)], r.s.recs[r.hi-r.s.rank(r.hi)]
 		graphs += r.hi - r.lo
+		singles += r.s.rank(r.hi) - r.s.rank(r.lo)
 		verts += int(b.v - a.v)
 		edges += int(b.e - a.e)
 		csr = csr || len(r.s.outStart) > 0
@@ -325,25 +444,36 @@ func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
 	if !offsetsFit(int64(verts)+int64(graphs), int64(edges)) {
 		return nil, errStoreFull
 	}
-	out := newStore(graphs)
-	out.verts = make([]graph.VertexID, 0, verts)
+	out := &graphStore{
+		recs:    append(make([]graphRec, 0, graphs-singles+1), graphRec{}),
+		verts:   make([]graph.VertexID, 0, verts),
+		kinds:   append(make([]kindWord, 0, graphs/64+1), kindWord{}),
+		singles: make([]graph.VertexID, 0, singles),
+	}
 	if csr {
-		out.outStart = make([]int32, 0, verts+graphs)
+		out.outStart = make([]int32, 0, verts+graphs-singles)
 		out.outTo = make([]int32, 0, edges)
 		out.edgeID = make([]graph.EdgeID, 0, edges)
 		out.c = make([]float64, 0, edges)
 	}
 	for r := range rs {
-		a, b := r.s.recs[r.lo], r.s.recs[r.hi]
+		for p := r.lo; p < r.hi; {
+			k := min(64-p&63, r.hi-p)
+			out.appendKinds(out.size()+p-r.lo, r.s.kinds[p>>6].bits>>(p&63)&(1<<k-1), k)
+			p += k
+		}
+		lo, hi := r.lo-r.s.rank(r.lo), r.hi-r.s.rank(r.hi)
+		out.singles = append(out.singles, r.s.singles[r.s.rank(r.lo):r.s.rank(r.hi)]...)
+		a, b := r.s.recs[lo], r.s.recs[hi]
 		base := out.recs[len(out.recs)-1]
 		out.recs = out.recs[:len(out.recs)-1]
-		for _, rec := range r.s.recs[r.lo : r.hi+1] {
+		for _, rec := range r.s.recs[lo : hi+1] {
 			out.recs = append(out.recs, graphRec{target: rec.target, v: base.v + rec.v - a.v, e: base.e + rec.e - a.e})
 		}
 		out.recs[len(out.recs)-1].target = 0
 		out.verts = append(out.verts, r.s.verts[a.v:b.v]...)
 		if len(r.s.outStart) > 0 {
-			out.outStart = append(out.outStart, r.s.outStart[int(a.v)+r.lo:int(b.v)+r.hi]...)
+			out.outStart = append(out.outStart, r.s.outStart[int(a.v)+lo:int(b.v)+hi]...)
 			out.outTo = append(out.outTo, r.s.outTo[a.e:b.e]...)
 			out.edgeID = append(out.edgeID, r.s.edgeID[a.e:b.e]...)
 			out.c = append(out.c, r.s.c[a.e:b.e]...)
@@ -352,12 +482,9 @@ func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
 	return out, nil
 }
 
-// mergeStores concatenates per-worker stores, in order, into one. A
-// single store is returned as is (no copy) — the sequential-build path.
+// mergeStores concatenates per-worker stores, in order, into one exactly
+// sized store.
 func mergeStores(bs ...*graphStore) (*graphStore, error) {
-	if len(bs) == 1 {
-		return bs[0], nil
-	}
 	return concat(func(yield func(storeRange) bool) {
 		for _, b := range bs {
 			if !yield(storeRange{b, 0, b.size()}) {
@@ -389,8 +516,8 @@ func spliceStores(old, fresh *graphStore, resampled []bool) (*graphStore, error)
 
 // footprint returns the bytes the store retains, by capacity.
 func (s *graphStore) footprint() int64 {
-	return int64(cap(s.recs))*graphRecBytes +
-		int64(cap(s.verts))*4 + int64(cap(s.outStart))*4 +
+	return int64(cap(s.recs))*graphRecBytes + int64(cap(s.kinds))*kindWordBytes +
+		int64(cap(s.verts))*4 + int64(cap(s.singles))*4 + int64(cap(s.outStart))*4 +
 		int64(cap(s.outTo))*4 + int64(cap(s.edgeID))*4 + int64(cap(s.c))*8
 }
 

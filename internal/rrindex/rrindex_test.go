@@ -82,14 +82,15 @@ func TestStoreRefusesOffsetOverflow(t *testing.T) {
 		{graphRec{e: max}, 1},     // edge offsets would reach max+1
 	} {
 		st := &graphStore{recs: []graphRec{tc.sentinel}}
-		if err := st.push(0, two, tc.edges); !errors.Is(err, errStoreFull) || st.size() != 0 {
+		if _, err := st.push(0, two, tc.edges); !errors.Is(err, errStoreFull) || st.size() != 0 {
 			t.Errorf("push onto %+v: %v, %d graphs", tc.sentinel, err, st.size())
 		}
 	}
-	big := &graphStore{recs: []graphRec{{}, {v: max - 1, e: max}}}
+	big := &graphStore{recs: []graphRec{{}, {v: max - 1, e: max}}, kinds: []kindWord{{}}}
+	edge := &graphStore{recs: []graphRec{{}, {e: 1}}, kinds: []kindWord{{}}}
 	for _, rs := range [][]storeRange{
-		{{big, 0, 1}, {big, 0, 1}},                                       // vertices overflow
-		{{big, 0, 1}, {&graphStore{recs: []graphRec{{}, {e: 1}}}, 0, 1}}, // edges overflow
+		{{big, 0, 1}, {big, 0, 1}},  // vertices overflow
+		{{big, 0, 1}, {edge, 0, 1}}, // edges overflow
 	} {
 		if _, err := concat(slices.Values(rs)); !errors.Is(err, errStoreFull) {
 			t.Errorf("concat past the offsets: %v", err)
@@ -112,7 +113,7 @@ func TestRRGraphStructure(t *testing.T) {
 	g := fixture.Graph()
 	r := rng.New(7)
 	sc := newGenScratch(g.NumVertices())
-	st := newStore(0)
+	st := newStore()
 	var targets []graph.VertexID
 	for i := 0; i < 200; i++ {
 		target := graph.VertexID(r.Intn(g.NumVertices()))
@@ -164,29 +165,43 @@ type maxProber struct{ g *graph.Graph }
 func (m maxProber) Prob(e graph.EdgeID) float64 { return m.g.EdgeMaxProb(e) }
 
 func TestContainingListsConsistent(t *testing.T) {
-	idx := fixtureIndex(t)
-	for u := 0; u < idx.g.NumVertices(); u++ {
+	checkPostings(t, "fixture", fixtureIndex(t))
+}
+
+// checkPostings checks idx's postings and one-vertex counts against its
+// graphs: every posted graph has several vertices, one of them the user;
+// every member of every multi-vertex graph is posted, once; and single[u]
+// is a recount of the one-vertex graphs of target u, which no list posts.
+func checkPostings(t *testing.T, label string, idx *Index) {
+	t.Helper()
+	posted := make(map[[2]int]bool)
+	for u := range idx.containing {
 		for _, gi := range idx.containing[u] {
-			if rr := idx.graphs.view(int(gi)); !rr.Contains(graph.VertexID(u)) {
-				t.Fatalf("containing[%d] lists graph %d that lacks it", u, gi)
+			if rr := idx.graphs.view(int(gi)); !rr.Contains(graph.VertexID(u)) || rr.NumVertices() == 1 {
+				t.Fatalf("%s: containing[%d] lists graph %d of %d vertices", label, u, gi, rr.NumVertices())
 			}
+			posted[[2]int{u, int(gi)}] = true
 		}
 	}
-	// Reverse direction: every graph member is posted.
-	posted := func(u graph.VertexID, gi int32) bool {
-		for _, x := range idx.containing[u] {
-			if x == gi {
-				return true
-			}
-		}
-		return false
-	}
+	single, members := make([]int32, len(idx.containing)), 0
 	for gi := 0; gi < idx.graphs.size(); gi++ {
-		for _, v := range idx.graphs.members(gi) {
-			if !posted(v, int32(gi)) {
-				t.Fatalf("graph %d member %d not posted", gi, v)
+		rr := idx.graphs.view(gi)
+		if rr.NumVertices() == 1 {
+			single[rr.target]++
+			continue
+		}
+		for _, v := range rr.verts {
+			if !posted[[2]int{int(v), gi}] {
+				t.Fatalf("%s: graph %d member %d not posted", label, gi, v)
 			}
 		}
+		members += rr.NumVertices()
+	}
+	if len(posted) != members {
+		t.Fatalf("%s: %d postings for %d multi-vertex memberships", label, len(posted), members)
+	}
+	if !slices.Equal(single, idx.single) {
+		t.Fatalf("%s: one-vertex counts %v, recount %v", label, idx.single, single)
 	}
 }
 
@@ -289,7 +304,7 @@ func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
 	}
 	postings, allCuts := 0, 0
 	for u := range idx.containing {
-		postings += len(idx.containing[u])
+		postings += idx.NumContaining(graph.VertexID(u))
 		allCuts += buildUserCuts(idx, graph.VertexID(u), CutBestOfTwo, &cutScratch{}).entries
 	}
 	if allCuts <= postings {

@@ -136,16 +136,26 @@ func WriteShardedDelayMat(w io.Writer, sdm *ShardedDelayMat) error {
 }
 
 // writeGraphArrays writes one shard's graph set as an index body: graph
-// count, per-graph table, then each store array in one bulk call (the
-// store is always compact, so its arrays are the file's).
+// count, per-graph table, then each array in graph order — a one-vertex
+// graph written back in place as vertN 1, edgeN 0, verts [target] and
+// outStart [0, 0], the edge arrays (which it has no part of) in one bulk
+// call each.
 func writeGraphArrays(lw *leWriter, idx *Index) {
 	st := idx.graphs
 	G := st.size()
 	lw.u64(uint64(G))
-	lw.u32s(G, func(i int) uint32 { return uint32(st.recs[i].target) })
-	lw.u32s(G, func(i int) uint32 { return st.recs[i+1].v - st.recs[i].v })
-	lw.u32s(G, func(i int) uint32 { return st.recs[i+1].e - st.recs[i].e })
-	for _, a := range [][]int32{st.verts, st.outStart, st.outTo, st.edgeID} {
+	lw.u32s(G, func(i int) uint32 { return uint32(st.target(i)) })
+	lw.u32s(G, func(i int) uint32 { rr := st.view(i); return uint32(len(rr.verts)) })
+	lw.u32s(G, func(i int) uint32 { rr := st.view(i); return uint32(len(rr.edgeID)) })
+	for gi := 0; gi < G; gi++ {
+		rr := st.view(gi)
+		lw.u32s(len(rr.verts), func(i int) uint32 { return uint32(rr.verts[i]) })
+	}
+	for gi := 0; gi < G; gi++ {
+		rr := st.view(gi)
+		lw.u32s(len(rr.outStart), func(i int) uint32 { return uint32(rr.outStart[i]) })
+	}
+	for _, a := range [][]int32{st.outTo, st.edgeID} {
 		lw.u32s(len(a), func(i int) uint32 { return uint32(a[i]) })
 	}
 	// A little-endian f64 is its low word, then its high word.
@@ -368,9 +378,12 @@ func readCounts(lr *leReader, g *graph.Graph, thetaS uint64) (*DelayMat, error) 
 	return dm, nil
 }
 
-// readGraphArrays loads the store's arrays in one contiguous pass per
-// array and installs the store in idx. The graph count must equal idx.theta — build and repair keep
-// one graph per sample, and a short set would bias every estimate.
+// readGraphArrays loads the file's arrays in one contiguous pass per
+// array, every graph as a record, then pushes the graphs into the store
+// it installs in idx, which diverts the one-vertex ones as a build does;
+// such a graph must be its target alone, with no edges. The graph count
+// must equal idx.theta — build and repair keep one graph per sample, and
+// a short set would bias every estimate.
 // Array storage grows with append as payload actually arrives, so a
 // corrupt or malicious header claiming huge counts fails with a read
 // error after at most the real file size — it cannot drive one giant
@@ -399,13 +412,14 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 	if lr.err != nil {
 		return fmt.Errorf("graph table: %w", lr.err)
 	}
+	st.kinds = make([]kindWord, G/64+1) // every graph a record, for now
 	// The table holds counts; the records hold running offsets, checked
 	// against the uint32 range as they accumulate.
 	var totV, totE int64
 	for i := 0; i < G; i++ {
 		r := &st.recs[i+1]
 		n, m := r.v, r.e
-		if uint64(st.recs[i].target) >= nV || n == 0 || uint64(n) > nV || int64(m) > int64(g.NumEdges()) {
+		if uint64(st.recs[i].target) >= nV || n == 0 || uint64(n) > nV || int64(m) > int64(g.NumEdges()) || n == 1 && m > 0 {
 			return fmt.Errorf("graph %d: implausible shape", i)
 		}
 		totV += int64(n)
@@ -473,6 +487,16 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 			}
 		}
 	}
-	idx.graphs = st
-	return nil
+	out := newStore()
+	for gi := 0; gi < G; gi++ {
+		rr := st.view(gi)
+		// st's offsets fit, so out's, which address a subset, do too.
+		if single, _ := out.push(rr.target, rr.verts, len(rr.edgeID)); !single {
+			out.outStart, out.outTo = append(out.outStart, rr.outStart...), append(out.outTo, rr.outTo...)
+			out.edgeID, out.c = append(out.edgeID, rr.edgeID...), append(out.c, rr.c...)
+		}
+	}
+	var err error
+	idx.graphs, err = mergeStores(out)
+	return err
 }

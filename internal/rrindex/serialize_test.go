@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,6 +213,32 @@ func TestReadHugeShardCountAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestReadHugeGraphCountAllocatesLittle: a one-shard header claiming
+// 2^26 graphs, with no graph table behind it, fails without sizing any
+// of the store (records, kind bitmap) from that claim.
+func TestReadHugeGraphCountAllocatesLittle(t *testing.T) {
+	g := fixture.Graph()
+	le := binary.LittleEndian
+	b := append([]byte(nil), indexMagic[:]...)
+	b = le.AppendUint32(le.AppendUint32(b, fileVersion), kindIndex)
+	b = le.AppendUint64(le.AppendUint64(b, uint64(g.NumVertices())), 1<<26)
+	b = le.AppendUint64(le.AppendUint64(le.AppendUint32(b, 1), 1<<26), 1<<26)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadIndex(bytes.NewReader(b), g)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("a header without a graph table loaded")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<20 {
+		t.Errorf("reading a %d-byte header allocated %d bytes", len(b), least)
+	}
+}
+
 func TestIndexReadRejectsCorruption(t *testing.T) {
 	g := fixture.Graph()
 	idx := fixtureIndex(t)
@@ -271,5 +298,85 @@ func TestIndexReadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadShardedDelayMat(strings.NewReader(""), g); err == nil {
 		t.Error("empty DelayMat accepted")
+	}
+}
+
+// encodeIndex restates the index file layout word by word: a one-shard
+// file over g whose graphs, in order, are the given views.
+func encodeIndex(g *graph.Graph, graphs []RRGraph) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), indexMagic[:]...)
+	b = le.AppendUint32(le.AppendUint32(b, fileVersion), kindIndex)
+	b = le.AppendUint64(le.AppendUint64(b, uint64(g.NumVertices())), uint64(len(graphs)))
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint64(le.AppendUint64(b, uint64(len(graphs))), uint64(len(graphs)))
+	for _, part := range []func(rr *RRGraph) []int32{
+		func(rr *RRGraph) []int32 { return []int32{rr.target} },
+		func(rr *RRGraph) []int32 { return []int32{int32(len(rr.verts))} },
+		func(rr *RRGraph) []int32 { return []int32{int32(len(rr.edgeID))} },
+		func(rr *RRGraph) []int32 { return rr.verts },
+		func(rr *RRGraph) []int32 { return rr.outStart },
+		func(rr *RRGraph) []int32 { return rr.outTo },
+		func(rr *RRGraph) []int32 { return rr.edgeID },
+	} {
+		for i := range graphs {
+			for _, w := range part(&graphs[i]) {
+				b = le.AppendUint32(b, uint32(w))
+			}
+		}
+	}
+	for i := range graphs {
+		for _, c := range graphs[i].c {
+			b = le.AppendUint64(b, math.Float64bits(c))
+		}
+	}
+	return b
+}
+
+// malformedOneVertex returns idx's file with its first one-vertex graph
+// replaced by a malformed one: a vertex other than its target, or the
+// target with a (self-loop) edge. Both are otherwise well-formed files.
+func malformedOneVertex(tb testing.TB, idx *Index) map[string][]byte {
+	tb.Helper()
+	views := make([]RRGraph, idx.graphs.size())
+	p := -1
+	for gi := range views {
+		if views[gi] = idx.graphs.view(gi); views[gi].NumVertices() == 1 && p < 0 {
+			p = gi
+		}
+	}
+	if p < 0 {
+		tb.Fatal("index has no one-vertex graph")
+	}
+	var buf bytes.Buffer
+	if err := WriteIndex(&buf, idx); err != nil {
+		tb.Fatalf("WriteIndex: %v", err)
+	}
+	if !bytes.Equal(encodeIndex(idx.g, views), buf.Bytes()) {
+		tb.Fatal("restated layout differs from WriteIndex's")
+	}
+	t := views[p].target
+	out := map[string][]byte{}
+	for name, rr := range map[string]RRGraph{
+		"vertex not its target": {target: t, verts: []graph.VertexID{(t + 1) % graph.VertexID(idx.g.NumVertices())}, outStart: []int32{0, 0}},
+		"one vertex with an edge": {target: t, verts: []graph.VertexID{t}, outStart: []int32{0, 1},
+			outTo: []int32{0}, edgeID: []graph.EdgeID{0}, c: []float64{0.01}},
+	} {
+		bad := slices.Clone(views)
+		bad[p] = rr
+		out[name] = encodeIndex(idx.g, bad)
+	}
+	return out
+}
+
+// TestReadRefusesMalformedOneVertexGraph: a one-vertex graph is stored
+// as a count of its target, so the reader refuses one whose vertex is
+// not its target or that has edges — neither could be rebuilt from the
+// count.
+func TestReadRefusesMalformedOneVertexGraph(t *testing.T) {
+	for name, data := range malformedOneVertex(t, fixtureIndex(t)) {
+		if _, err := ReadIndex(bytes.NewReader(data), fixture.Graph()); err == nil {
+			t.Errorf("%s: ReadIndex accepted it", name)
+		}
 	}
 }

@@ -355,14 +355,16 @@ func (si *ShardedIndex) MemoryFootprint() int64 {
 }
 
 // ShardStat describes one shard of a sharded offline structure, the
-// /statsz per-shard row.
+// /statsz per-shard row. Singletons counts an index shard's one-vertex
+// graphs, which it keeps as a count per target, not as graphs.
 type ShardStat struct {
-	Shard    int
-	Users    int
-	Theta    int64
-	Graphs   int
-	Bytes    int64
-	Repaired int64
+	Shard      int
+	Users      int
+	Theta      int64
+	Graphs     int
+	Singletons int
+	Bytes      int64
+	Repaired   int64
 }
 
 // ShardStats snapshots per-shard sizes and cumulative repair counts.
@@ -370,12 +372,13 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 	out := make([]ShardStat, si.numShards)
 	for s, sh := range si.shards {
 		out[s] = ShardStat{
-			Shard:    s,
-			Users:    poolSizeOf(si.pools[s], si.g.NumVertices()),
-			Theta:    sh.theta,
-			Graphs:   sh.graphs.size(),
-			Bytes:    sh.MemoryFootprint(),
-			Repaired: si.repaired[s],
+			Shard:      s,
+			Users:      poolSizeOf(si.pools[s], si.g.NumVertices()),
+			Theta:      sh.theta,
+			Graphs:     sh.graphs.size(),
+			Singletons: len(sh.graphs.singles),
+			Bytes:      sh.MemoryFootprint(),
+			Repaired:   si.repaired[s],
 		}
 	}
 	return out
@@ -388,17 +391,17 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 	clone := *idx
 	clone.g = g
-	if g.NumVertices() > len(idx.containing) {
-		containing := make([][]int32, g.NumVertices())
-		copy(containing, idx.containing)
-		clone.containing = containing
+	if added := g.NumVertices() - len(idx.containing); added > 0 {
+		clone.containing = append(slices.Clip(idx.containing), make([][]int32, added)...)
+		clone.single = append(slices.Clip(idx.single), make([]int32, added)...)
+		clone.recomputeFootprint()
 	}
 	return &clone, RepairStats{Total: idx.graphs.size()}
 }
 
 func (idx *Index) owns(touched []graph.VertexID) bool {
 	for _, h := range touched {
-		if int(h) < len(idx.containing) && len(idx.containing[h]) > 0 {
+		if int(h) < len(idx.containing) && idx.NumContaining(h) > 0 {
 			return true
 		}
 	}
@@ -488,7 +491,8 @@ func (sdm *ShardedDelayMat) CanRepair() bool {
 // ShardStats snapshots per-shard sizes and cumulative repair counts.
 // Graphs reports θ_s — the conceptual per-shard RR-Graph count, which is
 // truthful whether or not TrackMembers bookkeeping is present (the
-// member store is absent for untracked or disk-loaded counters).
+// member store is absent for untracked or disk-loaded counters), and
+// Singletons is 0: a DelayMat stores counts, not graphs.
 func (sdm *ShardedDelayMat) ShardStats() []ShardStat {
 	out := make([]ShardStat, sdm.numShards)
 	for s, sh := range sdm.shards {

@@ -137,7 +137,7 @@ func TestShardedBuildInvariants(t *testing.T) {
 				users += poolSizeOf(si.pools[s], tc.numV)
 				theta += sh.theta
 				for gi := 0; gi < sh.graphs.size(); gi++ {
-					target := sh.graphs.recs[gi].target
+					target := sh.graphs.target(gi)
 					if ShardOf(target, tc.shards) != s {
 						t.Fatalf("shard %d graph %d target %d belongs to shard %d",
 							s, gi, target, ShardOf(target, tc.shards))
@@ -235,7 +235,7 @@ func TestShardedDelayMatMatchesIndexCounts(t *testing.T) {
 	}
 	for s := range si.shards {
 		for u := 0; u < g.NumVertices(); u++ {
-			if got, want := sdm.shards[s].Count(graph.VertexID(u)), int64(len(si.shards[s].containing[u])); got != want {
+			if got, want := sdm.shards[s].Count(graph.VertexID(u)), int64(si.shards[s].NumContaining(graph.VertexID(u))); got != want {
 				t.Fatalf("shard %d θ(%d) = %d, index postings %d", s, u, got, want)
 			}
 		}
@@ -264,7 +264,7 @@ func TestShardedRepairRoutesToTouchedShards(t *testing.T) {
 	skipped := 0
 	for s, sh := range si.shards {
 		for _, h := range info.TouchedHeads {
-			if len(sh.containing[h]) > 0 {
+			if sh.NumContaining(h) > 0 {
 				owns[s] = true
 			}
 		}
@@ -347,7 +347,7 @@ func TestShardedRepairVertexGrowth(t *testing.T) {
 	for s, sh := range next.shards {
 		users += poolSizeOf(next.pools[s], ng.NumVertices())
 		for gi := 0; gi < sh.graphs.size(); gi++ {
-			if t0 := sh.graphs.recs[gi].target; ShardOf(t0, S) != s {
+			if t0 := sh.graphs.target(gi); ShardOf(t0, S) != s {
 				t.Fatalf("shard %d graph %d target %d misplaced", s, gi, t0)
 			}
 		}
@@ -449,7 +449,7 @@ func TestShardedDelayMatRepairPatchesCounters(t *testing.T) {
 	}
 	for s, sh := range next.shards {
 		want := make([]int64, ng.NumVertices())
-		for _, v := range sh.members.verts {
+		for _, v := range storeMembers(sh.members) {
 			want[v]++
 		}
 		for u := range want {
@@ -482,7 +482,7 @@ func TestShardedScatterParallelDeterministic(t *testing.T) {
 	u := graph.MaxOutDegreeVertex(g)
 	work := 0
 	for _, sh := range si.shards {
-		work += len(sh.containing[u])
+		work += sh.NumContaining(graph.VertexID(u))
 	}
 	if work < scatterParallelMinWork {
 		t.Fatalf("hub user work %d below parallel threshold %d; grow the graph", work, scatterParallelMinWork)

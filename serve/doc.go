@@ -139,8 +139,9 @@
 // gather into the same unbiased answer, update batches repair only the
 // shards owning touched heads (concurrently), and /statsz exposes the
 // layout as index_shards — one row per shard with its user count, θ,
-// graph count, index_bytes share and the cumulative graphs_repaired
-// across update generations. Watch the repair counters to spot skew: a
+// graph count, singletons (how many of those graphs have one vertex and
+// are kept as a per-user count, not a graph), index_bytes share and the
+// cumulative graphs_repaired across update generations. Watch the repair counters to spot skew: a
 // shard absorbing most repairs hosts the churn-heavy hubs, the signal to
 // schedule an offline rebuild (or raise IndexShards) before repair cost
 // approaches rebuild cost.

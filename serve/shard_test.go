@@ -44,16 +44,23 @@ func TestStatszReportsIndexShards(t *testing.T) {
 		t.Fatalf("index_shards rows = %d, want 3", len(shards))
 	}
 	var bytesSum int64
-	users := 0
+	users, singletons := 0, 0
 	for _, s := range shards {
 		bytesSum += s.IndexBytes
 		users += s.Users
+		singletons += s.Singletons
+		if s.Singletons < 0 || s.Singletons > s.Graphs {
+			t.Errorf("shard %d reports %d singletons of %d graphs", s.Shard, s.Singletons, s.Graphs)
+		}
 		if s.GraphsRepaired != 0 {
 			t.Errorf("shard %d reports %d repairs before any update", s.Shard, s.GraphsRepaired)
 		}
 	}
 	if users != 7 {
 		t.Errorf("shard partitions cover %d users, want 7", users)
+	}
+	if singletons == 0 {
+		t.Error("no shard reports a one-vertex graph")
 	}
 	if bytesSum != srv.Stats().IndexBytes {
 		t.Errorf("per-shard bytes %d != index_bytes %d", bytesSum, srv.Stats().IndexBytes)
