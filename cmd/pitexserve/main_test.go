@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -9,18 +10,37 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pitex"
 	"pitex/serve"
 )
 
-func testServeOptions() pitex.ServeOptions {
-	return pitex.ServeOptions{PoolSize: 2, QueueTimeout: 10 * time.Second}
+// parse builds a config from command-line arguments, as main does.
+func parse(t *testing.T, args ...string) config {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("pitexserve", flag.ContinueOnError)
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// small is the engine and pool every test builds, in flag form.
+var small = []string{"-seed", "1", "-max-samples", "500", "-max-index-samples", "4000",
+	"-pool", "2", "-queue-timeout", "10s"}
+
+// parseSmall is parse over small plus args.
+func parseSmall(t *testing.T, args ...string) config {
+	t.Helper()
+	return parse(t, append(append([]string(nil), small...), args...)...)
 }
 
 func discardf(string, ...any) {}
 
+// TestParseStrategy: every strategy name given to -strategy reaches
+// the engine options, and an unknown one is refused.
 func TestParseStrategy(t *testing.T) {
 	cases := map[string]pitex.Strategy{
 		"lazy": pitex.StrategyLazy, "LAZY": pitex.StrategyLazy,
@@ -30,22 +50,40 @@ func TestParseStrategy(t *testing.T) {
 		"delaymat": pitex.StrategyDelay, "delay": pitex.StrategyDelay,
 	}
 	for in, want := range cases {
-		got, err := pitex.ParseStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", in, got, err, want)
+		opts, err := parse(t, "-strategy", in).Options(1)
+		if err != nil || opts.Strategy != want {
+			t.Errorf("-strategy %q: got %v, %v; want %v", in, opts.Strategy, err, want)
 		}
 	}
-	if _, err := pitex.ParseStrategy("bogus"); err == nil {
+	if _, err := parse(t, "-strategy", "bogus").Options(1); err == nil {
 		t.Fatal("bogus strategy accepted")
 	}
 }
 
+// TestFlags pins every flag's name and default.
+func TestFlags(t *testing.T) {
+	want := map[string]string{
+		"addr": "localhost:8437", "cache": "4096", "cache-shards": "16", "dataset": "",
+		"debug-addr": "", "delta": "1000", "drain-timeout": "10s", "epsilon": "0.7",
+		"fault-seed": "1", "faults": "", "index": "", "index-shards": "0",
+		"journal-horizon": "0", "log-format": "text", "max-index-samples": "200000",
+		"max-k": "10", "max-samples": "5000", "model": "", "network": "", "pool": "0",
+		"query-timeout": "0s", "queue": "0", "queue-timeout": "5s", "reconcile-interval": "0s",
+		"save-index": "", "scale": "1", "seed": "1", "shard-deadline": "2s", "shards": "",
+		"strategy": "indexest+", "sweep-checkpoint-dir": "", "track-updates": "true",
+	}
+	var c config
+	fs := flag.NewFlagSet("pitexserve", flag.ContinueOnError)
+	c.register(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag defaults:\n got  %v\n want %v", got, want)
+	}
+}
+
 func TestSetupAndServe(t *testing.T) {
-	srv, err := setup(buildConfig{
-		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		maxK: 10,
-	}, testServeOptions(), discardf)
+	srv, err := setup(parseSmall(t, "-dataset", "lastfm", "-scale", "0.02"), discardf)
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -108,11 +146,7 @@ func TestSetupFromFilesWithSavedIndex(t *testing.T) {
 		f.Close()
 	}
 
-	srv, err := setup(buildConfig{
-		network: np, model: mp, index: ip, seed: 1, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		maxK: 10,
-	}, testServeOptions(), discardf)
+	srv, err := setup(parseSmall(t, "-network", np, "-model", mp, "-index", ip), discardf)
 	if err != nil {
 		t.Fatalf("setup with saved index: %v", err)
 	}
@@ -125,15 +159,11 @@ func TestSetupFromFilesWithSavedIndex(t *testing.T) {
 func TestSaveIndexFlagRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ip := filepath.Join(dir, "saved.index")
-	base := buildConfig{
-		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "delaymat",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		maxK: 10,
-	}
+	base := parseSmall(t, "-dataset", "lastfm", "-scale", "0.02", "-strategy", "delaymat")
 
 	cfg := base
 	cfg.saveIndex = ip
-	srv, err := setup(cfg, testServeOptions(), discardf)
+	srv, err := setup(cfg, discardf)
 	if err != nil {
 		t.Fatalf("setup with -save-index: %v", err)
 	}
@@ -149,7 +179,7 @@ func TestSaveIndexFlagRoundTrip(t *testing.T) {
 
 	cfg = base
 	cfg.index = ip
-	srv, err = setup(cfg, testServeOptions(), discardf)
+	srv, err = setup(cfg, discardf)
 	if err != nil {
 		t.Fatalf("setup with -index: %v", err)
 	}
@@ -167,8 +197,8 @@ func TestSaveIndexFlagRoundTrip(t *testing.T) {
 
 	// Saving an online strategy's (nonexistent) index must fail loudly.
 	cfg = base
-	cfg.strategy, cfg.saveIndex = "lazy", filepath.Join(dir, "nope.index")
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
+	cfg.Strategy, cfg.saveIndex = "lazy", filepath.Join(dir, "nope.index")
+	if _, err := setup(cfg, discardf); err == nil {
 		t.Fatal("-save-index with an online strategy accepted")
 	}
 }
@@ -182,12 +212,8 @@ func TestSaveIndexFailureLeavesNoTemp(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(target, "keep"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg := buildConfig{
-		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		maxK: 10, saveIndex: target,
-	}
-	if srv, err := setup(cfg, testServeOptions(), discardf); err == nil {
+	cfg := parseSmall(t, "-dataset", "lastfm", "-scale", "0.02", "-save-index", target)
+	if srv, err := setup(cfg, discardf); err == nil {
 		srv.Close()
 		t.Fatal("saving onto a non-empty directory succeeded")
 	}
@@ -197,26 +223,18 @@ func TestSaveIndexFailureLeavesNoTemp(t *testing.T) {
 }
 
 func TestSetupValidation(t *testing.T) {
-	base := buildConfig{epsilon: 0.7, delta: 1000, maxK: 10}
-
-	cfg := base
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
-		t.Error("missing inputs accepted")
-	}
-	cfg = base
-	cfg.dataset, cfg.strategy = "lastfm", "bogus"
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-	cfg = base
-	cfg.dataset, cfg.strategy, cfg.scale = "nope", "lazy", 1
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	cfg = base
-	cfg.network, cfg.model, cfg.strategy = "/does/not/exist", "/nope", "lazy"
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
-		t.Error("missing files accepted")
+	for name, args := range map[string][]string{
+		"missing inputs":  {},
+		"bogus strategy":  {"-dataset", "lastfm", "-strategy", "bogus"},
+		"unknown dataset": {"-dataset", "nope", "-strategy", "lazy"},
+		"missing files":   {"-network", "/does/not/exist", "-model", "/nope", "-strategy", "lazy"},
+		"conflicting inputs": {"-dataset", "lastfm", "-scale", "0.02",
+			"-network", "/does/not/exist", "-model", "/nope"},
+	} {
+		if srv, err := setup(parseSmall(t, args...), discardf); err == nil {
+			srv.Close()
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -247,13 +265,8 @@ func TestParseShardGroups(t *testing.T) {
 
 // coordinatorConfig is the fleet-matching flag set for coordinator tests
 // (the shard server below is built from the same dataset recipe).
-func coordinatorConfig(shards string) buildConfig {
-	return buildConfig{
-		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		maxK:   10,
-		shards: shards, shardDeadline: 2 * time.Second,
-	}
+func coordinatorConfig(t *testing.T, shards string) config {
+	return parseSmall(t, "-dataset", "lastfm", "-scale", "0.02", "-shards", shards)
 }
 
 // TestSetupCoordinator dials a real in-process shard server and serves a
@@ -277,7 +290,7 @@ func TestSetupCoordinator(t *testing.T) {
 	shard := httptest.NewServer(ss.Handler())
 	defer shard.Close()
 
-	srv, err := setup(coordinatorConfig(shard.URL), testServeOptions(), discardf)
+	srv, err := setup(coordinatorConfig(t, shard.URL), discardf)
 	if err != nil {
 		t.Fatalf("coordinator setup: %v", err)
 	}
@@ -295,14 +308,13 @@ func TestSetupCoordinator(t *testing.T) {
 }
 
 func TestSetupCoordinatorErrors(t *testing.T) {
-	cfg := coordinatorConfig("localhost:1") // nothing listens on port 1
+	cfg := coordinatorConfig(t, "localhost:1") // nothing listens on port 1
 	cfg.index = "index.bin"
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
+	if _, err := setup(cfg, discardf); err == nil {
 		t.Error("-index accepted in coordinator mode")
 	}
-	cfg = coordinatorConfig("")
-	cfg.shards = " , "
-	if _, err := setup(cfg, testServeOptions(), discardf); err == nil {
+	cfg = coordinatorConfig(t, " , ")
+	if _, err := setup(cfg, discardf); err == nil {
 		t.Error("empty -shards spec accepted")
 	}
 }
@@ -328,7 +340,7 @@ func TestSetupCoordinatorStrategyMismatch(t *testing.T) {
 	}
 	shard := httptest.NewServer(ss.Handler())
 	defer shard.Close()
-	if _, err := setup(coordinatorConfig(shard.URL), testServeOptions(), discardf); err == nil {
+	if _, err := setup(coordinatorConfig(t, shard.URL), discardf); err == nil {
 		t.Error("strategy mismatch accepted")
 	}
 }
@@ -359,7 +371,7 @@ func TestSetupCoordinatorUserMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = setup(coordinatorConfig(shard.URL), testServeOptions(), discardf)
+	_, err = setup(coordinatorConfig(t, shard.URL), discardf)
 	for _, n := range []int{net.NumUsers(), local.NumUsers()} {
 		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
 			t.Fatalf("coordinator over %d users, fleet over %d: err = %v, want both counts named",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -9,6 +10,39 @@ import (
 )
 
 func discardf(string, ...any) {}
+
+// parse builds a config from command-line arguments, as main does, over
+// a small index.
+func parse(t *testing.T, args ...string) config {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("pitexshard", flag.ContinueOnError)
+	c.register(fs)
+	if err := fs.Parse(append([]string{"-max-index-samples", "4000"}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestFlags pins every flag's name and default.
+func TestFlags(t *testing.T) {
+	want := map[string]string{
+		"addr": "localhost:8501", "dataset": "", "debug-addr": "", "delta": "1000",
+		"drain-timeout": "10s", "epsilon": "0.7", "fault-seed": "1", "faults": "",
+		"index-shards": "0", "log-format": "text", "max-index-samples": "200000",
+		"max-k": "10", "model": "", "network": "", "own": "", "queue": "0",
+		"queue-timeout": "0s", "scale": "1", "seed": "1", "strategy": "indexest+",
+		"workers": "0",
+	}
+	var c config
+	fs := flag.NewFlagSet("pitexshard", flag.ContinueOnError)
+	c.register(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag defaults:\n got  %v\n want %v", got, want)
+	}
+}
 
 func TestParseOwned(t *testing.T) {
 	cases := []struct {
@@ -38,14 +72,11 @@ func TestParseOwned(t *testing.T) {
 }
 
 func TestSetupAndServeShard(t *testing.T) {
-	ss, err := setup(shardConfig{
-		dataset: "lastfm", seed: 1, scale: 0.02, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 500, maxIndexSamples: 4000,
-		indexShards: 2, maxK: 10, own: "0",
-	}, discardf)
+	ss, err := setup(parse(t, "-dataset", "lastfm", "-scale", "0.02", "-index-shards", "2", "-own", "0"), discardf)
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
+	defer ss.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := ss.WaitReady(ctx); err != nil {
@@ -67,20 +98,19 @@ func TestSetupAndServeShard(t *testing.T) {
 }
 
 func TestSetupErrors(t *testing.T) {
-	cases := map[string]shardConfig{
-		"no input":     {strategy: "indexest+", epsilon: 0.7, delta: 1000, maxK: 10},
-		"bad strategy": {dataset: "lastfm", scale: 0.02, strategy: "bogus", epsilon: 0.7, delta: 1000, maxK: 10},
-		"bad own":      {dataset: "lastfm", scale: 0.02, strategy: "indexest+", epsilon: 0.7, delta: 1000, maxK: 10, own: "zero"},
-		"own outside layout": {dataset: "lastfm", scale: 0.02, strategy: "indexest+",
-			epsilon: 0.7, delta: 1000, maxK: 10, indexShards: 2, own: "7"},
-		"online strategy": {dataset: "lastfm", scale: 0.02, strategy: "lazy",
-			epsilon: 0.7, delta: 1000, maxK: 10},
+	cases := map[string][]string{
+		"no input":     {},
+		"bad strategy": {"-dataset", "lastfm", "-scale", "0.02", "-strategy", "bogus"},
+		"bad own":      {"-dataset", "lastfm", "-scale", "0.02", "-own", "zero"},
+		"own outside layout": {"-dataset", "lastfm", "-scale", "0.02",
+			"-index-shards", "2", "-own", "7"},
+		"online strategy": {"-dataset", "lastfm", "-scale", "0.02", "-strategy", "lazy"},
+		"conflicting inputs": {"-dataset", "lastfm", "-scale", "0.02",
+			"-network", "x", "-model", "y"},
 	}
-	for name, cfg := range cases {
-		cfg.seed = 1
-		cfg.maxSamples = 500
-		cfg.maxIndexSamples = 4000
-		if _, err := setup(cfg, discardf); err == nil {
+	for name, args := range cases {
+		if ss, err := setup(parse(t, args...), discardf); err == nil {
+			ss.Close()
 			t.Errorf("%s: setup succeeded", name)
 		}
 	}

@@ -26,135 +26,73 @@ import (
 
 	"pitex"
 	"pitex/analytics"
+	"pitex/internal/cli"
 	"pitex/obsv"
 )
 
-func main() {
-	var (
-		dataset  = flag.String("dataset", "", "generate this dataset (lastfm, diggs, dblp, twitter)")
-		network  = flag.String("network", "", "network file (alternative to -dataset)")
-		model    = flag.String("model", "", "tag model file (required with -network)")
-		seed     = flag.Uint64("seed", 1, "generation / sampling seed")
-		scale    = flag.Float64("scale", 1.0, "dataset scale factor (with -dataset)")
-		strategy = flag.String("strategy", "indexest+", "lazy, mc, rr, tim, indexest, indexest+, delaymat")
-		epsilon  = flag.Float64("epsilon", 0.7, "relative error bound")
-		delta    = flag.Float64("delta", 1000, "failure probability control (1/delta)")
-		maxSamp  = flag.Int64("max-samples", 5000, "per-estimation sample cap (0 = theoretical)")
-		maxIdx   = flag.Int64("max-index-samples", 200000, "offline sample cap (0 = theoretical)")
-		idxShard = flag.Int("index-shards", 0, "hash-partition the offline index into this many shards")
-
-		k        = flag.Int("k", 3, "tag-set size per user query")
-		topN     = flag.Int("top", 100, "leaderboard rows to keep")
-		workers  = flag.Int("workers", 4, "concurrent engine clones")
-		chunk    = flag.Int("chunk", analytics.DefaultChunkSize, "users per checkpointable chunk")
-		usersArg = flag.String("users", "", "cohort: comma-separated user IDs and lo-hi ranges (default: everyone)")
-		ckpt     = flag.String("checkpoint", "", "persist completed chunks to this file")
-		resume   = flag.Bool("resume", false, "resume from -checkpoint if it exists")
-		out      = flag.String("out", "", "write the leaderboard JSON here (default stdout)")
-		progress = flag.Bool("progress", false, "log per-chunk progress to stderr")
-
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-	)
-	flag.Parse()
-	logger, err := obsv.NewLogger(os.Stderr, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pitexsweep:", err)
-		os.Exit(1)
-	}
-	slog.SetDefault(logger)
-	if err := run(logger, cfg{
-		dataset: *dataset, network: *network, model: *model,
-		seed: *seed, scale: *scale, strategy: *strategy,
-		epsilon: *epsilon, delta: *delta, maxSamples: *maxSamp, maxIndexSamples: *maxIdx,
-		indexShards: *idxShard,
-		k:           *k, topN: *topN, workers: *workers, chunk: *chunk,
-		users: *usersArg, checkpoint: *ckpt, resume: *resume,
-		out: *out, progress: *progress,
-	}); err != nil {
-		logger.Error("exiting", "err", err)
-		os.Exit(1)
-	}
-}
-
-type cfg struct {
-	dataset, network, model     string
-	seed                        uint64
-	scale                       float64
-	strategy                    string
-	epsilon, delta              float64
-	maxSamples, maxIndexSamples int64
-	indexShards                 int
-
+// config is pitexsweep's flag set.
+type config struct {
+	cli.Inputs
+	cli.Engine
 	k, topN, workers, chunk int
 	users                   string
 	checkpoint              string
 	resume                  bool
 	out                     string
 	progress                bool
+	logFormat               string
 }
 
-func run(logger *slog.Logger, c cfg) error {
-	strategy, err := pitex.ParseStrategy(c.strategy)
+func (c *config) register(fs *flag.FlagSet) {
+	c.Inputs.Register(fs)
+	// MaxK follows -k (at least 10).
+	c.Engine.Register(fs, "indexest+", "max-k")
+	fs.Lookup("index-shards").Usage = "hash-partition the offline index into this many shards"
+	fs.IntVar(&c.k, "k", 3, "tag-set size per user query")
+	fs.IntVar(&c.topN, "top", 100, "leaderboard rows to keep")
+	fs.IntVar(&c.workers, "workers", 4, "concurrent engine clones")
+	fs.IntVar(&c.chunk, "chunk", analytics.DefaultChunkSize, "users per checkpointable chunk")
+	fs.StringVar(&c.users, "users", "", "cohort: comma-separated user IDs and lo-hi ranges (default: everyone)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "persist completed chunks to this file")
+	fs.BoolVar(&c.resume, "resume", false, "resume from -checkpoint if it exists")
+	fs.StringVar(&c.out, "out", "", "write the leaderboard JSON here (default stdout)")
+	fs.BoolVar(&c.progress, "progress", false, "log per-chunk progress to stderr")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text or json")
+}
+
+func main() {
+	var c config
+	c.register(flag.CommandLine)
+	flag.Parse()
+	logger, err := obsv.NewLogger(os.Stderr, c.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pitexsweep:", err)
+		os.Exit(1)
+	}
+	slog.SetDefault(logger)
+	if err := run(logger, c); err != nil {
+		logger.Error("exiting", "err", err)
+		os.Exit(1)
+	}
+}
+
+func run(logger *slog.Logger, c config) error {
+	opts, err := c.Options(c.Seed)
 	if err != nil {
 		return err
 	}
-	cohort, err := parseUsers(c.users)
+	opts.MaxK = max(c.k, 10)
+	net, model, err := c.Load()
 	if err != nil {
 		return err
 	}
-
-	var net *pitex.Network
-	var tagModel *pitex.TagModel
-	switch {
-	case c.dataset != "":
-		spec, err := pitex.BaseDatasetSpec(c.dataset)
-		if err != nil {
-			return err
-		}
-		if c.scale != 1.0 {
-			spec = spec.Scaled(c.scale)
-		}
-		net, tagModel, err = pitex.GenerateDatasetSpec(spec, c.seed)
-		if err != nil {
-			return err
-		}
-	case c.network != "" && c.model != "":
-		nf, err := os.Open(c.network)
-		if err != nil {
-			return err
-		}
-		defer nf.Close()
-		net, err = pitex.ReadNetwork(nf)
-		if err != nil {
-			return err
-		}
-		mf, err := os.Open(c.model)
-		if err != nil {
-			return err
-		}
-		defer mf.Close()
-		tagModel, err = pitex.ReadTagModel(mf)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need either -dataset or both -network and -model")
+	// The cohort is checked against the network before any range is
+	// expanded or the index is built.
+	cohort, err := parseUsers(c.users, net.NumUsers())
+	if err != nil {
+		return err
 	}
-
-	maxK := c.k
-	if maxK < 10 {
-		maxK = 10
-	}
-	en, err := pitex.NewEngine(net, tagModel, pitex.Options{
-		Strategy:        strategy,
-		Epsilon:         c.epsilon,
-		Delta:           c.delta,
-		MaxK:            maxK,
-		Seed:            c.seed,
-		MaxSamples:      c.maxSamples,
-		MaxIndexSamples: c.maxIndexSamples,
-		IndexShards:     c.indexShards,
-	})
+	en, err := pitex.NewEngine(net, model, opts)
 	if err != nil {
 		return err
 	}
@@ -163,7 +101,7 @@ func run(logger *slog.Logger, c cfg) error {
 			"mb", fmt.Sprintf("%.2f", float64(en.IndexMemoryBytes())/(1<<20)))
 	}
 
-	opts := analytics.Options{
+	aopts := analytics.Options{
 		K:              c.k,
 		TopN:           c.topN,
 		Workers:        c.workers,
@@ -173,7 +111,7 @@ func run(logger *slog.Logger, c cfg) error {
 		Resume:         c.resume,
 	}
 	if c.progress {
-		opts.OnProgress = func(p analytics.Progress) {
+		aopts.OnProgress = func(p analytics.Progress) {
 			logger.Info("progress",
 				"chunks_done", p.ChunksDone, "chunks_total", p.ChunksTotal,
 				"users_done", p.UsersDone, "users_total", p.UsersTotal)
@@ -185,7 +123,7 @@ func run(logger *slog.Logger, c cfg) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	lb, err := analytics.Run(ctx, en, opts)
+	lb, err := analytics.Run(ctx, en, aopts)
 	if err != nil {
 		return err
 	}
@@ -202,30 +140,30 @@ func run(logger *slog.Logger, c cfg) error {
 }
 
 // parseUsers parses the -users cohort syntax: comma-separated user IDs
-// and inclusive lo-hi ranges, e.g. "3,10-19,42".
-func parseUsers(s string) ([]int, error) {
+// and inclusive lo-hi ranges, e.g. "3,10-19,42". Every ID must lie in
+// [0, n), and a range is checked before it is expanded.
+func parseUsers(s string, n int) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.Atoi(strings.TrimSpace(lo))
-			b, err2 := strconv.Atoi(strings.TrimSpace(hi))
-			if err1 != nil || err2 != nil || a > b {
-				return nil, fmt.Errorf("bad -users range %q", part)
-			}
-			for u := a; u <= b; u++ {
-				out = append(out, u)
-			}
-			continue
+		lo, hi, isRange := strings.Cut(part, "-")
+		if !isRange {
+			hi = lo
 		}
-		u, err := strconv.Atoi(part)
-		if err != nil {
+		a, err1 := strconv.Atoi(strings.TrimSpace(lo))
+		b, err2 := strconv.Atoi(strings.TrimSpace(hi))
+		if err1 != nil || err2 != nil || a > b {
 			return nil, fmt.Errorf("bad -users entry %q", part)
 		}
-		out = append(out, u)
+		if b >= n {
+			return nil, fmt.Errorf("-users entry %q outside [0,%d)", part, n)
+		}
+		for u := a; u <= b; u++ {
+			out = append(out, u)
+		}
 	}
 	return out, nil
 }

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,18 +16,46 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func testCfg(dir string) cfg {
-	return cfg{
-		dataset: "lastfm", scale: 0.02, seed: 1, strategy: "indexest+",
-		epsilon: 0.7, delta: 1000, maxSamples: 300, maxIndexSamples: 4000,
-		k: 2, topN: 10, workers: 2, chunk: 8,
-		out: filepath.Join(dir, "board.json"),
+// parse builds a config from command-line arguments, as main does.
+func parse(t *testing.T, args ...string) config {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("pitexsweep", flag.ContinueOnError)
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func testCfg(t *testing.T, dir string) config {
+	return parse(t, "-dataset", "lastfm", "-scale", "0.02", "-max-samples", "300",
+		"-max-index-samples", "4000", "-k", "2", "-top", "10", "-workers", "2", "-chunk", "8",
+		"-out", filepath.Join(dir, "board.json"))
+}
+
+// TestFlags pins every flag's name and default.
+func TestFlags(t *testing.T) {
+	want := map[string]string{
+		"checkpoint": "", "chunk": "64", "dataset": "", "delta": "1000", "epsilon": "0.7",
+		"index-shards": "0", "k": "3", "log-format": "text", "max-index-samples": "200000",
+		"max-samples": "5000", "model": "", "network": "", "out": "", "progress": "false",
+		"resume": "false", "scale": "1", "seed": "1", "strategy": "indexest+", "top": "100",
+		"users": "", "workers": "4",
+	}
+	var c config
+	fs := flag.NewFlagSet("pitexsweep", flag.ContinueOnError)
+	c.register(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag defaults:\n got  %v\n want %v", got, want)
 	}
 }
 
 func TestRunSweepDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	c := testCfg(dir)
+	c := testCfg(t, dir)
 	if err := run(testLogger(), c); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -54,7 +84,7 @@ func TestRunSweepDeterministic(t *testing.T) {
 
 func TestRunSweepResume(t *testing.T) {
 	dir := t.TempDir()
-	c := testCfg(dir)
+	c := testCfg(t, dir)
 	if err := run(testLogger(), c); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -87,7 +117,7 @@ func TestRunSweepResume(t *testing.T) {
 
 func TestRunSweepCohort(t *testing.T) {
 	dir := t.TempDir()
-	c := testCfg(dir)
+	c := testCfg(t, dir)
 	c.users = "0,2,4-6"
 	if err := run(testLogger(), c); err != nil {
 		t.Fatalf("cohort run: %v", err)
@@ -95,33 +125,45 @@ func TestRunSweepCohort(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run(testLogger(), cfg{strategy: "bogus"}); err == nil {
+	dir := t.TempDir()
+	if err := run(testLogger(), parse(t, "-dataset", "lastfm", "-scale", "0.02", "-strategy", "bogus")); err == nil {
 		t.Fatal("bogus strategy accepted")
 	}
-	if err := run(testLogger(), cfg{strategy: "lazy"}); err == nil {
+	if err := run(testLogger(), parse(t, "-strategy", "lazy")); err == nil {
 		t.Fatal("missing dataset accepted")
 	}
-	if err := run(testLogger(), cfg{strategy: "lazy", users: "9-1"}); err == nil {
-		t.Fatal("inverted range accepted")
+	for _, users := range []string{"9-1", "x"} {
+		c := testCfg(t, dir)
+		c.users = users
+		if err := run(testLogger(), c); err == nil || !strings.Contains(err.Error(), "-users") {
+			t.Fatalf("-users %q: err = %v, want a refusal naming -users", users, err)
+		}
 	}
-	if err := run(testLogger(), cfg{strategy: "lazy", users: "x"}); err == nil {
-		t.Fatal("non-numeric cohort accepted")
+}
+
+// TestRunRefusesOutOfRangeCohort: a range past the network is refused,
+// naming -users, before it is expanded or the index is built.
+func TestRunRefusesOutOfRangeCohort(t *testing.T) {
+	c := testCfg(t, t.TempDir())
+	c.users = "0-5000000"
+	if err := run(testLogger(), c); err == nil || !strings.Contains(err.Error(), "-users") {
+		t.Fatalf("err = %v, want a refusal naming -users", err)
 	}
 }
 
 func TestParseUsers(t *testing.T) {
-	got, err := parseUsers(" 3, 10-12 ,42")
+	got, err := parseUsers(" 3, 10-12 ,42", 43)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{3, 10, 11, 12, 42}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseUsers = %v, want %v", got, want)
 	}
-	if got, err := parseUsers(""); err != nil || got != nil {
+	if got, err := parseUsers("", 43); err != nil || got != nil {
 		t.Fatalf("empty = %v, %v", got, err)
 	}
-	for _, bad := range []string{"1-", "-2-3", "a-b", "1,,2"} {
-		if _, err := parseUsers(bad); err == nil {
+	for _, bad := range []string{"1-", "-2-3", "a-b", "1,,2", "43", "40-43"} {
+		if _, err := parseUsers(bad, 43); err == nil {
 			t.Fatalf("parseUsers(%q) accepted", bad)
 		}
 	}

@@ -35,19 +35,10 @@ type Options struct {
 	// HedgeMin floors the hedge delay (default 20ms): a hedge is never
 	// sent sooner, even when the latency window says the group is faster.
 	HedgeMin time.Duration
-	// HedgeQuantile picks the latency-window quantile after which a
-	// fetch is hedged to the next replica (default 0.9).
-	HedgeQuantile float64
-	// FailureCooldown is the base endpoint cooldown after a failure,
-	// doubling per consecutive failure up to 2^5× (default 1s).
-	FailureCooldown time.Duration
 	// UpdateDeadline bounds one /shard/update fan-out call per endpoint
 	// (default 60s — repairs re-sample RR-Graphs and are much slower than
 	// queries).
 	UpdateDeadline time.Duration
-	// HTTPClient overrides the transport (default: a dedicated client
-	// with sane connection pooling).
-	HTTPClient *http.Client
 	// JitterSeed seeds the per-endpoint backoff jitter (default 1).
 	// Endpoints that failed together would otherwise cool down in
 	// lockstep and retry as a thundering herd; the jitter spreads their
@@ -67,6 +58,15 @@ type Options struct {
 	HealBackoff time.Duration
 }
 
+const (
+	// hedgeQuantile is the latency-window quantile after which a fetch is
+	// hedged to the next replica.
+	hedgeQuantile = 0.9
+	// failureCooldown is the base endpoint cooldown after a failure,
+	// doubling per consecutive failure up to 2^5×.
+	failureCooldown = time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.ShardDeadline <= 0 {
 		o.ShardDeadline = 2 * time.Second
@@ -74,20 +74,8 @@ func (o Options) withDefaults() Options {
 	if o.HedgeMin <= 0 {
 		o.HedgeMin = 20 * time.Millisecond
 	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.9
-	}
-	if o.FailureCooldown <= 0 {
-		o.FailureCooldown = time.Second
-	}
 	if o.UpdateDeadline <= 0 {
 		o.UpdateDeadline = 60 * time.Second
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	if o.JitterSeed == 0 {
 		o.JitterSeed = 1
@@ -273,7 +261,7 @@ func (g *group) candidates(now time.Time, head uint64) []*endpoint {
 // quantile, clamped to [HedgeMin, ShardDeadline/2]. An empty window (cold
 // start) hedges aggressively at HedgeMin.
 func (g *group) hedgeDelay(o Options) time.Duration {
-	d, ok := g.lat.quantile(o.HedgeQuantile)
+	d, ok := g.lat.quantile(hedgeQuantile)
 	if !ok || d < o.HedgeMin {
 		d = o.HedgeMin
 	}
@@ -334,7 +322,12 @@ func Dial(ctx context.Context, groupAddrs [][]string, opts Options) (*Client, er
 	}
 	opts = opts.withDefaults()
 	c := &Client{
-		opts: opts, http: opts.HTTPClient, totalShards: -1,
+		opts: opts, totalShards: -1,
+		// A dedicated client, so the fleet's connection pool is its own.
+		http: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 16,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		scatters: obsv.NewCounter(), siblings: obsv.NewCounter(), hedges: obsv.NewCounter(),
 		failovers: obsv.NewCounter(), degraded: obsv.NewCounter(),
 		journalReplays: obsv.NewCounter(), resyncs: obsv.NewCounter(),
@@ -646,7 +639,7 @@ func (c *Client) fetchGroup(ctx context.Context, g *group, call rpc) ([]byte, er
 				g.lat.add(a.dur)
 				return a.data, nil
 			}
-			a.ep.fail(time.Now(), c.opts.FailureCooldown)
+			a.ep.fail(time.Now(), failureCooldown)
 			if responseStatus(a.err) == http.StatusConflict {
 				// The endpoint rejected our generation: its index view is
 				// stale (or ahead after a lost fan-out ack). Zero the
@@ -906,13 +899,13 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 			defer cancel()
 			out[i] = EndpointUpdate{URL: ep.url}
 			if fo := faultinject.Eval(ectx, faultinject.PointUpdateFanout); fo.Err != nil {
-				ep.fail(time.Now(), c.opts.FailureCooldown)
+				ep.fail(time.Now(), failureCooldown)
 				out[i].Error = fo.Err.Error()
 				return
 			}
 			data, err := c.roundTrip(ectx, ep, rpc{method: http.MethodPost, path: "/shard/update", body: body})
 			if err != nil {
-				ep.fail(time.Now(), c.opts.FailureCooldown)
+				ep.fail(time.Now(), failureCooldown)
 				if responseStatus(err) == http.StatusConflict {
 					ep.gen.Store(0)
 				}

@@ -128,7 +128,7 @@ func (c *Client) resyncFrom(ctx context.Context, g *group, ep *endpoint, head ui
 	defer cancel()
 	snap, err := c.roundTrip(rctx, src, rpc{method: http.MethodGet, path: "/shard/resync"})
 	if err != nil {
-		src.fail(time.Now(), c.opts.FailureCooldown)
+		src.fail(time.Now(), failureCooldown)
 		return fmt.Errorf("snapshot from %s: %w", src.url, err)
 	}
 	data, err := c.roundTrip(rctx, ep, rpc{method: http.MethodPost, path: "/shard/resync", body: snap})

@@ -234,6 +234,31 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	cases := map[string]Strategy{
+		"lazy": StrategyLazy, "LAZY": StrategyLazy,
+		"mc": StrategyMC, "rr": StrategyRR, "tim": StrategyTIM,
+		"indexest": StrategyIndex, "index": StrategyIndex,
+		"indexest+": StrategyIndexPruned, "index+": StrategyIndexPruned,
+		"delaymat": StrategyDelay, "delay": StrategyDelay,
+	}
+	for in, want := range cases {
+		got, err := ParseStrategy(in)
+		if err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseStrategy("bogus"); err == nil {
+		t.Fatal("bogus strategy accepted")
+	}
+	// Every strategy's name parses back to it.
+	for s := StrategyLazy; s <= StrategyDelay; s++ {
+		if got, err := ParseStrategy(s.String()); err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+}
+
 func TestCloneSharesIndex(t *testing.T) {
 	net, model := fig2Network(t)
 	en, err := NewEngine(net, model, testEngineOptions(StrategyIndexPruned))

@@ -299,6 +299,25 @@ func TestReadyzEndpoints(t *testing.T) {
 	}
 }
 
+// TestShardServerProbesAfterClose: a draining shard server reports
+// closed on both probes, like Server, instead of ready while every
+// estimate gets 503.
+func TestShardServerProbesAfterClose(t *testing.T) {
+	ss, ts := startFig2ShardServer(t, 0, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := ss.WaitReady(ctx); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	ss.Close()
+	for _, path := range []string{"/healthz", "/readyz"} {
+		status, doc := getDoc(t, ts.URL+path)
+		if status != http.StatusServiceUnavailable || doc["status"] != "closed" {
+			t.Errorf("%s after Close = %d %v, want 503 closed", path, status, doc)
+		}
+	}
+}
+
 // TestShardServerGenerationHandling covers the protocol edges: unknown
 // generations are refused with 409 (no silent cross-generation mixing),
 // and the update endpoint is idempotent for the current generation.

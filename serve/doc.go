@@ -31,7 +31,11 @@
 // a close latch. It refuses a closed gate, then an already-ended caller
 // context, then load beyond the bound, before taking a slot. A
 // deadline-aware check sheds a request whose remaining budget is below
-// the route's observed median latency before it reaches the gate.
+// the route's observed median latency before it reaches the gate. The
+// /healthz and /readyz probes are the pipeline's too: both answer 503
+// "closed" once a server is closed, and /readyz adds only each server's
+// readiness fields (index bytes and remote shards; owned shards, or 503
+// while they build).
 //
 // Every stage is observable: per-endpoint/per-strategy latency histograms,
 // cache hit/miss/dedup counters and pool occupancy are exported as JSON on
@@ -44,7 +48,7 @@
 //	/admin/update (POST, JSON)
 //	/admin/jobs (POST to start a population sweep, GET to list)
 //	/admin/jobs/{id} (GET progress/ETA/leaderboard, DELETE to cancel)
-//	/healthz
+//	/healthz, /readyz
 //	/statsz
 //	/metrics (Prometheus text format)
 //	/tracez (JSON ring of recent traces)

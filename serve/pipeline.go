@@ -14,9 +14,10 @@ import (
 )
 
 // serverCore is the request pipeline Server and ShardServer both embed:
-// the metrics plane and trace ring behind /metrics and /tracez, the panic
-// counter, the deadline-budget check, and the handler chain that runs
-// every route's shared prologue and error mapping.
+// the metrics plane and trace ring behind /metrics and /tracez, the
+// /healthz and /readyz probes, the panic counter, the deadline-budget
+// check, and the handler chain that runs every route's shared prologue
+// and error mapping.
 type serverCore struct {
 	metrics *Metrics
 	// tracer retains the last N finished request traces for /tracez.
@@ -27,17 +28,25 @@ type serverCore struct {
 	panics *obsv.Counter
 	// strategy names the serving strategy; latency labels are
 	// "endpoint/strategy".
-	strategy string
-	start    time.Time
+	strategy   string
+	start      time.Time
+	generation func() uint64
+	// open reports ErrPoolClosed once the server is closed; both probes
+	// then answer 503.
+	open func() error
+	// ready adds the server's fields to a /readyz document, or says why
+	// the server cannot serve yet.
+	ready func(doc map[string]any) error
 }
 
 // initCore builds the core and registers the metrics every server exports:
 // build info, uptime, the serving generation and the panic counter.
-func (c *serverCore) initCore(strategy string, generation func() uint64) {
+func (c *serverCore) initCore(strategy string, generation func() uint64, open func() error, ready func(map[string]any) error) {
 	c.metrics = NewMetrics()
 	c.tracer = obsv.NewTracer(0)
 	c.strategy = strategy
 	c.start = time.Now()
+	c.generation, c.open, c.ready = generation, open, ready
 	reg := c.metrics.Registry()
 	obsv.RegisterBuildInfo(reg)
 	reg.GaugeFunc("pitex_uptime_seconds", "Seconds since the server started.",
@@ -48,12 +57,38 @@ func (c *serverCore) initCore(strategy string, generation func() uint64) {
 		"Panics recovered from request execution and sweep jobs (each is a bug).")
 }
 
-// newMux returns a mux serving the core's /metrics and /tracez.
+// newMux returns a mux serving the core's /metrics, /tracez, /healthz
+// and /readyz.
 func (c *serverCore) newMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", c.metrics.Registry().Handler())
 	mux.Handle("GET /tracez", c.tracer.Handler())
+	mux.HandleFunc("/healthz", c.probe("ok", func(doc map[string]any) error {
+		doc["uptime_seconds"] = time.Since(c.start).Seconds()
+		return nil
+	}))
+	mux.HandleFunc("/readyz", c.probe("ready", c.ready))
 	return mux
+}
+
+// probe answers a health probe: 503 "closed" once the server is closed,
+// 503 with extra's error, else status with the strategy, the serving
+// generation and extra's fields. /healthz is liveness; /readyz answers
+// 200 only when the server can actually serve, and load balancers and
+// the distrib health tracker key on it to tell "up" from "serving".
+func (c *serverCore) probe(status string, extra func(doc map[string]any) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if c.open() != nil {
+			writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
+			return
+		}
+		doc := map[string]any{"status": status, "strategy": c.strategy, "generation": c.generation()}
+		if err := extra(doc); err != nil {
+			writeError(w, http.StatusServiceUnavailable, err)
+			return
+		}
+		writeJSON(w, doc)
+	}
 }
 
 // handler is one route's body: it writes its own success response and

@@ -88,7 +88,8 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 	}
 	s.pool.Store(NewPool(en, opts.PoolSize, opts.QueueDepth, opts.QueueTimeout))
 	s.generation.Store(en.Generation())
-	s.initCore(en.Strategy().String(), s.generation.Load)
+	s.initCore(en.Strategy().String(), s.generation.Load,
+		func() error { return s.pool.Load().gate.open() }, s.readiness)
 	s.registerMetrics()
 	return s, nil
 }
@@ -622,8 +623,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /admin/jobs", s.handleJobList)
 	mux.HandleFunc("GET /admin/jobs/{id}", s.chain(route{}, s.handleJobGet))
 	mux.HandleFunc("DELETE /admin/jobs/{id}", s.chain(route{}, s.handleJobCancel))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	return mux
 }
@@ -806,42 +805,16 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.pool.Load().gate.open() != nil {
-		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
-		return
-	}
-	writeJSON(w, map[string]any{
-		"status":         "ok",
-		"strategy":       s.strategy,
-		"generation":     s.generation.Load(),
-		"uptime_seconds": time.Since(s.start).Seconds(),
-	})
-}
-
-// handleReadyz is the serving-readiness probe, distinct from /healthz
-// liveness: it answers 200 only when the server can actually serve —
-// pool open, offline index resident (index strategies report their
-// footprint), and, on a coordinator, the shard fleet dialed. k8s-style
-// readiness gates and the distrib health tracker key on it to tell "up"
-// from "serving".
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.pool.Load().gate.open() != nil {
-		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
-		return
-	}
-	out := map[string]any{
-		"status":     "ready",
-		"generation": s.generation.Load(),
-		"strategy":   s.strategy,
-	}
+// readiness adds the offline index's footprint (index strategies) and,
+// on a coordinator, the fleet's shard count to /readyz.
+func (s *Server) readiness(doc map[string]any) error {
 	if bytes := s.pool.Load().IndexBytes(); bytes > 0 {
-		out["index_bytes"] = bytes
+		doc["index_bytes"] = bytes
 	}
 	if s.remote != nil {
-		out["remote_shards"] = s.remote.TotalShards()
+		doc["remote_shards"] = s.remote.TotalShards()
 	}
-	writeJSON(w, out)
+	return nil
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {

@@ -207,7 +207,7 @@ func NewShardServer(net *pitex.Network, model *pitex.TagModel, opts pitex.Option
 		ready:     make(chan struct{}),
 		gate:      newGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
 	}
-	ss.initCore(opts.Strategy.String(), ss.Generation)
+	ss.initCore(opts.Strategy.String(), ss.Generation, ss.gate.open, ss.readiness)
 	ss.registerMetrics()
 	go ss.build(net)
 	return ss, nil
@@ -334,8 +334,6 @@ func (ss *ShardServer) Handler() http.Handler {
 	resync := route{"shard-resync", faultinject.PointShardResync, ss.gate}
 	mux.HandleFunc("GET /shard/resync", ss.chain(resync, ss.handleResyncGet))
 	mux.HandleFunc("POST /shard/resync", ss.chain(resync, ss.handleResyncPost))
-	mux.HandleFunc("/healthz", ss.handleHealthz)
-	mux.HandleFunc("/readyz", ss.handleReadyz)
 	mux.HandleFunc("/statsz", ss.handleStatsz)
 	return mux
 }
@@ -659,27 +657,18 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-func (ss *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
-		"status":         "ok",
-		"uptime_seconds": time.Since(ss.start).Seconds(),
-	})
-}
-
-func (ss *ShardServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := ss.state.Load()
-	switch {
-	case st != nil:
-		writeJSON(w, map[string]any{
-			"status":     "ready",
-			"generation": st.generation,
-			"shards":     ss.cfg.Owned,
-		})
-	case ss.buildErr != nil:
-		writeError(w, http.StatusServiceUnavailable, ss.buildErr)
+// readiness adds the owned shards to /readyz once every one is built.
+func (ss *ShardServer) readiness(doc map[string]any) error {
+	select {
+	case <-ss.ready:
+		if ss.buildErr != nil {
+			return ss.buildErr
+		}
 	default:
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("building"))
+		return errors.New("building")
 	}
+	doc["shards"] = ss.cfg.Owned
+	return nil
 }
 
 func (ss *ShardServer) handleStatsz(w http.ResponseWriter, r *http.Request) {
