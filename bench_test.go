@@ -133,14 +133,14 @@ func BenchmarkAblationLazyVsBernoulli(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mc.EstimateWithBudget(u, post, 500)
 		}
-		b.ReportMetric(float64(mc.EdgeVisits())/float64(b.N), "edgevisits/op")
+		b.ReportMetric(float64(mc.WorkStats().ProbesEvaluated)/float64(b.N), "edgevisits/op")
 	})
 	b.Run("lazy-geometric", func(b *testing.B) {
 		lz := sampling.NewLazy(d.Graph, so, rng.New(1))
 		for i := 0; i < b.N; i++ {
 			lz.EstimateWithBudget(u, post, 500)
 		}
-		b.ReportMetric(float64(lz.EdgeVisits())/float64(b.N), "edgevisits/op")
+		b.ReportMetric(float64(lz.WorkStats().ProbesEvaluated)/float64(b.N), "edgevisits/op")
 	})
 }
 

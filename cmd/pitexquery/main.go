@@ -95,7 +95,8 @@ func run(c config) error {
 	fmt.Printf("est. influence: %.3f users\n", res.Influence)
 	fmt.Printf("query time:     %v\n", res.Elapsed)
 	fmt.Printf("work: %d full sets estimated, %d bound estimates, %d pruned unsupported, %d pruned by bound\n",
-		res.FullSetsEstimated, res.PartialBoundsEstimated, res.PrunedUnsupported, res.PrunedByBound)
+		res.Explain.FullSetsEstimated, res.Explain.PartialBoundsEstimated,
+		res.Explain.PrunedUnsupported, res.Explain.PrunedByBound)
 	for i, alt := range res.Alternatives {
 		if i == 0 {
 			continue // repeats the headline answer

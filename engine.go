@@ -46,13 +46,6 @@ type Result struct {
 	// stands, extrapolated over the responding shards, at the weakened
 	// accuracy it reports. Always nil for local engines.
 	Degraded *DegradedCoverage
-	// FullSetsEstimated, PartialBoundsEstimated, PrunedUnsupported and
-	// PrunedByBound report the best-effort exploration work breakdown
-	// (see the same-named Explain fields).
-	FullSetsEstimated      int64
-	PartialBoundsEstimated int64
-	PrunedUnsupported      int64
-	PrunedByBound          int64
 	// Explain attributes the query's cost across the exploration and
 	// estimation layers. Always populated (the counters it reads are
 	// maintained unconditionally and cost single non-atomic increments);
@@ -255,7 +248,7 @@ func (en *Engine) newEstimator() bestfirst.Estimator {
 	r := rng.New(en.opts.Seed + 7919)
 	if en.opts.Propagation == PropagationLT {
 		if en.opts.Strategy == StrategyRR {
-			return sampling.NewTriggeringRR(en.net.g, so, sampling.LTTriggering{}, r)
+			return sampling.NewReverseLT(en.net.g, so, r)
 		}
 		return sampling.NewLT(en.net.g, so, r)
 	}
@@ -522,17 +515,12 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 	}
 	start := time.Now()
 	// Estimator work counters are cumulative; diff lifetime snapshots
-	// around the query to attribute its cost. Both interfaces are
-	// optional — index estimators expose WorkStats, online samplers only
-	// an edge-visit count, remote adapters neither.
+	// around the query to attribute its cost. The interface is optional:
+	// remote adapters and TIM do not expose it.
 	wsEst, _ := en.est.(interface{ WorkStats() sampling.WorkStats })
-	evEst, _ := en.est.(interface{ EdgeVisits() int64 })
 	var wsBefore sampling.WorkStats
-	var evBefore int64
 	if wsEst != nil {
 		wsBefore = wsEst.WorkStats()
-	} else if evEst != nil {
-		evBefore = evEst.EdgeVisits()
 	}
 	// Remote engines accumulate per-query degradation evidence in their
 	// adapter; arm it with the query context and collect afterwards.
@@ -550,11 +538,8 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		res = Result{
-			Tags:              tags,
-			Influence:         influence,
-			FullSetsEstimated: stats,
-		}
+		res = Result{Tags: tags, Influence: influence}
+		res.Explain.FullSetsEstimated = stats
 	case len(prefix) > 0:
 		br, err := en.explorer.CompleteCtx(ctx, graph.VertexID(user), toTagIDs(prefix), k)
 		if err != nil {
@@ -579,10 +564,6 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 	}
 	res.Explain.Strategy = en.opts.Strategy.String()
 	res.Explain.EffectiveEpsilon = en.IndexEffectiveEpsilon()
-	res.Explain.FullSetsEstimated = res.FullSetsEstimated
-	res.Explain.PartialBoundsEstimated = res.PartialBoundsEstimated
-	res.Explain.PrunedUnsupported = res.PrunedUnsupported
-	res.Explain.PrunedByBound = res.PrunedByBound
 	if wsEst != nil {
 		ws := wsEst.WorkStats().Sub(wsBefore)
 		res.Explain.ProbesEvaluated = ws.ProbesEvaluated
@@ -595,8 +576,6 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		res.Explain.GraphsPruned = ws.GraphsPruned
 		res.Explain.RecoveryAttempts = ws.RecoveryAttempts
 		res.Explain.RecoveryCascades = ws.RecoveryCascades
-	} else if evEst != nil {
-		res.Explain.ProbesEvaluated = evEst.EdgeVisits() - evBefore
 	}
 	res.Elapsed = time.Since(start)
 	res.TagNames = make([]string, len(res.Tags))
@@ -609,17 +588,16 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 // fromBestfirst converts an explorer result into the public shape, with
 // Alternatives only for a top-m query (m > 1).
 func fromBestfirst(br bestfirst.Result, model *TagModel, m int) Result {
-	res := Result{
-		Tags:                   toInts(br.Tags),
-		Influence:              br.Influence,
+	res := Result{Tags: toInts(br.Tags), Influence: br.Influence}
+	res.Explain = Explain{
 		FullSetsEstimated:      br.Stats.FullSetsEstimated,
 		PartialBoundsEstimated: br.Stats.PartialBoundsEstimated,
 		PrunedUnsupported:      br.Stats.PrunedUnsupported,
 		PrunedByBound:          br.Stats.PrunedByBound,
+		FrontierExpansions:     br.Stats.FrontierExpansions,
+		SamplesDrawn:           br.Stats.SamplesDrawn,
+		BoundCacheHits:         br.Stats.BoundCacheHits,
 	}
-	res.Explain.FrontierExpansions = br.Stats.FrontierExpansions
-	res.Explain.SamplesDrawn = br.Stats.SamplesDrawn
-	res.Explain.BoundCacheHits = br.Stats.BoundCacheHits
 	if m == 1 {
 		return res
 	}

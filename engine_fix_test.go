@@ -1,11 +1,13 @@
 package pitex
 
 // Regression tests for the correctness fixes to Audience cascade seeding,
-// constrained-query validation and batch-query cancellation.
+// constrained-query validation, batch-query cancellation and sample
+// counts past the int64 range.
 
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,5 +246,46 @@ func TestBestAnswerIndependentOfM(t *testing.T) {
 	}
 	if len(differ) > 0 {
 		t.Fatalf("%d users get another best set at m=2 than at m=1: %v", len(differ), differ)
+	}
+}
+
+// TestTinyEpsilonRespectsCaps pins the fix for sample counts that
+// overflowed int64: at ε = 1e-12, Eq. 2's θ_W and Eq. 7's θ are past the
+// int64 range, and their conversion wrapped negative before the cap was
+// compared, so no cap ever bound. Online queries then drew no sample and
+// answered NaN, and an index build panicked in makeslice. A capped index
+// must now hold exactly the cap, and an uncapped one must refuse with an
+// error.
+func TestTinyEpsilonRespectsCaps(t *testing.T) {
+	net, model := fig2Network(t)
+	for _, s := range []Strategy{StrategyLazy, StrategyMC, StrategyRR} {
+		opts := testEngineOptions(s)
+		opts.Epsilon = 1e-12
+		opts.MaxSamples = 100
+		en, err := NewEngine(net, model, opts)
+		if err != nil {
+			t.Fatalf("%v: NewEngine: %v", s, err)
+		}
+		res, err := en.Query(0, 2)
+		if err != nil {
+			t.Fatalf("%v: Query: %v", s, err)
+		}
+		if math.IsNaN(res.Influence) || math.IsInf(res.Influence, 0) || res.Influence < 1 {
+			t.Errorf("%v at ε = 1e-12: influence %v, want finite and >= 1", s, res.Influence)
+		}
+	}
+	opts := testEngineOptions(StrategyIndexPruned)
+	opts.Epsilon = 1e-12
+	opts.MaxIndexSamples = 500
+	en, err := NewEngine(net, model, opts)
+	if err != nil {
+		t.Fatalf("capped INDEXEST+: %v", err)
+	}
+	if st := en.IndexShardStats(); len(st) != 1 || st[0].Theta != 500 {
+		t.Fatalf("capped INDEXEST+ shards %+v, want one with θ = 500", st)
+	}
+	opts.MaxIndexSamples = 0
+	if _, err := NewEngine(net, model, opts); err == nil || !strings.Contains(err.Error(), "epsilon") {
+		t.Fatalf("uncapped INDEXEST+ at ε = 1e-12: err = %v, want one naming epsilon", err)
 	}
 }

@@ -121,7 +121,7 @@ func main() {
 		}
 		fmt.Printf("candidate %d should campaign on: %v\n", c, res.TagNames)
 		fmt.Printf("  expected reach %.0f voters, decided in %v (%d tag sets estimated, %d branches pruned)\n",
-			res.Influence, res.Elapsed, res.FullSetsEstimated,
-			res.PrunedUnsupported+res.PrunedByBound)
+			res.Influence, res.Elapsed, res.Explain.FullSetsEstimated,
+			res.Explain.PrunedUnsupported+res.Explain.PrunedByBound)
 	}
 }

@@ -337,7 +337,8 @@ func Fig13(cfg Config) (*Report, error) {
 					lz.Estimate(graph.VertexID(u), post)
 				}
 			}
-			rep.AddRow(name, grp, mc.EdgeVisits(), rr.EdgeVisits(), lz.EdgeVisits())
+			rep.AddRow(name, grp, mc.WorkStats().ProbesEvaluated, rr.WorkStats().ProbesEvaluated,
+				lz.WorkStats().ProbesEvaluated)
 		}
 	}
 	return rep, nil

@@ -114,7 +114,7 @@ type refIndex struct {
 // refBuild replicates the seed Build's sequential and parallel target/
 // draw schedule.
 func refBuild(g *graph.Graph, opts BuildOptions) *refIndex {
-	theta := opts.Theta(g.NumVertices())
+	theta, _ := opts.Theta(g.NumVertices())
 	idx := &refIndex{g: g, theta: theta}
 	workers := opts.Workers
 	if workers < 1 {
@@ -238,7 +238,7 @@ func (idx *refIndex) refRepair(g *graph.Graph, opts BuildOptions, touched []grap
 		}
 		next.graphs[gi] = refGenerate(g, target, r, mark)
 	}
-	if grown := opts.Theta(newV); grown > next.theta {
+	if grown, _ := opts.Theta(newV); grown > next.theta {
 		for i := next.theta; i < grown; i++ {
 			target := graph.VertexID(r.Intn(newV))
 			next.graphs = append(next.graphs, refGenerate(g, target, r, mark))

@@ -84,7 +84,11 @@ func BuildDelayMat(g *graph.Graph, opts BuildOptions) (*DelayMat, error) {
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, fmt.Errorf("rrindex: %w", err)
 	}
-	return buildDelayMatPool(g, opts, nil, opts.Theta(g.NumVertices()))
+	theta, err := opts.Theta(g.NumVertices())
+	if err != nil {
+		return nil, err
+	}
+	return buildDelayMatPool(g, opts, nil, theta)
 }
 
 // buildDelayMatPool is BuildDelayMat with an explicit target pool and θ —

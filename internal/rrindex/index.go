@@ -34,16 +34,15 @@ type BuildOptions struct {
 
 // Theta returns the offline sample count of Eq. 7:
 // θ = (2+ε)/ε² · |V| · (ln δ + ln φ_K + ln 2), capped by MaxIndexSamples.
-func (o BuildOptions) Theta(numVertices int) int64 {
+// It fails when an uncapped θ does not fit an int64 (an ε so small no
+// index could be built).
+func (o BuildOptions) Theta(numVertices int) (int64, error) {
 	t := o.Accuracy.Lambda() * float64(numVertices)
-	if t < 1 {
-		t = 1
+	th, ok := sampling.CeilCap(t, o.MaxIndexSamples)
+	if !ok {
+		return 0, fmt.Errorf("rrindex: epsilon = %v needs θ = %.3g RR-Graphs, past int64; raise epsilon or cap MaxIndexSamples", o.Accuracy.Epsilon, t)
 	}
-	th := int64(math.Ceil(t))
-	if o.MaxIndexSamples > 0 && th > o.MaxIndexSamples {
-		th = o.MaxIndexSamples
-	}
-	return th
+	return th, nil
 }
 
 // EffectiveEpsilon is Eq. 7 solved for ε at a live sample count: the ε
@@ -82,7 +81,11 @@ func Build(g *graph.Graph, opts BuildOptions) (*Index, error) {
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, fmt.Errorf("rrindex: %w", err)
 	}
-	return buildWithPool(g, opts, nil, opts.Theta(g.NumVertices()))
+	theta, err := opts.Theta(g.NumVertices())
+	if err != nil {
+		return nil, err
+	}
+	return buildWithPool(g, opts, nil, theta)
 }
 
 // drawTarget draws a uniform target from pool; a nil pool means all

@@ -115,8 +115,11 @@ func (idx *Index) Repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, RepairStats{}, fmt.Errorf("rrindex: %w", err)
 	}
-	spec := repairSpec{addedVertices: addedVertices, thetaNew: opts.Theta(g.NumVertices())}
-	return idx.repair(g, opts, touched, spec)
+	theta, err := opts.Theta(g.NumVertices())
+	if err != nil {
+		return nil, RepairStats{}, err
+	}
+	return idx.repair(g, opts, touched, repairSpec{addedVertices: addedVertices, thetaNew: theta})
 }
 
 // repair is the pool-aware core of Repair; see repairSpec.
@@ -267,8 +270,11 @@ func (dm *DelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, RepairStats{}, fmt.Errorf("rrindex: %w", err)
 	}
-	spec := repairSpec{addedVertices: addedVertices, thetaNew: opts.Theta(g.NumVertices())}
-	return dm.repair(g, opts, touched, spec)
+	theta, err := opts.Theta(g.NumVertices())
+	if err != nil {
+		return nil, RepairStats{}, err
+	}
+	return dm.repair(g, opts, touched, repairSpec{addedVertices: addedVertices, thetaNew: theta})
 }
 
 // repair is the pool-aware core of DelayMat.Repair; see repairSpec.

@@ -252,7 +252,7 @@ func TestIndexRepairVertexGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	want := opts2.Theta(180)
+	want := theta(t, opts2, 180)
 	if next2.theta != want || stats2.Appended != int(want-idx2.theta) {
 		t.Fatalf("theta growth: got %d appended %d, want θ=%d", next2.theta, stats2.Appended, want)
 	}

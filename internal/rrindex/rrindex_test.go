@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pitex/internal/exact"
@@ -30,15 +31,69 @@ func fixtureIndex(t *testing.T) *Index {
 	return idx
 }
 
+// theta is BuildOptions.Theta for options the test knows are usable.
+func theta(t *testing.T, o BuildOptions, numVertices int) int64 {
+	t.Helper()
+	th, err := o.Theta(numVertices)
+	if err != nil {
+		t.Fatalf("Theta(%d): %v", numVertices, err)
+	}
+	return th
+}
+
 func TestThetaFormulaAndCap(t *testing.T) {
 	o := buildOpts()
-	full := o.Theta(100)
+	full := theta(t, o, 100)
 	if full <= 100 {
 		t.Fatalf("Theta(100) = %d, implausibly small", full)
 	}
 	o.MaxIndexSamples = 500
-	if got := o.Theta(100); got != 500 {
+	if got := theta(t, o, 100); got != 500 {
 		t.Fatalf("cap not applied: %d", got)
+	}
+}
+
+// TestThetaTinyEpsilon: at ε = 1e-12, Eq. 7's θ is past the int64 range.
+// The cap must still bind — the uncapped count once wrapped negative and
+// slipped under it, and the build panicked in makeslice — and without a
+// cap every build and repair must fail with an error (naming ε), not
+// panic.
+func TestThetaTinyEpsilon(t *testing.T) {
+	g := fixture.Graph()
+	o := buildOpts()
+	o.Accuracy.Epsilon = 1e-12
+	o.MaxIndexSamples = 100
+	if got := theta(t, o, g.NumVertices()); got != 100 {
+		t.Fatalf("capped Theta = %d, want the cap 100", got)
+	}
+	idx, err := BuildSharded(g, o, 1)
+	if err != nil {
+		t.Fatalf("capped build: %v", err)
+	}
+	if idx.Theta() != 100 {
+		t.Fatalf("capped build has θ = %d, want 100", idx.Theta())
+	}
+	o.MaxIndexSamples = 0
+	if _, err := BuildSharded(g, o, 1); err == nil || !strings.Contains(err.Error(), "epsilon = 1e-12") {
+		t.Fatalf("uncapped build: err = %v, want one naming epsilon = 1e-12", err)
+	}
+	if _, err := Build(g, o); err == nil {
+		t.Fatal("uncapped Build succeeded")
+	}
+	if _, err := BuildDelayMat(g, o); err == nil {
+		t.Fatal("uncapped DelayMat build succeeded")
+	}
+	if _, _, err := fixtureIndex(t).Repair(g, o, nil, 0); err == nil {
+		t.Fatal("uncapped index Repair succeeded")
+	}
+	tracked := buildOpts()
+	tracked.TrackMembers = true
+	dm, err := BuildDelayMat(g, tracked)
+	if err != nil {
+		t.Fatalf("BuildDelayMat: %v", err)
+	}
+	if _, _, err := dm.Repair(g, o, nil, 0); err == nil {
+		t.Fatal("uncapped DelayMat Repair succeeded")
 	}
 }
 
@@ -48,15 +103,15 @@ func TestThetaFormulaAndCap(t *testing.T) {
 func TestEffectiveEpsilonInvertsTheta(t *testing.T) {
 	o := buildOpts()
 	for _, numV := range []int{100, 15000} {
-		for _, theta := range []int64{1, 500, 20000, 200000, 2560000, 1 << 33} {
+		for _, th := range []int64{1, 500, 20000, 200000, 2560000, 1 << 33} {
 			eff := o
-			eff.Accuracy.Epsilon = o.EffectiveEpsilon(numV, theta)
-			if got := eff.Theta(numV); got < theta-1 || got > theta+1 {
-				t.Errorf("|V|=%d θ=%d: ε_eff %v gives Theta %d", numV, theta, eff.Accuracy.Epsilon, got)
+			eff.Accuracy.Epsilon = o.EffectiveEpsilon(numV, th)
+			if got := theta(t, eff, numV); got < th-1 || got > th+1 {
+				t.Errorf("|V|=%d θ=%d: ε_eff %v gives Theta %d", numV, th, eff.Accuracy.Epsilon, got)
 			}
 		}
 		o.MaxIndexSamples = 500
-		if capped := o.Theta(numV); capped != 500 || !(o.EffectiveEpsilon(numV, capped) > o.Accuracy.Epsilon) {
+		if capped := theta(t, o, numV); capped != 500 || !(o.EffectiveEpsilon(numV, capped) > o.Accuracy.Epsilon) {
 			t.Errorf("|V|=%d: capped θ %d reports ε_eff %v ≤ ε %v", numV, capped, o.EffectiveEpsilon(numV, capped), o.Accuracy.Epsilon)
 		}
 		o.MaxIndexSamples = 0

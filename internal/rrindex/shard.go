@@ -157,9 +157,13 @@ func newLayout(numVertices int, opts BuildOptions, numShards int) (layout, error
 	if err := opts.Accuracy.Validate(); err != nil {
 		return layout{}, fmt.Errorf("rrindex: %w", err)
 	}
+	theta, err := opts.Theta(numVertices)
+	if err != nil {
+		return layout{}, err
+	}
 	l := layout{numVertices: numVertices, pools: shardPools(numVertices, max(1, numShards))}
 	l.sizes = poolSizes(l.pools, numVertices)
-	l.thetas = shardThetas(opts.Theta(numVertices), l.sizes)
+	l.thetas = shardThetas(theta, l.sizes)
 	return l, nil
 }
 

@@ -1,10 +1,16 @@
-// Package sampling implements the online influence estimators of the paper —
-// Monte-Carlo forward sampling (MC), reverse-reachable-set sampling (RR), and
-// lazy propagation sampling (Lazy, Sec. 5.1) — together with the
-// Chernoff-derived sample sizes of Lemmas 2-3 (Eq. 2), the martingale
-// early-stopping rule of Algo 2 line 17, and the frontier-batch plumbing
-// (FrontierProbeCache) shared with the index estimators in
-// internal/rrindex.
+// Package sampling implements the online influence estimators of the paper
+// — Monte-Carlo forward sampling (MC) and reverse-reachable-set sampling
+// (RR) of Sec. 4, lazy propagation sampling (Lazy, Sec. 5.1), and the
+// footnote-1 linear threshold samplers, forward (LT) and reverse
+// (ReverseLT) — together with the Chernoff-derived sample sizes of
+// Lemmas 2-3 (Eq. 2), the martingale early-stopping rule of Algo 2 line
+// 17, and the frontier-batch plumbing (FrontierProbeCache) shared with the
+// index estimators in internal/rrindex.
+//
+// The five samplers differ only in how they draw one sample instance.
+// Each embeds one driver that does the rest — R_W(u), θ_W = Λ·|R_W(u)|,
+// the stopping rule, the mean and the edge-probe count (WorkStats) — and
+// supplies only that draw.
 //
 // # Prober contract
 //
@@ -26,8 +32,7 @@
 // sibling. The index estimators use only FrontierProbeCache: a single-row
 // estimate under an arbitrary prober is a width-1 scope whose EdgeProbGraph
 // answers from that prober. Both caches are goroutine-local scratch — never
-// share one across estimators. Layers that each own a ProbeCache compose
-// without stacking: Begin returns an inner ProbeCache unchanged.
+// share one across estimators.
 //
 // # Determinism and seed discipline
 //

@@ -23,28 +23,22 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_sa
 type goldenSampler interface {
 	Estimate(u graph.VertexID, posterior []float64) Result
 	EstimateWithBudget(u graph.VertexID, posterior []float64, n int64) Result
+	WorkStats() WorkStats
 }
 
 func goldenSamplers(g *graph.Graph, opts Options, seed uint64) []struct {
 	name string
 	s    goldenSampler
-	cost func() int64
 } {
-	mc := NewMC(g, opts, rng.New(seed))
-	rr := NewRR(g, opts, rng.New(seed))
-	lz := NewLazy(g, opts, rng.New(seed))
-	lt := NewLT(g, opts, rng.New(seed))
-	rlt := NewTriggeringRR(g, opts, LTTriggering{}, rng.New(seed))
 	return []struct {
 		name string
 		s    goldenSampler
-		cost func() int64
 	}{
-		{"mc", mc, mc.EdgeVisits},
-		{"rr", rr, rr.EdgeVisits},
-		{"lazy", lz, lz.EdgeVisits},
-		{"lt", lt, lt.EdgeVisits},
-		{"reverse-lt", rlt, rlt.EdgeVisits},
+		{"mc", NewMC(g, opts, rng.New(seed))},
+		{"rr", NewRR(g, opts, rng.New(seed))},
+		{"lazy", NewLazy(g, opts, rng.New(seed))},
+		{"lt", NewLT(g, opts, rng.New(seed))},
+		{"reverse-lt", NewReverseLT(g, opts, rng.New(seed))},
 	}
 }
 
@@ -121,7 +115,7 @@ func TestSamplersGolden(t *testing.T) {
 						est := smp.s.Estimate(q.u, q.post)
 						bud := smp.s.EstimateWithBudget(q.u, q.post, 300+int64(qi)*50)
 						fmt.Fprintf(&out, "%s opts=%d seed=%d %s q=%d | %s | %s | cost=%d\n",
-							gg.name, oi, seed, smp.name, qi, formatResult(est), formatResult(bud), smp.cost())
+							gg.name, oi, seed, smp.name, qi, formatResult(est), formatResult(bud), smp.s.WorkStats().ProbesEvaluated)
 					}
 				}
 			}

@@ -13,22 +13,13 @@ import (
 // statistically identical to per-instance Bernoulli coins, but an edge with
 // probability p is only probed about p·θ_W times instead of θ_W times.
 type Lazy struct {
-	g     *graph.Graph
-	opts  Options
-	rng   *rng.Source
-	reach *reachScratch
+	core
 
-	// Per-vertex lazy state, re-initialized per Estimate call via initStamp.
+	// Per-vertex lazy state, re-initialized on a vertex's first visit
+	// of each call (initStamp against core.call).
 	counter   []int64
 	heaps     [][]lazyEntry
 	initStamp []int64
-	callStamp int64
-
-	visited   []int64 // per-iteration stamp
-	iterStamp int64
-	frontier  []graph.VertexID
-
-	edgeVisits int64
 }
 
 // lazyEntry schedules the next firing of one out-edge: when the owning
@@ -40,79 +31,29 @@ type lazyEntry struct {
 	prob float64
 }
 
-// NewLazy builds a lazy propagation estimator over g.
+// NewLazy builds a lazy propagation estimator over g. Its cost counter
+// counts heap firings plus one initial geometric draw per live out-edge
+// of each vertex a call discovers, matching the paper's accounting in
+// which initialization touches each neighbour once.
 func NewLazy(g *graph.Graph, opts Options, r *rng.Source) *Lazy {
 	n := g.NumVertices()
-	return &Lazy{
-		g:         g,
-		opts:      opts,
-		rng:       r,
-		reach:     newReachScratch(g),
+	lz := &Lazy{
 		counter:   make([]int64, n),
 		heaps:     make([][]lazyEntry, n),
 		initStamp: make([]int64, n),
-		visited:   make([]int64, n),
 	}
+	lz.core = newCore(g, opts, r, lz, false)
+	return lz
 }
 
-// EdgeVisits returns the cumulative number of edge probes (heap firings),
-// the Fig. 13 metric. Initial geometric draws per discovered vertex are
-// counted once per out-edge, matching the paper's accounting in which
-// initialization touches each neighbour once.
-func (lz *Lazy) EdgeVisits() int64 { return lz.edgeVisits }
-
-// Estimate estimates E[I(u|W)] with the Eq. 2 sample size and the Algo-2
-// early-stopping rule.
-func (lz *Lazy) Estimate(u graph.VertexID, posterior []float64) Result {
-	return lz.EstimateProber(u, PosteriorProber{G: lz.g, Posterior: posterior})
-}
-
-// EstimateProber is Estimate for an arbitrary edge-probability source.
-func (lz *Lazy) EstimateProber(u graph.VertexID, prober EdgeProber) Result {
-	reachable := len(lz.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable}
+func (lz *Lazy) draw(u graph.VertexID, _ []graph.VertexID, prober EdgeProber) int64 {
+	lz.push(u)
+	var n int64
+	for len(lz.stack) > 0 {
+		n++
+		lz.visit(lz.pop(), prober)
 	}
-	return lz.run(u, prober, reachable, lz.opts.SampleSize(reachable), !lz.opts.DisableEarlyStop)
-}
-
-// EstimateWithBudget runs exactly maxSamples iterations with no early stop.
-func (lz *Lazy) EstimateWithBudget(u graph.VertexID, posterior []float64, maxSamples int64) Result {
-	prober := PosteriorProber{G: lz.g, Posterior: posterior}
-	reachable := len(lz.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable, Samples: maxSamples, Theta: maxSamples}
-	}
-	return lz.run(u, prober, reachable, maxSamples, false)
-}
-
-func (lz *Lazy) run(u graph.VertexID, prober EdgeProber, reachable int, theta int64, earlyStop bool) Result {
-	lz.callStamp++
-	stop := lz.opts.StopThreshold()
-	var s int64
-	var iters int64
-	for iters = 0; iters < theta; {
-		lz.iterStamp++
-		lz.frontier = lz.frontier[:0]
-		lz.frontier = append(lz.frontier, u)
-		lz.visited[u] = lz.iterStamp
-		for len(lz.frontier) > 0 {
-			v := lz.frontier[len(lz.frontier)-1]
-			lz.frontier = lz.frontier[:len(lz.frontier)-1]
-			s++
-			lz.visit(v, prober)
-		}
-		iters++
-		if earlyStop && float64(s)/float64(reachable) >= stop {
-			break
-		}
-	}
-	return Result{
-		Influence: float64(s) / float64(iters),
-		Samples:   iters,
-		Theta:     theta,
-		Reachable: reachable,
-	}
+	return n
 }
 
 // visit processes one visit of v inside the current sample instance:
@@ -120,8 +61,8 @@ func (lz *Lazy) run(u graph.VertexID, prober EdgeProber, reachable int, theta in
 // edge whose due time has arrived.
 func (lz *Lazy) visit(v graph.VertexID, prober EdgeProber) {
 	g := lz.g
-	if lz.initStamp[v] != lz.callStamp {
-		lz.initStamp[v] = lz.callStamp
+	if lz.initStamp[v] != lz.call {
+		lz.initStamp[v] = lz.call
 		lz.counter[v] = 0
 		h := lz.heaps[v][:0]
 		edges := g.OutEdges(v)
@@ -147,9 +88,8 @@ func (lz *Lazy) visit(v graph.VertexID, prober EdgeProber) {
 		ent := h[0]
 		h = heapPop(h)
 		lz.edgeVisits++
-		if lz.visited[ent.to] != lz.iterStamp {
-			lz.visited[ent.to] = lz.iterStamp
-			lz.frontier = append(lz.frontier, ent.to)
+		if !lz.seen(ent.to) {
+			lz.push(ent.to)
 		}
 		x := lz.rng.Geometric(ent.prob)
 		if x < rng.Never-c { // also guards int64 overflow of c+x

@@ -13,125 +13,63 @@ import (
 // a threshold θ_v ~ U[0,1] per sample instance and activates once the
 // weight of its active in-neighbours reaches θ_v.
 type LT struct {
-	g     *graph.Graph
-	opts  Options
-	rng   *rng.Source
-	reach *reachScratch
+	core
 
-	// Per-instance lazily drawn state, stamped by instance.
+	// Per-instance lazily drawn state, stamped against core.stamp.
 	accum      []float64
 	threshold  []float64
 	stateStamp []int64
-	iterStamp  int64
 
-	// Per-call (same W) in-weight normalization cache.
+	// Per-call (same W) in-weight normalization, stamped against
+	// core.call.
 	norm      []float64
 	normStamp []int64
-	callStamp int64
-
-	visited []int64
-
-	edgeVisits int64
 }
 
-// NewLT builds a linear-threshold estimator over g.
+// NewLT builds a linear-threshold estimator over g. Its cost counter
+// counts every live edge into a not-yet-active vertex whose weight is
+// added.
 func NewLT(g *graph.Graph, opts Options, r *rng.Source) *LT {
 	n := g.NumVertices()
-	return &LT{
-		g:          g,
-		opts:       opts,
-		rng:        r,
-		reach:      newReachScratch(g),
+	lt := &LT{
 		accum:      make([]float64, n),
 		threshold:  make([]float64, n),
 		stateStamp: make([]int64, n),
 		norm:       make([]float64, n),
 		normStamp:  make([]int64, n),
-		visited:    make([]int64, n),
 	}
-}
-
-// EdgeVisits returns the cumulative number of edge probes.
-func (lt *LT) EdgeVisits() int64 { return lt.edgeVisits }
-
-// Estimate estimates the LT-model E[I(u|W)] for the topic posterior of W.
-func (lt *LT) Estimate(u graph.VertexID, posterior []float64) Result {
-	return lt.EstimateProber(u, PosteriorProber{G: lt.g, Posterior: posterior})
-}
-
-// EstimateProber is Estimate for an arbitrary edge-probability source.
-func (lt *LT) EstimateProber(u graph.VertexID, prober EdgeProber) Result {
-	lt.callStamp++
-	reachable := len(lt.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable}
-	}
-	theta := lt.opts.SampleSize(reachable)
-	stop := lt.opts.StopThreshold()
-	var s, iters int64
-	for iters = 0; iters < theta; {
-		s += int64(lt.simulate(u, prober))
-		iters++
-		if !lt.opts.DisableEarlyStop && float64(s)/float64(reachable) >= stop {
-			break
-		}
-	}
-	return Result{
-		Influence: float64(s) / float64(iters),
-		Samples:   iters,
-		Theta:     theta,
-		Reachable: reachable,
-	}
-}
-
-// EstimateWithBudget runs exactly n instances with no early stop.
-func (lt *LT) EstimateWithBudget(u graph.VertexID, posterior []float64, n int64) Result {
-	lt.callStamp++
-	prober := PosteriorProber{G: lt.g, Posterior: posterior}
-	reachable := len(lt.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable, Samples: n, Theta: n}
-	}
-	var s int64
-	for i := int64(0); i < n; i++ {
-		s += int64(lt.simulate(u, prober))
-	}
-	return Result{Influence: float64(s) / float64(n), Samples: n, Theta: n, Reachable: reachable}
+	lt.core = newCore(g, opts, r, lt, false)
+	return lt
 }
 
 // inWeight returns b(e|W) for edge e into head, with the per-head
 // normalization cached for the current call.
 func (lt *LT) inWeight(e graph.EdgeID, head graph.VertexID, prober EdgeProber) float64 {
-	if lt.normStamp[head] != lt.callStamp {
-		lt.normStamp[head] = lt.callStamp
+	if lt.normStamp[head] != lt.call {
+		lt.normStamp[head] = lt.call
 		sum := 0.0
 		for _, ie := range lt.g.InEdges(head) {
 			sum += prober.Prob(ie)
 		}
-		if sum < 1 {
-			sum = 1
-		}
-		lt.norm[head] = sum
+		lt.norm[head] = max(sum, 1)
 	}
 	return prober.Prob(e) / lt.norm[head]
 }
 
-// simulate runs one LT cascade from u and returns the number of activated
-// vertices.
-func (lt *LT) simulate(u graph.VertexID, prober EdgeProber) int {
+// draw runs one LT cascade from u, level by level, and returns the
+// number of activated vertices.
+func (lt *LT) draw(u graph.VertexID, _ []graph.VertexID, prober EdgeProber) int64 {
 	g := lt.g
-	lt.iterStamp++
 	frontier := []graph.VertexID{u}
-	lt.visited[u] = lt.iterStamp
-	count := 1
+	lt.visited[u] = lt.stamp
+	count := int64(1)
 	for len(frontier) > 0 {
 		var next []graph.VertexID
 		for _, v := range frontier {
-			edges := g.OutEdges(v)
 			nbrs := g.OutNeighbors(v)
-			for i, e := range edges {
+			for i, e := range g.OutEdges(v) {
 				t := nbrs[i]
-				if lt.visited[t] == lt.iterStamp {
+				if lt.seen(t) {
 					continue
 				}
 				b := lt.inWeight(e, t, prober)
@@ -139,8 +77,8 @@ func (lt *LT) simulate(u graph.VertexID, prober EdgeProber) int {
 					continue
 				}
 				lt.edgeVisits++
-				if lt.stateStamp[t] != lt.iterStamp {
-					lt.stateStamp[t] = lt.iterStamp
+				if lt.stateStamp[t] != lt.stamp {
+					lt.stateStamp[t] = lt.stamp
 					lt.accum[t] = 0
 					lt.threshold[t] = lt.rng.Float64()
 					for lt.threshold[t] == 0 {
@@ -149,7 +87,7 @@ func (lt *LT) simulate(u graph.VertexID, prober EdgeProber) int {
 				}
 				lt.accum[t] += b
 				if lt.accum[t] >= lt.threshold[t] {
-					lt.visited[t] = lt.iterStamp
+					lt.visited[t] = lt.stamp
 					count++
 					next = append(next, t)
 				}
@@ -158,4 +96,57 @@ func (lt *LT) simulate(u graph.VertexID, prober EdgeProber) int {
 		frontier = next
 	}
 	return count
+}
+
+// ReverseLT estimates the LT-model E[I(u|W)] by reverse sampling over the
+// model's triggering sets (Kempe et al.; the paper's footnote 1): each
+// vertex keeps at most one in-edge, edge e with probability b(e|W), the
+// same weights as the forward LT sampler. A sample picks a target
+// uniformly from R_W(u), walks back along the kept in-edges, and tests
+// whether u is reached; the estimate is |R_W(u)| times the hit rate.
+type ReverseLT struct{ core }
+
+// NewReverseLT builds a reverse LT sampler over g. Its cost counter
+// counts the kept in-edges the walks traverse.
+func NewReverseLT(g *graph.Graph, opts Options, r *rng.Source) *ReverseLT {
+	rl := &ReverseLT{}
+	rl.core = newCore(g, opts, r, rl, true)
+	return rl
+}
+
+// draw walks back from a uniform target of members, drawing each
+// vertex's kept in-edge on first visit with one uniform draw over the
+// cumulative weights (the residual mass keeps none), and reports whether
+// the walk reaches u.
+func (rl *ReverseLT) draw(u graph.VertexID, members []graph.VertexID, prober EdgeProber) int64 {
+	target := members[rl.rng.Intn(len(members))]
+	if target == u {
+		return 1
+	}
+	rl.push(target)
+	for len(rl.stack) > 0 {
+		v := rl.pop()
+		edges := rl.g.InEdges(v)
+		if len(edges) == 0 {
+			continue // nothing to keep, so no draw
+		}
+		sum := 0.0
+		for _, e := range edges {
+			sum += prober.Prob(e)
+		}
+		x := rl.rng.Float64() * max(sum, 1)
+		acc := 0.0
+		for i, e := range edges {
+			if acc += prober.Prob(e); x < acc {
+				rl.edgeVisits++
+				if t := rl.g.InNeighbors(v)[i]; t == u {
+					return 1
+				} else if !rl.seen(t) {
+					rl.push(t)
+				}
+				break
+			}
+		}
+	}
+	return 0
 }

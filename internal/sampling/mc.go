@@ -12,102 +12,33 @@ import (
 // Its weakness (Example 2, Fig. 3a) is that every sample probes every
 // out-edge of every reached vertex even when activation probabilities are
 // tiny; Lazy removes exactly that cost.
-type MC struct {
-	g     *graph.Graph
-	opts  Options
-	rng   *rng.Source
-	reach *reachScratch
+type MC struct{ core }
 
-	visited []int64 // iteration stamp per vertex
-	stamp   int64
-	stack   []graph.VertexID
-
-	edgeVisits int64
-}
-
-// NewMC builds an MC estimator over g.
+// NewMC builds an MC estimator over g. Its cost counter counts every
+// live out-edge coin tossed.
 func NewMC(g *graph.Graph, opts Options, r *rng.Source) *MC {
-	return &MC{
-		g:       g,
-		opts:    opts,
-		rng:     r,
-		reach:   newReachScratch(g),
-		visited: make([]int64, g.NumVertices()),
-	}
+	mc := &MC{}
+	mc.core = newCore(g, opts, r, mc, false)
+	return mc
 }
 
-// EdgeVisits returns the cumulative number of edges probed across all
-// estimations (the Fig. 13 metric).
-func (mc *MC) EdgeVisits() int64 { return mc.edgeVisits }
-
-// Estimate estimates E[I(u|W)] for the topic posterior of W using the
-// Eq. 2 sample size and the Algo-2 early-stopping rule.
-func (mc *MC) Estimate(u graph.VertexID, posterior []float64) Result {
-	return mc.EstimateProber(u, PosteriorProber{G: mc.g, Posterior: posterior})
-}
-
-// EstimateProber is Estimate for an arbitrary edge-probability source.
-func (mc *MC) EstimateProber(u graph.VertexID, prober EdgeProber) Result {
-	reachable := len(mc.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable}
-	}
-	return mc.run(u, prober, reachable, mc.opts.SampleSize(reachable), !mc.opts.DisableEarlyStop)
-}
-
-// EstimateWithBudget runs exactly maxSamples iterations with no early stop,
-// used by the Fig. 6 convergence experiment to plot estimate vs θ_W.
-func (mc *MC) EstimateWithBudget(u graph.VertexID, posterior []float64, maxSamples int64) Result {
-	prober := PosteriorProber{G: mc.g, Posterior: posterior}
-	reachable := len(mc.reach.compute(u, prober))
-	if reachable <= 1 {
-		return Result{Influence: 1, Reachable: reachable, Samples: maxSamples, Theta: maxSamples}
-	}
-	return mc.run(u, prober, reachable, maxSamples, false)
-}
-
-// run generates up to theta forward samples and returns the mean spread.
-func (mc *MC) run(u graph.VertexID, prober EdgeProber, reachable int, theta int64, earlyStop bool) Result {
-	g := mc.g
-	stop := mc.opts.StopThreshold()
-	var s int64 // total activations across iterations
-	var iters int64
-	for iters = 0; iters < theta; {
-		mc.stamp++
-		mc.stack = mc.stack[:0]
-		mc.stack = append(mc.stack, u)
-		mc.visited[u] = mc.stamp
-		s++
-		for len(mc.stack) > 0 {
-			v := mc.stack[len(mc.stack)-1]
-			mc.stack = mc.stack[:len(mc.stack)-1]
-			edges := g.OutEdges(v)
-			nbrs := g.OutNeighbors(v)
-			for i, e := range edges {
-				p := prober.Prob(e)
-				if p <= 0 {
-					continue
-				}
-				mc.edgeVisits++
-				if !mc.rng.Bernoulli(p) {
-					continue
-				}
-				if t := nbrs[i]; mc.visited[t] != mc.stamp {
-					mc.visited[t] = mc.stamp
-					s++
-					mc.stack = append(mc.stack, t)
-				}
+func (mc *MC) draw(u graph.VertexID, _ []graph.VertexID, prober EdgeProber) int64 {
+	mc.push(u)
+	n := int64(1)
+	for len(mc.stack) > 0 {
+		v := mc.pop()
+		nbrs := mc.g.OutNeighbors(v)
+		for i, e := range mc.g.OutEdges(v) {
+			p := prober.Prob(e)
+			if p <= 0 {
+				continue
+			}
+			mc.edgeVisits++
+			if mc.rng.Bernoulli(p) && !mc.seen(nbrs[i]) {
+				mc.push(nbrs[i])
+				n++
 			}
 		}
-		iters++
-		if earlyStop && float64(s)/float64(reachable) >= stop {
-			break
-		}
 	}
-	return Result{
-		Influence: float64(s) / float64(iters),
-		Samples:   iters,
-		Theta:     theta,
-		Reachable: reachable,
-	}
+	return n
 }

@@ -66,20 +66,27 @@ func (o Options) LogTerm() float64 {
 // SampleSize returns θ_W of Eq. 2 with the unknown E[I(u|W)] replaced by
 // its trivial lower bound 1 (the query user is always active):
 // θ_W = Λ · |R_W(u)|. The early-stopping rule recovers the E[I(u|W)]
-// denominator adaptively. The result is capped at MaxSamples when set.
+// denominator adaptively. The result is capped at MaxSamples when set,
+// and saturates at math.MaxInt64 without a cap.
 func (o Options) SampleSize(reachable int) int64 {
-	if reachable < 1 {
-		reachable = 1
+	theta, _ := CeilCap(o.Lambda()*float64(max(reachable, 1)), o.MaxSamples)
+	return theta
+}
+
+// CeilCap turns a real sample count into an integer one: ⌈x⌉, at least
+// 1, capped at limit when limit > 0. The cap is applied in float64, so a
+// count past the int64 range (a tiny ε) meets the cap instead of
+// wrapping negative; without a cap it saturates at math.MaxInt64 and ok
+// is false.
+func CeilCap(x float64, limit int64) (n int64, ok bool) {
+	x = max(math.Ceil(x), 1)
+	switch {
+	case limit > 0 && x > float64(limit):
+		return limit, true
+	case x >= math.MaxInt64: // 2^63 as a float64
+		return math.MaxInt64, false
 	}
-	theta := o.Lambda() * float64(reachable)
-	if theta < 1 {
-		theta = 1
-	}
-	t := int64(math.Ceil(theta))
-	if o.MaxSamples > 0 && t > o.MaxSamples {
-		t = o.MaxSamples
-	}
-	return t
+	return int64(x), true
 }
 
 // StopThreshold returns the normalized-sum threshold of Algo 2 line 17:

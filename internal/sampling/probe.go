@@ -25,10 +25,6 @@ type ProbeCache struct {
 	vals     []float64
 	seen     []int64
 	epoch    int64
-	// hits/misses are plain counters — the cache is goroutine-local
-	// scratch, so atomics would only add cost. They feed EXPLAIN output.
-	hits   int64
-	misses int64
 }
 
 // NewProbeCache returns a cache for a graph with numEdges edges.
@@ -37,13 +33,7 @@ func NewProbeCache(numEdges int) *ProbeCache {
 }
 
 // Begin opens a new scope over inner and returns the caching prober.
-// Passing a prober that is already a ProbeCache returns it unchanged, so
-// layers that each own a cache (explorer and estimator) compose without
-// stacking lookups.
 func (pc *ProbeCache) Begin(inner EdgeProber) EdgeProber {
-	if cached, ok := inner.(*ProbeCache); ok {
-		return cached
-	}
 	if pc.vals == nil {
 		pc.vals = make([]float64, pc.numEdges)
 		pc.seen = make([]int64, pc.numEdges)
@@ -57,23 +47,12 @@ func (pc *ProbeCache) Begin(inner EdgeProber) EdgeProber {
 // scope.
 func (pc *ProbeCache) Prob(e graph.EdgeID) float64 {
 	if pc.seen[e] == pc.epoch {
-		pc.hits++
 		return pc.vals[e]
 	}
-	pc.misses++
 	v := pc.inner.Prob(e)
 	pc.seen[e] = pc.epoch
 	pc.vals[e] = v
 	return v
-}
-
-// Stats reports lifetime cache hits and misses (misses equal distinct
-// edges probed across all scopes).
-func (pc *ProbeCache) Stats() (hits, misses int64) {
-	if pc == nil {
-		return 0, 0
-	}
-	return pc.hits, pc.misses
 }
 
 // StopRule is the last argument of a frontier-batched estimation
@@ -182,8 +161,7 @@ func (fc *FrontierProbeCache) Row(e graph.EdgeID) (row []float64, lo, hi float64
 }
 
 // Stats reports lifetime row-probe hits and misses, in per-sibling probe
-// units (one row request for a batch of width B counts as B probes), so
-// the numbers compose with ProbeCache.Stats in EXPLAIN output.
+// units (one row request for a batch of width B counts as B probes).
 func (fc *FrontierProbeCache) Stats() (hits, misses int64) {
 	if fc == nil {
 		return 0, 0

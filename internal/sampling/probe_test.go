@@ -57,45 +57,6 @@ func TestProbeCacheAgreesWithUncached(t *testing.T) {
 	}
 }
 
-// TestProbeCacheBeginIdempotent: wrapping an already-cached prober must
-// not stack a second layer.
-func TestProbeCacheBeginIdempotent(t *testing.T) {
-	pc := NewProbeCache(4)
-	inner := pc.Begin(PosteriorProber{})
-	other := NewProbeCache(4)
-	if got := other.Begin(inner); got != inner {
-		t.Fatal("Begin wrapped an existing ProbeCache")
-	}
-}
-
-// TestProbeCacheStats: hits and misses must account for every probe —
-// misses count distinct edges per scope, hits the rest — and the nil
-// receiver (an owner whose cache never materialized) reports zeros.
-func TestProbeCacheStats(t *testing.T) {
-	r := rng.New(7)
-	g, err := graph.ErdosRenyi(r, 20, 60, graph.TopicAssignment{
-		NumTopics: 2, TopicsPerEdge: 1, MaxProb: 0.5,
-	})
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	pc := NewProbeCache(g.NumEdges())
-	cached := pc.Begin(PosteriorProber{G: g, Posterior: []float64{0.5, 0.5}})
-	for round := 0; round < 3; round++ {
-		for e := 0; e < g.NumEdges(); e++ {
-			cached.Prob(graph.EdgeID(e))
-		}
-	}
-	hits, misses := pc.Stats()
-	if misses != int64(g.NumEdges()) || hits != 2*int64(g.NumEdges()) {
-		t.Fatalf("Stats = (%d, %d), want (%d, %d)", hits, misses, 2*g.NumEdges(), g.NumEdges())
-	}
-	var nilPC *ProbeCache
-	if h, m := nilPC.Stats(); h != 0 || m != 0 {
-		t.Fatalf("nil Stats = (%d, %d), want zeros", h, m)
-	}
-}
-
 // TestFrontierProbeCacheRows is the frontier-row property: every row
 // entry must equal the direct EdgeProb evaluation, lo/hi must bracket
 // the row, repeat requests must hit (in per-sibling units), and a new

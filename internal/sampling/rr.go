@@ -12,104 +12,28 @@ import (
 //
 // Its weakness (Example 3, Fig. 3b) is probing every in-edge of
 // high-in-degree vertices on every reverse sample.
-type RR struct {
-	g     *graph.Graph
-	opts  Options
-	rng   *rng.Source
-	reach *reachScratch
+type RR struct{ core }
 
-	visited []int64
-	stamp   int64
-	stack   []graph.VertexID
-
-	edgeVisits int64
-}
-
-// NewRR builds an RR estimator over g.
+// NewRR builds an RR estimator over g. Its cost counter counts every
+// live in-edge coin tossed.
 func NewRR(g *graph.Graph, opts Options, r *rng.Source) *RR {
-	return &RR{
-		g:       g,
-		opts:    opts,
-		rng:     r,
-		reach:   newReachScratch(g),
-		visited: make([]int64, g.NumVertices()),
-	}
+	rr := &RR{}
+	rr.core = newCore(g, opts, r, rr, true)
+	return rr
 }
 
-// EdgeVisits returns the cumulative number of edges probed.
-func (rr *RR) EdgeVisits() int64 { return rr.edgeVisits }
-
-// Estimate estimates E[I(u|W)] with the Eq. 2 sample size and early stop.
-func (rr *RR) Estimate(u graph.VertexID, posterior []float64) Result {
-	return rr.EstimateProber(u, PosteriorProber{G: rr.g, Posterior: posterior})
-}
-
-// EstimateProber is Estimate for an arbitrary edge-probability source.
-func (rr *RR) EstimateProber(u graph.VertexID, prober EdgeProber) Result {
-	members := rr.reach.compute(u, prober)
-	if len(members) <= 1 {
-		return Result{Influence: 1, Reachable: len(members)}
-	}
-	return rr.run(u, prober, members, rr.opts.SampleSize(len(members)), !rr.opts.DisableEarlyStop)
-}
-
-// EstimateWithBudget runs exactly maxSamples reverse samples (no early
-// stop), for the Fig. 6 convergence experiment.
-func (rr *RR) EstimateWithBudget(u graph.VertexID, posterior []float64, maxSamples int64) Result {
-	prober := PosteriorProber{G: rr.g, Posterior: posterior}
-	members := rr.reach.compute(u, prober)
-	if len(members) <= 1 {
-		return Result{Influence: 1, Reachable: len(members), Samples: maxSamples, Theta: maxSamples}
-	}
-	return rr.run(u, prober, members, maxSamples, false)
-}
-
-func (rr *RR) run(u graph.VertexID, prober EdgeProber, members []graph.VertexID, theta int64, earlyStop bool) Result {
-	reachable := len(members)
-	stop := rr.opts.StopThreshold()
-	var hits int64
-	var iters int64
-	for iters = 0; iters < theta; {
-		target := members[rr.rng.Intn(reachable)]
-		if rr.reverseHits(u, target, prober) {
-			hits++
-		}
-		iters++
-		// Per-sample values are Bernoulli indicators in [0,1]; the same
-		// martingale stopping rule applies to their running sum.
-		if earlyStop && float64(hits) >= stop {
-			break
-		}
-	}
-	inf := float64(hits) / float64(iters) * float64(reachable)
-	if inf < 1 {
-		inf = 1 // the query user is always active: E[I(u|W)] >= 1
-	}
-	return Result{
-		Influence: inf,
-		Samples:   iters,
-		Theta:     theta,
-		Reachable: reachable,
-	}
-}
-
-// reverseHits grows a reverse sample from target and reports whether u is
-// in it. The walk stops as soon as u is reached.
-func (rr *RR) reverseHits(u, target graph.VertexID, prober EdgeProber) bool {
+// draw grows a reverse sample from a uniform target of members and
+// reports whether it reaches u. The walk stops as soon as u is reached.
+func (rr *RR) draw(u graph.VertexID, members []graph.VertexID, prober EdgeProber) int64 {
+	target := members[rr.rng.Intn(len(members))]
 	if target == u {
-		return true
+		return 1
 	}
-	g := rr.g
-	rr.stamp++
-	rr.stack = rr.stack[:0]
-	rr.stack = append(rr.stack, target)
-	rr.visited[target] = rr.stamp
+	rr.push(target)
 	for len(rr.stack) > 0 {
-		v := rr.stack[len(rr.stack)-1]
-		rr.stack = rr.stack[:len(rr.stack)-1]
-		edges := g.InEdges(v)
-		nbrs := g.InNeighbors(v)
-		for i, e := range edges {
+		v := rr.pop()
+		nbrs := rr.g.InNeighbors(v)
+		for i, e := range rr.g.InEdges(v) {
 			p := prober.Prob(e)
 			if p <= 0 {
 				continue
@@ -118,15 +42,12 @@ func (rr *RR) reverseHits(u, target graph.VertexID, prober EdgeProber) bool {
 			if !rr.rng.Bernoulli(p) {
 				continue
 			}
-			t := nbrs[i]
-			if t == u {
-				return true
-			}
-			if rr.visited[t] != rr.stamp {
-				rr.visited[t] = rr.stamp
-				rr.stack = append(rr.stack, t)
+			if t := nbrs[i]; t == u {
+				return 1
+			} else if !rr.seen(t) {
+				rr.push(t)
 			}
 		}
 	}
-	return false
+	return 0
 }

@@ -56,6 +56,16 @@ func TestSampleSize(t *testing.T) {
 	if got := o.SampleSize(0); got < 1 {
 		t.Fatalf("SampleSize(0) = %d", got)
 	}
+	// At ε = 1e-12, Λ·|R_W(u)| is past the int64 range: the cap must still
+	// bind, and without one the size saturates instead of wrapping.
+	tiny := Options{Epsilon: 1e-12, Delta: 1000, LogSearchSpace: 10, MaxSamples: 100}
+	if got := tiny.SampleSize(1000); got != 100 {
+		t.Fatalf("ε = 1e-12, cap 100: SampleSize = %d, want 100", got)
+	}
+	tiny.MaxSamples = 0
+	if got := tiny.SampleSize(1000); got != math.MaxInt64 {
+		t.Fatalf("ε = 1e-12, no cap: SampleSize = %d, want math.MaxInt64", got)
+	}
 }
 
 func TestStopThreshold(t *testing.T) {
@@ -75,7 +85,7 @@ func TestStopThreshold(t *testing.T) {
 type estimator interface {
 	Estimate(u graph.VertexID, posterior []float64) Result
 	EstimateWithBudget(u graph.VertexID, posterior []float64, n int64) Result
-	EdgeVisits() int64
+	WorkStats() WorkStats
 }
 
 func allEstimators(g *graph.Graph, opts Options, seed uint64) map[string]estimator {
@@ -209,8 +219,8 @@ func TestLazyProbesFewerEdgesThanMCOnStar(t *testing.T) {
 	lz := NewLazy(g, opts, rng.New(2))
 	mc.EstimateWithBudget(0, post, 2000)
 	lz.EstimateWithBudget(0, post, 2000)
-	if lz.EdgeVisits()*5 > mc.EdgeVisits() {
-		t.Fatalf("lazy visits %d edges, MC %d; want ≥5x reduction", lz.EdgeVisits(), mc.EdgeVisits())
+	if lz.WorkStats().ProbesEvaluated*5 > mc.WorkStats().ProbesEvaluated {
+		t.Fatalf("lazy visits %d edges, MC %d; want ≥5x reduction", lz.WorkStats().ProbesEvaluated, mc.WorkStats().ProbesEvaluated)
 	}
 }
 
@@ -227,8 +237,8 @@ func TestLazyProbesFewerEdgesThanRROnCelebrity(t *testing.T) {
 	lz := NewLazy(g, opts, rng.New(4))
 	rr.EstimateWithBudget(u, post, 2000)
 	lz.EstimateWithBudget(u, post, 2000)
-	if lz.EdgeVisits()*5 > rr.EdgeVisits() {
-		t.Fatalf("lazy visits %d edges, RR %d; want ≥5x reduction", lz.EdgeVisits(), rr.EdgeVisits())
+	if lz.WorkStats().ProbesEvaluated*5 > rr.WorkStats().ProbesEvaluated {
+		t.Fatalf("lazy visits %d edges, RR %d; want ≥5x reduction", lz.WorkStats().ProbesEvaluated, rr.WorkStats().ProbesEvaluated)
 	}
 }
 

@@ -2,9 +2,10 @@ package sampling
 
 // WorkStats describes how much work an estimator has performed over its
 // lifetime — the raw material of EXPLAIN output. Estimators that can
-// attribute their cost expose it via a `WorkStats() WorkStats` method
-// (an optional interface the engine discovers by type assertion, so
-// estimators that predate it keep working untouched).
+// attribute their cost expose it via a `WorkStats() WorkStats` method,
+// the one optional cost interface the engine discovers by type
+// assertion. The online samplers report only ProbesEvaluated: their edge
+// probes, the Fig. 13 metric.
 type WorkStats struct {
 	// ProbesEvaluated is the number of edge-probability evaluations
 	// (p(e|W) computations) the estimator issued, before caching.

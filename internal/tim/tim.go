@@ -48,7 +48,7 @@ func New(g *graph.Graph, theta float64) *Estimator {
 }
 
 // VerticesExpanded returns the cumulative number of vertices expanded, the
-// cost counter analogous to the samplers' EdgeVisits.
+// cost counter analogous to the samplers' edge probes (their WorkStats).
 func (t *Estimator) VerticesExpanded() int64 { return t.visited }
 
 // pqItem is a max-probability priority-queue entry.

@@ -297,7 +297,7 @@ func TestDisableBestEffortSameAnswer(t *testing.T) {
 	if res.Tags[0] != 2 || res.Tags[1] != 3 {
 		t.Fatalf("enumeration W* = %v, want [2 3]", res.Tags)
 	}
-	if res.FullSetsEstimated == 0 {
+	if res.Explain.FullSetsEstimated == 0 {
 		t.Fatal("enumeration estimated nothing")
 	}
 }

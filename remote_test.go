@@ -224,14 +224,14 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 					// (Before bounds rode the frontier only full sets crossed:
 					// siblings == FullSetsEstimated.)
 					ex := got.Explain
-					rows := got.FullSetsEstimated + got.PartialBoundsEstimated
+					rows := ex.FullSetsEstimated + ex.PartialBoundsEstimated
 					switch {
 					case name == "fallback" && (ex.RemoteSiblings != 0 || ex.RemoteScatters != rows):
 						t.Fatalf("%v: fallback user %d k=%d: %d scatters / %d siblings for %d rows",
 							strat, u, k, ex.RemoteScatters, ex.RemoteSiblings, rows)
 					case name != "fallback" && ex.RemoteSiblings != rows:
 						t.Fatalf("%v: %s user %d k=%d: %d siblings shipped for %d full sets + %d bounds",
-							strat, name, u, k, ex.RemoteSiblings, got.FullSetsEstimated, got.PartialBoundsEstimated)
+							strat, name, u, k, ex.RemoteSiblings, ex.FullSetsEstimated, ex.PartialBoundsEstimated)
 					case name != "fallback" && ex.RemoteScatters > ex.FrontierExpansions:
 						t.Fatalf("%v: %s user %d k=%d: %d scatters for %d expansions",
 							strat, name, u, k, ex.RemoteScatters, ex.FrontierExpansions)
@@ -352,9 +352,9 @@ func TestRemotePrefixRootNeverScattered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QueryWithPrefix(%d): %v", u, err)
 		}
-		if res.Explain.RemoteScatters > 1 || res.PartialBoundsEstimated != 0 {
+		if res.Explain.RemoteScatters > 1 || res.Explain.PartialBoundsEstimated != 0 {
 			t.Fatalf("user %d: prefix {3, 11} at k=3 took %d scatters and %d bound rows, want at most 1 and 0",
-				u, res.Explain.RemoteScatters, res.PartialBoundsEstimated)
+				u, res.Explain.RemoteScatters, res.Explain.PartialBoundsEstimated)
 		}
 	}
 }

@@ -188,12 +188,12 @@ func TestFrontierWireEquivalence(t *testing.T) {
 								// (Before bounds rode the frontier, siblings ==
 								// FullSetsEstimated.)
 								ex := got.Explain
-								rows := got.FullSetsEstimated + got.PartialBoundsEstimated
-								oneRows := one.FullSetsEstimated + one.PartialBoundsEstimated
+								rows := ex.FullSetsEstimated + ex.PartialBoundsEstimated
+								oneRows := one.Explain.FullSetsEstimated + one.Explain.PartialBoundsEstimated
 								if ex.RemoteSiblings != rows || one.Explain.RemoteSiblings != 0 ||
 									one.Explain.RemoteScatters != oneRows {
 									t.Fatalf("%s: user %d k=%d: %d full sets + %d bounds, %d siblings batched (decorated: %d siblings, %d scatters for %d rows)",
-										stage, u, k, got.FullSetsEstimated, got.PartialBoundsEstimated, ex.RemoteSiblings,
+										stage, u, k, ex.FullSetsEstimated, ex.PartialBoundsEstimated, ex.RemoteSiblings,
 										one.Explain.RemoteSiblings, one.Explain.RemoteScatters, oneRows)
 								}
 								if ex.RemoteScatters > ex.FrontierExpansions {

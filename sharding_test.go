@@ -328,7 +328,7 @@ func TestEngineRowBoundsKeepInfluences(t *testing.T) {
 						t.Fatalf("%v S%d u=%d k=%d: %d mask-memo hits on an index engine",
 							strat, shards, u, k, got.Explain.BoundCacheHits)
 					}
-					rowBounds += got.PartialBoundsEstimated
+					rowBounds += got.Explain.PartialBoundsEstimated
 					pg, err := en.QueryWithPrefix(u, []int{3}, k)
 					if err != nil {
 						t.Fatalf("%v S%d: QueryWithPrefix(%d,%d): %v", strat, shards, u, k, err)
