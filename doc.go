@@ -97,18 +97,23 @@
 // on its stack; the per-user postings lists share a single int32 arena.
 // A one-vertex graph — about three in four on a typical network — is a
 // hit for its own target only, so it is kept as one bit, its 4-byte
-// target and a per-user count, never as a record or a posting (see the
-// internal/rrindex package documentation for the layout and the on-disk
-// format, which still lists every graph in full). Query evaluation caches p(e|W) once per distinct edge per
-// estimation, and the best-first explorer reuses its heap, tag-set and
-// traversal scratch across queries, so a steady-state query allocates
-// almost nothing. Engine.IndexMemoryBytes is O(1) and exported by serve's
-// /statsz as index_bytes; it counts every array, record, bitmap word,
-// count and postings window the index retains, by capacity, so operators
-// can watch the index's true heap share across live updates (4.2 MiB for
-// the INDEXEST+ engine on a 15 000-user, 200 000-edge graph at θ =
-// 200 000; 8.2 MiB before one-vertex graphs became counts). Measured effects per PR are recorded in CHANGES.md and
-// BENCH_query.json.
+// target and a per-user count, never as a record or a posting. An
+// in-star — every member one live edge from the target, about one graph
+// in six — is a hit for member u exactly when p(e|W) ≥ c on u's edge, so
+// it is kept as one (edge, draw) threshold per member, which a query
+// counts without a posting or a traversal (see the internal/rrindex
+// package documentation for the layout and the on-disk format, which
+// still lists every graph in full). Query evaluation caches p(e|W) once
+// per distinct edge per estimation, and the best-first explorer reuses
+// its heap, tag-set and traversal scratch across queries, so a
+// steady-state query allocates almost nothing. Engine.IndexMemoryBytes is
+// O(1) and exported by serve's /statsz as index_bytes; it counts every
+// array, record, bitmap word, count, threshold and postings window the
+// index retains, by capacity, so operators can watch the index's true
+// heap share across live updates (3.0 MiB for the INDEXEST+ engine on a
+// 15 000-user, 200 000-edge graph at θ = 200 000; 4.2 MiB before in-stars
+// became thresholds, 8.2 MiB before one-vertex graphs became counts).
+// Measured effects per PR are recorded in CHANGES.md and BENCH_query.json.
 //
 // # Sharding
 //

@@ -375,14 +375,17 @@ func (en *Engine) IndexEffectiveEpsilon() float64 {
 // RR-Graphs incremental repairs have re-sampled in it across update
 // generations. Graphs is θ_s; Singletons is how many of them have one
 // vertex, which an index shard keeps as a per-user count instead of a
-// graph (0 for DelayMat, which keeps counts only). Exported by serve's
-// /statsz as index_shards.
+// graph, and InStars how many are in-stars — every member one edge away
+// from the target — which it keeps as one (edge, draw) threshold per
+// member (both 0 for DelayMat, which keeps counts only). Exported by
+// serve's /statsz as index_shards.
 type IndexShardStat struct {
 	Shard          int   `json:"shard"`
 	Users          int   `json:"users"`
 	Theta          int64 `json:"theta"`
 	Graphs         int   `json:"graphs"`
 	Singletons     int   `json:"singletons"`
+	InStars        int   `json:"in_stars"`
 	IndexBytes     int64 `json:"index_bytes"`
 	GraphsRepaired int64 `json:"graphs_repaired"`
 }
@@ -407,6 +410,7 @@ func (en *Engine) IndexShardStats() []IndexShardStat {
 			Theta:          s.Theta,
 			Graphs:         s.Graphs,
 			Singletons:     s.Singletons,
+			InStars:        s.InStars,
 			IndexBytes:     s.Bytes,
 			GraphsRepaired: s.Repaired,
 		}

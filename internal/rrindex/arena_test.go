@@ -344,34 +344,40 @@ func TestArenaRepairMatchesSeedLayout(t *testing.T) {
 }
 
 // assertCompact checks that idx's store holds exactly its graphs: every
-// array's length is the sum of its multi-vertex graphs' windows, singles
-// and the kind bitmap hold exactly the one-vertex graphs and the
-// positions, and no array carries spare capacity, so no dead bytes of an
-// earlier generation are retained.
+// array's length is the sum of its deeper graphs' windows or of its
+// in-stars' entries, singles and the kind bitmap hold exactly the
+// one-vertex graphs and the positions, and no array carries spare
+// capacity, so no dead bytes of an earlier generation are retained.
 func assertCompact(t *testing.T, label string, st *graphStore) {
 	t.Helper()
-	var multi, nv, ns, ne int
+	var deep, stars, entries, nv, ns, ne int
 	for gi := 0; gi < st.size(); gi++ {
-		if st.posted(gi) == nil {
-			continue
+		switch k, r := st.locate(gi); k {
+		case deeper:
+			rr := st.view(gi)
+			deep++
+			nv += len(rr.verts)
+			ns += len(rr.outStart)
+			ne += len(rr.edgeID)
+		case inStar:
+			lo, hi := st.starEntries(r)
+			stars++
+			entries += hi - lo
 		}
-		rr := st.view(gi)
-		multi++
-		nv += len(rr.verts)
-		ns += len(rr.outStart)
-		ne += len(rr.edgeID)
 	}
-	singles, words := st.size()-multi, st.size()/64+1
-	if len(st.recs) != multi+1 || len(st.singles) != singles || len(st.kinds) != words ||
+	singles, words := st.size()-deep-stars, st.size()/64+1
+	if len(st.recs) != deep+1 || len(st.singles) != singles || len(st.kinds) != words ||
 		len(st.verts) != nv || len(st.outStart) != ns ||
-		len(st.outTo) != ne || len(st.edgeID) != ne || len(st.c) != ne {
-		t.Fatalf("%s: store arrays %d/%d/%d/%d/%d/%d/%d, graphs sum to %d/%d/%d/%d/%d",
+		len(st.outTo) != ne || len(st.edgeID) != ne || len(st.c) != ne ||
+		len(st.starEnd) != stars || len(st.starEdge) != entries || len(st.starC) != entries {
+		t.Fatalf("%s: store arrays %d/%d/%d/%d/%d/%d/%d/%d/%d, graphs sum to %d/%d/%d/%d/%d/%d/%d",
 			label, len(st.recs), len(st.singles), len(st.verts), len(st.outStart), len(st.outTo), len(st.edgeID), len(st.c),
-			multi+1, singles, nv, ns, ne)
+			len(st.starEnd), len(st.starEdge), deep+1, singles, nv, ns, ne, stars, entries)
 	}
 	if cap(st.recs) != len(st.recs) || cap(st.singles) != singles || cap(st.kinds) != words ||
 		cap(st.verts) != nv || cap(st.outStart) != ns ||
-		cap(st.outTo) != ne || cap(st.edgeID) != ne || cap(st.c) != ne {
+		cap(st.outTo) != ne || cap(st.edgeID) != ne || cap(st.c) != ne ||
+		cap(st.starEnd) != stars || cap(st.starEdge) != entries || cap(st.starC) != entries {
 		t.Fatalf("%s: repaired store carries spare capacity", label)
 	}
 }
@@ -414,14 +420,16 @@ func TestArenaRepairChainCompacts(t *testing.T) {
 }
 
 // TestMemoryFootprintCached: the O(1) footprint must equal a full walk
-// over the store's arrays and the postings windows, by capacity, at build
-// time and after repair.
+// over the store's arrays, the threshold tier and the postings windows,
+// by capacity, at build time and after repair.
 func TestMemoryFootprintCached(t *testing.T) {
 	walk := func(idx *Index) int64 {
 		st := idx.graphs
 		b := int64(cap(st.recs))*12 + int64(cap(st.verts))*4 + int64(cap(st.outStart))*4 +
 			int64(cap(st.outTo))*4 + int64(cap(st.edgeID))*4 + int64(cap(st.c))*8 +
-			int64(cap(st.kinds))*16 + int64(cap(st.singles))*4 + int64(cap(idx.single))*4
+			int64(cap(st.kinds))*24 + int64(cap(st.singles))*4 + int64(cap(idx.single))*4 +
+			int64(cap(st.starEnd))*4 + int64(cap(st.starEdge))*4 + int64(cap(st.starC))*8 +
+			int64(cap(idx.tierStart))*4 + int64(cap(idx.tier))*4
 		for _, l := range idx.containing {
 			b += 24 + int64(cap(l))*4
 		}

@@ -42,8 +42,8 @@ type userCuts struct {
 	// All lists are windows into one shared entries slice.
 	edges []graph.EdgeID
 	lists [][]cutEntry
-	// direct counts u's posted RR-Graphs whose target is u itself: always
-	// hits, never filtered.
+	// direct counts u's posted (deeper) RR-Graphs whose target is u
+	// itself: always hits, never filtered.
 	direct int
 	// entries is the total posting count across lists — the unit the
 	// estimator's cut-cache bound is counted in.
@@ -295,9 +295,7 @@ func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, prob
 			slot := pe.candSlot[pos]
 			if added := mask &^ pe.candMask[slot]; added != 0 {
 				pe.candMask[slot] |= added
-				for b := added; b != 0; b &= b - 1 {
-					sc.samples[bits.TrailingZeros64(b)]++
-				}
+				sc.countSamples(added)
 			}
 		}
 	}
@@ -313,5 +311,6 @@ func (pe *PrunedEstimator) scanFrontier(shard, users int, u graph.VertexID, prob
 	for w := 0; w < W; w++ {
 		pe.graphsPruned += int64(len(containing)-uc.direct) - sc.samples[w]
 	}
+	sc.countStars(idx.graphs, idx.stars(u), fc, W, true)
 	sc.packRows(int64(uc.direct)+int64(idx.single[u]), Partial{Shard: shard, Contained: idx.NumContaining(u), Theta: idx.theta, Users: users}, rows, stride)
 }

@@ -98,7 +98,7 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 	r := rng.New(opts.Seed)
 	dm := &DelayMat{g: g, theta: theta, counts: make([]int64, g.NumVertices())}
 	if opts.TrackMembers {
-		dm.members = newStore()
+		dm.members = newStore(g)
 	}
 	mark := make([]bool, g.NumVertices())
 	var sc memberScratch
@@ -116,7 +116,7 @@ func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID,
 	}
 	if opts.TrackMembers {
 		var err error
-		if dm.members, err = mergeStores(dm.members); err != nil {
+		if dm.members, err = mergeStores(g, dm.members); err != nil {
 			return nil, err
 		}
 	}
@@ -209,14 +209,16 @@ type DelayEstimator struct {
 	inShard   []graph.VertexID
 
 	// The last recovery, as the one-user index the plain scans walk: the
-	// recovered graphs, the positions of the multi-vertex ones (every
-	// one-vertex one is rooted at the user, a direct hit) and the largest
-	// graph's vertex count.
+	// recovered graphs, the positions of the deeper ones, the user's
+	// in-star entries, how many graphs are rooted at the user (direct
+	// hits) and the largest graph's vertex count.
 	cachedUser    graph.VertexID
 	cachedValid   bool
 	recovered     graphStore
 	cachedMaxSize int
 	posts         []int32
+	stars         []uint32
+	direct        int
 
 	// The firing schedule: the generation's table, one firing per vertex
 	// (16·|V| bytes; both set up by the first recovery, so an estimator
@@ -264,6 +266,7 @@ func newDelayEstimatorShard(dm *DelayMat, seed uint64, fire *lazyFireTable, shar
 		numShards: numShards,
 		poolSize:  poolSize,
 		fire:      fire,
+		recovered: graphStore{g: dm.g},
 		sc:        newGenScratch(dm.g.NumVertices()),
 	}
 }
@@ -285,7 +288,7 @@ func (de *DelayEstimator) graphsOf(u graph.VertexID) graphSet {
 		de.recover(u)
 	}
 	return graphSet{
-		graphs: &de.recovered, postings: de.posts, direct: len(de.recovered.singles),
+		graphs: &de.recovered, postings: de.posts, stars: de.stars, direct: de.direct,
 		maxSize: de.cachedMaxSize, theta: de.dm.theta,
 	}
 }
@@ -366,7 +369,7 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.cachedUser = u
 	de.cachedValid = true
 	de.cachedMaxSize = de.recovered.maxSize()
-	de.posts = de.recovered.multiPositions(de.posts[:0])
+	de.posts, de.stars, de.direct = de.recovered.split(u, de.posts[:0], de.stars[:0])
 }
 
 // firingOf returns v's schedule, drawing its first firing visit when this

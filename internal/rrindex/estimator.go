@@ -115,14 +115,17 @@ func (st *scanState) WorkStats() sampling.WorkStats {
 	}
 }
 
-// graphSet is what the plain hit-test walks for one user: the
-// multi-vertex graphs postings[i] of a store, none larger than maxSize
-// vertices, plus direct one-vertex graphs of target u — hits under every
-// tag set, counted, never walked — out of theta samples. An Index hands
-// out its own store; DelayMat recovery fills one per query user.
+// graphSet is what the plain hit-test walks for one user: the deeper
+// graphs postings[i] of a store, none larger than maxSize vertices; the
+// user's in-star memberships, entries of the store sorted by (edge, c),
+// decided from their thresholds; plus direct graphs of target u —
+// one-vertex graphs and in-stars, hits under every tag set, counted,
+// never walked — out of theta samples. An Index hands out its own store;
+// DelayMat recovery fills one per query user.
 type graphSet struct {
 	graphs   *graphStore
 	postings []int32
+	stars    []uint32
 	direct   int
 	maxSize  int
 	theta    int64

@@ -1,6 +1,7 @@
 package rrindex
 
 import (
+	"math"
 	"math/bits"
 
 	"pitex/internal/graph"
@@ -131,6 +132,43 @@ func (r *RRGraph) reachMask(u graph.VertexID, fc *sampling.FrontierProbeCache, a
 	return got
 }
 
+// countStars credits the query user's in-star memberships, entries of st
+// sorted by (edge, c), straight from their thresholds: member u on edge e
+// of an in-star reaches its target under sibling w exactly when
+// p(e|W_w) ≥ c, the verdict reachMask would reach over the one edge, so
+// no posting is built and nothing is walked. The plain scan (admitted
+// false) counts the hits, every entry being its sample; the pruned scan
+// counts, in both tallies, the entries its cut filter would admit and
+// verify — the one cut of an in-star member is its own edge, admitted
+// when p(e|W_w) > 0 and c ≤ p(e|W_w). The two rules part only when c = 0
+// and p(e|W_w) = 0.
+func (sc *frontierScratch) countStars(st *graphStore, entries []uint32, fc *sampling.FrontierProbeCache, width int, admitted bool) {
+	for _, i := range entries {
+		c := st.starC[i]
+		if admitted {
+			c = max(c, math.SmallestNonzeroFloat64) // p ≥ c and p > 0
+		}
+		row, lo, hi := fc.Row(st.starEdge[i])
+		var mask uint64
+		switch {
+		case c <= lo:
+			mask = fullMask(width)
+		case c > hi:
+			continue
+		default:
+			for w := 0; w < width; w++ {
+				if row[w] >= c {
+					mask |= 1 << w
+				}
+			}
+		}
+		sc.countHits(mask)
+		if admitted {
+			sc.countSamples(mask)
+		}
+	}
+}
+
 // countHits credits one graph's verdict word to the per-sibling tallies.
 func (sc *frontierScratch) countHits(mask uint64) {
 	for b := mask; b != 0; b &= b - 1 {
@@ -138,11 +176,18 @@ func (sc *frontierScratch) countHits(mask uint64) {
 	}
 }
 
+// countSamples counts one graph as a sample of the siblings in mask.
+func (sc *frontierScratch) countSamples(mask uint64) {
+	for b := mask; b != 0; b &= b - 1 {
+		sc.samples[bits.TrailingZeros64(b)]++
+	}
+}
+
 // packRows writes the finished chunk's counters as Partial rows, sibling
 // w at rows[w*stride]. base carries the sibling-independent fields
 // (Shard, Contained, Theta, Users); direct adds unconditional hits (the
-// graphs whose target is u: every one-vertex one, and in the pruned scan
-// the rest too) to both counts.
+// graphs whose target is u: every one-vertex one and in-star, and in the
+// pruned scan the deeper ones too) to both counts.
 func (sc *frontierScratch) packRows(direct int64, base Partial, rows []Partial, stride int) {
 	for w := range sc.hits {
 		p := base
@@ -162,10 +207,11 @@ func (st *scanState) plainFrontier(gs graphSet, shard, users int, u graph.Vertex
 		rr := gs.graphs.view(int(gi))
 		sc.countHits(rr.reachMask(u, st.fc, active, sc))
 	}
-	n := int64(len(gs.postings))
-	st.graphsChecked += (n + int64(gs.direct)) * int64(len(chunk))
+	sc.countStars(gs.graphs, gs.stars, st.fc, len(chunk), false)
 	for w := range chunk {
-		sc.samples[w] = n
+		sc.samples[w] = int64(len(gs.postings) + len(gs.stars))
 	}
-	sc.packRows(int64(gs.direct), Partial{Shard: shard, Contained: len(gs.postings) + gs.direct, Theta: gs.theta, Users: users}, rows, stride)
+	contained := len(gs.postings) + len(gs.stars) + gs.direct
+	st.graphsChecked += int64(contained) * int64(len(chunk))
+	sc.packRows(int64(gs.direct), Partial{Shard: shard, Contained: contained, Theta: gs.theta, Users: users}, rows, stride)
 }

@@ -322,3 +322,56 @@ func testPartialFrontierGather(t *testing.T, g *graph.Graph, opts BuildOptions, 
 		}
 	}
 }
+
+// zeroEdgeProber gives edge zero probability 0 and every other edge its
+// maximum.
+type zeroEdgeProber struct {
+	g    *graph.Graph
+	zero graph.EdgeID
+}
+
+func (p zeroEdgeProber) Prob(e graph.EdgeID) float64 {
+	if e == p.zero {
+		return 0
+	}
+	return p.g.EdgeMaxProb(e)
+}
+
+// TestInStarZeroDrawTie pins the one case where the two scan policies'
+// threshold rules part: an in-star member whose draw is c = 0 on an edge
+// with p(e|W) = 0. Def. 3's p(e|W) ≥ c makes it live, so the plain scan
+// counts a hit; the pruned scan's cut filter admits only p(e|W) > 0, so it
+// counts neither a sample nor a hit — each what the walked graph gave
+// before in-stars became thresholds, and what the reference still gives.
+func TestInStarZeroDrawTie(t *testing.T) {
+	b := graph.NewBuilder(3, 1)
+	b.AddEdge(1, 0, []graph.TopicProb{{Topic: 0, Prob: 0.5}})
+	b.AddEdge(2, 0, []graph.TopicProb{{Topic: 0, Prob: 0.5}})
+	g := b.MustBuild()
+	idx, err := Build(g, shardOpts(3, 400))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	st, u := idx.graphs, graph.VertexID(1)
+	w := idx.stars(u)
+	if len(w) < 2 {
+		t.Fatalf("user 1 is a member of %d in-stars, want several", len(w))
+	}
+	st.starC[w[0]] = 0 // sorted by (edge, c): still first
+	prober := zeroEdgeProber{g: g, zero: st.starEdge[w[0]]}
+	plain := NewEstimator(idx).Partial(0, 3, u, prober)
+	pruned := NewPrunedEstimator(idx).Partial(0, 3, u, prober)
+	direct := int64(idx.single[u])
+	if plain.Hits != direct+1 || plain.Samples != int64(idx.NumContaining(u)) {
+		t.Errorf("plain row %+v, want %d hits (the tie and %d direct) of %d samples", plain, direct+1, direct, idx.NumContaining(u))
+	}
+	if pruned.Hits != direct || pruned.Samples != direct {
+		t.Errorf("pruned row %+v, want %d hits of %d samples: the tie is never admitted", pruned, direct, direct)
+	}
+	if ref := refRow(NewEstimator(idx), 0, 3, u, prober); plain != ref {
+		t.Errorf("plain row %+v, reference %+v", plain, ref)
+	}
+	if ref := refRow(NewPrunedEstimator(idx), 0, 3, u, prober); pruned != ref {
+		t.Errorf("pruned row %+v, reference %+v", pruned, ref)
+	}
+}

@@ -14,7 +14,8 @@ import (
 // panic, and never size an allocation from an unvalidated header field
 // (storage only grows as payload actually arrives). Seeds cover both
 // kinds at one and three shards, the pre-S one-shard forms (v2 index,
-// v1 DelayMat), and systematically corrupted variants of each.
+// v1 DelayMat), an index whose one graph is an in-star, and
+// systematically corrupted variants of each.
 
 // fuzzSeeds serializes the fixture structures in every readable form and
 // returns them with corrupt/truncated variants appended.
@@ -69,6 +70,10 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	add(err, &buf)
 
+	// An index of one graph, an in-star, so its entries cross the reader.
+	buf.Reset()
+	add(WriteIndex(&buf, inStarIndex(f, idx)), &buf)
+
 	for _, b := range blobs[:6] {
 		blobs = append(blobs,
 			faultinject.CorruptBytes(b), // bit flips every 17 bytes, magic included
@@ -81,6 +86,34 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	blobs = append(blobs, nil, []byte("PITEXIDX"))
 	return blobs
+}
+
+// inStarIndex returns an index over idx's graph whose one graph is idx's
+// first in-star, rebuilt and added back as a build would.
+func inStarIndex(f *testing.F, idx *Index) *Index {
+	f.Helper()
+	st := idx.graphs
+	for gi := 0; gi < st.size(); gi++ {
+		if k, _ := st.locate(gi); k != inStar {
+			continue
+		}
+		rr := st.view(gi)
+		sc := newGenScratch(idx.g.NumVertices())
+		sc.members = append(sc.members, rr.verts...)
+		for v := range rr.verts {
+			for i := rr.outStart[v]; i < rr.outStart[v+1]; i++ {
+				sc.edges = append(sc.edges, rrEdge{from: rr.verts[v], to: rr.target, id: rr.edgeID[i], c: rr.c[i]})
+			}
+		}
+		one := &Index{g: idx.g, theta: 1, graphs: newStore(idx.g)}
+		if err := one.graphs.add(rr.target, sc); err != nil || len(one.graphs.starEnd) != 1 {
+			f.Fatalf("re-adding in-star %d: %v, %d in-stars", gi, err, len(one.graphs.starEnd))
+		}
+		one.finishPostings()
+		return one
+	}
+	f.Fatal("the fixture index has no in-star")
+	return nil
 }
 
 // checkIndex walks every accessor a loaded index serves so latent

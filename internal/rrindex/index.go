@@ -57,9 +57,10 @@ func (o BuildOptions) EffectiveEpsilon(numVertices int, theta int64) float64 {
 }
 
 // Index is the offline RR-Graph index of Algo 3 ("IndexEst"): θ RR-Graphs
-// of uniformly sampled targets, plus a per-user postings list of the
-// multi-vertex RR-Graphs containing that user and a per-user count of the
-// one-vertex ones, which contain only their target and are a hit for it
+// of uniformly sampled targets, plus, per user, a postings list of the
+// deeper RR-Graphs containing that user, a window of the threshold tier
+// for the in-stars the user is a member of, and a count of the one-vertex
+// graphs and in-stars the user is the target of, which are a hit for it
 // under every tag set. The graphs live in one flat graphStore and the
 // postings lists are windows into a single int32 arena (see the package
 // comment). Safe for concurrent readers; the estimator wrappers carry
@@ -68,12 +69,17 @@ type Index struct {
 	g      *graph.Graph
 	theta  int64
 	graphs *graphStore
-	// containing[u] lists the positions of the multi-vertex RR-Graphs
-	// containing u; single[u] counts the one-vertex RR-Graphs of target u.
+	// containing[u] lists the positions of the deeper RR-Graphs
+	// containing u; single[u] counts the one-vertex RR-Graphs and in-stars
+	// of target u.
 	containing [][]int32
 	single     []int32
-	maxSize    int   // largest RR-Graph vertex count, for scratch sizing
-	footprint  int64 // cached MemoryFootprint, maintained by Build/Read/Repair
+	// tier[tierStart[u]:tierStart[u+1]] are u's in-star memberships, as
+	// entries of the store sorted by (edge, c) (graphStore.tier).
+	tierStart []uint32
+	tier      []uint32
+	maxSize   int   // largest deeper RR-Graph vertex count, for scratch sizing
+	footprint int64 // cached MemoryFootprint, maintained by Build/Read/Repair
 }
 
 // Build constructs the index. It is the paper's offline phase.
@@ -127,7 +133,7 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 			defer wg.Done()
 			r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
 			sc := newGenScratch(g.NumVertices())
-			st := newStore()
+			st := newStore(g)
 			for i := int64(0); i < n && errs[w] == nil; i++ {
 				errs[w] = generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, st)
 			}
@@ -139,7 +145,7 @@ func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, the
 		return nil, err
 	}
 	var err error
-	if idx.graphs, err = mergeStores(stores...); err != nil {
+	if idx.graphs, err = mergeStores(g, stores...); err != nil {
 		return nil, err
 	}
 	idx.finishPostings()
@@ -171,21 +177,21 @@ func (idx *Index) finishPostings() {
 	idx.seal()
 }
 
-// seal refreshes what the index derives from its store: the one-vertex
-// counts and the cached footprint.
+// seal refreshes what the index derives from its store: the direct
+// counts, the threshold tier and the cached footprint.
 func (idx *Index) seal() {
 	idx.single = make([]int32, idx.g.NumVertices())
-	for _, t := range idx.graphs.singles {
-		idx.single[t]++
-	}
+	idx.graphs.countDirect(idx.single)
+	idx.tierStart, idx.tier = idx.graphs.tier(idx.g.NumVertices())
 	idx.recomputeFootprint()
 }
 
 // recomputeFootprint refreshes the cached MemoryFootprint value: the
-// store, the one-vertex counts, every postings window by capacity, and
-// the windows' headers.
+// store, the direct counts, the tier, every postings window by capacity,
+// and the windows' headers.
 func (idx *Index) recomputeFootprint() {
-	b := idx.graphs.footprint() + int64(cap(idx.single))*4 + int64(cap(idx.containing))*sliceHeaderBytes
+	b := idx.graphs.footprint() + int64(cap(idx.single))*4 + int64(cap(idx.containing))*sliceHeaderBytes +
+		int64(cap(idx.tierStart))*4 + int64(cap(idx.tier))*4
 	for _, list := range idx.containing {
 		b += int64(cap(list)) * 4
 	}
@@ -200,14 +206,23 @@ func (idx *Index) Theta() int64 { return idx.theta }
 
 // NumContaining returns θ(u), the number of RR-Graphs containing u.
 func (idx *Index) NumContaining(u graph.VertexID) int {
-	return len(idx.containing[u]) + int(idx.single[u])
+	return len(idx.containing[u]) + int(idx.single[u]) + len(idx.stars(u))
+}
+
+// stars returns u's window of the threshold tier.
+func (idx *Index) stars(u graph.VertexID) []uint32 {
+	return idx.tier[idx.tierStart[u]:idx.tierStart[u+1]]
 }
 
 // postingsTotal returns Σ_u θ(u), every graph's vertex count summed.
-func (idx *Index) postingsTotal() int { return len(idx.graphs.verts) + len(idx.graphs.singles) }
+func (idx *Index) postingsTotal() int {
+	st := idx.graphs
+	return len(st.verts) + len(st.singles) + len(st.starEnd) + len(st.starEdge)
+}
 
 // markContaining sets mark[gi] for every graph gi containing one of
-// heads: the heads' postings, and the one-vertex graphs they target.
+// heads: the heads' postings, the one-vertex graphs they target, and the
+// in-stars they are the target or a member of.
 func (idx *Index) markContaining(heads []graph.VertexID, mark []bool) {
 	isHead := make([]bool, len(idx.containing))
 	for _, h := range heads {
@@ -218,21 +233,27 @@ func (idx *Index) markContaining(heads []graph.VertexID, mark []bool) {
 			}
 		}
 	}
-	idx.graphs.eachSingle(func(pos int, t graph.VertexID) {
-		mark[pos] = mark[pos] || isHead[t]
+	st := idx.graphs
+	st.each(oneVertex, func(pos, i int) { mark[pos] = mark[pos] || isHead[st.singles[i]] })
+	st.each(inStar, func(pos, r int) {
+		lo, hi := st.starEntries(r)
+		for _, e := range st.starEdge[lo:hi] {
+			mark[pos] = mark[pos] || isHead[st.g.EdgeFrom(e)] || isHead[st.g.EdgeTo(e)]
+		}
 	})
 }
 
 // MemoryFootprint returns the bytes the index retains (Table 3's
-// "RR-Graphs size" column): the graph store's arrays, records and kind
-// bitmap, the one-vertex counts and the postings windows with their
-// headers, all by capacity. It is maintained by Build/Read/Repair, so
-// this is O(1) and cheap enough for a /statsz scrape on every request.
+// "RR-Graphs size" column): the graph store's arrays, records, in-star
+// entries and kind bitmap, the direct counts, the threshold tier and the
+// postings windows with their headers, all by capacity. It is maintained
+// by Build/Read/Repair, so this is O(1) and cheap enough for a /statsz
+// scrape on every request.
 func (idx *Index) MemoryFootprint() int64 { return idx.footprint }
 
 // graphSet returns the window of the index a scan of u walks.
 func (idx *Index) graphSet(u graph.VertexID) graphSet {
-	return graphSet{graphs: idx.graphs, postings: idx.containing[u], direct: int(idx.single[u]), maxSize: idx.maxSize, theta: idx.theta}
+	return graphSet{graphs: idx.graphs, postings: idx.containing[u], stars: idx.stars(u), direct: int(idx.single[u]), maxSize: idx.maxSize, theta: idx.theta}
 }
 
 // Estimator is the IndexEst scan policy (Algo 3's online phase): hit-test

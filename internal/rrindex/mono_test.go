@@ -9,13 +9,17 @@ import (
 
 // refRow is the tests' reference for policy p's row of u under prober:
 // Def. 3 decided graph by graph by RRGraph.Reaches over every graph of the
-// store p scans — all θ_s of an index, one-vertex graphs rebuilt from the
-// sequence by view, not the postings and counts the masked scan under
-// test reads. Samples is every graph containing u for the plain scans;
-// for IndexEst+ it restates the cut filter — the graphs whose target is u
-// plus every position some cut entry admits (p(e) > 0, c ≤ p(e)).
+// store p scans — all θ_s of an index, one-vertex graphs and in-stars
+// rebuilt from the sequence by view, not the postings, counts and
+// thresholds the masked scan under test reads. The plain scans sample
+// every graph containing u. IndexEst+ restates filter-then-verify: it
+// samples the graphs whose target is u plus every other graph containing
+// u some edge of whose cut, chosen from the rebuilt graph by the
+// estimator's policy, is admitted (p(e) > 0, c ≤ p(e)), and counts a hit
+// only among those.
 func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial {
 	var gs graphSet
+	pe, pruned := p.(*PrunedEstimator)
 	switch p := p.(type) {
 	case *Estimator:
 		gs = p.idx.graphSet(u)
@@ -25,33 +29,33 @@ func refRow(p scanPolicy, shard, users int, u graph.VertexID, prober sampling.Ed
 		gs = p.graphsOf(u)
 	}
 	row := Partial{Shard: shard, Theta: gs.theta, Users: users}
-	visited := make([]int64, gs.maxSize+1)
-	direct := 0
+	var visited []int64
+	var sc cutScratch
 	for gi := 0; gi < gs.graphs.size(); gi++ {
 		rr := gs.graphs.view(gi)
 		if !rr.Contains(u) {
 			continue
 		}
 		row.Contained++
-		if rr.target == u {
-			direct++
+		if pruned && rr.target != u {
+			cut := sideCut(&rr, rr.localID(u), nil)
+			if pe.Policy == CutBestOfTwo {
+				cut = chooseCut(pe.idx.g, &rr, u, &sc)
+			}
+			if !slices.ContainsFunc(cut, func(ce cutEdge) bool {
+				p := prober.Prob(ce.edge)
+				return p > 0 && ce.c <= p
+			}) {
+				continue
+			}
+		}
+		row.Samples++
+		if len(visited) < rr.NumVertices() {
+			visited = make([]int64, rr.NumVertices())
 		}
 		if rr.Reaches(u, prober, visited, int64(gi)+1) {
 			row.Hits++
 		}
-	}
-	row.Samples = int64(row.Contained)
-	if pe, ok := p.(*PrunedEstimator); ok {
-		uc := pe.cutsFor(u)
-		admitted := make(map[int32]bool)
-		for i, e := range uc.edges {
-			for _, ent := range uc.lists[i] {
-				if p := prober.Prob(e); p > 0 && ent.c <= p {
-					admitted[ent.graphPos] = true
-				}
-			}
-		}
-		row.Samples = int64(direct + len(admitted))
 	}
 	return row
 }
@@ -109,3 +113,48 @@ func wrapMonolithic(idx *Index) *ShardedIndex {
 // storeMembers lists every member of every graph of st, the one-vertex
 // graphs' targets included.
 func storeMembers(st *graphStore) []graph.VertexID { return slices.Concat(st.verts, st.singles) }
+
+// The reference's view of a graph: its sizes, and Def. 3 decided by one
+// boolean walk per prober, which the masked scan's reachMask must match
+// bit for bit.
+
+// NumVertices returns |V(v)|.
+func (r *RRGraph) NumVertices() int { return len(r.verts) }
+
+// NumEdges returns |E(v)|.
+func (r *RRGraph) NumEdges() int { return len(r.edgeID) }
+
+// Reaches is the tag-aware reachability test of Def. 3: whether u reaches
+// the target through a path whose every edge satisfies p(e|W) ≥ c(e),
+// where p(e|W) comes from prober. visited is caller scratch with length at
+// least NumVertices(), reset by the caller between uses via the stamp.
+func (r *RRGraph) Reaches(u graph.VertexID, prober sampling.EdgeProber, visited []int64, stamp int64) bool {
+	lu := r.localID(u)
+	if lu < 0 {
+		return false
+	}
+	lt := r.localID(r.target)
+	if lu == lt {
+		return true
+	}
+	stack := []int32{lu}
+	visited[lu] = stamp
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := r.outStart[v]; i < r.outStart[v+1]; i++ {
+			if prober.Prob(r.edgeID[i]) < r.c[i] {
+				continue
+			}
+			t := r.outTo[i]
+			if t == lt {
+				return true
+			}
+			if visited[t] != stamp {
+				visited[t] = stamp
+				stack = append(stack, t)
+			}
+		}
+	}
+	return false
+}

@@ -3,6 +3,7 @@ package rrindex
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pitex/internal/graph"
 	"pitex/internal/rng"
@@ -100,6 +101,44 @@ func (rs repairSpec) drawAdded(r *rng.Source, oldV int) graph.VertexID {
 	return rs.addedPool[r.Intn(len(rs.addedPool))]
 }
 
+// walk is the one ordered pass of both repairs. It draws every graph's
+// retarget Bernoulli in order and calls f for each graph to re-sample: a
+// marked one with its old target, a retargeted one (marked now too) with
+// a uniform added pool member. Then θ grows with |V| (Eq. 7), f called
+// with gi = -1 for each appended graph, its target uniform over the new
+// pool. It returns the new θ, which never shrinks: a cap change cannot
+// retroactively unsample graphs without biasing the estimator.
+func (spec repairSpec) walk(r *rng.Source, old *graphStore, marked []bool, theta int64, newV int, stats *RepairStats,
+	f func(gi int, target graph.VertexID) error) (int64, error) {
+	retargetP := 0.0
+	if added, size := spec.poolCounts(newV); added > 0 {
+		retargetP = float64(added) / float64(size)
+	}
+	for gi := range marked {
+		var target graph.VertexID
+		switch {
+		case retargetP > 0 && r.Bernoulli(retargetP):
+			target, marked[gi] = spec.drawAdded(r, newV-spec.addedVertices), true
+			stats.Retargeted++
+		case marked[gi]:
+			target = old.target(gi)
+			stats.Invalidated++
+		default:
+			continue
+		}
+		if err := f(gi, target); err != nil {
+			return theta, err
+		}
+	}
+	for ; theta < spec.thetaNew; theta++ {
+		if err := f(-1, drawTarget(r, spec.pool, newV)); err != nil {
+			return theta, err
+		}
+		stats.Appended++
+	}
+	return theta, nil
+}
+
 // Repair returns a new Index over the updated graph g, re-sampling only
 // the RR-Graphs invalidated by the mutation batch. g must be the result of
 // graph.ApplyDelta on the index's graph (edge IDs stable, addedVertices
@@ -139,53 +178,24 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	resampled := make([]bool, old.size())
 	idx.markContaining(touched, resampled)
 
-	r := rng.New(opts.Seed)
-	sc := newGenScratch(newV)
-	addedToPool, poolSize := spec.poolCounts(newV)
-	retargetP := 0.0
-	if addedToPool > 0 {
-		retargetP = float64(addedToPool) / float64(poolSize)
-	}
-	// One ordered pass draws every graph's retarget Bernoulli and
-	// re-samples the graphs it or a touched member invalidates into fresh;
-	// appended graphs follow. dirty marks vertices whose postings list
+	// The one ordered pass re-samples the invalidated, retargeted and
+	// appended graphs into fresh. dirty marks vertices whose postings list
 	// must change: old or new posted members of any re-sampled graph, and
 	// those of appended ones.
+	r := rng.New(opts.Seed)
+	sc := newGenScratch(newV)
 	dirty := make([]bool, newV)
-	fresh := newStore()
-	for gi := range resampled {
-		target := old.target(gi)
-		resample := resampled[gi]
-		if retargetP > 0 && r.Bernoulli(retargetP) {
-			target = spec.drawAdded(r, oldV)
-			stats.Retargeted++
-			resample = true
-		} else if resample {
-			stats.Invalidated++
-		}
-		if !resample {
-			continue
-		}
-		resampled[gi] = true
-		for _, v := range old.posted(gi) {
-			dirty[v] = true
-		}
-		if err := generate(g, target, r, sc, fresh); err != nil {
-			return nil, stats, err
-		}
-	}
-
-	// θ grows with |V| (Eq. 7). It never shrinks: a cap change cannot
-	// retroactively unsample graphs without biasing the estimator.
-	theta := idx.theta
-	if spec.thetaNew > theta {
-		for i := theta; i < spec.thetaNew; i++ {
-			if err := generate(g, drawTarget(r, spec.pool, newV), r, sc, fresh); err != nil {
-				return nil, stats, err
+	fresh := newStoreLike(g, old, resampled)
+	theta, err := spec.walk(r, old, resampled, idx.theta, newV, &stats, func(gi int, target graph.VertexID) error {
+		if gi >= 0 {
+			for _, v := range old.posted(gi) {
+				dirty[v] = true
 			}
-			stats.Appended++
 		}
-		theta = spec.thetaNew
+		return generate(g, target, r, sc, fresh)
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 	st, err := spliceStores(old, fresh, resampled)
 	if err != nil {
@@ -300,66 +310,34 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 	next := &DelayMat{g: g, theta: dm.theta, counts: make([]int64, newV)}
 	copy(next.counts, dm.counts)
 
-	// One ordered pass, like Index.repair: re-sampled member sets go to
+	// The same ordered pass as Index.repair: re-sampled member sets go to
 	// fresh, and spliceStores writes the new store.
 	old := dm.members
 	resampled := make([]bool, old.size())
-	fresh := newStore()
+	for i := range resampled {
+		resampled[i] = slices.ContainsFunc(old.members(i), func(v graph.VertexID) bool { return touchedSet[v] })
+	}
+	fresh := newStore(g)
 	r := rng.New(opts.Seed)
 	mark := make([]bool, newV)
 	var scratch memberScratch
-	addedToPool, poolSize := spec.poolCounts(newV)
-	retargetP := 0.0
-	if addedToPool > 0 {
-		retargetP = float64(addedToPool) / float64(poolSize)
-	}
-	for i := range resampled {
-		target := old.target(i)
-		resample := false
-		for _, v := range old.members(i) {
-			if touchedSet[v] {
-				resample = true
-				break
+	var err error
+	next.theta, err = spec.walk(r, old, resampled, dm.theta, newV, &stats, func(i int, target graph.VertexID) error {
+		if i >= 0 {
+			for _, v := range old.members(i) {
+				next.counts[v]--
 			}
-		}
-		if retargetP > 0 && r.Bernoulli(retargetP) {
-			target = spec.drawAdded(r, oldV)
-			stats.Retargeted++
-			resample = true
-		} else if resample {
-			stats.Invalidated++
-		}
-		if !resample {
-			continue
-		}
-		resampled[i] = true
-		for _, v := range old.members(i) {
-			next.counts[v]--
 		}
 		members := sampleMemberSet(g, target, r, mark, &scratch)
 		for _, v := range members {
 			next.counts[v]++
 		}
-		if _, err := fresh.push(target, members, 0); err != nil {
-			return nil, stats, err
-		}
+		_, err := fresh.push(target, members, 0)
+		return err
+	})
+	if err != nil {
+		return nil, stats, err
 	}
-
-	if spec.thetaNew > next.theta {
-		for i := next.theta; i < spec.thetaNew; i++ {
-			target := drawTarget(r, spec.pool, newV)
-			members := sampleMemberSet(g, target, r, mark, &scratch)
-			for _, v := range members {
-				next.counts[v]++
-			}
-			if _, err := fresh.push(target, members, 0); err != nil {
-				return nil, stats, err
-			}
-			stats.Appended++
-		}
-		next.theta = spec.thetaNew
-	}
-	var err error
 	if next.members, err = spliceStores(old, fresh, resampled); err != nil {
 		return nil, stats, err
 	}

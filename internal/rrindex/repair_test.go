@@ -408,7 +408,7 @@ func TestRepairFlipsGraphKinds(t *testing.T) {
 	multi := func(idx *Index, v graph.VertexID) int {
 		n := 0
 		for gi := 0; gi < idx.graphs.size(); gi++ {
-			if idx.graphs.target(gi) == v && idx.graphs.posted(gi) != nil {
+			if k, _ := idx.graphs.locate(gi); k != oneVertex && idx.graphs.target(gi) == v {
 				n++
 			}
 		}
@@ -457,6 +457,78 @@ func TestRepairFlipsGraphKinds(t *testing.T) {
 				t.Fatalf("S=%d step %d Repair: %v", S, step, err)
 			}
 			cur = ng
+		}
+	}
+}
+
+// TestRepairFlipsThreeKinds drives the graphs of three appended vertices
+// a, b and c through every kind with certain edges (p = 1): b→a turns a's
+// one-vertex graphs into in-stars, c→b makes them deeper and b's
+// in-stars, deleting c→b reverses that, and deleting b→a returns a's to
+// one vertex. After every step the postings, the threshold tier and the
+// direct counts must match a recount over the rebuilt graphs
+// (checkPostings), the store must be compact, and every row of both index
+// policies must equal the reference over all θ graphs.
+func TestRepairFlipsThreeKinds(t *testing.T) {
+	g := randomGraph(120, 3, 0.1, 0.4, 17)
+	opts := shardOpts(5, 2400)
+	a, b, c := graph.VertexID(120), graph.VertexID(121), graph.VertexID(122)
+	certain := []graph.TopicProb{{Topic: 0, Prob: 1}}
+	bToA, cToB := graph.EdgeID(g.NumEdges()), graph.EdgeID(g.NumEdges()+1)
+	deltas := []graph.Delta{
+		{AddVertices: 3},
+		{InsertEdges: []graph.EdgeInsert{{From: b, To: a, Topics: certain}}},
+		{InsertEdges: []graph.EdgeInsert{{From: c, To: b, Topics: certain}}},
+		{DeleteEdges: []graph.EdgeID{cToB}},
+		{DeleteEdges: []graph.EdgeID{bToA}},
+	}
+	// want[step] is the one kind of a's graphs and of b's after the step.
+	want := [][2]graphKind{{oneVertex, oneVertex}, {inStar, oneVertex}, {deeper, inStar}, {inStar, oneVertex}, {oneVertex, oneVertex}}
+	for _, S := range []int{1, 3} {
+		si, err := BuildSharded(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildSharded: %v", S, err)
+		}
+		cur := g
+		for step, d := range deltas {
+			ng, info := applyDelta(t, cur, d)
+			ropts := opts
+			ropts.Seed = opts.Seed + uint64(step+1)*37
+			if si, _, err = si.Repair(ng, ropts, info.TouchedHeads, d.AddVertices); err != nil {
+				t.Fatalf("S=%d step %d Repair: %v", S, step, err)
+			}
+			cur = ng
+			kinds := [2]map[graphKind]int{{}, {}}
+			prober := fracProber{g: cur, f: 0.7}
+			for s, sh := range si.shards {
+				label := fmt.Sprintf("S=%d step %d shard %d", S, step, s)
+				checkPostings(t, label, sh)
+				assertCompact(t, label, sh.graphs)
+				for gi := 0; gi < sh.graphs.size(); gi++ {
+					k, _ := sh.graphs.locate(gi)
+					for i, v := range []graph.VertexID{a, b} {
+						if sh.graphs.target(gi) == v {
+							kinds[i][k]++
+						}
+					}
+				}
+				est, pe := NewEstimator(sh), NewPrunedEstimator(sh)
+				for _, u := range []graph.VertexID{a, b, c, 7} {
+					for _, p := range []interface {
+						scanPolicy
+						Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
+					}{est, pe} {
+						if row, ref := p.Partial(s, 40, u, prober), refRow(p, s, 40, u, prober); row != ref {
+							t.Fatalf("%s %T u=%d: row %+v, reference %+v", label, p, u, row, ref)
+						}
+					}
+				}
+			}
+			for i := range kinds {
+				if len(kinds[i]) != 1 || kinds[i][want[step][i]] == 0 {
+					t.Fatalf("S=%d step %d: graphs of %c by kind %v, want all of kind %d", S, step, "ab"[i], kinds[i], want[step][i])
+				}
+			}
 		}
 	}
 }

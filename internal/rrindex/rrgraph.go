@@ -7,30 +7,56 @@
 // # Memory layout
 //
 // A graph is an offset, not a view. Each shard keeps its θ RR-Graphs in
-// one graphStore, and a graph is its position in the store's sequence.
-// Most graphs have one vertex: the target, whose in-edges all drew dead.
-// Such a graph is a hit for its target under every tag set and for
-// nobody else, so the store keeps it as one bit of a position bitmap
-// (with a prefix count per 64-bit word) and its target in a singles
-// array, about 4 bytes, and the Index keeps a per-user count of them
-// instead of postings. The multi-vertex graphs lie in five flat,
-// pointer-free arrays (verts, outStart, outTo, edgeID, c), back to back,
-// with one 12-byte graphRec each (target, first vertex, first edge; a
-// sentinel record closes the list). A scan builds graph gi's RRGraph
-// view on its own stack (graphStore.view, one popcount rank from
-// position to record), so the reachability kernels walk the same five
-// slices they always did while the index holds no per-graph headers; the
-// one-vertex graphs it never walks, adding their count to every row.
-// Parallel Build workers fill per-worker stores that are merged once, in
-// worker order, so the result is still deterministic per (Seed,
-// Workers). The per-user postings lists, of multi-vertex graphs only,
-// are windows into one shared int32 arena. Incremental Repair keeps the
-// copy-on-write contract at store granularity: it writes a fresh,
-// exactly sized store in one ordered pass (see repair.go), so concurrent
-// readers of the old index are never affected and no generation pins
-// another's graphs. Positions survive a repair, so a graph that changes
-// kind keeps its place and clean users keep their postings lists. The
-// file layout (serialize.go) still lists every graph in full.
+// one graphStore, and a graph is its position in the store's sequence. A
+// two-bit-per-position kind bitmap (with a prefix count of each kind per
+// 64-bit word) says how each is kept:
+//
+//	kind        share*  kept as                       scanned as
+//	one-vertex   76 %   its target in singles (4 B)   Index.single[target]
+//	in-star      18 %   one (edgeID, c) per member    Index.single[target],
+//	                    but the target (12 B), and    and a threshold per
+//	                    an end offset (4 B)           member (Index.tier)
+//	deeper        6 %   a 12-byte graphRec, verts,    postings + reachMask
+//	                    outStart and the CSR arrays
+//	                    outTo, edgeID, c
+//
+//	* of the graphs of dataset A (bench/: 15 000 users, 200 000 edges,
+//	  θ = 200 000)
+//
+// A one-vertex graph — the target, whose in-edges all drew dead — is a hit
+// for its target under every tag set and for nobody else. An in-star is a
+// graph whose every member but the target has one edge, straight to the
+// target: it too is a hit for its target always, and for member u on edge
+// e exactly when p(e|W) ≥ c, so a scan decides it from the threshold
+// alone, with no posting and no traversal; its member and target are the
+// edge's endpoints in the graph, so an entry needs neither. Both kinds
+// count in their target's direct hits (Index.single); an in-star's
+// members find their (edge, c) entries in the threshold tier, one window
+// per user sorted by (edge, c) (graphStore.tier). The deeper graphs lie
+// in five flat, pointer-free arrays (verts, outStart, outTo, edgeID, c),
+// back to back, with one graphRec each (target, first vertex, first edge;
+// a sentinel record closes the list), and only they have postings. A scan
+// builds graph gi's RRGraph view on its own stack (graphStore.view, one
+// popcount rank from position to record), so the reachability kernels
+// walk the same five slices they always did while the index holds no
+// per-graph headers. On dataset A the INDEXEST+ footprint is 3.03 MiB:
+// the deeper graphs' store and postings, 152 056 singles, 38 478 in-star
+// entries with their 0.20 MiB tier, and the per-user counts (4.20 MiB
+// with in-stars as graphs, 8.16 MiB with one-vertex ones too).
+//
+// add, push and concat are the one place graphs are sorted into kinds, so
+// Build, the parallel merge, the file reader, DelayMat recovery and
+// repair all divert alike. Parallel Build workers fill per-worker stores
+// that are merged once, in worker order, so the result is still
+// deterministic per (Seed, Workers). The per-user postings lists are
+// windows into one shared int32 arena. Incremental Repair keeps the
+// copy-on-write contract at store granularity: it writes a fresh, exactly
+// sized store in one ordered pass (see repair.go) and re-derives the tier
+// and direct counts from it, so concurrent readers of the old index are
+// never affected and no generation pins another's graphs. Positions
+// survive a repair, so a graph that changes kind keeps its place and
+// clean users keep their postings lists. The file layout (serialize.go)
+// still lists every graph in full.
 //
 // # Sharded mode
 //
@@ -70,6 +96,7 @@
 package rrindex
 
 import (
+	"cmp"
 	"errors"
 	"iter"
 	"math"
@@ -79,7 +106,6 @@ import (
 
 	"pitex/internal/graph"
 	"pitex/internal/rng"
-	"pitex/internal/sampling"
 )
 
 // RRGraph is one sampled reverse-reachable graph (Def. 2): the vertices
@@ -104,15 +130,6 @@ type RRGraph struct {
 	edgeID   []graph.EdgeID
 	c        []float64
 }
-
-// Target returns the vertex this RR-Graph was sampled for.
-func (r *RRGraph) Target() graph.VertexID { return r.target }
-
-// NumVertices returns |V(v)|.
-func (r *RRGraph) NumVertices() int { return len(r.verts) }
-
-// NumEdges returns |E(v)|.
-func (r *RRGraph) NumEdges() int { return len(r.edgeID) }
 
 // localID returns the local index of global vertex v, or -1.
 func (r *RRGraph) localID(v graph.VertexID) int32 {
@@ -154,9 +171,9 @@ func newGenScratch(numVertices int) *genScratch {
 	}
 }
 
-// graphRec locates multi-vertex graph i of a graphStore: its target and
-// the offsets of its first vertex (v) and first edge (e). A store keeps one
-// record per multi-vertex graph plus a sentinel holding the totals (its
+// graphRec locates deeper graph i of a graphStore: its target and the
+// offsets of its first vertex (v) and first edge (e). A store keeps one
+// record per deeper graph plus a sentinel holding the totals (its
 // target unused), so graph i's vertex count is recs[i+1].v − recs[i].v and
 // its edge count the same with e; its outStart window (n+1 entries)
 // begins at recs[i].v + i.
@@ -167,20 +184,34 @@ type graphRec struct {
 
 const graphRecBytes = 12
 
-// kindWord is 64 positions of a store's kind bitmap, bit set for a
-// one-vertex graph, with the number of one-vertex graphs before them. A
-// store's last word always has room: it is appended when the one before
-// it fills, so every position up to size() has a word.
+// graphKind is how a store keeps one of its graphs.
+type graphKind uint8
+
+const (
+	// deeper: a record and CSR windows.
+	deeper graphKind = iota
+	// oneVertex: its target in singles.
+	oneVertex
+	// inStar: its entries, one (edge, c) per member besides the target,
+	// each edge from that member straight to the target.
+	inStar
+)
+
+// kindWord is 64 positions of a store's kind bitmap: a bit set in one for
+// a one-vertex graph, in star for an in-star (neither for a deeper
+// graph), with the number of each kind before them. A store's last word
+// always has room: it is appended when the one before it fills, so every
+// position up to size() has a word.
 type kindWord struct {
-	bits uint64
-	rank uint32
+	one, star         uint64
+	oneRank, starRank uint32
 }
 
-const kindWordBytes = 16
+const kindWordBytes = 24
 
 // errStoreFull reports a shard whose graphs outgrow the store's uint32
 // offsets: more than math.MaxUint32 outStart entries plus one-vertex
-// graphs, or edges.
+// graphs, or edges, or in-star entries.
 var errStoreFull = errors.New("rrindex: shard's RR-Graphs exceed the store's 2^32-1 vertex or edge offsets")
 
 // offsetsFit reports whether a store of outStartLen outStart entries and
@@ -190,21 +221,29 @@ func offsetsFit(outStartLen, edges int64) bool {
 }
 
 // graphStore is one shard's RR-Graphs as flat, pointer-free arrays. A
-// graph is its position in the sequence. A one-vertex graph — its target,
-// no edges, a hit only for the target itself — is a bit in kinds and its
-// target in singles, nothing more. The multi-vertex graphs lie back to
-// back: members in verts, each one's local CSR in outStart
-// (graph-relative edge positions, n+1 per graph) and in outTo, edgeID and
-// c, and one graphRec each. view builds the RRGraph of a position, on the
-// caller's stack, with one popcount rank. Build, the parallel merge, the
-// file reader, DelayMat recovery and repair append into stores through
-// push and concat, the one place one-vertex graphs are diverted, and a
-// store is never mutated once published.
+// graph is its position in the sequence, and the kind bitmap says how it
+// is kept:
+//   - a one-vertex graph — its target, no edges, a hit only for the
+//     target itself — is its target in singles, nothing more;
+//   - an in-star — every member but the target on one edge straight to
+//     it — is its entries: one (edgeID, c) per member, in member order,
+//     the member and the target being the edge's endpoints in g;
+//   - a deeper graph lies back to back with the others: members in verts,
+//     its local CSR in outStart (graph-relative edge positions, n+1 per
+//     graph) and in outTo, edgeID and c, and one graphRec.
+//
+// view builds the RRGraph of a position, on the caller's stack, with one
+// popcount rank (an in-star's is rebuilt from its entries). Build, the
+// parallel merge, the file reader, DelayMat recovery and repair append
+// into stores through add, push and concat, the one place graphs are
+// sorted into kinds, and a store is never mutated once published.
 //
 // A DelayMat's repair bookkeeping is a store's vertex half only: records
-// and verts, with members in sampling order, e always 0 and no CSR.
+// and verts, with members in sampling order, e always 0 and no CSR; it
+// keeps no in-stars.
 type graphStore struct {
-	recs     []graphRec // one per multi-vertex graph, then the sentinel
+	g        *graph.Graph // the edges' endpoints
+	recs     []graphRec   // one per deeper graph, then the sentinel
 	verts    []graph.VertexID
 	outStart []int32
 	outTo    []int32
@@ -212,89 +251,183 @@ type graphStore struct {
 	c        []float64
 	kinds    []kindWord
 	singles  []graph.VertexID // one-vertex graphs' targets, in order
+	// starEnd[r] ends in-star r's entries in starEdge and starC, which
+	// begin where in-star r-1's end (at 0 for r = 0).
+	starEnd  []uint32
+	starEdge []graph.EdgeID
+	starC    []float64
 }
 
-// newStore returns an empty store.
-func newStore() *graphStore { return &graphStore{recs: []graphRec{{}}, kinds: []kindWord{{}}} }
+// newStore returns an empty store over g.
+func newStore(g *graph.Graph) *graphStore {
+	return &graphStore{g: g, recs: []graphRec{{}}, kinds: []kindWord{{}}}
+}
 
 // size returns the number of graphs in the store.
-func (s *graphStore) size() int { return len(s.recs) - 1 + len(s.singles) }
+func (s *graphStore) size() int { return len(s.recs) - 1 + len(s.singles) + len(s.starEnd) }
 
 // reset empties the store, keeping its capacity.
 func (s *graphStore) reset() {
-	*s = graphStore{recs: append(s.recs[:0], graphRec{}), verts: s.verts[:0],
+	*s = graphStore{g: s.g, recs: append(s.recs[:0], graphRec{}), verts: s.verts[:0],
 		outStart: s.outStart[:0], outTo: s.outTo[:0], edgeID: s.edgeID[:0], c: s.c[:0],
-		kinds: append(s.kinds[:0], kindWord{}), singles: s.singles[:0]}
+		kinds: append(s.kinds[:0], kindWord{}), singles: s.singles[:0],
+		starEnd: s.starEnd[:0], starEdge: s.starEdge[:0], starC: s.starC[:0]}
 }
 
-// rank returns how many graphs before position pos (≤ size()) have one
-// vertex.
-func (s *graphStore) rank(pos int) int {
-	w := s.kinds[pos>>6]
-	return int(w.rank) + bits.OnesCount64(w.bits&(1<<(pos&63)-1))
+// ranks returns how many graphs before position pos (≤ size()) have one
+// vertex and how many are in-stars.
+func (s *graphStore) ranks(pos int) (ones, stars int) {
+	w, below := s.kinds[pos>>6], uint64(1)<<(pos&63)-1
+	return int(w.oneRank) + bits.OnesCount64(w.one&below), int(w.starRank) + bits.OnesCount64(w.star&below)
 }
 
-// locate returns where graph pos lives: singles[i] when it has one
-// vertex, recs[i] otherwise.
-func (s *graphStore) locate(pos int) (single bool, i int) {
-	k := s.rank(pos)
-	if s.kinds[pos>>6].bits>>(pos&63)&1 != 0 {
-		return true, k
+// locate returns how graph pos is kept and where: singles[i], in-star i,
+// or recs[i].
+func (s *graphStore) locate(pos int) (graphKind, int) {
+	ones, stars := s.ranks(pos)
+	w, b := s.kinds[pos>>6], pos&63
+	switch {
+	case w.one>>b&1 != 0:
+		return oneVertex, ones
+	case w.star>>b&1 != 0:
+		return inStar, stars
 	}
-	return false, pos - k
+	return deeper, pos - ones - stars
 }
+
+// starOffset returns where in-star r's entries begin (r ≤ the in-star
+// count).
+func (s *graphStore) starOffset(r int) int {
+	if r == 0 {
+		return 0
+	}
+	return int(s.starEnd[r-1])
+}
+
+// starEntries returns the bounds of in-star r's entries.
+func (s *graphStore) starEntries(r int) (lo, hi int) { return s.starOffset(r), int(s.starEnd[r]) }
 
 // target returns graph pos's target.
 func (s *graphStore) target(pos int) graph.VertexID {
-	single, i := s.locate(pos)
-	if single {
+	switch k, i := s.locate(pos); k {
+	case oneVertex:
 		return s.singles[i]
+	case inStar:
+		return s.g.EdgeTo(s.starEdge[s.starOffset(i)])
+	default:
+		return s.recs[i].target
 	}
-	return s.recs[i].target
 }
 
-// members returns graph pos's member vertices.
+// members returns graph pos's member vertices (an in-star's in a fresh
+// slice).
 func (s *graphStore) members(pos int) []graph.VertexID {
-	single, i := s.locate(pos)
-	if single {
-		return s.singles[i : i+1 : i+1]
+	if k, i := s.locate(pos); k == deeper {
+		return s.verts[s.recs[i].v:s.recs[i+1].v]
 	}
-	return s.verts[s.recs[i].v:s.recs[i+1].v]
+	return s.view(pos).verts
 }
 
 // posted returns the members whose postings list graph pos: all of a
-// multi-vertex graph's (it has two or more), none of a one-vertex graph's
-// (its target's count carries it, see Index.single).
+// deeper graph's, none of a one-vertex graph's or an in-star's (their
+// target's direct count and the threshold tier carry them, see
+// Index.single and Index.tier).
 func (s *graphStore) posted(pos int) []graph.VertexID {
-	if m := s.members(pos); len(m) > 1 {
-		return m
+	if k, i := s.locate(pos); k == deeper {
+		return s.verts[s.recs[i].v:s.recs[i+1].v]
 	}
 	return nil
 }
 
-// multiPositions appends the positions of the multi-vertex graphs to dst.
-func (s *graphStore) multiPositions(dst []int32) []int32 {
-	for pos := range s.size() {
-		if s.posted(pos) != nil {
-			dst = append(dst, int32(pos))
-		}
-	}
-	return dst
-}
-
-// eachSingle calls f with the position and target of every one-vertex
-// graph, in order.
-func (s *graphStore) eachSingle(f func(pos int, target graph.VertexID)) {
+// each calls f with the position and the kind index of every graph of
+// kind k — oneVertex or inStar — in order.
+func (s *graphStore) each(k graphKind, f func(pos, i int)) {
 	for w, kw := range s.kinds {
-		k := int(kw.rank)
-		for b := kw.bits; b != 0; b &= b - 1 {
-			f(w<<6+bits.TrailingZeros64(b), s.singles[k])
-			k++
+		b, i := kw.one, int(kw.oneRank)
+		if k == inStar {
+			b, i = kw.star, int(kw.starRank)
+		}
+		for ; b != 0; b &= b - 1 {
+			f(w<<6+bits.TrailingZeros64(b), i)
+			i++
 		}
 	}
 }
 
-// maxSize returns the largest multi-vertex graph's vertex count.
+// countDirect adds to direct[t], for every target t, its one-vertex
+// graphs and in-stars: the graphs that are a hit for their target, and
+// for it alone, under every tag set without being walked.
+func (s *graphStore) countDirect(direct []int32) {
+	for _, t := range s.singles {
+		direct[t]++
+	}
+	for r := range s.starEnd {
+		direct[s.g.EdgeTo(s.starEdge[s.starOffset(r)])]++
+	}
+}
+
+// tier groups the in-star entries by member: user u's memberships are
+// entries[start[u]:start[u+1]], indices into starEdge and starC sorted by
+// (edge, c). Member u on edge e of an in-star is a hit under W exactly
+// when p(e|W) ≥ c, so these thresholds are all a scan needs of them.
+func (s *graphStore) tier(numVertices int) (start, entries []uint32) {
+	start = make([]uint32, numVertices+1)
+	for _, e := range s.starEdge {
+		start[s.g.EdgeFrom(e)+1]++
+	}
+	for u := range numVertices {
+		start[u+1] += start[u]
+	}
+	entries = make([]uint32, len(s.starEdge))
+	// Fill through start[u] as u's cursor, then shift the ends back.
+	for i, e := range s.starEdge {
+		u := s.g.EdgeFrom(e)
+		entries[start[u]] = uint32(i)
+		start[u]++
+	}
+	copy(start[1:], start[:numVertices])
+	start[0] = 0
+	for u := range numVertices {
+		if start[u+1]-start[u] > 1 {
+			s.sortThresholds(entries[start[u]:start[u+1]])
+		}
+	}
+	return start, entries
+}
+
+// sortThresholds sorts in-star entries by (edge, c).
+func (s *graphStore) sortThresholds(entries []uint32) {
+	slices.SortFunc(entries, func(a, b uint32) int {
+		if c := cmp.Compare(s.starEdge[a], s.starEdge[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(s.starC[a], s.starC[b])
+	})
+}
+
+// split sorts a store whose every graph contains u — a DelayMat recovery
+// — the way an index's postings do: it appends the deeper graphs'
+// positions to posts and u's in-star entries, sorted by (edge, c), to
+// stars, and counts the rest, the graphs whose target is u, in direct.
+func (s *graphStore) split(u graph.VertexID, posts []int32, stars []uint32) (_ []int32, _ []uint32, direct int) {
+	posts, stars = slices.Grow(posts, len(s.recs)-1), slices.Grow(stars, len(s.starEnd))
+	for pos := range s.size() {
+		switch k, r := s.locate(pos); {
+		case k == deeper:
+			posts = append(posts, int32(pos))
+		case k == oneVertex || s.target(pos) == u:
+			direct++
+		default:
+			lo, hi := s.starEntries(r)
+			i := lo + slices.IndexFunc(s.starEdge[lo:hi], func(e graph.EdgeID) bool { return s.g.EdgeFrom(e) == u })
+			stars = append(stars, uint32(i))
+		}
+	}
+	s.sortThresholds(stars)
+	return posts, stars, direct
+}
+
+// maxSize returns the largest deeper graph's vertex count.
 func (s *graphStore) maxSize() int {
 	m := 0
 	for i := 0; i+1 < len(s.recs); i++ {
@@ -308,11 +441,22 @@ var oneVertexStart = [2]int32{}
 
 // view returns graph pos as an RRGraph whose slices are windows of the
 // store (capacity-clipped, so the view cannot write past its graph); a
-// one-vertex graph is rebuilt from its target.
-func (s *graphStore) view(pos int) RRGraph {
-	single, i := s.locate(pos)
-	if single {
+// one-vertex graph is rebuilt from its target, and an in-star from its
+// entries (starView).
+func (s *graphStore) view(pos int) RRGraph { return s.viewInto(pos, nil) }
+
+// viewInto is view, rebuilding an in-star in buf's slices (fresh ones
+// when buf is nil), so the result is valid until buf's next use.
+func (s *graphStore) viewInto(pos int, buf *RRGraph) RRGraph {
+	k, i := s.locate(pos)
+	switch k {
+	case oneVertex:
 		return RRGraph{target: s.singles[i], verts: s.singles[i : i+1 : i+1], outStart: oneVertexStart[:]}
+	case inStar:
+		if buf == nil {
+			buf = new(RRGraph)
+		}
+		return s.starView(i, buf)
 	}
 	r0, r1 := s.recs[i], s.recs[i+1]
 	so := int(r0.v) + i
@@ -327,13 +471,40 @@ func (s *graphStore) view(pos int) RRGraph {
 	}
 }
 
-// appendKinds appends k ≤ 64 kinds, the low bits of b, at position q, the
-// store's graph count so far.
-func (s *graphStore) appendKinds(q int, b uint64, k int) {
+// starView rebuilds in-star r as add would have laid it out: its members
+// sorted, the target at local index k among them, and each other
+// member's one edge, in member order, to k. The edge arrays are windows
+// of the entries; the rest reuses buf's slices.
+func (s *graphStore) starView(r int, buf *RRGraph) RRGraph {
+	lo, hi := s.starEntries(r)
+	rr := RRGraph{target: s.g.EdgeTo(s.starEdge[lo]), verts: buf.verts[:0], outStart: buf.outStart[:0],
+		outTo: buf.outTo[:0], edgeID: s.starEdge[lo:hi:hi], c: s.starC[lo:hi:hi]}
+	for _, e := range rr.edgeID {
+		rr.verts = append(rr.verts, s.g.EdgeFrom(e))
+	}
+	k, _ := slices.BinarySearch(rr.verts, rr.target)
+	rr.verts = slices.Insert(rr.verts, k, rr.target)
+	for v := range rr.verts {
+		rr.outStart = append(rr.outStart, int32(min(v, k)+max(v-k-1, 0))) // the target has no edge
+	}
+	rr.outStart = append(rr.outStart, int32(hi-lo))
+	for range hi - lo {
+		rr.outTo = append(rr.outTo, int32(k))
+	}
+	*buf = rr
+	return rr
+}
+
+// appendKinds appends k ≤ 64 kinds at position q, the store's graph count
+// so far: bit i of one marks a one-vertex graph, of star an in-star.
+func (s *graphStore) appendKinds(q int, one, star uint64, k int) {
 	off, last := q&63, &s.kinds[len(s.kinds)-1]
-	last.bits |= b << off
+	last.one |= one << off
+	last.star |= star << off
 	if off+k >= 64 {
-		s.kinds = append(s.kinds, kindWord{bits: b >> (64 - off), rank: last.rank + uint32(bits.OnesCount64(last.bits))})
+		s.kinds = append(s.kinds, kindWord{one: one >> (64 - off), star: star >> (64 - off),
+			oneRank:  last.oneRank + uint32(bits.OnesCount64(last.one)),
+			starRank: last.starRank + uint32(bits.OnesCount64(last.star))})
 	}
 }
 
@@ -349,15 +520,47 @@ func (s *graphStore) push(target graph.VertexID, members []graph.VertexID, m int
 		return false, errStoreFull
 	}
 	if len(members) == 1 && m == 0 {
-		s.appendKinds(s.size(), 1, 1)
+		s.appendKinds(s.size(), 1, 0, 1)
 		s.singles = append(s.singles, target)
 		return true, nil
 	}
-	s.appendKinds(s.size(), 0, 1)
+	s.appendKinds(s.size(), 0, 0, 1)
 	last.target = target
 	s.verts = append(s.verts, members...)
 	s.recs = append(s.recs, graphRec{v: uint32(len(s.verts)), e: last.e + uint32(m)})
 	return false, nil
+}
+
+// pushStar stores the graph staged in sc — members sorted, localOf set —
+// as an in-star when it is one: m = n−1 ≥ 1 edges, each into the target
+// from a distinct other member. Its entries go in member order, the order
+// its CSR would list them. seen is zeroed scratch of length n. It reports
+// whether the graph was stored, and refuses, leaving s unchanged, a graph
+// of that size the uint32 entry offsets cannot address.
+func (s *graphStore) pushStar(target graph.VertexID, sc *genScratch, seen []int32) (bool, error) {
+	m, base, lt := len(sc.edges), len(s.starEdge), sc.localOf[target]
+	switch {
+	case m == 0 || m != len(sc.members)-1:
+		return false, nil
+	case !offsetsFit(0, int64(base+m)):
+		return false, errStoreFull
+	}
+	s.starEdge, s.starC = grown(s.starEdge, m), grown(s.starC, m)
+	for _, e := range sc.edges {
+		slot := sc.localOf[e.from]
+		if e.to != target || slot == lt || seen[slot] != 0 {
+			s.starEdge, s.starC = s.starEdge[:base], s.starC[:base]
+			return false, nil
+		}
+		seen[slot] = 1
+		if slot > lt {
+			slot--
+		}
+		s.starEdge[base+int(slot)], s.starC[base+int(slot)] = e.id, e.c
+	}
+	s.appendKinds(s.size(), 0, 1, 1)
+	s.starEnd = append(s.starEnd, uint32(base+m))
+	return true, nil
 }
 
 // grown returns s extended by n elements; callers overwrite every added
@@ -368,25 +571,29 @@ func grown[T any](s []T, n int) []T {
 
 // add assembles the graph staged in sc (members + surviving edges) into
 // the store: members are sorted, localOf built once per graph, and the
-// CSR filled with a counting sort — O(V log V + E) per graph with no
-// per-graph allocations.
+// graph kept by its kind — a deeper graph's CSR filled with a counting
+// sort — O(V log V + E) per graph with no per-graph allocations.
 func (s *graphStore) add(target graph.VertexID, sc *genScratch) error {
 	members, edges := sc.members, sc.edges
 	n, m := len(members), len(edges)
 	slices.Sort(members)
-	if single, err := s.push(target, members, m); single || err != nil {
-		return err
-	}
 	for i, v := range members {
 		sc.localOf[v] = int32(i)
+	}
+	sc.pos = slices.Grow(sc.pos[:0], n)[:n]
+	pos := sc.pos
+	clear(pos)
+	if star, err := s.pushStar(target, sc, pos); star || err != nil {
+		return err
+	}
+	if single, err := s.push(target, members, m); single || err != nil {
+		return err
 	}
 
 	sb := len(s.outStart)
 	s.outStart = grown(s.outStart, n+1)
 	start := s.outStart[sb:]
-	for i := range start {
-		start[i] = 0
-	}
+	clear(start)
 	for i := range edges {
 		start[sc.localOf[edges[i].from]+1]++
 	}
@@ -399,13 +606,7 @@ func (s *graphStore) add(target graph.VertexID, sc *genScratch) error {
 	s.edgeID = grown(s.edgeID, m)
 	s.c = grown(s.c, m)
 	outTo, eid, cs := s.outTo[eb:], s.edgeID[eb:], s.c[eb:]
-	if cap(sc.pos) < n {
-		sc.pos = make([]int32, n)
-	}
-	pos := sc.pos[:n]
-	for i := range pos {
-		pos[i] = 0
-	}
+	clear(pos)
 	for i := range edges {
 		e := &edges[i]
 		lf := sc.localOf[e.from]
@@ -424,46 +625,82 @@ type storeRange struct {
 	lo, hi int
 }
 
-// concat writes the ranges, in order, into one exactly sized new store:
-// kinds up to 64 at a time, one bulk copy per other array and range, the
-// records rebased. The CSR arrays are copied from stores that have them
-// (a DelayMat member store has none). It is the build's merge and
-// repair's splice; rs is walked twice, once to size the store and once to
-// fill it.
-func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
-	var graphs, singles, verts, edges int
-	csr := false
-	for r := range rs {
-		a, b := r.s.recs[r.lo-r.s.rank(r.lo)], r.s.recs[r.hi-r.s.rank(r.hi)]
-		graphs += r.hi - r.lo
-		singles += r.s.rank(r.hi) - r.s.rank(r.lo)
-		verts += int(b.v - a.v)
-		edges += int(b.e - a.e)
-		csr = csr || len(r.s.outStart) > 0
-	}
-	if !offsetsFit(int64(verts)+int64(graphs), int64(edges)) {
+// storeSize counts what graphs of stores hold: graphs, one-vertex graphs,
+// in-stars and their entries, and the deeper graphs' vertices and edges.
+type storeSize struct {
+	graphs, singles, stars, entries, verts, edges int
+	csr                                           bool // a CSR, not a DelayMat member store
+}
+
+// add counts graphs [lo, hi) of s.
+func (n *storeSize) add(s *graphStore, lo, hi int) {
+	o0, s0 := s.ranks(lo)
+	o1, s1 := s.ranks(hi)
+	a, b := s.recs[lo-o0-s0], s.recs[hi-o1-s1]
+	n.graphs, n.singles, n.stars = n.graphs+hi-lo, n.singles+o1-o0, n.stars+s1-s0
+	n.entries += s.starOffset(s1) - s.starOffset(s0)
+	n.verts, n.edges = n.verts+int(b.v-a.v), n.edges+int(b.e-a.e)
+	n.csr = n.csr || len(s.outStart) > 0
+}
+
+// alloc returns an empty store over g with room for exactly n, or
+// errStoreFull when its uint32 offsets cannot address n.
+func (n storeSize) alloc(g *graph.Graph) (*graphStore, error) {
+	if !offsetsFit(int64(n.verts)+int64(n.graphs), int64(n.edges)) || !offsetsFit(0, int64(n.entries)) {
 		return nil, errStoreFull
 	}
+	deep := n.graphs - n.singles - n.stars
 	out := &graphStore{
-		recs:    append(make([]graphRec, 0, graphs-singles+1), graphRec{}),
-		verts:   make([]graph.VertexID, 0, verts),
-		kinds:   append(make([]kindWord, 0, graphs/64+1), kindWord{}),
-		singles: make([]graph.VertexID, 0, singles),
+		g:        g,
+		recs:     append(make([]graphRec, 0, deep+1), graphRec{}),
+		verts:    make([]graph.VertexID, 0, n.verts),
+		kinds:    append(make([]kindWord, 0, n.graphs/64+1), kindWord{}),
+		singles:  make([]graph.VertexID, 0, n.singles),
+		starEnd:  make([]uint32, 0, n.stars),
+		starEdge: make([]graph.EdgeID, 0, n.entries),
+		starC:    make([]float64, 0, n.entries),
 	}
-	if csr {
-		out.outStart = make([]int32, 0, verts+graphs-singles)
-		out.outTo = make([]int32, 0, edges)
-		out.edgeID = make([]graph.EdgeID, 0, edges)
-		out.c = make([]float64, 0, edges)
+	if n.csr {
+		out.outStart = make([]int32, 0, n.verts+deep)
+		out.outTo = make([]int32, 0, n.edges)
+		out.edgeID = make([]graph.EdgeID, 0, n.edges)
+		out.c = make([]float64, 0, n.edges)
+	}
+	return out, nil
+}
+
+// concat writes the ranges, in order, into one exactly sized new store
+// over g: kinds up to 64 at a time, one bulk copy per other array and
+// range, the records and in-star ends rebased. The CSR arrays are copied
+// from stores that have them (a DelayMat member store has none). It is
+// the build's merge and repair's splice; rs is walked twice, once to size
+// the store and once to fill it.
+func concat(g *graph.Graph, rs iter.Seq[storeRange]) (*graphStore, error) {
+	var n storeSize
+	for r := range rs {
+		n.add(r.s, r.lo, r.hi)
+	}
+	out, err := n.alloc(g)
+	if err != nil {
+		return nil, err
 	}
 	for r := range rs {
 		for p := r.lo; p < r.hi; {
 			k := min(64-p&63, r.hi-p)
-			out.appendKinds(out.size()+p-r.lo, r.s.kinds[p>>6].bits>>(p&63)&(1<<k-1), k)
+			w, sh, mask := r.s.kinds[p>>6], p&63, uint64(1)<<k-1
+			out.appendKinds(out.size()+p-r.lo, w.one>>sh&mask, w.star>>sh&mask, k)
 			p += k
 		}
-		lo, hi := r.lo-r.s.rank(r.lo), r.hi-r.s.rank(r.hi)
-		out.singles = append(out.singles, r.s.singles[r.s.rank(r.lo):r.s.rank(r.hi)]...)
+		o0, s0 := r.s.ranks(r.lo)
+		o1, s1 := r.s.ranks(r.hi)
+		out.singles = append(out.singles, r.s.singles[o0:o1]...)
+		e0, e1 := r.s.starOffset(s0), r.s.starOffset(s1)
+		for _, end := range r.s.starEnd[s0:s1] {
+			out.starEnd = append(out.starEnd, uint32(len(out.starEdge)+int(end)-e0))
+		}
+		out.starEdge = append(out.starEdge, r.s.starEdge[e0:e1]...)
+		out.starC = append(out.starC, r.s.starC[e0:e1]...)
+		lo, hi := r.lo-o0-s0, r.hi-o1-s1
 		a, b := r.s.recs[lo], r.s.recs[hi]
 		base := out.recs[len(out.recs)-1]
 		out.recs = out.recs[:len(out.recs)-1]
@@ -482,10 +719,10 @@ func concat(rs iter.Seq[storeRange]) (*graphStore, error) {
 	return out, nil
 }
 
-// mergeStores concatenates per-worker stores, in order, into one exactly
-// sized store.
-func mergeStores(bs ...*graphStore) (*graphStore, error) {
-	return concat(func(yield func(storeRange) bool) {
+// mergeStores concatenates per-worker stores over g, in order, into one
+// exactly sized store.
+func mergeStores(g *graph.Graph, bs ...*graphStore) (*graphStore, error) {
+	return concat(g, func(yield func(storeRange) bool) {
 		for _, b := range bs {
 			if !yield(storeRange{b, 0, b.size()}) {
 				return
@@ -496,9 +733,10 @@ func mergeStores(bs ...*graphStore) (*graphStore, error) {
 
 // spliceStores is repair's one ordered pass: old's graphs in order, each
 // graph gi with resampled[gi] replaced by fresh's next graph, then
-// fresh's remaining (appended) graphs. Untouched runs copy in bulk.
+// fresh's remaining (appended) graphs. Untouched runs copy in bulk. The
+// result is over fresh's graph.
 func spliceStores(old, fresh *graphStore, resampled []bool) (*graphStore, error) {
-	return concat(func(yield func(storeRange) bool) {
+	return concat(fresh.g, func(yield func(storeRange) bool) {
 		lo, j := 0, 0
 		for gi, re := range resampled {
 			if re {
@@ -514,11 +752,27 @@ func spliceStores(old, fresh *graphStore, resampled []bool) (*graphStore, error)
 	})
 }
 
+// newStoreLike returns an empty store over g with room for the graphs of
+// s at the positions marked in like: repair re-samples those positions
+// from their targets, so their sizes are its best guess at what it will
+// add (more only grows the arrays).
+func newStoreLike(g *graph.Graph, s *graphStore, like []bool) *graphStore {
+	var n storeSize
+	for pos, m := range like {
+		if m {
+			n.add(s, pos, pos+1)
+		}
+	}
+	out, _ := n.alloc(g) // a subset of s's graphs fits wherever s does
+	return out
+}
+
 // footprint returns the bytes the store retains, by capacity.
 func (s *graphStore) footprint() int64 {
 	return int64(cap(s.recs))*graphRecBytes + int64(cap(s.kinds))*kindWordBytes +
 		int64(cap(s.verts))*4 + int64(cap(s.singles))*4 + int64(cap(s.outStart))*4 +
-		int64(cap(s.outTo))*4 + int64(cap(s.edgeID))*4 + int64(cap(s.c))*8
+		int64(cap(s.outTo))*4 + int64(cap(s.edgeID))*4 + int64(cap(s.c))*8 +
+		int64(cap(s.starEnd))*4 + int64(cap(s.starEdge))*4 + int64(cap(s.starC))*8
 }
 
 // generate samples the RR-Graph of target on g into ab: a reverse BFS
@@ -560,39 +814,4 @@ func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScrat
 		sc.mark[m] = false
 	}
 	return s.add(target, sc)
-}
-
-// Reaches is the tag-aware reachability test of Def. 3: whether u reaches
-// the target through a path whose every edge satisfies p(e|W) ≥ c(e),
-// where p(e|W) comes from prober. visited is caller scratch with length at
-// least NumVertices(), reset by the caller between uses via the stamp.
-func (r *RRGraph) Reaches(u graph.VertexID, prober sampling.EdgeProber, visited []int64, stamp int64) bool {
-	lu := r.localID(u)
-	if lu < 0 {
-		return false
-	}
-	lt := r.localID(r.target)
-	if lu == lt {
-		return true
-	}
-	stack := []int32{lu}
-	visited[lu] = stamp
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i := r.outStart[v]; i < r.outStart[v+1]; i++ {
-			if prober.Prob(r.edgeID[i]) < r.c[i] {
-				continue
-			}
-			t := r.outTo[i]
-			if t == lt {
-				return true
-			}
-			if visited[t] != stamp {
-				visited[t] = stamp
-				stack = append(stack, t)
-			}
-		}
-	}
-	return false
 }

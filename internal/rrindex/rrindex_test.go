@@ -147,7 +147,7 @@ func TestStoreRefusesOffsetOverflow(t *testing.T) {
 		{{big, 0, 1}, {big, 0, 1}},  // vertices overflow
 		{{big, 0, 1}, {edge, 0, 1}}, // edges overflow
 	} {
-		if _, err := concat(slices.Values(rs)); !errors.Is(err, errStoreFull) {
+		if _, err := concat(nil, slices.Values(rs)); !errors.Is(err, errStoreFull) {
 			t.Errorf("concat past the offsets: %v", err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestRRGraphStructure(t *testing.T) {
 	g := fixture.Graph()
 	r := rng.New(7)
 	sc := newGenScratch(g.NumVertices())
-	st := newStore()
+	st := newStore(g)
 	var targets []graph.VertexID
 	for i := 0; i < 200; i++ {
 		target := graph.VertexID(r.Intn(g.NumVertices()))
@@ -223,40 +223,88 @@ func TestContainingListsConsistent(t *testing.T) {
 	checkPostings(t, "fixture", fixtureIndex(t))
 }
 
-// checkPostings checks idx's postings and one-vertex counts against its
-// graphs: every posted graph has several vertices, one of them the user;
-// every member of every multi-vertex graph is posted, once; and single[u]
-// is a recount of the one-vertex graphs of target u, which no list posts.
+// isInStar reports whether rr has the in-star shape: two or more
+// vertices, and every member but the target on one edge, straight to it.
+func isInStar(rr *RRGraph) bool {
+	lt := rr.localID(rr.target)
+	if rr.NumVertices() < 2 || rr.NumEdges() != rr.NumVertices()-1 || rr.outStart[lt] != rr.outStart[lt+1] {
+		return false
+	}
+	for v := int32(0); v < int32(rr.NumVertices()); v++ {
+		if v != lt && rr.outStart[v+1]-rr.outStart[v] != 1 {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(rr.outTo, func(to int32) bool { return to != lt })
+}
+
+// checkPostings checks idx's postings, threshold tier and direct counts
+// against its graphs, each rebuilt by view: a graph is kept as an in-star
+// exactly when it has the in-star shape; every posted graph is a deeper
+// one containing the user, and every member of every deeper graph is
+// posted, once; every member of an in-star but its target finds its one
+// edge and draw in its tier window, once, and each window is sorted by
+// (edge, c); and single[u] is a recount of the one-vertex graphs and
+// in-stars of target u, which no list posts.
 func checkPostings(t *testing.T, label string, idx *Index) {
 	t.Helper()
+	st := idx.graphs
 	posted := make(map[[2]int]bool)
 	for u := range idx.containing {
 		for _, gi := range idx.containing[u] {
-			if rr := idx.graphs.view(int(gi)); !rr.Contains(graph.VertexID(u)) || rr.NumVertices() == 1 {
-				t.Fatalf("%s: containing[%d] lists graph %d of %d vertices", label, u, gi, rr.NumVertices())
+			if k, _ := st.locate(int(gi)); k != deeper || !slices.Contains(st.members(int(gi)), graph.VertexID(u)) {
+				t.Fatalf("%s: containing[%d] lists graph %d of kind %d", label, u, gi, k)
 			}
 			posted[[2]int{u, int(gi)}] = true
 		}
 	}
-	single, members := make([]int32, len(idx.containing)), 0
-	for gi := 0; gi < idx.graphs.size(); gi++ {
-		rr := idx.graphs.view(gi)
-		if rr.NumVertices() == 1 {
-			single[rr.target]++
-			continue
-		}
-		for _, v := range rr.verts {
-			if !posted[[2]int{int(v), gi}] {
-				t.Fatalf("%s: graph %d member %d not posted", label, gi, v)
-			}
-		}
-		members += rr.NumVertices()
+	if len(idx.tierStart) != len(idx.containing)+1 {
+		t.Fatalf("%s: %d tier windows for %d users", label, len(idx.tierStart)-1, len(idx.containing))
 	}
-	if len(posted) != members {
-		t.Fatalf("%s: %d postings for %d multi-vertex memberships", label, len(posted), members)
+	tiered := make(map[[2]int]bool) // (member, entry)
+	for u := range idx.containing {
+		w := idx.stars(graph.VertexID(u))
+		for j, i := range w {
+			if j > 0 && (st.starEdge[w[j-1]] > st.starEdge[i] || st.starEdge[w[j-1]] == st.starEdge[i] && st.starC[w[j-1]] > st.starC[i]) {
+				t.Fatalf("%s: tier window of %d not sorted by (edge, c)", label, u)
+			}
+			tiered[[2]int{u, int(i)}] = true
+		}
+	}
+	single, members, entries := make([]int32, len(idx.containing)), 0, 0
+	for gi := 0; gi < st.size(); gi++ {
+		rr := st.view(gi)
+		k, r := st.locate(gi)
+		if (k == inStar) != isInStar(&rr) || (k == oneVertex) != (rr.NumVertices() == 1) {
+			t.Fatalf("%s: graph %d of %d vertices and %d edges kept as kind %d", label, gi, rr.NumVertices(), rr.NumEdges(), k)
+		}
+		switch k {
+		case oneVertex:
+			single[rr.target]++
+		case inStar:
+			single[rr.target]++
+			lo, _ := st.starEntries(r)
+			for j, e := range rr.edgeID {
+				if v := idx.g.EdgeFrom(e); !tiered[[2]int{int(v), lo + j}] || st.starC[lo+j] != rr.c[j] {
+					t.Fatalf("%s: in-star %d member %d not in its tier window", label, gi, v)
+				}
+			}
+			entries += rr.NumEdges()
+		default:
+			for _, v := range rr.verts {
+				if !posted[[2]int{int(v), gi}] {
+					t.Fatalf("%s: graph %d member %d not posted", label, gi, v)
+				}
+			}
+			members += rr.NumVertices()
+		}
+	}
+	if len(posted) != members || len(tiered) != entries {
+		t.Fatalf("%s: %d postings for %d deeper memberships, %d tier entries for %d in-star members",
+			label, len(posted), members, len(tiered), entries)
 	}
 	if !slices.Equal(single, idx.single) {
-		t.Fatalf("%s: one-vertex counts %v, recount %v", label, idx.single, single)
+		t.Fatalf("%s: direct counts %v, recount %v", label, idx.single, single)
 	}
 }
 

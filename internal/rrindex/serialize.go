@@ -136,30 +136,28 @@ func WriteShardedDelayMat(w io.Writer, sdm *ShardedDelayMat) error {
 }
 
 // writeGraphArrays writes one shard's graph set as an index body: graph
-// count, per-graph table, then each array in graph order — a one-vertex
-// graph written back in place as vertN 1, edgeN 0, verts [target] and
-// outStart [0, 0], the edge arrays (which it has no part of) in one bulk
-// call each.
+// count, per-graph table, then each array in graph order. Every graph is
+// written back in full and in place: a one-vertex graph as vertN 1,
+// edgeN 0, verts [target] and outStart [0, 0], an in-star as the graph
+// add would have laid out (starView). The arrays are gathered in one pass
+// over the graphs' views and written in bulk.
 func writeGraphArrays(lw *leWriter, idx *Index) {
-	st := idx.graphs
-	G := st.size()
-	lw.u64(uint64(G))
-	lw.u32s(G, func(i int) uint32 { return uint32(st.target(i)) })
-	lw.u32s(G, func(i int) uint32 { rr := st.view(i); return uint32(len(rr.verts)) })
-	lw.u32s(G, func(i int) uint32 { rr := st.view(i); return uint32(len(rr.edgeID)) })
-	for gi := 0; gi < G; gi++ {
-		rr := st.view(gi)
-		lw.u32s(len(rr.verts), func(i int) uint32 { return uint32(rr.verts[i]) })
+	st, buf := idx.graphs, new(RRGraph)
+	var targets, vertN, edgeN, verts, outStart, outTo, edgeID []int32
+	var cs []float64
+	for gi := range st.size() {
+		rr := st.viewInto(gi, buf)
+		targets = append(targets, rr.target)
+		vertN, edgeN = append(vertN, int32(len(rr.verts))), append(edgeN, int32(len(rr.edgeID)))
+		verts, outStart = append(verts, rr.verts...), append(outStart, rr.outStart...)
+		outTo, edgeID, cs = append(outTo, rr.outTo...), append(edgeID, rr.edgeID...), append(cs, rr.c...)
 	}
-	for gi := 0; gi < G; gi++ {
-		rr := st.view(gi)
-		lw.u32s(len(rr.outStart), func(i int) uint32 { return uint32(rr.outStart[i]) })
-	}
-	for _, a := range [][]int32{st.outTo, st.edgeID} {
+	lw.u64(uint64(st.size()))
+	for _, a := range [][]int32{targets, vertN, edgeN, verts, outStart, outTo, edgeID} {
 		lw.u32s(len(a), func(i int) uint32 { return uint32(a[i]) })
 	}
 	// A little-endian f64 is its low word, then its high word.
-	lw.u32s(2*len(st.c), func(i int) uint32 { return uint32(math.Float64bits(st.c[i/2]) >> (32 * (i % 2))) })
+	lw.u32s(2*len(cs), func(i int) uint32 { return uint32(math.Float64bits(cs[i/2]) >> (32 * (i % 2))) })
 }
 
 // leReader reads little-endian scalars and bulk arrays through one
@@ -215,25 +213,6 @@ func (lr *leReader) u32s(n int, f func(i int, v uint32)) {
 		}
 		for o := 0; o < k; o += 4 {
 			f(i, binary.LittleEndian.Uint32(buf[o:o+4]))
-			i++
-		}
-	}
-}
-
-// f64s streams n little-endian float64 words to f in large chunks.
-func (lr *leReader) f64s(n int, f func(i int, v float64)) {
-	buf := lr.chunk()
-	for i := 0; i < n && lr.err == nil; {
-		k := (n - i) * 8
-		if k > len(buf) {
-			k = len(buf) - len(buf)%8
-		}
-		if _, err := io.ReadFull(lr.r, buf[:k]); err != nil {
-			lr.err = err
-			return
-		}
-		for o := 0; o < k; o += 8 {
-			f(i, math.Float64frombits(binary.LittleEndian.Uint64(buf[o:o+8])))
 			i++
 		}
 	}
@@ -379,9 +358,10 @@ func readCounts(lr *leReader, g *graph.Graph, thetaS uint64) (*DelayMat, error) 
 }
 
 // readGraphArrays loads the file's arrays in one contiguous pass per
-// array, every graph as a record, then pushes the graphs into the store
-// it installs in idx, which diverts the one-vertex ones as a build does;
-// such a graph must be its target alone, with no edges. The graph count
+// array, every graph as a record, then adds the graphs to the store it
+// installs in idx, which sorts them into kinds as a build does; a
+// one-vertex graph must be its target alone, with no edges, and every
+// edge must join the members its CSR says it joins. The graph count
 // must equal idx.theta — build and repair keep one graph per sample, and
 // a short set would bias every estimate.
 // Array storage grows with append as payload actually arrives, so a
@@ -451,9 +431,16 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 		note(i, int(v) >= g.NumEdges())
 		st.edgeID = append(st.edgeID, graph.EdgeID(v))
 	})
-	lr.f64s(int(totE), func(i int, v float64) {
-		note(i, math.IsNaN(v) || v < 0 || v >= 1)
-		st.c = append(st.c, v)
+	// A little-endian f64 is its low word, then its high word.
+	var low uint32
+	lr.u32s(2*int(totE), func(i int, v uint32) {
+		if i%2 == 0 {
+			low = v
+			return
+		}
+		c := math.Float64frombits(uint64(v)<<32 | uint64(low))
+		note(i/2, math.IsNaN(c) || c < 0 || c >= 1)
+		st.c = append(st.c, c)
 	})
 	if lr.err != nil {
 		return fmt.Errorf("arenas: %w", lr.err)
@@ -461,7 +448,9 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 	if badAt >= 0 {
 		return fmt.Errorf("invalid arena value at offset %d", badAt)
 	}
-	// Per-graph structural invariants that bulk range checks cannot see.
+	// Per-graph structural invariants that bulk range checks cannot see;
+	// a graph that holds them joins the store as a build adds it.
+	out, sc := newStore(g), newGenScratch(g.NumVertices())
 	for gi := 0; gi < G; gi++ {
 		rr := st.view(gi)
 		n := int32(len(rr.verts))
@@ -476,27 +465,29 @@ func readGraphArrays(lr *leReader, g *graph.Graph, idx *Index) error {
 		if rr.outStart[0] != 0 || rr.outStart[n] != int32(len(rr.edgeID)) {
 			return fmt.Errorf("graph %d: CSR bounds corrupt", gi)
 		}
+		sc.members = append(sc.members[:0], rr.verts...)
+		sc.edges = sc.edges[:0]
 		for v := int32(0); v < n; v++ {
-			if rr.outStart[v+1] < rr.outStart[v] {
+			if rr.outStart[v+1] < rr.outStart[v] || rr.outStart[v+1] > rr.outStart[n] {
 				return fmt.Errorf("graph %d: CSR offsets decrease", gi)
 			}
-		}
-		for _, t := range rr.outTo {
-			if t < 0 || t >= n {
-				return fmt.Errorf("graph %d: head out of range", gi)
+			for i := rr.outStart[v]; i < rr.outStart[v+1]; i++ {
+				if t := rr.outTo[i]; t < 0 || t >= n {
+					return fmt.Errorf("graph %d: head out of range", gi)
+				}
+				e := rrEdge{from: rr.verts[v], to: rr.verts[rr.outTo[i]], id: rr.edgeID[i], c: rr.c[i]}
+				if g.EdgeFrom(e.id) != e.from || g.EdgeTo(e.id) != e.to {
+					return fmt.Errorf("graph %d: edge %d does not join the members it links", gi, e.id)
+				}
+				sc.edges = append(sc.edges, e)
 			}
 		}
-	}
-	out := newStore()
-	for gi := 0; gi < G; gi++ {
-		rr := st.view(gi)
 		// st's offsets fit, so out's, which address a subset, do too.
-		if single, _ := out.push(rr.target, rr.verts, len(rr.edgeID)); !single {
-			out.outStart, out.outTo = append(out.outStart, rr.outStart...), append(out.outTo, rr.outTo...)
-			out.edgeID, out.c = append(out.edgeID, rr.edgeID...), append(out.c, rr.c...)
+		if err := out.add(rr.target, sc); err != nil {
+			return err
 		}
 	}
 	var err error
-	idx.graphs, err = mergeStores(out)
+	idx.graphs, err = mergeStores(g, out)
 	return err
 }

@@ -360,13 +360,15 @@ func (si *ShardedIndex) MemoryFootprint() int64 {
 
 // ShardStat describes one shard of a sharded offline structure, the
 // /statsz per-shard row. Singletons counts an index shard's one-vertex
-// graphs, which it keeps as a count per target, not as graphs.
+// graphs, which it keeps as a count per target, not as graphs; InStars
+// its in-stars, which it keeps as per-member thresholds.
 type ShardStat struct {
 	Shard      int
 	Users      int
 	Theta      int64
 	Graphs     int
 	Singletons int
+	InStars    int
 	Bytes      int64
 	Repaired   int64
 }
@@ -381,6 +383,7 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 			Theta:      sh.theta,
 			Graphs:     sh.graphs.size(),
 			Singletons: len(sh.graphs.singles),
+			InStars:    len(sh.graphs.starEnd),
 			Bytes:      sh.MemoryFootprint(),
 			Repaired:   si.repaired[s],
 		}
@@ -389,15 +392,18 @@ func (si *ShardedIndex) ShardStats() []ShardStat {
 }
 
 // share returns a shallow clone of the index re-bound to the updated
-// graph, its postings table extended to cover appended vertices (which no
-// existing graph can contain), with the stats of that no-op repair. The
-// graph store and postings entries are shared — the receiver is immutable.
+// graph, its postings table, direct counts and tier windows extended to
+// cover appended vertices (which no existing graph can contain), with the
+// stats of that no-op repair. The graph store, postings entries and tier
+// are shared — the receiver is immutable.
 func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 	clone := *idx
 	clone.g = g
 	if added := g.NumVertices() - len(idx.containing); added > 0 {
 		clone.containing = append(slices.Clip(idx.containing), make([][]int32, added)...)
 		clone.single = append(slices.Clip(idx.single), make([]int32, added)...)
+		end := idx.tierStart[len(idx.tierStart)-1]
+		clone.tierStart = append(slices.Clip(idx.tierStart), slices.Repeat([]uint32{end}, added)...)
 		clone.recomputeFootprint()
 	}
 	return &clone, RepairStats{Total: idx.graphs.size()}
@@ -496,7 +502,7 @@ func (sdm *ShardedDelayMat) CanRepair() bool {
 // Graphs reports θ_s — the conceptual per-shard RR-Graph count, which is
 // truthful whether or not TrackMembers bookkeeping is present (the
 // member store is absent for untracked or disk-loaded counters), and
-// Singletons is 0: a DelayMat stores counts, not graphs.
+// Singletons and InStars are 0: a DelayMat stores counts, not graphs.
 func (sdm *ShardedDelayMat) ShardStats() []ShardStat {
 	out := make([]ShardStat, sdm.numShards)
 	for s, sh := range sdm.shards {

@@ -144,7 +144,9 @@
 // shards owning touched heads (concurrently), and /statsz exposes the
 // layout as index_shards — one row per shard with its user count, θ,
 // graph count, singletons (how many of those graphs have one vertex and
-// are kept as a per-user count, not a graph), index_bytes share and the
+// are kept as a per-user count, not a graph), in_stars (how many have
+// every member one edge from the target and are kept as per-member
+// thresholds), index_bytes share and the
 // cumulative graphs_repaired across update generations. Watch the repair counters to spot skew: a
 // shard absorbing most repairs hosts the churn-heavy hubs, the signal to
 // schedule an offline rebuild (or raise IndexShards) before repair cost

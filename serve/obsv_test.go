@@ -405,3 +405,57 @@ func TestEffectiveEpsilonExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestReadyzReportsEffectiveEpsilon: /readyz of an in-process server and
+// of a shard server names the ε the index delivers, next to the
+// configured one, exactly when a θ cap leaves the index looser than
+// configured — and says nothing of ε when the index meets it.
+func TestReadyzReportsEffectiveEpsilon(t *testing.T) {
+	net, model := fig2NetModel(t)
+	for _, maxIndex := range []int64{20000, 300} {
+		opts := fig2Options(pitex.StrategyIndexPruned, 1)
+		opts.MaxIndexSamples = maxIndex
+		en, err := pitex.NewEngine(net, model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eff := en.IndexEffectiveEpsilon()
+		capped := eff > opts.Epsilon
+		if capped != (maxIndex == 300) {
+			t.Fatalf("cap %d: effective ε %v against ε %v", maxIndex, eff, opts.Epsilon)
+		}
+		srv, err := New(en, pitex.ServeOptions{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		ss, err := NewShardServer(net, model, opts, ShardConfig{TotalShards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = ss.WaitReady(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("WaitReady: %v", err)
+		}
+		sts := httptest.NewServer(ss.Handler())
+		defer sts.Close()
+		for name, url := range map[string]string{"server": ts.URL, "shard server": sts.URL} {
+			status, doc := getDoc(t, url+"/readyz")
+			got, reported := doc["effective_epsilon"].(float64)
+			configured, _ := doc["epsilon"].(float64)
+			switch {
+			case status != http.StatusOK:
+				t.Errorf("cap %d %s: /readyz = %d %v", maxIndex, name, status, doc)
+			case reported != capped:
+				t.Errorf("cap %d %s: /readyz reports effective_epsilon %v, want reported %v: %v", maxIndex, name, reported, capped, doc)
+			case capped && (got != eff || configured != opts.Epsilon):
+				t.Errorf("cap %d %s: /readyz ε %v / %v, engine %v / %v", maxIndex, name, got, configured, eff, opts.Epsilon)
+			}
+		}
+	}
+}

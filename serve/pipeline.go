@@ -262,3 +262,13 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
+
+// noteEpsilon adds effective_epsilon and epsilon to a /readyz document
+// when the index delivers a looser ε than configured, which is what a θ
+// cap that binds (MaxIndexSamples) does: the server is up, but its
+// estimates are outside the error budget it was asked for.
+func noteEpsilon(doc map[string]any, effective, configured float64) {
+	if effective > configured {
+		doc["effective_epsilon"], doc["epsilon"] = effective, configured
+	}
+}

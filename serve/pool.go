@@ -204,10 +204,12 @@ type Pool struct {
 	// the pool, captured at construction (clones share the prototype's
 	// index, so one number describes them all). shardStats is the per-shard
 	// breakdown, nil for online strategies. effectiveEpsilon is the
-	// prototype's IndexEffectiveEpsilon at construction.
+	// prototype's IndexEffectiveEpsilon at construction, epsilon its
+	// configured ε.
 	indexBytes       int64
 	shardStats       []pitex.IndexShardStat
 	effectiveEpsilon float64
+	epsilon          float64
 }
 
 // NewPool clones the prototype engine size times (sharing its offline
@@ -227,6 +229,7 @@ func NewPool(proto *pitex.Engine, size, queueDepth int, queueTimeout time.Durati
 		indexBytes:       proto.IndexMemoryBytes(),
 		shardStats:       proto.IndexShardStats(),
 		effectiveEpsilon: proto.IndexEffectiveEpsilon(),
+		epsilon:          proto.Options().Epsilon,
 	}
 	for i := 0; i < size; i++ {
 		p.engines <- proto.Clone()

@@ -805,12 +805,15 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-// readiness adds the offline index's footprint (index strategies) and,
-// on a coordinator, the fleet's shard count to /readyz.
+// readiness adds the offline index's footprint (index strategies), its
+// ε when a θ cap leaves it looser than configured (noteEpsilon) and, on a
+// coordinator, the fleet's shard count to /readyz.
 func (s *Server) readiness(doc map[string]any) error {
-	if bytes := s.pool.Load().IndexBytes(); bytes > 0 {
+	p := s.pool.Load()
+	if bytes := p.IndexBytes(); bytes > 0 {
 		doc["index_bytes"] = bytes
 	}
+	noteEpsilon(doc, p.effectiveEpsilon, p.epsilon)
 	if s.remote != nil {
 		doc["remote_shards"] = s.remote.TotalShards()
 	}

@@ -657,7 +657,8 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// readiness adds the owned shards to /readyz once every one is built.
+// readiness adds the owned shards to /readyz once every one is built,
+// and their ε when a θ cap leaves it looser than configured.
 func (ss *ShardServer) readiness(doc map[string]any) error {
 	select {
 	case <-ss.ready:
@@ -668,6 +669,7 @@ func (ss *ShardServer) readiness(doc map[string]any) error {
 		return errors.New("building")
 	}
 	doc["shards"] = ss.cfg.Owned
+	noteEpsilon(doc, ss.effectiveEpsilon(ss.state.Load()), ss.buildOpts.Accuracy.Epsilon)
 	return nil
 }
 

@@ -44,13 +44,14 @@ func TestStatszReportsIndexShards(t *testing.T) {
 		t.Fatalf("index_shards rows = %d, want 3", len(shards))
 	}
 	var bytesSum int64
-	users, singletons := 0, 0
+	users, singletons, inStars := 0, 0, 0
 	for _, s := range shards {
 		bytesSum += s.IndexBytes
 		users += s.Users
 		singletons += s.Singletons
-		if s.Singletons < 0 || s.Singletons > s.Graphs {
-			t.Errorf("shard %d reports %d singletons of %d graphs", s.Shard, s.Singletons, s.Graphs)
+		inStars += s.InStars
+		if s.Singletons < 0 || s.InStars < 0 || s.Singletons+s.InStars > s.Graphs {
+			t.Errorf("shard %d reports %d singletons and %d in-stars of %d graphs", s.Shard, s.Singletons, s.InStars, s.Graphs)
 		}
 		if s.GraphsRepaired != 0 {
 			t.Errorf("shard %d reports %d repairs before any update", s.Shard, s.GraphsRepaired)
@@ -59,8 +60,8 @@ func TestStatszReportsIndexShards(t *testing.T) {
 	if users != 7 {
 		t.Errorf("shard partitions cover %d users, want 7", users)
 	}
-	if singletons == 0 {
-		t.Error("no shard reports a one-vertex graph")
+	if singletons == 0 || inStars == 0 {
+		t.Errorf("shards report %d one-vertex graphs and %d in-stars, want some of each", singletons, inStars)
 	}
 	if bytesSum != srv.Stats().IndexBytes {
 		t.Errorf("per-shard bytes %d != index_bytes %d", bytesSum, srv.Stats().IndexBytes)
