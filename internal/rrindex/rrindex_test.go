@@ -391,6 +391,18 @@ func TestPrunedEstimatorPrunes(t *testing.T) {
 	if pws.GraphsChecked >= ws.GraphsChecked {
 		t.Fatalf("filter verified %d graphs, plain %d", pws.GraphsChecked, ws.GraphsChecked)
 	}
+	// Checked plus pruned is every posting the filter saw, per estimate:
+	// u's deeper graphs but those of target u. In-star memberships are
+	// neither; their thresholds decide them.
+	nonDirect := 0
+	for _, gi := range idx.containing[u] {
+		if idx.graphs.target(int(gi)) != u {
+			nonDirect++
+		}
+	}
+	if got := pws.GraphsChecked + pws.GraphsPruned; got != 3*int64(nonDirect) {
+		t.Fatalf("checked %d + pruned %d over 3 estimates, want 3 × %d non-direct postings", pws.GraphsChecked, pws.GraphsPruned, nonDirect)
+	}
 }
 
 // TestPrunedEstimatorCutCacheBounded: a long-lived IndexEst+ estimator
