@@ -110,8 +110,9 @@ func wrapMonolithic(idx *Index) *ShardedIndex {
 	}
 }
 
-// storeMembers lists every member of every graph of st, the one-vertex
-// graphs' targets included.
+// storeMembers lists every member of every graph of st, a DelayMat
+// member store (which keeps no in-stars), the one-vertex graphs' targets
+// included.
 func storeMembers(st *graphStore) []graph.VertexID { return slices.Concat(st.verts, st.singles) }
 
 // The reference's view of a graph: its sizes, and Def. 3 decided by one
