@@ -18,12 +18,19 @@ import (
 // s of an S-way Fig. 2 layout.
 func startFig2ShardServer(t *testing.T, s, total int) (*ShardServer, *httptest.Server) {
 	t.Helper()
+	return startFig2Owned(t, total, s)
+}
+
+// startFig2Owned launches one in-process shard server owning the given
+// shards of an S-way Fig. 2 layout.
+func startFig2Owned(t *testing.T, total int, owned ...int) (*ShardServer, *httptest.Server) {
+	t.Helper()
 	net, model := fig2NetModel(t)
 	ss, err := NewShardServer(net, model, fig2Options(pitex.StrategyIndexPruned, total), ShardConfig{
-		TotalShards: total, Owned: []int{s},
+		TotalShards: total, Owned: owned,
 	})
 	if err != nil {
-		t.Fatalf("NewShardServer(%d): %v", s, err)
+		t.Fatalf("NewShardServer(%v): %v", owned, err)
 	}
 	ts := httptest.NewServer(ss.Handler())
 	t.Cleanup(ts.Close)

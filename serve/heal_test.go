@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -328,4 +329,157 @@ func TestShardServerCloseDrains(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 after Close carries no Retry-After")
 	}
+}
+
+// TestMultiShardResyncAndGather: a server owning shards {0, 2} of an
+// S = 3 layout, after an update that adds users, hands its snapshot to a
+// fresh {0, 2} replica, which then serializes and answers frames exactly
+// as the source does. A coordinator over the {0, 2} server plus a {1}
+// server answers as the in-process S = 3 engine does, before and after
+// the install. A snapshot that omits an owned shard or carries a foreign
+// one is a 409; one whose slices swap labels is a 400.
+func TestMultiShardResyncAndGather(t *testing.T) {
+	const S = 3
+	src, tsSrc := startFig2Owned(t, S, 0, 2)
+	one, tsOne := startFig2Owned(t, S, 1)
+	rep, tsRep := startFig2Owned(t, S, 0, 2)
+	waitShardsReady(t, src, one, rep)
+
+	local, err := New(fig2EngineSharded(t, pitex.StrategyIndexPruned, S), pitex.ServeOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer local.Close()
+	lt := httptest.NewServer(local.Handler())
+	defer lt.Close()
+	paths := []string{
+		"/selling-points?user=1&k=2",
+		"/selling-points?user=0&k=2&m=3",
+		"/selling-points?user=2&k=1",
+		"/selling-points?user=5&k=3",
+	}
+	answersMatch := func(coord *Server, when string, extra ...string) {
+		t.Helper()
+		ct := httptest.NewServer(coord.Handler())
+		defer ct.Close()
+		for _, path := range append(paths, extra...) {
+			cs, cdoc := getDoc(t, ct.URL+path)
+			ls, ldoc := getDoc(t, lt.URL+path)
+			if cs != http.StatusOK || ls != http.StatusOK {
+				t.Fatalf("%s %s: coordinator %d, local %d (%v / %v)", when, path, cs, ls, cdoc, ldoc)
+			}
+			// Timing and cache state are not part of the answer.
+			for _, doc := range []map[string]any{cdoc, ldoc} {
+				delete(doc, "elapsed")
+				delete(doc, "cached")
+			}
+			if !reflect.DeepEqual(cdoc, ldoc) {
+				t.Fatalf("%s %s: coordinator answer diverges from in-process:\n  remote: %v\n  local:  %v", when, path, cdoc, ldoc)
+			}
+		}
+	}
+
+	coord, _ := dialFig2Coordinator(t, [][]string{{tsSrc.URL}, {tsOne.URL}}, distrib.Options{}, pitex.ServeOptions{PoolSize: 2})
+	answersMatch(coord, "generation 0")
+	batch := func() *pitex.UpdateBatch {
+		var b pitex.UpdateBatch
+		b.AddUsers(2)
+		b.InsertEdge(1, 7, pitex.TopicProb{Topic: 2, Prob: 0.7})
+		b.InsertEdge(8, 2, pitex.TopicProb{Topic: 1, Prob: 0.6})
+		b.SetEdge(2, 3, pitex.TopicProb{Topic: 2, Prob: 0.5})
+		return &b
+	}
+	if _, err := coord.ApplyUpdates(batch()); err != nil {
+		t.Fatalf("coordinator ApplyUpdates: %v", err)
+	}
+	if _, err := local.ApplyUpdates(batch()); err != nil {
+		t.Fatalf("local ApplyUpdates: %v", err)
+	}
+	grown := []string{"/selling-points?user=7&k=1", "/selling-points?user=8&k=2"}
+	answersMatch(coord, "generation 1, before the install", grown...)
+
+	snap := resyncSnapshot(t, tsSrc.URL)
+	var base distrib.ResyncState
+	if err := json.Unmarshal(snap, &base); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	if len(base.Shards) != 2 || base.Shards[0].Shard != 0 || base.Shards[1].Shard != 2 {
+		t.Fatalf("source snapshot carries %+v, want shards 0 and 2", base.Shards)
+	}
+	var foreign distrib.ResyncState
+	if err := json.Unmarshal(resyncSnapshot(t, tsOne.URL), &foreign); err != nil {
+		t.Fatalf("decode shard 1 snapshot: %v", err)
+	}
+	post := func(data []byte) int {
+		t.Helper()
+		resp, err := http.Post(tsRep.URL+"/shard/resync", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("POST /shard/resync: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, bad := range []struct {
+		name   string
+		shards []distrib.ResyncShard
+		want   int
+	}{
+		{"omits shard 2", base.Shards[:1], http.StatusConflict},
+		{"carries shard 1", append(slices.Clone(base.Shards), foreign.Shards...), http.StatusConflict},
+		{"swaps labels", []distrib.ResyncShard{
+			{Shard: 0, Users: base.Shards[1].Users, Index: base.Shards[1].Index},
+			{Shard: 2, Users: base.Shards[0].Users, Index: base.Shards[0].Index},
+		}, http.StatusBadRequest},
+	} {
+		wrong := base
+		wrong.Shards = bad.shards
+		data, _ := json.Marshal(wrong)
+		if status := post(data); status != bad.want {
+			t.Fatalf("snapshot that %s: install = %d, want %d", bad.name, status, bad.want)
+		}
+		if g := rep.Generation(); g != 0 {
+			t.Fatalf("refused snapshot that %s published generation %d", bad.name, g)
+		}
+	}
+
+	if status := post(snap); status != http.StatusOK {
+		t.Fatalf("install = %d, want 200", status)
+	}
+	if g := rep.Generation(); g != 1 {
+		t.Fatalf("replica at generation %d after install, want 1", g)
+	}
+	if !bytes.Equal(snap, resyncSnapshot(t, tsRep.URL)) {
+		t.Fatal("installed {0, 2} state does not serialize byte-identically to the source")
+	}
+	for _, user := range []int{1, 7} {
+		req := distrib.EstimateRequest{User: user, Generation: 1, Frontier: [][]float64{{0.2, 0.3, 0.5}, {0.6, 0.4, 0}}}
+		as, a := postEstimate(t, tsSrc.URL, req)
+		bs, b := postEstimate(t, tsRep.URL, req)
+		if as != http.StatusOK || bs != http.StatusOK || len(a.Frontier) != 2 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("user %d frames differ after install (%d, %d):\n  source:  %v\n  replica: %v", user, as, bs, a, b)
+		}
+	}
+
+	// A coordinator over the installed replica, on the grown network.
+	net, model := fig2NetModel(t)
+	grownNet, _, err := net.ApplyBatch(batch())
+	if err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	client, err := distrib.Dial(ctx, [][]string{{tsRep.URL}, {tsOne.URL}}, distrib.Options{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	en, err := pitex.NewRemoteEngine(grownNet, model, fig2Options(pitex.StrategyIndexPruned, S), client)
+	if err != nil {
+		t.Fatalf("NewRemoteEngine: %v", err)
+	}
+	after, err := NewCoordinator(en, client, pitex.ServeOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer after.Close()
+	answersMatch(after, "generation 1, after the install", grown...)
 }
