@@ -820,7 +820,7 @@ func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.Remot
 // EstimateRemoteFrontier implements pitex.RemoteFrontierEstimator: the
 // whole sibling group crosses the wire as ONE scatter — each shard server
 // decides every sibling in a single masked pass over the user's postings
-// (rrindex.PartialFrontier) — and the positional rows fold
+// (rrindex.ShardedEstimator.Partials) — and the positional rows fold
 // through rrindex.GatherFrontierPartials, byte-identical to the
 // in-process sharded estimator, or sibling by sibling through
 // rrindex.GatherPartialsDegraded when groups are missing, reporting which

@@ -1,7 +1,7 @@
 // Package distrib is the client half of pitex's distributed serving
-// plane: a scatter-gather coordinator over shard servers, each holding a
-// slice of the RR-Graph index (built with rrindex.BuildShard so the
-// fleet's union is byte-identical to the monolithic sharded index).
+// plane: a scatter-gather coordinator over shard servers, each holding
+// some shards of one S-way RR-Graph index (rrindex.BuildOwned), so the
+// fleet's union is byte-identical to the in-process sharded index.
 //
 // Topology: shard servers are arranged in replica groups — the endpoints
 // of one group all serve the same shard set, and the groups together
@@ -20,10 +20,10 @@
 // partial sibling's completion bound; both are evaluated by Eq. 1, so the
 // server cannot and need not tell them apart). A single estimate
 // (Client.EstimateRemote) is a frontier of width 1. The server decides
-// all rows in ONE masked pass over the user's postings
-// (rrindex.PartialFrontier) and answers with a frame of one row per owned
-// shard, row[i] being that shard's partial for sibling i. A body of any
-// other Content-Type is a 400.
+// all rows in ONE masked pass over the user's postings per owned shard
+// (rrindex.ShardedEstimator.Partials) and answers with a frame of one row
+// per owned shard, row[i] being that shard's partial for sibling i. A body
+// of any other Content-Type is a 400.
 //
 // The frame (frame.go is the only code that knows it; little-endian, no
 // padding, CRC-32C Castagnoli over every byte before it):
@@ -89,9 +89,9 @@
 // Updates ride the repair-routing delta path: the coordinator applies a
 // batch locally (graph only), fans the same batch to every endpoint
 // keyed by the next generation, and each server repairs its owned shards
-// with rrindex.RepairShard — the very per-shard repair an in-process
-// ShardedIndex.Repair runs for each of its shards — which re-samples only
-// the shards the batch touched and shares the rest. Servers double-buffer the previous generation so queries
+// with rrindex.ShardedIndex.Repair — the same repair, shard for shard, an
+// in-process engine runs over all of them — which re-samples only the
+// shards the batch touched and shares the rest. Servers double-buffer the previous generation so queries
 // in flight across the swap still answer; the client's generation stamp
 // moves only after the fan-out completes.
 //

@@ -333,17 +333,29 @@ func NewEngineWithIndex(net *Network, model *TagModel, opts Options, r io.Reader
 	return en.ready(), nil
 }
 
+// offline returns the engine's sharded offline structure, or nil for
+// online strategies and coordinators.
+func (en *Engine) offline() interface {
+	Theta() int64
+	MemoryFootprint() int64
+	ShardStats() []rrindex.ShardStat
+} {
+	if en.index != nil {
+		return en.index
+	}
+	if en.delay != nil {
+		return en.delay
+	}
+	return nil
+}
+
 // IndexMemoryBytes returns the offline index's estimated size (0 for
 // online strategies) — the Table 3 metric.
 func (en *Engine) IndexMemoryBytes() int64 {
-	switch {
-	case en.index != nil:
-		return en.index.MemoryFootprint()
-	case en.delay != nil:
-		return en.delay.MemoryFootprint()
-	default:
-		return 0
+	if o := en.offline(); o != nil {
+		return o.MemoryFootprint()
 	}
+	return 0
 }
 
 // IndexEffectiveEpsilon returns the ε the live offline index delivers:
@@ -354,15 +366,10 @@ func (en *Engine) IndexMemoryBytes() int64 {
 // (distrib.Client.TotalTheta). 0 for online strategies.
 func (en *Engine) IndexEffectiveEpsilon() float64 {
 	var theta int64
-	switch {
-	case en.index != nil:
-		theta = en.index.Theta()
-	case en.delay != nil:
-		theta = en.delay.Theta()
-	default:
-		if r, ok := en.remote.(interface{ TotalTheta() int64 }); ok {
-			theta = r.TotalTheta()
-		}
+	if o := en.offline(); o != nil {
+		theta = o.Theta()
+	} else if r, ok := en.remote.(interface{ TotalTheta() int64 }); ok {
+		theta = r.TotalTheta()
 	}
 	if theta <= 0 {
 		return 0
@@ -393,15 +400,11 @@ type IndexShardStat struct {
 // IndexShardStats snapshots the offline index's per-shard layout, or nil
 // for online strategies. Single-shard (monolithic) engines report one row.
 func (en *Engine) IndexShardStats() []IndexShardStat {
-	var stats []rrindex.ShardStat
-	switch {
-	case en.index != nil:
-		stats = en.index.ShardStats()
-	case en.delay != nil:
-		stats = en.delay.ShardStats()
-	default:
+	o := en.offline()
+	if o == nil {
 		return nil
 	}
+	stats := o.ShardStats()
 	out := make([]IndexShardStat, len(stats))
 	for i, s := range stats {
 		out[i] = IndexShardStat{

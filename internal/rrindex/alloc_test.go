@@ -67,10 +67,7 @@ func TestEstimatorAllocationGuard(t *testing.T) {
 		if S == 1 {
 			users = append(users, hub)
 		}
-		for name, est := range map[string]interface {
-			frontierEstimator
-			EstimateProber(graph.VertexID, sampling.EdgeProber) sampling.Result
-		}{
+		for name, est := range map[string]*ShardedEstimator{
 			"INDEXEST":  NewShardedEstimator(si),
 			"INDEXEST+": NewShardedPrunedEstimator(si),
 			"DELAYMAT":  NewShardedDelayEstimator(sdm, rng.New(9)),

@@ -20,11 +20,11 @@ import (
 // index estimate runs it: a single-row estimate under an arbitrary prober
 // is a width-1 frontier (oneRow). A scan produces Partial rows and
 // nothing else, and gather (partial.go) is the only code that turns rows
-// into an influence. ShardedEstimator runs one policy per shard and folds
-// the rows; a shard server runs the same policy and ships the rows
-// (Partial, PartialFrontier) for the coordinator to fold with the same
-// function — so the in-process and the distributed estimate differ only
-// in where the scan ran.
+// into an influence. ShardedEstimator runs one policy per held shard and
+// folds the rows; a shard server runs the same ShardedEstimator over the
+// shards it owns and ships the rows (Partials) for the coordinator to
+// fold with the same function — so the in-process and the distributed
+// estimate differ only in where the scan ran.
 
 // scanPolicy is one shard's scan. The scan takes the shard's slot in the
 // layout (its id and |V_s|) and stamps it, with θ_s, on every row.
@@ -146,9 +146,12 @@ const scatterParallelMinWork = 96
 type ShardedEstimator struct {
 	g      *graph.Graph
 	shards []scanPolicy
-	users  []int // |V_s|
-	// rows is the scatter's landing area, sibling-major: shard s's row for
-	// sibling i is rows[i*S+s], so one sibling's rows are the contiguous,
+	// ids and users are the held shards' layout ids and |V_s|, parallel
+	// to shards and shared with the container.
+	ids   []int
+	users []int
+	// rows is the scatter's landing area, sibling-major: shard i's row for
+	// sibling w is rows[w*S+i], so one sibling's rows are the contiguous,
 	// shard-ordered slice gather folds.
 	rows []Partial
 	wg   sync.WaitGroup
@@ -156,10 +159,9 @@ type ShardedEstimator struct {
 
 // NewShardedEstimator creates the IndexEst (Algo 3) estimator over si.
 func NewShardedEstimator(si *ShardedIndex) *ShardedEstimator {
-	se := newShardedEstimator(si.g, si.numShards)
-	for s, sh := range si.shards {
-		se.shards[s] = NewEstimator(sh)
-		se.users[s] = poolSizeOf(si.pools[s], si.g.NumVertices())
+	se := newShardedEstimator(&si.shardSet)
+	for i, sh := range si.shards {
+		se.shards[i] = NewEstimator(sh)
 	}
 	return se
 }
@@ -167,10 +169,9 @@ func NewShardedEstimator(si *ShardedIndex) *ShardedEstimator {
 // NewShardedPrunedEstimator creates the IndexEst+ (filter-and-verify)
 // estimator over si.
 func NewShardedPrunedEstimator(si *ShardedIndex) *ShardedEstimator {
-	se := newShardedEstimator(si.g, si.numShards)
-	for s, sh := range si.shards {
-		se.shards[s] = NewPrunedEstimator(sh)
-		se.users[s] = poolSizeOf(si.pools[s], si.g.NumVertices())
+	se := newShardedEstimator(&si.shardSet)
+	for i, sh := range si.shards {
+		se.shards[i] = NewPrunedEstimator(sh)
 	}
 	return se
 }
@@ -182,20 +183,15 @@ func NewShardedPrunedEstimator(si *ShardedIndex) *ShardedEstimator {
 // whatever else they recovered before, and shard recoveries can run in
 // parallel.
 func NewShardedDelayEstimator(sdm *ShardedDelayMat, r *rng.Source) *ShardedEstimator {
-	se := newShardedEstimator(sdm.g, sdm.numShards)
-	copy(se.users, sdm.poolSizes)
-	for s, sh := range sdm.shards {
-		se.shards[s] = newDelayEstimatorShard(sh, r.Uint64(), &sdm.fire, s, sdm.numShards, sdm.poolSizes[s])
+	se := newShardedEstimator(&sdm.shardSet)
+	for i, sh := range sdm.shards {
+		se.shards[i] = newDelayEstimatorShard(sh, r.Uint64(), &sdm.fire, sdm.ids[i], sdm.numShards, sdm.users[i])
 	}
 	return se
 }
 
-func newShardedEstimator(g *graph.Graph, numShards int) *ShardedEstimator {
-	return &ShardedEstimator{
-		g:      g,
-		shards: make([]scanPolicy, numShards),
-		users:  make([]int, numShards),
-	}
+func newShardedEstimator[T shardPart[T]](set *shardSet[T]) *ShardedEstimator {
+	return &ShardedEstimator{g: set.g, shards: make([]scanPolicy, len(set.ids)), ids: set.ids, users: set.users}
 }
 
 // scatter runs one estimation's masked scan on every shard over the
@@ -232,9 +228,9 @@ func (se *ShardedEstimator) scatter(u graph.VertexID, prober sampling.EdgeProber
 	se.wg.Wait()
 }
 
-// scanShard is one shard's share of a scatter.
-func (se *ShardedEstimator) scanShard(s int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
-	scanFrontierChunks(se.shards[s], s, se.users[s], u, prober, posteriors, se.rows[s:], len(se.shards))
+// scanShard is the i-th held shard's share of a scatter.
+func (se *ShardedEstimator) scanShard(i int, u graph.VertexID, prober sampling.EdgeProber, posteriors [][]float64) {
+	scanFrontierChunks(se.shards[i], se.ids[i], se.users[i], u, prober, posteriors, se.rows[i:], len(se.shards))
 }
 
 // EstimateProber estimates E[I(u|·)] under an arbitrary edge-probability
@@ -281,8 +277,26 @@ func (se *ShardedEstimator) EstimateFrontier(u graph.VertexID, posteriors [][]fl
 	se.scatter(u, nil, posteriors)
 	S := len(se.shards)
 	out := make([]sampling.Result, len(posteriors))
+	for w := range out {
+		out[w] = gather(se.rows[w*S:(w+1)*S], 1)
+	}
+	return out
+}
+
+// Partials runs EstimateFrontier's scatter and returns its rows unfolded
+// instead of gathered: out[i][w] is the i-th held shard's row for sibling
+// w, stamped with the shard's layout id. It is what a shard server ships
+// for the coordinator's GatherFrontierPartials, which folds the rows of
+// every shard exactly as EstimateFrontier folds its own.
+func (se *ShardedEstimator) Partials(u graph.VertexID, posteriors [][]float64) [][]Partial {
+	se.scatter(u, nil, posteriors)
+	S, W := len(se.shards), len(posteriors)
+	rows, out := make([]Partial, S*W), make([][]Partial, S)
 	for i := range out {
-		out[i] = gather(se.rows[i*S:(i+1)*S], 1)
+		out[i] = rows[i*W : (i+1)*W : (i+1)*W]
+		for w := range out[i] {
+			out[i][w] = se.rows[w*S+i]
+		}
 	}
 	return out
 }

@@ -234,76 +234,74 @@ func TestFrontierByteIdenticalProperty(t *testing.T) {
 	}
 }
 
-// TestPartialFrontierGatherIdentity checks the distributed face: per-
-// shard PartialFrontier rows gathered by GatherFrontierPartials must
-// equal both the per-sibling Partial/GatherPartials pipeline and the
-// in-process sharded EstimateFrontier, bit for bit.
+// TestPartialFrontierGatherIdentity checks the distributed face: the
+// Partials rows of a fleet — one container holding shards {0, 2}, one
+// holding shard 1 — gathered by GatherFrontierPartials must equal both
+// the per-sibling Partial/GatherPartials pipeline and the in-process
+// sharded EstimateFrontier, bit for bit.
 func TestPartialFrontierGatherIdentity(t *testing.T) {
 	g := randomGraph(200, 4, 0.05, 0.4, 11)
 	opts := shardOpts(13, 2000)
+	const S = 3
+	si, err := BuildSharded(g, opts, S)
+	if err != nil {
+		t.Fatalf("BuildSharded: %v", err)
+	}
+	var fleet []*ShardedIndex
+	for _, owned := range [][]int{{0, 2}, {1}} {
+		held, err := BuildOwned(g, opts, S, owned)
+		if err != nil {
+			t.Fatalf("BuildOwned(%v): %v", owned, err)
+		}
+		fleet = append(fleet, held)
+	}
+	// Both wire families: the plain estimator and the cut-pruning one.
+	families := []struct {
+		name    string
+		sharded func(*ShardedIndex) *ShardedEstimator
+		single  func(*Index) partialer
+	}{
+		{"INDEXEST", NewShardedEstimator, func(i *Index) partialer { return NewEstimator(i) }},
+		{"INDEXEST+", NewShardedPrunedEstimator, func(i *Index) partialer { return NewPrunedEstimator(i) }},
+	}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			testPartialFrontierGather(t, g, fam.sharded(si), fleet, fam.sharded, fam.single)
+		})
+	}
+}
+
+// partialer is the single-row scan both index families offer.
+type partialer interface {
+	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
+}
+
+func testPartialFrontierGather(t *testing.T, g *graph.Graph, inproc *ShardedEstimator, fleet []*ShardedIndex,
+	sharded func(*ShardedIndex) *ShardedEstimator, single func(*Index) partialer) {
 	r := rng.New(77)
 	m := topics.GenerateRandom(r, 10, 5, 3)
 	posteriors := siblingPosteriors(m, []topics.TagID{2}, 6)
 	if len(posteriors) == 0 {
 		t.Fatal("no defined sibling posteriors")
 	}
-	const S = 3
-	si, err := BuildSharded(g, opts, S)
-	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
-	}
-	// Both wire families: the plain estimator and the cut-pruning one.
-	families := []struct {
-		name   string
-		inproc frontierEstimator
-		shard  func(*Index) remoteEstimator
-	}{
-		{"INDEXEST", NewShardedEstimator(si), func(i *Index) remoteEstimator { return NewEstimator(i) }},
-		{"INDEXEST+", NewShardedPrunedEstimator(si), func(i *Index) remoteEstimator { return NewPrunedEstimator(i) }},
-	}
-	for _, fam := range families {
-		t.Run(fam.name, func(t *testing.T) {
-			testPartialFrontierGather(t, g, opts, S, fam.inproc, fam.shard)
-		})
-	}
-}
-
-// remoteEstimator and frontierEstimator are the method sets the gather-
-// identity test exercises on both the plain and cut-pruning families.
-type remoteEstimator interface {
-	PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial
-	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) Partial
-}
-
-type frontierEstimator interface {
-	EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result
-}
-
-func testPartialFrontierGather(t *testing.T, g *graph.Graph, opts BuildOptions, S int,
-	inproc frontierEstimator, newShard func(*Index) remoteEstimator) {
-	r := rng.New(77)
-	m := topics.GenerateRandom(r, 10, 5, 3)
-	posteriors := siblingPosteriors(m, []topics.TagID{2}, 6)
-
-	// A fleet of independently built shard servers.
-	shards := make([]remoteEstimator, S)
-	users := make([]int, S)
-	for s := 0; s < S; s++ {
-		idx, n, err := BuildShard(g, opts, S, s)
-		if err != nil {
-			t.Fatalf("BuildShard %d: %v", s, err)
+	var servers []*ShardedEstimator
+	var shards []partialer
+	var ids, users []int
+	for _, held := range fleet {
+		servers = append(servers, sharded(held))
+		for i, sh := range held.shards {
+			shards = append(shards, single(sh))
+			ids, users = append(ids, held.ids[i]), append(users, held.users[i])
 		}
-		shards[s] = newShard(idx)
-		users[s] = n
 	}
 
 	for u := 0; u < g.NumVertices(); u += 23 {
 		v := graph.VertexID(u)
 		want := inproc.EstimateFrontier(v, posteriors, sampling.StopRule{})
 
-		parts := make([][]Partial, S)
-		for s := 0; s < S; s++ {
-			parts[s] = shards[s].PartialFrontier(s, users[s], v, posteriors)
+		var parts [][]Partial
+		for _, se := range servers {
+			parts = append(parts, se.Partials(v, posteriors)...)
 		}
 		got := GatherFrontierPartials(parts)
 		for i := range want {
@@ -312,11 +310,11 @@ func testPartialFrontierGather(t *testing.T, g *graph.Graph, opts BuildOptions, 
 			}
 			// Row-for-row agreement with the classic single-candidate wire
 			// path.
-			single := make([]Partial, S)
-			for s := 0; s < S; s++ {
-				single[s] = shards[s].Partial(s, users[s], v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
+			rows := make([]Partial, len(shards))
+			for j, sh := range shards {
+				rows[j] = sh.Partial(ids[j], users[j], v, sampling.PosteriorProber{G: g, Posterior: posteriors[i]})
 			}
-			if seq := GatherPartials(single); seq != want[i] {
+			if seq := GatherPartials(rows); seq != want[i] {
 				t.Fatalf("u=%d sibling %d: classic gather %+v != in-process %+v", u, i, seq, want[i])
 			}
 		}

@@ -119,8 +119,8 @@ func inStarIndex(f *testing.F, idx *Index) *Index {
 // checkIndex walks every accessor a loaded index serves so latent
 // corruption that slipped past the reader surfaces as a crash here.
 func checkIndex(t *testing.T, idx *Index, g *graph.Graph) {
-	if idx.Theta() < 0 || idx.NumGraphs() < 0 || idx.MemoryFootprint() < 0 {
-		t.Fatalf("accepted index has negative shape: θ=%d graphs=%d", idx.Theta(), idx.NumGraphs())
+	if idx.Theta() < 0 || idx.graphs.size() < 0 || idx.MemoryFootprint() < 0 {
+		t.Fatalf("accepted index has negative shape: θ=%d graphs=%d", idx.Theta(), idx.graphs.size())
 	}
 	for u := 0; u < g.NumVertices(); u++ {
 		if n := idx.NumContaining(graph.VertexID(u)); n < 0 {

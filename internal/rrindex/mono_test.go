@@ -101,13 +101,7 @@ func (m mono) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampl
 // wrapMonolithic presents a monolithic index as a single-shard
 // ShardedIndex, so a test can estimate over it with ShardedEstimator.
 func wrapMonolithic(idx *Index) *ShardedIndex {
-	return &ShardedIndex{
-		g:         idx.g,
-		numShards: 1,
-		shards:    []*Index{idx},
-		pools:     [][]graph.VertexID{nil},
-		repaired:  make([]int64, 1),
-	}
+	return &ShardedIndex{loaded(idx.g, []*Index{idx})}
 }
 
 // storeMembers lists every member of every graph of st, a DelayMat

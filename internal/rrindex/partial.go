@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"pitex/internal/graph"
@@ -13,15 +14,15 @@ import (
 // and a scatter-gather coordinator need to split one ShardedIndex across
 // processes while keeping the math byte-identical to the in-process path.
 //
-//   - BuildSharded is BuildShard per shard, and ShardedIndex.Repair is
-//     RepairShard per shard: both run the one shard recipe of shard.go
-//     (layout, per-shard options, plan), so a fleet of shard servers,
-//     each building and repairing its own slice, reproduces the in-process
-//     deployment's index bit for bit. CheckShard holds a slice copied
-//     between replicas to the same layout.
-//   - Estimator.Partial / PrunedEstimator.Partial (and PartialFrontier)
-//     run the scan ShardedEstimator runs on that shard and return its
-//     rows verbatim, in a wire-friendly shape.
+//   - A shard server holds the shards it owns in the container an engine
+//     holds all of them in (BuildOwned, shard.go), so it builds and
+//     repairs each of them bit for bit as the in-process index does.
+//     ReadOwned installs shards copied between replicas, refusing any
+//     that does not fit the layout under its label.
+//   - ShardedEstimator.Partials returns the rows its scatter produced,
+//     one slice per held shard, in the shape the wire carries;
+//     Estimator.Partial / PrunedEstimator.Partial are one shard's
+//     single-row scan.
 //   - gather is the single home of the estimator arithmetic: the
 //     in-process ShardedEstimator, GatherPartials, and the coordinator's
 //     GatherFrontierPartials and GatherPartialsDegraded all fold their
@@ -54,50 +55,47 @@ type Partial struct {
 	Users int
 }
 
-// BuildShard constructs shard `shard` of an S-way sharded index — the
-// same layout and per-shard build that BuildSharded runs for each of its
-// shards, so a shard-server fleet built this way is byte-identical, shard
-// for shard, to the in-process ShardedIndex. The second return is |V_s|.
+// BuildShard constructs shard `shard` of an S-way sharded index:
+// BuildOwned holding that shard alone. The second return is |V_s|.
 func BuildShard(g *graph.Graph, opts BuildOptions, numShards, shard int) (*Index, int, error) {
-	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
+	si, err := BuildOwned(g, opts, numShards, []int{shard})
 	if err != nil {
 		return nil, 0, err
 	}
-	idx, err := l.buildIndex(g, opts, shard)
-	return idx, l.sizes[shard], err
+	return si.shards[0], si.users[0], nil
 }
 
-// RepairShard repairs this index as shard `shard` of an S-way layout,
-// exactly as ShardedIndex.Repair repairs that shard: re-sample only when
-// its postings contain a touched head, its partition gained users, or its
-// apportioned θ grew — otherwise the receiver's store is shared via a
-// zero-copy graph re-bind. opts.Seed must be the cluster's base repair
-// seed for the new generation; the per-shard derivation happens here.
-// Returns the new shard, its repair stats and the new |V_s|.
-func (idx *Index) RepairShard(g *graph.Graph, opts BuildOptions, numShards, shard int,
-	touched []graph.VertexID, addedVertices int) (*Index, RepairStats, int, error) {
-	l, err := layoutFor(g.NumVertices(), opts, numShards, shard)
+// ReadOwned is BuildOwned for shards copied from another process instead
+// of built: it loads the one-shard files (WriteShard's) of the shards
+// owned (ascending) of the S-way layout over g, files[i] claiming
+// |V_s| = users[i] for shard owned[i]. Every gather trusts a shard's
+// |V_s| and targets, so each claim must be the layout's |V_s| and every
+// graph's target must hash to its shard. A replica runs it before
+// serving a resync snapshot.
+func ReadOwned(g *graph.Graph, opts BuildOptions, numShards int, owned, users []int, files []io.Reader) (*ShardedIndex, error) {
+	if len(users) != len(owned) || len(files) != len(owned) {
+		return nil, fmt.Errorf("rrindex: %d shards, %d user counts and %d files", len(owned), len(users), len(files))
+	}
+	l, err := newLayout(g.NumVertices(), opts, numShards)
 	if err != nil {
-		return nil, RepairStats{}, 0, err
+		return nil, err
 	}
-	next, stats, err := repairShard(idx, idx.g.NumVertices(), g, l, opts, shard, touched, addedVertices)
-	return next, stats, l.sizes[shard], err
-}
-
-// CheckShard reports whether idx, a slice copied from another process
-// that claims |V_s| = users, fits as shard `shard` of the S-way layout
-// over its graph: users must be the layout's |V_s| and every graph's
-// target must hash to the shard. A replica runs it before serving an
-// installed slice.
-func (idx *Index) CheckShard(opts BuildOptions, numShards, shard, users int) error {
-	l, err := layoutFor(idx.g.NumVertices(), opts, numShards, shard)
+	set, err := holding[*Index](g, l.sizes, owned)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if users != l.sizes[shard] {
-		return fmt.Errorf("rrindex: shard %d claims %d users, the layout gives it %d", shard, users, l.sizes[shard])
+	for i, s := range set.ids {
+		if users[i] != set.users[i] {
+			return nil, fmt.Errorf("rrindex: shard %d claims %d users, the layout gives it %d", s, users[i], set.users[i])
+		}
+		if set.shards[i], err = ReadIndex(files[i], g); err != nil {
+			return nil, fmt.Errorf("rrindex: shard %d: %w", s, err)
+		}
+		if err := set.shards[i].checkTargets(numShards, s); err != nil {
+			return nil, err
+		}
 	}
-	return idx.checkTargets(numShards, shard)
+	return &ShardedIndex{set}, nil
 }
 
 // checkTargets reports a graph whose target is not in shard s of an
@@ -111,9 +109,6 @@ func (idx *Index) checkTargets(numShards, s int) error {
 	}
 	return nil
 }
-
-// NumGraphs returns the number of materialized RR-Graphs.
-func (idx *Index) NumGraphs() int { return idx.graphs.size() }
 
 // Partial runs this shard's masked scan as a width-1 frontier under
 // prober. shard and users identify the shard's slot and |V_s| in the
@@ -130,23 +125,6 @@ func (pe *PrunedEstimator) Partial(shard, users int, u graph.VertexID, prober sa
 	var row [1]Partial
 	pe.scanFrontier(shard, users, u, prober, oneRow, row[:], 1)
 	return row[0]
-}
-
-// PartialFrontier is the frontier-batched scan: one wire row per sibling
-// posterior, decided in a single masked pass over this shard's postings.
-// Each row is byte-identical to a Partial call for that sibling.
-func (est *Estimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
-	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(est, shard, users, u, nil, posteriors, out, 1)
-	return out
-}
-
-// PartialFrontier is Estimator.PartialFrontier with the cut-pruning
-// layer in front of verification.
-func (pe *PrunedEstimator) PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
-	out := make([]Partial, len(posteriors))
-	scanFrontierChunks(pe, shard, users, u, nil, posteriors, out, 1)
-	return out
 }
 
 // gather folds one estimation's rows, one per shard in ascending shard
@@ -190,7 +168,7 @@ func GatherPartials(parts []Partial) sampling.Result {
 	return gather(parts, 1)
 }
 
-// GatherFrontierPartials folds per-shard PartialFrontier row sets —
+// GatherFrontierPartials folds per-shard Partials row sets —
 // parts[s][i] is one shard's row for sibling i, every shard covering the
 // same sibling list, shards in any order — into one Result per sibling,
 // each exactly GatherPartials of that sibling's rows.

@@ -2,6 +2,9 @@ package rrindex
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 
 	"pitex/internal/graph"
@@ -11,8 +14,10 @@ import (
 )
 
 // TestBuildShardMatchesSharded is the fleet byte-identity contract: each
-// shard built standalone by BuildShard must be the same index, bit for
-// bit, as the slot BuildSharded holds in process.
+// shard built standalone by BuildShard, and each shard of a container
+// holding shards {0, 2} alone, must be the same index, bit for bit, as
+// the slot BuildSharded holds in process, with the same ShardStats row,
+// so the partial container's Theta and MemoryFootprint are those rows'.
 func TestBuildShardMatchesSharded(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
@@ -27,25 +32,54 @@ func TestBuildShardMatchesSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildShard(%d): %v", s, err)
 		}
-		want := si.shards[s]
-		if idx.Theta() != want.Theta() {
-			t.Fatalf("shard %d θ = %d, sharded holds %d", s, idx.Theta(), want.Theta())
+		if users != si.users[s] {
+			t.Fatalf("shard %d users = %d, the sharded index has %d", s, users, si.users[s])
 		}
-		if users != poolSizeOf(si.pools[s], g.NumVertices()) {
-			t.Fatalf("shard %d users = %d, pool has %d", s, users, poolSizeOf(si.pools[s], g.NumVertices()))
-		}
-		var a, b bytes.Buffer
-		if err := WriteIndex(&a, idx); err != nil {
-			t.Fatalf("WriteIndex standalone: %v", err)
-		}
-		if err := WriteIndex(&b, want); err != nil {
-			t.Fatalf("WriteIndex sharded: %v", err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("shard %d serialization differs (standalone %d bytes, in-process %d bytes)",
-				s, a.Len(), b.Len())
-		}
+		assertSameIndex(t, fmt.Sprintf("standalone shard %d", s), idx, si.shards[s])
 	}
+
+	held, err := BuildOwned(g, opts, S, []int{0, 2})
+	if err != nil {
+		t.Fatalf("BuildOwned: %v", err)
+	}
+	all := si.ShardStats()
+	if got, want := held.ShardStats(), []ShardStat{all[0], all[2]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("held {0, 2} stats %+v, want rows 0 and 2: %+v", got, want)
+	}
+	if held.NumShards() != S || held.Theta() != all[0].Theta+all[2].Theta ||
+		held.MemoryFootprint() != all[0].Bytes+all[2].Bytes {
+		t.Fatalf("held {0, 2}: S=%d θ=%d bytes=%d, want %d, %d and %d", held.NumShards(), held.Theta(),
+			held.MemoryFootprint(), S, all[0].Theta+all[2].Theta, all[0].Bytes+all[2].Bytes)
+	}
+	for i, s := range held.ids {
+		assertSameIndex(t, fmt.Sprintf("held shard %d", s), held.shards[i], si.shards[s])
+	}
+	if err := WriteSharded(io.Discard, held); err == nil {
+		t.Fatal("a container holding 2 of 3 shards wrote a whole-layout file")
+	}
+}
+
+// assertSameIndex fails unless a and b serialize to the same bytes.
+func assertSameIndex(t *testing.T, name string, a, b *Index) {
+	t.Helper()
+	var ab, bb bytes.Buffer
+	if err := WriteIndex(&ab, a); err != nil {
+		t.Fatalf("%s: WriteIndex: %v", name, err)
+	}
+	if err := WriteIndex(&bb, b); err != nil {
+		t.Fatalf("%s: WriteIndex of the reference: %v", name, err)
+	}
+	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+		t.Fatalf("%s: serialization differs (%d bytes, reference %d bytes)", name, ab.Len(), bb.Len())
+	}
+}
+
+// frontierRows is one policy's rows for a frontier on one shard, the
+// scan a held shard of a ShardedEstimator runs.
+func frontierRows(p scanPolicy, shard, users int, u graph.VertexID, posteriors [][]float64) []Partial {
+	out := make([]Partial, len(posteriors))
+	scanFrontierChunks(p, shard, users, u, nil, posteriors, out, 1)
+	return out
 }
 
 // TestGatherPartialsMatchesShardedEstimator checks that scanning every
@@ -87,10 +121,10 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 		// derives them: one draw per shard, in shard order.
 		r := rng.New(9)
 		for s := 0; s < S; s++ {
-			users[s] = poolSizeOf(si.pools[s], g.NumVertices())
+			users[s] = si.users[s]
 			plain[s] = NewEstimator(si.shards[s])
 			pruned[s] = NewPrunedEstimator(si.shards[s])
-			delay[s] = newDelayEstimatorShard(sdm.shards[s], r.Uint64(), &sdm.fire, s, S, sdm.poolSizes[s])
+			delay[s] = newDelayEstimatorShard(sdm.shards[s], r.Uint64(), &sdm.fire, s, S, sdm.users[s])
 		}
 		for _, fam := range []struct {
 			name   string
@@ -179,9 +213,11 @@ func TestGatherPartialsDegraded(t *testing.T) {
 	}
 }
 
-// TestRepairShardMatchesShardedRepair runs one update through both the
-// standalone RepairShard path (what a shard server executes) and the
-// in-process ShardedIndex.Repair, and checks every shard lands identical.
+// TestRepairShardMatchesShardedRepair runs one update that adds users
+// through a container holding shards {0, 2} of the layout (what a shard
+// server repairs) and through the in-process ShardedIndex.Repair, and
+// checks both held shards land identical: the same bytes, ShardStats
+// rows and Partials rows.
 func TestRepairShardMatchesShardedRepair(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
@@ -191,12 +227,9 @@ func TestRepairShardMatchesShardedRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildSharded: %v", err)
 	}
-	standalone := make([]*Index, S)
-	for s := 0; s < S; s++ {
-		standalone[s], _, err = BuildShard(g, opts, S, s)
-		if err != nil {
-			t.Fatalf("BuildShard(%d): %v", s, err)
-		}
+	held, err := BuildOwned(g, opts, S, []int{0, 2})
+	if err != nil {
+		t.Fatalf("BuildOwned: %v", err)
 	}
 
 	ng, info := applyDelta(t, g, graph.Delta{
@@ -209,27 +242,23 @@ func TestRepairShardMatchesShardedRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardedIndex.Repair: %v", err)
 	}
-	prober := fracProber{g: ng, f: 0.8}
-	for s := 0; s < S; s++ {
-		next, _, users, err := standalone[s].RepairShard(ng, ropts, S, s, info.TouchedHeads, info.AddedVertices)
-		if err != nil {
-			t.Fatalf("RepairShard(%d): %v", s, err)
-		}
-		want := wantSi.shards[s]
-		if next.Theta() != want.Theta() || next.NumGraphs() != want.NumGraphs() {
-			t.Fatalf("shard %d after repair: θ %d graphs %d, want θ %d graphs %d",
-				s, next.Theta(), next.NumGraphs(), want.Theta(), want.NumGraphs())
-		}
-		if users != poolSizeOf(wantSi.pools[s], ng.NumVertices()) {
-			t.Fatalf("shard %d users after repair = %d", s, users)
-		}
-		a, b := NewEstimator(next), NewEstimator(want)
-		for u := 0; u < ng.NumVertices(); u += 7 {
-			ra := a.Partial(s, users, graph.VertexID(u), prober)
-			rb := b.Partial(s, users, graph.VertexID(u), prober)
-			if ra != rb {
-				t.Fatalf("shard %d user %d: repaired partials differ: %+v vs %+v", s, u, ra, rb)
-			}
+	next, _, err := held.Repair(ng, ropts, info.TouchedHeads, info.AddedVertices)
+	if err != nil {
+		t.Fatalf("held {0, 2} Repair: %v", err)
+	}
+	all := wantSi.ShardStats()
+	if got, want := next.ShardStats(), []ShardStat{all[0], all[2]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("repaired {0, 2} stats %+v, want rows 0 and 2: %+v", got, want)
+	}
+	for i, s := range next.ids {
+		assertSameIndex(t, fmt.Sprintf("repaired shard %d", s), next.shards[i], wantSi.shards[s])
+	}
+	posteriors := siblingPosteriors(topics.GenerateRandom(rng.New(77), 12, 2, 2), []topics.TagID{2}, 6)
+	a, b := NewShardedEstimator(next), NewShardedEstimator(wantSi)
+	for u := 0; u < ng.NumVertices(); u += 7 {
+		got, want := a.Partials(graph.VertexID(u), posteriors), b.Partials(graph.VertexID(u), posteriors)
+		if !reflect.DeepEqual(got, [][]Partial{want[0], want[2]}) {
+			t.Fatalf("user %d: repaired {0, 2} rows %+v, in-process rows %+v", u, got, want)
 		}
 	}
 }
@@ -249,26 +278,57 @@ func TestBuildShardRejectsBadShard(t *testing.T) {
 	}
 }
 
-// TestCheckShard: a slice fits only the shard it was built as, with that
-// shard's |V_s|.
+// TestCheckShard: ReadOwned installs a slice only as the shard it was
+// built as, with that shard's |V_s|, and only into a held set of the
+// layout's shard ids.
 func TestCheckShard(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 3)
 	opts := shardOpts(42, 3000)
 	const S = 3
-	idx, users, err := BuildShard(g, opts, S, 1)
+	held, err := BuildOwned(g, opts, S, []int{0, 2})
 	if err != nil {
-		t.Fatalf("BuildShard: %v", err)
+		t.Fatalf("BuildOwned: %v", err)
 	}
-	if err := idx.CheckShard(opts, S, 1, users); err != nil {
-		t.Fatalf("index as built: %v", err)
+	files := make([][]byte, 2)
+	for i := range files {
+		var b bytes.Buffer
+		if err := WriteShard(&b, held, i); err != nil {
+			t.Fatalf("WriteShard(%d): %v", i, err)
+		}
+		files[i] = b.Bytes()
 	}
-	if err := idx.CheckShard(opts, S, 0, users); err == nil {
-		t.Fatal("shard 1's graphs accepted as shard 0")
+	install := func(owned, users []int, order ...int) (*ShardedIndex, error) {
+		readers := make([]io.Reader, len(order))
+		for i, f := range order {
+			readers[i] = bytes.NewReader(files[f])
+		}
+		return ReadOwned(g, opts, S, owned, users, readers)
 	}
-	if err := idx.CheckShard(opts, S, 1, users+1); err == nil {
-		t.Fatal("wrong |V_s| accepted for an index")
+	users, sizes := held.users, poolSizes(shardPools(g.NumVertices(), S), g.NumVertices())
+	got, err := install([]int{0, 2}, users, 0, 1)
+	if err != nil {
+		t.Fatalf("slices as built: %v", err)
 	}
-	if err := idx.CheckShard(opts, S, S, users); err == nil {
-		t.Fatal("shard id outside the layout accepted")
+	if !reflect.DeepEqual(got.ShardStats(), held.ShardStats()) {
+		t.Fatalf("installed stats %+v, built %+v", got.ShardStats(), held.ShardStats())
+	}
+	for i := range got.ids {
+		assertSameIndex(t, fmt.Sprintf("installed slice %d", i), got.shards[i], held.shards[i])
+	}
+	for _, bad := range []struct {
+		name         string
+		owned, users []int
+		order        []int
+	}{
+		{"shard 2's graphs as shard 0", []int{0, 2}, users, []int{1, 0}},
+		{"shard 2's graphs as shard 1", []int{0, 1}, sizes[:2], []int{0, 1}},
+		{"a wrong |V_s|", []int{0, 2}, []int{users[0], users[1] + 1}, []int{0, 1}},
+		{"a shard id outside the layout", []int{0, S}, users, []int{0, 1}},
+		{"descending ids", []int{2, 0}, []int{users[1], users[0]}, []int{1, 0}},
+		{"a missing file", []int{0, 2}, users, []int{0}},
+	} {
+		if _, err := install(bad.owned, bad.users, bad.order...); err == nil {
+			t.Fatalf("%s accepted", bad.name)
+		}
 	}
 }

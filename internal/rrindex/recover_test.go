@@ -225,7 +225,7 @@ func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 				t.Fatalf("%s S=%d: BuildShardedDelayMat: %v", tc.name, S, err)
 			}
 			for s, dm := range sdm.shards {
-				n, pool := dm.counts[tc.u], sdm.poolSizes[s]
+				n, pool := dm.counts[tc.u], sdm.users[s]
 				if n == 0 {
 					continue
 				}
@@ -332,7 +332,7 @@ func TestRecoveryWithoutOutEdges(t *testing.T) {
 		}
 		for _, u := range []graph.VertexID{fixture.U5, fixture.U7} {
 			for s, dm := range sdm.shards {
-				de := newDelayEstimatorShard(dm, 7, &sdm.fire, s, S, sdm.poolSizes[s])
+				de := newDelayEstimatorShard(dm, 7, &sdm.fire, s, S, sdm.users[s])
 				de.recover(u)
 				if ShardOf(u, S) != s && dm.counts[u] != 0 {
 					t.Fatalf("S=%d: θ_%d(%d) = %d for a user that reaches nobody", S, s, u, dm.counts[u])
@@ -400,8 +400,8 @@ func TestRecoveryIsPureFunctionOfSeedShardUser(t *testing.T) {
 			t.Fatalf("BuildShardedDelayMat: %v", err)
 		}
 		for s, dm := range sdm.shards {
-			a := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.poolSizes[s])
-			b := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.poolSizes[s])
+			a := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
+			b := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
 			snapshot := func(de *DelayEstimator, u graph.VertexID) []RRGraph {
 				de.recover(u)
 				out := make([]RRGraph, de.recovered.size())

@@ -436,7 +436,7 @@ func TestPrunedEstimatorCutCacheBounded(t *testing.T) {
 			if got, want := pe.Partial(0, n, v, prober), fresh.Partial(0, n, v, prober); got != want {
 				t.Fatalf("round %d user %d: long-lived %+v, fresh %+v", round, u, got, want)
 			}
-			got, want := pe.PartialFrontier(0, n, v, post), fresh.PartialFrontier(0, n, v, post)
+			got, want := frontierRows(pe, 0, n, v, post), frontierRows(fresh, 0, n, v, post)
 			if got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("round %d user %d: long-lived frontier %+v, fresh %+v", round, u, got, want)
 			}

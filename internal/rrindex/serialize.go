@@ -120,9 +120,19 @@ func WriteIndex(w io.Writer, idx *Index) error {
 	return writeFile(w, kindIndex, idx.g.NumVertices(), []*Index{idx}, writeGraphArrays)
 }
 
+// WriteShard writes the i-th held shard of si as a one-shard file
+// (WriteIndex's), the form ReadOwned installs.
+func WriteShard(w io.Writer, si *ShardedIndex, i int) error {
+	return WriteIndex(w, si.shards[i])
+}
+
 // WriteSharded serializes a sharded index so that a query server can
-// load it instead of re-running the offline phase.
+// load it instead of re-running the offline phase. The index must hold
+// every shard of its layout.
 func WriteSharded(w io.Writer, si *ShardedIndex) error {
+	if len(si.ids) != si.numShards {
+		return fmt.Errorf("rrindex: the index holds %d of its %d shards, a file holds every one", len(si.ids), si.numShards)
+	}
 	return writeFile(w, kindIndex, si.g.NumVertices(), si.shards, writeGraphArrays)
 }
 
@@ -309,13 +319,12 @@ func ReadSharded(r io.Reader, g *graph.Graph) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	S := len(shards)
 	for s, sh := range shards {
-		if err := sh.checkTargets(S, s); err != nil {
+		if err := sh.checkTargets(len(shards), s); err != nil {
 			return nil, err
 		}
 	}
-	return &ShardedIndex{g: g, numShards: S, shards: shards, pools: shardPools(g.NumVertices(), S), repaired: make([]int64, S)}, nil
+	return &ShardedIndex{loaded(g, shards)}, nil
 }
 
 // ReadShardedDelayMat loads a DelayMat written by WriteShardedDelayMat.
@@ -324,8 +333,15 @@ func ReadShardedDelayMat(r io.Reader, g *graph.Graph) (*ShardedDelayMat, error) 
 	if err != nil {
 		return nil, err
 	}
-	S, nV := len(shards), g.NumVertices()
-	return &ShardedDelayMat{g: g, numShards: S, shards: shards, poolSizes: poolSizes(shardPools(nV, S), nV), repaired: make([]int64, S)}, nil
+	return &ShardedDelayMat{shardSet: loaded(g, shards)}, nil
+}
+
+// loaded is the container of a file's shards: every shard of its layout.
+func loaded[T shardPart[T]](g *graph.Graph, shards []T) shardSet[T] {
+	nV := g.NumVertices()
+	set, _ := holding[T](g, poolSizes(shardPools(nV, len(shards)), nV), nil)
+	set.shards = shards
+	return set
 }
 
 // readIndexShard reads one shard's index body of exactly θ_s graphs into

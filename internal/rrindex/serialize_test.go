@@ -138,7 +138,7 @@ func TestOneShardFilesLoad(t *testing.T) {
 		if err := WriteShardedDelayMat(&again, sdm); err != nil {
 			t.Fatalf("%s DelayMat: WriteShardedDelayMat: %v", name, err)
 		}
-		if sdm.NumShards() != 1 || sdm.poolSizes[0] != g.NumVertices() || !bytes.Equal(again.Bytes(), delay) {
+		if sdm.NumShards() != 1 || sdm.users[0] != g.NumVertices() || !bytes.Equal(again.Bytes(), delay) {
 			t.Fatalf("%s DelayMat: S=%d, re-serialized bytes differ from a fresh build's", name, sdm.NumShards())
 		}
 	}

@@ -34,12 +34,14 @@ import (
 // shared with the previous generation as-is (~1/S of the index per
 // single-head batch, instead of all of it).
 //
-// One recipe. A shard is derived from one layout (pools, |V_s|, θ_s) by
-// the per-shard helpers below: its build options, its build, and plan,
-// the repair-routing decision. BuildSharded and both Repairs are an
-// eachShard loop over them; BuildSharded is BuildShard per shard, and
-// ShardedIndex.Repair is RepairShard per shard (partial.go), so a shard
-// server fleet and the in-process index cannot drift apart.
+// One container. A shard is derived from one layout (pools, |V_s|, θ_s)
+// by the per-shard helpers below: its build options, its build, and plan,
+// the repair-routing decision. shardSet holds the shards of the layout a
+// process has — every one in an engine, the owned ones on a shard server
+// — and is the only code that builds, repairs and reports them, for
+// ShardedIndex and ShardedDelayMat alike. A shard's bytes depend on the
+// layout and its own id alone, never on which other shards are held, so
+// a fleet of shard servers and the in-process index cannot drift apart.
 
 // shardSeedMix separates per-shard RNG streams. Shard 0 keeps the
 // caller's seed unchanged (the S=1 byte-identity contract); the constant
@@ -90,19 +92,14 @@ func shardPools(numVertices, numShards int) [][]graph.VertexID {
 	return pools
 }
 
-// poolSizeOf returns |V_s| for a pool (nil = the whole vertex range).
-func poolSizeOf(pool []graph.VertexID, numVertices int) int {
-	if pool == nil {
-		return numVertices
-	}
-	return len(pool)
-}
-
-// poolSizes returns every pool's |V_s|.
+// poolSizes returns every pool's |V_s| (a nil pool is every vertex).
 func poolSizes(pools [][]graph.VertexID, numVertices int) []int {
 	sizes := make([]int, len(pools))
 	for s, pool := range pools {
-		sizes[s] = poolSizeOf(pool, numVertices)
+		sizes[s] = len(pool)
+		if pool == nil {
+			sizes[s] = numVertices
+		}
 	}
 	return sizes
 }
@@ -167,16 +164,6 @@ func newLayout(numVertices int, opts BuildOptions, numShards int) (layout, error
 	return l, nil
 }
 
-// layoutFor is newLayout for a caller holding one shard, which must be
-// one of the layout's.
-func layoutFor(numVertices int, opts BuildOptions, numShards, shard int) (layout, error) {
-	l, err := newLayout(numVertices, opts, numShards)
-	if err == nil && (shard < 0 || shard >= len(l.pools)) {
-		err = fmt.Errorf("rrindex: shard %d outside [0,%d)", shard, len(l.pools))
-	}
-	return l, err
-}
-
 // options derives shard s's build options from the base ones: its own
 // RNG stream and its share of the workers.
 func (l layout) options(opts BuildOptions, s int) BuildOptions {
@@ -219,10 +206,14 @@ func (l layout) plan(s, oldVertices, addedVertices int, oldTheta int64, ownsTouc
 	return spec, ownsTouched || grew || spec.thetaNew > oldTheta, nil
 }
 
-// shardPart is what the repair recipe needs of one shard's structure:
+// shardPart is what the container needs of one shard's structure:
 // *Index or *DelayMat.
 type shardPart[T any] interface {
 	Theta() int64
+	MemoryFootprint() int64
+	// stat is the shard's ShardStats row as far as the structure knows
+	// it: θ_s, the graph counts and the bytes.
+	stat() ShardStat
 	// owns reports whether a touched head appears in the shard's postings
 	// or counters.
 	owns(touched []graph.VertexID) bool
@@ -231,37 +222,102 @@ type shardPart[T any] interface {
 	repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, spec repairSpec) (T, RepairStats, error)
 }
 
-// repairShard repairs shard s of a structure over oldVertices users onto
-// g, whose layout is l: re-sampled under the shard's seed where plan says
-// so, shared otherwise.
-func repairShard[T shardPart[T]](old T, oldVertices int, g *graph.Graph, l layout, opts BuildOptions, s int,
-	touched []graph.VertexID, addedVertices int) (T, RepairStats, error) {
-	spec, needs, err := l.plan(s, oldVertices, addedVertices, old.Theta(), old.owns(touched))
-	if err != nil {
-		var zero T
-		return zero, RepairStats{}, err
-	}
-	if !needs {
-		next, stats := old.share(g)
-		return next, stats, nil
-	}
-	return old.repair(g, l.options(opts, s), touched, spec)
+// shardSet is the one container of an S-way layout: the shards of it one
+// process holds — all of them in an engine, the owned ones on a shard
+// server — with their |V_s| and cumulative repair counts. It builds,
+// repairs and reports once for both structures; ShardedIndex and
+// ShardedDelayMat embed it. Immutable once built: Repair returns a new
+// set.
+type shardSet[T shardPart[T]] struct {
+	g *graph.Graph
+	// numShards is the layout's S; ids are the held shards' ids,
+	// ascending, and shards, users (|V_s|) and repaired run parallel to
+	// them.
+	numShards int
+	ids       []int
+	shards    []T
+	users     []int
+	// repaired is the cumulative per-shard count of graphs re-sampled by
+	// Repair, carried across generations for /statsz.
+	repaired []int64
 }
 
-// repairShards is a container's repair: one layout of g, then
-// repairShard on every shard concurrently.
-func repairShards[T shardPart[T]](old []T, oldVertices int, g *graph.Graph, opts BuildOptions,
-	touched []graph.VertexID, addedVertices int) (layout, []T, []RepairStats, error) {
-	l, err := newLayout(g.NumVertices(), opts, len(old))
-	if err != nil {
-		return l, nil, nil, err
+// holding returns an empty container for the shards owned (nil: every
+// shard) of the layout whose pools have the given sizes, or an error when
+// owned is not an ascending list of the layout's shard ids.
+func holding[T shardPart[T]](g *graph.Graph, sizes []int, owned []int) (shardSet[T], error) {
+	S := len(sizes)
+	ids := slices.Clone(owned)
+	if owned == nil {
+		ids = make([]int, S)
+		for s := range ids {
+			ids[s] = s
+		}
 	}
-	next, stats := make([]T, len(old)), make([]RepairStats, len(old))
-	err = eachShard(len(old), func(s int) (err error) {
-		next[s], stats[s], err = repairShard(old[s], oldVertices, g, l, opts, s, touched, addedVertices)
+	set := shardSet[T]{g: g, numShards: S, ids: ids, shards: make([]T, len(ids)), users: make([]int, len(ids)), repaired: make([]int64, len(ids))}
+	for i, s := range ids {
+		if s < 0 || s >= S || i > 0 && s <= ids[i-1] {
+			return set, fmt.Errorf("rrindex: held shards %v are not ascending ids in [0,%d)", owned, S)
+		}
+		set.users[i] = sizes[s]
+	}
+	return set, nil
+}
+
+// buildShards builds the shards owned (nil: every shard) of the S-way
+// layout over g, concurrently, each with build. A shard's bytes depend on
+// (Seed, S, Workers) only — not on which other shards are held.
+func buildShards[T shardPart[T]](g *graph.Graph, opts BuildOptions, numShards int, owned []int,
+	build func(layout, *graph.Graph, BuildOptions, int) (T, error)) (shardSet[T], error) {
+	l, err := newLayout(g.NumVertices(), opts, numShards)
+	if err != nil {
+		return shardSet[T]{}, err
+	}
+	set, err := holding[T](g, l.sizes, owned)
+	if err != nil {
+		return set, err
+	}
+	return set, eachShard(len(set.ids), func(i int) (err error) {
+		set.shards[i], err = build(l, g, opts, set.ids[i])
 		return err
 	})
-	return l, next, stats, err
+}
+
+// repair returns the container over the updated graph, every held shard
+// repaired concurrently under its own seed: re-sampled where plan says
+// so, shared with the receiver as-is otherwise. The receiver is not
+// modified.
+func (c *shardSet[T]) repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (shardSet[T], RepairStats, error) {
+	var agg RepairStats
+	l, err := newLayout(g.NumVertices(), opts, c.numShards)
+	if err != nil {
+		return shardSet[T]{}, agg, err
+	}
+	next, _ := holding[T](g, l.sizes, c.ids)
+	perShard := make([]RepairStats, len(c.ids))
+	err = eachShard(len(c.ids), func(i int) error {
+		old, s := c.shards[i], c.ids[i]
+		spec, needs, err := l.plan(s, c.g.NumVertices(), addedVertices, old.Theta(), old.owns(touched))
+		switch {
+		case err != nil:
+		case needs:
+			next.shards[i], perShard[i], err = old.repair(g, l.options(opts, s), touched, spec)
+		default:
+			next.shards[i], perShard[i] = old.share(g)
+		}
+		return err
+	})
+	if err != nil {
+		return shardSet[T]{}, agg, err
+	}
+	for i, st := range perShard {
+		agg.Invalidated += st.Invalidated
+		agg.Retargeted += st.Retargeted
+		agg.Appended += st.Appended
+		agg.Total += st.Total
+		next.repaired[i] = c.repaired[i] + int64(st.Repaired())
+	}
+	return next, agg, nil
 }
 
 // eachShard runs fn for every shard of [0, numShards) concurrently and
@@ -285,20 +341,6 @@ func eachShard(numShards int, fn func(s int) error) error {
 	return nil
 }
 
-// tally sums per-shard repair stats into the batch's, adding each shard's
-// re-sampled count to its cumulative counter in repaired.
-func tally(perShard []RepairStats, repaired []int64) RepairStats {
-	var agg RepairStats
-	for s, st := range perShard {
-		agg.Invalidated += st.Invalidated
-		agg.Retargeted += st.Retargeted
-		agg.Appended += st.Appended
-		agg.Total += st.Total
-		repaired[s] += int64(st.Repaired())
-	}
-	return agg
-}
-
 // sumTheta is Σ_s θ_s.
 func sumTheta[T interface{ Theta() int64 }](shards []T) int64 {
 	var theta int64
@@ -308,54 +350,56 @@ func sumTheta[T interface{ Theta() int64 }](shards []T) int64 {
 	return theta
 }
 
-// ShardedIndex is S independent RR-Graph indexes over one graph, each
-// owning the targets of one user partition. Safe for concurrent readers,
-// like Index; estimators carry per-shard scratch.
-type ShardedIndex struct {
-	g         *graph.Graph
-	numShards int
-	shards    []*Index
-	// pools[s] lists shard s's users ascending; nil (only at S=1) means
-	// every vertex.
-	pools [][]graph.VertexID
-	// repaired is the cumulative per-shard count of graphs re-sampled by
-	// Repair, carried across generations for /statsz.
-	repaired []int64
-}
+// NumShards returns the layout's shard count S.
+func (c *shardSet[T]) NumShards() int { return c.numShards }
 
-// BuildSharded constructs a sharded index with numShards hash partitions
-// (values below 1 mean 1): BuildShard for every shard, concurrently. The
-// result is deterministic per (Seed, numShards, Workers); opts.Workers is
-// divided among the shards.
-func BuildSharded(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedIndex, error) {
-	l, err := newLayout(g.NumVertices(), opts, numShards)
-	if err != nil {
-		return nil, err
-	}
-	S := len(l.pools)
-	si := &ShardedIndex{g: g, numShards: S, pools: l.pools, shards: make([]*Index, S), repaired: make([]int64, S)}
-	if err := eachShard(S, func(s int) (err error) {
-		si.shards[s], err = l.buildIndex(g, opts, s)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return si, nil
-}
+// Theta returns the held shards' combined offline sample count Σ_s θ_s.
+func (c *shardSet[T]) Theta() int64 { return sumTheta(c.shards) }
 
-// NumShards returns the shard count.
-func (si *ShardedIndex) NumShards() int { return si.numShards }
-
-// Theta returns the combined offline sample count Σ_s θ_s.
-func (si *ShardedIndex) Theta() int64 { return sumTheta(si.shards) }
-
-// MemoryFootprint sums the shards' O(1) cached footprints.
-func (si *ShardedIndex) MemoryFootprint() int64 {
+// MemoryFootprint sums the held shards' O(1) cached footprints.
+func (c *shardSet[T]) MemoryFootprint() int64 {
 	var b int64
-	for _, sh := range si.shards {
+	for _, sh := range c.shards {
 		b += sh.MemoryFootprint()
 	}
 	return b
+}
+
+// ShardStats snapshots the held shards' sizes and cumulative repair
+// counts, one row per shard in ascending id order.
+func (c *shardSet[T]) ShardStats() []ShardStat {
+	out := make([]ShardStat, len(c.shards))
+	for i, sh := range c.shards {
+		out[i] = sh.stat()
+		out[i].Shard, out[i].Users, out[i].Repaired = c.ids[i], c.users[i], c.repaired[i]
+	}
+	return out
+}
+
+// ShardedIndex is the RR-Graph index of an S-way layout: one Index per
+// held shard, each owning the targets of one user partition. Safe for
+// concurrent readers, like Index; estimators carry per-shard scratch.
+type ShardedIndex struct {
+	shardSet[*Index]
+}
+
+// BuildOwned constructs the shards owned (ascending; nil means all) of
+// an S-way sharded index over g (S values below 1 mean 1), concurrently.
+// Each shard is deterministic per (Seed, numShards, Workers) whichever
+// others are held, so shard servers that own parts of the layout hold
+// the in-process index's shards bit for bit; opts.Workers is divided
+// among the layout's S shards.
+func BuildOwned(g *graph.Graph, opts BuildOptions, numShards int, owned []int) (*ShardedIndex, error) {
+	set, err := buildShards(g, opts, numShards, owned, layout.buildIndex)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedIndex{set}, nil
+}
+
+// BuildSharded is BuildOwned of every shard.
+func BuildSharded(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedIndex, error) {
+	return BuildOwned(g, opts, numShards, nil)
 }
 
 // ShardStat describes one shard of a sharded offline structure, the
@@ -373,22 +417,9 @@ type ShardStat struct {
 	Repaired   int64
 }
 
-// ShardStats snapshots per-shard sizes and cumulative repair counts.
-func (si *ShardedIndex) ShardStats() []ShardStat {
-	out := make([]ShardStat, si.numShards)
-	for s, sh := range si.shards {
-		out[s] = ShardStat{
-			Shard:      s,
-			Users:      poolSizeOf(si.pools[s], si.g.NumVertices()),
-			Theta:      sh.theta,
-			Graphs:     sh.graphs.size(),
-			Singletons: len(sh.graphs.singles),
-			InStars:    len(sh.graphs.starEnd),
-			Bytes:      sh.MemoryFootprint(),
-			Repaired:   si.repaired[s],
-		}
-	}
-	return out
+func (idx *Index) stat() ShardStat {
+	return ShardStat{Theta: idx.theta, Graphs: idx.graphs.size(), Singletons: len(idx.graphs.singles),
+		InStars: len(idx.graphs.starEnd), Bytes: idx.MemoryFootprint()}
 }
 
 // share returns a shallow clone of the index re-bound to the updated
@@ -418,20 +449,19 @@ func (idx *Index) owns(touched []graph.VertexID) bool {
 	return false
 }
 
-// Repair returns a new ShardedIndex over the updated graph: RepairShard
-// for every shard, concurrently. A shard is re-sampled only when its
+// Repair returns a new ShardedIndex over the updated graph, every held
+// shard repaired concurrently. A shard is re-sampled only when its
 // postings contain a touched head, its partition gained users, or its
 // apportioned θ grew — otherwise the old shard's (immutable) store and
-// postings are shared with the new generation as-is. For a small edge batch this
-// shrinks the repair scope to the ~1/S of the index that actually owns
-// affected graphs. The receiver is not modified.
+// postings are shared with the new generation as-is. For a small edge
+// batch this shrinks the repair scope to the ~1/S of the index that
+// actually owns affected graphs. The receiver is not modified.
 func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedIndex, RepairStats, error) {
-	l, shards, perShard, err := repairShards(si.shards, si.g.NumVertices(), g, opts, touched, addedVertices)
+	set, stats, err := si.repair(g, opts, touched, addedVertices)
 	if err != nil {
-		return nil, RepairStats{}, err
+		return nil, stats, err
 	}
-	next := &ShardedIndex{g: g, numShards: si.numShards, pools: l.pools, shards: shards, repaired: slices.Clone(si.repaired)}
-	return next, tally(perShard, next.repaired), nil
+	return &ShardedIndex{set}, stats, nil
 }
 
 // ShardedDelayMat is S independent DelayMat counter arrays, one per hash
@@ -444,11 +474,7 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 // memory; keep S modest for DelayMat, and reach for sharding primarily
 // on the materialized Index, whose graph stores really do partition.
 type ShardedDelayMat struct {
-	g         *graph.Graph
-	numShards int
-	shards    []*DelayMat
-	poolSizes []int
-	repaired  []int64
+	shardSet[*DelayMat]
 	// fire is the firing table of g that every DelayEstimator over this
 	// generation shares, built by the first recovery (see lazyFireTable).
 	fire lazyFireTable
@@ -458,34 +484,11 @@ type ShardedDelayMat struct {
 // layout's per-shard DelayMat build for every shard, concurrently
 // (deterministic per (Seed, numShards)).
 func BuildShardedDelayMat(g *graph.Graph, opts BuildOptions, numShards int) (*ShardedDelayMat, error) {
-	l, err := newLayout(g.NumVertices(), opts, numShards)
+	set, err := buildShards(g, opts, numShards, nil, layout.buildDelayMat)
 	if err != nil {
 		return nil, err
 	}
-	S := len(l.pools)
-	sdm := &ShardedDelayMat{g: g, numShards: S, poolSizes: l.sizes, shards: make([]*DelayMat, S), repaired: make([]int64, S)}
-	if err := eachShard(S, func(s int) (err error) {
-		sdm.shards[s], err = l.buildDelayMat(g, opts, s)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return sdm, nil
-}
-
-// NumShards returns the shard count.
-func (sdm *ShardedDelayMat) NumShards() int { return sdm.numShards }
-
-// Theta returns the combined offline sample count.
-func (sdm *ShardedDelayMat) Theta() int64 { return sumTheta(sdm.shards) }
-
-// MemoryFootprint sums the shards' cached footprints.
-func (sdm *ShardedDelayMat) MemoryFootprint() int64 {
-	var b int64
-	for _, sh := range sdm.shards {
-		b += sh.MemoryFootprint()
-	}
-	return b
+	return &ShardedDelayMat{shardSet: set}, nil
 }
 
 // CanRepair reports whether every shard carries repair bookkeeping.
@@ -498,24 +501,13 @@ func (sdm *ShardedDelayMat) CanRepair() bool {
 	return true
 }
 
-// ShardStats snapshots per-shard sizes and cumulative repair counts.
-// Graphs reports θ_s — the conceptual per-shard RR-Graph count, which is
-// truthful whether or not TrackMembers bookkeeping is present (the
-// member store is absent for untracked or disk-loaded counters), and
-// Singletons and InStars are 0: a DelayMat stores counts, not graphs.
-func (sdm *ShardedDelayMat) ShardStats() []ShardStat {
-	out := make([]ShardStat, sdm.numShards)
-	for s, sh := range sdm.shards {
-		out[s] = ShardStat{
-			Shard:    s,
-			Users:    sdm.poolSizes[s],
-			Theta:    sh.theta,
-			Graphs:   int(sh.theta),
-			Bytes:    sh.MemoryFootprint(),
-			Repaired: sdm.repaired[s],
-		}
-	}
-	return out
+// stat's Graphs is θ_s — the conceptual per-shard RR-Graph count, which
+// is truthful whether or not TrackMembers bookkeeping is present (the
+// member store is absent for untracked or disk-loaded counters); a
+// DelayMat stores counts, not graphs, so it has no singletons or
+// in-stars.
+func (dm *DelayMat) stat() ShardStat {
+	return ShardStat{Theta: dm.theta, Graphs: int(dm.theta), Bytes: dm.MemoryFootprint()}
 }
 
 // share is the DelayMat analog of Index.share: a shallow clone re-bound
@@ -549,10 +541,9 @@ func (sdm *ShardedDelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []
 	if !sdm.CanRepair() {
 		return nil, RepairStats{}, ErrNotRepairable
 	}
-	l, shards, perShard, err := repairShards(sdm.shards, sdm.g.NumVertices(), g, opts, touched, addedVertices)
+	set, stats, err := sdm.repair(g, opts, touched, addedVertices)
 	if err != nil {
-		return nil, RepairStats{}, err
+		return nil, stats, err
 	}
-	next := &ShardedDelayMat{g: g, numShards: sdm.numShards, poolSizes: l.sizes, shards: shards, repaired: slices.Clone(sdm.repaired)}
-	return next, tally(perShard, next.repaired), nil
+	return &ShardedDelayMat{shardSet: set}, stats, nil
 }

@@ -134,7 +134,7 @@ func TestShardedBuildInvariants(t *testing.T) {
 			users := 0
 			var theta int64
 			for s, sh := range si.shards {
-				users += poolSizeOf(si.pools[s], tc.numV)
+				users += si.users[s]
 				theta += sh.theta
 				for gi := 0; gi < sh.graphs.size(); gi++ {
 					target := sh.graphs.target(gi)
@@ -143,7 +143,7 @@ func TestShardedBuildInvariants(t *testing.T) {
 							s, gi, target, ShardOf(target, tc.shards))
 					}
 				}
-				if poolSizeOf(si.pools[s], tc.numV) == 0 && sh.graphs.size() != 0 {
+				if si.users[s] == 0 && sh.graphs.size() != 0 {
 					t.Fatalf("empty shard %d has %d graphs", s, sh.graphs.size())
 				}
 			}
@@ -345,7 +345,7 @@ func TestShardedRepairVertexGrowth(t *testing.T) {
 	}
 	users := 0
 	for s, sh := range next.shards {
-		users += poolSizeOf(next.pools[s], ng.NumVertices())
+		users += next.users[s]
 		for gi := 0; gi < sh.graphs.size(); gi++ {
 			if t0 := sh.graphs.target(gi); ShardOf(t0, S) != s {
 				t.Fatalf("shard %d graph %d target %d misplaced", s, gi, t0)

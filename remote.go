@@ -121,7 +121,7 @@ func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteE
 // IndexBuildOptions derives the rrindex build parameters an engine with
 // these options would use, defaults applied — the engine's own
 // derivation, and the contract a shard server must follow so its
-// BuildShard output is byte-identical to the in-process engine's index.
+// BuildOwned output is byte-identical to the in-process engine's index.
 // The model supplies the tag count entering the ln φ_K search-space
 // bound.
 func IndexBuildOptions(model *TagModel, opts Options) (bo rrindex.BuildOptions, err error) {

@@ -11,7 +11,7 @@ import (
 	"pitex/internal/rrindex"
 )
 
-// fakeRemote answers RemoteEstimate from in-process shard slices — the
+// fakeRemote answers RemoteEstimate from in-process shards — the
 // transportless reference implementation of the distrib client, built
 // from the same BuildShard/GatherPartials primitives the real shard
 // servers use.
@@ -19,12 +19,14 @@ type fakeRemote struct {
 	g      *graph.Graph
 	pruned bool
 	shards []*rrindex.Index
-	users  []int
-	theta  int64
-	total  int
-	drop   map[int]bool
-	err    error
-	calls  int
+	// all holds every shard too, for the frontier path's Partials.
+	all   *rrindex.ShardedIndex
+	users []int
+	theta int64
+	total int
+	drop  map[int]bool
+	err   error
+	calls int
 }
 
 func newFakeRemote(t *testing.T, net *Network, model *TagModel, opts Options, S int) *fakeRemote {
@@ -46,6 +48,9 @@ func newFakeRemote(t *testing.T, net *Network, model *TagModel, opts Options, S 
 		f.shards = append(f.shards, idx)
 		f.users = append(f.users, users)
 		f.theta += idx.Theta()
+	}
+	if f.all, err = rrindex.BuildSharded(net.Graph(), bo, S); err != nil {
+		t.Fatalf("BuildSharded: %v", err)
 	}
 	return f
 }
@@ -89,7 +94,7 @@ func (f *fakeRemote) EstimateRemote(_ context.Context, user int, probe RemotePro
 }
 
 // fakeFrontierRemote adds the batched capability to fakeRemote, from the
-// primitives the real pair uses: PartialFrontier per shard,
+// primitives the real pair uses: a sharded estimator's Partials,
 // GatherFrontierPartials when complete, per-sibling
 // GatherPartialsDegraded otherwise.
 type fakeFrontierRemote struct {
@@ -102,18 +107,16 @@ func (f *fakeFrontierRemote) EstimateRemoteFrontier(_ context.Context, user int,
 	if f.err != nil {
 		return nil, f.err
 	}
+	est := rrindex.NewShardedEstimator(f.all)
+	if f.pruned {
+		est = rrindex.NewShardedPrunedEstimator(f.all)
+	}
 	var rows [][]rrindex.Partial
 	var missing []int
-	for s, idx := range f.shards {
+	for s, row := range est.Partials(graph.VertexID(user), posteriors) {
 		if f.drop[s] {
 			missing = append(missing, s)
 			continue
-		}
-		var row []rrindex.Partial
-		if f.pruned {
-			row = rrindex.NewPrunedEstimator(idx).PartialFrontier(s, f.users[s], graph.VertexID(user), posteriors)
-		} else {
-			row = rrindex.NewEstimator(idx).PartialFrontier(s, f.users[s], graph.VertexID(user), posteriors)
 		}
 		rows = append(rows, row)
 	}

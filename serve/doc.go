@@ -54,9 +54,10 @@
 //	/tracez (JSON ring of recent traces)
 //
 // A ShardServer (cmd/pitexshard) serves the fleet protocol instead, whose
-// wire contract is package distrib's. It holds RR-Graph index slices
-// only, so a fleet serves the index strategies (INDEXEST, INDEXEST+;
-// pitex.Strategy.Distributes) and nothing else:
+// wire contract is package distrib's. It holds the shards it owns of
+// one RR-Graph index, in the container an engine holds all of them in
+// (rrindex.ShardedIndex), so a fleet serves the index strategies
+// (INDEXEST, INDEXEST+; pitex.Strategy.Distributes) and nothing else:
 //
 //	/shard/estimate (POST; a binary frame of weight rows, Content-Type
 //	   application/x-pitex-frontier, answered with a frame; any other

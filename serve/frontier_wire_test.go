@@ -424,7 +424,7 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 	if len(gen0.pool.idle) != 1 {
 		t.Fatalf("generation 0 pool holds %d sets after sequential requests, want 1", len(gen0.pool.idle))
 	}
-	warm := gen0.pool.idle[0].ests[0]
+	warm := gen0.pool.idle[0].est
 
 	var batch pitex.UpdateBatch
 	batch.InsertEdge(3, net.NumUsers(), pitex.TopicProb{Topic: 0, Prob: 0.9})
@@ -453,7 +453,7 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 			t.Fatalf("form %d after swap: status %d, answer %+v, want %+v", f, status, resp, before[f])
 		}
 	}
-	if len(gen0.pool.idle) != 1 || gen0.pool.idle[0].ests[0] != warm {
+	if len(gen0.pool.idle) != 1 || gen0.pool.idle[0].est != warm {
 		t.Fatal("previous-generation request did not reuse that generation's warm estimator set")
 	}
 	if len(gen1.pool.idle) != 0 {
@@ -539,10 +539,10 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 
 // TestFrameRoundTripMatchesLocalPartialFrontier is the frame's
 // differential test: weight rows framed, posted to a real ShardServer,
-// scanned and framed back are, field for field, the rows a local
-// rrindex.PartialFrontier over an independently built copy of each shard
-// returns — for both index families, one shard and three, at widths on
-// both sides of the 64-lane chunk — and every local row is a record the
+// scanned and framed back are, field for field, the rows the Partials of
+// a local estimator over an independently built in-process index return
+// — for both index families, one shard and three, at widths on both
+// sides of the 64-lane chunk — and every local row is a record the
 // frame's trust-boundary check accepts.
 func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
 	net, model := genNetModel(t, 10)
@@ -562,17 +562,13 @@ func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("IndexBuildOptions: %v", err)
 			}
-			local := make([]shardEstimator, S)
-			users := make([]int, S)
-			for s := range local {
-				idx, n, err := rrindex.BuildShard(net.Graph(), bo, S, s)
-				if err != nil {
-					t.Fatalf("BuildShard(%d/%d): %v", s, S, err)
-				}
-				users[s] = n
-				if local[s] = rrindex.NewEstimator(idx); strat == pitex.StrategyIndexPruned {
-					local[s] = rrindex.NewPrunedEstimator(idx)
-				}
+			si, err := rrindex.BuildSharded(net.Graph(), bo, S)
+			if err != nil {
+				t.Fatalf("BuildSharded(%d): %v", S, err)
+			}
+			local := rrindex.NewShardedEstimator(si)
+			if strat == pitex.StrategyIndexPruned {
+				local = rrindex.NewShardedPrunedEstimator(si)
 			}
 			for _, width := range []int{1, 3, 70} {
 				frontier := make([][]float64, width)
@@ -587,8 +583,9 @@ func TestFrameRoundTripMatchesLocalPartialFrontier(t *testing.T) {
 					if status != http.StatusOK || len(got.Frontier) != S {
 						t.Fatalf("%v S=%d width %d user %d: status %d, %d shard rows", strat, S, width, u, status, len(got.Frontier))
 					}
+					rows := local.Partials(graph.VertexID(u), frontier)
 					for s, row := range got.Frontier {
-						want := local[s].PartialFrontier(s, users[s], graph.VertexID(u), frontier)
+						want := rows[s]
 						if !reflect.DeepEqual(row, want) {
 							t.Fatalf("%v S=%d width %d user %d shard %d: framed rows diverge from the local scan:\n got  %+v\n want %+v",
 								strat, S, width, u, s, row, want)

@@ -89,13 +89,16 @@ func TestShardServerMetricsEndpoint(t *testing.T) {
 		"pitex_build_info",
 		"pitex_uptime_seconds",
 		"pitex_index_generation",
-		"pitex_shards_owned",
 		"pitex_shard_rejected_total",
 		"pitex_shard_timeouts_total",
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("shard /metrics missing family %s", want)
 		}
+	}
+	// The owned set never changes; /readyz and /statsz report it.
+	if _, ok := fams["pitex_shards_owned"]; ok {
+		t.Error("shard /metrics still exports the constant pitex_shards_owned")
 	}
 }
 

@@ -24,9 +24,8 @@ import (
 
 // ShardConfig places one ShardServer in a cluster layout: the server
 // builds and serves the Owned shards of an S = TotalShards sharded index
-// (rrindex.BuildShard), byte-identical to the corresponding slices of a
-// monolithic engine built with IndexShards = TotalShards and the same
-// options.
+// (rrindex.BuildOwned), byte-identical to the corresponding shards of an
+// engine built with IndexShards = TotalShards and the same options.
 type ShardConfig struct {
 	// TotalShards is the layout's S. Defaults to max(1, opts.IndexShards).
 	TotalShards int
@@ -69,43 +68,25 @@ func (c ShardConfig) withDefaults(opts pitex.Options) ShardConfig {
 type shardState struct {
 	net        *pitex.Network
 	generation uint64
-	// slices holds the owned index slices, parallel to ShardConfig.Owned.
-	slices []indexSlice
-	prev   *shardState
+	// index holds the owned shards of the layout.
+	index *rrindex.ShardedIndex
+	prev  *shardState
 	// pool holds this generation's reusable estimators. Held by pointer:
 	// double-buffering copies shardState by value, and the copy must keep
 	// answering from the same pool.
 	pool *estimatorPool
 }
 
-// indexSlice is one owned shard: its RR-Graph index and its |V_s|.
-type indexSlice struct {
-	idx   *rrindex.Index
-	users int
+// newShardState returns the serving state of one generation over index,
+// with an empty estimator pool.
+func newShardState(net *pitex.Network, generation uint64, index *rrindex.ShardedIndex) *shardState {
+	return &shardState{net: net, generation: generation, index: index, pool: &estimatorPool{}}
 }
 
-// newShardState returns a serving state for one generation with an empty
-// slot per owned shard.
-func newShardState(net *pitex.Network, generation uint64, owned int) *shardState {
-	return &shardState{
-		net:        net,
-		generation: generation,
-		slices:     make([]indexSlice, owned),
-		pool:       &estimatorPool{},
-	}
-}
-
-// shardEstimator is what /shard/estimate needs of a shard's scan policy;
-// rrindex.Estimator and rrindex.PrunedEstimator both provide it.
-type shardEstimator interface {
-	PartialFrontier(shard, users int, u graph.VertexID, posteriors [][]float64) []rrindex.Partial
-}
-
-// estimatorSet is one request's scratch: one estimator per owned shard,
-// parallel to ShardConfig.Owned, and the buffer a framed request's weight
-// rows decode into.
+// estimatorSet is one request's scratch: an estimator over the owned
+// shards and the buffer a framed request's weight rows decode into.
 type estimatorSet struct {
-	ests []shardEstimator
+	est  *rrindex.ShardedEstimator
 	rows distrib.FrontierScratch
 }
 
@@ -142,11 +123,11 @@ func (p *estimatorPool) put(set *estimatorSet) {
 	p.mu.Unlock()
 }
 
-// ShardServer serves a slice of the distributed RR-index over the
+// ShardServer serves some shards of the distributed RR-index over the
 // /shard/* HTTP protocol (see package distrib for the wire contract). It
-// holds RR-Graph index slices only, so it serves the strategies that
+// holds RR-Graph index shards only, so it serves the strategies that
 // distribute (pitex.Strategy.Distributes) and nothing else.
-// The index slices build asynchronously — the server answers /healthz
+// The owned shards build asynchronously, concurrently — the server answers /healthz
 // and /readyz immediately, /readyz turning 200 (and /shard/info Ready)
 // only once every owned shard is built. All methods are safe for
 // concurrent use.
@@ -225,42 +206,31 @@ func (ss *ShardServer) registerMetrics() {
 		func() int64 { return ss.gate.rejected.Load() })
 	reg.CounterFunc("pitex_shard_timeouts_total", "Estimations that timed out waiting for a worker slot.",
 		func() int64 { return ss.gate.timeouts.Load() })
-	reg.GaugeFunc("pitex_shards_owned", "Shard slices this server holds.",
-		func() float64 { return float64(len(ss.cfg.Owned)) })
-	reg.GaugeFunc("pitex_index_effective_epsilon", "Error budget this server's slices deliver: Eq. 7 solved for ε at their Σθ_s and Σ|V_s| (0 while building).",
+	reg.GaugeFunc("pitex_index_effective_epsilon", "Error budget this server's shards deliver: Eq. 7 solved for ε at their Σθ_s and Σ|V_s| (0 while building).",
 		func() float64 { return ss.effectiveEpsilon(ss.state.Load()) })
 }
 
-// effectiveEpsilon is Eq. 7 solved for ε over the owned slices of st, or
+// effectiveEpsilon is Eq. 7 solved for ε over the owned shards of st, or
 // 0 before they are built.
 func (ss *ShardServer) effectiveEpsilon(st *shardState) float64 {
-	if st == nil {
+	if st == nil || st.index.Theta() == 0 {
 		return 0
 	}
-	var theta int64
 	users := 0
-	for _, sl := range st.slices {
-		theta += sl.idx.Theta()
-		users += sl.users
+	for _, sh := range st.index.ShardStats() {
+		users += sh.Users
 	}
-	if theta == 0 {
-		return 0
-	}
-	return ss.buildOpts.EffectiveEpsilon(users, theta)
+	return ss.buildOpts.EffectiveEpsilon(users, st.index.Theta())
 }
 
 func (ss *ShardServer) build(net *pitex.Network) {
 	defer close(ss.ready)
-	st := newShardState(net, 0, len(ss.cfg.Owned))
-	for i, s := range ss.cfg.Owned {
-		sl := &st.slices[i]
-		var err error
-		if sl.idx, sl.users, err = rrindex.BuildShard(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, s); err != nil {
-			ss.buildErr = fmt.Errorf("serve: building shard %d: %w", s, err)
-			return
-		}
+	index, err := rrindex.BuildOwned(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, ss.cfg.Owned)
+	if err != nil {
+		ss.buildErr = fmt.Errorf("serve: building shards %v: %w", ss.cfg.Owned, err)
+		return
 	}
-	ss.state.Store(st)
+	ss.state.Store(newShardState(net, 0, index))
 }
 
 // Close marks the server draining — it closes the admission gate, so
@@ -418,24 +388,17 @@ func decodeEstimate(r *http.Request) (req distrib.EstimateRequest, err error) {
 // steady state it allocates only the response. A panicking estimator
 // unwinds to the handler chain, and its set — scratch in an unknown
 // state — is not returned.
-func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) (resp distrib.EstimateResponse) {
+func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) distrib.EstimateResponse {
 	set := st.pool.get()
 	if set == nil {
-		set = &estimatorSet{ests: make([]shardEstimator, len(st.slices))}
-		for i, sl := range st.slices {
-			if ss.opts.Strategy == pitex.StrategyIndexPruned {
-				set.ests[i] = rrindex.NewPrunedEstimator(sl.idx)
-			} else {
-				set.ests[i] = rrindex.NewEstimator(sl.idx)
-			}
+		set = &estimatorSet{est: rrindex.NewShardedEstimator(st.index)}
+		if ss.opts.Strategy == pitex.StrategyIndexPruned {
+			set.est = rrindex.NewShardedPrunedEstimator(st.index)
 		}
 	}
-	resp.Generation = st.generation
-	u := graph.VertexID(req.User)
-	frontier := req.FrontierRows(&set.rows)
-	for i, s := range ss.cfg.Owned {
-		resp.Frontier = append(resp.Frontier,
-			set.ests[i].PartialFrontier(s, st.slices[i].users, u, frontier))
+	resp := distrib.EstimateResponse{
+		Generation: st.generation,
+		Frontier:   set.est.Partials(graph.VertexID(req.User), req.FrontierRows(&set.rows)),
 	}
 	st.pool.put(set)
 	return resp
@@ -485,10 +448,9 @@ func (ss *ShardServer) infoFor(st *shardState) distrib.InfoResponse {
 		Strategy:    ss.strategy,
 		Ready:       true,
 	}
-	for i, s := range ss.cfg.Owned {
-		sl := st.slices[i]
+	for _, sh := range st.index.ShardStats() {
 		info.Shards = append(info.Shards, distrib.ShardInfo{
-			Shard: s, Users: sl.users, Theta: sl.idx.Theta(), Graphs: sl.idx.NumGraphs(),
+			Shard: sh.Shard, Users: sh.Users, Theta: sh.Theta, Graphs: sh.Graphs,
 		})
 	}
 	return info
@@ -525,21 +487,16 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) erro
 		}
 		bo := ss.buildOpts
 		bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
-		next := newShardState(newNet, req.Generation, len(ss.cfg.Owned))
-		resp := distrib.UpdateResponse{Generation: req.Generation}
-		for i, s := range ss.cfg.Owned {
-			sl := &next.slices[i]
-			var rs rrindex.RepairStats
-			sl.idx, rs, sl.users, err = st.slices[i].idx.RepairShard(
-				newNet.Graph(), bo, ss.cfg.TotalShards, s, info.TouchedHeads, info.AddedVertices)
-			if err != nil {
-				return nil, nil, withStatus(http.StatusInternalServerError, err)
-			}
-			resp.GraphsRepaired += rs.Invalidated + rs.Retargeted
-			resp.GraphsAppended += rs.Appended
+		index, rs, err := st.index.Repair(newNet.Graph(), bo, info.TouchedHeads, info.AddedVertices)
+		if err != nil {
+			return nil, nil, withStatus(http.StatusInternalServerError, err)
 		}
-		resp.ElapsedNs = int64(time.Since(start))
-		return next, resp, nil
+		return newShardState(newNet, req.Generation, index), distrib.UpdateResponse{
+			Generation:     req.Generation,
+			GraphsRepaired: rs.Invalidated + rs.Retargeted,
+			GraphsAppended: rs.Appended,
+			ElapsedNs:      int64(time.Since(start)),
+		}, nil
 	})
 }
 
@@ -570,7 +527,7 @@ func (ss *ShardServer) advance(w http.ResponseWriter, step func(st *shardState) 
 }
 
 // maxResyncBody bounds /shard/resync installs: a snapshot carries the
-// whole network plus every owned index slice.
+// whole network plus every owned shard.
 const maxResyncBody = 256 << 20
 
 // handleResyncGet serializes the current serving state as a snapshot a
@@ -593,12 +550,12 @@ func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) e
 		return withStatus(http.StatusInternalServerError, err)
 	}
 	snap.Network = nb.Bytes()
-	for i, s := range ss.cfg.Owned {
+	for i, sh := range st.index.ShardStats() {
 		var sb bytes.Buffer
-		if err := rrindex.WriteIndex(&sb, st.slices[i].idx); err != nil {
+		if err := rrindex.WriteShard(&sb, st.index, i); err != nil {
 			return withStatus(http.StatusInternalServerError, err)
 		}
-		snap.Shards = append(snap.Shards, distrib.ResyncShard{Shard: s, Users: st.slices[i].users, Index: sb.Bytes()})
+		snap.Shards = append(snap.Shards, distrib.ResyncShard{Shard: sh.Shard, Users: sh.Users, Index: sb.Bytes()})
 	}
 	writeJSON(w, snap)
 	return nil
@@ -606,9 +563,10 @@ func (ss *ShardServer) handleResyncGet(w http.ResponseWriter, r *http.Request) e
 
 // handleResyncPost installs a snapshot taken from a caught-up replica,
 // replacing this server's state wholesale. Generations at or below the
-// serving one are acknowledged idempotently; the snapshot's layout and
-// strategy must match this server's exactly, and each slice must fit the
-// shard it is labelled as (rrindex CheckShard) or the install is a 400.
+// serving one are acknowledged idempotently; the snapshot's layout,
+// strategy and shard set must match this server's exactly (409
+// otherwise), and each shard must fit the layout under its label
+// (rrindex.ReadOwned) or the install is a 400.
 func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) error {
 	var snap distrib.ResyncState
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResyncBody))
@@ -629,31 +587,24 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad snapshot network: %w", err)
 		}
-		next := newShardState(net, snap.Generation, len(ss.cfg.Owned))
+		users, files := make([]int, len(ss.cfg.Owned)), make([]io.Reader, len(ss.cfg.Owned))
 		for _, sh := range snap.Shards {
 			i := slices.Index(ss.cfg.Owned, sh.Shard)
 			if i < 0 {
 				return nil, nil, withStatus(http.StatusConflict,
 					fmt.Errorf("serve: snapshot carries shard %d, not owned here", sh.Shard))
 			}
-			// A slice is installed under its label only if it fits that
-			// shard of the layout: every gather trusts its |V_s| and targets.
-			idx, err := rrindex.ReadIndex(bytes.NewReader(sh.Index), net.Graph())
-			if err == nil {
-				err = idx.CheckShard(ss.buildOpts, ss.cfg.TotalShards, sh.Shard, sh.Users)
-			}
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad snapshot shard %d: %w", sh.Shard, err)
-			}
-			next.slices[i] = indexSlice{idx: idx, users: sh.Users}
+			users[i], files[i] = sh.Users, bytes.NewReader(sh.Index)
 		}
-		for i, s := range ss.cfg.Owned {
-			if next.slices[i].idx == nil {
-				return nil, nil, withStatus(http.StatusConflict,
-					fmt.Errorf("serve: snapshot missing owned shard %d", s))
-			}
+		if i := slices.Index(files, nil); i >= 0 {
+			return nil, nil, withStatus(http.StatusConflict,
+				fmt.Errorf("serve: snapshot missing owned shard %d", ss.cfg.Owned[i]))
 		}
-		return next, distrib.ResyncResponse{Generation: snap.Generation}, nil
+		index, err := rrindex.ReadOwned(net.Graph(), ss.buildOpts, ss.cfg.TotalShards, ss.cfg.Owned, users, files)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad snapshot: %w", err)
+		}
+		return newShardState(net, snap.Generation, index), distrib.ResyncResponse{Generation: snap.Generation}, nil
 	})
 }
 
