@@ -9,6 +9,16 @@
 // importing either: counters and gauges are single atomics, spans are
 // appended under one mutex, and everything is nil-safe so un-traced
 // paths pay one pointer check.
+//
+// A trace is cheap to keep and costs its export only when read. IDs are
+// random 64-bit integers, rendered as hex when a header or an export
+// needs them; a span keeps its attributes in a small slice; Finish seals
+// the trace and puts the *Trace itself in the /tracez ring, and the JSON
+// form (TraceData) is built only by Trace.Data — for /tracez and
+// ?trace=1. A cache hit's trace (one span, one attribute, its two
+// context values) costs 432 B in 4 allocations and a shard server's
+// estimate trace (two spans, five attributes) 648 B in 5
+// (BenchmarkTrace, Go 1.24, linux/amd64).
 package obsv
 
 import (

@@ -2,8 +2,7 @@ package obsv
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"time"
@@ -48,15 +47,27 @@ func validHexID(s string) bool {
 	return true
 }
 
-// newID mints a 64-bit random hex ID.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a zero ID still
-		// traces, it just won't be unique.
-		return "0000000000000000"
+// newID mints a random non-zero 64-bit ID. IDs need to be unique, not
+// unpredictable, so the runtime's per-thread generator mints them with no
+// system call and no allocation; the hex form is rendered only when a
+// header or an exported trace needs it.
+func newID() uint64 {
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
 	}
-	return hex.EncodeToString(b[:])
+}
+
+// formatID renders an ID as 16 lower-case hex digits.
+func formatID(id uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
 }
 
 // maxSpansPerTrace bounds one trace's span list: a best-first query can
@@ -65,32 +76,50 @@ func newID() string {
 // past the cap are counted, not recorded.
 const maxSpansPerTrace = 512
 
+// attr is one span attribute.
+type attr struct {
+	key   string
+	value any
+}
+
 // Span is one timed stage of a trace. A nil *Span is a valid no-op
 // receiver, so un-traced code paths cost one pointer check.
 type Span struct {
 	tr     *Trace
 	name   string
-	id     string
-	parent string
+	id     uint64
+	parent uint64 // 0 for a root-level span
 	start  time.Time
 
-	mu    sync.Mutex
-	dur   time.Duration
-	ended bool
-	attrs map[string]any
+	mu      sync.Mutex
+	dur     time.Duration
+	ended   bool
+	sealed  bool // the trace finished: attributes are frozen
+	attrs   []attr
+	attrBuf [2]attr // backs attrs up to two entries
 }
 
 // SetAttr attaches one key/value to the span (last write per key wins).
+// Once the span's trace has finished it is a no-op.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	defer s.mu.Unlock()
+	if s.sealed {
+		return
 	}
-	s.attrs[key] = value
-	s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
+	}
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, attr{key, value})
 }
 
 // End records the span's duration; only the first End counts.
@@ -111,7 +140,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return s.id
+	return formatID(s.id)
 }
 
 // StartChild opens a child span.
@@ -120,6 +149,31 @@ func (s *Span) StartChild(name string) *Span {
 		return nil
 	}
 	return s.tr.startSpan(name, s.id)
+}
+
+// data exports the span; one still open reports its duration so far.
+func (s *Span) data() SpanData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sd := SpanData{
+		Name:          s.name,
+		SpanID:        formatID(s.id),
+		StartUnixNano: s.start.UnixNano(),
+		DurationNs:    int64(s.dur),
+	}
+	if s.parent != 0 {
+		sd.ParentID = formatID(s.parent)
+	}
+	if !s.ended {
+		sd.DurationNs = int64(time.Since(s.start))
+	}
+	if len(s.attrs) > 0 {
+		sd.Attrs = make(map[string]any, len(s.attrs))
+		for _, a := range s.attrs {
+			sd.Attrs[a.key] = a.value
+		}
+	}
+	return sd
 }
 
 // Trace is one request's span collection. Create one with
@@ -135,6 +189,11 @@ type Trace struct {
 	spans   []*Span
 	dropped int
 	done    bool
+	dur     time.Duration // set by Finish
+	// first and firstSlot back the first span and the span list's first
+	// entry, so a one-span trace (a cache hit) is one allocation.
+	first     Span
+	firstSlot [1]*Span
 }
 
 // ID returns the trace's hex ID ("" for nil).
@@ -147,22 +206,33 @@ func (t *Trace) ID() string {
 
 // StartSpan opens a root-level span.
 func (t *Trace) StartSpan(name string) *Span {
-	return t.startSpan(name, "")
+	return t.startSpan(name, 0)
 }
 
-func (t *Trace) startSpan(name, parent string) *Span {
+// startSpan opens a span under parent (0 for root level). A full or
+// finished trace returns nil before building anything: past the cap a
+// span costs one counter increment.
+func (t *Trace) startSpan(name string, parent uint64) *Span {
 	if t == nil {
 		return nil
 	}
-	sp := &Span{tr: t, name: name, id: newID(), parent: parent, start: time.Now()}
 	t.mu.Lock()
-	if len(t.spans) >= maxSpansPerTrace {
-		t.dropped++
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.done {
 		return nil
 	}
+	if len(t.spans) >= maxSpansPerTrace {
+		t.dropped++
+		return nil
+	}
+	sp := &t.first
+	if len(t.spans) == 0 {
+		t.spans = t.firstSlot[:0]
+	} else {
+		sp = new(Span)
+	}
+	sp.tr, sp.name, sp.id, sp.parent, sp.start = t, name, newID(), parent, time.Now()
 	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
 	return sp
 }
 
@@ -187,50 +257,61 @@ type TraceData struct {
 	Spans         []SpanData `json:"spans"`
 }
 
-// Finish seals the trace, records it into its tracer's ring and returns
-// the exported form. Only the first Finish records; later calls return
-// the same data. Unended spans are closed at the trace's end time.
-func (t *Trace) Finish() TraceData {
+// Finish seals the trace and records it into its tracer's ring. Spans
+// still open are closed at the trace's end time; afterwards no span
+// opens and no attribute changes, so the recorded trace reads the same
+// whenever it is exported. Only the first Finish counts.
+func (t *Trace) Finish() {
 	if t == nil {
-		return TraceData{}
+		return
 	}
 	t.mu.Lock()
-	first := !t.done
-	t.done = true
-	td := TraceData{
-		TraceID:       t.id,
-		Name:          t.name,
-		StartUnixNano: t.start.UnixNano(),
-		DurationNs:    int64(time.Since(t.start)),
-		DroppedSpans:  t.dropped,
-		Spans:         make([]SpanData, 0, len(t.spans)),
+	if t.done {
+		t.mu.Unlock()
+		return
 	}
+	t.done = true
+	now := time.Now()
+	t.dur = now.Sub(t.start)
 	spans := t.spans
 	t.mu.Unlock()
 	for _, sp := range spans {
 		sp.mu.Lock()
 		if !sp.ended {
 			sp.ended = true
-			sp.dur = time.Since(sp.start)
+			sp.dur = now.Sub(sp.start)
 		}
-		sd := SpanData{
-			Name:          sp.name,
-			SpanID:        sp.id,
-			ParentID:      sp.parent,
-			StartUnixNano: sp.start.UnixNano(),
-			DurationNs:    int64(sp.dur),
-		}
-		if len(sp.attrs) > 0 {
-			sd.Attrs = make(map[string]any, len(sp.attrs))
-			for k, v := range sp.attrs {
-				sd.Attrs[k] = v
-			}
-		}
+		sp.sealed = true
 		sp.mu.Unlock()
-		td.Spans = append(td.Spans, sd)
 	}
-	if first && t.tracer != nil {
-		t.tracer.record(td)
+	if t.tracer != nil {
+		t.tracer.record(t)
+	}
+}
+
+// Data returns the exported form, built on every call: only /tracez and
+// ?trace=1 ask for it, so a trace nobody reads never pays for it. Before
+// Finish it reports the trace so far.
+func (t *Trace) Data() TraceData {
+	if t == nil {
+		return TraceData{}
+	}
+	t.mu.Lock()
+	td := TraceData{
+		TraceID:       t.id,
+		Name:          t.name,
+		StartUnixNano: t.start.UnixNano(),
+		DurationNs:    int64(t.dur),
+		DroppedSpans:  t.dropped,
+	}
+	if !t.done {
+		td.DurationNs = int64(time.Since(t.start))
+	}
+	spans := t.spans
+	t.mu.Unlock()
+	td.Spans = make([]SpanData, len(spans))
+	for i, sp := range spans {
+		td.Spans[i] = sp.data()
 	}
 	return td
 }

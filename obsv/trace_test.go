@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,7 +53,8 @@ func TestTraceSpanTree(t *testing.T) {
 	child.SetAttr("endpoint", "http://shard")
 	child.End()
 	root.End()
-	td := trace.Finish()
+	trace.Finish()
+	td := trace.Data()
 
 	if td.TraceID != trace.ID() || td.Name != "query" {
 		t.Fatalf("TraceData = %+v", td)
@@ -94,12 +97,107 @@ func TestTraceSpanCap(t *testing.T) {
 			t.Fatal("span past cap was not dropped")
 		}
 	}
-	td := trace.Finish()
+	trace.Finish()
+	td := trace.Data()
 	if len(td.Spans) != maxSpansPerTrace {
 		t.Fatalf("spans = %d, want %d", len(td.Spans), maxSpansPerTrace)
 	}
 	if td.DroppedSpans != 10 {
 		t.Fatalf("dropped = %d, want 10", td.DroppedSpans)
+	}
+}
+
+// TestStartSpanPastCapAllocs: once a trace holds maxSpansPerTrace spans,
+// opening another builds nothing — no span, no ID — and only counts it.
+func TestStartSpanPastCapAllocs(t *testing.T) {
+	trace := NewTracer(1).StartTrace("full")
+	root := trace.StartSpan("root")
+	for i := 1; i < maxSpansPerTrace; i++ {
+		trace.StartSpan("s")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if trace.StartSpan("over") != nil || root.StartChild("over") != nil {
+			t.Fatal("span past cap was not dropped")
+		}
+	}); got != 0 {
+		t.Fatalf("StartSpan on a full trace allocates %v times, want 0", got)
+	}
+	trace.Finish()
+	if td := trace.Data(); len(td.Spans) != maxSpansPerTrace || td.DroppedSpans != 202 {
+		t.Fatalf("spans = %d, dropped = %d, want %d and 202", len(td.Spans), td.DroppedSpans, maxSpansPerTrace)
+	}
+}
+
+// TestFinishSeals: after Finish the recorded trace no longer changes —
+// a late span is not opened, a late attribute is dropped, a late End
+// does not move a duration — so the ring and ?trace=1 export the same
+// document whenever they are read.
+func TestFinishSeals(t *testing.T) {
+	tr := NewTracer(2)
+	trace := tr.StartTrace("sealed")
+	sp := trace.StartSpan("s")
+	sp.SetAttr("a", 1)
+	sp.SetAttr("b", "x")
+	sp.SetAttr("a", 2) // last write wins
+	open := trace.StartSpan("open")
+	trace.Finish()
+	before := trace.Data()
+
+	sp.SetAttr("late", true)
+	open.End()
+	if trace.StartSpan("late") != nil || sp.StartChild("late") != nil {
+		t.Fatal("a finished trace opened a span")
+	}
+	after := tr.Snapshot()
+	if len(after) != 1 || !reflect.DeepEqual(after[0], before) {
+		t.Fatalf("ring holds %+v, want %+v", after, before)
+	}
+	if got := before.Spans[0].Attrs; len(got) != 2 || got["a"] != 2 || got["b"] != "x" {
+		t.Fatalf("attrs = %v, want a=2 b=x", got)
+	}
+	if before.Spans[1].DurationNs > before.DurationNs {
+		t.Fatalf("open span closed at %d ns, after the trace's %d", before.Spans[1].DurationNs, before.DurationNs)
+	}
+	for _, sd := range before.Spans {
+		if len(sd.SpanID) != 16 || !validHexID(sd.SpanID) || sd.ParentID != "" {
+			t.Fatalf("span IDs = %q / %q", sd.SpanID, sd.ParentID)
+		}
+	}
+}
+
+// TestTraceConcurrentFinish: spans opened, annotated and ended from
+// several goroutines while the trace finishes and the ring is read, the
+// way hedged shard RPCs can outlive their request. Run under -race.
+func TestTraceConcurrentFinish(t *testing.T) {
+	tr := NewTracer(4)
+	trace := tr.StartTrace("racy")
+	root := trace.StartSpan("root")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sp := root.StartChild("rpc")
+				sp.SetAttr("i", i)
+				_ = sp.ID()
+				sp.End()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			_ = trace.Data()
+			_ = tr.Snapshot()
+		}
+	}()
+	trace.Finish()
+	sealed := trace.Data()
+	wg.Wait()
+	if got := trace.Data(); !reflect.DeepEqual(got, sealed) {
+		t.Fatalf("trace changed after Finish: %d spans, then %d", len(sealed.Spans), len(got.Spans))
 	}
 }
 
@@ -141,7 +239,8 @@ func TestContextPropagation(t *testing.T) {
 	inner, _ := StartSpan(ctx2, "inner")
 	inner.End()
 	sp.End()
-	td := trace.Finish()
+	trace.Finish()
+	td := trace.Data()
 	if len(td.Spans) != 2 || td.Spans[1].ParentID != td.Spans[0].SpanID {
 		t.Fatalf("ctx spans = %+v", td.Spans)
 	}
@@ -253,4 +352,39 @@ func TestLoggerTraceCorrelation(t *testing.T) {
 	if _, err := NewLogger(io.Discard, "text"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkTrace is the per-request cost of the two commonest traces,
+// started, filled, finished and recorded but never exported: a serve
+// cache hit (one span with one attribute under the two context values
+// the handler derives) and a shard server's estimate (two spans, five
+// attributes, a joined trace ID).
+func BenchmarkTrace(b *testing.B) {
+	tr := NewTracer(0)
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trace := tr.StartTrace("selling-points")
+			sp, _ := StartSpan(ContextWithTrace(context.Background(), trace), "cache")
+			sp.SetAttr("hit", true)
+			sp.End()
+			trace.Finish()
+		}
+	})
+	b.Run("shard-estimate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			trace := tr.Join("deadbeefcafef00d", "shard-estimate")
+			acq := trace.StartSpan("acquire")
+			acq.SetAttr("waiting", int64(0))
+			acq.End()
+			sp := trace.StartSpan("partials")
+			sp.SetAttr("user", i)
+			sp.SetAttr("generation", uint64(0))
+			sp.SetAttr("owned", 1)
+			sp.SetAttr("width", 3)
+			sp.End()
+			trace.Finish()
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 // /tracez.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []TraceData
+	buf   []*Trace
 	next  int
 	count int
 }
@@ -27,7 +27,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]TraceData, capacity)}
+	return &Tracer{buf: make([]*Trace, capacity)}
 }
 
 // StartTrace begins a trace with a freshly minted ID. Safe on a nil
@@ -36,7 +36,7 @@ func (tr *Tracer) StartTrace(name string) *Trace {
 	if tr == nil {
 		return nil
 	}
-	return &Trace{id: newID(), name: name, start: time.Now(), tracer: tr}
+	return &Trace{id: formatID(newID()), name: name, start: time.Now(), tracer: tr}
 }
 
 // Join begins a trace adopting a propagated trace ID (minting one if
@@ -46,14 +46,16 @@ func (tr *Tracer) Join(traceID, name string) *Trace {
 		return nil
 	}
 	if traceID == "" {
-		traceID = newID()
+		traceID = formatID(newID())
 	}
 	return &Trace{id: traceID, name: name, start: time.Now(), tracer: tr}
 }
 
-func (tr *Tracer) record(td TraceData) {
+// record keeps a finished trace in the ring; its exported form is built
+// only when the ring is read.
+func (tr *Tracer) record(t *Trace) {
 	tr.mu.Lock()
-	tr.buf[tr.next] = td
+	tr.buf[tr.next] = t
 	tr.next = (tr.next + 1) % len(tr.buf)
 	if tr.count < len(tr.buf) {
 		tr.count++
@@ -67,11 +69,14 @@ func (tr *Tracer) Snapshot() []TraceData {
 		return nil
 	}
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]TraceData, 0, tr.count)
+	traces := make([]*Trace, 0, tr.count)
 	for i := 1; i <= tr.count; i++ {
-		idx := (tr.next - i + len(tr.buf)) % len(tr.buf)
-		out = append(out, tr.buf[idx])
+		traces = append(traces, tr.buf[(tr.next-i+len(tr.buf))%len(tr.buf)])
+	}
+	tr.mu.Unlock()
+	out := make([]TraceData, len(traces))
+	for i, t := range traces {
+		out[i] = t.Data()
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"pitex"
@@ -31,10 +33,10 @@ func benchEngine(b *testing.B) *pitex.Engine {
 	return en
 }
 
-// BenchmarkServe compares the serving subsystem's three cost tiers for an
+// BenchmarkServe compares the serving subsystem's cost tiers for an
 // identical query: a full estimation on every request (cache disabled), a
-// first-touch estimation amortized over a rotating user set, and pure
-// cache hits. The acceptance bar is cached >= 10x faster than uncached;
+// cache hit through SellingPoints, the same hit through the HTTP handler,
+// and hits from parallel callers. The acceptance bar is cached >= 10x faster than uncached;
 // in practice a hit is a mutex-guarded map lookup and runs ~1000x faster.
 func BenchmarkServe(b *testing.B) {
 	en := benchEngine(b)
@@ -68,6 +70,30 @@ func BenchmarkServe(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := srv.SellingPoints(context.Background(), 0, 2, 1, nil); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	// http-hit is a warmed hit through Handler() into an httptest
+	// recorder: the request pipeline's own cost around the lookup (query
+	// parsing, the trace, the answer document), the recorder included.
+	b.Run("http-hit", func(b *testing.B) {
+		srv, err := New(en, pitex.ServeOptions{PoolSize: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		h := srv.Handler()
+		req := httptest.NewRequest(http.MethodGet, "/selling-points?user=0&k=2", nil)
+		for i := 0; i <= b.N; i++ {
+			if i == 1 {
+				b.ReportAllocs()
+				b.ResetTimer() // the first request warms the cache
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.Code, w.Body)
 			}
 		}
 	})

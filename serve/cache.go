@@ -169,6 +169,35 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
+// stored returns key's stored value and marks it most recently used.
+// The caller holds sh.mu.
+func (sh *cacheShard) stored(key Key) (any, bool) {
+	el, ok := sh.items[key]
+	if !ok {
+		return nil, false
+	}
+	sh.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).val, true
+}
+
+// Get returns the stored value for key, counted as a hit, or reports
+// false without counting anything: it neither waits on nor starts a
+// computation, and the GetOrCompute that follows a miss counts it. Safe
+// on a nil cache (always false).
+func (c *Cache) Get(key Key) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	sh := &c.shards[key.hash()&c.mask]
+	sh.mu.Lock()
+	v, ok := sh.stored(key)
+	sh.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return v, ok
+}
+
 // GetOrCompute returns the cached value for key, or runs compute exactly
 // once across all concurrent callers with the same key, stores a
 // successful result, and returns it. The second return reports whether the
@@ -187,9 +216,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() (any, 
 	var fl *flight
 	for fl == nil {
 		sh.mu.Lock()
-		if el, ok := sh.items[key]; ok {
-			sh.ll.MoveToFront(el)
-			v := el.Value.(*cacheEntry).val
+		if v, ok := sh.stored(key); ok {
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			return v, true, nil

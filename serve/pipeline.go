@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"pitex/internal/faultinject"
@@ -205,19 +204,6 @@ func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
 func withStatus(status int, err error) error { return &statusError{status: status, err: err} }
-
-// rawQueryHas reports whether a raw URL query sets key to a non-empty
-// first value, without parsing the query into a map.
-func rawQueryHas(raw, key string) bool {
-	for raw != "" {
-		var kv string
-		kv, raw, _ = strings.Cut(raw, "&")
-		if k, v, _ := strings.Cut(kv, "="); k == key {
-			return v != ""
-		}
-	}
-	return false
-}
 
 // httpError maps subsystem errors onto HTTP statuses: an explicit
 // statusError wins, then shed/closed → 503 (retry elsewhere), deadline →

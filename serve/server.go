@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -338,6 +339,16 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelF
 // Returned results may be shared with the cache and concurrent callers:
 // treat the Result's slices (Tags, TagNames, Alternatives) as read-only.
 func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int) (pitex.Result, bool, error) {
+	return s.sellingPoints(ctx, user, k, m, prefix, false)
+}
+
+// sellingPoints is SellingPoints, with the per-query deadline of the HTTP
+// surface when deadline is set. A stored hit returns before any timer is
+// armed; a miss or an in-flight follower waits for an engine or for the
+// identical estimation under QueryTimeout, so deadline-aware admission
+// can shed a query whose budget cannot cover the observed median latency
+// before it occupies a pool engine.
+func (s *Server) sellingPoints(ctx context.Context, user, k, m int, prefix []int, deadline bool) (pitex.Result, bool, error) {
 	if m < 1 {
 		return pitex.Result{}, false, fmt.Errorf("serve: m = %d, want >= 1", m)
 	}
@@ -356,6 +367,15 @@ func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int
 	key := Key{Kind: "query", Gen: s.generation.Load(), User: user, K: k, M: m, Tags: TagsKey(prefix)}
 	csp, ctx := obsv.StartSpan(ctx, "cache")
 	defer csp.End()
+	if v, ok := s.cache.Get(key); ok {
+		csp.SetAttr("hit", true)
+		return v.(pitex.Result), true, nil
+	}
+	if deadline {
+		var cancel context.CancelFunc
+		ctx, cancel = s.queryCtx(ctx)
+		defer cancel()
+	}
 	v, cached, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
 		var res pitex.Result
 		// Once an engine is checked out the estimation is decoupled from
@@ -611,7 +631,9 @@ func (s *Server) Handler() http.Handler {
 	// would otherwise dominate the per-query tail latencies.
 	batch := s.chain(route{label: "selling-points-batch"}, s.handleSellingPoints)
 	mux.HandleFunc("/selling-points", func(w http.ResponseWriter, r *http.Request) {
-		if rawQueryHas(r.URL.RawQuery, "users") {
+		// The route check reads the raw query as the handler does, so a
+		// request is a batch exactly when the handler serves it as one.
+		if parseQueryArgs(r.URL.RawQuery).users != "" {
 			batch(w, r)
 		} else {
 			single(w, r)
@@ -627,109 +649,201 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// answer is the /selling-points document. Its fields are declared in
+// sorted key order, so encoding/json writes the bytes a map[string]any of
+// the same keys would; optional parts are pointers that omitempty drops.
+type answer struct {
+	Alternatives *[]alternative          `json:"alternatives,omitempty"`
+	Cached       bool                    `json:"cached"`
+	Degraded     *pitex.DegradedCoverage `json:"degraded,omitempty"`
+	Elapsed      string                  `json:"elapsed"`
+	Explain      *pitex.Explain          `json:"explain,omitempty"`
+	Influence    float64                 `json:"influence"`
+	K            int                     `json:"k"`
+	TagIDs       []int                   `json:"tag_ids"`
+	Tags         []string                `json:"tags"`
+	Trace        *obsv.TraceData         `json:"trace,omitempty"`
+	User         int                     `json:"user"`
+}
+
+// alternative is one of a top-m answer's m best tag sets.
+type alternative struct {
+	Tags      []string `json:"tags"`
+	Influence float64  `json:"influence"`
+}
+
+// batchAnswer is the users= batch document.
+type batchAnswer struct {
+	K       int        `json:"k"`
+	Results []batchRow `json:"results"`
+}
+
+// batchRow is one user's row of a batch: the answer, or its error.
+type batchRow struct {
+	User      int      `json:"user"`
+	Tags      []string `json:"tags,omitempty"`
+	TagIDs    []int    `json:"tag_ids,omitempty"`
+	Influence float64  `json:"influence,omitempty"`
+	Error     string   `json:"error,omitempty"`
+}
+
+// newAnswer builds the answer document of one query's result; explain
+// inlines the estimator cost breakdown.
+func newAnswer(res pitex.Result, user, k, m int, cached, explain bool) answer {
+	doc := answer{
+		User:      user,
+		K:         k,
+		Tags:      res.TagNames,
+		TagIDs:    res.Tags,
+		Influence: res.Influence,
+		Cached:    cached,
+		Elapsed:   res.Elapsed.String(),
+		// Degraded-but-honest: the estimate stands, extrapolated over the
+		// responding shards, and the payload says exactly how much
+		// accuracy was lost and which shards were absent.
+		Degraded: res.Degraded,
+	}
+	if explain {
+		ex := res.Explain
+		doc.Explain = &ex
+	}
+	if m > 1 {
+		alts := make([]alternative, len(res.Alternatives))
+		for i, a := range res.Alternatives {
+			alts[i] = alternative{Tags: a.TagNames, Influence: a.Influence}
+		}
+		doc.Alternatives = &alts
+	}
+	return doc
+}
+
+// newBatchAnswer builds the document of a users= batch.
+func newBatchAnswer(batch []pitex.BatchResult, k int) *batchAnswer {
+	rows := make([]batchRow, len(batch))
+	for i, br := range batch {
+		rows[i] = batchRow{User: br.User, Tags: br.Result.TagNames,
+			TagIDs: br.Result.Tags, Influence: br.Result.Influence}
+		if br.Err != nil {
+			rows[i] = batchRow{User: br.User, Error: br.Err.Error()}
+		}
+	}
+	return &batchAnswer{K: k, Results: rows}
+}
+
 func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	k, err := intParam(q, "k", 3)
+	q := parseQueryArgs(r.URL.RawQuery)
+	k, err := intParam("k", q.k, 3)
 	if err != nil {
 		return err
 	}
-	m, err := intParam(q, "m", 1)
+	m, err := intParam("m", q.m, 1)
 	if err != nil {
 		return err
 	}
 	var prefix []int
-	if pArg := q.Get("prefix"); pArg != "" {
-		if prefix, err = parseIntList(pArg); err != nil {
+	if q.prefix != "" {
+		if prefix, err = parseIntList(q.prefix); err != nil {
 			return fmt.Errorf("bad prefix: %w", err)
 		}
 	}
-	if usersArg := q.Get("users"); usersArg != "" {
+	if q.users != "" {
 		if m != 1 || len(prefix) > 0 {
 			return fmt.Errorf("m and prefix are not supported with users batches")
 		}
-		users, err := parseIntList(usersArg)
+		users, err := parseIntList(q.users)
 		if err != nil {
 			return fmt.Errorf("bad users: %w", err)
 		}
 		if len(users) > MaxBatchUsers {
 			return fmt.Errorf("batch of %d users exceeds limit %d", len(users), MaxBatchUsers)
 		}
-		batch := s.QueryBatch(r.Context(), users, k)
-		type row struct {
-			User      int      `json:"user"`
-			Tags      []string `json:"tags,omitempty"`
-			TagIDs    []int    `json:"tag_ids,omitempty"`
-			Influence float64  `json:"influence,omitempty"`
-			Error     string   `json:"error,omitempty"`
-		}
-		rows := make([]row, len(batch))
-		for i, br := range batch {
-			rows[i] = row{User: br.User, Tags: br.Result.TagNames,
-				TagIDs: br.Result.Tags, Influence: br.Result.Influence}
-			if br.Err != nil {
-				rows[i] = row{User: br.User, Error: br.Err.Error()}
-			}
-		}
-		writeJSON(w, map[string]any{"k": k, "results": rows})
+		writeJSON(w, newBatchAnswer(s.QueryBatch(r.Context(), users, k), k))
 		return nil
 	}
-	user, err := intParam(q, "user", -1)
+	user, err := intParam("user", q.user, -1)
 	if err != nil || user < 0 {
 		return fmt.Errorf("bad or missing user")
 	}
-	// Every single query runs under a trace (spans cost microseconds
-	// against millisecond estimations); ?trace=1 additionally inlines the
-	// finished span tree into the response.
+	// Every single query runs under a trace (a hit's one span costs well
+	// under a microsecond); ?trace=1 additionally inlines the finished
+	// span tree into the response, the only place besides /tracez that
+	// exports it.
 	tr := s.tracer.StartTrace("selling-points")
-	// Bind the per-query deadline to the request context up front, so
-	// deadline-aware admission can shed a query whose budget cannot cover
-	// the observed median latency before it occupies a pool engine.
-	ctx, cancel := s.queryCtx(obsv.ContextWithTrace(r.Context(), tr))
-	defer cancel()
-	res, cached, err := s.SellingPoints(ctx, user, k, m, prefix)
-	td := tr.Finish()
+	res, cached, err := s.sellingPoints(obsv.ContextWithTrace(r.Context(), tr), user, k, m, prefix, true)
+	tr.Finish()
 	if err != nil {
 		return err
 	}
-	out := map[string]any{
-		"user":      user,
-		"k":         k,
-		"tags":      res.TagNames,
-		"tag_ids":   res.Tags,
-		"influence": res.Influence,
-		"cached":    cached,
-		"elapsed":   res.Elapsed.String(),
+	doc := newAnswer(res, user, k, m, cached, q.explain == "1" || q.trace == "1")
+	if q.trace == "1" {
+		td := tr.Data()
+		doc.Trace = &td
 	}
-	if res.Degraded != nil {
-		// Degraded-but-honest: the estimate stands, extrapolated over the
-		// responding shards, and the payload says exactly how much
-		// accuracy was lost and which shards were absent.
-		out["degraded"] = res.Degraded
-	}
-	if q.Get("trace") == "1" {
-		out["trace"] = td
-	}
-	if q.Get("explain") == "1" || q.Get("trace") == "1" {
-		out["explain"] = res.Explain
-	}
-	if m > 1 {
-		type alt struct {
-			Tags      []string `json:"tags"`
-			Influence float64  `json:"influence"`
-		}
-		alts := make([]alt, len(res.Alternatives))
-		for i, a := range res.Alternatives {
-			alts[i] = alt{Tags: a.TagNames, Influence: a.Influence}
-		}
-		out["alternatives"] = alts
-	}
-	writeJSON(w, out)
+	writeJSON(w, &doc)
 	return nil
+}
+
+// queryArgs are the /selling-points query parameters.
+type queryArgs struct {
+	k, m, user, users, prefix, trace, explain string
+}
+
+// parseQueryArgs reads the /selling-points parameters from a raw URL
+// query in one pass, without building url.Values: each field is what
+// url.Values.Get would return — the first value of its key (an empty one
+// included), %- and +-decoded, with the pairs url.ParseQuery rejects
+// (a ';', a malformed escape) skipped.
+func parseQueryArgs(raw string) queryArgs {
+	var q queryArgs
+	var seen uint8
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		field, bit := q.field(key)
+		if field == nil || seen&bit != 0 {
+			continue
+		}
+		if value, err = url.QueryUnescape(value); err != nil {
+			continue
+		}
+		*field, seen = value, seen|bit
+	}
+	return q
+}
+
+// field maps a parameter name to its field and a bit of its own; nil for
+// a name the endpoint does not read.
+func (q *queryArgs) field(key string) (*string, uint8) {
+	switch key {
+	case "k":
+		return &q.k, 1 << 0
+	case "m":
+		return &q.m, 1 << 1
+	case "user":
+		return &q.user, 1 << 2
+	case "users":
+		return &q.users, 1 << 3
+	case "prefix":
+		return &q.prefix, 1 << 4
+	case "trace":
+		return &q.trace, 1 << 5
+	case "explain":
+		return &q.explain, 1 << 6
+	}
+	return nil, 0
 }
 
 func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	user, err := intParam(q, "user", -1)
+	user, err := intParam("user", q.Get("user"), -1)
 	if err != nil || user < 0 {
 		return fmt.Errorf("bad or missing user")
 	}
@@ -741,13 +855,13 @@ func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("bad tags: %w", err)
 	}
-	m, err := intParam(q, "m", 10)
+	m, err := intParam("m", q.Get("m"), 10)
 	if err != nil {
 		return err
 	}
 	// Default 0: Audience normalizes it to pitex.DefaultAudienceSamples,
 	// so an omitted samples and an explicit 0 share one cache key.
-	samples, err := intParam(q, "samples", 0)
+	samples, err := intParam("samples", q.Get("samples"), 0)
 	if err != nil {
 		return err
 	}
@@ -824,16 +938,16 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Stats())
 }
 
-func intParam(q map[string][]string, name string, def int) (int, error) {
-	vs, ok := q[name]
-	if !ok || len(vs) == 0 || vs[0] == "" {
+// intParam parses the query parameter name's value v; an empty v is def.
+func intParam(name, v string, def int) (int, error) {
+	if v == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(vs[0])
+	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s: %q", name, vs[0])
+		return 0, fmt.Errorf("bad %s: %q", name, v)
 	}
-	return v, nil
+	return n, nil
 }
 
 func parseIntList(s string) ([]int, error) {
