@@ -218,6 +218,64 @@ func TestDegradedBodyMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestAudienceBodiesMatchMapReference pins every /audience body byte for
+// byte to a map[string]any document encoded with json.NewEncoder: a miss
+// and its hit, a permuted tag set, an omitted samples beside samples=0
+// (one key), a clamped samples, and the 400 bodies of malformed requests.
+func TestAudienceBodiesMatchMapReference(t *testing.T) {
+	srv := refServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+
+	for _, c := range []struct {
+		query   string
+		user    int
+		tags    []int
+		m       int
+		samples int64
+		cached  bool
+	}{
+		{"user=0&tags=2,3&m=3&samples=500", 0, []int{2, 3}, 3, 500, false},
+		{"user=0&tags=2,3&m=3&samples=500", 0, []int{2, 3}, 3, 500, true},
+		{"user=0&tags=3,2&m=3&samples=500", 0, []int{3, 2}, 3, 500, true},
+		{"user=1&tags=0,2", 1, []int{0, 2}, 10, 0, false},
+		{"user=1&tags=0,2&samples=0", 1, []int{0, 2}, 10, 0, true},
+		{"tags=1&m=4&user=2&samples=250000", 2, []int{1}, 4, MaxAudienceSamples, false},
+		{"user=2&tags=1&m=4&samples=100000", 2, []int{1}, 4, MaxAudienceSamples, true},
+	} {
+		st, body := getBody(t, ts.URL+"/audience?"+c.query)
+		if st != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.query, st, body)
+		}
+		aud, hit, err := srv.Audience(ctx, c.user, c.tags, c.m, c.samples)
+		if err != nil || !hit {
+			t.Fatalf("%s: reference call hit=%v err=%v", c.query, hit, err)
+		}
+		want := refEncode(t, map[string]any{"user": c.user, "audience": aud, "cached": c.cached})
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: body differs from the map reference\n got: %s\nwant: %s", c.query, body, want)
+		}
+	}
+
+	for _, c := range []struct{ query, err string }{
+		{"user=0&tags=", `bad tags: empty list`},
+		{"tags=1", `bad or missing user`},
+		{"user=x&tags=zz", `bad or missing user`},
+		{"user=0&tags=1,zz&m=nope", `bad tags: bad entry \"zz\"`},
+		{"user=0&tags=1&m=nope&samples=x", `bad m: \"nope\"`},
+		{"user=0&tags=1&samples=x", `bad samples: \"x\"`},
+		{"user=0&tags=1&m=1001", `serve: m = 1001 exceeds limit 1000`},
+		{"user=0&tags=3,3&m=3", `pitex: duplicate tag 3`},
+		{"user=0&tags=1,9&m=3", `pitex: tag 9 outside [0,4)`},
+	} {
+		st, body := getBody(t, ts.URL+"/audience?"+c.query)
+		if want := `{"error":"` + c.err + `"}` + "\n"; st != http.StatusBadRequest || string(body) != want {
+			t.Fatalf("%s: status %d body %s, want 400 %s", c.query, st, body, want)
+		}
+	}
+}
+
 var hexID = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 // traceShape checks a decoded trace's keys and ID formats and renders
