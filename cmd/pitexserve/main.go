@@ -69,7 +69,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.DurationVar(&c.serve.QueueTimeout, "queue-timeout", 5*time.Second, "max wait for a free engine (0 = 5s default, negative = none)")
 	fs.DurationVar(&c.serve.QueryTimeout, "query-timeout", 0, "per-query deadline (0 = 30s default, negative = none)")
 	fs.IntVar(&c.serve.CacheCapacity, "cache", 4096, "result cache capacity in entries (negative disables)")
-	fs.IntVar(&c.serve.CacheShards, "cache-shards", 16, "cache shard count")
 	fs.StringVar(&c.serve.SweepCheckpointDir, "sweep-checkpoint-dir", "", "directory for POST /admin/jobs checkpoint files (empty rejects checkpointed jobs over HTTP)")
 }
 

@@ -63,7 +63,7 @@ func TestParseStrategy(t *testing.T) {
 // TestFlags pins every flag's name and default.
 func TestFlags(t *testing.T) {
 	want := map[string]string{
-		"addr": "localhost:8437", "cache": "4096", "cache-shards": "16", "dataset": "",
+		"addr": "localhost:8437", "cache": "4096", "dataset": "",
 		"debug-addr": "", "delta": "1000", "drain-timeout": "10s", "epsilon": "0.7",
 		"fault-seed": "1", "faults": "", "index": "", "index-shards": "0",
 		"journal-horizon": "0", "log-format": "text", "max-index-samples": "200000",

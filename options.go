@@ -229,9 +229,6 @@ type ServeOptions struct {
 	// shards. Default 4096; negative disables caching (in-flight
 	// deduplication stays active).
 	CacheCapacity int
-	// CacheShards is the number of independently locked cache shards.
-	// Default 16, rounded up to a power of two.
-	CacheShards int
 	// SweepCheckpointDir is the directory sweep jobs started over HTTP
 	// (POST /admin/jobs) may persist checkpoints into: a request's
 	// checkpoint_path must be a bare file name, joined under this
@@ -258,9 +255,6 @@ func (o ServeOptions) WithDefaults() ServeOptions {
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 4096
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	return o
 }

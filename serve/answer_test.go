@@ -362,7 +362,8 @@ func tracez(t *testing.T, base string) []map[string]any {
 
 // TestTraceDocumentShape pins what ?trace=1 and /tracez decode to: the
 // trace and span keys, span names in order, parent links and attributes
-// of a miss and a hit, and that the ring holds the inlined trace as is.
+// of a miss and a hit on /selling-points and on /audience, and that the
+// ring holds the inlined trace as is.
 func TestTraceDocumentShape(t *testing.T) {
 	srv := refServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -398,6 +399,36 @@ func TestTraceDocumentShape(t *testing.T) {
 		ring := tracez(t, ts.URL)
 		if len(ring) == 0 || !reflect.DeepEqual(ring[0], tr) {
 			t.Fatalf("round %d: /tracez newest = %v, want the inlined trace %v", round, ring, tr)
+		}
+	}
+
+	audience := [][]string{
+		{
+			"cache<- {hit=false}",
+			"admission<-cache {queue_depth=*}",
+			"sample<-cache {samples=500 user=0}",
+		},
+		{"cache<- {hit=true}"},
+	}
+	for round, spans := range audience {
+		st, body := getBody(t, ts.URL+"/audience?user=0&tags=2,3&samples=500&trace=1")
+		if st != http.StatusOK {
+			t.Fatalf("audience status %d: %s", st, body)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		tr, _ := doc["trace"].(map[string]any)
+		if tr["name"] != "audience" {
+			t.Fatalf("audience trace name = %v", tr["name"])
+		}
+		if got := traceShape(t, tr); !slices.Equal(got, spans) {
+			t.Fatalf("audience round %d spans:\n got %q\nwant %q", round, got, spans)
+		}
+		ring := tracez(t, ts.URL)
+		if len(ring) == 0 || !reflect.DeepEqual(ring[0], tr) {
+			t.Fatalf("audience round %d: /tracez newest = %v, want the inlined trace %v", round, ring, tr)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -45,16 +44,19 @@ func TagsKey(tags []int) string {
 	if len(tags) == 0 {
 		return ""
 	}
-	sorted := append([]int(nil), tags...)
+	// Both buffers stay on the stack for the tag lists requests carry.
+	var ids [16]int
+	var b [64]byte
+	sorted := append(ids[:0], tags...)
 	slices.Sort(sorted)
-	var sb strings.Builder
+	out := b[:0]
 	for i, w := range sorted {
 		if i > 0 {
-			sb.WriteByte(',')
+			out = append(out, ',')
 		}
-		sb.WriteString(strconv.Itoa(w))
+		out = strconv.AppendInt(out, int64(w), 10)
 	}
-	return sb.String()
+	return string(out)
 }
 
 // hash is FNV-1a over the key's fields, used only for shard selection.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,8 +13,8 @@ import (
 	"pitex"
 )
 
-// maxHitAllocs bounds one warmed /selling-points hit through Handler(),
-// the httptest recorder's own allocations included.
+// maxHitAllocs bounds one warmed /selling-points or /audience hit
+// through Handler(), the httptest recorder's own allocations included.
 const maxHitAllocs = 20
 
 // TestSellingPointsHitAllocs: a cache hit through the HTTP handler costs
@@ -21,9 +22,20 @@ const maxHitAllocs = 20
 // deadline timer, no map-shaped answer document, a trace that exports
 // nothing until it is read.
 func TestSellingPointsHitAllocs(t *testing.T) {
+	testHitAllocs(t, "/selling-points?user=1&k=2")
+}
+
+// TestAudienceHitAllocs: an /audience hit runs the same lookup-first
+// path as a /selling-points hit and costs as little.
+func TestAudienceHitAllocs(t *testing.T) {
+	testHitAllocs(t, "/audience?user=0&tags=2,3&m=3")
+}
+
+func testHitAllocs(t *testing.T, url string) {
+	t.Helper()
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1})
 	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/selling-points?user=1&k=2", nil)
+	req := httptest.NewRequest(http.MethodGet, url, nil)
 	hit := func() {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
@@ -84,34 +96,67 @@ func TestAnswerEncodesLikeMap(t *testing.T) {
 }
 
 // TestFollowerKeepsQueryDeadline: only a stored hit skips the per-query
-// deadline. A request that finds an identical estimation in flight waits
-// for it under QueryTimeout and answers 504 when that runs out.
+// deadline. A request that finds an identical computation in flight
+// waits for it under QueryTimeout and fails with the deadline when that
+// runs out — over HTTP (a 504) and through the programmatic surface.
 func TestFollowerKeepsQueryDeadline(t *testing.T) {
-	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueryTimeout: 50 * time.Millisecond})
-	key := Key{Kind: "query", Gen: srv.Generation(), User: 1, K: 2, M: 1}
-	// The planted flight ends by itself after 2s, so a follower without
-	// the deadline fails the test instead of hanging it.
-	const flight = 2 * time.Second
-	started, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.cache.GetOrCompute(context.Background(), key, func() (any, error) {
-			close(started)
-			time.Sleep(flight)
-			return nil, errors.New("flight over")
-		})
-	}()
-	<-started
-	defer func() { <-done }()
-
-	h := srv.Handler()
-	w := httptest.NewRecorder()
-	start := time.Now()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/selling-points?user=1&k=2", nil))
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("follower status %d, want 504: %s", w.Code, w.Body)
+	get := func(url string) func(*Server) error {
+		return func(srv *Server) error {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil))
+			if w.Code != http.StatusGatewayTimeout {
+				return fmt.Errorf("status %d, want 504: %s", w.Code, w.Body)
+			}
+			return nil
+		}
 	}
-	if waited := time.Since(start); waited >= flight {
-		t.Fatalf("follower waited %v under a 50ms query deadline", waited)
+	query := Key{Kind: "query", User: 1, K: 2, M: 1}
+	for _, c := range []struct {
+		name   string
+		key    Key
+		follow func(*Server) error
+	}{
+		{"selling-points", query, get("/selling-points?user=1&k=2")},
+		{"audience", Key{Kind: "audience", User: 1, M: 10, Samples: pitex.DefaultAudienceSamples, Tags: "2,3"},
+			get("/audience?user=1&tags=3,2")},
+		{"programmatic", query, func(srv *Server) error {
+			_, _, err := srv.SellingPoints(context.Background(), 1, 2, 1, nil)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("err = %v, want the query deadline", err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueryTimeout: 50 * time.Millisecond})
+			key := c.key
+			key.Gen = srv.Generation()
+			// The planted flight ends once the follower is through, or by
+			// itself after 2s, so a follower without the deadline fails
+			// the test instead of hanging it.
+			const flight = 2 * time.Second
+			started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.cache.GetOrCompute(context.Background(), key, func() (any, error) {
+					close(started)
+					select {
+					case <-release:
+					case <-time.After(flight):
+					}
+					return nil, errors.New("flight over")
+				})
+			}()
+			<-started
+			defer func() { close(release); <-done }()
+
+			start := time.Now()
+			if err := c.follow(srv); err != nil {
+				t.Fatalf("follower: %v", err)
+			}
+			if waited := time.Since(start); waited >= flight {
+				t.Fatalf("follower waited %v under a 50ms query deadline", waited)
+			}
+		})
 	}
 }

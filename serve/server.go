@@ -68,6 +68,9 @@ type Server struct {
 	opts    pitex.ServeOptions
 }
 
+// cacheShards is the result cache's count of independently locked shards.
+const cacheShards = 16
+
 // New builds a Server over the given query-ready engine. The engine is
 // used as the clone prototype for the pool and retained as the update
 // base for ApplyUpdates; the caller may keep using it (single-threaded)
@@ -82,7 +85,7 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 	opts = opts.WithDefaults()
 	s := &Server{
 		proto:   en,
-		cache:   NewCache(opts.CacheCapacity, opts.CacheShards),
+		cache:   NewCache(opts.CacheCapacity, cacheShards),
 		jobs:    analytics.NewManager(),
 		numTags: en.Model().NumTags(),
 		opts:    opts,
@@ -329,26 +332,69 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
+// cached is the read path of SellingPoints and Audience: key's stored
+// answer, or run's on a pool engine under endpoint's admission label,
+// computed once across concurrent identical callers. A stored hit
+// returns before any timer is armed; a miss or a follower of an
+// in-flight computation waits under QueryTimeout, so deadline-aware
+// admission can shed a query whose budget cannot cover the observed
+// median latency before it occupies a pool engine. The second return
+// reports whether the answer came without a computation in this call.
+func cached[T any](ctx context.Context, s *Server, endpoint string, key Key, run func(context.Context, *pitex.Engine) (T, error)) (T, bool, error) {
+	csp, ctx := obsv.StartSpan(ctx, "cache")
+	defer csp.End()
+	if v, ok := s.cache.Get(key); ok {
+		csp.SetAttr("hit", true)
+		return v.(T), true, nil
+	}
+	ctx, cancel := s.queryCtx(ctx)
+	defer cancel()
+	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
+		var val T
+		err := s.do(ctx, endpoint, func(en *pitex.Engine) (err error) {
+			// Once an engine is checked out the work is decoupled from
+			// the caller's cancellation: concurrent identical requests
+			// piggyback on this flight, so one client's disconnect must
+			// not fail theirs — and a completed answer is cached either
+			// way. QueryTimeout (default 30s) bounds work orphaned by
+			// disconnections.
+			qctx, cancel := s.queryCtx(context.WithoutCancel(ctx))
+			defer cancel()
+			val, err = run(qctx, en)
+			return err
+		})
+		return val, err
+	})
+	csp.SetAttr("hit", hit)
+	var u uncached
+	if errors.As(err, &u) {
+		return u.val.(T), false, nil
+	}
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	return v.(T), hit, nil
+}
+
+// uncached carries an answer that must reach the caller and every waiter
+// on its flight but never the cache, which stores only nil-error results;
+// cached unwraps it back into a success.
+type uncached struct{ val any }
+
+func (uncached) Error() string { return "serve: uncacheable answer" }
+
 // SellingPoints answers one PITEX query through the cache and pool: the m
 // best size-k tag sets for user, optionally constrained to contain prefix
 // (prefix queries require m == 1, as in Engine.QueryWithPrefix). The
 // second return reports whether the answer was served without running an
 // estimation in this call (cache hit or in-flight dedup); a cached
-// Result's Elapsed still reports the original estimation time.
+// Result's Elapsed still reports the original estimation time. A miss
+// runs under QueryTimeout.
 //
 // Returned results may be shared with the cache and concurrent callers:
 // treat the Result's slices (Tags, TagNames, Alternatives) as read-only.
 func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int) (pitex.Result, bool, error) {
-	return s.sellingPoints(ctx, user, k, m, prefix, false)
-}
-
-// sellingPoints is SellingPoints, with the per-query deadline of the HTTP
-// surface when deadline is set. A stored hit returns before any timer is
-// armed; a miss or an in-flight follower waits for an engine or for the
-// identical estimation under QueryTimeout, so deadline-aware admission
-// can shed a query whose budget cannot cover the observed median latency
-// before it occupies a pool engine.
-func (s *Server) sellingPoints(ctx context.Context, user, k, m int, prefix []int, deadline bool) (pitex.Result, bool, error) {
 	if m < 1 {
 		return pitex.Result{}, false, fmt.Errorf("serve: m = %d, want >= 1", m)
 	}
@@ -365,73 +411,35 @@ func (s *Server) sellingPoints(ctx context.Context, user, k, m int, prefix []int
 		return pitex.Result{}, false, err
 	}
 	key := Key{Kind: "query", Gen: s.generation.Load(), User: user, K: k, M: m, Tags: TagsKey(prefix)}
-	csp, ctx := obsv.StartSpan(ctx, "cache")
-	defer csp.End()
-	if v, ok := s.cache.Get(key); ok {
-		csp.SetAttr("hit", true)
-		return v.(pitex.Result), true, nil
-	}
-	if deadline {
-		var cancel context.CancelFunc
-		ctx, cancel = s.queryCtx(ctx)
-		defer cancel()
-	}
-	v, cached, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
-		var res pitex.Result
-		// Once an engine is checked out the estimation is decoupled from
-		// the caller's cancellation: concurrent identical requests
-		// piggyback on this flight, so one client's disconnect must not
-		// fail theirs — and a completed estimation is cached either way.
-		// QueryTimeout (default 30s) bounds work orphaned by disconnections.
-		err := s.do(ctx, "selling-points", func(en *pitex.Engine) error {
-			qctx, cancel := s.queryCtx(context.WithoutCancel(ctx))
-			defer cancel()
-			qsp, qctx := obsv.StartSpan(qctx, "query")
-			defer qsp.End()
-			qsp.SetAttr("user", user)
-			qsp.SetAttr("k", k)
-			qsp.SetAttr("m", m)
-			qsp.SetAttr("strategy", s.strategy)
-			var qerr error
-			if len(prefix) > 0 {
-				res, qerr = en.QueryWithPrefixCtx(qctx, user, prefix, k)
-			} else {
-				res, qerr = en.QueryTopCtx(qctx, user, k, m)
-			}
-			if qerr == nil {
-				s.noteExplain(res.Explain)
-				if res.Degraded != nil {
-					// Degraded answers carry their accuracy loss into the
-					// trace: achieved ε and the shards that were absent.
-					qsp.SetAttr("degraded", true)
-					qsp.SetAttr("achieved_epsilon", res.Degraded.AchievedEpsilon)
-					qsp.SetAttr("target_epsilon", res.Degraded.TargetEpsilon)
-					qsp.SetAttr("missing_shards", res.Degraded.MissingShards)
-				}
-			}
-			return qerr
-		})
-		if err == nil && res.Degraded != nil {
-			// A degraded answer (shards were unreachable) must reach the
-			// caller but never the cache — the cache stores only
-			// nil-error results, and the moment the fleet heals an
-			// identical request deserves the exact answer. The sentinel
-			// error rides the flight to concurrent waiters too, so
-			// piggybacked requests share the degraded result without any
-			// of them caching it.
-			return res, &degradedErr{res: res}
+	return cached(ctx, s, "selling-points", key, func(ctx context.Context, en *pitex.Engine) (res pitex.Result, err error) {
+		qsp, ctx := obsv.StartSpan(ctx, "query")
+		defer qsp.End()
+		qsp.SetAttr("user", user)
+		qsp.SetAttr("k", k)
+		qsp.SetAttr("m", m)
+		qsp.SetAttr("strategy", s.strategy)
+		if len(prefix) > 0 {
+			res, err = en.QueryWithPrefixCtx(ctx, user, prefix, k)
+		} else {
+			res, err = en.QueryTopCtx(ctx, user, k, m)
 		}
-		return res, err
+		if err != nil {
+			return res, err
+		}
+		s.noteExplain(res.Explain)
+		if res.Degraded != nil {
+			// Degraded answers carry their accuracy loss into the trace:
+			// achieved ε and the shards that were absent. Shards were
+			// unreachable, so the answer is not cached: the moment the
+			// fleet heals an identical request deserves the exact one.
+			qsp.SetAttr("degraded", true)
+			qsp.SetAttr("achieved_epsilon", res.Degraded.AchievedEpsilon)
+			qsp.SetAttr("target_epsilon", res.Degraded.TargetEpsilon)
+			qsp.SetAttr("missing_shards", res.Degraded.MissingShards)
+			return res, uncached{res}
+		}
+		return res, nil
 	})
-	csp.SetAttr("hit", cached)
-	if err != nil {
-		var de *degradedErr
-		if errors.As(err, &de) {
-			return de.res, false, nil
-		}
-		return pitex.Result{}, false, err
-	}
-	return v.(pitex.Result), cached, nil
 }
 
 // noteExplain folds one fresh query's cost breakdown into the registry's
@@ -445,16 +453,6 @@ func (s *Server) noteExplain(ex pitex.Explain) {
 	s.boundPrunes.Add(ex.PrunedByBound)
 	s.fullSets.Add(ex.FullSetsEstimated)
 	s.boundMemoHits.Add(ex.BoundCacheHits)
-}
-
-// degradedErr smuggles a degraded (uncacheable) result through the
-// cache's error path; SellingPoints unwraps it back into a success.
-type degradedErr struct {
-	res pitex.Result
-}
-
-func (e *degradedErr) Error() string {
-	return "serve: degraded result (not cached)"
 }
 
 // MaxAudienceSamples caps the per-request cascade count of Audience.
@@ -488,27 +486,13 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 		return nil, false, err
 	}
 	key := Key{Kind: "audience", Gen: s.generation.Load(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
-	csp, ctx := obsv.StartSpan(ctx, "cache")
-	defer csp.End()
-	v, cached, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
-		var aud []pitex.InfluencedUser
-		// Queue wait cancellable, sampling run not — see SellingPoints.
-		err := s.do(ctx, "audience", func(en *pitex.Engine) error {
-			qsp, _ := obsv.StartSpan(ctx, "sample")
-			defer qsp.End()
-			qsp.SetAttr("user", user)
-			qsp.SetAttr("samples", samples)
-			var qerr error
-			aud, qerr = en.Audience(user, tags, m, samples)
-			return qerr
-		})
-		return aud, err
+	return cached(ctx, s, "audience", key, func(ctx context.Context, en *pitex.Engine) ([]pitex.InfluencedUser, error) {
+		sp, _ := obsv.StartSpan(ctx, "sample")
+		defer sp.End()
+		sp.SetAttr("user", user)
+		sp.SetAttr("samples", samples)
+		return en.Audience(user, tags, m, samples)
 	})
-	csp.SetAttr("hit", cached)
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]pitex.InfluencedUser), cached, nil
 }
 
 // MaxBatchUsers caps the user list of one QueryBatch / batch HTTP request.
@@ -619,8 +603,9 @@ func (s *Server) Stats() Stats {
 //	/metrics  (GET)                               — Prometheus text exposition
 //	/tracez   (GET)                               — last N request traces, JSON
 //
-// Queries accept &trace=1 (inline the request's span tree into the
-// response) and &explain=1 (inline the estimator cost breakdown).
+// Both GET routes accept &trace=1 (inline the request's span tree into
+// the response); /selling-points also accepts &explain=1 (inline the
+// estimator cost breakdown).
 //
 // The /admin endpoints carry no authentication; expose them only on an
 // internal listener or behind a reverse proxy that does.
@@ -769,12 +754,12 @@ func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) err
 	// span tree into the response, the only place besides /tracez that
 	// exports it.
 	tr := s.tracer.StartTrace("selling-points")
-	res, cached, err := s.sellingPoints(obsv.ContextWithTrace(r.Context(), tr), user, k, m, prefix, true)
+	res, hit, err := s.SellingPoints(obsv.ContextWithTrace(r.Context(), tr), user, k, m, prefix)
 	tr.Finish()
 	if err != nil {
 		return err
 	}
-	doc := newAnswer(res, user, k, m, cached, q.explain == "1" || q.trace == "1")
+	doc := newAnswer(res, user, k, m, hit, q.explain == "1" || q.trace == "1")
 	if q.trace == "1" {
 		td := tr.Data()
 		doc.Trace = &td
@@ -783,19 +768,19 @@ func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) err
 	return nil
 }
 
-// queryArgs are the /selling-points query parameters.
+// queryArgs are the /selling-points and /audience query parameters.
 type queryArgs struct {
-	k, m, user, users, prefix, trace, explain string
+	k, m, user, users, prefix, tags, samples, trace, explain string
 }
 
-// parseQueryArgs reads the /selling-points parameters from a raw URL
-// query in one pass, without building url.Values: each field is what
+// parseQueryArgs reads both GET routes' parameters from a raw URL query
+// in one pass, without building url.Values: each field is what
 // url.Values.Get would return — the first value of its key (an empty one
 // included), %- and +-decoded, with the pairs url.ParseQuery rejects
 // (a ';', a malformed escape) skipped.
 func parseQueryArgs(raw string) queryArgs {
 	var q queryArgs
-	var seen uint8
+	var seen uint16
 	for raw != "" {
 		var pair string
 		pair, raw, _ = strings.Cut(raw, "&")
@@ -821,7 +806,7 @@ func parseQueryArgs(raw string) queryArgs {
 
 // field maps a parameter name to its field and a bit of its own; nil for
 // a name the endpoint does not read.
-func (q *queryArgs) field(key string) (*string, uint8) {
+func (q *queryArgs) field(key string) (*string, uint16) {
 	switch key {
 	case "k":
 		return &q.k, 1 << 0
@@ -833,43 +818,59 @@ func (q *queryArgs) field(key string) (*string, uint8) {
 		return &q.users, 1 << 3
 	case "prefix":
 		return &q.prefix, 1 << 4
+	case "tags":
+		return &q.tags, 1 << 5
+	case "samples":
+		return &q.samples, 1 << 6
 	case "trace":
-		return &q.trace, 1 << 5
+		return &q.trace, 1 << 7
 	case "explain":
-		return &q.explain, 1 << 6
+		return &q.explain, 1 << 8
 	}
 	return nil, 0
 }
 
+// audienceAnswer is the /audience document, its fields in sorted key
+// order like answer's.
+type audienceAnswer struct {
+	Audience []pitex.InfluencedUser `json:"audience"`
+	Cached   bool                   `json:"cached"`
+	Trace    *obsv.TraceData        `json:"trace,omitempty"`
+	User     int                    `json:"user"`
+}
+
 func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	user, err := intParam("user", q.Get("user"), -1)
+	q := parseQueryArgs(r.URL.RawQuery)
+	user, err := intParam("user", q.user, -1)
 	if err != nil || user < 0 {
 		return fmt.Errorf("bad or missing user")
 	}
-	tr := s.tracer.StartTrace("audience")
-	ctx, cancel := s.queryCtx(obsv.ContextWithTrace(r.Context(), tr))
-	defer cancel()
-	defer tr.Finish()
-	tags, err := parseIntList(q.Get("tags"))
+	tags, err := parseIntList(q.tags)
 	if err != nil {
 		return fmt.Errorf("bad tags: %w", err)
 	}
-	m, err := intParam("m", q.Get("m"), 10)
+	m, err := intParam("m", q.m, 10)
 	if err != nil {
 		return err
 	}
 	// Default 0: Audience normalizes it to pitex.DefaultAudienceSamples,
 	// so an omitted samples and an explicit 0 share one cache key.
-	samples, err := intParam("samples", q.Get("samples"), 0)
+	samples, err := intParam("samples", q.samples, 0)
 	if err != nil {
 		return err
 	}
-	aud, cached, err := s.Audience(ctx, user, tags, m, int64(samples))
+	tr := s.tracer.StartTrace("audience")
+	aud, hit, err := s.Audience(obsv.ContextWithTrace(r.Context(), tr), user, tags, m, int64(samples))
+	tr.Finish()
 	if err != nil {
 		return err
 	}
-	writeJSON(w, map[string]any{"user": user, "audience": aud, "cached": cached})
+	doc := audienceAnswer{Audience: aud, Cached: hit, User: user}
+	if q.trace == "1" {
+		td := tr.Data()
+		doc.Trace = &td
+	}
+	writeJSON(w, &doc)
 	return nil
 }
 
@@ -954,14 +955,17 @@ func parseIntList(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("empty list")
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
+	out := make([]int, 0, strings.Count(s, ",")+1)
+	for {
+		p, rest, more := strings.Cut(s, ",")
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("bad entry %q", p)
 		}
 		out = append(out, v)
+		if !more {
+			return out, nil
+		}
+		s = rest
 	}
-	return out, nil
 }
