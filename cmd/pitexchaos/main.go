@@ -271,7 +271,6 @@ func setupSoak(cfg soakConfig, seed uint64) (*soak, []func(), error) {
 	client, err := distrib.Dial(ctx, s.urls, distrib.Options{
 		ShardDeadline:     2 * time.Second,
 		ReconcileInterval: 25 * time.Millisecond,
-		HealBackoff:       25 * time.Millisecond,
 		JournalHorizon:    cfg.horizon,
 		JitterSeed:        seed,
 	})

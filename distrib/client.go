@@ -32,13 +32,6 @@ type Options struct {
 	// hedges included (default 2s). A group that cannot answer within it
 	// is reported missing and the gather degrades.
 	ShardDeadline time.Duration
-	// HedgeMin floors the hedge delay (default 20ms): a hedge is never
-	// sent sooner, even when the latency window says the group is faster.
-	HedgeMin time.Duration
-	// UpdateDeadline bounds one /shard/update fan-out call per endpoint
-	// (default 60s — repairs re-sample RR-Graphs and are much slower than
-	// queries).
-	UpdateDeadline time.Duration
 	// JitterSeed seeds the per-endpoint backoff jitter (default 1).
 	// Endpoints that failed together would otherwise cool down in
 	// lockstep and retry as a thundering herd; the jitter spreads their
@@ -46,16 +39,15 @@ type Options struct {
 	JitterSeed uint64
 	// ReconcileInterval is the cadence of the background anti-entropy
 	// reconciler that heals lagging endpoints (default 500ms; negative
-	// disables the reconciler entirely).
+	// disables the reconciler entirely). It is also the base delay
+	// between failed heal attempts on one endpoint, doubling per
+	// consecutive failure up to 2^5× with the same per-endpoint jitter as
+	// the cooldown.
 	ReconcileInterval time.Duration
 	// JournalHorizon bounds the per-generation update journal the
 	// reconciler replays from (default 32 generations). An endpoint whose
 	// gap reaches past the horizon is healed via /shard/resync instead.
 	JournalHorizon int
-	// HealBackoff is the base delay between failed heal attempts on one
-	// endpoint (default 500ms), doubling per consecutive failure up to
-	// 2^5× with the same per-endpoint jitter as the cooldown.
-	HealBackoff time.Duration
 }
 
 const (
@@ -65,17 +57,18 @@ const (
 	// failureCooldown is the base endpoint cooldown after a failure,
 	// doubling per consecutive failure up to 2^5×.
 	failureCooldown = time.Second
+	// hedgeMin floors the hedge delay: a hedge is never sent sooner, even
+	// when the latency window says the group is faster.
+	hedgeMin = 20 * time.Millisecond
+	// updateDeadline bounds one /shard/update or /shard/resync call per
+	// endpoint: repairs re-sample RR-Graphs and are much slower than
+	// queries.
+	updateDeadline = 60 * time.Second
 )
 
 func (o Options) withDefaults() Options {
 	if o.ShardDeadline <= 0 {
 		o.ShardDeadline = 2 * time.Second
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 20 * time.Millisecond
-	}
-	if o.UpdateDeadline <= 0 {
-		o.UpdateDeadline = 60 * time.Second
 	}
 	if o.JitterSeed == 0 {
 		o.JitterSeed = 1
@@ -85,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JournalHorizon <= 0 {
 		o.JournalHorizon = 32
-	}
-	if o.HealBackoff <= 0 {
-		o.HealBackoff = 500 * time.Millisecond
 	}
 	return o
 }
@@ -258,12 +248,12 @@ func (g *group) candidates(now time.Time, head uint64) []*endpoint {
 }
 
 // hedgeDelay derives the adaptive hedge trigger: the latency-window
-// quantile, clamped to [HedgeMin, ShardDeadline/2]. An empty window (cold
-// start) hedges aggressively at HedgeMin.
+// quantile, clamped to [hedgeMin, ShardDeadline/2]. An empty window (cold
+// start) hedges aggressively at hedgeMin.
 func (g *group) hedgeDelay(o Options) time.Duration {
 	d, ok := g.lat.quantile(hedgeQuantile)
-	if !ok || d < o.HedgeMin {
-		d = o.HedgeMin
+	if !ok || d < hedgeMin {
+		d = hedgeMin
 	}
 	if max := o.ShardDeadline / 2; d > max {
 		d = max
@@ -895,7 +885,7 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 		wg.Add(1)
 		go func(i int, ep *endpoint) {
 			defer wg.Done()
-			ectx, cancel := context.WithTimeout(ctx, c.opts.UpdateDeadline)
+			ectx, cancel := context.WithTimeout(ctx, updateDeadline)
 			defer cancel()
 			out[i] = EndpointUpdate{URL: ep.url}
 			if fo := faultinject.Eval(ectx, faultinject.PointUpdateFanout); fo.Err != nil {

@@ -68,8 +68,8 @@ func TestHedgeDelayClamps(t *testing.T) {
 	o := Options{}.withDefaults()
 	g := &group{}
 	// Cold start: no latency samples → the floor.
-	if d := g.hedgeDelay(o); d != o.HedgeMin {
-		t.Fatalf("cold-start hedge delay = %v, want %v", d, o.HedgeMin)
+	if d := g.hedgeDelay(o); d != hedgeMin {
+		t.Fatalf("cold-start hedge delay = %v, want %v", d, hedgeMin)
 	}
 	// A slow window clamps to ShardDeadline/2.
 	for i := 0; i < 64; i++ {
@@ -391,7 +391,6 @@ func TestHedgedRetryWinsOverSlowReplica(t *testing.T) {
 	defer cancel()
 	c, err := Dial(ctx, [][]string{{slow.URL, fast.URL}}, Options{
 		ShardDeadline: 5 * time.Second,
-		HedgeMin:      30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

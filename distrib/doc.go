@@ -108,8 +108,8 @@
 // (POST /shard/resync) — a copy of healthy state, never a rebuild, so
 // byte-identity holds there too. While lagging, an endpoint is excluded
 // from scatter candidacy so queries never mix generations; heal attempts
-// back off with capped exponential growth plus seeded jitter
-// (Options.HealBackoff, Options.JitterSeed). Status and the Prometheus
+// back off from one reconciler interval with capped exponential growth
+// plus seeded jitter (Options.ReconcileInterval, Options.JitterSeed). Status and the Prometheus
 // registration expose scatters and the weight rows they carried, a
 // width-1 scatter counting 1 (their ratio is the mean batch width),
 // journal replays,

@@ -56,7 +56,7 @@ func (c *Client) reconcileOnce(now time.Time) {
 			}
 			if err := c.healEndpoint(c.healCtx, g, ep, head); err != nil {
 				c.healFailures.Inc()
-				ep.healFailed(time.Now(), c.opts.HealBackoff)
+				ep.healFailed(time.Now(), c.opts.ReconcileInterval)
 			} else {
 				ep.healedOK()
 			}
@@ -91,7 +91,7 @@ func (c *Client) replayJournal(ctx context.Context, ep *endpoint, from, to uint6
 		if !ok {
 			return fmt.Errorf("journal no longer covers generation %d", gen)
 		}
-		rctx, cancel := context.WithTimeout(ctx, c.opts.UpdateDeadline)
+		rctx, cancel := context.WithTimeout(ctx, updateDeadline)
 		data, err := c.roundTrip(rctx, ep, rpc{method: http.MethodPost, path: "/shard/update", body: body})
 		cancel()
 		if err != nil {
@@ -124,7 +124,7 @@ func (c *Client) resyncFrom(ctx context.Context, g *group, ep *endpoint, head ui
 	if src == nil {
 		return fmt.Errorf("no in-group source at generation %d to resync %s from", head, ep.url)
 	}
-	rctx, cancel := context.WithTimeout(ctx, c.opts.UpdateDeadline)
+	rctx, cancel := context.WithTimeout(ctx, updateDeadline)
 	defer cancel()
 	snap, err := c.roundTrip(rctx, src, rpc{method: http.MethodGet, path: "/shard/resync"})
 	if err != nil {

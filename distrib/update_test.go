@@ -55,7 +55,7 @@ func TestUpdateFansToEveryEndpoint(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, [][]string{{u0a.URL, u0b.URL}, {u1.URL}}, Options{UpdateDeadline: 5 * time.Second})
+	c, err := Dial(ctx, [][]string{{u0a.URL, u0b.URL}, {u1.URL}}, Options{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestUpdateAllEndpointsFailing(t *testing.T) {
 	u1 := updateShard(t, []ShardInfo{{Shard: 1, Users: 50, Theta: 500}}, 2, &h1, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, [][]string{{u0.URL}, {u1.URL}}, Options{UpdateDeadline: 5 * time.Second})
+	c, err := Dial(ctx, [][]string{{u0.URL}, {u1.URL}}, Options{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

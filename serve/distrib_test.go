@@ -192,7 +192,7 @@ func TestCoordinatorHedgesPastSlowReplica(t *testing.T) {
 
 	coord, client := dialFig2Coordinator(t,
 		[][]string{{slow.URL, fast.URL}},
-		distrib.Options{ShardDeadline: 5 * time.Second, HedgeMin: 25 * time.Millisecond},
+		distrib.Options{ShardDeadline: 5 * time.Second},
 		pitex.ServeOptions{PoolSize: 2})
 	ct := httptest.NewServer(coord.Handler())
 	defer ct.Close()

@@ -94,7 +94,7 @@ func TestCoordinatorJournalReplayHeals(t *testing.T) {
 	tsB := gateUpdates(t, ssB, &blockB, false)
 
 	coord, client := dialFig2Coordinator(t, [][]string{{tsA.URL, tsB.URL}},
-		distrib.Options{ReconcileInterval: 20 * time.Millisecond, HealBackoff: 20 * time.Millisecond},
+		distrib.Options{ReconcileInterval: 20 * time.Millisecond},
 		pitex.ServeOptions{PoolSize: 2})
 
 	if _, err := coord.ApplyUpdates(setBatch(0.45)); err != nil {
@@ -156,7 +156,6 @@ func TestCoordinatorResyncPastHorizonHeals(t *testing.T) {
 	coord, client := dialFig2Coordinator(t, [][]string{{tsA.URL, tsB.URL}},
 		distrib.Options{
 			ReconcileInterval: 20 * time.Millisecond,
-			HealBackoff:       20 * time.Millisecond,
 			JournalHorizon:    2,
 		},
 		pitex.ServeOptions{PoolSize: 2})
