@@ -78,8 +78,8 @@ func runObsvReg(pass *Pass) {
 }
 
 // metricRegistration reports whether call registers a named metric on an
-// obsv registry (or a wrapper forwarding to one), returning the constant
-// name ("" when dynamic) and whether label arguments are present.
+// obsv registry, returning the constant name ("" when dynamic) and
+// whether label arguments are present.
 func metricRegistration(pass *Pass, call *ast.CallExpr) (name string, labeled, ok bool) {
 	fn := calleeFunc(pass.Info, call)
 	if fn == nil || !registrarMethods[fn.Name()] || len(call.Args) < 2 {
@@ -89,9 +89,8 @@ func metricRegistration(pass *Pass, call *ast.CallExpr) (name string, labeled, o
 	if sig == nil || sig.Recv() == nil || sig.Params().Len() == 0 {
 		return "", false, false
 	}
-	// The receiver is obsv.Registry itself, or a wrapper in a package
-	// that embeds/forwards to it (serve.Metrics); either way the method
-	// takes (name, help string, ...).
+	// The receiver is an obsv type, whose registrars take (name, help
+	// string, ...).
 	if !isObsvRegistrar(sig.Recv().Type()) {
 		return "", false, false
 	}
@@ -115,29 +114,13 @@ func requiredParams(sig *types.Signature) int {
 }
 
 // isObsvRegistrar reports whether t (or its pointee) is a named type from
-// an obsv package or a *Metrics wrapper over one.
+// an obsv package.
 func isObsvRegistrar(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	pkg := named.Obj().Pkg().Path()
-	if pathIn(pkg, "obsv") {
-		return true
-	}
-	// Wrapper heuristic: a type named Metrics whose package also imports
-	// an obsv package (serve.Metrics forwards Counter/Gauge literally).
-	if named.Obj().Name() == "Metrics" {
-		for _, imp := range named.Obj().Pkg().Imports() {
-			if pathIn(imp.Path(), "obsv") {
-				return true
-			}
-		}
-	}
-	return false
+	return ok && named.Obj().Pkg() != nil && pathIn(named.Obj().Pkg().Path(), "obsv")
 }
 
 // isRequestHandler reports whether decl looks like an HTTP request

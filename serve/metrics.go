@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -144,24 +143,6 @@ func NewMetrics() *Metrics {
 // subsystem-owned counters (distrib client, pool, cache) into the same
 // exposition.
 func (m *Metrics) Registry() *obsv.Registry { return m.reg }
-
-// Counter returns (creating on first use) a counter in the server's
-// exposition.
-func (m *Metrics) Counter(name, help string, labels ...obsv.Label) *obsv.Counter {
-	return m.reg.Counter(name, help, labels...)
-}
-
-// Gauge returns (creating on first use) a gauge in the server's
-// exposition.
-func (m *Metrics) Gauge(name, help string, labels ...obsv.Label) *obsv.Gauge {
-	return m.reg.Gauge(name, help, labels...)
-}
-
-// WriteProm renders the whole plane — histograms, counters, gauges — in
-// Prometheus text format.
-func (m *Metrics) WriteProm(w io.Writer) error {
-	return m.reg.WriteText(w)
-}
 
 // collectHistograms exports every labelled latency histogram as one
 // pitex_request_duration_seconds family, splitting the serve-layer

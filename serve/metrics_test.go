@@ -112,8 +112,8 @@ func TestHistogramExport(t *testing.T) {
 // -race this is the data-race contract of the metrics plane.
 func TestMetricsConcurrentSnapshotExport(t *testing.T) {
 	m := NewMetrics()
-	ctr := m.Counter("pitex_test_events_total", "test counter")
-	g := m.Gauge("pitex_test_level", "test gauge")
+	ctr := m.Registry().Counter("pitex_test_events_total", "test counter")
+	g := m.Registry().Gauge("pitex_test_level", "test gauge")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -137,8 +137,8 @@ func TestMetricsConcurrentSnapshotExport(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Snapshot()
 		var sb strings.Builder
-		if err := m.WriteProm(&sb); err != nil {
-			t.Errorf("WriteProm: %v", err)
+		if err := m.Registry().WriteText(&sb); err != nil {
+			t.Errorf("WriteText: %v", err)
 		}
 		if _, err := obsv.ParseText(sb.String()); err != nil {
 			t.Errorf("exposition invalid mid-load: %v", err)
