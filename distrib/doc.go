@@ -109,11 +109,11 @@
 // byte-identity holds there too. While lagging, an endpoint is excluded
 // from scatter candidacy so queries never mix generations; heal attempts
 // back off from one reconciler interval with capped exponential growth
-// plus seeded jitter (Options.ReconcileInterval, Options.JitterSeed). Status and the Prometheus
-// registration expose scatters and the weight rows they carried, a
-// width-1 scatter counting 1 (their ratio is the mean batch width),
-// journal replays,
-// resyncs, heal failures, and per-endpoint lag.
+// plus seeded jitter (Options.ReconcileInterval, Options.JitterSeed).
+// Status and the Prometheus registration expose scatters and the weight
+// rows they carried, a width-1 scatter counting 1 (their ratio is the
+// mean batch width), journal replays, resyncs, heal failures, and
+// per-endpoint lag.
 //
 // Failure contract, end to end: a query answer is exact (all groups
 // responded at one generation) or carries an explicit degraded block

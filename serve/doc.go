@@ -75,12 +75,14 @@
 // counters), all rendered together on /metrics in Prometheus text format.
 //
 // Every query runs under a lightweight trace (package obsv): the handler
-// opens cache → admission → query spans, a coordinator adds, per
-// estimation, sibling probe-marshal, scatter (parent of the per-endpoint
-// shard-rpc spans) and gather spans, and the trace ID propagates to shard servers over the X-Pitex-Trace header
-// so the same ID shows up in their /tracez rings. The last traces are
-// kept in a ring on /tracez; ?trace=1 inlines the finished span tree
-// into the response, and ?explain=1 attaches the engine's per-query cost
+// opens cache → admission → query spans (cache → admission → sample on
+// /audience), a coordinator adds, per estimation, sibling probe-marshal,
+// scatter (parent of the per-endpoint shard-rpc spans) and gather spans,
+// and the trace ID propagates to shard servers over the X-Pitex-Trace
+// header so the same ID shows up in their /tracez rings. The last traces
+// are kept in a ring on /tracez; ?trace=1 on either GET route inlines the
+// finished span tree into the response, and ?explain=1 on
+// /selling-points attaches the engine's per-query cost
 // breakdown (Result.Explain: probes evaluated, probe-cache hit ratio,
 // RR-graphs checked and pruned, frontier expansions, samples drawn). On
 // index and coordinator engines partial_bounds_estimated counts the
@@ -94,16 +96,19 @@
 // a cache hit's one-span trace costs 432 B in 4 allocations and a shard
 // estimate's 648 B in 5 (obsv's BenchmarkTrace).
 //
-// A warmed /selling-points hit costs about the lookup it wraps: the
-// handler reads its parameters from the raw query in one pass (no
-// url.Values map), looks the key up before it arms the per-query
-// deadline (a stored hit never needs the timer; a miss or a follower of
-// an identical in-flight estimation waits under QueryTimeout), and
-// encodes a typed answer document whose fields are declared in sorted
-// key order, so its bytes are those of a map[string]any with the same
-// keys. Through Handler() into an httptest recorder a hit takes 16
-// allocations, the recorder's own included; TestSellingPointsHitAllocs
-// holds it at 20 or fewer.
+// A warmed hit on either GET route costs about the lookup it wraps. Both
+// run one read path: the handler reads its parameters from the raw query
+// in one pass (no url.Values map), the key is looked up before the
+// per-query deadline is armed (a stored hit never needs the timer; a
+// miss or a follower of an identical in-flight computation waits under
+// QueryTimeout, over HTTP or through SellingPoints and Audience called
+// directly), and the handler encodes a typed answer document whose
+// fields are declared in sorted key order, so its bytes are those of a
+// map[string]any with the same keys. Through Handler() into an httptest
+// recorder a hit takes 16 allocations on /selling-points and 17 on
+// /audience (18 and 19 under -race), the recorder's own included;
+// TestSellingPointsHitAllocs and TestAudienceHitAllocs hold both at 20
+// or fewer.
 //
 // # Population sweeps
 //

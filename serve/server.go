@@ -389,8 +389,9 @@ func (uncached) Error() string { return "serve: uncacheable answer" }
 // (prefix queries require m == 1, as in Engine.QueryWithPrefix). The
 // second return reports whether the answer was served without running an
 // estimation in this call (cache hit or in-flight dedup); a cached
-// Result's Elapsed still reports the original estimation time. A miss
-// runs under QueryTimeout.
+// Result's Elapsed still reports the original estimation time. A miss,
+// or a wait on an identical in-flight estimation, runs under
+// QueryTimeout.
 //
 // Returned results may be shared with the cache and concurrent callers:
 // treat the Result's slices (Tags, TagNames, Alternatives) as read-only.
@@ -467,8 +468,8 @@ const MaxAudienceSamples = 100000
 const MaxAudienceUsers = 1000
 
 // Audience answers "who exactly do these tags reach?" for user: the top-m
-// users by activation probability, cached like a query. samples is clamped
-// to MaxAudienceSamples. The returned slice may be shared with the cache
+// users by activation probability, cached like a query and under its
+// QueryTimeout on a miss. samples is clamped to MaxAudienceSamples. The returned slice may be shared with the cache
 // and concurrent callers: treat it as read-only.
 func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samples int64) ([]pitex.InfluencedUser, bool, error) {
 	if m > MaxAudienceUsers {
