@@ -652,8 +652,8 @@ func (en *Engine) enumerateAll(ctx context.Context, u graph.VertexID, k int) ([]
 
 // InfluencedUser is one row of an audience profile.
 type InfluencedUser struct {
-	User        int
-	Probability float64
+	User        int     `json:"user"`
+	Probability float64 `json:"probability"`
 }
 
 // DefaultAudienceSamples is the cascade count Audience uses when samples
@@ -665,6 +665,7 @@ const DefaultAudienceSamples = 2000
 // (u itself excluded). It answers the follow-up question behind a PITEX
 // result — "who exactly do these selling points reach?" — with samples
 // independent cascades per call (DefaultAudienceSamples when samples <= 0).
+// A profile that reaches nobody is an empty slice, never nil.
 func (en *Engine) Audience(user int, tags []int, m int, samples int64) ([]InfluencedUser, error) {
 	if user < 0 || user >= en.net.NumUsers() {
 		return nil, fmt.Errorf("pitex: user %d outside [0,%d)", user, en.net.NumUsers())
@@ -679,7 +680,7 @@ func (en *Engine) Audience(user int, tags []int, m int, samples int64) ([]Influe
 		return nil, err
 	}
 	if !en.model.m.PosteriorInto(toTagIDs(tags), en.posterior) {
-		return nil, nil // nothing propagates
+		return []InfluencedUser{}, nil // nothing propagates
 	}
 	// The cascade stream is keyed to the full argument tuple, not just the
 	// engine seed: a fixed per-engine stream would replay the same cascades

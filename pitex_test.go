@@ -703,7 +703,7 @@ func TestAudienceProfile(t *testing.T) {
 			t.Fatalf("audience not sorted")
 		}
 	}
-	// Dead tag set: empty audience, no error.
+	// Dead tag set: empty (not nil) audience, no error.
 	m2, _ := NewTagModel(2, 3)
 	_ = m2.SetTagTopic(0, 0, 0.5)
 	_ = m2.SetTagTopic(1, 2, 0.5)
@@ -712,8 +712,8 @@ func TestAudienceProfile(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	aud, err = en2.Audience(0, []int{0, 1}, 5, 1000)
-	if err != nil || aud != nil {
-		t.Fatalf("dead tag set audience = %v, %v", aud, err)
+	if err != nil || aud == nil || len(aud) != 0 {
+		t.Fatalf("dead tag set audience = %#v, %v", aud, err)
 	}
 	// Validation.
 	if _, err := en.Audience(99, []int{0}, 5, 100); err == nil {

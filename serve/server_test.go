@@ -112,6 +112,41 @@ func TestServerAudience(t *testing.T) {
 	}
 }
 
+// TestAudienceEmptyIsArray: an audience that reaches nobody is "[]"
+// whether the tag set's posterior is undefined (tags with disjoint topic
+// support) or the cascades die at the user (no out-edges), and rows carry
+// snake_case keys like every other document.
+func TestAudienceEmptyIsArray(t *testing.T) {
+	net, _ := fig2NetModel(t)
+	model, err := pitex.NewTagModel(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = model.SetTagTopic(0, 0, 0.5)
+	_ = model.SetTagTopic(1, 2, 0.5)
+	en, err := pitex.NewEngine(net, model, fig2Options(pitex.StrategyIndexPruned, 0))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	srv, err := New(en, pitex.ServeOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, query := range []string{"user=0&tags=0,1", "user=6&tags=1"} {
+		st, body := getBody(t, ts.URL+"/audience?"+query)
+		if want := `"audience":[],`; st != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("/audience?%s = %d %s, want %s", query, st, body, want)
+		}
+	}
+	st, body := getBody(t, ts.URL+"/audience?user=0&tags=1")
+	if st != http.StatusOK || !strings.Contains(string(body), `"audience":[{"user":`) || !strings.Contains(string(body), `,"probability":`) {
+		t.Errorf("/audience?user=0&tags=1 = %d %s, want rows keyed user and probability", st, body)
+	}
+}
+
 func TestServerBatch(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 2, QueueDepth: 16})
 	ts := httptest.NewServer(srv.Handler())
