@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -123,5 +124,36 @@ func TestModulePath(t *testing.T) {
 	}
 	if _, err := ModulePath(t.TempDir()); err == nil {
 		t.Error("ModulePath outside a module should fail")
+	}
+}
+
+// TestRegistrarMethodsExist keeps registrarMethods honest: every listed
+// name must be a method of an exported obsv type, or the entry matches
+// nothing and hides a registrar the list should name instead.
+func TestRegistrarMethodsExist(t *testing.T) {
+	root, err := moduleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, "./obsv")
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("load obsv: %d packages, %v", len(pkgs), err)
+	}
+	methods := map[string]bool{}
+	scope := pkgs[0].Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			methods[ms.At(i).Obj().Name()] = true
+		}
+	}
+	for name := range registrarMethods {
+		if !methods[name] {
+			t.Errorf("registrarMethods lists %s, which no exported obsv type has", name)
+		}
 	}
 }

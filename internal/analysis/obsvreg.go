@@ -16,7 +16,6 @@ var registrarMethods = map[string]bool{
 	"CounterFunc":     true,
 	"GaugeFunc":       true,
 	"RegisterCounter": true,
-	"RegisterGauge":   true,
 }
 
 // promNameRe is the Prometheus data-model metric-name grammar.
