@@ -93,12 +93,20 @@ type endpoint struct {
 	// requests with 409, so the scatter path skips it until it heals.
 	gen atomic.Uint64
 
-	mu          sync.Mutex
-	consecFails int
-	coolUntil   time.Time
-	jit         *rng.Source // backoff jitter stream; nil = no jitter
-	healFails   int
-	nextHeal    time.Time
+	// mu guards both backoffs and the jitter stream they draw from: cool
+	// holds the endpoint back from requests after failed ones, heal holds
+	// the reconciler back after failed heals.
+	mu   sync.Mutex
+	cool backoff
+	heal backoff
+	jit  *rng.Source // backoff jitter stream; nil = no jitter
+}
+
+// backoff is one exponential backoff: each failure in a row doubles the
+// wait from its base, up to 32×, and a success clears it.
+type backoff struct {
+	fails int
+	until time.Time
 }
 
 // newEndpoint parses one shard-server address (URL or host:port) and
@@ -126,54 +134,27 @@ func (e *endpoint) jitterLocked(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (1 + 0.5*e.jit.Float64()))
 }
 
-func (e *endpoint) fail(now time.Time, base time.Duration) {
+// fail records one more failure at now on b, &e.cool or &e.heal.
+func (e *endpoint) fail(b *backoff, now time.Time, base time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.consecFails++
-	n := e.consecFails
-	if n > 6 {
-		n = 6
-	}
-	e.coolUntil = now.Add(e.jitterLocked(base << uint(n-1)))
+	b.fails++
+	b.until = now.Add(e.jitterLocked(base << uint(min(b.fails, 6)-1)))
 }
 
-func (e *endpoint) succeed() {
+// succeed clears b.
+func (e *endpoint) succeed(b *backoff) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.consecFails = 0
-	e.coolUntil = time.Time{}
+	*b = backoff{}
 }
 
-func (e *endpoint) cooling(now time.Time) (bool, time.Time) {
+// cooling reports whether b still holds the endpoint back at now, and
+// until when.
+func (e *endpoint) cooling(b *backoff, now time.Time) (bool, time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return now.Before(e.coolUntil), e.coolUntil
-}
-
-// healDue reports whether the reconciler may attempt a heal now (heal
-// failures back off like fetch failures, with jitter).
-func (e *endpoint) healDue(now time.Time) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return !now.Before(e.nextHeal)
-}
-
-func (e *endpoint) healFailed(now time.Time, base time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.healFails++
-	n := e.healFails
-	if n > 6 {
-		n = 6
-	}
-	e.nextHeal = now.Add(e.jitterLocked(base << uint(n-1)))
-}
-
-func (e *endpoint) healedOK() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.healFails = 0
-	e.nextHeal = time.Time{}
+	return now.Before(b.until), b.until
 }
 
 // latWindow is a small ring of recent group latencies for the hedge
@@ -231,7 +212,7 @@ func (g *group) candidates(now time.Time, head uint64) []*endpoint {
 	avail := make([]*endpoint, 0, len(g.endpoints))
 	var cooling, lagging []*endpoint
 	for _, ep := range g.endpoints {
-		c, _ := ep.cooling(now)
+		c, _ := ep.cooling(&ep.cool, now)
 		switch {
 		case ep.gen.Load() < head:
 			lagging = append(lagging, ep)
@@ -625,11 +606,11 @@ func (c *Client) fetchGroup(ctx context.Context, g *group, call rpc) ([]byte, er
 		case a := <-ch:
 			inFlight--
 			if a.err == nil {
-				a.ep.succeed()
+				a.ep.succeed(&a.ep.cool)
 				g.lat.add(a.dur)
 				return a.data, nil
 			}
-			a.ep.fail(time.Now(), failureCooldown)
+			a.ep.fail(&a.ep.cool, time.Now(), failureCooldown)
 			if responseStatus(a.err) == http.StatusConflict {
 				// The endpoint rejected our generation: its index view is
 				// stale (or ahead after a lost fan-out ack). Zero the
@@ -889,13 +870,13 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 			defer cancel()
 			out[i] = EndpointUpdate{URL: ep.url}
 			if fo := faultinject.Eval(ectx, faultinject.PointUpdateFanout); fo.Err != nil {
-				ep.fail(time.Now(), failureCooldown)
+				ep.fail(&ep.cool, time.Now(), failureCooldown)
 				out[i].Error = fo.Err.Error()
 				return
 			}
 			data, err := c.roundTrip(ectx, ep, rpc{method: http.MethodPost, path: "/shard/update", body: body})
 			if err != nil {
-				ep.fail(time.Now(), failureCooldown)
+				ep.fail(&ep.cool, time.Now(), failureCooldown)
 				if responseStatus(err) == http.StatusConflict {
 					ep.gen.Store(0)
 				}
@@ -907,7 +888,7 @@ func (c *Client) Update(ctx context.Context, req UpdateRequest) ([]EndpointUpdat
 				out[i].Error = err.Error()
 				return
 			}
-			ep.succeed()
+			ep.succeed(&ep.cool)
 			ep.gen.Store(resp.Generation)
 			out[i].Generation = resp.Generation
 			out[i].GraphsRepaired = resp.GraphsRepaired
@@ -1070,8 +1051,8 @@ func (c *Client) Status() Status {
 			es := EndpointStatus{URL: ep.url, Generation: ep.gen.Load()}
 			es.Lagging = es.Generation < st.Generation
 			ep.mu.Lock()
-			es.ConsecutiveFailures = ep.consecFails
-			cool := ep.coolUntil
+			es.ConsecutiveFailures = ep.cool.fails
+			cool := ep.cool.until
 			ep.mu.Unlock()
 			if cool.After(now) {
 				es.CoolingMs = int64(cool.Sub(now) / time.Millisecond)

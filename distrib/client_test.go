@@ -21,22 +21,22 @@ func TestEndpointCooldownDoubles(t *testing.T) {
 	ep := &endpoint{url: "http://x"}
 	now := time.Now()
 	base := time.Second
-	ep.fail(now, base)
-	if c, until := ep.cooling(now); !c || until.Sub(now) != base {
+	ep.fail(&ep.cool, now, base)
+	if c, until := ep.cooling(&ep.cool, now); !c || until.Sub(now) != base {
 		t.Fatalf("first failure cooldown = %v, want %v", until.Sub(now), base)
 	}
-	ep.fail(now, base)
-	if _, until := ep.cooling(now); until.Sub(now) != 2*base {
+	ep.fail(&ep.cool, now, base)
+	if _, until := ep.cooling(&ep.cool, now); until.Sub(now) != 2*base {
 		t.Fatalf("second failure cooldown = %v, want %v", until.Sub(now), 2*base)
 	}
 	for i := 0; i < 10; i++ {
-		ep.fail(now, base)
+		ep.fail(&ep.cool, now, base)
 	}
-	if _, until := ep.cooling(now); until.Sub(now) != base<<5 {
+	if _, until := ep.cooling(&ep.cool, now); until.Sub(now) != base<<5 {
 		t.Fatalf("cooldown cap = %v, want %v", until.Sub(now), base<<5)
 	}
-	ep.succeed()
-	if c, _ := ep.cooling(now); c {
+	ep.succeed(&ep.cool)
+	if c, _ := ep.cooling(&ep.cool, now); c {
 		t.Fatal("success did not clear the cooldown")
 	}
 }
@@ -84,14 +84,14 @@ func TestCandidatesOrdering(t *testing.T) {
 	now := time.Now()
 	a, b, c := &endpoint{url: "a"}, &endpoint{url: "b"}, &endpoint{url: "c"}
 	g := &group{endpoints: []*endpoint{a, b, c}}
-	b.fail(now, time.Minute)
+	b.fail(&b.cool, now, time.Minute)
 	got := g.candidates(now, 0)
 	if got[0] != a || got[1] != c || got[2] != b {
 		t.Fatalf("cooling endpoint not demoted: %v %v %v", got[0].url, got[1].url, got[2].url)
 	}
 	// All cooling: the full list still comes back (probing recovers them).
-	a.fail(now, time.Minute)
-	c.fail(now, time.Minute)
+	a.fail(&a.cool, now, time.Minute)
+	c.fail(&c.cool, now, time.Minute)
 	if got := g.candidates(now, 0); len(got) != 3 {
 		t.Fatalf("all-cooling candidates = %d, want 3", len(got))
 	}
@@ -123,8 +123,8 @@ func TestCooldownJitterIsDeterministicPerSeed(t *testing.T) {
 		now := time.Now()
 		var out []time.Duration
 		for i := 0; i < 4; i++ {
-			ep.fail(now, time.Second)
-			_, until := ep.cooling(now)
+			ep.fail(&ep.cool, now, time.Second)
+			_, until := ep.cooling(&ep.cool, now)
 			out = append(out, until.Sub(now))
 		}
 		return out

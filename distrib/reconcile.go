@@ -51,14 +51,17 @@ func (c *Client) reconcileOnce(now time.Time) {
 	head := c.generation.Load()
 	for _, g := range c.groups {
 		for _, ep := range g.endpoints {
-			if ep.gen.Load() >= head || !ep.healDue(now) {
+			if ep.gen.Load() >= head {
+				continue
+			}
+			if cooling, _ := ep.cooling(&ep.heal, now); cooling {
 				continue
 			}
 			if err := c.healEndpoint(c.healCtx, g, ep, head); err != nil {
 				c.healFailures.Inc()
-				ep.healFailed(time.Now(), c.opts.ReconcileInterval)
+				ep.fail(&ep.heal, time.Now(), c.opts.ReconcileInterval)
 			} else {
-				ep.healedOK()
+				ep.succeed(&ep.heal)
 			}
 		}
 	}
@@ -104,7 +107,7 @@ func (c *Client) replayJournal(ctx context.Context, ep *endpoint, from, to uint6
 		ep.gen.Store(resp.Generation)
 		c.journalReplays.Inc()
 	}
-	ep.succeed()
+	ep.succeed(&ep.cool)
 	return nil
 }
 
@@ -128,7 +131,7 @@ func (c *Client) resyncFrom(ctx context.Context, g *group, ep *endpoint, head ui
 	defer cancel()
 	snap, err := c.roundTrip(rctx, src, rpc{method: http.MethodGet, path: "/shard/resync"})
 	if err != nil {
-		src.fail(time.Now(), failureCooldown)
+		src.fail(&src.cool, time.Now(), failureCooldown)
 		return fmt.Errorf("snapshot from %s: %w", src.url, err)
 	}
 	data, err := c.roundTrip(rctx, ep, rpc{method: http.MethodPost, path: "/shard/resync", body: snap})
@@ -140,7 +143,7 @@ func (c *Client) resyncFrom(ctx context.Context, g *group, ep *endpoint, head ui
 		return fmt.Errorf("install on %s: bad response: %w", ep.url, err)
 	}
 	ep.gen.Store(resp.Generation)
-	ep.succeed()
+	ep.succeed(&ep.cool)
 	c.resyncs.Inc()
 	return nil
 }
