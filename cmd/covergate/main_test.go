@@ -7,7 +7,7 @@ import (
 
 const sampleFunc = `pitex/engine.go:82:		NewEngine		95.2%
 pitex/engine.go:179:		Clone			100.0%
-pitex/serve/pool.go:75:		NewPool			88.9%
+pitex/serve/gate.go:75:		newGate			88.9%
 total:				(statements)	71.4%
 `
 

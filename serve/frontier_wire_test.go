@@ -385,12 +385,12 @@ func TestShardEstimatorsNeverShared(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	pool := ss.state.Load().pool
-	pool.mu.Lock()
-	idle := len(pool.idle)
-	pool.mu.Unlock()
+	scratch := ss.state.Load().scratch
+	scratch.mu.Lock()
+	idle := len(scratch.idle)
+	scratch.mu.Unlock()
 	if idle < 1 || idle > workers {
-		t.Fatalf("pool holds %d idle estimator sets, want 1..%d", idle, workers)
+		t.Fatalf("stack holds %d idle estimator sets, want 1..%d", idle, workers)
 	}
 }
 
@@ -421,10 +421,10 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 		before = append(before, resp)
 	}
 	gen0 := ss.state.Load()
-	if len(gen0.pool.idle) != 1 {
-		t.Fatalf("generation 0 pool holds %d sets after sequential requests, want 1", len(gen0.pool.idle))
+	if len(gen0.scratch.idle) != 1 {
+		t.Fatalf("generation 0 pool holds %d sets after sequential requests, want 1", len(gen0.scratch.idle))
 	}
-	warm := gen0.pool.idle[0].est
+	warm := gen0.scratch.idle[0].est
 
 	var batch pitex.UpdateBatch
 	batch.InsertEdge(3, net.NumUsers(), pitex.TopicProb{Topic: 0, Prob: 0.9})
@@ -439,11 +439,11 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 		t.Fatalf("update = %d, generation %d", resp.StatusCode, ss.Generation())
 	}
 	gen1 := ss.state.Load()
-	if gen1.prev == nil || gen1.prev.pool != gen0.pool {
+	if gen1.prev == nil || gen1.prev.scratch != gen0.scratch {
 		t.Fatal("double-buffered previous generation lost its estimator pool")
 	}
-	if gen1.pool == gen0.pool || len(gen1.pool.idle) != 0 {
-		t.Fatalf("new generation shares or pre-fills its pool (%d idle)", len(gen1.pool.idle))
+	if gen1.scratch == gen0.scratch || len(gen1.scratch.idle) != 0 {
+		t.Fatalf("new generation shares or pre-fills its pool (%d idle)", len(gen1.scratch.idle))
 	}
 
 	// The rest of the in-flight query, still stamped generation 0.
@@ -453,17 +453,17 @@ func TestShardHotSwapKeepsPreviousPool(t *testing.T) {
 			t.Fatalf("form %d after swap: status %d, answer %+v, want %+v", f, status, resp, before[f])
 		}
 	}
-	if len(gen0.pool.idle) != 1 || gen0.pool.idle[0].est != warm {
+	if len(gen0.scratch.idle) != 1 || gen0.scratch.idle[0].est != warm {
 		t.Fatal("previous-generation request did not reuse that generation's warm estimator set")
 	}
-	if len(gen1.pool.idle) != 0 {
+	if len(gen1.scratch.idle) != 0 {
 		t.Fatal("previous-generation request touched the new generation's pool")
 	}
 	// And generation 1 answers from its own.
 	req := forms[1]
 	req.Generation = 1
-	if status, _ := postEstimate(t, ts.URL, req); status != http.StatusOK || len(gen1.pool.idle) != 1 {
-		t.Fatalf("generation-1 estimate = %d, pool holds %d sets", status, len(gen1.pool.idle))
+	if status, _ := postEstimate(t, ts.URL, req); status != http.StatusOK || len(gen1.scratch.idle) != 1 {
+		t.Fatalf("generation-1 estimate = %d, pool holds %d sets", status, len(gen1.scratch.idle))
 	}
 }
 
@@ -516,7 +516,12 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 	}
 	forms = append(forms, framed)
 	for f, req := range forms {
-		run := func() { ss.estimate(st, &req) }
+		run := func() {
+			_ = borrow(context.Background(), &ss.serverCore, nil, st.scratch, func(set *estimatorSet) error {
+				estimate(st, set, &req)
+				return nil
+			})
+		}
 		run() // warm-up: builds the set, the probe caches and user 0's cut lists
 		run()
 		const runs = 50
@@ -532,7 +537,7 @@ func TestShardEstimateSteadyStateAllocation(t *testing.T) {
 			t.Errorf("form %d: steady-state estimation allocates %d bytes per request, want < 16 KB", f, perRun)
 		}
 	}
-	if n := len(st.pool.idle); n != 1 {
+	if n := len(st.scratch.idle); n != 1 {
 		t.Fatalf("sequential requests left %d estimator sets, want 1", n)
 	}
 }

@@ -8,20 +8,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pitex"
+	"pitex/obsv"
 )
 
-// Pool errors. Handlers map ErrOverloaded and ErrQueueTimeout to
-// 503 Service Unavailable so load balancers retry elsewhere.
+// Admission errors. Handlers map all three to 503 Service Unavailable so
+// load balancers retry elsewhere.
 var (
-	// ErrOverloaded reports that the pool's admission bound (PoolSize +
+	// ErrOverloaded reports that the admission bound (PoolSize +
 	// QueueDepth outstanding requests) was hit; the request was shed
 	// without waiting.
 	ErrOverloaded = errors.New("serve: pool overloaded, request shed")
 	// ErrQueueTimeout reports that an admitted request waited longer than
-	// QueueTimeout for a free engine.
+	// QueueTimeout for a free slot.
 	ErrQueueTimeout = errors.New("serve: timed out waiting for a free engine")
-	// ErrPoolClosed reports that the pool was shut down.
+	// ErrPoolClosed reports that the server was closed.
 	ErrPoolClosed = errors.New("serve: pool closed")
 
 	// errWaitAborted marks a queue wait ended by the requester's own
@@ -32,7 +32,8 @@ var (
 	errWaitAborted = errors.New("serve: request context ended while waiting for an engine")
 )
 
-// PoolStats is a point-in-time snapshot of pool activity.
+// PoolStats is a point-in-time snapshot of a server's admission gate.
+// Its counters run for the server's whole life, across hot-swaps.
 type PoolStats struct {
 	Size     int   `json:"size"`
 	InUse    int64 `json:"in_use"`
@@ -44,8 +45,8 @@ type PoolStats struct {
 
 // gate is the admission primitive of both servers: a slot per worker, a
 // bounded queue behind the slots with a timed wait, and a close latch.
-// Pool puts one in front of its engine clones; ShardServer puts one in
-// front of its estimations. All methods are safe for concurrent use.
+// Each server has one for its whole life (serverCore.gate), in front of
+// every generation's scratch. All methods are safe for concurrent use.
 type gate struct {
 	// slots holds one token per request in service.
 	slots chan struct{}
@@ -66,7 +67,11 @@ type gate struct {
 	timeouts atomic.Int64
 }
 
+// newGate returns a gate of size slots (at least 1) and queueDepth queue
+// places (a negative depth queues nothing); queueTimeout <= 0 waits until
+// cancellation.
 func newGate(size, queueDepth int, queueTimeout time.Duration) *gate {
+	size, queueDepth = max(size, 1), max(queueDepth, 0)
 	return &gate{
 		slots:   make(chan struct{}, size),
 		bound:   int64(size + queueDepth),
@@ -191,104 +196,54 @@ func (g *gate) stats() PoolStats {
 	}
 }
 
-// Pool manages N Engine.Clone workers over one shared offline index with
-// checkout/checkin, context-aware cancellation and admission control. All
-// methods are safe for concurrent use.
-type Pool struct {
-	gate *gate
-	// engines holds the idle clones; the gate admits at most one request
-	// per clone, so a request past the gate never waits here.
-	engines chan *pitex.Engine
-
-	// indexBytes is the offline index footprint shared by every engine in
-	// the pool, captured at construction (clones share the prototype's
-	// index, so one number describes them all). shardStats is the per-shard
-	// breakdown, nil for online strategies. effectiveEpsilon is the
-	// prototype's IndexEffectiveEpsilon at construction, epsilon its
-	// configured ε.
-	indexBytes       int64
-	shardStats       []pitex.IndexShardStat
-	effectiveEpsilon float64
-	epsilon          float64
+// stack is one generation's idle request scratch: engine clones on a
+// Server, estimator sets on a ShardServer. Scratch is costly to build and
+// not safe to share, so a request borrows one behind the gate and returns
+// it to the stack of the generation it ran on, most recently returned
+// first so the next request finds it warm. A hot-swap publishes a new
+// generation with a stack of its own; the old one is garbage once the
+// requests holding its scratch finish.
+type stack[T any] struct {
+	// build makes scratch when none is idle.
+	build func() T
+	mu    sync.Mutex
+	idle  []T
 }
 
-// NewPool clones the prototype engine size times (sharing its offline
-// index) and returns a ready pool. queueDepth bounds how many requests may
-// wait beyond the size in service; queueTimeout caps the wait for a free
-// engine (<= 0 means wait until cancellation).
-func NewPool(proto *pitex.Engine, size, queueDepth int, queueTimeout time.Duration) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
-	p := &Pool{
-		gate:             newGate(size, queueDepth, queueTimeout),
-		engines:          make(chan *pitex.Engine, size),
-		indexBytes:       proto.IndexMemoryBytes(),
-		shardStats:       proto.IndexShardStats(),
-		effectiveEpsilon: proto.IndexEffectiveEpsilon(),
-		epsilon:          proto.Options().Epsilon,
-	}
-	for i := 0; i < size; i++ {
-		p.engines <- proto.Clone()
-	}
-	return p
+func (s *stack[T]) push(v T) {
+	s.mu.Lock()
+	s.idle = append(s.idle, v)
+	s.mu.Unlock()
 }
 
-// Size returns the number of engine workers.
-func (p *Pool) Size() int { return cap(p.engines) }
+// pop borrows the most recently returned scratch, or builds one.
+func (s *stack[T]) pop() T {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		v := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		return v
+	}
+	s.mu.Unlock()
+	return s.build()
+}
 
-// IndexBytes returns the estimated in-memory size of the offline index
-// shared by the pool's engines (0 for online strategies).
-func (p *Pool) IndexBytes() int64 { return p.indexBytes }
-
-// EffectiveEpsilon returns the ε the pool's index delivers (Eq. 7 at its
-// θ), captured at construction; 0 for online strategies.
-func (p *Pool) EffectiveEpsilon() float64 { return p.effectiveEpsilon }
-
-// ShardStats returns the per-shard index breakdown captured at
-// construction (nil for online strategies; one row for monolithic
-// indexes).
-func (p *Pool) ShardStats() []pitex.IndexShardStat { return p.shardStats }
-
-// Do checks an engine out of the pool, runs fn with it, and checks it back
-// in. It fails fast with ErrOverloaded when the admission bound is hit,
-// with ErrQueueTimeout after the queue timeout, with ctx.Err() when the
-// caller gives up first, and with ErrPoolClosed after Close.
-func (p *Pool) Do(ctx context.Context, fn func(*pitex.Engine) error) error {
-	if err := p.gate.enter(ctx); err != nil {
+// borrow is both servers' admission path: enter the core's gate, end sp
+// (the caller's admission span), borrow scratch from the generation's
+// stack, run fn on it and return it to that stack. The gate bounds the
+// borrowers of all generations together, so a stack never holds more
+// scratch than the gate has slots. A panic in fn unwinds past the
+// return: scratch left in an unknown state is dropped, never reused.
+func borrow[T any](ctx context.Context, c *serverCore, sp *obsv.Span, scratch *stack[T], fn func(T) error) error {
+	err := c.gate.enter(ctx)
+	sp.End()
+	if err != nil {
 		return err
 	}
-	defer p.gate.leave()
-	en := <-p.engines
-	defer func() { p.engines <- en }()
-	return fn(en)
-}
-
-// Stats snapshots the pool counters.
-func (p *Pool) Stats() PoolStats { return p.gate.stats() }
-
-// Close shuts the pool down: queued waiters and future Do calls fail with
-// ErrPoolClosed; requests already holding an engine finish normally.
-func (p *Pool) Close() { p.gate.close() }
-
-// DrainAndClose retires the pool in the background: it waits until no
-// request is in service or queued — the hot-swap case, where requests that
-// entered before the pool pointer moved finish on the old generation —
-// then closes. maxWait bounds the wait; when it elapses the pool closes
-// anyway and stragglers fail with ErrPoolClosed, so a wedged query cannot
-// pin a retired engine (and its index) forever.
-func (p *Pool) DrainAndClose(maxWait time.Duration) {
-	go func() {
-		deadline := time.Now().Add(maxWait)
-		for time.Now().Before(deadline) {
-			if p.gate.admitted.Load() == 0 {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		p.Close()
-	}()
+	defer c.gate.leave()
+	v := scratch.pop()
+	err = fn(v)
+	scratch.push(v)
+	return err
 }

@@ -10,11 +10,16 @@ import (
 	"pitex"
 )
 
+// doOn runs fn on an engine of srv's serving generation through the
+// admission path every query takes.
+func doOn(srv *Server, ctx context.Context, fn func(*pitex.Engine) error) error {
+	return srv.do(ctx, srv.gen.Load(), "selling-points", fn)
+}
+
 func TestPoolServesSequentially(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 2, 4, time.Second)
-	defer p.Close()
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 2, QueueDepth: 4, QueueTimeout: time.Second})
 	for i := 0; i < 10; i++ {
-		err := p.Do(context.Background(), func(en *pitex.Engine) error {
+		err := doOn(srv, context.Background(), func(en *pitex.Engine) error {
 			res, err := en.Query(0, 2)
 			if err != nil {
 				return err
@@ -25,18 +30,23 @@ func TestPoolServesSequentially(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("Do #%d: %v", i, err)
+			t.Fatalf("do #%d: %v", i, err)
 		}
 	}
-	st := p.Stats()
+	st := srv.Stats().Pool
 	if st.Served != 10 || st.InUse != 0 || st.Waiting != 0 {
 		t.Errorf("stats = %+v, want served 10, idle", st)
 	}
+	// Sequential requests reuse one clone: the stack is back to its
+	// PoolSize clones, none built on demand.
+	if n := len(srv.gen.Load().clones.idle); n != 2 {
+		t.Errorf("%d idle clones, want 2", n)
+	}
 }
 
-// block occupies every engine of the pool until the returned release func
-// is called.
-func block(t *testing.T, p *Pool, n int) (release func()) {
+// block occupies n engines of srv until the returned release func is
+// called.
+func block(t *testing.T, srv *Server, n int) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	started := make(chan struct{}, n)
@@ -45,7 +55,7 @@ func block(t *testing.T, p *Pool, n int) (release func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.Do(context.Background(), func(*pitex.Engine) error {
+			_ = doOn(srv, context.Background(), func(*pitex.Engine) error {
 				started <- struct{}{}
 				<-gate
 				return nil
@@ -62,16 +72,16 @@ func block(t *testing.T, p *Pool, n int) (release func()) {
 }
 
 func TestPoolShedsWhenOverloaded(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 1, 0, time.Second)
-	defer p.Close()
-	release := block(t, p, 1)
+	// A negative QueueDepth queues nothing.
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: -1, QueueTimeout: time.Second})
+	release := block(t, srv, 1)
 	defer release()
 	// Admission bound is size+depth = 1, already consumed.
-	err := p.Do(context.Background(), func(*pitex.Engine) error { return nil })
+	err := doOn(srv, context.Background(), func(*pitex.Engine) error { return nil })
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	if st := p.Stats(); st.Rejected != 1 {
+	if st := srv.Stats().Pool; st.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", st.Rejected)
 	}
 }
@@ -115,28 +125,27 @@ func TestGateShedNeverCountsPastBound(t *testing.T) {
 }
 
 func TestPoolQueueTimeout(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 1, 1, 20*time.Millisecond)
-	defer p.Close()
-	release := block(t, p, 1)
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: 1, QueueTimeout: 20 * time.Millisecond})
+	release := block(t, srv, 1)
 	defer release()
-	err := p.Do(context.Background(), func(*pitex.Engine) error { return nil })
+	err := doOn(srv, context.Background(), func(*pitex.Engine) error { return nil })
 	if !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("err = %v, want ErrQueueTimeout", err)
 	}
-	if st := p.Stats(); st.Timeouts != 1 {
+	if st := srv.Stats().Pool; st.Timeouts != 1 {
 		t.Errorf("Timeouts = %d, want 1", st.Timeouts)
 	}
 }
 
 func TestPoolContextCancellation(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 1, 1, 0)
-	defer p.Close()
-	release := block(t, p, 1)
+	// A negative QueueTimeout waits until cancellation.
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: 1, QueueTimeout: -1})
+	release := block(t, srv, 1)
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- p.Do(ctx, func(*pitex.Engine) error { return nil })
+		done <- doOn(srv, ctx, func(*pitex.Engine) error { return nil })
 	}()
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -145,33 +154,32 @@ func TestPoolContextCancellation(t *testing.T) {
 }
 
 func TestPoolClose(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyLazy), 1, 1, 0)
-	release := block(t, p, 1)
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: 1, QueueTimeout: -1})
+	release := block(t, srv, 1)
 	waiter := make(chan error, 1)
 	go func() {
-		waiter <- p.Do(context.Background(), func(*pitex.Engine) error { return nil })
+		waiter <- doOn(srv, context.Background(), func(*pitex.Engine) error { return nil })
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter queue up
-	p.Close()
+	srv.Close()
 	if err := <-waiter; !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("queued waiter err = %v, want ErrPoolClosed", err)
 	}
 	release() // the in-flight request finishes normally
-	err := p.Do(context.Background(), func(*pitex.Engine) error { return nil })
+	err := doOn(srv, context.Background(), func(*pitex.Engine) error { return nil })
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-close err = %v, want ErrPoolClosed", err)
 	}
-	p.Close() // idempotent
+	srv.Close() // idempotent
 }
 
 func TestPoolConcurrentLoad(t *testing.T) {
-	p := NewPool(fig2Engine(t, pitex.StrategyIndexPruned), 4, 64, time.Minute)
-	defer p.Close()
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 4, QueueDepth: 64, QueueTimeout: time.Minute})
 	const requests = 64
 	errs := make(chan error, requests)
 	for i := 0; i < requests; i++ {
 		go func(u int) {
-			errs <- p.Do(context.Background(), func(en *pitex.Engine) error {
+			errs <- doOn(srv, context.Background(), func(en *pitex.Engine) error {
 				_, err := en.Query(u%7, 2)
 				return err
 			})
@@ -179,10 +187,13 @@ func TestPoolConcurrentLoad(t *testing.T) {
 	}
 	for i := 0; i < requests; i++ {
 		if err := <-errs; err != nil {
-			t.Fatalf("concurrent Do: %v", err)
+			t.Fatalf("concurrent do: %v", err)
 		}
 	}
-	if st := p.Stats(); st.Served != requests {
+	if st := srv.Stats().Pool; st.Served != requests {
 		t.Errorf("Served = %d, want %d", st.Served, requests)
+	}
+	if n := len(srv.gen.Load().clones.idle); n != 4 {
+		t.Errorf("%d idle clones after the load, want 4", n)
 	}
 }

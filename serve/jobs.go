@@ -57,14 +57,14 @@ func (s *Server) Jobs() *analytics.Manager { return s.jobs }
 
 // StartSweep launches a population sweep pinned to the server's current
 // engine generation. The job runs on its own engine clones — it does not
-// occupy the query pool — and keeps answering over its pinned generation
+// occupy the query engines or their gate — and keeps answering over its pinned generation
 // even if ApplyUpdates hot-swaps the serving engine mid-sweep (the job is
 // then reported stale; see analytics.Manager.MarkStale).
 func (s *Server) StartSweep(opts analytics.Options) (*analytics.Job, error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	if s.closed {
-		return nil, ErrPoolClosed
+	if err := s.gate.open(); err != nil {
+		return nil, err
 	}
 	// Count recovered sweep panics in pitex_panics_total alongside query
 	// panics, chaining any observer the caller installed.
@@ -75,7 +75,7 @@ func (s *Server) StartSweep(opts analytics.Options) (*analytics.Job, error) {
 			userPanic(v)
 		}
 	}
-	return s.jobs.Start(s.proto, opts)
+	return s.jobs.Start(s.Engine(), opts)
 }
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) error {

@@ -13,11 +13,15 @@ import (
 )
 
 // serverCore is the request pipeline Server and ShardServer both embed:
-// the metrics plane and trace ring behind /metrics and /tracez, the
-// /healthz and /readyz probes, the panic counter, the deadline-budget
-// check, and the handler chain that runs every route's shared prologue
-// and error mapping.
+// the admission gate, the metrics plane and trace ring behind /metrics
+// and /tracez, the /healthz and /readyz probes, the panic counter, the
+// deadline-budget check, and the handler chain that runs every route's
+// shared prologue and error mapping.
 type serverCore struct {
+	// gate admits every request that borrows a generation's scratch, for
+	// the server's whole life; closing it closes the server, and both
+	// probes then answer 503.
+	gate    *gate
 	metrics *Metrics
 	// tracer retains the last N finished request traces for /tracez.
 	tracer *obsv.Tracer
@@ -30,22 +34,21 @@ type serverCore struct {
 	strategy   string
 	start      time.Time
 	generation func() uint64
-	// open reports ErrPoolClosed once the server is closed; both probes
-	// then answer 503.
-	open func() error
 	// ready adds the server's fields to a /readyz document, or says why
 	// the server cannot serve yet.
 	ready func(doc map[string]any) error
 }
 
-// initCore builds the core and registers the metrics every server exports:
-// build info, uptime, the serving generation and the panic counter.
-func (c *serverCore) initCore(strategy string, generation func() uint64, open func() error, ready func(map[string]any) error) {
+// initCore builds the core around the server's gate and registers the
+// metrics every server exports: build info, uptime, the serving
+// generation and the panic counter.
+func (c *serverCore) initCore(strategy string, g *gate, generation func() uint64, ready func(map[string]any) error) {
+	c.gate = g
 	c.metrics = NewMetrics()
 	c.tracer = obsv.NewTracer(0)
 	c.strategy = strategy
 	c.start = time.Now()
-	c.generation, c.open, c.ready = generation, open, ready
+	c.generation, c.ready = generation, ready
 	reg := c.metrics.Registry()
 	obsv.RegisterBuildInfo(reg)
 	reg.GaugeFunc("pitex_uptime_seconds", "Seconds since the server started.",
@@ -77,7 +80,7 @@ func (c *serverCore) newMux() *http.ServeMux {
 // the distrib health tracker key on it to tell "up" from "serving".
 func (c *serverCore) probe(status string, extra func(doc map[string]any) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if c.open() != nil {
+		if c.gate.open() != nil {
 			writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "closed"})
 			return
 		}
@@ -102,9 +105,9 @@ type route struct {
 	// fault is the faultinject point evaluated once per request; "" for
 	// none.
 	fault string
-	// gate, when set, refuses the request with 503 once closed, before
+	// gated refuses the request with 503 once the gate is closed, before
 	// anything else runs.
-	gate *gate
+	gated bool
 }
 
 // corruptKey marks a request whose fault point asked for a corrupted
@@ -115,48 +118,61 @@ type corruptKey struct{}
 // to be corrupted.
 func corrupted(r *http.Request) bool { return r.Context().Value(corruptKey{}) != nil }
 
-// chain wraps h in the request pipeline: the closed-gate refusal, the
-// route's fault point, panic recovery into a 500, error mapping through
-// httpError, and the latency observation. Bind it once at registration;
-// on the success path it allocates nothing.
+// latencyLabel is the full latency label of an endpoint: "endpoint/strategy",
+// or "" for an unobserved route.
+func (c *serverCore) latencyLabel(endpoint string) string {
+	if endpoint == "" {
+		return ""
+	}
+	return endpoint + "/" + c.strategy
+}
+
+// chain wraps h in the request pipeline (serve). Bind it once at
+// registration; on the success path it allocates nothing.
 func (c *serverCore) chain(rt route, h handler) http.HandlerFunc {
-	label := rt.label
-	if label != "" {
-		label += "/" + c.strategy
+	rt.label = c.latencyLabel(rt.label)
+	return func(w http.ResponseWriter, r *http.Request) { c.serve(w, r, rt, h) }
+}
+
+// serve runs one request through the pipeline: the closed-gate refusal,
+// the route's fault point, panic recovery into a 500, error mapping
+// through httpError, and the latency observation. Here rt.label is the
+// full label (latencyLabel), "" for none.
+func (c *serverCore) serve(w http.ResponseWriter, r *http.Request, rt route, h handler) {
+	start := time.Now()
+	if err := c.run(w, r, rt, h); err != nil {
+		httpError(w, err)
 	}
-	run := func(w http.ResponseWriter, r *http.Request) (err error) {
-		defer c.recoverTo(r.URL.Path, &err)
-		if rt.gate != nil {
-			if err := rt.gate.open(); err != nil {
-				return err
-			}
-		}
-		if rt.fault != "" {
-			out := faultinject.Eval(r.Context(), rt.fault)
-			if out.Err != nil {
-				return withStatus(http.StatusInternalServerError, out.Err)
-			}
-			if out.Corrupt {
-				r = r.WithContext(context.WithValue(r.Context(), corruptKey{}, true))
-			}
-		}
-		return h(w, r)
+	if rt.label != "" {
+		c.metrics.Observe(rt.label, time.Since(start))
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		if err := run(w, r); err != nil {
-			httpError(w, err)
-		}
-		if label != "" {
-			c.metrics.Observe(label, time.Since(start))
+}
+
+// run is serve's body up to the error mapping, with a panic recovered
+// into its error.
+func (c *serverCore) run(w http.ResponseWriter, r *http.Request, rt route, h handler) (err error) {
+	defer c.recoverTo(r.URL.Path, &err)
+	if rt.gated {
+		if err := c.gate.open(); err != nil {
+			return err
 		}
 	}
+	if rt.fault != "" {
+		out := faultinject.Eval(r.Context(), rt.fault)
+		if out.Err != nil {
+			return withStatus(http.StatusInternalServerError, out.Err)
+		}
+		if out.Corrupt {
+			r = r.WithContext(context.WithValue(r.Context(), corruptKey{}, true))
+		}
+	}
+	return h(w, r)
 }
 
 // recoverTo converts a panic into an errComputeAborted error in *err (a
 // 500 at the HTTP layer) plus a pitex_panics_total tick, instead of a dead
 // process. Defer it directly: the chain does for every route, and so do
-// the pool-worker and batch closures, whose goroutines have no recover
+// the engine-worker and batch closures, whose goroutines have no recover
 // above them.
 func (c *serverCore) recoverTo(what string, err *error) {
 	if r := recover(); r != nil {

@@ -19,23 +19,21 @@ import (
 	"pitex/obsv"
 )
 
-// Server wires the serving stack — pool → cache → estimator — behind both
-// an HTTP surface (Handler) and a programmatic one (SellingPoints,
-// Audience, QueryBatch), and keeps it live under graph updates: a
-// versioned engine pool that ApplyUpdates swaps atomically, with cache
-// keys carrying the engine generation so a hot-swap can never serve a
-// pre-update result. Build it with New; all methods are safe for
-// concurrent use.
+// Server wires the serving stack — cache → admission → estimator —
+// behind both an HTTP surface (Handler) and a programmatic one
+// (SellingPoints, Audience, QueryBatch), and keeps it live under graph
+// updates: ApplyUpdates publishes each repaired engine as a new
+// generation, with cache keys carrying the engine generation so a
+// hot-swap can never serve a pre-update result. Build it with New; all
+// methods are safe for concurrent use.
 type Server struct {
 	serverCore
-	pool       atomic.Pointer[Pool]
-	generation atomic.Uint64
-	// updateMu serializes ApplyUpdates and Close; proto is the current
-	// generation's prototype engine and closed the shutdown latch, both
-	// accessed only under it.
+	// gen is the serving generation. A request loads it once: its cache
+	// key's generation and the engine that computes the answer both come
+	// from that load.
+	gen atomic.Pointer[engineGen]
+	// updateMu serializes ApplyUpdates, StartSweep and Close.
 	updateMu sync.Mutex
-	proto    *pitex.Engine
-	closed   bool
 
 	// remote is the shard-fleet client of a coordinator (NewCoordinator);
 	// nil for a single-process server. ApplyUpdates fans batches through
@@ -46,7 +44,6 @@ type Server struct {
 	// Update-plane counters, exposed via /metrics.
 	updatesApplied *obsv.Counter
 	graphsRepaired *obsv.Counter
-	poolSwaps      *obsv.Counter
 	// Estimator-work aggregates, accumulated from each fresh query's
 	// Explain so the registry tracks fleet-wide EXPLAIN totals.
 	samplesDrawn  *obsv.Counter
@@ -63,7 +60,7 @@ type Server struct {
 	jobs *analytics.Manager
 	// numTags is the tag-vocabulary size, fixed across generations
 	// (ApplyUpdates mutates the network, never the tag model); request
-	// validation reads it without touching the pool.
+	// validation reads it without loading a generation.
 	numTags int
 	opts    pitex.ServeOptions
 }
@@ -71,8 +68,36 @@ type Server struct {
 // cacheShards is the result cache's count of independently locked shards.
 const cacheShards = 16
 
+// engineGen is one generation of a Server: the engine ApplyUpdates
+// produced, the idle clones requests borrow from it, and the index
+// figures /statsz, /metrics and /readyz report, read once when the
+// generation is built.
+type engineGen struct {
+	engine           *pitex.Engine
+	clones           stack[*pitex.Engine]
+	indexBytes       int64
+	shardStats       []pitex.IndexShardStat
+	effectiveEpsilon float64
+}
+
+// newEngineGen builds the generation of en with n idle clones, so no
+// query pays for a Clone.
+func newEngineGen(en *pitex.Engine, n int) *engineGen {
+	g := &engineGen{
+		engine:           en,
+		clones:           stack[*pitex.Engine]{build: en.Clone},
+		indexBytes:       en.IndexMemoryBytes(),
+		shardStats:       en.IndexShardStats(),
+		effectiveEpsilon: en.IndexEffectiveEpsilon(),
+	}
+	for i := 0; i < n; i++ {
+		g.clones.push(en.Clone())
+	}
+	return g
+}
+
 // New builds a Server over the given query-ready engine. The engine is
-// used as the clone prototype for the pool and retained as the update
+// used as the clone prototype of generation 0 and retained as the update
 // base for ApplyUpdates; the caller may keep using it (single-threaded)
 // but must not apply updates to it directly.
 func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
@@ -84,23 +109,21 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 	}
 	opts = opts.WithDefaults()
 	s := &Server{
-		proto:   en,
 		cache:   NewCache(opts.CacheCapacity, cacheShards),
 		jobs:    analytics.NewManager(),
 		numTags: en.Model().NumTags(),
 		opts:    opts,
 	}
-	s.pool.Store(NewPool(en, opts.PoolSize, opts.QueueDepth, opts.QueueTimeout))
-	s.generation.Store(en.Generation())
-	s.initCore(en.Strategy().String(), s.generation.Load,
-		func() error { return s.pool.Load().gate.open() }, s.readiness)
+	s.gen.Store(newEngineGen(en, opts.PoolSize))
+	s.initCore(en.Strategy().String(), newGate(opts.PoolSize, opts.QueueDepth, opts.QueueTimeout),
+		s.Generation, s.readiness)
 	s.registerMetrics()
 	return s, nil
 }
 
 // registerMetrics wires every serving layer into the unified registry:
 // owned counters for the update and estimator planes, plus read-at-scrape
-// bridges over the pool, cache and job subsystems (which keep their own
+// bridges over the gate, cache and job subsystems (which keep their own
 // atomics for /statsz).
 func (s *Server) registerMetrics() {
 	reg := s.metrics.Registry()
@@ -108,8 +131,6 @@ func (s *Server) registerMetrics() {
 		"Update batches applied through ApplyUpdates.")
 	s.graphsRepaired = reg.Counter("pitex_graphs_repaired_total",
 		"RR-Graphs incrementally repaired across all applied updates.")
-	s.poolSwaps = reg.Counter("pitex_pool_swaps_total",
-		"Engine-pool hot swaps performed by updates.")
 	s.samplesDrawn = reg.Counter("pitex_estimator_samples_total",
 		"Sample instances drawn by estimators across all fresh queries.")
 	s.probesEval = reg.Counter("pitex_estimator_probes_total",
@@ -128,19 +149,19 @@ func (s *Server) registerMetrics() {
 		"Upper-bound evaluations answered from the explorer's live-topic-mask memo across all fresh queries (online strategies only, whose bounds are reach counts; always 0 on index and coordinator engines, whose bounds are frontier rows).")
 
 	reg.GaugeFunc("pitex_index_bytes", "Offline-index footprint of the serving generation.",
-		func() float64 { return float64(s.pool.Load().IndexBytes()) })
+		func() float64 { return float64(s.gen.Load().indexBytes) })
 	reg.GaugeFunc("pitex_index_effective_epsilon", "Error budget the serving generation's index delivers: Eq. 7 solved for ε at its θ and |V|, above the configured ε when θ was capped (0 for online strategies).",
-		func() float64 { return s.pool.Load().EffectiveEpsilon() })
+		func() float64 { return s.gen.Load().effectiveEpsilon })
 	reg.GaugeFunc("pitex_pool_in_use", "Pool engines currently checked out.",
-		func() float64 { return float64(s.pool.Load().Stats().InUse) })
+		func() float64 { return float64(s.gate.inUse.Load()) })
 	reg.GaugeFunc("pitex_pool_waiting", "Requests queued for a pool engine.",
-		func() float64 { return float64(s.pool.Load().Stats().Waiting) })
+		func() float64 { return float64(s.gate.waiting.Load()) })
 	reg.CounterFunc("pitex_pool_served_total", "Requests admitted and served by the pool.",
-		func() int64 { return s.pool.Load().Stats().Served })
+		func() int64 { return s.gate.served.Load() })
 	reg.CounterFunc("pitex_pool_rejected_total", "Requests shed by admission control.",
-		func() int64 { return s.pool.Load().Stats().Rejected })
+		func() int64 { return s.gate.rejected.Load() })
 	reg.CounterFunc("pitex_pool_timeouts_total", "Requests that timed out waiting in the queue.",
-		func() int64 { return s.pool.Load().Stats().Timeouts })
+		func() int64 { return s.gate.timeouts.Load() })
 	reg.CounterFunc("pitex_cache_hits_total", "Result-cache hits.",
 		func() int64 { return s.cache.Stats().Hits })
 	reg.CounterFunc("pitex_cache_misses_total", "Result-cache misses.",
@@ -165,7 +186,7 @@ func (s *Server) registerMetrics() {
 
 // NewCoordinator builds a Server in scatter-gather mode: en must be a
 // remote engine (pitex.NewRemoteEngine) whose RemoteEstimator is client,
-// so queries flow coordinator pool → best-first exploration → client
+// so queries flow coordinator engines → best-first exploration → client
 // scatter → shard servers. On ApplyUpdates the coordinator applies the
 // batch locally (graph only — it holds no index), fans the same batch to
 // every shard endpoint, and advances the cluster generation only after
@@ -193,15 +214,14 @@ func NewCoordinator(en *pitex.Engine, client *distrib.Client, opts pitex.ServeOp
 // Close shuts down the server: in-flight queries finish, queued and
 // future ones fail with ErrPoolClosed, running sweep jobs are cancelled
 // and waited for (their checkpoints flush before Close returns, so they
-// resume on the next start), and later ApplyUpdates calls are rejected —
-// an update landing during shutdown must not swap in a fresh pool and
-// resurrect a server a load balancer is draining.
+// resume on the next start), and later ApplyUpdates and StartSweep calls
+// are rejected — an update landing during shutdown must not publish a
+// generation on a server a load balancer is draining.
 func (s *Server) Close() {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	s.closed = true
+	s.gate.close()
 	s.jobs.Shutdown()
-	s.pool.Load().Close()
 	if s.remote != nil {
 		// A coordinator owns its fleet client: stop the anti-entropy
 		// reconciler and idle connections with the server (Close is
@@ -211,47 +231,31 @@ func (s *Server) Close() {
 }
 
 // Generation returns the engine generation currently serving queries.
-func (s *Server) Generation() uint64 { return s.generation.Load() }
+func (s *Server) Generation() uint64 { return s.gen.Load().engine.Generation() }
 
 // Engine returns the current generation's prototype engine — the one
-// pool clones and sweep jobs derive from. Treat it as read-only shared
+// query clones and sweep jobs derive from. Treat it as read-only shared
 // state: clone it for queries, and never apply updates to it directly
 // (use ApplyUpdates).
-func (s *Server) Engine() *pitex.Engine {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	return s.proto
-}
-
-// drainGrace bounds how long a retired pool may finish its in-flight and
-// queued work after a hot-swap before it is force-closed.
-func (s *Server) drainGrace() time.Duration {
-	grace := 2 * time.Second
-	if s.opts.QueueTimeout > 0 {
-		grace += s.opts.QueueTimeout
-	}
-	if s.opts.QueryTimeout > 0 {
-		grace += s.opts.QueryTimeout
-	}
-	return grace
-}
+func (s *Server) Engine() *pitex.Engine { return s.gen.Load().engine }
 
 // ApplyUpdates applies a batch of graph mutations to the serving engine
 // with zero downtime: the index is repaired incrementally
-// (pitex.Engine.ApplyUpdates), a pool of clones over the repaired engine
-// atomically replaces the current one, the generation counter moves, and
-// the result cache is purged. Queries never stop: requests dispatched
-// before the swap drain against the old generation (their results are
-// cached under the old generation's keys, unreachable afterwards), and
-// requests after it land on the repaired engine. Batches are serialized;
-// on error nothing changes and the current generation keeps serving.
+// (pitex.Engine.ApplyUpdates), the repaired engine and its clones are
+// published as the new generation in one atomic store, and the result
+// cache is purged. Queries never stop, and the gate admitting them stays:
+// a request that loaded the old generation finishes on it (its result is
+// cached under the old generation's key, unreachable afterwards), and
+// requests after the store land on the repaired engine. Batches are
+// serialized; on error nothing changes and the current generation keeps
+// serving.
 func (s *Server) ApplyUpdates(batch *pitex.UpdateBatch) (pitex.UpdateStats, error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	if s.closed {
-		return pitex.UpdateStats{}, ErrPoolClosed
+	if err := s.gate.open(); err != nil {
+		return pitex.UpdateStats{}, err
 	}
-	next, stats, err := s.proto.ApplyUpdates(batch)
+	next, stats, err := s.Engine().ApplyUpdates(batch)
 	if err != nil {
 		return stats, err
 	}
@@ -271,57 +275,33 @@ func (s *Server) ApplyUpdates(batch *pitex.UpdateBatch) (pitex.UpdateStats, erro
 		}
 		s.remote.SetGeneration(next.Generation())
 	}
-	s.proto = next
-	old := s.pool.Swap(NewPool(next, s.opts.PoolSize, s.opts.QueueDepth, s.opts.QueueTimeout))
-	// Order matters: once the generation is visible, any reader building a
-	// key with it is guaranteed to load the new pool (both are atomic and
-	// the pool moved first), so a new-generation key can never be computed
-	// by an old-generation engine.
-	s.generation.Store(next.Generation())
+	s.gen.Store(newEngineGen(next, s.opts.PoolSize))
 	s.cache.Purge()
 	// Sweep jobs keep running on their pinned (pre-swap) generation —
 	// consistent answers, never mixed generations — but are flagged so
 	// GET /admin/jobs/{id} reports the population moved on.
 	s.jobs.MarkStale(next.Generation())
-	old.DrainAndClose(s.drainGrace())
 	s.updatesApplied.Inc()
 	s.graphsRepaired.Add(int64(stats.GraphsRepaired))
-	s.poolSwaps.Inc()
 	return stats, nil
 }
 
-// do runs fn on a pool engine behind deadline-aware admission under
-// endpoint's latency label, with fn's panics recovered, all under an
-// admission span that ends at engine checkout. The queue wait honors the
-// caller's ctx (a dead client must not hold an admission token); fn
-// decides how far its own work follows that ctx.
-//
-// do retries on the new pool when the one it loaded was retired
-// mid-dispatch: a request can load the pool pointer, lose the CPU across a
-// hot-swap, and find the old pool already drained and closed — that
-// request belongs on the new generation, not in a 503. The loop only
-// continues while the pool pointer keeps moving, so a genuinely closed
-// server still returns ErrPoolClosed.
-func (s *Server) do(ctx context.Context, endpoint string, fn func(*pitex.Engine) error) error {
+// do runs fn on a clone borrowed from generation g behind deadline-aware
+// admission under endpoint's latency label, with fn's panics recovered,
+// all under an admission span that ends once the gate lets the request
+// in. The queue wait honors the caller's ctx (a dead client must not hold
+// an admission token); fn decides how far its own work follows that ctx.
+func (s *Server) do(ctx context.Context, g *engineGen, endpoint string, fn func(*pitex.Engine) error) error {
 	asp, _ := obsv.StartSpan(ctx, "admission")
-	defer asp.End() // no-op once the checkout ended it
-	asp.SetAttr("queue_depth", s.pool.Load().Stats().Waiting)
+	defer asp.End() // no-op once borrow ended it
+	asp.SetAttr("queue_depth", s.gate.waiting.Load())
 	if err := s.admitBudget(ctx, endpoint+"/"+s.strategy); err != nil {
 		return err
 	}
-	run := func(en *pitex.Engine) (err error) {
+	return borrow(ctx, &s.serverCore, asp, &g.clones, func(en *pitex.Engine) (err error) {
 		defer s.recoverTo(endpoint, &err)
-		asp.End()
 		return fn(en)
-	}
-	for {
-		p := s.pool.Load()
-		err := p.Do(ctx, run)
-		if errors.Is(err, ErrPoolClosed) && s.pool.Load() != p {
-			continue
-		}
-		return err
-	}
+	})
 }
 
 // queryCtx applies the per-query deadline, if configured.
@@ -333,14 +313,15 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // cached is the read path of SellingPoints and Audience: key's stored
-// answer, or run's on a pool engine under endpoint's admission label,
-// computed once across concurrent identical callers. A stored hit
-// returns before any timer is armed; a miss or a follower of an
-// in-flight computation waits under QueryTimeout, so deadline-aware
-// admission can shed a query whose budget cannot cover the observed
-// median latency before it occupies a pool engine. The second return
-// reports whether the answer came without a computation in this call.
-func cached[T any](ctx context.Context, s *Server, endpoint string, key Key, run func(context.Context, *pitex.Engine) (T, error)) (T, bool, error) {
+// answer, or run's on a clone of g (the generation key was built from)
+// under endpoint's admission label, computed once across concurrent
+// identical callers. A stored hit returns before any timer is armed; a
+// miss or a follower of an in-flight computation waits under
+// QueryTimeout, so deadline-aware admission can shed a query whose budget
+// cannot cover the observed median latency before it occupies an engine.
+// The second return reports whether the answer came without a computation
+// in this call.
+func cached[T any](ctx context.Context, s *Server, g *engineGen, endpoint string, key Key, run func(context.Context, *pitex.Engine) (T, error)) (T, bool, error) {
 	csp, ctx := obsv.StartSpan(ctx, "cache")
 	defer csp.End()
 	if v, ok := s.cache.Get(key); ok {
@@ -351,7 +332,7 @@ func cached[T any](ctx context.Context, s *Server, endpoint string, key Key, run
 	defer cancel()
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, error) {
 		var val T
-		err := s.do(ctx, endpoint, func(en *pitex.Engine) (err error) {
+		err := s.do(ctx, g, endpoint, func(en *pitex.Engine) (err error) {
 			// Once an engine is checked out the work is decoupled from
 			// the caller's cancellation: concurrent identical requests
 			// piggyback on this flight, so one client's disconnect must
@@ -384,7 +365,7 @@ type uncached struct{ val any }
 
 func (uncached) Error() string { return "serve: uncacheable answer" }
 
-// SellingPoints answers one PITEX query through the cache and pool: the m
+// SellingPoints answers one PITEX query through the cache and gate: the m
 // best size-k tag sets for user, optionally constrained to contain prefix
 // (prefix queries require m == 1, as in Engine.QueryWithPrefix). The
 // second return reports whether the answer was served without running an
@@ -406,13 +387,14 @@ func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int
 		return pitex.Result{}, false, fmt.Errorf("serve: prefix and top-m cannot be combined")
 	}
 	// Mirror the engine's prefix checks before admission: a duplicate or
-	// oversized prefix must 400 immediately, not occupy a pool engine (or
+	// oversized prefix must 400 immediately, not occupy an engine (or
 	// cache a per-arguments error under a malformed key).
 	if err := pitex.ValidatePrefix(prefix, k, s.numTags); err != nil {
 		return pitex.Result{}, false, err
 	}
-	key := Key{Kind: "query", Gen: s.generation.Load(), User: user, K: k, M: m, Tags: TagsKey(prefix)}
-	return cached(ctx, s, "selling-points", key, func(ctx context.Context, en *pitex.Engine) (res pitex.Result, err error) {
+	g := s.gen.Load()
+	key := Key{Kind: "query", Gen: g.engine.Generation(), User: user, K: k, M: m, Tags: TagsKey(prefix)}
+	return cached(ctx, s, g, "selling-points", key, func(ctx context.Context, en *pitex.Engine) (res pitex.Result, err error) {
 		qsp, ctx := obsv.StartSpan(ctx, "query")
 		defer qsp.End()
 		qsp.SetAttr("user", user)
@@ -482,12 +464,13 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 		samples = MaxAudienceSamples
 	}
 	// The engine's tag-set check, before admission as in SellingPoints: a
-	// repeated or unknown tag must 400 without occupying a pool engine.
+	// repeated or unknown tag must 400 without occupying an engine.
 	if err := pitex.ValidatePrefix(tags, len(tags), s.numTags); err != nil {
 		return nil, false, err
 	}
-	key := Key{Kind: "audience", Gen: s.generation.Load(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
-	return cached(ctx, s, "audience", key, func(ctx context.Context, en *pitex.Engine) ([]pitex.InfluencedUser, error) {
+	g := s.gen.Load()
+	key := Key{Kind: "audience", Gen: g.engine.Generation(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
+	return cached(ctx, s, g, "audience", key, func(ctx context.Context, en *pitex.Engine) ([]pitex.InfluencedUser, error) {
 		sp, _ := obsv.StartSpan(ctx, "sample")
 		defer sp.End()
 		sp.SetAttr("user", user)
@@ -506,18 +489,18 @@ const MaxBatchUsers = 1024
 const MaxTopM = 64
 
 // QueryBatch answers one plain (user, k) query per user through the cache
-// and pool, fanned out over at most PoolSize workers so a large batch
+// and gate, fanned out over at most PoolSize workers so a large batch
 // queues instead of tripping admission control. Results come back in input
 // order; per-user failures (including admission rejections when competing
-// traffic has the pool saturated) are reported in BatchResult.Err without
+// traffic has every engine busy) are reported in BatchResult.Err without
 // failing the batch.
 func (s *Server) QueryBatch(ctx context.Context, users []int, k int) []pitex.BatchResult {
 	// pitex.RunBatchCtx supplies the drain-on-cancellation fan-out shared
 	// with Engine.QueryAllCtx: a cancelled batch marks its remaining users
 	// with ctx.Err() and never leaks a worker. Each row still flows
-	// through the cache and pool (admission control included) rather than
+	// through the cache and gate (admission control included) rather than
 	// a raw engine clone.
-	return pitex.RunBatchCtx(ctx, users, s.pool.Load().Size(), func() pitex.BatchQueryFunc {
+	return pitex.RunBatchCtx(ctx, users, s.opts.PoolSize, func() pitex.BatchQueryFunc {
 		return func(ctx context.Context, user int) (pitex.Result, error) {
 			return s.batchQuery(ctx, user, k)
 		}
@@ -564,10 +547,10 @@ type Stats struct {
 	Remote *distrib.Status `json:"remote,omitempty"`
 }
 
-// Stats snapshots every layer's counters (the pool and index snapshots
-// are the current generation's).
+// Stats snapshots every layer's counters (the index snapshots are the
+// current generation's).
 func (s *Server) Stats() Stats {
-	pool := s.pool.Load()
+	g := s.gen.Load()
 	var remote *distrib.Status
 	if s.remote != nil {
 		st := s.remote.Status()
@@ -576,13 +559,13 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Remote:           remote,
 		Strategy:         s.strategy,
-		Generation:       s.generation.Load(),
+		Generation:       g.engine.Generation(),
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Build:            obsv.GetBuildInfo(),
-		IndexBytes:       pool.IndexBytes(),
-		EffectiveEpsilon: pool.EffectiveEpsilon(),
-		IndexShards:      pool.ShardStats(),
-		Pool:             pool.Stats(),
+		IndexBytes:       g.indexBytes,
+		EffectiveEpsilon: g.effectiveEpsilon,
+		IndexShards:      g.shardStats,
+		Pool:             s.gate.stats(),
 		Cache:            s.cache.Stats(),
 		Latency:          s.metrics.Snapshot(),
 		Jobs:             s.jobs.List(),
@@ -612,18 +595,22 @@ func (s *Server) Stats() Stats {
 // internal listener or behind a reverse proxy that does.
 func (s *Server) Handler() http.Handler {
 	mux := s.newMux()
-	single := s.chain(route{label: "selling-points"}, s.handleSellingPoints)
 	// Batches record under their own label: one 1024-user batch sample
 	// would otherwise dominate the per-query tail latencies.
-	batch := s.chain(route{label: "selling-points-batch"}, s.handleSellingPoints)
+	single := route{label: s.latencyLabel("selling-points")}
+	batch := route{label: s.latencyLabel("selling-points-batch")}
 	mux.HandleFunc("/selling-points", func(w http.ResponseWriter, r *http.Request) {
-		// The route check reads the raw query as the handler does, so a
-		// request is a batch exactly when the handler serves it as one.
-		if parseQueryArgs(r.URL.RawQuery).users != "" {
-			batch(w, r)
-		} else {
-			single(w, r)
+		// The raw query is read once: the label and the handler see the
+		// same arguments, so a request is a batch exactly when it is
+		// served as one.
+		q := parseQueryArgs(r.URL.RawQuery)
+		rt := single
+		if q.users != "" {
+			rt = batch
 		}
+		s.serve(w, r, rt, func(w http.ResponseWriter, r *http.Request) error {
+			return s.handleSellingPoints(w, r, q)
+		})
 	})
 	mux.HandleFunc("/audience", s.chain(route{label: "audience"}, s.handleAudience))
 	mux.HandleFunc("/admin/update", s.chain(route{label: "admin-update"}, s.handleAdminUpdate))
@@ -716,8 +703,7 @@ func newBatchAnswer(batch []pitex.BatchResult, k int) *batchAnswer {
 	return &batchAnswer{K: k, Results: rows}
 }
 
-func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request) error {
-	q := parseQueryArgs(r.URL.RawQuery)
+func (s *Server) handleSellingPoints(w http.ResponseWriter, r *http.Request, q queryArgs) error {
 	k, err := intParam("k", q.k, 3)
 	if err != nil {
 		return err
@@ -925,11 +911,11 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error
 // ε when a θ cap leaves it looser than configured (noteEpsilon) and, on a
 // coordinator, the fleet's shard count to /readyz.
 func (s *Server) readiness(doc map[string]any) error {
-	p := s.pool.Load()
-	if bytes := p.IndexBytes(); bytes > 0 {
-		doc["index_bytes"] = bytes
+	g := s.gen.Load()
+	if g.indexBytes > 0 {
+		doc["index_bytes"] = g.indexBytes
 	}
-	noteEpsilon(doc, p.effectiveEpsilon, p.epsilon)
+	noteEpsilon(doc, g.effectiveEpsilon, g.engine.Options().Epsilon)
 	if s.remote != nil {
 		doc["remote_shards"] = s.remote.TotalShards()
 	}

@@ -34,8 +34,8 @@ type ShardConfig struct {
 	Owned []int
 	// Workers bounds concurrent estimations (default 4); QueueDepth and
 	// QueueTimeout bound the admission queue behind them (defaults 64,
-	// 100ms). The gate enforcing them is the coordinator pool's own code,
-	// so a shard sheds, times out and drains exactly as the pool does.
+	// 100ms). The gate enforcing them is the Server's own code, so a shard
+	// sheds, times out and drains exactly as a Server does.
 	Workers      int
 	QueueDepth   int
 	QueueTimeout time.Duration
@@ -71,16 +71,12 @@ type shardState struct {
 	// index holds the owned shards of the layout.
 	index *rrindex.ShardedIndex
 	prev  *shardState
-	// pool holds this generation's reusable estimators. Held by pointer:
-	// double-buffering copies shardState by value, and the copy must keep
-	// answering from the same pool.
-	pool *estimatorPool
-}
-
-// newShardState returns the serving state of one generation over index,
-// with an empty estimator pool.
-func newShardState(net *pitex.Network, generation uint64, index *rrindex.ShardedIndex) *shardState {
-	return &shardState{net: net, generation: generation, index: index, pool: &estimatorPool{}}
+	// scratch holds this generation's idle estimator sets, built on first
+	// use, so the probe caches and a user's cut lists survive across the
+	// many RPCs of one query. Held by pointer: double-buffering copies
+	// shardState by value, and the copy must keep borrowing from the same
+	// stack.
+	scratch *stack[*estimatorSet]
 }
 
 // estimatorSet is one request's scratch: an estimator over the owned
@@ -90,37 +86,16 @@ type estimatorSet struct {
 	rows distrib.FrontierScratch
 }
 
-// estimatorPool keeps one generation's idle estimator sets. Estimators
-// are scratch state (probe caches sized by the edge count, a user's cut
-// lists) that is expensive to build and not safe to share, so a request
-// borrows a whole set for its estimation step and returns it: the caches
-// survive across the many RPCs of one query, sets are built lazily on
-// first use, at most Workers exist (borrowing happens behind the
-// admission gate), and all of them die with the generation's state.
-type estimatorPool struct {
-	mu   sync.Mutex
-	idle []*estimatorSet
-}
-
-// get borrows an idle set, most recently returned first so consecutive
-// RPCs of one query find their user's cut lists warm; nil when none is
-// idle and the caller must build one.
-func (p *estimatorPool) get() *estimatorSet {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.idle)
-	if n == 0 {
-		return nil
+// newState returns the serving state of one generation over index, with
+// no estimator set built yet.
+func (ss *ShardServer) newState(net *pitex.Network, generation uint64, index *rrindex.ShardedIndex) *shardState {
+	newEst := rrindex.NewShardedEstimator
+	if ss.opts.Strategy == pitex.StrategyIndexPruned {
+		newEst = rrindex.NewShardedPrunedEstimator
 	}
-	set := p.idle[n-1]
-	p.idle = p.idle[:n-1]
-	return set
-}
-
-func (p *estimatorPool) put(set *estimatorSet) {
-	p.mu.Lock()
-	p.idle = append(p.idle, set)
-	p.mu.Unlock()
+	return &shardState{net: net, generation: generation, index: index, scratch: &stack[*estimatorSet]{
+		build: func() *estimatorSet { return &estimatorSet{est: newEst(index)} },
+	}}
 }
 
 // ShardServer serves some shards of the distributed RR-index over the
@@ -145,8 +120,6 @@ type ShardServer struct {
 	buildErr error // written before ready closes, read only after
 
 	updateMu sync.Mutex
-	// gate admits estimations; closing it drains the server.
-	gate *gate
 }
 
 // NewShardServer starts building the owned shards of the layout and
@@ -186,9 +159,9 @@ func NewShardServer(net *pitex.Network, model *pitex.TagModel, opts pitex.Option
 		baseSeed:  bo.Seed,
 		buildOpts: bo,
 		ready:     make(chan struct{}),
-		gate:      newGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
 	}
-	ss.initCore(opts.Strategy.String(), ss.Generation, ss.gate.open, ss.readiness)
+	ss.initCore(opts.Strategy.String(), newGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
+		ss.Generation, ss.readiness)
 	ss.registerMetrics()
 	go ss.build(net)
 	return ss, nil
@@ -230,7 +203,7 @@ func (ss *ShardServer) build(net *pitex.Network) {
 		ss.buildErr = fmt.Errorf("serve: building shards %v: %w", ss.cfg.Owned, err)
 		return
 	}
-	ss.state.Store(newShardState(net, 0, index))
+	ss.state.Store(ss.newState(net, 0, index))
 }
 
 // Close marks the server draining — it closes the admission gate, so
@@ -298,10 +271,10 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 // authentication; keep the listener internal.
 func (ss *ShardServer) Handler() http.Handler {
 	mux := ss.newMux()
-	mux.HandleFunc("POST /shard/estimate", ss.chain(route{"shard-estimate", faultinject.PointShardEstimate, ss.gate}, ss.handleEstimate))
+	mux.HandleFunc("POST /shard/estimate", ss.chain(route{"shard-estimate", faultinject.PointShardEstimate, true}, ss.handleEstimate))
 	mux.HandleFunc("GET /shard/info", ss.chain(route{}, ss.handleInfo))
-	mux.HandleFunc("POST /shard/update", ss.chain(route{"shard-update", faultinject.PointShardUpdate, ss.gate}, ss.handleUpdate))
-	resync := route{"shard-resync", faultinject.PointShardResync, ss.gate}
+	mux.HandleFunc("POST /shard/update", ss.chain(route{"shard-update", faultinject.PointShardUpdate, true}, ss.handleUpdate))
+	resync := route{"shard-resync", faultinject.PointShardResync, true}
 	mux.HandleFunc("GET /shard/resync", ss.chain(resync, ss.handleResyncGet))
 	mux.HandleFunc("POST /shard/resync", ss.chain(resync, ss.handleResyncPost))
 	mux.HandleFunc("/statsz", ss.handleStatsz)
@@ -348,19 +321,15 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) er
 	}
 	asp := str.StartSpan("acquire")
 	asp.SetAttr("waiting", ss.gate.waiting.Load())
-	err = ss.gate.enter(ctx)
-	asp.End()
-	if err != nil {
-		return err
-	}
-	defer ss.gate.leave()
-	psp := str.StartSpan("partials")
-	psp.SetAttr("user", req.User)
-	psp.SetAttr("generation", st.generation)
-	psp.SetAttr("owned", len(ss.cfg.Owned))
-	psp.SetAttr("width", req.Width())
-	defer psp.End()
-	return writeEstimate(w, ss.estimate(st, &req), corrupted(r))
+	return borrow(ctx, &ss.serverCore, asp, st.scratch, func(set *estimatorSet) error {
+		psp := str.StartSpan("partials")
+		psp.SetAttr("user", req.User)
+		psp.SetAttr("generation", st.generation)
+		psp.SetAttr("owned", len(ss.cfg.Owned))
+		psp.SetAttr("width", req.Width())
+		defer psp.End()
+		return writeEstimate(w, estimate(st, set, &req), corrupted(r))
+	})
 }
 
 // decodeEstimate reads an estimate request's frame into a buffer of
@@ -384,24 +353,13 @@ func decodeEstimate(r *http.Request) (req distrib.EstimateRequest, err error) {
 // estimate is the estimation step of /shard/estimate: every owned shard's
 // partial hits for the request — one positional row per shard, every
 // weight row decided in a single masked pass over every graph. It runs
-// on an estimator set borrowed from the generation's pool, so in the
-// steady state it allocates only the response. A panicking estimator
-// unwinds to the handler chain, and its set — scratch in an unknown
-// state — is not returned.
-func (ss *ShardServer) estimate(st *shardState, req *distrib.EstimateRequest) distrib.EstimateResponse {
-	set := st.pool.get()
-	if set == nil {
-		set = &estimatorSet{est: rrindex.NewShardedEstimator(st.index)}
-		if ss.opts.Strategy == pitex.StrategyIndexPruned {
-			set.est = rrindex.NewShardedPrunedEstimator(st.index)
-		}
-	}
-	resp := distrib.EstimateResponse{
+// on an estimator set borrowed from st's stack, so in the steady state it
+// allocates only the response.
+func estimate(st *shardState, set *estimatorSet, req *distrib.EstimateRequest) distrib.EstimateResponse {
+	return distrib.EstimateResponse{
 		Generation: st.generation,
 		Frontier:   set.est.Partials(graph.VertexID(req.User), req.FrontierRows(&set.rows)),
 	}
-	st.pool.put(set)
-	return resp
 }
 
 // writeEstimate writes an estimate response frame with its Content-Length
@@ -491,7 +449,7 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) erro
 		if err != nil {
 			return nil, nil, withStatus(http.StatusInternalServerError, err)
 		}
-		return newShardState(newNet, req.Generation, index), distrib.UpdateResponse{
+		return ss.newState(newNet, req.Generation, index), distrib.UpdateResponse{
 			Generation:     req.Generation,
 			GraphsRepaired: rs.Invalidated + rs.Retargeted,
 			GraphsAppended: rs.Appended,
@@ -604,7 +562,7 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad snapshot: %w", err)
 		}
-		return newShardState(net, snap.Generation, index), distrib.ResyncResponse{Generation: snap.Generation}, nil
+		return ss.newState(net, snap.Generation, index), distrib.ResyncResponse{Generation: snap.Generation}, nil
 	})
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pitex"
 )
@@ -114,6 +117,113 @@ func TestServerAnswersDuringSwap(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Generation != uint64(len(probs)) {
 		t.Fatalf("stats generation %d", st.Generation)
+	}
+}
+
+// TestPoolCountersSurviveSwap: the admission counters are the server's,
+// not a generation's. Served, Rejected and Timeouts, in Stats and on
+// /metrics, never fall across ApplyUpdates.
+func TestPoolCountersSurviveSwap(t *testing.T) {
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: 1, QueueTimeout: 20 * time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	for u := 0; u < 3; u++ {
+		if _, _, err := srv.SellingPoints(ctx, u, 2, 1, nil); err != nil {
+			t.Fatalf("query %d: %v", u, err)
+		}
+	}
+	// One request times out in the queue while another is shed past it.
+	release := block(t, srv, 1)
+	waiter := make(chan error, 1)
+	go func() { waiter <- doOn(srv, ctx, func(*pitex.Engine) error { return nil }) }()
+	for srv.Stats().Pool.Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := doOn(srv, ctx, func(*pitex.Engine) error { return nil }); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("request past the bound = %v, want ErrOverloaded", err)
+	}
+	if err := <-waiter; !errors.Is(err, ErrQueueTimeout) {
+		t.Fatalf("queued request = %v, want ErrQueueTimeout", err)
+	}
+	release()
+
+	series := func() map[string]float64 {
+		out := map[string]float64{}
+		fams := scrape(t, ts.URL+"/metrics")
+		for _, name := range []string{"pitex_pool_served_total", "pitex_pool_rejected_total", "pitex_pool_timeouts_total"} {
+			fam, ok := fams[name]
+			if !ok || len(fam.Samples) != 1 {
+				t.Fatalf("/metrics has no single %s sample", name)
+			}
+			out[name] = fam.Samples[0].Value
+		}
+		return out
+	}
+	before, beforeSeries := srv.Stats().Pool, series()
+	if before.Served != 4 || before.Rejected != 1 || before.Timeouts != 1 {
+		t.Fatalf("before the swap: %+v, want served 4, rejected 1, timeouts 1", before)
+	}
+	var batch pitex.UpdateBatch
+	batch.SetEdge(2, 3, pitex.TopicProb{Topic: 2, Prob: 0.6})
+	if _, err := srv.ApplyUpdates(&batch); err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
+	}
+	after, afterSeries := srv.Stats().Pool, series()
+	if after.Served < before.Served || after.Rejected < before.Rejected || after.Timeouts < before.Timeouts {
+		t.Fatalf("pool counters fell across the swap: %+v -> %+v", before, after)
+	}
+	for name, v := range beforeSeries {
+		if afterSeries[name] < v {
+			t.Errorf("%s fell across the swap: %v -> %v", name, v, afterSeries[name])
+		}
+	}
+}
+
+// TestSwapKeepsPoolSizeBound: PoolSize bounds the engines running at once
+// across a hot-swap too. A request holding the only engine of the old
+// generation keeps its place: one arriving after the swap waits for it
+// rather than running beside it on the new generation.
+func TestSwapKeepsPoolSizeBound(t *testing.T) {
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	var running, peak atomic.Int64
+	hold := func(until <-chan struct{}) func(*pitex.Engine) error {
+		return func(*pitex.Engine) error {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if until != nil {
+				<-until
+			} else {
+				time.Sleep(20 * time.Millisecond)
+			}
+			running.Add(-1)
+			return nil
+		}
+	}
+	ctx := context.Background()
+	release := make(chan struct{})
+	first := make(chan error, 1)
+	go func() { first <- doOn(srv, ctx, hold(release)) }()
+	for running.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	var batch pitex.UpdateBatch
+	batch.SetEdge(2, 3, pitex.TopicProb{Topic: 2, Prob: 0.6})
+	if _, err := srv.ApplyUpdates(&batch); err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- doOn(srv, ctx, hold(nil)) }()
+	time.Sleep(50 * time.Millisecond) // time to start beside the first, were it let in
+	close(release)
+	for _, done := range []chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatalf("do: %v", err)
+		}
+	}
+	if p := peak.Load(); p > 1 {
+		t.Fatalf("%d engines ran at once across the swap at PoolSize 1", p)
 	}
 }
 
