@@ -4,7 +4,7 @@
 //
 // # Architecture
 //
-// A request flows pool → cache → estimator:
+// A request flows cache → admission → estimator:
 //
 //	HTTP handler
 //	   │  parse + validate
@@ -15,10 +15,11 @@
 //	   │         collapse into ONE estimation (singleflight), so a hot
 //	   │         user going viral costs one query, not thousands
 //	   ▼
-//	Pool (N Engine.Clone workers over one shared offline index)
-//	   │  admission control: at most PoolSize in service plus QueueDepth
-//	   │  waiting; excess load is shed immediately with ErrOverloaded,
-//	   │  queued waiters time out with ErrQueueTimeout
+//	Gate (one per server, for its whole life), then an engine clone
+//	   │  borrowed from the serving generation (PoolSize clones over one
+//	   │  shared offline index): at most PoolSize in service plus
+//	   │  QueueDepth waiting; excess load is shed immediately with
+//	   │  ErrOverloaded, queued waiters time out with ErrQueueTimeout
 //	   ▼
 //	Engine.QueryCtx (per-query deadline observed between best-first
 //	   expansions)
@@ -26,10 +27,14 @@
 // Both servers run one request pipeline. Every route is registered
 // through one handler chain that observes its latency label, evaluates
 // its fault point, recovers a panic into a 500 and maps a returned error
-// to its status. Admission is one gate type, shared by the Pool and the
-// ShardServer: a slot per worker, a bounded queue with a timed wait, and
-// a close latch. It refuses a closed gate, then an already-ended caller
-// context, then load beyond the bound, before taking a slot. A
+// to its status. Admission is one path in both servers: enter the
+// server's gate, load the generation, borrow scratch from that
+// generation's stack (engine clones on a Server, estimator sets on a
+// ShardServer), run, and return it to the same stack. The gate is a slot
+// per worker, a bounded queue with a timed wait, and a close latch, and
+// each server keeps one for its whole life. It refuses a closed gate,
+// then an already-ended caller context, then load beyond the bound,
+// before taking a slot. A
 // deadline-aware check sheds a request whose remaining budget is below
 // the route's observed median latency before it reaches the gate. The
 // /healthz and /readyz probes are the pipeline's too: both answer 503
@@ -38,13 +43,18 @@
 // while they build).
 //
 // Every stage is observable: per-endpoint/per-strategy latency histograms,
-// cache hit/miss/dedup counters and pool occupancy are exported as JSON on
-// /statsz and programmatically via Server.Stats.
+// cache hit/miss/dedup counters and gate occupancy (Stats.Pool, whose
+// counters run across hot-swaps) are exported as JSON on /statsz and
+// programmatically via Server.Stats.
 //
 // # Endpoints
 //
 //	/selling-points?user=12&k=3[&m=5][&prefix=1,4][&users=1,2,3][&trace=1][&explain=1]
 //	/audience?user=12&tags=1,4[&m=10][&samples=5000][&trace=1]
+//	   (rows {"user","probability"}; an audience reaching nobody is [],
+//	   whether the posterior is undefined or the cascades die at the user;
+//	   it was null for an undefined posterior, and rows were keyed
+//	   "User" and "Probability")
 //	/admin/update (POST, JSON)
 //	/admin/jobs (POST to start a population sweep, GET to list)
 //	/admin/jobs/{id} (GET progress/ETA/leaderboard, DELETE to cancel)
@@ -69,8 +79,8 @@
 // # Observability
 //
 // The metrics plane is unified in Metrics: the latency histograms plus an
-// obsv.Registry of counters and gauges (pool admission, cache traffic,
-// hot-swap and repair counts, estimator work totals, build info, and — on
+// obsv.Registry of counters and gauges (admission, cache traffic,
+// update and repair counts, estimator work totals, build info, and — on
 // a coordinator — the distrib client's scatter/hedge/failover/degraded
 // counters), all rendered together on /metrics in Prometheus text format.
 //
@@ -115,8 +125,8 @@
 // POST /admin/jobs starts a whole-population (or cohort) analytics sweep
 // — one query per user, reduced to an influence leaderboard and a
 // tag-frequency histogram (package pitex/analytics). Jobs run on their
-// own engine clones, so the query pool's admission control and latency
-// are untouched, and each job is pinned to the engine generation it
+// own engine clones, so query admission and latency are untouched, and
+// each job is pinned to the engine generation it
 // started on: after a hot-swap it finishes on the pre-swap generation —
 // never mixing generations — and its status reports stale so the
 // operator knows to re-run. Jobs support server-side checkpoint files
@@ -132,21 +142,28 @@
 // The serving stack stays up while the social graph changes. POST
 // /admin/update (or Server.ApplyUpdates) carries a batch of mutations —
 // edge inserts/deletes, probability changes, new users — and flows
-// update batch → incremental repair → pool swap:
+// update batch → incremental repair → generation swap:
 //
 //	pitex.Engine.ApplyUpdates repairs the offline index incrementally
 //	   │  (only RR-Graphs touching mutated edges are re-sampled; see the
 //	   │  pitex package documentation for the guarantees)
 //	   ▼
-//	a fresh Pool of clones over the repaired engine atomically replaces
-//	   │  the serving pool; the generation counter advances
+//	the repaired engine and PoolSize clones of it are published as the
+//	   │  new generation in one atomic store; the gate stays
 //	   ▼
-//	the old pool drains in the background: requests dispatched before
-//	the swap finish on the old generation, then it closes
+//	a request that loaded the old generation finishes on its clones,
+//	which are garbage once the last such request returns
 //
-// No stale result is ever served: cache keys carry the engine generation
-// (an answer computed by generation g is unreachable from generation
-// g+1, even if an in-flight computation lands after the swap) and the
+// The swap replaces the engines, not the admission machinery: PoolSize
+// bounds the engines running at once across a swap too, and the gate's
+// served, rejected and timeout counters (Stats.Pool, pitex_pool_*_total)
+// never fall. A shard server swaps the same way: a generation is its
+// owned index plus a stack of estimator sets, built on first use.
+//
+// No stale result is ever served: cache keys carry the engine generation,
+// taken from the same load as the engine that computes the answer (an
+// answer computed by generation g is unreachable from generation g+1,
+// even if an in-flight computation lands after the swap) and the
 // whole cache is purged on swap so retired entries don't crowd out live
 // ones. Queries never observe a half-applied batch — they see the old
 // engine or the new one, atomically. Watch repaired_fraction in the
