@@ -3,6 +3,7 @@ package rrindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"pitex/internal/exact"
@@ -426,6 +427,83 @@ func TestRecoveryIsPureFunctionOfSeedShardUser(t *testing.T) {
 						t.Fatalf("S=%d shard %d user %d pass %d: recovery depends on the estimator's history", S, s, u, pass)
 					}
 				}
+			}
+		}
+	}
+}
+
+// workersGraph gives vertex v (v mod 6) out-edges, so every sixth vertex
+// has none and vertex 1 one, and vertex 5 forty: a hub, a leaf and a
+// silent user side by side.
+func workersGraph() *graph.Graph {
+	const n = 240
+	r := rng.New(23)
+	b := graph.NewBuilder(n, 2)
+	for v := 0; v < n; v++ {
+		deg := v % 6
+		if v == 5 {
+			deg = 40
+		}
+		for d := 0; d < deg; d++ {
+			to := (v + 1 + r.Intn(n-1)) % n
+			b.AddEdge(graph.VertexID(v), graph.VertexID(to), []graph.TopicProb{{Topic: int32(r.Intn(2)), Prob: 0.05 + 0.35*r.Float64()}})
+		}
+	}
+	return b.MustBuild()
+}
+
+// recoveryBytes renders what one recovery leaves for the scans — every
+// array of the recovered store and the split postings — as one string.
+func recoveryBytes(de *DelayEstimator) string {
+	s := &de.recovered
+	return fmt.Sprint(s.recs, s.verts, s.outStart, s.outTo, s.edgeID, s.c, s.kinds, s.singles,
+		s.starEnd, s.starEdge, s.starC, de.posts, de.stars, de.direct, de.cachedMaxSize)
+}
+
+// TestRecoveryIndependentOfWorkers: a recovery is the same bytes, and
+// charges the same attempts and cascades, whether the process runs on one
+// processor or on four — for a hub, a leaf and a user with no out-edges,
+// at one shard and at three.
+func TestRecoveryIndependentOfWorkers(t *testing.T) {
+	g := workersGraph()
+	users := []graph.VertexID{5, 1, 6}
+	if g.OutDegree(5) != 40 || g.OutDegree(1) != 1 || g.OutDegree(6) != 0 {
+		t.Fatal("test premise: vertices 5, 1 and 6 are a hub, a leaf and a silent user")
+	}
+	opts := recoverOpts(42)
+	opts.MaxIndexSamples = 6000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, S := range []int{1, 3} {
+		sdm, err := BuildShardedDelayMat(g, opts, S)
+		if err != nil {
+			t.Fatalf("S=%d BuildShardedDelayMat: %v", S, err)
+		}
+		type result struct {
+			bytes              string
+			attempts, cascades int64
+		}
+		var runs [2][]result
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for s, dm := range sdm.shards {
+				de := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
+				for _, u := range users {
+					before := de.WorkStats()
+					de.recover(u)
+					after := de.WorkStats()
+					runs[i] = append(runs[i], result{recoveryBytes(de),
+						after.RecoveryAttempts - before.RecoveryAttempts, after.RecoveryCascades - before.RecoveryCascades})
+				}
+			}
+		}
+		for j, one := range runs[0] {
+			four, s, u := runs[1][j], j/len(users), users[j%len(users)]
+			if one.bytes != four.bytes {
+				t.Errorf("S=%d shard %d user %d: recovered stores differ between GOMAXPROCS 1 and 4", S, s, u)
+			}
+			if one.attempts != four.attempts || one.cascades != four.cascades {
+				t.Errorf("S=%d shard %d user %d: charged %d attempts, %d cascades at GOMAXPROCS 1, %d and %d at 4",
+					S, s, u, one.attempts, one.cascades, four.attempts, four.cascades)
 			}
 		}
 	}
