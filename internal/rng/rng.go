@@ -21,16 +21,22 @@ type Source struct {
 // from the same seed produce identical streams.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed restarts r on the stream New(seed) starts, so a Source kept by
+// value can begin a new stream without allocating.
+func (r *Source) Seed(seed uint64) {
 	sm := seed
-	for i := range src.s {
+	for i := range r.s {
 		sm = splitmix64(&sm)
-		src.s[i] = sm
+		r.s[i] = sm
 	}
 	// Avoid the all-zero state, which is a fixed point of xoshiro.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // splitmix64 advances *x and returns the next splitmix64 output.

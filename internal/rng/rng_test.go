@@ -15,6 +15,19 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+func TestSeedRestartsStream(t *testing.T) {
+	var r Source
+	for _, seed := range []uint64{42, 0, 42} {
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 100; i++ {
+			if r.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d: Seed's stream diverged from New's at step %d", seed, i)
+			}
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -2,6 +2,9 @@ package rrindex
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"pitex/internal/graph"
 	"pitex/internal/rng"
@@ -154,17 +157,12 @@ func (dm *DelayMat) recomputeFootprint() {
 // recoveries), so a recovery costs a handful of allocations rather than
 // six per graph. Not safe for concurrent use.
 //
-// Recovery is a pure function of (seed, shard, user): each one runs on its
-// own stream rng.Mix(seed, shard, user), so what an estimator recovered
-// before — which users a pool clone happened to serve — cannot change what
-// it recovers next, and neither scan can perturb the recovered sample.
-//
 // Algo 4 needs θ(u) accepted forward cascades out of about θ attempts. It
 // does not toss a coin per out-edge per attempt: the paper's own lazy
 // propagation (Sec. 5.1, Algo 2) drives the cascades. A recovery keeps,
 // per vertex, how often it was visited and the visit at which any of its
 // out-edges next fires; a visit before that is one compare. Exactness, in
-// three steps:
+// four steps:
 //
 //  1. Aggregated gap. Under per-visit coins the visits of v at which at
 //     least one out-edge fires are Bernoulli(1 − q(v)) trials, q(v) =
@@ -180,33 +178,44 @@ func (dm *DelayMat) recomputeFootprint() {
 //     cascade V' = {u}, E' = ∅, accepted with probability 1/|V_s| when u
 //     belongs to the estimator's pool and never otherwise. The run of
 //     attempts before the root's next firing is therefore a
-//     Bernoulli(1/|V_s|) sequence: recover jumps it in bulk, locating the
-//     accepted ones by Geometric(1/|V_s|) gaps (memoryless, so a gap cut
-//     short by the root's firing carries over to the next run), and
+//     Bernoulli(1/|V_s|) sequence: a recovery jumps it in bulk, locating
+//     the accepted ones by Geometric(1/|V_s|) gaps (memoryless, so a gap
+//     cut short by the root's firing carries over to the next run), and
 //     charges every jumped attempt to the budget.
-//  3. Same stopping rule. Accepted graphs thus arrive in attempt order,
-//     i.i.d. from the law the per-attempt loop draws from (Theorem 3),
-//     so stopping at the θ(u)-th is the same stopping rule.
+//  3. Blocks. The attempts are cut into blocks of blockAttempts(θ)
+//     consecutive ones, a length that depends on θ alone. Block b runs on
+//     its own stream rng.Mix(seed, shard, u, b) and starts a fresh firing
+//     schedule and a fresh empty-cascade gap. Attempts are i.i.d. and
+//     every gap above is geometric, hence memoryless, so a schedule
+//     restarted at a block boundary draws the next attempts from the same
+//     law as one carried over.
+//  4. Same stopping rule. The blocks concatenated in order are one
+//     attempt sequence whose accepted graphs arrive i.i.d. from the law the
+//     per-attempt loop draws from (Theorem 3), so stopping at the θ(u)-th
+//     — or at the 8θ+1024 attempt budget — is the same stopping rule.
+//     Attempts and cascades are charged up to that graph only.
 //
-// The fireTable is scoped to the graph generation (see lazyFireTable); the
-// visit counters are scoped to one recovery and reset through a
-// touched-list, so consecutive recoveries share nothing.
+// Recovery is therefore a pure function of (seed, shard, user, θ),
+// whatever the number of cores: what an estimator recovered before —
+// which users a pool clone happened to serve — cannot change what it
+// recovers next, neither scan can perturb the recovered sample, and
+// neither can which goroutine ran which block. The calling goroutine
+// appends the blocks to the recovered store in order, running a block
+// nobody has claimed yet straight into it. Up to GOMAXPROCS − 1 helpers,
+// taken without waiting from the generation's helperPool, each claim the
+// lowest unclaimed block and run it ahead into one of the recovery's
+// slots, two per goroutine at work. While a helper runs the block the
+// caller needs next, the caller runs one ahead as well, and it waits only
+// when every slot is taken. When the recovery stops, the blocks still
+// running abort and are dropped. A recovery that finds no helper idle runs
+// every block itself, straight into its store.
+//
+// The fireTable and the helpers are scoped to the graph generation (see
+// delayGen); a block's firing schedule is reset through a touched-list
+// when the block ends, so consecutive blocks and recoveries share nothing.
 type DelayEstimator struct {
 	dm *DelayMat
-	// seed is the estimator's base seed; rng is the current recovery's
-	// stream, re-derived from it at the start of every recovery.
-	seed uint64
-	rng  *rng.Source
 	scanState
-
-	// Shard scope: when numShards > 1 the estimator recovers RR-Graphs for
-	// one hash partition — cascades are accepted with |V'∩V_s|/|V_s| and
-	// targets drawn from V'∩V_s, matching the offline per-shard target
-	// distribution. numShards <= 1 is the monolithic paper behavior.
-	shardID   int
-	numShards int
-	poolSize  int
-	inShard   []graph.VertexID
 
 	// The last recovery, as the one-user index the plain scans walk: the
 	// recovered graphs, the positions of the deeper ones, the user's
@@ -220,19 +229,15 @@ type DelayEstimator struct {
 	stars         []uint32
 	direct        int
 
-	// The firing schedule: the generation's table, one firing per vertex
-	// (16·|V| bytes; both set up by the first recovery, so an estimator
-	// that never recovers carries neither), and the vertices whose firing
-	// the current recovery initialized.
-	fire    *lazyFireTable
-	table   *fireTable
-	sched   []firing
-	touched []graph.VertexID
-
-	sc *genScratch
-	// Forward-cascade buffers, reused across recoverOne calls.
-	live      []liveEdge
-	activated []graph.VertexID
+	// gen is what the generation's estimators share; job the recovery's
+	// parameters, which the helpers it took (helpers) read.
+	gen     *delayGen
+	job     recoveryJob
+	helpers []*blockHelper
+	// The calling goroutine's own blocks run on this scratch; its schedule
+	// (16·|V| bytes) is set up by the first recovery, so an estimator that
+	// never recovers carries none.
+	blockRunner
 
 	// recoveryAttempts counts Algo 4 attempts charged to the budget,
 	// jumped empty cascades included; recoveryCascades the cascades
@@ -240,9 +245,97 @@ type DelayEstimator struct {
 	recoveryAttempts, recoveryCascades int64
 }
 
-// firing is one vertex's recovery-scoped schedule: how many cascades of
-// this recovery have visited it, and the visit at which any of its
-// out-edges next fires (0 = not visited yet in this recovery).
+// delayGen is what every DelayEstimator over one ShardedDelayMat
+// generation shares: the firing table and the recovery helpers, both made
+// on first use and gone with the generation.
+type delayGen struct {
+	fire    lazyFireTable
+	helpers helperPool
+}
+
+// recoveryJob is one recovery as its blocks see it: the estimator's seed
+// and shard scope, the user, θ(u) and the block layout, written by the
+// caller before it starts a helper and left alone until every helper has
+// stopped; and the claims, which caller and helpers share. Padded: the
+// helpers poll it at every attempt while the caller's runner changes at
+// every draw.
+type recoveryJob struct {
+	_     [64]byte
+	g     *graph.Graph
+	table *fireTable
+	// seed is the estimator's base seed. Shard scope: when numShards > 1
+	// the estimator recovers RR-Graphs for one hash partition — cascades
+	// are accepted with |V'∩V_s|/|V_s| and targets drawn from V'∩V_s,
+	// matching the offline per-shard target distribution. numShards <= 1
+	// is the monolithic paper behavior.
+	seed      uint64
+	shardID   int
+	numShards int
+	poolSize  int
+
+	u        graph.VertexID
+	ownsUser bool  // u is in the pool, so its empty cascade can be accepted
+	need     int64 // θ(u)
+	// budget is the 8θ+1024 attempts, cut into blocks of blockLen.
+	budget, blockLen, blocks int64
+
+	// next is the first block nobody has claimed, appended how many blocks
+	// the recovered store holds. Block b runs into slots[b mod len(slots)]
+	// unless the caller runs it in order, so it may be claimed once
+	// appended > b − len(slots). ready wakes the caller when a helper has
+	// filled a slot; stop ends the recovery.
+	next, appended atomic.Int64
+	stop           atomic.Bool
+	slots          []blockOut
+	ready          chan struct{}
+	_              [64]byte
+}
+
+// blockOut is a slot for one block run ahead of the recovered store: the
+// block's graphs, the mark at each, the whole block's cost and the
+// store's refusal, if any. filled is b+1 once block b is in the slot.
+type blockOut struct {
+	filled   atomic.Int64
+	store    graphStore
+	trail    []workMark
+	spent    workMark
+	accepted int64
+	err      error
+}
+
+// minBlockAttempts is the shortest recovery block.
+const minBlockAttempts = 16
+
+// blockAttempts is the length of a recovery block under θ: θ/16 attempts
+// — a recovery takes about θ, so about 16 blocks — and at least
+// minBlockAttempts. It depends on θ alone, never on the machine.
+func blockAttempts(theta int64) int64 { return max((theta+15)/16, minBlockAttempts) }
+
+// workMark is the work a recovery has charged: attempts, jumped empty
+// cascades included, and the cascades actually simulated.
+type workMark struct{ attempts, cascades int64 }
+
+// blockRunner is one goroutine's scratch for recovery blocks: the block's
+// stream, kept by value, the firing schedule — the generation's table,
+// one firing per vertex and the vertices the block touched — and the
+// forward-cascade buffers. Padded, so the fields it writes at every draw
+// share no cache line with another runner's.
+type blockRunner struct {
+	_         [64]byte
+	rng       rng.Source
+	table     *fireTable
+	sched     []firing
+	touched   []graph.VertexID
+	sc        genScratch
+	live      []liveEdge
+	activated []graph.VertexID
+	inShard   []graph.VertexID
+	_         [64]byte
+}
+
+// firing is one vertex's block-scoped schedule: how many cascades of this
+// block have visited it, and the visit at which any of its out-edges next
+// fires (0 = not visited yet in this block).
 type firing struct {
 	visits, next int64
 }
@@ -255,19 +348,16 @@ type liveEdge struct {
 
 // newDelayEstimatorShard creates a scan recovering RR-Graphs for one
 // shard of a hash partition (numShards <= 1 means the whole graph) on the
-// streams derived from seed, over the firing table fire builds for dm's
-// graph.
-func newDelayEstimatorShard(dm *DelayMat, seed uint64, fire *lazyFireTable, shardID, numShards, poolSize int) *DelayEstimator {
+// streams derived from seed, sharing gen with the generation's other
+// estimators over dm's graph.
+func newDelayEstimatorShard(dm *DelayMat, seed uint64, gen *delayGen, shardID, numShards, poolSize int) *DelayEstimator {
 	return &DelayEstimator{
-		dm:        dm,
-		seed:      seed,
-		scanState: newScanState(dm.g),
-		shardID:   shardID,
-		numShards: numShards,
-		poolSize:  poolSize,
-		fire:      fire,
-		recovered: graphStore{g: dm.g},
-		sc:        newGenScratch(dm.g.NumVertices()),
+		dm:          dm,
+		scanState:   newScanState(dm.g),
+		recovered:   graphStore{g: dm.g},
+		gen:         gen,
+		job:         recoveryJob{g: dm.g, seed: seed, shardID: shardID, numShards: numShards, poolSize: poolSize},
+		blockRunner: blockRunner{sc: *newGenScratch(dm.g.NumVertices())},
 	}
 }
 
@@ -298,9 +388,9 @@ func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, probe
 }
 
 // recover materializes θ(u) RR-Graphs containing u per Algo 4 into the
-// estimator's store, replacing the previous recovery. A store that
-// outgrows its offsets ends the recovery early, like an exhausted
-// attempt budget.
+// estimator's store, replacing the previous recovery, block by block (see
+// the type comment). A store that outgrows its offsets ends the recovery
+// early, like an exhausted attempt budget.
 //
 // Distribution note: an offline RR-Graph containing u corresponds to the
 // pair (possible world g, target v) with v uniform over all of V and
@@ -313,58 +403,63 @@ func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, probe
 // they are jumped, not dropped (step 2 of the type comment), so the
 // accepted sequence is the one a cascade per attempt would produce.
 func (de *DelayEstimator) recover(u graph.VertexID) {
-	dm := de.dm
-	n := dm.counts[u]
+	dm, j := de.dm, &de.job
 	de.recovered.reset()
-	if de.table == nil {
-		de.table = de.fire.get(dm.g)
+	if de.sched == nil {
+		j.table = de.gen.fire.get(dm.g)
 		de.sched = make([]firing, dm.g.NumVertices())
 	}
-	r := rng.New(rng.Mix(de.seed, uint64(de.shardID), uint64(u)))
-	de.rng = r
-	// emptyGap is the number of empty cascades up to and including the
-	// next accepted one; a user outside the pool has none accepted.
-	acceptEmpty := 1 / float64(de.poolSize)
-	emptyGap := int64(rng.Never)
-	if ShardOf(u, de.numShards) == de.shardID {
-		emptyGap = r.Geometric(acceptEmpty)
-	}
-	root := de.firingOf(u)
+	j.u, j.need = u, dm.counts[u]
+	j.ownsUser = ShardOf(u, j.numShards) == j.shardID
 	// Safety valve against pathological acceptance rates; recovery beyond
 	// it degrades the sample count (and the guarantee) rather than hanging.
-	maxAttempts := 8*dm.theta + 1024
-	var attempts, accepted int64
-	for accepted < n && attempts < maxAttempts {
-		if empties := min(root.next-root.visits-1, maxAttempts-attempts); empties > 0 {
-			step := min(empties, emptyGap)
-			attempts += step
-			root.visits += step
-			if emptyGap -= step; emptyGap == 0 {
-				de.sc.members = append(de.sc.members[:0], u)
-				de.sc.edges = de.sc.edges[:0]
-				if de.recovered.add(u, de.sc) != nil {
-					break
-				}
-				accepted++
-				emptyGap = r.Geometric(acceptEmpty)
+	j.budget = 8*dm.theta + 1024
+	j.blockLen = blockAttempts(dm.theta)
+	j.blocks = (j.budget + j.blockLen - 1) / j.blockLen
+	j.next.Store(0)
+	j.appended.Store(0)
+	j.stop.Store(false)
+	if j.need > 0 {
+		de.helpers = de.gen.helpers.take(dm.g, int(j.blocks-1), de.helpers)
+	}
+	if len(de.helpers) > 0 {
+		de.startHelpers()
+	}
+	var spent workMark
+	for b, got := int64(0), int64(0); b < j.blocks && got < j.need; {
+		var m workMark
+		var n int64
+		var err error
+		switch {
+		case len(de.helpers) > 0 && j.slot(b).filled.Load() == b+1:
+			m, n, err = de.collect(b, j.need-got)
+		case j.next.CompareAndSwap(b, b+1):
+			m, n, err = de.runBlock(j, b, j.need-got, &de.recovered, nil, nil)
+		default:
+			// A helper is running block b: run one ahead into its slot,
+			// or wait for the helper when every slot is taken.
+			if c := j.next.Load(); c < min(j.blocks, b+int64(len(j.slots))) && j.next.CompareAndSwap(c, c+1) {
+				de.runSlot(j, c)
+			} else {
+				<-j.ready
 			}
 			continue
 		}
-		attempts++
-		de.recoveryCascades++
-		ok, err := de.recoverOne(u)
+		spent.attempts, spent.cascades, got = spent.attempts+m.attempts, spent.cascades+m.cascades, got+n
+		b++
+		j.appended.Store(b)
+		for _, h := range de.helpers {
+			h.nudge()
+		}
 		if err != nil {
 			break
 		}
-		if ok {
-			accepted++
-		}
 	}
-	de.recoveryAttempts += attempts
-	for _, v := range de.touched {
-		de.sched[v] = firing{}
+	if len(de.helpers) > 0 {
+		de.stopHelpers()
 	}
-	de.touched = de.touched[:0]
+	de.recoveryAttempts += spent.attempts
+	de.recoveryCascades += spent.cascades
 
 	de.cachedUser = u
 	de.cachedValid = true
@@ -372,32 +467,159 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.posts, de.stars, de.direct = de.recovered.split(u, de.posts[:0], de.stars[:0])
 }
 
+// startHelpers sets the helpers taken running, with two slots per
+// goroutine at work on the recovery.
+func (de *DelayEstimator) startHelpers() {
+	j := &de.job
+	if want := 2 * (len(de.helpers) + 1); len(j.slots) < want {
+		j.slots = make([]blockOut, want)
+		for i := range j.slots {
+			j.slots[i].store.g = j.g
+		}
+		j.ready = make(chan struct{}, 1)
+	}
+	for i := range j.slots {
+		j.slots[i].filled.Store(0)
+	}
+	for _, h := range de.helpers {
+		h.job = j
+		go h.run()
+	}
+}
+
+// stopHelpers stops the recovery's helpers, aborting the blocks they are
+// running, waits until each has stopped and hands them back.
+func (de *DelayEstimator) stopHelpers() {
+	de.job.stop.Store(true)
+	for _, h := range de.helpers {
+		h.nudge()
+	}
+	for _, h := range de.helpers {
+		<-h.exit
+		h.job = nil
+	}
+	de.gen.helpers.put(de.helpers)
+	de.helpers = de.helpers[:0]
+}
+
+// slot returns block b's slot.
+func (j *recoveryJob) slot(b int64) *blockOut { return &j.slots[b%int64(len(j.slots))] }
+
+// collect appends block b, filled in its slot, to the recovered store up
+// to its want-th graph, and returns what that part of the block cost. A
+// block the store cannot take whole, or one the slot's store refused, is
+// run again here straight into the recovered store: its graphs depend on b
+// alone, and add then refuses the graph the inline run would.
+func (de *DelayEstimator) collect(b, want int64) (workMark, int64, error) {
+	out := de.job.slot(b)
+	n := min(want, out.accepted)
+	r := storeRange{&out.store, 0, int(n)}
+	if out.err != nil || !de.recovered.canTake(r) {
+		return de.runBlock(&de.job, b, want, &de.recovered, nil, nil)
+	}
+	de.recovered.appendRange(r)
+	if n == want {
+		return out.trail[n-1], n, nil // the recovery ends in this block
+	}
+	return out.spent, n, nil
+}
+
+// runSlot runs block b, claimed, into its slot and marks the slot filled.
+// The block stops at θ(u) graphs, as no block can yield more, and aborts
+// when the recovery stops.
+func (br *blockRunner) runSlot(j *recoveryJob, b int64) {
+	out := j.slot(b)
+	out.store.reset()
+	out.trail = out.trail[:0]
+	out.spent, out.accepted, out.err = br.runBlock(j, b, j.need, &out.store, &out.trail, &j.stop)
+	out.filled.Store(b + 1)
+}
+
+// runBlock runs block b of job j into out — attempts [b·L, b·L + L) of
+// the recovery, L = j.blockLen, cut at the budget — on the block's own
+// stream and a fresh firing schedule, and stops at the want-th accepted
+// graph. trail, when not nil, gets the mark at each accepted graph; stop,
+// when not nil and set, aborts the block. It returns the block's cost,
+// the graphs it accepted and the store's refusal, if any, charged up to
+// the refused graph's attempt.
+func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, trail *[]workMark, stop *atomic.Bool) (m workMark, accepted int64, err error) {
+	r, sc := &br.rng, &br.sc
+	r.Seed(rng.Mix(j.seed, uint64(j.shardID), uint64(j.u), uint64(b)))
+	br.table = j.table
+	span := min(j.blockLen, j.budget-b*j.blockLen)
+	// emptyGap is the number of empty cascades up to and including the
+	// next accepted one; a user outside the pool has none accepted.
+	acceptEmpty := 1 / float64(j.poolSize)
+	emptyGap := int64(rng.Never)
+	if j.ownsUser {
+		emptyGap = r.Geometric(acceptEmpty)
+	}
+	root := br.firingOf(j.u)
+	for accepted < want && m.attempts < span && (stop == nil || !stop.Load()) {
+		if empties := min(root.next-root.visits-1, span-m.attempts); empties > 0 {
+			step := min(empties, emptyGap)
+			m.attempts += step
+			root.visits += step
+			if emptyGap -= step; emptyGap == 0 {
+				sc.members = append(sc.members[:0], j.u)
+				sc.edges = sc.edges[:0]
+				if err = out.add(j.u, sc); err != nil {
+					break
+				}
+				accepted++
+				if trail != nil {
+					*trail = append(*trail, m)
+				}
+				emptyGap = r.Geometric(acceptEmpty)
+			}
+			continue
+		}
+		m.attempts++
+		m.cascades++
+		var ok bool
+		if ok, err = br.recoverOne(j, out); err != nil {
+			break
+		}
+		if ok {
+			accepted++
+			if trail != nil {
+				*trail = append(*trail, m)
+			}
+		}
+	}
+	for _, v := range br.touched {
+		br.sched[v] = firing{}
+	}
+	br.touched = br.touched[:0]
+	return m, accepted, err
+}
+
 // firingOf returns v's schedule, drawing its first firing visit when this
-// recovery touches v for the first time.
-func (de *DelayEstimator) firingOf(v graph.VertexID) *firing {
-	f := &de.sched[v]
+// block touches v for the first time.
+func (br *blockRunner) firingOf(v graph.VertexID) *firing {
+	f := &br.sched[v]
 	if f.next == 0 {
-		f.next = de.rng.GeometricInvLog(de.table.invLogQ[v])
-		de.touched = append(de.touched, v)
+		f.next = br.rng.GeometricInvLog(br.table.invLogQ[v])
+		br.touched = append(br.touched, v)
 	}
 	return f
 }
 
 // recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step
 // for one attempt at which the root fires; it appends the recovered graph
-// to the store and reports whether the cascade was accepted.
-func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
-	g := de.dm.g
-	r := de.rng
-	sc := de.sc
-	table := de.table
+// to out and reports whether the cascade was accepted.
+func (br *blockRunner) recoverOne(j *recoveryJob, out *graphStore) (bool, error) {
+	g, u := j.g, j.u
+	r := &br.rng
+	sc := &br.sc
+	table := br.table
 
 	// Step 1: forward cascade from u under p(e); collect activated
 	// vertices V' and live edges E'. A visit short of the vertex's next
 	// firing activates nothing; a firing visit draws its fired subset from
 	// the prefix survival products (step 1 of the type comment).
-	live := de.live[:0]
-	activated := de.activated[:0]
+	live := br.live[:0]
+	activated := br.activated[:0]
 	sc.stack = sc.stack[:0]
 	sc.stack = append(sc.stack, u)
 	sc.mark[u] = true
@@ -405,7 +627,7 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
 	for len(sc.stack) > 0 {
 		v := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
-		f := de.firingOf(v)
+		f := br.firingOf(v)
 		if f.visits++; f.visits < f.next {
 			continue
 		}
@@ -443,7 +665,7 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
 	for _, v := range activated {
 		sc.mark[v] = false
 	}
-	de.live, de.activated = live, activated
+	br.live, br.activated = live, activated
 
 	// Step 2: accept the cascade with probability |V'∩pool|/|pool|
 	// (size-biased world selection restricted to the estimator's shard;
@@ -451,16 +673,16 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
 	// from the in-pool activated set. A cascade activating nobody in the
 	// shard is rejected without consuming a draw (Bernoulli(0)).
 	cands := activated
-	if de.numShards > 1 {
-		de.inShard = de.inShard[:0]
+	if j.numShards > 1 {
+		br.inShard = br.inShard[:0]
 		for _, v := range activated {
-			if ShardOf(v, de.numShards) == de.shardID {
-				de.inShard = append(de.inShard, v)
+			if ShardOf(v, j.numShards) == j.shardID {
+				br.inShard = append(br.inShard, v)
 			}
 		}
-		cands = de.inShard
+		cands = br.inShard
 	}
-	if !r.Bernoulli(float64(len(cands)) / float64(de.poolSize)) {
+	if !r.Bernoulli(float64(len(cands)) / float64(j.poolSize)) {
 		return false, nil
 	}
 	target := cands[r.Intn(len(cands))]
@@ -494,5 +716,90 @@ func (de *DelayEstimator) recoverOne(u graph.VertexID) (bool, error) {
 	for _, v := range sc.members {
 		sc.mark[v] = false
 	}
-	return true, de.recovered.add(target, sc)
+	return true, out.add(target, sc)
+}
+
+// helperPool holds a generation's recovery helpers: made on first need,
+// kept for the generation's life, and at most GOMAXPROCS − 1 at work at
+// once across all of its estimators.
+type helperPool struct {
+	mu   sync.Mutex
+	idle []*blockHelper
+	busy int
+}
+
+// take appends to hs up to want helpers over g, idle ones first, then new
+// ones, without waiting for any to come free.
+func (p *helperPool) take(g *graph.Graph, want int, hs []*blockHelper) []*blockHelper {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := min(want, runtime.GOMAXPROCS(0)-1-p.busy); n > 0; n-- {
+		if k := len(p.idle); k > 0 {
+			hs = append(hs, p.idle[k-1])
+			p.idle = p.idle[:k-1]
+		} else {
+			hs = append(hs, newBlockHelper(g))
+		}
+		p.busy++
+	}
+	return hs
+}
+
+// put hands back helpers that have stopped.
+func (p *helperPool) put(hs []*blockHelper) {
+	if len(hs) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.idle = append(p.idle, hs...)
+	p.busy -= len(hs)
+	p.mu.Unlock()
+}
+
+// blockHelper claims a recovery's blocks on a goroutine of its own, the
+// lowest unclaimed one each time, and runs them into their slots ahead of
+// the caller. wake tells it a slot may have come free or the recovery
+// stopped; exit says it has stopped.
+type blockHelper struct {
+	blockRunner
+	job        *recoveryJob
+	wake, exit chan struct{}
+	run        func() // loop, bound once, so that go h.run() allocates nothing
+}
+
+func newBlockHelper(g *graph.Graph) *blockHelper {
+	n := g.NumVertices()
+	h := &blockHelper{
+		blockRunner: blockRunner{sched: make([]firing, n), sc: *newGenScratch(n)},
+		wake:        make(chan struct{}, 1),
+		exit:        make(chan struct{}, 1),
+	}
+	h.run = h.loop
+	return h
+}
+
+// nudge wakes h if it waits for a slot.
+func (h *blockHelper) nudge() {
+	select {
+	case h.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (h *blockHelper) loop() {
+	j := h.job
+	for b := j.next.Add(1) - 1; b < j.blocks && !j.stop.Load(); b = j.next.Add(1) - 1 {
+		for b >= j.appended.Load()+int64(len(j.slots)) && !j.stop.Load() {
+			<-h.wake
+		}
+		if j.stop.Load() {
+			break
+		}
+		h.runSlot(j, b)
+		select {
+		case j.ready <- struct{}{}:
+		default:
+		}
+	}
+	h.exit <- struct{}{}
 }

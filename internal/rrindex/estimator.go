@@ -178,14 +178,14 @@ func NewShardedPrunedEstimator(si *ShardedIndex) *ShardedEstimator {
 
 // NewShardedDelayEstimator creates the DelayMat (Algo 4) estimator over
 // sdm. r is consumed at construction only: one base seed per shard, in
-// shard order. Every recovery then runs on rng.Mix(base, shard, user), so
-// estimators built from equal r recover identical graphs for a user
-// whatever else they recovered before, and shard recoveries can run in
-// parallel.
+// shard order. Block b of every recovery then runs on rng.Mix(base, shard,
+// user, b), so estimators built from equal r recover identical graphs for
+// a user whatever else they recovered before and however many goroutines
+// ran the blocks, and shard recoveries can run in parallel.
 func NewShardedDelayEstimator(sdm *ShardedDelayMat, r *rng.Source) *ShardedEstimator {
 	se := newShardedEstimator(&sdm.shardSet)
 	for i, sh := range sdm.shards {
-		se.shards[i] = newDelayEstimatorShard(sh, r.Uint64(), &sdm.fire, sdm.ids[i], sdm.numShards, sdm.users[i])
+		se.shards[i] = newDelayEstimatorShard(sh, r.Uint64(), &sdm.gen, sdm.ids[i], sdm.numShards, sdm.users[i])
 	}
 	return se
 }

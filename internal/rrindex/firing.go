@@ -63,10 +63,11 @@ func newFireTable(g *graph.Graph) *fireTable {
 	return t
 }
 
-// lazyFireTable builds a graph's fireTable on first use. It sits on the
-// ShardedDelayMat, so the table lives exactly as long as the index
-// generation it was built for: a hot-swap publishes a new ShardedDelayMat
-// over the new graph and the old table goes with the old one. Building
+// lazyFireTable builds a graph's fireTable on first use. It sits in the
+// ShardedDelayMat's delayGen, so the table lives exactly as long as the
+// index generation it was built for: a hot-swap publishes a new
+// ShardedDelayMat over the new graph and the old table goes with the old
+// one. Building
 // lazily keeps it out of build, load and Clone — an engine that never
 // recovers never pays for it.
 type lazyFireTable struct {

@@ -95,7 +95,7 @@ func TestFrontierByteIdenticalMonolithic(t *testing.T) {
 		batched *ShardedEstimator
 		seq     mono
 	}{
-		{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), mono{newDelayEstimatorShard(dm, rng.New(9).Uint64(), &lazyFireTable{}, 0, 1, g.NumVertices()), g}},
+		{"DELAYMAT", NewShardedDelayEstimator(sdm, rng.New(9)), mono{newDelayEstimatorShard(dm, rng.New(9).Uint64(), &delayGen{}, 0, 1, g.NumVertices()), g}},
 		{"INDEXEST", NewShardedEstimator(si), mono{NewEstimator(idx), g}},
 		{"INDEXEST+", NewShardedPrunedEstimator(si), mono{NewPrunedEstimator(idx), g}},
 	}

@@ -102,28 +102,28 @@ func TestSavedFilesGolden(t *testing.T) {
 // every scan policy exactly as it was, after a build and along a repair
 // chain, at one shard and at three.
 var goldenRowHashes = map[string]string{
-	"S=1/step=0/DELAYMAT":  "3e398564828480de6c0716243ed473fbd19cb0f67b5d5e9003c0f1a52043b697",
+	"S=1/step=0/DELAYMAT":  "dfa516d99e8a9c4726ab7d13027f5e6092afbd585e6e451c732b17873b8ae261",
 	"S=1/step=0/INDEXEST":  "97406f999a97b428a191dd1426170e3a3a625090ba294f93803f19741cf87d9b",
 	"S=1/step=0/INDEXEST+": "940ea05609568a20ad6cbe166b3270a8aea882ed435cfb131d21a4c0d0b4643f",
-	"S=1/step=1/DELAYMAT":  "586deca52c890f04ddcfd8abb308d71e32669c553f1df5e21ddf0ba4203c1ba0",
+	"S=1/step=1/DELAYMAT":  "ad364ccc18ee2d9674b141bc42e640bf595ec26f29733f12fcf69b0bc1123496",
 	"S=1/step=1/INDEXEST":  "383092a52a8cc4476373d9cc326d7a5063169141636e6937859f5e836f1ff02f",
 	"S=1/step=1/INDEXEST+": "b5a1d2b7174faf0c70473295ba0a558c9251b1c8bd8b4eb882907b7306d0bc59",
-	"S=1/step=2/DELAYMAT":  "e0513ef0aaadd3d977a9cc2878b995af03a95a29fd30e8a08901319fb6921de3",
+	"S=1/step=2/DELAYMAT":  "5e5802ed14ee9fa8ff6779548feab0c89a9788a898143195666991973de5859d",
 	"S=1/step=2/INDEXEST":  "ad521a1862096add315bb6e32957bbb0bd7e29880749d88840ff6a038b673a1c",
 	"S=1/step=2/INDEXEST+": "b77126e37c1776aa243dc54086f99211253272637ff0d99fb1cd4c470f8a3355",
-	"S=1/step=3/DELAYMAT":  "22b4df630c03ef0a64ca621565cca331d0ede7c5f550feaf9d5c88b4dbadf523",
+	"S=1/step=3/DELAYMAT":  "51bf965c3b8e8db40a303ebb7e4fbece561699af518ec66237bb714c747f2740",
 	"S=1/step=3/INDEXEST":  "37fce52bfbd88edb68c12e69f110c67c28a3c916b0624c500000be50644686cd",
 	"S=1/step=3/INDEXEST+": "0270ef256a9b351a25979563b799803a81c2febe6cbcf8675dbbc8b78b17bc83",
-	"S=3/step=0/DELAYMAT":  "1e98cab7a6306401356dd7b3b8de4b23bd3cabf4e78f1072ef6bc621b3224fc9",
+	"S=3/step=0/DELAYMAT":  "c46181f567ba2b152033244b8627e72b7758e304563b4a73f84e9a46c8e6ae5d",
 	"S=3/step=0/INDEXEST":  "5f4679e76844ff4d1de8fbd7c077147fc80ce9abb21249ac4ec92c4bc08c3d48",
 	"S=3/step=0/INDEXEST+": "0bc076b02bf2a1a4dac50695e15b77d47e5a5ac268613da8e8622f51b6386c16",
-	"S=3/step=1/DELAYMAT":  "5b7672208e6452d5682dc998fb80897e4b8195a16c2016a623ac197eeb346965",
+	"S=3/step=1/DELAYMAT":  "915d21a0e5c1d15a2ad8ec3dfeef39c93e6558fb7aa18b7113a6302ba5c4720c",
 	"S=3/step=1/INDEXEST":  "4d22aa61125a95f037a49847ca12c44680c276af74be66c0a2758b5df4c29418",
 	"S=3/step=1/INDEXEST+": "db1a5babd4a130a31ebca81c8536db98b63930913bac60199958dc1d42850cc8",
-	"S=3/step=2/DELAYMAT":  "8f7a09fcf406a0096f82a4c7a227999454afb1e5319881874529d7e69ecfb4a3",
+	"S=3/step=2/DELAYMAT":  "f944650ed11e372fb5a2d60b50be845c59a9970f1421847f3a2824201a61cfad",
 	"S=3/step=2/INDEXEST":  "881974947655259618036a742a4becb161561679c07b675f346512961ae29b52",
 	"S=3/step=2/INDEXEST+": "586920fdc8e4b08fb22d97bccfe42ccea1d083506a1e2d48123157f0a05b5f8b",
-	"S=3/step=3/DELAYMAT":  "f8ffd7c2df2e3ae65a80abb71ba2a07a1fd5a3dd5eac30e4332d69217c98873f",
+	"S=3/step=3/DELAYMAT":  "26fbdc5607962d007b1f6aec30c74a50ff3c4cb0648031ed4d2b3461201de6b4",
 	"S=3/step=3/INDEXEST":  "abb0f0cd8e3c10de56fa25231414e091af22f79b911c52ff73b7ae0300c9e6c0",
 	"S=3/step=3/INDEXEST+": "2dfd1642d0f5c61615b4c0d9dcbdb6f66393588484281d5c12cbc9a4b42ce981",
 }

@@ -124,7 +124,7 @@ func TestGatherPartialsMatchesShardedEstimator(t *testing.T) {
 			users[s] = si.users[s]
 			plain[s] = NewEstimator(si.shards[s])
 			pruned[s] = NewPrunedEstimator(si.shards[s])
-			delay[s] = newDelayEstimatorShard(sdm.shards[s], r.Uint64(), &sdm.fire, s, S, sdm.users[s])
+			delay[s] = newDelayEstimatorShard(sdm.shards[s], r.Uint64(), &sdm.gen, s, S, sdm.users[s])
 		}
 		for _, fam := range []struct {
 			name   string

@@ -210,6 +210,18 @@ func recoverOpts(seed uint64) BuildOptions {
 
 const recoverSeeds = 200
 
+// minBlocks is how many recovery blocks each recovery of the law tests
+// must span, so that no change of the block length can make them
+// single-block unnoticed: the law they check is then the law of blocks
+// concatenated, restarts included.
+const minBlocks = 3
+
+// blocksSpanned is how many blocks a recovery under θ charged attempts in.
+func blocksSpanned(attempts, theta int64) int64 {
+	l := blockAttempts(theta)
+	return (attempts + l - 1) / l
+}
+
 // TestRecoveryMatchesReferenceDistribution compares, per (graph, S, shard)
 // and pooled over recoverSeeds recoveries on either side, the graphs the
 // firing schedule recovers with referenceRecover's: the share with target
@@ -234,7 +246,7 @@ func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 				var got, want recoveryStats
 				var gotA, gotAA, wantA, wantAA float64 // attempts per recovery
 				for seed := uint64(1); seed <= recoverSeeds; seed++ {
-					de := newDelayEstimatorShard(dm, seed, &sdm.fire, s, S, pool)
+					de := newDelayEstimatorShard(dm, seed, &sdm.gen, s, S, pool)
 					de.recover(tc.u)
 					ws := de.WorkStats()
 					if ws.RecoveryAttempts < budget && int64(de.recovered.size()) != n {
@@ -243,6 +255,9 @@ func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 					}
 					if ws.RecoveryCascades > ws.RecoveryAttempts {
 						t.Fatalf("%s S=%d shard %d: %d cascades out of %d attempts", tc.name, S, s, ws.RecoveryCascades, ws.RecoveryAttempts)
+					}
+					if k := blocksSpanned(ws.RecoveryAttempts, dm.theta); k < minBlocks {
+						t.Fatalf("%s S=%d shard %d seed %d: the recovery spans %d blocks, want ≥ %d", tc.name, S, s, seed, k, minBlocks)
 					}
 					for i := 0; i < de.recovered.size(); i++ {
 						view := de.recovered.view(i)
@@ -304,13 +319,26 @@ func TestRecoveryEstimateMatchesExact(t *testing.T) {
 		}
 		for _, S := range []int{1, 3} {
 			var sum, sq float64
+			var spans, recoveries int64
 			for seed := uint64(1); seed <= recoverSeeds; seed++ {
 				sdm, err := BuildShardedDelayMat(tc.g, recoverOpts(seed), S)
 				if err != nil {
 					t.Fatalf("%s S=%d: BuildShardedDelayMat: %v", tc.name, S, err)
 				}
-				inf := NewShardedDelayEstimator(sdm, rng.New(rng.Mix(seed, 0xe57))).Estimate(tc.u, post).Influence
+				est := NewShardedDelayEstimator(sdm, rng.New(rng.Mix(seed, 0xe57)))
+				inf := est.Estimate(tc.u, post).Influence
 				sum, sq = sum+inf, sq+inf*inf
+				for _, p := range est.shards {
+					if de := p.(*DelayEstimator); de.dm.counts[tc.u] > 0 {
+						spans += blocksSpanned(de.WorkStats().RecoveryAttempts, de.dm.theta)
+						recoveries++
+					}
+				}
+			}
+			// A user with a handful of graphs in a shard can finish early by
+			// luck, so the bound is on the mean.
+			if spans < minBlocks*recoveries {
+				t.Fatalf("%s S=%d: the recoveries span %.1f blocks on average, want ≥ %d", tc.name, S, float64(spans)/float64(recoveries), minBlocks)
 			}
 			mean := sum / recoverSeeds
 			se := math.Sqrt((sq/recoverSeeds - mean*mean) / recoverSeeds)
@@ -333,7 +361,7 @@ func TestRecoveryWithoutOutEdges(t *testing.T) {
 		}
 		for _, u := range []graph.VertexID{fixture.U5, fixture.U7} {
 			for s, dm := range sdm.shards {
-				de := newDelayEstimatorShard(dm, 7, &sdm.fire, s, S, sdm.users[s])
+				de := newDelayEstimatorShard(dm, 7, &sdm.gen, s, S, sdm.users[s])
 				de.recover(u)
 				if ShardOf(u, S) != s && dm.counts[u] != 0 {
 					t.Fatalf("S=%d: θ_%d(%d) = %d for a user that reaches nobody", S, s, u, dm.counts[u])
@@ -369,11 +397,14 @@ func TestRecoveryChargesSkippedAttempts(t *testing.T) {
 		forged := *dm
 		forged.counts = append([]int64(nil), dm.counts...)
 		forged.counts[u] = 100 * dm.theta
-		de := newDelayEstimatorShard(&forged, 7, &lazyFireTable{}, 0, 1, g.NumVertices())
+		de := newDelayEstimatorShard(&forged, 7, &delayGen{}, 0, 1, g.NumVertices())
 		de.recover(u)
 		ws := de.WorkStats()
 		if ws.RecoveryAttempts != budget {
 			t.Fatalf("user %d: %d attempts charged, want the budget %d", u, ws.RecoveryAttempts, budget)
+		}
+		if k := blocksSpanned(ws.RecoveryAttempts, dm.theta); k < minBlocks {
+			t.Fatalf("user %d: the recovery spans %d blocks, want ≥ %d", u, k, minBlocks)
 		}
 		if n := int64(de.recovered.size()); n == 0 || n >= forged.counts[u] {
 			t.Fatalf("user %d: %d graphs recovered under a forged θ(u) = %d", u, n, forged.counts[u])
@@ -401,8 +432,8 @@ func TestRecoveryIsPureFunctionOfSeedShardUser(t *testing.T) {
 			t.Fatalf("BuildShardedDelayMat: %v", err)
 		}
 		for s, dm := range sdm.shards {
-			a := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
-			b := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
+			a := newDelayEstimatorShard(dm, 99, &sdm.gen, s, S, sdm.users[s])
+			b := newDelayEstimatorShard(dm, 99, &sdm.gen, s, S, sdm.users[s])
 			snapshot := func(de *DelayEstimator, u graph.VertexID) []RRGraph {
 				de.recover(u)
 				out := make([]RRGraph, de.recovered.size())
@@ -486,15 +517,21 @@ func TestRecoveryIndependentOfWorkers(t *testing.T) {
 		for i, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			for s, dm := range sdm.shards {
-				de := newDelayEstimatorShard(dm, 99, &sdm.fire, s, S, sdm.users[s])
+				de := newDelayEstimatorShard(dm, 99, &sdm.gen, s, S, sdm.users[s])
 				for _, u := range users {
 					before := de.WorkStats()
 					de.recover(u)
 					after := de.WorkStats()
+					if k := blocksSpanned(after.RecoveryAttempts-before.RecoveryAttempts, dm.theta); dm.counts[u] > 0 && k < minBlocks {
+						t.Fatalf("S=%d shard %d user %d: the recovery spans %d blocks, want ≥ %d", S, s, u, k, minBlocks)
+					}
 					runs[i] = append(runs[i], result{recoveryBytes(de),
 						after.RecoveryAttempts - before.RecoveryAttempts, after.RecoveryCascades - before.RecoveryCascades})
 				}
 			}
+		}
+		if len(sdm.gen.helpers.idle) == 0 {
+			t.Fatalf("S=%d: no recovery took a helper at GOMAXPROCS 4", S)
 		}
 		for j, one := range runs[0] {
 			four, s, u := runs[1][j], j/len(users), users[j%len(users)]
@@ -567,7 +604,7 @@ func TestFireTableCorners(t *testing.T) {
 	}
 	// A silent vertex stays silent however often it is visited: next is
 	// Never and visits + gap is never formed.
-	de := newDelayEstimatorShard(&DelayMat{g: g, theta: 50, counts: []int64{20, 0, 0, 0, 0, 0, 0}}, 3, &lazyFireTable{}, 0, 1, 7)
+	de := newDelayEstimatorShard(&DelayMat{g: g, theta: 50, counts: []int64{20, 0, 0, 0, 0, 0, 0}}, 3, &delayGen{}, 0, 1, 7)
 	de.recover(0)
 	if de.recovered.size() != 20 {
 		t.Fatalf("recovered %d graphs, want 20", de.recovered.size())
@@ -614,7 +651,7 @@ func TestFireTableSharedAcrossEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildShardedDelayMat: %v", err)
 	}
-	if sdm.fire.t != nil {
+	if sdm.gen.fire.t != nil {
 		t.Fatal("fire table built before any recovery")
 	}
 	post := []float64{0.5, 0.5}
@@ -634,7 +671,7 @@ func TestFireTableSharedAcrossEstimators(t *testing.T) {
 	if !equalSlice(results[0], results[1]) {
 		t.Fatal("equal-seed estimators over one DelayMat disagree")
 	}
-	tbl := sdm.fire.t
+	tbl := sdm.gen.fire.t
 	if tbl == nil {
 		t.Fatal("fire table not built by the first recovery")
 	}

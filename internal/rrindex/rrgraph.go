@@ -670,11 +670,8 @@ func (n storeSize) alloc(g *graph.Graph) (*graphStore, error) {
 }
 
 // concat writes the ranges, in order, into one exactly sized new store
-// over g: kinds up to 64 at a time, one bulk copy per other array and
-// range, the records and in-star ends rebased. The CSR arrays are copied
-// from stores that have them (a DelayMat member store has none). It is
-// the build's merge and repair's splice; rs is walked twice, once to size
-// the store and once to fill it.
+// over g with appendRange. It is the build's merge and repair's splice;
+// rs is walked twice, once to size the store and once to fill it.
 func concat(g *graph.Graph, rs iter.Seq[storeRange]) (*graphStore, error) {
 	var n storeSize
 	for r := range rs {
@@ -685,38 +682,61 @@ func concat(g *graph.Graph, rs iter.Seq[storeRange]) (*graphStore, error) {
 		return nil, err
 	}
 	for r := range rs {
-		for p := r.lo; p < r.hi; {
-			k := min(64-p&63, r.hi-p)
-			w, sh, mask := r.s.kinds[p>>6], p&63, uint64(1)<<k-1
-			out.appendKinds(out.size()+p-r.lo, w.one>>sh&mask, w.star>>sh&mask, k)
-			p += k
-		}
-		o0, s0 := r.s.ranks(r.lo)
-		o1, s1 := r.s.ranks(r.hi)
-		out.singles = append(out.singles, r.s.singles[o0:o1]...)
-		e0, e1 := r.s.starOffset(s0), r.s.starOffset(s1)
-		for _, end := range r.s.starEnd[s0:s1] {
-			out.starEnd = append(out.starEnd, uint32(len(out.starEdge)+int(end)-e0))
-		}
-		out.starEdge = append(out.starEdge, r.s.starEdge[e0:e1]...)
-		out.starC = append(out.starC, r.s.starC[e0:e1]...)
-		lo, hi := r.lo-o0-s0, r.hi-o1-s1
-		a, b := r.s.recs[lo], r.s.recs[hi]
-		base := out.recs[len(out.recs)-1]
-		out.recs = out.recs[:len(out.recs)-1]
-		for _, rec := range r.s.recs[lo : hi+1] {
-			out.recs = append(out.recs, graphRec{target: rec.target, v: base.v + rec.v - a.v, e: base.e + rec.e - a.e})
-		}
-		out.recs[len(out.recs)-1].target = 0
-		out.verts = append(out.verts, r.s.verts[a.v:b.v]...)
-		if len(r.s.outStart) > 0 {
-			out.outStart = append(out.outStart, r.s.outStart[int(a.v)+lo:int(b.v)+hi]...)
-			out.outTo = append(out.outTo, r.s.outTo[a.e:b.e]...)
-			out.edgeID = append(out.edgeID, r.s.edgeID[a.e:b.e]...)
-			out.c = append(out.c, r.s.c[a.e:b.e]...)
-		}
+		out.appendRange(r)
 	}
 	return out, nil
+}
+
+// appendRange appends graphs [r.lo, r.hi) of r.s to s: kinds up to 64 at
+// a time, one bulk copy per other array, the records and in-star ends
+// rebased. The CSR arrays are copied from stores that have them (a
+// DelayMat member store has none). It allocates only when s lacks the
+// capacity, and does not check s's offsets: concat sizes its store first,
+// and recovery asks canTake.
+func (s *graphStore) appendRange(r storeRange) {
+	for p := r.lo; p < r.hi; {
+		k := min(64-p&63, r.hi-p)
+		w, sh, mask := r.s.kinds[p>>6], p&63, uint64(1)<<k-1
+		s.appendKinds(s.size()+p-r.lo, w.one>>sh&mask, w.star>>sh&mask, k)
+		p += k
+	}
+	o0, s0 := r.s.ranks(r.lo)
+	o1, s1 := r.s.ranks(r.hi)
+	s.singles = append(s.singles, r.s.singles[o0:o1]...)
+	e0, e1 := r.s.starOffset(s0), r.s.starOffset(s1)
+	for _, end := range r.s.starEnd[s0:s1] {
+		s.starEnd = append(s.starEnd, uint32(len(s.starEdge)+int(end)-e0))
+	}
+	s.starEdge = append(s.starEdge, r.s.starEdge[e0:e1]...)
+	s.starC = append(s.starC, r.s.starC[e0:e1]...)
+	lo, hi := r.lo-o0-s0, r.hi-o1-s1
+	a, b := r.s.recs[lo], r.s.recs[hi]
+	base := s.recs[len(s.recs)-1]
+	s.recs = s.recs[:len(s.recs)-1]
+	for _, rec := range r.s.recs[lo : hi+1] {
+		s.recs = append(s.recs, graphRec{target: rec.target, v: base.v + rec.v - a.v, e: base.e + rec.e - a.e})
+	}
+	s.recs[len(s.recs)-1].target = 0
+	s.verts = append(s.verts, r.s.verts[a.v:b.v]...)
+	if len(r.s.outStart) > 0 {
+		s.outStart = append(s.outStart, r.s.outStart[int(a.v)+lo:int(b.v)+hi]...)
+		s.outTo = append(s.outTo, r.s.outTo[a.e:b.e]...)
+		s.edgeID = append(s.edgeID, r.s.edgeID[a.e:b.e]...)
+		s.c = append(s.c, r.s.c[a.e:b.e]...)
+	}
+}
+
+// canTake reports whether add would take every graph [r.lo, r.hi) of r.s
+// into s, one after another: the totals appendRange would leave stay
+// within each bound push and pushStar check on the way (push's outStart
+// bound runs one above the vertices plus the graphs). It may refuse a
+// range add would still take, never the reverse.
+func (s *graphStore) canTake(r storeRange) bool {
+	var n storeSize
+	n.add(r.s, r.lo, r.hi)
+	last := s.recs[len(s.recs)-1]
+	return offsetsFit(int64(last.v)+int64(n.verts)+int64(s.size()+n.graphs)+1, int64(last.e)+int64(n.edges)) &&
+		offsetsFit(0, int64(len(s.starEdge)+n.entries))
 }
 
 // mergeStores concatenates per-worker stores over g, in order, into one

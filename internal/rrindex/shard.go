@@ -475,9 +475,9 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 // on the materialized Index, whose graph stores really do partition.
 type ShardedDelayMat struct {
 	shardSet[*DelayMat]
-	// fire is the firing table of g that every DelayEstimator over this
-	// generation shares, built by the first recovery (see lazyFireTable).
-	fire lazyFireTable
+	// gen is what every DelayEstimator over this generation shares: the
+	// firing table of g and the recovery helpers, made on first use.
+	gen delayGen
 }
 
 // BuildShardedDelayMat runs the sharded offline counting phase: the

@@ -99,7 +99,7 @@ func TestShardedS1ByteIdenticalToMonolithic(t *testing.T) {
 			t.Fatalf("θ(%d) differs: %d vs %d", u, dm.Count(graph.VertexID(u)), sdm.shards[0].Count(graph.VertexID(u)))
 		}
 	}
-	de := mono{newDelayEstimatorShard(dm, rng.New(9).Uint64(), &lazyFireTable{}, 0, 1, g.NumVertices()), g}
+	de := mono{newDelayEstimatorShard(dm, rng.New(9).Uint64(), &delayGen{}, 0, 1, g.NumVertices()), g}
 	sde := NewShardedDelayEstimator(sdm, rng.New(9))
 	for u := 0; u < 40; u++ {
 		want := de.EstimateProber(graph.VertexID(u), prober)
