@@ -320,8 +320,13 @@ func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelF
 // QueryTimeout, so deadline-aware admission can shed a query whose budget
 // cannot cover the observed median latency before it occupies an engine.
 // The second return reports whether the answer came without a computation
-// in this call.
+// in this call. A closed server refuses even a stored hit with
+// ErrPoolClosed, as its health probes answer 503.
 func cached[T any](ctx context.Context, s *Server, g *engineGen, endpoint string, key Key, run func(context.Context, *pitex.Engine) (T, error)) (T, bool, error) {
+	if err := s.gate.open(); err != nil {
+		var zero T
+		return zero, false, err
+	}
 	csp, ctx := obsv.StartSpan(ctx, "cache")
 	defer csp.End()
 	if v, ok := s.cache.Get(key); ok {

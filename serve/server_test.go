@@ -274,6 +274,30 @@ func TestServerHealthzAndClose(t *testing.T) {
 	getJSON(t, ts.URL+"/selling-points?user=0&k=2", http.StatusServiceUnavailable)
 }
 
+// TestClosedServerRefusesCachedHits: once closed, a server answers 503
+// "closed" on the query routes even for a query it has cached, as its
+// health probes do.
+func TestClosedServerRefusesCachedHits(t *testing.T) {
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	urls := []string{"/selling-points?user=0&k=2", "/audience?user=0&tags=2,3&m=3"}
+	for _, u := range urls {
+		getJSON(t, ts.URL+u, http.StatusOK)
+		if out := getJSON(t, ts.URL+u, http.StatusOK); out["cached"] != true {
+			t.Fatalf("%s: repeat not served from the cache: %v", u, out)
+		}
+	}
+	srv.Close()
+	for _, u := range urls {
+		out := getJSON(t, ts.URL+u, http.StatusServiceUnavailable)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "closed") {
+			t.Errorf("%s after Close: error %q, want it to say closed", u, msg)
+		}
+	}
+}
+
 func TestServerQueryTimeout(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1, QueryTimeout: time.Nanosecond})
 	_, _, err := srv.SellingPoints(context.Background(), 0, 2, 1, nil)
