@@ -102,22 +102,27 @@ func TestAdmitBudgetSheds(t *testing.T) {
 	defer srv.Close()
 	label := "selling-points/" + srv.strategy
 
+	// One budget for the cold and the warm check: far above scheduling
+	// noise, so it cannot run out before admitBudget reads it (a budget
+	// already spent is refused on every histogram), and far below the
+	// planted median.
+	const budget, median = time.Second, 10 * time.Second
 	// Below the sample floor the gate stays open: no shedding on a cold
 	// histogram.
-	if err := srv.admitBudget(contextWithBudget(t, time.Millisecond), label); err != nil {
+	if err := srv.admitBudget(contextWithBudget(t, budget), label); err != nil {
 		t.Fatalf("cold-histogram admission rejected: %v", err)
 	}
 	for i := 0; i < p50MinSamples; i++ {
-		srv.metrics.Observe(label, 50*time.Millisecond)
+		srv.metrics.Observe(label, median)
 	}
-	err = srv.admitBudget(contextWithBudget(t, time.Millisecond), label)
+	err = srv.admitBudget(contextWithBudget(t, budget), label)
 	if !errors.Is(err, ErrDeadlineBudget) {
 		t.Fatalf("under-budget admission err = %v, want ErrDeadlineBudget", err)
 	}
 	if !errors.Is(err, errWaitAborted) {
 		t.Fatalf("budget rejection must be caller-specific (errWaitAborted), got %v", err)
 	}
-	if err := srv.admitBudget(contextWithBudget(t, time.Second), label); err != nil {
+	if err := srv.admitBudget(contextWithBudget(t, 6*median), label); err != nil {
 		t.Fatalf("well-budgeted admission rejected: %v", err)
 	}
 	// No deadline at all: always admitted.
