@@ -280,13 +280,13 @@ type recoveryJob struct {
 	budget, blockLen, blocks int64
 
 	// next is the first block nobody has claimed, appended how many blocks
-	// the recovered store holds. Block b runs into slots[b mod len(slots)]
-	// unless the caller runs it in order, so it may be claimed once
-	// appended > b − len(slots). ready wakes the caller when a helper has
-	// filled a slot; stop ends the recovery.
+	// the recovered store holds. Block b runs into slots[b mod len(slots)],
+	// the slots of the helpers taken, unless the caller runs it in order,
+	// so it may be claimed once appended > b − len(slots). ready wakes the
+	// caller when a helper has filled a slot; stop ends the recovery.
 	next, appended atomic.Int64
 	stop           atomic.Bool
-	slots          []blockOut
+	slots          []*blockOut
 	ready          chan struct{}
 	_              [64]byte
 }
@@ -467,19 +467,19 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.posts, de.stars, de.direct = de.recovered.split(u, de.posts[:0], de.stars[:0])
 }
 
-// startHelpers sets the helpers taken running, with two slots per
-// goroutine at work on the recovery.
+// startHelpers sets the helpers taken running, their slots the
+// recovery's.
 func (de *DelayEstimator) startHelpers() {
 	j := &de.job
-	if want := 2 * (len(de.helpers) + 1); len(j.slots) < want {
-		j.slots = make([]blockOut, want)
-		for i := range j.slots {
-			j.slots[i].store.g = j.g
-		}
+	if j.ready == nil {
 		j.ready = make(chan struct{}, 1)
 	}
-	for i := range j.slots {
-		j.slots[i].filled.Store(0)
+	j.slots = j.slots[:0]
+	for _, h := range de.helpers {
+		for i := range h.slots {
+			h.slots[i].filled.Store(0)
+			j.slots = append(j.slots, &h.slots[i])
+		}
 	}
 	for _, h := range de.helpers {
 		h.job = j
@@ -503,7 +503,7 @@ func (de *DelayEstimator) stopHelpers() {
 }
 
 // slot returns block b's slot.
-func (j *recoveryJob) slot(b int64) *blockOut { return &j.slots[b%int64(len(j.slots))] }
+func (j *recoveryJob) slot(b int64) *blockOut { return j.slots[b%int64(len(j.slots))] }
 
 // collect appends block b, filled in its slot, to the recovered store up
 // to its want-th graph, and returns what that part of the block cost. A
@@ -758,11 +758,15 @@ func (p *helperPool) put(hs []*blockHelper) {
 
 // blockHelper claims a recovery's blocks on a goroutine of its own, the
 // lowest unclaimed one each time, and runs them into their slots ahead of
-// the caller. wake tells it a slot may have come free or the recovery
-// stopped; exit says it has stopped.
+// the caller. It brings four slots to a recovery, so every goroutine at
+// work on it has at least two, and the slots' stores stay grown for the
+// generation's next recovery, whichever estimator runs it. wake tells it
+// a slot may have come free or the recovery stopped; exit says it has
+// stopped.
 type blockHelper struct {
 	blockRunner
 	job        *recoveryJob
+	slots      [4]blockOut
 	wake, exit chan struct{}
 	run        func() // loop, bound once, so that go h.run() allocates nothing
 }
@@ -773,6 +777,9 @@ func newBlockHelper(g *graph.Graph) *blockHelper {
 		blockRunner: blockRunner{sched: make([]firing, n), sc: *newGenScratch(n)},
 		wake:        make(chan struct{}, 1),
 		exit:        make(chan struct{}, 1),
+	}
+	for i := range h.slots {
+		h.slots[i].store.g = g
 	}
 	h.run = h.loop
 	return h

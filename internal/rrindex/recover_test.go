@@ -643,7 +643,8 @@ func TestFireTableCorners(t *testing.T) {
 }
 
 // TestFireTableSharedAcrossEstimators: one table per ShardedDelayMat,
-// built once, whoever recovers first — run under -race with two
+// built once, whoever recovers first, and one helper pool that never
+// makes more than GOMAXPROCS − 1 helpers — run under -race with two
 // estimator sets recovering concurrently.
 func TestFireTableSharedAcrossEstimators(t *testing.T) {
 	g := randomGraph(80, 4, 0.05, 0.4, 17)
@@ -684,5 +685,8 @@ func TestFireTableSharedAcrossEstimators(t *testing.T) {
 	}
 	if got := int64(len(tbl.surv)+len(tbl.invLogQ)) * 8; got != 8*int64(g.NumEdges())+8*int64(g.NumVertices()) {
 		t.Fatalf("table holds %d bytes", got)
+	}
+	if h := &sdm.gen.helpers; h.busy != 0 || len(h.idle) > runtime.GOMAXPROCS(0)-1 {
+		t.Fatalf("helper pool holds %d idle and %d busy helpers at GOMAXPROCS %d", len(h.idle), h.busy, runtime.GOMAXPROCS(0))
 	}
 }

@@ -90,9 +90,11 @@
 // graph, prefix survival products per out-edge and 1/ln q per vertex, is
 // one immutable fireTable per graph generation (firing.go; 8·|E| + 8·|V|
 // bytes, built by the first recovery, shared by every estimator of the
-// generation, dropped with it on hot-swap). A recovery runs on the stream
-// rng.Mix(seed, shard, user), so a recovered user is a pure function of
-// that triple: the same from every clone, in any order.
+// generation, dropped with it on hot-swap). A recovery runs in blocks of
+// attempts, block b on the stream rng.Mix(seed, shard, user, b), on as
+// many cores as the generation's helpers can take, so a recovered user is
+// a pure function of (seed, shard, user, θ): the same from every clone, in
+// any order, at any GOMAXPROCS.
 package rrindex
 
 import (
