@@ -203,8 +203,8 @@ func (dm *DelayMat) recomputeFootprint() {
 // appends the blocks to the recovered store in order, running a block
 // nobody has claimed yet straight into it. Up to GOMAXPROCS − 1 helpers,
 // taken without waiting from the generation's helperPool, each claim the
-// lowest unclaimed block and run it ahead into one of the recovery's
-// slots, two per goroutine at work. While a helper runs the block the
+// lowest unclaimed block and run it ahead into one of their slots, at
+// least two per goroutine at work. While a helper runs the block the
 // caller needs next, the caller runs one ahead as well, and it waits only
 // when every slot is taken. When the recovery stops, the blocks still
 // running abort and are dropped. A recovery that finds no helper idle runs
@@ -434,7 +434,7 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 		case len(de.helpers) > 0 && j.slot(b).filled.Load() == b+1:
 			m, n, err = de.collect(b, j.need-got)
 		case j.next.CompareAndSwap(b, b+1):
-			m, n, err = de.runBlock(j, b, j.need-got, &de.recovered, nil, nil)
+			m, n, err = de.runBlock(j, b, j.need-got, &de.recovered, nil)
 		default:
 			// A helper is running block b: run one ahead into its slot,
 			// or wait for the helper when every slot is taken.
@@ -515,7 +515,7 @@ func (de *DelayEstimator) collect(b, want int64) (workMark, int64, error) {
 	n := min(want, out.accepted)
 	r := storeRange{&out.store, 0, int(n)}
 	if out.err != nil || !de.recovered.canTake(r) {
-		return de.runBlock(&de.job, b, want, &de.recovered, nil, nil)
+		return de.runBlock(&de.job, b, want, &de.recovered, nil)
 	}
 	de.recovered.appendRange(r)
 	if n == want {
@@ -525,24 +525,23 @@ func (de *DelayEstimator) collect(b, want int64) (workMark, int64, error) {
 }
 
 // runSlot runs block b, claimed, into its slot and marks the slot filled.
-// The block stops at θ(u) graphs, as no block can yield more, and aborts
-// when the recovery stops.
+// The block stops at θ(u) graphs, as no block can yield more.
 func (br *blockRunner) runSlot(j *recoveryJob, b int64) {
 	out := j.slot(b)
 	out.store.reset()
 	out.trail = out.trail[:0]
-	out.spent, out.accepted, out.err = br.runBlock(j, b, j.need, &out.store, &out.trail, &j.stop)
+	out.spent, out.accepted, out.err = br.runBlock(j, b, j.need, &out.store, &out.trail)
 	out.filled.Store(b + 1)
 }
 
 // runBlock runs block b of job j into out — attempts [b·L, b·L + L) of
 // the recovery, L = j.blockLen, cut at the budget — on the block's own
 // stream and a fresh firing schedule, and stops at the want-th accepted
-// graph. trail, when not nil, gets the mark at each accepted graph; stop,
-// when not nil and set, aborts the block. It returns the block's cost,
-// the graphs it accepted and the store's refusal, if any, charged up to
-// the refused graph's attempt.
-func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, trail *[]workMark, stop *atomic.Bool) (m workMark, accepted int64, err error) {
+// graph, or aborts when the recovery stops. trail, when not nil, gets the
+// mark at each accepted graph. It returns the block's cost, the graphs it
+// accepted and the store's refusal, if any, charged up to the refused
+// graph's attempt.
+func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, trail *[]workMark) (m workMark, accepted int64, err error) {
 	r, sc := &br.rng, &br.sc
 	r.Seed(rng.Mix(j.seed, uint64(j.shardID), uint64(j.u), uint64(b)))
 	br.table = j.table
@@ -555,29 +554,25 @@ func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, 
 		emptyGap = r.Geometric(acceptEmpty)
 	}
 	root := br.firingOf(j.u)
-	for accepted < want && m.attempts < span && (stop == nil || !stop.Load()) {
+	for accepted < want && m.attempts < span && !j.stop.Load() {
+		var ok bool
 		if empties := min(root.next-root.visits-1, span-m.attempts); empties > 0 {
 			step := min(empties, emptyGap)
 			m.attempts += step
 			root.visits += step
-			if emptyGap -= step; emptyGap == 0 {
-				sc.members = append(sc.members[:0], j.u)
-				sc.edges = sc.edges[:0]
-				if err = out.add(j.u, sc); err != nil {
-					break
-				}
-				accepted++
-				if trail != nil {
-					*trail = append(*trail, m)
-				}
-				emptyGap = r.Geometric(acceptEmpty)
+			if emptyGap -= step; emptyGap > 0 {
+				continue
 			}
-			continue
+			sc.members = append(sc.members[:0], j.u)
+			sc.edges = sc.edges[:0]
+			ok, err = true, out.add(j.u, sc)
+			emptyGap = r.Geometric(acceptEmpty)
+		} else {
+			m.attempts++
+			m.cascades++
+			ok, err = br.recoverOne(j, out)
 		}
-		m.attempts++
-		m.cascades++
-		var ok bool
-		if ok, err = br.recoverOne(j, out); err != nil {
+		if err != nil {
 			break
 		}
 		if ok {
@@ -747,9 +742,6 @@ func (p *helperPool) take(g *graph.Graph, want int, hs []*blockHelper) []*blockH
 
 // put hands back helpers that have stopped.
 func (p *helperPool) put(hs []*blockHelper) {
-	if len(hs) == 0 {
-		return
-	}
 	p.mu.Lock()
 	p.idle = append(p.idle, hs...)
 	p.busy -= len(hs)
@@ -793,9 +785,11 @@ func (h *blockHelper) nudge() {
 	}
 }
 
+// loop is a helper's goroutine: it claims blocks until none is left or
+// the recovery stops, then says so on exit.
 func (h *blockHelper) loop() {
 	j := h.job
-	for b := j.next.Add(1) - 1; b < j.blocks && !j.stop.Load(); b = j.next.Add(1) - 1 {
+	for b := j.next.Add(1) - 1; b < j.blocks; b = j.next.Add(1) - 1 {
 		for b >= j.appended.Load()+int64(len(j.slots)) && !j.stop.Load() {
 			<-h.wake
 		}
