@@ -236,8 +236,11 @@ type DelayEstimator struct {
 	helpers []*blockHelper
 	// The calling goroutine's own blocks run on this scratch; its schedule
 	// (16·|V| bytes) is set up by the first recovery, so an estimator that
-	// never recovers carries none.
+	// never recovers carries none. recovering is set while a recovery runs:
+	// still set at the next one, it says a block panicked and left the
+	// scratch mid-block.
 	blockRunner
+	recovering bool
 
 	// recoveryAttempts counts Algo 4 attempts charged to the budget,
 	// jumped empty cascades included; recoveryCascades the cascades
@@ -404,6 +407,10 @@ func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, probe
 // accepted sequence is the one a cascade per attempt would produce.
 func (de *DelayEstimator) recover(u graph.VertexID) {
 	dm, j := de.dm, &de.job
+	if de.recovering {
+		de.blockRunner.clear()
+	}
+	de.recovering, de.cachedValid = true, false
 	de.recovered.reset()
 	if de.sched == nil {
 		j.table = de.gen.fire.get(dm.g)
@@ -424,9 +431,10 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	}
 	if len(de.helpers) > 0 {
 		de.startHelpers()
+		defer de.stopHelpers() // when a block panics on this goroutine
 	}
 	var spent workMark
-	for b, got := int64(0), int64(0); b < j.blocks && got < j.need; {
+	for b, got := int64(0), int64(0); b < j.blocks && got < j.need && !j.stop.Load(); {
 		var m workMark
 		var n int64
 		var err error
@@ -455,14 +463,12 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 			break
 		}
 	}
-	if len(de.helpers) > 0 {
-		de.stopHelpers()
-	}
+	de.stopHelpers()
 	de.recoveryAttempts += spent.attempts
 	de.recoveryCascades += spent.cascades
 
 	de.cachedUser = u
-	de.cachedValid = true
+	de.recovering, de.cachedValid = false, true
 	de.cachedMaxSize = de.recovered.maxSize()
 	de.posts, de.stars, de.direct = de.recovered.split(u, de.posts[:0], de.stars[:0])
 }
@@ -488,18 +494,30 @@ func (de *DelayEstimator) startHelpers() {
 }
 
 // stopHelpers stops the recovery's helpers, aborting the blocks they are
-// running, waits until each has stopped and hands them back.
+// running, waits until each has stopped and hands them back; a second
+// call finds none. A panic in a helper's block is re-raised here, on the
+// calling goroutine, where a panic in its own blocks would surface.
 func (de *DelayEstimator) stopHelpers() {
+	if len(de.helpers) == 0 {
+		return
+	}
 	de.job.stop.Store(true)
 	for _, h := range de.helpers {
 		h.nudge()
 	}
+	var panicked any
 	for _, h := range de.helpers {
 		<-h.exit
 		h.job = nil
+		if h.panicked != nil {
+			panicked, h.panicked = h.panicked, nil
+		}
 	}
 	de.gen.helpers.put(de.helpers)
 	de.helpers = de.helpers[:0]
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // slot returns block b's slot.
@@ -587,6 +605,14 @@ func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, 
 	}
 	br.touched = br.touched[:0]
 	return m, accepted, err
+}
+
+// clear forgets a block a panic cut short: its firing schedule and its
+// cascade's marks.
+func (br *blockRunner) clear() {
+	clear(br.sched)
+	clear(br.sc.mark)
+	br.touched = br.touched[:0]
 }
 
 // firingOf returns v's schedule, drawing its first firing visit when this
@@ -754,12 +780,13 @@ func (p *helperPool) put(hs []*blockHelper) {
 // work on it has at least two, and the slots' stores stay grown for the
 // generation's next recovery, whichever estimator runs it. wake tells it
 // a slot may have come free or the recovery stopped; exit says it has
-// stopped.
+// stopped, and panicked holds what a block of it panicked with.
 type blockHelper struct {
 	blockRunner
 	job        *recoveryJob
 	slots      [4]blockOut
 	wake, exit chan struct{}
+	panicked   any
 	run        func() // loop, bound once, so that go h.run() allocates nothing
 }
 
@@ -786,9 +813,21 @@ func (h *blockHelper) nudge() {
 }
 
 // loop is a helper's goroutine: it claims blocks until none is left or
-// the recovery stops, then says so on exit.
+// the recovery stops, then says so on exit. A panic in a block stops the
+// recovery and goes to the caller with the exit.
 func (h *blockHelper) loop() {
 	j := h.job
+	defer func() {
+		if h.panicked = recover(); h.panicked != nil {
+			h.blockRunner.clear()
+			j.stop.Store(true)
+			select {
+			case j.ready <- struct{}{}:
+			default:
+			}
+		}
+		h.exit <- struct{}{}
+	}()
 	for b := j.next.Add(1) - 1; b < j.blocks; b = j.next.Add(1) - 1 {
 		for b >= j.appended.Load()+int64(len(j.slots)) && !j.stop.Load() {
 			<-h.wake
@@ -802,5 +841,4 @@ func (h *blockHelper) loop() {
 		default:
 		}
 	}
-	h.exit <- struct{}{}
 }

@@ -546,6 +546,59 @@ func TestRecoveryIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestRecoveryPanicReachesCaller: a panic in a block — here any vertex
+// past the hub reads beyond a truncated firing table — surfaces on the
+// goroutine that asked for the recovery, where a server turns it into an
+// error, and leaves no helper at work and no recovery cached; with the
+// table mended the estimator recovers what a fresh one does. A helper
+// hands its own panic to that goroutine with its exit.
+func TestRecoveryPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := workersGraph()
+	opts := recoverOpts(42)
+	opts.MaxIndexSamples = 6000
+	sdm, err := BuildShardedDelayMat(g, opts, 1)
+	if err != nil {
+		t.Fatalf("BuildShardedDelayMat: %v", err)
+	}
+	const hub = 5
+	good := newFireTable(g)
+	gen := &delayGen{}
+	gen.fire.once.Do(func() { gen.fire.t = &fireTable{surv: good.surv, invLogQ: good.invLogQ[:hub+1]} })
+	de := newDelayEstimatorShard(sdm.shards[0], 99, gen, 0, 1, sdm.users[0])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a recovery over a broken table did not panic")
+			}
+		}()
+		de.recover(hub)
+	}()
+	if h := &gen.helpers; h.busy != 0 || len(h.idle) == 0 {
+		t.Fatalf("after the panic the pool holds %d idle and %d busy helpers", len(h.idle), h.busy)
+	}
+	if de.cachedValid {
+		t.Fatal("a recovery that panicked is cached")
+	}
+	de.job.table = good
+	de.recover(hub)
+	fresh := newDelayEstimatorShard(sdm.shards[0], 99, &delayGen{}, 0, 1, sdm.users[0])
+	fresh.recover(hub)
+	if recoveryBytes(de) != recoveryBytes(fresh) {
+		t.Fatal("the recovery after a panic differs from a fresh estimator's")
+	}
+
+	h := newBlockHelper(g)
+	j := &recoveryJob{blocks: 1, ready: make(chan struct{}, 1)}
+	j.appended.Store(1) // block 0's slot is free, but there are no slots
+	h.job = j
+	go h.run()
+	<-h.exit
+	if h.panicked == nil || !j.stop.Load() {
+		t.Fatalf("a helper's panic came back as %v, stop %v", h.panicked, j.stop.Load())
+	}
+}
+
 func sameGraphs(a, b []RRGraph) bool {
 	if len(a) != len(b) {
 		return false
