@@ -468,9 +468,9 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	de.recoveryCascades += spent.cascades
 
 	de.cachedUser = u
-	de.recovering, de.cachedValid = false, true
 	de.cachedMaxSize = de.recovered.maxSize()
 	de.posts, de.stars, de.direct = de.recovered.split(u, de.posts[:0], de.stars[:0])
+	de.recovering, de.cachedValid = false, true
 }
 
 // startHelpers sets the helpers taken running, their slots the
