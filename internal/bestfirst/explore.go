@@ -30,7 +30,9 @@ type Estimator interface {
 // per-edge probe work across rows (frontier-scoped probe caching, bitset
 // hit-testing). Results are positional: Result[i] scores posteriors[i]
 // through graph.EdgeProb, identical to per-row EstimateProber calls. The
-// explorer always passes the empty StopRule.
+// returned slice may be the estimator's scratch, overwritten by its next
+// call; the explorer reads it before estimating again. The explorer
+// always passes the empty StopRule.
 type FrontierEstimator interface {
 	EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result
 }

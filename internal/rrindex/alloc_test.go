@@ -10,12 +10,11 @@ import (
 	"pitex/internal/topics"
 )
 
-// Steady-state allocations per call, measured at the commit before the
-// estimator core was unified (S=1 delegated to monolithic estimators
-// then): the frontier call allocates its result slice and nothing else,
-// the prober call — handed an already-boxed prober — nothing at all.
+// Steady-state allocations per call: the frontier call reuses its result
+// slice, and the prober call — handed an already-boxed prober — allocates
+// nothing either.
 const (
-	allocsPerEstimateFrontier = 1
+	allocsPerEstimateFrontier = 0
 	allocsPerEstimateProber   = 0
 )
 

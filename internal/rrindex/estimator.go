@@ -154,7 +154,9 @@ type ShardedEstimator struct {
 	// sibling w is rows[w*S+i], so one sibling's rows are the contiguous,
 	// shard-ordered slice gather folds.
 	rows []Partial
-	wg   sync.WaitGroup
+	// out is EstimateFrontier's result slice, reused call to call.
+	out []sampling.Result
+	wg  sync.WaitGroup
 }
 
 // NewShardedEstimator creates the IndexEst (Algo 3) estimator over si.
@@ -272,11 +274,15 @@ func (se *ShardedEstimator) Estimate(u graph.VertexID, posterior []float64) samp
 // Every sibling is scanned over all of u's graphs: the estimate is the
 // paper's full count hits/θ·|V|, the same a shard server returns. The
 // StopRule is an empty argument kept for the FrontierEstimator signature.
-// The result slice is the call's only allocation.
+// The result slice is the estimator's own, valid until its next call, so
+// a warmed call allocates nothing however many expansions a query makes.
 func (se *ShardedEstimator) EstimateFrontier(u graph.VertexID, posteriors [][]float64, _ sampling.StopRule) []sampling.Result {
 	se.scatter(u, nil, posteriors)
 	S := len(se.shards)
-	out := make([]sampling.Result, len(posteriors))
+	if cap(se.out) < len(posteriors) {
+		se.out = make([]sampling.Result, len(posteriors))
+	}
+	out := se.out[:len(posteriors)]
 	for w := range out {
 		out[w] = gather(se.rows[w*S:(w+1)*S], 1)
 	}
