@@ -208,7 +208,8 @@ func (dm *DelayMat) recomputeFootprint() {
 // caller needs next, the caller runs one ahead as well, and it waits only
 // when every slot is taken. When the recovery stops, the blocks still
 // running abort and are dropped. A recovery that finds no helper idle runs
-// every block itself, straight into its store.
+// every block itself, straight into its store. The cap counts helpers
+// only, not recoveries running on other estimators of the generation.
 //
 // The fireTable and the helpers are scoped to the graph generation (see
 // delayGen); a block's firing schedule is reset through a touched-list
