@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"pitex"
+	"pitex/internal/fanout"
 )
 
 // DefaultTopN is the leaderboard size used when Options.TopN is 0.
@@ -74,9 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TopN == 0 {
 		o.TopN = DefaultTopN
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
@@ -227,12 +225,12 @@ func Run(ctx context.Context, en *pitex.Engine, opts Options) (*Leaderboard, err
 	}
 	st.reportProgress()
 
-	// Fan the pending chunks out. The producer/drain pattern mirrors
-	// pitex.RunBatchCtx: workers always consume every queued chunk index
-	// (skipping the work once runCtx is dead), so cancellation leaks
-	// nothing. runCtx also aborts the sweep internally on a fatal commit
-	// error — a full disk at chunk 1 of a 10k-chunk sweep must stop the
-	// sweep there, not burn hours of queries retrying the write per chunk.
+	// Fan the pending chunks out over the shared fan-out, which always
+	// drains: once runCtx is dead the remaining chunks are skipped, so
+	// cancellation leaks nothing. runCtx also aborts the sweep internally
+	// on a fatal commit error — a full disk at chunk 1 of a 10k-chunk
+	// sweep must stop the sweep there, not burn hours of queries retrying
+	// the write per chunk.
 	pending := make([]int, 0, numChunks)
 	for c := 0; c < numChunks; c++ {
 		if _, ok := st.completed[c]; !ok {
@@ -241,12 +239,6 @@ func Run(ctx context.Context, en *pitex.Engine, opts Options) (*Leaderboard, err
 	}
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := opts.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
 	var firstErr error
 	var errMu sync.Mutex
 	fail := func(err error) {
@@ -257,35 +249,26 @@ func Run(ctx context.Context, en *pitex.Engine, opts Options) (*Leaderboard, err
 		errMu.Unlock()
 		cancelRun()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				if runCtx.Err() != nil {
-					continue
-				}
-				cr, err := runChunk(runCtx, en, st, c, opts)
-				if err != nil {
-					// Only context errors abort a chunk; an external
-					// cancellation is reported as ctx.Err() below, and an
-					// internal abort keeps its original cause.
-					if ctx.Err() == nil && runCtx.Err() == nil {
-						fail(err)
-					}
-					continue
-				}
-				if err := st.commit(cr); err != nil {
+	fanout.Run(len(pending), opts.Workers, func() func(int) {
+		return func(i int) {
+			if runCtx.Err() != nil {
+				return
+			}
+			cr, err := runChunk(runCtx, en, st, pending[i], opts)
+			if err != nil {
+				// Only context errors abort a chunk; an external
+				// cancellation is reported as ctx.Err() below, and an
+				// internal abort keeps its original cause.
+				if ctx.Err() == nil && runCtx.Err() == nil {
 					fail(err)
 				}
+				return
 			}
-		}()
-	}
-	for _, c := range pending {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
+			if err := st.commit(cr); err != nil {
+				fail(err)
+			}
+		}
+	})
 
 	if err := ctx.Err(); err != nil {
 		// Preserve whatever completed before the kill.
@@ -414,7 +397,7 @@ func processChunk(ctx context.Context, proto *pitex.Engine, users []int, chunk i
 		if err := ctx.Err(); err != nil {
 			return chunkResult{}, err
 		}
-		res, err := clone.QueryCtx(ctx, u, opts.K)
+		res, err := clone.Query(ctx, pitex.Request{User: u, K: opts.K})
 		if err != nil {
 			if ctx.Err() != nil {
 				return chunkResult{}, ctx.Err()

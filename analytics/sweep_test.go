@@ -95,7 +95,7 @@ func TestSweepLeaderboardMatchesDirectQueries(t *testing.T) {
 	// Every row must reproduce a direct query (same seed semantics: a
 	// fresh clone per chunk ⇒ same answer a fresh engine gives).
 	for _, row := range lb.TopUsers {
-		res, err := en.Clone().Query(row.User, 2)
+		res, err := en.Clone().Query(context.Background(), pitex.Request{User: row.User, K: 2})
 		if err != nil {
 			t.Fatalf("direct query %d: %v", row.User, err)
 		}

@@ -332,12 +332,12 @@ func BenchmarkQuerySingle(b *testing.B) {
 			// hides the per-user Algo 4 recovery — a per-query cost of
 			// every first touch, not a build cost — so this row is its
 			// re-query; the DELAYMAT-cold row below times the recovery.
-			if _, err := en.Query(u, 3); err != nil {
+			if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := en.Query(u, 3); err != nil {
+				if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -357,12 +357,12 @@ func BenchmarkQuerySingle(b *testing.B) {
 				b.Fatal(err)
 			}
 			const distinct = 256
-			if _, err := en.Query(distinct, 3); err != nil { // untimed: scratch growth, the firing table
+			if _, err := en.Query(context.Background(), pitex.Request{User: distinct, K: 3}); err != nil { // untimed: scratch growth, the firing table
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := en.Query(i%distinct, 3); err != nil {
+				if _, err := en.Query(context.Background(), pitex.Request{User: i % distinct, K: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -383,12 +383,12 @@ func BenchmarkQuerySingle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := en.Query(u, 3); err != nil { // untimed warm-up
+			if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil { // untimed warm-up
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := en.Query(u, 3); err != nil {
+				if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -389,7 +389,7 @@ func (s *soak) checkQuery(final bool) error {
 		return nil
 	}
 	// Undegraded answers must be exactly the fault-free reference's.
-	refRes, err := s.ref.Clone().QueryTopCtx(ctx, user, k, 1)
+	refRes, err := s.ref.Clone().Query(ctx, pitex.Request{User: user, K: k})
 	if err != nil {
 		return fmt.Errorf("reference query user=%d k=%d: %w", user, k, err)
 	}

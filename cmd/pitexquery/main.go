@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -54,14 +55,17 @@ func run(c config) error {
 		return err
 	}
 	opts.MaxK = max(c.k, 10)
-	var prefix []int
+	if c.top < 1 {
+		return fmt.Errorf("-top = %d, want >= 1", c.top)
+	}
+	req := pitex.Request{User: c.user, K: c.k, M: c.top}
 	if c.prefix != "" {
 		for _, f := range strings.Split(c.prefix, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				return fmt.Errorf("bad -prefix entry %q", f)
 			}
-			prefix = append(prefix, w)
+			req.Prefix = append(req.Prefix, w)
 		}
 	}
 	net, model, err := c.Load()
@@ -77,15 +81,7 @@ func run(c config) error {
 			float64(en.IndexMemoryBytes())/(1<<20))
 	}
 
-	var res pitex.Result
-	switch {
-	case len(prefix) > 0:
-		res, err = en.QueryWithPrefix(c.user, prefix, c.k)
-	case c.top > 1:
-		res, err = en.QueryTop(c.user, c.k, c.top)
-	default:
-		res, err = en.Query(c.user, c.k)
-	}
+	res, err := en.Query(context.Background(), req)
 	if err != nil {
 		return err
 	}

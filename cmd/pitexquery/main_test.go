@@ -120,6 +120,17 @@ func TestRunValidation(t *testing.T) {
 	if err := run(parse(t, "-network", "/does/not/exist", "-model", "/nope")); err == nil {
 		t.Fatal("missing files accepted")
 	}
+	// -top is the request's m: 0 and negative values are refused, not
+	// answered as a plain query, and a prefix does not silently drop it.
+	for _, top := range []string{"0", "-2"} {
+		if err := run(parse(t, "-dataset", "lastfm", "-scale", "0.02", "-top", top)); err == nil {
+			t.Fatalf("-top %s accepted", top)
+		}
+	}
+	err := run(parse(t, "-dataset", "lastfm", "-scale", "0.02", "-k", "2", "-max-samples", "500", "-top", "2", "-prefix", "0"))
+	if err == nil || !strings.Contains(err.Error(), "prefix and top-m") {
+		t.Fatalf("-top 2 -prefix 0: err = %v, want the prefix and top-m refusal", err)
+	}
 }
 
 // TestRunRefusesConflictingInputs: files named next to -dataset are an

@@ -1,6 +1,7 @@
 package pitex
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -43,7 +44,7 @@ func TestConcurrentClonesMatchSingleThreaded(t *testing.T) {
 	}
 	want := make(map[int]answer, len(users))
 	for _, u := range users {
-		res, err := en.Query(u, k)
+		res, err := en.Query(context.Background(), Request{User: u, K: k})
 		if err != nil {
 			t.Fatalf("baseline Query(%d): %v", u, err)
 		}
@@ -62,7 +63,7 @@ func TestConcurrentClonesMatchSingleThreaded(t *testing.T) {
 			// offset so distinct users are in flight simultaneously.
 			for i := range users {
 				u := users[(i+w)%len(users)]
-				res, err := clone.Query(u, k)
+				res, err := clone.Query(context.Background(), Request{User: u, K: k})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d Query(%d): %w", w, u, err)
 					return
@@ -114,7 +115,7 @@ func TestDelayMatAnswersIndependentOfCloneHistory(t *testing.T) {
 		}
 		query := func(en *Engine, user int) Result {
 			t.Helper()
-			res, err := en.Query(user, k)
+			res, err := en.Query(context.Background(), Request{User: user, K: k})
 			if err != nil {
 				t.Fatalf("S=%d Query(%d): %v", shards, user, err)
 			}

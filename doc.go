@@ -22,7 +22,7 @@
 //	model.SetTagTopic(0, 0, 0.6)
 //	// ...
 //	engine, err := pitex.NewEngine(net, model, pitex.Options{})
-//	res, err := engine.Query(0, 3) // top-3 tags for user 0
+//	res, err := engine.Query(context.Background(), pitex.Request{User: 0, K: 3}) // top-3 tags for user 0
 //
 // # Strategies
 //
@@ -159,10 +159,12 @@
 // # Serving
 //
 // An Engine is not safe for concurrent use, but Clone returns a worker
-// sharing the offline index with fresh estimator scratch, and QueryCtx /
-// QueryTopCtx / QueryWithPrefixCtx observe a context between best-first
-// expansions so a serving layer can cancel abandoned work and enforce
-// deadlines. The pitex/serve subpackage assembles these into a production
+// sharing the offline index with fresh estimator scratch, and Query
+// observes its context between best-first expansions so a serving layer
+// can cancel abandoned work and enforce deadlines. A Request carries one
+// query — user, k, the m best sets, a pinned prefix — and
+// Request.Validate is its one argument check, which a serving layer runs
+// before admission. The pitex/serve subpackage assembles these into a production
 // query-serving subsystem — an engine-clone pool with admission control, a
 // sharded result cache with in-flight request deduplication, and an
 // HTTP/JSON surface with latency histograms (pool → cache → estimator; see
@@ -289,13 +291,13 @@
 // chunked over fresh engine clones, which makes the output deterministic
 // per (Seed, Options) regardless of worker count, and checkpointed to
 // versioned JSON so a killed sweep resumes to byte-identical output.
-// Engine.QueryAllCtx is the one-shot, in-memory variant (cancellable
-// batch fan-out, pitex.RunBatchCtx underneath); analytics.Run adds
-// persistence and analytics.Manager adds background jobs with progress,
-// ETA, cancellation and generation pinning. Package serve exposes jobs at
-// POST /admin/jobs (pinned to the serving generation and reported stale
-// after a hot-swap); cmd/pitexsweep is the batch CLI, whose -resume flag
-// continues an interrupted run:
+// Engine.QueryAll is the one-shot, in-memory variant (a cancellable batch
+// fan-out, the one serve's batches and the sweep's chunks also use);
+// analytics.Run adds persistence and analytics.Manager adds background
+// jobs with progress, ETA, cancellation and generation pinning. Package
+// serve exposes jobs at POST /admin/jobs (pinned to the serving
+// generation and reported stale after a hot-swap); cmd/pitexsweep is the
+// batch CLI, whose -resume flag continues an interrupted run:
 //
 //	lb, _ := analytics.Run(ctx, engine, analytics.Options{
 //		K: 3, TopN: 100, CheckpointPath: "sweep.ckpt", Resume: true,

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"time"
 
 	"pitex/internal/bestfirst"
 	"pitex/internal/enumerate"
+	"pitex/internal/fanout"
 	"pitex/internal/graph"
 	"pitex/internal/rng"
 	"pitex/internal/rrindex"
@@ -34,7 +34,7 @@ type Result struct {
 	TagNames []string
 	// Influence is the estimated expected influence spread E[I(u|W*)].
 	Influence float64
-	// Alternatives holds the m best tag sets of a QueryTop call in
+	// Alternatives holds the m best tag sets of a top-m query in
 	// canonical order — influence descending, then sorted tag IDs
 	// ascending — (Alternatives[0] repeats Tags); nil unless m > 1.
 	// Among equally influential sets, Tags is the first in that order.
@@ -437,68 +437,58 @@ func (en *Engine) Network() *Network { return en.net }
 // Model returns the tag model the engine was built with.
 func (en *Engine) Model() *TagModel { return en.model }
 
-// Query answers the PITEX query (user, k): the size-k tag set maximizing
-// the user's estimated influence spread.
-func (en *Engine) Query(user, k int) (Result, error) {
-	return en.query(context.Background(), user, nil, k, 1)
+// Request is one PITEX query: the best size-K tag set for User, or with
+// M > 1 the M best in Result.Alternatives, or with a Prefix the best size-K
+// set containing every tag of Prefix — the interactive flow, where the
+// tags a post will certainly carry are pinned and the query asks what to
+// add. M == 0 means 1. A larger M loosens best-effort pruning (the bar
+// becomes the M-th best), so it explores more.
+type Request struct {
+	User, K, M int
+	Prefix     []int
 }
 
-// QueryCtx is Query under a context: the best-first explorer checks ctx
-// between expansions and abandons the query with ctx.Err() once it is
-// cancelled or past its deadline. This is the serving-path entry point —
-// it bounds tail latency and stops burning samples for disconnected
-// clients.
-func (en *Engine) QueryCtx(ctx context.Context, user, k int) (Result, error) {
-	return en.query(ctx, user, nil, k, 1)
-}
-
-// QueryTop answers (user, k) and returns the m best tag sets in
-// Result.Alternatives, descending by estimated influence. Larger m loosens
-// best-effort pruning (the bar becomes the m-th best), so it explores more.
-func (en *Engine) QueryTop(user, k, m int) (Result, error) {
-	return en.QueryTopCtx(context.Background(), user, k, m)
-}
-
-// QueryTopCtx is QueryTop under a context (see QueryCtx).
-func (en *Engine) QueryTopCtx(ctx context.Context, user, k, m int) (Result, error) {
-	if m < 1 {
-		return Result{}, fmt.Errorf("pitex: m = %d, want >= 1", m)
+// Validate is the one check of a query's arguments against en, and
+// Engine.Query runs it first. Serving layers call it before admission so a
+// malformed request fails without occupying an engine. It checks, in
+// order: the prefix (at most K tags, each in [0, NumTags), none repeated),
+// M (not negative, and 1 with a prefix), the user and K ranges, K against
+// Options.MaxK, and that a prefix or top-m query has best-effort
+// exploration to run on.
+func (r Request) Validate(en *Engine) error {
+	if len(r.Prefix) > r.K {
+		return fmt.Errorf("pitex: prefix has %d tags, exceeds k = %d", len(r.Prefix), r.K)
 	}
-	return en.query(ctx, user, nil, k, m)
-}
-
-// QueryWithPrefix answers the constrained query: the best size-k tag set
-// containing all of prefix. This is the interactive exploration flow —
-// pin the tags the post will certainly carry, ask what to add.
-func (en *Engine) QueryWithPrefix(user int, prefix []int, k int) (Result, error) {
-	return en.QueryWithPrefixCtx(context.Background(), user, prefix, k)
-}
-
-// QueryWithPrefixCtx is QueryWithPrefix under a context (see QueryCtx).
-func (en *Engine) QueryWithPrefixCtx(ctx context.Context, user int, prefix []int, k int) (Result, error) {
-	if err := ValidatePrefix(prefix, k, en.model.NumTags()); err != nil {
-		return Result{}, err
+	if err := CheckTags(r.Prefix, en.model.NumTags()); err != nil {
+		return err
 	}
-	return en.query(ctx, user, prefix, k, 1)
-}
-
-// ValidatePrefix checks a constrained query's pinned tag set: at most k
-// tags (a prefix larger than the answer cannot be contained in it), each
-// in [0, numTags), none repeated. Serving layers call it before admission
-// so malformed tag sets fail fast instead of occupying an engine — an
-// audience's tags as a prefix of their own size; QueryWithPrefixCtx,
-// EstimateInfluence and Audience apply the same checks.
-func ValidatePrefix(prefix []int, k, numTags int) error {
-	if len(prefix) > k {
-		return fmt.Errorf("pitex: prefix has %d tags, exceeds k = %d", len(prefix), k)
+	if r.M < 0 {
+		return fmt.Errorf("pitex: m = %d, want >= 1", r.M)
 	}
-	return checkTags(prefix, numTags)
+	if len(r.Prefix) > 0 && r.M > 1 {
+		return fmt.Errorf("pitex: prefix and top-m cannot be combined")
+	}
+	if r.User < 0 || r.User >= en.net.NumUsers() {
+		return fmt.Errorf("pitex: user %d outside [0,%d)", r.User, en.net.NumUsers())
+	}
+	if r.K < 1 || r.K > en.model.NumTags() {
+		return fmt.Errorf("pitex: k = %d outside [1,%d]", r.K, en.model.NumTags())
+	}
+	if r.K > en.opts.MaxK {
+		return fmt.Errorf("pitex: k = %d exceeds MaxK = %d (rebuild the engine with a larger MaxK)", r.K, en.opts.MaxK)
+	}
+	if en.opts.DisableBestEffort && (len(r.Prefix) > 0 || r.M > 1) {
+		return fmt.Errorf("pitex: prefix and top-m queries require best-effort exploration")
+	}
+	return nil
 }
 
-// checkTags is the one tag-set check: every tag in [0, numTags), none
+// CheckTags is the one tag-set check: every tag in [0, numTags), none
 // repeated. A repeat is not a bigger set: PosteriorInto would multiply
-// its p(w|z) in once per occurrence and score a multiset.
-func checkTags(tags []int, numTags int) error {
+// its p(w|z) in once per occurrence and score a multiset. Request.Validate,
+// EstimateInfluence and Audience apply it, and serving layers call it on
+// an audience's tags before admission.
+func CheckTags(tags []int, numTags int) error {
 	for i, w := range tags {
 		if w < 0 || w >= numTags {
 			return fmt.Errorf("pitex: tag %d outside [0,%d)", w, numTags)
@@ -510,16 +500,15 @@ func checkTags(tags []int, numTags int) error {
 	return nil
 }
 
-func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (Result, error) {
-	if user < 0 || user >= en.net.NumUsers() {
-		return Result{}, fmt.Errorf("pitex: user %d outside [0,%d)", user, en.net.NumUsers())
+// Query answers r after Request.Validate. The best-first explorer checks
+// ctx between expansions and abandons the query with ctx.Err() once it is
+// cancelled or past its deadline, which bounds tail latency and stops
+// burning samples for disconnected clients.
+func (en *Engine) Query(ctx context.Context, r Request) (Result, error) {
+	if err := r.Validate(en); err != nil {
+		return Result{}, err
 	}
-	if k < 1 || k > en.model.NumTags() {
-		return Result{}, fmt.Errorf("pitex: k = %d outside [1,%d]", k, en.model.NumTags())
-	}
-	if k > en.opts.MaxK {
-		return Result{}, fmt.Errorf("pitex: k = %d exceeds MaxK = %d (rebuild the engine with a larger MaxK)", k, en.opts.MaxK)
-	}
+	u, m := graph.VertexID(r.User), max(r.M, 1)
 	start := time.Now()
 	// Estimator work counters are cumulative; diff lifetime snapshots
 	// around the query to attribute its cost. The interface is optional:
@@ -536,25 +525,15 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		ra.begin(ctx)
 	}
 	var res Result
-	switch {
-	case en.opts.DisableBestEffort:
-		if len(prefix) > 0 || m > 1 {
-			return Result{}, fmt.Errorf("pitex: prefix and top-m queries require best-effort exploration")
-		}
-		tags, influence, stats := en.enumerateAll(ctx, graph.VertexID(user), k)
+	if en.opts.DisableBestEffort {
+		tags, influence, stats := en.enumerateAll(ctx, u, r.K)
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 		res = Result{Tags: tags, Influence: influence}
 		res.Explain.FullSetsEstimated = stats
-	case len(prefix) > 0:
-		br, err := en.explorer.CompleteCtx(ctx, graph.VertexID(user), toTagIDs(prefix), k)
-		if err != nil {
-			return Result{}, err
-		}
-		res = fromBestfirst(br, en.model, 1)
-	default:
-		br, err := en.explorer.QueryTopCtx(ctx, graph.VertexID(user), k, m)
+	} else {
+		br, err := en.explorer.Run(ctx, u, r.K, m, toTagIDs(r.Prefix))
 		if err != nil {
 			return Result{}, err
 		}
@@ -590,6 +569,12 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 		res.TagNames[i] = en.model.TagName(w)
 	}
 	return res, nil
+}
+
+// QueryTopCtx is Query of Request{user, k, m, nil}. It exists only for the
+// benchmark harness in bench/ until ROADMAP item 1(b) moves it to Query.
+func (en *Engine) QueryTopCtx(ctx context.Context, user, k, m int) (Result, error) {
+	return en.Query(ctx, Request{User: user, K: k, M: m})
 }
 
 // fromBestfirst converts an explorer result into the public shape, with
@@ -676,7 +661,7 @@ func (en *Engine) Audience(user int, tags []int, m int, samples int64) ([]Influe
 	if samples <= 0 {
 		samples = DefaultAudienceSamples
 	}
-	if err := checkTags(tags, en.model.NumTags()); err != nil {
+	if err := CheckTags(tags, en.model.NumTags()); err != nil {
 		return nil, err
 	}
 	if !en.model.m.PosteriorInto(toTagIDs(tags), en.posterior) {
@@ -715,73 +700,24 @@ type BatchResult struct {
 	Err    error
 }
 
-// QueryAll answers one PITEX query per user, fanning out over workers
-// engine clones (sharing any offline index). Results are returned in input
-// order. workers <= 0 defaults to 4.
-func (en *Engine) QueryAll(users []int, k, workers int) []BatchResult {
-	return en.QueryAllCtx(context.Background(), users, k, workers)
-}
-
-// QueryAllCtx is QueryAll under a context: once ctx is cancelled, no new
+// QueryAll answers one plain (user, k) query per user, fanning out over
+// workers engine clones (sharing any offline index); workers <= 0 means 4.
+// Results are returned in input order. Once ctx is cancelled, no new
 // per-user query starts and the in-flight ones are abandoned at their next
 // best-first expansion; users whose query never ran (or was cut short)
 // carry ctx.Err() in BatchResult.Err. The fan-out always drains its
 // workers before returning, so cancellation leaks no goroutines.
-func (en *Engine) QueryAllCtx(ctx context.Context, users []int, k, workers int) []BatchResult {
-	return RunBatchCtx(ctx, users, workers, func() BatchQueryFunc {
+func (en *Engine) QueryAll(ctx context.Context, users []int, k, workers int) []BatchResult {
+	out := make([]BatchResult, len(users))
+	fanout.Run(len(users), workers, func() func(int) {
 		clone := en.Clone()
-		return func(ctx context.Context, user int) (Result, error) {
-			return clone.QueryCtx(ctx, user, k)
+		return func(i int) {
+			out[i] = BatchResult{User: users[i], Err: ctx.Err()}
+			if out[i].Err == nil {
+				out[i].Result, out[i].Err = clone.Query(ctx, Request{User: users[i], K: k})
+			}
 		}
 	})
-}
-
-// BatchQueryFunc answers one user's query inside a batch fan-out.
-type BatchQueryFunc func(ctx context.Context, user int) (Result, error)
-
-// RunBatchCtx is the shared batch fan-out machinery behind
-// Engine.QueryAllCtx and serve.QueryBatch: it answers one query per user
-// over `workers` goroutines (newWorker is called once per goroutine, so a
-// worker can carry per-goroutine state like an engine clone) and returns
-// results in input order. Once ctx is done, remaining users are marked
-// with ctx.Err() instead of queried; every worker is always drained
-// before returning. workers <= 0 defaults to 4.
-func RunBatchCtx(ctx context.Context, users []int, workers int, newWorker func() BatchQueryFunc) []BatchResult {
-	if workers <= 0 {
-		workers = 4
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-	out := make([]BatchResult, len(users))
-	if len(users) == 0 {
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		query := newWorker()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A cancelled batch must still consume every queued index —
-				// that is what lets the producer below finish unconditionally
-				// — but must not start the query.
-				if err := ctx.Err(); err != nil {
-					out[i] = BatchResult{User: users[i], Err: err}
-					continue
-				}
-				res, err := query(ctx, users[i])
-				out[i] = BatchResult{User: users[i], Result: res, Err: err}
-			}
-		}()
-	}
-	for i := range users {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return out
 }
 
@@ -790,7 +726,7 @@ func (en *Engine) EstimateInfluence(user int, tags []int) (float64, error) {
 	if user < 0 || user >= en.net.NumUsers() {
 		return 0, fmt.Errorf("pitex: user %d outside [0,%d)", user, en.net.NumUsers())
 	}
-	if err := checkTags(tags, en.model.NumTags()); err != nil {
+	if err := CheckTags(tags, en.model.NumTags()); err != nil {
 		return 0, err
 	}
 	if !en.model.m.PosteriorInto(toTagIDs(tags), en.posterior) {

@@ -7,6 +7,7 @@ package pitex
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -110,10 +111,10 @@ func TestQueryWithPrefixValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := en.QueryWithPrefix(0, tc.prefix, tc.k)
+			res, err := en.Query(context.Background(), Request{User: 0, K: tc.k, Prefix: tc.prefix})
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("QueryWithPrefix(%v, k=%d): %v", tc.prefix, tc.k, err)
+					t.Fatalf("Query(prefix %v, k=%d): %v", tc.prefix, tc.k, err)
 				}
 				if len(res.Tags) != tc.k {
 					t.Fatalf("result size %d, want %d", len(res.Tags), tc.k)
@@ -132,7 +133,7 @@ func TestQueryWithPrefixValidation(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("QueryWithPrefix(%v, k=%d) accepted, want error containing %q",
+				t.Fatalf("Query(prefix %v, k=%d) accepted, want error containing %q",
 					tc.prefix, tc.k, tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
@@ -145,6 +146,67 @@ func TestQueryWithPrefixValidation(t *testing.T) {
 	}
 }
 
+// TestRequestValidateOrder: Request.Validate reports a request's first
+// fault in a fixed order — prefix, m, user, k, MaxK, best-effort — with
+// the message each check has always had, so serve's 400 bodies do not
+// depend on which layer ran the check. M == 0 means 1.
+func TestRequestValidateOrder(t *testing.T) {
+	net, model := fig2Network(t)
+	opts := testEngineOptions(StrategyLazy)
+	opts.MaxK = 2
+	en, err := NewEngine(net, model, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	opts.DisableBestEffort = true
+	enum, err := NewEngine(net, model, opts)
+	if err != nil {
+		t.Fatalf("NewEngine (DisableBestEffort): %v", err)
+	}
+	cases := []struct {
+		en   *Engine
+		r    Request
+		want string
+	}{
+		{en, Request{User: 99, K: 1, M: -1, Prefix: []int{0, 1}}, "pitex: prefix has 2 tags, exceeds k = 1"},
+		{en, Request{User: 99, K: 2, M: -1, Prefix: []int{1, 1}}, "pitex: duplicate tag 1"},
+		{en, Request{User: 99, K: 2, M: -1, Prefix: []int{7}}, "pitex: tag 7 outside [0,4)"},
+		{en, Request{User: 99, K: 0, M: -1}, "pitex: m = -1, want >= 1"},
+		{en, Request{User: 99, K: 2, M: 2, Prefix: []int{0}}, "pitex: prefix and top-m cannot be combined"},
+		{en, Request{User: 99, K: 0}, "pitex: user 99 outside [0,7)"},
+		{en, Request{User: -1, K: 2}, "pitex: user -1 outside [0,7)"},
+		{en, Request{User: 0, K: 5}, "pitex: k = 5 outside [1,4]"},
+		{en, Request{User: 0, K: 3}, "pitex: k = 3 exceeds MaxK = 2 (rebuild the engine with a larger MaxK)"},
+		{enum, Request{User: 0, K: 2, M: 2}, "pitex: prefix and top-m queries require best-effort exploration"},
+		{enum, Request{User: 0, K: 2, Prefix: []int{0}}, "pitex: prefix and top-m queries require best-effort exploration"},
+		{en, Request{User: 0, K: 2}, ""},
+		{en, Request{User: 0, K: 2, M: 1, Prefix: []int{3}}, ""},
+		{enum, Request{User: 0, K: 2, M: 1}, ""},
+	}
+	for _, tc := range cases {
+		err := tc.r.Validate(tc.en)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%+v: Validate = %v, want %q", tc.r, err, tc.want)
+		}
+		if _, qerr := tc.en.Query(context.Background(), tc.r); fmt.Sprint(qerr) != fmt.Sprint(err) {
+			t.Errorf("%+v: Query error %v, Validate %v", tc.r, qerr, err)
+		}
+	}
+	// Fresh clones: LAZY's sampler advances with every query.
+	zero, err := en.Clone().Query(context.Background(), Request{User: 0, K: 2})
+	if err != nil {
+		t.Fatalf("Query(M: 0): %v", err)
+	}
+	one, err := en.Clone().Query(context.Background(), Request{User: 0, K: 2, M: 1})
+	if err != nil {
+		t.Fatalf("Query(M: 1): %v", err)
+	}
+	zero.Elapsed, one.Elapsed = 0, 0
+	if !reflect.DeepEqual(zero, one) || zero.Alternatives != nil {
+		t.Fatalf("M: 0 answered %+v, M: 1 %+v", zero, one)
+	}
+}
+
 func TestQueryAllCtxCancellation(t *testing.T) {
 	net, model := fig2Network(t)
 	en, err := NewEngine(net, model, testEngineOptions(StrategyIndexPruned))
@@ -153,9 +215,12 @@ func TestQueryAllCtxCancellation(t *testing.T) {
 	}
 	users := []int{0, 1, 2, 3, 4, 5, 6}
 
-	// A live context behaves exactly like QueryAll.
-	got := en.QueryAllCtx(context.Background(), users, 2, 3)
-	want := en.QueryAll(users, 2, 3)
+	// A live context that can still be cancelled behaves exactly like
+	// context.Background.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got := en.QueryAll(live, users, 2, 3)
+	want := en.QueryAll(context.Background(), users, 2, 3)
 	for i := range got {
 		if got[i].User != want[i].User || (got[i].Err == nil) != (want[i].Err == nil) {
 			t.Fatalf("row %d: ctx %+v vs plain %+v", i, got[i], want[i])
@@ -167,7 +232,7 @@ func TestQueryAllCtxCancellation(t *testing.T) {
 	// detector and test timeout enforce that).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := en.QueryAllCtx(ctx, users, 2, 3)
+	results := en.QueryAll(ctx, users, 2, 3)
 	if len(results) != len(users) {
 		t.Fatalf("got %d results, want %d", len(results), len(users))
 	}
@@ -179,35 +244,11 @@ func TestQueryAllCtxCancellation(t *testing.T) {
 			t.Fatalf("row %d: err = %v, want context.Canceled", i, r.Err)
 		}
 	}
-
-	// Cancelling mid-batch: the first row's completion triggers the
-	// cancellation, later rows must report ctx.Err() instead of running.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	firstDone := false
-	out := RunBatchCtx(ctx2, users, 1, func() BatchQueryFunc {
-		clone := en.Clone()
-		return func(ctx context.Context, user int) (Result, error) {
-			res, err := clone.QueryCtx(ctx, user, 2)
-			if !firstDone {
-				firstDone = true
-				cancel2()
-			}
-			return res, err
-		}
-	})
-	if out[0].Err != nil {
-		t.Fatalf("first row failed: %v", out[0].Err)
-	}
-	last := out[len(out)-1]
-	if !errors.Is(last.Err, context.Canceled) {
-		t.Fatalf("last row after cancellation: err = %v, want context.Canceled", last.Err)
-	}
 }
 
 // TestBestAnswerIndependentOfM pins the fix for a top set that depended
-// on m: with the answer order left to pop order, QueryTop(u, 3, 1) and
-// QueryTop(u, 3, 2) returned different sets at equal influence for some
+// on m: with the answer order left to pop order, k = 3 queries at m = 1
+// and m = 2 returned different sets at equal influence for some
 // users of the headline dataset (INDEXEST+, seed 1, default options).
 // Canonical order — influence descending, then sorted tag IDs ascending —
 // fixes it only together with a strict sequential-stopping test: a row
@@ -229,13 +270,13 @@ func TestBestAnswerIndependentOfM(t *testing.T) {
 	}
 	var differ []int
 	for u := 0; u < net.NumUsers(); u++ {
-		one, err := en.QueryTop(u, 3, 1)
+		one, err := en.Query(context.Background(), Request{User: u, K: 3})
 		if err != nil {
-			t.Fatalf("QueryTop(%d, 3, 1): %v", u, err)
+			t.Fatalf("Query(%d, k=3, m=1): %v", u, err)
 		}
-		two, err := en.QueryTop(u, 3, 2)
+		two, err := en.Query(context.Background(), Request{User: u, K: 3, M: 2})
 		if err != nil {
-			t.Fatalf("QueryTop(%d, 3, 2): %v", u, err)
+			t.Fatalf("Query(%d, k=3, m=2): %v", u, err)
 		}
 		if one.Influence != two.Influence {
 			t.Fatalf("user %d: best influence %v at m=1, %v at m=2", u, one.Influence, two.Influence)
@@ -266,7 +307,7 @@ func TestTinyEpsilonRespectsCaps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", s, err)
 		}
-		res, err := en.Query(0, 2)
+		res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: Query: %v", s, err)
 		}

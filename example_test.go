@@ -1,6 +1,7 @@
 package pitex_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func ExampleEngine_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := engine.Query(0, 2)
+	res, err := engine.Query(context.Background(), pitex.Request{User: 0, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,9 +61,9 @@ func ExampleEngine_Query() {
 	// Output: [w3 w4]
 }
 
-// ExampleEngine_QueryWithPrefix pins tag w1 and asks for the best
+// ExampleEngine_Query_prefix pins tag w1 and asks for the best
 // completion.
-func ExampleEngine_QueryWithPrefix() {
+func ExampleEngine_Query_prefix() {
 	net, model := buildFig2()
 	engine, err := pitex.NewEngine(net, model, pitex.Options{
 		Strategy:        pitex.StrategyIndex,
@@ -74,7 +75,7 @@ func ExampleEngine_QueryWithPrefix() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := engine.QueryWithPrefix(0, []int{0}, 2)
+	res, err := engine.Query(context.Background(), pitex.Request{User: 0, K: 2, Prefix: []int{0}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("%-18s  %-62s  %s\n", "researcher", "inferred selling points (k=5)", "accuracy")
 	total := 0.0
 	for _, r := range researchers {
-		res, err := engine.Query(r.User, 5)
+		res, err := engine.Query(context.Background(), pitex.Request{User: r.User, K: 5})
 		if err != nil {
 			log.Fatal(err)
 		}

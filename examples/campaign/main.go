@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -115,7 +116,7 @@ func main() {
 		engine.IndexBuildTime, net.NumUsers(), net.NumEdges())
 
 	for c := 0; c < numCandidates; c++ {
-		res, err := engine.Query(c, 3)
+		res, err := engine.Query(context.Background(), pitex.Request{User: c, K: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

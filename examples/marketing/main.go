@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -53,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := engine.Query(brand, 3)
+		res, err := engine.Query(context.Background(), pitex.Request{User: brand, K: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := engine.Query(0, 2) // two best tags for user 0
+	res, err := engine.Query(context.Background(), pitex.Request{User: 0, K: 2}) // two best tags for user 0
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pitex
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -13,7 +14,7 @@ import (
 )
 
 // memoStep is one query of TestExplorerRootMemoMatchesFresh's sequence:
-// QueryTop(u, k, m), or Complete(u, prefix, k) when prefix is set.
+// Run(u, k, m, prefix), with m = 1 whenever prefix is set.
 type memoStep struct {
 	k, m   int
 	prefix []topics.TagID
@@ -55,7 +56,7 @@ func TestExplorerRootMemoMatchesFresh(t *testing.T) {
 	}
 	steps := []memoStep{
 		{k: 3, m: 1}, {k: 1, m: 3}, {k: 5, m: 3}, {k: 2, m: 1},
-		{k: 3, m: 3, prefix: []topics.TagID{4}}, {k: 4, m: 1}, {k: 1, m: 1},
+		{k: 3, m: 1, prefix: []topics.TagID{4}}, {k: 4, m: 1}, {k: 1, m: 1},
 		{k: 2, m: 3}, {k: 5, m: 1}, {k: 3, m: 3}, {k: 4, m: 3},
 		{k: 2, m: 1, prefix: []topics.TagID{7, 1}},
 	}
@@ -114,8 +115,5 @@ func TestExplorerRootMemoMatchesFresh(t *testing.T) {
 }
 
 func runStep(ex *bestfirst.Explorer, u graph.VertexID, st memoStep) (bestfirst.Result, error) {
-	if st.prefix != nil {
-		return ex.Complete(u, st.prefix, st.k)
-	}
-	return ex.QueryTop(u, st.k, st.m)
+	return ex.Run(context.Background(), u, st.k, st.m, st.prefix)
 }

@@ -5,6 +5,7 @@ package pitex_test
 // each. Guarded by -short because full twitter generation takes seconds.
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestFullScaleDatasetsEndToEnd(t *testing.T) {
 			}
 			u := net.UsersByGroup()["high"][0]
 			// k=2 keeps the dblp tag space (C(276,2) = 38k pairs) tractable.
-			res, err := en.Query(u, 2)
+			res, err := en.Query(context.Background(), pitex.Request{User: u, K: 2})
 			if err != nil {
 				t.Fatalf("Query: %v", err)
 			}
@@ -84,7 +85,7 @@ func TestDatasetAIndexTiesAnswerCanonically(t *testing.T) {
 		{74, []int{14, 18, 21}, []int{14, 27, 34}},
 		{190, []int{1, 5, 19}, []int{19, 40, 44}},
 	} {
-		res, err := en.Query(tc.user, 3)
+		res, err := en.Query(context.Background(), pitex.Request{User: tc.user, K: 3})
 		if err != nil {
 			t.Fatalf("Query(%d, 3): %v", tc.user, err)
 		}

@@ -2,6 +2,7 @@ package pitex
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -88,7 +89,7 @@ func TestOnlineEnginesGolden(t *testing.T) {
 				}
 				for _, u := range nw.users {
 					for k := 1; k <= 2; k++ {
-						res, err := en.Query(u, k)
+						res, err := en.Query(context.Background(), Request{User: u, K: k})
 						if err != nil {
 							t.Fatalf("Query(%d, %d): %v", u, k, err)
 						}

@@ -9,7 +9,7 @@ import (
 var ctxflowPackages = []string{
 	"serve",
 	"distrib",
-	"pitex", // the root engine package: QueryCtx and the remote adapter
+	"pitex", // the root engine package: Engine.Query and the remote adapter
 }
 
 // CtxFlow enforces context discipline on request paths: a function that

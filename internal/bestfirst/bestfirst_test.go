@@ -1,6 +1,7 @@
 package bestfirst
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -222,9 +223,9 @@ func TestQueryFindsFig2Optimum(t *testing.T) {
 	m := fixture.Model()
 	lz := sampling.NewLazy(g, testOptions(), rng.New(77))
 	ex := NewExplorer(g, m, lz)
-	res, err := ex.Query(fixture.U1, 2)
+	res, err := ex.Run(context.Background(), fixture.U1, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(res.Tags) != 2 || res.Tags[0] != fixture.W3 || res.Tags[1] != fixture.W4 {
 		t.Fatalf("W* = %v, want {w3,w4}", res.Tags)
@@ -252,9 +253,9 @@ func TestQueryMatchesExhaustiveOnRandomInputs(t *testing.T) {
 		}
 		lz := sampling.NewLazy(g, testOptions(), rng.New(seed*131))
 		ex := NewExplorer(g, m, lz)
-		res, err := ex.Query(u, 2)
+		res, err := ex.Run(context.Background(), u, 2, 1, nil)
 		if err != nil {
-			t.Fatalf("Query: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
 		got, err := exact.InfluenceTagSet(g, m, u, res.Tags)
 		if err != nil {
@@ -276,9 +277,9 @@ func TestOnlineBoundsAreReachCounts(t *testing.T) {
 	m := fixture.Model()
 	lz := sampling.NewLazy(g, testOptions(), rng.New(99))
 	ex := NewExplorer(g, m, lz)
-	res, err := ex.Query(fixture.U1, 2)
+	res, err := ex.Run(context.Background(), fixture.U1, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Tags[0] != fixture.W3 || res.Tags[1] != fixture.W4 {
 		t.Fatalf("W* = %v, want {w3,w4}", res.Tags)
@@ -292,13 +293,13 @@ func TestQueryValidation(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	ex := NewExplorer(g, m, sampling.NewLazy(g, testOptions(), rng.New(1)))
-	if _, err := ex.Query(99, 2); err == nil {
+	if _, err := ex.Run(context.Background(), 99, 2, 1, nil); err == nil {
 		t.Fatal("bad user accepted")
 	}
-	if _, err := ex.Query(fixture.U1, 0); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 0, 1, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := ex.Query(fixture.U1, 99); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 99, 1, nil); err == nil {
 		t.Fatal("k>|Ω| accepted")
 	}
 }
@@ -314,9 +315,9 @@ func TestQueryOnDeadModelReturnsTrivialSet(t *testing.T) {
 	b.AddEdge(0, 1, []graph.TopicProb{{Topic: 0, Prob: 0.9}})
 	g := b.MustBuild()
 	ex := NewExplorer(g, m, sampling.NewLazy(g, testOptions(), rng.New(2)))
-	res, err := ex.Query(0, 2)
+	res, err := ex.Run(context.Background(), 0, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Influence != 1 || len(res.Tags) != 2 {
 		t.Fatalf("dead-model result = %+v, want influence 1", res)
@@ -339,9 +340,9 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	ex := NewExplorer(g, m, sampling.NewLazy(g, opts, rng.New(18)))
 	groups := graph.UserGroups(g)
 	u := groups[graph.GroupMid][0]
-	res, err := ex.Query(u, 3)
+	res, err := ex.Run(context.Background(), u, 3, 1, nil)
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	total, _ := enumerate.Choose(30, 3) // 4060
 	if res.Stats.FullSetsEstimated >= total {
@@ -359,9 +360,9 @@ func TestQueryTopMatchesExhaustiveOrder(t *testing.T) {
 	m := fixture.Model()
 	lz := sampling.NewLazy(g, testOptions(), rng.New(31))
 	ex := NewExplorer(g, m, lz)
-	res, err := ex.QueryTop(fixture.U1, 2, 3)
+	res, err := ex.Run(context.Background(), fixture.U1, 2, 3, nil)
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(res.All) != 3 {
 		t.Fatalf("got %d results, want 3", len(res.All))
@@ -394,7 +395,7 @@ func TestQueryTopMatchesExhaustiveOrder(t *testing.T) {
 	}
 }
 
-// TestCompleteMatchesExhaustiveSuperset: Complete must return the best
+// TestCompleteMatchesExhaustiveSuperset: a prefixed Run must return the best
 // superset of the prefix as found by brute force.
 func TestCompleteMatchesExhaustiveSuperset(t *testing.T) {
 	g := fixture.Graph()
@@ -402,9 +403,9 @@ func TestCompleteMatchesExhaustiveSuperset(t *testing.T) {
 	lz := sampling.NewLazy(g, testOptions(), rng.New(37))
 	ex := NewExplorer(g, m, lz)
 	for _, prefix := range [][]topics.TagID{{0}, {1}, {2}, {3}} {
-		res, err := ex.Complete(fixture.U1, prefix, 2)
+		res, err := ex.Run(context.Background(), fixture.U1, 2, 1, prefix)
 		if err != nil {
-			t.Fatalf("Complete(%v): %v", prefix, err)
+			t.Fatalf("prefixed Run(%v): %v", prefix, err)
 		}
 		// Brute force over supersets.
 		bestVal := -1.0
@@ -431,7 +432,7 @@ func TestCompleteMatchesExhaustiveSuperset(t *testing.T) {
 			t.Fatalf("exact: %v", err)
 		}
 		if got < 0.95*bestVal {
-			t.Errorf("prefix %v: Complete chose %v (%.4f), best is %v (%.4f)",
+			t.Errorf("prefix %v: prefixed Run chose %v (%.4f), best is %v (%.4f)",
 				prefix, res.Tags, got, bestTags, bestVal)
 		}
 		// Prefix containment.
@@ -451,19 +452,19 @@ func TestCompleteValidation(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	ex := NewExplorer(g, m, sampling.NewLazy(g, testOptions(), rng.New(41)))
-	if _, err := ex.Complete(fixture.U1, []topics.TagID{9}, 2); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 2, 1, []topics.TagID{9}); err == nil {
 		t.Fatal("out-of-range prefix accepted")
 	}
-	if _, err := ex.Complete(fixture.U1, []topics.TagID{0, 0}, 3); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 3, 1, []topics.TagID{0, 0}); err == nil {
 		t.Fatal("duplicate prefix accepted")
 	}
-	if _, err := ex.Complete(fixture.U1, []topics.TagID{0, 1, 2}, 2); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 2, 1, []topics.TagID{0, 1, 2}); err == nil {
 		t.Fatal("oversized prefix accepted")
 	}
 	// Full-size prefix is returned as-is.
-	res, err := ex.Complete(fixture.U1, []topics.TagID{1, 0}, 2)
+	res, err := ex.Run(context.Background(), fixture.U1, 2, 1, []topics.TagID{1, 0})
 	if err != nil {
-		t.Fatalf("Complete: %v", err)
+		t.Fatalf("prefixed Run: %v", err)
 	}
 	if res.Tags[0] != 0 || res.Tags[1] != 1 {
 		t.Fatalf("full prefix result = %v", res.Tags)
@@ -474,13 +475,13 @@ func TestQueryTopValidation(t *testing.T) {
 	g := fixture.Graph()
 	m := fixture.Model()
 	ex := NewExplorer(g, m, sampling.NewLazy(g, testOptions(), rng.New(43)))
-	if _, err := ex.QueryTop(fixture.U1, 2, 0); err == nil {
+	if _, err := ex.Run(context.Background(), fixture.U1, 2, 0, nil); err == nil {
 		t.Fatal("m=0 accepted")
 	}
 	// m larger than the number of size-k sets: returns what exists.
-	res, err := ex.QueryTop(fixture.U1, 2, 100)
+	res, err := ex.Run(context.Background(), fixture.U1, 2, 100, nil)
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(res.All) != 6 { // C(4,2)
 		t.Fatalf("got %d results, want all 6 pairs", len(res.All))

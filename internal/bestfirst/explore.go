@@ -369,51 +369,10 @@ func (h *maxHeap) down(i int) {
 	}
 }
 
-// Query answers the PITEX query (u, k): the size-k tag set maximizing the
-// estimated E[I(u|W)], with Lemma 8 pruning of partial branches.
-func (ex *Explorer) Query(u graph.VertexID, k int) (Result, error) {
-	return ex.QueryTop(u, k, 1)
-}
-
-// QueryTop returns the m best size-k tag sets in canonical answer order
-// (fewer if fewer exist). m > 1 widens the pruning threshold to the m-th
-// best value, so larger m explores more.
-func (ex *Explorer) QueryTop(u graph.VertexID, k, m int) (Result, error) {
-	return ex.run(context.Background(), u, nil, k, m)
-}
-
-// QueryTopCtx is QueryTop under a context: the explorer checks ctx between
-// best-first expansions and abandons the query with ctx.Err() once the
-// context is cancelled or its deadline passes, so a serving layer can bound
-// tail latency and drop work for disconnected clients.
+// QueryTopCtx is Run without a prefix. It exists only for the benchmark
+// harness in bench/ until ROADMAP item 1(b) moves it to Run.
 func (ex *Explorer) QueryTopCtx(ctx context.Context, u graph.VertexID, k, m int) (Result, error) {
-	return ex.run(ctx, u, nil, k, m)
-}
-
-// Complete answers a constrained query: the best size-k tag set that
-// CONTAINS the given prefix. This is the interactive exploration flow the
-// paper motivates — a user pins the tags they will certainly post about
-// and asks what to add.
-func (ex *Explorer) Complete(u graph.VertexID, prefix []topics.TagID, k int) (Result, error) {
-	return ex.CompleteCtx(context.Background(), u, prefix, k)
-}
-
-// CompleteCtx is Complete under a context (see QueryTopCtx).
-func (ex *Explorer) CompleteCtx(ctx context.Context, u graph.VertexID, prefix []topics.TagID, k int) (Result, error) {
-	seen := map[topics.TagID]bool{}
-	for _, w := range prefix {
-		if int(w) < 0 || int(w) >= ex.m.NumTags() {
-			return Result{}, fmt.Errorf("bestfirst: prefix tag %d outside [0,%d)", w, ex.m.NumTags())
-		}
-		if seen[w] {
-			return Result{}, fmt.Errorf("bestfirst: duplicate prefix tag %d", w)
-		}
-		seen[w] = true
-	}
-	if len(prefix) > k {
-		return Result{}, fmt.Errorf("bestfirst: prefix size %d exceeds k = %d", len(prefix), k)
-	}
-	return ex.run(ctx, u, prefix, k, 1)
+	return ex.Run(ctx, u, k, m, nil)
 }
 
 // search is one query's state, shared by the online and the round loop.
@@ -427,9 +386,20 @@ type search struct {
 	stats Stats
 }
 
-// run is the shared Algo 5 engine: validation and the answer, around the
-// online loop or, under a frontier estimator, the round loop.
-func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.TagID, k, m int) (Result, error) {
+// Run answers the PITEX query (u, k): the m best size-k tag sets in
+// canonical answer order (fewer if fewer exist), by estimated E[I(u|W)]
+// with Lemma 8 pruning of partial branches. m > 1 widens the pruning
+// threshold to the m-th best value, so larger m explores more. A non-empty
+// prefix constrains every answer to contain it: the interactive exploration
+// flow the paper motivates, where a user pins the tags they will certainly
+// post about and asks what to add. The explorer checks ctx between
+// best-first expansions and abandons the query with ctx.Err() once the
+// context is cancelled or its deadline passes, so a serving layer can bound
+// tail latency and drop work for disconnected clients.
+//
+// Run is all of Algo 5: its argument checks, then the online loop or,
+// under a frontier estimator, the round loop.
+func (ex *Explorer) Run(ctx context.Context, u graph.VertexID, k, m int, prefix []topics.TagID) (Result, error) {
 	if int(u) < 0 || int(u) >= ex.g.NumVertices() {
 		return Result{}, fmt.Errorf("bestfirst: user %d outside [0,%d)", u, ex.g.NumVertices())
 	}
@@ -438,6 +408,17 @@ func (ex *Explorer) run(ctx context.Context, u graph.VertexID, prefix []topics.T
 	}
 	if m <= 0 {
 		return Result{}, fmt.Errorf("bestfirst: m = %d, want >= 1", m)
+	}
+	if len(prefix) > k {
+		return Result{}, fmt.Errorf("bestfirst: prefix size %d exceeds k = %d", len(prefix), k)
+	}
+	for i, w := range prefix {
+		if int(w) < 0 || int(w) >= ex.m.NumTags() {
+			return Result{}, fmt.Errorf("bestfirst: prefix tag %d outside [0,%d)", w, ex.m.NumTags())
+		}
+		if slices.Contains(prefix[:i], w) {
+			return Result{}, fmt.Errorf("bestfirst: duplicate prefix tag %d", w)
+		}
 	}
 
 	if ex.bounder == nil {

@@ -1,6 +1,7 @@
 package bestfirst
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -187,9 +188,9 @@ func TestSupportFilterEdges(t *testing.T) {
 	const all = 8 * 7 / 2 // m wide enough that nothing is cut
 	for u := graph.VertexID(0); u < 80; u += 9 {
 		spy.rows = 0
-		res, err := ex.QueryTop(u, 2, all)
+		res, err := ex.Run(context.Background(), u, 2, all, nil)
 		if err != nil {
-			t.Fatalf("QueryTop: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
 		defined := 0
 		for _, sc := range res.All {
@@ -236,9 +237,9 @@ func TestSupportFilterBypassedOver64Topics(t *testing.T) {
 		for _, k := range []int{2, 3} {
 			oracle := frontierOracle(g, m, est, u, nil, k)
 			for _, top := range []int{1, 3} {
-				res, err := ex.QueryTop(u, k, top)
+				res, err := ex.Run(context.Background(), u, k, top, nil)
 				if err != nil {
-					t.Fatalf("QueryTop: %v", err)
+					t.Fatalf("Run: %v", err)
 				}
 				// Fewer than m answers when the rest have no supported
 				// completion, as under the masks.

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pitex/internal/enumerate"
 	"pitex/internal/graph"
@@ -213,25 +214,25 @@ func TestExplorerFrontierBatchingIdentical(t *testing.T) {
 			sequential := NewExplorer(g, m, seqOnly{fam.est})
 			for u := 0; u < g.NumVertices(); u += 29 {
 				u := graph.VertexID(u)
-				got, err := batched.QueryTop(u, 3, 2)
+				got, err := batched.Run(context.Background(), u, 3, 2, nil)
 				if err != nil {
-					t.Fatalf("batched QueryTop: %v", err)
+					t.Fatalf("batched Run: %v", err)
 				}
-				pg, err := batched.Complete(u, prefix, 3)
+				pg, err := batched.Run(context.Background(), u, 3, 1, prefix)
 				if err != nil {
-					t.Fatalf("batched Complete: %v", err)
+					t.Fatalf("batched prefixed Run: %v", err)
 				}
 				for name, ex := range map[string]*Explorer{"row by row": rowwise, "width one": single} {
-					want, err := ex.QueryTop(u, 3, 2)
+					want, err := ex.Run(context.Background(), u, 3, 2, nil)
 					if err != nil {
-						t.Fatalf("%s QueryTop: %v", name, err)
+						t.Fatalf("%s Run: %v", name, err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("u=%d: batched %+v != %s %+v", u, got, name, want)
 					}
-					pw, err := ex.Complete(u, prefix, 3)
+					pw, err := ex.Run(context.Background(), u, 3, 1, prefix)
 					if err != nil {
-						t.Fatalf("%s Complete: %v", name, err)
+						t.Fatalf("%s prefixed Run: %v", name, err)
 					}
 					if !reflect.DeepEqual(pg, pw) {
 						t.Fatalf("u=%d prefix: batched %+v != %s %+v", u, pg, name, pw)
@@ -243,18 +244,18 @@ func TestExplorerFrontierBatchingIdentical(t *testing.T) {
 				}
 				oracle := exhaustive(g, m, fam.est, u, nil, 3)
 				prefixOracle := exhaustive(g, m, fam.est, u, prefix, 3)
-				want, err := sequential.QueryTop(u, 3, 2)
+				want, err := sequential.Run(context.Background(), u, 3, 2, nil)
 				if err != nil {
-					t.Fatalf("sequential QueryTop: %v", err)
+					t.Fatalf("sequential Run: %v", err)
 				}
 				if want.Stats.PartialBoundsEstimated != 0 {
 					t.Fatalf("u=%d: sequential run sampled %d bounds", u, want.Stats.PartialBoundsEstimated)
 				}
 				checkTopAgainst(t, fmt.Sprintf("u=%d sequential", u), want.All, oracle)
 				checkTopAgainst(t, fmt.Sprintf("u=%d batched", u), got.All, oracle)
-				pw, err := sequential.Complete(u, prefix, 3)
+				pw, err := sequential.Run(context.Background(), u, 3, 1, prefix)
 				if err != nil {
-					t.Fatalf("sequential Complete: %v", err)
+					t.Fatalf("sequential prefixed Run: %v", err)
 				}
 				checkTopAgainst(t, fmt.Sprintf("u=%d sequential prefix", u), pw.All, prefixOracle)
 				checkTopAgainst(t, fmt.Sprintf("u=%d batched prefix", u), pg.All, prefixOracle)
@@ -339,9 +340,9 @@ func TestRowBoundDominatesCompletions(t *testing.T) {
 }
 
 // TestQueryTopMatchesEstimatorOracle: with stopping disarmed the explorer
-// is an exact arg-max over its estimator's scores, so QueryTop's
-// influences — all m of them — and Complete's must equal an exhaustive
-// enumeration of every size-k set scored by the same estimator. Tag sets
+// is an exact arg-max over its estimator's scores, so a top-m Run's
+// influences — all m of them — and a prefixed Run's must equal an
+// exhaustive enumeration of every size-k set scored by the same estimator. Tag sets
 // are compared only where the optimum is untied.
 func TestQueryTopMatchesEstimatorOracle(t *testing.T) {
 	g, sparse, _ := frontierFixture(t, 61)
@@ -356,15 +357,15 @@ func TestQueryTopMatchesEstimatorOracle(t *testing.T) {
 					for u := 0; u < g.NumVertices(); u += 31 {
 						u := graph.VertexID(u)
 						for _, k := range []int{2, 3} {
-							res, err := ex.QueryTop(u, k, 3)
+							res, err := ex.Run(context.Background(), u, k, 3, nil)
 							if err != nil {
-								t.Fatalf("QueryTop: %v", err)
+								t.Fatalf("Run: %v", err)
 							}
 							pruned += res.Stats.PrunedByBound
 							checkTopAgainst(t, fmt.Sprintf("u=%d k=%d", u, k), res.All, exhaustive(g, m, fam.est, u, nil, k))
-							cres, err := ex.Complete(u, prefix, k)
+							cres, err := ex.Run(context.Background(), u, k, 1, prefix)
 							if err != nil {
-								t.Fatalf("Complete: %v", err)
+								t.Fatalf("prefixed Run: %v", err)
 							}
 							checkTopAgainst(t, fmt.Sprintf("u=%d k=%d prefix", u, k), cres.All, exhaustive(g, m, fam.est, u, prefix, k))
 						}
@@ -414,12 +415,12 @@ func TestBounderTablesCachedAcrossQueries(t *testing.T) {
 		}
 	}
 	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
-	if _, err := ex.QueryTop(0, 2, 1); err != nil {
-		t.Fatalf("QueryTop: %v", err)
+	if _, err := ex.Run(context.Background(), 0, 2, 1, nil); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	first := ex.bounder
-	if _, err := ex.QueryTop(1, 3, 1); err != nil {
-		t.Fatalf("QueryTop: %v", err)
+	if _, err := ex.Run(context.Background(), 1, 3, 1, nil); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if first == nil || ex.bounder != first {
 		t.Fatal("explorer rebuilt its Bounder between queries")
@@ -447,13 +448,13 @@ func TestBoundRowsNeverStopped(t *testing.T) {
 	ex := NewExplorer(g, m, spy)
 	var full, bounds int64
 	for u := 0; u < g.NumVertices(); u += 11 {
-		res, err := ex.QueryTop(graph.VertexID(u), 3, 2)
+		res, err := ex.Run(context.Background(), graph.VertexID(u), 3, 2, nil)
 		if err != nil {
-			t.Fatalf("QueryTop: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
-		pres, err := ex.Complete(graph.VertexID(u), []topics.TagID{2}, 3)
+		pres, err := ex.Run(context.Background(), graph.VertexID(u), 3, 1, []topics.TagID{2})
 		if err != nil {
-			t.Fatalf("Complete: %v", err)
+			t.Fatalf("prefixed Run: %v", err)
 		}
 		full += res.Stats.FullSetsEstimated + pres.Stats.FullSetsEstimated
 		bounds += res.Stats.PartialBoundsEstimated + pres.Stats.PartialBoundsEstimated
@@ -561,9 +562,9 @@ func TestResolveMaskBatchMatchesSingle(t *testing.T) {
 func TestBoundMemoHits(t *testing.T) {
 	g, m, idx := frontierFixture(t, 31)
 	ex := NewExplorer(g, m, seqOnly{rrindex.NewShardedEstimator(idx)})
-	res, err := ex.QueryTop(graph.MaxOutDegreeVertex(g), 3, 1)
+	res, err := ex.Run(context.Background(), graph.MaxOutDegreeVertex(g), 3, 1, nil)
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Stats.BoundCacheHits == 0 {
 		t.Fatal("online query recorded zero bound-memo hits")
@@ -571,36 +572,39 @@ func TestBoundMemoHits(t *testing.T) {
 	if len(ex.boundMemo) == 0 {
 		t.Fatal("bound memo empty after an online query")
 	}
-	if _, err := ex.QueryTop(0, 2, 1); err != nil {
-		t.Fatalf("second QueryTop: %v", err)
+	if _, err := ex.Run(context.Background(), 0, 2, 1, nil); err != nil {
+		t.Fatalf("second Run: %v", err)
 	}
 	// The second query must not have reused the first user's reach counts:
 	// query the first user again and confirm identical results to the first
 	// run (memo correctness across per-query resets).
-	res2, err := ex.QueryTop(graph.MaxOutDegreeVertex(g), 3, 1)
+	res2, err := ex.Run(context.Background(), graph.MaxOutDegreeVertex(g), 3, 1, nil)
 	if err != nil {
-		t.Fatalf("third QueryTop: %v", err)
+		t.Fatalf("third Run: %v", err)
 	}
 	if !reflect.DeepEqual(res.Tags, res2.Tags) || res.Influence != res2.Influence {
 		t.Fatalf("repeat query diverged: %v/%v vs %v/%v", res.Tags, res.Influence, res2.Tags, res2.Influence)
 	}
 }
 
-// TestQueryTopCtxMatchesQueryTop: the context variant with a live
-// context must be the plain call.
+// TestQueryTopCtxMatchesRun: a top-m Run under a live context that
+// can still be cancelled must answer what it answers under
+// context.Background.
 func TestQueryTopCtxMatchesQueryTop(t *testing.T) {
 	g, m, idx := frontierFixture(t, 43)
 	ex := NewExplorer(g, m, rrindex.NewShardedEstimator(idx))
-	want, err := ex.QueryTop(3, 3, 2)
+	want, err := ex.Run(context.Background(), 3, 3, 2, nil)
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	got, err := ex.QueryTopCtx(context.Background(), 3, 3, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, err := ex.Run(ctx, 3, 3, 2, nil)
 	if err != nil {
-		t.Fatalf("QueryTopCtx: %v", err)
+		t.Fatalf("Run under a live context: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("QueryTopCtx %+v != QueryTop %+v", got, want)
+		t.Fatalf("live context %+v != background %+v", got, want)
 	}
 }
 
@@ -678,11 +682,12 @@ func frontierOracle(g *graph.Graph, m *topics.Model, est FrontierEstimator, u gr
 }
 
 // TestAnswersFollowCanonicalOrder: under a frontier estimator the answer
-// order is part of the contract. QueryTop's m sets and Complete's set are
-// exactly the head of every candidate set sorted canonically — tags
-// included at exact ties — so the answer depends neither on pop order nor
-// on how many expansions a round carries: a coordinator's wide rounds and
-// an in-process engine's one-expansion rounds return the same sets.
+// order is part of the contract. A top-m Run's m sets and a prefixed
+// Run's set are exactly the head of every candidate set sorted
+// canonically — tags included at exact ties — so the answer depends
+// neither on pop order nor on how many expansions a round carries: a
+// coordinator's wide rounds and an in-process engine's one-expansion
+// rounds return the same sets.
 func TestAnswersFollowCanonicalOrder(t *testing.T) {
 	g, sparse, _ := frontierFixture(t, 61)
 	prefix := []topics.TagID{5}
@@ -709,18 +714,18 @@ func TestAnswersFollowCanonicalOrder(t *testing.T) {
 						for _, k := range []int{2, 3} {
 							oracle := frontierOracle(g, m, fest, u, nil, k)
 							for _, top := range []int{1, 2} {
-								res, err := ex.QueryTop(u, k, top)
+								res, err := ex.Run(context.Background(), u, k, top, nil)
 								if err != nil {
-									t.Fatalf("QueryTop: %v", err)
+									t.Fatalf("Run: %v", err)
 								}
 								if len(res.All) != top {
 									t.Fatalf("u=%d k=%d m=%d: %d answers", u, k, top, len(res.All))
 								}
 								check(t, fmt.Sprintf("u=%d k=%d m=%d", u, k, top), res.All, oracle)
 							}
-							res, err := ex.Complete(u, prefix, k)
+							res, err := ex.Run(context.Background(), u, k, 1, prefix)
 							if err != nil {
-								t.Fatalf("Complete: %v", err)
+								t.Fatalf("prefixed Run: %v", err)
 							}
 							check(t, fmt.Sprintf("u=%d k=%d prefix", u, k), res.All, frontierOracle(g, m, fest, u, prefix, k))
 						}
@@ -770,14 +775,14 @@ func TestRoundInvariants(t *testing.T) {
 					u := graph.VertexID(u)
 					for _, km := range [][2]int{{2, 1}, {3, 2}, {4, 1}} {
 						k, m := km[0], km[1]
-						want, err := narrow.QueryTop(u, k, m)
+						want, err := narrow.Run(context.Background(), u, k, m, nil)
 						if err != nil {
-							t.Fatalf("narrow QueryTop: %v", err)
+							t.Fatalf("narrow Run: %v", err)
 						}
 						spy.calls = spy.calls[:0]
-						got, err := wide.QueryTop(u, k, m)
+						got, err := wide.Run(context.Background(), u, k, m, nil)
 						if err != nil {
-							t.Fatalf("wide QueryTop: %v", err)
+							t.Fatalf("wide Run: %v", err)
 						}
 						if !reflect.DeepEqual(got.All, want.All) {
 							t.Fatalf("u=%d k=%d m=%d: 64-row rounds answered %v, one-expansion rounds %v", u, k, m, got.All, want.All)
@@ -798,13 +803,13 @@ func TestRoundInvariants(t *testing.T) {
 							multi = multi || n > T
 						}
 					}
-					want, err := narrow.Complete(u, prefix, 3)
+					want, err := narrow.Run(context.Background(), u, 3, 1, prefix)
 					if err != nil {
-						t.Fatalf("narrow Complete: %v", err)
+						t.Fatalf("narrow prefixed Run: %v", err)
 					}
-					got, err := wide.Complete(u, prefix, 3)
+					got, err := wide.Run(context.Background(), u, 3, 1, prefix)
 					if err != nil {
-						t.Fatalf("wide Complete: %v", err)
+						t.Fatalf("wide prefixed Run: %v", err)
 					}
 					if !reflect.DeepEqual(got.All, want.All) {
 						t.Fatalf("u=%d prefix: 64-row rounds answered %v, one-expansion rounds %v", u, got.All, want.All)
@@ -825,9 +830,9 @@ func TestRoundInvariants(t *testing.T) {
 		t.Fatalf("BuildSharded: %v", err)
 	}
 	spy := &roundSpy{seqOnly: seqOnly{rrindex.NewShardedPrunedEstimator(idx)}, rows: 64}
-	res, err := NewExplorer(g, wideModel, spy).QueryTop(graph.MaxOutDegreeVertex(g), 2, 1)
+	res, err := NewExplorer(g, wideModel, spy).Run(context.Background(), graph.MaxOutDegreeVertex(g), 2, 1, nil)
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(spy.calls) < 2 || spy.calls[0] != 79 || int64(len(spy.calls)) > res.Stats.FrontierExpansions {
 		t.Fatalf("80 tags, k=2: rounds %v for %d expansions; want a 79-row root round first", spy.calls, res.Stats.FrontierExpansions)

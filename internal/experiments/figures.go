@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -114,7 +115,7 @@ func groupSweep(cfg Config, strategies []pitex.Strategy) (*Report, *Report, erro
 				var total time.Duration
 				var inf float64
 				for _, u := range users {
-					res, err := en.Query(u, cfg.K)
+					res, err := en.Query(context.Background(), pitex.Request{User: u, K: cfg.K})
 					if err != nil {
 						return nil, nil, fmt.Errorf("%s/%v/%s/u%d: %w", name, s, grp, u, err)
 					}
@@ -179,7 +180,7 @@ func paramSweep(cfg Config, id, title, param string, values []float64, apply fun
 				var total time.Duration
 				var inf float64
 				for _, u := range users {
-					res, err := en.Query(u, k(c, val))
+					res, err := en.Query(context.Background(), pitex.Request{User: u, K: k(c, val)})
 					if err != nil {
 						return nil, fmt.Errorf("%s/%v/%s=%v: %w", name, s, param, val, err)
 					}
@@ -270,7 +271,7 @@ func Fig12(cfg Config) (*Report, error) {
 			users := queryUsers(net, "mid", cfg.QueriesPerGroup, cfg.Seed)
 			var total time.Duration
 			for _, u := range users {
-				res, err := en.Query(u, cfg.K)
+				res, err := en.Query(context.Background(), pitex.Request{User: u, K: cfg.K})
 				if err != nil {
 					return err
 				}

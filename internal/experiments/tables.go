@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -90,7 +91,7 @@ func Table4(cfg Config) (*Report, error) {
 	}
 	total := 0.0
 	for _, r := range rs {
-		res, err := en.Query(r.User, 5)
+		res, err := en.Query(context.Background(), pitex.Request{User: r.User, K: 5})
 		if err != nil {
 			return nil, err
 		}

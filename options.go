@@ -219,7 +219,7 @@ type ServeOptions struct {
 	// disables the timeout.
 	QueueTimeout time.Duration
 	// QueryTimeout is the per-query deadline enforced through
-	// Engine.QueryCtx once an engine is checked out; the explorer observes
+	// Engine.Query once an engine is checked out; the explorer observes
 	// it between best-first expansions. Estimations are decoupled from the
 	// requesting client's cancellation (deduplicated requests share them),
 	// so this deadline is what bounds work for disconnected clients.

@@ -2,6 +2,7 @@ package pitex
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func TestAllStrategiesFindFig2Optimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", s, err)
 		}
-		res, err := en.Query(0, 2)
+		res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: Query: %v", s, err)
 		}
@@ -171,16 +172,16 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if _, err := en.Query(-1, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: -1, K: 2}); err == nil {
 		t.Fatal("negative user accepted")
 	}
-	if _, err := en.Query(99, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 99, K: 2}); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
-	if _, err := en.Query(0, 0); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := en.Query(0, 99); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 99}); err == nil {
 		t.Fatal("k>|Ω| accepted")
 	}
 	opts := testEngineOptions(StrategyLazy)
@@ -189,7 +190,7 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if _, err := en2.Query(0, 3); err == nil {
+	if _, err := en2.Query(context.Background(), Request{User: 0, K: 3}); err == nil {
 		t.Fatal("k>MaxK accepted")
 	}
 	// A tag list is a set: a repeat is refused, not scored as a multiset.
@@ -269,11 +270,11 @@ func TestCloneSharesIndex(t *testing.T) {
 	if clone.index != en.index {
 		t.Fatal("clone rebuilt the index")
 	}
-	a, err := en.Query(0, 2)
+	a, err := en.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	b, err := clone.Query(0, 2)
+	b, err := clone.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("clone Query: %v", err)
 	}
@@ -290,7 +291,7 @@ func TestDisableBestEffortSameAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := en.Query(0, 2)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -354,7 +355,7 @@ func TestCaseStudyQueryAccuracy(t *testing.T) {
 	}
 	total := 0.0
 	for _, r := range researchers[:4] {
-		res, err := en.Query(r.User, 5)
+		res, err := en.Query(context.Background(), Request{User: r.User, K: 5})
 		if err != nil {
 			t.Fatalf("Query(%s): %v", r.Name, err)
 		}
@@ -399,9 +400,9 @@ func TestQueryTopRanksAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := en.QueryTop(0, 2, 3)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2, M: 3})
 	if err != nil {
-		t.Fatalf("QueryTop: %v", err)
+		t.Fatalf("Query(m=3): %v", err)
 	}
 	if len(res.Alternatives) != 3 {
 		t.Fatalf("got %d alternatives, want 3", len(res.Alternatives))
@@ -418,8 +419,8 @@ func TestQueryTopRanksAllPairs(t *testing.T) {
 	if res.Tags[0] != 2 || res.Tags[1] != 3 {
 		t.Fatalf("top-1 of top-3 = %v, want [2 3]", res.Tags)
 	}
-	if _, err := en.QueryTop(0, 2, 0); err == nil {
-		t.Fatal("m=0 accepted")
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2, M: -1}); err == nil {
+		t.Fatal("m=-1 accepted")
 	}
 }
 
@@ -430,9 +431,9 @@ func TestQueryWithPrefix(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	// Pin w1 (tag 0): the best completion pairs it with a z2-heavy tag.
-	res, err := en.QueryWithPrefix(0, []int{0}, 2)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2, Prefix: []int{0}})
 	if err != nil {
-		t.Fatalf("QueryWithPrefix: %v", err)
+		t.Fatalf("Query(prefix): %v", err)
 	}
 	if len(res.Tags) != 2 {
 		t.Fatalf("result size %d", len(res.Tags))
@@ -447,14 +448,14 @@ func TestQueryWithPrefix(t *testing.T) {
 		t.Fatalf("prefix tag 0 missing from %v", res.Tags)
 	}
 	// Validation.
-	if _, err := en.QueryWithPrefix(0, []int{99}, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2, Prefix: []int{99}}); err == nil {
 		t.Fatal("bad prefix tag accepted")
 	}
-	if _, err := en.QueryWithPrefix(0, []int{0, 1, 2}, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2, Prefix: []int{0, 1, 2}}); err == nil {
 		t.Fatal("oversized prefix accepted")
 	}
 	// Full-size prefix returns the prefix itself.
-	res, err = en.QueryWithPrefix(0, []int{0, 1}, 2)
+	res, err = en.Query(context.Background(), Request{User: 0, K: 2, Prefix: []int{0, 1}})
 	if err != nil {
 		t.Fatalf("full prefix: %v", err)
 	}
@@ -471,10 +472,10 @@ func TestPrefixAndTopMRejectedWithoutBestEffort(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if _, err := en.QueryTop(0, 2, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2, M: 2}); err == nil {
 		t.Fatal("top-m accepted with enumeration")
 	}
-	if _, err := en.QueryWithPrefix(0, []int{0}, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2, Prefix: []int{0}}); err == nil {
 		t.Fatal("prefix accepted with enumeration")
 	}
 }
@@ -494,7 +495,7 @@ func TestConcurrentClones(t *testing.T) {
 		go func() {
 			c := en.Clone()
 			for i := 0; i < 20; i++ {
-				res, err := c.Query(0, 2)
+				res, err := c.Query(context.Background(), Request{User: 0, K: 2})
 				if err != nil {
 					errs <- err
 					return
@@ -525,7 +526,7 @@ func TestLTPropagationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := en.Query(0, 2)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -554,7 +555,7 @@ func TestLTWithRRStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := en.Query(0, 2)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -595,11 +596,11 @@ func TestSaveAndLoadIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewEngineWithIndex: %v", s, err)
 		}
-		a, err := en.Query(0, 2)
+		a, err := en.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: Query: %v", s, err)
 		}
-		b, err := loaded.Query(0, 2)
+		b, err := loaded.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: loaded Query: %v", s, err)
 		}
@@ -736,7 +737,7 @@ func TestQueryAll(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	users := []int{0, 2, 3, 5, 99} // 99 is invalid
-	results := en.QueryAll(users, 2, 3)
+	results := en.QueryAll(context.Background(), users, 2, 3)
 	if len(results) != len(users) {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -754,7 +755,7 @@ func TestQueryAll(t *testing.T) {
 	if results[4].Err == nil {
 		t.Fatal("invalid user did not error")
 	}
-	if out := en.QueryAll(nil, 2, 3); len(out) != 0 {
+	if out := en.QueryAll(context.Background(), nil, 2, 3); len(out) != 0 {
 		t.Fatal("empty input produced results")
 	}
 }
@@ -815,7 +816,7 @@ func TestIndexEffectiveEpsilon(t *testing.T) {
 			if capped := maxSamples > 0; capped != (eff > opts.Epsilon) || !(eff > 0) {
 				t.Errorf("%v cap %d: ε_eff %v against ε %v", s, maxSamples, eff, opts.Epsilon)
 			}
-			res, err := en.Query(0, 2)
+			res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 			if err != nil {
 				t.Fatalf("%v: Query: %v", s, err)
 			}

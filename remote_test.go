@@ -199,16 +199,16 @@ func TestRemoteEngineFrontierPathsAgree(t *testing.T) {
 		for u := 0; u < net.NumUsers(); u += 3 {
 			for _, km := range [][2]int{{1, 1}, {2, 3}, {3, 1}} {
 				k, m := km[0], km[1]
-				want, err := local.QueryTop(u, k, m)
+				want, err := local.Query(context.Background(), Request{User: u, K: k, M: m})
 				if err != nil {
-					t.Fatalf("%v: local QueryTop(%d,%d,%d): %v", strat, u, k, m, err)
+					t.Fatalf("%v: local top-m Query(%d,%d,%d): %v", strat, u, k, m, err)
 				}
 				var search Result
 				for _, name := range []string{"prototype", "clone", "fallback"} {
 					en := map[string]*Engine{"prototype": proto, "clone": clone, "fallback": fallback}[name]
-					got, err := en.QueryTop(u, k, m)
+					got, err := en.Query(context.Background(), Request{User: u, K: k, M: m})
 					if err != nil {
-						t.Fatalf("%v: %s QueryTop(%d,%d,%d): %v", strat, name, u, k, m, err)
+						t.Fatalf("%v: %s top-m Query(%d,%d,%d): %v", strat, name, u, k, m, err)
 					}
 					if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
 						t.Fatalf("%v: %s user %d k=%d m=%d:\n got  %+v\n want %+v", strat, name, u, k, m, a, b)
@@ -299,13 +299,13 @@ func TestRemoteEngineMatchesLocalOnTies(t *testing.T) {
 		isolated++
 		for _, km := range [][2]int{{1, 3}, {2, 3}, {3, 3}} {
 			k, m := km[0], km[1]
-			want, err := local.QueryTop(u, k, m)
+			want, err := local.Query(context.Background(), Request{User: u, K: k, M: m})
 			if err != nil {
-				t.Fatalf("local QueryTop(%d,%d,%d): %v", u, k, m, err)
+				t.Fatalf("local top-m Query(%d,%d,%d): %v", u, k, m, err)
 			}
-			got, err := remote.QueryTop(u, k, m)
+			got, err := remote.Query(context.Background(), Request{User: u, K: k, M: m})
 			if err != nil {
-				t.Fatalf("remote QueryTop(%d,%d,%d): %v", u, k, m, err)
+				t.Fatalf("remote top-m Query(%d,%d,%d): %v", u, k, m, err)
 			}
 			if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
 				t.Fatalf("user %d k=%d m=%d:\n remote %+v\n local  %+v", u, k, m, a, b)
@@ -314,13 +314,13 @@ func TestRemoteEngineMatchesLocalOnTies(t *testing.T) {
 				tiedTops++
 			}
 		}
-		want, err := local.QueryWithPrefix(u, []int{7}, 3)
+		want, err := local.Query(context.Background(), Request{User: u, K: 3, Prefix: []int{7}})
 		if err != nil {
-			t.Fatalf("local QueryWithPrefix(%d): %v", u, err)
+			t.Fatalf("local prefixed Query(%d): %v", u, err)
 		}
-		got, err := remote.QueryWithPrefix(u, []int{7}, 3)
+		got, err := remote.Query(context.Background(), Request{User: u, K: 3, Prefix: []int{7}})
 		if err != nil {
-			t.Fatalf("remote QueryWithPrefix(%d): %v", u, err)
+			t.Fatalf("remote prefixed Query(%d): %v", u, err)
 		}
 		if a, b := answerOf(got), answerOf(want); !reflect.DeepEqual(a, b) {
 			t.Fatalf("user %d prefix {7}:\n remote %+v\n local  %+v", u, a, b)
@@ -351,9 +351,9 @@ func TestRemotePrefixRootNeverScattered(t *testing.T) {
 		t.Fatalf("NewRemoteEngine: %v", err)
 	}
 	for u := 0; u < net.NumUsers(); u += 5 {
-		res, err := en.QueryWithPrefix(u, []int{3, 11}, 3)
+		res, err := en.Query(context.Background(), Request{User: u, K: 3, Prefix: []int{3, 11}})
 		if err != nil {
-			t.Fatalf("QueryWithPrefix(%d): %v", u, err)
+			t.Fatalf("prefixed Query(%d): %v", u, err)
 		}
 		if res.Explain.RemoteScatters > 1 || res.Explain.PartialBoundsEstimated != 0 {
 			t.Fatalf("user %d: prefix {3, 11} at k=3 took %d scatters and %d bound rows, want at most 1 and 0",
@@ -381,8 +381,8 @@ func TestRemoteEngineFrontierDegraded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewRemoteEngine: %v", err)
 		}
-		if results[i], err = en.QueryTop(0, 2, 2); err != nil {
-			t.Fatalf("QueryTop: %v", err)
+		if results[i], err = en.Query(context.Background(), Request{User: 0, K: 2, M: 2}); err != nil {
+			t.Fatalf("Query(m=2): %v", err)
 		}
 	}
 	if results[0].Degraded == nil || !reflect.DeepEqual(results[0].Degraded.MissingShards, []int{1}) {
@@ -413,11 +413,11 @@ func TestRemoteEngineMatchesLocal(t *testing.T) {
 			t.Fatalf("%v: NewRemoteEngine: %v", s, err)
 		}
 		for u := 0; u < net.NumUsers(); u++ {
-			lres, err := local.Query(u, 2)
+			lres, err := local.Query(context.Background(), Request{User: u, K: 2})
 			if err != nil {
 				t.Fatalf("%v: local Query(%d): %v", s, u, err)
 			}
-			rres, err := remote.Query(u, 2)
+			rres, err := remote.Query(context.Background(), Request{User: u, K: 2})
 			if err != nil {
 				t.Fatalf("%v: remote Query(%d): %v", s, u, err)
 			}
@@ -445,7 +445,7 @@ func TestRemoteEngineDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRemoteEngine: %v", err)
 	}
-	res, err := en.Query(0, 2)
+	res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -481,7 +481,7 @@ func TestRemoteEngineRemoteError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRemoteEngine: %v", err)
 	}
-	if _, err := en.Query(0, 2); err == nil || !errors.Is(err, fake.err) {
+	if _, err := en.Query(context.Background(), Request{User: 0, K: 2}); err == nil || !errors.Is(err, fake.err) {
 		t.Fatalf("Query error = %v, want the remote failure", err)
 	}
 }

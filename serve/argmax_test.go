@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -73,7 +74,7 @@ func checkArgmax(t *testing.T, en *pitex.Engine, numTags, numUsers int) {
 		sets := kSets(numTags, k)
 		for u := 0; u < numUsers; u += step {
 			label := fmt.Sprintf("k=%d user %d", k, u)
-			res, err := en.Query(u, k)
+			res, err := en.Query(context.Background(), pitex.Request{User: u, K: k})
 			if err != nil {
 				t.Fatalf("%s: Query: %v", label, err)
 			}

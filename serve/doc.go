@@ -7,7 +7,8 @@
 // A request flows cache → admission → estimator:
 //
 //	HTTP handler
-//	   │  parse + validate
+//	   │  parse + validate (pitex.Request.Validate, against the
+//	   │  serving generation, before any engine is taken)
 //	   ▼
 //	Cache (sharded LRU, keyed on (kind, user, k, m, tags))
 //	   │  hit  → answer in O(1), no estimation
@@ -21,7 +22,7 @@
 //	   │  QueueDepth waiting; excess load is shed immediately with
 //	   │  ErrOverloaded, queued waiters time out with ErrQueueTimeout
 //	   ▼
-//	Engine.QueryCtx (per-query deadline observed between best-first
+//	Engine.Query (per-query deadline observed between best-first
 //	   expansions)
 //
 // Both servers run one request pipeline. Every route is registered

@@ -159,17 +159,17 @@ func TestFrontierWireEquivalence(t *testing.T) {
 						for u := 0; u < local.Network().NumUsers(); u += 9 {
 							for _, km := range shape.queries {
 								k, m := km[0], km[1]
-								want, err := local.QueryTop(u, k, m)
+								want, err := local.Query(context.Background(), pitex.Request{User: u, K: k, M: m})
 								if err != nil {
-									t.Fatalf("%s: local QueryTop(%d,%d,%d): %v", stage, u, k, m, err)
+									t.Fatalf("%s: local top-m Query(%d,%d,%d): %v", stage, u, k, m, err)
 								}
-								got, err := batched.QueryTop(u, k, m)
+								got, err := batched.Query(context.Background(), pitex.Request{User: u, K: k, M: m})
 								if err != nil {
-									t.Fatalf("%s: frontier QueryTop(%d,%d,%d): %v", stage, u, k, m, err)
+									t.Fatalf("%s: frontier top-m Query(%d,%d,%d): %v", stage, u, k, m, err)
 								}
-								one, err := single.QueryTop(u, k, m)
+								one, err := single.Query(context.Background(), pitex.Request{User: u, K: k, M: m})
 								if err != nil {
-									t.Fatalf("%s: per-candidate QueryTop(%d,%d,%d): %v", stage, u, k, m, err)
+									t.Fatalf("%s: per-candidate top-m Query(%d,%d,%d): %v", stage, u, k, m, err)
 								}
 								if !reflect.DeepEqual(answerOf(got), answerOf(want)) {
 									t.Fatalf("%s: user %d k=%d m=%d: frontier wire diverges from in-process:\n got  %+v\n want %+v",
@@ -271,13 +271,13 @@ func TestFrontierWireDegradedMatchesPerCandidate(t *testing.T) {
 	fleet.hosts[1].Close() // shard 1 goes dark
 
 	for _, u := range []int{0, 17, 42} {
-		got, err := batched.QueryTop(u, 2, 2)
+		got, err := batched.Query(context.Background(), pitex.Request{User: u, K: 2, M: 2})
 		if err != nil {
-			t.Fatalf("frontier QueryTop(%d): %v", u, err)
+			t.Fatalf("frontier top-m Query(%d): %v", u, err)
 		}
-		want, err := single.QueryTop(u, 2, 2)
+		want, err := single.Query(context.Background(), pitex.Request{User: u, K: 2, M: 2})
 		if err != nil {
-			t.Fatalf("per-candidate QueryTop(%d): %v", u, err)
+			t.Fatalf("per-candidate top-m Query(%d): %v", u, err)
 		}
 		deg := got.Degraded
 		if deg == nil || !reflect.DeepEqual(deg.MissingShards, []int{1}) ||

@@ -20,7 +20,7 @@ func TestPoolServesSequentially(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 2, QueueDepth: 4, QueueTimeout: time.Second})
 	for i := 0; i < 10; i++ {
 		err := doOn(srv, context.Background(), func(en *pitex.Engine) error {
-			res, err := en.Query(0, 2)
+			res, err := en.Query(context.Background(), pitex.Request{User: 0, K: 2})
 			if err != nil {
 				return err
 			}
@@ -180,7 +180,7 @@ func TestPoolConcurrentLoad(t *testing.T) {
 	for i := 0; i < requests; i++ {
 		go func(u int) {
 			errs <- doOn(srv, context.Background(), func(en *pitex.Engine) error {
-				_, err := en.Query(u%7, 2)
+				_, err := en.Query(context.Background(), pitex.Request{User: u % 7, K: 2})
 				return err
 			})
 		}(i)

@@ -16,6 +16,7 @@ import (
 	"pitex"
 	"pitex/analytics"
 	"pitex/distrib"
+	"pitex/internal/fanout"
 	"pitex/obsv"
 )
 
@@ -58,11 +59,7 @@ type Server struct {
 	// is pinned to the generation it started on and marked stale by
 	// ApplyUpdates once the serving engine moves past it.
 	jobs *analytics.Manager
-	// numTags is the tag-vocabulary size, fixed across generations
-	// (ApplyUpdates mutates the network, never the tag model); request
-	// validation reads it without loading a generation.
-	numTags int
-	opts    pitex.ServeOptions
+	opts pitex.ServeOptions
 }
 
 // cacheShards is the result cache's count of independently locked shards.
@@ -109,10 +106,9 @@ func New(en *pitex.Engine, opts pitex.ServeOptions) (*Server, error) {
 	}
 	opts = opts.WithDefaults()
 	s := &Server{
-		cache:   NewCache(opts.CacheCapacity, cacheShards),
-		jobs:    analytics.NewManager(),
-		numTags: en.Model().NumTags(),
-		opts:    opts,
+		cache: NewCache(opts.CacheCapacity, cacheShards),
+		jobs:  analytics.NewManager(),
+		opts:  opts,
 	}
 	s.gen.Store(newEngineGen(en, opts.PoolSize))
 	s.initCore(en.Strategy().String(), newGate(opts.PoolSize, opts.QueueDepth, opts.QueueTimeout),
@@ -372,12 +368,11 @@ func (uncached) Error() string { return "serve: uncacheable answer" }
 
 // SellingPoints answers one PITEX query through the cache and gate: the m
 // best size-k tag sets for user, optionally constrained to contain prefix
-// (prefix queries require m == 1, as in Engine.QueryWithPrefix). The
-// second return reports whether the answer was served without running an
-// estimation in this call (cache hit or in-flight dedup); a cached
-// Result's Elapsed still reports the original estimation time. A miss,
-// or a wait on an identical in-flight estimation, runs under
-// QueryTimeout.
+// (prefix queries require m == 1). The second return reports whether the
+// answer was served without running an estimation in this call (cache hit
+// or in-flight dedup); a cached Result's Elapsed still reports the
+// original estimation time. A miss, or a wait on an identical in-flight
+// estimation, runs under QueryTimeout.
 //
 // Returned results may be shared with the cache and concurrent callers:
 // treat the Result's slices (Tags, TagNames, Alternatives) as read-only.
@@ -391,27 +386,23 @@ func (s *Server) SellingPoints(ctx context.Context, user, k, m int, prefix []int
 	if len(prefix) > 0 && m > 1 {
 		return pitex.Result{}, false, fmt.Errorf("serve: prefix and top-m cannot be combined")
 	}
-	// Mirror the engine's prefix checks before admission: a duplicate or
-	// oversized prefix must 400 immediately, not occupy an engine (or
-	// cache a per-arguments error under a malformed key).
-	if err := pitex.ValidatePrefix(prefix, k, s.numTags); err != nil {
+	// The engine's own check, before admission: a malformed request must
+	// 400 immediately, not occupy an engine (or cache a per-arguments
+	// error under a malformed key).
+	g := s.gen.Load()
+	req := pitex.Request{User: user, K: k, M: m, Prefix: prefix}
+	if err := req.Validate(g.engine); err != nil {
 		return pitex.Result{}, false, err
 	}
-	g := s.gen.Load()
 	key := Key{Kind: "query", Gen: g.engine.Generation(), User: user, K: k, M: m, Tags: TagsKey(prefix)}
 	return cached(ctx, s, g, "selling-points", key, func(ctx context.Context, en *pitex.Engine) (res pitex.Result, err error) {
 		qsp, ctx := obsv.StartSpan(ctx, "query")
 		defer qsp.End()
-		qsp.SetAttr("user", user)
-		qsp.SetAttr("k", k)
-		qsp.SetAttr("m", m)
+		qsp.SetAttr("user", req.User)
+		qsp.SetAttr("k", req.K)
+		qsp.SetAttr("m", req.M)
 		qsp.SetAttr("strategy", s.strategy)
-		if len(prefix) > 0 {
-			res, err = en.QueryWithPrefixCtx(ctx, user, prefix, k)
-		} else {
-			res, err = en.QueryTopCtx(ctx, user, k, m)
-		}
-		if err != nil {
+		if res, err = en.Query(ctx, req); err != nil {
 			return res, err
 		}
 		s.noteExplain(res.Explain)
@@ -470,10 +461,10 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 	}
 	// The engine's tag-set check, before admission as in SellingPoints: a
 	// repeated or unknown tag must 400 without occupying an engine.
-	if err := pitex.ValidatePrefix(tags, len(tags), s.numTags); err != nil {
+	g := s.gen.Load()
+	if err := pitex.CheckTags(tags, g.engine.Model().NumTags()); err != nil {
 		return nil, false, err
 	}
-	g := s.gen.Load()
 	key := Key{Kind: "audience", Gen: g.engine.Generation(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
 	return cached(ctx, s, g, "audience", key, func(ctx context.Context, en *pitex.Engine) ([]pitex.InfluencedUser, error) {
 		sp, _ := obsv.StartSpan(ctx, "sample")
@@ -500,16 +491,20 @@ const MaxTopM = 64
 // traffic has every engine busy) are reported in BatchResult.Err without
 // failing the batch.
 func (s *Server) QueryBatch(ctx context.Context, users []int, k int) []pitex.BatchResult {
-	// pitex.RunBatchCtx supplies the drain-on-cancellation fan-out shared
-	// with Engine.QueryAllCtx: a cancelled batch marks its remaining users
-	// with ctx.Err() and never leaks a worker. Each row still flows
-	// through the cache and gate (admission control included) rather than
-	// a raw engine clone.
-	return pitex.RunBatchCtx(ctx, users, s.opts.PoolSize, func() pitex.BatchQueryFunc {
-		return func(ctx context.Context, user int) (pitex.Result, error) {
-			return s.batchQuery(ctx, user, k)
+	// The shared fan-out always drains: a cancelled batch marks its
+	// remaining users with ctx.Err() and never leaks a worker. Each row
+	// still flows through the cache and gate (admission control included)
+	// rather than a raw engine clone.
+	out := make([]pitex.BatchResult, len(users))
+	fanout.Run(len(users), s.opts.PoolSize, func() func(int) {
+		return func(i int) {
+			out[i] = pitex.BatchResult{User: users[i], Err: ctx.Err()}
+			if out[i].Err == nil {
+				out[i].Result, out[i].Err = s.batchQuery(ctx, users[i], k)
+			}
 		}
 	})
+	return out
 }
 
 // batchQuery is one batch worker's SellingPoints call. Unlike single

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -182,6 +183,32 @@ func TestServerBatchLargerThanAdmission(t *testing.T) {
 	}
 }
 
+// TestServerBatchCancelled: a batch whose context is already cancelled
+// answers every row with context.Canceled — a cached user included —
+// and takes no engine.
+func TestServerBatchCancelled(t *testing.T) {
+	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 2})
+	if _, _, err := srv.SellingPoints(context.Background(), 0, 2, 1, nil); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	before := srv.Stats().Pool.Served
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	users := []int{0, 1, 2, 3, 4, 5, 6}
+	out := srv.QueryBatch(ctx, users, 2)
+	if len(out) != len(users) {
+		t.Fatalf("got %d rows, want %d", len(out), len(users))
+	}
+	for i, br := range out {
+		if br.User != users[i] || !errors.Is(br.Err, context.Canceled) {
+			t.Fatalf("row %d = user %d, err %v; want user %d, context.Canceled", i, br.User, br.Err, users[i])
+		}
+	}
+	if served := srv.Stats().Pool.Served; served != before {
+		t.Fatalf("cancelled batch served %d requests", served-before)
+	}
+}
+
 func TestServerBatchTooLarge(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -220,9 +247,10 @@ func TestServerBadParams(t *testing.T) {
 }
 
 // TestServerPrefixValidationHTTP pins the query-validation fix over the
-// HTTP path: malformed prefixes and audience tag sets must 400 with a
-// descriptive error before ever occupying a pool engine, mirroring the
-// engine's one tag-set check.
+// HTTP path: malformed prefixes, out-of-range users and k, and audience
+// tag sets must 400 with a descriptive error before ever occupying a pool
+// engine — pitex.Request.Validate and the engine's one tag-set check run
+// before admission — and so must a batch row.
 func TestServerPrefixValidationHTTP(t *testing.T) {
 	srv := newTestServer(t, pitex.ServeOptions{PoolSize: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -236,6 +264,9 @@ func TestServerPrefixValidationHTTP(t *testing.T) {
 		{"oversized", "/selling-points?user=0&k=2&prefix=0,1,2", "exceeds k"},
 		{"out of range", "/selling-points?user=0&k=2&prefix=9", "outside [0,4)"},
 		{"negative", "/selling-points?user=0&k=2&prefix=-1", "outside [0,4)"},
+		{"user out of range", "/selling-points?user=999&k=2", "pitex: user 999 outside [0,7)"},
+		{"k zero", "/selling-points?user=0&k=0", "pitex: k = 0 outside [1,4]"},
+		{"k too large", "/selling-points?user=0&k=9", "pitex: k = 9 outside [1,4]"},
 		{"audience duplicate", "/audience?user=0&tags=3,3&m=3", "duplicate tag"},
 		{"audience out of range", "/audience?user=0&tags=1,9&m=3", "outside [0,4)"},
 	}
@@ -257,6 +288,17 @@ func TestServerPrefixValidationHTTP(t *testing.T) {
 	ids := out["tag_ids"].([]any)
 	if len(ids) != 2 {
 		t.Fatalf("valid prefix answer tag_ids = %v", ids)
+	}
+	// In a batch only the valid row takes an engine; the other carries
+	// the same message as a row error.
+	before := srv.Stats().Pool.Served
+	out = getJSON(t, ts.URL+"/selling-points?users=0,999&k=2", http.StatusOK)
+	rows := out["results"].([]any)
+	if msg, _ := rows[1].(map[string]any)["error"].(string); msg != "pitex: user 999 outside [0,7)" {
+		t.Fatalf("batch row 999 error = %q", msg)
+	}
+	if served := srv.Stats().Pool.Served - before; served != 1 {
+		t.Fatalf("batch of one valid and one invalid user served %d requests, want 1", served)
 	}
 }
 

@@ -2,6 +2,7 @@ package pitex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestShardedEngineFindsFig2Optimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", s, err)
 		}
-		res, err := en.Query(0, 2)
+		res, err := en.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: Query: %v", s, err)
 		}
@@ -76,11 +77,11 @@ func TestShardedEngineSaveLoadRoundTrip(t *testing.T) {
 		if got := len(loaded.IndexShardStats()); got != 3 {
 			t.Fatalf("%v: loaded engine has %d shards, want 3", s, got)
 		}
-		want, err := en.Query(0, 2)
+		want, err := en.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: Query: %v", s, err)
 		}
-		got, err := loaded.Query(0, 2)
+		got, err := loaded.Query(context.Background(), Request{User: 0, K: 2})
 		if err != nil {
 			t.Fatalf("%v: loaded Query: %v", s, err)
 		}
@@ -167,7 +168,7 @@ func TestShardedEngineApplyUpdates(t *testing.T) {
 	if delta != int64(stats.GraphsRepaired+stats.GraphsAppended) {
 		t.Fatalf("per-shard repaired delta %d != stats %d", delta, stats.GraphsRepaired+stats.GraphsAppended)
 	}
-	if _, err := next.Query(0, 2); err != nil {
+	if _, err := next.Query(context.Background(), Request{User: 0, K: 2}); err != nil {
 		t.Fatalf("Query after sharded repair: %v", err)
 	}
 }
@@ -221,7 +222,7 @@ func TestShardedConcurrentQueryAndUpdate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := clone.Query(user, 2); err != nil {
+				if _, err := clone.Query(context.Background(), Request{User: user, K: 2}); err != nil {
 					errc <- err
 					return
 				}
@@ -246,7 +247,7 @@ func TestShardedConcurrentQueryAndUpdate(t *testing.T) {
 				errc <- err
 				return
 			}
-			if _, err := next.Query(e.from, 2); err != nil {
+			if _, err := next.Query(context.Background(), Request{User: e.from, K: 2}); err != nil {
 				errc <- err
 				return
 			}
@@ -306,13 +307,13 @@ func TestEngineRowBoundsKeepInfluences(t *testing.T) {
 			var rowBounds int64
 			for u := 0; u < net.NumUsers(); u += 23 {
 				for _, k := range []int{2, 3} {
-					got, err := en.QueryTop(u, k, 3)
+					got, err := en.Query(context.Background(), Request{User: u, K: k, M: 3})
 					if err != nil {
-						t.Fatalf("%v S%d: QueryTop(%d,%d): %v", strat, shards, u, k, err)
+						t.Fatalf("%v S%d: top-m Query(%d,%d): %v", strat, shards, u, k, err)
 					}
-					want, err := ref.QueryTop(graph.VertexID(u), k, 3)
+					want, err := ref.Run(context.Background(), graph.VertexID(u), k, 3, nil)
 					if err != nil {
-						t.Fatalf("%v S%d: reference QueryTop(%d,%d): %v", strat, shards, u, k, err)
+						t.Fatalf("%v S%d: reference Run(%d,%d): %v", strat, shards, u, k, err)
 					}
 					if len(got.Alternatives) != len(want.All) {
 						t.Fatalf("%v S%d u=%d k=%d: %d alternatives, reference %d",
@@ -329,13 +330,13 @@ func TestEngineRowBoundsKeepInfluences(t *testing.T) {
 							strat, shards, u, k, got.Explain.BoundCacheHits)
 					}
 					rowBounds += got.Explain.PartialBoundsEstimated
-					pg, err := en.QueryWithPrefix(u, []int{3}, k)
+					pg, err := en.Query(context.Background(), Request{User: u, K: k, Prefix: []int{3}})
 					if err != nil {
-						t.Fatalf("%v S%d: QueryWithPrefix(%d,%d): %v", strat, shards, u, k, err)
+						t.Fatalf("%v S%d: prefixed Query(%d,%d): %v", strat, shards, u, k, err)
 					}
-					pw, err := ref.Complete(graph.VertexID(u), []topics.TagID{3}, k)
+					pw, err := ref.Run(context.Background(), graph.VertexID(u), k, 1, []topics.TagID{3})
 					if err != nil {
-						t.Fatalf("%v S%d: reference Complete(%d,%d): %v", strat, shards, u, k, err)
+						t.Fatalf("%v S%d: reference prefixed Run(%d,%d): %v", strat, shards, u, k, err)
 					}
 					if pg.Influence != pw.Influence {
 						t.Fatalf("%v S%d u=%d k=%d prefix: influence %v, reference %v",
@@ -384,11 +385,11 @@ func TestIndexAnswersIgnoreDisableEarlyStop(t *testing.T) {
 				t.Fatalf("%v S%d: NewEngine (DisableEarlyStop): %v", strat, shards, err)
 			}
 			for _, u := range users {
-				got, err := en.Query(u, 3)
+				got, err := en.Query(context.Background(), Request{User: u, K: 3})
 				if err != nil {
 					t.Fatalf("%v S%d: Query(%d): %v", strat, shards, u, err)
 				}
-				want, err := exhaustive.Query(u, 3)
+				want, err := exhaustive.Query(context.Background(), Request{User: u, K: 3})
 				if err != nil {
 					t.Fatalf("%v S%d: Query(%d) (DisableEarlyStop): %v", strat, shards, u, err)
 				}

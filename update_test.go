@@ -1,6 +1,7 @@
 package pitex
 
 import (
+	"context"
 	"testing"
 )
 
@@ -67,7 +68,7 @@ func TestApplyUpdatesQueriesReflectChange(t *testing.T) {
 		if recovered <= after {
 			t.Errorf("%v: influence did not recover after insert: %v <= %v", s, recovered, after)
 		}
-		if q, err := third.Query(0, 2); err != nil || len(q.Tags) != 2 {
+		if q, err := third.Query(context.Background(), Request{User: 0, K: 2}); err != nil || len(q.Tags) != 2 {
 			t.Errorf("%v: query on updated engine failed: %v %v", s, q.Tags, err)
 		}
 	}
@@ -126,11 +127,11 @@ func TestApplyUpdatesAddUsers(t *testing.T) {
 	if inf < 1 {
 		t.Fatalf("influence %v < 1", inf)
 	}
-	if _, err := next.Query(8, 2); err != nil {
+	if _, err := next.Query(context.Background(), Request{User: 8, K: 2}); err != nil {
 		t.Fatalf("Query(new user): %v", err)
 	}
 	// Old engine must reject the new user IDs.
-	if _, err := en.Query(7, 2); err == nil {
+	if _, err := en.Query(context.Background(), Request{User: 7, K: 2}); err == nil {
 		t.Fatal("old engine accepted a user from the next generation")
 	}
 }
