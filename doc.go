@@ -237,6 +237,15 @@
 // it swaps in a pool of the new generation, lets the old pool drain, and
 // keys its caches by generation.
 //
+// The repair also names the users whose answers the batch can change
+// (UpdateStats.Dirty, counted in DirtyUsers). On an index strategy a
+// user's answer reads only the RR-Graphs containing it, θ_s and |V_s|, so
+// only the members of the re-sampled graphs, before and after
+// re-sampling, can move; every other user answers byte for byte as
+// before, and serve carries its cached answers across the swap. Every
+// user is dirty on a batch that adds users, on DELAYMAT, on the online
+// strategies and on a remote engine.
+//
 // # Statistical contract of repair
 //
 // A repaired index is distribution-equivalent to a fresh rebuild over the

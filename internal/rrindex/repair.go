@@ -3,6 +3,7 @@ package rrindex
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"pitex/internal/graph"
@@ -61,6 +62,83 @@ type RepairStats struct {
 	Appended int
 	// Total is the resulting graph count (= θ_new).
 	Total int
+	// Dirty is the set of users whose answers the repair can change.
+	Dirty Dirty
+}
+
+// Dirty is a set of users whose answers a repair can change. An index
+// answer for user u reads only the graphs containing u, θ_s and |V_s|,
+// so a repair that keeps θ_s and |V_s| can change only the answers of
+// the members of the graphs it re-sampled, taken before and after
+// re-sampling, of every kind (a one-vertex graph's target, an in-star's
+// target and members, a deeper graph's members). A repair that retargets
+// or appends graphs, or that grows the shard's pool, changes every
+// answer: All. The zero value is the empty set.
+type Dirty struct {
+	All   bool
+	users []uint64 // bitmap over user IDs
+}
+
+// Has reports whether u is in the set.
+func (d Dirty) Has(u graph.VertexID) bool {
+	i := int(u) >> 6
+	return d.All || i < len(d.users) && d.users[i]>>(u&63)&1 != 0
+}
+
+// Len returns the set's size; numUsers when it holds every user.
+func (d Dirty) Len(numUsers int) int {
+	if d.All {
+		return numUsers
+	}
+	n := 0
+	for _, w := range d.users {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// dirtyOver returns an empty set over numUsers users.
+func dirtyOver(numUsers int) Dirty { return Dirty{users: make([]uint64, (numUsers+63)>>6)} }
+
+// add puts u in the set.
+func (d *Dirty) add(u graph.VertexID) { d.users[u>>6] |= 1 << (u & 63) }
+
+// addDirect puts the members of graph pos of st in the set when it is a
+// one-vertex graph (its target) or an in-star (its target and members).
+// A deeper graph's members are posted, and repair takes them from its
+// postings marks instead.
+func (d *Dirty) addDirect(st *graphStore, pos int) {
+	switch k, i := st.locate(pos); k {
+	case oneVertex:
+		d.add(st.singles[i])
+	case inStar:
+		lo, hi := st.starEntries(i)
+		d.addStars(st.g, st.starEdge[lo:hi])
+	}
+}
+
+// addStars puts both endpoints of every in-star entry in the set: the
+// members and the target.
+func (d *Dirty) addStars(g *graph.Graph, entries []graph.EdgeID) {
+	for _, e := range entries {
+		d.add(g.EdgeFrom(e))
+		d.add(g.EdgeTo(e))
+	}
+}
+
+// union adds o's users to the set. Both sets' bitmaps cover the same
+// users.
+func (d *Dirty) union(o Dirty) {
+	switch {
+	case d.All || o.All:
+		*d = Dirty{All: true}
+	case d.users == nil:
+		d.users = slices.Clone(o.users)
+	default:
+		for i, w := range o.users {
+			d.users[i] |= w
+		}
+	}
 }
 
 // Repaired is Invalidated + Retargeted + Appended: how many graphs were
@@ -181,16 +259,19 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	// The one ordered pass re-samples the invalidated, retargeted and
 	// appended graphs into fresh. dirty marks vertices whose postings list
 	// must change: old or new posted members of any re-sampled graph, and
-	// those of appended ones.
+	// those of appended ones. stats.Dirty takes the old one-vertex graphs
+	// and in-stars here, fresh's below, and dirty's marks at the end.
 	r := rng.New(opts.Seed)
 	sc := newGenScratch(newV)
 	dirty := make([]bool, newV)
+	stats.Dirty = dirtyOver(newV)
 	fresh := newStoreLike(g, old, resampled)
 	theta, err := spec.walk(r, old, resampled, idx.theta, newV, &stats, func(gi int, target graph.VertexID) error {
 		if gi >= 0 {
 			for _, v := range old.posted(gi) {
 				dirty[v] = true
 			}
+			stats.Dirty.addDirect(old, gi)
 		}
 		return generate(g, target, r, sc, fresh)
 	})
@@ -215,6 +296,10 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 		dirty[v] = true
 		addCount[v]++
 	}
+	for _, t := range fresh.singles {
+		stats.Dirty.add(t)
+	}
+	stats.Dirty.addStars(g, fresh.starEdge)
 	next.containing = make([][]int32, newV)
 	total := 0
 	for v := 0; v < newV; v++ {
@@ -259,6 +344,15 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	}
 	for gi := len(resampled); gi < next.graphs.size(); gi++ {
 		appendAdds(gi)
+	}
+	if added, _ := spec.poolCounts(newV); added > 0 || theta > idx.theta {
+		stats.Dirty = Dirty{All: true}
+	} else {
+		for v, d := range dirty {
+			if d {
+				stats.Dirty.add(graph.VertexID(v))
+			}
+		}
 	}
 	stats.Total = next.graphs.size()
 	next.seal()
@@ -341,6 +435,9 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 	if next.members, err = spliceStores(old, fresh, resampled); err != nil {
 		return nil, stats, err
 	}
+	// A DelayMat answer recovers graphs by forward cascades over the
+	// whole graph, so any repair can change every answer.
+	stats.Dirty = Dirty{All: true}
 	stats.Total = next.members.size()
 	next.recomputeFootprint()
 	return next, stats, nil

@@ -532,3 +532,68 @@ func TestRepairFlipsThreeKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairDirtyIsResampledMembers pins the set a repair names: exactly
+// the members, of every graph kind, of the graphs it re-sampled, read
+// from the old store and from the new one at the same positions, and
+// every user once the batch adds vertices.
+func TestRepairDirtyIsResampledMembers(t *testing.T) {
+	g := randomGraph(300, 3, 0.05, 0.4, 5)
+	opts := BuildOptions{
+		Accuracy: sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 2},
+		Seed:     3, MaxIndexSamples: 3000,
+	}
+	idx, err := Build(g, opts)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ng, info := applyDelta(t, g, graph.Delta{
+		DeleteEdges: []graph.EdgeID{4, 90},
+		InsertEdges: []graph.EdgeInsert{{From: 7, To: 150, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.9}}}},
+	})
+	opts.Seed = 4
+	next, stats, err := idx.Repair(ng, opts, info.TouchedHeads, 0)
+	if err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	resampled := make([]bool, idx.graphs.size())
+	idx.markContaining(info.TouchedHeads, resampled)
+	want := make([]bool, ng.NumVertices())
+	kinds := map[graphKind]int{}
+	for gi, r := range resampled {
+		if !r {
+			continue
+		}
+		for _, st := range []*graphStore{idx.graphs, next.graphs} {
+			k, _ := st.locate(gi)
+			kinds[k]++
+			for _, v := range st.members(gi) {
+				want[v] = true
+			}
+		}
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("re-sampled graphs cover kinds %v; the test needs all three", kinds)
+	}
+	n := 0
+	for v, w := range want {
+		if w {
+			n++
+		}
+		if got := stats.Dirty.Has(graph.VertexID(v)); got != w {
+			t.Fatalf("user %d: in the set = %v, a member of a re-sampled graph = %v", v, got, w)
+		}
+	}
+	if got := stats.Dirty.Len(ng.NumVertices()); got != n || n == 0 || n == ng.NumVertices() {
+		t.Fatalf("Len = %d, want %d of %d", got, n, ng.NumVertices())
+	}
+
+	grown, ginfo := applyDelta(t, ng, graph.Delta{AddVertices: 2})
+	_, gstats, err := next.Repair(grown, opts, ginfo.TouchedHeads, 2)
+	if err != nil {
+		t.Fatalf("Repair with added vertices: %v", err)
+	}
+	if !gstats.Dirty.All || gstats.Dirty.Len(grown.NumVertices()) != grown.NumVertices() {
+		t.Fatalf("a batch that adds vertices names %d users, All = %v", gstats.Dirty.Len(grown.NumVertices()), gstats.Dirty.All)
+	}
+}

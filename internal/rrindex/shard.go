@@ -315,6 +315,7 @@ func (c *shardSet[T]) repair(g *graph.Graph, opts BuildOptions, touched []graph.
 		agg.Retargeted += st.Retargeted
 		agg.Appended += st.Appended
 		agg.Total += st.Total
+		agg.Dirty.union(st.Dirty)
 		next.repaired[i] = c.repaired[i] + int64(st.Repaired())
 	}
 	return next, agg, nil

@@ -20,11 +20,13 @@ var errComputeAborted = errors.New("serve: cached computation aborted")
 type Key struct {
 	// Kind separates endpoint namespaces ("query", "audience", ...).
 	Kind string
-	// Gen is the engine generation the answer was computed by (see
+	// Gen is the engine generation the answer holds for (see
 	// Server.ApplyUpdates). Lookups always use the current generation, so
-	// an entry computed before a hot-swap — including one inserted by an
-	// in-flight computation that straddled the swap — can never be served
-	// afterwards, even before Purge evicts it.
+	// an entry of an earlier generation — including one inserted by an
+	// in-flight computation that straddled a hot-swap — is never served
+	// afterwards. At a swap, Carry moves the answers the update cannot
+	// have changed to the new generation and evicts the rest. Gen takes
+	// no part in shard selection, so a carried entry stays in its shard.
 	Gen uint64
 	// User, K and M are the query parameters (K is zero for kinds without
 	// a size-k component, e.g. audience profiles).
@@ -59,7 +61,8 @@ func TagsKey(tags []int) string {
 	return string(out)
 }
 
-// hash is FNV-1a over the key's fields, used only for shard selection.
+// hash is FNV-1a over the key's fields but Gen, used only for shard
+// selection.
 func (k Key) hash() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -81,7 +84,6 @@ func (k Key) hash() uint64 {
 		}
 	}
 	mix(k.Kind)
-	mixInt(int(k.Gen))
 	mixInt(k.User)
 	mixInt(k.K)
 	mixInt(k.M)
@@ -282,19 +284,40 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() (any, 
 
 // Purge evicts every stored entry (counted as evictions), leaving
 // in-flight computations to finish; their results land under the keys
-// they started with. Called on engine hot-swap: entries of the retired
-// generation would never be read again (keys carry the generation), so
-// holding them would only crowd out live entries. Safe on a nil cache.
-func (c *Cache) Purge() {
+// they started with. It is Carry keeping nothing. Safe on a nil cache.
+func (c *Cache) Purge() { c.Carry(0, nil) }
+
+// Carry re-keys every stored entry that keep accepts to generation gen in
+// place, so it keeps its shard and its LRU place, and evicts the others
+// (counted as evictions); a nil keep accepts none. Server.ApplyUpdates
+// calls it before it publishes generation gen, so no lookup can have
+// built a key of gen yet. In-flight computations finish and land under
+// the keys they started with, which the next Carry evicts unless keep
+// accepts them. One pass per shard, under that shard's lock. Safe on a
+// nil cache.
+func (c *Cache) Carry(gen uint64, keep func(Key) bool) {
 	if c == nil {
 		return
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n := sh.ll.Len()
-		sh.ll.Init()
-		clear(sh.items)
+		n := 0
+		for el := sh.ll.Front(); el != nil; {
+			next := el.Next()
+			e := el.Value.(*cacheEntry)
+			delete(sh.items, e.key)
+			moved := e.key
+			moved.Gen = gen
+			if _, taken := sh.items[moved]; keep != nil && keep(e.key) && !taken {
+				e.key = moved
+				sh.items[moved] = el
+			} else {
+				sh.ll.Remove(el)
+				n++
+			}
+			el = next
+		}
 		sh.mu.Unlock()
 		c.entries.Add(int64(-n))
 		c.evictions.Add(int64(n))

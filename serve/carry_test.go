@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"pitex"
+	"pitex/distrib"
 	"pitex/internal/rng"
 )
 
@@ -249,5 +255,288 @@ func TestSwapAnswersMatchFreshEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// carryNetwork is the carry tests' dataset and every 9th of its users.
+func carryNetwork(t *testing.T) (*pitex.Network, *pitex.TagModel, []int) {
+	t.Helper()
+	net, model, err := pitex.GenerateDatasetSpec(carryDataset, 1)
+	if err != nil {
+		t.Fatalf("GenerateDatasetSpec: %v", err)
+	}
+	var users []int
+	for u := 0; u < net.NumUsers(); u += 9 {
+		users = append(users, u)
+	}
+	return net, model, users
+}
+
+// oneEdgeBatch deletes the first live out-edge of the network's
+// lowest-numbered user that has one.
+func oneEdgeBatch(net *pitex.Network) *pitex.UpdateBatch {
+	var b pitex.UpdateBatch
+	net.ForEachEdge(func(e pitex.Edge) bool {
+		if e.Live() {
+			b.DeleteEdge(e.From, e.To)
+			return false
+		}
+		return true
+	})
+	return &b
+}
+
+// getTwice GETs url twice and returns the second body, which a warm cache
+// answers.
+func getTwice(t *testing.T, url string) []byte {
+	t.Helper()
+	getBody(t, url)
+	st, body := getBody(t, url)
+	if st != http.StatusOK || !bytes.Contains(body, []byte(`"cached":true`)) {
+		t.Fatalf("GET %s: status %d, body %s; want a cached 200", url, st, body)
+	}
+	return body
+}
+
+// TestSwapCarriesCleanAnswers: after an update on an index strategy, a
+// warmed query of a user the batch cannot have changed is still a hit
+// with the body it had, a dirty user's query misses, and every audience
+// profile misses.
+func TestSwapCarriesCleanAnswers(t *testing.T) {
+	net, model, users := carryNetwork(t)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) {
+			srv, err := New(carryEngine(t, net, model, shards), pitex.ServeOptions{PoolSize: 2})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			query := func(u int) string { return fmt.Sprintf("%s/selling-points?user=%d&k=2", ts.URL, u) }
+			audience := func(u int) string { return fmt.Sprintf("%s/audience?user=%d&tags=4,16&samples=300", ts.URL, u) }
+			before := map[int][]byte{}
+			for _, u := range users {
+				before[u] = getTwice(t, query(u))
+				getTwice(t, audience(u))
+			}
+
+			stats, err := srv.ApplyUpdates(oneEdgeBatch(net))
+			if err != nil {
+				t.Fatalf("ApplyUpdates: %v", err)
+			}
+			dirty := 0
+			for u := 0; u < net.NumUsers(); u++ {
+				if stats.Dirty(u) {
+					dirty++
+				}
+			}
+			if stats.DirtyUsers != dirty || dirty == 0 || dirty == net.NumUsers() {
+				t.Fatalf("DirtyUsers = %d, the set holds %d of %d users", stats.DirtyUsers, dirty, net.NumUsers())
+			}
+			var clean, missed int
+			for _, u := range users {
+				st, body := getBody(t, query(u))
+				switch {
+				case st != http.StatusOK:
+					t.Fatalf("user %d after the update: status %d: %s", u, st, body)
+				case !stats.Dirty(u):
+					clean++
+					if !bytes.Equal(body, before[u]) {
+						t.Fatalf("clean user %d answers %s after the update, %s before", u, body, before[u])
+					}
+				case !bytes.Contains(body, []byte(`"cached":false`)):
+					t.Fatalf("dirty user %d answers from the cache after the update: %s", u, body)
+				default:
+					missed++
+				}
+				if _, body := getBody(t, audience(u)); !bytes.Contains(body, []byte(`"cached":false`)) {
+					t.Fatalf("user %d's audience answers from the cache after the update: %s", u, body)
+				}
+			}
+			if clean == 0 || missed == 0 {
+				t.Fatalf("%d clean and %d dirty warmed users; the test needs both", clean, missed)
+			}
+			t.Logf("%d of %d users dirty; %d warmed users carried, %d missed", dirty, net.NumUsers(), clean, missed)
+		})
+	}
+}
+
+// TestSwapPurgesWhenEveryUserIsDirty: a batch that adds users, DELAYMAT,
+// an online strategy and a coordinator report every user dirty, and their
+// swap evicts every cached answer, as a purge does.
+func TestSwapPurgesWhenEveryUserIsDirty(t *testing.T) {
+	net, model, users := carryNetwork(t)
+	users = users[:8]
+	engine := func(s pitex.Strategy) *pitex.Engine {
+		en, err := pitex.NewEngine(net, model, pitex.Options{
+			Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 3, Seed: 1,
+			MaxSamples: 2000, MaxIndexSamples: 20000, TrackUpdates: true,
+		})
+		if err != nil {
+			t.Fatalf("NewEngine(%v): %v", s, err)
+		}
+		return en
+	}
+	grow := func(*pitex.Network) *pitex.UpdateBatch {
+		var b pitex.UpdateBatch
+		b.AddUsers(1)
+		return &b
+	}
+	for _, c := range []struct {
+		name  string
+		srv   func(t *testing.T) *Server
+		batch func(*pitex.Network) *pitex.UpdateBatch
+	}{
+		{"add-users", func(t *testing.T) *Server { return mustServer(t, carryEngine(t, net, model, 3)) }, grow},
+		{"delaymat", func(t *testing.T) *Server { return mustServer(t, engine(pitex.StrategyDelay)) }, oneEdgeBatch},
+		{"lazy", func(t *testing.T) *Server { return mustServer(t, engine(pitex.StrategyLazy)) }, oneEdgeBatch},
+		{"coordinator", func(t *testing.T) *Server { return carryCoordinator(t, net, model) }, oneEdgeBatch},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := c.srv(t)
+			ctx := context.Background()
+			for _, u := range users {
+				if _, _, err := srv.SellingPoints(ctx, u, 2, 1, nil); err != nil {
+					t.Fatalf("SellingPoints(%d): %v", u, err)
+				}
+			}
+			if e := srv.Stats().Cache.Entries; e != int64(len(users)) {
+				t.Fatalf("%d cached entries after warming %d users", e, len(users))
+			}
+			stats, err := srv.ApplyUpdates(c.batch(net))
+			if err != nil {
+				t.Fatalf("ApplyUpdates: %v", err)
+			}
+			if n := srv.Engine().Network().NumUsers(); stats.DirtyUsers != n {
+				t.Fatalf("DirtyUsers = %d, want every one of %d users", stats.DirtyUsers, n)
+			}
+			if e := srv.Stats().Cache.Entries; e != 0 {
+				t.Fatalf("%d cached entries survive the swap", e)
+			}
+			for _, u := range users {
+				if !stats.Dirty(u) {
+					t.Fatalf("user %d is not dirty", u)
+				}
+				if _, hit, err := srv.SellingPoints(ctx, u, 2, 1, nil); err != nil || hit {
+					t.Fatalf("SellingPoints(%d) after the swap: hit=%v err=%v", u, hit, err)
+				}
+			}
+		})
+	}
+}
+
+// mustServer wraps en in a Server closed at the end of the test.
+func mustServer(t *testing.T, en *pitex.Engine) *Server {
+	t.Helper()
+	srv, err := New(en, pitex.ServeOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// carryCoordinator is a coordinator over a one-server fleet holding every
+// shard of the 3-way layout of net.
+func carryCoordinator(t *testing.T, net *pitex.Network, model *pitex.TagModel) *Server {
+	t.Helper()
+	opts := carryEngine(t, net, model, 3).Options()
+	ss, err := NewShardServer(net, model, opts, ShardConfig{TotalShards: 3})
+	if err != nil {
+		t.Fatalf("NewShardServer: %v", err)
+	}
+	ts := httptest.NewServer(ss.Handler())
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	client, err := distrib.Dial(ctx, [][]string{{ts.URL}}, distrib.Options{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	en, err := pitex.NewRemoteEngine(net, model, opts, client)
+	if err != nil {
+		t.Fatalf("NewRemoteEngine: %v", err)
+	}
+	coord, err := NewCoordinator(en, client, pitex.ServeOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	return coord
+}
+
+// TestSwapReadersNeverSeeDirtyPreSwapAnswers runs readers across swaps
+// (under -race in CI): a read that starts and ends on one generation must
+// answer what that generation computes, so no reader receives a pre-swap
+// answer for a user the swap made dirty.
+func TestSwapReadersNeverSeeDirtyPreSwapAnswers(t *testing.T) {
+	net, model, users := carryNetwork(t)
+	const batches = 4
+	r := rng.New(7)
+	var bs []*pitex.UpdateBatch
+	// want[g][i] is generation g's answer for users[i].
+	want := make([][]reply, batches+1)
+	ref := carryEngine(t, net, model, 3)
+	for g := 0; ; g++ {
+		for _, u := range users {
+			want[g] = append(want[g], warmRequest{user: u, k: 2, m: 1}.fresh(t, ref))
+		}
+		if g == batches {
+			break
+		}
+		b := updateMixBatch(ref.Network(), r)
+		bs = append(bs, b)
+		var err error
+		if ref, _, err = ref.ApplyUpdates(b); err != nil {
+			t.Fatalf("reference ApplyUpdates: %v", err)
+		}
+	}
+
+	srv := mustServer(t, carryEngine(t, net, model, 3))
+	ctx := context.Background()
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := n % len(users)
+				g0 := srv.Generation()
+				res, _, err := srv.SellingPoints(ctx, users[i], 2, 1, nil)
+				g1 := srv.Generation()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := stripped(res); g0 == g1 && !reflect.DeepEqual(got, want[g0][i]) {
+					errs <- fmt.Errorf("user %d at generation %d answers %v, want %v", users[i], g0, got, want[g0][i])
+					return
+				}
+			}
+		}(w)
+	}
+	for _, b := range bs {
+		time.Sleep(20 * time.Millisecond)
+		if _, err := srv.ApplyUpdates(b); err != nil {
+			t.Fatalf("ApplyUpdates: %v", err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := srv.Stats().Cache; st.Hits == 0 {
+		t.Fatalf("readers never hit the cache: %+v", st)
 	}
 }

@@ -56,7 +56,9 @@
 //	   whether the posterior is undefined or the cascades die at the user;
 //	   it was null for an undefined posterior, and rows were keyed
 //	   "User" and "Probability")
-//	/admin/update (POST, JSON)
+//	/admin/update (POST, JSON; the answer counts the applied mutations,
+//	   the graphs repaired, repaired_fraction and dirty_users, the users
+//	   whose answers the batch can have changed)
 //	/admin/jobs (POST to start a population sweep, GET to list)
 //	/admin/jobs/{id} (GET progress/ETA/leaderboard, DELETE to cancel)
 //	/healthz, /readyz
@@ -164,13 +166,22 @@
 // No stale result is ever served: cache keys carry the engine generation,
 // taken from the same load as the engine that computes the answer (an
 // answer computed by generation g is unreachable from generation g+1,
-// even if an in-flight computation lands after the swap) and the
-// whole cache is purged on swap so retired entries don't crowd out live
-// ones. Queries never observe a half-applied batch — they see the old
-// engine or the new one, atomically. Watch repaired_fraction in the
-// /admin/update response: when batches repeatedly repair a large share
-// of the index (hub-heavy churn), schedule an offline rebuild and
-// restart from a -save-index file instead.
+// even if an in-flight computation lands after the swap). Before the
+// swap, the cache carries to g+1 the /selling-points answers of every
+// user the batch cannot have changed and evicts the rest: on an index
+// strategy a user's answer reads only the RR-Graphs containing it, θ_s
+// and |V_s|, so only the members of the re-sampled graphs, before and
+// after re-sampling, are dirty (pitex.UpdateStats.Dirty; their count is
+// the response's dirty_users). A carried entry keeps its LRU place and
+// answers "cached":true with the body it had. Audience profiles are
+// always evicted, since their cascades read the whole graph, and so is
+// everything when every user is dirty: a batch that adds users, DELAYMAT,
+// the online strategies and a coordinator. Queries never observe a
+// half-applied batch — they see the old engine or the new one,
+// atomically. Watch repaired_fraction in the /admin/update response:
+// when batches repeatedly repair a large share of the index (hub-heavy
+// churn), schedule an offline rebuild and restart from a -save-index
+// file instead.
 //
 // The /admin endpoints are unauthenticated; bind them to an internal
 // listener or gate them behind a reverse proxy.

@@ -237,14 +237,18 @@ func (s *Server) Engine() *pitex.Engine { return s.gen.Load().engine }
 
 // ApplyUpdates applies a batch of graph mutations to the serving engine
 // with zero downtime: the index is repaired incrementally
-// (pitex.Engine.ApplyUpdates), the repaired engine and its clones are
-// published as the new generation in one atomic store, and the result
-// cache is purged. Queries never stop, and the gate admitting them stays:
-// a request that loaded the old generation finishes on it (its result is
-// cached under the old generation's key, unreachable afterwards), and
-// requests after the store land on the repaired engine. Batches are
-// serialized; on error nothing changes and the current generation keeps
-// serving.
+// (pitex.Engine.ApplyUpdates), the result cache carries the query answers
+// of every user the batch cannot have changed (pitex.UpdateStats.Dirty)
+// to the new generation and evicts the rest, and the repaired engine and
+// its clones are published as the new generation in one atomic store.
+// Audience profiles are always evicted: their cascades read the whole
+// graph. When every user is dirty (a batch that adds users, DELAYMAT,
+// online strategies, a coordinator) nothing is carried. Queries never
+// stop, and the gate admitting them stays: a request that loaded the old
+// generation finishes on it (its result is cached under the old
+// generation's key, unreachable afterwards), and requests after the store
+// land on the repaired engine. Batches are serialized; on error nothing
+// changes and the current generation keeps serving.
 func (s *Server) ApplyUpdates(batch *pitex.UpdateBatch) (pitex.UpdateStats, error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
@@ -271,8 +275,14 @@ func (s *Server) ApplyUpdates(batch *pitex.UpdateBatch) (pitex.UpdateStats, erro
 		}
 		s.remote.SetGeneration(next.Generation())
 	}
-	s.gen.Store(newEngineGen(next, s.opts.PoolSize))
-	s.cache.Purge()
+	// Carry before the store: no request can have built a key of the new
+	// generation yet.
+	g := newEngineGen(next, s.opts.PoolSize)
+	prev := s.Generation()
+	s.cache.Carry(next.Generation(), func(k Key) bool {
+		return k.Kind == "query" && k.Gen == prev && !stats.Dirty(k.User)
+	})
+	s.gen.Store(g)
 	// Sweep jobs keep running on their pinned (pre-swap) generation —
 	// consistent answers, never mixed generations — but are flagged so
 	// GET /admin/jobs/{id} reports the population moved on.
@@ -459,11 +469,18 @@ func (s *Server) Audience(ctx context.Context, user int, tags []int, m int, samp
 	if samples > MaxAudienceSamples {
 		samples = MaxAudienceSamples
 	}
-	// The engine's tag-set check, before admission as in SellingPoints: a
-	// repeated or unknown tag must 400 without occupying an engine.
+	// The engine's checks, before admission as in SellingPoints: a
+	// repeated or unknown tag, an unknown user or an m below 1 must 400
+	// without occupying an engine.
 	g := s.gen.Load()
 	if err := pitex.CheckTags(tags, g.engine.Model().NumTags()); err != nil {
 		return nil, false, err
+	}
+	if n := g.engine.Network().NumUsers(); user < 0 || user >= n {
+		return nil, false, fmt.Errorf("pitex: user %d outside [0,%d)", user, n)
+	}
+	if m < 1 {
+		return nil, false, fmt.Errorf("pitex: m = %d, want >= 1", m)
 	}
 	key := Key{Kind: "audience", Gen: g.engine.Generation(), User: user, M: m, Samples: samples, Tags: TagsKey(tags)}
 	return cached(ctx, s, g, "audience", key, func(ctx context.Context, en *pitex.Engine) ([]pitex.InfluencedUser, error) {
@@ -902,6 +919,7 @@ func (s *Server) handleAdminUpdate(w http.ResponseWriter, r *http.Request) error
 		"graphs_total":      stats.GraphsTotal,
 		"repaired_fraction": stats.RepairedFraction(),
 		"full_rebuild":      stats.FullRebuild,
+		"dirty_users":       stats.DirtyUsers,
 		"elapsed":           stats.Elapsed.String(),
 	})
 	return nil

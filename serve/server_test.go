@@ -269,6 +269,8 @@ func TestServerPrefixValidationHTTP(t *testing.T) {
 		{"k too large", "/selling-points?user=0&k=9", "pitex: k = 9 outside [1,4]"},
 		{"audience duplicate", "/audience?user=0&tags=3,3&m=3", "duplicate tag"},
 		{"audience out of range", "/audience?user=0&tags=1,9&m=3", "outside [0,4)"},
+		{"audience user out of range", "/audience?user=999&tags=2,3&m=3", "pitex: user 999 outside [0,7)"},
+		{"audience m zero", "/audience?user=0&tags=2,3&m=0", "pitex: m = 0, want >= 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

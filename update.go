@@ -129,8 +129,27 @@ type UpdateStats struct {
 	// and was rebuilt from scratch (a DelayMat without update tracking,
 	// e.g. one loaded from disk).
 	FullRebuild bool `json:"full_rebuild"`
+	// DirtyUsers counts the users whose answers the batch can have
+	// changed (see Dirty): the members, before and after re-sampling, of
+	// the RR-Graphs an index repair re-sampled. It is the user count when
+	// every answer can change.
+	DirtyUsers int `json:"dirty_users"`
 	// Elapsed is the wall-clock repair time.
 	Elapsed time.Duration `json:"elapsed_ns"`
+
+	// dirty is the set DirtyUsers counts; nil means every user.
+	dirty *rrindex.Dirty
+}
+
+// Dirty reports whether the batch can have changed user's answers. Every
+// user can change on a batch that adds users, on DELAYMAT (whose answers
+// follow forward cascades over the whole graph), on online strategies
+// and on a remote engine (a coordinator); on an index strategy only the
+// members of the re-sampled RR-Graphs can. Any other user's answer on
+// the new engine is the one the old engine gave, so a serving layer may
+// keep it across the swap.
+func (s UpdateStats) Dirty(user int) bool {
+	return s.dirty == nil || s.dirty.Has(graph.VertexID(user))
 }
 
 // RepairedFraction is the share of index graphs the batch forced to be
@@ -191,6 +210,7 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 	stats.EdgesDeleted = info.Deleted
 	stats.EdgesRetopiced = info.Retopiced
 	stats.UsersAdded = info.AddedVertices
+	stats.DirtyUsers = newNet.NumUsers()
 
 	if en.index != nil || en.delay != nil {
 		build := en.opts.buildOptions(en.model.NumTags())
@@ -222,6 +242,10 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 		stats.GraphsRepaired = rs.Invalidated + rs.Retargeted
 		stats.GraphsAppended = rs.Appended
 		stats.GraphsTotal = rs.Total
+		if en.index != nil && !rs.Dirty.All {
+			stats.dirty = &rs.Dirty
+			stats.DirtyUsers = rs.Dirty.Len(stats.DirtyUsers)
+		}
 		next.IndexBuildTime = time.Since(start)
 	}
 	next.ready()
