@@ -36,6 +36,20 @@ func carryEngine(tb testing.TB, net *pitex.Network, model *pitex.TagModel, shard
 	return en
 }
 
+// carryNetwork is the carry tests' dataset and every 9th of its users.
+func carryNetwork(t *testing.T) (*pitex.Network, *pitex.TagModel, []int) {
+	t.Helper()
+	net, model, err := pitex.GenerateDatasetSpec(carryDataset, 1)
+	if err != nil {
+		t.Fatalf("GenerateDatasetSpec: %v", err)
+	}
+	var users []int
+	for u := 0; u < net.NumUsers(); u += 9 {
+		users = append(users, u)
+	}
+	return net, model, users
+}
+
 // warmRequest is one cacheable request: a query (k > 0) or an audience
 // profile (tags set).
 type warmRequest struct {
@@ -218,14 +232,7 @@ func carryBatches(users []int) []func(*pitex.Network) *pitex.UpdateBatch {
 // warmed request answers after each batch as a fresh clone of an engine
 // of the same generation, built and updated in lockstep, does.
 func TestSwapAnswersMatchFreshEngine(t *testing.T) {
-	net, model, err := pitex.GenerateDatasetSpec(carryDataset, 1)
-	if err != nil {
-		t.Fatalf("GenerateDatasetSpec: %v", err)
-	}
-	var users []int
-	for u := 0; u < net.NumUsers(); u += 9 {
-		users = append(users, u)
-	}
+	net, model, users := carryNetwork(t)
 	reqs := warmRequests(t, carryEngine(t, net, model, 1), users)
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) {
@@ -256,20 +263,6 @@ func TestSwapAnswersMatchFreshEngine(t *testing.T) {
 			}
 		})
 	}
-}
-
-// carryNetwork is the carry tests' dataset and every 9th of its users.
-func carryNetwork(t *testing.T) (*pitex.Network, *pitex.TagModel, []int) {
-	t.Helper()
-	net, model, err := pitex.GenerateDatasetSpec(carryDataset, 1)
-	if err != nil {
-		t.Fatalf("GenerateDatasetSpec: %v", err)
-	}
-	var users []int
-	for u := 0; u < net.NumUsers(); u += 9 {
-		users = append(users, u)
-	}
-	return net, model, users
 }
 
 // oneEdgeBatch deletes the first live out-edge of the network's
