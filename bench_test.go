@@ -304,6 +304,36 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
+// warmUsers is how many users a warmed BenchmarkQuerySingle row queries:
+// the first of dataset B's "mid" users. A row that re-queried one user
+// timed whatever search that user's sample happened to give it, so any
+// re-drawn index moved the row by chance.
+const warmUsers = 16
+
+// timeWarmed times b.N queries of k = 3 spread over users in equal
+// consecutive runs, each user queried once untimed before its run: the
+// steady state of a warmed engine (scratch grown and, for DelayMat, the
+// user's Algo 4 recovery done) averaged over the users.
+func timeWarmed(b *testing.B, en *pitex.Engine, users []int) {
+	b.Helper()
+	query := func(u int) {
+		if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i, prev := 0, -1; i < b.N; i++ {
+		j := i * len(users) / b.N
+		if j != prev {
+			b.StopTimer()
+			query(users[j])
+			b.StartTimer()
+			prev = j
+		}
+		query(users[j])
+	}
+}
+
 // BenchmarkQuerySingle is a headline per-query benchmark for each strategy
 // on a mid-sized dataset.
 func BenchmarkQuerySingle(b *testing.B) {
@@ -314,10 +344,13 @@ func BenchmarkQuerySingle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := net.UsersByGroup()["mid"][0]
+	mid := net.UsersByGroup()["mid"]
+	u := mid[0]
+	users := mid[:warmUsers]
+	// The online rows re-query one user: each query draws fresh samples,
+	// so no index sample decides their cost.
 	for _, s := range []pitex.Strategy{
 		pitex.StrategyLazy, pitex.StrategyMC, pitex.StrategyRR, pitex.StrategyTIM,
-		pitex.StrategyIndex, pitex.StrategyIndexPruned, pitex.StrategyDelay,
 	} {
 		b.Run(s.String(), func(b *testing.B) {
 			en, err := pitex.NewEngine(net, model, pitex.Options{
@@ -328,10 +361,7 @@ func BenchmarkQuerySingle(b *testing.B) {
 				b.Fatal(err)
 			}
 			// One untimed warm-up query: the benchmark measures the steady
-			// state, not one-time scratch growth. For DelayMat that also
-			// hides the per-user Algo 4 recovery — a per-query cost of
-			// every first touch, not a build cost — so this row is its
-			// re-query; the DELAYMAT-cold row below times the recovery.
+			// state, not one-time scratch growth.
 			if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
 				b.Fatal(err)
 			}
@@ -341,6 +371,23 @@ func BenchmarkQuerySingle(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+	// The index rows are warmed over warmUsers users (timeWarmed). For
+	// DelayMat the warm-up also hides each user's Algo 4 recovery — a
+	// per-query cost of every first touch, not a build cost — so these
+	// rows are its re-queries; the DELAYMAT-cold row below times the
+	// recovery.
+	for _, s := range []pitex.Strategy{pitex.StrategyIndex, pitex.StrategyIndexPruned, pitex.StrategyDelay} {
+		b.Run(s.String(), func(b *testing.B) {
+			en, err := pitex.NewEngine(net, model, pitex.Options{
+				Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 5, Seed: 1,
+				MaxSamples: 500, MaxIndexSamples: 20000,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			timeWarmed(b, en, users)
 		})
 	}
 	// First touch: round-robin over 256 distinct users, the cost the
@@ -383,12 +430,41 @@ func BenchmarkQuerySingle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil { // untimed warm-up
-				b.Fatal(err)
+			timeWarmed(b, en, users)
+		})
+	}
+}
+
+// BenchmarkBuild times NewEngine's offline phase on dataset A's shape
+// (bench/'s diggs spec: 15 000 users, 200 000 edges) with
+// cmd/pitexserve's defaults: INDEXEST+ and DELAYMAT at the θ cap of
+// 200 000, and INDEXEST+ at Eq. 7's θ (2 555 787, no cap). The engine
+// builds on every core, so the rows track the machine's core count.
+func BenchmarkBuild(b *testing.B) {
+	net, model, err := pitex.GenerateDatasetSpec(pitex.DatasetSpec{
+		Name: "diggs", Users: 15000, Edges: 200000,
+		Topics: 20, Tags: 50, TopicsPerEdge: 2, MaxProb: 0.4, Reciprocity: 0.25,
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name     string
+		strategy pitex.Strategy
+		maxTheta int64
+	}{
+		{"INDEXEST+", pitex.StrategyIndexPruned, 200000},
+		{"DELAYMAT", pitex.StrategyDelay, 200000},
+		{"INDEXEST+-uncapped", pitex.StrategyIndexPruned, 0},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			opts := pitex.Options{
+				Strategy: row.strategy, Epsilon: 0.7, Delta: 1000, MaxK: 10, Seed: 1,
+				MaxSamples: 5000, MaxIndexSamples: row.maxTheta, TrackUpdates: true,
 			}
-			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := en.Query(context.Background(), pitex.Request{User: u, K: 3}); err != nil {
+				if _, err := pitex.NewEngine(net, model, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,15 +7,17 @@
 //
 // -serve writes every benchmark line ({name, iterations, ns_per_op, plus
 // one key per reported unit, e.g. "B/op", "allocs/op", "edgevisits/op"}).
-// -query writes only the BenchmarkQuerySingle/*, BenchmarkSweep/* and
-// BenchmarkIncrementalRepair/* lines in the per-strategy shape
+// -query writes only the BenchmarkQuerySingle/*, BenchmarkSweep/*,
+// BenchmarkIncrementalRepair/* and BenchmarkBuild/* lines in the
+// per-strategy shape
 // cmd/benchgate compares ({name, strategy, ns_per_op, bytes_per_op,
 // allocs_per_op}; -distrib writes the BenchmarkDistrib* lines in that
 // shape plus scatters_per_op and siblings_per_op where the benchmark
 // reports them); the strategy is the sub-benchmark name with the
 // GOMAXPROCS suffix stripped (so sharded variants keep their -S4 marker),
-// namespaced "Sweep/<name>" for the population-sweep rows and
-// "Repair/<name>" for the incremental-repair rows.
+// namespaced "Sweep/<name>" for the population-sweep rows,
+// "Repair/<name>" for the incremental-repair rows and "Build/<name>" for
+// the offline-build rows.
 package main
 
 import (
@@ -126,10 +128,11 @@ type queryEntry struct {
 // queryEntries extracts the per-strategy query benchmark rows: one per
 // BenchmarkQuerySingle/* sub-benchmark (strategy = the bare sub-name, the
 // historical key), one per BenchmarkSweep/* sub-benchmark (strategy =
-// "Sweep/<sub-name>") and one per BenchmarkIncrementalRepair/*
-// sub-benchmark (strategy = "Repair/<sub-name>"); the namespaces keep
-// those rows from ever colliding with a per-query strategy key in
-// cmd/benchgate.
+// "Sweep/<sub-name>"), one per BenchmarkIncrementalRepair/*
+// sub-benchmark (strategy = "Repair/<sub-name>") and one per
+// BenchmarkBuild/* sub-benchmark (strategy = "Build/<sub-name>"); the
+// namespaces keep those rows from ever colliding with a per-query
+// strategy key in cmd/benchgate.
 func queryEntries(lines []benchLine) []queryEntry {
 	var out []queryEntry
 	for _, b := range lines {
@@ -141,6 +144,8 @@ func queryEntries(lines []benchLine) []queryEntry {
 			strategy = "Sweep/" + strings.TrimPrefix(b.Name, "BenchmarkSweep/")
 		case strings.HasPrefix(b.Name, "BenchmarkIncrementalRepair/"):
 			strategy = "Repair/" + strings.TrimPrefix(b.Name, "BenchmarkIncrementalRepair/")
+		case strings.HasPrefix(b.Name, "BenchmarkBuild/"):
+			strategy = "Build/" + strings.TrimPrefix(b.Name, "BenchmarkBuild/")
 		default:
 			continue
 		}

@@ -75,19 +75,22 @@ func TestQueryEntriesStrategyNames(t *testing.T) {
 }
 
 // TestQueryEntriesRepairRows: the incremental-repair sub-benchmarks
-// become Repair/* rows with their benchmem columns; the unsplit rebuild
-// benchmark beside them is not a gated row.
+// become Repair/* rows and the offline-build ones Build/* rows, with
+// their benchmem columns; the unsplit rebuild benchmark beside them is
+// not a gated row.
 func TestQueryEntriesRepairRows(t *testing.T) {
 	lines, err := parseBench(strings.NewReader(`pkg: pitex
 BenchmarkIncrementalRepair/S1-2   	       3	  23723360 ns/op	         0.03360 repaired-fraction	23261626 B/op	    8212 allocs/op
 BenchmarkIncrementalRepair/S3-2   	       3	  19876543 ns/op	         0.01120 repaired-fraction	12345678 B/op	    9001 allocs/op
 BenchmarkFullRebuild-2            	       3	 301234567 ns/op	99999999 B/op	   50000 allocs/op
+BenchmarkBuild/INDEXEST+-uncapped-2	       1	 712345678 ns/op	88888888 B/op	    4321 allocs/op
 `))
 	if err != nil {
 		t.Fatalf("parseBench: %v", err)
 	}
 	entries := queryEntries(lines)
-	if len(entries) != 2 || entries[0].Strategy != "Repair/S1" || entries[1].Strategy != "Repair/S3" {
+	if len(entries) != 3 || entries[0].Strategy != "Repair/S1" || entries[1].Strategy != "Repair/S3" ||
+		entries[2].Strategy != "Build/INDEXEST+-uncapped" {
 		t.Fatalf("repair entries: %+v", entries)
 	}
 	if a := entries[1].AllocsPerOp; a == nil || *a != 9001 || entries[1].BytesPerOp == nil {

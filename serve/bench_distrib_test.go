@@ -61,12 +61,18 @@ func benchCluster(b *testing.B, S int) (*Server, *distrib.Client) {
 	return coord, client
 }
 
+// scatterUsers are the users BenchmarkDistribScatter round-robins over:
+// a fixed list, so a row's counts are a mean over users rather than the
+// search one user's re-drawn sample happens to need.
+var scatterUsers = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+
 // BenchmarkDistribScatter measures one uncached selling-points query
 // through the full distributed path (coordinator exploration → HTTP
 // scatter → shard-server estimation → gather) at increasing shard counts
 // and query sizes, and reports how the query crossed the wire: scatters/op
 // and the siblings/op that rode in frontier batches (their ratio is the
-// mean batch width; k=3 explores many more sibling groups than k=2).
+// mean batch width; k=3 explores many more sibling groups than k=2). Op i
+// queries scatterUsers[i mod 10], each user queried once untimed first.
 func BenchmarkDistribScatter(b *testing.B) {
 	for _, row := range []struct {
 		name string
@@ -74,11 +80,16 @@ func BenchmarkDistribScatter(b *testing.B) {
 	}{{"S1", 1, 2}, {"S3", 3, 2}, {"S1-k3", 1, 3}, {"S3-k3", 3, 3}} {
 		b.Run(row.name, func(b *testing.B) {
 			coord, client := benchCluster(b, row.S)
+			for _, u := range scatterUsers {
+				if _, _, err := coord.SellingPoints(context.Background(), u, row.k, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			before := client.Status()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := coord.SellingPoints(context.Background(), 0, row.k, 1, nil); err != nil {
+				if _, _, err := coord.SellingPoints(context.Background(), scatterUsers[i%len(scatterUsers)], row.k, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
