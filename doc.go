@@ -121,11 +121,12 @@
 // independent shards: users are hash-partitioned (stable in (user, S),
 // independent of |V|), each shard samples θ_s ∝ |V_s| RR-Graphs whose
 // targets lie in its partition, and every shard owns its own graph
-// store, postings and DelayMat counters. Build and incremental repair
-// parallelize across shards under derived per-shard RNG streams, so
-// results are deterministic per (Seed, IndexShards, Workers), and a
-// sharded build or repair runs, shard by shard, the same recipe a shard
-// server runs for its own slice. Queries scatter across shards (in
+// store, postings and DelayMat counters. A build runs on every core:
+// each graph draws on its own stream derived from (Seed, shard,
+// position), so results are deterministic per (Seed, IndexShards)
+// whatever GOMAXPROCS is. Incremental repair parallelizes across shards
+// under derived per-shard streams, and a sharded build or repair runs,
+// shard by shard, the same recipe a shard server runs for its own slice. Queries scatter across shards (in
 // parallel above a small work threshold, with a per-shard p(e|W) cache so
 // workers never contend) and gather the per-shard coverage counts into
 // Σ_s (hits_s/θ_s)·|V_s| — unbiased at every S. There is one estimator for every index strategy and every S:

@@ -81,9 +81,9 @@ func TestDatasetAIndexTiesAnswerCanonically(t *testing.T) {
 		user       int
 		want, tied []int
 	}{
-		{9, []int{14, 18, 21}, []int{14, 27, 34}},
-		{74, []int{14, 18, 21}, []int{14, 27, 34}},
-		{190, []int{1, 5, 19}, []int{19, 40, 44}},
+		{0, []int{3, 23, 26}, []int{3, 42, 43}},
+		{8, []int{3, 5, 15}, []int{3, 25, 45}},
+		{9, []int{0, 12, 29}, []int{0, 32, 47}},
 	} {
 		res, err := en.Query(context.Background(), pitex.Request{User: tc.user, K: 3})
 		if err != nil {

@@ -109,6 +109,12 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inFrom[g.inStart[v]:g.inStart[v+1]]
 }
 
+// InRange is OutRange's twin over the in-CSR: the window [lo, hi) that
+// v's in-edges occupy, exactly InEdges(v) and InNeighbors(v).
+func (g *Graph) InRange(v VertexID) (lo, hi int) {
+	return int(g.inStart[v]), int(g.inStart[v+1])
+}
+
 // EdgeFrom returns the tail of edge e.
 func (g *Graph) EdgeFrom(e EdgeID) VertexID { return g.edgeFrom[e] }
 

@@ -47,7 +47,7 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestAdjacencyConsistency(t *testing.T) {
 	g := triangle(t)
-	next := 0 // where the previous vertex's out-CSR window ended
+	next, nextIn := 0, 0 // where the previous vertex's out- and in-CSR windows ended
 	for v := VertexID(0); v < 3; v++ {
 		edges, nbrs := g.OutEdges(v), g.OutNeighbors(v)
 		if len(edges) != len(nbrs) {
@@ -64,6 +64,11 @@ func TestAdjacencyConsistency(t *testing.T) {
 			}
 		}
 		inEdges, inNbrs := g.InEdges(v), g.InNeighbors(v)
+		lo, hi = g.InRange(v)
+		if lo != nextIn || hi-lo != len(inEdges) {
+			t.Fatalf("InRange(%d) = [%d,%d) for %d in-edges after offset %d", v, lo, hi, len(inEdges), nextIn)
+		}
+		nextIn = hi
 		for i, e := range inEdges {
 			if g.EdgeTo(e) != v || g.EdgeFrom(e) != inNbrs[i] {
 				t.Fatalf("in edge %d of %d inconsistent", e, v)

@@ -3,9 +3,10 @@ package rrindex
 // Equivalence guard for the flat-store index layout: a test-local
 // reimplementation of the seed layout (one heap-allocated graph per θ,
 // binary-search CSR assembly) consumes the PRNG in exactly the same order
-// as the graph store, so for a fixed seed the two layouts must produce
-// byte-identical estimates across build, repair and the serialize round
-// trip.
+// as the graph store — one stream per position, the fired subset of each
+// member's in-edges drawn from its prefix survival products — so for a
+// fixed seed the two layouts must produce byte-identical estimates across
+// build, repair and the serialize round trip.
 
 import (
 	"bytes"
@@ -13,7 +14,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 
 	"pitex/internal/fixture"
@@ -68,7 +68,12 @@ func refAssemble(target graph.VertexID, members []graph.VertexID, edges []rrEdge
 	return rr
 }
 
-// refGenerate consumes the PRNG exactly like generate.
+// refGenerate consumes the PRNG exactly like sampler.sample: at each
+// member, in in-CSR order, the first fired in-edge is the first with
+// prefix survival product below 1 − x, each further one the first below
+// (1 − y) times the last fired one's product — or, once that product is
+// under survExhausted, the next edge whose coin lands below p(e) — and a
+// fired edge draws c(e) = y'·p(e).
 func refGenerate(g *graph.Graph, target graph.VertexID, r *rng.Source, mark []bool) *refGraph {
 	var members []graph.VertexID
 	var edges []rrEdge
@@ -80,21 +85,38 @@ func refGenerate(g *graph.Graph, target graph.VertexID, r *rng.Source, mark []bo
 		stack = stack[:len(stack)-1]
 		ins := g.InEdges(v)
 		nbrs := g.InNeighbors(v)
+		if len(ins) == 0 {
+			continue
+		}
+		surv := make([]float64, len(ins))
+		q := 1.0
 		for i, e := range ins {
-			p := g.EdgeMaxProb(e)
-			if p <= 0 {
-				continue
+			q *= 1 - min(max(g.EdgeMaxProb(e), 0), 1)
+			surv[i] = q
+		}
+		below := func(from int, t float64) int {
+			for from < len(surv) && surv[from] >= t {
+				from++
 			}
-			c := r.Float64()
-			if c >= p {
-				continue
-			}
+			return from
+		}
+		for i := below(0, 1-r.Float64()); i < len(ins); {
+			e := ins[i]
 			from := nbrs[i]
-			edges = append(edges, rrEdge{from: from, to: v, id: e, c: c})
+			edges = append(edges, rrEdge{from: from, to: v, id: e, c: r.Float64() * g.EdgeMaxProb(e)})
 			if !mark[from] {
 				mark[from] = true
 				members = append(members, from)
 				stack = append(stack, from)
+			}
+			if surv[i] >= survExhausted {
+				i = below(i+1, (1-r.Float64())*surv[i])
+				continue
+			}
+			for i++; i < len(ins); i++ {
+				if p := g.EdgeMaxProb(ins[i]); p > 0 && r.Float64() < p {
+					break
+				}
 			}
 		}
 	}
@@ -111,46 +133,16 @@ type refIndex struct {
 	graphs []*refGraph
 }
 
-// refBuild replicates the seed Build's sequential and parallel target/
-// draw schedule.
+// refBuild replicates Build's draw schedule: graph gi on its own stream
+// rng.Mix(Seed, gi), its target first.
 func refBuild(g *graph.Graph, opts BuildOptions) *refIndex {
 	theta, _ := opts.Theta(g.NumVertices())
 	idx := &refIndex{g: g, theta: theta}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > theta {
-		workers = int(theta)
-	}
-	if workers == 1 {
-		r := rng.New(opts.Seed)
-		mark := make([]bool, g.NumVertices())
-		for i := int64(0); i < theta; i++ {
-			target := graph.VertexID(r.Intn(g.NumVertices()))
-			idx.graphs = append(idx.graphs, refGenerate(g, target, r, mark))
-		}
-		return idx
-	}
-	chunks := make([][]*refGraph, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := theta * int64(w) / int64(workers)
-		hi := theta * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(w int, n int64) {
-			defer wg.Done()
-			r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
-			mark := make([]bool, g.NumVertices())
-			for i := int64(0); i < n; i++ {
-				target := graph.VertexID(r.Intn(g.NumVertices()))
-				chunks[w] = append(chunks[w], refGenerate(g, target, r, mark))
-			}
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for _, chunk := range chunks {
-		idx.graphs = append(idx.graphs, chunk...)
+	mark := make([]bool, g.NumVertices())
+	for gi := int64(0); gi < theta; gi++ {
+		r := rng.New(rng.Mix(opts.Seed, uint64(gi)))
+		target := graph.VertexID(r.Intn(g.NumVertices()))
+		idx.graphs = append(idx.graphs, refGenerate(g, target, r, mark))
 	}
 	return idx
 }
@@ -282,18 +274,21 @@ func testPosteriors(t *testing.T) [][]float64 {
 	return posts
 }
 
+// TestArenaBuildMatchesSeedLayout builds across three ranges on three
+// processors and on one.
 func TestArenaBuildMatchesSeedLayout(t *testing.T) {
 	g := fixture.Graph()
 	opts := buildOpts()
-	opts.MaxIndexSamples = 3000
-	for _, workers := range []int{1, 3} {
-		opts.Workers = workers
+	opts.MaxIndexSamples = 3 * minRange
+	ref := refBuild(g, opts)
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
 		idx, err := Build(g, opts)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		ref := refBuild(g, opts)
-		assertSameEstimates(t, "build", idx, ref, testPosteriors(t))
+		assertSameEstimates(t, fmt.Sprintf("build on %d processors", procs), idx, ref, testPosteriors(t))
 	}
 }
 

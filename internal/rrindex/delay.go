@@ -39,46 +39,6 @@ type DelayMat struct {
 	footprint int64 // cached MemoryFootprint
 }
 
-// memberScratch carries the reusable buffers of sampleMemberSet.
-type memberScratch struct {
-	stack   []graph.VertexID
-	members []graph.VertexID
-}
-
-// sampleMemberSet runs the reverse BFS of Def. 2 from target over live
-// draws and returns the member set (target first) without materializing
-// edges. The returned slice aliases sc.members and is valid only until
-// the next call — callers that retain it must copy. mark is caller
-// scratch of length |V|, all false on entry and reset before return.
-func sampleMemberSet(g *graph.Graph, target graph.VertexID, r *rng.Source, mark []bool, sc *memberScratch) []graph.VertexID {
-	sc.members = sc.members[:0]
-	sc.stack = sc.stack[:0]
-	sc.stack = append(sc.stack, target)
-	mark[target] = true
-	sc.members = append(sc.members, target)
-	for len(sc.stack) > 0 {
-		v := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		ins := g.InEdges(v)
-		nbrs := g.InNeighbors(v)
-		for j, e := range ins {
-			p := g.EdgeMaxProb(e)
-			if p <= 0 || r.Float64() >= p {
-				continue
-			}
-			if f := nbrs[j]; !mark[f] {
-				mark[f] = true
-				sc.members = append(sc.members, f)
-				sc.stack = append(sc.stack, f)
-			}
-		}
-	}
-	for _, m := range sc.members {
-		mark[m] = false
-	}
-	return sc.members
-}
-
 // BuildDelayMat runs the offline counting phase: it samples the same θ
 // RR-Graphs as Build would, but only increments per-user counters instead
 // of materializing anything. With opts.TrackMembers it additionally
@@ -91,40 +51,7 @@ func BuildDelayMat(g *graph.Graph, opts BuildOptions) (*DelayMat, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildDelayMatPool(g, opts, nil, theta)
-}
-
-// buildDelayMatPool is BuildDelayMat with an explicit target pool and θ —
-// the shared core of the monolithic build and of per-shard builds (pool =
-// the shard's user partition, θ its apportioned sample count).
-func buildDelayMatPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, theta int64) (*DelayMat, error) {
-	r := rng.New(opts.Seed)
-	dm := &DelayMat{g: g, theta: theta, counts: make([]int64, g.NumVertices())}
-	if opts.TrackMembers {
-		dm.members = newStore(g)
-	}
-	mark := make([]bool, g.NumVertices())
-	var sc memberScratch
-	for i := int64(0); i < theta; i++ {
-		target := drawTarget(r, pool, g.NumVertices())
-		members := sampleMemberSet(g, target, r, mark, &sc)
-		for _, m := range members {
-			dm.counts[m]++
-		}
-		if opts.TrackMembers {
-			if _, err := dm.members.push(target, members, 0); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if opts.TrackMembers {
-		var err error
-		if dm.members, err = mergeStores(g, dm.members); err != nil {
-			return nil, err
-		}
-	}
-	dm.recomputeFootprint()
-	return dm, nil
+	return newBuild(g).delayMat(opts, nil, theta)
 }
 
 // Theta returns θ, the offline sample count.
@@ -661,26 +588,13 @@ func (br *blockRunner) recoverOne(j *recoveryJob, out *graphStore) (bool, error)
 		surv := table.surv[lo:hi]
 		edges := g.OutEdges(v)
 		nbrs := g.OutNeighbors(v)
-		for i := firstFired(surv, r.Float64()); i < len(surv); {
+		for i := firstFired(surv, r.Float64()); i < len(surv); i = nextFired(g, edges, surv, i, r) {
 			t := nbrs[i]
 			live = append(live, liveEdge{from: v, to: t, id: edges[i]})
 			if !sc.mark[t] {
 				sc.mark[t] = true
 				activated = append(activated, t)
 				sc.stack = append(sc.stack, t)
-			}
-			// Next fired edge. Once the prefix product is spent (an edge
-			// with p(e) = 1, or hundreds of near-certain ones) it no longer
-			// orders the edges after i — nor, being non-increasing, any
-			// later one: those get a coin each, this visit only.
-			if surv[i] >= survExhausted {
-				i = firstBelow(surv, i+1, (1-r.Float64())*surv[i])
-				continue
-			}
-			for i++; i < len(surv); i++ {
-				if p := g.EdgeMaxProb(edges[i]); p > 0 && r.Float64() < p {
-					break
-				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pitex/internal/graph"
+	"pitex/internal/rng"
 )
 
 // fireTable is the graph-scoped half of DelayMat recovery's firing
@@ -45,11 +46,11 @@ func newFireTable(g *graph.Graph) *fireTable {
 		invLogQ: make([]float64, n),
 	}
 	for v := 0; v < n; v++ {
-		lo, _ := g.OutRange(graph.VertexID(v))
+		lo, hi := g.OutRange(graph.VertexID(v))
+		prefixSurvival(g, g.OutEdges(graph.VertexID(v)), t.surv[lo:hi])
 		q := 1.0
-		for i, e := range g.OutEdges(graph.VertexID(v)) {
-			q *= 1 - min(max(g.EdgeMaxProb(e), 0), 1)
-			t.surv[lo+i] = q
+		if hi > lo {
+			q = t.surv[hi-1]
 		}
 		switch {
 		case q >= 1:
@@ -61,6 +62,19 @@ func newFireTable(g *graph.Graph) *fireTable {
 		}
 	}
 	return t
+}
+
+// prefixSurvival writes the prefix survival products of edges into dst,
+// one per edge: dst[i] = Π_{j≤i} (1 − p(e_j)), p clamped to [0, 1]. Every
+// table of products, forward (fireTable) or reverse (inSurvival), and
+// every product a repair computes per visit comes from here, so equal
+// edge lists give equal floats.
+func prefixSurvival(g *graph.Graph, edges []graph.EdgeID, dst []float64) {
+	q := 1.0
+	for i, e := range edges {
+		q *= 1 - min(max(g.EdgeMaxProb(e), 0), 1)
+		dst[i] = q
+	}
 }
 
 // lazyFireTable builds a graph's fireTable on first use. It sits in the
@@ -92,6 +106,25 @@ func firstFired(surv []float64, x float64) int {
 		t = math.Nextafter(q, 1)
 	}
 	return firstBelow(surv, 0, t)
+}
+
+// nextFired returns the next fired edge after fired edge i of a visit
+// whose edges' prefix survival products are surv, or len(surv) when no
+// later edge fires: the first j > i with S_j < (1 − y)·S_i, y uniform,
+// since Pr[no edge of (i, j] fires] = S_j/S_i. Once the product is spent
+// (S_i below survExhausted: an edge with p(e) = 1, or hundreds of
+// near-certain ones) it no longer orders the edges after i — nor, being
+// non-increasing, any later one — so those get a coin each.
+func nextFired(g *graph.Graph, edges []graph.EdgeID, surv []float64, i int, r *rng.Source) int {
+	if surv[i] >= survExhausted {
+		return firstBelow(surv, i+1, (1-r.Float64())*surv[i])
+	}
+	for i++; i < len(surv); i++ {
+		if p := g.EdgeMaxProb(edges[i]); p > 0 && r.Float64() < p {
+			break
+		}
+	}
+	return i
 }
 
 // firstBelow returns the smallest j ≥ from with s[j] < t, or len(s); s is

@@ -18,22 +18,22 @@ import (
 // an index and of a DelayMat exactly as they were, after a build and
 // along a repair chain.
 var goldenFileHashes = map[string]string{
-	"S=1/step=0/delaymat": "9dc6b389a443930c09a10036be43046a393ebff3c512be673d6dda5ea4b195f2",
-	"S=1/step=0/index":    "fd32672326c5f9c86552208e91ffc1100d6dc40ed4a08343d0767c1076f74eb5",
-	"S=1/step=1/delaymat": "eab9b06c2e8591a3f63ec0b0a7b736b1dbb08ab2ef8785eccbf7fe015ede5280",
-	"S=1/step=1/index":    "f635ee395b48386538da3768cbfc2d4f2b84a5351308f616533ff646d59704b9",
-	"S=1/step=2/delaymat": "9554d3944c0ec6df5eed8dfb78a86ac0e88d2065bd70ab29faaac18ce4acf14a",
-	"S=1/step=2/index":    "ec4986a36828019485ef40caeb7fb02514ebd88117e332b26a9af37ae7ee3078",
-	"S=1/step=3/delaymat": "134984ebf7b6af308aba88936ae09bbfb0792d2214760532a11fcd7fa64c4e90",
-	"S=1/step=3/index":    "fd7624b12ce3903eb51f2913f067e54e189817a5007018d3d41ded1720e5685c",
-	"S=3/step=0/delaymat": "c90bc07539b87b279abc0005c22962a3f7ac2d51ac2f432b8318bc684b822f1a",
-	"S=3/step=0/index":    "7beec088464b7de4dca8fda18c81753c4282d1c53c03957e0b91d6343418eacc",
-	"S=3/step=1/delaymat": "03b647e737f9ef44a90252f590cf104b95381f9d1a878babf07c190e1c957887",
-	"S=3/step=1/index":    "5a8e0ae8371d985d4ba2ad2dd652804c46d2a1ff1870c44e12686beb01269944",
-	"S=3/step=2/delaymat": "c0aef2b8490142d76ff12b380754d0d782d7afa148785dc9cc441907e9dbc4f4",
-	"S=3/step=2/index":    "38272515a2517fcffe868d25e0a21e73ba95b0da854e842c8bd12aa2b1ab1f03",
-	"S=3/step=3/delaymat": "95e1e5adffa5288065734adb92e8b3660dad8a58c4121e5d0559ef110106256c",
-	"S=3/step=3/index":    "06eb480244b967b5dc1f7d4790defb9a4ff012fe6370f6ad029a5129ffae4895",
+	"S=1/step=0/delaymat": "63803236a78fe48896e50a71feb340a3d75c4a9a42d4c56770f354250d718c7b",
+	"S=1/step=0/index":    "b12ea56abf8d72c731a4da41cf7e9965dd9eedf1359cb2325ad44c83eeae7368",
+	"S=1/step=1/delaymat": "516881819ae067ab0452cde4988f96e4870ad5510b894e686b6c1196a19c399b",
+	"S=1/step=1/index":    "d912e70e1496160162eb495151881afe1362008ac4f18755a094c9c137196c72",
+	"S=1/step=2/delaymat": "c8bbd38bbf9c95f216ddfe4226a69f2051afe05543addf77ba438f8765562bc5",
+	"S=1/step=2/index":    "83dec6280471a787d2a2b8b58fdd454d3a25b1331eecf16fc7b18ccb7c4a35b2",
+	"S=1/step=3/delaymat": "6e713b611f90b31b2f7723081744af9787112dcd17202db98000433d833d5cc5",
+	"S=1/step=3/index":    "69bb9d13b00d28f68defdc3ddfa21384474e151f4778f76ebe3684d84eb08212",
+	"S=3/step=0/delaymat": "e20bfecdf329400fbcf97d3fc978951e97c8d498cd21859daf3fad1e2d5cf756",
+	"S=3/step=0/index":    "3d21fd6e0af46a2dbb449d6d412dbbba5d5167b67f2402c987eb9b2bf133121a",
+	"S=3/step=1/delaymat": "01d48aa744da93444c7ead3e03a83a9e79607a75217c9e4797a7c6873a1b2ac5",
+	"S=3/step=1/index":    "5a41a1f22710d40fb4b5169a6311b18d92d6b276fb7ce980cf01fbcf60374c87",
+	"S=3/step=2/delaymat": "28701bb069f531578ca10a5251833e775e4508ca3a3f41a3fb4e8ecfb6dbd854",
+	"S=3/step=2/index":    "d8b2c6063a71e76a40eebefc097b9abd24bb1acb437e12b0178c28f1f9726661",
+	"S=3/step=3/delaymat": "e3c258a41ae1aa3856de1fd8cdddddf33cc44f2bb39719b111baa629a7b4da00",
+	"S=3/step=3/index":    "e8e7f6e52066e5cb1d94b223324df64ed0215a6342c015ab698066af41ca494b",
 }
 
 // TestSavedFilesGolden builds an index and a DelayMat over a fixed
@@ -102,30 +102,30 @@ func TestSavedFilesGolden(t *testing.T) {
 // every scan policy exactly as it was, after a build and along a repair
 // chain, at one shard and at three.
 var goldenRowHashes = map[string]string{
-	"S=1/step=0/DELAYMAT":  "dfa516d99e8a9c4726ab7d13027f5e6092afbd585e6e451c732b17873b8ae261",
-	"S=1/step=0/INDEXEST":  "97406f999a97b428a191dd1426170e3a3a625090ba294f93803f19741cf87d9b",
-	"S=1/step=0/INDEXEST+": "940ea05609568a20ad6cbe166b3270a8aea882ed435cfb131d21a4c0d0b4643f",
-	"S=1/step=1/DELAYMAT":  "ad364ccc18ee2d9674b141bc42e640bf595ec26f29733f12fcf69b0bc1123496",
-	"S=1/step=1/INDEXEST":  "383092a52a8cc4476373d9cc326d7a5063169141636e6937859f5e836f1ff02f",
-	"S=1/step=1/INDEXEST+": "b5a1d2b7174faf0c70473295ba0a558c9251b1c8bd8b4eb882907b7306d0bc59",
-	"S=1/step=2/DELAYMAT":  "5e5802ed14ee9fa8ff6779548feab0c89a9788a898143195666991973de5859d",
-	"S=1/step=2/INDEXEST":  "ad521a1862096add315bb6e32957bbb0bd7e29880749d88840ff6a038b673a1c",
-	"S=1/step=2/INDEXEST+": "b77126e37c1776aa243dc54086f99211253272637ff0d99fb1cd4c470f8a3355",
-	"S=1/step=3/DELAYMAT":  "51bf965c3b8e8db40a303ebb7e4fbece561699af518ec66237bb714c747f2740",
-	"S=1/step=3/INDEXEST":  "37fce52bfbd88edb68c12e69f110c67c28a3c916b0624c500000be50644686cd",
-	"S=1/step=3/INDEXEST+": "0270ef256a9b351a25979563b799803a81c2febe6cbcf8675dbbc8b78b17bc83",
-	"S=3/step=0/DELAYMAT":  "c46181f567ba2b152033244b8627e72b7758e304563b4a73f84e9a46c8e6ae5d",
-	"S=3/step=0/INDEXEST":  "5f4679e76844ff4d1de8fbd7c077147fc80ce9abb21249ac4ec92c4bc08c3d48",
-	"S=3/step=0/INDEXEST+": "0bc076b02bf2a1a4dac50695e15b77d47e5a5ac268613da8e8622f51b6386c16",
-	"S=3/step=1/DELAYMAT":  "915d21a0e5c1d15a2ad8ec3dfeef39c93e6558fb7aa18b7113a6302ba5c4720c",
-	"S=3/step=1/INDEXEST":  "4d22aa61125a95f037a49847ca12c44680c276af74be66c0a2758b5df4c29418",
-	"S=3/step=1/INDEXEST+": "db1a5babd4a130a31ebca81c8536db98b63930913bac60199958dc1d42850cc8",
-	"S=3/step=2/DELAYMAT":  "f944650ed11e372fb5a2d60b50be845c59a9970f1421847f3a2824201a61cfad",
-	"S=3/step=2/INDEXEST":  "881974947655259618036a742a4becb161561679c07b675f346512961ae29b52",
-	"S=3/step=2/INDEXEST+": "586920fdc8e4b08fb22d97bccfe42ccea1d083506a1e2d48123157f0a05b5f8b",
-	"S=3/step=3/DELAYMAT":  "26fbdc5607962d007b1f6aec30c74a50ff3c4cb0648031ed4d2b3461201de6b4",
-	"S=3/step=3/INDEXEST":  "abb0f0cd8e3c10de56fa25231414e091af22f79b911c52ff73b7ae0300c9e6c0",
-	"S=3/step=3/INDEXEST+": "2dfd1642d0f5c61615b4c0d9dcbdb6f66393588484281d5c12cbc9a4b42ce981",
+	"S=1/step=0/DELAYMAT":  "9d253857ef9ead97614e8c365e78fe669406ec6ff9898bc713312c4f00b7192c",
+	"S=1/step=0/INDEXEST":  "8f92ba698bf50f538900b7fb428aa625b1d8109e9cc7c9bc6afc9fcf2539110c",
+	"S=1/step=0/INDEXEST+": "58a1b479df6d5506b0b2d3e2663b9ae891d72dfa6f8c66e9c1a598af4fbab624",
+	"S=1/step=1/DELAYMAT":  "9b1cc0376dfeacede088e5c9fd03d9d7c54c40896fc415ca27265fc15f05730d",
+	"S=1/step=1/INDEXEST":  "172a8ab82764a015f7b8824ca126b6690134bd79bd5049d7d9bdf662a8d59b26",
+	"S=1/step=1/INDEXEST+": "78ff4c7abdb922b81bc52c9f4ba642b062e79de94ebe5757231f7744a75c8e7e",
+	"S=1/step=2/DELAYMAT":  "e7f8cc36347ce0926cac7814da587452ab9371e4e9e78f1d93fce605adf4042f",
+	"S=1/step=2/INDEXEST":  "ecf042f74e3423e8e2e9c3b528ea503c86365f4913aa0826d18748ed305e1699",
+	"S=1/step=2/INDEXEST+": "54f7b7ed18b5d823ff0d5ae069b61e79075f23433d6be4aa241cfadee15d6490",
+	"S=1/step=3/DELAYMAT":  "c5381a5aae8a7d6428225b2f972468dddf374f9dc5ba788cd928441ec15f730e",
+	"S=1/step=3/INDEXEST":  "c0df633f22dd27ede3ef27279e22419e7d2292630118e73d1c88648cff99ac13",
+	"S=1/step=3/INDEXEST+": "b0c31fafbe24c1456469a80f248b236940392cda0a355ae9b9e99f9a2d1a8048",
+	"S=3/step=0/DELAYMAT":  "d453104301ff70ba1c49faeb1f8b0d11436581138c9f31eb8b1de36f0aedf9e5",
+	"S=3/step=0/INDEXEST":  "ef7737a74778b54f8cd7807189840cb61c9387fdbee89ab1afbb7a322194f369",
+	"S=3/step=0/INDEXEST+": "1c0105126e1cb0744718f54b0b60e25daaebe19968c75258b201311b49848272",
+	"S=3/step=1/DELAYMAT":  "031f6c0c20fd132fa424ebded5c83757c87756217724c23bc0e09ea07deeb220",
+	"S=3/step=1/INDEXEST":  "ba613ad103e0332a9a8f0ad101bcaff8b074c75c12639fd30fc76fb7c6d266f7",
+	"S=3/step=1/INDEXEST+": "3b8cb207fd3cb6b07f083b5c0cc1655732e47737472c1657b14bb02d7712debf",
+	"S=3/step=2/DELAYMAT":  "cf97660e8191fec48bb823232869281515aa2133528ab412d4e3742fb920d729",
+	"S=3/step=2/INDEXEST":  "074b45fde7a7ad969c005172742f83f09e4c8aab22345a75049e1ffd6bc3b335",
+	"S=3/step=2/INDEXEST+": "90b2ab54f3d557013bc1043d87e9c4ccdd8ac2f2768b04ac485ebb7a26b6f20a",
+	"S=3/step=3/DELAYMAT":  "c451a4b147ba9b9f861e60c68f32573a412633682185700bdbc49e6b1a08daee",
+	"S=3/step=3/INDEXEST":  "18b5b7cf153db7b96d0b10a9a973edf685b47299046008d2471bd4f8d6583b55",
+	"S=3/step=3/INDEXEST+": "f971cae6c135ad84312380118f4ddf00054d58e9f03fc35c3efa8f59ef3e1d82",
 }
 
 // TestPartialRowsGolden scans 64 fixed users against a 12-sibling

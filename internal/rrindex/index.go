@@ -1,10 +1,8 @@
 package rrindex
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"pitex/internal/graph"
 	"pitex/internal/rng"
@@ -20,11 +18,10 @@ type BuildOptions struct {
 	// and is enormous for large graphs; experiments cap it (documented
 	// deviation knob, DESIGN.md Sec. 6). 0 means no cap.
 	MaxIndexSamples int64
-	// Seed seeds the offline sampler.
+	// Seed seeds the offline sampler. A build draws graph gi of a shard on
+	// its own stream (sampler.position) and runs on every core, so its
+	// bytes depend on Seed and the shard layout alone.
 	Seed uint64
-	// Workers parallelizes offline sampling across goroutines. Results
-	// are deterministic per (Seed, Workers); 0 or 1 means sequential.
-	Workers int
 	// TrackMembers makes BuildDelayMat record per-graph member sets and
 	// targets so the index supports incremental Repair under graph
 	// updates. It trades DelayMat's tiny footprint for patchable counters;
@@ -91,65 +88,16 @@ func Build(g *graph.Graph, opts BuildOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildWithPool(g, opts, nil, theta)
+	return newBuild(g).index(opts, nil, theta)
 }
 
 // drawTarget draws a uniform target from pool; a nil pool means all
-// vertices of g, drawn without the slice indirection so the monolithic
-// path consumes the RNG exactly as the seed layout did.
+// vertices of g, drawn without the slice indirection.
 func drawTarget(r *rng.Source, pool []graph.VertexID, numVertices int) graph.VertexID {
 	if pool == nil {
 		return graph.VertexID(r.Intn(numVertices))
 	}
 	return pool[r.Intn(len(pool))]
-}
-
-// buildWithPool constructs an index of exactly theta RR-Graphs whose
-// targets are drawn uniformly from pool (nil = every vertex of g). It is
-// the shared core of the monolithic Build and of per-shard builds, which
-// pass the shard's user partition and apportioned θ.
-func buildWithPool(g *graph.Graph, opts BuildOptions, pool []graph.VertexID, theta int64) (*Index, error) {
-	idx := &Index{g: g, theta: theta}
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > theta {
-		workers = int(theta)
-	}
-	// Deterministic parallel sampling: worker w owns the w-th chunk of θ
-	// with its own derived stream (worker 0's is the seed's own) and
-	// per-worker store; stores are merged once in worker order, so the
-	// graph list depends only on (Seed, Workers).
-	stores := make([]*graphStore, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := theta * int64(w) / int64(workers)
-		hi := theta * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(w int, n int64) {
-			defer wg.Done()
-			r := rng.New(opts.Seed + uint64(w)*0x9e3779b97f4a7c15)
-			sc := newGenScratch(g.NumVertices())
-			st := newStore(g)
-			for i := int64(0); i < n && errs[w] == nil; i++ {
-				errs[w] = generate(g, drawTarget(r, pool, g.NumVertices()), r, sc, st)
-			}
-			stores[w] = st
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	var err error
-	if idx.graphs, err = mergeStores(g, stores...); err != nil {
-		return nil, err
-	}
-	idx.finishPostings()
-	return idx, nil
 }
 
 // finishPostings packs the per-user postings lists into one int32 arena

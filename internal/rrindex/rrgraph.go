@@ -46,11 +46,30 @@
 //
 // add, push and concat are the one place graphs are sorted into kinds, so
 // Build, the parallel merge, the file reader, DelayMat recovery and
-// repair all divert alike. Parallel Build workers fill per-worker stores
-// that are merged once, in worker order, so the result is still
-// deterministic per (Seed, Workers). The per-user postings lists are
-// windows into one shared int32 arena. Incremental Repair keeps the
-// copy-on-write contract at store granularity: it writes a fresh, exactly
+// repair all divert alike. The per-user postings lists are windows into
+// one shared int32 arena.
+//
+// # Build
+//
+// A build draws graph gi of a shard on its own stream rng.Mix(seed, gi):
+// its target, then its reverse BFS (sample.go). At each member the BFS
+// draws only the in-edges that fire, from their prefix survival products
+// — the law DelayMat recovery draws forward — so a member costs
+// O(1 + fired·log d) rather than a coin per in-edge; the products of every
+// vertex's in-edges are one table per build (8·|E| bytes, dropped when it
+// returns). A shard's positions are cut into contiguous ranges, sampled
+// on at most GOMAXPROCS goroutines across the shards of the build, each
+// into a store of its own, and merged once in position order, so a
+// build's bytes depend on its seed and shard layout alone, never on the
+// number of cores. A DelayMat build draws the same graphs on the same
+// streams and counts their members.
+//
+// # Repair
+//
+// Incremental Repair re-samples on its own stream with the same sampler,
+// computing a visited member's products as it goes rather than a table per
+// update (the same floats, so the same law). It keeps the copy-on-write
+// contract at store granularity: it writes a fresh, exactly
 // sized store in one ordered pass (see repair.go) and re-derives the tier
 // and direct counts from it, so concurrent readers of the old index are
 // never affected and no generation pins another's graphs. Positions
@@ -107,7 +126,6 @@ import (
 	"sort"
 
 	"pitex/internal/graph"
-	"pitex/internal/rng"
 )
 
 // RRGraph is one sampled reverse-reachable graph (Def. 2): the vertices
@@ -795,45 +813,4 @@ func (s *graphStore) footprint() int64 {
 		int64(cap(s.verts))*4 + int64(cap(s.singles))*4 + int64(cap(s.outStart))*4 +
 		int64(cap(s.outTo))*4 + int64(cap(s.edgeID))*4 + int64(cap(s.c))*8 +
 		int64(cap(s.starEnd))*4 + int64(cap(s.starEdge))*4 + int64(cap(s.starC))*8
-}
-
-// generate samples the RR-Graph of target on g into ab: a reverse BFS
-// from target that draws c(e) ~ U[0,1) per probed in-edge and keeps edges
-// with c(e) < p(e). Dead edges are discarded — they can never be live
-// under any tag set, so storing them would not change any Def. 3
-// reachability test. sc carries the worker's reusable scratch (mark must
-// be all false on entry; it is reset before return).
-func generate(g *graph.Graph, target graph.VertexID, r *rng.Source, sc *genScratch, s *graphStore) error {
-	sc.members = sc.members[:0]
-	sc.edges = sc.edges[:0]
-	sc.stack = append(sc.stack[:0], target)
-	sc.mark[target] = true
-	sc.members = append(sc.members, target)
-	for len(sc.stack) > 0 {
-		v := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		ins := g.InEdges(v)
-		nbrs := g.InNeighbors(v)
-		for i, e := range ins {
-			p := g.EdgeMaxProb(e)
-			if p <= 0 {
-				continue
-			}
-			c := r.Float64()
-			if c >= p {
-				continue // dead under every tag set
-			}
-			from := nbrs[i]
-			sc.edges = append(sc.edges, rrEdge{from: from, to: v, id: e, c: c})
-			if !sc.mark[from] {
-				sc.mark[from] = true
-				sc.members = append(sc.members, from)
-				sc.stack = append(sc.stack, from)
-			}
-		}
-	}
-	for _, m := range sc.members {
-		sc.mark[m] = false
-	}
-	return s.add(target, sc)
 }

@@ -3,6 +3,7 @@ package rrindex
 import (
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -167,13 +168,14 @@ func TestBuildValidation(t *testing.T) {
 func TestRRGraphStructure(t *testing.T) {
 	g := fixture.Graph()
 	r := rng.New(7)
-	sc := newGenScratch(g.NumVertices())
+	sc := newSampler(g, inSurvival(g))
 	st := newStore(g)
 	var targets []graph.VertexID
 	for i := 0; i < 200; i++ {
 		target := graph.VertexID(r.Intn(g.NumVertices()))
-		if err := generate(g, target, r, sc, st); err != nil {
-			t.Fatalf("generate: %v", err)
+		sc.sample(target, r)
+		if err := st.add(target, &sc.genScratch); err != nil {
+			t.Fatalf("add: %v", err)
 		}
 		targets = append(targets, target)
 		// mark scratch must be clean between generations.
@@ -554,6 +556,9 @@ func TestIndexWorksWithExplorerInterface(t *testing.T) {
 	var _ explorerEstimator = NewShardedDelayEstimator(sdm, rng.New(1))
 }
 
+// TestParallelBuildDeterministicAndValid: a build on four processors,
+// whose θ splits into four ranges sampled concurrently, is the same index
+// as one on a single processor, and again the same when repeated.
 func TestParallelBuildDeterministicAndValid(t *testing.T) {
 	r := rng.New(21)
 	g, err := graph.PreferentialAttachment(r, 300, 1500, 0.2, graph.DefaultTopicAssignment(6))
@@ -561,42 +566,31 @@ func TestParallelBuildDeterministicAndValid(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	opts := buildOpts()
-	opts.MaxIndexSamples = 4000
-	opts.Workers = 4
-	a, err := Build(g, opts)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	b, err := Build(g, opts)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if a.Theta() != b.Theta() || a.graphs.size() != b.graphs.size() {
-		t.Fatal("parallel build not deterministic in shape")
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		if a.NumContaining(graph.VertexID(u)) != b.NumContaining(graph.VertexID(u)) {
-			t.Fatalf("postings for %d differ across identical parallel builds", u)
+	opts.MaxIndexSamples = 4 * minRange
+	build := func(procs int) *Index {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		idx, err := Build(g, opts)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
 		}
+		return idx
 	}
-	// A parallel-built index must estimate about the same as a sequential
-	// one (different sample streams, same distribution).
-	opts2 := opts
-	opts2.Workers = 1
-	seq, err := Build(g, opts2)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	m := topics.GenerateRandom(rng.New(5), 10, 6, 2)
-	post, ok := m.Posterior([]topics.TagID{0})
-	if !ok {
-		t.Skip("unsupported tag")
-	}
-	u := graph.MaxOutDegreeVertex(g)
-	pv := NewShardedEstimator(wrapMonolithic(a)).Estimate(u, post).Influence
-	sv := NewShardedEstimator(wrapMonolithic(seq)).Estimate(u, post).Influence
-	if pv < 0.5*sv || pv > 2*sv {
-		t.Fatalf("parallel estimate %v far from sequential %v", pv, sv)
+	a, b, seq := build(4), build(4), build(1)
+	for _, other := range []*Index{b, seq} {
+		if other.Theta() != a.Theta() || other.graphs.size() != a.graphs.size() {
+			t.Fatal("parallel build not deterministic in shape")
+		}
+		for u := 0; u < g.NumVertices(); u++ {
+			if !slices.Equal(a.containing[u], other.containing[u]) || a.NumContaining(graph.VertexID(u)) != other.NumContaining(graph.VertexID(u)) {
+				t.Fatalf("postings for %d differ across builds", u)
+			}
+		}
+		for gi := 0; gi < a.graphs.size(); gi++ {
+			if va, vb := a.graphs.view(gi), other.graphs.view(gi); va.target != vb.target ||
+				!slices.Equal(va.verts, vb.verts) || !slices.Equal(va.edgeID, vb.edgeID) || !slices.Equal(va.c, vb.c) {
+				t.Fatalf("graph %d differs across builds", gi)
+			}
+		}
 	}
 }
 

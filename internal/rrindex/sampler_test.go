@@ -1,7 +1,10 @@
 package rrindex
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -47,22 +50,29 @@ func referenceSample(g *graph.Graph, target graph.VertexID, r *rng.Source) refSa
 	return out
 }
 
-// sampleIndexGraph draws target's RR-Graph as an index build does, on r.
-func sampleIndexGraph(g *graph.Graph, target graph.VertexID, r *rng.Source) refSample {
-	st := newStore(g)
-	if err := generate(g, target, r, newGenScratch(g.NumVertices()), st); err != nil {
+// sampleIndexGraph draws target's RR-Graph on r as an index build does,
+// with the build's in-table, or as a repair does, computing each
+// member's products when it is visited (withTable false).
+func sampleIndexGraph(g *graph.Graph, target graph.VertexID, r *rng.Source, withTable bool) refSample {
+	var surv []float64
+	if withTable {
+		surv = inSurvival(g)
+	}
+	s, st := newSampler(g, surv), newStore(g)
+	s.sample(target, r)
+	if err := st.add(target, &s.genScratch); err != nil {
 		panic(err)
 	}
 	rr := st.view(0)
 	return refSample{members: rr.verts, edges: rr.edgeID, c: rr.c}
 }
 
-// sampleDelayMembers draws target's member set as a DelayMat build does,
-// on r.
+// sampleDelayMembers draws target's member set on r as a DelayMat build
+// does.
 func sampleDelayMembers(g *graph.Graph, target graph.VertexID, r *rng.Source) refSample {
-	var sc memberScratch
-	members := sampleMemberSet(g, target, r, make([]bool, g.NumVertices()), &sc)
-	return refSample{members: members}
+	s := newSampler(g, inSurvival(g))
+	s.sample(target, r)
+	return refSample{members: s.members}
 }
 
 // samplerGraph puts every corner of the fired-subset draw on a few
@@ -154,30 +164,50 @@ func (s *lawStats) compare(t *testing.T, label string, want *lawStats, edges boo
 }
 
 // TestSamplerMatchesReferenceLaw draws lawGraphs RR-Graphs per target
-// with the index sampler, the DelayMat sampler and referenceSample, each
-// on its own stream, and compares per-vertex membership, per-edge
-// liveness and the mean c(e)/p(e) of live edges against the reference.
-// Edges with p(e) = 0 must never be live, and every live edge must have
-// c(e) < p(e).
+// with the index build's sampler, a repair's, the DelayMat build's and
+// referenceSample, each on its own stream, and compares per-vertex
+// membership, per-edge liveness and the mean c(e)/p(e) of live edges
+// against the reference. Edges with p(e) = 0 must never be live, and
+// every live edge must have c(e) < p(e).
 func TestSamplerMatchesReferenceLaw(t *testing.T) {
 	const lawGraphs = 3000
 	g := samplerGraph()
+	checkC := func(target graph.VertexID, x refSample) refSample {
+		for i, e := range x.edges {
+			if p := g.EdgeMaxProb(e); !(x.c[i] >= 0 && x.c[i] < p) {
+				t.Fatalf("target %d: edge %d stored with c = %v, p = %v", target, e, x.c[i], p)
+			}
+		}
+		return x
+	}
 	for _, target := range []graph.VertexID{0, 301, 5} {
-		want, index, delay := newLawStats(g), newLawStats(g), newLawStats(g)
-		ri, rd, rr := rng.New(rng.Mix(1, uint64(target))), rng.New(rng.Mix(2, uint64(target))), rng.New(rng.Mix(3, uint64(target)))
+		want, index, repair, delay := newLawStats(g), newLawStats(g), newLawStats(g), newLawStats(g)
+		ri, rp, rd, rr := rng.New(rng.Mix(1, uint64(target))), rng.New(rng.Mix(4, uint64(target))),
+			rng.New(rng.Mix(2, uint64(target))), rng.New(rng.Mix(3, uint64(target)))
 		for range lawGraphs {
 			want.add(g, referenceSample(g, target, rr))
-			x := sampleIndexGraph(g, target, ri)
-			for i, e := range x.edges {
-				if p := g.EdgeMaxProb(e); !(x.c[i] >= 0 && x.c[i] < p) {
-					t.Fatalf("target %d: edge %d stored with c = %v, p = %v", target, e, x.c[i], p)
-				}
-			}
-			index.add(g, x)
+			index.add(g, checkC(target, sampleIndexGraph(g, target, ri, true)))
+			repair.add(g, checkC(target, sampleIndexGraph(g, target, rp, false)))
 			delay.add(g, sampleDelayMembers(g, target, rd))
 		}
 		index.compare(t, fmt.Sprintf("index, target %d", target), want, true)
+		repair.compare(t, fmt.Sprintf("repair, target %d", target), want, true)
 		delay.compare(t, fmt.Sprintf("delaymat, target %d", target), want, false)
+	}
+}
+
+// TestSamplerTableMatchesVisitProducts: a repair, which computes a
+// member's prefix survival products when it visits it, draws exactly the
+// graphs a build draws from its in-table on the same stream.
+func TestSamplerTableMatchesVisitProducts(t *testing.T) {
+	g := samplerGraph()
+	table, visit := newSampler(g, inSurvival(g)), newSampler(g, nil)
+	for gi := range int64(500) {
+		target := table.position(7, nil, gi)
+		if got := visit.position(7, nil, gi); got != target ||
+			!slices.Equal(table.members, visit.members) || !slices.Equal(table.edges, visit.edges) {
+			t.Fatalf("position %d: the in-table and per-visit products drew different graphs", gi)
+		}
 	}
 }
 
@@ -290,4 +320,82 @@ func strongPairs(g *graph.Graph, m *topics.Model, n int) []userTags {
 		out = append(out, pair)
 	}
 	return out
+}
+
+// TestBuildBytesIndependentOfProcessors: a build's saved bytes are the
+// same at GOMAXPROCS 1, 2 and 4, at S ∈ {1, 3} — an index's, and a
+// DelayMat's along with its repair bookkeeping — and a shard built alone,
+// as a shard server builds its slice, saves the in-process shard's bytes.
+// θ cuts every shard into several ranges, so the ranges run concurrently
+// wherever there is more than one processor.
+func TestBuildBytesIndependentOfProcessors(t *testing.T) {
+	g := randomGraph(300, 4, 0.05, 0.4, 61)
+	opts := BuildOptions{
+		Accuracy:        sampling.Options{Epsilon: 0.1, Delta: 100, LogSearchSpace: 2},
+		Seed:            19,
+		MaxIndexSamples: 9 * minRange,
+		TrackMembers:    true,
+	}
+	if n := buildRanges(opts.MaxIndexSamples / 3); n < 2 {
+		t.Fatalf("a shard of θ/3 graphs is cut into %d ranges, want several", n)
+	}
+	type built struct {
+		index, delaymat []byte
+		members         []*graphStore
+	}
+	buildAt := func(procs, S int) built {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		si, err := BuildSharded(g, opts, S)
+		if err != nil {
+			t.Fatalf("BuildSharded: %v", err)
+		}
+		sdm, err := BuildShardedDelayMat(g, opts, S)
+		if err != nil {
+			t.Fatalf("BuildShardedDelayMat: %v", err)
+		}
+		var out built
+		var ib, db bytes.Buffer
+		if err := WriteSharded(&ib, si); err != nil {
+			t.Fatalf("WriteSharded: %v", err)
+		}
+		if err := WriteShardedDelayMat(&db, sdm); err != nil {
+			t.Fatalf("WriteShardedDelayMat: %v", err)
+		}
+		out.index, out.delaymat = ib.Bytes(), db.Bytes()
+		for _, dm := range sdm.shards {
+			out.members = append(out.members, dm.members)
+		}
+		for s := range S {
+			alone, err := BuildOwned(g, opts, S, []int{s})
+			if err != nil {
+				t.Fatalf("BuildOwned(%d): %v", s, err)
+			}
+			var a, b bytes.Buffer
+			if err := WriteShard(&a, alone, 0); err != nil {
+				t.Fatalf("WriteShard: %v", err)
+			}
+			if err := WriteShard(&b, si, s); err != nil {
+				t.Fatalf("WriteShard: %v", err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("S=%d on %d processors: shard %d built alone saves other bytes than in the full build", S, procs, s)
+			}
+		}
+		return out
+	}
+	for _, S := range []int{1, 3} {
+		want := buildAt(1, S)
+		for _, procs := range []int{2, 4} {
+			got := buildAt(procs, S)
+			if !bytes.Equal(got.index, want.index) {
+				t.Errorf("S=%d: the index saved on %d processors differs from the one saved on 1", S, procs)
+			}
+			if !bytes.Equal(got.delaymat, want.delaymat) {
+				t.Errorf("S=%d: the DelayMat saved on %d processors differs from the one saved on 1", S, procs)
+			}
+			if !reflect.DeepEqual(got.members, want.members) {
+				t.Errorf("S=%d: the DelayMat's repair bookkeeping on %d processors differs from the one on 1", S, procs)
+			}
+		}
+	}
 }

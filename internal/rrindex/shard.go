@@ -22,14 +22,15 @@ import (
 // estimate of Σ_{v∈V_s} Pr[u influences v | W] — the same RR argument as
 // the monolithic index, restricted to targets in V_s — so the gathered sum
 // over shards estimates the full spread E[I(u|W)] without bias for every
-// S. At S=1 the single shard draws targets, seeds and worker chunks
-// exactly as the monolithic Build, so estimates are byte-identical; at
+// S. At S=1 the single shard draws every position on the same stream as
+// the monolithic Build, so estimates are byte-identical; at
 // S>1 the estimate is a different (equally valid) sample of the same
 // quantity, with the usual (1-ε) concentration at the combined θ.
 //
 // What sharding buys: each shard's store, postings and DelayMat counters
-// are independently allocated, built and repaired, so offline build and
-// incremental repair parallelize across shards, and a repair touches only
+// are independently allocated, built and repaired, so incremental repair
+// parallelizes across shards (a build already runs on every core at any
+// S), and a repair touches only
 // the shards whose postings contain a touched head — untouched shards are
 // shared with the previous generation as-is (~1/S of the index per
 // single-head batch, instead of all of it).
@@ -44,9 +45,7 @@ import (
 // a fleet of shard servers and the in-process index cannot drift apart.
 
 // shardSeedMix separates per-shard RNG streams. Shard 0 keeps the
-// caller's seed unchanged (the S=1 byte-identity contract); the constant
-// differs from the per-worker mixing constant inside buildWithPool so
-// shard s's stream never collides with shard 0's worker-s stream.
+// caller's seed unchanged (the S=1 byte-identity contract).
 const shardSeedMix = 0xbf58476d1ce4e5b9
 
 func shardSeed(seed uint64, s int) uint64 { return seed + uint64(s)*shardSeedMix }
@@ -165,22 +164,20 @@ func newLayout(numVertices int, opts BuildOptions, numShards int) (layout, error
 }
 
 // options derives shard s's build options from the base ones: its own
-// RNG stream and its share of the workers.
+// RNG stream.
 func (l layout) options(opts BuildOptions, s int) BuildOptions {
-	S := len(l.pools)
 	opts.Seed = shardSeed(opts.Seed, s)
-	opts.Workers = (max(1, opts.Workers) + S - 1) / S
 	return opts
 }
 
-// buildIndex builds shard s's RR-Graph index.
-func (l layout) buildIndex(g *graph.Graph, opts BuildOptions, s int) (*Index, error) {
-	return buildWithPool(g, l.options(opts, s), l.pools[s], l.thetas[s])
+// buildIndex builds shard s's RR-Graph index in b.
+func (l layout) buildIndex(b *build, opts BuildOptions, s int) (*Index, error) {
+	return b.index(l.options(opts, s), l.pools[s], l.thetas[s])
 }
 
-// buildDelayMat builds shard s's DelayMat counters.
-func (l layout) buildDelayMat(g *graph.Graph, opts BuildOptions, s int) (*DelayMat, error) {
-	return buildDelayMatPool(g, l.options(opts, s), l.pools[s], l.thetas[s])
+// buildDelayMat builds shard s's DelayMat counters in b.
+func (l layout) buildDelayMat(b *build, opts BuildOptions, s int) (*DelayMat, error) {
+	return b.delayMat(l.options(opts, s), l.pools[s], l.thetas[s])
 }
 
 // plan is the repair-routing decision for shard s, with l the layout of
@@ -265,10 +262,12 @@ func holding[T shardPart[T]](g *graph.Graph, sizes []int, owned []int) (shardSet
 }
 
 // buildShards builds the shards owned (nil: every shard) of the S-way
-// layout over g, concurrently, each with build. A shard's bytes depend on
-// (Seed, S, Workers) only — not on which other shards are held.
+// layout over g, concurrently, each with buildShard, in one build: one
+// in-table and at most GOMAXPROCS sampling goroutines across the shards.
+// A shard's bytes depend on (Seed, S) only — not on which other shards
+// are held, nor on the number of cores.
 func buildShards[T shardPart[T]](g *graph.Graph, opts BuildOptions, numShards int, owned []int,
-	build func(layout, *graph.Graph, BuildOptions, int) (T, error)) (shardSet[T], error) {
+	buildShard func(layout, *build, BuildOptions, int) (T, error)) (shardSet[T], error) {
 	l, err := newLayout(g.NumVertices(), opts, numShards)
 	if err != nil {
 		return shardSet[T]{}, err
@@ -277,8 +276,9 @@ func buildShards[T shardPart[T]](g *graph.Graph, opts BuildOptions, numShards in
 	if err != nil {
 		return set, err
 	}
+	b := newBuild(g)
 	return set, eachShard(len(set.ids), func(i int) (err error) {
-		set.shards[i], err = build(l, g, opts, set.ids[i])
+		set.shards[i], err = buildShard(l, b, opts, set.ids[i])
 		return err
 	})
 }
@@ -386,10 +386,9 @@ type ShardedIndex struct {
 
 // BuildOwned constructs the shards owned (ascending; nil means all) of
 // an S-way sharded index over g (S values below 1 mean 1), concurrently.
-// Each shard is deterministic per (Seed, numShards, Workers) whichever
-// others are held, so shard servers that own parts of the layout hold
-// the in-process index's shards bit for bit; opts.Workers is divided
-// among the layout's S shards.
+// Each shard is deterministic per (Seed, numShards) whichever others are
+// held and however many cores build it, so shard servers that own parts
+// of the layout hold the in-process index's shards bit for bit.
 func BuildOwned(g *graph.Graph, opts BuildOptions, numShards int, owned []int) (*ShardedIndex, error) {
 	set, err := buildShards(g, opts, numShards, owned, layout.buildIndex)
 	if err != nil {
