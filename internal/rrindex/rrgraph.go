@@ -759,8 +759,8 @@ func (s *graphStore) canTake(r storeRange) bool {
 		offsetsFit(0, int64(len(s.starEdge)+n.entries))
 }
 
-// mergeStores concatenates per-worker stores over g, in order, into one
-// exactly sized store.
+// mergeStores concatenates stores over g, in order — a build's ranges —
+// into one exactly sized store.
 func mergeStores(g *graph.Graph, bs ...*graphStore) (*graphStore, error) {
 	return concat(g, func(yield func(storeRange) bool) {
 		for _, b := range bs {

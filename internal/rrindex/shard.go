@@ -23,17 +23,16 @@ import (
 // the monolithic index, restricted to targets in V_s — so the gathered sum
 // over shards estimates the full spread E[I(u|W)] without bias for every
 // S. At S=1 the single shard draws every position on the same stream as
-// the monolithic Build, so estimates are byte-identical; at
-// S>1 the estimate is a different (equally valid) sample of the same
-// quantity, with the usual (1-ε) concentration at the combined θ.
+// the monolithic Build, so estimates are byte-identical; at S>1 the
+// estimate is a different (equally valid) sample of the same quantity,
+// with the usual (1-ε) concentration at the combined θ.
 //
 // What sharding buys: each shard's store, postings and DelayMat counters
 // are independently allocated, built and repaired, so incremental repair
-// parallelizes across shards (a build already runs on every core at any
-// S), and a repair touches only
-// the shards whose postings contain a touched head — untouched shards are
-// shared with the previous generation as-is (~1/S of the index per
-// single-head batch, instead of all of it).
+// parallelizes across shards (a build runs on every core at any S), and a
+// repair touches only the shards whose postings contain a touched head —
+// untouched shards are shared with the previous generation as-is (~1/S of
+// the index per single-head batch, instead of all of it).
 //
 // One container. A shard is derived from one layout (pools, |V_s|, θ_s)
 // by the per-shard helpers below: its build options, its build, and plan,
