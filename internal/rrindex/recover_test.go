@@ -168,6 +168,80 @@ func cornersGraph() *graph.Graph {
 	return b.MustBuild()
 }
 
+// both is an edge probability on both topics, so p(e|W) = p(e) under
+// every tag set.
+func both(p float64) []graph.TopicProb {
+	return []graph.TopicProb{{Topic: 0, Prob: p}, {Topic: 1, Prob: p}}
+}
+
+// parallelGraph gives the query user 0 two parallel edges to head 1, not
+// adjacent in its out-list, beside two simple heads: head 1 is activated
+// when either edge fires and visited once.
+func parallelGraph() *graph.Graph {
+	b := graph.NewBuilder(6, 2)
+	b.AddEdge(0, 1, both(0.5))
+	b.AddEdge(0, 2, both(0.4))
+	b.AddEdge(0, 1, both(0.5))
+	b.AddEdge(0, 3, both(0.3))
+	b.AddEdge(1, 4, both(0.5))
+	b.AddEdge(1, 5, both(0.3))
+	b.AddEdge(2, 4, both(0.2))
+	b.AddEdge(3, 5, both(0.4))
+	b.AddEdge(4, 0, both(0.3))
+	return b.MustBuild()
+}
+
+// silentHeadsGraph gives the query user 0 six heads it activates often
+// and that themselves rarely fire, so most cascades stop at u's own
+// out-neighbours and most graphs with more than one vertex are u→c.
+func silentHeadsGraph() *graph.Graph {
+	b := graph.NewBuilder(9, 2)
+	for c, p := range []float64{0.55, 0.6, 0.65, 0.7, 0.6, 0.55} {
+		b.AddEdge(0, graph.VertexID(c+1), both(p))
+	}
+	for c := 1; c <= 6; c++ {
+		b.AddEdge(graph.VertexID(c), 7, both(0.04))
+	}
+	b.AddEdge(7, 8, both(0.5))
+	b.AddEdge(8, 0, both(0.3))
+	return b.MustBuild()
+}
+
+// sureChainGraph gives the query user 0 a p = 1 edge into head 1, whose
+// own p = 1 edge fires at every visit: every cascade goes past u's
+// out-neighbours.
+func sureChainGraph() *graph.Graph {
+	b := graph.NewBuilder(7, 2)
+	b.AddEdge(0, 3, both(0.5))
+	b.AddEdge(0, 1, both(1))
+	b.AddEdge(0, 6, both(0.6))
+	b.AddEdge(1, 2, both(1))
+	b.AddEdge(3, 4, both(0.4))
+	b.AddEdge(2, 5, both(0.5))
+	b.AddEdge(4, 5, both(0.3))
+	b.AddEdge(5, 0, both(0.3))
+	return b.MustBuild()
+}
+
+// spentGraph gives the query user 0 ten heads, every odd one behind a
+// p = 1 edge, so any product over u's heads is spent after the first;
+// heads 1, 2, 9 and 10 fire on to vertex 11, and 11 back to u.
+func spentGraph() *graph.Graph {
+	b := graph.NewBuilder(12, 2)
+	for c := 1; c <= 10; c++ {
+		p := 0.5
+		if c%2 == 1 {
+			p = 1
+		}
+		b.AddEdge(0, graph.VertexID(c), both(p))
+	}
+	for _, c := range []graph.VertexID{1, 2, 9, 10} {
+		b.AddEdge(c, 11, both(0.4))
+	}
+	b.AddEdge(11, 0, both(0.3))
+	return b.MustBuild()
+}
+
 func recoverCases(t *testing.T) []recoverCase {
 	t.Helper()
 	er, err := graph.ErdosRenyi(rng.New(3), 9, 14, graph.TopicAssignment{NumTopics: 2, TopicsPerEdge: 1, MaxProb: 0.6})
@@ -197,6 +271,10 @@ func recoverCases(t *testing.T) []recoverCase {
 		{"erdos-renyi-quiet", quiet, m, graph.MaxOutDegreeVertex(quiet), []topics.TagID{2}},
 		{"pref-attach-hub", pa, m, graph.MaxOutDegreeVertex(pa), []topics.TagID{1, 2}},
 		{"corners", cornersGraph(), m, 0, []topics.TagID{3}},
+		{"parallel", parallelGraph(), m, 0, []topics.TagID{1}},
+		{"silent-heads", silentHeadsGraph(), m, 0, []topics.TagID{0}},
+		{"sure-chain", sureChainGraph(), m, 0, []topics.TagID{2}},
+		{"spent", spentGraph(), m, 0, []topics.TagID{3}},
 	}
 }
 
@@ -495,16 +573,32 @@ func recoveryBytes(de *DelayEstimator) string {
 // TestRecoveryIndependentOfWorkers: a recovery is the same bytes, and
 // charges the same attempts and cascades, whether the process runs on one
 // processor or on four — for a hub, a leaf and a user with no out-edges,
-// at one shard and at three.
+// and for the roots of the parallel-edge, silent-head, sure-chain and
+// spent-product graphs, at one shard and at three.
 func TestRecoveryIndependentOfWorkers(t *testing.T) {
-	g := workersGraph()
-	users := []graph.VertexID{5, 1, 6}
-	if g.OutDegree(5) != 40 || g.OutDegree(1) != 1 || g.OutDegree(6) != 0 {
+	wg := workersGraph()
+	if wg.OutDegree(5) != 40 || wg.OutDegree(1) != 1 || wg.OutDegree(6) != 0 {
 		t.Fatal("test premise: vertices 5, 1 and 6 are a hub, a leaf and a silent user")
 	}
 	opts := recoverOpts(42)
 	opts.MaxIndexSamples = 6000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		users []graph.VertexID
+	}{
+		{"workers", wg, []graph.VertexID{5, 1, 6}},
+		{"parallel", parallelGraph(), []graph.VertexID{0}},
+		{"silent-heads", silentHeadsGraph(), []graph.VertexID{0}},
+		{"sure-chain", sureChainGraph(), []graph.VertexID{0}},
+		{"spent", spentGraph(), []graph.VertexID{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { recoveryIndependentOfWorkers(t, tc.g, tc.users, opts) })
+	}
+}
+
+func recoveryIndependentOfWorkers(t *testing.T, g *graph.Graph, users []graph.VertexID, opts BuildOptions) {
 	for _, S := range []int{1, 3} {
 		sdm, err := BuildShardedDelayMat(g, opts, S)
 		if err != nil {
