@@ -37,10 +37,10 @@
 // RR-Graphs on the first query for them (Algo 4), so its first touch of a
 // user costs a recovery — a few milliseconds on a 15000-user graph,
 // because lazy propagation (Sec. 5.1) drives the recovery's cascades and
-// the attempts that activate nobody are skipped in bulk — and a repeated
-// query costs what IndexEst costs. The first recovery of an index
-// generation also builds one table over the graph (8 bytes per edge and
-// per user) that every clone shares. A recovery's randomness is derived
+// the attempts that stop at the user's own out-neighbours are jumped in
+// bulk — and a repeated query costs what IndexEst costs. The first
+// recovery of an index generation also builds one table over the graph
+// (8 bytes per edge) that every clone shares. A recovery's randomness is derived
 // from (Seed, shard, user), so a DelayMat answer does not depend on which
 // clone serves it or on what that clone served before;
 // Explain.RecoveryAttempts and RecoveryCascades report what it cost.

@@ -86,8 +86,9 @@ type Explain struct {
 	// answers "what does Algo 4's acceptance rule cost": the attempts
 	// charged to its 8θ+1024 budget, about θ per recovered user whoever
 	// the user is. Cascades answers "how much of that was computed": the
-	// attempts at which the user fired an out-edge and a forward cascade
-	// was actually simulated; the rest were empty cascades skipped in bulk.
+	// deep attempts, at which an out-neighbour the user activated fired
+	// in turn, so a forward cascade was actually simulated; the rest
+	// stopped at the user's own out-neighbours and were jumped in bulk.
 	RecoveryAttempts int64 `json:"recovery_attempts,omitempty"`
 	RecoveryCascades int64 `json:"recovery_cascades,omitempty"`
 	// BoundCacheHits counts online reach-count bounds answered from the

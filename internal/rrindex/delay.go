@@ -3,6 +3,7 @@ package rrindex
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,38 +86,50 @@ func (dm *DelayMat) recomputeFootprint() {
 // six per graph. Not safe for concurrent use.
 //
 // Algo 4 needs θ(u) accepted forward cascades out of about θ attempts. It
-// does not toss a coin per out-edge per attempt: the paper's own lazy
-// propagation (Sec. 5.1, Algo 2) drives the cascades. A recovery keeps,
-// per vertex, how often it was visited and the visit at which any of its
-// out-edges next fires; a visit before that is one compare. Exactness, in
-// four steps:
+// tosses no coin per out-edge, and most attempts run no cascade at all:
+// the paper's own lazy propagation (Sec. 5.1, Algo 2) draws which edges
+// fire, and an attempt that stops at u's own out-neighbours is jumped.
+// Exactness, in five steps:
 //
-//  1. Aggregated gap. Under per-visit coins the visits of v at which at
-//     least one out-edge fires are Bernoulli(1 − q(v)) trials, q(v) =
-//     Π_{e∈out(v)} (1 − p(e)), so the gap to the next one is
-//     Geometric(1 − q(v)) — Lemma 6 applied to the union of v's edges —
-//     and at such a visit the fired subset follows the product law
-//     conditioned on being non-empty, drawn by inverse CDF over the
-//     fireTable's prefix survival products: the first fired edge is the
-//     first i with S_i < 1 − x·(1 − q(v)), each further one the first
-//     j > i with S_j < (1 − y)·S_i, x and y uniform — O(f·log d) for f
-//     fired edges, never O(d).
-//  2. Empty cascades. An attempt at which the root does not fire is the
-//     cascade V' = {u}, E' = ∅, accepted with probability 1/|V_s| when u
-//     belongs to the estimator's pool and never otherwise. The run of
-//     attempts before the root's next firing is therefore a
-//     Bernoulli(1/|V_s|) sequence: a recovery jumps it in bulk, locating
-//     the accepted ones by Geometric(1/|V_s|) gaps (memoryless, so a gap
-//     cut short by the root's firing carries over to the next run), and
-//     charges every jumped attempt to the budget.
-//  3. Blocks. The attempts are cut into blocks of blockAttempts(θ)
+//  1. One uniform per visit. A visit of v fires a subset of its out-edges
+//     under the product law. One uniform x picks the first fired edge by
+//     inverse CDF over the fireTable's prefix survival products — the
+//     first i with S_i < 1 − x, none when 1 − x ≤ q(v) = S_{d−1} — and each
+//     further one is the first j > i with S_j < (1 − y)·S_i, y uniform:
+//     O(1 + f·log d) for f fired edges, never O(d).
+//  2. Shallow attempts. Grouped by head (the rootTable), u's out-edges
+//     activate head c with probability α_c, and c then fires at its visit
+//     with 1 − q(c): c is activated-and-firing with δ_c, independently of
+//     the other heads. An attempt in which no head is, with probability
+//     Q = Π_c (1 − δ_c), is shallow: its cascade is u and the heads u
+//     activated, each with π_c independently, all silent. Accepted with
+//     |V'∩V_s|/|V_s| and given a uniform target there, a shallow attempt
+//     yields {u} with probability 1[u∈V_s]/|V_s|, and u→c — c's fired
+//     parallel edges conditioned on one firing, with fresh c(e) — with
+//     π_c·1[c∈V_s]/|V_s|, whatever the other heads did. So a recovery
+//     jumps shallow attempts in bulk: deep ones arrive at Geometric(1 − Q)
+//     gaps, the accepted shallow ones at Geometric(a) gaps among the
+//     shallow ones, a the sum of those rates (memoryless, so a gap cut
+//     short by a deep attempt carries over), and every jumped attempt is
+//     charged to the budget. A user whose heads never fire runs no
+//     cascade at all.
+//  3. Deep attempts. Conditioned on the attempt being deep, the first
+//     activated-and-firing head j follows the inverse CDF over the prefix
+//     products of 1 − δ. The heads before j are activated, and silent,
+//     with probability π each; those after it are activated with α each
+//     and visited like any vertex; both are drawn by skipping over the
+//     prefix products of 1 − π and 1 − α as step 1 skips over edges, a coin
+//     per head once a product is spent. Head j fires conditioned on at
+//     least one edge firing, and the cascade goes on by step 1 — a head u
+//     left alone may still be reached later, and is then visited as any
+//     other vertex. Acceptance, target and restriction are Algo 4's.
+//  4. Blocks. The attempts are cut into blocks of blockAttempts(θ)
 //     consecutive ones, a length that depends on θ alone. Block b runs on
-//     its own stream rng.Mix(seed, shard, u, b) and starts a fresh firing
-//     schedule and a fresh empty-cascade gap. Attempts are i.i.d. and
-//     every gap above is geometric, hence memoryless, so a schedule
-//     restarted at a block boundary draws the next attempts from the same
-//     law as one carried over.
-//  4. Same stopping rule. The blocks concatenated in order are one
+//     its own stream rng.Mix(seed, shard, u, b) and starts a fresh deep gap
+//     and a fresh shallow gap. Attempts are i.i.d. and both gaps are
+//     geometric, hence memoryless, so gaps restarted at a block boundary
+//     draw the next attempts from the same law as gaps carried over.
+//  5. Same stopping rule. The blocks concatenated in order are one
 //     attempt sequence whose accepted graphs arrive i.i.d. from the law the
 //     per-attempt loop draws from (Theorem 3), so stopping at the θ(u)-th
 //     — or at the 8θ+1024 attempt budget — is the same stopping rule.
@@ -139,8 +152,9 @@ func (dm *DelayMat) recomputeFootprint() {
 // only, not recoveries running on other estimators of the generation.
 //
 // The fireTable and the helpers are scoped to the graph generation (see
-// delayGen); a block's firing schedule is reset through a touched-list
-// when the block ends, so consecutive blocks and recoveries share nothing.
+// delayGen), the rootTable to the recovery; a block keeps its gaps in
+// locals and clears its cascade's marks, so consecutive blocks and
+// recoveries share nothing.
 type DelayEstimator struct {
 	dm *DelayMat
 	scanState
@@ -162,17 +176,15 @@ type DelayEstimator struct {
 	gen     *delayGen
 	job     recoveryJob
 	helpers []*blockHelper
-	// The calling goroutine's own blocks run on this scratch; its schedule
-	// (16·|V| bytes) is set up by the first recovery, so an estimator that
-	// never recovers carries none. recovering is set while a recovery runs:
-	// still set at the next one, it says a block panicked and left the
-	// scratch mid-block.
+	// The calling goroutine's own blocks run on this scratch. recovering is
+	// set while a recovery runs: still set at the next one, it says a block
+	// panicked and left the scratch mid-block.
 	blockRunner
 	recovering bool
 
 	// recoveryAttempts counts Algo 4 attempts charged to the budget,
-	// jumped empty cascades included; recoveryCascades the cascades
-	// actually simulated (attempts at which the root fired).
+	// jumped shallow ones included; recoveryCascades the cascades actually
+	// simulated (the deep attempts).
 	recoveryAttempts, recoveryCascades int64
 }
 
@@ -185,11 +197,11 @@ type delayGen struct {
 }
 
 // recoveryJob is one recovery as its blocks see it: the estimator's seed
-// and shard scope, the user, θ(u) and the block layout, written by the
-// caller before it starts a helper and left alone until every helper has
-// stopped; and the claims, which caller and helpers share. Padded: the
-// helpers poll it at every attempt while the caller's runner changes at
-// every draw.
+// and shard scope, the user, θ(u), u's rootTable and the block layout,
+// written by the caller before it starts a helper and left alone until
+// every helper has stopped; and the claims, which caller and helpers
+// share. Padded: the helpers poll it at every attempt while the caller's
+// runner changes at every draw.
 type recoveryJob struct {
 	_     [64]byte
 	g     *graph.Graph
@@ -205,8 +217,9 @@ type recoveryJob struct {
 	poolSize  int
 
 	u        graph.VertexID
-	ownsUser bool  // u is in the pool, so its empty cascade can be accepted
+	ownsUser bool  // u is in the pool, so it can be its own target
 	need     int64 // θ(u)
+	root     rootTable
 	// budget is the 8θ+1024 attempts, cut into blocks of blockLen.
 	budget, blockLen, blocks int64
 
@@ -242,33 +255,22 @@ const minBlockAttempts = 16
 // minBlockAttempts. It depends on θ alone, never on the machine.
 func blockAttempts(theta int64) int64 { return max((theta+15)/16, minBlockAttempts) }
 
-// workMark is the work a recovery has charged: attempts, jumped empty
-// cascades included, and the cascades actually simulated.
+// workMark is the work a recovery has charged: attempts, jumped shallow
+// ones included, and the cascades actually simulated.
 type workMark struct{ attempts, cascades int64 }
 
 // blockRunner is one goroutine's scratch for recovery blocks: the block's
-// stream, kept by value, the firing schedule — the generation's table,
-// one firing per vertex and the vertices the block touched — and the
-// forward-cascade buffers. Padded, so the fields it writes at every draw
-// share no cache line with another runner's.
+// stream, kept by value, and the forward-cascade buffers. Padded, so the
+// fields it writes at every draw share no cache line with another
+// runner's.
 type blockRunner struct {
 	_         [64]byte
 	rng       rng.Source
-	table     *fireTable
-	sched     []firing
-	touched   []graph.VertexID
 	sc        genScratch
 	live      []liveEdge
 	activated []graph.VertexID
 	inShard   []graph.VertexID
 	_         [64]byte
-}
-
-// firing is one vertex's block-scoped schedule: how many cascades of this
-// block have visited it, and the visit at which any of its out-edges next
-// fires (0 = not visited yet in this block).
-type firing struct {
-	visits, next int64
 }
 
 // liveEdge is one live edge of a forward cascade during Algo 4 recovery.
@@ -330,9 +332,11 @@ func (de *DelayEstimator) scanFrontier(shard, users int, u graph.VertexID, probe
 // would over-weight small cascades and bias the estimate upward, so each
 // forward cascade is accepted only with probability |V'|/|V| before a
 // target is drawn from V' — exactly the offline joint distribution. The
-// attempts at which the root fires nothing are cascades too (V' = {u});
-// they are jumped, not dropped (step 2 of the type comment), so the
-// accepted sequence is the one a cascade per attempt would produce.
+// shallow attempts, at which no out-neighbour the root activated fires,
+// are cascades too (V' = {u} and the silent heads); they are jumped, not
+// dropped, and an accepted one yields exactly the graph Algo 4 would keep
+// from it (step 2 of the type comment), so the accepted sequence is the
+// one a cascade per attempt would produce.
 func (de *DelayEstimator) recover(u graph.VertexID) {
 	dm, j := de.dm, &de.job
 	if de.recovering {
@@ -340,9 +344,8 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	}
 	de.recovering, de.cachedValid = true, false
 	de.recovered.reset()
-	if de.sched == nil {
+	if j.table == nil {
 		j.table = de.gen.fire.get(dm.g)
-		de.sched = make([]firing, dm.g.NumVertices())
 	}
 	j.u, j.need = u, dm.counts[u]
 	j.ownsUser = ShardOf(u, j.numShards) == j.shardID
@@ -355,6 +358,7 @@ func (de *DelayEstimator) recover(u graph.VertexID) {
 	j.appended.Store(0)
 	j.stop.Store(false)
 	if j.need > 0 {
+		j.buildRoot(&de.sc)
 		de.helpers = de.gen.helpers.take(dm.g, int(j.blocks-1), de.helpers)
 	}
 	if len(de.helpers) > 0 {
@@ -482,40 +486,37 @@ func (br *blockRunner) runSlot(j *recoveryJob, b int64) {
 
 // runBlock runs block b of job j into out — attempts [b·L, b·L + L) of
 // the recovery, L = j.blockLen, cut at the budget — on the block's own
-// stream and a fresh firing schedule, and stops at the want-th accepted
-// graph, or aborts when the recovery stops. trail, when not nil, gets the
-// mark at each accepted graph. It returns the block's cost, the graphs it
-// accepted and the store's refusal, if any, charged up to the refused
-// graph's attempt.
+// stream and fresh gaps, and stops at the want-th accepted graph, or
+// aborts when the recovery stops. trail, when not nil, gets the mark at
+// each accepted graph. It returns the block's cost, the graphs it accepted
+// and the store's refusal, if any, charged up to the refused graph's
+// attempt.
 func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, trail *[]workMark) (m workMark, accepted int64, err error) {
-	r, sc := &br.rng, &br.sc
+	r, rt := &br.rng, &j.root
 	r.Seed(rng.Mix(j.seed, uint64(j.shardID), uint64(j.u), uint64(b)))
-	br.table = j.table
 	span := min(j.blockLen, j.budget-b*j.blockLen)
-	// emptyGap is the number of empty cascades up to and including the
-	// next accepted one; a user outside the pool has none accepted.
-	acceptEmpty := 1 / float64(j.poolSize)
-	emptyGap := int64(rng.Never)
-	if j.ownsUser {
-		emptyGap = r.Geometric(acceptEmpty)
-	}
-	root := br.firingOf(j.u)
+	// deep is the attempt of the block that runs the next cascade (step 2
+	// of the type comment), shallowGap the number of shallow attempts up
+	// to and including the next accepted one.
+	deep := r.GeometricInvLog(rt.invLogDeep)
+	shallowGap := r.GeometricInvLog(rt.invLogShallow)
 	for accepted < want && m.attempts < span && !j.stop.Load() {
 		var ok bool
-		if empties := min(root.next-root.visits-1, span-m.attempts); empties > 0 {
-			step := min(empties, emptyGap)
+		if shallow := min(deep-m.attempts-1, span-m.attempts); shallow > 0 {
+			step := min(shallow, shallowGap)
 			m.attempts += step
-			root.visits += step
-			if emptyGap -= step; emptyGap > 0 {
+			if shallowGap -= step; shallowGap > 0 {
 				continue
 			}
-			sc.members = append(sc.members[:0], j.u)
-			sc.edges = sc.edges[:0]
-			ok, err = true, out.add(j.u, sc)
-			emptyGap = r.Geometric(acceptEmpty)
+			ok, err = true, br.recoverShallow(j, out)
+			shallowGap = r.GeometricInvLog(rt.invLogShallow)
 		} else {
 			m.attempts++
 			m.cascades++
+			deep = rng.Never
+			if gap := r.GeometricInvLog(rt.invLogDeep); gap < rng.Never-m.attempts {
+				deep = m.attempts + gap
+			}
 			ok, err = br.recoverOne(j, out)
 		}
 		if err != nil {
@@ -528,80 +529,119 @@ func (br *blockRunner) runBlock(j *recoveryJob, b, want int64, out *graphStore, 
 			}
 		}
 	}
-	for _, v := range br.touched {
-		br.sched[v] = firing{}
-	}
-	br.touched = br.touched[:0]
 	return m, accepted, err
 }
 
-// clear forgets a block a panic cut short: its firing schedule and its
-// cascade's marks.
-func (br *blockRunner) clear() {
-	clear(br.sched)
-	clear(br.sc.mark)
-	br.touched = br.touched[:0]
+// clear forgets a cascade a panic cut short.
+func (br *blockRunner) clear() { clear(br.sc.mark) }
+
+// recoverShallow appends the graph of an accepted shallow attempt to out
+// (step 2 of the type comment): {u}, or u→c with c drawn by its weight.
+func (br *blockRunner) recoverShallow(j *recoveryJob, out *graphStore) error {
+	g, u, rt := j.g, j.u, &j.root
+	r, sc := &br.rng, &br.sc
+	w := rt.weight
+	// (1 − y)·w_last lies in (0, w_last], so the first weight reaching it
+	// is never a zero-weight entry's.
+	k, _ := slices.BinarySearch(w, (1-r.Float64())*w[len(w)-1])
+	sc.edges = sc.edges[:0]
+	if k == 0 {
+		sc.members = append(sc.members[:0], u)
+		return out.add(u, sc)
+	}
+	c := rt.heads[k-1]
+	sc.members = append(sc.members[:0], c, u)
+	br.live = br.live[:0]
+	br.rootEdges(j, k-1)
+	for _, le := range br.live {
+		sc.edges = append(sc.edges, rrEdge{from: u, to: c, id: le.id, c: r.UniformIn(g.EdgeMaxProb(le.id))})
+	}
+	return out.add(c, sc)
 }
 
-// firingOf returns v's schedule, drawing its first firing visit when this
-// block touches v for the first time.
-func (br *blockRunner) firingOf(v graph.VertexID) *firing {
-	f := &br.sched[v]
-	if f.next == 0 {
-		f.next = br.rng.GeometricInvLog(br.table.invLogQ[v])
-		br.touched = append(br.touched, v)
+// rootEdges appends to br.live the edges from u to head k that fire,
+// given that at least one does.
+func (br *blockRunner) rootEdges(j *recoveryJob, k int) {
+	rt := &j.root
+	c, lo, hi := rt.heads[k], rt.start[k], rt.start[k+1]
+	edges, surv := rt.edges[lo:hi], rt.surv[lo:hi]
+	if len(edges) == 1 {
+		br.live = append(br.live, liveEdge{from: j.u, to: c, id: edges[0]})
+		return
 	}
-	return f
+	for i := firstFired(surv, br.rng.Float64()); i < len(surv); i = nextFired(j.g, edges, surv, i, &br.rng) {
+		br.live = append(br.live, liveEdge{from: j.u, to: c, id: edges[i]})
+	}
+}
+
+// reach marks c activated, if it is not yet, and stacks it for a visit
+// when push says so.
+func (br *blockRunner) reach(c graph.VertexID, push bool) {
+	if sc := &br.sc; !sc.mark[c] {
+		sc.mark[c] = true
+		br.activated = append(br.activated, c)
+		if push {
+			sc.stack = append(sc.stack, c)
+		}
+	}
+}
+
+// fire appends the fired out-edges of v from edge i on — i the first
+// fired one, len(surv) for none — and stacks the vertices they activate.
+func (br *blockRunner) fire(g *graph.Graph, v graph.VertexID, surv []float64, i int) {
+	edges, nbrs := g.OutEdges(v), g.OutNeighbors(v)
+	for ; i < len(surv); i = nextFired(g, edges, surv, i, &br.rng) {
+		br.live = append(br.live, liveEdge{from: v, to: nbrs[i], id: edges[i]})
+		br.reach(nbrs[i], true)
+	}
 }
 
 // recoverOne implements Algo 4 (RetainRRGraphs) with the acceptance step
-// for one attempt at which the root fires; it appends the recovered graph
-// to out and reports whether the cascade was accepted.
+// for one deep attempt; it appends the recovered graph to out and reports
+// whether the cascade was accepted.
 func (br *blockRunner) recoverOne(j *recoveryJob, out *graphStore) (bool, error) {
-	g, u := j.g, j.u
+	g, u, rt, table := j.g, j.u, &j.root, j.table
 	r := &br.rng
 	sc := &br.sc
-	table := br.table
 
 	// Step 1: forward cascade from u under p(e); collect activated
-	// vertices V' and live edges E'. A visit short of the vertex's next
-	// firing activates nothing; a firing visit draws its fired subset from
-	// the prefix survival products (step 1 of the type comment).
-	live := br.live[:0]
-	activated := br.activated[:0]
+	// vertices V' and live edges E'. u's heads are drawn given that the
+	// attempt is deep (step 3 of the type comment), every later visit by
+	// one uniform (step 1).
+	br.live, br.activated = br.live[:0], append(br.activated[:0], u)
 	sc.stack = sc.stack[:0]
-	sc.stack = append(sc.stack, u)
 	sc.mark[u] = true
-	activated = append(activated, u)
+	first := firstFired(rt.deep, r.Float64())
+	for k := nextHit(rt.silent[:first], rt.pi, -1, r); k < first; k = nextHit(rt.silent[:first], rt.pi, k, r) {
+		br.rootEdges(j, k)
+		br.reach(rt.heads[k], false)
+	}
+	br.rootEdges(j, first)
+	br.reach(rt.heads[first], false)
+	for k := nextHit(rt.act, rt.alpha, first, r); k < len(rt.heads); k = nextHit(rt.act, rt.alpha, k, r) {
+		br.rootEdges(j, k)
+		br.reach(rt.heads[k], true)
+	}
+	c := rt.heads[first]
+	lo, hi := g.OutRange(c)
+	surv := table.surv[lo:hi]
+	br.fire(g, c, surv, firstFired(surv, r.Float64()))
 	for len(sc.stack) > 0 {
 		v := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
-		f := br.firingOf(v)
-		if f.visits++; f.visits < f.next {
+		lo, hi := g.OutRange(v)
+		if lo == hi {
 			continue
 		}
-		f.next = rng.Never
-		if gap := r.GeometricInvLog(table.invLogQ[v]); gap < rng.Never-f.visits {
-			f.next = f.visits + gap
-		}
-		lo, hi := g.OutRange(v)
 		surv := table.surv[lo:hi]
-		edges := g.OutEdges(v)
-		nbrs := g.OutNeighbors(v)
-		for i := firstFired(surv, r.Float64()); i < len(surv); i = nextFired(g, edges, surv, i, r) {
-			t := nbrs[i]
-			live = append(live, liveEdge{from: v, to: t, id: edges[i]})
-			if !sc.mark[t] {
-				sc.mark[t] = true
-				activated = append(activated, t)
-				sc.stack = append(sc.stack, t)
-			}
+		if t := 1 - r.Float64(); t > surv[len(surv)-1] {
+			br.fire(g, v, surv, firstBelow(surv, 0, t))
 		}
 	}
+	live, activated := br.live, br.activated
 	for _, v := range activated {
 		sc.mark[v] = false
 	}
-	br.live, br.activated = live, activated
 
 	// Step 2: accept the cascade with probability |V'∩pool|/|pool|
 	// (size-biased world selection restricted to the estimator's shard;
@@ -708,7 +748,7 @@ type blockHelper struct {
 func newBlockHelper(g *graph.Graph) *blockHelper {
 	n := g.NumVertices()
 	h := &blockHelper{
-		blockRunner: blockRunner{sched: make([]firing, n), sc: *newGenScratch(n)},
+		blockRunner: blockRunner{sc: *newGenScratch(n)},
 		wake:        make(chan struct{}, 1),
 		exit:        make(chan struct{}, 1),
 	}

@@ -8,16 +8,16 @@ import (
 	"pitex/internal/rng"
 )
 
-// fireTable is the graph-scoped half of DelayMat recovery's firing
-// schedule (see DelayEstimator): what lazy propagation (Sec. 5.1, Algo 2,
-// Lemma 6) needs to know about a vertex to skip to the visit at which one
-// of its out-edges next fires, and to pick which ones fire then, without
-// a coin per edge. Algo 4 cascades run under p(e) = max_z p(e|z), which
-// depends on neither the query nor the user, so the table is a pure
+// fireTable is the graph-scoped half of DelayMat recovery's lazy
+// propagation (see DelayEstimator): what Sec. 5.1's Algo 2 and Lemma 6 need
+// to know about a vertex to pick which of its out-edges fire at a visit
+// without a coin per edge. Algo 4 cascades run under p(e) = max_z p(e|z),
+// which depends on neither the query nor the user, so the table is a pure
 // function of the graph: built once per graph generation, immutable after
-// publication, shared by every clone's and every shard's estimator.
-// It costs 8·|E| + 8·|V| bytes.
+// publication, shared by every clone's and every shard's estimator. It
+// costs 8·|E| bytes.
 type fireTable struct {
+	maxOut int // the largest out-degree, which sizes a rootTable
 	// surv is parallel to the graph's out-CSR (graph.OutRange): for v's
 	// out-edges e_0..e_{d-1} it holds the prefix survival products
 	// S_i = Π_{j≤i} (1 − p(e_j)), non-increasing in i, with p clamped to
@@ -25,11 +25,6 @@ type fireTable struct {
 	// be selected, an edge with p(e) = 1 zeroes it. S_{d−1} is q(v), the
 	// probability that a visit of v fires nothing.
 	surv []float64
-	// invLogQ[v] = 1/ln q(v), the cached half of the Geometric(1 − q(v))
-	// inversion: −Inf for a vertex that never fires (no out-edges, or
-	// none with p(e) > 0) and −0 for one that fires at every visit (an
-	// edge with p(e) = 1) — set explicitly, never through Log(0).
-	invLogQ []float64
 }
 
 // survExhausted is the prefix product below which the ratios S_j/S_i to
@@ -40,28 +35,22 @@ type fireTable struct {
 const survExhausted = 0x1p-900
 
 func newFireTable(g *graph.Graph) *fireTable {
-	n := g.NumVertices()
-	t := &fireTable{
-		surv:    make([]float64, g.NumEdges()),
-		invLogQ: make([]float64, n),
-	}
-	for v := 0; v < n; v++ {
+	t := &fireTable{surv: make([]float64, g.NumEdges())}
+	for v := 0; v < g.NumVertices(); v++ {
 		lo, hi := g.OutRange(graph.VertexID(v))
 		prefixSurvival(g, g.OutEdges(graph.VertexID(v)), t.surv[lo:hi])
-		q := 1.0
-		if hi > lo {
-			q = t.surv[hi-1]
-		}
-		switch {
-		case q >= 1:
-			t.invLogQ[v] = math.Inf(-1)
-		case q <= 0:
-			t.invLogQ[v] = math.Copysign(0, -1)
-		default:
-			t.invLogQ[v] = 1 / math.Log(q)
-		}
+		t.maxOut = max(t.maxOut, hi-lo)
 	}
 	return t
+}
+
+// silence returns q(v), the probability that a visit of v fires none of
+// its out-edges: 1 for a vertex without any.
+func (t *fireTable) silence(g *graph.Graph, v graph.VertexID) float64 {
+	if lo, hi := g.OutRange(v); hi > lo {
+		return t.surv[hi-1]
+	}
+	return 1
 }
 
 // prefixSurvival writes the prefix survival products of edges into dst,
@@ -98,7 +87,8 @@ func (l *lazyFireTable) get(g *graph.Graph) *fireTable {
 // at least one of surv's edges fires — by inverse CDF, x uniform in [0, 1):
 // the first i with S_i < 1 − x·(1 − q). x < 1 puts that threshold above
 // q = S_{d−1} exactly; where rounding does not, the next float above q
-// selects the last edge with p(e) > 0.
+// selects the last edge with p(e) > 0. Over a rootTable's products of
+// 1 − δ it picks a deep attempt's first activated-and-firing head.
 func firstFired(surv []float64, x float64) int {
 	q := surv[len(surv)-1]
 	t := 1 - x*(1-q)
@@ -140,4 +130,153 @@ func firstBelow(s []float64, from int, t float64) int {
 		}
 	}
 	return lo
+}
+
+// nextHit returns the first item after item i (i = −1: before the first)
+// that hits, or len(s) when none does, the items hitting independently
+// with probabilities p and s holding their prefix miss products
+// s[k] = Π_{j≤k} (1 − p[j]): the first k > i with s[k] < (1 − y)·s[i]. Like
+// nextFired, it tosses a coin per item once the product is spent.
+func nextHit(s, p []float64, i int, r *rng.Source) int {
+	si := 1.0
+	if i >= 0 {
+		si = s[i]
+	}
+	if si >= survExhausted {
+		return firstBelow(s, i+1, (1-r.Float64())*si)
+	}
+	for i++; i < len(s); i++ {
+		if p[i] > 0 && r.Float64() < p[i] {
+			break
+		}
+	}
+	return i
+}
+
+// invLogOf returns 1/ln miss, the cached half of a Geometric(1 − miss)
+// inversion (rng.GeometricInvLog): −Inf for an event that never happens
+// (miss ≥ 1) and −0 for one that happens at every trial (miss ≤ 0), set
+// explicitly, never through Log(0).
+func invLogOf(miss float64) float64 {
+	switch {
+	case miss >= 1:
+		return math.Inf(-1)
+	case miss <= 0:
+		return math.Copysign(0, -1)
+	}
+	return 1 / math.Log(miss)
+}
+
+// rootTable is the recovery-scoped half of lazy propagation: the query
+// user u's out-edges grouped by head — parallel edges are independent
+// channels to one head — and per head c the laws of a cascade's first
+// step (see DelayEstimator):
+//
+//	α_c = 1 − Π_{e: u→c} (1 − p(e)), that u activates c;
+//	δ_c = α_c·(1 − q(c)), that u activates c and c fires;
+//	π_c = α_c·q(c)/(1 − δ_c), that u activates c given that c is not
+//	      activated-and-firing (0 where δ_c = 1).
+//
+// An attempt is shallow when no head is activated-and-firing, with
+// probability Q = Π_c (1 − δ_c), and deep otherwise. The table is a pure
+// function of (graph, u, shard), costs O(deg u), and is written by the
+// recovery's caller before any helper starts.
+type rootTable struct {
+	heads []graph.VertexID // u's out-neighbours, each once, in out-list order of first appearance
+	start []int32          // head k's edges are edges[start[k]:start[k+1]]
+	edges []graph.EdgeID   // u's out-edges grouped by head
+	surv  []float64        // per head, the prefix survival products of its edges
+	alpha []float64
+	pi    []float64
+	// deep, act and silent are the prefix products of 1 − δ, 1 − α and
+	// 1 − π over the heads; deep's last entry is Q.
+	deep, act, silent []float64
+	// weight is cumulative: weight[0] = 1[u ∈ pool] and weight[k+1] =
+	// weight[k] + π_c·1[c ∈ pool] for head k = c, the weights of an
+	// accepted shallow attempt's graphs {u} and u→c.
+	weight []float64
+	// invLogDeep and invLogShallow cache the gaps' inversions: deep
+	// attempts arrive at Geometric(1 − Q) gaps, accepted shallow ones at
+	// Geometric(weight[last]/|pool|) gaps among the shallow ones.
+	invLogDeep, invLogShallow float64
+
+	// ints and floats back the slices above. Sized for the graph's
+	// largest out-degree by the first recovery, they never grow after.
+	ints   []int32
+	floats []float64
+}
+
+// buildRoot writes j.root for j.u, using sc's marks — clear on entry and
+// on return — and its localOf as scratch.
+func (j *recoveryJob) buildRoot(sc *genScratch) {
+	g, t, rt := j.g, j.table, &j.root
+	nbrs, edges := g.OutNeighbors(j.u), g.OutEdges(j.u)
+	d := len(edges)
+	if len(rt.ints) < 3*d+1 {
+		m := max(t.maxOut, d)
+		rt.ints, rt.floats = make([]int32, 3*m+1), make([]float64, 7*m+1)
+	}
+	n := 0
+	for _, c := range nbrs {
+		if !sc.mark[c] {
+			sc.mark[c] = true
+			sc.localOf[c] = int32(n)
+			rt.ints[n] = c
+			n++
+		}
+	}
+	rt.heads, rt.start, rt.edges = rt.ints[:n], rt.ints[n:2*n+1], rt.ints[2*n+1:2*n+1+d]
+	// Group the edges by head with a counting sort: start[k+1] counts head
+	// k's edges, then start[k] is the first slot of head k, a cursor while
+	// the edges are placed, and shifted back one head after.
+	clear(rt.start)
+	for _, c := range nbrs {
+		sc.mark[c] = false
+		rt.start[sc.localOf[c]+1]++
+	}
+	for k := range n {
+		rt.start[k+1] += rt.start[k]
+	}
+	for i, c := range nbrs {
+		k := sc.localOf[c]
+		rt.edges[rt.start[k]] = edges[i]
+		rt.start[k]++
+	}
+	copy(rt.start[1:], rt.start[:n])
+	rt.start[0] = 0
+
+	f := rt.floats
+	carve := func(k int) []float64 {
+		s := f[:k]
+		f = f[k:]
+		return s
+	}
+	rt.surv, rt.alpha, rt.pi = carve(d), carve(n), carve(n)
+	rt.deep, rt.act, rt.silent, rt.weight = carve(n), carve(n), carve(n), carve(n+1)
+	w := 0.0
+	if j.ownsUser {
+		w = 1
+	}
+	rt.weight[0] = w
+	deep, act, silent := 1.0, 1.0, 1.0
+	for k, c := range rt.heads {
+		lo, hi := rt.start[k], rt.start[k+1]
+		prefixSurvival(g, rt.edges[lo:hi], rt.surv[lo:hi])
+		alpha := 1 - rt.surv[hi-1]
+		q := t.silence(g, c)
+		delta := alpha * (1 - q)
+		pi := 0.0
+		if delta < 1 {
+			pi = alpha * q / (1 - delta)
+		}
+		deep, act, silent = deep*(1-delta), act*(1-alpha), silent*(1-pi)
+		rt.alpha[k], rt.pi[k] = alpha, pi
+		rt.deep[k], rt.act[k], rt.silent[k] = deep, act, silent
+		if ShardOf(c, j.numShards) == j.shardID {
+			w += pi
+		}
+		rt.weight[k+1] = w
+	}
+	rt.invLogDeep = invLogOf(deep)
+	rt.invLogShallow = invLogOf(1 - w/float64(j.poolSize))
 }

@@ -102,28 +102,28 @@ func TestSavedFilesGolden(t *testing.T) {
 // every scan policy exactly as it was, after a build and along a repair
 // chain, at one shard and at three.
 var goldenRowHashes = map[string]string{
-	"S=1/step=0/DELAYMAT":  "9d253857ef9ead97614e8c365e78fe669406ec6ff9898bc713312c4f00b7192c",
+	"S=1/step=0/DELAYMAT":  "a4609b75a6516644ad50cdf95d0e397aa1ce9c4b7d74634f4af4e4584c9bfa20",
 	"S=1/step=0/INDEXEST":  "8f92ba698bf50f538900b7fb428aa625b1d8109e9cc7c9bc6afc9fcf2539110c",
 	"S=1/step=0/INDEXEST+": "58a1b479df6d5506b0b2d3e2663b9ae891d72dfa6f8c66e9c1a598af4fbab624",
-	"S=1/step=1/DELAYMAT":  "9b1cc0376dfeacede088e5c9fd03d9d7c54c40896fc415ca27265fc15f05730d",
+	"S=1/step=1/DELAYMAT":  "cef4b5f5962454097f1bdec5fecb9d73abc8b196a928ff5b80f096a010620ee5",
 	"S=1/step=1/INDEXEST":  "172a8ab82764a015f7b8824ca126b6690134bd79bd5049d7d9bdf662a8d59b26",
 	"S=1/step=1/INDEXEST+": "78ff4c7abdb922b81bc52c9f4ba642b062e79de94ebe5757231f7744a75c8e7e",
-	"S=1/step=2/DELAYMAT":  "e7f8cc36347ce0926cac7814da587452ab9371e4e9e78f1d93fce605adf4042f",
+	"S=1/step=2/DELAYMAT":  "70a039343a4d41a15eaa015de44784ca0e1b678ffe9be95ea3c9229d68dcbbdf",
 	"S=1/step=2/INDEXEST":  "ecf042f74e3423e8e2e9c3b528ea503c86365f4913aa0826d18748ed305e1699",
 	"S=1/step=2/INDEXEST+": "54f7b7ed18b5d823ff0d5ae069b61e79075f23433d6be4aa241cfadee15d6490",
-	"S=1/step=3/DELAYMAT":  "c5381a5aae8a7d6428225b2f972468dddf374f9dc5ba788cd928441ec15f730e",
+	"S=1/step=3/DELAYMAT":  "4042f549dd8801e238c6d92d6dc4753d764041e20458bb6784ba35748409af8c",
 	"S=1/step=3/INDEXEST":  "c0df633f22dd27ede3ef27279e22419e7d2292630118e73d1c88648cff99ac13",
 	"S=1/step=3/INDEXEST+": "b0c31fafbe24c1456469a80f248b236940392cda0a355ae9b9e99f9a2d1a8048",
-	"S=3/step=0/DELAYMAT":  "d453104301ff70ba1c49faeb1f8b0d11436581138c9f31eb8b1de36f0aedf9e5",
+	"S=3/step=0/DELAYMAT":  "5d3391f228f1633af60dca0e8fc9ee2c5c71418edaaac8521b03655667ac6693",
 	"S=3/step=0/INDEXEST":  "ef7737a74778b54f8cd7807189840cb61c9387fdbee89ab1afbb7a322194f369",
 	"S=3/step=0/INDEXEST+": "1c0105126e1cb0744718f54b0b60e25daaebe19968c75258b201311b49848272",
-	"S=3/step=1/DELAYMAT":  "031f6c0c20fd132fa424ebded5c83757c87756217724c23bc0e09ea07deeb220",
+	"S=3/step=1/DELAYMAT":  "0dfb72f2dd2550ed54bf65a74322774e2cad3315274e84a14f7c18891ce9ee36",
 	"S=3/step=1/INDEXEST":  "ba613ad103e0332a9a8f0ad101bcaff8b074c75c12639fd30fc76fb7c6d266f7",
 	"S=3/step=1/INDEXEST+": "3b8cb207fd3cb6b07f083b5c0cc1655732e47737472c1657b14bb02d7712debf",
-	"S=3/step=2/DELAYMAT":  "cf97660e8191fec48bb823232869281515aa2133528ab412d4e3742fb920d729",
+	"S=3/step=2/DELAYMAT":  "14b402c18db89c200598c13fa28ec7e409340d7028bbdb295241c2d6b626a0a8",
 	"S=3/step=2/INDEXEST":  "074b45fde7a7ad969c005172742f83f09e4c8aab22345a75049e1ffd6bc3b335",
 	"S=3/step=2/INDEXEST+": "90b2ab54f3d557013bc1043d87e9c4ccdd8ac2f2768b04ac485ebb7a26b6f20a",
-	"S=3/step=3/DELAYMAT":  "c451a4b147ba9b9f861e60c68f32573a412633682185700bdbc49e6b1a08daee",
+	"S=3/step=3/DELAYMAT":  "ab251a2adad43c24d22d435ce76d3b2c38ead9c2c9345ef2ddcc210570480ffc",
 	"S=3/step=3/INDEXEST":  "18b5b7cf153db7b96d0b10a9a973edf685b47299046008d2471bd4f8d6583b55",
 	"S=3/step=3/INDEXEST+": "f971cae6c135ad84312380118f4ddf00054d58e9f03fc35c3efa8f59ef3e1d82",
 }

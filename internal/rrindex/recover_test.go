@@ -13,10 +13,10 @@ import (
 	"pitex/internal/topics"
 )
 
-// This file tests DelayMat recovery's law, not its bytes: the firing
-// schedule (lazy propagation driving Algo 4, empty cascades jumped in
-// bulk) must recover graphs from the same distribution as Algo 4 run with
-// a coin per out-edge per attempt. referenceRecover is that algorithm
+// This file tests DelayMat recovery's law, not its bytes: the estimator
+// (lazy propagation driving Algo 4, shallow attempts jumped in bulk) must
+// recover graphs from the same distribution as Algo 4 run with a coin per
+// out-edge per attempt. referenceRecover is that algorithm
 // restated from the paper; it shares no code with the estimator.
 
 // refRecovered is one RR-Graph recovered by referenceRecover.
@@ -83,7 +83,7 @@ func referenceRecover(g *graph.Graph, u graph.VertexID, n, theta int64, r *rng.S
 // recoveryStats pools what the distribution test compares over the graphs
 // recovered for one user.
 type recoveryStats struct {
-	graphs, rootTarget, lone int // lone: one-vertex graphs, i.e. accepted empty cascades
+	graphs, rootTarget, lone int // lone: one-vertex graphs
 	sumV, sumVV, sumE, sumEE float64
 	rootEdge                 map[graph.EdgeID]int // inclusion counts of u's out-edges
 }
@@ -148,7 +148,7 @@ type recoverCase struct {
 	tags  []topics.TagID
 }
 
-// cornersGraph puts every rounding corner of the firing schedule on the
+// cornersGraph puts every rounding corner of the recovery's tables on the
 // query user 0: an edge with p(e) = 0 first, in the middle and last, an
 // edge with p(e) = 1 in the middle (so the prefix product is spent for the
 // p = 0.5 edge after it), a cycle back to the root, and a vertex without
@@ -248,8 +248,8 @@ func recoverCases(t *testing.T) []recoverCase {
 	if err != nil {
 		t.Fatalf("ErdosRenyi: %v", err)
 	}
-	// Low probabilities: most attempts are empty cascades, as on the
-	// benchmark's datasets, so most recovered graphs come from the jump.
+	// Low probabilities: most attempts are shallow, as on the benchmark's
+	// datasets, so most recovered graphs come from the jump.
 	quiet, err := graph.ErdosRenyi(rng.New(7), 9, 12, graph.TopicAssignment{NumTopics: 2, TopicsPerEdge: 1, MaxProb: 0.15})
 	if err != nil {
 		t.Fatalf("ErdosRenyi: %v", err)
@@ -302,12 +302,11 @@ func blocksSpanned(attempts, theta int64) int64 {
 
 // TestRecoveryMatchesReferenceDistribution compares, per (graph, S, shard)
 // and pooled over recoverSeeds recoveries on either side, the graphs the
-// firing schedule recovers with referenceRecover's: the share with target
-// u, the share of one-vertex graphs (the jumped empty cascades) and the
-// inclusion frequency of each out-edge of u under the two-proportion bound
-// of shareClose, mean |V| and |E| and the attempts charged per recovery
-// (jumped ones included — the overall acceptance rate) under the normal
-// bound of meanClose. On the way it checks what must hold exactly.
+// estimator recovers with referenceRecover's: the share with target u, the
+// share of one-vertex graphs and the inclusion frequency of each out-edge
+// of u under the two-proportion bound of shareClose, mean |V| and |E| and
+// the attempts charged per recovery (jumped ones included — the overall
+// acceptance rate) under the normal bound of meanClose. On the way it checks what must hold exactly.
 func TestRecoveryMatchesReferenceDistribution(t *testing.T) {
 	for _, tc := range recoverCases(t) {
 		for _, S := range []int{1, 3} {
@@ -453,8 +452,8 @@ func TestRecoveryWithoutOutEdges(t *testing.T) {
 						t.Fatalf("S=%d user %d: recovered a graph other than {u}", S, u)
 					}
 				}
-				if ws := de.WorkStats(); ws.RecoveryCascades != 0 || len(de.touched) != 0 {
-					t.Fatalf("S=%d user %d: %d cascades simulated, %d vertices left touched", S, u, ws.RecoveryCascades, len(de.touched))
+				if ws := de.WorkStats(); ws.RecoveryCascades != 0 {
+					t.Fatalf("S=%d user %d: %d cascades simulated", S, u, ws.RecoveryCascades)
 				}
 			}
 		}
@@ -642,24 +641,33 @@ func recoveryIndependentOfWorkers(t *testing.T, g *graph.Graph, users []graph.Ve
 }
 
 // TestRecoveryPanicReachesCaller: a panic in a block — here any vertex
-// past the hub reads beyond a truncated firing table — surfaces on the
-// goroutine that asked for the recovery, where a server turns it into an
-// error, and leaves no helper at work and no recovery cached; with the
-// table mended the estimator recovers what a fresh one does. A helper
-// hands its own panic to that goroutine with its exit.
+// two steps from the hub reads beyond a truncated firing table, which
+// still covers the hub's heads — surfaces on the goroutine that asked for
+// the recovery, where a server turns it into an error, and leaves no
+// helper at work and no recovery cached; with the table mended the
+// estimator recovers what a fresh one does. A helper hands its own panic
+// to that goroutine with its exit.
 func TestRecoveryPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	g := workersGraph()
+	// Hub 0 reaches heads 1..20, head c reaches 20+c, and 20+c the hub.
+	const hub, heads = 0, 20
+	b := graph.NewBuilder(2*heads+1, 2)
+	for c := graph.VertexID(1); c <= heads; c++ {
+		b.AddEdge(hub, c, both(0.3))
+		b.AddEdge(c, heads+c, both(0.5))
+		b.AddEdge(heads+c, hub, both(0.2))
+	}
+	g := b.MustBuild()
 	opts := recoverOpts(42)
 	opts.MaxIndexSamples = 6000
 	sdm, err := BuildShardedDelayMat(g, opts, 1)
 	if err != nil {
 		t.Fatalf("BuildShardedDelayMat: %v", err)
 	}
-	const hub = 5
 	good := newFireTable(g)
+	_, end := g.OutRange(heads)
 	gen := &delayGen{}
-	gen.fire.once.Do(func() { gen.fire.t = &fireTable{surv: good.surv, invLogQ: good.invLogQ[:hub+1]} })
+	gen.fire.once.Do(func() { gen.fire.t = &fireTable{maxOut: good.maxOut, surv: good.surv[:end:end]} })
 	de := newDelayEstimatorShard(sdm.shards[0], 99, gen, 0, 1, sdm.users[0])
 	func() {
 		defer func() {
@@ -720,7 +728,7 @@ func equalSlice[T comparable](a, b []T) bool {
 	return true
 }
 
-// TestFireTableCorners pins the table's rounding corners directly.
+// TestFireTableCorners pins the tables' rounding corners directly.
 func TestFireTableCorners(t *testing.T) {
 	g := cornersGraph()
 	tbl := newFireTable(g)
@@ -731,34 +739,65 @@ func TestFireTableCorners(t *testing.T) {
 			t.Fatalf("surv of vertex 0 = %v, want %v", tbl.surv[lo:hi], want)
 		}
 	}
-	// p(e) = 1: fires at every visit, through −0 and not Log(0).
-	if q := tbl.invLogQ[0]; q != 0 || !math.Signbit(q) {
-		t.Fatalf("invLogQ of a vertex with a sure edge = %v, want -0", q)
-	}
-	// No out-edges, or none with p(e) > 0: never fires.
-	for _, v := range []graph.VertexID{6, 2, 5} {
-		if !math.IsInf(tbl.invLogQ[v], -1) {
-			t.Fatalf("invLogQ[%d] = %v, want -Inf", v, tbl.invLogQ[v])
+	for v, want := range map[graph.VertexID]float64{0: 0, 2: 1, 3: 0.6, 6: 1} {
+		if q := tbl.silence(g, v); math.Abs(q-want) > 1e-15 {
+			t.Fatalf("q(%d) = %v, want %v", v, q, want)
 		}
 	}
-	if got, want := tbl.invLogQ[3], 1/math.Log(0.6); got != want {
-		t.Fatalf("invLogQ[3] = %v, want %v", got, want)
+
+	// The root table's corners. Root 0 of the corners graph: head 2 behind
+	// two p = 0 edges, never activated; head 3 behind a p = 1 edge, α = 1,
+	// so π = 1 and the products of 1 − α and 1 − π are spent; head 5
+	// behind one p = 0 edge.
+	root := func(g *graph.Graph, u graph.VertexID) *rootTable {
+		j := &recoveryJob{g: g, table: newFireTable(g), u: u, numShards: 1, poolSize: g.NumVertices(), ownsUser: true}
+		j.buildRoot(newGenScratch(g.NumVertices()))
+		return &j.root
+	}
+	rt := root(g, 0)
+	if !equalSlice(rt.heads, []graph.VertexID{2, 1, 3, 4, 5}) || !equalSlice(rt.start, []int32{0, 2, 3, 4, 5, 6}) {
+		t.Fatalf("heads %v, start %v: want 2, 1, 3, 4, 5 with head 2's two edges first", rt.heads, rt.start)
+	}
+	wantAlpha := []float64{0, 0.3, 1, 0.5, 0}
+	wantPi := []float64{0, 0.3 * 0.8 / (1 - 0.3*0.2), 1, 0.5 * 0.4 / (1 - 0.5*0.6), 0}
+	for k := range rt.heads {
+		if math.Abs(rt.alpha[k]-wantAlpha[k]) > 1e-15 || math.Abs(rt.pi[k]-wantPi[k]) > 1e-15 {
+			t.Fatalf("head %d: α %v π %v, want %v and %v", rt.heads[k], rt.alpha[k], rt.pi[k], wantAlpha[k], wantPi[k])
+		}
+	}
+	if rt.act[2] != 0 || rt.silent[2] != 0 {
+		t.Fatalf("products after the sure head: 1 − α %v, 1 − π %v, want 0 (spent)", rt.act[2], rt.silent[2])
+	}
+	if got, want := rt.invLogDeep, 1/math.Log((1-0.3*0.2)*(1-0.4)*(1-0.5*0.6)); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("invLogDeep of root 0 = %v, want %v", got, want)
+	}
+	// δ = 1 (a p = 1 edge into a head whose p = 1 edge fires at every
+	// visit): every attempt is deep, through −0 and not Log(0), and π is 0,
+	// not 0/0.
+	rt = root(sureChainGraph(), 0)
+	if q := rt.invLogDeep; q != 0 || !math.Signbit(q) {
+		t.Fatalf("invLogDeep of a root with δ = 1 = %v, want -0", q)
+	}
+	if rt.pi[1] != 0 || rt.deep[1] != 0 {
+		t.Fatalf("head with δ = 1: π %v, 1 − δ product %v, want 0 and 0", rt.pi[1], rt.deep[1])
+	}
+	// No out-edges (vertex 6), or heads that never fire (vertex 3's only
+	// head, 6; vertex 5's none): no attempt is deep.
+	for _, u := range []graph.VertexID{6, 3, 5} {
+		if rt := root(g, u); !math.IsInf(rt.invLogDeep, -1) {
+			t.Fatalf("invLogDeep of root %d = %v, want -Inf", u, rt.invLogDeep)
+		}
+	}
+	// Root 6 has no heads, so its own one-vertex graph is all a shallow
+	// attempt yields, at rate 1/|V|.
+	if rt := root(g, 6); rt.weight[0] != 1 || math.Abs(rt.invLogShallow-1/math.Log1p(-1.0/7)) > 1e-12 {
+		t.Fatalf("root without out-edges: weight %v, invLogShallow %v", rt.weight, rt.invLogShallow)
 	}
 	r := rng.New(1)
 	for i := 0; i < 100; i++ {
-		if r.GeometricInvLog(tbl.invLogQ[0]) != 1 || r.GeometricInvLog(tbl.invLogQ[6]) != rng.Never {
-			t.Fatal("gap of a sure vertex must be 1, of a silent vertex Never")
+		if r.GeometricInvLog(invLogOf(0)) != 1 || r.GeometricInvLog(invLogOf(1)) != rng.Never {
+			t.Fatal("gap of a sure event must be 1, of an impossible one Never")
 		}
-	}
-	// A silent vertex stays silent however often it is visited: next is
-	// Never and visits + gap is never formed.
-	de := newDelayEstimatorShard(&DelayMat{g: g, theta: 50, counts: []int64{20, 0, 0, 0, 0, 0, 0}}, 3, &delayGen{}, 0, 1, 7)
-	de.recover(0)
-	if de.recovered.size() != 20 {
-		t.Fatalf("recovered %d graphs, want 20", de.recovered.size())
-	}
-	if f := de.firingOf(6); f.next != rng.Never {
-		t.Fatalf("silent vertex scheduled to fire at visit %d", f.next)
 	}
 
 	// firstFired: an edge with p(e) ≤ 0 is never the first fired edge, at
@@ -826,12 +865,12 @@ func TestFireTableSharedAcrossEstimators(t *testing.T) {
 	}
 	for _, est := range ests {
 		for _, p := range est.shards {
-			if p.(*DelayEstimator).table != tbl {
+			if p.(*DelayEstimator).job.table != tbl {
 				t.Fatal("estimators of one generation hold different tables")
 			}
 		}
 	}
-	if got := int64(len(tbl.surv)+len(tbl.invLogQ)) * 8; got != 8*int64(g.NumEdges())+8*int64(g.NumVertices()) {
+	if got := int64(len(tbl.surv)) * 8; got != 8*int64(g.NumEdges()) {
 		t.Fatalf("table holds %d bytes", got)
 	}
 	if h := &sdm.gen.helpers; h.busy != 0 || len(h.idle) > runtime.GOMAXPROCS(0)-1 {

@@ -102,14 +102,15 @@
 // query user (Algo 4): about θ forward cascades from u, accepted with
 // probability |V'|/|V|. The cascades are driven by the paper's own lazy
 // propagation (Sec. 5.1, Algo 2, Lemma 6) rather than a coin per edge:
-// a vertex is skipped until the visit at which one of its out-edges next
-// fires, and the attempts at which the query user fires nothing — most
-// of them — are jumped in bulk, the accepted ones located by geometric
-// gaps (delay.go gives the exactness argument). What that needs of the
-// graph, prefix survival products per out-edge and 1/ln q per vertex, is
-// one immutable fireTable per graph generation (firing.go; 8·|E| + 8·|V|
-// bytes, built by the first recovery, shared by every estimator of the
-// generation, dropped with it on hot-swap). A recovery runs in blocks of
+// a visit draws its fired edges with one uniform, and the attempts that
+// stop at the query user's own out-neighbours — most of them — are jumped
+// in bulk, the accepted ones located by geometric gaps (delay.go gives
+// the exactness argument). What that needs of the graph, prefix survival
+// products per out-edge, is one immutable fireTable per graph generation
+// (firing.go; 8·|E| bytes, built by the first recovery, shared by every
+// estimator of the generation, dropped with it on hot-swap); what it
+// needs of the user, the laws of u's heads, is a rootTable built per
+// recovery in O(deg u). A recovery runs in blocks of
 // attempts, block b on the stream rng.Mix(seed, shard, user, b), on as
 // many cores as the generation's helpers can take, so a recovered user is
 // a pure function of (seed, shard, user, θ): the same from every clone, in

@@ -21,16 +21,18 @@ type WorkStats struct {
 	// pruning (pruned index strategies only).
 	GraphsPruned int64
 	// RecoveryAttempts is the number of Algo 4 attempts DelayMat recovery
-	// charged to its 8θ+1024 budget, the empty cascades it jumped in bulk
+	// charged to its 8θ+1024 budget, the shallow ones it jumped in bulk
 	// included (DelayMat only). Against the RR-Graphs recovered it answers
 	// "what does the acceptance rule cost": about θ attempts per
 	// recovery whatever the user, since a cascade is accepted with
 	// probability |V'|/|V|.
 	RecoveryAttempts int64
 	// RecoveryCascades is the number of those attempts whose forward
-	// cascade was actually simulated — the ones at which the query user
-	// fired at least one out-edge (DelayMat only). It answers "what did
-	// recovery compute": attempts minus cascades were skipped at no cost.
+	// cascade was actually simulated — the deep ones, at which an
+	// out-neighbour the query user activated fired in turn (DelayMat
+	// only). It answers "what did recovery compute": attempts minus
+	// cascades stopped at the user's own out-neighbours and were jumped in
+	// bulk.
 	RecoveryCascades int64
 }
 
