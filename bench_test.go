@@ -460,7 +460,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(row.name, func(b *testing.B) {
 			opts := pitex.Options{
 				Strategy: row.strategy, Epsilon: 0.7, Delta: 1000, MaxK: 10, Seed: 1,
-				MaxSamples: 5000, MaxIndexSamples: row.maxTheta, TrackUpdates: true,
+				MaxSamples: 5000, MaxIndexSamples: row.maxTheta,
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -174,7 +174,6 @@ func soakOptions(cfg soakConfig, seed uint64) pitex.Options {
 		MaxSamples:      20000,
 		MaxIndexSamples: 20000,
 		IndexShards:     cfg.groups,
-		TrackUpdates:    true,
 	}
 }
 

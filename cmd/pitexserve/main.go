@@ -38,7 +38,6 @@ type config struct {
 	cli.Engine
 	cli.Process
 	index, saveIndex string
-	trackUpdates     bool
 	// shards switches setup into coordinator mode: a distrib client is
 	// dialed over the groups and the server scatters to them instead of
 	// holding a local index.
@@ -56,7 +55,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	c.Process.Register(fs)
 	fs.StringVar(&c.index, "index", "", "offline index file written by SaveIndex (skips construction)")
 	fs.StringVar(&c.saveIndex, "save-index", "", "write the offline index here after construction, so the next restart can -index it")
-	fs.BoolVar(&c.trackUpdates, "track-updates", true, "keep incremental-repair bookkeeping for /admin/update (DelayMat pays extra memory)")
 
 	fs.StringVar(&c.shards, "shards", "", "coordinator mode: shard-server groups, comma-separated; replicas within a group separated by '|' (e.g. 'h1:8501|h1b:8501,h2:8502')")
 	fs.DurationVar(&c.shardDeadline, "shard-deadline", 2*time.Second, "per-shard-group fetch deadline in coordinator mode (hedges included)")
@@ -101,7 +99,6 @@ func setup(c config, logf func(string, ...any)) (*serve.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.TrackUpdates = c.trackUpdates
 	net, model, err := c.Load()
 	if err != nil {
 		return nil, err

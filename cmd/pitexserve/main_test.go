@@ -70,7 +70,7 @@ func TestFlags(t *testing.T) {
 		"max-k": "10", "max-samples": "5000", "model": "", "network": "", "pool": "0",
 		"query-timeout": "0s", "queue": "0", "queue-timeout": "5s", "reconcile-interval": "0s",
 		"save-index": "", "scale": "1", "seed": "1", "shard-deadline": "2s", "shards": "",
-		"strategy": "indexest+", "sweep-checkpoint-dir": "", "track-updates": "true",
+		"strategy": "indexest+", "sweep-checkpoint-dir": "",
 	}
 	var c config
 	fs := flag.NewFlagSet("pitexserve", flag.ContinueOnError)

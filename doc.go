@@ -226,8 +226,10 @@
 // UpdateBatch — edge insertions and deletions, topic-probability changes,
 // new-user appends — by incrementally repairing the index instead of
 // rebuilding it: only the RR-Graphs whose sampled edges are touched by
-// the batch are re-sampled (DelayMat counters are patched), which is
-// 10x+ faster than NewEngine for batches touching ≤1% of edges
+// the batch are re-sampled (DelayMat counters are recounted, which makes
+// an updated DELAYMAT engine equal to NewEngine over the updated
+// network), which is 10x+ faster than NewEngine for batches touching ≤1%
+// of edges
 // (BenchmarkIncrementalRepair against BenchmarkFullRebuild). An
 // RR-Graph can change only if it contains the head vertex of a mutated
 // edge, and a sharded index repairs only the shards that own a touched

@@ -234,7 +234,6 @@ func (o Options) buildOptions(numTags int) rrindex.BuildOptions {
 		Accuracy:        o.samplingOptions(numTags),
 		MaxIndexSamples: o.MaxIndexSamples,
 		Seed:            o.Seed,
-		TrackMembers:    o.TrackUpdates,
 	}
 }
 

@@ -28,22 +28,12 @@ type DelayMat struct {
 	// counts[u] = θ(u).
 	counts []int64
 
-	// members is the optional incremental-repair bookkeeping
-	// (BuildOptions.TrackMembers): the target and member set of each
-	// conceptual offline RR-Graph, as a store's vertex half, so Repair can
-	// decide which graphs a mutation invalidates and patch counters by
-	// decrement/re-sample/increment. nil when not tracked (the Table 3
-	// counters-only configuration); a DelayMat loaded from disk is never
-	// repairable.
-	members *graphStore
-
 	footprint int64 // cached MemoryFootprint
 }
 
 // BuildDelayMat runs the offline counting phase: it samples the same θ
 // RR-Graphs as Build would, but only increments per-user counters instead
-// of materializing anything. With opts.TrackMembers it additionally
-// records each graph's member set and target for incremental Repair.
+// of materializing anything.
 func BuildDelayMat(g *graph.Graph, opts BuildOptions) (*DelayMat, error) {
 	if err := opts.Accuracy.Validate(); err != nil {
 		return nil, fmt.Errorf("rrindex: %w", err)
@@ -62,19 +52,12 @@ func (dm *DelayMat) Theta() int64 { return dm.theta }
 func (dm *DelayMat) Count(u graph.VertexID) int64 { return dm.counts[u] }
 
 // MemoryFootprint is the bytes the index retains: one counter per user
-// (Table 3's "DelayMat size" column), plus the member store when the
-// index was built with TrackMembers, all by capacity. Cached at
-// build/load/repair time, so the call is O(1).
+// (Table 3's "DelayMat size" column), by capacity. Cached at build and
+// load time, so the call is O(1).
 func (dm *DelayMat) MemoryFootprint() int64 { return dm.footprint }
 
 // recomputeFootprint refreshes the cached MemoryFootprint value.
-func (dm *DelayMat) recomputeFootprint() {
-	b := int64(cap(dm.counts)) * 8
-	if dm.members != nil {
-		b += dm.members.footprint()
-	}
-	dm.footprint = b
-}
+func (dm *DelayMat) recomputeFootprint() { dm.footprint = int64(cap(dm.counts)) * 8 }
 
 // DelayEstimator is the DelayMat scan policy: recover the query user's
 // RR-Graphs, then hit-test them exactly as Estimator does an index's.

@@ -192,7 +192,7 @@ func NewShardedDelayEstimator(sdm *ShardedDelayMat, r *rng.Source) *ShardedEstim
 	return se
 }
 
-func newShardedEstimator[T shardPart[T]](set *shardSet[T]) *ShardedEstimator {
+func newShardedEstimator[T shardPart](set *shardSet[T]) *ShardedEstimator {
 	return &ShardedEstimator{g: set.g, shards: make([]scanPolicy, len(set.ids)), ids: set.ids, users: set.users}
 }
 

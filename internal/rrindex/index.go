@@ -22,11 +22,6 @@ type BuildOptions struct {
 	// its own stream (sampler.position) and runs on every core, so its
 	// bytes depend on Seed and the shard layout alone.
 	Seed uint64
-	// TrackMembers makes BuildDelayMat record per-graph member sets and
-	// targets so the index supports incremental Repair under graph
-	// updates. It trades DelayMat's tiny footprint for patchable counters;
-	// ignored by Build (the materialized index is always repairable).
-	TrackMembers bool
 }
 
 // Theta returns the offline sample count of Eq. 7:

@@ -104,10 +104,14 @@ func wrapMonolithic(idx *Index) *ShardedIndex {
 	return &ShardedIndex{loaded(idx.g, []*Index{idx})}
 }
 
-// storeMembers lists every member of every graph of st, a DelayMat
-// member store (which keeps no in-stars), the one-vertex graphs' targets
-// included.
-func storeMembers(st *graphStore) []graph.VertexID { return slices.Concat(st.verts, st.singles) }
+// members returns graph pos's member vertices (an in-star's in a fresh
+// slice).
+func (s *graphStore) members(pos int) []graph.VertexID {
+	if k, i := s.locate(pos); k == deeper {
+		return s.verts[s.recs[i].v:s.recs[i+1].v]
+	}
+	return s.view(pos).verts
+}
 
 // The reference's view of a graph: its sizes, and Def. 3 decided by one
 // boolean walk per prober, which the masked scan's reachMask must match

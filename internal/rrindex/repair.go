@@ -1,7 +1,6 @@
 package rrindex
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -11,10 +10,10 @@ import (
 )
 
 // This file implements incremental index maintenance under graph updates
-// (pitex.Engine.ApplyUpdates): instead of rebuilding the offline structures
-// from scratch after a batch of edge mutations, only the RR-Graphs whose
-// sampled outcome could have changed are re-sampled, and DelayMat counters
-// are patched in place.
+// (pitex.Engine.ApplyUpdates): instead of rebuilding the index from
+// scratch after a batch of edge mutations, only the RR-Graphs whose
+// sampled outcome could have changed are re-sampled. A DelayMat keeps no
+// graphs to repair: an update recounts it with the build's own options.
 //
 // Soundness of the invalidation rule. RR-Graph generation (Def. 2) probes
 // the in-edges of member vertices and keeps edges with c(e) < p(e). A
@@ -43,12 +42,6 @@ import (
 // postings lists of clean vertices. The new store is always compact, so
 // no generation pins an earlier one's graphs. A shard that needs no
 // repair hands its store to the next generation whole (Index.share).
-
-// ErrNotRepairable reports an index that lacks the bookkeeping incremental
-// repair needs (a DelayMat built without TrackMembers, or one loaded from
-// disk). Callers should fall back to a full rebuild.
-var ErrNotRepairable = errors.New(
-	"rrindex: index has no repair bookkeeping (rebuild required)")
 
 // RepairStats summarizes what one Repair call re-sampled.
 type RepairStats struct {
@@ -179,44 +172,6 @@ func (rs repairSpec) drawAdded(r *rng.Source, oldV int) graph.VertexID {
 	return rs.addedPool[r.Intn(len(rs.addedPool))]
 }
 
-// walk is the one ordered pass of both repairs. It draws every graph's
-// retarget Bernoulli in order and calls f for each graph to re-sample: a
-// marked one with its old target, a retargeted one (marked now too) with
-// a uniform added pool member. Then θ grows with |V| (Eq. 7), f called
-// with gi = -1 for each appended graph, its target uniform over the new
-// pool. It returns the new θ, which never shrinks: a cap change cannot
-// retroactively unsample graphs without biasing the estimator.
-func (spec repairSpec) walk(r *rng.Source, old *graphStore, marked []bool, theta int64, newV int, stats *RepairStats,
-	f func(gi int, target graph.VertexID) error) (int64, error) {
-	retargetP := 0.0
-	if added, size := spec.poolCounts(newV); added > 0 {
-		retargetP = float64(added) / float64(size)
-	}
-	for gi := range marked {
-		var target graph.VertexID
-		switch {
-		case retargetP > 0 && r.Bernoulli(retargetP):
-			target, marked[gi] = spec.drawAdded(r, newV-spec.addedVertices), true
-			stats.Retargeted++
-		case marked[gi]:
-			target = old.target(gi)
-			stats.Invalidated++
-		default:
-			continue
-		}
-		if err := f(gi, target); err != nil {
-			return theta, err
-		}
-	}
-	for ; theta < spec.thetaNew; theta++ {
-		if err := f(-1, drawTarget(r, spec.pool, newV)); err != nil {
-			return theta, err
-		}
-		stats.Appended++
-	}
-	return theta, nil
-}
-
 // Repair returns a new Index over the updated graph g, re-sampling only
 // the RR-Graphs invalidated by the mutation batch. g must be the result of
 // graph.ApplyDelta on the index's graph (edge IDs stable, addedVertices
@@ -256,27 +211,53 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	resampled := make([]bool, old.size())
 	idx.markContaining(touched, resampled)
 
-	// The one ordered pass re-samples the invalidated, retargeted and
-	// appended graphs into fresh. dirty marks vertices whose postings list
-	// must change: old or new posted members of any re-sampled graph, and
-	// those of appended ones. stats.Dirty takes the old one-vertex graphs
-	// and in-stars here, fresh's below, and dirty's marks at the end.
+	// The one ordered pass draws every graph's retarget Bernoulli in order
+	// and re-samples into fresh each marked graph with its old target and
+	// each retargeted one (marked now too) with a uniform added pool
+	// member. Then θ grows with |V| (Eq. 7): each appended graph's target
+	// is uniform over the new pool. θ never shrinks: a cap change cannot
+	// retroactively unsample graphs without biasing the estimator. dirty
+	// marks vertices whose postings list must change: old or new posted
+	// members of any re-sampled graph, and those of appended ones.
+	// stats.Dirty takes the old one-vertex graphs and in-stars here,
+	// fresh's below, and dirty's marks at the end.
 	r, s := rng.New(opts.Seed), newSampler(g, nil)
 	dirty := make([]bool, newV)
 	stats.Dirty = dirtyOver(newV)
 	fresh := newStoreLike(g, old, resampled)
-	theta, err := spec.walk(r, old, resampled, idx.theta, newV, &stats, func(gi int, target graph.VertexID) error {
-		if gi >= 0 {
-			for _, v := range old.posted(gi) {
-				dirty[v] = true
-			}
-			stats.Dirty.addDirect(old, gi)
+	retargetP := 0.0
+	if added, size := spec.poolCounts(newV); added > 0 {
+		retargetP = float64(added) / float64(size)
+	}
+	for gi := range resampled {
+		var target graph.VertexID
+		switch {
+		case retargetP > 0 && r.Bernoulli(retargetP):
+			target, resampled[gi] = spec.drawAdded(r, oldV), true
+			stats.Retargeted++
+		case resampled[gi]:
+			target = old.target(gi)
+			stats.Invalidated++
+		default:
+			continue
 		}
+		for _, v := range old.posted(gi) {
+			dirty[v] = true
+		}
+		stats.Dirty.addDirect(old, gi)
 		s.sample(target, r)
-		return fresh.add(target, &s.genScratch)
-	})
-	if err != nil {
-		return nil, stats, err
+		if err := fresh.add(target, &s.genScratch); err != nil {
+			return nil, stats, err
+		}
+	}
+	theta := idx.theta
+	for ; theta < spec.thetaNew; theta++ {
+		target := drawTarget(r, spec.pool, newV)
+		s.sample(target, r)
+		if err := fresh.add(target, &s.genScratch); err != nil {
+			return nil, stats, err
+		}
+		stats.Appended++
 	}
 	st, err := spliceStores(old, fresh, resampled)
 	if err != nil {
@@ -356,87 +337,5 @@ func (idx *Index) repair(g *graph.Graph, opts BuildOptions, touched []graph.Vert
 	}
 	stats.Total = next.graphs.size()
 	next.seal()
-	return next, stats, nil
-}
-
-// CanRepair reports whether the DelayMat carries the member bookkeeping
-// Repair needs (built with BuildOptions.TrackMembers).
-func (dm *DelayMat) CanRepair() bool { return dm.members != nil }
-
-// Repair returns a new DelayMat over the updated graph g by patching
-// counters: for each conceptual RR-Graph whose member set intersects the
-// touched heads, the old members' counters are decremented, the member set
-// is re-sampled from the new graph (same target), and the new members'
-// counters are incremented. Vertex additions re-target and append exactly
-// like Index.Repair. Requires TrackMembers bookkeeping; ErrNotRepairable
-// otherwise. The receiver is not modified.
-func (dm *DelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*DelayMat, RepairStats, error) {
-	if err := opts.Accuracy.Validate(); err != nil {
-		return nil, RepairStats{}, fmt.Errorf("rrindex: %w", err)
-	}
-	theta, err := opts.Theta(g.NumVertices())
-	if err != nil {
-		return nil, RepairStats{}, err
-	}
-	return dm.repair(g, opts, touched, repairSpec{addedVertices: addedVertices, thetaNew: theta})
-}
-
-// repair is the pool-aware core of DelayMat.Repair; see repairSpec.
-func (dm *DelayMat) repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, spec repairSpec) (*DelayMat, RepairStats, error) {
-	var stats RepairStats
-	if !dm.CanRepair() {
-		return nil, stats, ErrNotRepairable
-	}
-	oldV := dm.g.NumVertices()
-	newV := g.NumVertices()
-	if newV != oldV+spec.addedVertices {
-		return nil, stats, fmt.Errorf("rrindex: graph has %d vertices, want %d + %d added",
-			newV, oldV, spec.addedVertices)
-	}
-
-	touchedSet := make([]bool, oldV)
-	for _, h := range touched {
-		if int(h) < oldV {
-			touchedSet[h] = true
-		}
-	}
-
-	next := &DelayMat{g: g, theta: dm.theta, counts: make([]int64, newV)}
-	copy(next.counts, dm.counts)
-
-	// The same ordered pass as Index.repair: re-sampled member sets go to
-	// fresh, and spliceStores writes the new store.
-	old := dm.members
-	resampled := make([]bool, old.size())
-	for i := range resampled {
-		resampled[i] = slices.ContainsFunc(old.members(i), func(v graph.VertexID) bool { return touchedSet[v] })
-	}
-	fresh := newStore(g)
-	r, s := rng.New(opts.Seed), newSampler(g, nil)
-	var err error
-	next.theta, err = spec.walk(r, old, resampled, dm.theta, newV, &stats, func(i int, target graph.VertexID) error {
-		if i >= 0 {
-			for _, v := range old.members(i) {
-				next.counts[v]--
-			}
-		}
-		s.sample(target, r)
-		for _, v := range s.members {
-			next.counts[v]++
-		}
-		_, err := fresh.push(target, s.members, 0)
-		return err
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if next.members, err = spliceStores(old, fresh, resampled); err != nil {
-		return nil, stats, err
-	}
-	// A DelayMat answer recovers graphs by forward cascades over the
-	// whole graph, so any repair can change every answer.
-	stats.Dirty = Dirty{All: true}
-	stats.Total = next.members.size()
-	next.recomputeFootprint()
 	return next, stats, nil
 }

@@ -258,70 +258,6 @@ func TestIndexRepairVertexGrowth(t *testing.T) {
 	}
 }
 
-func TestDelayMatRepairPatchesCounters(t *testing.T) {
-	g := randomGraph(200, 4, 0.05, 0.3, 9)
-	opts := BuildOptions{
-		Accuracy: sampling.Options{Epsilon: 0.3, Delta: 100, LogSearchSpace: 2},
-		Seed:     31, MaxIndexSamples: 2000, TrackMembers: true,
-	}
-	dm, err := BuildDelayMat(g, opts)
-	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
-	}
-	if !dm.CanRepair() {
-		t.Fatal("TrackMembers build not repairable")
-	}
-	ng, info := applyDelta(t, g, graph.Delta{
-		DeleteEdges: []graph.EdgeID{5, 6},
-		InsertEdges: []graph.EdgeInsert{
-			{From: 2, To: 99, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.6}}},
-		},
-	})
-	ropts := opts
-	ropts.Seed = 32
-	next, stats, err := dm.Repair(ng, ropts, info.TouchedHeads, 0)
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if stats.Invalidated == 0 || stats.Invalidated >= int(dm.theta) {
-		t.Fatalf("implausible invalidation count %d of %d", stats.Invalidated, dm.theta)
-	}
-	// Counter invariant: counts must equal member-list occurrence counts.
-	recount := make([]int64, ng.NumVertices())
-	for _, v := range storeMembers(next.members) {
-		recount[v]++
-	}
-	for v := range recount {
-		if recount[v] != next.Count(graph.VertexID(v)) {
-			t.Fatalf("count mismatch at %d: %d vs %d", v, next.Count(graph.VertexID(v)), recount[v])
-		}
-	}
-	// Old DelayMat unchanged.
-	old := make([]int64, g.NumVertices())
-	for _, v := range storeMembers(dm.members) {
-		old[v]++
-	}
-	for v := range old {
-		if old[v] != dm.Count(graph.VertexID(v)) {
-			t.Fatalf("receiver mutated at %d", v)
-		}
-	}
-}
-
-func TestDelayMatRepairRequiresMembers(t *testing.T) {
-	g := fixture.Graph()
-	dm, err := BuildDelayMat(g, buildOpts())
-	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
-	}
-	if dm.CanRepair() {
-		t.Fatal("untracked DelayMat claims repairability")
-	}
-	if _, _, err := dm.Repair(g, buildOpts(), nil, 0); err != ErrNotRepairable {
-		t.Fatalf("Repair error = %v, want ErrNotRepairable", err)
-	}
-}
-
 // TestRepairUntouchedEstimatesIdentical pins the sharing guarantee: a
 // delta whose touched heads intersect none of a user's RR-Graphs leaves
 // that user's estimate bit-identical.

@@ -258,10 +258,6 @@ func offsetsFit(outStartLen, edges int64) bool {
 // parallel merge, the file reader, DelayMat recovery and repair append
 // into stores through add, push and concat, the one place graphs are
 // sorted into kinds, and a store is never mutated once published.
-//
-// A DelayMat's repair bookkeeping is a store's vertex half only: records
-// and verts, with members in sampling order, e always 0 and no CSR; it
-// keeps no in-stars.
 type graphStore struct {
 	g        *graph.Graph // the edges' endpoints
 	recs     []graphRec   // one per deeper graph, then the sentinel
@@ -338,15 +334,6 @@ func (s *graphStore) target(pos int) graph.VertexID {
 	default:
 		return s.recs[i].target
 	}
-}
-
-// members returns graph pos's member vertices (an in-star's in a fresh
-// slice).
-func (s *graphStore) members(pos int) []graph.VertexID {
-	if k, i := s.locate(pos); k == deeper {
-		return s.verts[s.recs[i].v:s.recs[i+1].v]
-	}
-	return s.view(pos).verts
 }
 
 // posted returns the members whose postings list graph pos: all of a
@@ -531,9 +518,8 @@ func (s *graphStore) appendKinds(q int, one, star uint64, k int) {
 
 // push records a graph of target: a one-vertex graph (one member, m = 0)
 // goes to singles; otherwise its members are appended to verts, and the
-// caller appends its m edges to the CSR arrays (a DelayMat member store
-// pushes m = 0 and keeps no CSR). It reports whether the graph went to
-// singles, and refuses, leaving s unchanged, a graph the uint32 offsets
+// caller appends its m edges to the CSR arrays. It reports whether the
+// graph went to singles, and refuses, leaving s unchanged, a graph the uint32 offsets
 // cannot address.
 func (s *graphStore) push(target graph.VertexID, members []graph.VertexID, m int) (bool, error) {
 	last := &s.recs[len(s.recs)-1]

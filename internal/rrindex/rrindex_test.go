@@ -87,15 +87,6 @@ func TestThetaTinyEpsilon(t *testing.T) {
 	if _, _, err := fixtureIndex(t).Repair(g, o, nil, 0); err == nil {
 		t.Fatal("uncapped index Repair succeeded")
 	}
-	tracked := buildOpts()
-	tracked.TrackMembers = true
-	dm, err := BuildDelayMat(g, tracked)
-	if err != nil {
-		t.Fatalf("BuildDelayMat: %v", err)
-	}
-	if _, _, err := dm.Repair(g, o, nil, 0); err == nil {
-		t.Fatal("uncapped DelayMat Repair succeeded")
-	}
 }
 
 // TestEffectiveEpsilonInvertsTheta: Eq. 7 solved for ε at a sample count

@@ -183,26 +183,16 @@ func (b *build) index(opts BuildOptions, pool []graph.VertexID, theta int64) (*I
 }
 
 // delayMat samples the graphs index would, on the same streams, and
-// counts their members; with opts.TrackMembers it also keeps each graph's
-// target and member set, in position order, for Repair.
+// counts their members.
 func (b *build) delayMat(opts BuildOptions, pool []graph.VertexID, theta int64) (*DelayMat, error) {
 	dm := &DelayMat{g: b.g, theta: theta, counts: make([]int64, b.g.NumVertices())}
-	stores := make([]*graphStore, buildRanges(theta))
 	var mu sync.Mutex
-	err := b.ranges(theta, len(stores), func(c int, lo, hi int64) error {
+	err := b.ranges(theta, buildRanges(theta), func(_ int, lo, hi int64) error {
 		s, counts := newSampler(b.g, b.surv), make([]int64, len(dm.counts))
-		if opts.TrackMembers {
-			stores[c] = newStore(b.g)
-		}
 		for gi := lo; gi < hi; gi++ {
-			target := s.position(opts.Seed, pool, gi)
+			s.position(opts.Seed, pool, gi)
 			for _, m := range s.members {
 				counts[m]++
-			}
-			if stores[c] != nil {
-				if _, err := stores[c].push(target, s.members, 0); err != nil {
-					return err
-				}
 			}
 		}
 		mu.Lock()
@@ -214,11 +204,6 @@ func (b *build) delayMat(opts BuildOptions, pool []graph.VertexID, theta int64) 
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.TrackMembers {
-		if dm.members, err = mergeStores(b.g, stores...); err != nil {
-			return nil, err
-		}
 	}
 	dm.recomputeFootprint()
 	return dm, nil

@@ -3,7 +3,6 @@ package rrindex
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -323,26 +322,22 @@ func strongPairs(g *graph.Graph, m *topics.Model, n int) []userTags {
 }
 
 // TestBuildBytesIndependentOfProcessors: a build's saved bytes are the
-// same at GOMAXPROCS 1, 2 and 4, at S ∈ {1, 3} — an index's, and a
-// DelayMat's along with its repair bookkeeping — and a shard built alone,
-// as a shard server builds its slice, saves the in-process shard's bytes.
-// θ cuts every shard into several ranges, so the ranges run concurrently
-// wherever there is more than one processor.
+// same at GOMAXPROCS 1, 2 and 4, at S ∈ {1, 3} — an index's and a
+// DelayMat's — and a shard built alone, as a shard server builds its
+// slice, saves the in-process shard's bytes. θ cuts every shard into
+// several ranges, so the ranges run concurrently wherever there is more
+// than one processor.
 func TestBuildBytesIndependentOfProcessors(t *testing.T) {
 	g := randomGraph(300, 4, 0.05, 0.4, 61)
 	opts := BuildOptions{
 		Accuracy:        sampling.Options{Epsilon: 0.1, Delta: 100, LogSearchSpace: 2},
 		Seed:            19,
 		MaxIndexSamples: 9 * minRange,
-		TrackMembers:    true,
 	}
 	if n := buildRanges(opts.MaxIndexSamples / 3); n < 2 {
 		t.Fatalf("a shard of θ/3 graphs is cut into %d ranges, want several", n)
 	}
-	type built struct {
-		index, delaymat []byte
-		members         []*graphStore
-	}
+	type built struct{ index, delaymat []byte }
 	buildAt := func(procs, S int) built {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		si, err := BuildSharded(g, opts, S)
@@ -362,9 +357,6 @@ func TestBuildBytesIndependentOfProcessors(t *testing.T) {
 			t.Fatalf("WriteShardedDelayMat: %v", err)
 		}
 		out.index, out.delaymat = ib.Bytes(), db.Bytes()
-		for _, dm := range sdm.shards {
-			out.members = append(out.members, dm.members)
-		}
 		for s := range S {
 			alone, err := BuildOwned(g, opts, S, []int{s})
 			if err != nil {
@@ -392,9 +384,6 @@ func TestBuildBytesIndependentOfProcessors(t *testing.T) {
 			}
 			if !bytes.Equal(got.delaymat, want.delaymat) {
 				t.Errorf("S=%d: the DelayMat saved on %d processors differs from the one saved on 1", S, procs)
-			}
-			if !reflect.DeepEqual(got.members, want.members) {
-				t.Errorf("S=%d: the DelayMat's repair bookkeeping on %d processors differs from the one on 1", S, procs)
 			}
 		}
 	}

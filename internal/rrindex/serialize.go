@@ -31,9 +31,9 @@ import (
 //
 // where G = theta_s and outStart values are per-graph-relative edge
 // offsets. A DelayMat body is numVertices u64 counters. The per-user
-// postings lists are rebuilt on load (they are derivable), and DelayMat
-// repair bookkeeping (TrackMembers) is never stored: a loaded DelayMat
-// repairs by a full recount.
+// postings lists are rebuilt on load (they are derivable). A DelayMat
+// is its counters alone, loaded or built, and every DelayMat updates by a
+// full recount.
 //
 // Earlier one-shard files — a version-2 index and a version-1 DelayMat —
 // are this layout without the S and theta_1 words, and load as S = 1.
@@ -337,7 +337,7 @@ func ReadShardedDelayMat(r io.Reader, g *graph.Graph) (*ShardedDelayMat, error) 
 }
 
 // loaded is the container of a file's shards: every shard of its layout.
-func loaded[T shardPart[T]](g *graph.Graph, shards []T) shardSet[T] {
+func loaded[T shardPart](g *graph.Graph, shards []T) shardSet[T] {
 	nV := g.NumVertices()
 	set, _ := holding[T](g, poolSizes(shardPools(nV, len(shards)), nV), nil)
 	set.shards = shards

@@ -10,13 +10,14 @@ import (
 )
 
 // This file implements the sharded index mode: users are hash-partitioned
-// into S shards, each shard owning its own graph store, postings arena
-// and (for DelayMat) counter array, built and repaired in parallel with
-// per-shard RNG streams. A shard is an ordinary Index/DelayMat whose
-// targets are drawn uniformly from the shard's user partition V_s with an
-// apportioned sample count θ_s ∝ |V_s|; its RR-Graphs' member sets still
-// span the whole graph (a reverse BFS crosses partitions freely), so any
-// user can appear in any shard's postings.
+// into S shards, each shard owning its own graph store and postings
+// arena (repaired in parallel) or DelayMat counter array, built in
+// parallel with per-shard RNG streams. A shard is an ordinary
+// Index/DelayMat whose targets are drawn uniformly from the shard's user
+// partition V_s with an apportioned sample count θ_s ∝ |V_s|; its
+// RR-Graphs' member sets still span the whole graph (a reverse BFS
+// crosses partitions freely), so any user can appear in any shard's
+// postings.
 //
 // Statistical contract. Shard s's (hits_s/θ_s)·|V_s| is an unbiased
 // estimate of Σ_{v∈V_s} Pr[u influences v | W] — the same RR argument as
@@ -28,17 +29,18 @@ import (
 // with the usual (1-ε) concentration at the combined θ.
 //
 // What sharding buys: each shard's store, postings and DelayMat counters
-// are independently allocated, built and repaired, so incremental repair
-// parallelizes across shards (a build runs on every core at any S), and a
-// repair touches only the shards whose postings contain a touched head —
-// untouched shards are shared with the previous generation as-is (~1/S of
-// the index per single-head batch, instead of all of it).
+// are independently allocated and built, and an index's shards are
+// independently repaired, so incremental repair parallelizes across
+// shards (a build runs on every core at any S), and a repair touches only
+// the shards whose postings contain a touched head — untouched shards are
+// shared with the previous generation as-is (~1/S of the index per
+// single-head batch, instead of all of it).
 //
 // One container. A shard is derived from one layout (pools, |V_s|, θ_s)
 // by the per-shard helpers below: its build options, its build, and plan,
-// the repair-routing decision. shardSet holds the shards of the layout a
-// process has — every one in an engine, the owned ones on a shard server
-// — and is the only code that builds, repairs and reports them, for
+// an index repair's routing decision. shardSet holds the shards of the
+// layout a process has — every one in an engine, the owned ones on a
+// shard server — and is the only code that builds and reports them, for
 // ShardedIndex and ShardedDelayMat alike. A shard's bytes depend on the
 // layout and its own id alone, never on which other shards are held, so
 // a fleet of shard servers and the in-process index cannot drift apart.
@@ -179,9 +181,9 @@ func (l layout) buildDelayMat(b *build, opts BuildOptions, s int) (*DelayMat, er
 	return b.delayMat(l.options(opts, s), l.pools[s], l.thetas[s])
 }
 
-// plan is the repair-routing decision for shard s, with l the layout of
-// the updated graph: the shard must be re-sampled (needs) when its
-// postings or counters hold a touched head (ownsTouched), its partition
+// plan is the repair-routing decision for index shard s, with l the
+// layout of the updated graph: the shard must be re-sampled (needs) when
+// its postings hold a touched head (ownsTouched), its partition
 // gained users, or its apportioned θ_s grew past oldTheta — θ never
 // shrinks. Otherwise the old shard is shared as-is. spec carries the
 // shard's pool parameters for the re-sampling.
@@ -204,27 +206,20 @@ func (l layout) plan(s, oldVertices, addedVertices int, oldTheta int64, ownsTouc
 
 // shardPart is what the container needs of one shard's structure:
 // *Index or *DelayMat.
-type shardPart[T any] interface {
+type shardPart interface {
 	Theta() int64
 	MemoryFootprint() int64
 	// stat is the shard's ShardStats row as far as the structure knows
 	// it: θ_s, the graph counts and the bytes.
 	stat() ShardStat
-	// owns reports whether a touched head appears in the shard's postings
-	// or counters.
-	owns(touched []graph.VertexID) bool
-	// share re-binds the shard to the updated graph without re-sampling.
-	share(g *graph.Graph) (T, RepairStats)
-	repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, spec repairSpec) (T, RepairStats, error)
 }
 
 // shardSet is the one container of an S-way layout: the shards of it one
 // process holds — all of them in an engine, the owned ones on a shard
-// server — with their |V_s| and cumulative repair counts. It builds,
-// repairs and reports once for both structures; ShardedIndex and
-// ShardedDelayMat embed it. Immutable once built: Repair returns a new
-// set.
-type shardSet[T shardPart[T]] struct {
+// server — with their |V_s| and cumulative repair counts. It builds and
+// reports once for both structures; ShardedIndex and ShardedDelayMat
+// embed it. Immutable once built: ShardedIndex.Repair returns a new set.
+type shardSet[T shardPart] struct {
 	g *graph.Graph
 	// numShards is the layout's S; ids are the held shards' ids,
 	// ascending, and shards, users (|V_s|) and repaired run parallel to
@@ -241,7 +236,7 @@ type shardSet[T shardPart[T]] struct {
 // holding returns an empty container for the shards owned (nil: every
 // shard) of the layout whose pools have the given sizes, or an error when
 // owned is not an ascending list of the layout's shard ids.
-func holding[T shardPart[T]](g *graph.Graph, sizes []int, owned []int) (shardSet[T], error) {
+func holding[T shardPart](g *graph.Graph, sizes []int, owned []int) (shardSet[T], error) {
 	S := len(sizes)
 	ids := slices.Clone(owned)
 	if owned == nil {
@@ -265,7 +260,7 @@ func holding[T shardPart[T]](g *graph.Graph, sizes []int, owned []int) (shardSet
 // in-table and at most GOMAXPROCS sampling goroutines across the shards.
 // A shard's bytes depend on (Seed, S) only — not on which other shards
 // are held, nor on the number of cores.
-func buildShards[T shardPart[T]](g *graph.Graph, opts BuildOptions, numShards int, owned []int,
+func buildShards[T shardPart](g *graph.Graph, opts BuildOptions, numShards int, owned []int,
 	buildShard func(layout, *build, BuildOptions, int) (T, error)) (shardSet[T], error) {
 	l, err := newLayout(g.NumVertices(), opts, numShards)
 	if err != nil {
@@ -280,44 +275,6 @@ func buildShards[T shardPart[T]](g *graph.Graph, opts BuildOptions, numShards in
 		set.shards[i], err = buildShard(l, b, opts, set.ids[i])
 		return err
 	})
-}
-
-// repair returns the container over the updated graph, every held shard
-// repaired concurrently under its own seed: re-sampled where plan says
-// so, shared with the receiver as-is otherwise. The receiver is not
-// modified.
-func (c *shardSet[T]) repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (shardSet[T], RepairStats, error) {
-	var agg RepairStats
-	l, err := newLayout(g.NumVertices(), opts, c.numShards)
-	if err != nil {
-		return shardSet[T]{}, agg, err
-	}
-	next, _ := holding[T](g, l.sizes, c.ids)
-	perShard := make([]RepairStats, len(c.ids))
-	err = eachShard(len(c.ids), func(i int) error {
-		old, s := c.shards[i], c.ids[i]
-		spec, needs, err := l.plan(s, c.g.NumVertices(), addedVertices, old.Theta(), old.owns(touched))
-		switch {
-		case err != nil:
-		case needs:
-			next.shards[i], perShard[i], err = old.repair(g, l.options(opts, s), touched, spec)
-		default:
-			next.shards[i], perShard[i] = old.share(g)
-		}
-		return err
-	})
-	if err != nil {
-		return shardSet[T]{}, agg, err
-	}
-	for i, st := range perShard {
-		agg.Invalidated += st.Invalidated
-		agg.Retargeted += st.Retargeted
-		agg.Appended += st.Appended
-		agg.Total += st.Total
-		agg.Dirty.union(st.Dirty)
-		next.repaired[i] = c.repaired[i] + int64(st.Repaired())
-	}
-	return next, agg, nil
 }
 
 // eachShard runs fn for every shard of [0, numShards) concurrently and
@@ -439,6 +396,7 @@ func (idx *Index) share(g *graph.Graph) (*Index, RepairStats) {
 	return &clone, RepairStats{Total: idx.graphs.size()}
 }
 
+// owns reports whether a touched head appears in the index's postings.
 func (idx *Index) owns(touched []graph.VertexID) bool {
 	for _, h := range touched {
 		if int(h) < len(idx.containing) && idx.NumContaining(h) > 0 {
@@ -449,18 +407,45 @@ func (idx *Index) owns(touched []graph.VertexID) bool {
 }
 
 // Repair returns a new ShardedIndex over the updated graph, every held
-// shard repaired concurrently. A shard is re-sampled only when its
-// postings contain a touched head, its partition gained users, or its
-// apportioned θ grew — otherwise the old shard's (immutable) store and
-// postings are shared with the new generation as-is. For a small edge
-// batch this shrinks the repair scope to the ~1/S of the index that
-// actually owns affected graphs. The receiver is not modified.
+// shard repaired concurrently under its own seed. A shard is re-sampled
+// only when its postings contain a touched head, its partition gained
+// users, or its apportioned θ grew — otherwise the old shard's
+// (immutable) store and postings are shared with the new generation
+// as-is. For a small edge batch this shrinks the repair scope to the
+// ~1/S of the index that actually owns affected graphs. The receiver is
+// not modified.
 func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedIndex, RepairStats, error) {
-	set, stats, err := si.repair(g, opts, touched, addedVertices)
+	var agg RepairStats
+	l, err := newLayout(g.NumVertices(), opts, si.numShards)
 	if err != nil {
-		return nil, stats, err
+		return nil, agg, err
 	}
-	return &ShardedIndex{set}, stats, nil
+	next, _ := holding[*Index](g, l.sizes, si.ids)
+	perShard := make([]RepairStats, len(si.ids))
+	err = eachShard(len(si.ids), func(i int) error {
+		old, s := si.shards[i], si.ids[i]
+		spec, needs, err := l.plan(s, si.g.NumVertices(), addedVertices, old.Theta(), old.owns(touched))
+		switch {
+		case err != nil:
+		case needs:
+			next.shards[i], perShard[i], err = old.repair(g, l.options(opts, s), touched, spec)
+		default:
+			next.shards[i], perShard[i] = old.share(g)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, agg, err
+	}
+	for i, st := range perShard {
+		agg.Invalidated += st.Invalidated
+		agg.Retargeted += st.Retargeted
+		agg.Appended += st.Appended
+		agg.Total += st.Total
+		agg.Dirty.union(st.Dirty)
+		next.repaired[i] = si.repaired[i] + int64(st.Repaired())
+	}
+	return &ShardedIndex{next}, agg, nil
 }
 
 // ShardedDelayMat is S independent DelayMat counter arrays, one per hash
@@ -469,9 +454,10 @@ func (si *ShardedIndex) Repair(g *graph.Graph, opts BuildOptions, touched []grap
 // shard's counter array spans all of |V| — the counter footprint (and
 // file size) is S·8·|V| bytes rather than the monolithic 8·|V|. That is
 // still orders of magnitude below a materialized index, but it means
-// sharding buys DelayMat parallel build/repair and repair routing, not
-// memory; keep S modest for DelayMat, and reach for sharding primarily
-// on the materialized Index, whose graph stores really do partition.
+// sharding buys DelayMat a parallel build, not memory and not repair
+// routing: an update recounts every shard, whose counters span all of
+// |V|. Keep S modest for DelayMat, and reach for sharding primarily on
+// the materialized Index, whose graph stores really do partition.
 type ShardedDelayMat struct {
 	shardSet[*DelayMat]
 	// gen is what every DelayEstimator over this generation shares: the
@@ -490,59 +476,25 @@ func BuildShardedDelayMat(g *graph.Graph, opts BuildOptions, numShards int) (*Sh
 	return &ShardedDelayMat{shardSet: set}, nil
 }
 
-// CanRepair reports whether every shard carries repair bookkeeping.
-func (sdm *ShardedDelayMat) CanRepair() bool {
-	for _, sh := range sdm.shards {
-		if !sh.CanRepair() {
-			return false
-		}
+// Recount is how a DelayMat updates: BuildShardedDelayMat over the
+// updated graph at the same shard count, with every shard's cumulative
+// repair count carried on and raised by its θ_s, all of whose graphs were
+// re-sampled. opts must be the options the receiver was built with for
+// the counters to equal a fresh build's.
+func (sdm *ShardedDelayMat) Recount(g *graph.Graph, opts BuildOptions) (*ShardedDelayMat, error) {
+	next, err := BuildShardedDelayMat(g, opts, sdm.numShards)
+	if err != nil {
+		return nil, err
 	}
-	return true
+	for i, sh := range next.shards {
+		next.repaired[i] = sdm.repaired[i] + sh.theta
+	}
+	return next, nil
 }
 
-// stat's Graphs is θ_s — the conceptual per-shard RR-Graph count, which
-// is truthful whether or not TrackMembers bookkeeping is present (the
-// member store is absent for untracked or disk-loaded counters); a
+// stat's Graphs is θ_s — the conceptual per-shard RR-Graph count; a
 // DelayMat stores counts, not graphs, so it has no singletons or
 // in-stars.
 func (dm *DelayMat) stat() ShardStat {
 	return ShardStat{Theta: dm.theta, Graphs: int(dm.theta), Bytes: dm.MemoryFootprint()}
-}
-
-// share is the DelayMat analog of Index.share: a shallow clone re-bound
-// to the updated graph with counters extended to appended users.
-func (dm *DelayMat) share(g *graph.Graph) (*DelayMat, RepairStats) {
-	clone := *dm
-	clone.g = g
-	if g.NumVertices() > len(dm.counts) {
-		counts := make([]int64, g.NumVertices())
-		copy(counts, dm.counts)
-		clone.counts = counts
-		clone.recomputeFootprint()
-	}
-	return &clone, RepairStats{Total: dm.members.size()}
-}
-
-func (dm *DelayMat) owns(touched []graph.VertexID) bool {
-	for _, h := range touched {
-		if int(h) < len(dm.counts) && dm.counts[h] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Repair is the sharded DelayMat repair, routed like ShardedIndex.Repair:
-// only shards whose counters show a touched head, whose partition gained
-// users, or whose θ grew are patched; the rest are shared. Requires
-// TrackMembers bookkeeping on every shard (ErrNotRepairable otherwise).
-func (sdm *ShardedDelayMat) Repair(g *graph.Graph, opts BuildOptions, touched []graph.VertexID, addedVertices int) (*ShardedDelayMat, RepairStats, error) {
-	if !sdm.CanRepair() {
-		return nil, RepairStats{}, ErrNotRepairable
-	}
-	set, stats, err := sdm.repair(g, opts, touched, addedVertices)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &ShardedDelayMat{shardSet: set}, stats, nil
 }

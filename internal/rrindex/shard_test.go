@@ -426,48 +426,6 @@ func TestShardedSerializationRoundTripV3(t *testing.T) {
 	}
 }
 
-// TestShardedDelayMatRepairPatchesCounters: sharded DelayMat repair keeps
-// the counter invariant counts[u] == |{graphs containing u}| per shard.
-func TestShardedDelayMatRepairPatchesCounters(t *testing.T) {
-	g := randomGraph(150, 3, 0.05, 0.3, 53)
-	opts := shardOpts(59, 800)
-	opts.TrackMembers = true
-	sdm, err := BuildShardedDelayMat(g, opts, 3)
-	if err != nil {
-		t.Fatalf("BuildShardedDelayMat: %v", err)
-	}
-	if !sdm.CanRepair() {
-		t.Fatal("TrackMembers build not repairable")
-	}
-	ng, info := applyDelta(t, g, graph.Delta{
-		RetopicEdges: []graph.EdgeRetopic{{Edge: 2, Topics: []graph.TopicProb{{Topic: 0, Prob: 0.85}}}},
-	})
-	opts.Seed = 61
-	next, _, err := sdm.Repair(ng, opts, info.TouchedHeads, 0)
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	for s, sh := range next.shards {
-		want := make([]int64, ng.NumVertices())
-		for _, v := range storeMembers(sh.members) {
-			want[v]++
-		}
-		for u := range want {
-			if sh.counts[u] != want[u] {
-				t.Fatalf("shard %d counts[%d] = %d, member sets say %d", s, u, sh.counts[u], want[u])
-			}
-		}
-	}
-	// A non-tracking sharded DelayMat must refuse to repair.
-	plain, err := BuildShardedDelayMat(g, shardOpts(59, 800), 3)
-	if err != nil {
-		t.Fatalf("BuildShardedDelayMat: %v", err)
-	}
-	if _, _, err := plain.Repair(ng, shardOpts(61, 800), info.TouchedHeads, 0); err != ErrNotRepairable {
-		t.Fatalf("Repair without bookkeeping: err = %v, want ErrNotRepairable", err)
-	}
-}
-
 // TestShardedScatterParallelDeterministic drives the parallel scatter
 // path (work above scatterParallelMinWork at S=4) and checks that two
 // independent estimators agree bit-for-bit — the gather order is fixed

@@ -170,13 +170,10 @@ type Options struct {
 	// the online samplers (ablation knob). Index strategies never stop a
 	// scan early and ignore it.
 	DisableEarlyStop bool
-	// TrackUpdates prepares an engine's offline structures for incremental
-	// repair by Engine.ApplyUpdates. The RR-Graph index strategies are
-	// always repairable and ignore it; for DelayMat it records per-graph
-	// member sets and targets, trading the strategy's tiny footprint for
-	// patchable counters — without it, ApplyUpdates on a DelayMat engine
-	// falls back to a full offline recount. It is engine-only: shard
-	// servers hold index slices, which need no bookkeeping.
+	// TrackUpdates is read by nothing. Index strategies always repair, and
+	// Engine.ApplyUpdates always recounts a DelayMat. The field stays only
+	// because the benchmark harness in bench/ still sets it; ROADMAP item
+	// 1(e) removes both.
 	TrackUpdates bool
 }
 

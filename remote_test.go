@@ -543,12 +543,11 @@ func TestRemoteProbeValidateAndProber(t *testing.T) {
 func TestIndexBuildOptions(t *testing.T) {
 	_, model := fig2Network(t)
 	opts := testEngineOptions(StrategyIndexPruned)
-	opts.TrackUpdates = true
 	bo, err := IndexBuildOptions(model, opts)
 	if err != nil {
 		t.Fatalf("IndexBuildOptions: %v", err)
 	}
-	if bo.Seed != opts.Seed || bo.MaxIndexSamples != opts.MaxIndexSamples || !bo.TrackMembers {
+	if bo.Seed != opts.Seed || bo.MaxIndexSamples != opts.MaxIndexSamples {
 		t.Fatalf("derived build options: %+v", bo)
 	}
 	if bo.Accuracy.Epsilon != opts.Epsilon || bo.Accuracy.Delta != opts.Delta {

@@ -364,7 +364,7 @@ func TestSwapPurgesWhenEveryUserIsDirty(t *testing.T) {
 	engine := func(s pitex.Strategy) *pitex.Engine {
 		en, err := pitex.NewEngine(net, model, pitex.Options{
 			Strategy: s, Epsilon: 0.7, Delta: 1000, MaxK: 3, Seed: 1,
-			MaxSamples: 2000, MaxIndexSamples: 20000, TrackUpdates: true,
+			MaxSamples: 2000, MaxIndexSamples: 20000,
 		})
 		if err != nil {
 			t.Fatalf("NewEngine(%v): %v", s, err)

@@ -227,6 +227,51 @@ func TestSwapKeepsPoolSizeBound(t *testing.T) {
 	}
 }
 
+// TestAdminUpdateDelayMatRecount: a DELAYMAT update recounts every
+// graph, and /admin/update and pitex_graphs_repaired_total say so — θ
+// graphs repaired of θ, a repaired fraction of 1 — instead of reporting a
+// full rebuild beside zero graphs repaired.
+func TestAdminUpdateDelayMatRecount(t *testing.T) {
+	en := fig2Engine(t, pitex.StrategyDelay)
+	var theta int64
+	for _, st := range en.IndexShardStats() {
+		theta += st.Theta
+	}
+	srv, err := New(en, pitex.ServeOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/admin/update", "application/json",
+		strings.NewReader(`{"delete_edges":[{"from":5,"to":6}]}`))
+	if err != nil {
+		t.Fatalf("POST update: %v", err)
+	}
+	var out struct {
+		Repaired    int64   `json:"graphs_repaired"`
+		Total       int64   `json:"graphs_total"`
+		Fraction    float64 `json:"repaired_fraction"`
+		FullRebuild bool    `json:"full_rebuild"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST update status %d", resp.StatusCode)
+	}
+	if out.Repaired != theta || out.Total != theta || out.Fraction != 1 || !out.FullRebuild {
+		t.Fatalf("update response %+v, want all %d graphs recounted", out, theta)
+	}
+	f := scrape(t, ts.URL+"/metrics")["pitex_graphs_repaired_total"]
+	if f == nil || len(f.Samples) != 1 || f.Samples[0].Value != float64(theta) {
+		t.Fatalf("pitex_graphs_repaired_total = %+v, want %d", f, theta)
+	}
+}
+
 func TestAdminUpdateEndpoint(t *testing.T) {
 	en := fig2Engine(t, pitex.StrategyIndexPruned)
 	srv, err := New(en, pitex.ServeOptions{PoolSize: 2})

@@ -119,15 +119,16 @@ type UpdateStats struct {
 	EdgesRetopiced int `json:"edges_retopiced"`
 	UsersAdded     int `json:"users_added"`
 	// GraphsRepaired counts RR-Graphs re-sampled (invalidated or
-	// re-targeted) and GraphsAppended fresh ones added for θ growth;
-	// GraphsTotal is the index's graph count afterwards. All zero for
-	// online strategies, which keep no offline structure.
+	// re-targeted; every one of the θ on a recount) and GraphsAppended
+	// fresh ones added for θ growth; GraphsTotal is the index's graph
+	// count afterwards. All zero for online strategies, which keep no
+	// offline structure.
 	GraphsRepaired int `json:"graphs_repaired"`
 	GraphsAppended int `json:"graphs_appended"`
 	GraphsTotal    int `json:"graphs_total"`
-	// FullRebuild reports that the offline structure could not be patched
-	// and was rebuilt from scratch (a DelayMat without update tracking,
-	// e.g. one loaded from disk).
+	// FullRebuild reports a recount: DELAYMAT always recounts, and the
+	// result equals a fresh build over the updated network with the
+	// engine's options.
 	FullRebuild bool `json:"full_rebuild"`
 	// DirtyUsers counts the users whose answers the batch can have
 	// changed (see Dirty): the members, before and after re-sampling, of
@@ -153,14 +154,11 @@ func (s UpdateStats) Dirty(user int) bool {
 }
 
 // RepairedFraction is the share of index graphs the batch forced to be
-// re-sampled (1 for a full rebuild, 0 for online strategies). A serving
+// re-sampled (1 for a recount, 0 for online strategies). A serving
 // layer can watch it to decide when accumulated churn justifies a full
 // offline rebuild (see the package documentation's "When to prefer a
 // full rebuild").
 func (s UpdateStats) RepairedFraction() float64 {
-	if s.FullRebuild {
-		return 1
-	}
 	if s.GraphsTotal == 0 {
 		return 0
 	}
@@ -176,11 +174,12 @@ func (en *Engine) Generation() uint64 { return en.generation }
 // ApplyUpdates applies the batch to the engine's network and returns a new
 // query-ready engine of the next generation, incrementally repairing the
 // offline index instead of rebuilding it: only RR-Graphs whose sampled
-// edges are touched by the batch are re-sampled, and DelayMat counters are
-// patched. The receiver is not modified and stays fully usable — it still
-// answers queries over the pre-update network, which is what lets a
-// serving layer drain old clones while new queries land on the repaired
-// engine.
+// edges are touched by the batch are re-sampled. DelayMat counters are
+// recounted, so an updated DELAYMAT engine equals NewEngine over the
+// updated network. The receiver is not modified and stays fully usable —
+// it still answers queries over the pre-update network, which is what
+// lets a serving layer drain old clones while new queries land on the
+// repaired engine.
 //
 // The repaired index is statistically equivalent to a fresh rebuild over
 // the updated network: unaffected RR-Graphs are distribution-identical
@@ -212,40 +211,36 @@ func (en *Engine) ApplyUpdates(b *UpdateBatch) (*Engine, UpdateStats, error) {
 	stats.UsersAdded = info.AddedVertices
 	stats.DirtyUsers = newNet.NumUsers()
 
-	if en.index != nil || en.delay != nil {
-		build := en.opts.buildOptions(en.model.NumTags())
+	build := en.opts.buildOptions(en.model.NumTags())
+	switch {
+	case en.index != nil:
 		// Mix the generation into the repair seed so successive repairs
 		// draw independent streams, deterministically. RepairSeed is the
 		// exported face of this derivation; remote shard repairs must use
 		// the same one.
 		build.Seed = RepairSeed(en.opts.Seed, next.generation)
 		var rs rrindex.RepairStats
-		switch {
-		case en.index != nil:
-			next.index, rs, err = en.index.Repair(newG, build, info.TouchedHeads, info.AddedVertices)
-		case en.delay.CanRepair():
-			next.delay, rs, err = en.delay.Repair(newG, build, info.TouchedHeads, info.AddedVertices)
-		default:
-			// No repair bookkeeping (e.g. the DelayMat was loaded from
-			// disk): fall back to a full offline recount at the same shard
-			// count, tracking members from now on when the engine opted
-			// into updates.
-			stats.FullRebuild = true
-			next.delay, err = rrindex.BuildShardedDelayMat(newG, build, en.delay.NumShards())
-			if next.delay != nil {
-				rs.Total = int(next.delay.Theta())
-			}
-		}
-		if err != nil {
+		if next.index, rs, err = en.index.Repair(newG, build, info.TouchedHeads, info.AddedVertices); err != nil {
 			return nil, stats, err
 		}
 		stats.GraphsRepaired = rs.Invalidated + rs.Retargeted
 		stats.GraphsAppended = rs.Appended
 		stats.GraphsTotal = rs.Total
-		if en.index != nil && !rs.Dirty.All {
+		if !rs.Dirty.All {
 			stats.dirty = &rs.Dirty
 			stats.DirtyUsers = rs.Dirty.Len(stats.DirtyUsers)
 		}
+		next.IndexBuildTime = time.Since(start)
+	case en.delay != nil:
+		// A DelayMat recounts with the build's own options, so the new
+		// counters are NewEngine's over the updated network, byte for
+		// byte, whether this DelayMat was built or loaded.
+		if next.delay, err = en.delay.Recount(newG, build); err != nil {
+			return nil, stats, err
+		}
+		stats.FullRebuild = true
+		stats.GraphsRepaired = int(next.delay.Theta())
+		stats.GraphsTotal = stats.GraphsRepaired
 		next.IndexBuildTime = time.Since(start)
 	}
 	next.ready()

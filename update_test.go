@@ -1,7 +1,9 @@
 package pitex
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -9,7 +11,6 @@ func TestApplyUpdatesQueriesReflectChange(t *testing.T) {
 	net, model := fig2Network(t)
 	for _, s := range []Strategy{StrategyLazy, StrategyIndexPruned, StrategyDelay} {
 		opts := testEngineOptions(s)
-		opts.TrackUpdates = true
 		en, err := NewEngine(net, model, opts)
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", s, err)
@@ -136,49 +137,92 @@ func TestApplyUpdatesAddUsers(t *testing.T) {
 	}
 }
 
-func TestApplyUpdatesDelayMatFallback(t *testing.T) {
+// TestDelayMatUpdateIsFreshBuild: a DELAYMAT update recounts with the
+// engine's own build options, so along a chain of batches (a deletion,
+// an insertion, a retopic, new users) at S ∈ {1, 3} the updated engine
+// saves NewEngine's bytes over the updated network and answers its
+// queries, whether the chain starts from a built DelayMat or a loaded
+// one. Every update reports all θ graphs re-sampled, in its stats and in
+// the per-shard rows.
+func TestDelayMatUpdateIsFreshBuild(t *testing.T) {
 	net, model := fig2Network(t)
-	opts := testEngineOptions(StrategyDelay) // TrackUpdates unset
-	en, err := NewEngine(net, model, opts)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	chain := []func(*UpdateBatch){
+		func(b *UpdateBatch) { b.DeleteEdge(5, 6) },
+		func(b *UpdateBatch) { b.InsertEdge(1, 4, TopicProb{Topic: 0, Prob: 0.7}) },
+		func(b *UpdateBatch) { b.SetEdge(2, 3, TopicProb{Topic: 1, Prob: 0.6}) },
+		func(b *UpdateBatch) {
+			b.AddUsers(2)
+			b.InsertEdge(6, 7, TopicProb{Topic: 2, Prob: 0.9})
+		},
 	}
-	var b UpdateBatch
-	b.DeleteEdge(5, 6)
-	next, stats, err := en.ApplyUpdates(&b)
-	if err != nil {
-		t.Fatalf("ApplyUpdates: %v", err)
+	saved := func(en *Engine) []byte {
+		var buf bytes.Buffer
+		if err := en.SaveIndex(&buf); err != nil {
+			t.Fatalf("SaveIndex: %v", err)
+		}
+		return buf.Bytes()
 	}
-	if !stats.FullRebuild {
-		t.Fatal("untracked DelayMat did not report a full rebuild")
+	repairedRows := func(en *Engine) (n int64) {
+		for _, st := range en.IndexShardStats() {
+			n += st.GraphsRepaired
+		}
+		return n
 	}
-	// With TrackUpdates the rebuild switched tracking on, so the NEXT
-	// update patches incrementally... only if the engine opted in. It did
-	// not, so the next update is a full rebuild again.
-	var b2 UpdateBatch
-	b2.InsertEdge(5, 6, TopicProb{Topic: 2, Prob: 0.5})
-	_, stats2, err := next.ApplyUpdates(&b2)
-	if err != nil {
-		t.Fatalf("second ApplyUpdates: %v", err)
+	answer := func(en *Engine, user int) Result {
+		res, err := en.Query(context.Background(), Request{User: user, K: 2})
+		if err != nil {
+			t.Fatalf("Query(%d): %v", user, err)
+		}
+		res.Elapsed = 0
+		return res
 	}
-	if !stats2.FullRebuild {
-		t.Fatal("untracked engine repaired without bookkeeping")
-	}
-
-	// Opted-in DelayMat patches incrementally.
-	opts.TrackUpdates = true
-	en2, err := NewEngine(net, model, opts)
-	if err != nil {
-		t.Fatalf("NewEngine tracked: %v", err)
-	}
-	var b3 UpdateBatch
-	b3.DeleteEdge(5, 6)
-	_, stats3, err := en2.ApplyUpdates(&b3)
-	if err != nil {
-		t.Fatalf("tracked ApplyUpdates: %v", err)
-	}
-	if stats3.FullRebuild {
-		t.Fatal("tracked DelayMat fell back to rebuild")
+	for _, S := range []int{1, 3} {
+		opts := testEngineOptions(StrategyDelay)
+		opts.IndexShards = S
+		built, err := NewEngine(net, model, opts)
+		if err != nil {
+			t.Fatalf("S=%d NewEngine: %v", S, err)
+		}
+		loaded, err := NewEngineWithIndex(net, model, opts, bytes.NewReader(saved(built)))
+		if err != nil {
+			t.Fatalf("S=%d NewEngineWithIndex: %v", S, err)
+		}
+		for step, stage := range chain {
+			var b UpdateBatch
+			stage(&b)
+			next, stats, err := built.ApplyUpdates(&b)
+			if err != nil {
+				t.Fatalf("S=%d step %d ApplyUpdates: %v", S, step, err)
+			}
+			fresh, err := NewEngine(next.net, model, opts)
+			if err != nil {
+				t.Fatalf("S=%d step %d NewEngine: %v", S, step, err)
+			}
+			want := saved(fresh)
+			if !bytes.Equal(saved(next), want) {
+				t.Errorf("S=%d step %d: the updated DelayMat saves other bytes than a fresh build", S, step)
+			}
+			theta := int(fresh.delay.Theta())
+			if !stats.FullRebuild || stats.GraphsRepaired != theta || stats.GraphsTotal != theta || stats.RepairedFraction() != 1 {
+				t.Errorf("S=%d step %d: stats %+v, want a recount of all %d graphs", S, step, stats, theta)
+			}
+			if got, want := repairedRows(next)-repairedRows(built), int64(theta); got != want {
+				t.Errorf("S=%d step %d: per-shard graphs_repaired grew by %d, want %d", S, step, got, want)
+			}
+			for _, u := range []int{0, 2, 3} {
+				if got, want := answer(next, u), answer(fresh, u); !reflect.DeepEqual(got, want) {
+					t.Errorf("S=%d step %d user %d: updated engine answers %+v, a fresh build %+v", S, step, u, got, want)
+				}
+			}
+			nextLoaded, _, err := loaded.ApplyUpdates(&b)
+			if err != nil {
+				t.Fatalf("S=%d step %d loaded ApplyUpdates: %v", S, step, err)
+			}
+			if !bytes.Equal(saved(nextLoaded), want) {
+				t.Errorf("S=%d step %d: the updated loaded DelayMat saves other bytes than a fresh build", S, step)
+			}
+			built, loaded = next, nextLoaded
+		}
 	}
 }
 
